@@ -7,11 +7,13 @@
 //! * `cold/1thread` — fresh evaluator, sequential sweep: every point
 //!   pays the back-end + simulate cost, front-ends amortize across the
 //!   space.
-//! * `cold/Nthreads` — fresh evaluator, parallel batch: adds the
-//!   self-scheduling worker pool and in-flight dedup.
+//! * `cold/Nthreads` — fresh evaluator, parallel batch: workers claim
+//!   front-end-grouped chunks of misses, in-flight dedup per point.
 //! * `warm/1thread` and `warm/Nthreads` — pre-populated memo: pure
 //!   cache-hit traversal, the cost stochastic searchers pay on
-//!   revisits.
+//!   revisits. An all-hit batch is served on the calling thread, so
+//!   the two rows must read alike (CI gates `Nthreads` ≤ 1.25 ×
+//!   `1thread` within one run).
 //!
 //! The space is the 5,120-variant Fig. 3 instantiation thinned on the
 //! `TC` axis (640 points) so a bench iteration stays affordable; pass

@@ -1135,7 +1135,7 @@ fn cmd_store(argv: &[String]) -> Result<String, String> {
 /// context's hit rates — the observable form of the speedups the bench
 /// harness measures. The model counters are per backend by
 /// construction: a context serves exactly one [`ModelId`], and the
-/// store never lets backends share report caches or measurement tiers,
+/// store never lets backends share model contexts or measurement tiers,
 /// so the rates below always describe the named model alone.
 /// Nanosecond counters read badly raw; render at the precision a human
 /// compares phases at (whole ns below 10µs, then µs, then ms).
@@ -1211,11 +1211,6 @@ fn render_stats(before: EvalStats, after: EvalStats) -> String {
         out,
         "  dynamic-mix memo: hit rate {}",
         rate(m.mix_hits - b.mix_hits, m.mix_misses - b.mix_misses)
-    );
-    let _ = writeln!(
-        out,
-        "  model-report cache: hit rate {}",
-        rate(m.report_hits - b.report_hits, m.report_misses - b.report_misses)
     );
     out
 }
@@ -1297,7 +1292,6 @@ mod tests {
             "timing model: sim",
             "occupancy table:",
             "dynamic-mix memo:",
-            "model-report cache:",
         ] {
             assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
         }

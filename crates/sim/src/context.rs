@@ -4,23 +4,23 @@
 //! [`measure`](crate::measure), [`dynamic_mix`](crate::dynamic_mix)) are
 //! pure in their inputs, and real workloads hammer them with *repeated*
 //! inputs: the paper's 5,120-point space shares ten lowered programs per
-//! input size, every trial batch re-simulates the same variant, and every
-//! simulation recomputes the same occupancy point. [`ModelContext`] is
-//! the per-`(device, timing model)` owner of the memoized versions of
-//! those services:
+//! input size, and every simulation recomputes the same occupancy
+//! point. [`ModelContext`] is the per-`(device, timing model)` owner of
+//! the memoized versions of those services:
 //!
 //! * an [`OccupancyTable`] over the quantized `(warps, regs, smem,
 //!   L1-split)` domain — every simulation's occupancy lookup;
 //! * a **dynamic-mix memo** keyed by `(lowered program, TC, BC, n)` —
 //!   variants that share a front-end artifact and launch geometry reuse
-//!   one mix regardless of `PL`/`SC`;
-//! * a **`SimReport` cache** keyed by `(lowered program, tuning point,
-//!   n)` — trial batches only add seeded noise around one model time, so
-//!   repeated measurements of a variant reuse its report.
+//!   one mix regardless of `PL`/`SC`.
+//!
+//! Estimates themselves are **not** cached: the tuner's measurement
+//! tier deduplicates per tuning point one layer up, so below it every
+//! `(program, point, n)` is asked for once and a cache would never hit.
 //!
 //! # Pluggable backends
 //!
-//! Which cost model fills the report cache is the context's
+//! Which cost model produces the estimates is the context's
 //! [`TimingModel`] backend ([`model`](crate::model)): the default is
 //! the full simulator ([`SimulatorModel`](crate::SimulatorModel)), and
 //! [`ModelContext::for_model`] builds a context for any [`ModelId`]
@@ -54,7 +54,7 @@ use crate::memo::ShardedOnceMap;
 use crate::model::{ModelEnv, ModelId, TimingModel};
 use crate::noise::{noisy_trials, Trials};
 use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OccupancyTable};
-use oriole_codegen::{CompiledKernel, FrontEnd, TuningParams};
+use oriole_codegen::{CompiledKernel, FrontEnd};
 use oriole_ir::MixCounts;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
@@ -142,10 +142,6 @@ pub struct ModelStats {
     pub mix_hits: u64,
     /// Dynamic-mix computations performed.
     pub mix_misses: u64,
-    /// `SimReport` cache hits.
-    pub report_hits: u64,
-    /// Simulations performed.
-    pub report_misses: u64,
 }
 
 /// Per-`(device, timing model)` memoized model services. See the
@@ -156,7 +152,6 @@ pub struct ModelContext {
     model: Box<dyn TimingModel>,
     occ: OccupancyTable,
     mixes: ShardedOnceMap<(ProgramKey, u32, u32, u64), MixCounts>,
-    reports: ShardedOnceMap<(ProgramKey, TuningParams, u64), Result<SimReport, SimError>>,
 }
 
 impl ModelContext {
@@ -192,7 +187,6 @@ impl ModelContext {
             model,
             occ: OccupancyTable::new(spec),
             mixes: ShardedOnceMap::new(),
-            reports: ShardedOnceMap::new(),
         }
     }
 
@@ -201,8 +195,8 @@ impl ModelContext {
         &self.spec
     }
 
-    /// The identity of the timing backend filling this context's report
-    /// cache.
+    /// The identity of the timing backend behind this context's
+    /// estimates.
     pub fn model_id(&self) -> ModelId {
         self.model.id()
     }
@@ -224,37 +218,19 @@ impl ModelContext {
         self.occ.lookup(input)
     }
 
-    /// Memoized estimate under this context's backend — for the default
-    /// simulator backend, [`simulate`](crate::simulate) exactly.
-    /// Computes the kernel's [`ProgramKey`] on the fly.
+    /// The estimate under this context's backend, over the context's
+    /// occupancy table — for the default simulator backend,
+    /// [`simulate`](crate::simulate) exactly.
     pub fn simulate(&self, kernel: &CompiledKernel, n: u64) -> Result<SimReport, SimError> {
-        self.simulate_keyed(&ProgramKey::of_kernel(kernel), kernel, n)
-    }
-
-    /// Memoized estimate with a caller-amortized key (`key` must
-    /// identify `kernel`'s program — obtain it from
-    /// [`ProgramKey::of_kernel`] or, for artifacts stamping out many
-    /// variants, [`ProgramKey::of_front_end`]). The report cache is
-    /// private to this context, and a context serves one backend, so a
-    /// hit can never replay another model's estimate.
-    pub fn simulate_keyed(
-        &self,
-        key: &ProgramKey,
-        kernel: &CompiledKernel,
-        n: u64,
-    ) -> Result<SimReport, SimError> {
         debug_assert_eq!(kernel.gpu, self.spec, "kernel compiled for another device");
-        self.reports.get_or_init((key.clone(), kernel.params, n), || {
-            let env = ModelEnv { spec: &self.spec, cfg: &self.cfg, occ: &self.occ };
-            self.model.estimate(&env, kernel, n)
-        })
+        let env = ModelEnv { spec: &self.spec, cfg: &self.cfg, occ: &self.occ };
+        self.model.estimate(&env, kernel, n)
     }
 
-    /// Memoized [`measure`](crate::measure) (under the default backend;
-    /// other backends measure their own estimates): the noise-free
-    /// report comes from the report cache, the seeded trial noise is
-    /// regenerated per call (it is what distinguishes measurements), so
-    /// results are bit-identical to the free function.
+    /// [`measure`](crate::measure) under this context's backend: the
+    /// noise-free estimate plus the seeded trial noise (what
+    /// distinguishes measurements), bit-identical to the free function
+    /// under the default backend.
     pub fn measure(
         &self,
         kernel: &CompiledKernel,
@@ -262,21 +238,22 @@ impl ModelContext {
         trials: u32,
         seed: u64,
     ) -> Result<Trials, SimError> {
-        self.measure_keyed(&ProgramKey::of_kernel(kernel), kernel, n, trials, seed)
+        let report = self.simulate(kernel, n)?;
+        let times_ms = noisy_trials(&report, trials, seed, &self.cfg);
+        Ok(Trials { times_ms, report })
     }
 
-    /// [`ModelContext::measure`] with a caller-amortized key.
+    /// [`ModelContext::measure`]; estimates are not cached, so `key` is
+    /// unused and kept for callers that hold one.
     pub fn measure_keyed(
         &self,
-        key: &ProgramKey,
+        _key: &ProgramKey,
         kernel: &CompiledKernel,
         n: u64,
         trials: u32,
         seed: u64,
     ) -> Result<Trials, SimError> {
-        let report = self.simulate_keyed(key, kernel, n)?;
-        let times_ms = noisy_trials(&report, trials, seed, &self.cfg);
-        Ok(Trials { times_ms, report })
+        self.measure(kernel, n, trials, seed)
     }
 
     /// Memoized [`dynamic_mix`](crate::dynamic_mix); computes the
@@ -298,7 +275,6 @@ impl ModelContext {
     pub fn stats(&self) -> ModelStats {
         let (occ_hits, occ_misses) = self.occ.counters();
         let (mix_hits, mix_misses) = self.mixes.counters();
-        let (report_hits, report_misses) = self.reports.counters();
         ModelStats {
             model: self.model.id(),
             occ_hits,
@@ -306,8 +282,6 @@ impl ModelContext {
             occ_entries: self.occ.len(),
             mix_hits,
             mix_misses,
-            report_hits,
-            report_misses,
         }
     }
 }
@@ -327,7 +301,7 @@ mod tests {
     use super::*;
     use crate::{dynamic_mix, measure, simulate};
     use oriole_arch::Gpu;
-    use oriole_codegen::{compile, front_end, CompilerFlags};
+    use oriole_codegen::{compile, front_end, CompilerFlags, TuningParams};
     use oriole_kernels::KernelId;
 
     fn kernel(tc: u32, bc: u32) -> CompiledKernel {
@@ -371,17 +345,15 @@ mod tests {
     }
 
     #[test]
-    fn report_cache_hits_on_repeat_and_across_trials() {
+    fn trial_batches_share_one_estimate_and_differ_by_seed() {
         let ctx = ModelContext::new(Gpu::K20.spec());
         let k = kernel(128, 48);
         let key = ProgramKey::of_kernel(&k);
         let a = ctx.measure_keyed(&key, &k, 128, 10, 1).unwrap();
         let b = ctx.measure_keyed(&key, &k, 128, 10, 2).unwrap();
-        assert_eq!(a.report, b.report, "trial batches share one report");
+        assert_eq!(a.report, b.report, "the estimate is a pure function of its inputs");
         assert_ne!(a.times_ms, b.times_ms, "different seeds still differ");
-        let s = ctx.stats();
-        assert_eq!(s.report_misses, 1);
-        assert_eq!(s.report_hits, 1);
+        assert_eq!(a, ctx.measure(&k, 128, 10, 1).unwrap(), "the key changes nothing");
     }
 
     #[test]
@@ -416,20 +388,5 @@ mod tests {
         let fe_a = front_end(&ast, gpu, 1, CompilerFlags::default()).unwrap();
         let fe_b = front_end(&bigger, gpu, 1, CompilerFlags::default()).unwrap();
         assert_ne!(ProgramKey::of_front_end(&fe_a), ProgramKey::of_front_end(&fe_b));
-    }
-
-    #[test]
-    fn infeasible_simulations_are_cached_errors() {
-        let ctx = ModelContext::new(Gpu::K20.spec());
-        let mut ast = KernelId::MatVec2D.ast(64);
-        ast.shared[0].scales_with_block = false;
-        ast.shared[0].elems = 40 * 1024 / 4;
-        let mut params = TuningParams::with_geometry(128, 48);
-        params.pl = oriole_codegen::PreferredL1::Kb48;
-        let k = compile(&ast, Gpu::K20.spec(), params).unwrap();
-        let a = ctx.simulate(&k, 64).unwrap_err();
-        let b = ctx.simulate(&k, 64).unwrap_err();
-        assert_eq!(a, b);
-        assert_eq!(ctx.stats().report_misses, 1);
     }
 }

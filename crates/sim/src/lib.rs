@@ -35,8 +35,8 @@
 //! behaviour (which configurations win, by roughly what factor).
 //!
 //! Everything here is pure in its inputs. [`ModelContext`] ([`context`])
-//! is the per-`(device, timing model)` memoized form — occupancy table,
-//! dynamic-mix memo, `SimReport` cache — that evaluation layers share;
+//! is the per-`(device, timing model)` memoized form — occupancy table
+//! and dynamic-mix memo — that evaluation layers share;
 //! the free functions stay as thin wrappers over the same
 //! implementation under the default backend, property-tested
 //! bit-identical.

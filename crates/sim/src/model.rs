@@ -8,9 +8,9 @@
 //! content-addressed evaluation stack: a backend estimates a
 //! [`SimReport`]-shaped cost from a [`CompiledKernel`] + its launch
 //! point + the problem size `n`, and carries a stable [`ModelId`] that
-//! participates in every cache key above it (the
-//! [`ModelContext`](crate::ModelContext) report cache, the tuner's
-//! measurement tiers, the process-level artifact store), so cached
+//! participates in every cache key above it (the per-model
+//! [`ModelContext`](crate::ModelContext), the tuner's measurement
+//! tiers, the process-level artifact store), so cached
 //! artifacts can never alias across backends.
 //!
 //! Three backends ship:
@@ -50,7 +50,7 @@ use std::fmt;
 
 /// Stable identity of a timing-model backend.
 ///
-/// Part of every cache key above the model layer (report caches,
+/// Part of every cache key above the model layer (model contexts,
 /// measurement tiers, artifact-store scopes), so two backends can
 /// never serve each other's cached estimates. The `Default` is the
 /// full simulator — the backend the free functions wrap.

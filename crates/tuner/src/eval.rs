@@ -15,8 +15,8 @@
 //!    lowering, so the paper's 5,120-point space shares ten lowered
 //!    programs per input size. Each variant then pays only the cheap
 //!    param-dependent back-end ([`FrontEnd::specialize`]).
-//! 3. **Model context** — occupancy table, dynamic-mix memo and
-//!    `SimReport` cache, device-scoped ([`oriole_sim::ModelContext`]).
+//! 3. **Model context** — occupancy table and dynamic-mix memo,
+//!    device-scoped ([`oriole_sim::ModelContext`]).
 //! 4. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key [`OnceLock`] instead of
@@ -29,20 +29,23 @@
 //! ([`Evaluator::new`]) owns private tiers; an evaluator borrowed from a
 //! process-level [`ArtifactStore`](crate::ArtifactStore) shares them
 //! with every other evaluator of the same scope, so repeated sweeps
-//! (bench bins, CLI invocations, replay validation) reuse front-ends,
-//! reports and measurements instead of rebuilding the world per
-//! (kernel, GPU). Sharing never changes results: all cached values are
-//! bit-identical to what a fresh evaluator computes.
+//! (bench bins, CLI invocations, replay validation) reuse front-ends
+//! and measurements instead of rebuilding the world per (kernel, GPU).
+//! Sharing never changes results: all cached values are bit-identical
+//! to what a fresh evaluator computes.
 //!
-//! [`Evaluator::evaluate_batch`] self-schedules a worker pool over a
-//! pre-sized slot vector (one atomic index counter, one write-once slot
-//! per point — no per-slot mutexes) and returns results in input order,
-//! so the whole layer stays deterministic regardless of thread
-//! scheduling.
+//! [`Evaluator::evaluate_batch`] serves the points the measurement tier
+//! already holds on the calling thread and plans the rest
+//! ([`plan_batch`], a pure function): too few misses to pay for threads
+//! stay inline, otherwise workers claim chunks of misses that share one
+//! front-end key `(UIF, CFLAGS)`, resolve the per-size artifacts once
+//! per chunk and hand back per-chunk result vectors. Results come back
+//! in input order, so the whole layer stays deterministic regardless of
+//! thread scheduling.
 
 use crate::space::SearchSpace;
 use oriole_arch::GpuSpec;
-use oriole_codegen::{front_end, CompileError, FrontEnd, TuningParams};
+use oriole_codegen::{front_end, CompileError, CompilerFlags, FrontEnd, TuningParams};
 use oriole_ir::KernelAst;
 use oriole_sim::memo::ShardedOnceMap;
 use oriole_sim::{ModelContext, ModelId, ModelStats, ProgramKey, TrialProtocol};
@@ -139,7 +142,7 @@ pub(crate) struct FeArtifact {
 
 /// Key of one cached compile front-end: the lowering inputs that vary
 /// inside a search (`gpu` is fixed per tier).
-type FrontEndKey = (u64, u32, oriole_codegen::CompilerFlags);
+type FrontEndKey = (u64, u32, CompilerFlags);
 
 /// The per-size AST cache (scope: one kernel).
 pub(crate) struct AstTier {
@@ -240,8 +243,7 @@ pub struct EvalStats {
     /// Divergence slow-path hits — analyses that walked precomputed
     /// divergent regions (process-wide).
     pub index_slow_path_hits: u64,
-    /// Model-context cache counters (occupancy table, dynamic mix,
-    /// `SimReport`).
+    /// Model-context cache counters (occupancy table, dynamic mix).
     pub model: ModelStats,
     /// Per-phase compile profiler snapshot (process-wide wall-clock and
     /// invocation counters for unroll/lower/optimize/regalloc).
@@ -267,6 +269,64 @@ pub struct FleetCounters {
     pub batches_rebalanced: u64,
     /// Shards that were declared lost during the run.
     pub shards_lost: u64,
+}
+
+/// Most misses one worker claims at a time: enough to amortize the
+/// claim and the artifact lookups, few enough that the paper's
+/// 512-point front-end groups still split across workers.
+const CHUNK: usize = 64;
+
+/// Fewest misses worth a thread spawn; below it a batch stays inline.
+const MIN_PARALLEL: usize = 8;
+
+/// The threads a batch of work may use: the core count, asked once per
+/// process (it is a syscall plus cgroup file reads).
+pub(crate) fn worker_count() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+}
+
+/// What [`Evaluator::evaluate_batch`] does with the points its
+/// measurement tier does not hold yet.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct BatchPlan {
+    /// Indices computed on the calling thread.
+    pub(crate) inline: Vec<usize>,
+    /// Indices for the workers, a chunk per claim. A chunk shares one
+    /// front-end key `(UIF, CFLAGS)` and the list interleaves the keys,
+    /// so workers on neighbouring chunks sit on different artifacts.
+    pub(crate) chunks: Vec<Vec<usize>>,
+}
+
+/// Plans the `missing` indices of `points` for `workers` threads: a pure
+/// function (no clock, no threads), like `oriole_fleet`'s scheduler.
+/// Every missing index lands in exactly one place, in input order.
+pub(crate) fn plan_batch(
+    points: &[TuningParams],
+    missing: Vec<usize>,
+    workers: usize,
+) -> BatchPlan {
+    if missing.len() < MIN_PARALLEL || workers < 2 {
+        return BatchPlan { inline: missing, chunks: Vec::new() };
+    }
+    let chunk = missing.len().div_ceil(workers).min(CHUNK);
+    let mut groups: Vec<((u32, CompilerFlags), Vec<usize>)> = Vec::new();
+    for i in missing {
+        let key = (points[i].uif, points[i].cflags);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    let mut per_group: Vec<_> = groups.iter().map(|(_, group)| group.chunks(chunk)).collect();
+    let mut chunks = Vec::new();
+    loop {
+        let planned = chunks.len();
+        chunks.extend(per_group.iter_mut().filter_map(Iterator::next).map(<[usize]>::to_vec));
+        if chunks.len() == planned {
+            return BatchPlan { inline: Vec::new(), chunks };
+        }
+    }
 }
 
 /// Evaluates tuning points for one kernel × GPU × input-size set.
@@ -362,7 +422,8 @@ impl<'a> Evaluator<'a> {
     /// are never served under another; front-end and AST tiers are
     /// protocol-independent and stay. When the protocol's timing model
     /// changes, the model context is re-scoped the same way (per
-    /// `(device, model)`), so report caches never cross backends.
+    /// `(device, model)`), so memoized model state never crosses
+    /// backends.
     pub fn set_protocol(&mut self, protocol: EvalProtocol) {
         if protocol == self.protocol {
             return;
@@ -456,10 +517,10 @@ impl<'a> Evaluator<'a> {
 
     /// The cached compile front-end for `(n, uif, cflags)`, with its
     /// content-addressed model key computed once per artifact.
-    fn front_end_for(&self, n: u64, params: TuningParams) -> Arc<FeArtifact> {
-        self.front_ends.map.get_or_init((n, params.uif, params.cflags), || {
+    fn front_end_for(&self, n: u64, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
+        self.front_ends.map.get_or_init((n, uif, cflags), || {
             let ast = self.ast_for(n);
-            let fe = front_end(&ast, self.gpu, params.uif, params.cflags);
+            let fe = front_end(&ast, self.gpu, uif, cflags);
             if fe.is_ok() {
                 // Rejected UIFs (`Err`) never reach unroll/lower, so
                 // they don't count as lowerings run.
@@ -470,13 +531,21 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    fn evaluate_uncached(&self, params: TuningParams) -> Measurement {
+    /// The one miss routine: measures `params` over `artifacts`, its
+    /// front-end key's artifact per input size. The artifacts are pulled
+    /// size by size, so a caller that resolves them on the fly pays for
+    /// none past the first infeasible size.
+    fn evaluate_uncached<A: std::ops::Deref<Target = FeArtifact>>(
+        &self,
+        params: TuningParams,
+        artifacts: impl Iterator<Item = A>,
+    ) -> Measurement {
+        let seed = self.seed_for(&params);
         let mut per_size_ms = Vec::with_capacity(self.sizes.len());
         let mut occupancy = 0.0;
         let mut regs = 0u32;
         let mut reg_instructions = 0.0;
-        for &n in self.sizes {
-            let artifact = self.front_end_for(n, params);
+        for (&n, artifact) in self.sizes.iter().zip(artifacts) {
             let (fe, key) = match (&artifact.fe, &artifact.key) {
                 (Ok(fe), Some(key)) => (fe, key),
                 _ => return Measurement::infeasible(params),
@@ -485,16 +554,11 @@ impl<'a> Evaluator<'a> {
                 Ok(k) => k,
                 Err(_) => return Measurement::infeasible(params),
             };
-            let trials = match self.ctx.measure_keyed(
-                key,
-                &kernel,
-                n,
-                self.protocol.trials,
-                self.seed_for(&params) ^ n,
-            ) {
-                Ok(t) => t,
-                Err(_) => return Measurement::infeasible(params),
-            };
+            let trials =
+                match self.ctx.measure_keyed(key, &kernel, n, self.protocol.trials, seed ^ n) {
+                    Ok(t) => t,
+                    Err(_) => return Measurement::infeasible(params),
+                };
             per_size_ms.push((n, trials.selected(self.protocol.protocol)));
             occupancy = trials.report.occupancy.occupancy;
             regs = kernel.regs_per_thread();
@@ -516,15 +580,19 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates one point (memoized; hits return a shared handle
-    /// without cloning the measurement). A newly computed point is
+    /// The measurement tier's entry for `params`, computed by `miss`
+    /// exactly once across all callers. A newly computed point is
     /// spilled to the tier's disk artifact, when one is attached, before
     /// any waiter observes it — a killed sweep keeps everything it
     /// measured.
-    pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
+    fn memoized(
+        &self,
+        params: TuningParams,
+        miss: impl FnOnce() -> Measurement,
+    ) -> Arc<Measurement> {
         self.cache.map.get_or_init(params, || {
             self.cache.evaluations.fetch_add(1, Ordering::Relaxed);
-            let m = Arc::new(self.evaluate_uncached(params));
+            let m = Arc::new(miss());
             if let Some(spill) = &self.cache.spill {
                 spill.append(&m);
             }
@@ -532,36 +600,66 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Evaluates a batch in parallel; results in input order.
+    /// Evaluates one point (memoized; hits return a shared handle
+    /// without cloning the measurement), resolving its front-ends size
+    /// by size and only on a miss.
+    pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
+        self.memoized(params, || {
+            let resolve = |&n: &u64| self.front_end_for(n, params.uif, params.cflags);
+            self.evaluate_uncached(params, self.sizes.iter().map(resolve))
+        })
+    }
+
+    /// Evaluates a batch; results in input order, duplicates and all.
     ///
-    /// Workers self-schedule off one atomic cursor (an idle worker
-    /// steals the next unclaimed index), writing into a pre-sized vector
-    /// of write-once slots. Points duplicated within the batch — or
-    /// raced by other callers — are deduplicated by the memo layer.
+    /// Points the measurement tier already holds are served right here,
+    /// so an all-hit batch — a warm re-sweep, a searcher's generation, a
+    /// daemon frame — never spawns a thread. The misses follow
+    /// [`plan_batch`]: a handful stay on this thread, otherwise this
+    /// thread and `workers - 1` spawned ones claim chunks off one cursor
+    /// and return per-chunk vectors, scattered into place after the
+    /// join. Points duplicated within the batch — or raced by other
+    /// callers — are deduplicated by the memo layer.
     pub fn evaluate_batch(&self, points: &[TuningParams]) -> Vec<Arc<Measurement>> {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        if points.len() < 8 || threads < 2 {
-            return points.iter().map(|&p| self.evaluate(p)).collect();
+        let mut results: Vec<Option<Arc<Measurement>>> =
+            points.iter().map(|p| self.cache.map.get(p)).collect();
+        let missing: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
+        let workers = worker_count();
+        let plan = plan_batch(points, missing, workers);
+        for &i in &plan.inline {
+            results[i] = Some(self.evaluate(points[i]));
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Arc<Measurement>>> =
-            points.iter().map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(points.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let m = self.evaluate(points[i]);
-                    slots[i].set(m).expect("each index is claimed by exactly one worker");
-                });
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = plan.chunks.get(c) else { break done };
+                let key = points[chunk[0]];
+                let resolve = |&n: &u64| self.front_end_for(n, key.uif, key.cflags);
+                let artifacts: Vec<_> = self.sizes.iter().map(resolve).collect();
+                let evaluate = |&i: &usize| {
+                    let resolved = artifacts.iter().map(Arc::as_ref);
+                    self.memoized(points[i], || self.evaluate_uncached(points[i], resolved))
+                };
+                done.push((c, chunk.iter().map(evaluate).collect::<Vec<_>>()));
             }
+        };
+        let done = std::thread::scope(|scope| {
+            let spawned: Vec<_> =
+                (1..workers.min(plan.chunks.len())).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for handle in spawned {
+                done.extend(handle.join().expect("evaluation never panics"));
+            }
+            done
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled"))
-            .collect()
+        for (c, measurements) in done {
+            for (&i, m) in plan.chunks[c].iter().zip(measurements) {
+                results[i] = Some(m);
+            }
+        }
+        results.into_iter().map(|m| m.expect("every point served, inline or by a chunk")).collect()
     }
 
     /// Evaluates the entire space (exhaustive sweep), in flat-index
@@ -667,6 +765,60 @@ mod tests {
     }
 
     #[test]
+    fn batch_plans_partition_the_misses_by_front_end_key() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let key = |p: &TuningParams| (p.uif, p.cflags);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Points drawn with repeats from a pool over the first few
+            // front-end keys of the paper space, behind a random hit mask.
+            let mut space = SearchSpace::paper_default();
+            space.uif.truncate(rng.gen_range(1..=5));
+            space.cflags.truncate(rng.gen_range(1..=2));
+            let pool: Vec<TuningParams> = (0..rng.gen_range(1..=300usize))
+                .map(|_| space.point(rng.gen_range(0..space.len())))
+                .collect();
+            let points: Vec<TuningParams> = (0..rng.gen_range(0..400usize))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let hit_rate = [0.0, 0.5, 0.97, 1.0][rng.gen_range(0..4usize)];
+            let missing: Vec<usize> =
+                (0..points.len()).filter(|_| !rng.gen_bool(hit_rate)).collect();
+            let workers = rng.gen_range(1..=8usize);
+
+            let plan = plan_batch(&points, missing.clone(), workers);
+            let mut planned: Vec<usize> =
+                plan.inline.iter().chain(plan.chunks.iter().flatten()).copied().collect();
+            planned.sort_unstable();
+            assert_eq!(planned, missing, "seed {seed}: every miss planned exactly once");
+            if missing.len() < MIN_PARALLEL || workers < 2 {
+                assert!(plan.chunks.is_empty(), "seed {seed}: nothing worth a thread");
+                assert_eq!(plan.inline, missing);
+                continue;
+            }
+            assert!(plan.inline.is_empty() && plan.chunks.len() >= 2, "seed {seed}");
+            for chunk in &plan.chunks {
+                assert!(!chunk.is_empty() && chunk.len() <= CHUNK, "seed {seed}");
+                assert!(chunk.windows(2).all(|w| w[0] < w[1]), "seed {seed}: input order");
+                assert!(
+                    chunk.iter().all(|&i| key(&points[i]) == key(&points[chunk[0]])),
+                    "seed {seed}: a chunk mixes front-end keys"
+                );
+            }
+            // Neighbouring chunks differ in key until one key is all
+            // that is left.
+            let keys: Vec<_> = plan.chunks.iter().map(|c| key(&points[c[0]])).collect();
+            for (at, pair) in keys.windows(2).enumerate() {
+                assert!(
+                    pair[0] != pair[1] || keys[at..].iter().all(|k| *k == pair[0]),
+                    "seed {seed}: chunks {at} and {} share a key with others pending",
+                    at + 1
+                );
+            }
+        }
+    }
+
+    #[test]
     fn objective_totals_per_size_times() {
         let sizes = [32u64, 64, 128];
         let ev = evaluator(&sizes);
@@ -684,18 +836,24 @@ mod tests {
     fn infeasible_variant_scores_infinity() {
         // MatVec2D's block-scaled tile at TC=1024 with PreferL1 (16 KiB
         // shared on Kepler): smem = 4 KiB fits; force bigger tiles.
+        let asts_built = AtomicUsize::new(0);
         let builder = |n: u64| {
+            asts_built.fetch_add(1, Ordering::Relaxed);
             let mut ast = KernelId::MatVec2D.ast(n);
             ast.shared[0].elems = 8; // 32 B/thread → 32 KiB at TC=1024
             ast
         };
-        let sizes = [64u64];
+        let sizes = [64u64, 128, 256];
         let ev = Evaluator::new(&builder, Gpu::K20.spec(), &sizes);
         let mut p = TuningParams::with_geometry(1024, 48);
         p.pl = oriole_codegen::PreferredL1::Kb48; // 16 KiB shared per SM
         let m = ev.evaluate(p);
         assert!(!m.feasible);
         assert_eq!(m.time_ms, f64::INFINITY);
+        // A single point resolves its front-ends size by size: the first
+        // infeasible size ends the work.
+        assert_eq!(asts_built.load(Ordering::Relaxed), 1);
+        assert_eq!(ev.front_end_lowerings(), 1);
     }
 
     #[test]
@@ -768,10 +926,10 @@ mod tests {
         let stats = ev.stats();
         assert_eq!(stats.unique_evaluations, space.len());
         assert!(stats.front_end_lowerings > 0);
-        // Every point simulates once (distinct params), so the report
-        // cache misses once per feasible point; the occupancy table
-        // collapses the domain massively.
-        assert!(stats.model.report_misses as usize <= space.len());
+        // `PL`/`SC` don't enter the dynamic mix, so it is computed at
+        // most once per point; the occupancy table collapses the domain
+        // massively.
+        assert!(stats.model.mix_misses as usize <= space.len());
         assert!(stats.model.occ_hits > stats.model.occ_misses);
     }
 }

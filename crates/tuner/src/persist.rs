@@ -53,14 +53,16 @@
 //! keeps everything it measured. Re-appended duplicates (e.g. after a
 //! rejected record is recomputed) are harmless — the loader keeps the
 //! last valid record per tuning point, and all records for one point are
-//! bit-identical anyway because evaluation is deterministic.
+//! bit-identical anyway because evaluation is deterministic. Because
+//! every record is sealed on its own, the loader splits a big file's
+//! lines across the cores, the way the sweep that wrote them ran.
 //!
 //! [`scan_store`] and [`gc_store`] back the CLI's
 //! `oriole store {stats,verify,gc}` subcommands: listing tier files,
 //! verifying their checksums, and deleting unusable files / compacting
 //! ones with rejected records.
 
-use crate::eval::{EvalProtocol, Measurement, Objective};
+use crate::eval::{worker_count, EvalProtocol, Measurement, Objective};
 use oriole_arch::{ComputeCapability, Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
 use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
@@ -151,38 +153,33 @@ pub fn parse_f64(s: &str) -> Result<f64, WireError> {
         .map_err(|_| WireError::new(format!("bad f64 bits `{s}`")))
 }
 
-/// Parsed `key:value` field list with order-independent lookup.
-struct Fields<'a>(Vec<(&'a str, &'a str)>);
+/// Cursor over a `key:value` field list, read in the one order the
+/// emitters write — a single pass, no allocation.
+struct Fields<'a> {
+    rest: &'a str,
+    sep: char,
+}
 
 impl<'a> Fields<'a> {
-    /// Splits `text` on `sep` into `key:value` fields (the value may
+    /// The value of the next field, which must be `key` (the value may
     /// itself contain `:`; only the first one binds).
-    fn parse(text: &'a str, sep: char) -> Result<Fields<'a>, WireError> {
-        let mut out = Vec::new();
-        for item in text.split(sep).filter(|s| !s.is_empty()) {
-            let (k, v) = item
-                .split_once(':')
-                .ok_or_else(|| WireError::new(format!("field `{item}` is not key:value")))?;
-            out.push((k, v));
-        }
-        Ok(Fields(out))
+    fn get(&mut self, key: &str) -> Result<&'a str, WireError> {
+        let (field, rest) = self.rest.split_once(self.sep).unwrap_or((self.rest, ""));
+        let value = field
+            .strip_prefix(key)
+            .and_then(|v| v.strip_prefix(':'))
+            .ok_or_else(|| WireError::new(format!("missing field `{key}`")))?;
+        self.rest = rest;
+        Ok(value)
     }
 
-    fn get(&self, key: &str) -> Result<&'a str, WireError> {
-        self.0
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| WireError::new(format!("missing field `{key}`")))
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, WireError> {
+    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, WireError> {
         self.get(key)?
             .parse()
             .map_err(|_| WireError::new(format!("bad numeric field `{key}`")))
     }
 
-    fn f64(&self, key: &str) -> Result<f64, WireError> {
+    fn f64(&mut self, key: &str) -> Result<f64, WireError> {
         parse_f64(self.get(key)?)
     }
 }
@@ -274,14 +271,16 @@ fn intern_gpu_name(name: &str) -> &'static str {
 /// Parses [`emit_gpu_spec`] output back into a structurally identical
 /// [`GpuSpec`].
 pub fn parse_gpu_spec(text: &str) -> Result<GpuSpec, WireError> {
-    let f = Fields::parse(text, ';')?;
+    let mut f = Fields { rest: text, sep: ';' };
+    let name = intern_gpu_name(f.get("name")?);
+    let family = parse_family(f.get("family")?)?;
     let cc = f.get("cc")?;
     let (major, minor) = cc
         .split_once('.')
         .ok_or_else(|| WireError::new(format!("bad compute capability `{cc}`")))?;
     Ok(GpuSpec {
-        name: intern_gpu_name(f.get("name")?),
-        family: parse_family(f.get("family")?)?,
+        name,
+        family,
         compute_capability: ComputeCapability::new(
             major.parse().map_err(|_| WireError::new("bad cc major"))?,
             minor.parse().map_err(|_| WireError::new("bad cc minor"))?,
@@ -359,7 +358,7 @@ pub fn emit_protocol(p: &EvalProtocol) -> String {
 
 /// Parses [`emit_protocol`] output.
 pub fn parse_protocol(text: &str) -> Result<EvalProtocol, WireError> {
-    let f = Fields::parse(text, ';')?;
+    let mut f = Fields { rest: text, sep: ';' };
     Ok(EvalProtocol {
         trials: f.num("trials")?,
         protocol: parse_trial_protocol(f.get("select")?)?,
@@ -391,14 +390,14 @@ pub fn emit_params(p: &TuningParams) -> String {
 
 /// Parses [`emit_params`] output.
 pub fn parse_params(text: &str) -> Result<TuningParams, WireError> {
-    let f = Fields::parse(text, ',')?;
-    let pl_kb: u32 = f.num("pl")?;
+    let mut f = Fields { rest: text, sep: ',' };
     Ok(TuningParams {
         tc: f.num("tc")?,
         bc: f.num("bc")?,
         uif: f.num("uif")?,
-        pl: PreferredL1::from_kb(pl_kb)
-            .ok_or_else(|| WireError::new(format!("bad PL {pl_kb}")))?,
+        pl: f
+            .num("pl")
+            .and_then(|kb| PreferredL1::from_kb(kb).ok_or_else(|| WireError::new("bad PL")))?,
         sc: f.num("sc")?,
         cflags: CompilerFlags { fast_math: parse_bool(f.get("fm")?)? },
     })
@@ -433,27 +432,24 @@ pub fn emit_measurement(m: &Measurement) -> String {
 /// Parses [`emit_measurement`] output back into the bit-identical
 /// [`Measurement`].
 pub fn parse_measurement(text: &str) -> Result<Measurement, WireError> {
-    let f = Fields::parse(text, ';')?;
-    let mut per_size_ms = Vec::new();
-    let sizes = f.get("sizes")?;
-    for item in sizes.split(',').filter(|s| !s.is_empty()) {
-        let (n, bits) = item
-            .split_once('@')
-            .ok_or_else(|| WireError::new(format!("bad per-size entry `{item}`")))?;
-        per_size_ms.push((
-            n.parse().map_err(|_| WireError::new("bad per-size n"))?,
-            parse_f64(bits)?,
-        ));
-    }
-    Ok(Measurement {
+    let mut f = Fields { rest: text, sep: ';' };
+    let mut m = Measurement {
         params: parse_params(f.get("params")?)?,
         time_ms: f.f64("time")?,
-        per_size_ms,
+        per_size_ms: Vec::new(),
         feasible: parse_bool(f.get("feasible")?)?,
         occupancy: f.f64("occ")?,
         regs_allocated: f.num("regs")?,
         reg_instructions: f.f64("reginstr")?,
-    })
+    };
+    for item in f.get("sizes")?.split(',').filter(|s| !s.is_empty()) {
+        let (n, bits) = item
+            .split_once('@')
+            .ok_or_else(|| WireError::new(format!("bad per-size entry `{item}`")))?;
+        m.per_size_ms
+            .push((n.parse().map_err(|_| WireError::new("bad per-size n"))?, parse_f64(bits)?));
+    }
+    Ok(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +527,7 @@ pub fn emit_sim_report(r: &SimReport) -> String {
 /// Parses [`emit_sim_report`] output back into the bit-identical
 /// [`SimReport`].
 pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
-    let f = Fields::parse(text, ';')?;
+    let mut f = Fields { rest: text, sep: ';' };
     Ok(SimReport {
         time_ms: f.f64("time")?,
         bound: parse_bound(f.get("bound")?)?,
@@ -603,6 +599,9 @@ fn record_line(m: &Measurement) -> String {
     line
 }
 
+/// Fewest record lines worth a parsing thread of their own.
+const MIN_SHARE: usize = 128;
+
 /// Outcome of reading one tier file.
 enum TierRead {
     /// No file at the path.
@@ -644,17 +643,31 @@ fn read_tier(path: &Path) -> TierRead {
     if !closed {
         return TierRead::Corrupt;
     }
-    // Records: independently sealed; bad lines are rejected, good ones
-    // kept (last record per point wins — duplicates are bit-identical
-    // by determinism, so order only matters for rejected-then-reappended
-    // points).
-    let mut measurements: HashMap<TuningParams, Measurement> = HashMap::new();
+    // Records: independently sealed, so a big file's lines are parsed
+    // on every core, like the sweep that wrote them. Bad lines are
+    // rejected, good ones kept (last record per point wins — duplicates
+    // are bit-identical by determinism, so order only matters for
+    // rejected-then-reappended points).
+    let lines: Vec<&str> = lines.collect();
+    let parse = |lines: &[&str]| -> Vec<Option<Measurement>> {
+        let record = |line: &&str| parse_measurement(unseal(line)?.strip_prefix("r ")?).ok();
+        lines.iter().map(record).collect()
+    };
+    let parsed = std::thread::scope(|scope| {
+        let share = lines.len().div_ceil(worker_count()).max(MIN_SHARE);
+        let mut shares = lines.chunks(share);
+        let first = shares.next().unwrap_or_default();
+        let spawned: Vec<_> = shares.map(|share| scope.spawn(move || parse(share))).collect();
+        let mut parsed = parse(first);
+        for handle in spawned {
+            parsed.extend(handle.join().expect("record parsing never panics"));
+        }
+        parsed
+    });
+    let mut measurements = HashMap::with_capacity(parsed.len());
     let mut rejected = 0u64;
-    for line in lines {
-        let parsed = unseal(line)
-            .and_then(|body| body.strip_prefix("r "))
-            .and_then(|body| parse_measurement(body).ok());
-        match parsed {
+    for record in parsed {
+        match record {
             Some(m) => {
                 measurements.insert(m.params, m);
             }
@@ -1253,6 +1266,10 @@ mod tests {
         p.sc = 3;
         p.cflags.fast_math = true;
         assert_eq!(parse_params(&emit_params(&p)).unwrap(), p);
+        // One serialization only: fields out of the emitted order are a
+        // malformed value, like a missing one.
+        assert!(parse_params("bc:192,tc:1024,uif:5,pl:48,sc:3,fm:1").is_err());
+        assert!(parse_params("tc:1024,bc:192,uif:5,pl:48,sc:3").is_err());
 
         let m = sample_measurement();
         let rt = parse_measurement(&emit_measurement(&m)).unwrap();
@@ -1337,6 +1354,41 @@ mod tests {
         assert_eq!(stats.tier_hits, 1);
         assert_eq!(stats.measurements_loaded, 1);
         assert_eq!(stats.rejected, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn big_tiers_load_across_parsing_shares() {
+        // Enough records for several parsing shares, with a flipped byte
+        // and a re-appended duplicate landing in the later ones.
+        let dir = temp_dir("shares");
+        let scope = scope_text("atax", Gpu::K20.spec(), &[64], &EvalProtocol::default());
+        let counters = Arc::new(DiskCounters::default());
+        let spill = open_tier(&dir, &scope, &counters).spill.expect("writable dir");
+        let mut written: Vec<Measurement> = (0..4 * MIN_SHARE as u32)
+            .map(|i| Measurement {
+                params: TuningParams::with_geometry(32 + i, 48),
+                ..sample_measurement()
+            })
+            .collect();
+        for m in &written {
+            spill.append(m);
+        }
+        spill.append(&written[7]);
+        drop(spill);
+        let path = dir.join(tier_file_name(&scope));
+        let lost = written.remove(3 * MIN_SHARE);
+        let content = std::fs::read_to_string(&path).unwrap();
+        let needle = format!("r params:tc:{},", lost.params.tc);
+        assert!(content.contains(&needle));
+        std::fs::write(&path, content.replacen(&needle, "r params:tc:1,", 1)).unwrap();
+
+        let counters = Arc::new(DiskCounters::default());
+        let mut loaded = open_tier(&dir, &scope, &counters).measurements;
+        loaded.sort_by_key(|m| m.params.tc);
+        assert_eq!(loaded, written);
+        let stats = counters.snapshot();
+        assert_eq!((stats.measurements_loaded, stats.rejected), (written.len() as u64, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

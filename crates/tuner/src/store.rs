@@ -13,7 +13,7 @@
 //! |------|-----------|---------------|
 //! | AST | `kernel` | devices, sizes, protocols, models |
 //! | front-end | `kernel × GpuSpec` (entries add `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
-//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (occupancy/mix/report caches) |
+//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (occupancy table, dynamic-mix memo) |
 //! | measurement | `kernel × GpuSpec × sizes × `[`EvalProtocol`] (which carries the [`ModelId`]) | repeated sweeps of one experiment |
 //! | **disk** (optional) | measurement scope, content-addressed file per tier | **processes** — sweeps resume across runs |
 //!
@@ -33,8 +33,8 @@
 //! bits).
 //!
 //! Compilation artifacts (ASTs, front-ends) are model-independent and
-//! shared across backends; everything a timing model touches — report
-//! caches, measurements — is scoped by the model id, so two backends
+//! shared across backends; everything a timing model touches — model
+//! contexts, measurements — is scoped by the model id, so two backends
 //! can never serve each other's cached estimates.
 //!
 //! Together with the per-entry keys this realizes the
@@ -295,8 +295,6 @@ impl ArtifactStore {
                     sum.occ_entries += s.occ_entries;
                     sum.mix_hits += s.mix_hits;
                     sum.mix_misses += s.mix_misses;
-                    sum.report_hits += s.report_hits;
-                    sum.report_misses += s.report_misses;
                 }
                 if seen {
                     models.push(sum);
@@ -389,7 +387,7 @@ mod tests {
         let mb = b.evaluate(p);
         assert_ne!(ma.per_size_ms.len(), mb.per_size_ms.len());
         // But the common size produced the identical number (shared
-        // front-end and report caches under distinct measurement tiers).
+        // front-end and model context under distinct measurement tiers).
         assert_eq!(ma.per_size_ms[0], mb.per_size_ms[0]);
         assert_eq!(store.stats().measurement_tiers, 2);
         assert_eq!(store.stats().front_end_tiers, 1);
@@ -515,12 +513,13 @@ mod tests {
 
         let stats = store.stats();
         // Distinct measurement tiers and contexts per backend; each
-        // backend ran its own estimate (a cross-model hit would leave
-        // one of these at zero misses).
+        // backend worked in its own context (a cross-model hit would
+        // leave one of these without a dynamic-mix computation).
         assert_eq!(stats.measurement_tiers, 2);
+        assert_eq!(stats.unique_evaluations, 2);
         assert_eq!(stats.contexts, 2);
-        assert_eq!(stats.model(ModelId::Simulator).unwrap().report_misses, 1);
-        assert_eq!(stats.model(ModelId::Static).unwrap().report_misses, 1);
+        assert_eq!(stats.model(ModelId::Simulator).unwrap().mix_misses, 1);
+        assert_eq!(stats.model(ModelId::Static).unwrap().mix_misses, 1);
         assert!(stats.model(ModelId::Roofline).is_none());
         // Compilation artifacts are model-independent and shared.
         assert_eq!(stats.front_end_tiers, 1);

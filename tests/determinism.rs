@@ -87,6 +87,94 @@ fn warm_cache_replays_cold_results_exactly() {
 }
 
 #[test]
+fn rebuilt_batch_path_is_bit_identical_on_fresh_half_warm_warm_and_disk_tiers() {
+    // The batch path (hits served inline, misses planned into
+    // front-end-grouped chunks) against the plain sequential loop of a
+    // fresh evaluator, element for element, duplicates and all.
+    let space = SearchSpace::paper_default();
+    let sizes = [64u64, 128];
+    for (scope, (kid, gpu)) in [
+        (KernelId::Atax, Gpu::K20),
+        (KernelId::Atax, Gpu::P100),
+        (KernelId::MatVec2D, Gpu::K20),
+        (KernelId::MatVec2D, Gpu::P100),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let builder = move |n: u64| kid.ast(n);
+        let gpu = gpu.spec();
+        // Seed-shuffled space with every tenth point repeated somewhere
+        // else (xorshift64*, as the fleet scheduler tests use).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ scope as u64;
+        let mut next = move |below: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % below
+        };
+        let mut points: Vec<TuningParams> = space.iter().collect();
+        for i in (1..points.len()).rev() {
+            points.swap(i, next(i + 1));
+        }
+        for i in 0..points.len() / 10 {
+            let at = next(points.len() + 1);
+            points.insert(at, points[i * 10]);
+        }
+        let distinct = space.len();
+        assert_eq!(points.len(), distinct + distinct / 10);
+
+        let reference = Evaluator::new(&builder, gpu, &sizes);
+        let sequential: Vec<_> = points.iter().map(|&p| reference.evaluate(p)).collect();
+
+        // (a) fresh tier, then (c) the same tier fully warm.
+        let fresh = Evaluator::new(&builder, gpu, &sizes);
+        assert_eq!(fresh.evaluate_batch(&points), sequential, "{kid} {}: fresh", gpu.name);
+        assert_eq!(fresh.unique_evaluations(), distinct);
+        assert_eq!(fresh.evaluate_batch(&points), sequential, "{kid} {}: warm", gpu.name);
+        assert_eq!(fresh.unique_evaluations(), distinct, "a warm batch computes nothing");
+
+        // (b) half-warm tier: the batch computes exactly the other half.
+        let half = Evaluator::new(&builder, gpu, &sizes);
+        let warmed: std::collections::HashSet<TuningParams> =
+            space.iter().filter(|p| (p.tc / 32 + p.bc / 24) % 2 == 0).collect();
+        warmed.iter().for_each(|&p| drop(half.evaluate(p)));
+        assert_eq!((half.unique_evaluations(), warmed.len()), (distinct / 2, distinct / 2));
+        assert_eq!(half.evaluate_batch(&points), sequential, "{kid} {}: half warm", gpu.name);
+        assert_eq!(half.unique_evaluations(), distinct, "the batch computed the missing half");
+
+        // (d) disk-backed store: every computed point is spilled once.
+        let dir = std::env::temp_dir()
+            .join(format!("oriole-determinism-{}-batch-{scope}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::with_disk(&dir).expect("store dir");
+        let disk = store.evaluator(kid.name(), &builder, gpu, &sizes);
+        assert_eq!(disk.evaluate_batch(&points), sequential, "{kid} {}: disk", gpu.name);
+        let stats = disk.stats();
+        assert_eq!(stats.unique_evaluations, distinct);
+        assert_eq!(stats.disk_spilled, stats.unique_evaluations);
+        drop((disk, store));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A point whose UIF the front-end rejects keeps its slot, infeasible,
+    // on the threaded path (its own chunk) and the inline path alike.
+    let builder = |n: u64| KernelId::Atax.ast(n);
+    let mut points: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
+    let rejected = TuningParams { uif: 9, ..points[3] };
+    points.insert(5, rejected);
+    for batch in [&points[..], &points[4..7]] {
+        let ev = Evaluator::new(&builder, Gpu::K20.spec(), &sizes);
+        let seq = Evaluator::new(&builder, Gpu::K20.spec(), &sizes);
+        let got = ev.evaluate_batch(batch);
+        assert_eq!(got, batch.iter().map(|&p| seq.evaluate(p)).collect::<Vec<_>>());
+        let slot = batch.iter().position(|p| *p == rejected).expect("in the batch");
+        assert!(!got[slot].feasible && got[slot].params == rejected);
+        assert_eq!(got.iter().filter(|m| !m.feasible).count(), 1);
+    }
+}
+
+#[test]
 fn stochastic_searchers_replay_exactly() {
     let kid = KernelId::Atax;
     let sizes = [64u64];

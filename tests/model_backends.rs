@@ -69,7 +69,8 @@ fn static_backend_is_eq6_behind_the_seam() {
 fn same_spec_different_models_share_no_memo_entries() {
     // Invariant (2) at the store level: one GpuSpec, three ModelIds —
     // three distinct contexts, three distinct measurement tiers, and
-    // every backend computes its own report (no cross-model hits).
+    // every backend computes its own estimate in its own context (no
+    // cross-model hits).
     let store = ArtifactStore::new();
     let gpu = Gpu::K20.spec();
     let sizes = [64u64];
@@ -103,10 +104,11 @@ fn same_spec_different_models_share_no_memo_entries() {
     let stats = store.stats();
     assert_eq!(stats.contexts, 3);
     assert_eq!(stats.measurement_tiers, 3, "one tier per (protocol incl. model)");
+    assert_eq!(stats.unique_evaluations, 3, "no tier answered for another");
     for &model in &ModelId::ALL {
         let m = stats.model(model).expect("every backend ran");
-        assert_eq!(m.report_misses, 1, "{model}: estimate computed exactly once");
-        assert_eq!(m.report_hits, 0, "{model}: nothing served across backends");
+        assert_eq!(m.mix_misses, 1, "{model}: worked in its own context, exactly once");
+        assert_eq!(m.mix_hits, 0, "{model}: nothing served across backends");
     }
     // Compilation artifacts are model-independent: one front-end tier,
     // one lowering, shared by all three backends.
@@ -117,7 +119,7 @@ fn same_spec_different_models_share_no_memo_entries() {
 #[test]
 fn per_model_context_caches_stay_private_on_one_device() {
     // Invariant (2) at the context level, without a store: warm one
-    // backend's cache, then ask another backend for the same key — it
+    // backend's context, then ask another backend for the same key — it
     // must miss (and produce a different estimate).
     let gpu = Gpu::K20.spec();
     let k = kernel(gpu, 128, 48, 128);
@@ -127,8 +129,12 @@ fn per_model_context_caches_stay_private_on_one_device() {
     let sim_r = sim_ctx.simulate(&k, 128).unwrap();
     let roof_r = roof_ctx.simulate(&k, 128).unwrap();
     assert_ne!(sim_r.time_ms, roof_r.time_ms);
-    assert_eq!(sim_ctx.stats().report_misses, 1);
-    assert_eq!(roof_ctx.stats().report_misses, 1, "no hit leaked from the sim context");
+    sim_ctx.dynamic_mix(&k, 128);
+    assert_eq!(sim_ctx.stats().mix_misses, 1);
+    assert_eq!(roof_ctx.stats().mix_misses, 0, "the sim context's memo is its own");
+    roof_ctx.dynamic_mix(&k, 128);
+    assert_eq!(roof_ctx.stats().mix_misses, 1, "no hit leaked from the sim context");
+    assert_eq!(roof_ctx.stats().mix_hits, 0);
     assert_eq!(sim_ctx.stats().model, ModelId::Simulator);
     assert_eq!(roof_ctx.stats().model, ModelId::Roofline);
 }

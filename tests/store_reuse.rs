@@ -101,8 +101,8 @@ fn sweeps_with_different_sizes_share_artifacts_not_measurements() {
     assert_eq!(ma, fa.evaluate_space(&space));
     assert_eq!(mb, fb.evaluate_space(&space));
 
-    // The shared size produced identical per-size numbers through the
-    // shared report cache, under distinct measurement tiers.
+    // The shared size produced identical per-size numbers (same
+    // front-ends, same model context), under distinct measurement tiers.
     for (x, y) in ma.iter().zip(&mb) {
         if x.feasible {
             assert_eq!(x.per_size_ms[0], y.per_size_ms[0], "{}", x.params);
