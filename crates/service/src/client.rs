@@ -52,7 +52,8 @@ use oriole_tuner::persist::{
     classify_frame_io, read_frame_tagged, write_frame_tagged, FrameError,
 };
 use oriole_tuner::{Measurement, Oracle};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -433,24 +434,7 @@ impl Client {
         };
         match self.call(&req)? {
             Response::Evaluate { computed, measurements } => {
-                if measurements.len() != points.len() {
-                    return Err(ServiceError::Protocol(format!(
-                        "evaluate returned {} measurements for {} points",
-                        measurements.len(),
-                        points.len()
-                    )));
-                }
-                // The ordering contract is positional; verify it rather
-                // than trust it, so a confused daemon surfaces as a
-                // protocol error instead of mislabeled measurements.
-                for (p, m) in points.iter().zip(&measurements) {
-                    if m.params != *p {
-                        return Err(ServiceError::Protocol(format!(
-                            "evaluate returned measurement for {} where {} was requested",
-                            m.params, p
-                        )));
-                    }
-                }
+                verify_measurements(points, &measurements)?;
                 Ok((computed, measurements))
             }
             other => Err(ServiceError::Protocol(format!("expected measurements, got {other:?}"))),
@@ -497,10 +481,12 @@ fn dial(addr: &str, policy: &RetryPolicy) -> Result<TcpStream, ServiceError> {
 
 /// Maps frame-layer failures into [`ServiceError`], folding transport
 /// I/O back into the Io class so retry classification sees one kind of
-/// connection failure.
+/// connection failure — and frame-level version skew into the
+/// deterministic Protocol class: a redial meets the same old peer.
 fn classify_frame_error(e: FrameError) -> ServiceError {
     match e {
         FrameError::Io(io) => ServiceError::Io(io),
+        FrameError::VersionSkew => ServiceError::Protocol(e.to_string()),
         other => ServiceError::Frame(other),
     }
 }
@@ -805,7 +791,8 @@ fn reader_loop(mut stream: TcpStream, inner: &PipeInner) {
                 return;
             }
             Err(e) => {
-                inner.poison(true, format!("pipelined read failed: {e}"));
+                let transient = !matches!(e, FrameError::VersionSkew);
+                inner.poison(transient, format!("pipelined read failed: {e}"));
                 return;
             }
         };
@@ -949,14 +936,14 @@ pub struct RemoteEvaluator {
 }
 
 struct EvalState {
-    cache: HashMap<TuningParams, Measurement>,
+    /// The memo and the dedup set in one map. A point enters once, as
+    /// `None` — queued for the next flush or riding the current one, so
+    /// a thread needing it parks instead of re-queueing it — and its
+    /// answer overwrites that; revisits are served from here.
+    slots: HashMap<TuningParams, Option<Measurement>>,
     /// Misses queued for the next flush (insertion order — determinism
     /// of the *data* comes from the store, not from this ordering).
     pending: Vec<TuningParams>,
-    pending_set: HashSet<TuningParams>,
-    /// Points the current flush has in flight; threads needing one park
-    /// instead of re-queueing it.
-    inflight: HashSet<TuningParams>,
     flushing: bool,
     /// Threads currently inside `evaluate_batch` — the flusher skips
     /// its coalesce beat when it is alone.
@@ -983,10 +970,8 @@ impl RemoteEvaluator {
             scope,
             coalesce,
             state: Mutex::new(EvalState {
-                cache: HashMap::new(),
+                slots: HashMap::new(),
                 pending: Vec::new(),
-                pending_set: HashSet::new(),
-                inflight: HashSet::new(),
                 flushing: false,
                 waiters: 0,
                 pipe: None,
@@ -1075,22 +1060,26 @@ impl RemoteEvaluator {
         }
         let mut st = self.state.lock().expect("remote evaluator lock");
         st.waiters += 1;
+        let EvalState { slots, pending, .. } = &mut *st;
+        slots.reserve(points.len());
         for p in points {
-            if !st.cache.contains_key(p)
-                && !st.pending_set.contains(p)
-                && !st.inflight.contains(p)
-            {
-                st.pending.push(*p);
-                st.pending_set.insert(*p);
+            if let Entry::Vacant(slot) = slots.entry(*p) {
+                slot.insert(None);
+                pending.push(*p);
             }
         }
+        // Answers are collected in input order, each point looked up
+        // once: a turn of the loop resumes where the last one stopped.
+        let mut out = Vec::with_capacity(points.len());
         loop {
             if self.poisoned.load(Ordering::SeqCst) {
                 st.waiters -= 1;
                 return None;
             }
-            if points.iter().all(|p| st.cache.contains_key(p)) {
-                let out = points.iter().map(|p| st.cache[p].clone()).collect();
+            while let Some(Some(m)) = points.get(out.len()).and_then(|p| st.slots.get(p)) {
+                out.push(m.clone());
+            }
+            if out.len() == points.len() {
                 st.waiters -= 1;
                 return Some(out);
             }
@@ -1115,18 +1104,11 @@ impl RemoteEvaluator {
                         self.changed.wait_timeout(st, beat).expect("coalesce wait");
                     st = guard;
                 }
-                let batch: Vec<TuningParams> = st.pending.drain(..).collect();
-                st.pending_set.clear();
-                for p in &batch {
-                    st.inflight.insert(*p);
-                }
+                let batch = std::mem::take(&mut st.pending);
                 let pipe = st.pipe.take();
                 drop(st);
                 let outcome = self.fetch(&batch, pipe);
                 st = self.state.lock().expect("remote evaluator lock");
-                for p in &batch {
-                    st.inflight.remove(p);
-                }
                 st.flushing = false;
                 match outcome {
                     Ok((pipe, computed, measurements)) => {
@@ -1134,7 +1116,7 @@ impl RemoteEvaluator {
                         self.fetched.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         self.computed_remote.fetch_add(computed, Ordering::Relaxed);
                         for m in measurements {
-                            st.cache.insert(m.params, m);
+                            st.slots.insert(m.params, Some(m));
                         }
                         self.changed.notify_all();
                     }

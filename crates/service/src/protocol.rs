@@ -3,8 +3,8 @@
 //!
 //! Every payload is text, versioned by its first line
 //! (`oriole-rpc vN <verb>`), and travels inside one length-framed,
-//! FNV-checksummed, correlation-tagged frame
-//! ([`persist::write_frame_tagged`] / [`persist::read_frame_tagged`]) —
+//! checksummed ([`persist::frame_checksum`]), correlation-tagged frame
+//! ([`persist::encode_frame`] / [`persist::read_frame_tagged`]) —
 //! the id lets a connection pipeline requests and match out-of-order
 //! responses. The records inside — [`GpuSpec`],
 //! [`EvalProtocol`], [`TuningParams`], [`Measurement`], [`SimReport`] —
@@ -14,9 +14,11 @@
 //!
 //! Version skew is detected (a peer announcing any other
 //! `oriole-rpc vN` is answered with an error naming both versions, then
-//! disconnected) and a payload that parses but names impossible values
-//! is a per-request error — the connection survives, the store is never
-//! touched with unvalidated input.
+//! disconnected; a peer older than v4 is stopped one layer down, by its
+//! `ORLF` frame magic — [`persist::FrameError::VersionSkew`]) and a
+//! payload that parses but names impossible values is a per-request
+//! error — the connection survives, the store is never touched with
+//! unvalidated input.
 
 use oriole_arch::GpuSpec;
 use oriole_codegen::{PhaseTelemetry, TuningParams};
@@ -25,14 +27,15 @@ use oriole_tuner::persist::{self, WireError};
 use oriole_tuner::{EvalProtocol, Measurement};
 
 /// The protocol version this build speaks; the first token pair of
-/// every payload. v3 moves the transport to correlation-tagged frames
-/// ([`persist::write_frame_tagged`]) so one connection can pipeline
-/// many requests and receive responses out of order, and adds the
-/// reactor/pipelining counters to `stats`. (v2 added request deadlines
-/// on `evaluate`, the `busy` backpressure response and the pool/quota
-/// counters.) Mixed-version peers are rejected by the existing skew
-/// machinery — the error names both versions.
-pub const RPC_VERSION: &str = "oriole-rpc v3";
+/// every payload. v4 changes the frame, not the text: the checksum is
+/// the word-at-a-time [`persist::frame_checksum`] under the magic
+/// `ORL4`, so a v3 peer (FNV-1a, `ORLF`) is refused at its first frame;
+/// `simulate`'s `trials` is range-checked, not truncated. (v3 brought
+/// correlation-tagged frames — pipelining, out-of-order responses — and
+/// the reactor counters in `stats`; v2 request deadlines, the `busy`
+/// response and the pool/quota counters.) Mixed-version peers are
+/// rejected — the error names both versions.
+pub const RPC_VERSION: &str = "oriole-rpc v4";
 
 /// The experiment scope of an `evaluate` batch: exactly the
 /// measurement-tier key of the daemon's store, so two clients that
@@ -229,10 +232,6 @@ fn parse_sizes(text: &str) -> Result<Vec<u64>, WireError> {
         .collect()
 }
 
-fn emit_sizes(sizes: &[u64]) -> String {
-    sizes.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-}
-
 fn parse_u64(text: &str, key: &str) -> Result<u64, WireError> {
     text.parse().map_err(|_| WireError::new(format!("bad numeric `{key}`")))
 }
@@ -248,16 +247,14 @@ pub fn emit_request(req: &Request) -> String {
         Request::Shutdown => format!("{RPC_VERSION} shutdown"),
         Request::Stats => format!("{RPC_VERSION} stats"),
         Request::Evaluate { scope, points, deadline_ms } => {
-            let mut out = format!(
-                "{RPC_VERSION} evaluate\nkernel={}\ngpu={}\nsizes={}\nprotocol={}\ndeadline={deadline_ms}",
-                scope.kernel,
-                persist::emit_gpu_spec(&scope.gpu),
-                emit_sizes(&scope.sizes),
-                persist::emit_protocol(&scope.protocol),
-            );
+            // The head is the tier's own scope text; points append.
+            let EvalScope { kernel, gpu, sizes, protocol } = scope;
+            let scope = persist::scope_text(kernel, gpu, sizes, protocol);
+            let mut out = format!("{RPC_VERSION} evaluate\n{scope}\ndeadline={deadline_ms}");
+            out.reserve(48 * points.len());
             for p in points {
                 out.push_str("\np ");
-                out.push_str(&persist::emit_params(p));
+                persist::write_params(&mut out, p);
             }
             out
         }
@@ -286,11 +283,10 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
                 sizes: parse_sizes(body_field(&body, "sizes")?)?,
                 protocol: persist::parse_protocol(body_field(&body, "protocol")?)?,
             };
-            let points = body
-                .iter()
-                .filter_map(|l| l.strip_prefix("p "))
-                .map(persist::parse_params)
-                .collect::<Result<Vec<_>, _>>()?;
+            let mut points = Vec::with_capacity(body.len());
+            for line in body.iter().filter_map(|l| l.strip_prefix("p ")) {
+                points.push(persist::parse_params(line)?);
+            }
             // Absent deadline parses as "none declared" so a minimal
             // hand-written v2 payload stays valid.
             let deadline_ms = match body_field(&body, "deadline") {
@@ -306,7 +302,8 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
             params: persist::parse_params(body_field(&body, "params")?)?,
             model: ModelId::parse(body_field(&body, "model")?)
                 .ok_or_else(|| WireError::new("unknown model id"))?,
-            trials: parse_u64(body_field(&body, "trials")?, "trials")? as u32,
+            trials: u32::try_from(parse_u64(body_field(&body, "trials")?, "trials")?)
+                .map_err(|_| WireError::new("`trials` out of range"))?,
             seed: u64::from_str_radix(body_field(&body, "seed")?, 16)
                 .map_err(|_| WireError::new("bad seed"))?,
         }),
@@ -382,6 +379,24 @@ fn parse_disk(text: &str) -> Result<persist::DiskStats, WireError> {
     })
 }
 
+/// Appends an `ok evaluate` payload from borrowed measurements — a
+/// daemon serializes straight from its store's `Arc`s — into a buffer
+/// sized once, from the measurements' own longest spelling.
+pub fn write_evaluate<'a, I>(out: &mut String, computed: u64, measurements: I)
+where
+    I: IntoIterator<Item = &'a Measurement>,
+    I::IntoIter: Clone,
+{
+    let measurements = measurements.into_iter();
+    let bytes: usize = measurements.clone().map(|m| 187 + 40 * m.per_size_ms.len()).sum();
+    out.reserve(64 + bytes);
+    out.push_str(&format!("{RPC_VERSION} ok evaluate\ncomputed={computed}"));
+    for m in measurements {
+        out.push_str("\nm ");
+        persist::write_measurement(out, m);
+    }
+}
+
 /// Serializes a response payload (the frame body).
 pub fn emit_response(resp: &Response) -> String {
     match resp {
@@ -423,11 +438,8 @@ pub fn emit_response(resp: &Response) -> String {
             out
         }
         Response::Evaluate { computed, measurements } => {
-            let mut out = format!("{RPC_VERSION} ok evaluate\ncomputed={computed}");
-            for m in measurements {
-                out.push_str("\nm ");
-                out.push_str(&persist::emit_measurement(m));
-            }
+            let mut out = String::new();
+            write_evaluate(&mut out, *computed, measurements);
             out
         }
         Response::Simulate { selected, report } => format!(
@@ -493,11 +505,10 @@ pub fn parse_response(payload: &str) -> Result<Response, WireError> {
                 }
                 "evaluate" => {
                     let computed = parse_u64(body_field(&body, "computed")?, "computed")?;
-                    let measurements = body
-                        .iter()
-                        .filter_map(|l| l.strip_prefix("m "))
-                        .map(persist::parse_measurement)
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let mut measurements = Vec::with_capacity(body.len());
+                    for line in body.iter().filter_map(|l| l.strip_prefix("m ")) {
+                        measurements.push(persist::parse_measurement(line)?);
+                    }
                     Ok(Response::Evaluate { computed, measurements })
                 }
                 "simulate" => Ok(Response::Simulate {
@@ -668,11 +679,39 @@ mod tests {
         // version error beats silent misdelivery.
         let err = parse_request("oriole-rpc v2 ping").unwrap_err();
         assert!(err.to_string().contains("version skew"), "{err}");
+        // The frame checksum is new in v4: a v3 payload that somehow got
+        // past the frame magic is still skew by its first line.
+        let err = parse_request("oriole-rpc v3 ping").unwrap_err();
+        assert!(err.to_string().contains("version skew"), "{err}");
         assert!(parse_request("GET / HTTP/1.1").is_err());
         assert!(parse_request(&format!("{RPC_VERSION} frobnicate")).is_err());
         assert!(parse_response(&format!("{RPC_VERSION} ok frobnicate")).is_err());
         // A structurally broken evaluate: missing scope lines.
         assert!(parse_request(&format!("{RPC_VERSION} evaluate\nkernel=atax")).is_err());
+    }
+
+    #[test]
+    fn simulate_trials_past_u32_are_refused_not_truncated() {
+        let request = |trials: u64| {
+            let sample = Request::Simulate {
+                kernel: "bicg".into(),
+                gpu: Gpu::M40.spec().clone(),
+                n: 256,
+                params: TuningParams::with_geometry(512, 24),
+                model: ModelId::Simulator,
+                trials: 10,
+                seed: 7,
+            };
+            emit_request(&sample).replace("trials=10", &format!("trials={trials}"))
+        };
+        // 2^32 + 10 used to wrap to ten trials.
+        let err = parse_request(&request(4_294_967_306)).unwrap_err();
+        assert!(err.to_string().contains("trials"), "{err}");
+        assert!(parse_request(&request(u64::from(u32::MAX) + 1)).is_err());
+        match parse_request(&request(u64::from(u32::MAX))).unwrap() {
+            Request::Simulate { trials, .. } => assert_eq!(trials, u32::MAX),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

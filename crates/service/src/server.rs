@@ -78,7 +78,7 @@ use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
 use oriole_codegen::{compile, TuningParams};
 use oriole_kernels::KernelId;
 use oriole_sim::TrialProtocol;
-use oriole_tuner::persist::{decode_frame, write_frame, write_frame_tagged};
+use oriole_tuner::persist::{decode_frame, encode_frame};
 use oriole_tuner::ArtifactStore;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -231,14 +231,13 @@ struct Job {
     admit_by: Instant,
 }
 
-/// A worker's finished response, serialized off-reactor (response
-/// emission parallelizes with other work) and delivered to the
-/// connection's write buffer by the reactor.
+/// A finished response as the complete wire frame, serialized and
+/// checksummed off-reactor (both parallelize with other work): the
+/// reactor only appends it to the connection's write buffer.
 struct Completion {
     slot: usize,
     gen: u64,
-    corr: u64,
-    payload: String,
+    frame: Vec<u8>,
     close: bool,
 }
 
@@ -591,14 +590,21 @@ impl Conn {
 
     /// Queues one tagged response frame for writing.
     fn push_frame(&mut self, corr: u64, resp: &Response) {
-        let payload = protocol::emit_response(resp);
-        self.push_payload(corr, &payload);
+        self.write_buf.extend_from_slice(&frame_response(corr, resp));
     }
+}
 
-    fn push_payload(&mut self, corr: u64, payload: &str) {
-        write_frame_tagged(&mut self.write_buf, corr, payload)
-            .expect("writing a frame to a Vec cannot fail");
-    }
+/// Frames one response. Only an echoed request string can push a
+/// response past the frame bound; that one is answered with the bound's
+/// own (short) error instead.
+fn frame_response(corr: u64, resp: &Response) -> Vec<u8> {
+    let frame = |resp: &Response| {
+        let payload = protocol::emit_response(resp);
+        encode_frame(corr, |out| out.push_str(&payload))
+    };
+    frame(resp).unwrap_or_else(|e| {
+        frame(&Response::Error { message: e.to_string() }).expect("a one-line error fits a frame")
+    })
 }
 
 fn accept_all(
@@ -651,7 +657,7 @@ fn shed_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
     let resp = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
-    let _ = write_frame(&mut stream, &protocol::emit_response(&resp));
+    let _ = stream.write_all(&frame_response(0, &resp));
 }
 
 fn drop_conn(conns: &mut [Option<Conn>], slot: usize, state: &ServerState) {
@@ -665,7 +671,7 @@ fn drop_conn(conns: &mut [Option<Conn>], slot: usize, state: &ServerState) {
 /// response frame and flushes opportunistically.
 fn deliver(conns: &mut [Option<Conn>], completion: Completion, state: &ServerState) {
     state.frames_inflight.fetch_sub(1, Ordering::SeqCst);
-    let Completion { slot, gen, corr, payload, close } = completion;
+    let Completion { slot, gen, frame, close } = completion;
     let alive = slot < conns.len() && matches!(&conns[slot], Some(c) if c.gen == gen);
     if !alive {
         // The connection went away mid-request: the response is
@@ -675,7 +681,7 @@ fn deliver(conns: &mut [Option<Conn>], completion: Completion, state: &ServerSta
     {
         let conn = conns[slot].as_mut().expect("checked alive");
         conn.inflight = conn.inflight.saturating_sub(1);
-        conn.push_payload(corr, &payload);
+        conn.write_buf.extend_from_slice(&frame);
         if close {
             conn.closing = true;
         }
@@ -705,8 +711,7 @@ fn shed_expired_jobs(conns: &mut [Option<Conn>], state: &ServerState, now: Insta
             Completion {
                 slot: job.slot,
                 gen: job.gen,
-                corr: job.corr,
-                payload: protocol::emit_response(&resp),
+                frame: frame_response(job.corr, &resp),
                 close: false,
             },
             state,
@@ -986,15 +991,15 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
                 q = state.queue_changed.wait(q).expect("work queue wait");
             }
         };
-        let (resp, close) = if Instant::now() > job.admit_by {
+        let admitted = Instant::now() <= job.admit_by
+            && state.inflight.acquire(state.cfg.request_timeout);
+        let (frame, close) = if !admitted {
             // Queued past its admission deadline: shed, never started.
+            // (A full gate is unreachable in practice — the pool is
+            // sized to it — and shed the same way rather than panic.)
             state.shed_busy.fetch_add(1, Ordering::Relaxed);
-            (Response::Busy { retry_after_ms: state.cfg.busy_retry_ms }, false)
-        } else if !state.inflight.acquire(state.cfg.request_timeout) {
-            // Unreachable in practice (the pool is sized to the gate),
-            // kept as a defensive shed rather than a panic.
-            state.shed_busy.fetch_add(1, Ordering::Relaxed);
-            (Response::Busy { retry_after_ms: state.cfg.busy_retry_ms }, false)
+            let busy = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
+            (frame_response(job.corr, &busy), false)
         } else {
             let slot = SlotGuard(&state.inflight);
             // The slot is acquired BEFORE the shutdown re-check: either
@@ -1004,55 +1009,49 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
             // set and refuses. A request can never slip between
             // "shutdown flagged" and "drain complete".
             let out = if state.shutdown.load(Ordering::SeqCst) {
-                (Response::Error { message: "daemon is shutting down".to_string() }, true)
+                let resp = Response::Error { message: "daemon is shutting down".to_string() };
+                (frame_response(job.corr, &resp), true)
             } else {
-                let (resp, _) = dispatch(job.req, store, state);
-                (resp, false)
+                (dispatch(job.req, job.corr, store, state), false)
             };
             drop(slot);
             out
         };
-        state.complete(
-            wake,
-            Completion {
-                slot: job.slot,
-                gen: job.gen,
-                corr: job.corr,
-                payload: protocol::emit_response(&resp),
-                close,
-            },
-        );
+        state.complete(wake, Completion { slot: job.slot, gen: job.gen, frame, close });
     }
 }
 
-fn dispatch(req: Request, store: &ArtifactStore, state: &ServerState) -> (Response, bool) {
-    match req {
-        Request::Ping => (Response::Pong, false),
-        Request::Shutdown => (Response::ShuttingDown, false),
-        Request::Stats => (Response::Stats(stats(store, state)), false),
+/// Executes one request body and returns its answer as a finished
+/// frame for `corr`.
+fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState) -> Vec<u8> {
+    let resp = match req {
+        Request::Ping => Response::Pong,
+        Request::Shutdown => Response::ShuttingDown,
+        Request::Stats => Response::Stats(stats(store, state)),
         Request::Evaluate { scope, points, deadline_ms: _ } => {
             if points.len() > state.cfg.max_points_per_request {
-                return (
-                    Response::Error {
-                        message: format!(
-                            "evaluate batch of {} points exceeds the per-request quota of {}",
-                            points.len(),
-                            state.cfg.max_points_per_request
-                        ),
-                    },
-                    false,
-                );
+                Response::Error {
+                    message: format!(
+                        "evaluate batch of {} points exceeds the per-request quota of {}",
+                        points.len(),
+                        state.cfg.max_points_per_request
+                    ),
+                }
+            } else {
+                match handle_evaluate(store, &scope, &points, corr) {
+                    Ok(frame) => {
+                        state.points_served.fetch_add(points.len() as u64, Ordering::Relaxed);
+                        return frame;
+                    }
+                    Err(message) => Response::Error { message },
+                }
             }
-            let resp = handle_evaluate(store, &scope, &points);
-            if matches!(resp, Response::Evaluate { .. }) {
-                state.points_served.fetch_add(points.len() as u64, Ordering::Relaxed);
-            }
-            (resp, false)
         }
         Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
-            (handle_simulate(store, &kernel, &gpu, n, params, model, trials, seed), false)
+            handle_simulate(store, &kernel, &gpu, n, params, model, trials, seed)
         }
-    }
+    };
+    frame_response(corr, &resp)
 }
 
 fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
@@ -1080,12 +1079,20 @@ fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
     }
 }
 
-fn handle_evaluate(store: &ArtifactStore, scope: &EvalScope, points: &[TuningParams]) -> Response {
+/// Evaluates `points` and serializes the answer straight from the
+/// store's shared measurements into the finished frame: no copy of a
+/// measurement, no payload on the side. `Err` is a per-request error.
+fn handle_evaluate(
+    store: &ArtifactStore,
+    scope: &EvalScope,
+    points: &[TuningParams],
+    corr: u64,
+) -> Result<Vec<u8>, String> {
     let Some(kid) = KernelId::parse(&scope.kernel) else {
-        return Response::Error { message: format!("unknown kernel `{}`", scope.kernel) };
+        return Err(format!("unknown kernel `{}`", scope.kernel));
     };
     if scope.sizes.is_empty() {
-        return Response::Error { message: "empty size list".to_string() };
+        return Err("empty size list".to_string());
     }
     let builder = move |n: u64| kid.ast(n);
     let evaluator =
@@ -1097,10 +1104,9 @@ fn handle_evaluate(store: &ArtifactStore, scope: &EvalScope, points: &[TuningPar
     let before = evaluator.unique_evaluations();
     let measurements = evaluator.evaluate_batch(points);
     let computed = (evaluator.unique_evaluations() - before) as u64;
-    Response::Evaluate {
-        computed,
-        measurements: measurements.iter().map(|m| (**m).clone()).collect(),
-    }
+    let shared = measurements.iter().map(|m| &**m);
+    encode_frame(corr, |out| protocol::write_evaluate(out, computed, shared))
+        .map_err(|e| e.to_string())
 }
 
 #[allow(clippy::too_many_arguments)]

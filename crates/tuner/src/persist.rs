@@ -19,7 +19,10 @@
 //!   [`Measurement`], [`SimReport`]) has exactly one serialization:
 //!   `key:value` fields in a fixed order. Floats are written as the hex
 //!   of their IEEE-754 bits ([`emit_f64`]), so a load/store round trip
-//!   is **bit-identical** — never a decimal approximation.
+//!   is **bit-identical** — never a decimal approximation. Each record
+//!   has one writer that appends to a caller's buffer (`write_*`; the
+//!   `emit_*` forms wrap it) and all are read by one cursor that accepts
+//!   nothing but that spelling: `emit(parse(t)) == t` or `t` is refused.
 //! * **Sealed lines.** Every header and record line carries its own
 //!   FNV-1a 64 checksum (`body|crc16hex`, [`seal`]/[`unseal`]). A
 //!   flipped byte, a truncated tail from a killed writer, or an edited
@@ -57,6 +60,11 @@
 //! every record is sealed on its own, the loader splits a big file's
 //! lines across the cores, the way the sweep that wrote them ran.
 //!
+//! The same text crosses the wire of `oriole_service` in length-framed,
+//! checksummed frames ([`encode_frame`], [`decode_frame`]); frames are
+//! transient, so their checksum ([`frame_checksum`]) is built for speed,
+//! while lines and file names keep the FNV-1a that files on disk pin.
+//!
 //! [`scan_store`] and [`gc_store`] back the CLI's
 //! `oriole store {stats,verify,gc}` subcommands: listing tier files,
 //! verifying their checksums, and deleting unusable files / compacting
@@ -69,7 +77,7 @@ use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -103,14 +111,23 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Seals a line body with its checksum: `body|<16-hex fnv64>`.
 pub fn seal(body: &str) -> String {
-    format!("{body}|{:016x}", checksum(body.as_bytes()))
+    let mut out = body.to_string();
+    push_seal(&mut out, 0);
+    out
+}
+
+/// Seals `out[from..]` where it stands: appends `|<16-hex fnv64>`.
+fn push_seal(out: &mut String, from: usize) {
+    let crc = checksum(&out.as_bytes()[from..]);
+    push_hex16(out, "|", crc);
 }
 
 /// Verifies and strips a sealed line, returning the body; `None` when
-/// the checksum is absent or does not match.
+/// the checksum is absent, not in [`seal`]'s spelling, or does not
+/// match.
 pub fn unseal(line: &str) -> Option<&str> {
-    let (body, crc) = line.rsplit_once('|')?;
-    let stored = u64::from_str_radix(crc, 16).ok()?;
+    let (body, tail) = line.split_at_checked(line.len().checked_sub(17)?)?;
+    let stored = Cursor { text: tail, at: 0 }.hex16("|").ok()?;
     (stored == checksum(body.as_bytes())).then_some(body)
 }
 
@@ -139,6 +156,49 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// `"00"`..`"99"`: decimal is pushed two digits a step.
+const DEC_PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233\
+    34353637383940414243444546474849505152535455565758596061626364656667\
+    6869707172737475767778798081828384858687888990919293949596979899";
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+fn push_digits(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("table digits are ASCII"));
+}
+
+/// Appends `key` and `v` in canonical decimal (no sign, no padding).
+fn push_dec(out: &mut String, key: &str, v: impl Into<u64>) {
+    out.push_str(key);
+    let (mut v, mut buf, mut at) = (v.into(), [0u8; 20], 20);
+    loop {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DEC_PAIRS[2 * (v % 100) as usize..][..2]);
+        v /= 100;
+        if v == 0 {
+            break;
+        }
+    }
+    // A one-digit head (or a lone zero) was pushed as a padded pair.
+    push_digits(out, &buf[at + usize::from(buf[at] == b'0')..]);
+}
+
+/// Appends `key` and `v` as exactly 16 lowercase hex digits — a seed, a
+/// seal, or the raw IEEE-754 bits of a float.
+fn push_hex16(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    let mut buf = [0u8; 16];
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 15];
+    }
+    push_digits(out, &buf);
+}
+
+fn push_word(out: &mut String, key: &str, word: &str) {
+    out.push_str(key);
+    out.push_str(word);
+}
+
 /// Serializes an `f64` as the hex of its IEEE-754 bits — the only float
 /// encoding that survives a round trip bit-identically (infinities
 /// included).
@@ -148,104 +208,154 @@ pub fn emit_f64(v: f64) -> String {
 
 /// Parses [`emit_f64`] output back to the identical `f64`.
 pub fn parse_f64(s: &str) -> Result<f64, WireError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| WireError::new(format!("bad f64 bits `{s}`")))
+    parse_all(s, |c| c.f64(""))
 }
 
-/// Cursor over a `key:value` field list, read in the one order the
-/// emitters write — a single pass, no allocation.
-struct Fields<'a> {
-    rest: &'a str,
-    sep: char,
+/// The one reader of canonical text: a byte cursor that walks a record
+/// once, in its writer's field order, and accepts **only** the writer's
+/// spelling (so `emit(parse(t)) == t` for every accepted `t`). A key is
+/// passed with its separator and colon (`";occ:"`): one prefix compare.
+struct Cursor<'a> {
+    text: &'a str,
+    at: usize,
 }
 
-impl<'a> Fields<'a> {
-    /// The value of the next field, which must be `key` (the value may
-    /// itself contain `:`; only the first one binds).
-    fn get(&mut self, key: &str) -> Result<&'a str, WireError> {
-        let (field, rest) = self.rest.split_once(self.sep).unwrap_or((self.rest, ""));
-        let value = field
-            .strip_prefix(key)
-            .and_then(|v| v.strip_prefix(':'))
-            .ok_or_else(|| WireError::new(format!("missing field `{key}`")))?;
-        self.rest = rest;
-        Ok(value)
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.at..]
     }
 
-    fn num<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, WireError> {
-        self.get(key)?
-            .parse()
-            .map_err(|_| WireError::new(format!("bad numeric field `{key}`")))
+    #[cold]
+    fn bad(&self, what: &str, key: &str) -> WireError {
+        let key = key.trim_matches(|c: char| c.is_ascii_punctuation() && c != '_');
+        WireError::new(format!("{what} `{key}` at byte {}", self.at))
+    }
+
+    /// Consumes the literal `key`.
+    fn key(&mut self, key: &str) -> Result<(), WireError> {
+        if !self.rest().starts_with(key.as_bytes()) {
+            return Err(self.bad("missing field", key));
+        }
+        self.at += key.len();
+        Ok(())
+    }
+
+    /// A canonical decimal (no sign, no leading zero) that fits `T`.
+    fn dec<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, WireError> {
+        self.key(key)?;
+        let rest = self.rest();
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let canonical = digits == 1 || (digits > 1 && rest[0] != b'0');
+        let v = self.text[self.at..self.at + digits].parse::<u64>().ok().filter(|_| canonical);
+        self.at += digits;
+        v.and_then(|v| T::try_from(v).ok()).ok_or_else(|| self.bad("bad numeric field", key))
+    }
+
+    /// Exactly 16 lowercase hex digits.
+    fn hex16(&mut self, key: &str) -> Result<u64, WireError> {
+        self.key(key)?;
+        let digits = self.rest().get(..16).ok_or_else(|| self.bad("bad hex field", key))?;
+        let mut v = 0u64;
+        for &d in digits {
+            let nibble = char::from(d).to_digit(16).filter(|_| !d.is_ascii_uppercase());
+            v = v << 4 | u64::from(nibble.ok_or_else(|| self.bad("bad hex field", key))?);
+        }
+        self.at += 16;
+        Ok(v)
     }
 
     fn f64(&mut self, key: &str) -> Result<f64, WireError> {
-        parse_f64(self.get(key)?)
+        self.hex16(key).map(f64::from_bits)
+    }
+
+    fn bit(&mut self, key: &str) -> Result<bool, WireError> {
+        match self.dec::<u8>(key)? {
+            bit @ 0..=1 => Ok(bit == 1),
+            _ => Err(self.bad("bad bool field", key)),
+        }
+    }
+
+    /// The value whose spelling in `names` is the next word.
+    fn name<T: Copy>(&mut self, key: &str, names: &[(T, &'static str)]) -> Result<T, WireError> {
+        let word = self.word(key)?;
+        let found = names.iter().find(|(_, name)| *name == word);
+        found.map(|(v, _)| *v).ok_or_else(|| self.bad("unknown value of", key))
+    }
+
+    /// Free text up to the next `;` (or the end).
+    fn word(&mut self, key: &str) -> Result<&'a str, WireError> {
+        self.key(key)?;
+        let rest = &self.text[self.at..];
+        let word = &rest[..rest.find(';').unwrap_or(rest.len())];
+        self.at += word.len();
+        Ok(word)
     }
 }
 
-fn family_name(f: Family) -> &'static str {
-    match f {
-        Family::Fermi => "fermi",
-        Family::Kepler => "kepler",
-        Family::Maxwell => "maxwell",
-        Family::Pascal => "pascal",
+/// Reads all of `text` as one record: `read` must consume every byte.
+fn parse_all<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut cursor = Cursor { text, at: 0 };
+    let value = read(&mut cursor)?;
+    if cursor.at != text.len() {
+        return Err(WireError::new(format!("trailing bytes after byte {}", cursor.at)));
     }
+    Ok(value)
 }
 
-fn parse_family(s: &str) -> Result<Family, WireError> {
-    Family::ALL
-        .into_iter()
-        .find(|&f| family_name(f) == s)
-        .ok_or_else(|| WireError::new(format!("unknown family `{s}`")))
+/// The spelling of `v` in its vocabulary's table — one table per closed
+/// vocabulary, read by the writer and the reader alike, so the two
+/// cannot disagree on a name.
+fn spell<T: PartialEq>(names: &[(T, &'static str)], v: T) -> &'static str {
+    names.iter().find(|(known, _)| *known == v).expect("every variant is in its table").1
 }
 
-fn bool_bit(b: bool) -> u8 {
-    u8::from(b)
-}
-
-fn parse_bool(s: &str) -> Result<bool, WireError> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(WireError::new(format!("bad bool `{other}`"))),
-    }
-}
+const FAMILIES: [(Family, &str); 4] = [
+    (Family::Fermi, "fermi"),
+    (Family::Kepler, "kepler"),
+    (Family::Maxwell, "maxwell"),
+    (Family::Pascal, "pascal"),
+];
 
 // ---------------------------------------------------------------------------
 // GpuSpec
 // ---------------------------------------------------------------------------
 
-/// Canonical serialization of a [`GpuSpec`]: every field, fixed order,
-/// so two specs serialize equal iff they are structurally equal — the
-/// same contract the in-memory store keys rely on.
+/// Appends the canonical serialization of a [`GpuSpec`]: every field,
+/// fixed order, so two specs serialize equal iff they are structurally
+/// equal — the same contract the in-memory store keys rely on.
+pub fn write_gpu_spec(out: &mut String, g: &GpuSpec) {
+    push_word(out, "name:", g.name);
+    push_word(out, ";family:", spell(&FAMILIES, g.family));
+    push_dec(out, ";cc:", g.compute_capability.major);
+    push_dec(out, ".", g.compute_capability.minor);
+    push_dec(out, ";gmem:", g.global_mem_mib);
+    push_dec(out, ";mp:", g.multiprocessors);
+    push_dec(out, ";cores:", g.cores_per_mp);
+    push_dec(out, ";clk:", g.gpu_clock_mhz);
+    push_dec(out, ";mclk:", g.mem_clock_mhz);
+    push_dec(out, ";l2:", g.l2_cache_bytes);
+    push_dec(out, ";cmem:", g.const_mem_bytes);
+    push_dec(out, ";smb:", g.shmem_per_block);
+    push_dec(out, ";smmp:", g.shmem_per_mp);
+    push_dec(out, ";rf:", g.regfile_per_mp);
+    push_dec(out, ";ws:", g.warp_size);
+    push_dec(out, ";tmp:", g.threads_per_mp);
+    push_dec(out, ";tpb:", g.threads_per_block);
+    push_dec(out, ";bmp:", g.blocks_per_mp);
+    push_dec(out, ";tpw:", g.threads_per_warp);
+    push_dec(out, ";wmp:", g.warps_per_mp);
+    push_dec(out, ";rau:", g.reg_alloc_unit);
+    push_dec(out, ";rtmax:", g.regs_per_thread_max);
+}
+
+/// [`write_gpu_spec`] into a fresh string.
 pub fn emit_gpu_spec(g: &GpuSpec) -> String {
-    format!(
-        "name:{};family:{};cc:{}.{};gmem:{};mp:{};cores:{};clk:{};mclk:{};l2:{};cmem:{};\
-         smb:{};smmp:{};rf:{};ws:{};tmp:{};tpb:{};bmp:{};tpw:{};wmp:{};rau:{};rtmax:{}",
-        g.name,
-        family_name(g.family),
-        g.compute_capability.major,
-        g.compute_capability.minor,
-        g.global_mem_mib,
-        g.multiprocessors,
-        g.cores_per_mp,
-        g.gpu_clock_mhz,
-        g.mem_clock_mhz,
-        g.l2_cache_bytes,
-        g.const_mem_bytes,
-        g.shmem_per_block,
-        g.shmem_per_mp,
-        g.regfile_per_mp,
-        g.warp_size,
-        g.threads_per_mp,
-        g.threads_per_block,
-        g.blocks_per_mp,
-        g.threads_per_warp,
-        g.warps_per_mp,
-        g.reg_alloc_unit,
-        g.regs_per_thread_max,
-    )
+    let mut out = String::with_capacity(256);
+    write_gpu_spec(&mut out, g);
+    out
 }
 
 /// `GpuSpec.name` is `&'static str`; known Table I names intern back to
@@ -271,38 +381,30 @@ fn intern_gpu_name(name: &str) -> &'static str {
 /// Parses [`emit_gpu_spec`] output back into a structurally identical
 /// [`GpuSpec`].
 pub fn parse_gpu_spec(text: &str) -> Result<GpuSpec, WireError> {
-    let mut f = Fields { rest: text, sep: ';' };
-    let name = intern_gpu_name(f.get("name")?);
-    let family = parse_family(f.get("family")?)?;
-    let cc = f.get("cc")?;
-    let (major, minor) = cc
-        .split_once('.')
-        .ok_or_else(|| WireError::new(format!("bad compute capability `{cc}`")))?;
-    Ok(GpuSpec {
-        name,
-        family,
-        compute_capability: ComputeCapability::new(
-            major.parse().map_err(|_| WireError::new("bad cc major"))?,
-            minor.parse().map_err(|_| WireError::new("bad cc minor"))?,
-        ),
-        global_mem_mib: f.num("gmem")?,
-        multiprocessors: f.num("mp")?,
-        cores_per_mp: f.num("cores")?,
-        gpu_clock_mhz: f.num("clk")?,
-        mem_clock_mhz: f.num("mclk")?,
-        l2_cache_bytes: f.num("l2")?,
-        const_mem_bytes: f.num("cmem")?,
-        shmem_per_block: f.num("smb")?,
-        shmem_per_mp: f.num("smmp")?,
-        regfile_per_mp: f.num("rf")?,
-        warp_size: f.num("ws")?,
-        threads_per_mp: f.num("tmp")?,
-        threads_per_block: f.num("tpb")?,
-        blocks_per_mp: f.num("bmp")?,
-        threads_per_warp: f.num("tpw")?,
-        warps_per_mp: f.num("wmp")?,
-        reg_alloc_unit: f.num("rau")?,
-        regs_per_thread_max: f.num("rtmax")?,
+    parse_all(text, |c| {
+        Ok(GpuSpec {
+            name: intern_gpu_name(c.word("name:")?),
+            family: c.name(";family:", &FAMILIES)?,
+            compute_capability: ComputeCapability::new(c.dec(";cc:")?, c.dec(".")?),
+            global_mem_mib: c.dec(";gmem:")?,
+            multiprocessors: c.dec(";mp:")?,
+            cores_per_mp: c.dec(";cores:")?,
+            gpu_clock_mhz: c.dec(";clk:")?,
+            mem_clock_mhz: c.dec(";mclk:")?,
+            l2_cache_bytes: c.dec(";l2:")?,
+            const_mem_bytes: c.dec(";cmem:")?,
+            shmem_per_block: c.dec(";smb:")?,
+            shmem_per_mp: c.dec(";smmp:")?,
+            regfile_per_mp: c.dec(";rf:")?,
+            warp_size: c.dec(";ws:")?,
+            threads_per_mp: c.dec(";tmp:")?,
+            threads_per_block: c.dec(";tpb:")?,
+            blocks_per_mp: c.dec(";bmp:")?,
+            threads_per_warp: c.dec(";tpw:")?,
+            warps_per_mp: c.dec(";wmp:")?,
+            reg_alloc_unit: c.dec(";rau:")?,
+            regs_per_thread_max: c.dec(";rtmax:")?,
+        })
     })
 }
 
@@ -310,63 +412,43 @@ pub fn parse_gpu_spec(text: &str) -> Result<GpuSpec, WireError> {
 // EvalProtocol
 // ---------------------------------------------------------------------------
 
-fn trial_protocol_name(p: TrialProtocol) -> &'static str {
-    match p {
-        TrialProtocol::FifthOfTen => "fifth-of-ten",
-        TrialProtocol::Median => "median",
-        TrialProtocol::Min => "min",
-    }
+const TRIAL_PROTOCOLS: [(TrialProtocol, &str); 3] = [
+    (TrialProtocol::FifthOfTen, "fifth-of-ten"),
+    (TrialProtocol::Median, "median"),
+    (TrialProtocol::Min, "min"),
+];
+
+const OBJECTIVES: [(Objective, &str); 2] =
+    [(Objective::TotalTime, "total-time"), (Objective::LargestSize, "largest-size")];
+
+/// Appends the canonical serialization of an [`EvalProtocol`] —
+/// including the [`ModelId`], so tiers taken under different timing
+/// backends can never share a disk artifact.
+pub fn write_protocol(out: &mut String, p: &EvalProtocol) {
+    push_dec(out, "trials:", p.trials);
+    push_word(out, ";select:", spell(&TRIAL_PROTOCOLS, p.protocol));
+    push_hex16(out, ";seed:", p.base_seed);
+    push_word(out, ";objective:", spell(&OBJECTIVES, p.objective));
+    push_word(out, ";model:", p.model.name());
 }
 
-fn parse_trial_protocol(s: &str) -> Result<TrialProtocol, WireError> {
-    match s {
-        "fifth-of-ten" => Ok(TrialProtocol::FifthOfTen),
-        "median" => Ok(TrialProtocol::Median),
-        "min" => Ok(TrialProtocol::Min),
-        other => Err(WireError::new(format!("unknown trial protocol `{other}`"))),
-    }
-}
-
-fn objective_name(o: Objective) -> &'static str {
-    match o {
-        Objective::TotalTime => "total-time",
-        Objective::LargestSize => "largest-size",
-    }
-}
-
-fn parse_objective(s: &str) -> Result<Objective, WireError> {
-    match s {
-        "total-time" => Ok(Objective::TotalTime),
-        "largest-size" => Ok(Objective::LargestSize),
-        other => Err(WireError::new(format!("unknown objective `{other}`"))),
-    }
-}
-
-/// Canonical serialization of an [`EvalProtocol`] — including the
-/// [`ModelId`], so tiers taken under different timing backends can never
-/// share a disk artifact.
+/// [`write_protocol`] into a fresh string.
 pub fn emit_protocol(p: &EvalProtocol) -> String {
-    format!(
-        "trials:{};select:{};seed:{:016x};objective:{};model:{}",
-        p.trials,
-        trial_protocol_name(p.protocol),
-        p.base_seed,
-        objective_name(p.objective),
-        p.model.name(),
-    )
+    let mut out = String::with_capacity(96);
+    write_protocol(&mut out, p);
+    out
 }
 
 /// Parses [`emit_protocol`] output.
 pub fn parse_protocol(text: &str) -> Result<EvalProtocol, WireError> {
-    let mut f = Fields { rest: text, sep: ';' };
-    Ok(EvalProtocol {
-        trials: f.num("trials")?,
-        protocol: parse_trial_protocol(f.get("select")?)?,
-        base_seed: u64::from_str_radix(f.get("seed")?, 16)
-            .map_err(|_| WireError::new("bad seed"))?,
-        objective: parse_objective(f.get("objective")?)?,
-        model: ModelId::parse(f.get("model")?)
-            .ok_or_else(|| WireError::new("unknown model id"))?,
+    parse_all(text, |c| {
+        Ok(EvalProtocol {
+            trials: c.dec("trials:")?,
+            protocol: c.name(";select:", &TRIAL_PROTOCOLS)?,
+            base_seed: c.hex16(";seed:")?,
+            objective: c.name(";objective:", &OBJECTIVES)?,
+            model: c.name(";model:", &ModelId::ALL.map(|m| (m, m.name())))?,
+        })
     })
 }
 
@@ -374,186 +456,176 @@ pub fn parse_protocol(text: &str) -> Result<EvalProtocol, WireError> {
 // TuningParams
 // ---------------------------------------------------------------------------
 
-/// Canonical serialization of a tuning point (comma-separated so it can
-/// nest inside semicolon-separated records).
+/// Appends the canonical serialization of a tuning point
+/// (comma-separated so it can nest inside semicolon-separated records).
+pub fn write_params(out: &mut String, p: &TuningParams) {
+    push_dec(out, "tc:", p.tc);
+    push_dec(out, ",bc:", p.bc);
+    push_dec(out, ",uif:", p.uif);
+    push_dec(out, ",pl:", p.pl.kb());
+    push_dec(out, ",sc:", p.sc);
+    push_dec(out, ",fm:", p.cflags.fast_math);
+}
+
+/// [`write_params`] into a fresh string.
 pub fn emit_params(p: &TuningParams) -> String {
-    format!(
-        "tc:{},bc:{},uif:{},pl:{},sc:{},fm:{}",
-        p.tc,
-        p.bc,
-        p.uif,
-        p.pl.kb(),
-        p.sc,
-        bool_bit(p.cflags.fast_math),
-    )
+    let mut out = String::with_capacity(64);
+    write_params(&mut out, p);
+    out
+}
+
+fn read_params(c: &mut Cursor<'_>) -> Result<TuningParams, WireError> {
+    Ok(TuningParams {
+        tc: c.dec("tc:")?,
+        bc: c.dec(",bc:")?,
+        uif: c.dec(",uif:")?,
+        pl: PreferredL1::from_kb(c.dec(",pl:")?).ok_or_else(|| c.bad("bad value of", "pl"))?,
+        sc: c.dec(",sc:")?,
+        cflags: CompilerFlags { fast_math: c.bit(",fm:")? },
+    })
 }
 
 /// Parses [`emit_params`] output.
 pub fn parse_params(text: &str) -> Result<TuningParams, WireError> {
-    let mut f = Fields { rest: text, sep: ',' };
-    Ok(TuningParams {
-        tc: f.num("tc")?,
-        bc: f.num("bc")?,
-        uif: f.num("uif")?,
-        pl: f
-            .num("pl")
-            .and_then(|kb| PreferredL1::from_kb(kb).ok_or_else(|| WireError::new("bad PL")))?,
-        sc: f.num("sc")?,
-        cflags: CompilerFlags { fast_math: parse_bool(f.get("fm")?)? },
-    })
+    parse_all(text, read_params)
 }
 
 // ---------------------------------------------------------------------------
 // Measurement
 // ---------------------------------------------------------------------------
 
-/// Canonical serialization of one [`Measurement`] — the record body of a
-/// tier file. All floats are bit-exact ([`emit_f64`]); an infeasible
-/// measurement round-trips with its infinite objective and empty
-/// per-size list.
+/// Appends the canonical serialization of one [`Measurement`] — the
+/// record body of a tier file and of an `evaluate` answer. All floats
+/// are bit-exact; an infeasible measurement round-trips with its
+/// infinite objective and empty per-size list.
+pub fn write_measurement(out: &mut String, m: &Measurement) {
+    out.reserve(184 + 40 * m.per_size_ms.len()); // its longest spelling
+    out.push_str("params:");
+    write_params(out, &m.params);
+    push_hex16(out, ";time:", m.time_ms.to_bits());
+    push_dec(out, ";feasible:", m.feasible);
+    push_hex16(out, ";occ:", m.occupancy.to_bits());
+    push_dec(out, ";regs:", m.regs_allocated);
+    push_hex16(out, ";reginstr:", m.reg_instructions.to_bits());
+    out.push_str(";sizes:");
+    for (i, (n, t)) in m.per_size_ms.iter().enumerate() {
+        push_dec(out, if i == 0 { "" } else { "," }, *n);
+        push_hex16(out, "@", t.to_bits());
+    }
+}
+
+/// [`write_measurement`] into a fresh string.
 pub fn emit_measurement(m: &Measurement) -> String {
-    let sizes: Vec<String> = m
-        .per_size_ms
-        .iter()
-        .map(|(n, t)| format!("{n}@{}", emit_f64(*t)))
-        .collect();
-    format!(
-        "params:{};time:{};feasible:{};occ:{};regs:{};reginstr:{};sizes:{}",
-        emit_params(&m.params),
-        emit_f64(m.time_ms),
-        bool_bit(m.feasible),
-        emit_f64(m.occupancy),
-        m.regs_allocated,
-        emit_f64(m.reg_instructions),
-        sizes.join(","),
-    )
+    let mut out = String::new();
+    write_measurement(&mut out, m);
+    out
 }
 
 /// Parses [`emit_measurement`] output back into the bit-identical
 /// [`Measurement`].
 pub fn parse_measurement(text: &str) -> Result<Measurement, WireError> {
-    let mut f = Fields { rest: text, sep: ';' };
-    let mut m = Measurement {
-        params: parse_params(f.get("params")?)?,
-        time_ms: f.f64("time")?,
-        per_size_ms: Vec::new(),
-        feasible: parse_bool(f.get("feasible")?)?,
-        occupancy: f.f64("occ")?,
-        regs_allocated: f.num("regs")?,
-        reg_instructions: f.f64("reginstr")?,
-    };
-    for item in f.get("sizes")?.split(',').filter(|s| !s.is_empty()) {
-        let (n, bits) = item
-            .split_once('@')
-            .ok_or_else(|| WireError::new(format!("bad per-size entry `{item}`")))?;
-        m.per_size_ms
-            .push((n.parse().map_err(|_| WireError::new("bad per-size n"))?, parse_f64(bits)?));
-    }
-    Ok(m)
+    parse_all(text, |c| {
+        c.key("params:")?;
+        let mut m = Measurement {
+            params: read_params(c)?,
+            time_ms: c.f64(";time:")?,
+            per_size_ms: Vec::new(),
+            feasible: c.bit(";feasible:")?,
+            occupancy: c.f64(";occ:")?,
+            regs_allocated: c.dec(";regs:")?,
+            reg_instructions: c.f64(";reginstr:")?,
+        };
+        c.key(";sizes:")?;
+        m.per_size_ms.reserve_exact(c.rest().iter().filter(|&&b| b == b'@').count());
+        while !c.rest().is_empty() {
+            let n = c.dec(if m.per_size_ms.is_empty() { "" } else { "," })?;
+            m.per_size_ms.push((n, c.f64("@")?));
+        }
+        Ok(m)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // SimReport
 // ---------------------------------------------------------------------------
 
-fn bound_name(b: BoundKind) -> &'static str {
-    match b {
-        BoundKind::Issue => "issue",
-        BoundKind::Latency => "latency",
-        BoundKind::Bandwidth => "bandwidth",
-    }
+const BOUNDS: [(BoundKind, &str); 3] = [
+    (BoundKind::Issue, "issue"),
+    (BoundKind::Latency, "latency"),
+    (BoundKind::Bandwidth, "bandwidth"),
+];
+
+const LIMITERS: [(Limiter, &str); 4] = [
+    (Limiter::Warps, "warps"),
+    (Limiter::Registers, "registers"),
+    (Limiter::SharedMem, "sharedmem"),
+    (Limiter::Illegal, "illegal"),
+];
+
+/// Appends the canonical serialization of a [`SimReport`] (occupancy
+/// details and warp profile included) — the `simulate` answer's record.
+pub fn write_sim_report(out: &mut String, r: &SimReport) {
+    push_hex16(out, "time:", r.time_ms.to_bits());
+    push_word(out, ";bound:", spell(&BOUNDS, r.bound));
+    push_dec(out, ";ab:", r.occupancy.active_blocks);
+    push_dec(out, ";aw:", r.occupancy.active_warps);
+    push_hex16(out, ";occf:", r.occupancy.occupancy.to_bits());
+    push_word(out, ";lim:", spell(&LIMITERS, r.occupancy.limiter));
+    push_dec(out, ";bwarps:", r.occupancy.blocks_by_warps);
+    push_dec(out, ";bregs:", r.occupancy.blocks_by_regs);
+    push_dec(out, ";bsmem:", r.occupancy.blocks_by_smem);
+    push_dec(out, ";wlregs:", r.occupancy.warp_limit_by_regs);
+    push_dec(out, ";busyb:", r.busy_blocks);
+    push_dec(out, ";busysm:", r.busy_sms);
+    push_dec(out, ";reswarps:", r.resident_warps);
+    push_dec(out, ";waves:", r.waves);
+    push_hex16(out, ";cycles:", r.cycles.to_bits());
+    push_hex16(out, ";p_issue:", r.profile.issue_cycles.to_bits());
+    push_hex16(out, ";p_mem:", r.profile.mem_ops.to_bits());
+    push_hex16(out, ";p_lat:", r.profile.latency_weighted.to_bits());
+    push_hex16(out, ";p_dram:", r.profile.dram_transactions.to_bits());
+    push_hex16(out, ";p_bar:", r.profile.barriers.to_bits());
+    push_hex16(out, ";p_div:", r.profile.divergent_branches.to_bits());
 }
 
-fn parse_bound(s: &str) -> Result<BoundKind, WireError> {
-    match s {
-        "issue" => Ok(BoundKind::Issue),
-        "latency" => Ok(BoundKind::Latency),
-        "bandwidth" => Ok(BoundKind::Bandwidth),
-        other => Err(WireError::new(format!("unknown bound `{other}`"))),
-    }
-}
-
-fn limiter_name(l: Limiter) -> &'static str {
-    match l {
-        Limiter::Warps => "warps",
-        Limiter::Registers => "registers",
-        Limiter::SharedMem => "sharedmem",
-        Limiter::Illegal => "illegal",
-    }
-}
-
-fn parse_limiter(s: &str) -> Result<Limiter, WireError> {
-    match s {
-        "warps" => Ok(Limiter::Warps),
-        "registers" => Ok(Limiter::Registers),
-        "sharedmem" => Ok(Limiter::SharedMem),
-        "illegal" => Ok(Limiter::Illegal),
-        other => Err(WireError::new(format!("unknown limiter `{other}`"))),
-    }
-}
-
-/// Canonical serialization of a [`SimReport`] (occupancy details and
-/// warp profile included) — the serialization contract a future
-/// report-cache disk tier builds on, round-trip-tested today.
+/// [`write_sim_report`] into a fresh string.
 pub fn emit_sim_report(r: &SimReport) -> String {
-    format!(
-        "time:{};bound:{};ab:{};aw:{};occf:{};lim:{};bwarps:{};bregs:{};bsmem:{};wlregs:{};\
-         busyb:{};busysm:{};reswarps:{};waves:{};cycles:{};\
-         p_issue:{};p_mem:{};p_lat:{};p_dram:{};p_bar:{};p_div:{}",
-        emit_f64(r.time_ms),
-        bound_name(r.bound),
-        r.occupancy.active_blocks,
-        r.occupancy.active_warps,
-        emit_f64(r.occupancy.occupancy),
-        limiter_name(r.occupancy.limiter),
-        r.occupancy.blocks_by_warps,
-        r.occupancy.blocks_by_regs,
-        r.occupancy.blocks_by_smem,
-        r.occupancy.warp_limit_by_regs,
-        r.busy_blocks,
-        r.busy_sms,
-        r.resident_warps,
-        r.waves,
-        emit_f64(r.cycles),
-        emit_f64(r.profile.issue_cycles),
-        emit_f64(r.profile.mem_ops),
-        emit_f64(r.profile.latency_weighted),
-        emit_f64(r.profile.dram_transactions),
-        emit_f64(r.profile.barriers),
-        emit_f64(r.profile.divergent_branches),
-    )
+    let mut out = String::with_capacity(448);
+    write_sim_report(&mut out, r);
+    out
 }
 
 /// Parses [`emit_sim_report`] output back into the bit-identical
 /// [`SimReport`].
 pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
-    let mut f = Fields { rest: text, sep: ';' };
-    Ok(SimReport {
-        time_ms: f.f64("time")?,
-        bound: parse_bound(f.get("bound")?)?,
-        occupancy: Occupancy {
-            active_blocks: f.num("ab")?,
-            active_warps: f.num("aw")?,
-            occupancy: f.f64("occf")?,
-            limiter: parse_limiter(f.get("lim")?)?,
-            blocks_by_warps: f.num("bwarps")?,
-            blocks_by_regs: f.num("bregs")?,
-            blocks_by_smem: f.num("bsmem")?,
-            warp_limit_by_regs: f.num("wlregs")?,
-        },
-        busy_blocks: f.num("busyb")?,
-        busy_sms: f.num("busysm")?,
-        resident_warps: f.num("reswarps")?,
-        waves: f.num("waves")?,
-        cycles: f.f64("cycles")?,
-        profile: WarpProfile {
-            issue_cycles: f.f64("p_issue")?,
-            mem_ops: f.f64("p_mem")?,
-            latency_weighted: f.f64("p_lat")?,
-            dram_transactions: f.f64("p_dram")?,
-            barriers: f.f64("p_bar")?,
-            divergent_branches: f.f64("p_div")?,
-        },
+    parse_all(text, |c| {
+        Ok(SimReport {
+            time_ms: c.f64("time:")?,
+            bound: c.name(";bound:", &BOUNDS)?,
+            occupancy: Occupancy {
+                active_blocks: c.dec(";ab:")?,
+                active_warps: c.dec(";aw:")?,
+                occupancy: c.f64(";occf:")?,
+                limiter: c.name(";lim:", &LIMITERS)?,
+                blocks_by_warps: c.dec(";bwarps:")?,
+                blocks_by_regs: c.dec(";bregs:")?,
+                blocks_by_smem: c.dec(";bsmem:")?,
+                warp_limit_by_regs: c.dec(";wlregs:")?,
+            },
+            busy_blocks: c.dec(";busyb:")?,
+            busy_sms: c.dec(";busysm:")?,
+            resident_warps: c.dec(";reswarps:")?,
+            waves: c.dec(";waves:")?,
+            cycles: c.f64(";cycles:")?,
+            profile: WarpProfile {
+                issue_cycles: c.f64(";p_issue:")?,
+                mem_ops: c.f64(";p_mem:")?,
+                latency_weighted: c.f64(";p_lat:")?,
+                dram_transactions: c.f64(";p_dram:")?,
+                barriers: c.f64(";p_bar:")?,
+                divergent_branches: c.f64(";p_div:")?,
+            },
+        })
     })
 }
 
@@ -562,16 +634,21 @@ pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
 // ---------------------------------------------------------------------------
 
 /// The canonical text of a measurement-tier scope — the
-/// `(kernel, gpu, sizes, protocol)` key as four `key=value` lines. Two
-/// scopes share a disk artifact iff their scope texts are byte-equal.
+/// `(kernel, gpu, sizes, protocol)` key as four `key=value` lines, also
+/// the head of an `evaluate` request. Two scopes share a disk artifact
+/// iff their scope texts are byte-equal.
 pub fn scope_text(kernel: &str, gpu: &GpuSpec, sizes: &[u64], protocol: &EvalProtocol) -> String {
-    let sizes: Vec<String> = sizes.iter().map(u64::to_string).collect();
-    format!(
-        "kernel={kernel}\ngpu={}\nsizes={}\nprotocol={}",
-        emit_gpu_spec(gpu),
-        sizes.join(","),
-        emit_protocol(protocol),
-    )
+    let mut out = String::with_capacity(384 + kernel.len() + 21 * sizes.len());
+    push_word(&mut out, "kernel=", kernel);
+    out.push_str("\ngpu=");
+    write_gpu_spec(&mut out, gpu);
+    out.push_str("\nsizes=");
+    for (i, n) in sizes.iter().enumerate() {
+        push_dec(&mut out, if i == 0 { "" } else { "," }, *n);
+    }
+    out.push_str("\nprotocol=");
+    write_protocol(&mut out, protocol);
+    out
 }
 
 /// Content-addressed file name of a tier: `meas-<fnv64(scope)>.orl`. The
@@ -582,21 +659,25 @@ pub fn tier_file_name(scope: &str) -> String {
 }
 
 fn header_text(scope: &str) -> String {
-    let mut out = String::from(MAGIC);
+    let mut out = String::with_capacity(scope.len() + 160);
+    out.push_str(MAGIC);
     out.push('\n');
-    for line in scope.lines() {
-        out.push_str(&seal(&format!("h {line}")));
+    for line in scope.lines().chain(["end"]) {
+        let from = out.len();
+        push_word(&mut out, "h ", line);
+        push_seal(&mut out, from);
         out.push('\n');
     }
-    out.push_str(&seal("h end"));
-    out.push('\n');
     out
 }
 
-fn record_line(m: &Measurement) -> String {
-    let mut line = seal(&format!("r {}", emit_measurement(m)));
-    line.push('\n');
-    line
+/// Appends one record line: written, sealed and terminated in `out`.
+fn write_record_line(out: &mut String, m: &Measurement) {
+    let from = out.len();
+    out.push_str("r ");
+    write_measurement(out, m);
+    push_seal(out, from);
+    out.push('\n');
 }
 
 /// Fewest record lines worth a parsing thread of their own.
@@ -741,7 +822,8 @@ impl TierSpill {
     /// degrades the tier to memory-only for that record, it never
     /// corrupts results).
     pub(crate) fn append(&self, m: &Measurement) {
-        let line = record_line(m);
+        let mut line = String::with_capacity(192 + 40 * m.per_size_ms.len());
+        write_record_line(&mut line, m);
         let mut file = self.file.lock().expect("spill lock");
         if file.write_all(line.as_bytes()).is_ok() {
             self.written.fetch_add(1, Ordering::Relaxed);
@@ -815,11 +897,12 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
 // Length-framed transport
 // ---------------------------------------------------------------------------
 
-/// Magic bytes opening every wire frame (`ORLF` — "oriole frame").
-pub const FRAME_MAGIC: [u8; 4] = *b"ORLF";
+/// Magic bytes opening every wire frame (`ORL4` — "oriole frame",
+/// protocol v4 on).
+pub const FRAME_MAGIC: [u8; 4] = *b"ORL4";
 
 /// Fixed size of the frame header preceding every payload:
-/// `ORLF | len: u32 BE | crc: u64 BE | corr: u64 BE`.
+/// `ORL4 | len: u32 BE | crc: u64 BE | corr: u64 BE`.
 pub const FRAME_HEADER_BYTES: usize = 24;
 
 /// Upper bound on a single frame's payload. A full 5,120-point evaluate
@@ -845,9 +928,13 @@ pub enum FrameError {
     /// The stream did not start with [`FRAME_MAGIC`] — not speaking
     /// this protocol, or desynchronized beyond recovery.
     BadMagic([u8; 4]),
+    /// The stream started with the `ORLF` magic of protocol v3 and
+    /// older. Deterministic: retrying meets the same old peer.
+    VersionSkew,
     /// The announced length exceeds [`MAX_FRAME_BYTES`].
     TooLarge(u32),
-    /// The payload failed its FNV-1a checksum: corrupted in flight.
+    /// The payload (or its correlation id, or its length) failed
+    /// [`frame_checksum`]: corrupted in flight.
     BadChecksum,
     /// The payload is not valid UTF-8.
     BadUtf8,
@@ -860,6 +947,9 @@ impl fmt::Display for FrameError {
             FrameError::Io(e) => write!(f, "frame I/O error: {e}"),
             FrameError::TimedOut => write!(f, "frame I/O deadline expired"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
+            FrameError::VersionSkew => {
+                write!(f, "version skew: peer frames `ORLF` (oriole-rpc v3), this build `ORL4` (v4)")
+            }
             FrameError::TooLarge(n) => {
                 write!(f, "frame of {n} bytes exceeds the {MAX_FRAME_BYTES}-byte bound")
             }
@@ -871,42 +961,91 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a over the correlation id (big-endian bytes) followed by the
-/// payload. Covering the id means a frame whose id is corrupted in
-/// flight fails its checksum instead of being delivered to whichever
-/// request happens to own the mangled id.
+/// The frame checksum: a word-at-a-time 64-bit mix of the payload, the
+/// correlation id and the payload length — one multiply per eight
+/// bytes, four lanes side by side, where FNV-1a spends one per byte.
+///
+/// Little-endian words go four to a 32-byte block, each into its own
+/// lane; a short last block is zero-padded, which the mixed-in length
+/// keeps unambiguous. Every step is invertible in the lane and in the
+/// word, and so are the folds of id and length and the `fmix64`
+/// finaliser: damage confined to one payload word, to the id or to the
+/// length **always** changes the checksum — every single-bit flip is
+/// caught, and a frame never reaches the owner of a mangled id. Wider
+/// damage (moved words or blocks, bytes added or lost) is caught at
+/// 2^-64 odds. Not cryptographic, and not a storage format: lines and
+/// file names keep FNV-1a ([`checksum`]), whose bytes tier files pin.
 pub fn frame_checksum(corr: u64, payload: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in corr.to_be_bytes().iter().chain(payload.iter()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    // The xxHash64 primes: odd, so multiplying by one is invertible.
+    const PRIMES: [u64; 4] =
+        [0x9e3779b185ebca87, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9, 0x85ebca77c2b2ae63];
+    fn mix(lanes: &mut [u64; 4], block: &[u8]) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word = block[8 * i..8 * i + 8].try_into().expect("8-byte word");
+            let mixed = (*lane ^ u64::from_le_bytes(word)).wrapping_mul(PRIMES[i]);
+            // A bare multiply never moves a bit downwards: fold the
+            // high half back so no two-bit error cancels across blocks.
+            *lane = mixed ^ (mixed >> 32);
+        }
     }
-    h
+    let mut lanes = PRIMES;
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        mix(&mut lanes, block);
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        padded[..tail.len()].copy_from_slice(tail);
+        mix(&mut lanes, &padded);
+    }
+    let sum = |h: u64, (lane, turn): (u64, u32)| h.wrapping_add(lane.rotate_left(turn));
+    let mut h = lanes.into_iter().zip([1, 7, 12, 18]).fold(0, sum);
+    h = (h ^ corr).wrapping_mul(PRIMES[0]);
+    h = (h.rotate_left(31) ^ payload.len() as u64).wrapping_mul(PRIMES[1]);
+    for odd in [0xff51afd7ed558ccd, 0xc4ceb9fe1a85ec53] {
+        h = (h ^ (h >> 33)).wrapping_mul(odd);
+    }
+    h ^ (h >> 33)
 }
 
-/// Writes one length-framed, checksummed, correlation-tagged frame:
-/// `ORLF | len: u32 BE | fnv64(corr ++ payload): u64 BE | corr: u64 BE |
-/// payload bytes`.
-///
-/// The correlation id lets one connection carry many requests in
-/// flight: a peer echoes the id back so responses can arrive out of
-/// order. Single-shot exchanges use [`write_frame`], which tags with 0.
-///
-/// The single buffered `write_all` keeps frames contiguous even when
+/// Builds one complete frame in a single buffer: the header's bytes are
+/// reserved, `fill` appends the payload text behind them (and leaves
+/// them alone), then `ORL4 | len: u32 BE | frame_checksum: u64 BE |
+/// corr: u64 BE` is back-filled. `InvalidInput` when the payload
+/// exceeds [`MAX_FRAME_BYTES`]: no peer would accept it.
+pub fn encode_frame(corr: u64, fill: impl FnOnce(&mut String)) -> std::io::Result<Vec<u8>> {
+    // Room for any control payload; a big one reserves for itself.
+    let mut text = String::with_capacity(256);
+    text.extend(std::iter::repeat_n('\0', FRAME_HEADER_BYTES));
+    fill(&mut text);
+    let mut frame = text.into_bytes();
+    let len = frame.len().checked_sub(FRAME_HEADER_BYTES).and_then(|n| u32::try_from(n).ok());
+    let Some(len) = len.filter(|&n| n <= MAX_FRAME_BYTES) else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame payload exceeds the {MAX_FRAME_BYTES}-byte bound"),
+        ));
+    };
+    let crc = frame_checksum(corr, &frame[FRAME_HEADER_BYTES..]);
+    frame[..4].copy_from_slice(&FRAME_MAGIC);
+    frame[4..8].copy_from_slice(&len.to_be_bytes());
+    frame[8..16].copy_from_slice(&crc.to_be_bytes());
+    frame[16..24].copy_from_slice(&corr.to_be_bytes());
+    Ok(frame)
+}
+
+/// Writes `payload` as one [`encode_frame`] frame tagged `corr`. The id
+/// lets one connection carry many requests in flight: a peer echoes it
+/// back, so responses can arrive out of order ([`write_frame`] tags
+/// with 0). The single `write_all` keeps frames contiguous even when
 /// several threads share one stream behind a mutex.
 pub fn write_frame_tagged(
     w: &mut impl std::io::Write,
     corr: u64,
     payload: &str,
 ) -> std::io::Result<()> {
-    let bytes = payload.as_bytes();
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + bytes.len());
-    buf.extend_from_slice(&FRAME_MAGIC);
-    buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&frame_checksum(corr, bytes).to_be_bytes());
-    buf.extend_from_slice(&corr.to_be_bytes());
-    buf.extend_from_slice(bytes);
-    w.write_all(&buf)?;
+    w.write_all(&encode_frame(corr, |out| out.push_str(payload))?)?;
     w.flush()
 }
 
@@ -927,17 +1066,38 @@ pub fn classify_frame_io(e: std::io::Error) -> FrameError {
     }
 }
 
+fn mid_frame() -> FrameError {
+    let dropped = std::io::ErrorKind::UnexpectedEof;
+    FrameError::Io(std::io::Error::new(dropped, "connection dropped mid-frame"))
+}
+
 fn read_exact_or(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection dropped mid-frame",
-            ))
-        } else {
-            classify_frame_io(e)
-        }
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => mid_frame(),
+        _ => classify_frame_io(e),
     })
+}
+
+/// Judges a header as far as `head` holds it: bad magic on the first
+/// divergent byte, then the length bound, then `(len, crc, corr)`.
+fn frame_header(head: &[u8]) -> Result<Option<(u32, u64, u64)>, FrameError> {
+    let have = head.len().min(4);
+    if head[..have] != FRAME_MAGIC[..have] {
+        let mut magic = [0u8; 4];
+        magic[..have].copy_from_slice(&head[..have]);
+        // The retired FNV-1a frame of protocol v3 is named, not decoded.
+        return Err(match &magic {
+            b"ORLF" => FrameError::VersionSkew,
+            _ => FrameError::BadMagic(magic),
+        });
+    }
+    let Some(len) = head.get(4..8) else { return Ok(None) };
+    let len = u32::from_be_bytes(len.try_into().expect("4 bytes"));
+    if len > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge(len));
+    }
+    let word = |at| head.get(at..at + 8).map(|w| u64::from_be_bytes(w.try_into().expect("8 bytes")));
+    Ok(word(8).zip(word(16)).map(|(crc, corr)| (len, crc, corr)))
 }
 
 /// Reads exactly one [`write_frame_tagged`] frame, verifying magic,
@@ -947,37 +1107,42 @@ fn read_exact_or(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<(), Frame
 /// must treat as a poisoned stream (framing offers no
 /// resynchronization).
 pub fn read_frame_tagged(r: &mut impl std::io::Read) -> Result<(u64, String), FrameError> {
-    let mut magic = [0u8; 4];
+    let mut head = [0u8; FRAME_HEADER_BYTES];
     // Distinguish "closed between frames" from "dropped mid-frame": read
     // the first byte separately.
-    match r.read(&mut magic[..1]) {
+    match r.read(&mut head[..1]) {
         Ok(0) => return Err(FrameError::Eof),
         Ok(_) => {}
         Err(e) => return Err(classify_frame_io(e)),
     }
-    read_exact_or(r, &mut magic[1..])?;
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::BadMagic(magic));
+    // Magic, length, then the rest: each judged before the next is read.
+    let mut header = None;
+    for (from, to) in [(1, 4), (4, 8), (8, FRAME_HEADER_BYTES)] {
+        read_exact_or(r, &mut head[from..to])?;
+        header = frame_header(&head[..to])?;
     }
-    let mut len = [0u8; 4];
-    read_exact_or(r, &mut len)?;
-    let len = u32::from_be_bytes(len);
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut crc = [0u8; 8];
-    read_exact_or(r, &mut crc)?;
-    let crc = u64::from_be_bytes(crc);
-    let mut corr = [0u8; 8];
-    read_exact_or(r, &mut corr)?;
-    let corr = u64::from_be_bytes(corr);
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload)?;
+    let (len, crc, corr) = header.expect("a whole header");
+    let mut payload = Vec::new();
+    read_payload(r, len, &mut payload)?;
     if frame_checksum(corr, &payload) != crc {
         return Err(FrameError::BadChecksum);
     }
     let payload = String::from_utf8(payload).map_err(|_| FrameError::BadUtf8)?;
     Ok((corr, payload))
+}
+
+/// Most memory a frame claims before its bytes arrive.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
+/// Reads the announced `len` bytes into `buf`, which starts at one
+/// chunk at most and grows as bytes arrive: `len` is still unverified.
+fn read_payload(r: &mut impl std::io::Read, len: u32, buf: &mut Vec<u8>) -> Result<(), FrameError> {
+    buf.reserve_exact((len as usize).min(PAYLOAD_CHUNK));
+    let got = r.by_ref().take(u64::from(len)).read_to_end(buf).map_err(classify_frame_io)?;
+    if got < len as usize {
+        return Err(mid_frame());
+    }
+    Ok(())
 }
 
 /// Reads one frame and discards its correlation id — the single-shot
@@ -994,28 +1159,10 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<String, FrameError> {
 /// decode step for event-driven readers that accumulate nonblocking
 /// reads instead of issuing blocking `read_exact` calls.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(u64, String, usize)>, FrameError> {
-    // Reject bad magic on the first divergent byte rather than waiting
-    // for four: a desynchronized peer is detected as early as possible.
-    let have = buf.len().min(4);
-    if buf[..have] != FRAME_MAGIC[..have] {
-        let mut magic = [0u8; 4];
-        magic[..have].copy_from_slice(&buf[..have]);
-        return Err(FrameError::BadMagic(magic));
-    }
-    if buf.len() < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
-    }
+    let head = &buf[..buf.len().min(FRAME_HEADER_BYTES)];
+    let Some((len, crc, corr)) = frame_header(head)? else { return Ok(None) };
     let total = FRAME_HEADER_BYTES + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let crc = u64::from_be_bytes(buf[8..16].try_into().expect("8-byte slice"));
-    let corr = u64::from_be_bytes(buf[16..24].try_into().expect("8-byte slice"));
-    let payload = &buf[FRAME_HEADER_BYTES..total];
+    let Some(payload) = buf.get(FRAME_HEADER_BYTES..total) else { return Ok(None) };
     if frame_checksum(corr, payload) != crc {
         return Err(FrameError::BadChecksum);
     }
@@ -1169,7 +1316,7 @@ fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
                 });
                 let mut content = header_text(&scope);
                 for m in &measurements {
-                    content.push_str(&record_line(m));
+                    write_record_line(&mut content, m);
                 }
                 if apply {
                     // Write-then-rename so compaction is atomic: a crash
@@ -1474,6 +1621,32 @@ mod tests {
         // A connection dropped mid-frame is an I/O error, not Eof.
         let mut cursor = &buf[..7];
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+    }
+
+    #[test]
+    fn a_frame_claims_memory_only_as_its_bytes_arrive() {
+        // A header announcing the largest legal payload, ten bytes of
+        // it, then EOF: a mid-frame drop, not 64 MiB of zeroed memory.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&FRAME_MAGIC);
+        wire.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
+        wire.extend_from_slice(&[0u8; 16]);
+        wire.extend_from_slice(b"ten bytes!");
+        match read_frame(&mut &wire[..]) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("{other:?}"),
+        }
+        let mut payload = Vec::new();
+        let cut = read_payload(&mut &b"ten bytes!"[..], MAX_FRAME_BYTES, &mut payload);
+        assert!(matches!(cut, Err(FrameError::Io(_))));
+        assert_eq!(payload, b"ten bytes!");
+        assert!(payload.capacity() <= payload.len() + PAYLOAD_CHUNK, "{}", payload.capacity());
+
+        // A payload of several chunks still arrives whole.
+        let big = "0123456789abcdef".repeat(3 * PAYLOAD_CHUNK / 16 + 1);
+        let mut wire = Vec::new();
+        write_frame_tagged(&mut wire, 5, &big).unwrap();
+        assert_eq!(read_frame_tagged(&mut &wire[..]).unwrap(), (5, big));
     }
 
     #[test]

@@ -1,0 +1,485 @@
+//! Seeded, offline tests of the canonical text codec
+//! (`oriole_tuner::persist` writers and cursor, and the `evaluate`
+//! payloads built from them): generated values round-trip bit for bit,
+//! the reader accepts nothing but the writers' own spelling, and the
+//! text itself is pinned by literals taken from the parent of the PR
+//! that rewrote the writers.
+
+use oriole::arch::{Family, Gpu, GpuSpec, Limiter, Occupancy};
+use oriole::codegen::{CompilerFlags, PreferredL1, TuningParams};
+use oriole::kernels::KernelId;
+use oriole::service::protocol::{emit_request, emit_response, parse_request, parse_response};
+use oriole::service::{EvalScope, Request, Response};
+use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
+use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
+use oriole::tuner::persist::{self, FileStatus};
+use oriole::tuner::ArtifactStore;
+use proptest::test_runner::TestRng;
+
+// ---------------------------------------------------------------------------
+// Generators: every field leans on its extremes
+// ---------------------------------------------------------------------------
+
+fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+    from[rng.range_usize(0, from.len())]
+}
+
+fn gen_u64(rng: &mut TestRng) -> u64 {
+    match rng.next_u64() % 5 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => rng.next_u64() % 1000,
+        3 => 10u64.pow((rng.next_u64() % 20) as u32),
+        _ => rng.next_u64(),
+    }
+}
+
+fn gen_u32(rng: &mut TestRng) -> u32 {
+    match rng.next_u64() % 4 {
+        0 => 0,
+        1 => u32::MAX,
+        2 => (rng.next_u64() % 2048) as u32,
+        _ => rng.next_u64() as u32,
+    }
+}
+
+/// Infinities, NaNs with payload bits, signed zeros, subnormals and
+/// arbitrary bit patterns — the wire carries bits, not numbers.
+fn gen_f64(rng: &mut TestRng) -> f64 {
+    match rng.next_u64() % 7 {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => f64::from_bits(0x7ff0_0000_0000_0001 | (rng.next_u64() >> 12)),
+        3 => -0.0,
+        4 => f64::from_bits(rng.next_u64() >> 12),
+        5 => (rng.unit_f64() - 0.5) * 1e6,
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+fn gen_params(rng: &mut TestRng) -> TuningParams {
+    TuningParams {
+        tc: gen_u32(rng),
+        bc: gen_u32(rng),
+        uif: gen_u32(rng),
+        pl: pick(rng, &[PreferredL1::Kb16, PreferredL1::Kb48]),
+        sc: gen_u32(rng),
+        cflags: CompilerFlags { fast_math: rng.next_u64() & 1 == 1 },
+    }
+}
+
+fn gen_measurement(rng: &mut TestRng) -> Measurement {
+    // Empty per-size lists as often as not: the infeasible spelling.
+    let sizes = rng.next_u64() % 7 / 2;
+    Measurement {
+        params: gen_params(rng),
+        time_ms: gen_f64(rng),
+        per_size_ms: (0..sizes).map(|_| (gen_u64(rng), gen_f64(rng))).collect(),
+        feasible: rng.next_u64() & 1 == 1,
+        occupancy: gen_f64(rng),
+        regs_allocated: gen_u32(rng),
+        reg_instructions: gen_f64(rng),
+    }
+}
+
+fn gen_gpu_spec(rng: &mut TestRng) -> GpuSpec {
+    GpuSpec {
+        name: pick(rng, &["K20", "M2050", "K20-half-rf", "synthetic device, rev:2", ""]),
+        family: pick(rng, &Family::ALL),
+        compute_capability: oriole::arch::ComputeCapability::new(
+            gen_u32(rng) as u8,
+            pick(rng, &[0, 5, u8::MAX]),
+        ),
+        global_mem_mib: gen_u32(rng),
+        multiprocessors: gen_u32(rng),
+        cores_per_mp: gen_u32(rng),
+        gpu_clock_mhz: gen_u32(rng),
+        mem_clock_mhz: gen_u32(rng),
+        l2_cache_bytes: gen_u64(rng),
+        const_mem_bytes: gen_u32(rng),
+        shmem_per_block: gen_u32(rng),
+        shmem_per_mp: gen_u32(rng),
+        regfile_per_mp: gen_u32(rng),
+        warp_size: gen_u32(rng),
+        threads_per_mp: gen_u32(rng),
+        threads_per_block: gen_u32(rng),
+        blocks_per_mp: gen_u32(rng),
+        threads_per_warp: gen_u32(rng),
+        warps_per_mp: gen_u32(rng),
+        reg_alloc_unit: gen_u32(rng),
+        regs_per_thread_max: gen_u32(rng),
+    }
+}
+
+fn gen_protocol(rng: &mut TestRng) -> EvalProtocol {
+    EvalProtocol {
+        trials: gen_u32(rng),
+        protocol: pick(rng, &[TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min]),
+        base_seed: gen_u64(rng),
+        objective: pick(rng, &[Objective::TotalTime, Objective::LargestSize]),
+        model: pick(rng, &ModelId::ALL),
+    }
+}
+
+fn gen_sim_report(rng: &mut TestRng) -> SimReport {
+    SimReport {
+        time_ms: gen_f64(rng),
+        bound: pick(rng, &[BoundKind::Issue, BoundKind::Latency, BoundKind::Bandwidth]),
+        occupancy: Occupancy {
+            active_blocks: gen_u32(rng),
+            active_warps: gen_u32(rng),
+            occupancy: gen_f64(rng),
+            limiter: pick(
+                rng,
+                &[Limiter::Warps, Limiter::Registers, Limiter::SharedMem, Limiter::Illegal],
+            ),
+            blocks_by_warps: gen_u32(rng),
+            blocks_by_regs: gen_u32(rng),
+            blocks_by_smem: gen_u32(rng),
+            warp_limit_by_regs: gen_u32(rng),
+        },
+        busy_blocks: gen_u32(rng),
+        busy_sms: gen_u32(rng),
+        resident_warps: gen_u32(rng),
+        waves: gen_u32(rng),
+        cycles: gen_f64(rng),
+        profile: WarpProfile {
+            issue_cycles: gen_f64(rng),
+            mem_ops: gen_f64(rng),
+            latency_weighted: gen_f64(rng),
+            dram_transactions: gen_f64(rng),
+            barriers: gen_f64(rng),
+            divergent_branches: gen_f64(rng),
+        },
+    }
+}
+
+/// One record kind: draw a value and spell it, and read a text back to
+/// its re-spelling (`None` when the reader refuses it).
+type Kind = (fn(&mut TestRng) -> String, fn(&str) -> Option<String>);
+
+const KINDS: [Kind; 6] = [
+    (
+        |rng| persist::emit_measurement(&gen_measurement(rng)),
+        |t| persist::parse_measurement(t).ok().map(|m| persist::emit_measurement(&m)),
+    ),
+    (
+        |rng| persist::emit_params(&gen_params(rng)),
+        |t| persist::parse_params(t).ok().map(|p| persist::emit_params(&p)),
+    ),
+    (
+        |rng| persist::emit_gpu_spec(&gen_gpu_spec(rng)),
+        |t| persist::parse_gpu_spec(t).ok().map(|g| persist::emit_gpu_spec(&g)),
+    ),
+    (
+        |rng| persist::emit_protocol(&gen_protocol(rng)),
+        |t| persist::parse_protocol(t).ok().map(|p| persist::emit_protocol(&p)),
+    ),
+    (
+        |rng| persist::emit_sim_report(&gen_sim_report(rng)),
+        |t| persist::parse_sim_report(t).ok().map(|r| persist::emit_sim_report(&r)),
+    ),
+    // A sealed record line, as a tier file holds it.
+    (
+        |rng| persist::seal(&format!("r {}", persist::emit_measurement(&gen_measurement(rng)))),
+        |t| {
+            let m = persist::parse_measurement(persist::unseal(t)?.strip_prefix("r ")?).ok()?;
+            Some(persist::seal(&format!("r {}", persist::emit_measurement(&m))))
+        },
+    ),
+];
+
+// ---------------------------------------------------------------------------
+// (a) Round trips
+// ---------------------------------------------------------------------------
+
+#[test]
+fn generated_records_round_trip_bit_for_bit() {
+    for case in 0..2_000 {
+        let mut rng = TestRng::for_case("round_trip", case);
+        for (spell, respell) in KINDS {
+            let text = spell(&mut rng);
+            assert_eq!(respell(&text).as_deref(), Some(text.as_str()), "case {case}");
+        }
+        // Text equality is bit equality only if the reader also hands
+        // back the very bits: check the fields themselves once per case.
+        let m = gen_measurement(&mut rng);
+        let back = persist::parse_measurement(&persist::emit_measurement(&m)).unwrap();
+        assert_eq!(back.params, m.params);
+        assert_eq!((back.feasible, back.regs_allocated), (m.feasible, m.regs_allocated));
+        let bits = |m: &Measurement| {
+            let mut bits =
+                vec![m.time_ms.to_bits(), m.occupancy.to_bits(), m.reg_instructions.to_bits()];
+            bits.extend(m.per_size_ms.iter().flat_map(|(n, t)| [*n, t.to_bits()]));
+            bits
+        };
+        assert_eq!(bits(&back), bits(&m), "case {case}");
+        let g = gen_gpu_spec(&mut rng);
+        assert_eq!(persist::parse_gpu_spec(&persist::emit_gpu_spec(&g)).unwrap(), g);
+        let p = gen_protocol(&mut rng);
+        assert_eq!(persist::parse_protocol(&persist::emit_protocol(&p)).unwrap(), p);
+    }
+}
+
+#[test]
+fn extremes_round_trip() {
+    let m = Measurement {
+        params: TuningParams {
+            tc: u32::MAX,
+            bc: 0,
+            uif: u32::MAX,
+            pl: PreferredL1::Kb48,
+            sc: u32::MAX,
+            cflags: CompilerFlags { fast_math: true },
+        },
+        time_ms: f64::NEG_INFINITY,
+        per_size_ms: vec![(u64::MAX, f64::from_bits(0x7ff8_dead_beef_0001)), (0, -0.0)],
+        feasible: false,
+        occupancy: f64::from_bits(0xfff0_0000_0000_0001),
+        regs_allocated: u32::MAX,
+        reg_instructions: f64::MIN_POSITIVE / 2.0,
+    };
+    let text = persist::emit_measurement(&m);
+    assert!(text.contains("sizes:18446744073709551615@7ff8deadbeef0001,0@8000000000000000"));
+    assert_eq!(persist::emit_measurement(&persist::parse_measurement(&text).unwrap()), text);
+    // One past a field's type is refused, not wrapped.
+    assert!(persist::parse_params("tc:4294967296,bc:1,uif:1,pl:16,sc:1,fm:0").is_err());
+    assert!(persist::parse_measurement(&text.replace("regs:4294967295", "regs:4294967296")).is_err());
+    assert!(persist::parse_measurement(&text.replace("18446744073709551615@", "18446744073709551616@"))
+        .is_err());
+}
+
+// ---------------------------------------------------------------------------
+// (b) Canonical-only acceptance
+// ---------------------------------------------------------------------------
+
+/// Damages `text` one of four ways; the result is any string at all.
+fn mutate(rng: &mut TestRng, text: &str) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    match rng.next_u64() % 4 {
+        0 if !bytes.is_empty() => {
+            let at = rng.range_usize(0, bytes.len());
+            bytes[at] ^= 1 << (rng.next_u64() % 8);
+        }
+        1 => bytes.truncate(rng.range_usize(0, bytes.len() + 1)),
+        2 => {
+            let byte = pick(rng, b"0123456789abcdefF+-_ ;:,@|\n\0\xc3");
+            bytes.insert(rng.range_usize(0, bytes.len() + 1), byte);
+        }
+        _ => {
+            // Swap two fields (at either nesting level).
+            let sep = pick(rng, &[';', ',']);
+            let mut fields: Vec<&str> = text.split(sep).collect();
+            let (a, b) = (rng.range_usize(0, fields.len()), rng.range_usize(0, fields.len()));
+            fields.swap(a, b);
+            return fields.join(&sep.to_string());
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn only_canonical_text_is_accepted_and_nothing_panics() {
+    let (mut accepted, mut changed) = (0u32, 0u32);
+    for case in 0..12_000 {
+        let mut rng = TestRng::for_case("canonical_only", case);
+        let (spell, respell) = pick(&mut rng, &KINDS);
+        let text = spell(&mut rng);
+        let mut damaged = mutate(&mut rng, &text);
+        if rng.next_u64() & 3 == 0 {
+            damaged = mutate(&mut rng, &damaged);
+        }
+        changed += u32::from(damaged != text);
+        // Any outcome but a panic is acceptable, and an accepted text
+        // must be exactly what the writers would have produced.
+        if let Some(respelled) = respell(&damaged) {
+            assert_eq!(respelled, damaged, "case {case}: accepted a non-canonical spelling");
+            accepted += 1;
+        }
+    }
+    assert!(changed > 10_000, "the mutator must actually damage its input: {changed}");
+    // Some mutations land on another canonical text (a digit for a
+    // digit, two equal fields swapped): the property is not vacuous.
+    assert!(accepted > 100, "accepted {accepted}");
+}
+
+#[test]
+fn the_old_readers_liberties_are_refused() {
+    let ok = "tc:256,bc:48,uif:1,pl:16,sc:1,fm:0";
+    assert!(persist::parse_params(ok).is_ok());
+    for liberty in [
+        "tc:+256,bc:48,uif:1,pl:16,sc:1,fm:0",  // explicit sign
+        "tc:0256,bc:48,uif:1,pl:16,sc:1,fm:0",  // leading zero
+        "tc:256,bc:48,uif:1,pl:16,sc:1,fm:0,",  // trailing separator
+        "tc:256,bc:48,uif:1,pl:16,sc:1,fm:0,x", // trailing field
+        "tc:256,bc:48,uif:1,pl:32,sc:1,fm:0",   // no such PL
+        "tc:256,bc:48,uif:1,pl:16,sc:1,fm:2",   // no such bool
+        "tc:,bc:48,uif:1,pl:16,sc:1,fm:0",      // empty number
+    ] {
+        assert!(persist::parse_params(liberty).is_err(), "{liberty}");
+    }
+    assert!(persist::parse_f64("3FE8000000000000").is_err(), "uppercase hex");
+    assert!(persist::parse_f64("3fe800000000000").is_err(), "15 digits");
+    assert!(persist::parse_f64("03fe8000000000000").is_err(), "17 digits");
+    assert!(persist::parse_protocol(
+        "trials:10;select:fifth-of-ten;seed:000000000012101e;objective:total-time;model:simulator"
+    )
+    .is_err(), "a model alias is not the canonical name");
+    let line = persist::seal("r x");
+    assert_eq!(persist::unseal(&line), Some("r x"));
+    let crc = &line[4..];
+    assert_ne!(crc, crc.to_uppercase(), "the sample seal has a hex letter");
+    assert_eq!(persist::unseal(&format!("r x|{}", crc.to_uppercase())), None);
+    assert_eq!(persist::unseal(&format!("r x|{}", &crc[1..])), None, "15 digits");
+    assert_eq!(persist::unseal("|"), None);
+    assert_eq!(persist::unseal("é|000000000000000"), None, "no split inside a character");
+}
+
+// ---------------------------------------------------------------------------
+// (c) The text itself, pinned
+// ---------------------------------------------------------------------------
+
+// Printed by the parent commit's emitters (`format!`-built) for the
+// values of `golden_pair`; only the protocol version digit differs.
+const GOLDEN_GPU: &str = "name:K20;family:kepler;cc:3.5;gmem:11520;mp:13;cores:192;clk:824;\
+    mclk:2505;l2:1572864;cmem:65536;smb:49152;smmp:49152;rf:65536;ws:32;tmp:2048;tpb:1024;\
+    bmp:16;tpw:32;wmp:64;rau:256;rtmax:255";
+const GOLDEN_PROTOCOL: &str =
+    "trials:10;select:fifth-of-ten;seed:000000000012101e;objective:total-time;model:sim";
+const GOLDEN_M1: &str = "params:tc:256,bc:48,uif:1,pl:16,sc:1,fm:0;time:3f516872b020c49c;\
+    feasible:1;occ:3fe8000000000000;regs:24;reginstr:40c81cc000000000;\
+    sizes:64@3f40624dd2f1a9fc,128@3f426e978d4fdf3b";
+const GOLDEN_M2: &str = "params:tc:1024,bc:192,uif:5,pl:48,sc:3,fm:1;time:7ff0000000000000;\
+    feasible:0;occ:0000000000000000;regs:0;reginstr:0000000000000000;sizes:";
+const GOLDEN_SEAL_M1: &str = "7254b3a288e3fbed";
+const GOLDEN_SEAL_M2: &str = "1223b6f5f21d6c35";
+const GOLDEN_HEADER_SEALS: [&str; 5] = [
+    "7d5957b6c297d2bb",
+    "74e873804164eae6",
+    "a242ff8b4438db33",
+    "4fcfd2b534273865",
+    "c82e408803d6977a",
+];
+const GOLDEN_TIER_NAME: &str = "meas-69616230b7c8c8f4.orl";
+
+fn golden_pair() -> [Measurement; 2] {
+    let mut p2 = TuningParams::with_geometry(1024, 192);
+    p2.uif = 5;
+    p2.pl = PreferredL1::Kb48;
+    p2.sc = 3;
+    p2.cflags.fast_math = true;
+    [
+        Measurement {
+            params: TuningParams::with_geometry(256, 48),
+            time_ms: 1.0625e-3,
+            per_size_ms: vec![(64, 0.5e-3), (128, 0.5625e-3)],
+            feasible: true,
+            occupancy: 0.75,
+            regs_allocated: 24,
+            reg_instructions: 12_345.5,
+        },
+        Measurement {
+            params: p2,
+            time_ms: f64::INFINITY,
+            per_size_ms: Vec::new(),
+            feasible: false,
+            occupancy: 0.0,
+            regs_allocated: 0,
+            reg_instructions: 0.0,
+        },
+    ]
+}
+
+fn golden_scope_text() -> String {
+    format!("kernel=atax\ngpu={GOLDEN_GPU}\nsizes=64,128\nprotocol={GOLDEN_PROTOCOL}")
+}
+
+#[test]
+fn evaluate_payloads_and_record_lines_match_their_literals() {
+    let [m1, m2] = golden_pair();
+    let scope = EvalScope {
+        kernel: "atax".into(),
+        gpu: Gpu::K20.spec().clone(),
+        sizes: vec![64, 128],
+        protocol: EvalProtocol::default(),
+    };
+    let request =
+        Request::Evaluate { scope, points: vec![m1.params, m2.params], deadline_ms: 2500 };
+    let request_text = format!(
+        "oriole-rpc v4 evaluate\n{}\ndeadline=2500\n\
+         p tc:256,bc:48,uif:1,pl:16,sc:1,fm:0\np tc:1024,bc:192,uif:5,pl:48,sc:3,fm:1",
+        golden_scope_text()
+    );
+    assert_eq!(emit_request(&request), request_text);
+    assert_eq!(parse_request(&request_text).unwrap(), request);
+
+    let response = Response::Evaluate { computed: 2, measurements: vec![m1.clone(), m2.clone()] };
+    let response_text = format!("oriole-rpc v4 ok evaluate\ncomputed=2\nm {GOLDEN_M1}\nm {GOLDEN_M2}");
+    assert_eq!(emit_response(&response), response_text);
+    assert_eq!(parse_response(&response_text).unwrap(), response);
+
+    assert_eq!(persist::emit_measurement(&m1), GOLDEN_M1);
+    assert_eq!(persist::emit_measurement(&m2), GOLDEN_M2);
+    assert_eq!(persist::seal(&format!("r {GOLDEN_M1}")), format!("r {GOLDEN_M1}|{GOLDEN_SEAL_M1}"));
+    assert_eq!(persist::seal(&format!("r {GOLDEN_M2}")), format!("r {GOLDEN_M2}|{GOLDEN_SEAL_M2}"));
+    let scope_text =
+        persist::scope_text("atax", Gpu::K20.spec(), &[64, 128], &EvalProtocol::default());
+    assert_eq!(scope_text, golden_scope_text());
+    assert_eq!(persist::tier_file_name(&scope_text), GOLDEN_TIER_NAME);
+}
+
+// ---------------------------------------------------------------------------
+// (d) A tier file in the parent's format
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
+    let dir = std::env::temp_dir().join(format!("oriole-codec-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut file = String::from("oriole-meas v1\n");
+    for (line, seal) in golden_scope_text().lines().chain(["end"]).zip(GOLDEN_HEADER_SEALS) {
+        file.push_str(&format!("h {line}|{seal}\n"));
+    }
+    file.push_str(&format!("r {GOLDEN_M1}|{GOLDEN_SEAL_M1}\nr {GOLDEN_M2}|{GOLDEN_SEAL_M2}\n"));
+    std::fs::write(dir.join(GOLDEN_TIER_NAME), &file).unwrap();
+
+    let reports = persist::scan_store(&dir).unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(
+        reports[0].status,
+        FileStatus::Usable {
+            kernel: "atax".into(),
+            gpu: "K20".into(),
+            sizes: "64,128".into(),
+            model: "sim".into(),
+            records: 2,
+            rejected: 0,
+        }
+    );
+
+    // And through the store: both records are served as they stand
+    // (their times are nothing the simulator would compute).
+    let store = ArtifactStore::with_disk(&dir).unwrap();
+    let builder = |n: u64| KernelId::Atax.ast(n);
+    let evaluator = store.evaluator("atax", &builder, Gpu::K20.spec(), &[64, 128]);
+    for m in golden_pair() {
+        assert_eq!(*evaluator.evaluate(m.params), m);
+    }
+    let disk = store.stats().disk.expect("disk tier");
+    assert_eq!((disk.measurements_loaded, disk.rejected), (2, 0));
+    assert_eq!(store.stats().unique_evaluations, 0);
+    drop(evaluator);
+    drop(store);
+    assert_eq!(std::fs::read_to_string(dir.join(GOLDEN_TIER_NAME)).unwrap(), file);
+
+    // The header this build writes for the same scope is the parent's,
+    // byte for byte, under the same file name.
+    std::fs::remove_file(dir.join(GOLDEN_TIER_NAME)).unwrap();
+    let store = ArtifactStore::with_disk(&dir).unwrap();
+    drop(store.evaluator("atax", &builder, Gpu::K20.spec(), &[64, 128]));
+    drop(store);
+    let header = file.split_inclusive('\n').take(6).collect::<String>();
+    assert_eq!(std::fs::read_to_string(dir.join(GOLDEN_TIER_NAME)).unwrap(), header);
+    let _ = std::fs::remove_dir_all(&dir);
+}
