@@ -198,11 +198,10 @@ impl ThroughputTable {
     }
 }
 
+/// `ALL_OP_CLASSES` is in declaration order (pinned by a test below),
+/// so a class's discriminant is its column.
 fn index_of(op: OpClass) -> usize {
-    ALL_OP_CLASSES
-        .iter()
-        .position(|&o| o == op)
-        .expect("ALL_OP_CLASSES is exhaustive")
+    op as usize
 }
 
 /// Table II, SM20 column (Fermi).
@@ -232,6 +231,15 @@ pub static SM60: ThroughputTable = ThroughputTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn op_classes_are_listed_in_declaration_order() {
+        // `ThroughputTable` columns and `oriole_ir::MixCounts` slots are
+        // indexed by discriminant.
+        for (i, op) in ALL_OP_CLASSES.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?}");
+        }
+    }
 
     #[test]
     fn table_ii_spot_checks() {

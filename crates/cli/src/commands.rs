@@ -1207,11 +1207,6 @@ fn render_stats(before: EvalStats, after: EvalStats) -> String {
         m.occ_entries,
         rate(m.occ_hits - b.occ_hits, m.occ_misses - b.occ_misses)
     );
-    let _ = writeln!(
-        out,
-        "  dynamic-mix memo: hit rate {}",
-        rate(m.mix_hits - b.mix_hits, m.mix_misses - b.mix_misses)
-    );
     out
 }
 
@@ -1291,7 +1286,6 @@ mod tests {
             "fast-path hits",
             "timing model: sim",
             "occupancy table:",
-            "dynamic-mix memo:",
         ] {
             assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
         }

@@ -378,7 +378,7 @@ mod tests {
             add(5, 2, 0), // %2's alias through %0 was cut, %0 → %4
         ];
         let mut program = Program {
-            name: "alias_pin".to_string(),
+            name: "alias_pin".into(),
             meta: ProgramMeta {
                 family: Family::Kepler,
                 regs_per_thread: 0,

@@ -131,7 +131,7 @@ fn analyze_program(
     let rule_threads = rules::rule_based_threads(&suggestion.thread_counts, mix.intensity);
     let predicted_time = predict_time_indexed(throughput, index, program, geometry);
     StaticAnalysis {
-        kernel_name: program.name.clone(),
+        kernel_name: program.name.to_string(),
         gpu: gpu.clone(),
         geometry,
         mix,

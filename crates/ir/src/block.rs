@@ -253,8 +253,8 @@ impl<'a> IntoIterator for &'a BlockArena {
 /// A lowered kernel: the unit the static analyzer and simulator consume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    /// Kernel name.
-    pub name: String,
+    /// Kernel name (shared: a program is cloned once per tuning point).
+    pub name: Arc<str>,
     /// Compilation metadata.
     pub meta: ProgramMeta,
     /// Basic blocks; block 0 is the unique entry. Stored in a shared

@@ -70,11 +70,10 @@ impl MixCounts {
         self.counts[Self::index(op)]
     }
 
+    /// `ALL_OP_CLASSES` is in declaration order (pinned by a test in
+    /// `oriole_arch`), so a class's discriminant is its slot.
     fn index(op: OpClass) -> usize {
-        ALL_OP_CLASSES
-            .iter()
-            .position(|&o| o == op)
-            .expect("ALL_OP_CLASSES is exhaustive")
+        op as usize
     }
 
     /// Iterates `(op_class, count)` pairs, including zeros.

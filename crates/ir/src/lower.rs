@@ -172,7 +172,7 @@ impl LowerCtx {
         self.cur.push(Instr::new(Opcode::new(OpKind::Exit, Ty::U32), None, vec![]));
         self.seal_block(Terminator::Ret);
         let program = Program {
-            name: ast.name.clone(),
+            name: ast.name.as_str().into(),
             meta: ProgramMeta {
                 family: self.family,
                 regs_per_thread: 0,
@@ -799,7 +799,7 @@ pub(crate) mod oracle {
             self.cur.push(Instr::new(Opcode::new(OpKind::Exit, Ty::U32), None, vec![]));
             self.seal_block(Terminator::Ret);
             let program = Program {
-                name: ast.name.clone(),
+                name: ast.name.as_str().into(),
                 meta: ProgramMeta {
                     family: self.family,
                     regs_per_thread: 0,

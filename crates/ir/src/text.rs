@@ -296,7 +296,7 @@ impl<'a> Parser<'a> {
             };
             blocks.push(BasicBlock { label: raw.label, instrs: raw.instrs, term, freq: raw.freq });
         }
-        let program = Program { name, meta, blocks: blocks.into() };
+        let program = Program { name: name.into(), meta, blocks: blocks.into() };
         let problems = program.validate();
         if let Some(p) = problems.first() {
             return Err(err(0, format!("ill-formed program: {p}")));
@@ -742,7 +742,7 @@ mod tests {
   term ret
 ";
         let p = parse(text).expect("parses");
-        assert_eq!(p.name, "demo");
+        assert_eq!(&*p.name, "demo");
         assert_eq!(p.meta.regs_per_thread, 12);
         assert_eq!(p.meta.spill_bytes, 4);
         assert_eq!(p.blocks.len(), 4);

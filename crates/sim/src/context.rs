@@ -1,18 +1,23 @@
-//! Device-scoped model context: memoized model estimation services.
+//! Device-scoped model context: the estimation services of one
+//! `(device, timing model)` pair.
 //!
 //! The free functions of this crate ([`simulate`](crate::simulate),
 //! [`measure`](crate::measure), [`dynamic_mix`](crate::dynamic_mix)) are
-//! pure in their inputs, and real workloads hammer them with *repeated*
+//! pure in their inputs, and real workloads hammer them with *related*
 //! inputs: the paper's 5,120-point space shares ten lowered programs per
-//! input size, and every simulation recomputes the same occupancy
-//! point. [`ModelContext`] is the per-`(device, timing model)` owner of
-//! the memoized versions of those services:
+//! input size, every simulation recomputes the same occupancy point, and
+//! neighbouring variants share a launch shape. [`ModelContext`] owns
+//! what is shared process-wide and takes from its caller what is shared
+//! only between neighbours:
 //!
 //! * an [`OccupancyTable`] over the quantized `(warps, regs, smem,
-//!   L1-split)` domain — every simulation's occupancy lookup;
-//! * a **dynamic-mix memo** keyed by `(lowered program, TC, BC, n)` —
-//!   variants that share a front-end artifact and launch geometry reuse
-//!   one mix regardless of `PL`/`SC`.
+//!   L1-split)` domain — every estimate's occupancy lookup, shared by
+//!   every thread;
+//! * [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`]:
+//!   the per-warp profile and the dynamic mix depend on the launch
+//!   geometry alone (`TC`, busy blocks / `BC`), so a sweep worker that
+//!   carries one scratch over the variants of a front-end artifact
+//!   walks the program once per geometry, not once per variant.
 //!
 //! Estimates themselves are **not** cached: the tuner's measurement
 //! tier deduplicates per tuning point one layer up, so below it every
@@ -25,103 +30,38 @@
 //! the full simulator ([`SimulatorModel`](crate::SimulatorModel)), and
 //! [`ModelContext::for_model`] builds a context for any [`ModelId`]
 //! (static Eq. 6, roofline). A context serves exactly one backend —
-//! contexts for different models on one device are distinct values
-//! with distinct caches, and every layer above keys its artifacts by
+//! contexts for different models on one device are distinct values,
+//! and every layer above keys its artifacts by
 //! `(GpuSpec contents, ModelId)` so estimates can never alias across
 //! backends.
 //!
-//! # Keys and determinism
+//! # Determinism
 //!
-//! Cache keys are **content-addressed**: [`ProgramKey`] wraps the full
-//! textual serialization of the lowered program (plus the shared-memory
-//! declarations for front-end artifacts, which determine the per-`TC`
-//! footprint the back-end derives). Emit → parse round-trips exactly
-//! (see `oriole_ir::text`), so two keys compare equal *iff* the model
-//! inputs are indistinguishable — a hit can never return another
-//! program's result, and every cached value is the value the direct
-//! computation would produce. The free functions remain available as
-//! thin wrappers over the same single implementation and are
-//! property-tested bit-identical to the context-backed paths.
-//!
-//! All caches are internally synchronized: one context can serve every
-//! evaluation worker of a search, and a process-level artifact store can
-//! hold one context per device.
+//! There is one implementation: the free functions,
+//! [`simulate`](ModelContext::simulate) and
+//! [`measure`](ModelContext::measure) pass a fresh scratch, and a reused
+//! one only skips a walk whose inputs are equal — tested bit-identical
+//! over random launch sequences.
 
 use crate::config::SimConfig;
 use crate::counters;
-use crate::machine::{SimError, SimReport};
-use crate::memo::ShardedOnceMap;
+use crate::machine::{LaunchScratch, SimError, SimReport};
 use crate::model::{ModelEnv, ModelId, TimingModel};
-use crate::noise::{noisy_trials, Trials};
-use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OccupancyTable};
+use crate::noise::{noisy_trials, TrialProtocol, Trials};
+use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OccupancyTable, OpClass};
 use oriole_codegen::{CompiledKernel, FrontEnd};
 use oriole_ir::MixCounts;
-use std::collections::hash_map::DefaultHasher;
-use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-/// Content-addressed identity of a lowered program for model caches.
-///
-/// Wraps the textual serialization (shared, cheap to clone), so key
-/// equality is exact program equality — never a hash that could collide.
-/// Compute once per artifact and reuse ([`ProgramKey::of_front_end`] in
-/// the evaluator hot path); the per-kernel form exists for the
-/// compatibility wrappers. The content hash is precomputed at
-/// construction, so map lookups never re-hash the multi-kilobyte text,
-/// and equality short-circuits on it (falling back to a full text
-/// compare, so a hash collision can only cost time, never correctness).
-#[derive(Debug, Clone)]
-pub struct ProgramKey {
-    text: Arc<str>,
-    hash: u64,
-}
-
-impl PartialEq for ProgramKey {
-    fn eq(&self, other: &ProgramKey) -> bool {
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
-    }
-}
-
-impl Eq for ProgramKey {}
-
-impl Hash for ProgramKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
+/// Placeholder for the content-addressed key of the retired dynamic-mix
+/// memo: it carries nothing and nothing reads it. Kept, with the
+/// `_keyed` methods, for callers written against that memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ProgramKey;
 
 impl ProgramKey {
-    fn from_text(text: String) -> ProgramKey {
-        let mut h = DefaultHasher::new();
-        text.hash(&mut h);
-        ProgramKey { text: Arc::from(text), hash: h.finish() }
-    }
-
-    /// Key of one specialized kernel: the emitted program, metadata
-    /// included (registers and static shared memory are part of the
-    /// text, so anything the model reads is in the key).
-    pub fn of_kernel(kernel: &CompiledKernel) -> ProgramKey {
-        ProgramKey::from_text(oriole_ir::text::emit(&kernel.program))
-    }
-
-    /// Key of a front-end artifact: the emitted pre-specialization
-    /// program plus the shared-memory declarations. Together with the
-    /// tuning point (always a separate key component) these determine
-    /// every specialization bit-exactly — register allocation is a pure
-    /// function of the lowered program and the device cap, and the
-    /// shared-memory footprint of the declarations and `TC`.
-    pub fn of_front_end(fe: &FrontEnd) -> ProgramKey {
-        let mut text = oriole_ir::text::emit(fe.program());
-        for d in fe.shared_decls() {
-            let _ = write!(
-                text,
-                "\n;shared {} elem_bytes={} elems={} scales={}",
-                d.name, d.elem_bytes, d.elems, d.scales_with_block
-            );
-        }
-        ProgramKey::from_text(text)
+    /// The key of a front-end artifact.
+    pub fn of_front_end(_fe: &FrontEnd) -> ProgramKey {
+        ProgramKey
     }
 }
 
@@ -138,20 +78,26 @@ pub struct ModelStats {
     pub occ_misses: u64,
     /// Distinct quantized occupancy keys materialized.
     pub occ_entries: usize,
-    /// Dynamic-mix memo hits.
-    pub mix_hits: u64,
-    /// Dynamic-mix computations performed.
-    pub mix_misses: u64,
 }
 
-/// Per-`(device, timing model)` memoized model services. See the
+/// What one launch contributes to a tuning point's measurement.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchSample {
+    /// The trial the protocol selected, in milliseconds.
+    pub time_ms: f64,
+    /// Achieved occupancy of the launch.
+    pub occupancy: f64,
+    /// Dynamic register-file accesses of the whole grid.
+    pub reg_instructions: f64,
+}
+
+/// Per-`(device, timing model)` estimation services. See the
 /// [module docs](self).
 pub struct ModelContext {
     spec: GpuSpec,
     cfg: SimConfig,
     model: Box<dyn TimingModel>,
     occ: OccupancyTable,
-    mixes: ShardedOnceMap<(ProgramKey, u32, u32, u64), MixCounts>,
 }
 
 impl ModelContext {
@@ -181,13 +127,7 @@ impl ModelContext {
         cfg: SimConfig,
         model: Box<dyn TimingModel>,
     ) -> ModelContext {
-        ModelContext {
-            spec: spec.clone(),
-            cfg,
-            model,
-            occ: OccupancyTable::new(spec),
-            mixes: ShardedOnceMap::new(),
-        }
+        ModelContext { spec: spec.clone(), cfg, model, occ: OccupancyTable::new(spec) }
     }
 
     /// The device this context serves.
@@ -218,13 +158,23 @@ impl ModelContext {
         self.occ.lookup(input)
     }
 
+    /// The one estimate every method below goes through.
+    fn estimate(
+        &self,
+        kernel: &CompiledKernel,
+        n: u64,
+        scratch: &mut LaunchScratch,
+    ) -> Result<SimReport, SimError> {
+        debug_assert_eq!(kernel.gpu, self.spec, "kernel compiled for another device");
+        let env = ModelEnv { spec: &self.spec, cfg: &self.cfg, occ: &self.occ };
+        self.model.estimate(&env, kernel, n, scratch)
+    }
+
     /// The estimate under this context's backend, over the context's
     /// occupancy table — for the default simulator backend,
     /// [`simulate`](crate::simulate) exactly.
     pub fn simulate(&self, kernel: &CompiledKernel, n: u64) -> Result<SimReport, SimError> {
-        debug_assert_eq!(kernel.gpu, self.spec, "kernel compiled for another device");
-        let env = ModelEnv { spec: &self.spec, cfg: &self.cfg, occ: &self.occ };
-        self.model.estimate(&env, kernel, n)
+        self.estimate(kernel, n, &mut LaunchScratch::default())
     }
 
     /// [`measure`](crate::measure) under this context's backend: the
@@ -239,12 +189,11 @@ impl ModelContext {
         seed: u64,
     ) -> Result<Trials, SimError> {
         let report = self.simulate(kernel, n)?;
-        let times_ms = noisy_trials(&report, trials, seed, &self.cfg);
+        let times_ms = noisy_trials(report.time_ms, trials, seed, &self.cfg).collect();
         Ok(Trials { times_ms, report })
     }
 
-    /// [`ModelContext::measure`]; estimates are not cached, so `key` is
-    /// unused and kept for callers that hold one.
+    /// [`ModelContext::measure`]; `key` is unused.
     pub fn measure_keyed(
         &self,
         _key: &ProgramKey,
@@ -256,33 +205,43 @@ impl ModelContext {
         self.measure(kernel, n, trials, seed)
     }
 
-    /// Memoized [`dynamic_mix`](crate::dynamic_mix); computes the
-    /// kernel's [`ProgramKey`] on the fly.
+    /// [`dynamic_mix`](crate::dynamic_mix): the counters read no device
+    /// service, so this is the free function.
     pub fn dynamic_mix(&self, kernel: &CompiledKernel, n: u64) -> MixCounts {
-        self.dynamic_mix_keyed(&ProgramKey::of_kernel(kernel), kernel, n)
+        counters::dynamic_mix(kernel, n)
     }
 
-    /// Memoized dynamic mix with a caller-amortized key. The memo key is
-    /// `(program, TC, BC, n)`: `PL` and `SC` do not enter the counters,
-    /// so variants differing only in those axes share one entry.
-    pub fn dynamic_mix_keyed(&self, key: &ProgramKey, kernel: &CompiledKernel, n: u64) -> MixCounts {
-        let params = kernel.params;
-        self.mixes
-            .get_or_init((key.clone(), params.tc, params.bc, n), || counters::dynamic_mix(kernel, n))
+    /// [`ModelContext::dynamic_mix`]; `key` is unused.
+    pub fn dynamic_mix_keyed(&self, _key: &ProgramKey, kernel: &CompiledKernel, n: u64) -> MixCounts {
+        self.dynamic_mix(kernel, n)
+    }
+
+    /// What the evaluation layer stores of one launch: the trial
+    /// `protocol` selects out of [`measure`](ModelContext::measure)'s
+    /// `trials`, the achieved occupancy and
+    /// [`dynamic_mix`](ModelContext::dynamic_mix)'s register accesses —
+    /// those calls' bits, the walks spared that `scratch` already holds.
+    pub fn launch(
+        &self,
+        kernel: &CompiledKernel,
+        n: u64,
+        trials: u32,
+        seed: u64,
+        protocol: TrialProtocol,
+        scratch: &mut LaunchScratch,
+    ) -> Result<LaunchSample, SimError> {
+        let report = self.estimate(kernel, n, scratch)?;
+        Ok(LaunchSample {
+            time_ms: protocol.select(noisy_trials(report.time_ms, trials, seed, &self.cfg)),
+            occupancy: report.occupancy.occupancy,
+            reg_instructions: scratch.mix(kernel, n).get(OpClass::Regs),
+        })
     }
 
     /// Cache telemetry since construction.
     pub fn stats(&self) -> ModelStats {
         let (occ_hits, occ_misses) = self.occ.counters();
-        let (mix_hits, mix_misses) = self.mixes.counters();
-        ModelStats {
-            model: self.model.id(),
-            occ_hits,
-            occ_misses,
-            occ_entries: self.occ.len(),
-            mix_hits,
-            mix_misses,
-        }
+        ModelStats { model: self.model.id(), occ_hits, occ_misses, occ_entries: self.occ.len() }
     }
 }
 
@@ -300,9 +259,10 @@ impl std::fmt::Debug for ModelContext {
 mod tests {
     use super::*;
     use crate::{dynamic_mix, measure, simulate};
-    use oriole_arch::Gpu;
-    use oriole_codegen::{compile, front_end, CompilerFlags, TuningParams};
-    use oriole_kernels::KernelId;
+    use oriole_arch::{Gpu, ALL_GPUS};
+    use oriole_codegen::{compile, front_end, CompilerFlags, PreferredL1, TuningParams};
+    use oriole_kernels::{KernelId, ALL_KERNELS};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn kernel(tc: u32, bc: u32) -> CompiledKernel {
         compile(
@@ -348,45 +308,162 @@ mod tests {
     fn trial_batches_share_one_estimate_and_differ_by_seed() {
         let ctx = ModelContext::new(Gpu::K20.spec());
         let k = kernel(128, 48);
-        let key = ProgramKey::of_kernel(&k);
-        let a = ctx.measure_keyed(&key, &k, 128, 10, 1).unwrap();
-        let b = ctx.measure_keyed(&key, &k, 128, 10, 2).unwrap();
+        let a = ctx.measure_keyed(&ProgramKey, &k, 128, 10, 1).unwrap();
+        let b = ctx.measure_keyed(&ProgramKey, &k, 128, 10, 2).unwrap();
         assert_eq!(a.report, b.report, "the estimate is a pure function of its inputs");
         assert_ne!(a.times_ms, b.times_ms, "different seeds still differ");
         assert_eq!(a, ctx.measure(&k, 128, 10, 1).unwrap(), "the key changes nothing");
     }
 
-    #[test]
-    fn mix_memo_shared_across_pl_and_sc() {
-        let ctx = ModelContext::new(Gpu::K20.spec());
-        let base = kernel(128, 48);
-        let mut p2 = base.params;
-        p2.pl = oriole_codegen::PreferredL1::Kb48;
-        p2.sc = 4;
-        let fe = front_end(
-            &KernelId::Atax.ast(128),
-            Gpu::K20.spec(),
-            base.params.uif,
-            CompilerFlags::default(),
-        )
-        .unwrap();
-        let key = ProgramKey::of_front_end(&fe);
-        let k2 = fe.specialize(p2).unwrap();
-        let m1 = ctx.dynamic_mix_keyed(&key, &base, 128);
-        let m2 = ctx.dynamic_mix_keyed(&key, &k2, 128);
-        assert_eq!(m1, m2);
-        let s = ctx.stats();
-        assert_eq!((s.mix_misses, s.mix_hits), (1, 1));
+    /// Every bit of a report: floats raw, the rest as integers.
+    fn report_bits(r: &SimReport) -> Vec<u64> {
+        let (o, p) = (&r.occupancy, &r.profile);
+        let floats = [
+            r.time_ms,
+            r.cycles,
+            o.occupancy,
+            p.issue_cycles,
+            p.mem_ops,
+            p.latency_weighted,
+            p.dram_transactions,
+            p.barriers,
+            p.divergent_branches,
+        ];
+        let ints = [
+            r.bound as u32,
+            o.active_blocks,
+            o.active_warps,
+            o.limiter as u32,
+            r.busy_blocks,
+            r.busy_sms,
+            r.resident_warps,
+            r.waves,
+        ];
+        floats.iter().map(|f| f.to_bits()).chain(ints.iter().map(|&i| u64::from(i))).collect()
+    }
+
+    fn sample_bits(s: Result<LaunchSample, SimError>) -> Result<[u64; 3], SimError> {
+        s.map(|s| [s.time_ms, s.occupancy, s.reg_instructions].map(f64::to_bits))
     }
 
     #[test]
-    fn front_end_key_distinguishes_shared_decls() {
+    fn a_reused_scratch_never_changes_a_bit() {
+        const TC: [u32; 6] = [32, 64, 128, 256, 512, 1024];
+        const PROTOCOLS: [TrialProtocol; 3] =
+            [TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min];
+        // How often a `BC`-only step moved the busy-block count, and how
+        // often it did not (the profile survives only the latter).
+        let (mut bc_moved_busy, mut bc_kept_busy) = (0u32, 0u32);
+        for (scope, (kid, gpu)) in
+            ALL_KERNELS.iter().flat_map(|k| ALL_GPUS.map(|g| (*k, g))).enumerate()
+        {
+            let gpu = gpu.spec();
+            let sizes = kid.input_sizes();
+            // Two artifacts per size; a step may hop between them.
+            let artifacts: Vec<_> = [sizes[0], sizes[3]]
+                .into_iter()
+                .flat_map(|n| [1u32, 3].map(|uif| (n, uif)))
+                .map(|(n, uif)| {
+                    let fe = front_end(&kid.ast(n), gpu, uif, CompilerFlags::default());
+                    (n, uif, fe.expect("valid unroll factor"))
+                })
+                .collect();
+            for model in ModelId::ALL {
+                let ctx = ModelContext::for_model(gpu, model);
+                let mut rng =
+                    StdRng::seed_from_u64(0x5c2a_07c4 ^ ((scope as u64) << 8) ^ model as u64);
+                let mut scratch = LaunchScratch::default();
+                let (mut at, mut spill, mut p) = (0, 0u32, TuningParams::with_geometry(128, 48));
+                // The geometry before this one, and the busy blocks of
+                // the launch before this one.
+                let (mut other, mut busy_before) = ((64, 24), None);
+                for step in 0..160u64 {
+                    // Runs of one geometry (`PL`/`SC` siblings), `BC`
+                    // and `TC` moves, a return to the geometry before,
+                    // and now and then another artifact (and size) or
+                    // spill budget under the same scratch.
+                    let held = (p.tc, p.bc);
+                    match rng.gen_range(0..10u32) {
+                        0..=2 => {
+                            p.pl = [PreferredL1::Kb16, PreferredL1::Kb48][rng.gen_range(0..2usize)];
+                            p.sc = rng.gen_range(1..=4);
+                        }
+                        3..=4 => p.bc = 24 * rng.gen_range(1..=8u32),
+                        5 => p.tc = TC[rng.gen_range(0..TC.len())],
+                        6 => (p.tc, p.bc) = other,
+                        7 => at = rng.gen_range(0..artifacts.len()),
+                        8 => spill = 4 * rng.gen_range(0..3u32),
+                        _ => {}
+                    }
+                    if held != (p.tc, p.bc) {
+                        other = held;
+                    }
+                    let (n, uif, fe) = &artifacts[at];
+                    p.uif = *uif;
+                    let Ok(mut k) = fe.specialize(p) else { continue };
+                    k.program.meta.spill_bytes += spill;
+
+                    let reused = ctx.estimate(&k, *n, &mut scratch);
+                    let fresh = ctx.simulate(&k, *n);
+                    assert_eq!(
+                        reused.as_ref().map(report_bits),
+                        fresh.as_ref().map(report_bits),
+                        "{kid} {} {model} step {step}: {p:?} n={n} spill={spill}",
+                        gpu.name
+                    );
+                    let protocol = PROTOCOLS[rng.gen_range(0..3usize)];
+                    // The wrappers the sample stands for, each on a
+                    // fresh scratch of its own.
+                    let seed = step ^ 0xfeed;
+                    let by_wrappers = ctx.measure(&k, *n, 10, seed).map(|t| LaunchSample {
+                        time_ms: t.selected(protocol),
+                        occupancy: t.report.occupancy.occupancy,
+                        reg_instructions: ctx.dynamic_mix(&k, *n).get(OpClass::Regs),
+                    });
+                    assert_eq!(
+                        sample_bits(ctx.launch(&k, *n, 10, seed, protocol, &mut scratch)),
+                        sample_bits(by_wrappers),
+                        "{kid} {} {model} step {step}: {p:?} n={n} {protocol:?}",
+                        gpu.name
+                    );
+                    let busy = fresh.ok().map(|r| r.busy_blocks);
+                    if model == ModelId::Simulator && held.0 == p.tc && held.1 != p.bc {
+                        *(if busy == busy_before { &mut bc_kept_busy } else { &mut bc_moved_busy }) += 1;
+                    }
+                    busy_before = busy;
+                }
+            }
+        }
+        assert!(bc_moved_busy > 20 && bc_kept_busy > 20, "{bc_moved_busy} moved, {bc_kept_busy} kept");
+    }
+
+    #[test]
+    fn a_scratch_is_bound_to_artifact_size_and_spill_budget() {
+        let ctx = ModelContext::new(Gpu::K20.spec());
         let gpu = Gpu::K20.spec();
-        let ast = KernelId::MatVec2D.ast(64);
-        let mut bigger = ast.clone();
-        bigger.shared[0].elems *= 2;
-        let fe_a = front_end(&ast, gpu, 1, CompilerFlags::default()).unwrap();
-        let fe_b = front_end(&bigger, gpu, 1, CompilerFlags::default()).unwrap();
-        assert_ne!(ProgramKey::of_front_end(&fe_a), ProgramKey::of_front_end(&fe_b));
+        let p = TuningParams::with_geometry(128, 48);
+        let fe = |uif| front_end(&KernelId::Atax.ast(128), gpu, uif, CompilerFlags::default()).unwrap();
+        let k = fe(1).specialize(p).unwrap();
+        let other_artifact = fe(2).specialize(TuningParams { uif: 2, ..p }).unwrap();
+        let mut spilled = k.clone();
+        spilled.program.meta.spill_bytes += 16;
+
+        let mut scratch = LaunchScratch::default();
+        let first = ctx.estimate(&k, 128, &mut scratch).unwrap();
+        let mix = scratch.mix(&k, 128).clone();
+        // Same geometry every time: only the binding can force a walk.
+        for (what, other, n) in [
+            ("artifact", &other_artifact, 128),
+            ("size", &k, 256),
+            ("spill budget", &spilled, 128),
+        ] {
+            let through = ctx.estimate(other, n, &mut scratch).unwrap();
+            assert_eq!(through, ctx.simulate(other, n).unwrap(), "another {what}: recomputed");
+            assert_ne!(through.profile, first.profile, "another {what} has another profile");
+            assert_eq!(*scratch.mix(other, n), dynamic_mix(other, n), "another {what}: recomputed");
+            // And back: the first kernel's answers, not the visitor's.
+            assert_eq!(ctx.estimate(&k, 128, &mut scratch).unwrap(), first);
+            assert_eq!(*scratch.mix(&k, 128), mix);
+        }
     }
 }

@@ -35,11 +35,13 @@
 //! behaviour (which configurations win, by roughly what factor).
 //!
 //! Everything here is pure in its inputs. [`ModelContext`] ([`context`])
-//! is the per-`(device, timing model)` memoized form — occupancy table
-//! and dynamic-mix memo — that evaluation layers share;
-//! the free functions stay as thin wrappers over the same
-//! implementation under the default backend, property-tested
-//! bit-identical.
+//! is the per-`(device, timing model)` form evaluation layers share: it
+//! owns the device's occupancy table, and its
+//! [`launch`](ModelContext::launch) takes a caller-owned
+//! [`LaunchScratch`] so variants that share a launch geometry share the
+//! program walks that depend on nothing else. The free functions stay
+//! as thin wrappers over the same implementation under the default
+//! backend, property-tested bit-identical.
 //!
 //! The abstract machine is one of several cost models: [`model`]
 //! defines the [`TimingModel`] seam with the default
@@ -63,9 +65,9 @@ pub mod profile;
 pub(crate) mod testgen;
 
 pub use config::SimConfig;
-pub use context::{ModelContext, ModelStats, ProgramKey};
+pub use context::{LaunchSample, ModelContext, ModelStats, ProgramKey};
 pub use counters::dynamic_mix;
-pub use machine::{simulate, simulate_with, BoundKind, SimError, SimReport};
+pub use machine::{simulate, simulate_with, BoundKind, LaunchScratch, SimError, SimReport};
 pub use model::{
     ModelEnv, ModelId, RooflineModel, SimulatorModel, StaticPredictModel, TimingModel,
 };

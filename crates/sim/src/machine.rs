@@ -15,12 +15,19 @@
 //! leading `⌈items/TC⌉` blocks, so at small `N` a 1024-thread block puts
 //! the entire kernel on a single SM while a 64-thread block spreads it
 //! over sixteen.
+//!
+//! Only the arithmetic above depends on the whole variant (`PL` through
+//! occupancy, `SC` through launch overhead); the walks over the program
+//! depend on the launch shape alone and go through a [`LaunchScratch`].
 
 use crate::config::SimConfig;
+use crate::counters;
 use crate::profile::WarpProfile;
 use oriole_arch::{occupancy, Family, Limiter, Occupancy, OccupancyInput};
 use oriole_codegen::{CompiledKernel, PreferredL1};
+use oriole_ir::{MixCounts, ProgramIndex};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which roofline bound determined the execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +96,71 @@ pub struct SimReport {
     pub profile: WarpProfile,
 }
 
+/// The geometry-only results of the last launch estimated through it:
+/// the per-warp profile under `(TC, blocks)` and the dynamic mix under
+/// `(TC, BC)`, for one front-end artifact (its shared index), problem
+/// size and spill budget — a kernel that differs in any of the three
+/// empties it. A plain caller-owned value: a fresh one ([`Default`])
+/// computes everything, one carried across the variants of an artifact
+/// repeats a walk only when the launch shape moves, and either way the
+/// answer is the walk's own, bit for bit. The profile also depends on
+/// the [`SimConfig`], so one scratch serves one
+/// [`ModelContext`](crate::ModelContext).
+#[derive(Debug, Default)]
+pub struct LaunchScratch {
+    bound: Option<(Arc<ProgramIndex>, u64, u32)>,
+    profile: Option<((u32, u32), WarpProfile)>,
+    mix: Option<((u32, u32), MixCounts)>,
+}
+
+impl LaunchScratch {
+    fn bind(&mut self, kernel: &CompiledKernel, n: u64) {
+        let spill = kernel.program.meta.spill_bytes;
+        let bound = matches!(&self.bound, Some((index, at, spilled))
+            if Arc::ptr_eq(index, &kernel.index) && (*at, *spilled) == (n, spill));
+        if !bound {
+            *self = LaunchScratch {
+                bound: Some((Arc::clone(&kernel.index), n, spill)),
+                ..LaunchScratch::default()
+            };
+        }
+    }
+
+    /// [`WarpProfile::extract_with`] for `kernel` at `(n, TC, blocks)`,
+    /// walked unless the last call asked for the same `(TC, blocks)`.
+    pub fn profile(
+        &mut self,
+        kernel: &CompiledKernel,
+        cfg: &SimConfig,
+        n: u64,
+        blocks: u32,
+    ) -> &WarpProfile {
+        self.bind(kernel, n);
+        let tc = kernel.params.tc;
+        last(&mut self.profile, (tc, blocks), || {
+            WarpProfile::extract_with(&kernel.index, &kernel.program, cfg, n, tc, blocks)
+        })
+    }
+
+    /// [`dynamic_mix`](crate::dynamic_mix) of `kernel` at `n`, walked
+    /// unless the last call asked for the same `(TC, BC)`: `PL` and `SC`
+    /// do not enter the counters.
+    pub fn mix(&mut self, kernel: &CompiledKernel, n: u64) -> &MixCounts {
+        self.bind(kernel, n);
+        let key = (kernel.params.tc, kernel.params.bc);
+        last(&mut self.mix, key, || counters::dynamic_mix(kernel, n))
+    }
+}
+
+/// The slot's value if it was stored under `key`, else `compute()`
+/// stored in its place.
+fn last<K: PartialEq, V>(slot: &mut Option<(K, V)>, key: K, compute: impl FnOnce() -> V) -> &V {
+    if !matches!(slot, Some((held, _)) if *held == key) {
+        *slot = Some((key, compute()));
+    }
+    &slot.as_ref().expect("filled above").1
+}
+
 /// Effective shared memory per SM under the `PL` split.
 ///
 /// Fermi and Kepler carve a 64 KiB array into L1 + shared
@@ -131,7 +203,7 @@ fn grid_items(kernel: &CompiledKernel, n: u64) -> Option<f64> {
 ///
 /// Thin wrapper over the single model implementation also backing
 /// [`ModelContext::simulate`](crate::ModelContext::simulate); the
-/// context-backed path is bit-identical (property-tested) and memoizes.
+/// context-backed path is bit-identical (property-tested).
 pub fn simulate(kernel: &CompiledKernel, n: u64) -> Result<SimReport, SimError> {
     simulate_with(kernel, n, &SimConfig::for_family(kernel.gpu.family))
 }
@@ -143,7 +215,8 @@ pub fn simulate_with(
     n: u64,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    simulate_via(kernel, n, cfg, &|input| occupancy(&kernel.gpu, input))
+    let occ_of = |input| occupancy(&kernel.gpu, input);
+    simulate_via(kernel, n, cfg, &occ_of, &mut LaunchScratch::default())
 }
 
 /// The whole timing model with the occupancy calculation supplied by the
@@ -151,11 +224,13 @@ pub fn simulate_with(
 /// [`OccupancyTable`](oriole_arch::OccupancyTable) lookup for
 /// [`ModelContext`](crate::ModelContext). Both providers are
 /// bit-identical, so every path through here produces identical reports.
+/// The per-warp profile comes through `scratch`.
 pub(crate) fn simulate_via(
     kernel: &CompiledKernel,
     n: u64,
     cfg: &SimConfig,
     occ_of: &dyn Fn(OccupancyInput) -> Occupancy,
+    scratch: &mut LaunchScratch,
 ) -> Result<SimReport, SimError> {
     let spec = &kernel.gpu;
     let params = kernel.params;
@@ -185,14 +260,7 @@ pub(crate) fn simulate_via(
 
     // Per-busy-warp profile: weights evaluated at the busy geometry,
     // replayed from the kernel's shared index.
-    let profile = WarpProfile::extract_with(
-        &kernel.index,
-        &kernel.program,
-        cfg,
-        n,
-        params.tc,
-        busy_blocks.max(1),
-    );
+    let profile = scratch.profile(kernel, cfg, n, busy_blocks.max(1)).clone();
 
     // Synchronization / divergence surcharges (per warp).
     let barrier_cost =

@@ -1,9 +1,8 @@
-//! A sharded map of write-once values with in-flight deduplication and
-//! exact hit/miss counting — the concurrency primitive under the model
-//! context's caches and the tuner's evaluation tiers.
+//! A sharded map of write-once values with in-flight deduplication —
+//! the concurrency primitive under the tuner's evaluation tiers.
 //!
-//! This lives in `oriole-sim` (the lowest crate that needs it) so the
-//! layers above share one implementation; `oriole-arch`'s
+//! It lives in `oriole-sim`, the lowest crate every evaluation layer
+//! depends on; `oriole-arch`'s
 //! [`OccupancyTable`](oriole_arch::OccupancyTable) deliberately does
 //! *not* use it — its values are `Copy` results of trivial arithmetic,
 //! where recomputing on a cold race is cheaper than blocking on a cell.
@@ -17,13 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// keeps lock contention negligible without wasting memory.
 const SHARDS: usize = 32;
 
-/// One shard: its cells plus the lookups it served. The count lives
-/// under the shard lock every lookup already holds, so counting adds no
-/// shared cache line of its own.
-struct Shard<K, V> {
-    cells: HashMap<K, Arc<OnceLock<V>>>,
-    lookups: u64,
-}
+type Shard<K, V> = HashMap<K, Arc<OnceLock<V>>>;
 
 /// A sharded map of write-once values with in-flight deduplication:
 /// the first caller of [`ShardedOnceMap::get_or_init`] for a key
@@ -43,8 +36,7 @@ impl<K: Eq + Hash, V: Clone> Default for ShardedOnceMap<K, V> {
 impl<K: Eq + Hash, V: Clone> ShardedOnceMap<K, V> {
     /// An empty map.
     pub fn new() -> ShardedOnceMap<K, V> {
-        let shard = || Mutex::new(Shard { cells: HashMap::new(), lookups: 0 });
-        ShardedOnceMap { shards: (0..SHARDS).map(|_| shard()).collect() }
+        ShardedOnceMap { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
     }
 
     fn shard_of(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
@@ -55,42 +47,20 @@ impl<K: Eq + Hash, V: Clone> ShardedOnceMap<K, V> {
             .expect("memoization never poisons locks")
     }
 
-    /// The value for `key` if it has already been computed, counted as
-    /// a hit. An absent key and one whose computation is still in
-    /// flight both return `None` and count nothing — the caller falls
-    /// through to [`ShardedOnceMap::get_or_init`].
+    /// The value for `key` if it has already been computed. An absent
+    /// key and one whose computation is still in flight both return
+    /// `None` — the caller falls through to
+    /// [`ShardedOnceMap::get_or_init`].
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard_of(key);
-        let value = shard.cells.get(key)?.get()?.clone();
-        shard.lookups += 1;
-        Some(value)
+        self.shard_of(key).get(key)?.get().cloned()
     }
 
     /// Returns the value for `key`, computing it with `init` exactly
     /// once across all threads. `init` runs outside the shard lock, so
     /// slow computations only block callers of the *same* key.
     pub fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
-        let cell = {
-            let mut shard = self.shard_of(&key);
-            shard.lookups += 1;
-            Arc::clone(shard.cells.entry(key).or_default())
-        };
+        let cell = Arc::clone(self.shard_of(&key).entry(key).or_default());
         cell.get_or_init(init).clone()
-    }
-
-    /// `(hits, misses)` since construction. Every key is computed
-    /// exactly once, so misses are the map's length — the number of
-    /// `init` closures run, even under racing cold lookups — and every
-    /// other counted lookup (a racer blocked on the cell included) is a
-    /// hit.
-    pub fn counters(&self) -> (u64, u64) {
-        let (mut lookups, mut misses) = (0, 0);
-        for shard in &self.shards {
-            let shard = shard.lock().expect("memoization never poisons locks");
-            lookups += shard.lookups;
-            misses += shard.cells.len() as u64;
-        }
-        (lookups - misses, misses)
     }
 }
 
@@ -101,13 +71,12 @@ mod tests {
     use std::sync::Barrier;
 
     #[test]
-    fn deduplicates_in_flight_and_counts_exactly() {
+    fn deduplicates_in_flight() {
         let map: ShardedOnceMap<u32, u64> = ShardedOnceMap::new();
         let computed = AtomicU64::new(0);
-        let served = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for t in 0..8u32 {
-                let (map, computed, served) = (&map, &computed, &served);
+                let (map, computed) = (&map, &computed);
                 scope.spawn(move || {
                     for k in 0..16u32 {
                         // Half the threads try the read-only path first;
@@ -119,22 +88,17 @@ mod tests {
                             })
                         });
                         assert_eq!(v, u64::from(k) * 3);
-                        served.fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
         });
         assert_eq!(computed.load(Ordering::Relaxed), 16, "each key computed once");
-        let (hits, misses) = map.counters();
-        assert_eq!(misses, 16, "misses are the values computed, the map's length");
-        assert_eq!(hits + misses, served.load(Ordering::Relaxed), "one count per served lookup");
     }
 
     #[test]
-    fn get_declines_absent_and_in_flight_keys_without_counting() {
+    fn get_declines_absent_and_in_flight_keys() {
         let map: ShardedOnceMap<u32, u64> = ShardedOnceMap::new();
         assert_eq!(map.get(&7), None, "absent");
-        assert_eq!(map.counters(), (0, 0));
         let (entered, release) = (Barrier::new(2), Barrier::new(2));
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -146,10 +110,8 @@ mod tests {
             });
             entered.wait();
             assert_eq!(map.get(&7), None, "in flight");
-            assert_eq!(map.counters(), (0, 1), "only the computing lookup is counted");
             release.wait();
         });
         assert_eq!(map.get(&7), Some(21));
-        assert_eq!(map.counters(), (1, 1), "a served `get` is a hit");
     }
 }

@@ -4,11 +4,12 @@
 //! machine of [`machine`](crate::machine) ("empirical" measurements)
 //! and the static Eq. 6 CPI model — and related work adds more
 //! (hardware-counter models, wave/roofline analytics). [`TimingModel`]
-//! is the seam that lets all of them run behind the *same* memoized,
-//! content-addressed evaluation stack: a backend estimates a
-//! [`SimReport`]-shaped cost from a [`CompiledKernel`] + its launch
-//! point + the problem size `n`, and carries a stable [`ModelId`] that
-//! participates in every cache key above it (the per-model
+//! is the seam that lets all of them run behind the *same* evaluation
+//! stack: a backend estimates a [`SimReport`]-shaped cost from a
+//! [`CompiledKernel`] + its launch point + the problem size `n`, takes
+//! whatever geometry-only work it shares with the previous launch from
+//! the caller's [`LaunchScratch`], and carries a stable [`ModelId`]
+//! that participates in every cache key above it (the per-model
 //! [`ModelContext`](crate::ModelContext), the tuner's measurement
 //! tiers, the process-level artifact store), so cached
 //! artifacts can never alias across backends.
@@ -42,7 +43,9 @@
 //! `--model {sim,static,roofline}`; `oriole-cli models` lists them.
 
 use crate::config::SimConfig;
-use crate::machine::{occ_input_of, simulate_via, BoundKind, SimError, SimReport};
+use crate::machine::{
+    occ_input_of, simulate_via, BoundKind, LaunchScratch, SimError, SimReport,
+};
 use crate::profile::WarpProfile;
 use oriole_arch::{GpuSpec, Occupancy, OccupancyTable};
 use oriole_codegen::CompiledKernel;
@@ -155,9 +158,10 @@ impl ModelEnv<'_> {
 
 /// A cost-model backend: estimates one kernel execution.
 ///
-/// Implementations must be pure in `(env, kernel, n)` — the context
-/// memoizes estimates by content-addressed program key, tuning point
-/// and size, and replays cached values verbatim.
+/// Implementations must be pure in `(env, kernel, n)`: nothing caches
+/// an estimate, every layer above asks again and relies on the same
+/// bits. `scratch` may only spare work — an estimate through a scratch
+/// that has seen other launches equals the one through a fresh scratch.
 pub trait TimingModel: Send + Sync {
     /// The stable identity used in cache keys and telemetry.
     fn id(&self) -> ModelId;
@@ -168,6 +172,7 @@ pub trait TimingModel: Send + Sync {
         env: &ModelEnv<'_>,
         kernel: &CompiledKernel,
         n: u64,
+        scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError>;
 }
 
@@ -188,8 +193,9 @@ impl TimingModel for SimulatorModel {
         env: &ModelEnv<'_>,
         kernel: &CompiledKernel,
         n: u64,
+        scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
-        simulate_via(kernel, n, env.cfg, &|input| env.occ.lookup(input))
+        simulate_via(kernel, n, env.cfg, &|input| env.occ.lookup(input), scratch)
     }
 }
 
@@ -215,6 +221,7 @@ impl TimingModel for StaticPredictModel {
         env: &ModelEnv<'_>,
         kernel: &CompiledKernel,
         n: u64,
+        _scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
         let occ = env.launch_occupancy(kernel)?;
         let table = kernel.gpu.throughput();
@@ -265,20 +272,14 @@ impl TimingModel for RooflineModel {
         env: &ModelEnv<'_>,
         kernel: &CompiledKernel,
         n: u64,
+        scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
         let occ = env.launch_occupancy(kernel)?;
         let spec = env.spec;
         let params = kernel.params;
         let wb = spec.warps_per_block(params.tc);
         let warps_total = f64::from(params.bc) * f64::from(wb);
-        let profile = WarpProfile::extract_with(
-            &kernel.index,
-            &kernel.program,
-            env.cfg,
-            n,
-            params.tc,
-            params.bc,
-        );
+        let profile = scratch.profile(kernel, env.cfg, n, params.bc).clone();
 
         let mp = spec.multiprocessors;
         let t_issue =
@@ -325,6 +326,16 @@ mod tests {
         .unwrap()
     }
 
+    /// One estimate through a fresh scratch.
+    fn fresh(
+        model: &dyn TimingModel,
+        env: &ModelEnv<'_>,
+        k: &CompiledKernel,
+        n: u64,
+    ) -> Result<SimReport, SimError> {
+        model.estimate(env, k, n, &mut LaunchScratch::default())
+    }
+
     fn env_parts(gpu: &'static GpuSpec) -> (SimConfig, OccupancyTable) {
         (SimConfig::for_family(gpu.family), OccupancyTable::new(gpu))
     }
@@ -349,7 +360,7 @@ mod tests {
         let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
         let k = kernel(128, 48);
         assert_eq!(
-            SimulatorModel.estimate(&env, &k, 256).unwrap(),
+            fresh(&SimulatorModel, &env, &k, 256).unwrap(),
             crate::simulate(&k, 256).unwrap()
         );
     }
@@ -360,7 +371,7 @@ mod tests {
         let (cfg, occ) = env_parts(gpu);
         let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
         let k = kernel(128, 48);
-        let r = StaticPredictModel.estimate(&env, &k, 256).unwrap();
+        let r = fresh(&StaticPredictModel, &env, &k, 256).unwrap();
         let expected =
             oriole_core::predict::predict_time(&k.program, k.geometry(256));
         assert_eq!(r.time_ms, expected);
@@ -375,8 +386,8 @@ mod tests {
         let (cfg, occ) = env_parts(gpu);
         let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
         let k = kernel(128, 48);
-        let roof = RooflineModel.estimate(&env, &k, 256).unwrap();
-        let sim = SimulatorModel.estimate(&env, &k, 256).unwrap();
+        let roof = fresh(&RooflineModel, &env, &k, 256).unwrap();
+        let sim = fresh(&SimulatorModel, &env, &k, 256).unwrap();
         assert!(roof.time_ms.is_finite() && roof.time_ms > 0.0);
         assert!(matches!(roof.bound, BoundKind::Issue | BoundKind::Bandwidth));
         // The roofline drops the latency bound and the concentration /
@@ -389,8 +400,8 @@ mod tests {
         let gpu = Gpu::K20.spec();
         let (cfg, occ) = env_parts(gpu);
         let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
-        let small = RooflineModel.estimate(&env, &kernel(128, 48), 64).unwrap();
-        let large = RooflineModel.estimate(&env, &kernel(128, 48), 512).unwrap();
+        let small = fresh(&RooflineModel, &env, &kernel(128, 48), 64).unwrap();
+        let large = fresh(&RooflineModel, &env, &kernel(128, 48), 512).unwrap();
         assert!(large.time_ms > small.time_ms);
     }
 
@@ -410,7 +421,7 @@ mod tests {
         let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
         let errs: Vec<SimError> = ModelId::ALL
             .iter()
-            .map(|id| id.backend().estimate(&env, &k, 64).unwrap_err())
+            .map(|id| fresh(id.backend().as_ref(), &env, &k, 64).unwrap_err())
             .collect();
         assert_eq!(errs[0], errs[1]);
         assert_eq!(errs[1], errs[2]);

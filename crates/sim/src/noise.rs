@@ -34,28 +34,26 @@ pub struct Trials {
     pub report: SimReport,
 }
 
-impl Trials {
-    /// The representative time under `protocol`.
-    pub fn selected(&self, protocol: TrialProtocol) -> f64 {
-        match protocol {
-            TrialProtocol::FifthOfTen => {
-                if self.times_ms.len() >= 5 {
-                    self.times_ms[4]
-                } else {
-                    self.median()
-                }
-            }
-            TrialProtocol::Median => self.median(),
-            TrialProtocol::Min => {
-                self.times_ms.iter().copied().fold(f64::INFINITY, f64::min)
+impl TrialProtocol {
+    /// The representative of `times`, given in execution order. Runs
+    /// shorter than five trials fall back from the fifth to the median.
+    pub fn select(self, mut times: impl ExactSizeIterator<Item = f64>) -> f64 {
+        match self {
+            TrialProtocol::FifthOfTen if times.len() >= 5 => times.nth(4).expect("five trials"),
+            TrialProtocol::Min => times.fold(f64::INFINITY, f64::min),
+            TrialProtocol::FifthOfTen | TrialProtocol::Median => {
+                let mut sorted: Vec<f64> = times.collect();
+                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+                sorted[sorted.len() / 2]
             }
         }
     }
+}
 
-    fn median(&self) -> f64 {
-        let mut sorted = self.times_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        sorted[sorted.len() / 2]
+impl Trials {
+    /// The representative time under `protocol`.
+    pub fn selected(&self, protocol: TrialProtocol) -> f64 {
+        protocol.select(self.times_ms.iter().copied())
     }
 }
 
@@ -91,23 +89,28 @@ pub fn measure_with(
     cfg: &SimConfig,
 ) -> Result<Trials, SimError> {
     let report = simulate_with(kernel, n, cfg)?;
-    let times_ms = noisy_trials(&report, trials, seed, cfg);
+    let times_ms = noisy_trials(report.time_ms, trials, seed, cfg).collect();
     Ok(Trials { times_ms, report })
 }
 
-/// The seeded noise sequence around one noise-free report — shared by
-/// the free-function path above and the memoizing
-/// [`ModelContext::measure`](crate::ModelContext::measure) path, which
-/// reuses a cached report but must reproduce the exact same trials.
-pub(crate) fn noisy_trials(report: &SimReport, trials: u32, seed: u64, cfg: &SimConfig) -> Vec<f64> {
+/// The seeded noise sequence around one noise-free time, in execution
+/// order — shared by the free-function path above and the
+/// [`ModelContext`](crate::ModelContext) paths, which must reproduce
+/// the exact same trials. Lazy: a protocol that reads the fifth trial
+/// draws five.
+pub(crate) fn noisy_trials(
+    time_ms: f64,
+    trials: u32,
+    seed: u64,
+    cfg: &SimConfig,
+) -> impl ExactSizeIterator<Item = f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..trials.max(1))
-        .map(|_| {
-            let eps = standard_normal(&mut rng) * cfg.noise_sigma;
-            // Multiplicative noise, clamped to stay positive and bounded.
-            report.time_ms * (1.0 + eps.clamp(-0.3, 0.3))
-        })
-        .collect()
+    let sigma = cfg.noise_sigma;
+    (0..trials.max(1)).map(move |_| {
+        let eps = standard_normal(&mut rng) * sigma;
+        // Multiplicative noise, clamped to stay positive and bounded.
+        time_ms * (1.0 + eps.clamp(-0.3, 0.3))
+    })
 }
 
 #[cfg(test)]

@@ -15,8 +15,10 @@
 //!    lowering, so the paper's 5,120-point space shares ten lowered
 //!    programs per input size. Each variant then pays only the cheap
 //!    param-dependent back-end ([`FrontEnd::specialize`]).
-//! 3. **Model context** — occupancy table and dynamic-mix memo,
-//!    device-scoped ([`oriole_sim::ModelContext`]).
+//! 3. **Model context** — the device-scoped occupancy table
+//!    ([`oriole_sim::ModelContext`]). The program walks that depend on
+//!    the launch geometry alone are shared through a [`LaunchScratch`]
+//!    per input size that a batch worker carries across its chunk.
 //! 4. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key [`OnceLock`] instead of
@@ -48,7 +50,8 @@ use oriole_arch::GpuSpec;
 use oriole_codegen::{front_end, CompileError, CompilerFlags, FrontEnd, TuningParams};
 use oriole_ir::KernelAst;
 use oriole_sim::memo::ShardedOnceMap;
-use oriole_sim::{ModelContext, ModelId, ModelStats, ProgramKey, TrialProtocol};
+use oriole_sim::{LaunchScratch, ModelContext, ModelId, ModelStats, TrialProtocol};
+use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -133,12 +136,14 @@ impl Measurement {
     }
 }
 
-/// One cached front-end artifact plus its content-addressed model-cache
-/// key (absent when the front-end itself failed).
-pub(crate) struct FeArtifact {
-    pub(crate) fe: Result<FrontEnd, CompileError>,
-    pub(crate) key: Option<ProgramKey>,
-}
+/// One cached front-end artifact (`Err` when the front-end rejected its
+/// `UIF`).
+pub(crate) type FeArtifact = Result<FrontEnd, CompileError>;
+
+/// What the miss routine holds per input size: the front-end artifact
+/// of the point's `(UIF, CFLAGS)` and the launch scratch its estimates
+/// go through.
+type PerSize = (Arc<FeArtifact>, LaunchScratch);
 
 /// Key of one cached compile front-end: the lowering inputs that vary
 /// inside a search (`gpu` is fixed per tier).
@@ -243,7 +248,7 @@ pub struct EvalStats {
     /// Divergence slow-path hits — analyses that walked precomputed
     /// divergent regions (process-wide).
     pub index_slow_path_hits: u64,
-    /// Model-context cache counters (occupancy table, dynamic mix).
+    /// Model-context cache counters (occupancy table).
     pub model: ModelStats,
     /// Per-phase compile profiler snapshot (process-wide wall-clock and
     /// invocation counters for unroll/lower/optimize/regalloc).
@@ -515,8 +520,7 @@ impl<'a> Evaluator<'a> {
         self.asts.map.get_or_init(n, || Arc::new((self.ast_builder)(n)))
     }
 
-    /// The cached compile front-end for `(n, uif, cflags)`, with its
-    /// content-addressed model key computed once per artifact.
+    /// The cached compile front-end for `(n, uif, cflags)`.
     fn front_end_for(&self, n: u64, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
         self.front_ends.map.get_or_init((n, uif, cflags), || {
             let ast = self.ast_for(n);
@@ -526,44 +530,49 @@ impl<'a> Evaluator<'a> {
                 // they don't count as lowerings run.
                 self.front_ends.lowerings.fetch_add(1, Ordering::Relaxed);
             }
-            let key = fe.as_ref().ok().map(ProgramKey::of_front_end);
-            Arc::new(FeArtifact { fe, key })
+            Arc::new(fe)
         })
     }
 
-    /// The one miss routine: measures `params` over `artifacts`, its
-    /// front-end key's artifact per input size. The artifacts are pulled
-    /// size by size, so a caller that resolves them on the fly pays for
-    /// none past the first infeasible size.
-    fn evaluate_uncached<A: std::ops::Deref<Target = FeArtifact>>(
+    /// The artifact of `key`'s `(UIF, CFLAGS)` and a fresh scratch per
+    /// input size, resolved as they are pulled.
+    fn per_size(&self, key: TuningParams) -> impl Iterator<Item = PerSize> + '_ {
+        self.sizes.iter().map(move |&n| {
+            (self.front_end_for(n, key.uif, key.cflags), LaunchScratch::default())
+        })
+    }
+
+    /// The one miss routine: measures `params` over `per_size` — fresh
+    /// from [`Evaluator::per_size`] for a lone point, a chunk's own for
+    /// a batch worker, whose neighbouring points share launch shapes.
+    /// The pairs are pulled size by size, so a caller that resolves them
+    /// on the fly pays for none past the first infeasible size.
+    fn evaluate_uncached<P: BorrowMut<PerSize>>(
         &self,
         params: TuningParams,
-        artifacts: impl Iterator<Item = A>,
+        per_size: impl Iterator<Item = P>,
     ) -> Measurement {
+        let EvalProtocol { trials, protocol, .. } = self.protocol;
         let seed = self.seed_for(&params);
         let mut per_size_ms = Vec::with_capacity(self.sizes.len());
         let mut occupancy = 0.0;
         let mut regs = 0u32;
         let mut reg_instructions = 0.0;
-        for (&n, artifact) in self.sizes.iter().zip(artifacts) {
-            let (fe, key) = match (&artifact.fe, &artifact.key) {
-                (Ok(fe), Some(key)) => (fe, key),
-                _ => return Measurement::infeasible(params),
+        for (&n, mut held) in self.sizes.iter().zip(per_size) {
+            let (artifact, scratch) = held.borrow_mut();
+            let Ok(fe) = &**artifact else {
+                return Measurement::infeasible(params);
             };
-            let kernel = match fe.specialize(params) {
-                Ok(k) => k,
-                Err(_) => return Measurement::infeasible(params),
+            let Ok(kernel) = fe.specialize(params) else {
+                return Measurement::infeasible(params);
             };
-            let trials =
-                match self.ctx.measure_keyed(key, &kernel, n, self.protocol.trials, seed ^ n) {
-                    Ok(t) => t,
-                    Err(_) => return Measurement::infeasible(params),
-                };
-            per_size_ms.push((n, trials.selected(self.protocol.protocol)));
-            occupancy = trials.report.occupancy.occupancy;
+            let Ok(launch) = self.ctx.launch(&kernel, n, trials, seed ^ n, protocol, scratch) else {
+                return Measurement::infeasible(params);
+            };
+            per_size_ms.push((n, launch.time_ms));
+            occupancy = launch.occupancy;
             regs = kernel.regs_per_thread();
-            reg_instructions +=
-                self.ctx.dynamic_mix_keyed(key, &kernel, n).get(oriole_arch::OpClass::Regs);
+            reg_instructions += launch.reg_instructions;
         }
         let time_ms = match self.protocol.objective {
             Objective::TotalTime => per_size_ms.iter().map(|(_, t)| t).sum(),
@@ -604,10 +613,7 @@ impl<'a> Evaluator<'a> {
     /// without cloning the measurement), resolving its front-ends size
     /// by size and only on a miss.
     pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
-        self.memoized(params, || {
-            let resolve = |&n: &u64| self.front_end_for(n, params.uif, params.cflags);
-            self.evaluate_uncached(params, self.sizes.iter().map(resolve))
-        })
+        self.memoized(params, || self.evaluate_uncached(params, self.per_size(params)))
     }
 
     /// Evaluates a batch; results in input order, duplicates and all.
@@ -635,12 +641,11 @@ impl<'a> Evaluator<'a> {
             loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
                 let Some(chunk) = plan.chunks.get(c) else { break done };
-                let key = points[chunk[0]];
-                let resolve = |&n: &u64| self.front_end_for(n, key.uif, key.cflags);
-                let artifacts: Vec<_> = self.sizes.iter().map(resolve).collect();
+                let mut per_size: Vec<PerSize> = self.per_size(points[chunk[0]]).collect();
                 let evaluate = |&i: &usize| {
-                    let resolved = artifacts.iter().map(Arc::as_ref);
-                    self.memoized(points[i], || self.evaluate_uncached(points[i], resolved))
+                    self.memoized(points[i], || {
+                        self.evaluate_uncached(points[i], per_size.iter_mut())
+                    })
                 };
                 done.push((c, chunk.iter().map(evaluate).collect::<Vec<_>>()));
             }
@@ -926,10 +931,9 @@ mod tests {
         let stats = ev.stats();
         assert_eq!(stats.unique_evaluations, space.len());
         assert!(stats.front_end_lowerings > 0);
-        // `PL`/`SC` don't enter the dynamic mix, so it is computed at
-        // most once per point; the occupancy table collapses the domain
-        // massively.
-        assert!(stats.model.mix_misses as usize <= space.len());
+        // One occupancy lookup per (point, size); the table collapses
+        // the domain massively.
+        assert_eq!((stats.model.occ_hits + stats.model.occ_misses) as usize, space.len());
         assert!(stats.model.occ_hits > stats.model.occ_misses);
     }
 }

@@ -13,7 +13,7 @@
 //! |------|-----------|---------------|
 //! | AST | `kernel` | devices, sizes, protocols, models |
 //! | front-end | `kernel × GpuSpec` (entries add `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
-//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (occupancy table, dynamic-mix memo) |
+//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (occupancy table) |
 //! | measurement | `kernel × GpuSpec × sizes × `[`EvalProtocol`] (which carries the [`ModelId`]) | repeated sweeps of one experiment |
 //! | **disk** (optional) | measurement scope, content-addressed file per tier | **processes** — sweeps resume across runs |
 //!
@@ -293,8 +293,6 @@ impl ArtifactStore {
                     sum.occ_hits += s.occ_hits;
                     sum.occ_misses += s.occ_misses;
                     sum.occ_entries += s.occ_entries;
-                    sum.mix_hits += s.mix_hits;
-                    sum.mix_misses += s.mix_misses;
                 }
                 if seen {
                     models.push(sum);
@@ -514,12 +512,12 @@ mod tests {
         let stats = store.stats();
         // Distinct measurement tiers and contexts per backend; each
         // backend worked in its own context (a cross-model hit would
-        // leave one of these without a dynamic-mix computation).
+        // leave one of these without an occupancy calculation).
         assert_eq!(stats.measurement_tiers, 2);
         assert_eq!(stats.unique_evaluations, 2);
         assert_eq!(stats.contexts, 2);
-        assert_eq!(stats.model(ModelId::Simulator).unwrap().mix_misses, 1);
-        assert_eq!(stats.model(ModelId::Static).unwrap().mix_misses, 1);
+        assert_eq!(stats.model(ModelId::Simulator).unwrap().occ_misses, 1);
+        assert_eq!(stats.model(ModelId::Static).unwrap().occ_misses, 1);
         assert!(stats.model(ModelId::Roofline).is_none());
         // Compilation artifacts are model-independent and shared.
         assert_eq!(stats.front_end_tiers, 1);

@@ -8,11 +8,12 @@ use oriole::codegen::{compile, TuningParams};
 use oriole::core::analyze;
 use oriole::kernels::KernelId;
 use oriole::service::{Client, EvalScope, RemoteEvaluator, Server};
-use oriole::sim::measure;
+use oriole::sim::{measure, ModelId, TrialProtocol};
 use oriole::tuner::{
-    AnnealingSearch, ArtifactStore, EvalProtocol, Evaluator, GeneticSearch, Oracle, RandomSearch,
-    SearchResult, SearchSpace, Searcher,
+    persist, AnnealingSearch, ArtifactStore, EvalProtocol, Evaluator, GeneticSearch, Measurement,
+    Oracle, RandomSearch, SearchResult, SearchSpace, Searcher,
 };
+use std::sync::Arc;
 
 #[test]
 fn compile_analyze_measure_are_pure() {
@@ -175,6 +176,84 @@ fn rebuilt_batch_path_is_bit_identical_on_fresh_half_warm_warm_and_disk_tiers() 
 }
 
 #[test]
+fn geometry_reuse_in_batch_workers_is_bit_identical_across_models_and_trial_protocols() {
+    // A batch worker carries one launch scratch per size across its
+    // chunk, a lone `evaluate` starts from fresh ones: the sweep, a
+    // shuffled batch with repeats and the point-by-point loop must agree
+    // on the raw bits of every field (the canonical text carries them).
+    let mut space = SearchSpace::paper_default();
+    space.tc = (1..=8).map(|i| i * 128).collect();
+    space.uif = vec![1, 4, 9]; // the front end rejects 9
+    space.sc = vec![1, 3];
+    let sizes = [64u64, 256];
+    let canonical = |ms: Vec<Arc<Measurement>>| {
+        ms.iter().map(|m| persist::emit_measurement(m)).collect::<Vec<_>>()
+    };
+    // MatVec2D with 32 B of tile per thread: blocks past 512 threads
+    // do not fit Kepler's 16 KiB `PreferL1` shared memory.
+    let wide_tiles = |n: u64| {
+        let mut ast = KernelId::MatVec2D.ast(n);
+        ast.shared[0].elems = 8;
+        ast
+    };
+    let atax = |n: u64| KernelId::Atax.ast(n);
+    let builders: [(&str, &(dyn Fn(u64) -> oriole::ir::KernelAst + Sync)); 2] =
+        [("atax", &atax), ("matvec2d, wide tiles", &wide_tiles)];
+
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |below: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % below
+    };
+    let mut shuffled: Vec<TuningParams> = space.iter().collect();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, next(i + 1));
+    }
+    for i in 0..shuffled.len() / 10 {
+        let at = next(shuffled.len() + 1);
+        shuffled.insert(at, shuffled[i * 10]);
+    }
+    let in_space_order = |batch: Vec<String>| {
+        let mut by_point = std::collections::HashMap::new();
+        for (p, text) in shuffled.iter().zip(batch) {
+            let first = by_point.entry(*p).or_insert_with(|| text.clone());
+            assert_eq!(*first, text, "a repeated point answered differently");
+        }
+        space.iter().map(|p| by_point.remove(&p).expect("every point asked")).collect::<Vec<_>>()
+    };
+
+    for (name, builder) in builders {
+        for gpu in [Gpu::K20, Gpu::P100] {
+            for model in ModelId::ALL {
+                for protocol in [TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min] {
+                    let what = format!("{name} {gpu} {model} {protocol:?}");
+                    let evaluator = || {
+                        let mut ev = Evaluator::new(builder, gpu.spec(), &sizes);
+                        ev.set_protocol(EvalProtocol { model, protocol, ..EvalProtocol::default() });
+                        ev
+                    };
+                    let lone = evaluator();
+                    let one_by_one = canonical(space.iter().map(|p| lone.evaluate(p)).collect());
+                    assert_eq!(canonical(evaluator().evaluate_space(&space)), one_by_one, "{what}: sweep");
+                    let batch = canonical(evaluator().evaluate_batch(&shuffled));
+                    assert_eq!(batch.len(), shuffled.len());
+                    assert_eq!(in_space_order(batch), one_by_one, "{what}: shuffled batch");
+
+                    let rejected = space.iter().filter(|p| p.uif == 9).count();
+                    let infeasible =
+                        space.iter().filter(|&p| !lone.evaluate(p).feasible).count() - rejected;
+                    assert_eq!(rejected, space.len() / 3);
+                    let expect_tiles_to_bite = name != "atax" && gpu == Gpu::K20;
+                    assert_eq!(infeasible > 0, expect_tiles_to_bite, "{what}: {infeasible} infeasible");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn stochastic_searchers_replay_exactly() {
     let kid = KernelId::Atax;
     let sizes = [64u64];
@@ -276,7 +355,6 @@ fn pipelined_coalesced_sweeps_serialize_byte_identically_to_local_and_single_sho
     // data.
     use oriole::service::CoalesceConfig;
     use oriole::tuner::persist::emit_measurement;
-    use std::sync::Arc;
 
     let kid = KernelId::Atax;
     let sizes = [64u64];

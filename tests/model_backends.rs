@@ -107,8 +107,8 @@ fn same_spec_different_models_share_no_memo_entries() {
     assert_eq!(stats.unique_evaluations, 3, "no tier answered for another");
     for &model in &ModelId::ALL {
         let m = stats.model(model).expect("every backend ran");
-        assert_eq!(m.mix_misses, 1, "{model}: worked in its own context, exactly once");
-        assert_eq!(m.mix_hits, 0, "{model}: nothing served across backends");
+        assert_eq!(m.occ_misses, 1, "{model}: worked in its own context, exactly once");
+        assert_eq!(m.occ_hits, 0, "{model}: nothing served across backends");
     }
     // Compilation artifacts are model-independent: one front-end tier,
     // one lowering, shared by all three backends.
@@ -127,14 +127,12 @@ fn per_model_context_caches_stay_private_on_one_device() {
     let roof_ctx = ModelContext::for_model(gpu, ModelId::Roofline);
 
     let sim_r = sim_ctx.simulate(&k, 128).unwrap();
+    assert_eq!(sim_ctx.stats().occ_misses, 1);
+    assert_eq!(roof_ctx.stats().occ_entries, 0, "the sim context's table is its own");
     let roof_r = roof_ctx.simulate(&k, 128).unwrap();
     assert_ne!(sim_r.time_ms, roof_r.time_ms);
-    sim_ctx.dynamic_mix(&k, 128);
-    assert_eq!(sim_ctx.stats().mix_misses, 1);
-    assert_eq!(roof_ctx.stats().mix_misses, 0, "the sim context's memo is its own");
-    roof_ctx.dynamic_mix(&k, 128);
-    assert_eq!(roof_ctx.stats().mix_misses, 1, "no hit leaked from the sim context");
-    assert_eq!(roof_ctx.stats().mix_hits, 0);
+    assert_eq!(roof_ctx.stats().occ_misses, 1, "no hit leaked from the sim context");
+    assert_eq!(roof_ctx.stats().occ_hits, 0);
     assert_eq!(sim_ctx.stats().model, ModelId::Simulator);
     assert_eq!(roof_ctx.stats().model, ModelId::Roofline);
 }

@@ -7,16 +7,16 @@
 //!   to a fresh, storeless evaluator;
 //! * corrupted and version-skewed artifacts are detected and
 //!   recomputed — never silently trusted;
-//! * a warm-from-disk re-sweep is ≥ 2× faster than the cold sweep.
+//! * a warm-from-disk re-sweep builds, lowers and computes nothing.
 
 use oriole::arch::{Gpu, GpuSpec};
 use oriole::kernels::KernelId;
 use oriole::tuner::eval::EvalProtocol;
-use oriole::tuner::{persist, ArtifactStore, Evaluator, SearchSpace};
+use oriole::tuner::{persist, ArtifactStore, Evaluator, Measurement, SearchSpace};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("oriole-persist-{}-{tag}", std::process::id()));
@@ -199,31 +199,43 @@ fn foreign_scope_under_expected_filename_is_never_served() {
 }
 
 #[test]
-fn warm_from_disk_resweep_is_at_least_2x_faster_than_cold() {
-    let dir = temp_store("speed");
-    // The eval_throughput bench's thinned Fig. 3 space: large enough
-    // that computation dominates parsing by a wide margin.
+fn warm_from_disk_resweep_recomputes_nothing() {
+    // What makes a reopen fast, as counts: it builds no AST, lowers no
+    // front end, computes no point and serves every answer from the
+    // records it loaded. How fast is measured where it is gated —
+    // `unit_p50_s` @ `disk_roundtrip` in `benchmark/`.
+    let dir = temp_store("reopen");
     let mut space = SearchSpace::paper_default();
     space.tc = vec![128, 256, 512, 1024];
     let sizes = [64u64];
+    let asts_built = AtomicUsize::new(0);
+    let counting = |n: u64| {
+        asts_built.fetch_add(1, Ordering::Relaxed);
+        builder(n)
+    };
+    let canonical =
+        |ms: &[Arc<Measurement>]| ms.iter().map(|m| persist::emit_measurement(m)).collect::<Vec<_>>();
 
     let cold_store = ArtifactStore::with_disk(&dir).unwrap();
-    let start = Instant::now();
-    let cold = cold_store.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
-    let cold_time = start.elapsed();
+    let evaluator = cold_store.evaluator("atax", &counting, gpu(), &sizes);
+    let cold = evaluator.evaluate_space(&space);
+    let lowerings = space.uif.len() * space.cflags.len();
+    assert_eq!((asts_built.load(Ordering::Relaxed), evaluator.front_end_lowerings()), (1, lowerings));
+    assert_eq!(evaluator.unique_evaluations(), space.len());
+    drop(evaluator);
     drop(cold_store);
 
     let warm_store = ArtifactStore::with_disk(&dir).unwrap();
-    let start = Instant::now();
-    let warm = warm_store.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
-    let warm_time = start.elapsed();
-
-    assert_eq!(warm, cold);
+    let evaluator = warm_store.evaluator("atax", &counting, gpu(), &sizes);
+    let warm = evaluator.evaluate_space(&space);
+    assert_eq!(canonical(&warm), canonical(&cold), "raw IEEE bits, field for field");
+    assert_eq!(asts_built.load(Ordering::Relaxed), 1, "a reopen builds no AST");
+    let stats = evaluator.stats();
+    assert_eq!(stats.front_end_lowerings, 0, "a reopen lowers no front end");
+    assert_eq!(stats.unique_evaluations, 0, "a reopen computes no point");
+    assert_eq!(stats.disk_loaded, space.len());
+    assert_eq!(stats.disk_spilled, 0);
     assert_eq!(warm_store.stats().unique_evaluations, 0);
-    assert!(
-        warm_time * 2 <= cold_time,
-        "warm-from-disk re-sweep must be ≥ 2× faster: cold {cold_time:?}, warm {warm_time:?}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
