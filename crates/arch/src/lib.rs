@@ -13,12 +13,15 @@
 //!   (operations per cycle per SM) for twelve operation classes across the
 //!   four compute capabilities, and its reciprocal, cycles-per-instruction
 //!   (CPI), which weights the instruction-mix execution-time model (Eq. 6).
+//! * [`occupancy()`] is the occupancy calculator (Eqs. 1–5), called
+//!   directly by every layer above; [`GpuSpec::problems`] says whether a
+//!   spec from outside Table I is safe to hand it.
 //!
-//! Nothing in this crate performs analysis; it only answers questions such
-//! as "how many registers does one SM of a K20 have?" or "what is the CPI
-//! of a 32-bit float op on compute capability 5.2?". Higher layers (the
-//! occupancy calculator, the simulator, the predictive models) consume
-//! these answers.
+//! Beyond that arithmetic nothing in this crate performs analysis; it
+//! answers questions such as "how many registers does one SM of a K20
+//! have?" or "what is the CPI of a 32-bit float op on compute capability
+//! 5.2?". Higher layers (the static analyzer, the simulator, the
+//! predictive models) consume these answers.
 //!
 //! ```
 //! use oriole_arch::{Gpu, OpClass};
@@ -41,6 +44,7 @@ mod throughput;
 pub use family::{ComputeCapability, Family};
 pub use limits::{validate_launch, LaunchCheck, LaunchError};
 pub use occupancy::{occupancy, Limiter, Occupancy, OccupancyInput};
+#[allow(deprecated)]
 pub use table::OccupancyTable;
 pub use spec::{Gpu, GpuSpec, ALL_GPUS};
 pub use throughput::{InstrClass, OpClass, ThroughputTable, ALL_OP_CLASSES};

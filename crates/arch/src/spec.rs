@@ -1,6 +1,7 @@
 //! The Table I GPU database.
 
 use crate::family::{ComputeCapability, Family};
+use crate::occupancy::smem_alloc_unit;
 use crate::throughput::ThroughputTable;
 use std::fmt;
 
@@ -139,6 +140,43 @@ impl GpuSpec {
     /// This is the paper's `W_B` for a user block size `T_u`.
     pub fn warps_per_block(&self, threads: u32) -> u32 {
         threads.div_ceil(self.threads_per_warp)
+    }
+
+    /// Why this description cannot serve as a device (empty = it can;
+    /// Table I's have none). For specs that arrive from outside — a wire
+    /// frame, a synthetic device: every field the occupancy calculator
+    /// and the timing models divide by is non-zero, and the `u32`
+    /// products they form cannot wrap.
+    pub fn problems(&self) -> Vec<String> {
+        let wide = u64::from;
+        let divisors = [
+            ("multiprocessors", self.multiprocessors),
+            ("gpu_clock_mhz", self.gpu_clock_mhz),
+            ("threads_per_warp", self.threads_per_warp),
+            ("warps_per_mp", self.warps_per_mp),
+        ];
+        // Eq. 4 rounds `R_u · T_W · W_B` up to the allocation unit, with
+        // `R_u` up to `R_T` and `W_B · T_W` under `T_B + T_W`; Eq. 5
+        // rounds `S_u`, up to `S_B`, to the shared-memory granule; the
+        // timing models count block slots across the device.
+        let products = [
+            (
+                "register allocation",
+                wide(self.regs_per_thread_max)
+                    .saturating_mul(wide(self.threads_per_block) + wide(self.threads_per_warp))
+                    .saturating_add(wide(self.reg_alloc_unit)),
+            ),
+            (
+                "shared-memory allocation",
+                wide(self.shmem_per_block) + wide(smem_alloc_unit(self.family)),
+            ),
+            ("block-slot count", wide(self.blocks_per_mp) * wide(self.multiprocessors)),
+        ];
+        let zero = divisors.iter().filter(|(_, v)| *v == 0);
+        let wrapped = products.iter().filter(|(_, v)| *v > wide(u32::MAX));
+        zero.map(|(field, _)| format!("{field} must be positive"))
+            .chain(wrapped.map(|(what, _)| format!("the {what} does not fit 32 bits")))
+            .collect()
     }
 
     /// Maximum resident threads across the whole device.
@@ -325,6 +363,38 @@ mod tests {
         assert_eq!(s.warps_per_block(32), 1);
         assert_eq!(s.warps_per_block(33), 2);
         assert_eq!(s.warps_per_block(1024), 32);
+    }
+
+    #[test]
+    fn problems_name_every_degenerate_field_and_no_table_i_device() {
+        for gpu in ALL_GPUS {
+            assert_eq!(gpu.spec().problems(), Vec::<String>::new(), "{gpu}");
+        }
+        let k20 = Gpu::K20.spec();
+        for (poisoned, needle) in [
+            (GpuSpec { multiprocessors: 0, ..k20.clone() }, "multiprocessors"),
+            (GpuSpec { gpu_clock_mhz: 0, ..k20.clone() }, "gpu_clock_mhz"),
+            (GpuSpec { threads_per_warp: 0, ..k20.clone() }, "threads_per_warp"),
+            (GpuSpec { warps_per_mp: 0, ..k20.clone() }, "warps_per_mp"),
+            // 2^27 registers x 32 lanes wraps to a zero divisor.
+            (GpuSpec { regs_per_thread_max: 1 << 27, ..k20.clone() }, "register allocation"),
+            (GpuSpec { threads_per_block: u32::MAX, ..k20.clone() }, "register allocation"),
+            (GpuSpec { reg_alloc_unit: u32::MAX, ..k20.clone() }, "register allocation"),
+            (GpuSpec { shmem_per_block: u32::MAX - 255, ..k20.clone() }, "shared-memory allocation"),
+            (GpuSpec { blocks_per_mp: u32::MAX / 13 + 1, ..k20.clone() }, "block-slot count"),
+        ] {
+            let problems = poisoned.problems();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains(needle), "{problems:?}");
+        }
+        // Large is not degenerate: the widest values that still fit.
+        let wide = GpuSpec {
+            shmem_per_block: u32::MAX - 256,
+            blocks_per_mp: u32::MAX / 13,
+            reg_alloc_unit: 0,
+            ..k20.clone()
+        };
+        assert_eq!(wide.problems(), Vec::<String>::new());
     }
 
     #[test]

@@ -1,242 +1,32 @@
-//! Device-scoped memoized occupancy table.
-//!
-//! [`occupancy`](crate::occupancy::occupancy) is pure arithmetic, but the
-//! simulator runs it once per trial batch and the analyzer's suggestion
-//! loops probe it hundreds of times per kernel. Its *effective* input
-//! domain per device is tiny once quantized: the block size only acts
-//! through its warp count, shared memory only through its
-//! allocation-granule count, and the L1/shared split takes at most a few
-//! values per family. [`OccupancyTable`] exploits exactly that
-//! quantization to memoize results per device — a service a
-//! model context holds for the lifetime of a device.
-//!
-//! Lookups are **bit-identical** to the direct calculator: quantization
-//! only merges inputs the calculator itself cannot distinguish
-//! (property- and exhaustively tested, including the Kepler/Fermi
-//! L1-split cases).
+//! [`OccupancyTable`]: the name `benchmark/API.md` knows a device's
+//! occupancy calculator by. The memo it named cost four times the
+//! arithmetic it saved and is gone; what is left is a [`GpuSpec`]
+//! newtype that calls [`occupancy`], until the benchmark re-base.
 
-use crate::occupancy::{occupancy, smem_alloc_unit, Occupancy, OccupancyInput};
+#![allow(deprecated)]
+
+use crate::occupancy::{occupancy, Occupancy, OccupancyInput};
 use crate::spec::GpuSpec;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
-/// Quantized occupancy-table key: everything the calculator can actually
-/// distinguish for legal inputs on a fixed device.
-///
-/// * the block size acts only through `ceil(tc / warp)` — warps per block;
-/// * registers per thread enter the Eq. 4 rounding directly (the rounding
-///   depends on the warp count on Fermi, so registers are *not* folded
-///   into granules here);
-/// * shared memory acts only through its granule-rounded footprint
-///   (Eq. 5 rounds to the family allocation unit before dividing);
-/// * the effective per-SM shared capacity (the `PL` split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TableKey {
-    warps_per_block: u32,
-    regs_per_thread: u32,
-    smem_rounded: u32,
-    /// `u32::MAX` encodes "device default" (`shmem_per_mp: None`).
-    shmem_per_mp: u32,
-}
-
-/// Shard count: occupancy lookups come from every evaluation worker, so
-/// spread the read-mostly maps over a few locks.
-const SHARDS: usize = 8;
-
-/// A per-device memo of the occupancy calculation over its quantized
-/// input domain.
-///
-/// Constructed once per device (typically owned by a model context) and
-/// shared by reference; lookups populate lazily and concurrently.
+/// A device, under the name its occupancy memo had. Call
+/// [`occupancy`] instead.
+#[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
 #[derive(Debug)]
-pub struct OccupancyTable {
-    spec: GpuSpec,
-    shards: Vec<RwLock<HashMap<TableKey, Occupancy>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct OccupancyTable(GpuSpec);
 
 impl OccupancyTable {
-    /// Creates an empty table for `spec` (the spec is captured by value,
-    /// so the table works for synthetic devices too).
+    /// Wraps a copy of `spec`, so synthetic devices work too.
     pub fn new(spec: &GpuSpec) -> OccupancyTable {
-        OccupancyTable {
-            spec: spec.clone(),
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        OccupancyTable(spec.clone())
     }
 
-    /// The device this table serves.
+    /// The device.
     pub fn spec(&self) -> &GpuSpec {
-        &self.spec
+        &self.0
     }
 
-    /// The quantized key for `input`, or `None` when the input is
-    /// illegal (illegal inputs produce constant results and bypass the
-    /// table).
-    fn key(&self, input: OccupancyInput) -> Option<TableKey> {
-        let spec = &self.spec;
-        if input.tc == 0
-            || input.tc > spec.threads_per_block
-            || input.regs_per_thread > spec.regs_per_thread_max
-            || input.smem_per_block > spec.shmem_per_block
-        {
-            return None;
-        }
-        let unit = smem_alloc_unit(spec.family);
-        let smem_rounded = if input.smem_per_block == 0 {
-            0
-        } else {
-            input.smem_per_block.div_ceil(unit) * unit
-        };
-        Some(TableKey {
-            warps_per_block: spec.warps_per_block(input.tc),
-            regs_per_thread: input.regs_per_thread,
-            smem_rounded,
-            shmem_per_mp: input.shmem_per_mp.unwrap_or(u32::MAX),
-        })
-    }
-
-    /// The occupancy for `input`, computed at most once per quantized
-    /// key. Bit-identical to `occupancy(self.spec(), input)`.
+    /// `occupancy(self.spec(), input)`.
     pub fn lookup(&self, input: OccupancyInput) -> Occupancy {
-        let Some(key) = self.key(input) else {
-            // Illegal inputs short-circuit in the calculator; don't
-            // spend table entries on them.
-            return occupancy(&self.spec, input);
-        };
-        let shard = &self.shards[(key.warps_per_block as usize
-            ^ key.regs_per_thread as usize
-            ^ key.smem_rounded as usize)
-            % SHARDS];
-        if let Some(hit) = shard.read().expect("occupancy table lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-        // Compute outside the write lock: the calculation is trivial
-        // arithmetic, so racing threads recomputing beats blocking
-        // (unlike the evaluation memos, which dedup in-flight work).
-        let computed = occupancy(&self.spec, input);
-        let mut map = shard.write().expect("occupancy table lock");
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                // A racer inserted first; this lookup was served by the
-                // table all the same. Keeps `misses == len()` exact.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                *e.get()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                *v.insert(computed)
-            }
-        }
-    }
-
-    /// Distinct quantized keys materialized so far.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().expect("occupancy table lock").len()).sum()
-    }
-
-    /// Whether any entry has been materialized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` since construction (legal inputs only; illegal
-    /// inputs bypass the table and count as neither).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::{Gpu, ALL_GPUS};
-
-    #[test]
-    fn lookup_matches_direct_calculator() {
-        for gpu in ALL_GPUS {
-            let spec = gpu.spec();
-            let table = OccupancyTable::new(spec);
-            for tc in [0u32, 1, 31, 32, 33, 96, 128, 256, 1024, 2048] {
-                for regs in [0u32, 1, 27, 63, 64, 255, 300] {
-                    for smem in [0u32, 1, 128, 4096, 49_152, 49_153] {
-                        for shmem in [None, Some(16 * 1024), Some(48 * 1024)] {
-                            let input = OccupancyInput {
-                                tc,
-                                regs_per_thread: regs,
-                                smem_per_block: smem,
-                                shmem_per_mp: shmem,
-                            };
-                            assert_eq!(
-                                table.lookup(input),
-                                occupancy(spec, input),
-                                "{gpu} {input:?}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantization_merges_indistinguishable_inputs() {
-        // 33..=64 threads are all two warps; 1..=256 B shared all round
-        // to one Kepler granule. Each family of inputs fills one key.
-        let table = OccupancyTable::new(Gpu::K20.spec());
-        for tc in 33..=64 {
-            for smem in [1u32, 100, 256] {
-                table.lookup(OccupancyInput {
-                    tc,
-                    regs_per_thread: 32,
-                    smem_per_block: smem,
-                    shmem_per_mp: None,
-                });
-            }
-        }
-        assert_eq!(table.len(), 1, "quantized domain should collapse to one entry");
-        let (hits, misses) = table.counters();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 32 * 3 - 1);
-    }
-
-    #[test]
-    fn illegal_inputs_bypass_the_table() {
-        let table = OccupancyTable::new(Gpu::M2050.spec());
-        let bad = OccupancyInput {
-            tc: 256,
-            regs_per_thread: 64, // > Fermi cap
-            smem_per_block: 0,
-            shmem_per_mp: None,
-        };
-        assert_eq!(table.lookup(bad), occupancy(Gpu::M2050.spec(), bad));
-        assert!(table.is_empty());
-        assert_eq!(table.counters(), (0, 0));
-    }
-
-    #[test]
-    fn concurrent_lookups_agree() {
-        let table = OccupancyTable::new(Gpu::P100.spec());
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for tc in (32..=1024).step_by(32) {
-                        let input = OccupancyInput::of_block(tc);
-                        assert_eq!(table.lookup(input), occupancy(Gpu::P100.spec(), input));
-                    }
-                });
-            }
-        });
-        assert_eq!(table.len(), 32);
-        // Miss counting stays exact under racing cold lookups: a racer
-        // that loses the insert counts as a (served-from-table) hit.
-        let (hits, misses) = table.counters();
-        assert_eq!(misses as usize, table.len());
-        assert_eq!(hits + misses, 8 * 32);
+        occupancy(&self.0, input)
     }
 }

@@ -8,7 +8,7 @@
 
 use oriole_bench::{ExpOptions, TextTable};
 use oriole_codegen::{compile, TuningParams};
-use oriole_core::analyze_in;
+use oriole_core::analyze;
 use oriole_tuner::{ExhaustiveSearch, PruneLevel, Searcher, StaticSearch};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
                 TuningParams::with_geometry(128, 48),
             )
             .expect("compiles");
-            let analysis = analyze_in(store.context(gpu.spec()).occupancy_table(), &probe, probe_n);
+            let analysis = analyze(&probe, probe_n);
 
             let run_pruned = |level: PruneLevel| {
                 let ev = store.evaluator(kid.name(), &builder, gpu.spec(), &sizes);

@@ -6,14 +6,14 @@ use crate::args::Args;
 use oriole_arch::{Gpu, ALL_GPUS};
 use oriole_codegen::{compile, CompilerFlags, PreferredL1, TuningParams};
 use oriole_core::predict::predict_time_with;
-use oriole_core::{analyze_in, report, suggest};
+use oriole_core::{analyze, report, suggest};
 use oriole_fleet::{FleetEvaluator, FleetSpec};
 use oriole_kernels::KernelId;
 use oriole_service::{
     Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
     ServiceStats,
 };
-use oriole_sim::{ModelId, TrialProtocol};
+use oriole_sim::{ModelId, TrialProtocol, MAX_TRIALS};
 use oriole_tuner::{
     measurements_csv, parse_spec, replay, AnnealingSearch, ArtifactStore, EvalProtocol, EvalStats,
     ExhaustiveSearch, GeneticSearch, HybridSearch, NelderMeadSearch, Oracle, RandomSearch,
@@ -24,8 +24,8 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 /// The process-level artifact store: every command of this process —
-/// and every `run()` call in one embedding process — shares front-ends,
-/// model caches and measurements. Sharing is keyed so results are
+/// and every `run()` call in one embedding process — shares front-ends
+/// and measurements. Sharing is keyed so results are
 /// bit-identical to throwaway evaluators; it only changes wall-clock.
 fn store() -> &'static ArtifactStore {
     static STORE: OnceLock<ArtifactStore> = OnceLock::new();
@@ -153,11 +153,10 @@ fleet flag (tune): --fleet ADDRS|@FILE
             each shard exchange. Mutually exclusive with --remote and
             --store-dir.
 tune flags: --budget B --sizes 32,64,... --spec FILE --seed N --csv
-            --stats (print cache telemetry: active timing model, unique
-            evaluations, lowerings, disk loads/spills, occupancy/mix/
-            report hit rates — per backend, since caches never cross
-            models; with --remote: client fetches plus daemon-side
-            serving and store counters)
+            --stats (print cache telemetry: unique evaluations,
+            lowerings, disk loads/spills, program-index and compile-phase
+            counters, the active timing model; with --remote: client
+            fetches plus daemon-side serving and store counters)
 "
     .to_string()
 }
@@ -237,10 +236,8 @@ fn cmd_analyze(args: &Args) -> Result<String, String> {
     let params = parse_params(args)?;
     let model = parse_model(args)?;
     let kernel = compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
-    let ctx = store().context_for(gpu.spec(), model);
-    let analysis = analyze_in(ctx.occupancy_table(), &kernel, n);
-    let mut out = analysis.render();
-    match ctx.simulate(&kernel, n) {
+    let mut out = analyze(&kernel, n).render();
+    match store().context_for(gpu.spec(), model).simulate(&kernel, n) {
         Ok(r) => {
             let _ = writeln!(
                 out,
@@ -271,7 +268,7 @@ fn cmd_suggest(args: &Args) -> Result<String, String> {
     let n: u64 = args.num_or("n", 128)?;
     let params = parse_params(args)?;
     let kernel = compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
-    let analysis = analyze_in(store().context(gpu.spec()).occupancy_table(), &kernel, n);
+    let analysis = analyze(&kernel, n);
     let mut out = String::new();
     let _ = writeln!(out, "{} on {}: {}", kernel_id, gpu, analysis.suggestion.row());
     let threads: Vec<String> = analysis.rule_threads.iter().map(|t| t.to_string()).collect();
@@ -289,6 +286,9 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let kernel_id = parse_kernel(args)?;
     let n: u64 = args.num_or("n", 128)?;
     let trials: u32 = args.num_or("trials", 10)?;
+    if trials > MAX_TRIALS {
+        return Err(format!("--trials {trials} is out of range (at most {MAX_TRIALS})"));
+    }
     let seed: u64 = args.num_or("seed", 42)?;
     let params = parse_params(args)?;
     let model = parse_model(args)?;
@@ -305,16 +305,12 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
         None => {
             let kernel =
                 compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
-            // The shared per-(device, model) context caches the report:
-            // repeated simulate/tune calls in one process re-use it
-            // (bit-identical to the free functions under the default
-            // backend). `--store-dir` selects a disk-backed store for
-            // interface parity with `tune`; contexts themselves stay in
-            // memory — only measurement tiers persist.
+            // `--store-dir` is accepted (and opened) for interface
+            // parity with `tune`; a simulation reads and writes no tier.
             let ctx = resolve_store(args)?.context_for(gpu.spec(), model);
-            let r = ctx.simulate(&kernel, n).map_err(|e| e.to_string())?;
             let t = ctx.measure(&kernel, n, trials, seed).map_err(|e| e.to_string())?;
-            (r, t.selected(TrialProtocol::FifthOfTen))
+            let selected = t.selected(TrialProtocol::FifthOfTen);
+            (t.report, selected)
         }
     };
     let mut out = String::new();
@@ -465,7 +461,7 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     // costs nothing, and boxing would only add indirection.
     #[allow(clippy::large_enum_variant)]
     enum Backend<'a> {
-        Local { evaluator: oriole_tuner::Evaluator<'a>, store: ArtifactStore, before: EvalStats },
+        Local { evaluator: oriole_tuner::Evaluator<'a>, before: EvalStats },
         Remote { remote: RemoteEvaluator, addr: String },
         Fleet { fleet: FleetEvaluator },
     }
@@ -513,7 +509,7 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
             let evaluator =
                 run_store.evaluator_with(kernel_id.name(), &builder, gpu.spec(), &sizes, protocol);
             let before = evaluator.stats();
-            Backend::Local { evaluator, store: run_store, before }
+            Backend::Local { evaluator, before }
         }
         }
     };
@@ -521,13 +517,6 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         Backend::Local { evaluator, .. } => evaluator,
         Backend::Remote { remote, .. } => remote,
         Backend::Fleet { fleet } => fleet,
-    };
-    // The static-pruning probe analyzes locally either way (static
-    // analysis is the cheap part the paper contributes; only empirical
-    // evaluation goes remote).
-    let analysis_store = match &backend {
-        Backend::Local { store: s, .. } => s.clone(),
-        Backend::Remote { .. } | Backend::Fleet { .. } => store().clone(),
     };
 
     let run = |searcher: &mut dyn Searcher| searcher.search(&space, oracle, budget);
@@ -547,11 +536,10 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
                 TuningParams::with_geometry(128, 48),
             )
             .map_err(|e| e.to_string())?;
-            let analysis = analyze_in(
-                analysis_store.context_for(gpu.spec(), model).occupancy_table(),
-                &probe,
-                n_probe,
-            );
+            // The probe is analyzed locally even under --remote: static
+            // analysis is the cheap part the paper contributes; only
+            // empirical evaluation goes to a daemon.
+            let analysis = analyze(&probe, n_probe);
             let level = if strategy == "static" {
                 oriole_tuner::search::PruneLevel::Static
             } else {
@@ -1130,13 +1118,6 @@ fn cmd_store(argv: &[String]) -> Result<String, String> {
     }
 }
 
-/// Renders the `--stats` cache-telemetry block: what this run added on
-/// top of whatever the process-level store already held, plus the model
-/// context's hit rates — the observable form of the speedups the bench
-/// harness measures. The model counters are per backend by
-/// construction: a context serves exactly one [`ModelId`], and the
-/// store never lets backends share model contexts or measurement tiers,
-/// so the rates below always describe the named model alone.
 /// Nanosecond counters read badly raw; render at the precision a human
 /// compares phases at (whole ns below 10µs, then µs, then ms).
 fn fmt_ns(ns: u64) -> String {
@@ -1149,15 +1130,10 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Renders the `--stats` cache-telemetry block: what this run added on
+/// top of whatever the process-level store already held, and the timing
+/// model it ran under.
 fn render_stats(before: EvalStats, after: EvalStats) -> String {
-    let rate = |hits: u64, misses: u64| -> String {
-        let total = hits + misses;
-        if total == 0 {
-            "n/a (0 lookups)".to_string()
-        } else {
-            format!("{:.1}% ({hits}/{total})", 100.0 * hits as f64 / total as f64)
-        }
-    };
     let mut out = String::new();
     let _ = writeln!(out, "cache stats (this run, process-level store):");
     let _ = writeln!(
@@ -1198,15 +1174,7 @@ fn render_stats(before: EvalStats, after: EvalStats) -> String {
         fmt_ns(phases.regalloc_ns),
         phases.regalloc_calls
     );
-    let m = after.model;
-    let b = before.model;
-    let _ = writeln!(out, "  timing model: {} (all rates below are this backend's)", m.model);
-    let _ = writeln!(
-        out,
-        "  occupancy table: {} entries, hit rate {}",
-        m.occ_entries,
-        rate(m.occ_hits - b.occ_hits, m.occ_misses - b.occ_misses)
-    );
+    let _ = writeln!(out, "  timing model: {}", after.model);
     out
 }
 
@@ -1285,7 +1253,6 @@ mod tests {
             "program index:",
             "fast-path hits",
             "timing model: sim",
-            "occupancy table:",
         ] {
             assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
         }
@@ -1785,5 +1752,9 @@ mod tests {
         assert!(call("frobnicate").is_err());
         assert!(call("tune --kernel atax --gpu k20 --strategy magic").is_err());
         assert!(call("simulate --kernel atax --gpu k20 --pl 32").is_err());
+        // u32::MAX trials parse; they used to be drawn and stored.
+        let err = call("simulate --kernel atax --gpu k20 --trials 4294967295").unwrap_err();
+        assert!(err.contains("--trials"), "{err}");
+        assert!(call(&format!("simulate --kernel atax --gpu k20 --trials {MAX_TRIALS}")).is_ok());
     }
 }

@@ -8,7 +8,9 @@ use crate::pipeline::PipelineUtilization;
 use crate::predict::predict_time_indexed;
 use crate::rules;
 use crate::suggest::{suggest_from, Suggestion};
-use oriole_arch::{GpuSpec, OccupancyInput, OccupancyTable, ThroughputTable};
+#[allow(deprecated)]
+use oriole_arch::OccupancyTable;
+use oriole_arch::{GpuSpec, OccupancyInput, ThroughputTable};
 use oriole_codegen::CompiledKernel;
 use oriole_ir::{text, LaunchGeometry, ParseError, Program, ProgramIndex};
 use std::fmt::Write as _;
@@ -52,25 +54,17 @@ pub fn analyze(kernel: &CompiledKernel, n: u64) -> StaticAnalysis {
         &kernel.index,
         &kernel.program,
         &kernel.gpu,
-        None,
         LaunchGeometry::new(n, kernel.params.tc, kernel.params.bc),
     )
 }
 
-/// [`analyze`] with the occupancy model served from a device
-/// [`OccupancyTable`] (usually a model context's). The suggestion scan
-/// and occupancy analysis probe the same tiny quantized domain for every
-/// kernel on a device, so batch analyses hit the memo; results are
-/// bit-identical to [`analyze`].
+/// [`analyze`] under the signature `benchmark/API.md` names; `table`
+/// is the kernel's device.
+#[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+#[allow(deprecated)]
 pub fn analyze_in(table: &OccupancyTable, kernel: &CompiledKernel, n: u64) -> StaticAnalysis {
     debug_assert_eq!(*table.spec(), kernel.gpu, "table built for another device");
-    analyze_program(
-        &kernel.index,
-        &kernel.program,
-        &kernel.gpu,
-        Some(table),
-        LaunchGeometry::new(n, kernel.params.tc, kernel.params.bc),
-    )
+    analyze(kernel, n)
 }
 
 /// Analyzes a textual disassembly listing — the paper's actual tool
@@ -95,14 +89,13 @@ pub fn analyze_disassembly(
     // analysis (identical contents to the compiled path's, since the
     // parse round-trips the program exactly).
     let index = ProgramIndex::build(&program);
-    Ok(analyze_program(&index, &program, gpu, None, geometry))
+    Ok(analyze_program(&index, &program, gpu, geometry))
 }
 
 fn analyze_program(
     index: &ProgramIndex,
     program: &Program,
     gpu: &GpuSpec,
-    table: Option<&OccupancyTable>,
     geometry: LaunchGeometry,
 ) -> StaticAnalysis {
     let mix = MixReport::compute_with(index, program, geometry);
@@ -112,22 +105,14 @@ fn analyze_program(
         smem_per_block: program.meta.smem_static,
         shmem_per_mp: None,
     };
-    let occupancy = match table {
-        Some(t) => OccupancyAnalysis::compute_in(t, occ_input),
-        None => OccupancyAnalysis::compute(gpu, occ_input),
-    };
+    let occupancy = OccupancyAnalysis::compute(gpu, occ_input);
     // One Table II column serves both the pipeline estimate and the
     // Eq. 6 prediction; the program's family always matches the GPU's
     // (`analyze_disassembly` rejects mismatches up front).
     let throughput = ThroughputTable::for_family(gpu.family);
     let pipeline = PipelineUtilization::compute(&mix.expected_counts, throughput);
     let divergence = analyze_divergence_with(index, program, geometry);
-    let suggestion = match table {
-        Some(t) => {
-            crate::suggest::suggest_from_in(t, program.meta.regs_per_thread, program.meta.smem_static)
-        }
-        None => suggest_from(gpu, program.meta.regs_per_thread, program.meta.smem_static),
-    };
+    let suggestion = suggest_from(gpu, program.meta.regs_per_thread, program.meta.smem_static);
     let rule_threads = rules::rule_based_threads(&suggestion.thread_counts, mix.intensity);
     let predicted_time = predict_time_indexed(throughput, index, program, geometry);
     StaticAnalysis {

@@ -44,7 +44,9 @@ pub mod suggest;
 
 mod analyzer;
 
-pub use analyzer::{analyze, analyze_disassembly, analyze_in, StaticAnalysis};
+#[allow(deprecated)]
+pub use analyzer::analyze_in;
+pub use analyzer::{analyze, analyze_disassembly, StaticAnalysis};
 pub use divergence::{analyze_divergence, analyze_divergence_with, DivergenceFinding, DivergenceReport};
 pub use mix::MixReport;
 pub use occupancy::OccupancyAnalysis;

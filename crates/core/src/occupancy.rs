@@ -1,6 +1,6 @@
 //! The paper's occupancy model (Eqs. 1–5), analyzer-facing.
 
-use oriole_arch::{occupancy as occ_calc, GpuSpec, Limiter, Occupancy, OccupancyInput, OccupancyTable};
+use oriole_arch::{occupancy as occ_calc, GpuSpec, Limiter, Occupancy, OccupancyInput};
 
 /// Occupancy analysis of one compiled configuration: Eq. 1's argmin with
 /// attribution, Eq. 2's ratio, and the per-resource block limits of
@@ -23,17 +23,6 @@ impl OccupancyAnalysis {
             result: occ_calc(spec, input),
             input,
             warps_per_mp: spec.warps_per_mp,
-        }
-    }
-
-    /// [`OccupancyAnalysis::compute`] served from a device
-    /// [`OccupancyTable`] — bit-identical, but repeated analyses on one
-    /// device (sweep reports, suggestion scans) hit the memo.
-    pub fn compute_in(table: &OccupancyTable, input: OccupancyInput) -> OccupancyAnalysis {
-        OccupancyAnalysis {
-            result: table.lookup(input),
-            input,
-            warps_per_mp: table.spec().warps_per_mp,
         }
     }
 

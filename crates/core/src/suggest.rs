@@ -15,7 +15,9 @@
 //!   see DESIGN.md §1 on why the paper's own Table VII mixes quantized
 //!   and unquantized values).
 
-use oriole_arch::{occupancy, GpuSpec, Occupancy, OccupancyInput, OccupancyTable};
+#[allow(deprecated)]
+use oriole_arch::OccupancyTable;
+use oriole_arch::{occupancy, GpuSpec, OccupancyInput};
 use oriole_codegen::CompiledKernel;
 
 /// The analyzer's Table VII row for one kernel/GPU pair.
@@ -38,24 +40,11 @@ pub struct Suggestion {
 /// Block sizes (warp multiples up to the device limit) whose warp count
 /// alone permits full occupancy — the `T*` candidate set.
 pub fn full_occupancy_block_sizes(spec: &GpuSpec) -> Vec<u32> {
-    full_occupancy_block_sizes_via(spec, &|input| occupancy(spec, input))
-}
-
-/// [`full_occupancy_block_sizes`] probing a device [`OccupancyTable`]
-/// instead of recomputing (the probes repeat per kernel and per report).
-pub fn full_occupancy_block_sizes_in(table: &OccupancyTable) -> Vec<u32> {
-    full_occupancy_block_sizes_via(table.spec(), &|input| table.lookup(input))
-}
-
-fn full_occupancy_block_sizes_via(
-    spec: &GpuSpec,
-    occ_of: &dyn Fn(OccupancyInput) -> Occupancy,
-) -> Vec<u32> {
     let mut out = Vec::new();
     let step = spec.warp_size;
     let mut tc = step;
     while tc <= spec.threads_per_block {
-        let o = occ_of(OccupancyInput::of_block(tc));
+        let o = occupancy(spec, OccupancyInput::of_block(tc));
         if o.occupancy == 1.0 {
             out.push(tc);
         }
@@ -72,37 +61,19 @@ pub fn suggest(kernel: &CompiledKernel) -> Suggestion {
 /// [`suggest`] from raw resource numbers (the disassembly-header path:
 /// everything needed is in the `ptxas`-style metadata).
 pub fn suggest_from(spec: &GpuSpec, regs_per_thread: u32, smem: u32) -> Suggestion {
-    suggest_via(spec, &|input| occupancy(spec, input), regs_per_thread, smem)
-}
-
-/// [`suggest_from`] backed by a device [`OccupancyTable`]. The register
-/// headroom scan alone probes the calculator up to `R^cc_T` times with
-/// inputs that repeat across kernels and reports, so the memoized path
-/// pays off wherever a table (usually a model context's) is at hand.
-/// Bit-identical to [`suggest_from`].
-pub fn suggest_from_in(table: &OccupancyTable, regs_per_thread: u32, smem: u32) -> Suggestion {
-    suggest_via(table.spec(), &|input| table.lookup(input), regs_per_thread, smem)
-}
-
-fn suggest_via(
-    spec: &GpuSpec,
-    occ_of: &dyn Fn(OccupancyInput) -> Occupancy,
-    regs_per_thread: u32,
-    smem: u32,
-) -> Suggestion {
     let regs_used = regs_per_thread.max(1);
 
-    let thread_counts = full_occupancy_block_sizes_via(spec, occ_of);
+    let thread_counts = full_occupancy_block_sizes(spec);
 
     // occ*: the register-limited warp capacity ratio at the kernel's
     // actual register usage (unquantized, as Table VII reports it).
     let probe_tc = thread_counts.first().copied().unwrap_or(spec.warp_size);
-    let at_regs = occ_of(OccupancyInput {
-        tc: probe_tc,
-        regs_per_thread: regs_used,
-        smem_per_block: smem,
-        shmem_per_mp: None,
-    });
+    let at = |regs_per_thread| {
+        let input =
+            OccupancyInput { tc: probe_tc, regs_per_thread, smem_per_block: smem, shmem_per_mp: None };
+        occupancy(spec, input)
+    };
+    let at_regs = at(regs_used);
     let occ_star =
         f64::from(at_regs.warp_limit_by_regs.min(spec.warps_per_mp)) / f64::from(spec.warps_per_mp);
 
@@ -111,13 +82,7 @@ fn suggest_via(
     let current_cap = at_regs.warp_limit_by_regs.min(spec.warps_per_mp);
     let mut max_regs = regs_used;
     for r in regs_used..=spec.regs_per_thread_max {
-        let o = occ_of(OccupancyInput {
-            tc: probe_tc,
-            regs_per_thread: r,
-            smem_per_block: smem,
-            shmem_per_mp: None,
-        });
-        if o.warp_limit_by_regs.min(spec.warps_per_mp) >= current_cap {
+        if at(r).warp_limit_by_regs.min(spec.warps_per_mp) >= current_cap {
             max_regs = r;
         } else {
             break;
@@ -137,6 +102,13 @@ fn suggest_via(
         smem_headroom,
         occ_star,
     }
+}
+
+/// [`suggest_from`] under the signature `benchmark/API.md` names.
+#[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+#[allow(deprecated)]
+pub fn suggest_from_in(table: &OccupancyTable, regs_per_thread: u32, smem: u32) -> Suggestion {
+    suggest_from(table.spec(), regs_per_thread, smem)
 }
 
 impl Suggestion {
@@ -193,20 +165,19 @@ mod tests {
         // ceiling, so headroom = 32 − R_u whenever R_u ≤ 32 (paper rows
         // like ATAX [27:5], BiCG [28:4]).
         let s = suggestion(KernelId::Atax, Gpu::K20);
-        if s.regs_used <= 32 {
-            assert_eq!(s.regs_used + s.reg_headroom, 32, "{}", s.row());
-            assert_eq!(s.occ_star, 1.0);
-        }
+        assert!(s.regs_used <= 32, "ATAX outgrew the Kepler ceiling: {}", s.row());
+        assert_eq!(s.regs_used + s.reg_headroom, 32, "{}", s.row());
+        assert_eq!(s.occ_star, 1.0);
     }
 
     #[test]
     fn fermi_occ_star_below_one_for_register_heavy_kernels() {
-        // Fermi's 32 K register file: ≥27 regs/thread cannot sustain 48
-        // warps (paper: BiCG .75, ex14FJ .71).
+        // Fermi's 32 K register file sustains 48 warps up to 20
+        // regs/thread (⌊32768 / ceil64(21·32)⌋ = 46 warps); the paper's
+        // register-heavy rows sit above that (BiCG 27 → .75, ex14FJ .71).
         let s = suggestion(KernelId::Ex14Fj, Gpu::M2050);
-        if s.regs_used >= 27 {
-            assert!(s.occ_star < 1.0, "{}", s.row());
-        }
+        assert!(s.regs_used > 20, "ex14FJ is no longer register-heavy: {}", s.row());
+        assert!(s.occ_star < 1.0, "{}", s.row());
         let k = suggestion(KernelId::Ex14Fj, Gpu::K20);
         assert!(k.occ_star >= s.occ_star);
     }

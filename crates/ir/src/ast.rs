@@ -333,10 +333,11 @@ pub struct SharedDecl {
 }
 
 impl SharedDecl {
-    /// Total bytes this declaration occupies for a block of `tc` threads.
+    /// Total bytes this declaration occupies for a block of `tc` threads
+    /// (saturating: past `u32::MAX` it exceeds every device's limit).
     pub fn bytes_for_block(&self, tc: u32) -> u32 {
-        let elems = if self.scales_with_block { self.elems * tc } else { self.elems };
-        elems * u32::from(self.elem_bytes)
+        let per_thread = if self.scales_with_block { tc } else { 1 };
+        self.elems.saturating_mul(per_thread).saturating_mul(u32::from(self.elem_bytes))
     }
 }
 
@@ -345,7 +346,7 @@ impl SharedDecl {
 /// [`KernelAst::shared_bytes`] and the compile back-end (which carries
 /// the declarations without the rest of the AST).
 pub fn shared_bytes_for_block(shared: &[SharedDecl], tc: u32) -> u32 {
-    shared.iter().map(|d| d.bytes_for_block(tc)).sum()
+    shared.iter().fold(0, |bytes, d| bytes.saturating_add(d.bytes_for_block(tc)))
 }
 
 /// A complete kernel in structured form.

@@ -22,7 +22,7 @@
 
 use oriole_arch::GpuSpec;
 use oriole_codegen::{PhaseTelemetry, TuningParams};
-use oriole_sim::{ModelId, SimReport};
+use oriole_sim::{ModelId, SimReport, MAX_TRIALS};
 use oriole_tuner::persist::{self, WireError};
 use oriole_tuner::{EvalProtocol, Measurement};
 
@@ -30,11 +30,11 @@ use oriole_tuner::{EvalProtocol, Measurement};
 /// every payload. v4 changes the frame, not the text: the checksum is
 /// the word-at-a-time [`persist::frame_checksum`] under the magic
 /// `ORL4`, so a v3 peer (FNV-1a, `ORLF`) is refused at its first frame;
-/// `simulate`'s `trials` is range-checked, not truncated. (v3 brought
-/// correlation-tagged frames — pipelining, out-of-order responses — and
-/// the reactor counters in `stats`; v2 request deadlines, the `busy`
-/// response and the pool/quota counters.) Mixed-version peers are
-/// rejected — the error names both versions.
+/// a request's `trials` is bounded by [`MAX_TRIALS`], not truncated.
+/// (v3 brought correlation-tagged frames — pipelining, out-of-order
+/// responses — and the reactor counters in `stats`; v2 request
+/// deadlines, the `busy` response and the pool/quota counters.)
+/// Mixed-version peers are rejected — the error names both versions.
 pub const RPC_VERSION: &str = "oriole-rpc v4";
 
 /// The experiment scope of an `evaluate` batch: exactly the
@@ -236,6 +236,15 @@ fn parse_u64(text: &str, key: &str) -> Result<u64, WireError> {
     text.parse().map_err(|_| WireError::new(format!("bad numeric `{key}`")))
 }
 
+/// A request's trial count, refused past [`MAX_TRIALS`]: a worker draws
+/// (and for some selections stores) every trial it is asked for.
+fn check_trials(trials: u64) -> Result<u32, WireError> {
+    u32::try_from(trials)
+        .ok()
+        .filter(|t| *t <= MAX_TRIALS)
+        .ok_or_else(|| WireError::new(format!("`trials` out of range (at most {MAX_TRIALS})")))
+}
+
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
@@ -283,6 +292,7 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
                 sizes: parse_sizes(body_field(&body, "sizes")?)?,
                 protocol: persist::parse_protocol(body_field(&body, "protocol")?)?,
             };
+            check_trials(u64::from(scope.protocol.trials))?;
             let mut points = Vec::with_capacity(body.len());
             for line in body.iter().filter_map(|l| l.strip_prefix("p ")) {
                 points.push(persist::parse_params(line)?);
@@ -302,8 +312,7 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
             params: persist::parse_params(body_field(&body, "params")?)?,
             model: ModelId::parse(body_field(&body, "model")?)
                 .ok_or_else(|| WireError::new("unknown model id"))?,
-            trials: u32::try_from(parse_u64(body_field(&body, "trials")?, "trials")?)
-                .map_err(|_| WireError::new("`trials` out of range"))?,
+            trials: check_trials(parse_u64(body_field(&body, "trials")?, "trials")?)?,
             seed: u64::from_str_radix(body_field(&body, "seed")?, 16)
                 .map_err(|_| WireError::new("bad seed"))?,
         }),
@@ -691,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_trials_past_u32_are_refused_not_truncated() {
+    fn trials_past_the_bound_are_refused_not_truncated() {
         let request = |trials: u64| {
             let sample = Request::Simulate {
                 kernel: "bicg".into(),
@@ -707,11 +716,25 @@ mod tests {
         // 2^32 + 10 used to wrap to ten trials.
         let err = parse_request(&request(4_294_967_306)).unwrap_err();
         assert!(err.to_string().contains("trials"), "{err}");
-        assert!(parse_request(&request(u64::from(u32::MAX) + 1)).is_err());
-        match parse_request(&request(u64::from(u32::MAX))).unwrap() {
-            Request::Simulate { trials, .. } => assert_eq!(trials, u32::MAX),
+        // u32::MAX used to be taken at its word: 34 GB of trial times.
+        assert!(parse_request(&request(u64::from(u32::MAX))).is_err());
+        assert!(parse_request(&request(u64::from(MAX_TRIALS) + 1)).is_err());
+        match parse_request(&request(u64::from(MAX_TRIALS))).unwrap() {
+            Request::Simulate { trials, .. } => assert_eq!(trials, MAX_TRIALS),
             other => panic!("{other:?}"),
         }
+        // An `evaluate` scope carries a trial count too.
+        let evaluate = |trials: u32| {
+            let protocol = EvalProtocol { trials, ..EvalProtocol::default() };
+            emit_request(&Request::Evaluate {
+                scope: EvalScope { protocol, ..scope() },
+                points: vec![TuningParams::with_geometry(128, 48)],
+                deadline_ms: 0,
+            })
+        };
+        assert!(parse_request(&evaluate(MAX_TRIALS)).is_ok());
+        let err = parse_request(&evaluate(MAX_TRIALS + 1)).unwrap_err();
+        assert!(err.to_string().contains("trials"), "{err}");
     }
 
     #[test]

@@ -1024,6 +1024,17 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
 /// Executes one request body and returns its answer as a finished
 /// frame for `corr`.
 fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState) -> Vec<u8> {
+    // The codec hands over whatever device the frame spelled; one the
+    // models would divide by zero on must not reach the store.
+    let device = match &req {
+        Request::Evaluate { scope, .. } => Some(&scope.gpu),
+        Request::Simulate { gpu, .. } => Some(gpu),
+        Request::Ping | Request::Shutdown | Request::Stats => None,
+    };
+    if let Some(problem) = device.and_then(|gpu| gpu.problems().into_iter().next()) {
+        let message = format!("unusable device description: {problem}");
+        return frame_response(corr, &Response::Error { message });
+    }
     let resp = match req {
         Request::Ping => Response::Pong,
         Request::Shutdown => Response::ShuttingDown,
@@ -1127,14 +1138,11 @@ fn handle_simulate(
         Ok(k) => k,
         Err(e) => return Response::Error { message: e.to_string() },
     };
-    let ctx = store.context_for(gpu, model);
-    let report = match ctx.simulate(&compiled, n) {
-        Ok(r) => r,
-        Err(e) => return Response::Error { message: e.to_string() },
-    };
-    let times = match ctx.measure(&compiled, n, trials, seed) {
-        Ok(t) => t,
-        Err(e) => return Response::Error { message: e.to_string() },
-    };
-    Response::Simulate { selected: times.selected(TrialProtocol::FifthOfTen), report }
+    match store.context_for(gpu, model).measure(&compiled, n, trials, seed) {
+        Ok(t) => Response::Simulate {
+            selected: t.selected(TrialProtocol::FifthOfTen),
+            report: t.report,
+        },
+        Err(e) => Response::Error { message: e.to_string() },
+    }
 }

@@ -12,6 +12,7 @@ use oriole_service::{
     ChaosPlan, ChaosProxy, Client, CoalesceConfig, EvalScope, FaultSpec, RemoteEvaluator,
     RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
 };
+use oriole_sim::{ModelId, MAX_TRIALS};
 use oriole_tuner::persist::{read_frame, write_frame};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
 use std::net::SocketAddr;
@@ -558,5 +559,57 @@ fn oversized_evaluate_batches_are_a_loud_per_request_error() {
     // The connection survives a per-request error.
     client.ping().expect("connection survives");
     drop(client);
+    shutdown_daemon(daemon, handle);
+}
+
+#[test]
+fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() {
+    // A device is wire input: these three used to panic the worker that
+    // took the frame (a division by zero warps per block, by zero block
+    // slots, a wrapped register product), and a dead worker answers
+    // nothing, ever. Two worker threads, six such frames.
+    let cfg = ServeConfig { workers: 2, max_inflight: 2, ..ServeConfig::default() };
+    let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
+    let k20 = Gpu::K20.spec();
+    let p = TuningParams::with_geometry(128, 48);
+    let policy = test_policy();
+
+    let client = Client::connect_with(&daemon.to_string(), policy).expect("connect");
+    let refused = |what: &str, outcome: Result<(), ServiceError>, asked: Instant| {
+        let err = outcome.expect_err(what);
+        assert!(matches!(err, ServiceError::Remote(_)), "{what}: {err}");
+        assert!(asked.elapsed() < policy.rpc_timeout, "{what}: answered, not timed out");
+    };
+    for (field, gpu) in [
+        ("tpw:0", GpuSpec { threads_per_warp: 0, ..k20.clone() }),
+        ("mp:0", GpuSpec { multiprocessors: 0, ..k20.clone() }),
+        ("tpw:2^28", GpuSpec { threads_per_warp: 1 << 28, ..k20.clone() }),
+    ] {
+        let asked = Instant::now();
+        refused(field, client.evaluate(&scope("atax", &gpu, &[64]), &[p]).map(drop), asked);
+        let asked = Instant::now();
+        let simulated = client.simulate("atax", &gpu, 64, p, ModelId::Simulator, 10, 7);
+        refused(field, simulated.map(drop), asked);
+    }
+    // So is a trial count; one past the bound, so that a build without
+    // the bound answers this frame instead of drawing 2^32 trials.
+    let asked = Instant::now();
+    let simulated = client.simulate("atax", k20, 64, p, ModelId::Simulator, MAX_TRIALS + 1, 7);
+    refused("trials", simulated.map(drop), asked);
+    assert_eq!(client.retries(), 0, "deterministic refusals are not retried");
+    drop(client);
+
+    // Both workers are still there.
+    let fresh = Client::connect_with(&daemon.to_string(), policy).expect("connect");
+    fresh.ping().expect("ping");
+    let space = SearchSpace::tiny();
+    let points: Vec<TuningParams> = space.iter().collect();
+    let (_, remote) = fresh.evaluate(&scope("atax", k20, &[64]), &points).expect("evaluate");
+    let local = local_sweep(KernelId::Atax, k20, &[64], &space);
+    assert_eq!(remote, local);
+    for (r, l) in remote.iter().zip(&local) {
+        assert_eq!(r.time_ms.to_bits(), l.time_ms.to_bits());
+    }
+    drop(fresh);
     shutdown_daemon(daemon, handle);
 }

@@ -1,27 +1,24 @@
-//! Device-scoped model context: the estimation services of one
-//! `(device, timing model)` pair.
+//! Device-scoped model context: the `(device, configuration, timing
+//! model)` binding the evaluation layers share.
 //!
 //! The free functions of this crate ([`simulate`](crate::simulate),
 //! [`measure`](crate::measure), [`dynamic_mix`](crate::dynamic_mix)) are
-//! pure in their inputs, and real workloads hammer them with *related*
-//! inputs: the paper's 5,120-point space shares ten lowered programs per
-//! input size, every simulation recomputes the same occupancy point, and
-//! neighbouring variants share a launch shape. [`ModelContext`] owns
-//! what is shared process-wide and takes from its caller what is shared
-//! only between neighbours:
-//!
-//! * an [`OccupancyTable`] over the quantized `(warps, regs, smem,
-//!   L1-split)` domain — every estimate's occupancy lookup, shared by
-//!   every thread;
-//! * [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`]:
-//!   the per-warp profile and the dynamic mix depend on the launch
-//!   geometry alone (`TC`, busy blocks / `BC`), so a sweep worker that
-//!   carries one scratch over the variants of a front-end artifact
-//!   walks the program once per geometry, not once per variant.
+//! pure in their inputs and fixed to the simulator backend under the
+//! family-default configuration. [`ModelContext`] is the same
+//! arithmetic with those three choices made once: it holds a
+//! [`GpuSpec`], a [`SimConfig`] and a [`TimingModel`] backend, owns no
+//! cache and has no interior mutability. What real workloads *can*
+//! share between neighbouring launches it takes from its caller:
+//! [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`] — the
+//! per-warp profile and the dynamic mix depend on the launch geometry
+//! alone (`TC`, busy blocks / `BC`), so a sweep worker that carries one
+//! scratch over the variants of a front-end artifact walks the program
+//! once per geometry, not once per variant.
 //!
 //! Estimates themselves are **not** cached: the tuner's measurement
 //! tier deduplicates per tuning point one layer up, so below it every
 //! `(program, point, n)` is asked for once and a cache would never hit.
+//! Occupancy is [`oriole_arch::occupancy()`], computed per estimate.
 //!
 //! # Pluggable backends
 //!
@@ -48,36 +45,23 @@ use crate::counters;
 use crate::machine::{LaunchScratch, SimError, SimReport};
 use crate::model::{ModelEnv, ModelId, TimingModel};
 use crate::noise::{noisy_trials, TrialProtocol, Trials};
-use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OccupancyTable, OpClass};
+use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OpClass};
 use oriole_codegen::{CompiledKernel, FrontEnd};
 use oriole_ir::MixCounts;
 
 /// Placeholder for the content-addressed key of the retired dynamic-mix
 /// memo: it carries nothing and nothing reads it. Kept, with the
 /// `_keyed` methods, for callers written against that memo.
+#[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProgramKey;
 
+#[allow(deprecated)]
 impl ProgramKey {
     /// The key of a front-end artifact.
     pub fn of_front_end(_fe: &FrontEnd) -> ProgramKey {
         ProgramKey
     }
-}
-
-/// Cache telemetry of one [`ModelContext`] — the numbers behind the CLI
-/// `tune --stats` report. A context serves exactly one backend, so the
-/// hit rates are inherently per-backend; `model` names which one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ModelStats {
-    /// The backend these counters belong to.
-    pub model: ModelId,
-    /// Occupancy-table hits (legal lookups served from the table).
-    pub occ_hits: u64,
-    /// Occupancy-table misses (direct calculations performed).
-    pub occ_misses: u64,
-    /// Distinct quantized occupancy keys materialized.
-    pub occ_entries: usize,
 }
 
 /// What one launch contributes to a tuning point's measurement.
@@ -91,13 +75,15 @@ pub struct LaunchSample {
     pub reg_instructions: f64,
 }
 
-/// Per-`(device, timing model)` estimation services. See the
+/// One `(device, configuration, timing model)` binding. See the
 /// [module docs](self).
 pub struct ModelContext {
-    spec: GpuSpec,
+    /// The device, held under the newtype
+    /// [`occupancy_table`](ModelContext::occupancy_table) hands out.
+    #[allow(deprecated)]
+    spec: oriole_arch::OccupancyTable,
     cfg: SimConfig,
     model: Box<dyn TimingModel>,
-    occ: OccupancyTable,
 }
 
 impl ModelContext {
@@ -122,17 +108,18 @@ impl ModelContext {
 
     /// The fully explicit constructor: any configuration, any backend
     /// (including ones defined outside this crate).
+    #[allow(deprecated)]
     pub fn with_model(
         spec: &GpuSpec,
         cfg: SimConfig,
         model: Box<dyn TimingModel>,
     ) -> ModelContext {
-        ModelContext { spec: spec.clone(), cfg, model, occ: OccupancyTable::new(spec) }
+        ModelContext { spec: oriole_arch::OccupancyTable::new(spec), cfg, model }
     }
 
     /// The device this context serves.
     pub fn gpu(&self) -> &GpuSpec {
-        &self.spec
+        self.spec.spec()
     }
 
     /// The identity of the timing backend behind this context's
@@ -146,18 +133,6 @@ impl ModelContext {
         &self.cfg
     }
 
-    /// The device occupancy table (shared with the static-analysis
-    /// paths, which probe the same tiny domain).
-    pub fn occupancy_table(&self) -> &OccupancyTable {
-        &self.occ
-    }
-
-    /// Memoized occupancy — bit-identical to
-    /// [`oriole_arch::occupancy()`] on this device.
-    pub fn occupancy(&self, input: OccupancyInput) -> Occupancy {
-        self.occ.lookup(input)
-    }
-
     /// The one estimate every method below goes through.
     fn estimate(
         &self,
@@ -165,14 +140,13 @@ impl ModelContext {
         n: u64,
         scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
-        debug_assert_eq!(kernel.gpu, self.spec, "kernel compiled for another device");
-        let env = ModelEnv { spec: &self.spec, cfg: &self.cfg, occ: &self.occ };
+        debug_assert_eq!(kernel.gpu, *self.gpu(), "kernel compiled for another device");
+        let env = ModelEnv { spec: self.gpu(), cfg: &self.cfg };
         self.model.estimate(&env, kernel, n, scratch)
     }
 
-    /// The estimate under this context's backend, over the context's
-    /// occupancy table — for the default simulator backend,
-    /// [`simulate`](crate::simulate) exactly.
+    /// The estimate under this context's backend — for the default
+    /// simulator backend, [`simulate`](crate::simulate) exactly.
     pub fn simulate(&self, kernel: &CompiledKernel, n: u64) -> Result<SimReport, SimError> {
         self.estimate(kernel, n, &mut LaunchScratch::default())
     }
@@ -193,27 +167,10 @@ impl ModelContext {
         Ok(Trials { times_ms, report })
     }
 
-    /// [`ModelContext::measure`]; `key` is unused.
-    pub fn measure_keyed(
-        &self,
-        _key: &ProgramKey,
-        kernel: &CompiledKernel,
-        n: u64,
-        trials: u32,
-        seed: u64,
-    ) -> Result<Trials, SimError> {
-        self.measure(kernel, n, trials, seed)
-    }
-
     /// [`dynamic_mix`](crate::dynamic_mix): the counters read no device
     /// service, so this is the free function.
     pub fn dynamic_mix(&self, kernel: &CompiledKernel, n: u64) -> MixCounts {
         counters::dynamic_mix(kernel, n)
-    }
-
-    /// [`ModelContext::dynamic_mix`]; `key` is unused.
-    pub fn dynamic_mix_keyed(&self, _key: &ProgramKey, kernel: &CompiledKernel, n: u64) -> MixCounts {
-        self.dynamic_mix(kernel, n)
     }
 
     /// What the evaluation layer stores of one launch: the trial
@@ -237,20 +194,50 @@ impl ModelContext {
             reg_instructions: scratch.mix(kernel, n).get(OpClass::Regs),
         })
     }
+}
 
-    /// Cache telemetry since construction.
-    pub fn stats(&self) -> ModelStats {
-        let (occ_hits, occ_misses) = self.occ.counters();
-        ModelStats { model: self.model.id(), occ_hits, occ_misses, occ_entries: self.occ.len() }
+/// The names `benchmark/API.md` pins until its re-base; each forwards to
+/// a plain form.
+#[allow(deprecated)]
+impl ModelContext {
+    /// The device, as the argument `analyze_in` and `suggest_from_in`
+    /// take.
+    #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+    pub fn occupancy_table(&self) -> &oriole_arch::OccupancyTable {
+        &self.spec
+    }
+
+    /// [`oriole_arch::occupancy()`] on this device.
+    #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+    pub fn occupancy(&self, input: OccupancyInput) -> Occupancy {
+        oriole_arch::occupancy(self.gpu(), input)
+    }
+
+    /// [`ModelContext::measure`]; `key` is unused.
+    #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+    pub fn measure_keyed(
+        &self,
+        _key: &ProgramKey,
+        kernel: &CompiledKernel,
+        n: u64,
+        trials: u32,
+        seed: u64,
+    ) -> Result<Trials, SimError> {
+        self.measure(kernel, n, trials, seed)
+    }
+
+    /// [`ModelContext::dynamic_mix`]; `key` is unused.
+    #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
+    pub fn dynamic_mix_keyed(&self, _key: &ProgramKey, kernel: &CompiledKernel, n: u64) -> MixCounts {
+        self.dynamic_mix(kernel, n)
     }
 }
 
 impl std::fmt::Debug for ModelContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModelContext")
-            .field("gpu", &self.spec.name)
+            .field("gpu", &self.gpu().name)
             .field("model", &self.model.id())
-            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -289,7 +276,6 @@ mod tests {
         for id in crate::ModelId::ALL {
             let ctx = ModelContext::for_model(Gpu::K20.spec(), id);
             assert_eq!(ctx.model_id(), id);
-            assert_eq!(ctx.stats().model, id);
             let r = ctx.simulate(&k, 128).unwrap();
             assert!(r.time_ms > 0.0);
             // The measurement path works for every backend (noise wraps
@@ -308,11 +294,10 @@ mod tests {
     fn trial_batches_share_one_estimate_and_differ_by_seed() {
         let ctx = ModelContext::new(Gpu::K20.spec());
         let k = kernel(128, 48);
-        let a = ctx.measure_keyed(&ProgramKey, &k, 128, 10, 1).unwrap();
-        let b = ctx.measure_keyed(&ProgramKey, &k, 128, 10, 2).unwrap();
+        let a = ctx.measure(&k, 128, 10, 1).unwrap();
+        let b = ctx.measure(&k, 128, 10, 2).unwrap();
         assert_eq!(a.report, b.report, "the estimate is a pure function of its inputs");
         assert_ne!(a.times_ms, b.times_ms, "different seeds still differ");
-        assert_eq!(a, ctx.measure(&k, 128, 10, 1).unwrap(), "the key changes nothing");
     }
 
     /// Every bit of a report: floats raw, the rest as integers.

@@ -35,8 +35,8 @@
 //! behaviour (which configurations win, by roughly what factor).
 //!
 //! Everything here is pure in its inputs. [`ModelContext`] ([`context`])
-//! is the per-`(device, timing model)` form evaluation layers share: it
-//! owns the device's occupancy table, and its
+//! is the `(device, configuration, timing model)` binding evaluation
+//! layers share: it owns no cache, and its
 //! [`launch`](ModelContext::launch) takes a caller-owned
 //! [`LaunchScratch`] so variants that share a launch geometry share the
 //! program walks that depend on nothing else. The free functions stay
@@ -65,11 +65,13 @@ pub mod profile;
 pub(crate) mod testgen;
 
 pub use config::SimConfig;
-pub use context::{LaunchSample, ModelContext, ModelStats, ProgramKey};
+#[allow(deprecated)]
+pub use context::ProgramKey;
+pub use context::{LaunchSample, ModelContext};
 pub use counters::dynamic_mix;
 pub use machine::{simulate, simulate_with, BoundKind, LaunchScratch, SimError, SimReport};
 pub use model::{
     ModelEnv, ModelId, RooflineModel, SimulatorModel, StaticPredictModel, TimingModel,
 };
-pub use noise::{measure, measure_with, TrialProtocol, Trials};
+pub use noise::{measure, measure_with, TrialProtocol, Trials, MAX_TRIALS};
 pub use profile::WarpProfile;

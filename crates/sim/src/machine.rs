@@ -22,8 +22,9 @@
 
 use crate::config::SimConfig;
 use crate::counters;
+use crate::model::ModelEnv;
 use crate::profile::WarpProfile;
-use oriole_arch::{occupancy, Family, Limiter, Occupancy, OccupancyInput};
+use oriole_arch::{Family, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
 use oriole_ir::{MixCounts, ProgramIndex};
 use std::fmt;
@@ -173,23 +174,6 @@ pub fn effective_shmem_per_mp(family: Family, pl: PreferredL1, default_shmem: u3
     }
 }
 
-/// The occupancy-calculator input of one compiled kernel's launch —
-/// the single feasibility gate every [`TimingModel`](crate::TimingModel)
-/// backend shares, so a configuration is infeasible under one backend
-/// iff it is infeasible under all of them.
-pub(crate) fn occ_input_of(kernel: &CompiledKernel) -> OccupancyInput {
-    OccupancyInput {
-        tc: kernel.params.tc,
-        regs_per_thread: kernel.regs_per_thread(),
-        smem_per_block: kernel.smem_per_block,
-        shmem_per_mp: Some(effective_shmem_per_mp(
-            kernel.gpu.family,
-            kernel.params.pl,
-            kernel.gpu.shmem_per_mp,
-        )),
-    }
-}
-
 /// Largest grid-stride item count in the program, i.e. how much
 /// parallelism the kernel actually exposes at problem size `n`
 /// (`None` when the kernel has no grid-stride loop). Served from the
@@ -215,30 +199,22 @@ pub fn simulate_with(
     n: u64,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let occ_of = |input| occupancy(&kernel.gpu, input);
-    simulate_via(kernel, n, cfg, &occ_of, &mut LaunchScratch::default())
+    let env = ModelEnv { spec: &kernel.gpu, cfg };
+    simulate_via(&env, kernel, n, &mut LaunchScratch::default())
 }
 
-/// The whole timing model with the occupancy calculation supplied by the
-/// caller — the direct calculator for the free functions, a device
-/// [`OccupancyTable`](oriole_arch::OccupancyTable) lookup for
-/// [`ModelContext`](crate::ModelContext). Both providers are
-/// bit-identical, so every path through here produces identical reports.
-/// The per-warp profile comes through `scratch`.
+/// The whole timing model; the per-warp profile comes through
+/// `scratch`.
 pub(crate) fn simulate_via(
+    env: &ModelEnv<'_>,
     kernel: &CompiledKernel,
     n: u64,
-    cfg: &SimConfig,
-    occ_of: &dyn Fn(OccupancyInput) -> Occupancy,
     scratch: &mut LaunchScratch,
 ) -> Result<SimReport, SimError> {
-    let spec = &kernel.gpu;
+    let (spec, cfg) = (env.spec, env.cfg);
     let params = kernel.params;
 
-    let occ = occ_of(occ_input_of(kernel));
-    if occ.active_blocks == 0 {
-        return Err(SimError::Infeasible { limiter: occ.limiter });
-    }
+    let occ = env.launch_occupancy(kernel)?;
 
     let threads = f64::from(params.tc) * f64::from(params.bc);
     let items = grid_items(kernel, n).unwrap_or(threads);
@@ -255,7 +231,10 @@ pub(crate) fn simulate_via(
     let busy_sms = busy_blocks.min(mp);
     let slots = occ.active_blocks * mp;
     let waves = busy_blocks.div_ceil(slots).max(1);
-    let blocks_per_sm = busy_blocks.div_ceil(waves * busy_sms).min(occ.active_blocks);
+    // Saturating: the last wave can carry the product past `u32::MAX`
+    // (`BC` is any `u32`), and any divisor that large gives one block.
+    let blocks_per_sm =
+        busy_blocks.div_ceil(waves.saturating_mul(busy_sms)).min(occ.active_blocks);
     let resident_warps = (blocks_per_sm * wb).min(spec.warps_per_mp);
 
     // Per-busy-warp profile: weights evaluated at the busy geometry,

@@ -2,10 +2,9 @@
 //! the concurrency primitive under the tuner's evaluation tiers.
 //!
 //! It lives in `oriole-sim`, the lowest crate every evaluation layer
-//! depends on; `oriole-arch`'s
-//! [`OccupancyTable`](oriole_arch::OccupancyTable) deliberately does
-//! *not* use it — its values are `Copy` results of trivial arithmetic,
-//! where recomputing on a cold race is cheaper than blocking on a cell.
+//! depends on. Nothing in this crate uses it: a value belongs here only
+//! when computing it costs far more than a lock and a hash, which
+//! occupancy (some forty integer operations) never did.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -29,9 +29,9 @@
 //!   series are the meaningful quantities.
 //! * [`RooflineModel`] — a classic throughput/bandwidth roofline from
 //!   the [`oriole_arch`] Table II issue rates and the DRAM bandwidth
-//!   constants, derated by achieved occupancy from the device
-//!   [`OccupancyTable`]. Unlike the simulator it models no latency
-//!   bound, work concentration, or divergence/barrier surcharges.
+//!   constants, derated by achieved occupancy. Unlike the simulator it
+//!   models no latency bound, work concentration, or divergence/barrier
+//!   surcharges.
 //!
 //! All backends share one launch-feasibility gate
 //! ([`ModelEnv::launch_occupancy`]): a configuration with zero active
@@ -44,10 +44,10 @@
 
 use crate::config::SimConfig;
 use crate::machine::{
-    occ_input_of, simulate_via, BoundKind, LaunchScratch, SimError, SimReport,
+    effective_shmem_per_mp, simulate_via, BoundKind, LaunchScratch, SimError, SimReport,
 };
 use crate::profile::WarpProfile;
-use oriole_arch::{GpuSpec, Occupancy, OccupancyTable};
+use oriole_arch::{occupancy, GpuSpec, Occupancy, OccupancyInput};
 use oriole_codegen::CompiledKernel;
 use std::fmt;
 
@@ -127,28 +127,35 @@ impl fmt::Display for ModelId {
     }
 }
 
-/// The device services an estimate runs against: the target spec, the
-/// simulator timing constants, and the context's memoized occupancy
-/// table. Backends receive it per call so they stay stateless and one
-/// [`ModelContext`](crate::ModelContext) can own any of them.
+/// What an estimate runs against: the target spec and the simulator
+/// timing constants. Backends receive it per call so they stay
+/// stateless and one [`ModelContext`](crate::ModelContext) can own any
+/// of them.
 pub struct ModelEnv<'a> {
     /// Target device.
     pub spec: &'a GpuSpec,
     /// Timing constants (family defaults unless the context was built
     /// for an ablation).
     pub cfg: &'a SimConfig,
-    /// The context's quantized occupancy table.
-    pub occ: &'a OccupancyTable,
 }
 
 impl ModelEnv<'_> {
     /// The launch-feasibility gate shared by every backend: the
-    /// kernel's occupancy point (memoized), or
-    /// [`SimError::Infeasible`] when zero blocks fit. Identical inputs
-    /// to the simulator's own gate, so feasibility never depends on the
-    /// selected backend.
+    /// kernel's occupancy point, or [`SimError::Infeasible`] when zero
+    /// blocks fit. The simulator goes through it too, so feasibility
+    /// never depends on the selected backend.
     pub fn launch_occupancy(&self, kernel: &CompiledKernel) -> Result<Occupancy, SimError> {
-        let occ = self.occ.lookup(occ_input_of(kernel));
+        let input = OccupancyInput {
+            tc: kernel.params.tc,
+            regs_per_thread: kernel.regs_per_thread(),
+            smem_per_block: kernel.smem_per_block,
+            shmem_per_mp: Some(effective_shmem_per_mp(
+                self.spec.family,
+                kernel.params.pl,
+                self.spec.shmem_per_mp,
+            )),
+        };
+        let occ = occupancy(self.spec, input);
         if occ.active_blocks == 0 {
             return Err(SimError::Infeasible { limiter: occ.limiter });
         }
@@ -177,9 +184,9 @@ pub trait TimingModel: Send + Sync {
 }
 
 /// The default backend: the full abstract machine of
-/// [`machine`](crate::machine), with occupancy served from the
-/// context's table. Bit-identical to the [`simulate`](crate::simulate)
-/// free function (property-tested in `tests/proptests.rs`).
+/// [`machine`](crate::machine). Bit-identical to the
+/// [`simulate`](crate::simulate) free function (property-tested in
+/// `tests/proptests.rs`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimulatorModel;
 
@@ -195,7 +202,7 @@ impl TimingModel for SimulatorModel {
         n: u64,
         scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
-        simulate_via(kernel, n, env.cfg, &|input| env.occ.lookup(input), scratch)
+        simulate_via(env, kernel, n, scratch)
     }
 }
 
@@ -250,8 +257,8 @@ impl TimingModel for StaticPredictModel {
 ///
 /// * **Issue roof** — every warp's issue work (Table II rates,
 ///   including LSU replays) spread evenly over all SMs, derated by the
-///   achieved occupancy from the table: an SM running at 25% occupancy
-///   sustains a quarter of its peak issue rate.
+///   achieved occupancy: an SM running at 25% occupancy sustains a
+///   quarter of its peak issue rate.
 /// * **Bandwidth roof** — total 32-byte DRAM transactions at the
 ///   family's cycles-per-transaction constant, as in the simulator.
 ///
@@ -336,10 +343,6 @@ mod tests {
         model.estimate(env, k, n, &mut LaunchScratch::default())
     }
 
-    fn env_parts(gpu: &'static GpuSpec) -> (SimConfig, OccupancyTable) {
-        (SimConfig::for_family(gpu.family), OccupancyTable::new(gpu))
-    }
-
     #[test]
     fn ids_are_stable_and_parse_round_trips() {
         for id in ModelId::ALL {
@@ -356,8 +359,8 @@ mod tests {
     #[test]
     fn simulator_backend_matches_free_function() {
         let gpu = Gpu::K20.spec();
-        let (cfg, occ) = env_parts(gpu);
-        let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
+        let cfg = SimConfig::for_family(gpu.family);
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
         assert_eq!(
             fresh(&SimulatorModel, &env, &k, 256).unwrap(),
@@ -368,8 +371,8 @@ mod tests {
     #[test]
     fn static_backend_reports_eq6_cost() {
         let gpu = Gpu::K20.spec();
-        let (cfg, occ) = env_parts(gpu);
-        let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
+        let cfg = SimConfig::for_family(gpu.family);
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
         let r = fresh(&StaticPredictModel, &env, &k, 256).unwrap();
         let expected =
@@ -383,8 +386,8 @@ mod tests {
     #[test]
     fn roofline_is_bounded_and_distinct_from_simulator() {
         let gpu = Gpu::K20.spec();
-        let (cfg, occ) = env_parts(gpu);
-        let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
+        let cfg = SimConfig::for_family(gpu.family);
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
         let roof = fresh(&RooflineModel, &env, &k, 256).unwrap();
         let sim = fresh(&SimulatorModel, &env, &k, 256).unwrap();
@@ -398,8 +401,8 @@ mod tests {
     #[test]
     fn roofline_grows_with_problem_size() {
         let gpu = Gpu::K20.spec();
-        let (cfg, occ) = env_parts(gpu);
-        let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
+        let cfg = SimConfig::for_family(gpu.family);
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let small = fresh(&RooflineModel, &env, &kernel(128, 48), 64).unwrap();
         let large = fresh(&RooflineModel, &env, &kernel(128, 48), 512).unwrap();
         assert!(large.time_ms > small.time_ms);
@@ -417,8 +420,8 @@ mod tests {
         params.pl = oriole_codegen::PreferredL1::Kb48;
         let k = compile(&ast, Gpu::K20.spec(), params).unwrap();
         let gpu = Gpu::K20.spec();
-        let (cfg, occ) = env_parts(gpu);
-        let env = ModelEnv { spec: gpu, cfg: &cfg, occ: &occ };
+        let cfg = SimConfig::for_family(gpu.family);
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let errs: Vec<SimError> = ModelId::ALL
             .iter()
             .map(|id| fresh(id.backend().as_ref(), &env, &k, 64).unwrap_err())

@@ -13,6 +13,11 @@ use oriole_codegen::CompiledKernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The most trials one measurement may ask for (the paper runs ten),
+/// checked where a count enters from outside — a wire frame, `--trials`
+/// — so no request sizes a trial vector (34 GB at `u32::MAX`).
+pub const MAX_TRIALS: u32 = 10_000;
+
 /// How a single representative time is chosen from repeated trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrialProtocol {

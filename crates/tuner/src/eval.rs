@@ -15,10 +15,10 @@
 //!    lowering, so the paper's 5,120-point space shares ten lowered
 //!    programs per input size. Each variant then pays only the cheap
 //!    param-dependent back-end ([`FrontEnd::specialize`]).
-//! 3. **Model context** — the device-scoped occupancy table
-//!    ([`oriole_sim::ModelContext`]). The program walks that depend on
-//!    the launch geometry alone are shared through a [`LaunchScratch`]
-//!    per input size that a batch worker carries across its chunk.
+//! 3. **Model context** — the `(device, timing model)` binding
+//!    ([`oriole_sim::ModelContext`]); it caches nothing. Program walks
+//!    that depend on the launch geometry alone are shared through a
+//!    [`LaunchScratch`] per input size, carried across a worker's chunk.
 //! 4. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key [`OnceLock`] instead of
@@ -50,7 +50,7 @@ use oriole_arch::GpuSpec;
 use oriole_codegen::{front_end, CompileError, CompilerFlags, FrontEnd, TuningParams};
 use oriole_ir::KernelAst;
 use oriole_sim::memo::ShardedOnceMap;
-use oriole_sim::{LaunchScratch, ModelContext, ModelId, ModelStats, TrialProtocol};
+use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
 use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -226,9 +226,9 @@ impl MeasTier {
     }
 }
 
-/// Cache telemetry of one evaluator (its tiers plus the model context),
-/// the numbers behind the CLI `tune --stats` report. Counters are
-/// tier-wide: for a store-backed evaluator they aggregate every sharer.
+/// Cache telemetry of one evaluator's tiers, the numbers behind the
+/// CLI `tune --stats` report. Counters are tier-wide: for a
+/// store-backed evaluator they aggregate every sharer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
     /// Distinct tuning points measured (cache misses).
@@ -248,8 +248,8 @@ pub struct EvalStats {
     /// Divergence slow-path hits — analyses that walked precomputed
     /// divergent regions (process-wide).
     pub index_slow_path_hits: u64,
-    /// Model-context cache counters (occupancy table).
-    pub model: ModelStats,
+    /// The timing-model backend the evaluator measures with.
+    pub model: ModelId,
     /// Per-phase compile profiler snapshot (process-wide wall-clock and
     /// invocation counters for unroll/lower/optimize/regalloc).
     pub phases: oriole_codegen::PhaseTelemetry,
@@ -426,9 +426,8 @@ impl<'a> Evaluator<'a> {
     /// standalone evaluator — so measurements taken under one protocol
     /// are never served under another; front-end and AST tiers are
     /// protocol-independent and stay. When the protocol's timing model
-    /// changes, the model context is re-scoped the same way (per
-    /// `(device, model)`), so memoized model state never crosses
-    /// backends.
+    /// changes, the model context is swapped for that backend's (per
+    /// `(device, model)`).
     pub fn set_protocol(&mut self, protocol: EvalProtocol) {
         if protocol == self.protocol {
             return;
@@ -479,8 +478,8 @@ impl<'a> Evaluator<'a> {
         self.front_ends.lowerings.load(Ordering::Relaxed)
     }
 
-    /// Cache telemetry: tier counters plus the model context's, plus a
-    /// snapshot of the process-wide program-index counters.
+    /// Cache telemetry: tier counters plus a snapshot of the
+    /// process-wide program-index counters.
     pub fn stats(&self) -> EvalStats {
         let idx = oriole_ir::index::telemetry();
         EvalStats {
@@ -491,7 +490,7 @@ impl<'a> Evaluator<'a> {
             index_builds: idx.index_builds,
             index_fast_path_hits: idx.fast_path_hits,
             index_slow_path_hits: idx.slow_path_hits,
-            model: self.ctx.stats(),
+            model: self.ctx.model_id(),
             phases: oriole_codegen::profile::telemetry(),
             fleet: FleetCounters::default(),
         }
@@ -894,7 +893,7 @@ mod tests {
         let sim = ev.evaluate(p);
         ev.set_model(ModelId::Static);
         assert_eq!(ev.model(), ModelId::Static);
-        assert_eq!(ev.stats().model.model, ModelId::Static);
+        assert_eq!(ev.stats().model, ModelId::Static);
         let stat = ev.evaluate(p);
         assert!(stat.feasible);
         assert_ne!(sim.time_ms, stat.time_ms, "Eq. 6 model units vs simulator ms");
@@ -925,15 +924,20 @@ mod tests {
     #[test]
     fn stats_report_model_cache_activity() {
         let sizes = [64u64];
-        let ev = evaluator(&sizes);
+        let mut ev = evaluator(&sizes);
         let space = SearchSpace::tiny();
         ev.evaluate_space(&space);
         let stats = ev.stats();
         assert_eq!(stats.unique_evaluations, space.len());
         assert!(stats.front_end_lowerings > 0);
-        // One occupancy lookup per (point, size); the table collapses
-        // the domain massively.
-        assert_eq!((stats.model.occ_hits + stats.model.occ_misses) as usize, space.len());
-        assert!(stats.model.occ_hits > stats.model.occ_misses);
+        assert_eq!(stats.model, ModelId::Simulator);
+        // Another backend starts from an empty measurement tier (every
+        // point is computed again under it) over the same front ends.
+        ev.set_model(ModelId::Roofline);
+        ev.evaluate_space(&space);
+        let roof = ev.stats();
+        assert_eq!(roof.model, ModelId::Roofline);
+        assert_eq!(roof.unique_evaluations, space.len());
+        assert_eq!(roof.front_end_lowerings, stats.front_end_lowerings);
     }
 }

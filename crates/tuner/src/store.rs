@@ -13,7 +13,7 @@
 //! |------|-----------|---------------|
 //! | AST | `kernel` | devices, sizes, protocols, models |
 //! | front-end | `kernel × GpuSpec` (entries add `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
-//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (occupancy table) |
+//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (the backend binding; caches nothing) |
 //! | measurement | `kernel × GpuSpec × sizes × `[`EvalProtocol`] (which carries the [`ModelId`]) | repeated sweeps of one experiment |
 //! | **disk** (optional) | measurement scope, content-addressed file per tier | **processes** — sweeps resume across runs |
 //!
@@ -57,7 +57,7 @@ use crate::eval::{AstTier, EvalProtocol, Evaluator, FeTier, MeasTier};
 use crate::persist::{self, DiskStats};
 use oriole_arch::GpuSpec;
 use oriole_ir::KernelAst;
-use oriole_sim::{ModelContext, ModelId, ModelStats};
+use oriole_sim::{ModelContext, ModelId};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -109,21 +109,10 @@ pub struct StoreStats {
     pub unique_evaluations: usize,
     /// `(device, model)` contexts.
     pub contexts: usize,
-    /// Model cache counters summed *per backend* (one entry per
-    /// [`ModelId`] with at least one context, in [`ModelId::ALL`]
-    /// order) — different cost models never blur into one aggregate.
-    pub models: Vec<ModelStats>,
     /// Disk-tier counters; `None` when the store is memory-only.
     pub disk: Option<DiskStats>,
     /// Per-phase compile profiler snapshot (process-wide).
     pub phases: oriole_codegen::PhaseTelemetry,
-}
-
-impl StoreStats {
-    /// The summed counters of one backend, if any context runs it.
-    pub fn model(&self, id: ModelId) -> Option<&ModelStats> {
-        self.models.iter().find(|m| m.model == id)
-    }
 }
 
 /// Process-level artifact store; see the [module docs](self).
@@ -174,15 +163,8 @@ impl ArtifactStore {
         self.inner.disk.get().map(|d| d.dir.as_path())
     }
 
-    /// The shared default-backend (simulator) context for a device
-    /// (created on first use).
-    pub fn context(&self, gpu: &GpuSpec) -> Arc<ModelContext> {
-        self.context_for(gpu, ModelId::default())
-    }
-
     /// The shared context for a `(device, timing model)` pair (created
-    /// on first use). Contexts for different models never share caches,
-    /// even on one device.
+    /// on first use).
     pub fn context_for(&self, gpu: &GpuSpec, model: ModelId) -> Arc<ModelContext> {
         let mut map = self.inner.contexts.lock().expect("store lock");
         Arc::clone(
@@ -281,25 +263,7 @@ impl ArtifactStore {
             let map = self.inner.measurements.lock().expect("store lock");
             (map.len(), map.values().map(|t| t.unique_evaluations()).sum())
         };
-        let (contexts, models) = {
-            let map = self.inner.contexts.lock().expect("store lock");
-            let mut models: Vec<ModelStats> = Vec::new();
-            for id in ModelId::ALL {
-                let mut sum = ModelStats { model: id, ..ModelStats::default() };
-                let mut seen = false;
-                for ctx in map.values().filter(|c| c.model_id() == id) {
-                    let s = ctx.stats();
-                    seen = true;
-                    sum.occ_hits += s.occ_hits;
-                    sum.occ_misses += s.occ_misses;
-                    sum.occ_entries += s.occ_entries;
-                }
-                if seen {
-                    models.push(sum);
-                }
-            }
-            (map.len(), models)
-        };
+        let contexts = self.inner.contexts.lock().expect("store lock").len();
         StoreStats {
             kernels,
             front_end_tiers,
@@ -307,7 +271,6 @@ impl ArtifactStore {
             measurement_tiers,
             unique_evaluations,
             contexts,
-            models,
             disk: self.inner.disk.get().map(|d| d.counters.snapshot()),
             phases: oriole_codegen::profile::telemetry(),
         }
@@ -413,11 +376,12 @@ mod tests {
     #[test]
     fn contexts_are_shared_per_device_and_keyed_by_content() {
         let store = ArtifactStore::new();
-        let a = store.context(Gpu::K20.spec());
-        let b = store.context(Gpu::K20.spec());
+        let model = ModelId::default();
+        let a = store.context_for(Gpu::K20.spec(), model);
+        let b = store.context_for(Gpu::K20.spec(), model);
         assert!(Arc::ptr_eq(&a, &b));
         let custom = GpuSpec { regfile_per_mp: 32_768, ..Gpu::K20.spec().clone() };
-        let c = store.context(&custom);
+        let c = store.context_for(&custom, model);
         assert!(!Arc::ptr_eq(&a, &c), "distinct spec contents get distinct contexts");
         assert_eq!(store.stats().contexts, 2);
     }
@@ -429,7 +393,7 @@ mod tests {
         let sim = store.context_for(gpu, ModelId::Simulator);
         let stat = store.context_for(gpu, ModelId::Static);
         assert!(!Arc::ptr_eq(&sim, &stat), "one device, two backends, two contexts");
-        assert!(Arc::ptr_eq(&sim, &store.context(gpu)), "default is the simulator");
+        assert_eq!((sim.model_id(), stat.model_id()), (ModelId::Simulator, ModelId::Static));
         assert_eq!(store.stats().contexts, 2);
     }
 
@@ -511,14 +475,11 @@ mod tests {
 
         let stats = store.stats();
         // Distinct measurement tiers and contexts per backend; each
-        // backend worked in its own context (a cross-model hit would
-        // leave one of these without an occupancy calculation).
+        // backend computed its own point (a cross-model hit would leave
+        // one evaluation, not two).
         assert_eq!(stats.measurement_tiers, 2);
         assert_eq!(stats.unique_evaluations, 2);
         assert_eq!(stats.contexts, 2);
-        assert_eq!(stats.model(ModelId::Simulator).unwrap().occ_misses, 1);
-        assert_eq!(stats.model(ModelId::Static).unwrap().occ_misses, 1);
-        assert!(stats.model(ModelId::Roofline).is_none());
         // Compilation artifacts are model-independent and shared.
         assert_eq!(stats.front_end_tiers, 1);
         assert_eq!(stats.front_end_lowerings, 1);

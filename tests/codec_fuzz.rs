@@ -10,7 +10,7 @@ use oriole::codegen::{CompilerFlags, PreferredL1, TuningParams};
 use oriole::kernels::KernelId;
 use oriole::service::protocol::{emit_request, emit_response, parse_request, parse_response};
 use oriole::service::{EvalScope, Request, Response};
-use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
+use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile, MAX_TRIALS};
 use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
 use oriole::tuner::persist::{self, FileStatus};
 use oriole::tuner::ArtifactStore;
@@ -333,6 +333,57 @@ fn the_old_readers_liberties_are_refused() {
     assert_eq!(persist::unseal(&format!("r x|{}", &crc[1..])), None, "15 digits");
     assert_eq!(persist::unseal("|"), None);
     assert_eq!(persist::unseal("é|000000000000000"), None, "no split inside a character");
+}
+
+#[test]
+fn requests_carry_any_device_but_no_trial_count_past_the_bound() {
+    // For a device the request codec is a pure codec: a degenerate one
+    // round-trips, and refusing it is the server's job. A trial count is
+    // a loop bound and an allocation size inside a daemon worker: past
+    // `MAX_TRIALS` the frame itself is refused, on either verb.
+    let (mut kept, mut refused) = (0u32, 0u32);
+    for case in 0..2_000 {
+        let mut rng = TestRng::for_case("request_trials", case);
+        let trials = match rng.next_u64() % 3 {
+            0 => (rng.next_u64() % (u64::from(MAX_TRIALS) + 1)) as u32,
+            1 => MAX_TRIALS + 1 + (rng.next_u64() % 3) as u32,
+            _ => gen_u32(&mut rng),
+        };
+        let kernel = pick(&mut rng, &["atax", "no such kernel"]).to_string();
+        let gpu = gen_gpu_spec(&mut rng);
+        let request = if rng.next_u64() & 1 == 0 {
+            Request::Simulate {
+                kernel,
+                gpu,
+                n: gen_u64(&mut rng),
+                params: gen_params(&mut rng),
+                model: pick(&mut rng, &ModelId::ALL),
+                trials,
+                seed: gen_u64(&mut rng),
+            }
+        } else {
+            let protocol = EvalProtocol { trials, ..gen_protocol(&mut rng) };
+            let sizes = vec![gen_u64(&mut rng), gen_u64(&mut rng)];
+            Request::Evaluate {
+                scope: EvalScope { kernel, gpu, sizes, protocol },
+                points: vec![gen_params(&mut rng)],
+                deadline_ms: gen_u64(&mut rng),
+            }
+        };
+        match parse_request(&emit_request(&request)) {
+            Ok(back) => {
+                assert!(trials <= MAX_TRIALS, "case {case}: {trials} trials accepted");
+                assert_eq!(back, request, "case {case}");
+                kept += 1;
+            }
+            Err(e) => {
+                assert!(trials > MAX_TRIALS, "case {case}: {e}");
+                assert!(e.to_string().contains("trials"), "case {case}: {e}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(kept > 500 && refused > 500, "{kept} kept, {refused} refused");
 }
 
 // ---------------------------------------------------------------------------

@@ -238,33 +238,6 @@ proptest! {
     }
 
     #[test]
-    fn occupancy_table_matches_direct_calculator(
-        tc in 0u32..=2048,
-        regs in 0u32..=300,
-        smem in 0u32..=50_000,
-        split in prop_oneof![
-            Just(None),
-            Just(Some(16 * 1024u32)),
-            Just(Some(48 * 1024u32)),
-        ],
-    ) {
-        // The quantized table must be bit-identical to the direct
-        // calculator over the whole input domain, legal or not,
-        // including the Fermi/Kepler L1-split values.
-        use oriole::arch::{occupancy, OccupancyInput, OccupancyTable};
-        for gpu in oriole::arch::ALL_GPUS {
-            let table = OccupancyTable::new(gpu.spec());
-            let input = OccupancyInput {
-                tc,
-                regs_per_thread: regs,
-                smem_per_block: smem,
-                shmem_per_mp: split,
-            };
-            prop_assert_eq!(table.lookup(input), occupancy(gpu.spec(), input));
-        }
-    }
-
-    #[test]
     fn model_context_matches_free_functions(
         ast in arb_kernel(),
         tc_i in 1u32..=16,
@@ -333,37 +306,6 @@ proptest! {
                     prop_assert_eq!(Err(e), oriole::sim::simulate(&kernel, n));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn table_backed_analysis_matches_direct(
-        kid in prop_oneof![
-            Just(oriole::kernels::KernelId::Atax),
-            Just(oriole::kernels::KernelId::Bicg),
-            Just(oriole::kernels::KernelId::MatVec2D),
-            Just(oriole::kernels::KernelId::Ex14Fj),
-        ],
-        tc_i in 1u32..=16,
-        n in prop_oneof![Just(32u64), Just(128)],
-    ) {
-        // `analyze_in` (occupancy table + memoized suggestion scans)
-        // must reproduce `analyze` exactly for every kernel/device.
-        use oriole::arch::OccupancyTable;
-        for gpu in oriole::arch::ALL_GPUS {
-            let kernel = compile(
-                &kid.ast(n),
-                gpu.spec(),
-                TuningParams::with_geometry(tc_i * 64, 48),
-            );
-            let Ok(kernel) = kernel else { continue };
-            let table = OccupancyTable::new(gpu.spec());
-            let direct = oriole::core::analyze(&kernel, n);
-            let via_table = oriole::core::analyze_in(&table, &kernel, n);
-            prop_assert_eq!(&via_table.occupancy, &direct.occupancy);
-            prop_assert_eq!(&via_table.suggestion, &direct.suggestion);
-            prop_assert_eq!(&via_table.rule_threads, &direct.rule_threads);
-            prop_assert_eq!(via_table.predicted_time, direct.predicted_time);
         }
     }
 }
