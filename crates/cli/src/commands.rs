@@ -13,7 +13,7 @@ use oriole_service::{
     Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
     ServiceStats,
 };
-use oriole_sim::{ModelId, TrialProtocol, MAX_TRIALS};
+use oriole_sim::{ModelContext, ModelId, TrialProtocol, MAX_TRIALS};
 use oriole_tuner::{
     measurements_csv, parse_spec, replay, AnnealingSearch, ArtifactStore, EvalProtocol, EvalStats,
     ExhaustiveSearch, GeneticSearch, HybridSearch, NelderMeadSearch, Oracle, RandomSearch,
@@ -129,8 +129,8 @@ store flag (tune/simulate): --store-dir DIR
 remote flag (tune/simulate): --remote ADDR
             evaluate through a running `oriole serve` daemon instead of
             in-process: concurrent clients share the daemon's store
-            (front-ends, contexts, measurements) and results are
-            bit-identical to local evaluation. Mutually exclusive with
+            (front-ends, measurements) and results are bit-identical
+            to local evaluation. Mutually exclusive with
             --store-dir — the daemon owns the store. Deadline/retry
             knobs: --rpc-timeout MS (per-exchange deadline, default
             10000) and --retries N (transparent retry of idempotent
@@ -237,7 +237,7 @@ fn cmd_analyze(args: &Args) -> Result<String, String> {
     let model = parse_model(args)?;
     let kernel = compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
     let mut out = analyze(&kernel, n).render();
-    match store().context_for(gpu.spec(), model).simulate(&kernel, n) {
+    match ModelContext::for_model(gpu.spec(), model).simulate(&kernel, n) {
         Ok(r) => {
             let _ = writeln!(
                 out,
@@ -307,7 +307,8 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
                 compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
             // `--store-dir` is accepted (and opened) for interface
             // parity with `tune`; a simulation reads and writes no tier.
-            let ctx = resolve_store(args)?.context_for(gpu.spec(), model);
+            resolve_store(args)?;
+            let ctx = ModelContext::for_model(gpu.spec(), model);
             let t = ctx.measure(&kernel, n, trials, seed).map_err(|e| e.to_string())?;
             let selected = t.selected(TrialProtocol::FifthOfTen);
             (t.report, selected)

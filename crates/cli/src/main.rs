@@ -18,8 +18,7 @@
 //!
 //! `serve` runs the tuner daemon: one shared artifact store behind a
 //! framed RPC protocol, so concurrent `--remote` clients share
-//! front-ends, model contexts and measurements — bit-identically to
-//! local evaluation.
+//! front-ends and measurements — bit-identically to local evaluation.
 
 mod args;
 mod commands;

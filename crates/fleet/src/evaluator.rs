@@ -7,7 +7,7 @@ use crate::sched::StealScheduler;
 use crate::spec::FleetSpec;
 use oriole_codegen::TuningParams;
 use oriole_service::{Client, EvalScope, RetryPolicy, ServiceError};
-use oriole_tuner::{FleetCounters, Measurement, Oracle};
+use oriole_tuner::{Measurement, Oracle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -35,9 +35,24 @@ pub struct ShardTelemetry {
     pub eval_time: Duration,
 }
 
-/// Fleet-level telemetry: per-shard counters plus run totals. Collapse
-/// to the [`EvalStats`](oriole_tuner::EvalStats)-embeddable form with
-/// [`FleetStats::counters`].
+/// The work-stealing scheduler's run totals ([`FleetStats::counters`]),
+/// the numbers behind the fleet lines of `tune --stats`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FleetCounters {
+    /// Shards in the fleet.
+    pub shards: u64,
+    /// Point-chunks dispatched to their home shard's queue.
+    pub batches_dispatched: u64,
+    /// Point-chunks stolen by an idle shard from another's tail.
+    pub batches_stolen: u64,
+    /// Point-chunks rebalanced off a lost shard onto survivors.
+    pub batches_rebalanced: u64,
+    /// Shards that were declared lost during the run.
+    pub shards_lost: u64,
+}
+
+/// Fleet-level telemetry: per-shard counters plus run totals
+/// ([`FleetStats::counters`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// One entry per shard, in [`FleetSpec`] order.
@@ -51,7 +66,7 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// The compact counter form threaded through `EvalStats.fleet`.
+    /// The run totals across shards.
     pub fn counters(&self) -> FleetCounters {
         FleetCounters {
             shards: self.shards.len() as u64,

@@ -36,6 +36,6 @@ mod evaluator;
 mod sched;
 mod spec;
 
-pub use evaluator::{FleetEvaluator, FleetStats, ShardTelemetry};
+pub use evaluator::{FleetCounters, FleetEvaluator, FleetStats, ShardTelemetry};
 pub use sched::{StealScheduler, Task};
 pub use spec::FleetSpec;

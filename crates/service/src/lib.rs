@@ -4,8 +4,8 @@
 //! process-level [`ArtifactStore`](oriole_tuner::ArtifactStore)
 //! (optionally disk-backed) and serves it to any number of tuner
 //! clients over localhost TCP, so concurrent searches sweeping
-//! overlapping spaces share front-ends, model contexts and whole
-//! measurement tiers instead of recomputing them per process.
+//! overlapping spaces share front-ends and whole measurement tiers
+//! instead of recomputing them per process.
 //!
 //! Three layers:
 //!

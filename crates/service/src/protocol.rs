@@ -110,7 +110,7 @@ pub struct ServiceStats {
     /// Tuning points served across all `evaluate` batches (hits and
     /// misses alike).
     pub points_served: u64,
-    /// Kernels with an AST tier in the store.
+    /// Distinct kernel names among the store's front-end tiers.
     pub kernels: u64,
     /// `(kernel, gpu)` front-end tiers.
     pub front_end_tiers: u64,
@@ -120,7 +120,7 @@ pub struct ServiceStats {
     pub measurement_tiers: u64,
     /// Distinct points computed across all tiers since start.
     pub unique_evaluations: u64,
-    /// `(device, model)` contexts.
+    /// Distinct `(device, model)` pairs among the measurement tiers.
     pub contexts: u64,
     /// Requests currently inside an `evaluate`/`simulate` body.
     pub workers_busy: u64,

@@ -28,9 +28,9 @@
 //!
 //! All workers evaluate through the same process-level store, so the
 //! sharing rules are exactly the in-process ones (PR 2–4): concurrent
-//! clients sweeping overlapping spaces share ASTs, front-ends, model
-//! contexts and measurement tiers, and the sharded
-//! in-flight-deduplicating memo guarantees each point is computed
+//! clients sweeping overlapping spaces share front-end and measurement
+//! tiers, and the sharded in-flight-deduplicating memo guarantees each
+//! point is computed
 //! **once** no matter how many connections race on it. With a
 //! disk-backed store the daemon is the directory's one writing process,
 //! so the append-only spill discipline of [`oriole_tuner::persist`]
@@ -77,7 +77,7 @@ use crate::protocol::{self, EvalScope, Request, Response, ServiceStats};
 use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
 use oriole_codegen::{compile, TuningParams};
 use oriole_kernels::KernelId;
-use oriole_sim::TrialProtocol;
+use oriole_sim::{ModelContext, TrialProtocol};
 use oriole_tuner::persist::{decode_frame, encode_frame};
 use oriole_tuner::ArtifactStore;
 use std::collections::VecDeque;
@@ -1059,7 +1059,7 @@ fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState)
             }
         }
         Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
-            handle_simulate(store, &kernel, &gpu, n, params, model, trials, seed)
+            handle_simulate(&kernel, &gpu, n, params, model, trials, seed)
         }
     };
     frame_response(corr, &resp)
@@ -1120,9 +1120,7 @@ fn handle_evaluate(
         .map_err(|e| e.to_string())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_simulate(
-    store: &ArtifactStore,
     kernel: &str,
     gpu: &oriole_arch::GpuSpec,
     n: u64,
@@ -1138,7 +1136,7 @@ fn handle_simulate(
         Ok(k) => k,
         Err(e) => return Response::Error { message: e.to_string() },
     };
-    match store.context_for(gpu, model).measure(&compiled, n, trials, seed) {
+    match ModelContext::for_model(gpu, model).measure(&compiled, n, trials, seed) {
         Ok(t) => Response::Simulate {
             selected: t.selected(TrialProtocol::FifthOfTen),
             report: t.report,

@@ -13,7 +13,7 @@ use oriole_service::{
     RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
 };
 use oriole_sim::{ModelId, MAX_TRIALS};
-use oriole_tuner::persist::{read_frame, write_frame};
+use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -385,7 +385,7 @@ fn a_saturated_worker_pool_sheds_with_busy_and_recovers() {
     let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
     // The shed is connection-level: Busy arrives before any request.
-    let reply = read_frame(&mut raw).expect("busy frame");
+    let reply = read_frame_tagged(&mut raw).expect("busy frame").1;
     match oriole_service::protocol::parse_response(&reply) {
         Ok(oriole_service::Response::Busy { retry_after_ms }) => {
             assert!(retry_after_ms > 0, "busy carries a retry hint");
@@ -511,17 +511,17 @@ fn requests_past_the_connection_quota_are_shed_and_heal_by_reconnecting() {
     let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
     for _ in 0..2 {
-        write_frame(&mut raw, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
+        write_frame_tagged(&mut raw, 0, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
             .expect("send");
-        let reply = read_frame(&mut raw).expect("reply");
+        let reply = read_frame_tagged(&mut raw).expect("reply").1;
         assert!(matches!(
             oriole_service::protocol::parse_response(&reply),
             Ok(oriole_service::Response::Pong)
         ));
     }
-    write_frame(&mut raw, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
+    write_frame_tagged(&mut raw, 0, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
         .expect("send");
-    let reply = read_frame(&mut raw).expect("reply");
+    let reply = read_frame_tagged(&mut raw).expect("reply").1;
     assert!(
         matches!(
             oriole_service::protocol::parse_response(&reply),

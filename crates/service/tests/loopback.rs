@@ -13,7 +13,7 @@ use oriole_service::{
     ServeSummary,
 };
 use oriole_sim::ModelId;
-use oriole_tuner::persist::{read_frame, write_frame};
+use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
 use oriole_tuner::{
     ArtifactStore, EvalProtocol, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher,
 };
@@ -209,8 +209,8 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
 
     // 2. Version skew: answered with an error naming both versions.
     let mut raw = TcpStream::connect(&addr).expect("connect raw");
-    write_frame(&mut raw, "oriole-rpc v99 ping").expect("send");
-    let reply = read_frame(&mut raw).expect("reply");
+    write_frame_tagged(&mut raw, 0, "oriole-rpc v99 ping").expect("send");
+    let reply = read_frame_tagged(&mut raw).expect("reply").1;
     assert!(reply.contains("version skew"), "{reply}");
     assert!(reply.contains(oriole_service::RPC_VERSION), "{reply}");
 
@@ -220,10 +220,10 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     use std::io::Write as _;
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("send garbage");
     raw.flush().unwrap();
-    let reply = read_frame(&mut raw);
+    let reply = read_frame_tagged(&mut raw);
     // Either an error frame or an immediate hangup is acceptable; what
     // is not acceptable is the daemon dying or serving the garbage.
-    if let Ok(reply) = reply {
+    if let Ok((_, reply)) = reply {
         assert!(reply.contains("malformed frame"), "{reply}");
     }
 

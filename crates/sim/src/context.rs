@@ -100,12 +100,6 @@ impl ModelContext {
         ModelContext::with_model(spec, SimConfig::for_family(spec.family), model.backend())
     }
 
-    /// A simulator-backend context with an explicit configuration
-    /// (ablations).
-    pub fn with_config(spec: &GpuSpec, cfg: SimConfig) -> ModelContext {
-        ModelContext::with_model(spec, cfg, ModelId::Simulator.backend())
-    }
-
     /// The fully explicit constructor: any configuration, any backend
     /// (including ones defined outside this crate).
     #[allow(deprecated)]
@@ -126,11 +120,6 @@ impl ModelContext {
     /// estimates.
     pub fn model_id(&self) -> ModelId {
         self.model.id()
-    }
-
-    /// The simulator configuration in effect.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// The one estimate every method below goes through.

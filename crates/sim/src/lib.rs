@@ -56,7 +56,6 @@ pub mod config;
 pub mod context;
 pub mod counters;
 pub mod machine;
-pub mod memo;
 pub mod model;
 pub mod noise;
 pub mod profile;
@@ -73,5 +72,5 @@ pub use machine::{simulate, simulate_with, BoundKind, LaunchScratch, SimError, S
 pub use model::{
     ModelEnv, ModelId, RooflineModel, SimulatorModel, StaticPredictModel, TimingModel,
 };
-pub use noise::{measure, measure_with, TrialProtocol, Trials, MAX_TRIALS};
+pub use noise::{measure, TrialProtocol, Trials, MAX_TRIALS};
 pub use profile::WarpProfile;

@@ -82,19 +82,8 @@ pub fn measure(
     seed: u64,
 ) -> Result<Trials, SimError> {
     let cfg = SimConfig::for_family(kernel.gpu.family);
-    measure_with(kernel, n, trials, seed, &cfg)
-}
-
-/// [`measure`] with an explicit simulator configuration.
-pub fn measure_with(
-    kernel: &CompiledKernel,
-    n: u64,
-    trials: u32,
-    seed: u64,
-    cfg: &SimConfig,
-) -> Result<Trials, SimError> {
-    let report = simulate_with(kernel, n, cfg)?;
-    let times_ms = noisy_trials(report.time_ms, trials, seed, cfg).collect();
+    let report = simulate_with(kernel, n, &cfg)?;
+    let times_ms = noisy_trials(report.time_ms, trials, seed, &cfg).collect();
     Ok(Trials { times_ms, report })
 }
 

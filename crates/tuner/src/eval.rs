@@ -3,53 +3,55 @@
 //! Each tuning point is compiled and run on the simulator for every
 //! input size, ten noisy trials each, with the fifth trial selected —
 //! exactly the paper's protocol. The layer is built for search-loop
-//! throughput, with the caching tiers stacked under a deterministic
-//! interface:
+//! throughput, with two caching tiers under a deterministic interface:
 //!
-//! 1. **AST tier** — `ast_builder` runs once per input size (ex14FJ's
-//!    divergence fraction depends on the size), not once per
-//!    variant × size.
-//! 2. **Front-end tier** — the expensive compile front-end (unroll +
+//! 1. **Front-end tier** — the expensive compile front-end (unroll +
 //!    lower, see [`oriole_codegen::front_end`]) is keyed by
 //!    `(size, UIF, CFLAGS)`: the `TC`/`BC`/`PL`/`SC` axes don't affect
 //!    lowering, so the paper's 5,120-point space shares ten lowered
 //!    programs per input size. Each variant then pays only the cheap
-//!    param-dependent back-end ([`FrontEnd::specialize`]).
-//! 3. **Model context** — the `(device, timing model)` binding
-//!    ([`oriole_sim::ModelContext`]); it caches nothing. Program walks
-//!    that depend on the launch geometry alone are shared through a
-//!    [`LaunchScratch`] per input size, carried across a worker's chunk.
-//! 4. **Measurement tier** — a sharded map of `Arc<Measurement>` with
+//!    param-dependent back-end ([`FrontEnd::specialize`]). The kernel
+//!    AST a front-end lowers is built on the miss, by `ast_builder`:
+//!    a tenth of a microsecond, which a cache in front of it only
+//!    slowed down.
+//! 2. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
-//!    on a per-key [`OnceLock`] instead of
-//!    recomputing, so revisits by stochastic searchers are free, cache
-//!    hits never clone the full measurement, and
-//!    [`Evaluator::unique_evaluations`] counts each point exactly once
-//!    no matter how many threads race on it.
+//!    on a per-key `OnceLock` instead of recomputing, so revisits by
+//!    stochastic searchers are free, cache hits never clone the full
+//!    measurement, and [`Evaluator::unique_evaluations`] counts each
+//!    point exactly once no matter how many threads race on it.
 //!
-//! Every tier lives behind an `Arc`. A standalone evaluator
-//! ([`Evaluator::new`]) owns private tiers; an evaluator borrowed from a
-//! process-level [`ArtifactStore`](crate::ArtifactStore) shares them
-//! with every other evaluator of the same scope, so repeated sweeps
-//! (bench bins, CLI invocations, replay validation) reuse front-ends
-//! and measurements instead of rebuilding the world per (kernel, GPU).
-//! Sharing never changes results: all cached values are bit-identical
-//! to what a fresh evaluator computes.
+//! Beside them sits the evaluator's own `(device, timing model)`
+//! binding ([`oriole_sim::ModelContext`]), held by value: it caches
+//! nothing. Program walks that depend on the launch geometry alone are
+//! shared through a [`LaunchScratch`] per input size, carried across a
+//! worker's chunk.
+//!
+//! An evaluator is an immutable view of an
+//! [`ArtifactStore`](crate::ArtifactStore): both tiers live behind
+//! `Arc`s the store hands out, shared with every other evaluator of the
+//! same scope, so repeated sweeps (bench bins, CLI invocations, replay
+//! validation) reuse front-ends and measurements instead of rebuilding
+//! the world per (kernel, GPU). [`Evaluator::new`] asks a private store.
+//! Another protocol, objective or timing model is another evaluator —
+//! [`ArtifactStore::evaluator_with`](crate::ArtifactStore::evaluator_with)
+//! — never a mutation of this one. Sharing never changes results: all
+//! cached values are bit-identical to what a fresh evaluator computes.
 //!
 //! [`Evaluator::evaluate_batch`] serves the points the measurement tier
 //! already holds on the calling thread and plans the rest
-//! ([`plan_batch`], a pure function): too few misses to pay for threads
-//! stay inline, otherwise workers claim chunks of misses that share one
-//! front-end key `(UIF, CFLAGS)`, resolve the per-size artifacts once
-//! per chunk and hand back per-chunk result vectors. Results come back
-//! in input order, so the whole layer stays deterministic regardless of
-//! thread scheduling.
+//! ([`plan_batch`], a pure function) into chunks of misses that share
+//! one front-end key `(UIF, CFLAGS)`; whoever claims a chunk resolves
+//! the per-size artifacts once for it. Too few misses to pay for
+//! threads are claimed by the caller alone. Results come back in input
+//! order, so the whole layer stays deterministic regardless of thread
+//! scheduling.
 
+use crate::once_map::ShardedOnceMap;
 use crate::space::SearchSpace;
 use oriole_arch::GpuSpec;
 use oriole_codegen::{front_end, CompileError, CompilerFlags, FrontEnd, TuningParams};
 use oriole_ir::KernelAst;
-use oriole_sim::memo::ShardedOnceMap;
 use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
 use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,17 +151,6 @@ type PerSize = (Arc<FeArtifact>, LaunchScratch);
 /// inside a search (`gpu` is fixed per tier).
 type FrontEndKey = (u64, u32, CompilerFlags);
 
-/// The per-size AST cache (scope: one kernel).
-pub(crate) struct AstTier {
-    map: ShardedOnceMap<u64, Arc<KernelAst>>,
-}
-
-impl AstTier {
-    pub(crate) fn new() -> AstTier {
-        AstTier { map: ShardedOnceMap::new() }
-    }
-}
-
 /// The front-end artifact cache (scope: one kernel × device).
 pub(crate) struct FeTier {
     map: ShardedOnceMap<FrontEndKey, Arc<FeArtifact>>,
@@ -182,13 +173,13 @@ impl FeTier {
 /// on-disk artifact and spills every new computation back as an
 /// append-only, checksummed record (see [`crate::persist`]).
 pub(crate) struct MeasTier {
-    map: ShardedOnceMap<TuningParams, Arc<Measurement>>,
+    pub(crate) map: ShardedOnceMap<TuningParams, Arc<Measurement>>,
     evaluations: AtomicUsize,
     /// Measurements pre-seeded from the disk tier (0 without one).
     disk_loaded: usize,
     /// Append-only record writer of the on-disk artifact, when one is
     /// attached.
-    spill: Option<crate::persist::TierSpill>,
+    pub(crate) spill: Option<crate::persist::TierSpill>,
 }
 
 impl MeasTier {
@@ -196,19 +187,24 @@ impl MeasTier {
         MeasTier::assemble(Vec::new(), None)
     }
 
-    /// A tier seeded with disk-loaded measurements and (optionally)
-    /// spilling new computations to the same artifact. Seeded entries do
-    /// **not** count as evaluations — [`MeasTier::unique_evaluations`]
-    /// keeps meaning "points actually computed by this process".
+    /// A tier seeded with the records of its disk artifact, in file
+    /// order, and (optionally) spilling new computations back to it. The
+    /// first record of a point wins — a re-appended duplicate is
+    /// bit-identical by determinism — and [`MeasTier::disk_loaded`]
+    /// counts the points, not the records. Seeded entries do **not**
+    /// count as evaluations: [`MeasTier::unique_evaluations`] keeps
+    /// meaning "points actually computed by this process".
     pub(crate) fn assemble(
-        loaded: Vec<Measurement>,
+        records: Vec<Arc<Measurement>>,
         spill: Option<crate::persist::TierSpill>,
     ) -> MeasTier {
         let map = ShardedOnceMap::new();
-        let disk_loaded = loaded.len();
-        for m in loaded {
-            let params = m.params;
-            map.get_or_init(params, move || Arc::new(m));
+        let mut disk_loaded = 0;
+        for m in records {
+            map.get_or_init(m.params, || {
+                disk_loaded += 1;
+                m
+            });
         }
         MeasTier { map, evaluations: AtomicUsize::new(0), disk_loaded, spill }
     }
@@ -253,27 +249,6 @@ pub struct EvalStats {
     /// Per-phase compile profiler snapshot (process-wide wall-clock and
     /// invocation counters for unroll/lower/optimize/regalloc).
     pub phases: oriole_codegen::PhaseTelemetry,
-    /// Fleet scheduler counters — all zero for local (single-process)
-    /// evaluators; populated by `oriole_fleet::FleetEvaluator`.
-    pub fleet: FleetCounters,
-}
-
-/// Work-stealing fleet scheduler counters, threaded through
-/// [`EvalStats`] so `tune --stats` reports them uniformly. A local
-/// evaluator leaves every field zero; a fleet evaluator fills them in
-/// from its per-shard telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetCounters {
-    /// Shards in the fleet (0 when not running a fleet).
-    pub shards: u64,
-    /// Point-chunks dispatched to their home shard's queue.
-    pub batches_dispatched: u64,
-    /// Point-chunks stolen by an idle shard from another's tail.
-    pub batches_stolen: u64,
-    /// Point-chunks rebalanced off a lost shard onto survivors.
-    pub batches_rebalanced: u64,
-    /// Shards that were declared lost during the run.
-    pub shards_lost: u64,
 }
 
 /// Most misses one worker claims at a time: enough to amortize the
@@ -281,40 +256,39 @@ pub struct FleetCounters {
 /// 512-point front-end groups still split across workers.
 const CHUNK: usize = 64;
 
-/// Fewest misses worth a thread spawn; below it a batch stays inline.
+/// Fewest misses worth a thread spawn; below it the caller claims every
+/// chunk itself.
 const MIN_PARALLEL: usize = 8;
 
 /// The threads a batch of work may use: the core count, asked once per
 /// process (it is a syscall plus cgroup file reads).
-pub(crate) fn worker_count() -> usize {
+fn worker_count() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
-/// What [`Evaluator::evaluate_batch`] does with the points its
-/// measurement tier does not hold yet.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct BatchPlan {
-    /// Indices computed on the calling thread.
-    pub(crate) inline: Vec<usize>,
-    /// Indices for the workers, a chunk per claim. A chunk shares one
-    /// front-end key `(UIF, CFLAGS)` and the list interleaves the keys,
-    /// so workers on neighbouring chunks sit on different artifacts.
-    pub(crate) chunks: Vec<Vec<usize>>,
+/// The threads `misses` points to compute are split for, the caller
+/// included; a plan with fewer chunks uses fewer.
+fn batch_threads(misses: usize, workers: usize) -> usize {
+    if misses < MIN_PARALLEL {
+        1
+    } else {
+        workers
+    }
 }
 
-/// Plans the `missing` indices of `points` for `workers` threads: a pure
-/// function (no clock, no threads), like `oriole_fleet`'s scheduler.
-/// Every missing index lands in exactly one place, in input order.
+/// Plans the `missing` indices of `points` for `threads` threads
+/// ([`batch_threads`]) into chunks, one per claim: a pure function (no
+/// clock, no threads), like `oriole_fleet`'s scheduler. Every missing
+/// index lands in exactly one chunk, in input order. A chunk shares one
+/// front-end key `(UIF, CFLAGS)` and the list interleaves the keys, so
+/// workers on neighbouring chunks sit on different artifacts.
 pub(crate) fn plan_batch(
     points: &[TuningParams],
     missing: Vec<usize>,
-    workers: usize,
-) -> BatchPlan {
-    if missing.len() < MIN_PARALLEL || workers < 2 {
-        return BatchPlan { inline: missing, chunks: Vec::new() };
-    }
-    let chunk = missing.len().div_ceil(workers).min(CHUNK);
+    threads: usize,
+) -> Vec<Vec<usize>> {
+    let chunk = missing.len().div_ceil(threads).clamp(1, CHUNK);
     let mut groups: Vec<((u32, CompilerFlags), Vec<usize>)> = Vec::new();
     for i in missing {
         let key = (points[i].uif, points[i].cflags);
@@ -329,76 +303,49 @@ pub(crate) fn plan_batch(
         let planned = chunks.len();
         chunks.extend(per_group.iter_mut().filter_map(Iterator::next).map(<[usize]>::to_vec));
         if chunks.len() == planned {
-            return BatchPlan { inline: Vec::new(), chunks };
+            return chunks;
         }
     }
 }
 
-/// Evaluates tuning points for one kernel × GPU × input-size set.
+/// Evaluates tuning points for one kernel × GPU × input-size set under
+/// one [`EvalProtocol`]: an immutable view of the two tiers its
+/// [`ArtifactStore`](crate::ArtifactStore) scope shares.
 pub struct Evaluator<'a> {
     ast_builder: &'a (dyn Fn(u64) -> KernelAst + Sync),
     gpu: &'a GpuSpec,
     sizes: &'a [u64],
     protocol: EvalProtocol,
-    ctx: Arc<ModelContext>,
-    asts: Arc<AstTier>,
+    ctx: ModelContext,
     front_ends: Arc<FeTier>,
     cache: Arc<MeasTier>,
-    /// Present when this evaluator was borrowed from an
-    /// [`ArtifactStore`](crate::ArtifactStore): `(store, kernel key)`,
-    /// used to re-scope the measurement tier when the protocol changes.
-    provenance: Option<(crate::ArtifactStore, String)>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates a standalone evaluator (private caches) with the paper's
-    /// measurement protocol. Accepts any borrowed [`GpuSpec`] —
-    /// synthetic and custom devices work without the static registry.
+    /// Creates a standalone evaluator — the view of a private store,
+    /// whose tiers it keeps alive — with the paper's measurement
+    /// protocol. Accepts any borrowed [`GpuSpec`]: synthetic and custom
+    /// devices work without the static registry.
     pub fn new(
         ast_builder: &'a (dyn Fn(u64) -> KernelAst + Sync),
         gpu: &'a GpuSpec,
         sizes: &'a [u64],
     ) -> Evaluator<'a> {
-        let protocol = EvalProtocol::default();
-        Evaluator {
-            ast_builder,
-            gpu,
-            sizes,
-            protocol,
-            ctx: Arc::new(ModelContext::for_model(gpu, protocol.model)),
-            asts: Arc::new(AstTier::new()),
-            front_ends: Arc::new(FeTier::new()),
-            cache: Arc::new(MeasTier::new()),
-            provenance: None,
-        }
+        crate::ArtifactStore::new().evaluator("", ast_builder, gpu, sizes)
     }
 
-    /// Assembles an evaluator over explicit tiers — the
-    /// [`ArtifactStore`](crate::ArtifactStore) constructor.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles an evaluator over its scope's tiers — the one
+    /// constructor, called by [`ArtifactStore`](crate::ArtifactStore).
     pub(crate) fn from_tiers(
         ast_builder: &'a (dyn Fn(u64) -> KernelAst + Sync),
         gpu: &'a GpuSpec,
         sizes: &'a [u64],
         protocol: EvalProtocol,
-        ctx: Arc<ModelContext>,
-        asts: Arc<AstTier>,
         front_ends: Arc<FeTier>,
         cache: Arc<MeasTier>,
-        provenance: (crate::ArtifactStore, String),
     ) -> Evaluator<'a> {
-        debug_assert_eq!(ctx.model_id(), protocol.model, "context serves another backend");
-        Evaluator {
-            ast_builder,
-            gpu,
-            sizes,
-            protocol,
-            ctx,
-            asts,
-            front_ends,
-            cache,
-            provenance: Some(provenance),
-        }
+        let ctx = ModelContext::for_model(gpu, protocol.model);
+        Evaluator { ast_builder, gpu, sizes, protocol, ctx, front_ends, cache }
     }
 
     /// Target device.
@@ -419,47 +366,6 @@ impl<'a> Evaluator<'a> {
     /// The timing-model backend measurements are estimated with.
     pub fn model(&self) -> ModelId {
         self.protocol.model
-    }
-
-    /// Changes the measurement protocol. The measurement tier is
-    /// re-scoped — re-fetched from the originating store, or reset for a
-    /// standalone evaluator — so measurements taken under one protocol
-    /// are never served under another; front-end and AST tiers are
-    /// protocol-independent and stay. When the protocol's timing model
-    /// changes, the model context is swapped for that backend's (per
-    /// `(device, model)`).
-    pub fn set_protocol(&mut self, protocol: EvalProtocol) {
-        if protocol == self.protocol {
-            return;
-        }
-        let model_changed = protocol.model != self.protocol.model;
-        self.protocol = protocol;
-        match &self.provenance {
-            Some((store, kernel)) => {
-                self.cache = store.meas_tier(kernel, self.gpu, self.sizes, protocol);
-                if model_changed {
-                    self.ctx = store.context_for(self.gpu, protocol.model);
-                }
-            }
-            None => {
-                self.cache = Arc::new(MeasTier::new());
-                if model_changed {
-                    self.ctx = Arc::new(ModelContext::for_model(self.gpu, protocol.model));
-                }
-            }
-        }
-    }
-
-    /// Changes only the objective (see [`Evaluator::set_protocol`]).
-    pub fn set_objective(&mut self, objective: Objective) {
-        self.set_protocol(EvalProtocol { objective, ..self.protocol });
-    }
-
-    /// Changes only the timing-model backend (see
-    /// [`Evaluator::set_protocol`]): both the measurement tier and the
-    /// model context are re-scoped.
-    pub fn set_model(&mut self, model: ModelId) {
-        self.set_protocol(EvalProtocol { model, ..self.protocol });
     }
 
     /// Number of *distinct* variants evaluated so far (cache misses).
@@ -492,7 +398,6 @@ impl<'a> Evaluator<'a> {
             index_slow_path_hits: idx.slow_path_hits,
             model: self.ctx.model_id(),
             phases: oriole_codegen::profile::telemetry(),
-            fleet: FleetCounters::default(),
         }
     }
 
@@ -514,16 +419,11 @@ impl<'a> Evaluator<'a> {
         h
     }
 
-    /// The kernel AST for input size `n` (built once per size).
-    fn ast_for(&self, n: u64) -> Arc<KernelAst> {
-        self.asts.map.get_or_init(n, || Arc::new((self.ast_builder)(n)))
-    }
-
-    /// The cached compile front-end for `(n, uif, cflags)`.
+    /// The cached compile front-end for `(n, uif, cflags)`; a miss
+    /// builds the size's AST and lowers it.
     fn front_end_for(&self, n: u64, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
         self.front_ends.map.get_or_init((n, uif, cflags), || {
-            let ast = self.ast_for(n);
-            let fe = front_end(&ast, self.gpu, uif, cflags);
+            let fe = front_end(&(self.ast_builder)(n), self.gpu, uif, cflags);
             if fe.is_ok() {
                 // Rejected UIFs (`Err`) never reach unroll/lower, so
                 // they don't count as lowerings run.
@@ -619,27 +519,25 @@ impl<'a> Evaluator<'a> {
     ///
     /// Points the measurement tier already holds are served right here,
     /// so an all-hit batch — a warm re-sweep, a searcher's generation, a
-    /// daemon frame — never spawns a thread. The misses follow
-    /// [`plan_batch`]: a handful stay on this thread, otherwise this
-    /// thread and `workers - 1` spawned ones claim chunks off one cursor
-    /// and return per-chunk vectors, scattered into place after the
-    /// join. Points duplicated within the batch — or raced by other
-    /// callers — are deduplicated by the memo layer.
+    /// daemon frame — plans no chunk and never spawns a thread. The
+    /// misses follow [`plan_batch`]: this thread and, when there are
+    /// enough of them to pay for it, up to `workers - 1` spawned ones
+    /// claim chunks off one cursor and return per-chunk vectors,
+    /// scattered into place after the join. Points duplicated within the
+    /// batch — or raced by other callers — are deduplicated by the memo
+    /// layer.
     pub fn evaluate_batch(&self, points: &[TuningParams]) -> Vec<Arc<Measurement>> {
         let mut results: Vec<Option<Arc<Measurement>>> =
             points.iter().map(|p| self.cache.map.get(p)).collect();
         let missing: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
-        let workers = worker_count();
-        let plan = plan_batch(points, missing, workers);
-        for &i in &plan.inline {
-            results[i] = Some(self.evaluate(points[i]));
-        }
+        let threads = batch_threads(missing.len(), worker_count());
+        let chunks = plan_batch(points, missing, threads);
         let next = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
             loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = plan.chunks.get(c) else { break done };
+                let Some(chunk) = chunks.get(c) else { break done };
                 let mut per_size: Vec<PerSize> = self.per_size(points[chunk[0]]).collect();
                 let evaluate = |&i: &usize| {
                     self.memoized(points[i], || {
@@ -651,7 +549,7 @@ impl<'a> Evaluator<'a> {
         };
         let done = std::thread::scope(|scope| {
             let spawned: Vec<_> =
-                (1..workers.min(plan.chunks.len())).map(|_| scope.spawn(work)).collect();
+                (1..threads.min(chunks.len())).map(|_| scope.spawn(work)).collect();
             let mut done = work();
             for handle in spawned {
                 done.extend(handle.join().expect("evaluation never panics"));
@@ -659,11 +557,11 @@ impl<'a> Evaluator<'a> {
             done
         });
         for (c, measurements) in done {
-            for (&i, m) in plan.chunks[c].iter().zip(measurements) {
+            for (&i, m) in chunks[c].iter().zip(measurements) {
                 results[i] = Some(m);
             }
         }
-        results.into_iter().map(|m| m.expect("every point served, inline or by a chunk")).collect()
+        results.into_iter().map(|m| m.expect("every point served, by the tier or a chunk")).collect()
     }
 
     /// Evaluates the entire space (exhaustive sweep), in flat-index
@@ -682,6 +580,15 @@ mod tests {
 
     fn evaluator<'a>(sizes: &'a [u64]) -> Evaluator<'a> {
         Evaluator::new(&|n| KernelId::Atax.ast(n), Gpu::K20.spec(), sizes)
+    }
+
+    /// An evaluator of `store`'s ATAX × K20 scope under `protocol`.
+    fn evaluator_under<'a>(
+        store: &crate::ArtifactStore,
+        sizes: &'a [u64],
+        protocol: EvalProtocol,
+    ) -> Evaluator<'a> {
+        store.evaluator_with("atax", &|n| KernelId::Atax.ast(n), Gpu::K20.spec(), sizes, protocol)
     }
 
     #[test]
@@ -790,18 +697,22 @@ mod tests {
                 (0..points.len()).filter(|_| !rng.gen_bool(hit_rate)).collect();
             let workers = rng.gen_range(1..=8usize);
 
-            let plan = plan_batch(&points, missing.clone(), workers);
-            let mut planned: Vec<usize> =
-                plan.inline.iter().chain(plan.chunks.iter().flatten()).copied().collect();
+            let threads = batch_threads(missing.len(), workers);
+            let chunks = plan_batch(&points, missing.clone(), threads);
+            let mut planned: Vec<usize> = chunks.iter().flatten().copied().collect();
             planned.sort_unstable();
             assert_eq!(planned, missing, "seed {seed}: every miss planned exactly once");
-            if missing.len() < MIN_PARALLEL || workers < 2 {
-                assert!(plan.chunks.is_empty(), "seed {seed}: nothing worth a thread");
-                assert_eq!(plan.inline, missing);
-                continue;
+            // The threads `evaluate_batch` runs the plan on, the caller
+            // included (it spawns one fewer).
+            let threads = threads.min(chunks.len());
+            if missing.is_empty() {
+                assert_eq!((chunks.len(), threads), (0, 0), "seed {seed}: an all-hit batch");
+            } else if missing.len() < MIN_PARALLEL || workers < 2 {
+                assert_eq!(threads, 1, "seed {seed}: nothing worth a spawn");
+            } else {
+                assert!(chunks.len() >= 2 && threads >= 2, "seed {seed}");
             }
-            assert!(plan.inline.is_empty() && plan.chunks.len() >= 2, "seed {seed}");
-            for chunk in &plan.chunks {
+            for chunk in &chunks {
                 assert!(!chunk.is_empty() && chunk.len() <= CHUNK, "seed {seed}");
                 assert!(chunk.windows(2).all(|w| w[0] < w[1]), "seed {seed}: input order");
                 assert!(
@@ -811,7 +722,7 @@ mod tests {
             }
             // Neighbouring chunks differ in key until one key is all
             // that is left.
-            let keys: Vec<_> = plan.chunks.iter().map(|c| key(&points[c[0]])).collect();
+            let keys: Vec<_> = chunks.iter().map(|c| key(&points[c[0]])).collect();
             for (at, pair) in keys.windows(2).enumerate() {
                 assert!(
                     pair[0] != pair[1] || keys[at..].iter().all(|k| *k == pair[0]),
@@ -855,16 +766,23 @@ mod tests {
         assert!(!m.feasible);
         assert_eq!(m.time_ms, f64::INFINITY);
         // A single point resolves its front-ends size by size: the first
-        // infeasible size ends the work.
+        // infeasible size ends the work. One AST build per front-end key
+        // resolved...
         assert_eq!(asts_built.load(Ordering::Relaxed), 1);
         assert_eq!(ev.front_end_lowerings(), 1);
+        // ...and none on a hit, of the measurement or of the front-end.
+        ev.evaluate(p);
+        p.pl = oriole_codegen::PreferredL1::Kb16;
+        ev.evaluate(p);
+        assert_eq!(ev.unique_evaluations(), 2);
+        assert_eq!(asts_built.load(Ordering::Relaxed), ev.front_end_lowerings());
     }
 
     #[test]
     fn largest_size_objective() {
         let sizes = [32u64, 256];
-        let mut ev = evaluator(&sizes);
-        ev.set_objective(Objective::LargestSize);
+        let protocol = EvalProtocol { objective: Objective::LargestSize, ..Default::default() };
+        let ev = evaluator_under(&crate::ArtifactStore::new(), &sizes, protocol);
         let m = ev.evaluate(TuningParams::with_geometry(128, 48));
         assert_eq!(m.time_ms, m.per_size_ms[1].1);
     }
@@ -872,35 +790,40 @@ mod tests {
     #[test]
     fn protocol_change_rescopes_the_measurement_tier() {
         // Measurements taken under one objective must never be served
-        // under another.
+        // under another: each protocol is its own measurement scope.
         let sizes = [32u64, 256];
-        let mut ev = evaluator(&sizes);
+        let store = crate::ArtifactStore::new();
         let p = TuningParams::with_geometry(128, 48);
-        let total = ev.evaluate(p);
-        ev.set_objective(Objective::LargestSize);
+        let total = evaluator_under(&store, &sizes, EvalProtocol::default()).evaluate(p);
+        let protocol = EvalProtocol { objective: Objective::LargestSize, ..Default::default() };
+        let ev = evaluator_under(&store, &sizes, protocol);
         let largest = ev.evaluate(p);
+        assert_eq!(ev.unique_evaluations(), 1, "not served from the other protocol's tier");
         assert_eq!(largest.time_ms, largest.per_size_ms[1].1);
         assert!(largest.time_ms < total.time_ms);
         // Per-size numbers are protocol-independent and identical.
         assert_eq!(largest.per_size_ms, total.per_size_ms);
+        // The front-ends are shared: the second protocol lowered nothing.
+        assert_eq!(ev.front_end_lowerings(), sizes.len());
     }
 
     #[test]
     fn model_change_rescopes_context_and_measurements() {
         let sizes = [64u64];
-        let mut ev = evaluator(&sizes);
+        let store = crate::ArtifactStore::new();
+        let under = |model| evaluator_under(&store, &sizes, EvalProtocol { model, ..Default::default() });
         let p = TuningParams::with_geometry(128, 48);
-        let sim = ev.evaluate(p);
-        ev.set_model(ModelId::Static);
+        let sim = under(ModelId::Simulator).evaluate(p);
+        let ev = under(ModelId::Static);
         assert_eq!(ev.model(), ModelId::Static);
         assert_eq!(ev.stats().model, ModelId::Static);
         let stat = ev.evaluate(p);
         assert!(stat.feasible);
         assert_ne!(sim.time_ms, stat.time_ms, "Eq. 6 model units vs simulator ms");
-        // Back to the simulator: a fresh tier under the same backend
-        // reproduces the original numbers bit-for-bit.
-        ev.set_model(ModelId::Simulator);
-        assert_eq!(ev.evaluate(p), sim);
+        // Back to the simulator: its tier still holds the original, and a
+        // fresh store under the same backend reproduces it bit-for-bit.
+        assert!(Arc::ptr_eq(&under(ModelId::Simulator).evaluate(p), &sim));
+        assert_eq!(evaluator(&sizes).evaluate(p), sim);
     }
 
     #[test]
@@ -924,7 +847,8 @@ mod tests {
     #[test]
     fn stats_report_model_cache_activity() {
         let sizes = [64u64];
-        let mut ev = evaluator(&sizes);
+        let store = crate::ArtifactStore::new();
+        let ev = evaluator_under(&store, &sizes, EvalProtocol::default());
         let space = SearchSpace::tiny();
         ev.evaluate_space(&space);
         let stats = ev.stats();
@@ -933,7 +857,8 @@ mod tests {
         assert_eq!(stats.model, ModelId::Simulator);
         // Another backend starts from an empty measurement tier (every
         // point is computed again under it) over the same front ends.
-        ev.set_model(ModelId::Roofline);
+        let protocol = EvalProtocol { model: ModelId::Roofline, ..Default::default() };
+        let ev = evaluator_under(&store, &sizes, protocol);
         ev.evaluate_space(&space);
         let roof = ev.stats();
         assert_eq!(roof.model, ModelId::Roofline);

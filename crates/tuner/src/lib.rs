@@ -9,19 +9,20 @@
 //!   paper's default 5,120-variant instantiation.
 //! * [`eval`] — variant evaluation: compile → simulate → ten noisy
 //!   trials → fifth selected (§IV-A), parallelized with scoped worker
-//!   threads behind a deterministic, order-restoring interface. The
-//!   caching tiers (per-size ASTs, shared compile front-ends keyed by
-//!   `(size, UIF, CFLAGS)`, a device [`oriole_sim::ModelContext`], and
-//!   a sharded measurement memo with in-flight deduplication) make
-//!   exhaustive sweeps and stochastic revisits cheap.
-//! * [`store`] — the process-level [`ArtifactStore`] evaluators borrow
-//!   their tiers from, so repeated and overlapping sweeps (bench bins,
-//!   CLI invocations) reuse front-ends, model reports and whole
-//!   measurements across evaluators — bit-identically. Model contexts
-//!   are keyed per `(GpuSpec, `[`ModelId`]`)` and measurement tiers
-//!   carry the model id through [`EvalProtocol`], so the pluggable
-//!   timing backends (simulator, static Eq. 6, roofline) share
-//!   compilation artifacts but never each other's estimates. With
+//!   threads behind a deterministic, order-restoring interface. An
+//!   [`Evaluator`] is an immutable view of two caching tiers — shared
+//!   compile front-ends keyed by `(size, UIF, CFLAGS)` and a sharded
+//!   measurement memo with in-flight deduplication — that make
+//!   exhaustive sweeps and stochastic revisits cheap; beside them it
+//!   holds its own `(device, timing model)` binding
+//!   ([`oriole_sim::ModelContext`]), which caches nothing.
+//! * [`store`] — the process-level [`ArtifactStore`] that owns those
+//!   tiers, two maps of them, so repeated and overlapping sweeps (bench
+//!   bins, CLI invocations, daemon frames) reuse front-ends and whole
+//!   measurements across evaluators — bit-identically. Measurement
+//!   tiers carry the [`ModelId`] through [`EvalProtocol`], so the
+//!   pluggable timing backends (simulator, static Eq. 6, roofline)
+//!   share compilation artifacts but never each other's estimates. With
 //!   [`ArtifactStore::with_disk`] the store is **tiered**: measurement
 //!   tiers spill to content-addressed on-disk artifacts and reload
 //!   bit-identically, so sweeps resume across processes.
@@ -44,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod eval;
+mod once_map;
 pub mod persist;
 pub mod rank;
 pub mod replay;
@@ -53,7 +55,7 @@ pub mod space;
 pub mod spec;
 pub mod store;
 
-pub use eval::{EvalProtocol, EvalStats, Evaluator, FleetCounters, Measurement, Objective};
+pub use eval::{EvalProtocol, EvalStats, Evaluator, Measurement, Objective};
 // Re-exported for convenience: the backend selector every protocol and
 // store scope carries.
 pub use oriole_sim::ModelId;

@@ -54,11 +54,16 @@
 //! Records are **append-only**: the evaluator spills each newly computed
 //! measurement as one self-checksummed line, so a sweep killed mid-run
 //! keeps everything it measured. Re-appended duplicates (e.g. after a
-//! rejected record is recomputed) are harmless — the loader keeps the
-//! last valid record per tuning point, and all records for one point are
-//! bit-identical anyway because evaluation is deterministic. Because
-//! every record is sealed on its own, the loader splits a big file's
-//! lines across the cores, the way the sweep that wrote them ran.
+//! rejected record is recomputed) are harmless — the tier keeps the
+//! first valid record per tuning point, a rejected line was never a
+//! candidate, and all records for one point are bit-identical anyway
+//! because evaluation is deterministic. A file is read once, line by
+//! line and in order, on the thread that opens its scope: each line is
+//! taken as bytes, so damage — a byte that is not even UTF-8 — costs
+//! the line it sits in and nothing else, and each record goes straight
+//! into the `Arc` the tier serves. That is about a microsecond a
+//! record, half of what recomputing it in a batch costs under the
+//! simulator.
 //!
 //! The same text crosses the wire of `oriole_service` in length-framed,
 //! checksummed frames ([`encode_frame`], [`decode_frame`]); frames are
@@ -70,14 +75,13 @@
 //! verifying their checksums, and deleting unusable files / compacting
 //! ones with rejected records.
 
-use crate::eval::{worker_count, EvalProtocol, Measurement, Objective};
+use crate::eval::{EvalProtocol, MeasTier, Measurement, Objective};
 use oriole_arch::{ComputeCapability, Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
 use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -680,9 +684,6 @@ fn write_record_line(out: &mut String, m: &Measurement) {
     out.push('\n');
 }
 
-/// Fewest record lines worth a parsing thread of their own.
-const MIN_SHARE: usize = 128;
-
 /// Outcome of reading one tier file.
 enum TierRead {
     /// No file at the path.
@@ -691,74 +692,76 @@ enum TierRead {
     VersionSkew,
     /// The header is damaged beyond use.
     Corrupt,
-    /// Header verified; `rejected` counts record lines that failed
-    /// their checksum or parse and were dropped (their points will be
-    /// recomputed, never trusted).
-    Usable { scope: String, measurements: Vec<Measurement>, rejected: u64 },
+    /// Header verified; `records` holds every valid record line in file
+    /// order (a point appended twice is there twice) and `rejected`
+    /// counts the lines that failed their checksum or parse and were
+    /// dropped (their points will be recomputed, never trusted).
+    Usable { scope: String, records: Vec<Arc<Measurement>>, rejected: u64 },
 }
 
+/// Reads the next line of `file` into `line` and returns it without its
+/// terminator (`\n` or `\r\n`, as `str::lines` has it); `None` at the
+/// end of the file. A line that is not UTF-8 reads as empty: it carries
+/// no seal, so it is refused like any other damaged line.
+fn next_line<'l>(
+    file: &mut impl BufRead,
+    line: &'l mut Vec<u8>,
+) -> std::io::Result<Option<&'l str>> {
+    line.clear();
+    if file.read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    }
+    Ok(Some(std::str::from_utf8(line).unwrap_or("")))
+}
+
+/// One pass over the file, on the calling thread: magic, header, then
+/// the records. Bad record lines are rejected, good ones kept.
 fn read_tier(path: &Path) -> TierRead {
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
+    let mut file = match File::open(path) {
+        Ok(file) => BufReader::new(file),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return TierRead::Absent,
         Err(_) => return TierRead::Corrupt,
     };
-    let mut lines = content.lines();
-    match lines.next() {
-        Some(MAGIC) => {}
-        Some(first) if first.starts_with("oriole-meas ") => return TierRead::VersionSkew,
+    let mut line = Vec::new();
+    match next_line(&mut file, &mut line) {
+        Ok(Some(MAGIC)) => {}
+        Ok(Some(first)) if first.starts_with("oriole-meas ") => return TierRead::VersionSkew,
         _ => return TierRead::Corrupt,
     }
     // Header: sealed `h <scope line>` lines closed by `h end`.
-    let mut scope_lines: Vec<&str> = Vec::new();
-    let mut closed = false;
-    for line in lines.by_ref() {
-        let Some(body) = unseal(line) else { return TierRead::Corrupt };
-        let Some(rest) = body.strip_prefix("h ") else { return TierRead::Corrupt };
+    let mut scope = String::new();
+    loop {
+        let Ok(Some(text)) = next_line(&mut file, &mut line) else { return TierRead::Corrupt };
+        let Some(rest) = unseal(text).and_then(|body| body.strip_prefix("h ")) else {
+            return TierRead::Corrupt;
+        };
         if rest == "end" {
-            closed = true;
             break;
         }
-        scope_lines.push(rest);
-    }
-    if !closed {
-        return TierRead::Corrupt;
-    }
-    // Records: independently sealed, so a big file's lines are parsed
-    // on every core, like the sweep that wrote them. Bad lines are
-    // rejected, good ones kept (last record per point wins — duplicates
-    // are bit-identical by determinism, so order only matters for
-    // rejected-then-reappended points).
-    let lines: Vec<&str> = lines.collect();
-    let parse = |lines: &[&str]| -> Vec<Option<Measurement>> {
-        let record = |line: &&str| parse_measurement(unseal(line)?.strip_prefix("r ")?).ok();
-        lines.iter().map(record).collect()
-    };
-    let parsed = std::thread::scope(|scope| {
-        let share = lines.len().div_ceil(worker_count()).max(MIN_SHARE);
-        let mut shares = lines.chunks(share);
-        let first = shares.next().unwrap_or_default();
-        let spawned: Vec<_> = shares.map(|share| scope.spawn(move || parse(share))).collect();
-        let mut parsed = parse(first);
-        for handle in spawned {
-            parsed.extend(handle.join().expect("record parsing never panics"));
+        if !scope.is_empty() {
+            scope.push('\n');
         }
-        parsed
-    });
-    let mut measurements = HashMap::with_capacity(parsed.len());
+        scope.push_str(rest);
+    }
+    let mut records = Vec::new();
     let mut rejected = 0u64;
-    for record in parsed {
-        match record {
-            Some(m) => {
-                measurements.insert(m.params, m);
-            }
+    loop {
+        let text = match next_line(&mut file, &mut line) {
+            Ok(Some(text)) => text,
+            Ok(None) => return TierRead::Usable { scope, records, rejected },
+            Err(_) => return TierRead::Corrupt,
+        };
+        let body = unseal(text).and_then(|body| body.strip_prefix("r "));
+        match body.and_then(|body| parse_measurement(body).ok()) {
+            Some(m) => records.push(Arc::new(m)),
             None => rejected += 1,
         }
-    }
-    TierRead::Usable {
-        scope: scope_lines.join("\n"),
-        measurements: measurements.into_values().collect(),
-        rejected,
     }
 }
 
@@ -837,23 +840,16 @@ impl TierSpill {
     }
 }
 
-/// A tier opened against the disk: whatever loaded, plus the spill
-/// writer for new computations (absent when the directory is not
-/// writable or the file belongs to a different scope).
-pub(crate) struct OpenedTier {
-    pub(crate) measurements: Vec<Measurement>,
-    pub(crate) spill: Option<TierSpill>,
-}
-
-/// Opens (or creates) the tier file for `scope` under `dir`, loading
-/// every valid record and preparing the append-mode spill. Corrupt or
+/// Opens (or creates) the tier file for `scope` under `dir`: a tier
+/// seeded with every valid record, spilling new computations in append
+/// mode (memory-only when the directory is not writable). Corrupt or
 /// version-skewed files are detected, counted, and **rewritten fresh**
 /// — their contents are never trusted; a scope-mismatched file (a
 /// filename-hash collision) is left untouched and the tier runs
 /// memory-only.
-pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -> OpenedTier {
+pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -> MeasTier {
     let path = dir.join(tier_file_name(scope));
-    let (measurements, rewrite) = match read_tier(&path) {
+    let (records, rewrite) = match read_tier(&path) {
         TierRead::Absent => {
             counters.tier_misses.fetch_add(1, Ordering::Relaxed);
             (Vec::new(), true)
@@ -863,17 +859,16 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
             counters.rejected.fetch_add(1, Ordering::Relaxed);
             (Vec::new(), true)
         }
-        TierRead::Usable { scope: found, measurements, rejected } => {
+        TierRead::Usable { scope: found, records, rejected } => {
             if found == scope {
                 counters.tier_hits.fetch_add(1, Ordering::Relaxed);
-                counters.loaded.fetch_add(measurements.len() as u64, Ordering::Relaxed);
                 counters.rejected.fetch_add(rejected, Ordering::Relaxed);
-                (measurements, false)
+                (records, false)
             } else {
                 // Filename collision with another experiment's scope:
                 // never serve it, and never overwrite it either.
                 counters.tier_misses.fetch_add(1, Ordering::Relaxed);
-                return OpenedTier { measurements: Vec::new(), spill: None };
+                return MeasTier::new();
             }
         }
     };
@@ -890,7 +885,11 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
         counters: Arc::clone(counters),
         written: AtomicU64::new(0),
     });
-    OpenedTier { measurements, spill }
+    // Distinct points are counted where the tier's insert tells them
+    // from re-appended duplicates.
+    let tier = MeasTier::assemble(records, spill);
+    counters.loaded.fetch_add(tier.disk_loaded() as u64, Ordering::Relaxed);
+    tier
 }
 
 // ---------------------------------------------------------------------------
@@ -910,7 +909,7 @@ pub const FRAME_HEADER_BYTES: usize = 24;
 /// bound is a corrupted length field, not a legitimate payload.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Why one [`read_frame`] call produced no payload.
+/// Why one [`read_frame_tagged`] call produced no payload.
 #[derive(Debug)]
 pub enum FrameError {
     /// The peer closed the connection cleanly *between* frames (zero
@@ -1037,9 +1036,10 @@ pub fn encode_frame(corr: u64, fill: impl FnOnce(&mut String)) -> std::io::Resul
 
 /// Writes `payload` as one [`encode_frame`] frame tagged `corr`. The id
 /// lets one connection carry many requests in flight: a peer echoes it
-/// back, so responses can arrive out of order ([`write_frame`] tags
-/// with 0). The single `write_all` keeps frames contiguous even when
-/// several threads share one stream behind a mutex.
+/// back, so responses can arrive out of order (a connection with one
+/// request in flight at most tags with 0). The single `write_all` keeps
+/// frames contiguous even when several threads share one stream behind
+/// a mutex.
 pub fn write_frame_tagged(
     w: &mut impl std::io::Write,
     corr: u64,
@@ -1047,12 +1047,6 @@ pub fn write_frame_tagged(
 ) -> std::io::Result<()> {
     w.write_all(&encode_frame(corr, |out| out.push_str(payload))?)?;
     w.flush()
-}
-
-/// Writes one frame with correlation id 0 — the single-shot form used
-/// everywhere a connection has at most one request in flight.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &str) -> std::io::Result<()> {
-    write_frame_tagged(w, 0, payload)
 }
 
 /// Maps a raw I/O error to the frame-level verdict: an expired
@@ -1145,12 +1139,6 @@ fn read_payload(r: &mut impl std::io::Read, len: u32, buf: &mut Vec<u8>) -> Resu
     Ok(())
 }
 
-/// Reads one frame and discards its correlation id — the single-shot
-/// counterpart of [`write_frame`].
-pub fn read_frame(r: &mut impl std::io::Read) -> Result<String, FrameError> {
-    read_frame_tagged(r).map(|(_, payload)| payload)
-}
-
 /// Attempts to decode one frame from the front of an accumulation
 /// buffer without blocking: `Ok(Some((corr, payload, consumed)))` when a
 /// complete verified frame is present (the caller drains `consumed`
@@ -1240,7 +1228,7 @@ pub fn scan_store(dir: &Path) -> std::io::Result<Vec<FileReport>> {
             TierRead::Absent => continue, // raced deletion
             TierRead::VersionSkew => FileStatus::VersionSkew,
             TierRead::Corrupt => FileStatus::Corrupt,
-            TierRead::Usable { scope, measurements, rejected } => {
+            TierRead::Usable { scope, records, rejected } => {
                 let model = scope_field(&scope, "protocol")
                     .and_then(|p| parse_protocol(&p).ok())
                     .map(|p| p.model.name().to_string())
@@ -1254,7 +1242,8 @@ pub fn scan_store(dir: &Path) -> std::io::Result<Vec<FileReport>> {
                     gpu,
                     sizes: scope_field(&scope, "sizes").unwrap_or_else(|| "?".into()),
                     model,
-                    records: measurements.len(),
+                    // What a tier opened on this file would load.
+                    records: MeasTier::assemble(records, None).disk_loaded(),
                     rejected,
                 }
             }
@@ -1303,19 +1292,20 @@ fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
                 report.removed_files += 1;
                 report.bytes_reclaimed += before;
             }
-            TierRead::Usable { scope, mut measurements, rejected } => {
+            TierRead::Usable { scope, mut records, rejected } => {
                 if rejected == 0 {
                     continue;
                 }
                 // Full parameter tuple in the sort key: compacted files
-                // are byte-deterministic (HashMap iteration order never
-                // shows through).
-                measurements.sort_by_key(|m| {
+                // are byte-deterministic, one record per point (the
+                // sort is stable: the first in file order).
+                records.sort_by_key(|m| {
                     let p = m.params;
                     (p.tc, p.bc, p.uif, p.pl.kb(), p.sc, p.cflags.fast_math)
                 });
+                records.dedup_by_key(|m| m.params);
                 let mut content = header_text(&scope);
-                for m in &measurements {
+                for m in &records {
                     write_record_line(&mut content, m);
                 }
                 if apply {
@@ -1481,6 +1471,14 @@ mod tests {
         dir
     }
 
+    /// The measurements a tier holds, by thread count.
+    fn held(tier: &MeasTier) -> Vec<Measurement> {
+        let mut held = Vec::new();
+        tier.map.for_each(|_, m| held.push(Measurement::clone(m)));
+        held.sort_by_key(|m| m.params.tc);
+        held
+    }
+
     #[test]
     fn open_tier_writes_loads_and_survives_reopen() {
         let dir = temp_dir("open");
@@ -1488,7 +1486,7 @@ mod tests {
         let counters = Arc::new(DiskCounters::default());
 
         let opened = open_tier(&dir, &scope, &counters);
-        assert!(opened.measurements.is_empty());
+        assert!(held(&opened).is_empty());
         let spill = opened.spill.expect("writable dir");
         let m = sample_measurement();
         spill.append(&m);
@@ -1496,7 +1494,7 @@ mod tests {
 
         let counters2 = Arc::new(DiskCounters::default());
         let reopened = open_tier(&dir, &scope, &counters2);
-        assert_eq!(reopened.measurements, vec![m]);
+        assert_eq!(held(&reopened), vec![m]);
         let stats = counters2.snapshot();
         assert_eq!(stats.tier_hits, 1);
         assert_eq!(stats.measurements_loaded, 1);
@@ -1505,14 +1503,14 @@ mod tests {
     }
 
     #[test]
-    fn big_tiers_load_across_parsing_shares() {
-        // Enough records for several parsing shares, with a flipped byte
-        // and a re-appended duplicate landing in the later ones.
-        let dir = temp_dir("shares");
+    fn big_tiers_load_past_a_flipped_line_and_a_duplicate() {
+        // Many buffers' worth of records, with a flipped byte and a
+        // re-appended duplicate deep in the file.
+        let dir = temp_dir("big");
         let scope = scope_text("atax", Gpu::K20.spec(), &[64], &EvalProtocol::default());
         let counters = Arc::new(DiskCounters::default());
         let spill = open_tier(&dir, &scope, &counters).spill.expect("writable dir");
-        let mut written: Vec<Measurement> = (0..4 * MIN_SHARE as u32)
+        let mut written: Vec<Measurement> = (0..512u32)
             .map(|i| Measurement {
                 params: TuningParams::with_geometry(32 + i, 48),
                 ..sample_measurement()
@@ -1524,16 +1522,14 @@ mod tests {
         spill.append(&written[7]);
         drop(spill);
         let path = dir.join(tier_file_name(&scope));
-        let lost = written.remove(3 * MIN_SHARE);
+        let lost = written.remove(384);
         let content = std::fs::read_to_string(&path).unwrap();
         let needle = format!("r params:tc:{},", lost.params.tc);
         assert!(content.contains(&needle));
         std::fs::write(&path, content.replacen(&needle, "r params:tc:1,", 1)).unwrap();
 
         let counters = Arc::new(DiskCounters::default());
-        let mut loaded = open_tier(&dir, &scope, &counters).measurements;
-        loaded.sort_by_key(|m| m.params.tc);
-        assert_eq!(loaded, written);
+        assert_eq!(held(&open_tier(&dir, &scope, &counters)), written);
         let stats = counters.snapshot();
         assert_eq!((stats.measurements_loaded, stats.rejected), (written.len() as u64, 1));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1549,7 +1545,7 @@ mod tests {
         // Truncated header → corrupt → rewritten fresh.
         std::fs::write(&path, format!("{MAGIC}\nh kernel=atax|0000000000000000\n")).unwrap();
         let opened = open_tier(&dir, &scope, &counters);
-        assert!(opened.measurements.is_empty());
+        assert!(held(&opened).is_empty());
         assert_eq!(counters.snapshot().rejected, 1);
         opened.spill.unwrap().append(&sample_measurement());
 
@@ -1558,10 +1554,75 @@ mod tests {
         std::fs::write(&path, content.replacen(MAGIC, "oriole-meas v99", 1)).unwrap();
         let counters2 = Arc::new(DiskCounters::default());
         let opened = open_tier(&dir, &scope, &counters2);
-        assert!(opened.measurements.is_empty());
+        assert!(held(&opened).is_empty());
         let s = counters2.snapshot();
         assert_eq!((s.tier_hits, s.tier_misses, s.rejected), (0, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_byte_that_is_not_utf8_costs_its_line_not_the_file() {
+        // 600 records from a real sweep, then one byte of one record set
+        // to 0xFF: the file is no longer UTF-8 as a whole, every line
+        // but one still is.
+        let dir = temp_dir("utf8");
+        let space = crate::SearchSpace {
+            tc: (1..=30).map(|i| i * 32).collect(),
+            bc: (1..=5).map(|i| i * 24).collect(),
+            uif: vec![1, 2],
+            cflags: vec![CompilerFlags { fast_math: false }],
+            ..crate::SearchSpace::paper_default()
+        };
+        assert_eq!(space.len(), 600);
+        let builder = |n: u64| KernelId::Atax.ast(n);
+        let (gpu, sizes) = (Gpu::K20.spec(), [64u64]);
+        let store = crate::ArtifactStore::with_disk(&dir).unwrap();
+        let cold = store.evaluator("atax", &builder, gpu, &sizes).evaluate_space(&space);
+        drop(store);
+        let path = tier_files(&dir).unwrap().pop().expect("one tier file");
+        let mut damaged = std::fs::read(&path).unwrap();
+        let at = damaged.len() / 2;
+        damaged[at] = 0xFF;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(std::str::from_utf8(&damaged).is_err());
+        let copy = temp_dir("utf8-gc");
+        std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+
+        // Reopened: 599 points served, the file kept and appended to,
+        // the lost point recomputed and re-appended by the next sweep.
+        let store = crate::ArtifactStore::with_disk(&dir).unwrap();
+        let ev = store.evaluator("atax", &builder, gpu, &sizes);
+        let disk = store.stats().disk.unwrap();
+        assert_eq!((disk.tier_hits, disk.measurements_loaded, disk.rejected), (1, 599, 1));
+        assert_eq!(ev.evaluate_space(&space), cold);
+        assert_eq!(ev.unique_evaluations(), 1);
+        assert_eq!(store.stats().disk.unwrap().measurements_written, 1);
+        let appended = std::fs::read(&path).unwrap();
+        assert!(appended.len() > damaged.len() && appended.starts_with(&damaged));
+        let store = crate::ArtifactStore::with_disk(&dir).unwrap();
+        let ev = store.evaluator("atax", &builder, gpu, &sizes);
+        assert_eq!((ev.evaluate_space(&space), ev.unique_evaluations()), (cold, 0));
+
+        // Maintenance agrees: a usable file with one bad line, compacted
+        // (not removed) by gc, after which nothing is rejected.
+        let usable = |dir: &Path, want: (usize, u64)| match &scan_store(dir).unwrap()[..] {
+            [FileReport { status: FileStatus::Usable { records, rejected, .. }, .. }] => {
+                assert_eq!((*records, *rejected), want)
+            }
+            other => panic!("{other:?}"),
+        };
+        usable(&copy, (599, 1));
+        let gc = gc_store(&copy).unwrap();
+        assert_eq!((gc.removed_files, gc.compacted_files, gc.dropped_records), (0, 1, 1));
+        usable(&copy, (599, 0));
+        let counters = Arc::new(DiskCounters::default());
+        let scope = scope_text("atax", gpu, &sizes, &EvalProtocol::default());
+        assert_eq!(held(&open_tier(&copy, &scope, &counters)).len(), 599);
+        let reopened = counters.snapshot();
+        assert_eq!((reopened.measurements_loaded, reopened.rejected), (599, 0));
+        for dir in [dir, copy] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1575,7 +1636,7 @@ mod tests {
         std::fs::copy(dir.join(tier_file_name(&scope_a)), dir.join(tier_file_name(&scope_b)))
             .unwrap();
         let opened = open_tier(&dir, &scope_b, &counters);
-        assert!(opened.measurements.is_empty(), "foreign scope must not be served");
+        assert!(held(&opened).is_empty(), "foreign scope must not be served");
         assert!(opened.spill.is_none(), "foreign scope must not be overwritten");
         let planted = std::fs::read_to_string(dir.join(tier_file_name(&scope_b))).unwrap();
         assert!(planted.contains("kernel=atax"), "planted file untouched");
@@ -1586,41 +1647,41 @@ mod tests {
     fn frames_round_trip_and_reject_damage() {
         let payload = format!("oriole-rpc v1 evaluate\nm {}", emit_measurement(&sample_measurement()));
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        write_frame(&mut buf, "second").unwrap();
+        write_frame_tagged(&mut buf, 0, &payload).unwrap();
+        write_frame_tagged(&mut buf, 0, "second").unwrap();
         let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
-        assert_eq!(read_frame(&mut cursor).unwrap(), "second");
+        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, payload.clone()));
+        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "second".to_string()));
         // Clean close between frames is Eof, not an error.
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Eof)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
 
         // A flipped payload byte fails the checksum.
         let mut tampered = buf.clone();
         let last = tampered.len() - 1;
         tampered[last] ^= 0x01;
         let mut cursor = &tampered[FRAME_HEADER_BYTES + payload.len()..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadChecksum)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
 
         // A flipped correlation-id byte also fails the checksum — a
         // corrupted id must never deliver a frame under the wrong id.
         let mut tampered = buf.clone();
         tampered[17] ^= 0x01;
         let mut cursor = &tampered[..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadChecksum)));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
 
         // Wrong magic and oversized length are rejected up front.
         let mut cursor: &[u8] = b"JUNKxxxxxxxxxxxxxxxx";
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::BadMagic(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadMagic(_))));
         let mut huge = Vec::new();
         huge.extend_from_slice(&FRAME_MAGIC);
         huge.extend_from_slice(&u32::MAX.to_be_bytes());
         huge.extend_from_slice(&[0u8; 8]);
         let mut cursor = &huge[..];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::TooLarge(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::TooLarge(_))));
 
         // A connection dropped mid-frame is an I/O error, not Eof.
         let mut cursor = &buf[..7];
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Io(_))));
     }
 
     #[test]
@@ -1632,7 +1693,7 @@ mod tests {
         wire.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
         wire.extend_from_slice(&[0u8; 16]);
         wire.extend_from_slice(b"ten bytes!");
-        match read_frame(&mut &wire[..]) {
+        match read_frame_tagged(&mut &wire[..]) {
             Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
             other => panic!("{other:?}"),
         }
@@ -1654,11 +1715,11 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_tagged(&mut buf, 7, "first").unwrap();
         write_frame_tagged(&mut buf, u64::MAX, "second").unwrap();
-        write_frame(&mut buf, "untagged").unwrap();
+        write_frame_tagged(&mut buf, 0, "untagged").unwrap();
         let mut cursor = &buf[..];
         assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (7, "first".to_string()));
         assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (u64::MAX, "second".to_string()));
-        // The single-shot wrapper tags with 0 and interoperates.
+        // A connection with one request in flight tags with 0.
         assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "untagged".to_string()));
         assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
     }
@@ -1722,8 +1783,8 @@ mod tests {
                 Ok(n)
             }
         }
-        assert!(matches!(read_frame(&mut TimesOutAfter(0)), Err(FrameError::TimedOut)));
-        assert!(matches!(read_frame(&mut TimesOutAfter(2)), Err(FrameError::TimedOut)));
+        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(0)), Err(FrameError::TimedOut)));
+        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(2)), Err(FrameError::TimedOut)));
         for kind in [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut] {
             assert!(matches!(classify_frame_io(kind.into()), FrameError::TimedOut));
         }

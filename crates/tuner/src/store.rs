@@ -1,21 +1,30 @@
 //! Process-level artifact store: cross-evaluator reuse.
 //!
-//! The evaluation layer amortizes work *within* one [`Evaluator`] —
-//! per-size ASTs, shared front-end artifacts, a deduplicated
-//! measurement memo, a device model context. But the experiment drivers
-//! run *many* evaluators: every bench bin sweeps kernels × GPUs, the CLI
-//! builds a fresh evaluator per `tune` invocation, and replay validation
-//! re-evaluates logged points. [`ArtifactStore`] is the process-level
-//! owner those evaluators borrow their tiers from, keyed so sharing is
-//! exactly as wide as correctness allows:
+//! An [`Evaluator`] is an immutable view of two caching tiers — shared
+//! compile front-ends and a deduplicated measurement memo. The
+//! experiment drivers run *many* evaluators: every bench bin sweeps
+//! kernels × GPUs, the CLI builds a fresh evaluator per `tune`
+//! invocation, a daemon one per `evaluate` frame, and replay validation
+//! re-evaluates logged points. [`ArtifactStore`] owns the tiers those
+//! evaluators view, in two maps keyed so sharing is exactly as wide as
+//! correctness allows:
 //!
 //! | tier | scope key | shared across |
 //! |------|-----------|---------------|
-//! | AST | `kernel` | devices, sizes, protocols, models |
 //! | front-end | `kernel × GpuSpec` (entries add `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
-//! | model context | `GpuSpec × `[`ModelId`] | kernels, sweeps (the backend binding; caches nothing) |
 //! | measurement | `kernel × GpuSpec × sizes × `[`EvalProtocol`] (which carries the [`ModelId`]) | repeated sweeps of one experiment |
 //! | **disk** (optional) | measurement scope, content-addressed file per tier | **processes** — sweeps resume across runs |
+//!
+//! Nothing else is kept. A kernel AST costs a tenth of a microsecond to
+//! build and a `(device, timing model)` binding
+//! ([`oriole_sim::ModelContext`]) owns no state, so an evaluator builds
+//! both where it needs them; a map in front of either cost more than
+//! what it saved.
+//!
+//! A scope is opened on its own cell: the first evaluator of a scope
+//! creates its tier — for a measurement scope of a disk-backed store,
+//! reads its file — while racing evaluators of the *same* scope wait
+//! for that one open and every other scope goes on being served.
 //!
 //! # The disk tier
 //!
@@ -30,19 +39,21 @@
 //! trusted — and the embedded scope is verified on load so even a
 //! filename collision cannot alias experiments. Warm-from-disk results
 //! are bit-identical to cold computation (floats travel as raw IEEE-754
-//! bits).
+//! bits). A loaded record costs about a microsecond (read, unseal,
+//! parse, one allocation, one insert) against some two to recompute it
+//! in a batched sweep under the simulator: a store directory pays when
+//! the timing backend is slower than that, or when a sweep must
+//! survive its process.
 //!
-//! Compilation artifacts (ASTs, front-ends) are model-independent and
-//! shared across backends; everything a timing model touches — model
-//! contexts, measurements — is scoped by the model id, so two backends
-//! can never serve each other's cached estimates.
+//! Compilation artifacts (front-ends) are model-independent and shared
+//! across backends; measurements are scoped by the model id, so two
+//! backends can never serve each other's cached estimates.
 //!
 //! Together with the per-entry keys this realizes the
 //! `(kernel, gpu, size, uif, cflags)` artifact addressing: two sweeps
 //! that agree on a scope reuse each other's artifacts and, when the
 //! protocol matches, entire measurements. Every cached value is
-//! **bit-identical** to what a fresh evaluator computes (the memoized
-//! paths are property-tested against the free functions), so shared and
+//! **bit-identical** to what a fresh evaluator computes, so shared and
 //! fresh runs are indistinguishable except in wall-clock.
 //!
 //! Devices are keyed by the full [`GpuSpec`] *contents*, not registry
@@ -50,17 +61,18 @@
 //! specs never share, even with the same marketing name. Kernels are
 //! keyed by a caller-chosen name: use distinct names for distinct ASTs
 //! (the benchmark kernel names, a file path, …) — two *different*
-//! builders registered under one name would alias each other's ASTs and
+//! builders registered under one name would alias each other's
 //! front-ends, which is the one contract the store cannot check.
 
-use crate::eval::{AstTier, EvalProtocol, Evaluator, FeTier, MeasTier};
+use crate::eval::{EvalProtocol, Evaluator, FeTier, MeasTier};
+use crate::once_map::ShardedOnceMap;
 use crate::persist::{self, DiskStats};
 use oriole_arch::GpuSpec;
 use oriole_ir::KernelAst;
 use oriole_sim::{ModelContext, ModelId};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Scope key of a front-end tier.
 #[derive(PartialEq, Eq, Hash)]
@@ -87,17 +99,15 @@ struct DiskHandle {
 
 #[derive(Default)]
 struct StoreInner {
-    asts: Mutex<HashMap<String, Arc<AstTier>>>,
-    front_ends: Mutex<HashMap<FeScope, Arc<FeTier>>>,
-    measurements: Mutex<HashMap<MeasScope, Arc<MeasTier>>>,
-    contexts: Mutex<HashMap<(GpuSpec, ModelId), Arc<ModelContext>>>,
+    front_ends: ShardedOnceMap<FeScope, Arc<FeTier>>,
+    measurements: ShardedOnceMap<MeasScope, Arc<MeasTier>>,
     disk: OnceLock<DiskHandle>,
 }
 
 /// Aggregate telemetry of a store: tier counts and summed counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    /// Kernels with an AST tier.
+    /// Distinct kernel names among the front-end tiers.
     pub kernels: usize,
     /// `(kernel, gpu)` front-end tiers.
     pub front_end_tiers: usize,
@@ -107,7 +117,7 @@ pub struct StoreStats {
     pub measurement_tiers: usize,
     /// Distinct points measured across all tiers.
     pub unique_evaluations: usize,
-    /// `(device, model)` contexts.
+    /// Distinct `(device, model)` pairs among the measurement tiers.
     pub contexts: usize,
     /// Disk-tier counters; `None` when the store is memory-only.
     pub disk: Option<DiskStats>,
@@ -163,63 +173,45 @@ impl ArtifactStore {
         self.inner.disk.get().map(|d| d.dir.as_path())
     }
 
-    /// The shared context for a `(device, timing model)` pair (created
-    /// on first use).
+    /// A context for a `(device, timing model)` pair. The store keeps
+    /// none: this is [`ModelContext::for_model`].
+    #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
     pub fn context_for(&self, gpu: &GpuSpec, model: ModelId) -> Arc<ModelContext> {
-        let mut map = self.inner.contexts.lock().expect("store lock");
-        Arc::clone(
-            map.entry((gpu.clone(), model))
-                .or_insert_with(|| Arc::new(ModelContext::for_model(gpu, model))),
-        )
-    }
-
-    fn ast_tier(&self, kernel: &str) -> Arc<AstTier> {
-        let mut map = self.inner.asts.lock().expect("store lock");
-        Arc::clone(map.entry(kernel.to_string()).or_insert_with(|| Arc::new(AstTier::new())))
+        Arc::new(ModelContext::for_model(gpu, model))
     }
 
     fn fe_tier(&self, kernel: &str, gpu: &GpuSpec) -> Arc<FeTier> {
-        let mut map = self.inner.front_ends.lock().expect("store lock");
-        Arc::clone(
-            map.entry(FeScope { kernel: kernel.to_string(), gpu: gpu.clone() })
-                .or_insert_with(|| Arc::new(FeTier::new())),
-        )
+        let scope = FeScope { kernel: kernel.to_string(), gpu: gpu.clone() };
+        self.inner.front_ends.get_or_init(scope, || Arc::new(FeTier::new()))
     }
 
-    pub(crate) fn meas_tier(
+    /// The measurement tier of a scope, opened — against the disk, when
+    /// one is attached — exactly once per process, by whoever asks
+    /// first. Only callers of the same scope wait for the file read.
+    fn meas_tier(
         &self,
         kernel: &str,
         gpu: &GpuSpec,
         sizes: &[u64],
         protocol: EvalProtocol,
     ) -> Arc<MeasTier> {
-        // The disk open (one file read + header verify) runs under the
-        // map lock so each scope's artifact is opened exactly once per
-        // process, even under racing evaluators.
-        let mut map = self.inner.measurements.lock().expect("store lock");
-        Arc::clone(
-            map.entry(MeasScope {
-                kernel: kernel.to_string(),
-                gpu: gpu.clone(),
-                sizes: sizes.to_vec(),
-                protocol,
-            })
-            .or_insert_with(|| match self.inner.disk.get() {
-                None => Arc::new(MeasTier::new()),
+        let scope =
+            MeasScope { kernel: kernel.to_string(), gpu: gpu.clone(), sizes: sizes.to_vec(), protocol };
+        self.inner.measurements.get_or_init(scope, || {
+            Arc::new(match self.inner.disk.get() {
+                None => MeasTier::new(),
                 Some(disk) => {
-                    let scope = persist::scope_text(kernel, gpu, sizes, &protocol);
-                    let opened = persist::open_tier(&disk.dir, &scope, &disk.counters);
-                    Arc::new(MeasTier::assemble(opened.measurements, opened.spill))
+                    let text = persist::scope_text(kernel, gpu, sizes, &protocol);
+                    persist::open_tier(&disk.dir, &text, &disk.counters)
                 }
-            }),
-        )
+            })
+        })
     }
 
-    /// An evaluator borrowing this store's tiers, with the paper's
+    /// An evaluator viewing this store's tiers, with the paper's
     /// default [`EvalProtocol`]. Evaluators that agree on
-    /// `(kernel, gpu)` share ASTs, front-ends and the device model
-    /// context; those also agreeing on `(sizes, protocol)` share whole
-    /// measurements.
+    /// `(kernel, gpu)` share front-ends; those also agreeing on
+    /// `(sizes, protocol)` share whole measurements.
     pub fn evaluator<'a>(
         &self,
         kernel: &str,
@@ -244,36 +236,33 @@ impl ArtifactStore {
             gpu,
             sizes,
             protocol,
-            self.context_for(gpu, protocol.model),
-            self.ast_tier(kernel),
             self.fe_tier(kernel, gpu),
             self.meas_tier(kernel, gpu, sizes, protocol),
-            (self.clone(), kernel.to_string()),
         )
     }
 
-    /// Aggregate telemetry across every tier and context.
+    /// Aggregate telemetry across every opened tier.
     pub fn stats(&self) -> StoreStats {
-        let kernels = self.inner.asts.lock().expect("store lock").len();
-        let (front_end_tiers, front_end_lowerings) = {
-            let map = self.inner.front_ends.lock().expect("store lock");
-            (map.len(), map.values().map(|t| t.lowerings()).sum())
-        };
-        let (measurement_tiers, unique_evaluations) = {
-            let map = self.inner.measurements.lock().expect("store lock");
-            (map.len(), map.values().map(|t| t.unique_evaluations()).sum())
-        };
-        let contexts = self.inner.contexts.lock().expect("store lock").len();
-        StoreStats {
-            kernels,
-            front_end_tiers,
-            front_end_lowerings,
-            measurement_tiers,
-            unique_evaluations,
-            contexts,
+        let mut stats = StoreStats {
             disk: self.inner.disk.get().map(|d| d.counters.snapshot()),
             phases: oriole_codegen::profile::telemetry(),
-        }
+            ..StoreStats::default()
+        };
+        let mut kernels = HashSet::new();
+        self.inner.front_ends.for_each(|scope, tier| {
+            kernels.insert(scope.kernel.clone());
+            stats.front_end_tiers += 1;
+            stats.front_end_lowerings += tier.lowerings();
+        });
+        let mut contexts = HashSet::new();
+        self.inner.measurements.for_each(|scope, tier| {
+            contexts.insert((scope.gpu.clone(), scope.protocol.model));
+            stats.measurement_tiers += 1;
+            stats.unique_evaluations += tier.unique_evaluations();
+        });
+        stats.kernels = kernels.len();
+        stats.contexts = contexts.len();
+        stats
     }
 }
 
@@ -376,25 +365,66 @@ mod tests {
     #[test]
     fn contexts_are_shared_per_device_and_keyed_by_content() {
         let store = ArtifactStore::new();
-        let model = ModelId::default();
-        let a = store.context_for(Gpu::K20.spec(), model);
-        let b = store.context_for(Gpu::K20.spec(), model);
-        assert!(Arc::ptr_eq(&a, &b));
+        let sizes = [64u64];
+        store.evaluator("atax", &builder, Gpu::K20.spec(), &sizes);
+        store.evaluator("bicg", &builder, Gpu::K20.spec(), &sizes);
+        assert_eq!(store.stats().contexts, 1, "one device under one model");
         let custom = GpuSpec { regfile_per_mp: 32_768, ..Gpu::K20.spec().clone() };
-        let c = store.context_for(&custom, model);
-        assert!(!Arc::ptr_eq(&a, &c), "distinct spec contents get distinct contexts");
-        assert_eq!(store.stats().contexts, 2);
+        store.evaluator("atax", &builder, &custom, &sizes);
+        let stats = store.stats();
+        assert_eq!(stats.contexts, 2, "distinct spec contents count apart");
+        assert_eq!((stats.kernels, stats.front_end_tiers, stats.measurement_tiers), (2, 3, 3));
     }
 
     #[test]
     fn contexts_are_keyed_by_model_too() {
         let store = ArtifactStore::new();
         let gpu = Gpu::K20.spec();
-        let sim = store.context_for(gpu, ModelId::Simulator);
-        let stat = store.context_for(gpu, ModelId::Static);
-        assert!(!Arc::ptr_eq(&sim, &stat), "one device, two backends, two contexts");
-        assert_eq!((sim.model_id(), stat.model_id()), (ModelId::Simulator, ModelId::Static));
-        assert_eq!(store.stats().contexts, 2);
+        let sizes = [64u64];
+        let under = |model| {
+            let protocol = EvalProtocol { model, ..EvalProtocol::default() };
+            store.evaluator_with("atax", &builder, gpu, &sizes, protocol).stats().model
+        };
+        assert_eq!((under(ModelId::Simulator), under(ModelId::Static)), (ModelId::Simulator, ModelId::Static));
+        assert_eq!(store.stats().contexts, 2, "one device, two backends");
+    }
+
+    #[test]
+    fn racing_evaluators_open_a_disk_scope_once_and_stall_no_other_scope() {
+        let dir = std::env::temp_dir()
+            .join(format!("oriole-store-unit-{}-race", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (sizes, other_sizes) = ([64u64], [128u64]);
+        let space = SearchSpace::tiny();
+        let gpu = Gpu::K20.spec();
+        let written = ArtifactStore::with_disk(&dir).expect("store dir");
+        let cold = written.evaluator("atax", &builder, gpu, &sizes).evaluate_space(&space);
+        drop(written);
+
+        // Eight evaluators of the written scope and one of a scope with
+        // no file yet, released together on a cold store.
+        let store = ArtifactStore::with_disk(&dir).expect("store dir");
+        let start = std::sync::Barrier::new(9);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    let ev = store.evaluator("atax", &builder, gpu, &sizes);
+                    assert_eq!(ev.evaluate_space(&space), cold);
+                    assert_eq!(ev.unique_evaluations(), 0, "every racer views the one loaded tier");
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                store.evaluator("atax", &builder, gpu, &other_sizes);
+            });
+        });
+        let stats = store.stats();
+        let disk = stats.disk.expect("disk attached");
+        assert_eq!((disk.tier_hits, disk.tier_misses), (1, 1), "one open per scope");
+        assert_eq!(disk.measurements_loaded as usize, space.len());
+        assert_eq!((stats.measurement_tiers, stats.front_end_tiers), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -483,16 +483,28 @@ fn evaluate_payloads_and_record_lines_match_their_literals() {
 // (d) A tier file in the parent's format
 // ---------------------------------------------------------------------------
 
-#[test]
-fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
-    let dir = std::env::temp_dir().join(format!("oriole-codec-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+/// The parent's tier file of the golden scope and pair: the magic, five
+/// header lines, two records.
+fn golden_tier_file() -> String {
     let mut file = String::from("oriole-meas v1\n");
     for (line, seal) in golden_scope_text().lines().chain(["end"]).zip(GOLDEN_HEADER_SEALS) {
         file.push_str(&format!("h {line}|{seal}\n"));
     }
     file.push_str(&format!("r {GOLDEN_M1}|{GOLDEN_SEAL_M1}\nr {GOLDEN_M2}|{GOLDEN_SEAL_M2}\n"));
+    file
+}
+
+fn golden_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("oriole-codec-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
+    let dir = golden_dir("golden");
+    let file = golden_tier_file();
     std::fs::write(dir.join(GOLDEN_TIER_NAME), &file).unwrap();
 
     let reports = persist::scan_store(&dir).unwrap();
@@ -532,5 +544,50 @@ fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
     drop(store);
     let header = file.split_inclusive('\n').take(6).collect::<String>();
     assert_eq!(std::fs::read_to_string(dir.join(GOLDEN_TIER_NAME)).unwrap(), header);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_byte_past_ascii_costs_a_tier_file_the_line_it_sits_in() {
+    // Every offset of the parent's file overwritten, one at a time, with
+    // a seeded byte >= 0x80: the file is then not UTF-8 as a whole. In
+    // the magic or the header that is a corrupt file; in a record it is
+    // that record's line and nothing else.
+    let dir = golden_dir("bytes");
+    let path = dir.join(GOLDEN_TIER_NAME);
+    let file = golden_tier_file();
+    let header_len = file.split_inclusive('\n').take(6).map(str::len).sum::<usize>();
+    let file = file.into_bytes();
+    let builder = |n: u64| KernelId::Atax.ast(n);
+    let mut rng = TestRng::for_case("tier_bytes", 0);
+    for at in 0..file.len() {
+        let mut damaged = file.clone();
+        damaged[at] = 0x80 | rng.next_u64() as u8;
+        std::fs::write(&path, &damaged).unwrap();
+
+        let status = persist::scan_store(&dir).unwrap().pop().expect("one file").status;
+        // Overwriting the newline between the records joins them into
+        // one damaged line.
+        let lines = if file[at] == b'\n' && at + 1 < file.len() { 1 } else { 2 };
+        let loaded = match status {
+            FileStatus::Corrupt if at < header_len => 0,
+            FileStatus::Usable { records, rejected: 1, .. } if at >= header_len => {
+                assert_eq!(records + 1, lines, "offset {at}");
+                records
+            }
+            other => panic!("offset {at}: {other:?}"),
+        };
+
+        // Through the store: what loaded is served as the literal says,
+        // the rest is computed, never read from a damaged line.
+        let store = ArtifactStore::with_disk(&dir).unwrap();
+        let evaluator = store.evaluator("atax", &builder, Gpu::K20.spec(), &[64, 128]);
+        let disk = store.stats().disk.expect("disk tier");
+        assert_eq!((disk.measurements_loaded as usize, disk.rejected), (loaded, 1), "offset {at}");
+        let as_written =
+            golden_pair().iter().filter(|m| *evaluator.evaluate(m.params) == **m).count();
+        assert!(as_written >= loaded, "offset {at}: a served record differs from its literal");
+        assert_eq!(evaluator.unique_evaluations(), 2 - loaded, "offset {at}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

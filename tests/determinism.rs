@@ -230,9 +230,8 @@ fn geometry_reuse_in_batch_workers_is_bit_identical_across_models_and_trial_prot
                 for protocol in [TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min] {
                     let what = format!("{name} {gpu} {model} {protocol:?}");
                     let evaluator = || {
-                        let mut ev = Evaluator::new(builder, gpu.spec(), &sizes);
-                        ev.set_protocol(EvalProtocol { model, protocol, ..EvalProtocol::default() });
-                        ev
+                        let protocol = EvalProtocol { model, protocol, ..EvalProtocol::default() };
+                        ArtifactStore::new().evaluator_with(name, builder, gpu.spec(), &sizes, protocol)
                     };
                     let lone = evaluator();
                     let one_by_one = canonical(space.iter().map(|p| lone.evaluate(p)).collect());
