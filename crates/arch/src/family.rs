@@ -28,16 +28,6 @@ impl Family {
         Family::Pascal,
     ];
 
-    /// Compute capability of the family's representative in Table I.
-    pub fn compute_capability(self) -> ComputeCapability {
-        match self {
-            Family::Fermi => ComputeCapability::new(2, 0),
-            Family::Kepler => ComputeCapability::new(3, 5),
-            Family::Maxwell => ComputeCapability::new(5, 2),
-            Family::Pascal => ComputeCapability::new(6, 0),
-        }
-    }
-
     /// Short label used in the paper's figures ("F", "K", "M", "P").
     pub fn letter(self) -> char {
         match self {
@@ -45,16 +35,6 @@ impl Family {
             Family::Kepler => 'K',
             Family::Maxwell => 'M',
             Family::Pascal => 'P',
-        }
-    }
-
-    /// The `sm_xx` architecture string `nvcc -arch=` would receive.
-    pub fn sm_arch(self) -> &'static str {
-        match self {
-            Family::Fermi => "sm_20",
-            Family::Kepler => "sm_35",
-            Family::Maxwell => "sm_52",
-            Family::Pascal => "sm_60",
         }
     }
 }
@@ -90,16 +70,10 @@ impl ComputeCapability {
         Self { major, minor }
     }
 
-    /// `major.minor` as a float, matching the paper's "CUDA capability"
-    /// row (2, 3.5, 5.2, 6.0).
-    pub fn as_f32(self) -> f32 {
-        f32::from(self.major) + f32::from(self.minor) / 10.0
-    }
-
     /// Whether register allocation on this capability is performed at warp
     /// granularity (Kepler and newer) rather than block granularity
     /// (Fermi). This distinction feeds the Eq. 4 register limiter.
-    pub fn warp_granularity_regalloc(self) -> bool {
+    pub(crate) fn warp_granularity_regalloc(self) -> bool {
         self.major >= 3
     }
 }
@@ -115,16 +89,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn family_capabilities_match_table_i() {
-        assert_eq!(Family::Fermi.compute_capability().as_f32(), 2.0);
-        assert_eq!(Family::Kepler.compute_capability().as_f32(), 3.5);
-        assert_eq!(Family::Maxwell.compute_capability().as_f32(), 5.2);
-        assert_eq!(Family::Pascal.compute_capability().as_f32(), 6.0);
-    }
-
-    #[test]
     fn capability_ordering_is_chronological() {
-        let ccs: Vec<_> = Family::ALL.iter().map(|f| f.compute_capability()).collect();
+        let ccs: Vec<_> = crate::ALL_GPUS.iter().map(|g| g.spec().compute_capability).collect();
         let mut sorted = ccs.clone();
         sorted.sort();
         assert_eq!(ccs, sorted);
@@ -132,15 +98,14 @@ mod tests {
 
     #[test]
     fn regalloc_granularity_gate() {
-        assert!(!Family::Fermi.compute_capability().warp_granularity_regalloc());
-        assert!(Family::Kepler.compute_capability().warp_granularity_regalloc());
-        assert!(Family::Pascal.compute_capability().warp_granularity_regalloc());
+        assert!(!crate::Gpu::M2050.spec().compute_capability.warp_granularity_regalloc());
+        assert!(crate::Gpu::K20.spec().compute_capability.warp_granularity_regalloc());
+        assert!(crate::Gpu::P100.spec().compute_capability.warp_granularity_regalloc());
     }
 
     #[test]
-    fn letters_and_arch_strings() {
+    fn letters() {
         assert_eq!(Family::Fermi.letter(), 'F');
-        assert_eq!(Family::Maxwell.sm_arch(), "sm_52");
         let letters: Vec<_> = Family::ALL.iter().map(|f| f.letter()).collect();
         assert_eq!(letters, vec!['F', 'K', 'M', 'P']);
     }

@@ -32,17 +32,6 @@ impl Gpu {
         }
     }
 
-    /// The GPU of a given architecture family (Table I has exactly one
-    /// representative per family).
-    pub fn of_family(family: Family) -> Gpu {
-        match family {
-            Family::Fermi => Gpu::M2050,
-            Family::Kepler => Gpu::K20,
-            Family::Maxwell => Gpu::M40,
-            Family::Pascal => Gpu::P100,
-        }
-    }
-
     /// Looks a GPU up by its marketing name (`"K20"`), family name
     /// (`"Kepler"`), or single-letter figure label (`"K"`);
     /// case-insensitive.
@@ -178,17 +167,6 @@ impl GpuSpec {
             .chain(wrapped.map(|(what, _)| format!("the {what} does not fit 32 bits")))
             .collect()
     }
-
-    /// Maximum resident threads across the whole device.
-    pub fn max_resident_threads(&self) -> u32 {
-        self.threads_per_mp * self.multiprocessors
-    }
-
-    /// Peak single-precision GFLOP/s assuming one FMA (2 flops) per core
-    /// per cycle — a coarse roofline anchor used by reports.
-    pub fn peak_gflops_fp32(&self) -> f64 {
-        2.0 * f64::from(self.total_cores()) * f64::from(self.gpu_clock_mhz) / 1000.0
-    }
 }
 
 impl fmt::Display for GpuSpec {
@@ -206,7 +184,7 @@ impl fmt::Display for GpuSpec {
 }
 
 /// Tesla M2050 (Fermi) — Table I column 1.
-pub static M2050: GpuSpec = GpuSpec {
+pub(crate) static M2050: GpuSpec = GpuSpec {
     name: "M2050",
     family: Family::Fermi,
     compute_capability: ComputeCapability::new(2, 0),
@@ -231,7 +209,7 @@ pub static M2050: GpuSpec = GpuSpec {
 };
 
 /// Tesla K20 (Kepler) — Table I column 2.
-pub static K20: GpuSpec = GpuSpec {
+pub(crate) static K20: GpuSpec = GpuSpec {
     name: "K20",
     family: Family::Kepler,
     compute_capability: ComputeCapability::new(3, 5),
@@ -256,7 +234,7 @@ pub static K20: GpuSpec = GpuSpec {
 };
 
 /// Tesla M40 (Maxwell) — Table I column 3.
-pub static M40: GpuSpec = GpuSpec {
+pub(crate) static M40: GpuSpec = GpuSpec {
     name: "M40",
     family: Family::Maxwell,
     compute_capability: ComputeCapability::new(5, 2),
@@ -281,7 +259,7 @@ pub static M40: GpuSpec = GpuSpec {
 };
 
 /// Tesla P100 (Pascal) — Table I column 4.
-pub static P100: GpuSpec = GpuSpec {
+pub(crate) static P100: GpuSpec = GpuSpec {
     name: "P100",
     family: Family::Pascal,
     compute_capability: ComputeCapability::new(6, 0),
@@ -398,10 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_family_and_name() {
-        for family in Family::ALL {
-            assert_eq!(Gpu::of_family(family).spec().family, family);
-        }
+    fn lookup_by_name() {
         assert_eq!(Gpu::parse("k20"), Some(Gpu::K20));
         assert_eq!(Gpu::parse("Maxwell"), Some(Gpu::M40));
         assert_eq!(Gpu::parse(" P "), Some(Gpu::P100));
@@ -412,12 +387,5 @@ mod tests {
     fn display_is_informative() {
         let text = Gpu::K20.spec().to_string();
         assert!(text.contains("K20") && text.contains("Kepler") && text.contains("3.5"));
-    }
-
-    #[test]
-    fn peak_flops_sane() {
-        // M2050: 448 cores * 1.147 GHz * 2 = ~1028 GFLOP/s.
-        let gf = Gpu::M2050.spec().peak_gflops_fp32();
-        assert!((gf - 1027.7).abs() < 1.0, "{gf}");
     }
 }

@@ -25,16 +25,6 @@ pub enum InstrClass {
     Reg,
 }
 
-impl InstrClass {
-    /// All four classes in mix-vector order.
-    pub const ALL: [InstrClass; 4] = [
-        InstrClass::Flops,
-        InstrClass::Mem,
-        InstrClass::Ctrl,
-        InstrClass::Reg,
-    ];
-}
-
 impl fmt::Display for InstrClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -151,7 +141,6 @@ impl fmt::Display for OpClass {
 /// Table II.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThroughputTable {
-    family: Family,
     /// Operations per cycle per SM, indexed in [`ALL_OP_CLASSES`] order.
     ipc: [u32; 15],
 }
@@ -165,11 +154,6 @@ impl ThroughputTable {
             Family::Maxwell => &SM52,
             Family::Pascal => &SM60,
         }
-    }
-
-    /// Which family (column) this table describes.
-    pub fn family(&self) -> Family {
-        self.family
     }
 
     /// Instructions per cycle for an operation class (Table II cell).
@@ -205,26 +189,22 @@ fn index_of(op: OpClass) -> usize {
 }
 
 /// Table II, SM20 column (Fermi).
-pub static SM20: ThroughputTable = ThroughputTable {
-    family: Family::Fermi,
+static SM20: ThroughputTable = ThroughputTable {
     ipc: [32, 16, 32, 16, 16, 16, 4, 32, 16, 16, 16, 16, 16, 32, 16],
 };
 
 /// Table II, SM35 column (Kepler).
-pub static SM35: ThroughputTable = ThroughputTable {
-    family: Family::Kepler,
+static SM35: ThroughputTable = ThroughputTable {
     ipc: [192, 64, 160, 32, 8, 128, 32, 160, 32, 32, 32, 32, 32, 32, 32],
 };
 
 /// Table II, SM52 column (Maxwell).
-pub static SM52: ThroughputTable = ThroughputTable {
-    family: Family::Maxwell,
+static SM52: ThroughputTable = ThroughputTable {
     ipc: [128, 4, 64, 64, 4, 32, 32, 64, 64, 64, 64, 64, 64, 32, 32],
 };
 
 /// Table II, SM60 column (Pascal).
-pub static SM60: ThroughputTable = ThroughputTable {
-    family: Family::Pascal,
+static SM60: ThroughputTable = ThroughputTable {
     ipc: [64, 32, 32, 32, 16, 16, 16, 32, 16, 16, 16, 16, 16, 32, 16],
 };
 

@@ -1,8 +1,8 @@
-//! Model-agreement study: how well does each pluggable [`TimingModel`]
-//! backend agree with the abstract-machine simulator?
+//! Model-agreement study: how well does each timing-model backend (a
+//! [`ModelId`]) agree with the abstract-machine simulator?
 //!
 //! For every kernel × architecture, the (thinned) Fig. 3 space is
-//! estimated under each backend through its own memoized
+//! estimated under each backend through its own
 //! [`ModelContext`], and each backend's series is compared against the
 //! simulator's Fig. 5-style: both signals sorted by simulator time,
 //! min–max normalized, then summarized by mean absolute error and rank
@@ -12,8 +12,6 @@
 //! ```sh
 //! cargo run --release -p oriole-bench --bin model_agreement [-- --quick]
 //! ```
-//!
-//! [`TimingModel`]: oriole_sim::TimingModel
 
 use oriole_bench::{ExpOptions, TextTable};
 use oriole_codegen::compile;

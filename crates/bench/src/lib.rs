@@ -12,7 +12,7 @@
 
 use oriole_arch::Gpu;
 use oriole_kernels::KernelId;
-use oriole_tuner::{ArtifactStore, Evaluator, Measurement, SearchSpace};
+use oriole_tuner::{ArtifactStore, Measurement, SearchSpace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -126,23 +126,11 @@ impl ExpOptions {
 
 /// Runs the §IV-B exhaustive sweep for one kernel on one GPU: every
 /// variant in `space`, measured with the paper's 10-trials/fifth-selected
-/// protocol over `sizes` — with a private, throwaway evaluator.
-pub fn exhaustive_measurements(
-    kid: KernelId,
-    gpu: Gpu,
-    space: &SearchSpace,
-    sizes: &[u64],
-) -> Vec<Arc<Measurement>> {
-    let builder = move |n: u64| kid.ast(n);
-    let evaluator = Evaluator::new(&builder, gpu.spec(), sizes);
-    evaluator.evaluate_space(space)
-}
-
-/// [`exhaustive_measurements`] borrowing tiers from a process-level
+/// protocol over `sizes`, borrowing tiers from a process-level
 /// [`ArtifactStore`]: repeated or overlapping sweeps (the experiment
 /// bins loop over kernels × GPUs, and several figures share sweeps)
-/// reuse front-ends, model reports and whole measurements. Results are
-/// bit-identical to the throwaway-evaluator path.
+/// reuse front-ends and whole measurements. Results are bit-identical
+/// to a sweep over a fresh store.
 pub fn exhaustive_measurements_in(
     store: &ArtifactStore,
     kid: KernelId,
@@ -263,7 +251,8 @@ mod tests {
     #[test]
     fn exhaustive_runs_on_tiny_space() {
         let space = SearchSpace::tiny();
-        let ms = exhaustive_measurements(KernelId::Atax, Gpu::K20, &space, &[64]);
+        let store = ArtifactStore::new();
+        let ms = exhaustive_measurements_in(&store, KernelId::Atax, Gpu::K20, &space, &[64]);
         assert_eq!(ms.len(), space.len());
         assert!(ms.iter().all(|m| m.feasible));
     }
@@ -295,9 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn store_backed_sweep_matches_throwaway_sweep() {
+    fn shared_store_sweep_matches_fresh_store_sweep() {
         let space = SearchSpace::tiny();
-        let fresh = exhaustive_measurements(KernelId::Atax, Gpu::K20, &space, &[64]);
+        let fresh =
+            exhaustive_measurements_in(&ArtifactStore::new(), KernelId::Atax, Gpu::K20, &space, &[64]);
         let store = ArtifactStore::new();
         let cold = exhaustive_measurements_in(&store, KernelId::Atax, Gpu::K20, &space, &[64]);
         let warm = exhaustive_measurements_in(&store, KernelId::Atax, Gpu::K20, &space, &[64]);

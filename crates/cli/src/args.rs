@@ -1,21 +1,25 @@
 //! Minimal flag parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed command line: positional subcommand plus `--key value` /
-/// `--switch` flags.
+/// `--switch` flags. Remembers every name a command looked up, so what
+/// the command never asked about can be refused
+/// ([`Args::reject_unasked`]) instead of silently ignored.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     flags: HashMap<String, String>,
     switches: Vec<String>,
+    asked: RefCell<HashSet<String>>,
 }
 
 /// Known boolean switches (present/absent, no value).
-const SWITCHES: &[&str] = &["fast-math", "csv", "quiet", "stats", "dry-run"];
+const SWITCHES: &[&str] = &["fast-math", "csv", "stats", "dry-run"];
 
 impl Args {
     /// Parses everything after the subcommand.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -38,39 +42,54 @@ impl Args {
     }
 
     /// A required string flag.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.flags
-            .get(name)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required flag --{name}"))
+    pub(crate) fn required(&self, name: &str) -> Result<&str, String> {
+        self.optional(name).ok_or_else(|| format!("missing required flag --{name}"))
     }
 
-    /// An optional string flag.
-    pub fn optional(&self, name: &str) -> Option<&str> {
+    /// An optional string flag. Every other value accessor reads
+    /// through this one, which is what records `name` as asked for.
+    pub(crate) fn optional(&self, name: &str) -> Option<&str> {
+        self.asked.borrow_mut().insert(name.to_string());
         self.flags.get(name).map(String::as_str)
     }
 
     /// An optional numeric flag with a default.
-    pub fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
+    pub(crate) fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.optional(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("bad value for --{name}: `{v}`")),
         }
     }
 
     /// A boolean switch.
-    pub fn switch(&self, name: &str) -> bool {
+    pub(crate) fn switch(&self, name: &str) -> bool {
+        self.asked.borrow_mut().insert(name.to_string());
         self.switches.iter().any(|s| s == name)
     }
 
     /// Comma-separated u64 list flag with default.
-    pub fn u64_list_or(&self, name: &str, default: &[u64]) -> Result<Vec<u64>, String> {
-        match self.flags.get(name) {
+    pub(crate) fn u64_list_or(&self, name: &str, default: &[u64]) -> Result<Vec<u64>, String> {
+        match self.optional(name) {
             None => Ok(default.to_vec()),
             Some(v) => v
                 .split(',')
                 .map(|s| s.trim().parse().map_err(|_| format!("bad --{name} item `{s}`")))
                 .collect(),
+        }
+    }
+
+    /// Refuses the command line if it carries a flag or switch that
+    /// `command` has not looked up by now — a misspelt `--budgte` must
+    /// fail, not run with the default budget. Call it once every flag
+    /// has been read and before the command starts its work.
+    pub(crate) fn reject_unasked(&self, command: &str) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        // The alphabetically first, so the message does not depend on
+        // the map's iteration order.
+        let unasked = self.flags.keys().chain(&self.switches).filter(|name| !asked.contains(*name));
+        match unasked.min() {
+            None => Ok(()),
+            Some(name) => Err(format!("unrecognised flag --{name} for `{command}`")),
         }
     }
 }
@@ -107,6 +126,17 @@ mod tests {
         assert_eq!(a.u64_list_or("sizes", &[]).unwrap(), vec![32, 64, 128]);
         let b = Args::parse(&sv(&[])).unwrap();
         assert_eq!(b.u64_list_or("sizes", &[8, 16]).unwrap(), vec![8, 16]);
+    }
+
+    #[test]
+    fn a_flag_nobody_asked_about_is_refused_by_name() {
+        let a = Args::parse(&sv(&["--budgte", "8", "--kernel", "atax", "--csv"])).unwrap();
+        a.required("kernel").unwrap();
+        assert!(a.reject_unasked("tune").unwrap_err().contains("--budgte"));
+        let _ = a.num_or::<u64>("budgte", 0);
+        assert!(a.reject_unasked("tune").unwrap_err().contains("--csv"));
+        assert!(!a.switch("stats") && a.switch("csv"));
+        assert_eq!(a.reject_unasked("tune"), Ok(()));
     }
 
     #[test]

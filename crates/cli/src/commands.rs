@@ -46,7 +46,7 @@ fn resolve_store(args: &Args) -> Result<ArtifactStore, String> {
 }
 
 /// Dispatches a full command line.
-pub fn run(argv: &[String]) -> Result<String, String> {
+pub(crate) fn run(argv: &[String]) -> Result<String, String> {
     let Some(cmd) = argv.first() else {
         return Ok(usage());
     };
@@ -60,7 +60,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         return cmd_service(&argv[1..]);
     }
     let args = Args::parse(&argv[1..])?;
-    match cmd.as_str() {
+    let out = match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(usage()),
         "gpus" => cmd_gpus(),
         "models" => cmd_models(),
@@ -72,7 +72,12 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "tune" => cmd_tune(&args),
         "serve" => cmd_serve(&args),
         other => Err(format!("unknown command `{other}`")),
-    }
+    }?;
+    // The commands above that dial, sweep or serve have refused unknown
+    // flags themselves before starting; for the pure ones, refusing
+    // after the fact costs nothing and no command can forget to.
+    args.reject_unasked(cmd)?;
+    Ok(out)
 }
 
 fn usage() -> String {
@@ -138,9 +143,9 @@ remote flag (tune/simulate): --remote ADDR
             Pipelining knobs (tune): --batch-points N (points per
             coalesced evaluate frame, default 64), --pipeline-depth N
             (frames in flight per connection, default 8),
-            --flush-idle-us US|auto (coalesce window for concurrent
-            misses, default 200; `auto` sizes it from the observed
-            round-trip time; a lone sequential search never waits).
+            --flush-idle-us US (coalesce window for concurrent
+            misses in microseconds, default 200; a lone sequential
+            search never waits).
 fleet flag (tune): --fleet ADDRS|@FILE
             evaluate across N daemons (comma-separated addresses, or a
             manifest file with one address per line): each scope's
@@ -292,11 +297,14 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let seed: u64 = args.num_or("seed", 42)?;
     let params = parse_params(args)?;
     let model = parse_model(args)?;
+    let remote = remote_addr(args)?;
+    let policy = retry_policy(args)?;
+    args.reject_unasked("simulate")?;
     // Compile + simulate either in-process or on a daemon; the wire
     // format is bit-exact, so both paths print identical text.
-    let (r, selected) = match remote_addr(args)? {
+    let (r, selected) = match remote {
         Some(addr) => {
-            let client = connect(addr, args)?;
+            let client = connect(addr, policy)?;
             let (selected, report) = client
                 .simulate(kernel_id.name(), gpu.spec(), n, params, model, trials, seed)
                 .map_err(|e| e.to_string())?;
@@ -329,18 +337,13 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
 /// daemon owns the store, and a second writer on one directory would
 /// break the single-writer-per-scope discipline.
 fn remote_addr(args: &Args) -> Result<Option<&str>, String> {
-    match args.optional("remote") {
-        Some(addr) => {
-            if args.optional("store-dir").is_some() {
-                return Err(
-                    "--remote and --store-dir are mutually exclusive: the daemon owns the \
-                     store (pass --store-dir to `oriole serve` instead)"
-                        .to_string(),
-                );
-            }
-            Ok(Some(addr))
-        }
-        None => Ok(None),
+    match (args.optional("remote"), args.optional("store-dir")) {
+        (Some(_), Some(_)) => Err(
+            "--remote and --store-dir are mutually exclusive: the daemon owns the \
+             store (pass --store-dir to `oriole serve` instead)"
+                .to_string(),
+        ),
+        (addr, _) => Ok(addr),
     }
 }
 
@@ -360,8 +363,8 @@ fn retry_policy(args: &Args) -> Result<RetryPolicy, String> {
     })
 }
 
-fn connect(addr: &str, args: &Args) -> Result<Client, String> {
-    Client::connect_with(addr, retry_policy(args)?)
+fn connect(addr: &str, policy: RetryPolicy) -> Result<Client, String> {
+    Client::connect_with(addr, policy)
         .map_err(|e| format!("cannot reach daemon at `{addr}`: {e} (is `oriole serve` running?)"))
 }
 
@@ -370,25 +373,19 @@ fn connect(addr: &str, args: &Args) -> Result<Client, String> {
 /// `--pipeline-depth N` caps the frames in flight on the connection,
 /// `--flush-idle-us US` is the coalesce window a flush waits for
 /// concurrent misses (0 = send immediately; a lone sequential caller
-/// never waits regardless). `--flush-idle-us auto` sizes the window
-/// from the connection's observed round-trip time instead.
+/// never waits regardless).
 fn coalesce_config(args: &Args) -> Result<CoalesceConfig, String> {
     let default = CoalesceConfig::default();
-    let (flush_idle, adaptive) = match args.optional("flush-idle-us") {
-        None => (default.flush_idle, false),
-        Some("auto") => (default.flush_idle, true),
-        Some(v) => (
-            std::time::Duration::from_micros(v.parse::<u64>().map_err(|_| {
-                format!("--flush-idle-us expects microseconds or `auto`, got `{v}`")
-            })?),
-            false,
+    let flush_idle = match args.optional("flush-idle-us") {
+        None => default.flush_idle,
+        Some(v) => std::time::Duration::from_micros(
+            v.parse().map_err(|_| format!("--flush-idle-us expects microseconds, got `{v}`"))?,
         ),
     };
     let cfg = CoalesceConfig {
         max_batch_points: args.num_or("batch-points", default.max_batch_points)?,
         max_frames: args.num_or("pipeline-depth", default.max_frames)?,
         flush_idle,
-        adaptive,
     };
     if cfg.max_batch_points == 0 || cfg.max_frames == 0 {
         return Err("--batch-points and --pipeline-depth must be at least 1".to_string());
@@ -450,6 +447,16 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         _ => space.len() / 10,
     };
     let budget: usize = args.num_or("budget", default_budget)?;
+    let dial: f64 = args.num_or("dial", 0.05)?;
+    let (stats, csv) = (args.switch("stats"), args.switch("csv"));
+    // Where points are evaluated. Every knob is read — and a bad value
+    // is a usage error — whichever of the three it ends up applying to,
+    // so that by here the command has asked about all its flags.
+    let fleet = fleet_spec(args)?;
+    let remote = remote_addr(args)?;
+    let policy = retry_policy(args)?;
+    let coalesce = coalesce_config(args)?;
+    args.reject_unasked("tune")?;
 
     let builder = move |n: u64| kernel_id.ast(n);
     let protocol = EvalProtocol { model, ..EvalProtocol::default() };
@@ -466,12 +473,10 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         Remote { remote: RemoteEvaluator, addr: String },
         Fleet { fleet: FleetEvaluator },
     }
-    let backend = if let Some(spec) = fleet_spec(args)? {
+    let backend = if let Some(spec) = fleet {
         // --batch-points doubles as the work-stealing granule: the
         // points per `evaluate` chunk a shard claims (or steals) at a
-        // time. Validate the knobs even though coalescing itself is
-        // per-daemon here.
-        let coalesce = coalesce_config(args)?;
+        // time; coalescing itself is per-daemon here.
         Backend::Fleet {
             fleet: FleetEvaluator::with_policy(
                 spec,
@@ -481,19 +486,16 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
                     sizes: sizes.clone(),
                     protocol,
                 },
-                retry_policy(args)?,
+                policy,
                 coalesce.max_batch_points,
             ),
         }
     } else {
-        match remote_addr(args)? {
+        match remote {
         Some(addr) => {
-            // Validate the batching knobs before dialing: a bad flag is
-            // a usage error even when no daemon is up.
-            let coalesce = coalesce_config(args)?;
             Backend::Remote {
                 remote: RemoteEvaluator::with_coalesce(
-                    connect(addr, args)?,
+                    connect(addr, policy)?,
                     EvalScope {
                         kernel: kernel_id.name().to_string(),
                         gpu: gpu.spec().clone(),
@@ -564,7 +566,6 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
             (result, extra)
         }
         "hybrid" => {
-            let dial: f64 = args.num_or("dial", 0.05)?;
             let n_probe = sizes[sizes.len() / 2];
             // One Eq. 6 table for the whole prediction sweep.
             let table = gpu.spec().throughput();
@@ -626,7 +627,7 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         "best: {} -> {:.4} ms total ({} evaluations)",
         result.best, result.best_time, result.evaluations,
     );
-    if args.switch("stats") {
+    if stats {
         match &backend {
             Backend::Local { evaluator, before, .. } => {
                 out.push_str(&render_stats(*before, evaluator.stats()));
@@ -640,7 +641,7 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
             }
         }
     }
-    if args.switch("csv") && !result.trace.is_empty() {
+    if csv && !result.trace.is_empty() {
         let points: Vec<TuningParams> = result.trace.iter().map(|(p, _)| *p).collect();
         match &backend {
             Backend::Local { evaluator, .. } => {
@@ -790,14 +791,7 @@ fn render_remote_stats(remote: &RemoteEvaluator, addr: &str, s: &ServiceStats) -
 /// directory's single writing process — run one daemon per directory.
 fn cmd_serve(args: &Args) -> Result<String, String> {
     let addr = args.optional("addr").unwrap_or("127.0.0.1:7733");
-    let (store, store_note) = match args.optional("store-dir") {
-        Some(dir) => (
-            ArtifactStore::with_disk(dir)
-                .map_err(|e| format!("cannot open store dir `{dir}`: {e}"))?,
-            format!("store dir `{dir}`"),
-        ),
-        None => (ArtifactStore::new(), "memory-only store".to_string()),
-    };
+    let store_dir = args.optional("store-dir");
     let default = ServeConfig::default();
     let cfg = ServeConfig {
         workers: args.num_or("workers", default.workers)?,
@@ -817,6 +811,15 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     if cfg.pipeline_depth == 0 {
         return Err("--pipeline-depth must be at least 1".to_string());
     }
+    args.reject_unasked("serve")?;
+    let (store, store_note) = match store_dir {
+        Some(dir) => (
+            ArtifactStore::with_disk(dir)
+                .map_err(|e| format!("cannot open store dir `{dir}`: {e}"))?,
+            format!("store dir `{dir}`"),
+        ),
+        None => (ArtifactStore::new(), "memory-only store".to_string()),
+    };
     let server =
         Server::bind_with(addr, store, cfg).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
     let actual = server.local_addr().map_err(|e| e.to_string())?;
@@ -864,7 +867,9 @@ fn cmd_service(argv: &[String]) -> Result<String, String> {
         return cmd_fleet_stats(&args);
     }
     let addr = args.required("remote")?;
-    let client = connect(addr, &args)?;
+    let policy = retry_policy(&args)?;
+    args.reject_unasked("service")?;
+    let client = connect(addr, policy)?;
     match action.as_str() {
         "ping" => {
             client.ping().map_err(|e| e.to_string())?;
@@ -950,6 +955,7 @@ fn cmd_service(argv: &[String]) -> Result<String, String> {
 fn cmd_fleet_stats(args: &Args) -> Result<String, String> {
     let spec = FleetSpec::parse(args.required("fleet")?)?;
     let policy = retry_policy(args)?;
+    args.reject_unasked("service fleet-stats")?;
     let mut out = String::new();
     let _ = writeln!(out, "fleet of {} shard(s):", spec.len());
     let (mut unique, mut served, mut reachable) = (0u64, 0u64, 0usize);
@@ -1001,6 +1007,9 @@ fn cmd_store(argv: &[String]) -> Result<String, String> {
     };
     let args = Args::parse(&argv[1..])?;
     let dir = args.required("store-dir")?;
+    // Only `gc` knows `--dry-run`; beside `stats` or `verify` it is refused.
+    let dry_run = action == "gc" && args.switch("dry-run");
+    args.reject_unasked("store")?;
     let path = Path::new(dir);
     if !path.is_dir() {
         return Err(format!("store dir `{dir}` does not exist"));
@@ -1092,7 +1101,7 @@ fn cmd_store(argv: &[String]) -> Result<String, String> {
             }
         }
         "gc" => {
-            if args.switch("dry-run") {
+            if dry_run {
                 let plan =
                     persist::plan_gc(path).map_err(|e| format!("cannot plan gc `{dir}`: {e}"))?;
                 return Ok(format!(
@@ -1479,21 +1488,95 @@ mod tests {
     }
 
     #[test]
-    fn flush_idle_auto_is_accepted_and_garbage_is_not() {
-        let err = call(
-            "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
-             --flush-idle-us soon",
-        )
-        .unwrap_err();
-        assert!(err.contains("`auto`"), "error should advertise auto: {err}");
+    fn flush_idle_takes_microseconds_and_garbage_is_rejected() {
+        for garbage in ["soon", "auto"] {
+            let err = call(&format!(
+                "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
+                 --flush-idle-us {garbage}"
+            ))
+            .unwrap_err();
+            assert!(err.contains("expects microseconds"), "{err}");
+            assert!(err.contains(garbage), "{err}");
+        }
+    }
 
-        let (addr, handle) = spawn_daemon();
-        let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32";
-        let local = call(flags).unwrap();
-        let auto = call(&format!("{flags} --remote {addr} --flush-idle-us auto")).unwrap();
-        assert_eq!(auto, local, "adaptive coalescing must never change results");
-        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
-        handle.join().expect("server thread");
+    #[test]
+    fn a_misspelt_flag_is_an_error_naming_it_and_nothing_runs() {
+        let tune = "tune --kernel atax --gpu k20 --strategy random --sizes 32";
+        let err = call(&format!("{tune} --budgte 8")).unwrap_err();
+        assert!(err.contains("--budgte") && err.contains("`tune`"), "{err}");
+        assert!(!err.contains("evaluations"), "nothing ran, nothing is reported: {err}");
+
+        // A sweep that silently does not persist is the worst of these:
+        // the misspelt directory is never created.
+        let dir = std::env::temp_dir().join(format!("oriole-cli-typo-{}", std::process::id()));
+        let err = call(&format!("{tune} --budget 2 --store-dri {}", dir.display())).unwrap_err();
+        assert!(err.contains("--store-dri"), "{err}");
+        assert!(!dir.exists());
+
+        for (line, flag) in [
+            (format!("{tune} --budget 2 --retires 0"), "--retires"),
+            (format!("{tune} --budget 2 --modle static"), "--modle"),
+            ("simulate --kernel atax --gpu k20 --n 64 --budget 2".to_string(), "--budget"),
+            ("analyze --kernel atax --gpu k20 --strategy random".to_string(), "--strategy"),
+            ("gpus --csv".to_string(), "--csv"),
+            ("serve --adr 127.0.0.1:0".to_string(), "--adr"),
+            ("store stats --store-dir . --dry-run".to_string(), "--dry-run"),
+            ("service ping --remote 127.0.0.1:1 --retires 0".to_string(), "--retires"),
+        ] {
+            let err = call(&line).unwrap_err();
+            assert!(err.contains("unrecognised flag") && err.contains(flag), "`{line}`: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_usage_prints_is_accepted_where_it_is_printed() {
+        let dir = std::env::temp_dir().join(format!("oriole-cli-usage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("paper.spec");
+        std::fs::write(&spec, oriole_tuner::spec::FIG3_SPEC).unwrap();
+        let (dir, spec) = (dir.display().to_string(), spec.display().to_string());
+        // Nothing listens on port 1: the dialing lines fail fast, past
+        // flag checking, which is all this test asks of them.
+        let (dead, fast) = ("127.0.0.1:1", "--rpc-timeout 50 --retries 0");
+        let variant = "--tc 128 --bc 48 --uif 1 --pl 16 --sc 1 --fast-math";
+        let tune = "tune --kernel atax --gpu k20 --sizes 32 --budget 2 --seed 1";
+        let lines = [
+            format!("analyze --kernel atax --gpu k20 --n 64 {variant} --model static"),
+            "occupancy --gpu k20 --tc 256 --regs 27 --smem 3072".to_string(),
+            format!("suggest --kernel atax --gpu k20 --n 64 {variant}"),
+            format!("simulate --kernel atax --gpu k20 --n 64 {variant} --model sim --store-dir {dir}"),
+            format!("simulate --kernel atax --gpu k20 --n 64 --remote {dead} {fast}"),
+            format!("disasm --kernel atax --gpu k20 {variant}"),
+            format!("{tune} --strategy hybrid --dial 0.5 --model roofline --csv --stats --store-dir {dir}"),
+            format!("{tune} --strategy random --spec {spec}"),
+            format!(
+                "{tune} --strategy random --remote {dead} {fast} --batch-points 8 \
+                 --pipeline-depth 2 --flush-idle-us 100"
+            ),
+            format!("{tune} --strategy random --fleet {dead} {fast} --batch-points 8"),
+            format!("store gc --store-dir {dir} --dry-run"),
+            format!(
+                "serve --addr not-an-address --store-dir {dir} --workers 1 --max-inflight 1 \
+                 --pipeline-depth 1 --request-timeout 10 --idle-timeout 10"
+            ),
+            format!("service ping --remote {dead} {fast}"),
+            format!("service fleet-stats --fleet {dead} {fast}"),
+        ];
+        for line in &lines {
+            if let Err(e) = call(line) {
+                assert!(!e.contains("unrecognised flag"), "`{line}`: {e}");
+            }
+        }
+        // ... and `lines` drives every flag the help text mentions.
+        let driven = lines.join(" ");
+        for word in usage().split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if word.starts_with("--") && word.len() > 2 {
+                assert!(driven.contains(word), "usage() lists {word}; no line above drives it");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

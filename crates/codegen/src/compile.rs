@@ -165,43 +165,9 @@ pub fn front_end(
 }
 
 impl FrontEnd {
-    /// The target device this artifact was lowered for.
-    pub fn gpu(&self) -> &GpuSpec {
-        &self.gpu
-    }
-
-    /// The shared-memory declarations of the source kernel — the inputs
-    /// of the per-`TC` footprint the back-end computes. Exposed so
-    /// content-addressed caches can key on everything a specialization
-    /// depends on.
-    pub fn shared_decls(&self) -> &[SharedDecl] {
-        &self.shared
-    }
-
-    /// The unroll factor baked into the lowered program.
-    pub fn uif(&self) -> u32 {
-        self.uif
-    }
-
-    /// The compiler flags baked into the lowered program.
-    pub fn cflags(&self) -> CompilerFlags {
-        self.cflags
-    }
-
-    /// The lowered program before metadata fill-in.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The analysis index of the lowered program (built once at
-    /// artifact creation; every specialization shares it).
-    pub fn index(&self) -> &Arc<ProgramIndex> {
-        &self.index
-    }
-
     /// The cached register allocation for this lowered program at the
     /// device cap (computed on first use).
-    pub fn allocation(&self) -> RegAllocation {
+    pub(crate) fn allocation(&self) -> RegAllocation {
         *self
             .alloc
             .get_or_init(|| regalloc::allocate(&self.program, self.gpu.regs_per_thread_max))
@@ -439,7 +405,7 @@ mod tests {
         let a = fe.specialize(params(128, 48, 1, false)).unwrap();
         let b = fe.specialize(params(512, 24, 1, false)).unwrap();
         // One index per front-end artifact: the very same allocation.
-        assert!(Arc::ptr_eq(fe.index(), &a.index));
+        assert!(Arc::ptr_eq(&fe.index, &a.index));
         assert!(Arc::ptr_eq(&a.index, &b.index));
         assert_eq!(a.index.len(), a.program.blocks.len());
     }

@@ -97,13 +97,13 @@ impl TuningParams {
     /// The validation problem with an unroll factor, if any — shared
     /// between full-point validation and the compile front-end (which
     /// sees only `UIF`/`CFLAGS`), so the two can never drift.
-    pub fn uif_problem(uif: u32) -> Option<String> {
+    pub(crate) fn uif_problem(uif: u32) -> Option<String> {
         (uif == 0 || uif > 8).then(|| format!("UIF {uif} outside supported range 1..=8"))
     }
 
     /// Validation problems for this configuration on `gpu` (empty =
     /// valid). Mirrors the checks `nvcc`/the runtime would raise.
-    pub fn problems(&self, gpu: &GpuSpec) -> Vec<String> {
+    pub(crate) fn problems(&self, gpu: &GpuSpec) -> Vec<String> {
         let mut out = Vec::new();
         if self.tc == 0 {
             out.push("TC must be positive".into());
@@ -131,11 +131,6 @@ impl TuningParams {
             out.push(format!("SC {} outside supported range 1..=8", self.sc));
         }
         out
-    }
-
-    /// Whether the configuration is valid on `gpu`.
-    pub fn is_valid(&self, gpu: &GpuSpec) -> bool {
-        self.problems(gpu).is_empty()
     }
 }
 
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn default_params_valid_everywhere() {
         for gpu in oriole_arch::ALL_GPUS {
-            assert!(TuningParams::default().is_valid(gpu.spec()), "{gpu}");
+            assert!(TuningParams::default().problems(gpu.spec()).is_empty(), "{gpu}");
         }
     }
 
@@ -181,20 +176,20 @@ mod tests {
         let gpu = Gpu::K20.spec();
         let mut p = TuningParams::default();
         p.tc = 0;
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
         p.tc = 2048;
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
         p.tc = 100; // not a warp multiple
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
         p = TuningParams::default();
         p.uif = 0;
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
         p = TuningParams::default();
         p.bc = 0;
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
         p = TuningParams::default();
         p.sc = 99;
-        assert!(!p.is_valid(gpu));
+        assert!(!p.problems(gpu).is_empty());
     }
 
     #[test]

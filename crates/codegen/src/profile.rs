@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// A front-end compile phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Loop unrolling (`transform::unroll`), keyed by UIF.
     Unroll,
     /// AST → linear IR lowering with fused index construction.
@@ -47,7 +47,7 @@ fn counters(phase: Phase) -> (&'static AtomicU64, &'static AtomicU64) {
 }
 
 /// Times `f` and accounts its wall-clock cost to `phase`.
-pub fn time<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
+pub(crate) fn time<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -20,7 +20,7 @@ use oriole_ir::{BlockId, Program, Terminator};
 
 /// Registers the ABI reserves outside allocatable program values
 /// (thread/block indices, parameter base pointers, stack pointer).
-pub const SYSTEM_RESERVED_REGS: u32 = 8;
+const SYSTEM_RESERVED_REGS: u32 = 8;
 
 /// Result of register allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -29,7 +29,7 @@ pub struct DivergenceFinding {
 impl DivergenceFinding {
     /// Serialization overhead ratio: warp-level over thread-level cost
     /// (1.0 = no waste; 2.0 = warps execute twice the useful work).
-    pub fn overhead(&self) -> f64 {
+    pub(crate) fn overhead(&self) -> f64 {
         if self.thread_cost > 0.0 {
             self.warp_cost / self.thread_cost
         } else if self.warp_cost > 0.0 {
@@ -52,14 +52,14 @@ pub struct DivergenceReport {
 
 impl DivergenceReport {
     /// Whether the kernel diverges at all.
-    pub fn is_divergent(&self) -> bool {
+    pub(crate) fn is_divergent(&self) -> bool {
         !self.findings.is_empty()
     }
 }
 
 /// Analyzes divergence of `program` at `geom`, building a throwaway
-/// [`ProgramIndex`] first. Prefer [`analyze_divergence_with`] with the
-/// kernel's shared index on hot paths.
+/// [`ProgramIndex`] first; [`analyze`](crate::analyze) reuses the
+/// kernel's shared index instead.
 pub fn analyze_divergence(program: &Program, geom: LaunchGeometry) -> DivergenceReport {
     analyze_divergence_with(&ProgramIndex::build(program), program, geom)
 }
@@ -67,7 +67,7 @@ pub fn analyze_divergence(program: &Program, geom: LaunchGeometry) -> Divergence
 /// Analyzes divergence using a prebuilt index (the kernel's shared
 /// artifact): precomputed regions, no per-call CFG construction, and a
 /// branch-free fast path for divergence-free programs.
-pub fn analyze_divergence_with(
+pub(crate) fn analyze_divergence_with(
     index: &ProgramIndex,
     program: &Program,
     geom: LaunchGeometry,

@@ -47,10 +47,9 @@ mod analyzer;
 #[allow(deprecated)]
 pub use analyzer::analyze_in;
 pub use analyzer::{analyze, analyze_disassembly, StaticAnalysis};
-pub use divergence::{analyze_divergence, analyze_divergence_with, DivergenceFinding, DivergenceReport};
+pub use divergence::{analyze_divergence, DivergenceFinding, DivergenceReport};
 pub use mix::MixReport;
 pub use occupancy::OccupancyAnalysis;
 pub use pipeline::PipelineUtilization;
-pub use predict::{mae, normalize, predict_time, predict_time_indexed, PredictedSeries};
-pub use rules::{ThreadRange, INTENSITY_THRESHOLD};
+pub use predict::{predict_time, predict_time_indexed, PredictedSeries};
 pub use suggest::Suggestion;

@@ -5,8 +5,8 @@
 //! characterize whether a kernel is memory-bound, compute-bound, or
 //! relatively balanced."
 
-use oriole_arch::{OpClass, ALL_OP_CLASSES};
-use oriole_ir::{count, ClassMix, LaunchGeometry, MixCounts, Program, ProgramIndex};
+use oriole_arch::ALL_OP_CLASSES;
+use oriole_ir::{ClassMix, LaunchGeometry, MixCounts, Program, ProgramIndex};
 use std::fmt;
 
 /// The mix analysis of one kernel at one launch geometry.
@@ -25,7 +25,7 @@ pub struct MixReport {
 
 /// Characterization bucket derived from the mix (§III-B1's discussion).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelCharacter {
+enum KernelCharacter {
     /// Memory operations dominate the weighted mix.
     MemoryBound,
     /// Arithmetic dominates.
@@ -46,19 +46,9 @@ impl fmt::Display for KernelCharacter {
 }
 
 impl MixReport {
-    /// Analyzes `program` at `geom` by walking the instruction vectors
-    /// directly. Prefer [`MixReport::compute_with`] with the kernel's
-    /// shared index on hot paths; both produce bit-identical reports.
-    pub fn compute(program: &Program, geom: LaunchGeometry) -> MixReport {
-        let static_counts = count::static_mix(program);
-        let expected_counts = count::expected_mix(program, geom);
-        let classes = expected_counts.classes();
-        MixReport { static_counts, expected_counts, intensity: classes.intensity(), classes }
-    }
-
-    /// [`MixReport::compute`] replaying the prebuilt index's per-block
-    /// summary tapes instead of re-walking `Instr` vectors.
-    pub fn compute_with(
+    /// Analyzes `program` at `geom` by replaying the prebuilt index's
+    /// per-block summary tapes instead of walking `Instr` vectors.
+    pub(crate) fn compute_with(
         index: &ProgramIndex,
         program: &Program,
         geom: LaunchGeometry,
@@ -72,7 +62,7 @@ impl MixReport {
     /// §III-B1 characterization. The thresholds follow the paper's
     /// framing: intensity well above the rule threshold is
     /// compute-bound, well below is memory-bound.
-    pub fn character(&self) -> KernelCharacter {
+    fn character(&self) -> KernelCharacter {
         if self.intensity > crate::rules::INTENSITY_THRESHOLD {
             KernelCharacter::ComputeBound
         } else if self.intensity < crate::rules::INTENSITY_THRESHOLD / 2.0 {
@@ -82,11 +72,6 @@ impl MixReport {
         }
     }
 
-    /// Expected counts for one Table II operation class.
-    pub fn expected(&self, op: OpClass) -> f64 {
-        self.expected_counts.get(op)
-    }
-
     /// The per-class fractions of the four coarse classes
     /// `(O_fl, O_mem, O_ctrl, O_reg)` of the expected mix.
     pub fn fractions(&self) -> (f64, f64, f64, f64) {
@@ -94,7 +79,7 @@ impl MixReport {
     }
 
     /// Renders the per-class table (analysis-report section).
-    pub fn table(&self) -> String {
+    pub(crate) fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("op class                    static      expected/thread\n");
         for &op in &ALL_OP_CLASSES {
@@ -159,7 +144,7 @@ mod tests {
     fn report(kid: KernelId, n: u64) -> MixReport {
         let kernel =
             compile(&kid.ast(n), Gpu::K20.spec(), TuningParams::with_geometry(128, 48)).unwrap();
-        MixReport::compute(&kernel.program, LaunchGeometry::new(n, 128, 48))
+        MixReport::compute_with(&kernel.index, &kernel.program, LaunchGeometry::new(n, 128, 48))
     }
 
     #[test]
@@ -223,8 +208,10 @@ mod tests {
             TuningParams::with_geometry(128, 48),
         )
         .unwrap();
-        let a = MixReport::compute(&kernel.program, LaunchGeometry::new(64, 128, 48));
-        let b = MixReport::compute(&kernel.program, LaunchGeometry::new(64, 512, 192));
+        let at = |tc, bc| {
+            MixReport::compute_with(&kernel.index, &kernel.program, LaunchGeometry::new(64, tc, bc))
+        };
+        let (a, b) = (at(128, 48), at(512, 192));
         assert_eq!(a.static_counts, b.static_counts);
         assert_ne!(a.expected_counts, b.expected_counts);
         let _ = Family::Kepler; // silence unused-import lint paths

@@ -18,7 +18,7 @@ pub struct OccupancyAnalysis {
 impl OccupancyAnalysis {
     /// Runs the occupancy model for a block size / register count /
     /// shared-memory footprint triple (the `u`-superscript inputs).
-    pub fn compute(spec: &GpuSpec, input: OccupancyInput) -> OccupancyAnalysis {
+    pub(crate) fn compute(spec: &GpuSpec, input: OccupancyInput) -> OccupancyAnalysis {
         OccupancyAnalysis {
             result: occ_calc(spec, input),
             input,
@@ -27,12 +27,12 @@ impl OccupancyAnalysis {
     }
 
     /// `occ_mp` of Eq. 2.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         self.result.occupancy
     }
 
     /// Human-readable limiter attribution.
-    pub fn limiter_text(&self) -> &'static str {
+    pub(crate) fn limiter_text(&self) -> &'static str {
         match self.result.limiter {
             Limiter::Warps => "warp capacity (Eq. 3)",
             Limiter::Registers => "register file (Eq. 4)",
@@ -43,7 +43,7 @@ impl OccupancyAnalysis {
 
     /// Whether raising occupancy requires *lowering* a resource the user
     /// controls (the advice direction of Fig. 7).
-    pub fn advice(&self) -> Option<String> {
+    pub(crate) fn advice(&self) -> Option<String> {
         match self.result.limiter {
             Limiter::Registers => Some(format!(
                 "register-limited: reducing below {} regs/thread raises occupancy",

@@ -29,7 +29,7 @@ pub struct PipelineUtilization {
 impl PipelineUtilization {
     /// Computes utilization shares for `mix` under a family's throughput
     /// table.
-    pub fn compute(mix: &MixCounts, table: &ThroughputTable) -> PipelineUtilization {
+    pub(crate) fn compute(mix: &MixCounts, table: &ThroughputTable) -> PipelineUtilization {
         let mut cycles = [0.0f64; 4];
         for (op, count) in mix.iter() {
             let idx = match op.class() {
@@ -53,7 +53,7 @@ impl PipelineUtilization {
     }
 
     /// The dominating pipeline and its share.
-    pub fn bottleneck(&self) -> (&'static str, f64) {
+    pub(crate) fn bottleneck(&self) -> (&'static str, f64) {
         let candidates = [
             ("arithmetic", self.flops),
             ("load/store", self.mem),

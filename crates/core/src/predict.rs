@@ -10,14 +10,15 @@
 //! target compute capability); they are **not** fitted against the
 //! simulator, keeping the prediction honestly static. Output is in
 //! arbitrary model units — Fig. 5 normalizes both predictions and
-//! measurements before comparing, and so do we ([`normalize`], [`mae`]).
+//! measurements before comparing, and so do we ([`PredictedSeries`]).
 //!
 //! Eq. 6 is also available as a pluggable timing backend: the
 //! `StaticPredictModel` in `oriole_sim::model` wraps
 //! [`predict_time_with`] behind the `TimingModel` trait, so the CLI's
 //! `--model static` (on `tune`/`simulate`/`analyze`) and the
 //! `model_agreement` experiment bin run this predictor through the same
-//! memoized, content-addressed evaluation stack as the simulator.
+//! evaluation stack — the store's front-end and measurement tiers — as
+//! the simulator.
 //! [`predict_time_with`] takes the Table II column explicitly — for
 //! callers that already hold the device's table (the analyzer resolves
 //! one for its pipeline estimate, model contexts own their device), and
@@ -128,7 +129,7 @@ impl PredictedSeries {
 }
 
 /// Min–max normalization to `[0, 1]` (constant series map to zeros).
-pub fn normalize(values: &[f64]) -> Vec<f64> {
+fn normalize(values: &[f64]) -> Vec<f64> {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for &v in values {
         lo = lo.min(v);
@@ -141,7 +142,7 @@ pub fn normalize(values: &[f64]) -> Vec<f64> {
 }
 
 /// Mean absolute error between two equal-length series.
-pub fn mae(a: &[f64], b: &[f64]) -> f64 {
+fn mae(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "series length mismatch");
     if a.is_empty() {
         return 0.0;

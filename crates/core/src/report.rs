@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// One panel: occupancy as a function of a single varying resource.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OccupancySeries {
+struct OccupancySeries {
     /// The varying quantity's values.
     pub x: Vec<u32>,
     /// Occupancy at each value.
@@ -23,7 +23,7 @@ pub struct OccupancySeries {
 
 impl OccupancySeries {
     /// Renders an ASCII bar panel (one row per x value).
-    pub fn render(&self, title: &str) -> String {
+    pub(crate) fn render(&self, title: &str) -> String {
         let mut out = format!("{title}\n");
         for (i, (&x, &o)) in self.x.iter().zip(&self.occ).enumerate() {
             let bars = (o * 32.0).round() as usize;
@@ -35,7 +35,7 @@ impl OccupancySeries {
 }
 
 /// Occupancy vs block size, at fixed registers/shared memory.
-pub fn vary_block_size(spec: &GpuSpec, regs: u32, smem: u32, current_tc: u32) -> OccupancySeries {
+fn vary_block_size(spec: &GpuSpec, regs: u32, smem: u32, current_tc: u32) -> OccupancySeries {
     let step = spec.warp_size * 2;
     let xs: Vec<u32> = (1..=(spec.threads_per_block / step)).map(|i| i * step).collect();
     series(spec, &xs, current_tc, |tc| OccupancyInput {
@@ -47,7 +47,7 @@ pub fn vary_block_size(spec: &GpuSpec, regs: u32, smem: u32, current_tc: u32) ->
 }
 
 /// Occupancy vs registers per thread, at a fixed block size.
-pub fn vary_registers(spec: &GpuSpec, tc: u32, smem: u32, current_regs: u32) -> OccupancySeries {
+fn vary_registers(spec: &GpuSpec, tc: u32, smem: u32, current_regs: u32) -> OccupancySeries {
     let xs: Vec<u32> = (1..=(spec.regs_per_thread_max / 8)).map(|i| i * 8).collect();
     series(spec, &xs, current_regs, |r| OccupancyInput {
         tc,
@@ -58,7 +58,7 @@ pub fn vary_registers(spec: &GpuSpec, tc: u32, smem: u32, current_regs: u32) -> 
 }
 
 /// Occupancy vs shared memory per block, at a fixed block size.
-pub fn vary_shared_mem(spec: &GpuSpec, tc: u32, regs: u32, current_smem: u32) -> OccupancySeries {
+fn vary_shared_mem(spec: &GpuSpec, tc: u32, regs: u32, current_smem: u32) -> OccupancySeries {
     let step = 2048u32;
     let xs: Vec<u32> = (0..=(spec.shmem_per_block / step)).map(|i| i * step).collect();
     series(spec, &xs, current_smem, |s| OccupancyInput {

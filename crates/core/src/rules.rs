@@ -7,11 +7,11 @@
 
 /// The paper's intensity threshold separating compute-leaning kernels
 /// (upper thread ranges) from memory-leaning ones (lower ranges).
-pub const INTENSITY_THRESHOLD: f64 = 4.0;
+pub(crate) const INTENSITY_THRESHOLD: f64 = 4.0;
 
 /// Which band of the suggested thread counts the heuristic selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadRange {
+enum ThreadRange {
     /// The lower half of `T*` (memory-leaning kernels).
     Lower,
     /// The upper half of `T*` (compute-leaning kernels).
@@ -19,7 +19,7 @@ pub enum ThreadRange {
 }
 
 /// Applies the intensity rule.
-pub fn range_for_intensity(intensity: f64) -> ThreadRange {
+fn range_for_intensity(intensity: f64) -> ThreadRange {
     if intensity > INTENSITY_THRESHOLD {
         ThreadRange::Upper
     } else {
@@ -30,7 +30,7 @@ pub fn range_for_intensity(intensity: f64) -> ThreadRange {
 /// Restricts a suggested `T*` list to the heuristic's band. The split is
 /// at the midpoint; odd-length lists give the middle element to both
 /// bands (the paper keeps the suggestion non-empty either way).
-pub fn apply_range(thread_counts: &[u32], range: ThreadRange) -> Vec<u32> {
+fn apply_range(thread_counts: &[u32], range: ThreadRange) -> Vec<u32> {
     if thread_counts.len() <= 1 {
         return thread_counts.to_vec();
     }
@@ -43,7 +43,7 @@ pub fn apply_range(thread_counts: &[u32], range: ThreadRange) -> Vec<u32> {
 
 /// One-call convenience: the rule-pruned thread suggestion for a kernel
 /// with the given measured intensity.
-pub fn rule_based_threads(thread_counts: &[u32], intensity: f64) -> Vec<u32> {
+pub(crate) fn rule_based_threads(thread_counts: &[u32], intensity: f64) -> Vec<u32> {
     apply_range(thread_counts, range_for_intensity(intensity))
 }
 

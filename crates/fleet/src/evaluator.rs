@@ -127,15 +127,8 @@ pub struct FleetEvaluator {
 }
 
 impl FleetEvaluator {
-    /// A fleet evaluator over `scope` with the default [`RetryPolicy`]
-    /// and chunk size (64 points — the service tier's batch sweet
-    /// spot).
-    pub fn new(spec: FleetSpec, scope: EvalScope) -> FleetEvaluator {
-        FleetEvaluator::with_policy(spec, scope, RetryPolicy::default(), 64)
-    }
-
-    /// [`FleetEvaluator::new`] with explicit retry policy and points
-    /// per chunk (the work-stealing granule; clamped to ≥ 1).
+    /// A fleet evaluator over `scope` with the given retry policy and
+    /// points per chunk (the work-stealing granule; clamped to ≥ 1).
     pub fn with_policy(
         spec: FleetSpec,
         scope: EvalScope,
@@ -164,16 +157,6 @@ impl FleetEvaluator {
         }
     }
 
-    /// The fleet membership.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.spec
-    }
-
-    /// The experiment scope every query runs under.
-    pub fn scope(&self) -> &EvalScope {
-        &self.scope
-    }
-
     /// A snapshot of the fleet telemetry so far.
     pub fn stats(&self) -> FleetStats {
         self.telemetry.lock().expect("telemetry lock").clone()
@@ -197,7 +180,7 @@ impl FleetEvaluator {
 
     /// Evaluates one point (memoized client-side). `None` after a
     /// latched fleet failure.
-    pub fn evaluate(&self, params: TuningParams) -> Option<Measurement> {
+    pub(crate) fn evaluate(&self, params: TuningParams) -> Option<Measurement> {
         self.evaluate_batch(&[params]).map(|mut v| v.remove(0))
     }
 

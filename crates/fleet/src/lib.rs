@@ -12,7 +12,7 @@
 //!   file names. Each daemon owns a disjoint `--store-dir`, so the
 //!   single-writer-per-scope discipline and torn-write detection from
 //!   `persist` hold fleet-wide without coordination.
-//! - [`StealScheduler`] is the **work-stealing scheduler**: a sweep's
+//! - `StealScheduler` is the **work-stealing scheduler**: a sweep's
 //!   point-chunks enqueue on the scope's home shard, idle shards steal
 //!   from the busiest live queue's tail, and a lost shard's queue
 //!   drains to survivors. Pure and deterministic — given the same
@@ -37,5 +37,4 @@ mod sched;
 mod spec;
 
 pub use evaluator::{FleetCounters, FleetEvaluator, FleetStats, ShardTelemetry};
-pub use sched::{StealScheduler, Task};
 pub use spec::FleetSpec;

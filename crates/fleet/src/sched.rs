@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 /// One scheduling decision handed to a shard's worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Task {
+pub(crate) struct Task {
     /// Index of the chunk to evaluate.
     pub chunk: usize,
     /// The shard whose queue this chunk was stolen from (`None` when
@@ -30,14 +30,14 @@ pub struct Task {
 /// work its owner would reach last. A retired shard's queue drains
 /// round-robin onto survivors' tails.
 #[derive(Debug)]
-pub struct StealScheduler {
+pub(crate) struct StealScheduler {
     queues: Vec<VecDeque<usize>>,
     live: Vec<bool>,
 }
 
 impl StealScheduler {
     /// A scheduler over `n` shards, all live, all queues empty.
-    pub fn new(n: usize) -> StealScheduler {
+    pub(crate) fn new(n: usize) -> StealScheduler {
         StealScheduler { queues: vec![VecDeque::new(); n], live: vec![true; n] }
     }
 
@@ -45,7 +45,7 @@ impl StealScheduler {
     /// already retired, on the next live shard cyclically after it
     /// (deterministic, so a dead home shard never strands work).
     /// Panics if no shard is live.
-    pub fn enqueue(&mut self, shard: usize, chunk: usize) {
+    pub(crate) fn enqueue(&mut self, shard: usize, chunk: usize) {
         let n = self.queues.len();
         let target = (0..n)
             .map(|off| (shard + off) % n)
@@ -57,7 +57,7 @@ impl StealScheduler {
     /// The next task for `shard`: its own queue's front, else a steal
     /// from the tail of the longest live queue. `None` when the shard
     /// is retired or no queued work exists anywhere.
-    pub fn next_for(&mut self, shard: usize) -> Option<Task> {
+    pub(crate) fn next_for(&mut self, shard: usize) -> Option<Task> {
         if !self.live.get(shard).copied().unwrap_or(false) {
             return None;
         }
@@ -76,7 +76,7 @@ impl StealScheduler {
     /// it died — drain round-robin onto the survivors' tails. Returns
     /// how many chunks moved. With no survivors the chunks are dropped
     /// and 0 is returned; the caller must then fail the batch.
-    pub fn retire(&mut self, shard: usize, in_hand: Option<usize>) -> usize {
+    pub(crate) fn retire(&mut self, shard: usize, in_hand: Option<usize>) -> usize {
         if !self.live.get(shard).copied().unwrap_or(false) {
             // Already retired: only the in-hand chunk can need a home.
             if let Some(chunk) = in_hand {
@@ -102,18 +102,13 @@ impl StealScheduler {
     }
 
     /// Whether `shard` is still live.
-    pub fn is_live(&self, shard: usize) -> bool {
+    pub(crate) fn is_live(&self, shard: usize) -> bool {
         self.live.get(shard).copied().unwrap_or(false)
     }
 
     /// Live shards remaining.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// Chunks still queued (not yet handed to any worker).
-    pub fn queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -249,7 +244,7 @@ mod tests {
         let moved = s.retire(1, Some(held));
         assert_eq!(moved, 5, "4 queued + 1 in hand");
         assert_eq!(s.live_count(), 2);
-        assert_eq!(s.queued(), 5);
+        assert_eq!(s.queues.iter().map(VecDeque::len).sum::<usize>(), 5);
         assert!(s.next_for(1).is_none(), "retired shards get no work");
         // Everything is still reachable from the survivors.
         let mut seen = HashSet::new();
@@ -268,6 +263,6 @@ mod tests {
         s.enqueue(1, 11);
         assert_eq!(s.retire(1, Some(12)), 0, "no survivors: dropped, caller must fail");
         assert_eq!(s.live_count(), 0);
-        assert_eq!(s.queued(), 0);
+        assert!(s.queues.iter().all(VecDeque::is_empty));
     }
 }

@@ -93,7 +93,7 @@ impl TripCount {
     /// fail the range guard immediately and execute the body zero times;
     /// the average is exactly `items / threads`. Instruction-count
     /// estimators use this so total predicted work is geometry-invariant.
-    pub fn eval_expected(self, n: u64, tc: u32, bc: u32) -> f64 {
+    pub(crate) fn eval_expected(self, n: u64, tc: u32, bc: u32) -> f64 {
         match self {
             TripCount::Const(c) => c as f64,
             TripCount::Size(s) => s.eval(n),
@@ -335,7 +335,7 @@ pub struct SharedDecl {
 impl SharedDecl {
     /// Total bytes this declaration occupies for a block of `tc` threads
     /// (saturating: past `u32::MAX` it exceeds every device's limit).
-    pub fn bytes_for_block(&self, tc: u32) -> u32 {
+    fn bytes_for_block(&self, tc: u32) -> u32 {
         let per_thread = if self.scales_with_block { tc } else { 1 };
         self.elems.saturating_mul(per_thread).saturating_mul(u32::from(self.elem_bytes))
     }

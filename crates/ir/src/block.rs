@@ -65,7 +65,7 @@ impl FreqExpr {
     }
 
     /// Evaluates the thread-averaged execution count (surplus grid-stride
-    /// threads contribute fractionally; see [`TripCount::eval_expected`]).
+    /// threads contribute fractionally; see `TripCount::eval_expected`).
     pub fn eval_expected(&self, n: u64, tc: u32, bc: u32) -> f64 {
         match self {
             FreqExpr::Once => 1.0,
@@ -99,7 +99,7 @@ impl FreqExpr {
     }
 
     /// Multiplies this frequency by another factor, flattening products.
-    pub fn times(self, other: FreqExpr) -> FreqExpr {
+    pub(crate) fn times(self, other: FreqExpr) -> FreqExpr {
         match (self, other) {
             (FreqExpr::Once, o) => o,
             (s, FreqExpr::Once) => s,
@@ -155,7 +155,7 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor block ids, in (taken, fallthrough) order.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub(crate) fn successors(&self) -> Vec<BlockId> {
         match self {
             Terminator::Jump(t) => vec![*t],
             Terminator::CondBranch { taken, fallthrough, .. } => vec![*taken, *fallthrough],
@@ -210,7 +210,7 @@ pub struct BlockArena(Arc<Vec<BasicBlock>>);
 
 impl BlockArena {
     /// Wraps a freshly built block vector.
-    pub fn new(blocks: Vec<BasicBlock>) -> BlockArena {
+    pub(crate) fn new(blocks: Vec<BasicBlock>) -> BlockArena {
         BlockArena(Arc::new(blocks))
     }
 
@@ -218,12 +218,6 @@ impl BlockArena {
     /// if (and only if) the arena is currently shared.
     pub fn make_mut(&mut self) -> &mut Vec<BasicBlock> {
         Arc::make_mut(&mut self.0)
-    }
-
-    /// Whether two arenas share one allocation (no bytes were copied
-    /// between them).
-    pub fn shares_storage(a: &BlockArena, b: &BlockArena) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
     }
 }
 
@@ -264,27 +258,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// The entry block id.
-    pub fn entry(&self) -> BlockId {
-        BlockId(0)
-    }
-
-    /// Looks up a block.
-    pub fn block(&self, id: BlockId) -> &BasicBlock {
-        &self.blocks[id.0 as usize]
-    }
-
     /// Total number of static instructions (terminators excluded).
     pub fn static_len(&self) -> usize {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
-    }
-
-    /// Finds a block id by label.
-    pub fn block_by_label(&self, label: &str) -> Option<BlockId> {
-        self.blocks
-            .iter()
-            .position(|b| b.label == label)
-            .map(|i| BlockId(i as u32))
     }
 
     /// Checks structural invariants: entry exists, all terminator targets
@@ -390,8 +366,6 @@ mod tests {
             .into(),
         };
         assert!(p.validate().is_empty());
-        assert_eq!(p.block_by_label("exit"), Some(BlockId(1)));
-        assert_eq!(p.block_by_label("nope"), None);
     }
 
     #[test]

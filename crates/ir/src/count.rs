@@ -142,7 +142,7 @@ pub struct ClassMix {
 
 impl ClassMix {
     /// Total across the four classes.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.flops + self.mem + self.ctrl + self.reg
     }
 

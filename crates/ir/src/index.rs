@@ -8,20 +8,19 @@
 //! (`oriole_codegen::front_end`) and shared by `Arc` with every
 //! specialized kernel the artifact stamps out. It owns
 //!
-//! * the Vec-indexed CFG: successors, predecessors, reverse postorder,
-//!   immediate dominators and postdominators — O(1) access, no
-//!   `HashMap` in sight;
 //! * precomputed natural loops and divergent regions (region bodies
 //!   stored as *sorted* block-id vectors, so any cost summed over a
-//!   region is deterministic across processes and paths);
+//!   region is deterministic across processes and paths) — the graph
+//!   they are derived from (successors, predecessors, reverse postorder,
+//!   dominators, postdominators) is built once, Vec-indexed, and
+//!   dropped: no consumer reads raw graph facts;
 //! * per-block instruction summaries: an op-class **mix tape** (the
 //!   `(class, multiplier)` pairs mix counting replays instead of
 //!   touching `Instr` vectors), a **profile tape** (memory / barrier /
 //!   issue events with their service parameters), the instruction count,
 //!   and the terminator class;
 //! * the grid-stride trip expressions (for busy-thread math) and the
-//!   [`is_linear`](ProgramIndex::is_linear) /
-//!   [`has_divergence`](ProgramIndex::has_divergence) flags.
+//!   [`has_divergence`](ProgramIndex::has_divergence) flag.
 //!
 //! # The linear fast path
 //!
@@ -29,7 +28,7 @@
 //! block graphs**: straight-line code plus loop back-edges, no
 //! conditional branch anywhere. For those programs the index skips the
 //! postdominator pass and divergent-region discovery entirely at build
-//! time (`is_linear`), and consumers skip the divergence machinery at
+//! time, and consumers skip the divergence machinery at
 //! query time whenever [`has_divergence`](ProgramIndex::has_divergence)
 //! is false: warp saturation is exactly 1, and the divergence report is
 //! trivially empty with unit overhead — both facts hold *bitwise*
@@ -175,20 +174,58 @@ pub struct DivRegion {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramIndex {
     n: usize,
+    loops: Vec<NaturalLoop>,
+    /// Discovered only for non-linear programs; empty otherwise (a
+    /// linear program has no conditional branch, hence no divergent
+    /// region to reconverge).
+    regions: Vec<DivRegion>,
+    summaries: Vec<BlockSummary>,
+    grid_strides: Vec<SizeExpr>,
+    has_divergence: bool,
+}
+
+/// The half of index construction both discovery paths share: ordering,
+/// dominators and loops over the finished edge lists, then — for
+/// programs with a conditional branch only — postdominators and the
+/// divergent regions, bodies sorted. How `succs`, `preds`, the
+/// summaries, strides and flags were found is the callers' business
+/// ([`ProgramIndex::build`] scans the program, [`IndexBuilder::finish`]
+/// accumulated them during lowering).
+fn assemble(
     succs: Vec<Vec<BlockId>>,
     preds: Vec<Vec<BlockId>>,
-    rpo: Vec<BlockId>,
-    idom: Vec<BlockId>,
-    /// Materialized only for non-linear programs; all-`None` otherwise
-    /// (a linear program has no conditional branch, hence no divergent
-    /// region to reconverge).
-    ipostdom: Vec<Option<BlockId>>,
-    loops: Vec<NaturalLoop>,
-    regions: Vec<DivRegion>,
     summaries: Vec<BlockSummary>,
     grid_strides: Vec<SizeExpr>,
     is_linear: bool,
     has_divergence: bool,
+    program: &Program,
+) -> ProgramIndex {
+    INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
+    let n = succs.len();
+    let rpo = cfg::reverse_postorder(n, &succs);
+    let idom = cfg::dominators(n, &preds, &rpo);
+    let loops = cfg::natural_loops_in(program, &preds, &idom);
+    // Linear programs skip the postdominator pass and region discovery
+    // entirely — there is no conditional branch, so there is nothing to
+    // reconverge.
+    let regions = if is_linear {
+        Vec::new()
+    } else {
+        let ipostdom = cfg::postdominators(n, &succs, program);
+        cfg::divergent_regions_in(program, &succs, &ipostdom)
+            .into_iter()
+            .map(|r| {
+                let mut body: Vec<BlockId> = r.body.into_iter().collect();
+                body.sort_unstable();
+                DivRegion {
+                    branch_block: r.branch_block,
+                    reconvergence: r.reconvergence,
+                    body,
+                }
+            })
+            .collect()
+    };
+    ProgramIndex { n, loops, regions, summaries, grid_strides, has_divergence }
 }
 
 /// Whether a frequency expression carries a divergent-branch factor.
@@ -217,7 +254,7 @@ fn freq_has_div(f: &FreqExpr) -> bool {
 /// * block instruction vectors and frequencies are immutable once
 ///   sealed (patches replace terminators only).
 ///
-/// [`IndexBuilder::finish`] then runs the same ordering/dominator
+/// [`IndexBuilder::finish`] then ends in the same ordering/dominator
 /// passes as [`ProgramIndex::build`]; equality of the two paths is
 /// property-tested (see `lower::proptests`).
 #[derive(Debug, Default)]
@@ -278,12 +315,11 @@ impl IndexBuilder {
     }
 
     /// Finalizes the index: distributes the accumulated edges into
-    /// successor/predecessor vectors and runs the ordering, dominator
-    /// and region passes exactly as [`ProgramIndex::build`] would.
-    /// Bumps the process-wide build counter once — the fused path *is*
-    /// the one index build of a front-end run.
+    /// successor/predecessor vectors and hands them to the same
+    /// ordering, dominator and region passes [`ProgramIndex::build`]
+    /// ends in. That bumps the process-wide build counter once — the
+    /// fused path *is* the one index build of a front-end run.
     pub(crate) fn finish(self, program: &Program) -> ProgramIndex {
-        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = program.blocks.len();
         debug_assert_eq!(n, self.summaries.len(), "every block must be sealed exactly once");
         let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
@@ -300,44 +336,15 @@ impl IndexBuilder {
         for p in &mut preds {
             p.sort_unstable();
         }
-        let rpo = cfg::reverse_postorder(n, &succs);
-        let idom = cfg::dominators(n, &preds, &rpo);
-        let loops = cfg::natural_loops_in(program, &preds, &idom);
-
-        let is_linear = !self.any_cond;
-        let (ipostdom, regions) = if is_linear {
-            (vec![None; n], Vec::new())
-        } else {
-            let ipostdom = cfg::postdominators(n, &succs, program);
-            let regions = cfg::divergent_regions_in(program, &succs, &ipostdom)
-                .into_iter()
-                .map(|r| {
-                    let mut body: Vec<BlockId> = r.body.into_iter().collect();
-                    body.sort_unstable();
-                    DivRegion {
-                        branch_block: r.branch_block,
-                        reconvergence: r.reconvergence,
-                        body,
-                    }
-                })
-                .collect();
-            (ipostdom, regions)
-        };
-
-        ProgramIndex {
-            n,
+        assemble(
             succs,
             preds,
-            rpo,
-            idom,
-            ipostdom,
-            loops,
-            regions,
-            summaries: self.summaries,
-            grid_strides: self.grid_strides,
-            is_linear,
-            has_divergence: self.any_div,
-        }
+            self.summaries,
+            self.grid_strides,
+            !self.any_cond,
+            self.any_div,
+            program,
+        )
     }
 }
 
@@ -347,7 +354,6 @@ impl ProgramIndex {
     /// tests (and `tune --stats`) can assert the once-per-artifact
     /// discipline.
     pub fn build(program: &Program) -> ProgramIndex {
-        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = program.blocks.len();
         let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
@@ -358,10 +364,6 @@ impl ProgramIndex {
                 preds[s.0 as usize].push(from);
             }
         }
-        let rpo = cfg::reverse_postorder(n, &succs);
-        let idom = cfg::dominators(n, &preds, &rpo);
-        let loops = cfg::natural_loops_in(program, &preds, &idom);
-
         let is_linear = !program
             .blocks
             .iter()
@@ -370,29 +372,6 @@ impl ProgramIndex {
             matches!(b.term, Terminator::CondBranch { divergent: true, .. })
                 || freq_has_div(&b.freq)
         });
-
-        // Linear programs skip the postdominator pass and region
-        // discovery entirely — there is no conditional branch, so there
-        // is nothing to reconverge.
-        let (ipostdom, regions) = if is_linear {
-            (vec![None; n], Vec::new())
-        } else {
-            let ipostdom = cfg::postdominators(n, &succs, program);
-            let regions = cfg::divergent_regions_in(program, &succs, &ipostdom)
-                .into_iter()
-                .map(|r| {
-                    let mut body: Vec<BlockId> = r.body.into_iter().collect();
-                    body.sort_unstable();
-                    DivRegion {
-                        branch_block: r.branch_block,
-                        reconvergence: r.reconvergence,
-                        body,
-                    }
-                })
-                .collect();
-            (ipostdom, regions)
-        };
-
         let summaries = program.blocks.iter().map(summarize).collect();
         let grid_strides = program
             .blocks
@@ -402,21 +381,7 @@ impl ProgramIndex {
                 _ => None,
             })
             .collect();
-
-        ProgramIndex {
-            n,
-            succs,
-            preds,
-            rpo,
-            idom,
-            ipostdom,
-            loops,
-            regions,
-            summaries,
-            grid_strides,
-            is_linear,
-            has_divergence,
-        }
+        assemble(succs, preds, summaries, grid_strides, is_linear, has_divergence, program)
     }
 
     /// Number of blocks.
@@ -427,39 +392,6 @@ impl ProgramIndex {
     /// True when the program has no blocks.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Successors of a block, O(1).
-    pub fn successors(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.0 as usize]
-    }
-
-    /// Predecessors of a block, O(1).
-    pub fn predecessors(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.0 as usize]
-    }
-
-    /// Blocks in reverse postorder from the entry.
-    pub fn reverse_postorder(&self) -> &[BlockId] {
-        &self.rpo
-    }
-
-    /// Immediate dominator (entry maps to itself).
-    pub fn idom(&self, b: BlockId) -> BlockId {
-        self.idom[b.0 as usize]
-    }
-
-    /// Immediate postdominator, if any. Materialized only for programs
-    /// containing conditional branches; for linear programs the
-    /// postdominator pass is skipped and this always returns `None`
-    /// (no consumer of a linear program asks — see the module docs).
-    pub fn ipostdom(&self, b: BlockId) -> Option<BlockId> {
-        self.ipostdom[b.0 as usize]
-    }
-
-    /// Whether `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        cfg::dominates_in(&self.idom, a, b)
     }
 
     /// Precomputed natural loops, sorted by `(header, latch)`.
@@ -481,12 +413,6 @@ impl ProgramIndex {
     /// Summary of one block, O(1).
     pub fn summary(&self, b: BlockId) -> &BlockSummary {
         &self.summaries[b.0 as usize]
-    }
-
-    /// Whether the block graph is branch-free (no conditional branch;
-    /// loop back-edges and jumps allowed).
-    pub fn is_linear(&self) -> bool {
-        self.is_linear
     }
 
     /// Whether any divergence is present: a divergent conditional branch
@@ -615,10 +541,8 @@ mod tests {
             body: vec![Stmt::ops(AluOp::FmaF32, 1)],
         })]);
         let idx = ProgramIndex::build(&p);
-        assert!(idx.is_linear());
         assert!(!idx.has_divergence());
         assert!(idx.divergent_regions().is_empty());
-        assert!((0..idx.len()).all(|i| idx.ipostdom(BlockId(i as u32)).is_none()));
         assert!(!idx.natural_loops().is_empty());
         assert!(!idx.is_empty());
     }
@@ -632,7 +556,6 @@ mod tests {
             else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
         })]);
         let idx = ProgramIndex::build(&p);
-        assert!(!idx.is_linear());
         assert!(idx.has_divergence());
         assert!(!idx.divergence_fast_path());
         assert_eq!(idx.divergent_regions().len(), 1);
@@ -650,7 +573,6 @@ mod tests {
             else_body: vec![],
         })]);
         let idx = ProgramIndex::build(&p);
-        assert!(!idx.is_linear());
         assert!(!idx.has_divergence());
         assert!(idx.divergence_fast_path());
         assert!(idx.divergent_regions().is_empty());
@@ -674,14 +596,6 @@ mod tests {
         let idx = ProgramIndex::build(&p);
         let cfg = Cfg::build(&p);
         assert_eq!(idx.len(), cfg.len());
-        for i in 0..cfg.len() {
-            let b = BlockId(i as u32);
-            assert_eq!(idx.successors(b), cfg.successors(b));
-            assert_eq!(idx.predecessors(b), cfg.predecessors(b));
-            assert_eq!(idx.idom(b), cfg.idom(b));
-            assert_eq!(idx.ipostdom(b), cfg.ipostdom(b));
-        }
-        assert_eq!(idx.reverse_postorder(), cfg.reverse_postorder());
         assert_eq!(idx.natural_loops(), cfg.natural_loops(&p).as_slice());
     }
 
@@ -825,18 +739,6 @@ mod proptests {
             let idx = ProgramIndex::build(&p);
             let cfg = Cfg::build(&p);
             prop_assert_eq!(idx.len(), cfg.len());
-            for i in 0..cfg.len() {
-                let b = BlockId(i as u32);
-                prop_assert_eq!(idx.successors(b), cfg.successors(b));
-                prop_assert_eq!(idx.predecessors(b), cfg.predecessors(b));
-                prop_assert_eq!(idx.idom(b), cfg.idom(b));
-                // The linear fast path skips the postdominator pass; the
-                // materialized values must agree whenever they exist.
-                if !idx.is_linear() {
-                    prop_assert_eq!(idx.ipostdom(b), cfg.ipostdom(b));
-                }
-            }
-            prop_assert_eq!(idx.reverse_postorder(), cfg.reverse_postorder());
             let loops = cfg.natural_loops(&p);
             prop_assert_eq!(idx.natural_loops(), loops.as_slice());
             // Regions agree modulo the index's sorted body representation.

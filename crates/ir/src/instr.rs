@@ -42,7 +42,7 @@ pub enum SpecialReg {
 
 impl SpecialReg {
     /// PTX spelling.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpecialReg::TidX => "%tid.x",
             SpecialReg::NTidX => "%ntid.x",
@@ -52,7 +52,7 @@ impl SpecialReg {
     }
 
     /// Parses a PTX special-register spelling.
-    pub fn parse(s: &str) -> Option<SpecialReg> {
+    pub(crate) fn parse(s: &str) -> Option<SpecialReg> {
         Some(match s {
             "%tid.x" => SpecialReg::TidX,
             "%ntid.x" => SpecialReg::NTidX,
@@ -60,12 +60,6 @@ impl SpecialReg {
             "%nctaid.x" => SpecialReg::NCtaIdX,
             _ => return None,
         })
-    }
-
-    /// Whether the value differs between threads of the same warp.
-    /// Conditions computed from such registers are divergence candidates.
-    pub fn thread_varying(self) -> bool {
-        matches!(self, SpecialReg::TidX)
     }
 }
 
@@ -94,7 +88,7 @@ pub enum Operand {
 
 impl Operand {
     /// The register read by this operand, if it is one.
-    pub fn as_reg(self) -> Option<Reg> {
+    fn as_reg(self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(r),
             _ => None,
@@ -103,7 +97,7 @@ impl Operand {
 
     /// Whether evaluating this operand touches the register file (used by
     /// the `O_reg` register-instruction counter).
-    pub fn touches_regfile(self) -> bool {
+    fn touches_regfile(self) -> bool {
         matches!(self, Operand::Reg(_))
     }
 }
@@ -164,14 +158,8 @@ impl Instr {
     }
 
     /// Attaches a memory annotation (builder style).
-    pub fn with_mem(mut self, pattern: AccessPattern) -> Self {
+    pub(crate) fn with_mem(mut self, pattern: AccessPattern) -> Self {
         self.mem = Some(MemAnnot { pattern });
-        self
-    }
-
-    /// Attaches a guard predicate (builder style).
-    pub fn guarded(mut self, pred: Pred, negated: bool) -> Self {
-        self.guard = Some((pred, negated));
         self
     }
 
@@ -274,12 +262,12 @@ mod tests {
         setp.dst_pred = Some(Pred(0));
         assert_eq!(setp.to_string(), "setp.lt.s32 %p0, %r0, %ntid.x");
 
-        let guarded = Instr::new(
+        let mut guarded = Instr::new(
             Opcode::new(OpKind::Mov, Ty::F32),
             Some(Reg(9)),
             vec![Operand::FImm(0.0)],
-        )
-        .guarded(Pred(1), true);
+        );
+        guarded.guard = Some((Pred(1), true));
         assert_eq!(guarded.to_string(), "@!%p1 mov.f32 %r9, 0.0f");
     }
 
@@ -300,7 +288,5 @@ mod tests {
             assert_eq!(SpecialReg::parse(s.name()), Some(s));
         }
         assert_eq!(SpecialReg::parse("%tid.y"), None);
-        assert!(SpecialReg::TidX.thread_varying());
-        assert!(!SpecialReg::CtaIdX.thread_varying());
     }
 }

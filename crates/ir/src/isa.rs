@@ -29,27 +29,18 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Width in bytes (predicates count as 4: they occupy a predicate
-    /// register, not a data register, but need a nonzero width).
-    pub fn bytes(self) -> u8 {
-        match self {
-            Ty::F32 | Ty::S32 | Ty::U32 | Ty::Pred => 4,
-            Ty::F64 | Ty::S64 | Ty::U64 => 8,
-        }
-    }
-
     /// Whether this is a 64-bit type (drives Conv64 classification).
-    pub fn is_64(self) -> bool {
+    fn is_64(self) -> bool {
         matches!(self, Ty::F64 | Ty::S64 | Ty::U64)
     }
 
     /// Whether this is a floating-point type.
-    pub fn is_float(self) -> bool {
+    fn is_float(self) -> bool {
         matches!(self, Ty::F32 | Ty::F64)
     }
 
     /// PTX type suffix.
-    pub fn suffix(self) -> &'static str {
+    pub(crate) fn suffix(self) -> &'static str {
         match self {
             Ty::F32 => "f32",
             Ty::F64 => "f64",
@@ -62,7 +53,7 @@ impl Ty {
     }
 
     /// Parses a PTX type suffix.
-    pub fn from_suffix(s: &str) -> Option<Ty> {
+    fn from_suffix(s: &str) -> Option<Ty> {
         Some(match s {
             "f32" => Ty::F32,
             "f64" => Ty::F64,
@@ -101,7 +92,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// PTX mnemonic fragment.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
@@ -113,7 +104,7 @@ impl CmpOp {
     }
 
     /// Parses a PTX comparison fragment.
-    pub fn from_mnemonic(s: &str) -> Option<CmpOp> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<CmpOp> {
         Some(match s {
             "eq" => CmpOp::Eq,
             "ne" => CmpOp::Ne,
@@ -241,7 +232,7 @@ impl Opcode {
 
     /// The PTX-style mnemonic, e.g. `add.f32`, `ld.global.f32`,
     /// `setp.lt.s32`, `cvt.f32.s32`.
-    pub fn mnemonic(self) -> String {
+    pub(crate) fn mnemonic(self) -> String {
         match self.kind {
             OpKind::Add => format!("add.{}", self.ty),
             OpKind::Mul => format!("mul.{}", self.ty),
@@ -270,7 +261,7 @@ impl Opcode {
     }
 
     /// Parses a mnemonic produced by [`Opcode::mnemonic`].
-    pub fn from_mnemonic(s: &str) -> Option<Opcode> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<Opcode> {
         if s == "bar.sync" {
             return Some(Opcode::new(OpKind::Bar, Ty::U32));
         }
@@ -441,8 +432,6 @@ mod tests {
 
     #[test]
     fn type_properties() {
-        assert_eq!(Ty::F64.bytes(), 8);
-        assert_eq!(Ty::S32.bytes(), 4);
         assert!(Ty::U64.is_64());
         assert!(!Ty::F32.is_64());
         assert!(Ty::F64.is_float());

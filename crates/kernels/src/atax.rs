@@ -26,7 +26,7 @@ use oriole_ir::{
 /// `n` is carried symbolically (trip counts are [`SizeExpr`]s); the value
 /// only selects nothing here, but is kept for interface symmetry with
 /// [`crate::ex14fj::ast`], whose divergence fraction depends on `n`.
-pub fn ast(_n: u64) -> KernelAst {
+pub(crate) fn ast(_n: u64) -> KernelAst {
     let mut k = KernelAst::new("atax");
 
     // Pass 1: tmp = A·x, one row per grid-stride thread.

@@ -14,7 +14,7 @@ use oriole_ir::{
 };
 
 /// Builds the BiCG kernel AST for an `n × n` matrix.
-pub fn ast(_n: u64) -> KernelAst {
+pub(crate) fn ast(_n: u64) -> KernelAst {
     let mut k = KernelAst::new("bicg");
 
     let inner = Stmt::Loop(Loop {

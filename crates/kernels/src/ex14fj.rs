@@ -22,7 +22,7 @@ use oriole_ir::{
 };
 
 /// Fraction of grid cells on the boundary of an `n³` domain.
-pub fn boundary_fraction(n: u64) -> f64 {
+fn boundary_fraction(n: u64) -> f64 {
     if n <= 2 {
         return 1.0;
     }

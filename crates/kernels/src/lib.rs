@@ -18,15 +18,15 @@
 //! from the semantics.
 //!
 //! [`workload`] generates deterministic random inputs for the reference
-//! implementations, and [`suite`] returns all four kernels with the input
-//! sizes used in §IV-A ({32..512}, ex14FJ {8..128}).
+//! implementations; [`KernelId::input_sizes`] has the sizes used in §IV-A
+//! ({32..512}, ex14FJ {8..128}). [`synthetic`] holds the one kernel
+//! outside Table IV, the Fig. 1 divergence experiment's.
 
 #![warn(missing_docs)]
 
 pub mod atax;
 pub mod bicg;
 pub mod ex14fj;
-pub mod extras;
 pub mod matvec2d;
 pub mod reference;
 pub mod synthetic;
@@ -112,27 +112,12 @@ impl KernelId {
             KernelId::MatVec2D => "y = A x",
         }
     }
-
-    /// Number of scalar work items the kernel distributes over the grid
-    /// (`N` rows for the matrix kernels, `N³` cells for the stencil).
-    pub fn work_items(self, n: u64) -> u64 {
-        match self {
-            KernelId::Ex14Fj => n * n * n,
-            _ => n,
-        }
-    }
 }
 
 impl std::fmt::Display for KernelId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// The full benchmark suite: every kernel paired with its paper input
-/// sizes.
-pub fn suite() -> Vec<(KernelId, [u64; 5])> {
-    ALL_KERNELS.iter().map(|&k| (k, k.input_sizes())).collect()
 }
 
 #[cfg(test)]
@@ -149,9 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn suite_matches_paper_sizes() {
-        let s = suite();
-        assert_eq!(s.len(), 4);
+    fn input_sizes_match_the_paper() {
         assert_eq!(KernelId::Atax.input_sizes(), [32, 64, 128, 256, 512]);
         assert_eq!(KernelId::Ex14Fj.input_sizes(), [8, 16, 32, 64, 128]);
     }
@@ -163,11 +146,5 @@ mod tests {
             assert_eq!(ast.name, k.name());
             assert!(ast.loop_depth() >= 1, "{k} must contain loops");
         }
-    }
-
-    #[test]
-    fn work_items_scale() {
-        assert_eq!(KernelId::Atax.work_items(128), 128);
-        assert_eq!(KernelId::Ex14Fj.work_items(16), 4096);
     }
 }

@@ -21,10 +21,10 @@ use oriole_ir::{
 };
 
 /// Lanes cooperating on one matrix row (one warp).
-pub const LANES_PER_ROW: u32 = 32;
+const LANES_PER_ROW: u32 = 32;
 
 /// Builds the matVec2D kernel AST for an `n × n` matrix.
-pub fn ast(_n: u64) -> KernelAst {
+pub(crate) fn ast(_n: u64) -> KernelAst {
     let mut k = KernelAst::new("matvec2d");
     // Per-thread shared slot for the intra-block reduction tree.
     k.shared.push(SharedDecl {

@@ -10,10 +10,7 @@
 // (and the GPU index arithmetic being modeled) on purpose.
 #![allow(clippy::needless_range_loop)]
 
-use crate::workload::{Grid3d, Matrix};
-
-/// λ parameter of the solid-fuel-ignition (Bratu) problem used by ex14FJ.
-pub const EX14_LAMBDA: f64 = 6.0;
+use crate::workload::Matrix;
 
 /// `y = Aᵀ (A x)` — the ATAX kernel.
 pub fn atax(a: &Matrix, x: &[f64]) -> Vec<f64> {
@@ -71,39 +68,6 @@ pub fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// One Jacobi sweep of the ex14FJ solid-fuel-ignition residual
-/// `F(u) = -∇·(∇u) - λ·exp(u)` on the interior of a 3-D grid with
-/// homogeneous Dirichlet boundaries; boundary cells pass through.
-///
-/// Returns the residual field (what the Jacobian-vector kernel of the
-/// PETSc ex14 example evaluates each Newton step).
-pub fn ex14_residual(u: &Grid3d) -> Grid3d {
-    let n = u.n;
-    let h = 1.0 / ((n as f64) - 1.0).max(1.0);
-    let h2inv = 1.0 / (h * h);
-    let mut f = Grid3d { n, data: vec![0.0; n * n * n] };
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                if u.is_boundary(i, j, k) {
-                    *f.at_mut(i, j, k) = u.at(i, j, k);
-                } else {
-                    let c = u.at(i, j, k);
-                    let lap = 6.0 * c
-                        - u.at(i - 1, j, k)
-                        - u.at(i + 1, j, k)
-                        - u.at(i, j - 1, k)
-                        - u.at(i, j + 1, k)
-                        - u.at(i, j, k - 1)
-                        - u.at(i, j, k + 1);
-                    *f.at_mut(i, j, k) = lap * h2inv - EX14_LAMBDA * c.exp();
-                }
-            }
-        }
-    }
-    f
-}
-
 /// Analytic floating-point operation counts (multiply–add counted as two
 /// FLOPs), the denominators for roofline-style sanity checks.
 pub mod flops {
@@ -120,15 +84,6 @@ pub mod flops {
     /// matVec: one `N²`-FMA pass → `2N²`.
     pub fn matvec(n: u64) -> u64 {
         2 * n * n
-    }
-
-    /// ex14FJ interior cells: 7-point Laplacian (7 FLOPs: 6 subs + 1
-    /// scale... counted as 8 with the center multiply), the `λ·exp(u)`
-    /// term (exp ≈ 1 FLOP-equivalent + 1 multiply) and the final subtract:
-    /// 12 FLOPs per interior cell.
-    pub fn ex14(n: u64) -> u64 {
-        let interior = n.saturating_sub(2).pow(3);
-        12 * interior
     }
 }
 
@@ -177,28 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn ex14_boundary_passthrough_and_interior_residual() {
-        let u = workload::grid3d(6, 31);
-        let f = ex14_residual(&u);
-        // Boundaries pass through.
-        assert_eq!(f.at(0, 3, 3), u.at(0, 3, 3));
-        assert_eq!(f.at(5, 0, 2), u.at(5, 0, 2));
-        // An interior cell with a flat field: laplacian 0, residual is
-        // -λ·exp(u).
-        let mut flat = workload::grid3d(6, 1);
-        flat.data.iter_mut().for_each(|v| *v = 0.25);
-        let rf = ex14_residual(&flat);
-        let expected = -EX14_LAMBDA * 0.25f64.exp();
-        assert!((rf.at(2, 2, 2) - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn flop_formulas() {
         assert_eq!(flops::atax(10), 400);
         assert_eq!(flops::bicg(10), 400);
         assert_eq!(flops::matvec(10), 200);
-        assert_eq!(flops::ex14(4), 12 * 8);
-        assert_eq!(flops::ex14(2), 0);
-        assert_eq!(flops::ex14(1), 0);
     }
 }

@@ -1,8 +1,7 @@
 //! Synthetic kernels for controlled experiments.
 //!
-//! These are not part of the paper's Table IV benchmark set; they isolate
-//! single mechanisms for the Fig. 1 divergence experiment and for
-//! ablation benches.
+//! Not part of the paper's Table IV benchmark set: [`divergent_switch`]
+//! isolates one mechanism for the Fig. 1 divergence experiment.
 
 use oriole_ir::{
     AccessPattern, AluOp, Branch, DivergenceKind, KernelAst, Loop, MemSpace, SizeExpr, Stmt,
@@ -46,39 +45,6 @@ pub fn divergent_switch(classes: u32, work_per_class: u32) -> KernelAst {
     k
 }
 
-/// A pure-compute kernel (no memory traffic beyond one load/store pair):
-/// used by benches to isolate issue-throughput behaviour.
-pub fn compute_bound(flops_per_item: u32) -> KernelAst {
-    let mut k = KernelAst::new("compute_bound");
-    k.body = vec![Stmt::Loop(Loop {
-        trip: TripCount::GridStride(SizeExpr::N2),
-        unrollable: true,
-        body: vec![
-            Stmt::load(MemSpace::Global, AccessPattern::Coalesced, 1),
-            Stmt::ops(AluOp::FmaF32, flops_per_item),
-            Stmt::store(MemSpace::Global, AccessPattern::Coalesced, 1),
-        ],
-    })];
-    k
-}
-
-/// A streaming kernel with a configurable lane stride: used by benches to
-/// isolate the coalescing/bandwidth behaviour.
-pub fn memory_bound(stride: u32) -> KernelAst {
-    let mut k = KernelAst::new("memory_bound");
-    let pattern = if stride <= 1 { AccessPattern::Coalesced } else { AccessPattern::Strided(stride) };
-    k.body = vec![Stmt::Loop(Loop {
-        trip: TripCount::GridStride(SizeExpr::N2),
-        unrollable: true,
-        body: vec![
-            Stmt::Load(oriole_ir::MemStmt { space: MemSpace::Global, pattern, elem_bytes: 4, count: 2 }),
-            Stmt::ops(AluOp::AddF32, 1),
-            Stmt::store(MemSpace::Global, AccessPattern::Coalesced, 1),
-        ],
-    })];
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn helper_kernels_compile() {
+    fn switch_kernel_compiles() {
         use oriole_arch::Gpu;
         use oriole_codegen::{compile, TuningParams};
-        for ast in [divergent_switch(4, 16), compute_bound(32), memory_bound(32)] {
-            compile(&ast, Gpu::M40.spec(), TuningParams::with_geometry(128, 48))
-                .expect("synthetic kernels compile");
-        }
+        compile(&divergent_switch(4, 16), Gpu::M40.spec(), TuningParams::with_geometry(128, 48))
+            .expect("synthetic kernels compile");
     }
 }

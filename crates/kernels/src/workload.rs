@@ -18,12 +18,12 @@ pub struct Matrix {
 
 impl Matrix {
     /// Element accessor (row, col).
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
     }
 
     /// Mutable element accessor.
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+    pub(crate) fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
         &mut self.data[i * self.n + j]
     }
 
@@ -39,32 +39,6 @@ impl Matrix {
     }
 }
 
-/// A 3-D scalar field on an `n × n × n` grid, x-major.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid3d {
-    /// Edge length.
-    pub n: usize,
-    /// `n³` cell values.
-    pub data: Vec<f64>,
-}
-
-impl Grid3d {
-    /// Cell accessor.
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.data[(i * self.n + j) * self.n + k]
-    }
-
-    /// Mutable cell accessor.
-    pub fn at_mut(&mut self, i: usize, j: usize, k: usize) -> &mut f64 {
-        &mut self.data[(i * self.n + j) * self.n + k]
-    }
-
-    /// Whether the cell lies on the domain boundary.
-    pub fn is_boundary(&self, i: usize, j: usize, k: usize) -> bool {
-        i == 0 || j == 0 || k == 0 || i == self.n - 1 || j == self.n - 1 || k == self.n - 1
-    }
-}
-
 /// Generates an `n × n` matrix with entries uniform in `[-1, 1)`.
 pub fn matrix(n: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -77,13 +51,6 @@ pub fn vector(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
-/// Generates an `n³` grid with entries uniform in `[0, 1)` (temperatures
-/// for the ignition stencil must be non-negative so `exp` stays bounded).
-pub fn grid3d(n: usize, seed: u64) -> Grid3d {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Grid3d { n, data: (0..n * n * n).map(|_| rng.gen_range(0.0..1.0)).collect() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +59,6 @@ mod tests {
     fn generators_are_deterministic() {
         assert_eq!(matrix(16, 7), matrix(16, 7));
         assert_eq!(vector(16, 7), vector(16, 7));
-        assert_eq!(grid3d(8, 7), grid3d(8, 7));
         // Different seeds → different data.
         assert_ne!(matrix(16, 7), matrix(16, 8));
     }
@@ -105,22 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn grid_boundary_classification() {
-        let g = grid3d(4, 1);
-        assert!(g.is_boundary(0, 2, 2));
-        assert!(g.is_boundary(3, 2, 2));
-        assert!(g.is_boundary(1, 0, 2));
-        assert!(!g.is_boundary(1, 2, 2));
-        // All corners are boundary.
-        assert!(g.is_boundary(0, 0, 0));
-        assert!(g.is_boundary(3, 3, 3));
-    }
-
-    #[test]
     fn values_in_expected_ranges() {
         let m = matrix(32, 5);
         assert!(m.data.iter().all(|v| (-1.0..1.0).contains(v)));
-        let g = grid3d(8, 5);
-        assert!(g.data.iter().all(|v| (0.0..1.0).contains(v)));
     }
 }

@@ -171,7 +171,7 @@ impl RetryPolicy {
 
     /// The backoff before retry attempt `attempt` (1-based):
     /// exponential, capped, jittered into the upper half of the step.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let base = self.base_backoff.as_millis() as u64;
         if base == 0 {
             return Duration::ZERO;
@@ -253,7 +253,7 @@ impl Client {
     }
 
     /// [`Client::connect_retry`] under an explicit policy.
-    pub fn connect_retry_with(
+    fn connect_retry_with(
         addr: &str,
         timeout: Duration,
         policy: RetryPolicy,
@@ -294,12 +294,12 @@ impl Client {
     }
 
     /// The address this client dialed.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 
     /// The session's deadline/retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
+    pub(crate) fn policy(&self) -> &RetryPolicy {
         &self.policy
     }
 
@@ -534,10 +534,6 @@ struct PipeShared {
     /// that sends a burst of frames before waiting any would otherwise
     /// deadlock itself at the cap).
     in_flight: usize,
-    /// Send instants of outstanding requests, keyed by correlation id —
-    /// the reader subtracts these from arrival time to feed the RTT
-    /// EWMA. Entries are removed on match, send failure, or wait error.
-    sent: HashMap<u64, Instant>,
     failure: Option<PipeFailure>,
     /// Last instant the reader made frame progress; waiters poison the
     /// pipeline when it goes stale past the rpc deadline with requests
@@ -555,9 +551,6 @@ struct PipeInner {
     depth: usize,
     rpc_timeout: Duration,
     next_corr: AtomicU64,
-    /// EWMA (alpha 1/8) of observed request→response round-trip time in
-    /// nanoseconds; 0 means no sample yet. Feeds adaptive coalescing.
-    rtt_ewma_ns: AtomicU64,
 }
 
 impl PipeInner {
@@ -619,7 +612,6 @@ impl Pipeline {
             shared: Mutex::new(PipeShared {
                 pending: HashMap::new(),
                 in_flight: 0,
-                sent: HashMap::new(),
                 failure: None,
                 last_progress: Instant::now(),
             }),
@@ -628,7 +620,6 @@ impl Pipeline {
             depth: depth.max(1),
             rpc_timeout,
             next_corr: AtomicU64::new(0),
-            rtt_ewma_ns: AtomicU64::new(0),
         });
         let reader_inner = Arc::clone(&inner);
         std::thread::spawn(move || reader_loop(stream, &reader_inner));
@@ -671,7 +662,6 @@ impl Pipeline {
             }
             let corr = inner.next_corr.fetch_add(1, Ordering::Relaxed) + 1;
             shared.pending.insert(corr, None);
-            shared.sent.insert(corr, Instant::now());
             shared.in_flight += 1;
             corr
         };
@@ -685,7 +675,6 @@ impl Pipeline {
                 if matches!(shared.pending.remove(&corr), Some(None)) {
                     shared.in_flight -= 1;
                 }
-                shared.sent.remove(&corr);
             }
             inner.poison(true, format!("pipeline send failed: {e}"));
             return Err(ServiceError::Io(e));
@@ -713,7 +702,6 @@ impl Pipeline {
                 if matches!(shared.pending.remove(&ticket.corr), Some(None)) {
                     shared.in_flight -= 1;
                 }
-                shared.sent.remove(&ticket.corr);
                 return Err(err);
             }
             // The deadline is measured from the reader's last frame
@@ -746,17 +734,6 @@ impl Pipeline {
     /// single-shot convenience for tests and probes.
     pub fn call(&self, req: &Request) -> Result<Response, ServiceError> {
         self.wait(self.send(req)?)
-    }
-
-    /// The smoothed round-trip time observed on this connection (EWMA,
-    /// alpha 1/8), or `None` before the first matched response. Feeds
-    /// [`CoalesceConfig::flush_idle_from_rtt`] when adaptive coalescing
-    /// is on.
-    pub fn rtt_ewma(&self) -> Option<Duration> {
-        match self.inner.rtt_ewma_ns.load(Ordering::Relaxed) {
-            0 => None,
-            ns => Some(Duration::from_nanos(ns)),
-        }
     }
 }
 
@@ -825,16 +802,7 @@ fn reader_loop(mut stream: TcpStream, inner: &PipeInner) {
             Some(slot @ None) => {
                 *slot = Some(resp);
                 shared.in_flight -= 1;
-                let now = Instant::now();
-                shared.last_progress = now;
-                if let Some(sent_at) = shared.sent.remove(&corr) {
-                    let sample = now.duration_since(sent_at).as_nanos().min(u128::from(u64::MAX))
-                        as u64;
-                    // EWMA with alpha 1/8; the first sample seeds it.
-                    let old = inner.rtt_ewma_ns.load(Ordering::Relaxed);
-                    let new = if old == 0 { sample } else { old - old / 8 + sample / 8 };
-                    inner.rtt_ewma_ns.store(new.max(1), Ordering::Relaxed);
-                }
+                shared.last_progress = Instant::now();
                 drop(shared);
                 inner.changed.notify_all();
             }
@@ -870,12 +838,6 @@ pub struct CoalesceConfig {
     /// inside the evaluator — a single sequential searcher never pays
     /// it.
     pub flush_idle: Duration,
-    /// When set, size the flush beat from the connection's observed
-    /// round-trip time ([`Pipeline::rtt_ewma`] through
-    /// [`CoalesceConfig::flush_idle_from_rtt`]) instead of the fixed
-    /// `flush_idle`, which then only serves as the pre-first-sample
-    /// fallback. CLI: `--flush-idle-us auto`.
-    pub adaptive: bool,
 }
 
 impl Default for CoalesceConfig {
@@ -884,19 +846,7 @@ impl Default for CoalesceConfig {
             max_batch_points: 64,
             max_frames: 8,
             flush_idle: Duration::from_micros(200),
-            adaptive: false,
         }
-    }
-}
-
-impl CoalesceConfig {
-    /// Derives a flush beat from an observed round-trip time: a quarter
-    /// of the RTT (long enough for concurrent misses to pile on, short
-    /// against the wire cost it amortizes), clamped to [25µs, 5ms] so a
-    /// loopback RTT never spins the beat to zero and a WAN RTT never
-    /// stalls a flush for whole RPC lifetimes.
-    pub fn flush_idle_from_rtt(rtt: Duration) -> Duration {
-        (rtt / 4).clamp(Duration::from_micros(25), Duration::from_millis(5))
     }
 }
 
@@ -986,20 +936,10 @@ impl RemoteEvaluator {
         }
     }
 
-    /// The experiment scope every query runs under.
-    pub fn scope(&self) -> &EvalScope {
-        &self.scope
-    }
-
     /// The underlying single-shot connection (for side-channel requests
     /// like [`Client::stats`] on the same session).
     pub fn client(&self) -> &Client {
         &self.client
-    }
-
-    /// The coalescing configuration in effect.
-    pub fn coalesce_config(&self) -> CoalesceConfig {
-        self.coalesce
     }
 
     /// Distinct points fetched over the wire so far (client-side cache
@@ -1087,18 +1027,8 @@ impl RemoteEvaluator {
                 st.flushing = true;
                 // The coalesce beat: give concurrently arriving misses
                 // a moment to pile onto this flush — but never tax a
-                // lone sequential searcher with it. Adaptive mode sizes
-                // the beat from the live connection's RTT EWMA, falling
-                // back to the fixed beat before the first sample.
-                let beat = if self.coalesce.adaptive {
-                    st.pipe
-                        .as_deref()
-                        .and_then(Pipeline::rtt_ewma)
-                        .map(CoalesceConfig::flush_idle_from_rtt)
-                        .unwrap_or(self.coalesce.flush_idle)
-                } else {
-                    self.coalesce.flush_idle
-                };
+                // lone sequential searcher with it.
+                let beat = self.coalesce.flush_idle;
                 if st.waiters > 1 && !beat.is_zero() {
                     let (guard, _) =
                         self.changed.wait_timeout(st, beat).expect("coalesce wait");
@@ -1348,25 +1278,6 @@ mod tests {
         let p = RetryPolicy { base_backoff: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(p.backoff(1), Duration::ZERO);
         assert_eq!(p.backoff(7), Duration::ZERO);
-    }
-
-    #[test]
-    fn flush_idle_from_rtt_is_quarter_rtt_clamped() {
-        // Loopback-fast RTT clamps up to the floor.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_micros(4)),
-            Duration::from_micros(25)
-        );
-        // Mid-range RTT: a quarter.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_millis(2)),
-            Duration::from_micros(500)
-        );
-        // WAN-slow RTT clamps down to the ceiling.
-        assert_eq!(
-            CoalesceConfig::flush_idle_from_rtt(Duration::from_secs(1)),
-            Duration::from_millis(5)
-        );
     }
 
     #[test]

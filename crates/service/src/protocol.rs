@@ -3,7 +3,7 @@
 //!
 //! Every payload is text, versioned by its first line
 //! (`oriole-rpc vN <verb>`), and travels inside one length-framed,
-//! checksummed ([`persist::frame_checksum`]), correlation-tagged frame
+//! checksummed (`persist::frame_checksum`), correlation-tagged frame
 //! ([`persist::encode_frame`] / [`persist::read_frame_tagged`]) —
 //! the id lets a connection pipeline requests and match out-of-order
 //! responses. The records inside — [`GpuSpec`],
@@ -28,7 +28,7 @@ use oriole_tuner::{EvalProtocol, Measurement};
 
 /// The protocol version this build speaks; the first token pair of
 /// every payload. v4 changes the frame, not the text: the checksum is
-/// the word-at-a-time [`persist::frame_checksum`] under the magic
+/// the word-at-a-time `persist::frame_checksum` under the magic
 /// `ORL4`, so a v3 peer (FNV-1a, `ORLF`) is refused at its first frame;
 /// a request's `trials` is bounded by [`MAX_TRIALS`], not truncated.
 /// (v3 brought correlation-tagged frames — pipelining, out-of-order
@@ -391,7 +391,7 @@ fn parse_disk(text: &str) -> Result<persist::DiskStats, WireError> {
 /// Appends an `ok evaluate` payload from borrowed measurements — a
 /// daemon serializes straight from its store's `Arc`s — into a buffer
 /// sized once, from the measurements' own longest spelling.
-pub fn write_evaluate<'a, I>(out: &mut String, computed: u64, measurements: I)
+pub(crate) fn write_evaluate<'a, I>(out: &mut String, computed: u64, measurements: I)
 where
     I: IntoIterator<Item = &'a Measurement>,
     I::IntoIter: Clone,

@@ -330,11 +330,6 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The serving bounds this daemon runs under.
-    pub fn config(&self) -> ServeConfig {
-        self.state.cfg
-    }
-
     /// Test hook: suppresses the worker→reactor wake dial entirely, so
     /// completions and shutdown must make progress through the
     /// reactor's bounded tick alone — proving a lost wake can only cost

@@ -6,7 +6,7 @@
 //! pure in their inputs and fixed to the simulator backend under the
 //! family-default configuration. [`ModelContext`] is the same
 //! arithmetic with those three choices made once: it holds a
-//! [`GpuSpec`], a [`SimConfig`] and a [`TimingModel`] backend, owns no
+//! [`GpuSpec`], a [`SimConfig`] and a `TimingModel` backend, owns no
 //! cache and has no interior mutability. What real workloads *can*
 //! share between neighbouring launches it takes from its caller:
 //! [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`] — the
@@ -23,8 +23,8 @@
 //! # Pluggable backends
 //!
 //! Which cost model produces the estimates is the context's
-//! [`TimingModel`] backend ([`model`](crate::model)): the default is
-//! the full simulator ([`SimulatorModel`](crate::SimulatorModel)), and
+//! `TimingModel` backend ([`model`](crate::model)): the default is
+//! the full simulator (`SimulatorModel`), and
 //! [`ModelContext::for_model`] builds a context for any [`ModelId`]
 //! (static Eq. 6, roofline). A context serves exactly one backend —
 //! contexts for different models on one device are distinct values,
@@ -96,23 +96,17 @@ impl ModelContext {
 
     /// A context for `spec` running the backend `model` names, with the
     /// family-default [`SimConfig`].
-    pub fn for_model(spec: &GpuSpec, model: ModelId) -> ModelContext {
-        ModelContext::with_model(spec, SimConfig::for_family(spec.family), model.backend())
-    }
-
-    /// The fully explicit constructor: any configuration, any backend
-    /// (including ones defined outside this crate).
     #[allow(deprecated)]
-    pub fn with_model(
-        spec: &GpuSpec,
-        cfg: SimConfig,
-        model: Box<dyn TimingModel>,
-    ) -> ModelContext {
-        ModelContext { spec: oriole_arch::OccupancyTable::new(spec), cfg, model }
+    pub fn for_model(spec: &GpuSpec, model: ModelId) -> ModelContext {
+        ModelContext {
+            spec: oriole_arch::OccupancyTable::new(spec),
+            cfg: SimConfig::for_family(spec.family),
+            model: model.backend(),
+        }
     }
 
     /// The device this context serves.
-    pub fn gpu(&self) -> &GpuSpec {
+    pub(crate) fn gpu(&self) -> &GpuSpec {
         self.spec.spec()
     }
 

@@ -44,11 +44,11 @@
 //! backend, property-tested bit-identical.
 //!
 //! The abstract machine is one of several cost models: [`model`]
-//! defines the [`TimingModel`] seam with the default
-//! [`SimulatorModel`], the static Eq. 6 [`StaticPredictModel`] and the
-//! analytic [`RooflineModel`], all selectable per context (and, through
-//! the layers above, per evaluator and per CLI invocation via
-//! `--model`).
+//! defines the crate-internal `TimingModel` seam with the default
+//! `SimulatorModel`, the static Eq. 6 `StaticPredictModel` and the
+//! analytic `RooflineModel`, all selectable by [`ModelId`] per context
+//! (and, through the layers above, per evaluator and per CLI invocation
+//! via `--model`).
 
 #![warn(missing_docs)]
 
@@ -69,8 +69,6 @@ pub use context::ProgramKey;
 pub use context::{LaunchSample, ModelContext};
 pub use counters::dynamic_mix;
 pub use machine::{simulate, simulate_with, BoundKind, LaunchScratch, SimError, SimReport};
-pub use model::{
-    ModelEnv, ModelId, RooflineModel, SimulatorModel, StaticPredictModel, TimingModel,
-};
+pub use model::ModelId;
 pub use noise::{measure, TrialProtocol, Trials, MAX_TRIALS};
 pub use profile::WarpProfile;

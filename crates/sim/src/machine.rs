@@ -129,7 +129,7 @@ impl LaunchScratch {
 
     /// [`WarpProfile::extract_with`] for `kernel` at `(n, TC, blocks)`,
     /// walked unless the last call asked for the same `(TC, blocks)`.
-    pub fn profile(
+    pub(crate) fn profile(
         &mut self,
         kernel: &CompiledKernel,
         cfg: &SimConfig,
@@ -146,7 +146,7 @@ impl LaunchScratch {
     /// [`dynamic_mix`](crate::dynamic_mix) of `kernel` at `n`, walked
     /// unless the last call asked for the same `(TC, BC)`: `PL` and `SC`
     /// do not enter the counters.
-    pub fn mix(&mut self, kernel: &CompiledKernel, n: u64) -> &MixCounts {
+    pub(crate) fn mix(&mut self, kernel: &CompiledKernel, n: u64) -> &MixCounts {
         self.bind(kernel, n);
         let key = (kernel.params.tc, kernel.params.bc);
         last(&mut self.mix, key, || counters::dynamic_mix(kernel, n))
@@ -167,7 +167,7 @@ fn last<K: PartialEq, V>(slot: &mut Option<(K, V)>, key: K, compute: impl FnOnce
 /// Fermi and Kepler carve a 64 KiB array into L1 + shared
 /// (`PreferL1` = 48 K L1 leaves 16 K shared); Maxwell and Pascal have
 /// dedicated shared memory, so `PL` only sizes the L1.
-pub fn effective_shmem_per_mp(family: Family, pl: PreferredL1, default_shmem: u32) -> u32 {
+pub(crate) fn effective_shmem_per_mp(family: Family, pl: PreferredL1, default_shmem: u32) -> u32 {
     match family {
         Family::Fermi | Family::Kepler => 64 * 1024 - pl.l1_bytes(),
         Family::Maxwell | Family::Pascal => default_shmem,

@@ -3,38 +3,37 @@
 //! The paper evaluates two predictors against each other — the abstract
 //! machine of [`machine`](crate::machine) ("empirical" measurements)
 //! and the static Eq. 6 CPI model — and related work adds more
-//! (hardware-counter models, wave/roofline analytics). [`TimingModel`]
+//! (hardware-counter models, wave/roofline analytics). `TimingModel`
 //! is the seam that lets all of them run behind the *same* evaluation
 //! stack: a backend estimates a [`SimReport`]-shaped cost from a
 //! [`CompiledKernel`] + its launch point + the problem size `n`, takes
 //! whatever geometry-only work it shares with the previous launch from
 //! the caller's [`LaunchScratch`], and carries a stable [`ModelId`]
-//! that participates in every cache key above it (the per-model
-//! [`ModelContext`](crate::ModelContext), the tuner's measurement
-//! tiers, the process-level artifact store), so cached
-//! artifacts can never alias across backends.
+//! that participates in every cache key above it (the tuner's
+//! measurement tiers, the process-level artifact store's scopes), so
+//! cached artifacts can never alias across backends.
 //!
 //! Three backends ship:
 //!
-//! * [`SimulatorModel`] — the default: the full abstract machine
+//! * `SimulatorModel` — the default: the full abstract machine
 //!   (issue/latency/bandwidth rooflines, work concentration,
 //!   divergence, barriers). The crate's free functions
 //!   ([`simulate`](crate::simulate), [`measure`](crate::measure)) stay
 //!   thin wrappers over exactly this backend, property-tested
 //!   bit-identical.
-//! * [`StaticPredictModel`] — Eq. 6 via
+//! * `StaticPredictModel` — Eq. 6 via
 //!   [`oriole_core::predict::predict_time_with`]: a purely static CPI ×
 //!   expected-mix dot product, no dynamic profiling. Output is in model
 //!   units, not milliseconds — rankings and Fig. 5-style normalized
 //!   series are the meaningful quantities.
-//! * [`RooflineModel`] — a classic throughput/bandwidth roofline from
+//! * `RooflineModel` — a classic throughput/bandwidth roofline from
 //!   the [`oriole_arch`] Table II issue rates and the DRAM bandwidth
 //!   constants, derated by achieved occupancy. Unlike the simulator it
 //!   models no latency bound, work concentration, or divergence/barrier
 //!   surcharges.
 //!
 //! All backends share one launch-feasibility gate
-//! ([`ModelEnv::launch_occupancy`]): a configuration with zero active
+//! (`ModelEnv::launch_occupancy`): a configuration with zero active
 //! blocks is [`SimError::Infeasible`] under every model, so backends
 //! disagree about *cost*, never about *launchability*.
 //!
@@ -53,8 +52,8 @@ use std::fmt;
 
 /// Stable identity of a timing-model backend.
 ///
-/// Part of every cache key above the model layer (model contexts,
-/// measurement tiers, artifact-store scopes), so two backends can
+/// Part of every cache key above the model layer (measurement tiers,
+/// artifact-store scopes), so two backends can
 /// never serve each other's cached estimates. The `Default` is the
 /// full simulator — the backend the free functions wrap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -112,7 +111,7 @@ impl ModelId {
     }
 
     /// Constructs the backend this id names.
-    pub fn backend(self) -> Box<dyn TimingModel> {
+    pub(crate) fn backend(self) -> Box<dyn TimingModel> {
         match self {
             ModelId::Simulator => Box::new(SimulatorModel),
             ModelId::Static => Box::new(StaticPredictModel),
@@ -131,7 +130,7 @@ impl fmt::Display for ModelId {
 /// timing constants. Backends receive it per call so they stay
 /// stateless and one [`ModelContext`](crate::ModelContext) can own any
 /// of them.
-pub struct ModelEnv<'a> {
+pub(crate) struct ModelEnv<'a> {
     /// Target device.
     pub spec: &'a GpuSpec,
     /// Timing constants (family defaults unless the context was built
@@ -144,7 +143,7 @@ impl ModelEnv<'_> {
     /// kernel's occupancy point, or [`SimError::Infeasible`] when zero
     /// blocks fit. The simulator goes through it too, so feasibility
     /// never depends on the selected backend.
-    pub fn launch_occupancy(&self, kernel: &CompiledKernel) -> Result<Occupancy, SimError> {
+    pub(crate) fn launch_occupancy(&self, kernel: &CompiledKernel) -> Result<Occupancy, SimError> {
         let input = OccupancyInput {
             tc: kernel.params.tc,
             regs_per_thread: kernel.regs_per_thread(),
@@ -169,7 +168,7 @@ impl ModelEnv<'_> {
 /// an estimate, every layer above asks again and relies on the same
 /// bits. `scratch` may only spare work — an estimate through a scratch
 /// that has seen other launches equals the one through a fresh scratch.
-pub trait TimingModel: Send + Sync {
+pub(crate) trait TimingModel: Send + Sync {
     /// The stable identity used in cache keys and telemetry.
     fn id(&self) -> ModelId;
 
@@ -188,7 +187,7 @@ pub trait TimingModel: Send + Sync {
 /// [`simulate`](crate::simulate) free function (property-tested in
 /// `tests/proptests.rs`).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimulatorModel;
+pub(crate) struct SimulatorModel;
 
 impl TimingModel for SimulatorModel {
     fn id(&self) -> ModelId {
@@ -216,7 +215,7 @@ impl TimingModel for SimulatorModel {
 /// the shared feasibility gate, and the warp profile is empty: nothing
 /// dynamic is computed.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StaticPredictModel;
+pub(crate) struct StaticPredictModel;
 
 impl TimingModel for StaticPredictModel {
     fn id(&self) -> ModelId {
@@ -267,7 +266,7 @@ impl TimingModel for StaticPredictModel {
 /// and no divergence/barrier surcharges — the `model_agreement` bin
 /// quantifies how much ranking signal that costs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RooflineModel;
+pub(crate) struct RooflineModel;
 
 impl TimingModel for RooflineModel {
     fn id(&self) -> ModelId {

@@ -42,7 +42,7 @@ pub struct Trials {
 impl TrialProtocol {
     /// The representative of `times`, given in execution order. Runs
     /// shorter than five trials fall back from the fifth to the median.
-    pub fn select(self, mut times: impl ExactSizeIterator<Item = f64>) -> f64 {
+    pub(crate) fn select(self, mut times: impl ExactSizeIterator<Item = f64>) -> f64 {
         match self {
             TrialProtocol::FifthOfTen if times.len() >= 5 => times.nth(4).expect("five trials"),
             TrialProtocol::Min => times.fold(f64::INFINITY, f64::min),

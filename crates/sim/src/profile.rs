@@ -33,7 +33,7 @@ pub struct WarpProfile {
 impl WarpProfile {
     /// Average memory service latency per operation (0 when no memory
     /// ops execute).
-    pub fn avg_latency(&self) -> f64 {
+    pub(crate) fn avg_latency(&self) -> f64 {
         if self.mem_ops > 0.0 {
             self.latency_weighted / self.mem_ops
         } else {
@@ -42,23 +42,16 @@ impl WarpProfile {
     }
 
     /// Extracts the profile of `program` at warp-level weights for
-    /// geometry `(n, tc, bc)`, building a throwaway [`ProgramIndex`]
-    /// first. Prefer [`WarpProfile::extract_with`] with the kernel's
-    /// shared index on hot paths; both produce bit-identical profiles.
+    /// geometry `(n, tc, bc)` by replaying the prebuilt index's
+    /// per-block profile tapes instead of matching `Instr` vectors.
+    /// Latencies and replay counts stay resolved here at query time
+    /// (the tape records *what* accesses happen, [`SimConfig`] says what
+    /// they cost), so one index serves every device configuration.
     ///
     /// Pass the *busy* block count as `bc` to obtain per-busy-warp costs
     /// (idle blocks fail their range guards immediately and are handled
     /// by the machine model's dispatch term instead).
-    pub fn extract(program: &Program, cfg: &SimConfig, n: u64, tc: u32, bc: u32) -> WarpProfile {
-        WarpProfile::extract_with(&ProgramIndex::build(program), program, cfg, n, tc, bc)
-    }
-
-    /// [`WarpProfile::extract`] replaying the prebuilt index's per-block
-    /// profile tapes instead of re-matching `Instr` vectors. Latencies
-    /// and replay counts stay resolved here at query time (the tape
-    /// records *what* accesses happen, [`SimConfig`] says what they
-    /// cost), so one index serves every device configuration.
-    pub fn extract_with(
+    pub(crate) fn extract_with(
         index: &ProgramIndex,
         program: &Program,
         cfg: &SimConfig,
@@ -243,7 +236,8 @@ mod tests {
         let mut k = KernelAst::new("p");
         k.body = body;
         let p = lower(&k, Family::Kepler, LowerOptions::default());
-        WarpProfile::extract(&p, &SimConfig::for_family(Family::Kepler), n, tc, bc)
+        let cfg = SimConfig::for_family(Family::Kepler);
+        WarpProfile::extract_with(&ProgramIndex::build(&p), &p, &cfg, n, tc, bc)
     }
 
     #[test]
@@ -406,9 +400,10 @@ mod tests {
         })];
         let mut p = lower(&k, Family::Fermi, LowerOptions::default());
         let cfg = SimConfig::for_family(Family::Fermi);
-        let clean = WarpProfile::extract(&p, &cfg, 64, 32, 1);
+        let idx = ProgramIndex::build(&p);
+        let clean = WarpProfile::extract_with(&idx, &p, &cfg, 64, 32, 1);
         p.meta.spill_bytes = 16; // 4 spilled registers
-        let spilled = WarpProfile::extract(&p, &cfg, 64, 32, 1);
+        let spilled = WarpProfile::extract_with(&idx, &p, &cfg, 64, 32, 1);
         assert!(spilled.dram_transactions > clean.dram_transactions);
         assert!(spilled.mem_ops > clean.mem_ops);
         assert!(spilled.issue_cycles > clean.issue_cycles);
@@ -445,9 +440,6 @@ mod proptests {
             let indexed = WarpProfile::extract_with(&idx, &p, &cfg, n, tc, bc);
             let walk = WarpProfile::extract_walk(&p, &cfg, n, tc, bc);
             prop_assert_eq!(&indexed, &walk);
-            // The convenience wrapper builds an equivalent throwaway
-            // index.
-            prop_assert_eq!(&WarpProfile::extract(&p, &cfg, n, tc, bc), &walk);
         }
     }
 }

@@ -348,26 +348,6 @@ impl<'a> Evaluator<'a> {
         Evaluator { ast_builder, gpu, sizes, protocol, ctx, front_ends, cache }
     }
 
-    /// Target device.
-    pub fn gpu(&self) -> &GpuSpec {
-        self.gpu
-    }
-
-    /// Input sizes (§IV-A: five per benchmark).
-    pub fn sizes(&self) -> &[u64] {
-        self.sizes
-    }
-
-    /// The measurement protocol in effect.
-    pub fn protocol(&self) -> EvalProtocol {
-        self.protocol
-    }
-
-    /// The timing-model backend measurements are estimated with.
-    pub fn model(&self) -> ModelId {
-        self.protocol.model
-    }
-
     /// Number of *distinct* variants evaluated so far (cache misses).
     /// Concurrent misses on one point are deduplicated, so hammering a
     /// single point from many threads counts it once. For store-backed
@@ -815,7 +795,6 @@ mod tests {
         let p = TuningParams::with_geometry(128, 48);
         let sim = under(ModelId::Simulator).evaluate(p);
         let ev = under(ModelId::Static);
-        assert_eq!(ev.model(), ModelId::Static);
         assert_eq!(ev.stats().model, ModelId::Static);
         let stat = ev.evaluate(p);
         assert!(stat.feasible);

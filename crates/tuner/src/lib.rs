@@ -12,7 +12,7 @@
 //!   threads behind a deterministic, order-restoring interface. An
 //!   [`Evaluator`] is an immutable view of two caching tiers — shared
 //!   compile front-ends keyed by `(size, UIF, CFLAGS)` and a sharded
-//!   measurement memo with in-flight deduplication — that make
+//!   measurement tier with in-flight deduplication — that make
 //!   exhaustive sweeps and stochastic revisits cheap; beside them it
 //!   holds its own `(device, timing model)` binding
 //!   ([`oriole_sim::ModelContext`]), which caches nothing.
@@ -60,9 +60,7 @@ pub use eval::{EvalProtocol, EvalStats, Evaluator, Measurement, Objective};
 // store scope carries.
 pub use oriole_sim::ModelId;
 pub use rank::{rank_stats, split_ranks, RankStats};
-pub use result::{
-    measurement_csv_row, measurements_csv, TuningRun, MEASUREMENT_CSV_HEADER,
-};
+pub use result::measurements_csv;
 pub use replay::{replay, Decision, LogEntry, ReplayReport, TuningLog};
 pub use search::{
     AnnealingSearch, ExhaustiveSearch, GeneticSearch, HybridSearch, NelderMeadSearch, Oracle,

@@ -67,7 +67,7 @@
 //!
 //! The same text crosses the wire of `oriole_service` in length-framed,
 //! checksummed frames ([`encode_frame`], [`decode_frame`]); frames are
-//! transient, so their checksum ([`frame_checksum`]) is built for speed,
+//! transient, so their checksum (`frame_checksum`) is built for speed,
 //! while lines and file names keep the FNV-1a that files on disk pin.
 //!
 //! [`scan_store`] and [`gc_store`] back the CLI's
@@ -85,9 +85,6 @@ use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
 
 /// First line of every tier file; anything else is version skew or
 /// corruption.
@@ -330,7 +327,7 @@ const FAMILIES: [(Family, &str); 4] = [
 /// Appends the canonical serialization of a [`GpuSpec`]: every field,
 /// fixed order, so two specs serialize equal iff they are structurally
 /// equal — the same contract the in-memory store keys rely on.
-pub fn write_gpu_spec(out: &mut String, g: &GpuSpec) {
+fn write_gpu_spec(out: &mut String, g: &GpuSpec) {
     push_word(out, "name:", g.name);
     push_word(out, ";family:", spell(&FAMILIES, g.family));
     push_dec(out, ";cc:", g.compute_capability.major);
@@ -355,7 +352,7 @@ pub fn write_gpu_spec(out: &mut String, g: &GpuSpec) {
     push_dec(out, ";rtmax:", g.regs_per_thread_max);
 }
 
-/// [`write_gpu_spec`] into a fresh string.
+/// `write_gpu_spec` into a fresh string.
 pub fn emit_gpu_spec(g: &GpuSpec) -> String {
     let mut out = String::with_capacity(256);
     write_gpu_spec(&mut out, g);
@@ -428,7 +425,7 @@ const OBJECTIVES: [(Objective, &str); 2] =
 /// Appends the canonical serialization of an [`EvalProtocol`] —
 /// including the [`ModelId`], so tiers taken under different timing
 /// backends can never share a disk artifact.
-pub fn write_protocol(out: &mut String, p: &EvalProtocol) {
+fn write_protocol(out: &mut String, p: &EvalProtocol) {
     push_dec(out, "trials:", p.trials);
     push_word(out, ";select:", spell(&TRIAL_PROTOCOLS, p.protocol));
     push_hex16(out, ";seed:", p.base_seed);
@@ -436,7 +433,7 @@ pub fn write_protocol(out: &mut String, p: &EvalProtocol) {
     push_word(out, ";model:", p.model.name());
 }
 
-/// [`write_protocol`] into a fresh string.
+/// `write_protocol` into a fresh string.
 pub fn emit_protocol(p: &EvalProtocol) -> String {
     let mut out = String::with_capacity(96);
     write_protocol(&mut out, p);
@@ -568,7 +565,7 @@ const LIMITERS: [(Limiter, &str); 4] = [
 
 /// Appends the canonical serialization of a [`SimReport`] (occupancy
 /// details and warp profile included) — the `simulate` answer's record.
-pub fn write_sim_report(out: &mut String, r: &SimReport) {
+fn write_sim_report(out: &mut String, r: &SimReport) {
     push_hex16(out, "time:", r.time_ms.to_bits());
     push_word(out, ";bound:", spell(&BOUNDS, r.bound));
     push_dec(out, ";ab:", r.occupancy.active_blocks);
@@ -592,7 +589,7 @@ pub fn write_sim_report(out: &mut String, r: &SimReport) {
     push_hex16(out, ";p_div:", r.profile.divergent_branches.to_bits());
 }
 
-/// [`write_sim_report`] into a fresh string.
+/// `write_sim_report` into a fresh string.
 pub fn emit_sim_report(r: &SimReport) -> String {
     let mut out = String::with_capacity(448);
     write_sim_report(&mut out, r);
@@ -898,7 +895,7 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
 
 /// Magic bytes opening every wire frame (`ORL4` — "oriole frame",
 /// protocol v4 on).
-pub const FRAME_MAGIC: [u8; 4] = *b"ORL4";
+const FRAME_MAGIC: [u8; 4] = *b"ORL4";
 
 /// Fixed size of the frame header preceding every payload:
 /// `ORL4 | len: u32 BE | crc: u64 BE | corr: u64 BE`.
@@ -907,7 +904,7 @@ pub const FRAME_HEADER_BYTES: usize = 24;
 /// Upper bound on a single frame's payload. A full 5,120-point evaluate
 /// batch with per-size records is well under 2 MiB; anything near this
 /// bound is a corrupted length field, not a legitimate payload.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Why one [`read_frame_tagged`] call produced no payload.
 #[derive(Debug)]
@@ -924,16 +921,16 @@ pub enum FrameError {
     /// connections and clients can retry instead of treating the
     /// deadline as a dead peer.
     TimedOut,
-    /// The stream did not start with [`FRAME_MAGIC`] — not speaking
+    /// The stream did not start with `FRAME_MAGIC` — not speaking
     /// this protocol, or desynchronized beyond recovery.
     BadMagic([u8; 4]),
     /// The stream started with the `ORLF` magic of protocol v3 and
     /// older. Deterministic: retrying meets the same old peer.
     VersionSkew,
-    /// The announced length exceeds [`MAX_FRAME_BYTES`].
+    /// The announced length exceeds `MAX_FRAME_BYTES`.
     TooLarge(u32),
     /// The payload (or its correlation id, or its length) failed
-    /// [`frame_checksum`]: corrupted in flight.
+    /// `frame_checksum`: corrupted in flight.
     BadChecksum,
     /// The payload is not valid UTF-8.
     BadUtf8,
@@ -974,7 +971,7 @@ impl std::error::Error for FrameError {}
 /// damage (moved words or blocks, bytes added or lost) is caught at
 /// 2^-64 odds. Not cryptographic, and not a storage format: lines and
 /// file names keep FNV-1a ([`checksum`]), whose bytes tier files pin.
-pub fn frame_checksum(corr: u64, payload: &[u8]) -> u64 {
+fn frame_checksum(corr: u64, payload: &[u8]) -> u64 {
     // The xxHash64 primes: odd, so multiplying by one is invertible.
     const PRIMES: [u64; 4] =
         [0x9e3779b185ebca87, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9, 0x85ebca77c2b2ae63];
@@ -1012,7 +1009,7 @@ pub fn frame_checksum(corr: u64, payload: &[u8]) -> u64 {
 /// reserved, `fill` appends the payload text behind them (and leaves
 /// them alone), then `ORL4 | len: u32 BE | frame_checksum: u64 BE |
 /// corr: u64 BE` is back-filled. `InvalidInput` when the payload
-/// exceeds [`MAX_FRAME_BYTES`]: no peer would accept it.
+/// exceeds `MAX_FRAME_BYTES`: no peer would accept it.
 pub fn encode_frame(corr: u64, fill: impl FnOnce(&mut String)) -> std::io::Result<Vec<u8>> {
     // Room for any control payload; a big one reserves for itself.
     let mut text = String::with_capacity(256);

@@ -1,49 +1,14 @@
 //! Experiment records and CSV export.
 
 use crate::eval::Measurement;
-use crate::search::SearchResult;
 use std::fmt::Write as _;
 
-/// A completed tuning run: what a strategy found and what it cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuningRun {
-    /// Strategy name.
-    pub strategy: String,
-    /// Kernel name.
-    pub kernel: String,
-    /// GPU name.
-    pub gpu: String,
-    /// The search outcome.
-    pub result: SearchResult,
-    /// Distinct variants actually compiled+measured.
-    pub unique_evaluations: usize,
-    /// Size of the (possibly pruned) space searched.
-    pub space_size: usize,
-}
-
-impl TuningRun {
-    /// One summary line for experiment logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<14} {:<9} {:<6} best={} ({:.4} ms) evals={} unique={} space={}",
-            self.strategy,
-            self.kernel,
-            self.gpu,
-            self.result.best,
-            self.result.best_time,
-            self.result.evaluations,
-            self.unique_evaluations,
-            self.space_size
-        )
-    }
-}
-
 /// CSV header matching [`measurement_csv_row`].
-pub const MEASUREMENT_CSV_HEADER: &str =
+const MEASUREMENT_CSV_HEADER: &str =
     "tc,bc,uif,pl_kb,sc,fast_math,feasible,time_ms,occupancy,regs,reg_instructions";
 
 /// One measurement as a CSV row (see [`MEASUREMENT_CSV_HEADER`]).
-pub fn measurement_csv_row(m: &Measurement) -> String {
+fn measurement_csv_row(m: &Measurement) -> String {
     format!(
         "{},{},{},{},{},{},{},{},{},{},{}",
         m.params.tc,
@@ -112,24 +77,5 @@ mod tests {
         let doc = measurements_csv(&[sample(), sample()]);
         assert_eq!(doc.lines().count(), 3);
         assert!(doc.starts_with("tc,bc"));
-    }
-
-    #[test]
-    fn summary_contains_key_fields() {
-        let run = TuningRun {
-            strategy: "exhaustive".into(),
-            kernel: "atax".into(),
-            gpu: "K20".into(),
-            result: SearchResult {
-                best: TuningParams::with_geometry(128, 48),
-                best_time: 0.5,
-                evaluations: 640,
-                trace: vec![],
-            },
-            unique_evaluations: 640,
-            space_size: 640,
-        };
-        let s = run.summary();
-        assert!(s.contains("exhaustive") && s.contains("atax") && s.contains("640"));
     }
 }

@@ -94,7 +94,7 @@ impl SearchResult {
     /// `best` and an infinite `best_time` — the same sentinel an
     /// all-infeasible space produces, so callers already handling
     /// "nothing launchable" handle "nothing to search" for free.
-    pub fn empty() -> SearchResult {
+    pub(crate) fn empty() -> SearchResult {
         SearchResult {
             best: TuningParams::default(),
             best_time: f64::INFINITY,
@@ -135,7 +135,7 @@ pub(crate) mod tests_support {
 
     /// Smooth objective minimized at `(ideal_tc, ideal_bc)`; separable
     /// and unimodal, so every sane searcher should find the basin.
-    pub struct QuadraticOracle {
+    pub(crate) struct QuadraticOracle {
         pub ideal_tc: f64,
         pub ideal_bc: f64,
     }
@@ -149,20 +149,20 @@ pub(crate) mod tests_support {
     }
 
     /// Counts oracle queries (thread-safe).
-    pub struct CountingOracle {
+    pub(crate) struct CountingOracle {
         inner: QuadraticOracle,
         count: AtomicUsize,
     }
 
     impl CountingOracle {
-        pub fn new() -> CountingOracle {
+        pub(crate) fn new() -> CountingOracle {
             CountingOracle {
                 inner: QuadraticOracle { ideal_tc: 128.0, ideal_bc: 48.0 },
                 count: AtomicUsize::new(0),
             }
         }
 
-        pub fn calls(&self) -> usize {
+        pub(crate) fn calls(&self) -> usize {
             self.count.load(Ordering::Relaxed)
         }
     }

@@ -69,7 +69,7 @@ impl<S: Searcher> StaticSearch<S> {
     }
 
     /// The thread values the analyzer keeps at this prune level.
-    pub fn suggested_threads(&self) -> Vec<u32> {
+    fn suggested_threads(&self) -> Vec<u32> {
         match self.level {
             PruneLevel::Static => self.analysis.suggestion.thread_counts.clone(),
             PruneLevel::RuleBased => self.analysis.rule_threads.clone(),

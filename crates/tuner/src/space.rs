@@ -39,11 +39,6 @@ impl SearchSpace {
         }
     }
 
-    /// The full Fig. 3 space including the `SC` axis (`range(1,6)`).
-    pub fn fig3() -> SearchSpace {
-        SearchSpace { sc: (1..=5).collect(), ..SearchSpace::paper_default() }
-    }
-
     /// A small space for tests and examples (TC × BC only, 16 points).
     pub fn tiny() -> SearchSpace {
         SearchSpace {
@@ -68,7 +63,7 @@ impl SearchSpace {
     }
 
     /// Axis lengths in index order (tc, bc, uif, pl, sc, cflags).
-    pub fn dims(&self) -> [usize; 6] {
+    pub(crate) fn dims(&self) -> [usize; 6] {
         [
             self.tc.len(),
             self.bc.len(),
@@ -79,7 +74,7 @@ impl SearchSpace {
         ]
     }
 
-    /// The point at a flat index (row-major over [`SearchSpace::dims`]).
+    /// The point at a flat index (row-major over `SearchSpace::dims`).
     ///
     /// # Panics
     /// If `index >= len()`.
@@ -145,11 +140,6 @@ mod tests {
         let s = SearchSpace::paper_default();
         assert_eq!(s.len(), 5120);
         assert_eq!(s.dims(), [32, 8, 5, 2, 1, 2]);
-    }
-
-    #[test]
-    fn fig3_space_includes_streams() {
-        assert_eq!(SearchSpace::fig3().len(), 25_600);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Process-level artifact store: cross-evaluator reuse.
 //!
 //! An [`Evaluator`] is an immutable view of two caching tiers — shared
-//! compile front-ends and a deduplicated measurement memo. The
+//! compile front-ends and a deduplicated measurement tier. The
 //! experiment drivers run *many* evaluators: every bench bin sweeps
 //! kernels × GPUs, the CLI builds a fresh evaluator per `tune`
 //! invocation, a daemon one per `evaluate` frame, and replay validation
@@ -166,11 +166,6 @@ impl ArtifactStore {
         let handle = DiskHandle { dir, counters: Arc::new(persist::DiskCounters::default()) };
         let _ = store.inner.disk.set(handle);
         Ok(store)
-    }
-
-    /// The disk-tier directory, when one is attached.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.inner.disk.get().map(|d| d.dir.as_path())
     }
 
     /// A context for a `(device, timing model)` pair. The store keeps
@@ -480,7 +475,6 @@ mod tests {
     fn memory_only_store_reports_no_disk_stats() {
         let store = ArtifactStore::new();
         assert_eq!(store.stats().disk, None);
-        assert_eq!(store.disk_dir(), None);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! # Oriole — autotuning GPU kernels via static and predictive analysis
 //!
-//! Umbrella crate re-exporting the full Oriole workspace API. See the
-//! individual crates for details:
+//! Umbrella crate: the facade `tests/` and `examples/` import, one
+//! `pub use` per crate they name (`oriole-fleet` is not among them —
+//! only the CLI and the bench crate drive a fleet). See the individual
+//! crates for details:
 //!
 //! * [`arch`] — GPU architecture database (paper Table I) and instruction
 //!   throughput model (Table II).
 //! * [`ir`] — kernel AST, PTX-like ISA, CFG, textual disassembly.
-//! * [`kernels`] — the paper's benchmark kernels (Table IV) and workload
-//!   generators.
+//! * [`kernels`] — the paper's benchmark kernels (Table IV), their CPU
+//!   reference implementations and workload generators.
 //! * [`codegen`] — the compiler substrate: Orio-style transformations,
 //!   register estimation, lowering to compiled artifacts.
 //! * [`sim`] — the GPU timing simulator standing in for physical
-//!   hardware, plus the pluggable `TimingModel` seam (simulator, static
-//!   Eq. 6, roofline backends behind one memoized context).
+//!   hardware, plus the timing-model backends a `ModelId` selects
+//!   (simulator, static Eq. 6, roofline) behind one `ModelContext`,
+//!   which owns no cache.
 //! * [`core`] — the paper's contribution: static analyzer and predictive
 //!   models (occupancy, instruction mixes, Eq. 6 time prediction,
 //!   parameter suggestion).

@@ -11,7 +11,8 @@ use oriole::arch::Gpu;
 use oriole::codegen::{front_end, CompilerFlags, TuningParams};
 use oriole::core::analyze;
 use oriole::ir::index::telemetry;
-use oriole::kernels::KernelId;
+use oriole::ir::{LaunchGeometry, ProgramIndex};
+use oriole::kernels::{KernelId, ALL_KERNELS};
 use oriole::sim::{dynamic_mix, simulate};
 
 #[test]
@@ -91,4 +92,30 @@ fn front_end_builds_index_exactly_once() {
         after_batch.index_builds,
         "re-sweeping cached artifacts never rebuilds an index"
     );
+
+    // The fused index, reached the only way callers reach it
+    // (`CompiledKernel.index`), answers everything a consumer can ask
+    // exactly as a from-scratch `ProgramIndex::build` of the same
+    // program does: the index keeps no raw graph facts, and what it
+    // keeps does not depend on how the graph was discovered. Last,
+    // because the reference builds bump the counter asserted on above.
+    for kernel_id in ALL_KERNELS {
+        for uif in [1u32, 3] {
+            let fe = front_end(&kernel_id.ast(n), gpu, uif, cflags).expect("front end runs");
+            let params = TuningParams { uif, ..TuningParams::with_geometry(128, 48) };
+            let kernel = fe.specialize(params).expect("feasible on the K20");
+            let (fused, reference) = (&kernel.index, ProgramIndex::build(&kernel.program));
+            assert_eq!(fused.natural_loops(), reference.natural_loops(), "{kernel_id} uif {uif}");
+            assert_eq!(fused.divergent_regions(), reference.divergent_regions());
+            assert_eq!(fused.summaries(), reference.summaries());
+            assert_eq!(fused.has_divergence(), reference.has_divergence());
+            assert_eq!(fused.grid_stride_items(n), reference.grid_stride_items(n));
+            for geom in [kernel.geometry(n), LaunchGeometry::new(64, 1024, 24)] {
+                assert_eq!(
+                    fused.expected_mix(&kernel.program, geom),
+                    reference.expected_mix(&kernel.program, geom)
+                );
+            }
+        }
+    }
 }
