@@ -7,7 +7,7 @@ use oriole_arch::{Gpu, ALL_GPUS};
 use oriole_codegen::{compile, CompilerFlags, PreferredL1, TuningParams};
 use oriole_core::predict::predict_time_with;
 use oriole_core::{analyze, report, suggest};
-use oriole_fleet::{FleetEvaluator, FleetSpec};
+use oriole_fleet::FleetSpec;
 use oriole_kernels::KernelId;
 use oriole_service::{
     Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
@@ -140,12 +140,10 @@ remote flag (tune/simulate): --remote ADDR
             knobs: --rpc-timeout MS (per-exchange deadline, default
             10000) and --retries N (transparent retry of idempotent
             verbs with backoff + jitter, default 4; 0 = fail fast).
-            Pipelining knobs (tune): --batch-points N (points per
-            coalesced evaluate frame, default 64), --pipeline-depth N
-            (frames in flight per connection, default 8),
-            --flush-idle-us US (coalesce window for concurrent
-            misses in microseconds, default 200; a lone sequential
-            search never waits).
+            Pipelining knobs (tune, --remote or --fleet alike):
+            --batch-points N (points per evaluate frame, default 64),
+            --pipeline-depth N (frames in flight per daemon, default
+            8).
 fleet flag (tune): --fleet ADDRS|@FILE
             evaluate across N daemons (comma-separated addresses, or a
             manifest file with one address per line): each scope's
@@ -153,15 +151,16 @@ fleet flag (tune): --fleet ADDRS|@FILE
             steal from the busiest queue's tail, and a lost shard's
             queue rebalances onto survivors — results stay
             bit-identical to a local run. Each daemon must own its own
-            --store-dir (or none). --batch-points doubles as the
-            work-stealing chunk granule; --rpc-timeout/--retries bound
-            each shard exchange. Mutually exclusive with --remote and
-            --store-dir.
+            --store-dir (or none). A frame of --batch-points is also
+            the granule shards steal; --rpc-timeout/--retries bound
+            each shard exchange. `--remote A` is `--fleet A` dialed
+            eagerly. Mutually exclusive with --remote and --store-dir.
 tune flags: --budget B --sizes 32,64,... --spec FILE --seed N --csv
             --stats (print cache telemetry: unique evaluations,
             lowerings, disk loads/spills, program-index and compile-phase
-            counters, the active timing model; with --remote: client
-            fetches plus daemon-side serving and store counters)
+            counters, the active timing model; with --remote/--fleet:
+            client fetches, the scheduler ledger and one line per
+            daemon, plus a single daemon's serving and store counters)
 "
     .to_string()
 }
@@ -368,24 +367,15 @@ fn connect(addr: &str, policy: RetryPolicy) -> Result<Client, String> {
         .map_err(|e| format!("cannot reach daemon at `{addr}`: {e} (is `oriole serve` running?)"))
 }
 
-/// The client-side batching knobs for remote evaluation:
-/// `--batch-points N` caps the points per pipelined `evaluate` frame,
-/// `--pipeline-depth N` caps the frames in flight on the connection,
-/// `--flush-idle-us US` is the coalesce window a flush waits for
-/// concurrent misses (0 = send immediately; a lone sequential caller
-/// never waits regardless).
+/// The client-side batching knobs for evaluation through daemons, one
+/// or many: `--batch-points N` caps the points per `evaluate` frame
+/// (the granule shards steal), `--pipeline-depth N` caps the frames in
+/// flight on each daemon's connection.
 fn coalesce_config(args: &Args) -> Result<CoalesceConfig, String> {
     let default = CoalesceConfig::default();
-    let flush_idle = match args.optional("flush-idle-us") {
-        None => default.flush_idle,
-        Some(v) => std::time::Duration::from_micros(
-            v.parse().map_err(|_| format!("--flush-idle-us expects microseconds, got `{v}`"))?,
-        ),
-    };
     let cfg = CoalesceConfig {
         max_batch_points: args.num_or("batch-points", default.max_batch_points)?,
         max_frames: args.num_or("pipeline-depth", default.max_frames)?,
-        flush_idle,
     };
     if cfg.max_batch_points == 0 || cfg.max_frames == 0 {
         return Err("--batch-points and --pipeline-depth must be at least 1".to_string());
@@ -450,8 +440,8 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     let dial: f64 = args.num_or("dial", 0.05)?;
     let (stats, csv) = (args.switch("stats"), args.switch("csv"));
     // Where points are evaluated. Every knob is read — and a bad value
-    // is a usage error — whichever of the three it ends up applying to,
-    // so that by here the command has asked about all its flags.
+    // is a usage error — whichever backend it ends up applying to, so
+    // that by here the command has asked about all its flags.
     let fleet = fleet_spec(args)?;
     let remote = remote_addr(args)?;
     let policy = retry_policy(args)?;
@@ -462,64 +452,45 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     let protocol = EvalProtocol { model, ..EvalProtocol::default() };
 
     // The oracle every strategy queries: an in-process evaluator over
-    // the resolved store, or a remote facade over a daemon's store —
+    // the resolved store, or the remote engine over daemons' stores —
     // same `Oracle` trait, bit-identical numbers, so the search layer
-    // cannot tell them apart.
+    // cannot tell them apart. `--remote A` is the one-shard fleet,
+    // dialed eagerly so a daemon that is not there is a usage error.
     // One instance, alive for the whole command — variant size skew
     // costs nothing, and boxing would only add indirection.
     #[allow(clippy::large_enum_variant)]
     enum Backend<'a> {
         Local { evaluator: oriole_tuner::Evaluator<'a>, before: EvalStats },
-        Remote { remote: RemoteEvaluator, addr: String },
-        Fleet { fleet: FleetEvaluator },
+        Remote(RemoteEvaluator),
     }
-    let backend = if let Some(spec) = fleet {
-        // --batch-points doubles as the work-stealing granule: the
-        // points per `evaluate` chunk a shard claims (or steals) at a
-        // time; coalescing itself is per-daemon here.
-        Backend::Fleet {
-            fleet: FleetEvaluator::with_policy(
-                spec,
-                EvalScope {
-                    kernel: kernel_id.name().to_string(),
-                    gpu: gpu.spec().clone(),
-                    sizes: sizes.clone(),
-                    protocol,
-                },
-                policy,
-                coalesce.max_batch_points,
-            ),
+    let scope = EvalScope {
+        kernel: kernel_id.name().to_string(),
+        gpu: gpu.spec().clone(),
+        sizes: sizes.clone(),
+        protocol,
+    };
+    let backend = match (fleet, remote) {
+        (Some(spec), _) => Backend::Remote(RemoteEvaluator::over_shards(
+            spec.shards(),
+            spec.home_shard(&scope),
+            scope,
+            policy,
+            coalesce,
+        )),
+        (None, Some(addr)) => {
+            Backend::Remote(RemoteEvaluator::with_coalesce(connect(addr, policy)?, scope, coalesce))
         }
-    } else {
-        match remote {
-        Some(addr) => {
-            Backend::Remote {
-                remote: RemoteEvaluator::with_coalesce(
-                    connect(addr, policy)?,
-                    EvalScope {
-                        kernel: kernel_id.name().to_string(),
-                        gpu: gpu.spec().clone(),
-                        sizes: sizes.clone(),
-                        protocol,
-                    },
-                    coalesce,
-                ),
-                addr: addr.to_string(),
-            }
-        }
-        None => {
+        (None, None) => {
             let run_store = resolve_store(args)?;
             let evaluator =
                 run_store.evaluator_with(kernel_id.name(), &builder, gpu.spec(), &sizes, protocol);
             let before = evaluator.stats();
             Backend::Local { evaluator, before }
         }
-        }
     };
     let oracle: &dyn Oracle = match &backend {
         Backend::Local { evaluator, .. } => evaluator,
-        Backend::Remote { remote, .. } => remote,
-        Backend::Fleet { fleet } => fleet,
+        Backend::Remote(remote) => remote,
     };
 
     let run = |searcher: &mut dyn Searcher| searcher.search(&space, oracle, budget);
@@ -594,22 +565,17 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         other => return Err(format!("unknown strategy `{other}`")),
     };
 
-    // A lost daemon aborts the run loudly: the remote oracle latches
-    // the first RPC failure instead of quietly scoring infinity. (For
-    // a fleet, a *lost shard* is routine — rebalanced, not fatal; only
-    // a deterministic error or total fleet loss latches.)
-    match &backend {
-        Backend::Remote { remote, addr } => {
-            if let Some(err) = remote.take_error() {
-                return Err(format!("remote evaluation via `{addr}` failed: {err}"));
-            }
+    // A lost daemon aborts the run loudly: the remote oracle latches a
+    // batch-fatal failure instead of quietly scoring infinity. (A lost
+    // shard with a survivor is routine — rebalanced, not fatal; only a
+    // deterministic error or the loss of every daemon latches.)
+    let latched = |remote: &RemoteEvaluator| {
+        remote.take_error().map(|err| format!("remote evaluation failed: {err}"))
+    };
+    if let Backend::Remote(remote) = &backend {
+        if let Some(err) = latched(remote) {
+            return Err(err);
         }
-        Backend::Fleet { fleet } => {
-            if let Some(err) = fleet.take_error() {
-                return Err(format!("fleet evaluation failed: {err}"));
-            }
-        }
-        Backend::Local { .. } => {}
     }
 
     let mut out = String::new();
@@ -629,60 +595,52 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     );
     if stats {
         match &backend {
-            Backend::Local { evaluator, before, .. } => {
+            Backend::Local { evaluator, before } => {
                 out.push_str(&render_stats(*before, evaluator.stats()));
             }
-            Backend::Remote { remote, addr } => {
-                let server = remote.client().stats().map_err(|e| e.to_string())?;
-                out.push_str(&render_remote_stats(remote, addr, &server));
-            }
-            Backend::Fleet { fleet } => {
-                out.push_str(&render_fleet_stats(fleet));
-            }
+            Backend::Remote(remote) => out.push_str(&render_remote_stats(remote)?),
         }
     }
     if csv && !result.trace.is_empty() {
         let points: Vec<TuningParams> = result.trace.iter().map(|(p, _)| *p).collect();
-        match &backend {
-            Backend::Local { evaluator, .. } => {
-                let measurements: Vec<_> = points.iter().map(|&p| evaluator.evaluate(p)).collect();
-                out.push_str(&measurements_csv(&measurements));
-            }
-            Backend::Remote { remote, addr } => {
-                let measurements = remote.evaluate_batch(&points).ok_or_else(|| {
-                    format!(
-                        "remote evaluation via `{addr}` failed: {}",
-                        remote.take_error().unwrap_or_default()
-                    )
-                })?;
-                out.push_str(&measurements_csv(&measurements));
-            }
-            Backend::Fleet { fleet } => {
-                let measurements = fleet.evaluate_batch(&points).ok_or_else(|| {
-                    format!(
-                        "fleet evaluation failed: {}",
-                        fleet.take_error().unwrap_or_default()
-                    )
-                })?;
-                out.push_str(&measurements_csv(&measurements));
-            }
-        }
+        out.push_str(&match &backend {
+            Backend::Local { evaluator, .. } => measurements_csv(
+                &points.iter().map(|&p| evaluator.evaluate(p)).collect::<Vec<_>>(),
+            ),
+            Backend::Remote(remote) => measurements_csv(
+                &remote
+                    .evaluate_batch(&points)
+                    .ok_or_else(|| latched(remote).unwrap_or_default())?,
+            ),
+        });
     }
     Ok(out)
 }
 
-/// The `--stats` block of a `--fleet` tune: what this client moved
-/// over the wire plus the work-stealing scheduler's ledger, per shard
-/// — the fleet analogue of [`render_remote_stats`].
-fn render_fleet_stats(fleet: &FleetEvaluator) -> String {
-    let s = fleet.stats();
+/// The `--stats` block of a tune through daemons, one renderer for
+/// `--remote` and `--fleet`: what this client moved over the wire, the
+/// work-stealing scheduler's ledger and one line per daemon. With a
+/// single daemon its serving and store counters follow (the remote
+/// analogue of [`render_stats`] — the tiers live on the server, so the
+/// numbers do too); for more, `service fleet-stats` has them.
+fn render_remote_stats(remote: &RemoteEvaluator) -> Result<String, String> {
+    let s = remote.stats();
     let c = s.counters();
     let mut out = String::new();
-    let _ = writeln!(out, "fleet stats ({} shard(s)):", c.shards);
+    let _ = match &s.shards[..] {
+        [only] => writeln!(out, "remote service stats (daemon at {}):", only.addr),
+        _ => writeln!(out, "fleet stats ({} shard(s)):", c.shards),
+    };
     let _ = writeln!(
         out,
         "  client: {} point(s) fetched, {} computed remotely",
         s.points_fetched, s.computed_remote
+    );
+    let _ = writeln!(
+        out,
+        "  coalescing: {} batched frame(s) sent, peak {} point(s)/frame",
+        s.shards.iter().map(|sh| sh.completed).sum::<u64>(),
+        s.peak_batch
     );
     let _ = writeln!(
         out,
@@ -704,28 +662,17 @@ fn render_fleet_stats(fleet: &FleetEvaluator) -> String {
             }
         );
     }
-    out
+    if s.shards.len() == 1 {
+        out.push_str(&render_server_stats(&remote.client().stats().map_err(|e| e.to_string())?));
+    }
+    Ok(out)
 }
 
-/// The `--stats` block of a `--remote` tune: what this client moved
-/// over the wire, plus the daemon's serving and store counters (the
-/// remote analogue of [`render_stats`] — the tiers live on the server,
-/// so the numbers do too).
-fn render_remote_stats(remote: &RemoteEvaluator, addr: &str, s: &ServiceStats) -> String {
+/// A daemon's serving and store counters: the body of `service stats`,
+/// and what `tune --stats` prints under a single daemon's client-side
+/// block.
+fn render_server_stats(s: &ServiceStats) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "remote service stats (daemon at {addr}):");
-    let _ = writeln!(
-        out,
-        "  client: {} point(s) fetched, {} computed remotely",
-        remote.fetched(),
-        remote.computed_remote()
-    );
-    let _ = writeln!(
-        out,
-        "  coalescing: {} batched frame(s) sent, peak {} point(s)/frame",
-        remote.batches_sent(),
-        remote.peak_batch()
-    );
     let _ = writeln!(
         out,
         "  server: {} connection(s), {} request(s), {} point(s) served",
@@ -771,8 +718,12 @@ fn render_remote_stats(remote: &RemoteEvaluator, addr: &str, s: &ServiceStats) -
         Some(d) => {
             let _ = writeln!(
                 out,
-                "  disk tier: {} loaded, {} written, {} rejected",
-                d.measurements_loaded, d.measurements_written, d.rejected
+                "  disk tier: {} hit(s), {} miss(es), {} loaded, {} written, {} rejected",
+                d.tier_hits,
+                d.tier_misses,
+                d.measurements_loaded,
+                d.measurements_written,
+                d.rejected
             );
         }
         None => {
@@ -877,66 +828,7 @@ fn cmd_service(argv: &[String]) -> Result<String, String> {
         }
         "stats" => {
             let s = client.stats().map_err(|e| e.to_string())?;
-            let mut out = String::new();
-            let _ = writeln!(out, "daemon at {addr}:");
-            let _ = writeln!(
-                out,
-                "  served: {} connection(s), {} request(s), {} point(s)",
-                s.connections, s.requests, s.points_served
-            );
-            let _ = writeln!(
-                out,
-                "  pool: {}/{} worker(s) busy, {} shed busy, {} reaped idle",
-                s.workers_busy, s.workers_max, s.shed_busy, s.reaped_idle
-            );
-            let _ = writeln!(
-                out,
-                "  reactor: {} connection(s) open, {} frame(s) in flight, pipelined peak {}, \
-                 {} wakeup(s)",
-                s.open_connections, s.frames_inflight, s.pipelined_peak, s.reactor_wakeups
-            );
-            let _ = writeln!(
-                out,
-                "  store: {} kernel(s), {} front-end tier(s) ({} lowerings), \
-                 {} measurement tier(s), {} unique evaluations, {} context(s)",
-                s.kernels,
-                s.front_end_tiers,
-                s.front_end_lowerings,
-                s.measurement_tiers,
-                s.unique_evaluations,
-                s.contexts
-            );
-            let p = &s.phases;
-            let _ = writeln!(
-                out,
-                "  compile phases: unroll {} ({} calls), lower {} ({} calls), \
-                 optimize {} ({} calls), regalloc {} ({} calls)",
-                fmt_ns(p.unroll_ns),
-                p.unroll_calls,
-                fmt_ns(p.lower_ns),
-                p.lower_calls,
-                fmt_ns(p.optimize_ns),
-                p.optimize_calls,
-                fmt_ns(p.regalloc_ns),
-                p.regalloc_calls
-            );
-            match &s.disk {
-                Some(d) => {
-                    let _ = writeln!(
-                        out,
-                        "  disk tier: {} hit(s), {} miss(es), {} loaded, {} written, {} rejected",
-                        d.tier_hits,
-                        d.tier_misses,
-                        d.measurements_loaded,
-                        d.measurements_written,
-                        d.rejected
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "  disk tier: none (memory-only daemon)");
-                }
-            }
-            Ok(out)
+            Ok(format!("daemon at {addr}:\n{}", render_server_stats(&s)))
         }
         "shutdown" => {
             client.shutdown().map_err(|e| e.to_string())?;
@@ -1488,19 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_idle_takes_microseconds_and_garbage_is_rejected() {
-        for garbage in ["soon", "auto"] {
-            let err = call(&format!(
-                "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
-                 --flush-idle-us {garbage}"
-            ))
-            .unwrap_err();
-            assert!(err.contains("expects microseconds"), "{err}");
-            assert!(err.contains(garbage), "{err}");
-        }
-    }
-
-    #[test]
     fn a_misspelt_flag_is_an_error_naming_it_and_nothing_runs() {
         let tune = "tune --kernel atax --gpu k20 --strategy random --sizes 32";
         let err = call(&format!("{tune} --budgte 8")).unwrap_err();
@@ -1517,6 +1396,9 @@ mod tests {
         for (line, flag) in [
             (format!("{tune} --budget 2 --retires 0"), "--retires"),
             (format!("{tune} --budget 2 --modle static"), "--modle"),
+            // Retired with the coalesce beat it set; a script still
+            // passing it is told so by name.
+            (format!("{tune} --budget 2 --remote 127.0.0.1:1 --flush-idle-us 200"), "--flush-idle-us"),
             ("simulate --kernel atax --gpu k20 --n 64 --budget 2".to_string(), "--budget"),
             ("analyze --kernel atax --gpu k20 --strategy random".to_string(), "--strategy"),
             ("gpus --csv".to_string(), "--csv"),
@@ -1553,9 +1435,12 @@ mod tests {
             format!("{tune} --strategy random --spec {spec}"),
             format!(
                 "{tune} --strategy random --remote {dead} {fast} --batch-points 8 \
-                 --pipeline-depth 2 --flush-idle-us 100"
+                 --pipeline-depth 2"
             ),
-            format!("{tune} --strategy random --fleet {dead} {fast} --batch-points 8"),
+            format!(
+                "{tune} --strategy random --fleet {dead} {fast} --batch-points 8 \
+                 --pipeline-depth 2"
+            ),
             format!("store gc --store-dir {dir} --dry-run"),
             format!(
                 "serve --addr not-an-address --store-dir {dir} --workers 1 --max-inflight 1 \
@@ -1602,6 +1487,20 @@ mod tests {
         assert!(stats.contains("shard 0"), "{stats}");
         assert!(stats.contains("shard 1"), "{stats}");
 
+        // --pipeline-depth reaches every shard of a fleet: a sweep of
+        // many frames keeps several in flight on a daemon's connection.
+        let sweep = "tune --kernel atax --gpu k20 --strategy exhaustive --sizes 32";
+        let deep = call(&format!(
+            "{sweep} --fleet {a0},{a1} --batch-points 8 --pipeline-depth 4"
+        ))
+        .unwrap();
+        assert_eq!(deep, call(sweep).unwrap());
+        let peaks: Vec<u64> = [&a0, &a1]
+            .map(|a| Client::connect(a).expect("connect").stats().expect("stats").pipelined_peak)
+            .to_vec();
+        assert!(peaks.iter().any(|&p| p > 1), "no daemon saw a pipelined frame: {peaks:?}");
+        assert!(peaks.iter().all(|&p| p <= 4), "deeper than --pipeline-depth: {peaks:?}");
+
         let svc = call(&format!("service fleet-stats --fleet {a0},{a1}")).unwrap();
         assert!(svc.contains("fleet of 2 shard(s)"), "{svc}");
         assert!(svc.contains("2/2 shard(s) reachable"), "{svc}");
@@ -1612,6 +1511,38 @@ mod tests {
         }
         h0.join().expect("server 0");
         h1.join().expect("server 1");
+    }
+
+    #[test]
+    fn remote_and_one_shard_fleet_print_the_same_bytes_stats_included() {
+        let (addr, handle) = spawn_daemon();
+        let flags = "tune --kernel bicg --gpu k20 --strategy random --budget 8 --sizes 32 \
+                     --batch-points 2 --csv --stats";
+        // What `--stats` prints that differs between any two runs, of
+        // either kind: wall-clock, and the daemon's lifetime counters.
+        let masked = |out: String| -> String {
+            let client_side = ["  client:", "  coalescing:", "  scheduler:"];
+            out.lines()
+                .map(|l| match l.rsplit_once("), ") {
+                    Some((counts, _time)) if l.starts_with("  shard ") => counts,
+                    _ if !l.starts_with("  ") || client_side.iter().any(|p| l.starts_with(p)) => l,
+                    _ => l.split(':').next().expect("a label"),
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        // Cold, then warm: `computed remotely` is 8, then 0, both ways.
+        let cold = masked(call(&format!("{flags} --remote {addr}")).unwrap());
+        assert!(cold.contains("8 point(s) fetched, 8 computed remotely"), "{cold}");
+        let remote = masked(call(&format!("{flags} --remote {addr}")).unwrap());
+        let fleet = masked(call(&format!("{flags} --fleet {addr}")).unwrap());
+        assert_eq!(remote, fleet, "`--remote A` is `--fleet A`");
+        assert!(fleet.contains("8 point(s) fetched, 0 computed remotely"), "{fleet}");
+        for label in ["remote service stats", "  coalescing:", "  scheduler:", "  shard 0", "  pool"] {
+            assert!(fleet.contains(label), "{label} missing:\n{fleet}");
+        }
+        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
+        handle.join().expect("server thread");
     }
 
     #[test]
@@ -1718,7 +1649,7 @@ mod tests {
         let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32";
         let local = call(flags).unwrap();
         let knobbed = call(&format!(
-            "{flags} --remote {addr} --batch-points 2 --pipeline-depth 4 --flush-idle-us 0"
+            "{flags} --remote {addr} --batch-points 2 --pipeline-depth 4"
         ))
         .unwrap();
         assert_eq!(knobbed, local, "batching knobs must never change results");

@@ -12,16 +12,18 @@
 //!   file names. Each daemon owns a disjoint `--store-dir`, so the
 //!   single-writer-per-scope discipline and torn-write detection from
 //!   `persist` hold fleet-wide without coordination.
-//! - `StealScheduler` is the **work-stealing scheduler**: a sweep's
-//!   point-chunks enqueue on the scope's home shard, idle shards steal
-//!   from the busiest live queue's tail, and a lost shard's queue
-//!   drains to survivors. Pure and deterministic — given the same
-//!   sequence of requests it makes the same decisions.
-//! - [`FleetEvaluator`] implements [`Oracle`](oriole_tuner::Oracle):
-//!   one worker thread per shard executes the schedule through the
-//!   fault-hardened [`Client`](oriole_service::Client), chunk results
-//!   are positionally verified and merged **in request order**, so the
-//!   output is byte-identical regardless of which shard computed what.
+//! - [`FleetEvaluator`] implements [`Oracle`](oriole_tuner::Oracle) by
+//!   handing the spec's shards and the scope's home to the one
+//!   evaluation engine, [`oriole_service::RemoteEvaluator`] — the same
+//!   type `tune --remote A` builds over one daemon. The engine owns
+//!   everything that happens after naming: the client-side memo, the
+//!   chunker, a pipelined connection per shard, the **work-stealing
+//!   scheduler** (a batch's chunks enqueue on the home shard, idle
+//!   shards steal from the busiest live queue's tail, a lost shard's
+//!   queue drains to survivors), the retry step and the latch. Chunk
+//!   results are positionally verified and merged **in request
+//!   order**, so the output is byte-identical regardless of which
+//!   shard computed what.
 //!
 //! Why stealing and rebalancing cannot change the answer: evaluation is
 //! deterministic, the wire format is bit-exact, and every daemon's
@@ -33,8 +35,8 @@
 #![warn(missing_docs)]
 
 mod evaluator;
-mod sched;
 mod spec;
 
-pub use evaluator::{FleetCounters, FleetEvaluator, FleetStats, ShardTelemetry};
+pub use evaluator::FleetEvaluator;
+pub use oriole_service::{FleetCounters, FleetStats, ShardTelemetry};
 pub use spec::FleetSpec;

@@ -1,21 +1,13 @@
-//! Client library: a framed-RPC [`Client`], a [`Pipeline`] that keeps
-//! many request frames in flight on one connection, and the
-//! [`RemoteEvaluator`] facade that makes a remote daemon look like a
-//! local oracle.
-//!
-//! [`RemoteEvaluator`] implements [`Oracle`], so every existing search
-//! strategy — `RandomSearch`, `AnnealingSearch`, `GeneticSearch`,
-//! `HybridSearch` with replay validation, all of them — runs unchanged
-//! against a daemon. Batched oracle queries become pipelined `evaluate`
-//! frames for the batch's cache misses; revisits (stochastic searchers
-//! revisit constantly) are served from a client-side memo without
-//! touching the network. Concurrent searches sharing one evaluator are
-//! **coalesced**: misses arriving together ride one batched frame
-//! ([`CoalesceConfig`]), so a fleet of search threads shares one
-//! socket instead of serializing whole round-trips. Because evaluation
-//! is deterministic and the wire format is bit-exact, a remote search
-//! produces the *identical trace* a local one does — pipelined,
-//! coalesced, or one point at a time.
+//! Client library: the two ways to hold a connection to a daemon. A
+//! [`Client`] is a blocking single-shot session — one request, one
+//! response, retried under its [`RetryPolicy`] — for `ping`, `stats`,
+//! `shutdown`, `simulate` and a one-off `evaluate`. A [`Pipeline`]
+//! keeps many request frames in flight on one connection, responses
+//! matched by correlation id; it is what the evaluation engine
+//! ([`RemoteEvaluator`](crate::RemoteEvaluator)) drives, one per
+//! daemon. Both share one dial routine, one retry step
+//! (`retry_or_bail`) and one positional check of an `evaluate` answer
+//! (`verify_measurements`).
 //!
 //! # Fault handling
 //!
@@ -51,12 +43,11 @@ use oriole_sim::{ModelId, SimReport};
 use oriole_tuner::persist::{
     classify_frame_io, read_frame_tagged, write_frame_tagged, FrameError,
 };
-use oriole_tuner::{Measurement, Oracle};
-use std::collections::hash_map::Entry;
+use oriole_tuner::Measurement;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -190,7 +181,7 @@ impl RetryPolicy {
 
     /// The deadline to declare in an `evaluate` request (milliseconds;
     /// 0 = none declared).
-    fn deadline_ms(&self) -> u64 {
+    pub(crate) fn deadline_ms(&self) -> u64 {
         self.rpc_timeout.as_millis() as u64
     }
 
@@ -232,14 +223,21 @@ impl Client {
 
     /// [`Client::connect`] under an explicit policy.
     pub fn connect_with(addr: &str, policy: RetryPolicy) -> Result<Client, ServiceError> {
-        let stream = dial(addr, &policy)?;
-        Ok(Client {
-            stream: Mutex::new(Some(stream)),
+        let client = Client::undialed(addr, policy);
+        *client.stream.lock().expect("client stream lock") = Some(dial(addr, &policy)?);
+        Ok(client)
+    }
+
+    /// A session that dials on its first exchange — a fleet shard that
+    /// is never handed a chunk costs its daemon no connection.
+    pub(crate) fn undialed(addr: &str, policy: RetryPolicy) -> Client {
+        Client {
+            stream: Mutex::new(None),
             addr: addr.to_string(),
             policy,
             retries: AtomicU64::new(0),
             corr: AtomicU64::new(0),
-        })
+        }
     }
 
     /// [`Client::connect`] retried until `timeout` elapses — the
@@ -358,27 +356,16 @@ impl Client {
     ) -> Result<Response, ServiceError> {
         let mut attempt: u32 = 0;
         loop {
-            let outcome = match self.exchange(req) {
-                Ok(Response::Busy { retry_after_ms }) => Err(ServiceError::Busy(retry_after_ms)),
-                other => other,
-            };
-            match outcome {
+            let failure = match self.exchange(req) {
+                Ok(Response::Busy { retry_after_ms }) => ServiceError::Busy(retry_after_ms),
                 Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if !retryable || !e.is_transient() || attempt >= self.policy.max_retries {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    let mut nap = self.policy.backoff(attempt);
-                    if let ServiceError::Busy(hint_ms) = e {
-                        // Honor the daemon's own hint when it is the
-                        // longer wait — it knows its queue better.
-                        nap = nap.max(Duration::from_millis(hint_ms));
-                    }
-                    std::thread::sleep(nap);
-                }
+                Err(e) => e,
+            };
+            if !retryable {
+                return Err(failure);
             }
+            attempt = retry_or_bail(&self.policy, attempt, failure)?;
+            self.retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -418,7 +405,7 @@ impl Client {
     }
 
     /// Evaluates a batch of points under `scope`. Returns the
-    /// fresh-computation count of this request window and one
+    /// count of points this request computed fresh and one
     /// measurement per point, in request order, bit-identical to local
     /// evaluation. Declares the session deadline so the daemon can shed
     /// work it cannot start in time.
@@ -432,13 +419,7 @@ impl Client {
             points: points.to_vec(),
             deadline_ms: self.policy.deadline_ms(),
         };
-        match self.call(&req)? {
-            Response::Evaluate { computed, measurements } => {
-                verify_measurements(points, &measurements)?;
-                Ok((computed, measurements))
-            }
-            other => Err(ServiceError::Protocol(format!("expected measurements, got {other:?}"))),
-        }
+        evaluate_answer(self.call(&req)?, points)
     }
 
     /// Compiles and simulates one variant remotely; returns the
@@ -471,7 +452,7 @@ impl Client {
 }
 
 /// Dials `addr` and arms the per-exchange socket deadlines.
-fn dial(addr: &str, policy: &RetryPolicy) -> Result<TcpStream, ServiceError> {
+pub(crate) fn dial(addr: &str, policy: &RetryPolicy) -> Result<TcpStream, ServiceError> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(policy.socket_timeout()).ok();
@@ -535,9 +516,9 @@ struct PipeShared {
     /// deadlock itself at the cap).
     in_flight: usize,
     failure: Option<PipeFailure>,
-    /// Last instant the reader made frame progress; waiters poison the
-    /// pipeline when it goes stale past the rpc deadline with requests
-    /// outstanding.
+    /// Last instant the reader made frame progress; a thread redeeming
+    /// a ticket poisons the pipeline when it goes stale past the rpc
+    /// deadline with requests outstanding.
     last_progress: Instant,
 }
 
@@ -584,7 +565,7 @@ pub struct Ticket {
 /// whole pipeline and fails every outstanding ticket. Callers that
 /// want retry semantics rebuild the pipeline and resend (evaluation is
 /// deterministic and the store dedups, so replays are safe) — that is
-/// exactly what [`RemoteEvaluator`] does.
+/// exactly what [`RemoteEvaluator`](crate::RemoteEvaluator) does.
 pub struct Pipeline {
     inner: Arc<PipeInner>,
 }
@@ -595,11 +576,12 @@ impl Pipeline {
     /// `policy` supplies only the rpc deadline — retries are the
     /// caller's business.
     pub fn connect(addr: &str, depth: usize, policy: &RetryPolicy) -> Result<Pipeline, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
+        let stream = dial(addr, policy)?;
         // The reader blocks on the socket without its own deadline —
-        // liveness is enforced by waiters watching `last_progress`, and
-        // poison breaks the socket under the reader.
+        // liveness is enforced by ticket holders watching
+        // `last_progress`, and poison breaks the socket under the
+        // reader. Sends keep the write deadline.
+        stream.set_read_timeout(None).ok();
         let writer = stream.try_clone()?;
         let breaker = stream.try_clone()?;
         let rpc_timeout = if policy.rpc_timeout.is_zero() {
@@ -818,383 +800,44 @@ fn reader_loop(mut stream: TcpStream, inner: &PipeInner) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Remote evaluator with batch coalescing
-// ---------------------------------------------------------------------------
-
-/// How [`RemoteEvaluator`] packs concurrent cache misses into
-/// pipelined `evaluate` frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Maximum points per `evaluate` frame: a large batch is split into
-    /// chunks of this size and the chunks pipelined, so the daemon's
-    /// workers parallelize *within* one logical batch.
-    pub max_batch_points: usize,
-    /// Pipeline depth for the evaluator's connection — evaluate frames
-    /// concurrently in flight.
-    pub max_frames: usize,
-    /// How long a flush waits for more concurrent misses to coalesce
-    /// before sending. Only applied when other threads are actively
-    /// inside the evaluator — a single sequential searcher never pays
-    /// it.
-    pub flush_idle: Duration,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> CoalesceConfig {
-        CoalesceConfig {
-            max_batch_points: 64,
-            max_frames: 8,
-            flush_idle: Duration::from_micros(200),
-        }
-    }
-}
-
-/// A remote [`Oracle`]: one experiment scope evaluated through a daemon,
-/// with a client-side memo so revisits never re-cross the network.
-///
-/// Cache misses are **coalesced**: the first thread to find pending
-/// misses becomes the flusher, waits one [`CoalesceConfig::flush_idle`]
-/// beat for concurrent threads' misses to pile on (skipped when alone),
-/// then drains the pending set into chunked, pipelined `evaluate`
-/// frames over one shared [`Pipeline`]. Everyone else parks until the
-/// cache fills. Results are bit-identical to sequential one-at-a-time
-/// evaluation — the daemon's store dedups, the wire format is exact,
-/// and the memo is keyed by point, so scheduling never shows in the
-/// data.
-///
-/// Transient RPC failures are healed by retrying with a fresh pipeline
-/// under the [`Client`]'s policy; an error surfaces only once that
-/// policy is exhausted. The oracle contract has no error channel, so
-/// such a *final* failure is **latched**: the failing point scores
-/// `f64::INFINITY`, every later query short-circuits the same way, and
-/// the driver must check [`RemoteEvaluator::take_error`] after the
-/// search — a lost daemon aborts the run loudly instead of silently
-/// returning garbage winners.
-pub struct RemoteEvaluator {
-    client: Client,
-    scope: EvalScope,
-    coalesce: CoalesceConfig,
-    state: Mutex<EvalState>,
-    changed: Condvar,
-    fetched: AtomicU64,
-    computed_remote: AtomicU64,
-    batches_sent: AtomicU64,
-    peak_batch: AtomicU64,
-    error: Mutex<Option<String>>,
-    poisoned: AtomicBool,
-}
-
-struct EvalState {
-    /// The memo and the dedup set in one map. A point enters once, as
-    /// `None` — queued for the next flush or riding the current one, so
-    /// a thread needing it parks instead of re-queueing it — and its
-    /// answer overwrites that; revisits are served from here.
-    slots: HashMap<TuningParams, Option<Measurement>>,
-    /// Misses queued for the next flush (insertion order — determinism
-    /// of the *data* comes from the store, not from this ordering).
-    pending: Vec<TuningParams>,
-    flushing: bool,
-    /// Threads currently inside `evaluate_batch` — the flusher skips
-    /// its coalesce beat when it is alone.
-    waiters: usize,
-    /// The healthy pipeline from the last flush, reused across flushes.
-    pipe: Option<Arc<Pipeline>>,
-}
-
-impl RemoteEvaluator {
-    /// A remote evaluator over `scope`, speaking through `client`, with
-    /// default coalescing.
-    pub fn new(client: Client, scope: EvalScope) -> RemoteEvaluator {
-        RemoteEvaluator::with_coalesce(client, scope, CoalesceConfig::default())
-    }
-
-    /// [`RemoteEvaluator::new`] with explicit coalescing knobs.
-    pub fn with_coalesce(
-        client: Client,
-        scope: EvalScope,
-        coalesce: CoalesceConfig,
-    ) -> RemoteEvaluator {
-        RemoteEvaluator {
-            client,
-            scope,
-            coalesce,
-            state: Mutex::new(EvalState {
-                slots: HashMap::new(),
-                pending: Vec::new(),
-                flushing: false,
-                waiters: 0,
-                pipe: None,
-            }),
-            changed: Condvar::new(),
-            fetched: AtomicU64::new(0),
-            computed_remote: AtomicU64::new(0),
-            batches_sent: AtomicU64::new(0),
-            peak_batch: AtomicU64::new(0),
-            error: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// The underlying single-shot connection (for side-channel requests
-    /// like [`Client::stats`] on the same session).
-    pub fn client(&self) -> &Client {
-        &self.client
-    }
-
-    /// Distinct points fetched over the wire so far (client-side cache
-    /// misses; deterministic for a deterministic search).
-    pub fn fetched(&self) -> u64 {
-        self.fetched.load(Ordering::Relaxed)
-    }
-
-    /// Points the *daemon* computed fresh across this evaluator's
-    /// requests — 0 on a fully warm store.
-    pub fn computed_remote(&self) -> u64 {
-        self.computed_remote.load(Ordering::Relaxed)
-    }
-
-    /// `evaluate` frames sent over the wire (each carries one coalesced
-    /// chunk of at most [`CoalesceConfig::max_batch_points`] points).
-    pub fn batches_sent(&self) -> u64 {
-        self.batches_sent.load(Ordering::Relaxed)
-    }
-
-    /// The largest point count any single frame carried — evidence of
-    /// coalescing actually happening.
-    pub fn peak_batch(&self) -> u64 {
-        self.peak_batch.load(Ordering::Relaxed)
-    }
-
-    /// The latched RPC failure, if any. Drivers must call this after a
-    /// search and treat `Some` as an aborted run. Taking the message
-    /// does **not** revive the evaluator: once poisoned it answers
-    /// `None`/infinity forever, so a partially failed run can never mix
-    /// stale and fresh answers.
-    pub fn take_error(&self) -> Option<String> {
-        self.error.lock().expect("error lock").take()
-    }
-
-    fn latch_error(&self, e: ServiceError) {
-        self.poisoned.store(true, Ordering::SeqCst);
-        let mut slot = self.error.lock().expect("error lock");
-        if slot.is_none() {
-            *slot = Some(e.to_string());
-        }
-    }
-
-    /// Evaluates one point (memoized client-side). `None` after an RPC
-    /// failure — see [`RemoteEvaluator::take_error`].
-    pub fn evaluate(&self, params: TuningParams) -> Option<Measurement> {
-        self.evaluate_batch(&[params]).map(|mut v| v.remove(0))
-    }
-
-    /// Evaluates a batch: misses join the shared pending set, one
-    /// thread flushes them (plus any concurrent threads' misses) as
-    /// chunked pipelined frames, everything else is served from the
-    /// memo. Results in input order, `None` on (final,
-    /// policy-exhausted) RPC failure.
-    pub fn evaluate_batch(&self, points: &[TuningParams]) -> Option<Vec<Measurement>> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut st = self.state.lock().expect("remote evaluator lock");
-        st.waiters += 1;
-        let EvalState { slots, pending, .. } = &mut *st;
-        slots.reserve(points.len());
-        for p in points {
-            if let Entry::Vacant(slot) = slots.entry(*p) {
-                slot.insert(None);
-                pending.push(*p);
-            }
-        }
-        // Answers are collected in input order, each point looked up
-        // once: a turn of the loop resumes where the last one stopped.
-        let mut out = Vec::with_capacity(points.len());
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                st.waiters -= 1;
-                return None;
-            }
-            while let Some(Some(m)) = points.get(out.len()).and_then(|p| st.slots.get(p)) {
-                out.push(m.clone());
-            }
-            if out.len() == points.len() {
-                st.waiters -= 1;
-                return Some(out);
-            }
-            if !st.pending.is_empty() && !st.flushing {
-                st.flushing = true;
-                // The coalesce beat: give concurrently arriving misses
-                // a moment to pile onto this flush — but never tax a
-                // lone sequential searcher with it.
-                let beat = self.coalesce.flush_idle;
-                if st.waiters > 1 && !beat.is_zero() {
-                    let (guard, _) =
-                        self.changed.wait_timeout(st, beat).expect("coalesce wait");
-                    st = guard;
-                }
-                let batch = std::mem::take(&mut st.pending);
-                let pipe = st.pipe.take();
-                drop(st);
-                let outcome = self.fetch(&batch, pipe);
-                st = self.state.lock().expect("remote evaluator lock");
-                st.flushing = false;
-                match outcome {
-                    Ok((pipe, computed, measurements)) => {
-                        st.pipe = Some(pipe);
-                        self.fetched.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        self.computed_remote.fetch_add(computed, Ordering::Relaxed);
-                        for m in measurements {
-                            st.slots.insert(m.params, Some(m));
-                        }
-                        self.changed.notify_all();
-                    }
-                    Err(e) => {
-                        st.waiters -= 1;
-                        drop(st);
-                        self.latch_error(e);
-                        self.changed.notify_all();
-                        return None;
-                    }
-                }
-            } else {
-                // Parked: another thread's flush is (or will be)
-                // fetching our points. The timeout guards against a
-                // missed wakeup, nothing more.
-                let (guard, _) = self
-                    .changed
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .expect("remote evaluator wait");
-                st = guard;
-            }
-        }
-    }
-
-    /// Fetches one coalesced batch: chunked into frames, pipelined,
-    /// verified per chunk, retried per the [`Client`]'s policy with a
-    /// fresh pipeline on transient failure. Returns the (still healthy)
-    /// pipeline for reuse plus the daemon-computed count and all
-    /// measurements in batch order.
-    fn fetch(
-        &self,
-        batch: &[TuningParams],
-        mut pipe: Option<Arc<Pipeline>>,
-    ) -> Result<(Arc<Pipeline>, u64, Vec<Measurement>), ServiceError> {
-        let policy = self.client.policy();
-        let chunks: Vec<&[TuningParams]> = batch.chunks(self.coalesce.max_batch_points).collect();
-        let mut results: Vec<Option<(u64, Vec<Measurement>)>> = vec![None; chunks.len()];
-        let mut attempt: u32 = 0;
-        loop {
-            let p = match pipe.take().filter(|p| !p.is_poisoned()) {
-                Some(p) => p,
-                None => {
-                    match Pipeline::connect(self.client.addr(), self.coalesce.max_frames, policy)
-                    {
-                        Ok(p) => Arc::new(p),
-                        Err(e) => {
-                            attempt = retry_or_bail(policy, attempt, e, None)?;
-                            continue;
-                        }
-                    }
-                }
-            };
-            // Send every unresolved chunk, then collect: the pipeline
-            // keeps up to `max_frames` of them in flight at once.
-            let mut tickets: Vec<(usize, Ticket)> = Vec::new();
-            let mut failure: Option<ServiceError> = None;
-            for (i, chunk) in chunks.iter().enumerate() {
-                if results[i].is_some() {
-                    continue;
-                }
-                let req = Request::Evaluate {
-                    scope: self.scope.clone(),
-                    points: chunk.to_vec(),
-                    deadline_ms: policy.deadline_ms(),
-                };
-                match p.send(&req) {
-                    Ok(t) => tickets.push((i, t)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let mut busy_hint: Option<u64> = None;
-            for (i, ticket) in tickets {
-                match p.wait(ticket) {
-                    Ok(Response::Evaluate { computed, measurements }) => {
-                        verify_measurements(chunks[i], &measurements)?;
-                        self.batches_sent.fetch_add(1, Ordering::Relaxed);
-                        self.peak_batch.fetch_max(chunks[i].len() as u64, Ordering::Relaxed);
-                        results[i] = Some((computed, measurements));
-                    }
-                    Ok(Response::Busy { retry_after_ms }) => {
-                        busy_hint = Some(retry_after_ms);
-                        if failure.is_none() {
-                            failure = Some(ServiceError::Busy(retry_after_ms));
-                        }
-                    }
-                    Ok(Response::Error { message }) => {
-                        return Err(ServiceError::Remote(message));
-                    }
-                    Ok(other) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "expected measurements, got {other:?}"
-                        )));
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            match failure {
-                None => {
-                    let mut computed = 0u64;
-                    let mut measurements = Vec::with_capacity(batch.len());
-                    for r in results {
-                        let (c, ms) = r.expect("no failure means every chunk resolved");
-                        computed += c;
-                        measurements.extend(ms);
-                    }
-                    return Ok((p, computed, measurements));
-                }
-                Some(e) => {
-                    attempt = retry_or_bail(policy, attempt, e, busy_hint)?;
-                    // Busy leaves the pipeline healthy; transport
-                    // failures poisoned it and the filter above drops
-                    // it.
-                    pipe = Some(p);
-                }
-            }
-        }
-    }
-}
-
-/// One retry-policy step: transient failures sleep the backoff (honoring
-/// the daemon's Busy hint when longer) and return the bumped attempt
-/// count; deterministic failures — or an exhausted policy — bail with
-/// the error.
-fn retry_or_bail(
+/// The one retry-policy step, shared by [`Client`] and the evaluation
+/// engine's workers: a transient failure sleeps the backoff (honoring
+/// the daemon's Busy hint when that is the longer wait — it knows its
+/// queue better) and returns the bumped attempt count; a deterministic
+/// failure — or an exhausted policy — bails with the error.
+pub(crate) fn retry_or_bail(
     policy: &RetryPolicy,
     attempt: u32,
     e: ServiceError,
-    busy_hint: Option<u64>,
 ) -> Result<u32, ServiceError> {
     if !e.is_transient() || attempt >= policy.max_retries {
         return Err(e);
     }
     let attempt = attempt + 1;
     let mut nap = policy.backoff(attempt);
-    if let Some(hint_ms) = busy_hint {
-        // Honor the daemon's own hint when it is the longer wait — it
-        // knows its queue better.
+    if let ServiceError::Busy(hint_ms) = e {
         nap = nap.max(Duration::from_millis(hint_ms));
     }
     std::thread::sleep(nap);
     Ok(attempt)
+}
+
+/// What an `evaluate` request was answered — on either connection
+/// type — as the daemon's fresh-computation count and its measurements,
+/// positionally verified: the one place an answer is unpacked.
+pub(crate) fn evaluate_answer(
+    resp: Response,
+    points: &[TuningParams],
+) -> Result<(u64, Vec<Measurement>), ServiceError> {
+    match resp {
+        Response::Evaluate { computed, measurements } => {
+            verify_measurements(points, &measurements)?;
+            Ok((computed, measurements))
+        }
+        Response::Busy { retry_after_ms } => Err(ServiceError::Busy(retry_after_ms)),
+        Response::Error { message } => Err(ServiceError::Remote(message)),
+        other => Err(ServiceError::Protocol(format!("expected measurements, got {other:?}"))),
+    }
 }
 
 /// The positional response contract, verified rather than trusted: one
@@ -1221,30 +864,6 @@ fn verify_measurements(
         }
     }
     Ok(())
-}
-
-impl Oracle for RemoteEvaluator {
-    fn eval(&self, params: TuningParams) -> f64 {
-        self.evaluate(params).map_or(f64::INFINITY, |m| m.time_ms)
-    }
-
-    fn eval_many(&self, points: &[TuningParams]) -> Vec<f64> {
-        match self.evaluate_batch(points) {
-            Some(ms) => ms.into_iter().map(|m| m.time_ms).collect(),
-            None => vec![f64::INFINITY; points.len()],
-        }
-    }
-}
-
-impl fmt::Debug for RemoteEvaluator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RemoteEvaluator")
-            .field("addr", &self.client.addr)
-            .field("kernel", &self.scope.kernel)
-            .field("fetched", &self.fetched())
-            .field("batches_sent", &self.batches_sent())
-            .finish()
-    }
 }
 
 #[cfg(test)]

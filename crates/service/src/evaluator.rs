@@ -1,0 +1,596 @@
+//! The remote evaluation engine: [`RemoteEvaluator`], one experiment
+//! scope evaluated through N ≥ 1 daemons. `tune --remote A` is the
+//! one-shard case of `tune --fleet A,B,…`; there is no second code
+//! path. Scheduling shows up only in [`FleetStats`], never in the data.
+
+use crate::client::{
+    evaluate_answer, retry_or_bail, Client, Pipeline, RetryPolicy, ServiceError, Ticket,
+};
+use crate::protocol::{EvalScope, Request};
+use crate::sched::StealScheduler;
+use oriole_codegen::TuningParams;
+use oriole_tuner::{Measurement, Oracle};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// How [`RemoteEvaluator`] packs cache misses into pipelined `evaluate`
+/// frames — the same two knobs for one daemon or many.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoalesceConfig {
+    /// Maximum points per `evaluate` frame: a large batch is split into
+    /// chunks of this size, so a daemon's workers parallelize *within*
+    /// one logical batch. Also the granule shards steal.
+    pub max_batch_points: usize,
+    /// Pipeline depth of each shard's connection — evaluate frames
+    /// concurrently in flight on one daemon.
+    pub max_frames: usize,
+}
+
+impl Default for CoalesceConfig {
+    fn default() -> CoalesceConfig {
+        CoalesceConfig { max_batch_points: 64, max_frames: 8 }
+    }
+}
+
+/// What one shard did over an evaluator's life.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ShardTelemetry {
+    /// The daemon's address.
+    pub addr: String,
+    /// Chunks this shard's worker completed — `evaluate` frames
+    /// answered.
+    pub completed: u64,
+    /// Chunks this shard took from another shard's queue tail.
+    pub stolen: u64,
+    /// Chunks drained off this shard when it was declared lost.
+    pub rebalanced_away: u64,
+    /// Whether the shard was declared lost (its worker exhausted the
+    /// retry policy on a transient failure).
+    pub lost: bool,
+    /// Wall-clock this shard's worker spent sending frames and waiting
+    /// for their answers — the per-shard latency aggregate.
+    pub eval_time: Duration,
+}
+
+/// The work-stealing scheduler's run totals ([`FleetStats::counters`]),
+/// the numbers behind the scheduler line of `tune --stats`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FleetCounters {
+    /// Shards in the fleet.
+    pub shards: u64,
+    /// Point-chunks dispatched to their home shard's queue.
+    pub batches_dispatched: u64,
+    /// Point-chunks stolen by an idle shard from another's tail.
+    pub batches_stolen: u64,
+    /// Point-chunks rebalanced off a lost shard onto survivors.
+    pub batches_rebalanced: u64,
+    /// Shards that were declared lost during the run.
+    pub shards_lost: u64,
+}
+
+/// The engine's telemetry: per-shard counters plus run totals
+/// ([`FleetStats::counters`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FleetStats {
+    /// One entry per shard, in shard-index order.
+    pub shards: Vec<ShardTelemetry>,
+    /// Point-chunks scheduled across all batches.
+    pub chunks: u64,
+    /// Distinct points fetched over the wire (client-side misses).
+    pub points_fetched: u64,
+    /// Points the daemons computed fresh (0 on fully warm stores).
+    pub computed_remote: u64,
+    /// The largest point count any single frame carried.
+    pub peak_batch: u64,
+}
+
+impl FleetStats {
+    /// The run totals across shards.
+    pub fn counters(&self) -> FleetCounters {
+        FleetCounters {
+            shards: self.shards.len() as u64,
+            batches_dispatched: self.chunks,
+            batches_stolen: self.shards.iter().map(|s| s.stolen).sum(),
+            batches_rebalanced: self.shards.iter().map(|s| s.rebalanced_away).sum(),
+            shards_lost: self.shards.iter().filter(|s| s.lost).count() as u64,
+        }
+    }
+}
+
+/// One daemon of the engine.
+#[derive(Debug)]
+struct Shard {
+    /// The single-shot session: names the address and answers
+    /// side-channel requests ([`RemoteEvaluator::client`]).
+    client: Client,
+    /// The pipelined connection, dialed by the first chunk sent and
+    /// kept across batches; `None` after a failure, so the next use
+    /// re-dials.
+    pipe: Mutex<Option<Pipeline>>,
+}
+
+/// The client-side memo and the one-flusher rule.
+#[derive(Debug)]
+struct Memo {
+    /// The memo and the dedup set in one map. A point enters once, as
+    /// `None` — queued for the next flush or riding the current one, so
+    /// a thread needing it parks instead of re-queueing it — and its
+    /// answer overwrites that; revisits are served from here.
+    slots: HashMap<TuningParams, Option<Measurement>>,
+    /// Misses queued for the next flush (insertion order — determinism
+    /// of the *data* comes from the store, not from this ordering).
+    pending: Vec<TuningParams>,
+    flushing: bool,
+    /// The latch: set by the first batch-fatal failure, never cleared.
+    poisoned: bool,
+    /// That failure's message, until [`RemoteEvaluator::take_error`].
+    error: Option<String>,
+}
+
+/// One flush's schedule, shared by its workers.
+struct Batch<'a> {
+    chunks: Vec<&'a [TuningParams]>,
+    /// Chunks a worker may hold at once.
+    window: usize,
+    state: Mutex<BatchState>,
+    woke: Condvar,
+}
+
+struct BatchState {
+    sched: StealScheduler,
+    /// Chunk results by chunk index — the merge key that makes output
+    /// order independent of the steal schedule.
+    results: Vec<Option<(u64, Vec<Measurement>)>>,
+    resolved: usize,
+    /// A deterministic failure (or the loss of every shard), fatal to
+    /// the whole batch: every shard would answer a deterministic error
+    /// the same way, so rebalancing cannot help.
+    failed: Option<String>,
+}
+
+/// A remote [`Oracle`]: one experiment scope evaluated through one or
+/// more `oriole serve` daemons, so every search strategy runs unchanged
+/// against them. Revisits (stochastic searchers revisit constantly) are
+/// served from a client-side memo without touching the network. A
+/// batch's misses are cut into frames of at most
+/// [`CoalesceConfig::max_batch_points`] points, enqueued on the scope's
+/// home shard and drained by one worker per live shard, each keeping up
+/// to [`CoalesceConfig::max_frames`] frames in flight on its daemon's
+/// [`Pipeline`]; idle workers steal from the busiest queue's tail, and
+/// results merge **by chunk index**, so the answer is bit-identical to
+/// a local run no matter which shard computed what.
+///
+/// Threads sharing an evaluator are **coalesced**: the first to find
+/// pending misses becomes the flusher and drains the pending set —
+/// its own misses and whatever others queued meanwhile — through the
+/// shards; everyone else parks until the memo fills, so a point in
+/// flight is never fetched twice. Results are bit-identical to
+/// sequential one-at-a-time evaluation — the daemons' stores dedup, the
+/// wire format is exact, and the memo is keyed by point, so scheduling
+/// never shows in the data.
+///
+/// Transient RPC failures are healed by redialing and resending under
+/// the [`RetryPolicy`]; a shard that outlasts the policy is retired
+/// for the evaluator's life and its chunks rebalance. The oracle
+/// contract has no error channel, so a *final* failure — a
+/// deterministic daemon error, or the last live shard lost — is
+/// **latched**: the failing batch scores `f64::INFINITY`, every later
+/// query short-circuits the same way, and the driver must check
+/// [`RemoteEvaluator::take_error`] after the search — a lost daemon
+/// aborts the run loudly instead of silently returning garbage winners.
+#[derive(Debug)]
+pub struct RemoteEvaluator {
+    shards: Vec<Shard>,
+    /// Where a batch's chunks first enqueue.
+    home: usize,
+    scope: EvalScope,
+    policy: RetryPolicy,
+    config: CoalesceConfig,
+    memo: Mutex<Memo>,
+    changed: Condvar,
+    telemetry: Mutex<FleetStats>,
+}
+
+impl RemoteEvaluator {
+    /// A one-daemon evaluator over `scope`, speaking to `client`'s
+    /// daemon under `client`'s policy, with default batching.
+    pub fn new(client: Client, scope: EvalScope) -> RemoteEvaluator {
+        RemoteEvaluator::with_coalesce(client, scope, CoalesceConfig::default())
+    }
+
+    /// [`RemoteEvaluator::new`] with explicit batching knobs.
+    pub fn with_coalesce(
+        client: Client,
+        scope: EvalScope,
+        config: CoalesceConfig,
+    ) -> RemoteEvaluator {
+        let policy = *client.policy();
+        RemoteEvaluator::assemble(vec![client], 0, scope, policy, config)
+    }
+
+    /// An evaluator over the daemons at `addrs`, none dialed until it
+    /// is handed work; a batch's chunks first enqueue on
+    /// `addrs[home]`. Panics unless `home` indexes `addrs`.
+    pub fn over_shards(
+        addrs: &[String],
+        home: usize,
+        scope: EvalScope,
+        policy: RetryPolicy,
+        config: CoalesceConfig,
+    ) -> RemoteEvaluator {
+        assert!(home < addrs.len(), "home shard {home} of {} shard(s)", addrs.len());
+        let clients = addrs.iter().map(|a| Client::undialed(a, policy)).collect();
+        RemoteEvaluator::assemble(clients, home, scope, policy, config)
+    }
+
+    fn assemble(
+        clients: Vec<Client>,
+        home: usize,
+        scope: EvalScope,
+        policy: RetryPolicy,
+        config: CoalesceConfig,
+    ) -> RemoteEvaluator {
+        let telemetry = FleetStats {
+            shards: clients
+                .iter()
+                .map(|c| ShardTelemetry { addr: c.addr().to_string(), ..ShardTelemetry::default() })
+                .collect(),
+            ..FleetStats::default()
+        };
+        RemoteEvaluator {
+            shards: clients
+                .into_iter()
+                .map(|client| Shard { client, pipe: Mutex::new(None) })
+                .collect(),
+            home,
+            scope,
+            policy,
+            config: CoalesceConfig {
+                max_batch_points: config.max_batch_points.max(1),
+                max_frames: config.max_frames.max(1),
+            },
+            memo: Mutex::new(Memo {
+                slots: HashMap::new(),
+                pending: Vec::new(),
+                flushing: false,
+                poisoned: false,
+                error: None,
+            }),
+            changed: Condvar::new(),
+            telemetry: Mutex::new(telemetry),
+        }
+    }
+
+    /// The home shard's single-shot session (for side-channel requests
+    /// like [`Client::stats`] to the same daemon).
+    pub fn client(&self) -> &Client {
+        &self.shards[self.home].client
+    }
+
+    /// A snapshot of the telemetry so far.
+    pub fn stats(&self) -> FleetStats {
+        self.telemetry.lock().expect("telemetry lock").clone()
+    }
+
+    /// `evaluate` frames answered (each carries one chunk of at most
+    /// [`CoalesceConfig::max_batch_points`] points).
+    pub fn batches_sent(&self) -> u64 {
+        self.telemetry.lock().expect("telemetry lock").shards.iter().map(|s| s.completed).sum()
+    }
+
+    /// The largest point count any single frame carried — evidence of
+    /// batching actually happening.
+    pub fn peak_batch(&self) -> u64 {
+        self.telemetry.lock().expect("telemetry lock").peak_batch
+    }
+
+    /// The latched failure, if any. Drivers must call this after a
+    /// search and treat `Some` as an aborted run. Taking the message
+    /// does **not** revive the evaluator: once poisoned it answers
+    /// `None`/infinity forever, so a partially failed run can never mix
+    /// stale and fresh answers.
+    pub fn take_error(&self) -> Option<String> {
+        self.memo.lock().expect("memo lock").error.take()
+    }
+
+    /// Evaluates a batch: misses join the shared pending set, one
+    /// thread flushes them (plus any concurrent threads' misses)
+    /// through the shards, everything else is served from the memo.
+    /// Results in input order, bit-identical to local evaluation;
+    /// `None` on a latched failure — see [`RemoteEvaluator::take_error`].
+    pub fn evaluate_batch(&self, points: &[TuningParams]) -> Option<Vec<Measurement>> {
+        let mut memo = self.memo.lock().expect("memo lock");
+        let Memo { slots, pending, .. } = &mut *memo;
+        slots.reserve(points.len());
+        for p in points {
+            if let Entry::Vacant(slot) = slots.entry(*p) {
+                slot.insert(None);
+                pending.push(*p);
+            }
+        }
+        // Answers are collected in input order, each point looked up
+        // once: a turn of the loop resumes where the last one stopped.
+        let mut out = Vec::with_capacity(points.len());
+        loop {
+            if memo.poisoned {
+                return None;
+            }
+            while let Some(Some(m)) = points.get(out.len()).and_then(|p| memo.slots.get(p)) {
+                out.push(m.clone());
+            }
+            if out.len() == points.len() {
+                return Some(out);
+            }
+            if !memo.pending.is_empty() && !memo.flushing {
+                memo.flushing = true;
+                let misses = std::mem::take(&mut memo.pending);
+                drop(memo);
+                let outcome = self.fetch(&misses);
+                memo = self.memo.lock().expect("memo lock");
+                memo.flushing = false;
+                match outcome {
+                    Ok(measurements) => {
+                        for m in measurements {
+                            memo.slots.insert(m.params, Some(m));
+                        }
+                    }
+                    Err(message) => {
+                        memo.poisoned = true;
+                        memo.error = Some(message);
+                    }
+                }
+                self.changed.notify_all();
+            } else {
+                // Parked: another thread's flush is (or will be)
+                // fetching our points. The timeout guards against a
+                // missed wakeup, nothing more.
+                let (guard, _) = self
+                    .changed
+                    .wait_timeout(memo, Duration::from_millis(50))
+                    .expect("memo wait");
+                memo = guard;
+            }
+        }
+    }
+
+    /// Fetches one flush's misses: cut into chunks, enqueued on the
+    /// home shard, drained by one worker per live shard, merged by
+    /// chunk index. `Err` is the batch-fatal failure to latch.
+    fn fetch(&self, misses: &[TuningParams]) -> Result<Vec<Measurement>, String> {
+        let chunks: Vec<&[TuningParams]> = misses.chunks(self.config.max_batch_points).collect();
+        let n = self.shards.len();
+        let mut sched = StealScheduler::new(n);
+        {
+            let mut t = self.telemetry.lock().expect("telemetry lock");
+            t.chunks += chunks.len() as u64;
+            // Shards lost in earlier batches stay lost (their daemons
+            // outlasted a whole retry policy; re-probing them every
+            // batch would stall each one on the same timeouts).
+            for (shard, s) in t.shards.iter().enumerate() {
+                if s.lost {
+                    sched.retire(shard, &[]);
+                }
+            }
+        }
+        // Losing the last shard latches, so one is live to take these.
+        for c in 0..chunks.len() {
+            sched.enqueue(self.home, c);
+        }
+        let batch = Batch {
+            // No worker holds more than its share of the batch, so a
+            // short batch still spreads over the shards.
+            window: self.config.max_frames.min(chunks.len().div_ceil(sched.live_count())),
+            state: Mutex::new(BatchState {
+                sched,
+                results: vec![None; chunks.len()],
+                resolved: 0,
+                failed: None,
+            }),
+            woke: Condvar::new(),
+            chunks,
+        };
+        // A pass ends with work left only when every worker in it
+        // retired its shard; the next asks the shards still live.
+        loop {
+            let workers = {
+                let st = batch.state.lock().expect("batch state lock");
+                let left = batch.chunks.len() - st.resolved;
+                if st.failed.is_some() || left == 0 {
+                    break;
+                }
+                // The live shards from the home onwards (`enqueue`'s
+                // order), and no more of them than chunks: a searcher's
+                // lone miss goes to its home shard and wakes nobody.
+                let live = (0..n).map(|off| (self.home + off) % n);
+                live.filter(|&s| st.sched.is_live(s)).take(left).collect::<Vec<_>>()
+            };
+            match workers[..] {
+                // One daemon to ask: the calling thread is its worker.
+                [only] => self.worker(only, &batch),
+                _ => std::thread::scope(|s| {
+                    for &shard in &workers {
+                        let batch = &batch;
+                        s.spawn(move || self.worker(shard, batch));
+                    }
+                }),
+            }
+        }
+
+        let st = batch.state.into_inner().expect("batch state lock");
+        if let Some(message) = st.failed {
+            return Err(message);
+        }
+        let mut computed = 0u64;
+        let mut measurements = Vec::with_capacity(misses.len());
+        // Merge in chunk-index order: positional, schedule-blind.
+        for r in st.results {
+            let (c, ms) = r.expect("no failure means every chunk resolved");
+            computed += c;
+            measurements.extend(ms);
+        }
+        let mut t = self.telemetry.lock().expect("telemetry lock");
+        t.points_fetched += misses.len() as u64;
+        t.computed_remote += computed;
+        Ok(measurements)
+    }
+
+    /// One shard's worker: claims chunks while its window has room,
+    /// sends them down the shard's pipeline and redeems the oldest,
+    /// until the batch resolves, the shard is retired, or the batch
+    /// fails.
+    fn worker(&self, shard: usize, batch: &Batch<'_>) {
+        let slot = &self.shards[shard];
+        let mut pipe = slot.pipe.lock().expect("shard pipeline lock").take();
+        // Chunks claimed and not yet answered, oldest first, each with
+        // its ticket once sent.
+        let mut in_hand: VecDeque<(usize, Option<Ticket>)> = VecDeque::new();
+        let mut attempt: u32 = 0;
+        loop {
+            let mut stolen = 0u64;
+            {
+                let mut st = batch.state.lock().expect("batch state lock");
+                loop {
+                    if st.failed.is_some() || st.resolved == batch.chunks.len() {
+                        // A pipeline with tickets still out (another
+                        // worker failed the batch) is not reusable.
+                        if in_hand.is_empty() {
+                            *slot.pipe.lock().expect("shard pipeline lock") = pipe;
+                        }
+                        return;
+                    }
+                    while in_hand.len() < batch.window {
+                        let Some(task) = st.sched.next_for(shard) else { break };
+                        stolen += u64::from(task.stolen_from.is_some());
+                        in_hand.push_back((task.chunk, None));
+                    }
+                    if !in_hand.is_empty() {
+                        break;
+                    }
+                    // Idle but the batch is unresolved: work may still
+                    // rebalance onto this queue if another shard dies.
+                    // The timeout only guards a missed wakeup.
+                    let (guard, _) = batch
+                        .woke
+                        .wait_timeout(st, Duration::from_millis(20))
+                        .expect("batch state wait");
+                    st = guard;
+                }
+            }
+            if stolen > 0 {
+                self.telemetry.lock().expect("telemetry lock").shards[shard].stolen += stolen;
+            }
+            let started = Instant::now();
+            match self.exchange(slot.client.addr(), &mut pipe, &mut in_hand, batch) {
+                Ok((chunk, computed, measurements)) => {
+                    attempt = 0;
+                    {
+                        let mut t = self.telemetry.lock().expect("telemetry lock");
+                        t.peak_batch = t.peak_batch.max(measurements.len() as u64);
+                        let sh = &mut t.shards[shard];
+                        sh.completed += 1;
+                        sh.eval_time += started.elapsed();
+                    }
+                    let mut st = batch.state.lock().expect("batch state lock");
+                    st.results[chunk] = Some((computed, measurements));
+                    st.resolved += 1;
+                    batch.woke.notify_all();
+                }
+                Err(e) => {
+                    match retry_or_bail(&self.policy, attempt, e) {
+                        Ok(next) => attempt = next,
+                        Err(e) => {
+                            self.give_up(shard, e, &in_hand, batch);
+                            return;
+                        }
+                    }
+                    // A transport failure took every ticket with it;
+                    // a Busy answer left the pipeline and the other
+                    // tickets good.
+                    if pipe.as_ref().is_some_and(Pipeline::is_poisoned) {
+                        pipe = None;
+                        in_hand.iter_mut().for_each(|(_, ticket)| *ticket = None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sends every unsent chunk in hand — dialing the pipeline if the
+    /// shard has none — and redeems the oldest ticket: the chunk's
+    /// index, the daemon's fresh-computation count and its positionally
+    /// verified measurements. On failure the chunk stays in hand.
+    fn exchange(
+        &self,
+        addr: &str,
+        pipe: &mut Option<Pipeline>,
+        in_hand: &mut VecDeque<(usize, Option<Ticket>)>,
+        batch: &Batch<'_>,
+    ) -> Result<(usize, u64, Vec<Measurement>), ServiceError> {
+        // A connection idle since the last batch may have been reaped.
+        if pipe.as_ref().is_none_or(Pipeline::is_poisoned) {
+            *pipe = Some(Pipeline::connect(addr, self.config.max_frames, &self.policy)?);
+        }
+        let p = pipe.as_ref().expect("pipeline just ensured");
+        for (chunk, ticket) in in_hand.iter_mut().filter(|(_, ticket)| ticket.is_none()) {
+            *ticket = Some(p.send(&Request::Evaluate {
+                scope: self.scope.clone(),
+                points: batch.chunks[*chunk].to_vec(),
+                deadline_ms: self.policy.deadline_ms(),
+            })?);
+        }
+        let (chunk, ticket) = in_hand.front_mut().expect("the worker holds a chunk");
+        let (chunk, ticket) = (*chunk, ticket.take().expect("every chunk in hand was just sent"));
+        let (computed, measurements) = evaluate_answer(p.wait(ticket)?, batch.chunks[chunk])?;
+        in_hand.pop_front();
+        Ok((chunk, computed, measurements))
+    }
+
+    /// The one loss rule. A transient failure that outlasted the policy
+    /// retires the shard and hands everything it held to the survivors
+    /// (dedup makes any replay bit-identical) — or, with none left,
+    /// fails the batch. A deterministic failure (unknown kernel,
+    /// protocol skew) fails it outright: every shard would answer the
+    /// same way.
+    fn give_up(
+        &self,
+        shard: usize,
+        e: ServiceError,
+        in_hand: &VecDeque<(usize, Option<Ticket>)>,
+        batch: &Batch<'_>,
+    ) {
+        let addr = self.shards[shard].client.addr();
+        let mut st = batch.state.lock().expect("batch state lock");
+        if e.is_transient() {
+            let held: Vec<usize> = in_hand.iter().map(|(chunk, _)| *chunk).collect();
+            let moved = st.sched.retire(shard, &held);
+            if st.sched.live_count() == 0 && st.failed.is_none() {
+                st.failed = Some(format!(
+                    "all {} shard(s) lost; the last, `{addr}`, failed with: {e}",
+                    self.shards.len()
+                ));
+            }
+            drop(st);
+            let mut t = self.telemetry.lock().expect("telemetry lock");
+            t.shards[shard].lost = true;
+            t.shards[shard].rebalanced_away += moved as u64;
+        } else if st.failed.is_none() {
+            st.failed = Some(format!("shard `{addr}`: {e}"));
+        }
+        batch.woke.notify_all();
+    }
+}
+
+impl Oracle for RemoteEvaluator {
+    fn eval(&self, params: TuningParams) -> f64 {
+        self.eval_many(&[params])[0]
+    }
+
+    fn eval_many(&self, points: &[TuningParams]) -> Vec<f64> {
+        match self.evaluate_batch(points) {
+            Some(ms) => ms.into_iter().map(|m| m.time_ms).collect(),
+            None => vec![f64::INFINITY; points.len()],
+        }
+    }
+}

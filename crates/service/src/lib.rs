@@ -7,7 +7,7 @@
 //! overlapping spaces share front-ends and whole measurement tiers
 //! instead of recomputing them per process.
 //!
-//! Three layers:
+//! The layers:
 //!
 //! * [`protocol`] — the RPC vocabulary: `evaluate` (a batch of tuning
 //!   points under one experiment scope), `simulate`, `stats`, `ping`
@@ -44,22 +44,23 @@
 //!   work, busy workers and unwritten responses under a hard deadline
 //!   before the reactor exits, so a daemon with a `--store-dir` never
 //!   tears its own spill lines.
-//! * [`client`] — the client library: a [`Client`] speaking the
-//!   protocol under a [`RetryPolicy`] — a deadline on every exchange,
-//!   automatic reconnect and retry with exponential backoff + jitter
-//!   for the idempotent verbs (evaluation is deterministic and the
-//!   store dedups, so replaying is always bit-identically safe) — a
-//!   [`Pipeline`] holding up to N request frames in flight on one
-//!   connection with responses matched by correlation id, and a
-//!   [`RemoteEvaluator`] facade implementing
-//!   [`oriole_tuner::Oracle`], so every existing search strategy runs
-//!   unchanged against a daemon — `RandomSearch`, `GeneticSearch`,
-//!   hybrid search with replay validation, all of them. The evaluator
-//!   **coalesces** concurrent misses from parallel searches into
-//!   batched pipelined `evaluate` frames ([`CoalesceConfig`]), so a
-//!   fleet of search threads shares one socket instead of serializing
-//!   exchanges. A *final* (policy-exhausted) failure latches: the run
-//!   aborts loudly, never silently returns garbage winners.
+//! * [`client`] — the two connection types: a [`Client`] speaking the
+//!   protocol one blocking exchange at a time under a [`RetryPolicy`] —
+//!   a deadline on every exchange, automatic reconnect and retry with
+//!   exponential backoff + jitter for the idempotent verbs (evaluation
+//!   is deterministic and the store dedups, so replaying is always
+//!   bit-identically safe) — and a [`Pipeline`] holding up to N request
+//!   frames in flight on one connection with responses matched by
+//!   correlation id.
+//! * [`RemoteEvaluator`] — the one way to ask daemons for points: an
+//!   [`oriole_tuner::Oracle`] over N ≥ 1 daemons, so every existing
+//!   search strategy runs unchanged against them. It owns the
+//!   client-side memo, cuts a batch's misses into frames
+//!   ([`CoalesceConfig`]) and drains them with one pipelined worker per
+//!   live daemon under a work-stealing scheduler; `oriole_fleet` only
+//!   names the daemons. A *final* failure — a deterministic error, or
+//!   the last daemon lost — latches: the run aborts loudly, never
+//!   silently returns garbage winners.
 //! * [`chaos`] — fault injection: a [`ChaosProxy`] that delays,
 //!   corrupts, truncates and drops proxied frames on a configurable
 //!   [`ChaosPlan`], backing the acceptance suite that proves every
@@ -75,13 +76,16 @@
 
 pub mod chaos;
 pub mod client;
+mod evaluator;
 pub mod protocol;
 mod reactor;
+mod sched;
 pub mod server;
 
 pub use chaos::{ChaosPlan, ChaosProxy, FaultSpec};
-pub use client::{
-    Client, CoalesceConfig, Pipeline, RemoteEvaluator, RetryPolicy, ServiceError,
+pub use client::{Client, Pipeline, RetryPolicy, ServiceError};
+pub use evaluator::{
+    CoalesceConfig, FleetCounters, FleetStats, RemoteEvaluator, ShardTelemetry,
 };
 pub use protocol::{EvalScope, Request, Response, ServiceStats, RPC_VERSION};
 pub use server::{ServeConfig, ServeSummary, Server};

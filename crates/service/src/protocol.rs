@@ -163,10 +163,10 @@ pub enum Response {
     Stats(ServiceStats),
     /// Answer to [`Request::Evaluate`].
     Evaluate {
-        /// Points of this batch the store computed fresh (as opposed to
-        /// serving from a tier). Deterministically 0 on a fully warm
-        /// re-run; under concurrent clients a computation is attributed
-        /// to whichever request window observed it.
+        /// Points of this batch this request computed fresh (as opposed
+        /// to serving from a tier). Deterministically 0 on a fully warm
+        /// re-run; under concurrent requests a point is attributed to
+        /// the one request that won its computation.
         computed: u64,
         /// One measurement per requested point, in request order,
         /// bit-identical to local evaluation.

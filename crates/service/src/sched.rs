@@ -72,24 +72,15 @@ impl StealScheduler {
     }
 
     /// Retires `shard` (lost or failed) and rebalances: its queued
-    /// chunks — plus `in_hand`, the chunk its worker was holding when
-    /// it died — drain round-robin onto the survivors' tails. Returns
-    /// how many chunks moved. With no survivors the chunks are dropped
-    /// and 0 is returned; the caller must then fail the batch.
-    pub(crate) fn retire(&mut self, shard: usize, in_hand: Option<usize>) -> usize {
-        if !self.live.get(shard).copied().unwrap_or(false) {
-            // Already retired: only the in-hand chunk can need a home.
-            if let Some(chunk) = in_hand {
-                if self.live.iter().any(|&l| l) {
-                    self.enqueue(shard, chunk);
-                    return 1;
-                }
-            }
-            return 0;
-        }
+    /// chunks — plus `in_hand`, every chunk its worker was holding when
+    /// it died, sent or not — drain round-robin onto the survivors'
+    /// tails. Returns how many chunks moved. With no survivors the
+    /// chunks are dropped and 0 is returned; the caller must then fail
+    /// the batch.
+    pub(crate) fn retire(&mut self, shard: usize, in_hand: &[usize]) -> usize {
         self.live[shard] = false;
         let mut orphans: Vec<usize> = self.queues[shard].drain(..).collect();
-        orphans.extend(in_hand);
+        orphans.extend_from_slice(in_hand);
         let survivors: Vec<usize> = (0..self.queues.len()).filter(|&s| self.live[s]).collect();
         if survivors.is_empty() {
             return 0;
@@ -133,16 +124,24 @@ mod tests {
         }
     }
 
+    /// The in-flight windows the seeded schedules run under: one chunk
+    /// at a time, a pair, and the shipped pipeline depth.
+    const DEPTHS: [usize; 3] = [1, 2, 8];
+
     /// Drives a randomized steal schedule: each step a random live
-    /// shard asks for work and "completes" it instantly; with
-    /// `kill_at`, one random shard is retired mid-run. Returns the
-    /// chunk→shard assignment and the merged output (results indexed
-    /// by chunk id, exactly how `FleetEvaluator` merges).
+    /// shard takes a turn — it claims a chunk into its in-flight window
+    /// while the window has room and work exists, and otherwise
+    /// "completes" the oldest chunk it holds. With `kill_at`, the live
+    /// shard holding the most chunks is retired mid-run and hands its
+    /// whole window back. Returns the chunk→shard assignment and the
+    /// merged output (results indexed by chunk id, exactly how the
+    /// evaluator merges).
     fn run_schedule(
         seed: u64,
         n_shards: usize,
         n_chunks: usize,
         home: usize,
+        depth: usize,
         kill_at: Option<usize>,
     ) -> (HashMap<usize, usize>, Vec<usize>) {
         let mut rng = Rng(seed | 1);
@@ -150,6 +149,7 @@ mod tests {
         for c in 0..n_chunks {
             sched.enqueue(home, c);
         }
+        let mut windows: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_shards];
         let mut assignment = HashMap::new();
         let mut results: Vec<Option<usize>> = vec![None; n_chunks];
         let mut done = 0;
@@ -160,24 +160,29 @@ mod tests {
             assert!(steps < 100_000, "schedule failed to converge");
             if !killed && Some(done) == kill_at && sched.live_count() > 1 {
                 killed = true;
-                // Kill a random live shard that still has queued work
-                // if possible, else any live one.
                 let victim = (0..n_shards)
                     .filter(|&s| sched.is_live(s))
-                    .max_by_key(|&s| (sched.queues[s].len(), usize::MAX - s))
+                    .max_by_key(|&s| (windows[s].len(), sched.queues[s].len(), usize::MAX - s))
                     .expect("a live shard exists");
-                sched.retire(victim, None);
+                let in_hand: Vec<usize> = windows[victim].drain(..).collect();
+                assert!(depth == 1 || in_hand.len() > 1, "the victim must die mid-window");
+                sched.retire(victim, &in_hand);
             }
             let shard = rng.below(n_shards);
-            if let Some(task) = sched.next_for(shard) {
+            if windows[shard].len() < depth {
+                if let Some(task) = sched.next_for(shard) {
+                    windows[shard].push_back(task.chunk);
+                    continue;
+                }
+            }
+            if let Some(chunk) = windows[shard].pop_front() {
                 assert!(
-                    assignment.insert(task.chunk, shard).is_none(),
-                    "chunk {} scheduled twice",
-                    task.chunk
+                    assignment.insert(chunk, shard).is_none(),
+                    "chunk {chunk} completed twice"
                 );
                 // The "result" of evaluating a chunk is a pure function
                 // of the chunk — merge is by chunk id, positionally.
-                results[task.chunk] = Some(task.chunk * 31 + 7);
+                results[chunk] = Some(chunk * 31 + 7);
                 done += 1;
             }
         }
@@ -188,29 +193,39 @@ mod tests {
     #[test]
     fn merge_order_is_independent_of_steal_schedule() {
         let canonical: Vec<usize> = (0..24).map(|c| c * 31 + 7).collect();
-        let mut distinct_assignments = HashSet::new();
-        for seed in [3, 17, 0x6f72696f, 9999, 123456789] {
-            let (assignment, merged) = run_schedule(seed, 4, 24, 1, None);
-            assert_eq!(merged, canonical, "seed {seed}: merged output depends on schedule");
-            assert_eq!(assignment.len(), 24, "every chunk scheduled exactly once");
-            let mut key: Vec<(usize, usize)> = assignment.into_iter().collect();
-            key.sort_unstable();
-            distinct_assignments.insert(key);
+        for depth in DEPTHS {
+            let mut distinct_assignments = HashSet::new();
+            for seed in [3, 17, 0x6f72696f, 9999, 123456789] {
+                let (assignment, merged) = run_schedule(seed, 4, 24, 1, depth, None);
+                assert_eq!(
+                    merged, canonical,
+                    "seed {seed} depth {depth}: merged output depends on schedule"
+                );
+                assert_eq!(assignment.len(), 24, "every chunk scheduled exactly once");
+                let mut key: Vec<(usize, usize)> = assignment.into_iter().collect();
+                key.sort_unstable();
+                distinct_assignments.insert(key);
+            }
+            // Non-vacuous: the seeds actually produced different schedules.
+            assert!(
+                distinct_assignments.len() >= 2,
+                "depth {depth}: every seed produced the same schedule — the test proves nothing"
+            );
         }
-        // Non-vacuous: the seeds actually produced different schedules.
-        assert!(
-            distinct_assignments.len() >= 2,
-            "every seed produced the same schedule — the test proves nothing"
-        );
     }
 
     #[test]
     fn killing_a_shard_mid_schedule_loses_and_duplicates_nothing() {
         let canonical: Vec<usize> = (0..30).map(|c| c * 31 + 7).collect();
-        for seed in [1, 42, 777] {
-            let (assignment, merged) = run_schedule(seed, 3, 30, 0, Some(5));
-            assert_eq!(merged, canonical, "seed {seed}: rebalance changed the output");
-            assert_eq!(assignment.len(), 30);
+        for depth in DEPTHS {
+            for seed in [1, 42, 777] {
+                let (assignment, merged) = run_schedule(seed, 3, 30, 0, depth, Some(5));
+                assert_eq!(
+                    merged, canonical,
+                    "seed {seed} depth {depth}: rebalance changed the output"
+                );
+                assert_eq!(assignment.len(), 30);
+            }
         }
     }
 
@@ -241,7 +256,7 @@ mod tests {
         }
         let held = s.next_for(1).expect("work queued").chunk;
         assert_eq!(held, 0);
-        let moved = s.retire(1, Some(held));
+        let moved = s.retire(1, &[held]);
         assert_eq!(moved, 5, "4 queued + 1 in hand");
         assert_eq!(s.live_count(), 2);
         assert_eq!(s.queues.iter().map(VecDeque::len).sum::<usize>(), 5);
@@ -257,11 +272,11 @@ mod tests {
     #[test]
     fn enqueue_skips_dead_shards_and_last_survivor_failure_drops_work() {
         let mut s = StealScheduler::new(2);
-        s.retire(0, None);
+        s.retire(0, &[]);
         s.enqueue(0, 9); // home is dead: lands on shard 1
         assert_eq!(s.next_for(1), Some(Task { chunk: 9, stolen_from: None }));
         s.enqueue(1, 11);
-        assert_eq!(s.retire(1, Some(12)), 0, "no survivors: dropped, caller must fail");
+        assert_eq!(s.retire(1, &[12]), 0, "no survivors: dropped, caller must fail");
         assert_eq!(s.live_count(), 0);
         assert!(s.queues.iter().all(VecDeque::is_empty));
     }

@@ -1103,13 +1103,12 @@ fn handle_evaluate(
     let builder = move |n: u64| kid.ast(n);
     let evaluator =
         store.evaluator_with(kid.name(), &builder, &scope.gpu, &scope.sizes, scope.protocol);
-    // "Computed" is the measurement tier's fresh-computation delta over
-    // this request window (tier-wide: under racing clients a point is
-    // attributed to whichever window saw it; deterministically zero on
-    // a warm re-run).
-    let before = evaluator.unique_evaluations();
+    // "Computed" is what this request computed — the evaluator is this
+    // frame's own, so frames overlapping on one connection, or clients
+    // racing on one scope, each report only the misses they won
+    // (deterministically zero on a warm re-run).
     let measurements = evaluator.evaluate_batch(points);
-    let computed = (evaluator.unique_evaluations() - before) as u64;
+    let computed = evaluator.computed() as u64;
     let shared = measurements.iter().map(|m| &**m);
     encode_frame(corr, |out| protocol::write_evaluate(out, computed, shared))
         .map_err(|e| e.to_string())

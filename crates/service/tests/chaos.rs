@@ -242,7 +242,7 @@ fn daemon_death_mid_sweep_latches_and_a_restart_resumes_bit_identically() {
         assert_eq!(r.time_ms.to_bits(), l.time_ms.to_bits());
     }
     assert!(
-        (resumed.computed_remote() as usize) <= rest.len(),
+        (resumed.stats().computed_remote as usize) <= rest.len(),
         "the pre-crash half must come from the spilled store, not recomputation"
     );
     shutdown_daemon(daemon, handle);
@@ -279,7 +279,7 @@ fn pipelined_connection_cut_mid_frame_heals_bit_identically() {
         scope("atax", gpu, &[64]),
         // Tiny chunks: the sweep crosses as multiple frames in flight
         // on one pipeline, so the cut strands several requests at once.
-        CoalesceConfig { max_batch_points: 2, max_frames: 4, ..CoalesceConfig::default() },
+        CoalesceConfig { max_batch_points: 2, max_frames: 4 },
     );
     let healed = remote.evaluate_batch(&points).expect("heals");
     assert_eq!(remote.take_error(), None);
@@ -321,7 +321,7 @@ fn pipelined_response_corruption_heals_bit_identically_without_misdelivery() {
     let remote = RemoteEvaluator::with_coalesce(
         client,
         scope("bicg", gpu, &[32]),
-        CoalesceConfig { max_batch_points: 2, max_frames: 4, ..CoalesceConfig::default() },
+        CoalesceConfig { max_batch_points: 2, max_frames: 4 },
     );
     let healed = remote.evaluate_batch(&points).expect("heals");
     assert_eq!(remote.take_error(), None);
@@ -353,7 +353,7 @@ fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
     let remote = RemoteEvaluator::with_coalesce(
         client,
         scope("atax", Gpu::K20.spec(), &[64]),
-        CoalesceConfig { max_batch_points: 1, max_frames: 4, ..CoalesceConfig::default() },
+        CoalesceConfig { max_batch_points: 1, max_frames: 4 },
     );
     let space = SearchSpace::tiny();
     let points: Vec<TuningParams> = space.iter().collect();

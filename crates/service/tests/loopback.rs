@@ -142,13 +142,13 @@ fn remote_oracle_runs_searchers_unchanged_with_identical_traces() {
     let result = RandomSearch { seed: 9 }.search(&space, &remote, 10);
     assert_eq!(remote.take_error(), None, "no RPC failures");
     assert_eq!(result, local, "remote search must replay the local trace bit-for-bit");
-    assert_eq!(remote.fetched(), 10, "one fetch per distinct sampled point");
+    assert_eq!(remote.stats().points_fetched, 10, "one fetch per distinct sampled point");
 
     // A second identical search is served from the client memo: no new
     // fetches at all.
     let again = RandomSearch { seed: 9 }.search(&space, &remote, 10);
     assert_eq!(again, local);
-    assert_eq!(remote.fetched(), 10);
+    assert_eq!(remote.stats().points_fetched, 10);
 
     Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
     handle.join().expect("server thread");
@@ -346,11 +346,49 @@ fn coalesced_concurrent_evaluators_are_bit_identical_to_sequential() {
     // still computed each point exactly once.
     assert!(remote.batches_sent() >= 1, "{}", remote.batches_sent());
     assert!(remote.peak_batch() >= 2, "chunks carry >1 point: {}", remote.peak_batch());
-    assert_eq!(remote.fetched() as usize, points.len(), "each distinct point fetched once");
+    assert_eq!(remote.stats().points_fetched as usize, points.len(), "each distinct point fetched once");
     let probe = Client::connect(&addr).expect("connect");
     let stats = probe.stats().expect("stats");
     assert_eq!(stats.unique_evaluations as usize, points.len());
     probe.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn computed_remotely_is_what_each_request_computed_however_frames_overlap() {
+    // 5,120 distinct points cross as eighty 64-point frames, eight in
+    // flight at once on one connection: a daemon that reports the
+    // tier-wide delta over each request's window counts its
+    // neighbours' work too.
+    let points: Vec<TuningParams> = SearchSpace::paper_default().iter().collect();
+    let gpu = Gpu::K20.spec();
+    let (addr, handle) = spawn_server(ArtifactStore::new());
+    let sweep = |kernel: &str| {
+        let remote =
+            RemoteEvaluator::new(Client::connect(&addr).expect("connect"), scope(kernel, gpu, &[32]));
+        remote.evaluate_batch(&points).expect("sweep");
+        let stats = remote.stats();
+        assert_eq!(stats.points_fetched as usize, points.len());
+        stats.computed_remote as usize
+    };
+    assert_eq!(sweep("atax"), points.len(), "a cold sweep computes each point once");
+    assert_eq!(sweep("atax"), 0, "a warm one computes none");
+
+    // Two clients racing over one cold scope: the store computes each
+    // point once, in the request that wins it, so the two counts sum
+    // to the space whoever wins what.
+    let start = std::sync::Barrier::new(2);
+    let racers: Vec<usize> = std::thread::scope(|s| {
+        let racer = || {
+            start.wait();
+            sweep("bicg")
+        };
+        let handles = [s.spawn(racer), s.spawn(racer)];
+        handles.map(|h| h.join().expect("racer")).to_vec()
+    });
+    assert_eq!(racers.iter().sum::<usize>(), points.len(), "{racers:?}");
+
+    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
 
@@ -362,7 +400,7 @@ fn rpc_failure_latches_instead_of_returning_garbage() {
     let client = Client::connect(&addr).expect("connect");
     let remote = RemoteEvaluator::new(client, scope("atax", Gpu::K20.spec(), &[64]));
     let p = TuningParams::with_geometry(128, 48);
-    assert!(remote.evaluate(p).is_some(), "daemon up: point evaluates");
+    assert!(remote.evaluate_batch(&[p]).is_some(), "daemon up: point evaluates");
 
     Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
     handle.join().expect("server thread");
@@ -374,5 +412,5 @@ fn rpc_failure_latches_instead_of_returning_garbage() {
     assert!(!err.is_empty());
     // Everything after the latch short-circuits, including cached
     // points — a poisoned run never mixes stale and fresh answers.
-    assert!(remote.evaluate(p).is_none());
+    assert!(remote.evaluate_batch(&[p]).is_none());
 }

@@ -279,7 +279,7 @@ fn batch_threads(misses: usize, workers: usize) -> usize {
 
 /// Plans the `missing` indices of `points` for `threads` threads
 /// ([`batch_threads`]) into chunks, one per claim: a pure function (no
-/// clock, no threads), like `oriole_fleet`'s scheduler. Every missing
+/// clock, no threads), like `oriole_service`'s scheduler. Every missing
 /// index lands in exactly one chunk, in input order. A chunk shares one
 /// front-end key `(UIF, CFLAGS)` and the list interleaves the keys, so
 /// workers on neighbouring chunks sit on different artifacts.
@@ -319,6 +319,8 @@ pub struct Evaluator<'a> {
     ctx: ModelContext,
     front_ends: Arc<FeTier>,
     cache: Arc<MeasTier>,
+    /// Points this view computed ([`Evaluator::computed`]).
+    computed: AtomicUsize,
 }
 
 impl<'a> Evaluator<'a> {
@@ -345,7 +347,17 @@ impl<'a> Evaluator<'a> {
         cache: Arc<MeasTier>,
     ) -> Evaluator<'a> {
         let ctx = ModelContext::for_model(gpu, protocol.model);
-        Evaluator { ast_builder, gpu, sizes, protocol, ctx, front_ends, cache }
+        let computed = AtomicUsize::new(0);
+        Evaluator { ast_builder, gpu, sizes, protocol, ctx, front_ends, cache, computed }
+    }
+
+    /// Points *this evaluator* computed: the misses it won, however many
+    /// other views of the same tier were evaluating at the time. A
+    /// point is computed once tier-wide, in the call that wins it, so
+    /// over any set of views these sum to the
+    /// [`Evaluator::unique_evaluations`] they added together.
+    pub fn computed(&self) -> usize {
+        self.computed.load(Ordering::Relaxed)
     }
 
     /// Number of *distinct* variants evaluated so far (cache misses).
@@ -472,14 +484,18 @@ impl<'a> Evaluator<'a> {
     /// exactly once across all callers. A newly computed point is
     /// spilled to the tier's disk artifact, when one is attached, before
     /// any waiter observes it — a killed sweep keeps everything it
-    /// measured.
+    /// measured. A computation is tallied in `won`, the caller's own
+    /// count: workers publish theirs to [`Evaluator::computed`] once, so
+    /// the struct every worker reads is not written per point.
     fn memoized(
         &self,
         params: TuningParams,
+        won: &mut usize,
         miss: impl FnOnce() -> Measurement,
     ) -> Arc<Measurement> {
         self.cache.map.get_or_init(params, || {
             self.cache.evaluations.fetch_add(1, Ordering::Relaxed);
+            *won += 1;
             let m = Arc::new(miss());
             if let Some(spill) = &self.cache.spill {
                 spill.append(&m);
@@ -492,7 +508,14 @@ impl<'a> Evaluator<'a> {
     /// without cloning the measurement), resolving its front-ends size
     /// by size and only on a miss.
     pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
-        self.memoized(params, || self.evaluate_uncached(params, self.per_size(params)))
+        let mut won = 0;
+        let m = self.memoized(params, &mut won, || {
+            self.evaluate_uncached(params, self.per_size(params))
+        });
+        if won > 0 {
+            self.computed.fetch_add(won, Ordering::Relaxed);
+        }
+        m
     }
 
     /// Evaluates a batch; results in input order, duplicates and all.
@@ -514,13 +537,16 @@ impl<'a> Evaluator<'a> {
         let chunks = plan_batch(points, missing, threads);
         let next = AtomicUsize::new(0);
         let work = || {
-            let mut done = Vec::new();
+            let (mut done, mut won) = (Vec::new(), 0);
             loop {
                 let c = next.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = chunks.get(c) else { break done };
+                let Some(chunk) = chunks.get(c) else {
+                    self.computed.fetch_add(won, Ordering::Relaxed);
+                    break done;
+                };
                 let mut per_size: Vec<PerSize> = self.per_size(points[chunk[0]]).collect();
                 let evaluate = |&i: &usize| {
-                    self.memoized(points[i], || {
+                    self.memoized(points[i], &mut won, || {
                         self.evaluate_uncached(points[i], per_size.iter_mut())
                     })
                 };

@@ -2,8 +2,9 @@
 //!
 //! Umbrella crate: the facade `tests/` and `examples/` import, one
 //! `pub use` per crate they name (`oriole-fleet` is not among them —
-//! only the CLI and the bench crate drive a fleet). See the individual
-//! crates for details:
+//! it only *names* a fleet for the CLI and the bench crate; what
+//! evaluates through one daemon or many is [`service`]'s one engine).
+//! See the individual crates for details:
 //!
 //! * [`arch`] — GPU architecture database (paper Table I) and instruction
 //!   throughput model (Table II).
@@ -24,7 +25,9 @@
 //! * [`service`] — the sharded tuner service: a daemon exposing the
 //!   evaluation engine (and its shared, optionally disk-backed
 //!   `ArtifactStore`) to concurrent remote clients over a framed RPC
-//!   protocol, plus the `RemoteEvaluator` oracle facade.
+//!   protocol, plus the `RemoteEvaluator` oracle — one evaluation
+//!   engine over N ≥ 1 daemons, of which `--remote A` is the one-shard
+//!   case.
 
 pub use oriole_arch as arch;
 pub use oriole_codegen as codegen;
