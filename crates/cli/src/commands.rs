@@ -686,8 +686,8 @@ fn render_server_stats(s: &ServiceStats) -> String {
     let _ = writeln!(
         out,
         "  reactor: {} connection(s) open, {} frame(s) in flight, pipelined peak {}, \
-         {} wakeup(s)",
-        s.open_connections, s.frames_inflight, s.pipelined_peak, s.reactor_wakeups
+         {} wakeup(s), {} frame(s) answered inline",
+        s.open_connections, s.frames_inflight, s.pipelined_peak, s.reactor_wakeups, s.inline_hits
     );
     let _ = writeln!(
         out,

@@ -3,9 +3,10 @@
 //! response, retried under its [`RetryPolicy`] — for `ping`, `stats`,
 //! `shutdown`, `simulate` and a one-off `evaluate`. A [`Pipeline`]
 //! keeps many request frames in flight on one connection, responses
-//! matched by correlation id; it is what the evaluation engine
-//! ([`RemoteEvaluator`](crate::RemoteEvaluator)) drives, one per
-//! daemon. Both share one dial routine, one retry step
+//! matched by correlation id and read off the socket by whichever
+//! thread is waiting for one — neither type owns a thread. It is what
+//! the evaluation engine ([`RemoteEvaluator`](crate::RemoteEvaluator))
+//! drives, one per daemon. Both share one dial routine, one retry step
 //! (`retry_or_bail`) and one positional check of an `evaluate` answer
 //! (`verify_measurements`).
 //!
@@ -48,7 +49,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why an RPC failed.
@@ -511,41 +512,12 @@ struct PipeShared {
     /// Requests still awaiting their response frame (pending entries
     /// whose slot is `None`). This — not `pending.len()` — is what the
     /// depth cap bounds: an answered-but-unclaimed ticket costs no
-    /// daemon-side work, so it must not block further sends (a caller
-    /// that sends a burst of frames before waiting any would otherwise
-    /// deadlock itself at the cap).
+    /// daemon-side work, so it must not block further sends.
     in_flight: usize,
     failure: Option<PipeFailure>,
-    /// Last instant the reader made frame progress; a thread redeeming
-    /// a ticket poisons the pipeline when it goes stale past the rpc
-    /// deadline with requests outstanding.
-    last_progress: Instant,
-}
-
-struct PipeInner {
-    writer: Mutex<TcpStream>,
-    shared: Mutex<PipeShared>,
-    changed: Condvar,
-    /// A second handle on the socket, used to shut it down on poison so
-    /// the blocked reader thread exits promptly.
-    breaker: TcpStream,
-    depth: usize,
-    rpc_timeout: Duration,
-    next_corr: AtomicU64,
-}
-
-impl PipeInner {
-    fn poison(&self, transient: bool, message: String) {
-        {
-            let mut shared = self.shared.lock().expect("pipeline lock");
-            if shared.failure.is_none() {
-                shared.failure = Some(PipeFailure { transient, message });
-            }
-        }
-        // Unblock the reader (and any peer writes); best-effort.
-        let _ = self.breaker.shutdown(std::net::Shutdown::Both);
-        self.changed.notify_all();
-    }
+    /// Whether some thread is reading the socket right now; the others
+    /// park on `changed` until it has filed a frame.
+    reading: bool,
 }
 
 /// A handle on one in-flight pipelined request; redeem it with
@@ -560,124 +532,170 @@ pub struct Ticket {
 /// responses matched by correlation id — out-of-order arrival is
 /// expected and fine (protocol v3).
 ///
-/// A `Pipeline` is **not** self-healing: any transport failure, stall
-/// past the rpc deadline, or response for an unknown id poisons the
-/// whole pipeline and fails every outstanding ticket. Callers that
-/// want retry semantics rebuild the pipeline and resend (evaluation is
-/// deterministic and the store dedups, so replays are safe) — that is
-/// exactly what [`RemoteEvaluator`](crate::RemoteEvaluator) does.
+/// There is no reader thread: **the thread that waits reads**. A caller
+/// of [`Pipeline::wait`] — or of [`Pipeline::send`] at the depth cap —
+/// reads frames off the socket, filing each under its id, until its own
+/// turns up; of threads sharing a pipeline one reads at a time and the
+/// rest park until it has filed something. Nothing reads while nobody
+/// waits, and a daemon stops reading a connection that has left it a
+/// few MiB of answers unread (the engine's default window is 130 KiB).
+///
+/// A `Pipeline` is **not** self-healing: any transport failure, a read
+/// that outlasts the rpc deadline, or a response for an unknown id
+/// poisons the whole pipeline and fails every outstanding ticket.
+/// Callers that want retry semantics rebuild the pipeline and resend
+/// (evaluation is deterministic and the store dedups, so replays are
+/// safe) — that is exactly what
+/// [`RemoteEvaluator`](crate::RemoteEvaluator) does.
 pub struct Pipeline {
-    inner: Arc<PipeInner>,
+    writer: Mutex<TcpStream>,
+    /// The same socket: read by whoever holds `PipeShared::reading`,
+    /// shut down by [`Pipeline::poison`] under whoever is blocked on it.
+    stream: TcpStream,
+    shared: Mutex<PipeShared>,
+    changed: Condvar,
+    depth: usize,
+    rpc_timeout: Duration,
+    next_corr: AtomicU64,
 }
 
 impl Pipeline {
-    /// Dials `addr` and starts the reader thread. `depth` bounds the
-    /// frames in flight ([`Pipeline::send`] blocks at the cap);
-    /// `policy` supplies only the rpc deadline — retries are the
-    /// caller's business.
+    /// Dials `addr`. `depth` bounds the frames in flight
+    /// ([`Pipeline::send`] reads at the cap); `policy` supplies only the
+    /// rpc deadline, armed on the socket — retries are the caller's
+    /// business.
     pub fn connect(addr: &str, depth: usize, policy: &RetryPolicy) -> Result<Pipeline, ServiceError> {
         let stream = dial(addr, policy)?;
-        // The reader blocks on the socket without its own deadline —
-        // liveness is enforced by ticket holders watching
-        // `last_progress`, and poison breaks the socket under the
-        // reader. Sends keep the write deadline.
-        stream.set_read_timeout(None).ok();
-        let writer = stream.try_clone()?;
-        let breaker = stream.try_clone()?;
-        let rpc_timeout = if policy.rpc_timeout.is_zero() {
-            Duration::from_secs(3600)
-        } else {
-            policy.rpc_timeout
-        };
-        let inner = Arc::new(PipeInner {
-            writer: Mutex::new(writer),
+        Ok(Pipeline {
+            writer: Mutex::new(stream.try_clone()?),
+            stream,
             shared: Mutex::new(PipeShared {
                 pending: HashMap::new(),
                 in_flight: 0,
                 failure: None,
-                last_progress: Instant::now(),
+                reading: false,
             }),
             changed: Condvar::new(),
-            breaker,
             depth: depth.max(1),
-            rpc_timeout,
+            rpc_timeout: policy.rpc_timeout,
             next_corr: AtomicU64::new(0),
-        });
-        let reader_inner = Arc::clone(&inner);
-        std::thread::spawn(move || reader_loop(stream, &reader_inner));
-        Ok(Pipeline { inner })
+        })
     }
 
     /// Whether the pipeline has failed (every outstanding and future
     /// call answers the recorded failure).
     pub fn is_poisoned(&self) -> bool {
-        self.inner.shared.lock().expect("pipeline lock").failure.is_some()
+        self.shared.lock().expect("pipeline lock").failure.is_some()
     }
 
-    /// Sends one request frame, blocking while the pipeline is at its
-    /// depth cap. Returns the ticket to redeem for this request's
-    /// response.
-    pub fn send(&self, req: &Request) -> Result<Ticket, ServiceError> {
-        let inner = &self.inner;
-        let corr = {
-            let mut shared = inner.shared.lock().expect("pipeline lock");
-            loop {
-                if let Some(f) = &shared.failure {
-                    return Err(f.to_error());
-                }
-                if shared.in_flight < inner.depth {
-                    break;
-                }
-                let (guard, timed_out) = inner
-                    .changed
-                    .wait_timeout(shared, inner.rpc_timeout)
-                    .expect("pipeline wait");
-                shared = guard;
-                if timed_out.timed_out() && shared.in_flight >= inner.depth {
-                    drop(shared);
-                    inner.poison(
-                        true,
-                        "pipeline stalled at its depth cap past the rpc deadline".to_string(),
-                    );
-                    shared = inner.shared.lock().expect("pipeline lock");
-                }
+    /// Records the first failure, breaks the socket under whoever is
+    /// blocked on it and wakes every parked thread.
+    fn poison(&self, shared: &mut PipeShared, failure: PipeFailure) {
+        shared.failure.get_or_insert(failure);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.changed.notify_all();
+    }
+
+    /// Reads one response frame. A frame tagged 0 is a connection-level
+    /// notice addressed to no request — an admission shed (Busy) or a
+    /// pre-decode error — and ends the pipeline like any read failure.
+    fn read_response(&self) -> Result<(u64, Response), PipeFailure> {
+        let fail = |transient, message| PipeFailure { transient, message };
+        let (corr, payload) = read_frame_tagged(&mut &self.stream).map_err(|e| match e {
+            FrameError::Eof => fail(true, "daemon closed the pipelined connection".to_string()),
+            FrameError::TimedOut => fail(
+                true,
+                format!("no response frame for {:?} with requests in flight", self.rpc_timeout),
+            ),
+            e => fail(!matches!(e, FrameError::VersionSkew), format!("pipelined read failed: {e}")),
+        })?;
+        let resp = protocol::parse_response(&payload)
+            .map_err(|e| fail(false, format!("unparseable response: {e}")))?;
+        match (corr, resp) {
+            (0, Response::Busy { retry_after_ms }) => {
+                Err(fail(true, format!("daemon shed the connection (retry in {retry_after_ms}ms)")))
             }
-            let corr = inner.next_corr.fetch_add(1, Ordering::Relaxed) + 1;
+            (0, Response::Error { message }) => Err(fail(false, message)),
+            (0, other) => {
+                Err(fail(false, format!("connection-level frame carried unexpected {other:?}")))
+            }
+            (corr, resp) => Ok((corr, resp)),
+        }
+    }
+
+    /// One step for a thread that needs a response to arrive: reads one
+    /// frame, files it under its correlation id and wakes the others —
+    /// or, while another thread is reading, parks until that one has. A
+    /// response that matches no outstanding id poisons the pipeline: **no
+    /// response is ever delivered to the wrong correlation id.**
+    fn advance<'a>(&'a self, mut shared: MutexGuard<'a, PipeShared>) -> MutexGuard<'a, PipeShared> {
+        if shared.reading {
+            return self.changed.wait(shared).expect("pipeline wait");
+        }
+        shared.reading = true;
+        drop(shared);
+        let frame = self.read_response();
+        let mut shared = self.shared.lock().expect("pipeline lock");
+        shared.reading = false;
+        let filed = frame.and_then(|(corr, resp)| match shared.pending.get_mut(&corr) {
+            Some(slot @ None) => {
+                *slot = Some(resp);
+                shared.in_flight -= 1;
+                Ok(())
+            }
+            _ => Err(PipeFailure {
+                transient: false,
+                message: format!("response for unknown correlation id {corr}"),
+            }),
+        });
+        match filed {
+            Ok(()) => self.changed.notify_all(),
+            Err(failure) => self.poison(&mut shared, failure),
+        }
+        shared
+    }
+
+    /// Sends one request frame; at the depth cap it first reads
+    /// responses until one is answered. Returns the ticket to redeem for
+    /// this request's response.
+    pub fn send(&self, req: &Request) -> Result<Ticket, ServiceError> {
+        let corr = {
+            let mut shared = self.shared.lock().expect("pipeline lock");
+            while shared.failure.is_none() && shared.in_flight >= self.depth {
+                shared = self.advance(shared);
+            }
+            if let Some(f) = &shared.failure {
+                return Err(f.to_error());
+            }
+            let corr = self.next_corr.fetch_add(1, Ordering::Relaxed) + 1;
             shared.pending.insert(corr, None);
             shared.in_flight += 1;
             corr
         };
         let wrote = {
-            let mut writer = inner.writer.lock().expect("pipeline writer lock");
+            let mut writer = self.writer.lock().expect("pipeline writer lock");
             write_frame_tagged(&mut *writer, corr, &protocol::emit_request(req))
         };
         if let Err(e) = wrote {
-            {
-                let mut shared = inner.shared.lock().expect("pipeline lock");
-                if matches!(shared.pending.remove(&corr), Some(None)) {
-                    shared.in_flight -= 1;
-                }
+            let mut shared = self.shared.lock().expect("pipeline lock");
+            if matches!(shared.pending.remove(&corr), Some(None)) {
+                shared.in_flight -= 1;
             }
-            inner.poison(true, format!("pipeline send failed: {e}"));
+            let message = format!("pipeline send failed: {e}");
+            self.poison(&mut shared, PipeFailure { transient: true, message });
             return Err(ServiceError::Io(e));
         }
         Ok(Ticket { corr })
     }
 
-    /// Blocks until `ticket`'s response arrives (or the pipeline
-    /// fails, or frame progress stalls past the rpc deadline).
+    /// Blocks until `ticket`'s response arrives, reading the socket
+    /// itself unless another thread already is (or until the pipeline
+    /// fails: a read gets the rpc deadline and no longer).
     pub fn wait(&self, ticket: Ticket) -> Result<Response, ServiceError> {
-        let inner = &self.inner;
-        let mut shared = inner.shared.lock().expect("pipeline lock");
+        let mut shared = self.shared.lock().expect("pipeline lock");
         loop {
             if matches!(shared.pending.get(&ticket.corr), Some(Some(_))) {
-                let resp = shared
-                    .pending
-                    .remove(&ticket.corr)
-                    .flatten()
-                    .expect("checked present");
-                inner.changed.notify_all();
-                return Ok(resp);
+                return Ok(shared.pending.remove(&ticket.corr).flatten().expect("checked present"));
             }
             if let Some(f) = &shared.failure {
                 let err = f.to_error();
@@ -686,29 +704,7 @@ impl Pipeline {
                 }
                 return Err(err);
             }
-            // The deadline is measured from the reader's last frame
-            // progress, not from this wait's start: a deep pipeline
-            // making steady progress is healthy no matter how long the
-            // tail ticket waits; a silent daemon is not.
-            let stale_at = shared.last_progress + inner.rpc_timeout;
-            let now = Instant::now();
-            if now >= stale_at {
-                drop(shared);
-                inner.poison(
-                    true,
-                    format!(
-                        "no response frame for {:?} with requests in flight",
-                        inner.rpc_timeout
-                    ),
-                );
-                shared = inner.shared.lock().expect("pipeline lock");
-                continue;
-            }
-            let (guard, _) = inner
-                .changed
-                .wait_timeout(shared, stale_at - now)
-                .expect("pipeline wait");
-            shared = guard;
+            shared = self.advance(shared);
         }
     }
 
@@ -719,84 +715,14 @@ impl Pipeline {
     }
 }
 
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        self.inner.poison(true, "pipeline dropped".to_string());
-    }
-}
-
 impl fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let shared = self.inner.shared.lock().expect("pipeline lock");
+        let shared = self.shared.lock().expect("pipeline lock");
         f.debug_struct("Pipeline")
-            .field("depth", &self.inner.depth)
+            .field("depth", &self.depth)
             .field("in_flight", &shared.in_flight)
             .field("poisoned", &shared.failure.is_some())
             .finish()
-    }
-}
-
-/// The pipeline's reader: matches every arriving frame to its
-/// outstanding request by correlation id. A response that matches no
-/// outstanding id — or one the daemon tagged with an id we never
-/// issued — poisons the pipeline as a protocol error: **no response is
-/// ever delivered to the wrong correlation id.**
-fn reader_loop(mut stream: TcpStream, inner: &PipeInner) {
-    loop {
-        let (corr, payload) = match read_frame_tagged(&mut stream) {
-            Ok(frame) => frame,
-            Err(FrameError::Eof) => {
-                inner.poison(true, "daemon closed the pipelined connection".to_string());
-                return;
-            }
-            Err(e) => {
-                let transient = !matches!(e, FrameError::VersionSkew);
-                inner.poison(transient, format!("pipelined read failed: {e}"));
-                return;
-            }
-        };
-        let resp = match protocol::parse_response(&payload) {
-            Ok(resp) => resp,
-            Err(e) => {
-                inner.poison(false, format!("unparseable response: {e}"));
-                return;
-            }
-        };
-        if corr == 0 {
-            // Connection-level notice, addressed to no request: an
-            // admission shed (Busy) or a pre-decode error. Either way
-            // the whole pipeline is done.
-            match resp {
-                Response::Busy { retry_after_ms } => inner.poison(
-                    true,
-                    format!("daemon shed the connection (retry in {retry_after_ms}ms)"),
-                ),
-                Response::Error { message } => inner.poison(false, message),
-                other => inner.poison(
-                    false,
-                    format!("connection-level frame carried unexpected {other:?}"),
-                ),
-            }
-            return;
-        }
-        let mut shared = inner.shared.lock().expect("pipeline lock");
-        match shared.pending.get_mut(&corr) {
-            Some(slot @ None) => {
-                *slot = Some(resp);
-                shared.in_flight -= 1;
-                shared.last_progress = Instant::now();
-                drop(shared);
-                inner.changed.notify_all();
-            }
-            _ => {
-                drop(shared);
-                inner.poison(
-                    false,
-                    format!("response for unknown correlation id {corr}"),
-                );
-                return;
-            }
-        }
     }
 }
 

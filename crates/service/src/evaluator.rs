@@ -9,7 +9,7 @@ use crate::client::{
 use crate::protocol::{EvalScope, Request};
 use crate::sched::StealScheduler;
 use oriole_codegen::TuningParams;
-use oriole_tuner::{Measurement, Oracle};
+use oriole_tuner::{Measurement, Oracle, WordHash};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -118,7 +118,7 @@ struct Memo {
     /// `None` — queued for the next flush or riding the current one, so
     /// a thread needing it parks instead of re-queueing it — and its
     /// answer overwrites that; revisits are served from here.
-    slots: HashMap<TuningParams, Option<Measurement>>,
+    slots: HashMap<TuningParams, Option<Measurement>, WordHash>,
     /// Misses queued for the next flush (insertion order — determinism
     /// of the *data* comes from the store, not from this ordering).
     pending: Vec<TuningParams>,
@@ -252,7 +252,7 @@ impl RemoteEvaluator {
                 max_frames: config.max_frames.max(1),
             },
             memo: Mutex::new(Memo {
-                slots: HashMap::new(),
+                slots: HashMap::default(),
                 pending: Vec::new(),
                 flushing: false,
                 poisoned: false,

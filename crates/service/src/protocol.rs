@@ -141,6 +141,9 @@ pub struct ServiceStats {
     /// High-water mark of requests in flight on any single connection —
     /// evidence of pipelining depth actually reached.
     pub pipelined_peak: u64,
+    /// All-hit `evaluate` frames the reactor answered itself, with no
+    /// worker involved.
+    pub inline_hits: u64,
     /// Times the reactor's readiness wait returned since the daemon
     /// started (socket readiness, worker completions, or timer ticks).
     pub reactor_wakeups: u64,
@@ -419,7 +422,7 @@ pub fn emit_response(resp: &Response) -> String {
                 "{RPC_VERSION} ok stats\nconnections={}\nrequests={}\npoints={}\nkernels={}\n\
                  fe_tiers={}\nlowerings={}\nmeas_tiers={}\nunique={}\ncontexts={}\nbusy={}\n\
                  wmax={}\nshed={}\nreaped={}\nconns_open={}\ninflight={}\npipe_peak={}\n\
-                 wakeups={}",
+                 wakeups={}\ninline={}",
                 s.connections,
                 s.requests,
                 s.points_served,
@@ -437,6 +440,7 @@ pub fn emit_response(resp: &Response) -> String {
                 s.frames_inflight,
                 s.pipelined_peak,
                 s.reactor_wakeups,
+                s.inline_hits,
             );
             if let Some(d) = &s.disk {
                 out.push_str("\ndisk=");
@@ -500,6 +504,12 @@ pub fn parse_response(payload: &str) -> Result<Response, WireError> {
                         frames_inflight: num("inflight")?,
                         pipelined_peak: num("pipe_peak")?,
                         reactor_wakeups: num("wakeups")?,
+                        // Optional, like `phases`: a peer from before
+                        // the counter sends none.
+                        inline_hits: match body_field(&body, "inline") {
+                            Ok(v) => parse_u64(v, "inline")?,
+                            Err(_) => 0,
+                        },
                         disk: match body_field(&body, "disk") {
                             Ok(d) => Some(parse_disk(d)?),
                             Err(_) => None,
@@ -626,6 +636,7 @@ mod tests {
             open_connections: 4,
             frames_inflight: 7,
             pipelined_peak: 12,
+            inline_hits: 77,
             reactor_wakeups: 901,
             disk: Some(persist::DiskStats {
                 tier_hits: 1,
@@ -657,6 +668,11 @@ mod tests {
         for resp in resps {
             assert_eq!(parse_response(&emit_response(&resp)).unwrap(), resp, "{resp:?}");
         }
+        // A v4 daemon from before the inline counter sends no such line.
+        let older = emit_response(&Response::Stats(stats)).replace("\ninline=77", "");
+        let expected = Response::Stats(ServiceStats { inline_hits: 0, ..stats });
+        assert_eq!(parse_response(&older).unwrap(), expected);
+        assert!(parse_response(&older.replace("wakeups=901", "wakeups=901\ninline=x")).is_err());
     }
 
     #[test]

@@ -14,17 +14,24 @@
 //! Frames carry a **correlation id** (protocol v3): a connection may
 //! pipeline up to [`ServeConfig::pipeline_depth`] requests and receives
 //! each response tagged with its request's id, in completion order —
-//! out-of-order by design. At the cap the reactor simply stops reading
-//! that socket (backpressure by TCP), never buffers unboundedly.
+//! out-of-order by design. At the cap — or with a few MiB of answers
+//! its peer has not read yet — the reactor simply stops reading that
+//! socket (backpressure by TCP), never buffers unboundedly.
 //!
-//! Evaluation work still runs on a **bounded worker pool** of exactly
-//! [`ServeConfig::max_inflight`] threads behind the same
-//! [`InflightGate`] as before, so PR 6's admission semantics are
-//! preserved verbatim: a request that cannot start within its declared
-//! deadline (or the server's own [`ServeConfig::request_timeout`]) is
-//! shed with [`Response::Busy`], never queued invisibly. `ping`,
-//! `stats` and `shutdown` are answered inline on the reactor — an
-//! operator can always probe or stop a saturated daemon.
+//! Evaluation work runs on a **bounded worker pool** of exactly
+//! [`ServeConfig::max_inflight`] threads behind the [`InflightGate`]:
+//! a request that cannot start within its declared deadline (or the
+//! server's own [`ServeConfig::request_timeout`]) is shed with
+//! [`Response::Busy`], never queued invisibly. What is *not* work the
+//! reactor answers itself: `ping`, `stats` and `shutdown` — an operator
+//! can always probe or stop a saturated daemon — and an `evaluate`
+//! frame every point of which the store already holds (`inline_hit`),
+//! because a lookup of 0.1 µs a point is not worth a queue entry, a
+//! wake-up and two thread hand-offs of 50 µs a frame. The reactor only
+//! ever *reads* the store for this: a scope nobody has opened yet goes
+//! to a worker, since opening one may read a tier file, and so does a
+//! point still being computed, a frame over a fixed size, and any
+//! request a worker would refuse — errors keep one source of wording.
 //!
 //! All workers evaluate through the same process-level store, so the
 //! sharing rules are exactly the in-process ones (PR 2–4): concurrent
@@ -263,6 +270,7 @@ struct ServerState {
     open_conns: AtomicU64,
     frames_inflight: AtomicU64,
     pipelined_peak: AtomicU64,
+    inline_hits: AtomicU64,
     wakeups: AtomicU64,
     /// Test hook: when set, workers do not dial the reactor's wake pipe
     /// after queueing a completion — progress must come from the
@@ -319,6 +327,7 @@ impl Server {
             open_conns: AtomicU64::new(0),
             frames_inflight: AtomicU64::new(0),
             pipelined_peak: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             wake_disabled: AtomicBool::new(false),
         });
@@ -376,9 +385,9 @@ impl Server {
 
         loop {
             // Build this tick's readiness set. A connection at its
-            // pipeline cap (or poisoned) gets no read interest — TCP
-            // backpressure does the rest; write interest only when
-            // bytes are pending.
+            // pipeline cap or write high-water mark (or poisoned) gets
+            // no read interest — TCP backpressure does the rest; write
+            // interest only when bytes are pending.
             let mut entries: Vec<(usize, i32, Interest)> = Vec::with_capacity(conns.len() + 2);
             let mut tokens: Vec<Token> = Vec::with_capacity(conns.len() + 2);
             if draining.is_none() && accept_error.is_none() {
@@ -389,7 +398,7 @@ impl Server {
             tokens.push(Token::Wake);
             for (slot, conn) in conns.iter().enumerate() {
                 let Some(conn) = conn else { continue };
-                let read = !conn.closing && (conn.inflight as usize) < cfg.pipeline_depth;
+                let read = conn.may_decode(&cfg);
                 let write = conn.has_pending_write();
                 let interest = match (read, write) {
                     (true, true) => Interest::Both,
@@ -455,6 +464,9 @@ impl Server {
                         }
                         if r.writable && matches!(&conns[slot], Some(c) if c.gen == gen) {
                             conn_flush(&mut conns, slot, state);
+                            // Requests that waited for the drain decode now.
+                            begin_drain |=
+                                pump_decoded(&mut conns, slot, &self.store, state, draining.is_some());
                         }
                     }
                 }
@@ -578,9 +590,22 @@ struct Conn {
     closing: bool,
 }
 
+/// Most unwritten response bytes a connection may hold before the
+/// reactor stops reading and decoding its requests: a peer that sends
+/// without reading is throttled by its own TCP window, not served out of
+/// daemon memory. One that leaves less than this unread never is.
+const WRITE_HIGH_WATER: usize = 4 << 20;
+
 impl Conn {
     fn has_pending_write(&self) -> bool {
         self.write_pos < self.write_buf.len()
+    }
+
+    /// Whether this connection's next request may be read and decoded.
+    fn may_decode(&self, cfg: &ServeConfig) -> bool {
+        !self.closing
+            && (self.inflight as usize) < cfg.pipeline_depth
+            && self.write_buf.len() - self.write_pos <= WRITE_HIGH_WATER
     }
 
     /// Queues one tagged response frame for writing.
@@ -782,7 +807,7 @@ fn pump_decoded(
     {
         let Some(conn) = conns[slot].as_mut() else { return false };
         let mut consumed = 0;
-        while !conn.closing && (conn.inflight as usize) < state.cfg.pipeline_depth {
+        while conn.may_decode(&state.cfg) {
             match decode_frame(&conn.read_buf[consumed..]) {
                 Ok(None) => break,
                 Ok(Some((corr, payload, used))) => {
@@ -889,6 +914,10 @@ fn process_request(
             true
         }
         req @ (Request::Evaluate { .. } | Request::Simulate { .. }) => {
+            if let Some(frame) = inline_hit(&req, corr, store, state) {
+                conn.write_buf.extend_from_slice(&frame);
+                return false;
+            }
             // The client's remaining patience can only shorten the
             // server's own admission cap: work that cannot start
             // before the client gives up is shed, not burned.
@@ -912,6 +941,37 @@ fn process_request(
             false
         }
     }
+}
+
+/// Most points the reactor answers in one frame: looking them up and
+/// encoding them (0.4 µs a point) then costs it less than parsing the
+/// request just did (0.55). A larger all-hit frame goes to a worker.
+const INLINE_POINTS: usize = 256;
+
+/// The finished answer to an `evaluate` request every point of which
+/// the store already holds: the frame [`handle_evaluate`] would build,
+/// by the same two functions. `None` — a miss, a point in flight, an
+/// unopened scope, anything [`dispatch`] refuses — leaves it to a worker.
+fn inline_hit(
+    req: &Request,
+    corr: u64,
+    store: &ArtifactStore,
+    state: &ServerState,
+) -> Option<Vec<u8>> {
+    let Request::Evaluate { scope, points, .. } = req else { return None };
+    let kid = KernelId::parse(&scope.kernel)?;
+    if points.len() > INLINE_POINTS.min(state.cfg.max_points_per_request)
+        || scope.sizes.is_empty()
+        || !scope.gpu.problems().is_empty()
+    {
+        return None;
+    }
+    let held = store.peek_batch(kid.name(), &scope.gpu, &scope.sizes, scope.protocol, points)?;
+    let shared = held.iter().map(|m| &**m);
+    let frame = encode_frame(corr, |out| protocol::write_evaluate(out, 0, shared)).ok()?;
+    state.points_served.fetch_add(points.len() as u64, Ordering::Relaxed);
+    state.inline_hits.fetch_add(1, Ordering::Relaxed);
+    Some(frame)
 }
 
 /// Drains as much of the write buffer as the socket accepts; on a
@@ -950,6 +1010,10 @@ fn conn_flush(conns: &mut [Option<Conn>], slot: usize, state: &ServerState) {
         if conn.closing {
             dead = true;
         }
+    } else if conn.write_pos >= WRITE_HIGH_WATER {
+        // A slow reader never empties the buffer: drop what it has read.
+        conn.write_buf.drain(..conn.write_pos);
+        conn.write_pos = 0;
     }
     if dead {
         drop_conn(conns, slot, state);
@@ -1079,6 +1143,7 @@ fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
         open_connections: state.open_conns.load(Ordering::Relaxed),
         frames_inflight: state.frames_inflight.load(Ordering::SeqCst),
         pipelined_peak: state.pipelined_peak.load(Ordering::Relaxed),
+        inline_hits: state.inline_hits.load(Ordering::Relaxed),
         reactor_wakeups: state.wakeups.load(Ordering::Relaxed),
         disk: s.disk,
         phases: s.phases,

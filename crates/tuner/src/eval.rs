@@ -521,8 +521,8 @@ impl<'a> Evaluator<'a> {
     /// Evaluates a batch; results in input order, duplicates and all.
     ///
     /// Points the measurement tier already holds are served right here,
-    /// so an all-hit batch — a warm re-sweep, a searcher's generation, a
-    /// daemon frame — plans no chunk and never spawns a thread. The
+    /// and an all-hit batch — a warm re-sweep, a searcher's generation, a
+    /// daemon frame — returns there: no plan, no `thread::scope`. The
     /// misses follow [`plan_batch`]: this thread and, when there are
     /// enough of them to pay for it, up to `workers - 1` spawned ones
     /// claim chunks off one cursor and return per-chunk vectors,
@@ -533,6 +533,9 @@ impl<'a> Evaluator<'a> {
         let mut results: Vec<Option<Arc<Measurement>>> =
             points.iter().map(|p| self.cache.map.get(p)).collect();
         let missing: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
+        if missing.is_empty() {
+            return results.into_iter().map(|m| m.expect("an all-hit batch")).collect();
+        }
         let threads = batch_threads(missing.len(), worker_count());
         let chunks = plan_batch(points, missing, threads);
         let next = AtomicUsize::new(0);
@@ -679,6 +682,14 @@ mod tests {
         for (m, p) in batch.iter().zip(&points) {
             assert_eq!(m.params, *p);
         }
+        // The all-hit replay (it returns before any plan): same records,
+        // in input order, duplicates and all, and nothing recomputed.
+        let mut again = points.clone();
+        again.push(points[0]);
+        let replay = ev_batch.evaluate_batch(&again);
+        assert_eq!(replay[..points.len()], batch[..]);
+        assert!(Arc::ptr_eq(&replay[points.len()], &batch[0]));
+        assert_eq!(ev_batch.unique_evaluations(), points.len());
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod space;
 pub mod spec;
 pub mod store;
 
+pub use once_map::WordHash;
 pub use eval::{EvalProtocol, EvalStats, Evaluator, Measurement, Objective};
 // Re-exported for convenience: the backend selector every protocol and
 // store scope carries.

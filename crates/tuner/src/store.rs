@@ -64,10 +64,11 @@
 //! builders registered under one name would alias each other's
 //! front-ends, which is the one contract the store cannot check.
 
-use crate::eval::{EvalProtocol, Evaluator, FeTier, MeasTier};
+use crate::eval::{EvalProtocol, Evaluator, FeTier, MeasTier, Measurement};
 use crate::once_map::ShardedOnceMap;
 use crate::persist::{self, DiskStats};
 use oriole_arch::GpuSpec;
+use oriole_codegen::TuningParams;
 use oriole_ir::KernelAst;
 use oriole_sim::{ModelContext, ModelId};
 use std::collections::HashSet;
@@ -203,6 +204,25 @@ impl ArtifactStore {
         })
     }
 
+    /// Every point of `points` as the scope's measurement tier already
+    /// holds it — or `None` when the scope is unopened or mid-open, or
+    /// any point is absent or still being computed. A pure read of
+    /// memory: it never opens a tier (a disk-backed store reads a file
+    /// there), computes or waits, so a daemon's reactor may call it.
+    pub fn peek_batch(
+        &self,
+        kernel: &str,
+        gpu: &GpuSpec,
+        sizes: &[u64],
+        protocol: EvalProtocol,
+        points: &[TuningParams],
+    ) -> Option<Vec<Arc<Measurement>>> {
+        let scope =
+            MeasScope { kernel: kernel.to_string(), gpu: gpu.clone(), sizes: sizes.to_vec(), protocol };
+        let tier = self.inner.measurements.get(&scope)?;
+        points.iter().map(|p| tier.map.get(p)).collect()
+    }
+
     /// An evaluator viewing this store's tiers, with the paper's
     /// default [`EvalProtocol`]. Evaluators that agree on
     /// `(kernel, gpu)` share front-ends; those also agreeing on
@@ -273,7 +293,6 @@ mod tests {
     use crate::eval::Objective;
     use crate::space::SearchSpace;
     use oriole_arch::Gpu;
-    use oriole_codegen::TuningParams;
     use oriole_kernels::KernelId;
 
     fn builder(n: u64) -> KernelAst {
@@ -450,6 +469,43 @@ mod tests {
         let wd = ws.disk.expect("disk attached");
         assert_eq!(wd.measurements_loaded as usize, space.len());
         assert_eq!((wd.tier_hits, wd.rejected), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn peek_batch_reads_what_is_held_and_opens_nothing() {
+        let dir = std::env::temp_dir()
+            .join(format!("oriole-store-unit-{}-peek", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sizes = [64u64];
+        let points: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
+        let gpu = Gpu::K20.spec();
+        let protocol = EvalProtocol::default();
+        let peek = |store: &ArtifactStore, points: &[TuningParams]| {
+            store.peek_batch("atax", gpu, &sizes, protocol, points)
+        };
+
+        let store = ArtifactStore::with_disk(&dir).expect("store dir");
+        assert_eq!(peek(&store, &points), None, "an unopened scope");
+        assert_eq!(store.stats().measurement_tiers, 0, "and peeking did not open it");
+        let ev = store.evaluator("atax", &builder, gpu, &sizes);
+        assert_eq!(peek(&store, &[]), Some(Vec::new()), "an open scope holds the empty batch");
+        let half = ev.evaluate_batch(&points[..points.len() / 2]);
+        assert_eq!(peek(&store, &points[..half.len()]), Some(half), "held points, in order");
+        assert_eq!(peek(&store, &points), None, "one absent point declines the batch");
+        let all = ev.evaluate_batch(&points);
+        assert_eq!(peek(&store, &points), Some(all));
+        assert_eq!(store.peek_batch("atax", gpu, &[128], protocol, &points), None, "another scope");
+        drop((ev, store));
+
+        // A populated directory under a fresh store: the tier file is
+        // read by the first evaluator, never by a peek.
+        let store = ArtifactStore::with_disk(&dir).expect("store dir");
+        assert_eq!(peek(&store, &points), None);
+        let disk = store.stats().disk.expect("disk attached");
+        assert_eq!((disk.tier_hits, disk.tier_misses, disk.measurements_loaded), (0, 0, 0));
+        store.evaluator("atax", &builder, gpu, &sizes);
+        assert_eq!(peek(&store, &points).map(|ms| ms.len()), Some(points.len()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
