@@ -97,20 +97,24 @@ pub struct SimReport {
     pub profile: WarpProfile,
 }
 
-/// The geometry-only results of the last launch estimated through it:
-/// the per-warp profile under `(TC, blocks)` and the dynamic mix under
-/// `(TC, BC)`, for one front-end artifact (its shared index), problem
-/// size and spill budget — a kernel that differs in any of the three
+/// The geometry-only results of the last launch estimated through it,
+/// three slots: the per-warp profile under `(TC, blocks)` (filled by the
+/// simulator and roofline backends), the Eq. 6 cost under `(TC, BC)`
+/// (the static backend) and the dynamic mix under `(TC, BC)`
+/// ([`ModelContext::launch`](crate::ModelContext::launch), under every
+/// backend) — for one front-end artifact (its shared index), problem
+/// size and spill budget: a kernel that differs in any of the three
 /// empties it. A plain caller-owned value: a fresh one ([`Default`])
 /// computes everything, one carried across the variants of an artifact
-/// repeats a walk only when the launch shape moves, and either way the
-/// answer is the walk's own, bit for bit. The profile also depends on
-/// the [`SimConfig`], so one scratch serves one
-/// [`ModelContext`](crate::ModelContext).
+/// repeats a walk only when the launch shape moves — `PL` and `SC`
+/// enter none of the three — and either way the answer is the walk's
+/// own, bit for bit. The profile also depends on the [`SimConfig`], so
+/// one scratch serves one [`ModelContext`](crate::ModelContext).
 #[derive(Debug, Default)]
 pub struct LaunchScratch {
     bound: Option<(Arc<ProgramIndex>, u64, u32)>,
     profile: Option<((u32, u32), WarpProfile)>,
+    eq6: Option<((u32, u32), f64)>,
     mix: Option<((u32, u32), MixCounts)>,
 }
 
@@ -141,6 +145,14 @@ impl LaunchScratch {
         last(&mut self.profile, (tc, blocks), || {
             WarpProfile::extract_with(&kernel.index, &kernel.program, cfg, n, tc, blocks)
         })
+    }
+
+    /// The Eq. 6 cost of `kernel` at `n` — `walk()`, which reads the
+    /// index, the blocks and [`CompiledKernel::geometry`] only — walked
+    /// unless the last call asked for the same `(TC, BC)`.
+    pub(crate) fn eq6(&mut self, kernel: &CompiledKernel, n: u64, walk: impl FnOnce() -> f64) -> f64 {
+        self.bind(kernel, n);
+        *last(&mut self.eq6, (kernel.params.tc, kernel.params.bc), walk)
     }
 
     /// [`dynamic_mix`](crate::dynamic_mix) of `kernel` at `n`, walked
@@ -313,6 +325,48 @@ mod tests {
         let ast = kid.ast(n);
         let kernel = compile(&ast, gpu.spec(), TuningParams::with_geometry(tc, bc)).unwrap();
         simulate(&kernel, n).unwrap()
+    }
+
+    #[test]
+    fn eq6_is_walked_once_per_launch_shape_under_the_static_backend() {
+        use crate::model::ModelId;
+        let gpu = Gpu::K20.spec();
+        let fe = oriole_codegen::front_end(&KernelId::Atax.ast(128), gpu, 1, Default::default())
+            .expect("valid unroll factor");
+        let at = |tc, bc, pl, sc| {
+            fe.specialize(TuningParams { pl, sc, ..TuningParams::with_geometry(tc, bc) }).unwrap()
+        };
+        let (model, cfg) = (ModelId::Static.backend(), SimConfig::for_family(gpu.family));
+        let env = ModelEnv { spec: gpu, cfg: &cfg };
+        let mut scratch = LaunchScratch::default();
+        let first = model.estimate(&env, &at(128, 48, PreferredL1::Kb16, 1), 128, &mut scratch);
+        let first = first.unwrap().time_ms;
+
+        // A `PL`- or `SC`-only step finds the backend's own walk in the
+        // slot: no closure runs, asked directly or through the backend.
+        let walks = std::cell::Cell::new(0u32);
+        let counted = |cost: f64| {
+            walks.set(walks.get() + 1);
+            cost
+        };
+        for (pl, sc) in [(PreferredL1::Kb48, 1), (PreferredL1::Kb16, 3)] {
+            let sibling = at(128, 48, pl, sc);
+            let held = scratch.eq6(&sibling, 128, || counted(f64::NAN));
+            assert_eq!(held.to_bits(), first.to_bits());
+            let through = model.estimate(&env, &sibling, 128, &mut scratch).unwrap();
+            assert_eq!(through.time_ms.to_bits(), first.to_bits());
+        }
+        assert_eq!(walks.get(), 0, "a PL/SC-only step repeated the Eq. 6 walk");
+
+        // A `TC` step, a `BC` step and another size: one walk each, and
+        // the value is the walk's.
+        for (tc, bc, n) in [(256, 48, 128), (256, 72, 128), (256, 72, 256)] {
+            let before = walks.get();
+            let k = at(tc, bc, PreferredL1::Kb16, 1);
+            assert_eq!(scratch.eq6(&k, n, || counted(f64::from(tc + bc))), f64::from(tc + bc));
+            assert_eq!(scratch.eq6(&k, n, || counted(0.0)), f64::from(tc + bc));
+            assert_eq!(walks.get(), before + 1, "({tc}, {bc}) at n={n}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   thin wrappers over exactly this backend, property-tested
 //!   bit-identical.
 //! * `StaticPredictModel` — Eq. 6 via
-//!   [`oriole_core::predict::predict_time_with`]: a purely static CPI ×
+//!   [`oriole_core::predict::predict_time_indexed`]: a purely static CPI ×
 //!   expected-mix dot product, no dynamic profiling. Output is in model
 //!   units, not milliseconds — rankings and Fig. 5-style normalized
 //!   series are the meaningful quantities.
@@ -211,9 +211,14 @@ impl TimingModel for SimulatorModel {
 /// shared program index — behind the model seam.
 ///
 /// The report's `time_ms` carries the Eq. 6 cost in *model units* (the
-/// same quantity Fig. 5 normalizes), the occupancy fields come from
-/// the shared feasibility gate, and the warp profile is empty: nothing
-/// dynamic is computed.
+/// same quantity Fig. 5 normalizes), taken through the scratch's
+/// `(TC, BC)` slot — the walk reads the index, the blocks and the launch
+/// geometry, so `PL` / `SC` siblings share it. The occupancy fields come
+/// from the shared feasibility gate and the warp profile is empty: the
+/// *estimate* computes nothing dynamic. What is not static is outside
+/// it: [`ModelContext::launch`](crate::ModelContext::launch) replays the
+/// dynamic mix for `reg_instructions` and draws the trial noise under
+/// every backend, this one included.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StaticPredictModel;
 
@@ -227,16 +232,17 @@ impl TimingModel for StaticPredictModel {
         env: &ModelEnv<'_>,
         kernel: &CompiledKernel,
         n: u64,
-        _scratch: &mut LaunchScratch,
+        scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
         let occ = env.launch_occupancy(kernel)?;
-        let table = kernel.gpu.throughput();
-        let cost = oriole_core::predict::predict_time_indexed(
-            table,
-            &kernel.index,
-            &kernel.program,
-            kernel.geometry(n),
-        );
+        let cost = scratch.eq6(kernel, n, || {
+            oriole_core::predict::predict_time_indexed(
+                kernel.gpu.throughput(),
+                &kernel.index,
+                &kernel.program,
+                kernel.geometry(n),
+            )
+        });
         Ok(SimReport {
             time_ms: cost,
             bound: BoundKind::Issue,

@@ -6,14 +6,18 @@
 //! throughput, with two caching tiers under a deterministic interface:
 //!
 //! 1. **Front-end tier** — the expensive compile front-end (unroll +
-//!    lower, see [`oriole_codegen::front_end`]) is keyed by
-//!    `(size, UIF, CFLAGS)`: the `TC`/`BC`/`PL`/`SC` axes don't affect
-//!    lowering, so the paper's 5,120-point space shares ten lowered
-//!    programs per input size. Each variant then pays only the cheap
-//!    param-dependent back-end ([`FrontEnd::specialize`]). The kernel
-//!    AST a front-end lowers is built on the miss, by `ast_builder`:
-//!    a tenth of a microsecond, which a cache in front of it only
-//!    slowed down.
+//!    lower, see [`oriole_codegen::front_end`]) is keyed by what it
+//!    reads: the kernel AST, `UIF` and `CFLAGS`. The `TC`/`BC`/`PL`/`SC`
+//!    axes don't affect lowering and the input size does only through
+//!    the AST, so the paper's 5,120-point space shares ten lowered
+//!    programs over *all* sizes for `atax`, `bicg` and `matvec2d` (their
+//!    ASTs ignore `n`) and ten per size for `ex14fj`, whose AST carries
+//!    `boundary_fraction(n)`. Each variant then pays only the cheap
+//!    param-dependent back-end ([`FrontEnd::specialize`]). A once-map
+//!    under `(size, UIF, CFLAGS)` sits in front: a hit builds no AST; a
+//!    miss builds the size's AST with `ast_builder` (a tenth of a
+//!    microsecond, which a cache in front of it only slowed down) and
+//!    looks it up by `==` among the programs of that `(UIF, CFLAGS)`.
 //! 2. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key `OnceLock` instead of recomputing, so revisits by
@@ -55,7 +59,7 @@ use oriole_ir::KernelAst;
 use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
 use std::borrow::BorrowMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a search minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -147,19 +151,36 @@ pub(crate) type FeArtifact = Result<FrontEnd, CompileError>;
 /// go through.
 type PerSize = (Arc<FeArtifact>, LaunchScratch);
 
-/// Key of one cached compile front-end: the lowering inputs that vary
-/// inside a search (`gpu` is fixed per tier).
+/// How a tuning point names a compile front-end: `(size, UIF, CFLAGS)`
+/// (`gpu` is fixed per tier). Names whose ASTs are equal share one
+/// artifact ([`Lowered`]).
 type FrontEndKey = (u64, u32, CompilerFlags);
 
+/// One program of a tier: the `(UIF, CFLAGS)` and AST `front_end` read,
+/// and the artifact it returned — behind a cell, so two workers at two
+/// sizes of one program lower it once and nobody lowers under a lock.
+type Lowered = ((u32, CompilerFlags), KernelAst, OnceLock<Arc<FeArtifact>>);
+
 /// The front-end artifact cache (scope: one kernel × device).
+#[derive(Default)]
 pub(crate) struct FeTier {
     map: ShardedOnceMap<FrontEndKey, Arc<FeArtifact>>,
+    /// Every program lowered so far (the paper space: ten, or ten per
+    /// size), searched by `==` on a miss of `map`.
+    programs: Mutex<Vec<Arc<Lowered>>>,
     lowerings: AtomicUsize,
 }
 
 impl FeTier {
-    pub(crate) fn new() -> FeTier {
-        FeTier { map: ShardedOnceMap::new(), lowerings: AtomicUsize::new(0) }
+    /// The tier's entry for the program `(ast, uif, cflags)`, added if
+    /// this is the first time it is asked for.
+    fn program(&self, uif: u32, cflags: CompilerFlags, ast: KernelAst) -> Arc<Lowered> {
+        let mut programs = self.programs.lock().expect("no lowering runs under this lock");
+        if let Some(held) = programs.iter().find(|p| p.0 == (uif, cflags) && p.1 == ast) {
+            return Arc::clone(held);
+        }
+        programs.push(Arc::new(((uif, cflags), ast, OnceLock::new())));
+        Arc::clone(programs.last().expect("pushed above"))
     }
 
     pub(crate) fn lowerings(&self) -> usize {
@@ -368,9 +389,10 @@ impl<'a> Evaluator<'a> {
         self.cache.unique_evaluations()
     }
 
-    /// Number of compile front-ends (unroll + lower) actually run — at
-    /// most one per distinct `(size, UIF, CFLAGS)` key, however many
-    /// points are evaluated (tier-wide, like
+    /// Number of compile front-ends (unroll + lower) actually run — one
+    /// per distinct program `(AST, UIF, CFLAGS)`, however many points
+    /// and input sizes are evaluated: a builder that ignores `n` lowers
+    /// once per `(UIF, CFLAGS)` for all sizes (tier-wide, like
     /// [`Evaluator::unique_evaluations`]).
     pub fn front_end_lowerings(&self) -> usize {
         self.front_ends.lowerings.load(Ordering::Relaxed)
@@ -412,16 +434,22 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The cached compile front-end for `(n, uif, cflags)`; a miss
-    /// builds the size's AST and lowers it.
+    /// builds the size's AST and lowers it unless an equal one already
+    /// was, at whatever size.
     fn front_end_for(&self, n: u64, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
-        self.front_ends.map.get_or_init((n, uif, cflags), || {
-            let fe = front_end(&(self.ast_builder)(n), self.gpu, uif, cflags);
-            if fe.is_ok() {
-                // Rejected UIFs (`Err`) never reach unroll/lower, so
-                // they don't count as lowerings run.
-                self.front_ends.lowerings.fetch_add(1, Ordering::Relaxed);
-            }
-            Arc::new(fe)
+        let tier = &*self.front_ends;
+        tier.map.get_or_init((n, uif, cflags), || {
+            let program = tier.program(uif, cflags, (self.ast_builder)(n));
+            let (_, ast, artifact) = &*program;
+            Arc::clone(artifact.get_or_init(|| {
+                let fe = front_end(ast, self.gpu, uif, cflags);
+                if fe.is_ok() {
+                    // Rejected UIFs (`Err`) never reach unroll/lower, so
+                    // they don't count as lowerings run.
+                    tier.lowerings.fetch_add(1, Ordering::Relaxed);
+                }
+                Arc::new(fe)
+            }))
         })
     }
 
@@ -789,10 +817,15 @@ mod tests {
         assert_eq!(ev.front_end_lowerings(), 1);
         // ...and none on a hit, of the measurement or of the front-end.
         ev.evaluate(p);
+        assert_eq!(asts_built.load(Ordering::Relaxed), 1);
+        // The feasible sibling resolves the other two sizes: an AST each
+        // to look the program up by, and — this builder ignores `n` — the
+        // one lowering they all share.
         p.pl = oriole_codegen::PreferredL1::Kb16;
-        ev.evaluate(p);
+        assert!(ev.evaluate(p).feasible);
         assert_eq!(ev.unique_evaluations(), 2);
-        assert_eq!(asts_built.load(Ordering::Relaxed), ev.front_end_lowerings());
+        assert_eq!(asts_built.load(Ordering::Relaxed), sizes.len());
+        assert_eq!(ev.front_end_lowerings(), 1);
     }
 
     #[test]
@@ -820,8 +853,10 @@ mod tests {
         assert!(largest.time_ms < total.time_ms);
         // Per-size numbers are protocol-independent and identical.
         assert_eq!(largest.per_size_ms, total.per_size_ms);
-        // The front-ends are shared: the second protocol lowered nothing.
-        assert_eq!(ev.front_end_lowerings(), sizes.len());
+        // The front-ends are shared: the second protocol lowered nothing,
+        // and the first lowered once for both sizes — ATAX's AST is the
+        // same at every `n`, and an artifact is keyed by its program.
+        assert_eq!(ev.front_end_lowerings(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! | tier | scope key | shared across |
 //! |------|-----------|---------------|
-//! | front-end | `kernel × GpuSpec` (entries add `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
+//! | front-end | `kernel × GpuSpec` (entries add `AST × UIF × CFLAGS`, named by `size × UIF × CFLAGS`) | sweeps, sizes, protocols, models |
 //! | measurement | `kernel × GpuSpec × sizes × `[`EvalProtocol`] (which carries the [`ModelId`]) | repeated sweeps of one experiment |
 //! | **disk** (optional) | measurement scope, content-addressed file per tier | **processes** — sweeps resume across runs |
 //!
@@ -178,7 +178,7 @@ impl ArtifactStore {
 
     fn fe_tier(&self, kernel: &str, gpu: &GpuSpec) -> Arc<FeTier> {
         let scope = FeScope { kernel: kernel.to_string(), gpu: gpu.clone() };
-        self.inner.front_ends.get_or_init(scope, || Arc::new(FeTier::new()))
+        self.inner.front_ends.get_or_init(scope, Arc::default)
     }
 
     /// The measurement tier of a scope, opened — against the disk, when
