@@ -228,15 +228,20 @@ fn body_field<'a>(lines: &[&'a str], key: &str) -> Result<&'a str, WireError> {
         .ok_or_else(|| WireError::new(format!("missing `{key}=` line")))
 }
 
+/// The scope's sizes as `persist::scope_text` spells them: canonical
+/// decimals joined by commas, and nothing at all for no sizes.
 fn parse_sizes(text: &str) -> Result<Vec<u64>, WireError> {
+    if text.is_empty() {
+        return Ok(Vec::new());
+    }
     text.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().map_err(|_| WireError::new(format!("bad size `{s}`"))))
+        .map(|s| persist::parse_dec(s).map_err(|_| WireError::new(format!("bad size `{s}`"))))
         .collect()
 }
 
+/// A number of a payload outside its records: a canonical decimal.
 fn parse_u64(text: &str, key: &str) -> Result<u64, WireError> {
-    text.parse().map_err(|_| WireError::new(format!("bad numeric `{key}`")))
+    persist::parse_dec(text).map_err(|_| WireError::new(format!("bad numeric `{key}`")))
 }
 
 /// A request's trial count, refused past [`MAX_TRIALS`]: a worker draws
@@ -270,13 +275,18 @@ pub fn emit_request(req: &Request) -> String {
             }
             out
         }
-        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => format!(
-            "{RPC_VERSION} simulate\nkernel={kernel}\ngpu={}\nn={n}\nmodel={}\ntrials={trials}\n\
-             seed={seed:016x}\nparams={}",
-            persist::emit_gpu_spec(gpu),
-            model.name(),
-            persist::emit_params(params),
-        ),
+        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
+            let mut out = format!(
+                "{RPC_VERSION} simulate\nkernel={kernel}\ngpu={}\nn={n}\nmodel={}\n\
+                 trials={trials}\nseed={}\nparams=",
+                persist::emit_gpu_spec(gpu),
+                model.name(),
+                // Spelled as a float's raw bits are: 16 lowercase hex digits.
+                persist::emit_f64(f64::from_bits(*seed)),
+            );
+            persist::write_params(&mut out, params);
+            out
+        }
     }
 }
 
@@ -316,7 +326,8 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
             model: ModelId::parse(body_field(&body, "model")?)
                 .ok_or_else(|| WireError::new("unknown model id"))?,
             trials: check_trials(parse_u64(body_field(&body, "trials")?, "trials")?)?,
-            seed: u64::from_str_radix(body_field(&body, "seed")?, 16)
+            seed: persist::parse_f64(body_field(&body, "seed")?)
+                .map(f64::to_bits)
                 .map_err(|_| WireError::new("bad seed"))?,
         }),
         other => Err(WireError::new(format!("unknown request verb `{other}`"))),
@@ -399,14 +410,8 @@ where
     I: IntoIterator<Item = &'a Measurement>,
     I::IntoIter: Clone,
 {
-    let measurements = measurements.into_iter();
-    let bytes: usize = measurements.clone().map(|m| 187 + 40 * m.per_size_ms.len()).sum();
-    out.reserve(64 + bytes);
     out.push_str(&format!("{RPC_VERSION} ok evaluate\ncomputed={computed}"));
-    for m in measurements {
-        out.push_str("\nm ");
-        persist::write_measurement(out, m);
-    }
+    persist::write_measurements(out, "\nm ", measurements);
 }
 
 /// Serializes a response payload (the frame body).

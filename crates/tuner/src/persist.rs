@@ -20,9 +20,11 @@
 //!   `key:value` fields in a fixed order. Floats are written as the hex
 //!   of their IEEE-754 bits ([`emit_f64`]), so a load/store round trip
 //!   is **bit-identical** — never a decimal approximation. Each record
-//!   has one writer that appends to a caller's buffer (`write_*`; the
-//!   `emit_*` forms wrap it) and all are read by one cursor that accepts
-//!   nothing but that spelling: `emit(parse(t)) == t` or `t` is refused.
+//!   has one writer that stages it on the stack and appends it to a
+//!   caller's buffer (`write_*`; the `emit_*` forms wrap it) and all are
+//!   read by one cursor that accepts nothing but that spelling:
+//!   `emit(parse(t)) == t` or `t` is refused. A hex field is written and
+//!   read eight digits to a word.
 //! * **Sealed lines.** Every header and record line carries its own
 //!   FNV-1a 64 checksum (`body|crc16hex`, [`seal`]/[`unseal`]). A
 //!   flipped byte, a truncated tail from a killed writer, or an edited
@@ -61,9 +63,11 @@
 //! line and in order, on the thread that opens its scope: each line is
 //! taken as bytes, so damage — a byte that is not even UTF-8 — costs
 //! the line it sits in and nothing else, and each record goes straight
-//! into the `Arc` the tier serves. That is about a microsecond a
-//! record, half of what recomputing it in a batch costs under the
-//! simulator.
+//! into the `Arc` the tier serves. That is about three quarters of a
+//! microsecond a record (0.75 µs re-opening eight 5,120-record tiers on
+//! a two-core host, ~0.17 of it the parse), under half of what
+//! recomputing it in a batch costs under the simulator (~1.65 µs a
+//! point).
 //!
 //! The same text crosses the wire of `oriole_service` in length-framed,
 //! checksummed frames ([`encode_frame`], [`decode_frame`]); frames are
@@ -120,7 +124,9 @@ pub fn seal(body: &str) -> String {
 /// Seals `out[from..]` where it stands: appends `|<16-hex fnv64>`.
 fn push_seal(out: &mut String, from: usize) {
     let crc = checksum(&out.as_bytes()[from..]);
-    push_hex16(out, "|", crc);
+    staged(out, |s| {
+        s.hex16("|", crc);
+    });
 }
 
 /// Verifies and strips a sealed line, returning the body; `None` when
@@ -157,54 +163,136 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// `"00"`..`"99"`: decimal is pushed two digits a step.
-const DEC_PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233\
-    34353637383940414243444546474849505152535455565758596061626364656667\
-    6869707172737475767778798081828384858687888990919293949596979899";
+/// Bytes a [`Stage`] holds before it hands them on.
+const STAGE_BYTES: usize = 256;
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-fn push_digits(out: &mut String, digits: &[u8]) {
-    out.push_str(std::str::from_utf8(digits).expect("table digits are ASCII"));
+/// The byte `b` in each of a word's eight lanes.
+const fn lanes(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
 }
 
-/// Appends `key` and `v` in canonical decimal (no sign, no padding).
-fn push_dec(out: &mut String, key: &str, v: impl Into<u64>) {
-    out.push_str(key);
-    let (mut v, mut buf, mut at) = (v.into(), [0u8; 20], 20);
-    loop {
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DEC_PAIRS[2 * (v % 100) as usize..][..2]);
-        v /= 100;
-        if v == 0 {
-            break;
+/// The one writer of canonical text. A record is staged on the stack —
+/// literal keys copied in by fixed-length moves (every primitive is
+/// inlined where it is called), a decimal written by its digit count, a
+/// hex field eight digits a word — and handed to `out` with one
+/// `push_str` per record (or per [`STAGE_BYTES`]) when the stage fills
+/// and when [`staged`] is done with it.
+struct Stage<'o> {
+    out: &'o mut String,
+    buf: [u8; STAGE_BYTES],
+    len: usize,
+}
+
+/// Stages what `write` appends, then hands it to `out`.
+fn staged(out: &mut String, write: impl FnOnce(&mut Stage<'_>)) {
+    let mut s = Stage { out, buf: [0; STAGE_BYTES], len: 0 };
+    write(&mut s);
+    s.flush();
+}
+
+impl Stage<'_> {
+    /// Hands the staged bytes to `out`: whole `&str`s, never split.
+    fn flush(&mut self) {
+        let staged = std::str::from_utf8(&self.buf[..self.len]);
+        self.out.push_str(staged.expect("a stage holds whole `&str`s and ASCII digits"));
+        self.len = 0;
+    }
+
+    /// Makes room for `n` more bytes.
+    #[inline(always)]
+    fn room(&mut self, n: usize) {
+        if self.len + n > STAGE_BYTES {
+            self.flush();
         }
     }
-    // A one-digit head (or a lone zero) was pushed as a padded pair.
-    push_digits(out, &buf[at + usize::from(buf[at] == b'0')..]);
-}
 
-/// Appends `key` and `v` as exactly 16 lowercase hex digits — a seed, a
-/// seal, or the raw IEEE-754 bits of a float.
-fn push_hex16(out: &mut String, key: &str, v: u64) {
-    out.push_str(key);
-    let mut buf = [0u8; 16];
-    for (i, digit) in buf.iter_mut().enumerate() {
-        *digit = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 15];
+    /// Appends `text` as it stands: a key, or a name. An empty one is
+    /// skipped, never copied: see [`Cursor::key`].
+    #[inline(always)]
+    fn text(&mut self, text: &str) -> &mut Self {
+        self.room(text.len());
+        if text.len() > STAGE_BYTES {
+            self.out.push_str(text);
+        } else if !text.is_empty() {
+            self.buf[self.len..self.len + text.len()].copy_from_slice(text.as_bytes());
+            self.len += text.len();
+        }
+        self
     }
-    push_digits(out, &buf);
+
+    /// Appends `key` and `v` in canonical decimal (no sign, no padding).
+    #[inline(always)]
+    fn dec(&mut self, key: &str, v: impl Into<u64>) -> &mut Self {
+        let mut v = v.into();
+        let digits = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+        self.text(key).room(digits);
+        let end = self.len + digits;
+        for digit in self.buf[self.len..end].iter_mut().rev() {
+            *digit = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        self.len = end;
+        self
+    }
+
+    /// Appends `key` and `v` as exactly 16 lowercase hex digits — a seed,
+    /// a seal, or the raw IEEE-754 bits of a float.
+    #[inline(always)]
+    fn hex16(&mut self, key: &str, v: u64) -> &mut Self {
+        self.text(key).room(16);
+        let at = self.len;
+        self.buf[at..at + 8].copy_from_slice(&spell_hex8((v >> 32) as u32));
+        self.buf[at + 8..at + 16].copy_from_slice(&spell_hex8(v as u32));
+        self.len += 16;
+        self
+    }
 }
 
-fn push_word(out: &mut String, key: &str, word: &str) {
-    out.push_str(key);
-    out.push_str(word);
+/// The eight hex digits of `v`, most significant first: each nibble is
+/// spread to a byte of its own, then all eight become ASCII at once.
+/// Adding 6 to a nibble carries into bit 4 exactly for 10–15, the
+/// digits spelled as letters.
+#[inline]
+fn spell_hex8(v: u32) -> [u8; 8] {
+    let mut x = u64::from(v);
+    x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+    x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x << 4)) & lanes(0x0f);
+    let letters = ((x + lanes(6)) >> 4) & lanes(1);
+    (x + lanes(b'0') + letters * u64::from(b'a' - b'0' - 10)).to_be_bytes()
+}
+
+/// The value of eight lowercase hex digits, `None` unless every byte is
+/// one. With the top bit of every byte clear, adding at most 0x50 cannot
+/// carry between bytes, so `x + lanes(0x80 - b)` sets a byte's top bit
+/// iff that byte is at least `b`: four additions range-check all eight
+/// bytes against `0-9` and `a-f` with no branch per digit.
+#[inline]
+fn read_hex8(digits: [u8; 8]) -> Option<u32> {
+    let x = u64::from_be_bytes(digits);
+    let at_least = |b: u8| x.wrapping_add(lanes(0x80 - b));
+    let digit = at_least(b'0') & !at_least(0x3a); // past '9'
+    let letter = at_least(b'a') & !at_least(0x67); // past 'f'
+    if (x | !(digit | letter)) & lanes(0x80) != 0 {
+        return None;
+    }
+    // A digit's low nibble is its value; a letter's is its value less 9.
+    let mut v = (x & lanes(0x0f)) + ((letter & lanes(0x80)) >> 7) * 9;
+    v = (v | (v >> 4)) & 0x00ff_00ff_00ff_00ff;
+    v = (v | (v >> 8)) & 0x0000_ffff_0000_ffff;
+    v = (v | (v >> 16)) & 0x0000_0000_ffff_ffff;
+    Some(v as u32)
 }
 
 /// Serializes an `f64` as the hex of its IEEE-754 bits — the only float
 /// encoding that survives a round trip bit-identically (infinities
 /// included).
 pub fn emit_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    let mut out = String::with_capacity(16);
+    staged(&mut out, |s| {
+        s.hex16("", v.to_bits());
+    });
+    out
 }
 
 /// Parses [`emit_f64`] output back to the identical `f64`.
@@ -212,16 +300,24 @@ pub fn parse_f64(s: &str) -> Result<f64, WireError> {
     parse_all(s, |c| c.f64(""))
 }
 
+/// Parses a whole canonical decimal (no sign, no leading zero, fits a
+/// `u64`) with the reader of every record's numbers.
+pub fn parse_dec(s: &str) -> Result<u64, WireError> {
+    parse_all(s, |c| c.dec(""))
+}
+
 /// The one reader of canonical text: a byte cursor that walks a record
 /// once, in its writer's field order, and accepts **only** the writer's
 /// spelling (so `emit(parse(t)) == t` for every accepted `t`). A key is
-/// passed with its separator and colon (`";occ:"`): one prefix compare.
+/// passed with its separator and colon (`";occ:"`): one prefix compare,
+/// of a constant, since every primitive is inlined where it is called.
 struct Cursor<'a> {
     text: &'a str,
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
+    #[inline(always)]
     fn rest(&self) -> &'a [u8] {
         &self.text.as_bytes()[self.at..]
     }
@@ -232,43 +328,52 @@ impl<'a> Cursor<'a> {
         WireError::new(format!("{what} `{key}` at byte {}", self.at))
     }
 
-    /// Consumes the literal `key`.
+    /// Consumes the literal `key`. An empty one is not compared: `bcmp`
+    /// handed its dangling pointer took ~100 ns (glibc 2.36, AVX-512).
+    #[inline(always)]
     fn key(&mut self, key: &str) -> Result<(), WireError> {
-        if !self.rest().starts_with(key.as_bytes()) {
+        if !key.is_empty() && !self.rest().starts_with(key.as_bytes()) {
             return Err(self.bad("missing field", key));
         }
         self.at += key.len();
         Ok(())
     }
 
-    /// A canonical decimal (no sign, no leading zero) that fits `T`.
+    /// A canonical decimal that fits `T`: at least one digit, no sign
+    /// and no leading zero.
+    #[inline(always)]
     fn dec<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, WireError> {
         self.key(key)?;
         let rest = self.rest();
-        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (mut v, mut digits) = (Some(0u64), 0);
+        while let Some(d) = rest.get(digits).map(|b| b.wrapping_sub(b'0')).filter(|d| *d < 10) {
+            v = v.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d)));
+            digits += 1;
+        }
         let canonical = digits == 1 || (digits > 1 && rest[0] != b'0');
-        let v = self.text[self.at..self.at + digits].parse::<u64>().ok().filter(|_| canonical);
         self.at += digits;
-        v.and_then(|v| T::try_from(v).ok()).ok_or_else(|| self.bad("bad numeric field", key))
+        let v = v.filter(|_| canonical).and_then(|v| T::try_from(v).ok());
+        v.ok_or_else(|| self.bad("bad numeric field", key))
     }
 
-    /// Exactly 16 lowercase hex digits.
+    /// Exactly 16 lowercase hex digits, read eight to a word.
+    #[inline(always)]
     fn hex16(&mut self, key: &str) -> Result<u64, WireError> {
         self.key(key)?;
-        let digits = self.rest().get(..16).ok_or_else(|| self.bad("bad hex field", key))?;
-        let mut v = 0u64;
-        for &d in digits {
-            let nibble = char::from(d).to_digit(16).filter(|_| !d.is_ascii_uppercase());
-            v = v << 4 | u64::from(nibble.ok_or_else(|| self.bad("bad hex field", key))?);
-        }
+        let word = |at: usize| read_hex8(self.rest().get(at..at + 8)?.try_into().ok()?);
+        let (Some(high), Some(low)) = (word(0), word(8)) else {
+            return Err(self.bad("bad hex field", key));
+        };
         self.at += 16;
-        Ok(v)
+        Ok((u64::from(high) << 32) | u64::from(low))
     }
 
+    #[inline(always)]
     fn f64(&mut self, key: &str) -> Result<f64, WireError> {
         self.hex16(key).map(f64::from_bits)
     }
 
+    #[inline(always)]
     fn bit(&mut self, key: &str) -> Result<bool, WireError> {
         match self.dec::<u8>(key)? {
             bit @ 0..=1 => Ok(bit == 1),
@@ -277,6 +382,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The value whose spelling in `names` is the next word.
+    #[inline(always)]
     fn name<T: Copy>(&mut self, key: &str, names: &[(T, &'static str)]) -> Result<T, WireError> {
         let word = self.word(key)?;
         let found = names.iter().find(|(_, name)| *name == word);
@@ -284,6 +390,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Free text up to the next `;` (or the end).
+    #[inline(always)]
     fn word(&mut self, key: &str) -> Result<&'a str, WireError> {
         self.key(key)?;
         let rest = &self.text[self.at..];
@@ -327,35 +434,35 @@ const FAMILIES: [(Family, &str); 4] = [
 /// Appends the canonical serialization of a [`GpuSpec`]: every field,
 /// fixed order, so two specs serialize equal iff they are structurally
 /// equal — the same contract the in-memory store keys rely on.
-fn write_gpu_spec(out: &mut String, g: &GpuSpec) {
-    push_word(out, "name:", g.name);
-    push_word(out, ";family:", spell(&FAMILIES, g.family));
-    push_dec(out, ";cc:", g.compute_capability.major);
-    push_dec(out, ".", g.compute_capability.minor);
-    push_dec(out, ";gmem:", g.global_mem_mib);
-    push_dec(out, ";mp:", g.multiprocessors);
-    push_dec(out, ";cores:", g.cores_per_mp);
-    push_dec(out, ";clk:", g.gpu_clock_mhz);
-    push_dec(out, ";mclk:", g.mem_clock_mhz);
-    push_dec(out, ";l2:", g.l2_cache_bytes);
-    push_dec(out, ";cmem:", g.const_mem_bytes);
-    push_dec(out, ";smb:", g.shmem_per_block);
-    push_dec(out, ";smmp:", g.shmem_per_mp);
-    push_dec(out, ";rf:", g.regfile_per_mp);
-    push_dec(out, ";ws:", g.warp_size);
-    push_dec(out, ";tmp:", g.threads_per_mp);
-    push_dec(out, ";tpb:", g.threads_per_block);
-    push_dec(out, ";bmp:", g.blocks_per_mp);
-    push_dec(out, ";tpw:", g.threads_per_warp);
-    push_dec(out, ";wmp:", g.warps_per_mp);
-    push_dec(out, ";rau:", g.reg_alloc_unit);
-    push_dec(out, ";rtmax:", g.regs_per_thread_max);
+fn stage_gpu_spec(s: &mut Stage<'_>, g: &GpuSpec) {
+    s.text("name:").text(g.name);
+    s.text(";family:").text(spell(&FAMILIES, g.family));
+    s.dec(";cc:", g.compute_capability.major)
+        .dec(".", g.compute_capability.minor)
+        .dec(";gmem:", g.global_mem_mib)
+        .dec(";mp:", g.multiprocessors)
+        .dec(";cores:", g.cores_per_mp)
+        .dec(";clk:", g.gpu_clock_mhz)
+        .dec(";mclk:", g.mem_clock_mhz)
+        .dec(";l2:", g.l2_cache_bytes)
+        .dec(";cmem:", g.const_mem_bytes)
+        .dec(";smb:", g.shmem_per_block)
+        .dec(";smmp:", g.shmem_per_mp)
+        .dec(";rf:", g.regfile_per_mp)
+        .dec(";ws:", g.warp_size)
+        .dec(";tmp:", g.threads_per_mp)
+        .dec(";tpb:", g.threads_per_block)
+        .dec(";bmp:", g.blocks_per_mp)
+        .dec(";tpw:", g.threads_per_warp)
+        .dec(";wmp:", g.warps_per_mp)
+        .dec(";rau:", g.reg_alloc_unit)
+        .dec(";rtmax:", g.regs_per_thread_max);
 }
 
-/// `write_gpu_spec` into a fresh string.
+/// `stage_gpu_spec` into a fresh string.
 pub fn emit_gpu_spec(g: &GpuSpec) -> String {
     let mut out = String::with_capacity(256);
-    write_gpu_spec(&mut out, g);
+    staged(&mut out, |s| stage_gpu_spec(s, g));
     out
 }
 
@@ -425,18 +532,16 @@ const OBJECTIVES: [(Objective, &str); 2] =
 /// Appends the canonical serialization of an [`EvalProtocol`] —
 /// including the [`ModelId`], so tiers taken under different timing
 /// backends can never share a disk artifact.
-fn write_protocol(out: &mut String, p: &EvalProtocol) {
-    push_dec(out, "trials:", p.trials);
-    push_word(out, ";select:", spell(&TRIAL_PROTOCOLS, p.protocol));
-    push_hex16(out, ";seed:", p.base_seed);
-    push_word(out, ";objective:", spell(&OBJECTIVES, p.objective));
-    push_word(out, ";model:", p.model.name());
+fn stage_protocol(s: &mut Stage<'_>, p: &EvalProtocol) {
+    s.dec("trials:", p.trials).text(";select:").text(spell(&TRIAL_PROTOCOLS, p.protocol));
+    s.hex16(";seed:", p.base_seed).text(";objective:").text(spell(&OBJECTIVES, p.objective));
+    s.text(";model:").text(p.model.name());
 }
 
-/// `write_protocol` into a fresh string.
+/// `stage_protocol` into a fresh string.
 pub fn emit_protocol(p: &EvalProtocol) -> String {
     let mut out = String::with_capacity(96);
-    write_protocol(&mut out, p);
+    staged(&mut out, |s| stage_protocol(s, p));
     out
 }
 
@@ -460,19 +565,16 @@ pub fn parse_protocol(text: &str) -> Result<EvalProtocol, WireError> {
 /// Appends the canonical serialization of a tuning point
 /// (comma-separated so it can nest inside semicolon-separated records).
 pub fn write_params(out: &mut String, p: &TuningParams) {
-    push_dec(out, "tc:", p.tc);
-    push_dec(out, ",bc:", p.bc);
-    push_dec(out, ",uif:", p.uif);
-    push_dec(out, ",pl:", p.pl.kb());
-    push_dec(out, ",sc:", p.sc);
-    push_dec(out, ",fm:", p.cflags.fast_math);
+    staged(out, |s| stage_params(s, p));
 }
 
-/// [`write_params`] into a fresh string.
-pub fn emit_params(p: &TuningParams) -> String {
-    let mut out = String::with_capacity(64);
-    write_params(&mut out, p);
-    out
+fn stage_params(s: &mut Stage<'_>, p: &TuningParams) {
+    s.dec("tc:", p.tc)
+        .dec(",bc:", p.bc)
+        .dec(",uif:", p.uif)
+        .dec(",pl:", p.pl.kb())
+        .dec(",sc:", p.sc)
+        .dec(",fm:", p.cflags.fast_math);
 }
 
 fn read_params(c: &mut Cursor<'_>) -> Result<TuningParams, WireError> {
@@ -486,7 +588,7 @@ fn read_params(c: &mut Cursor<'_>) -> Result<TuningParams, WireError> {
     })
 }
 
-/// Parses [`emit_params`] output.
+/// Parses [`write_params`] output.
 pub fn parse_params(text: &str) -> Result<TuningParams, WireError> {
     parse_all(text, read_params)
 }
@@ -495,30 +597,40 @@ pub fn parse_params(text: &str) -> Result<TuningParams, WireError> {
 // Measurement
 // ---------------------------------------------------------------------------
 
-/// Appends the canonical serialization of one [`Measurement`] — the
-/// record body of a tier file and of an `evaluate` answer. All floats
-/// are bit-exact; an infeasible measurement round-trips with its
-/// infinite objective and empty per-size list.
-pub fn write_measurement(out: &mut String, m: &Measurement) {
-    out.reserve(184 + 40 * m.per_size_ms.len()); // its longest spelling
-    out.push_str("params:");
-    write_params(out, &m.params);
-    push_hex16(out, ";time:", m.time_ms.to_bits());
-    push_dec(out, ";feasible:", m.feasible);
-    push_hex16(out, ";occ:", m.occupancy.to_bits());
-    push_dec(out, ";regs:", m.regs_allocated);
-    push_hex16(out, ";reginstr:", m.reg_instructions.to_bits());
-    out.push_str(";sizes:");
-    for (i, (n, t)) in m.per_size_ms.iter().enumerate() {
-        push_dec(out, if i == 0 { "" } else { "," }, *n);
-        push_hex16(out, "@", t.to_bits());
-    }
+/// Appends each of `ms` as `head` followed by the canonical
+/// serialization of that [`Measurement`] — the record body of a tier
+/// file line (`"r "`) and of an `evaluate` answer (`"\nm "`) — into room
+/// reserved once, for their longest spelling. All floats are bit-exact;
+/// an infeasible measurement round-trips with its infinite objective and
+/// empty per-size list.
+pub fn write_measurements<'a, I>(out: &mut String, head: &str, ms: I)
+where
+    I: IntoIterator<Item = &'a Measurement>,
+    I::IntoIter: Clone,
+{
+    let ms = ms.into_iter();
+    out.reserve(ms.clone().map(|m| head.len() + 184 + 40 * m.per_size_ms.len()).sum());
+    staged(out, |s| {
+        for m in ms {
+            s.text(head).text("params:");
+            stage_params(s, &m.params);
+            s.hex16(";time:", m.time_ms.to_bits())
+                .dec(";feasible:", m.feasible)
+                .hex16(";occ:", m.occupancy.to_bits())
+                .dec(";regs:", m.regs_allocated)
+                .hex16(";reginstr:", m.reg_instructions.to_bits())
+                .text(";sizes:");
+            for (i, (n, t)) in m.per_size_ms.iter().enumerate() {
+                s.dec(if i == 0 { "" } else { "," }, *n).hex16("@", t.to_bits());
+            }
+        }
+    });
 }
 
-/// [`write_measurement`] into a fresh string.
+/// One [`Measurement`]'s record into a fresh string.
 pub fn emit_measurement(m: &Measurement) -> String {
     let mut out = String::new();
-    write_measurement(&mut out, m);
+    write_measurements(&mut out, "", [m]);
     out
 }
 
@@ -565,34 +677,34 @@ const LIMITERS: [(Limiter, &str); 4] = [
 
 /// Appends the canonical serialization of a [`SimReport`] (occupancy
 /// details and warp profile included) — the `simulate` answer's record.
-fn write_sim_report(out: &mut String, r: &SimReport) {
-    push_hex16(out, "time:", r.time_ms.to_bits());
-    push_word(out, ";bound:", spell(&BOUNDS, r.bound));
-    push_dec(out, ";ab:", r.occupancy.active_blocks);
-    push_dec(out, ";aw:", r.occupancy.active_warps);
-    push_hex16(out, ";occf:", r.occupancy.occupancy.to_bits());
-    push_word(out, ";lim:", spell(&LIMITERS, r.occupancy.limiter));
-    push_dec(out, ";bwarps:", r.occupancy.blocks_by_warps);
-    push_dec(out, ";bregs:", r.occupancy.blocks_by_regs);
-    push_dec(out, ";bsmem:", r.occupancy.blocks_by_smem);
-    push_dec(out, ";wlregs:", r.occupancy.warp_limit_by_regs);
-    push_dec(out, ";busyb:", r.busy_blocks);
-    push_dec(out, ";busysm:", r.busy_sms);
-    push_dec(out, ";reswarps:", r.resident_warps);
-    push_dec(out, ";waves:", r.waves);
-    push_hex16(out, ";cycles:", r.cycles.to_bits());
-    push_hex16(out, ";p_issue:", r.profile.issue_cycles.to_bits());
-    push_hex16(out, ";p_mem:", r.profile.mem_ops.to_bits());
-    push_hex16(out, ";p_lat:", r.profile.latency_weighted.to_bits());
-    push_hex16(out, ";p_dram:", r.profile.dram_transactions.to_bits());
-    push_hex16(out, ";p_bar:", r.profile.barriers.to_bits());
-    push_hex16(out, ";p_div:", r.profile.divergent_branches.to_bits());
+fn stage_sim_report(s: &mut Stage<'_>, r: &SimReport) {
+    s.hex16("time:", r.time_ms.to_bits()).text(";bound:").text(spell(&BOUNDS, r.bound));
+    s.dec(";ab:", r.occupancy.active_blocks)
+        .dec(";aw:", r.occupancy.active_warps)
+        .hex16(";occf:", r.occupancy.occupancy.to_bits())
+        .text(";lim:")
+        .text(spell(&LIMITERS, r.occupancy.limiter));
+    s.dec(";bwarps:", r.occupancy.blocks_by_warps)
+        .dec(";bregs:", r.occupancy.blocks_by_regs)
+        .dec(";bsmem:", r.occupancy.blocks_by_smem)
+        .dec(";wlregs:", r.occupancy.warp_limit_by_regs)
+        .dec(";busyb:", r.busy_blocks)
+        .dec(";busysm:", r.busy_sms)
+        .dec(";reswarps:", r.resident_warps)
+        .dec(";waves:", r.waves)
+        .hex16(";cycles:", r.cycles.to_bits())
+        .hex16(";p_issue:", r.profile.issue_cycles.to_bits())
+        .hex16(";p_mem:", r.profile.mem_ops.to_bits())
+        .hex16(";p_lat:", r.profile.latency_weighted.to_bits())
+        .hex16(";p_dram:", r.profile.dram_transactions.to_bits())
+        .hex16(";p_bar:", r.profile.barriers.to_bits())
+        .hex16(";p_div:", r.profile.divergent_branches.to_bits());
 }
 
-/// `write_sim_report` into a fresh string.
+/// `stage_sim_report` into a fresh string.
 pub fn emit_sim_report(r: &SimReport) -> String {
     let mut out = String::with_capacity(448);
-    write_sim_report(&mut out, r);
+    staged(&mut out, |s| stage_sim_report(s, r));
     out
 }
 
@@ -640,15 +752,16 @@ pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
 /// iff their scope texts are byte-equal.
 pub fn scope_text(kernel: &str, gpu: &GpuSpec, sizes: &[u64], protocol: &EvalProtocol) -> String {
     let mut out = String::with_capacity(384 + kernel.len() + 21 * sizes.len());
-    push_word(&mut out, "kernel=", kernel);
-    out.push_str("\ngpu=");
-    write_gpu_spec(&mut out, gpu);
-    out.push_str("\nsizes=");
-    for (i, n) in sizes.iter().enumerate() {
-        push_dec(&mut out, if i == 0 { "" } else { "," }, *n);
-    }
-    out.push_str("\nprotocol=");
-    write_protocol(&mut out, protocol);
+    staged(&mut out, |s| {
+        s.text("kernel=").text(kernel).text("\ngpu=");
+        stage_gpu_spec(s, gpu);
+        s.text("\nsizes=");
+        for (i, n) in sizes.iter().enumerate() {
+            s.dec(if i == 0 { "" } else { "," }, *n);
+        }
+        s.text("\nprotocol=");
+        stage_protocol(s, protocol);
+    });
     out
 }
 
@@ -656,7 +769,11 @@ pub fn scope_text(kernel: &str, gpu: &GpuSpec, sizes: &[u64], protocol: &EvalPro
 /// scope is also embedded (and verified) in the file header, so the name
 /// is a fast index, never the trust anchor.
 pub fn tier_file_name(scope: &str) -> String {
-    format!("meas-{:016x}.{EXT}", checksum(scope.as_bytes()))
+    let mut name = String::with_capacity(25);
+    staged(&mut name, |s| {
+        s.hex16("meas-", checksum(scope.as_bytes())).text(".").text(EXT);
+    });
+    name
 }
 
 fn header_text(scope: &str) -> String {
@@ -665,7 +782,8 @@ fn header_text(scope: &str) -> String {
     out.push('\n');
     for line in scope.lines().chain(["end"]) {
         let from = out.len();
-        push_word(&mut out, "h ", line);
+        out.push_str("h ");
+        out.push_str(line);
         push_seal(&mut out, from);
         out.push('\n');
     }
@@ -675,8 +793,7 @@ fn header_text(scope: &str) -> String {
 /// Appends one record line: written, sealed and terminated in `out`.
 fn write_record_line(out: &mut String, m: &Measurement) {
     let from = out.len();
-    out.push_str("r ");
-    write_measurement(out, m);
+    write_measurements(out, "r ", [m]);
     push_seal(out, from);
     out.push('\n');
 }
@@ -822,7 +939,7 @@ impl TierSpill {
     /// degrades the tier to memory-only for that record, it never
     /// corrupts results).
     pub(crate) fn append(&self, m: &Measurement) {
-        let mut line = String::with_capacity(192 + 40 * m.per_size_ms.len());
+        let mut line = String::new();
         write_record_line(&mut line, m);
         let mut file = self.file.lock().expect("spill lock");
         if file.write_all(line.as_bytes()).is_ok() {
@@ -1353,6 +1470,33 @@ mod tests {
     }
 
     #[test]
+    fn every_byte_at_every_hex_digit_position() {
+        // The word reader sees every byte, UTF-8 or not; a field in a
+        // text is read by it too.
+        let base = *b"0123456789abcdef";
+        for at in 0..16 {
+            for byte in 0..=u8::MAX {
+                let mut digits = base;
+                digits[at] = byte;
+                let nibble = match byte {
+                    b'0'..=b'9' => Some(byte - b'0'),
+                    b'a'..=b'f' => Some(byte - b'a' + 10),
+                    _ => None,
+                };
+                let shift = 60 - 4 * at;
+                let want = nibble
+                    .map(|n| (0x0123_4567_89ab_cdef & !(0xf << shift)) | (u64::from(n) << shift));
+                let word = |from: usize| read_hex8(digits[from..from + 8].try_into().unwrap());
+                let read = word(0).zip(word(8)).map(|(h, l)| (u64::from(h) << 32) | u64::from(l));
+                assert_eq!(read, want, "byte {byte:#04x} at digit {at}");
+                if let Ok(text) = std::str::from_utf8(&digits) {
+                    assert_eq!(parse_f64(text).ok().map(f64::to_bits), want, "{text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn f64_bits_round_trip_exactly() {
         for v in [0.0, -0.0, 1.0, 1.0625e-3, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
             assert_eq!(parse_f64(&emit_f64(v)).unwrap().to_bits(), v.to_bits(), "{v}");
@@ -1399,7 +1543,9 @@ mod tests {
         p.pl = PreferredL1::Kb48;
         p.sc = 3;
         p.cflags.fast_math = true;
-        assert_eq!(parse_params(&emit_params(&p)).unwrap(), p);
+        let mut text = String::new();
+        write_params(&mut text, &p);
+        assert_eq!(parse_params(&text).unwrap(), p);
         // One serialization only: fields out of the emitted order are a
         // malformed value, like a missing one.
         assert!(parse_params("bc:192,tc:1024,uif:5,pl:48,sc:3,fm:1").is_err());

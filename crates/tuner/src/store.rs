@@ -39,11 +39,11 @@
 //! trusted — and the embedded scope is verified on load so even a
 //! filename collision cannot alias experiments. Warm-from-disk results
 //! are bit-identical to cold computation (floats travel as raw IEEE-754
-//! bits). A loaded record costs about a microsecond (read, unseal,
-//! parse, one allocation, one insert) against some two to recompute it
-//! in a batched sweep under the simulator: a store directory pays when
-//! the timing backend is slower than that, or when a sweep must
-//! survive its process.
+//! bits). A loaded record costs about three quarters of a microsecond
+//! (read, unseal, parse, one allocation, one insert) against some 1.65
+//! to recompute it in a batched sweep under the simulator: a store
+//! directory pays when the timing backend is slower than that, or when
+//! a sweep must survive its process.
 //!
 //! Compilation artifacts (front-ends) are model-independent and shared
 //! across backends; measurements are scoped by the model id, so two

@@ -3,13 +3,14 @@
 //! payloads built from them): generated values round-trip bit for bit,
 //! the reader accepts nothing but the writers' own spelling, and the
 //! text itself is pinned by literals taken from the parent of the PR
-//! that rewrote the writers.
+//! that rewrote the writers, and by the digest of a seeded corpus taken
+//! from the writers the staged one replaced.
 
 use oriole::arch::{Family, Gpu, GpuSpec, Limiter, Occupancy};
-use oriole::codegen::{CompilerFlags, PreferredL1, TuningParams};
+use oriole::codegen::{CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
 use oriole::kernels::KernelId;
 use oriole::service::protocol::{emit_request, emit_response, parse_request, parse_response};
-use oriole::service::{EvalScope, Request, Response};
+use oriole::service::{EvalScope, Request, Response, ServiceStats};
 use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile, MAX_TRIALS};
 use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
 use oriole::tuner::persist::{self, FileStatus};
@@ -154,6 +155,12 @@ fn gen_sim_report(rng: &mut TestRng) -> SimReport {
     }
 }
 
+fn spell_params(p: &TuningParams) -> String {
+    let mut text = String::new();
+    persist::write_params(&mut text, p);
+    text
+}
+
 /// One record kind: draw a value and spell it, and read a text back to
 /// its re-spelling (`None` when the reader refuses it).
 type Kind = (fn(&mut TestRng) -> String, fn(&str) -> Option<String>);
@@ -164,8 +171,8 @@ const KINDS: [Kind; 6] = [
         |t| persist::parse_measurement(t).ok().map(|m| persist::emit_measurement(&m)),
     ),
     (
-        |rng| persist::emit_params(&gen_params(rng)),
-        |t| persist::parse_params(t).ok().map(|p| persist::emit_params(&p)),
+        |rng| spell_params(&gen_params(rng)),
+        |t| persist::parse_params(t).ok().map(|p| spell_params(&p)),
     ),
     (
         |rng| persist::emit_gpu_spec(&gen_gpu_spec(rng)),
@@ -333,6 +340,78 @@ fn the_old_readers_liberties_are_refused() {
     assert_eq!(persist::unseal(&format!("r x|{}", &crc[1..])), None, "15 digits");
     assert_eq!(persist::unseal("|"), None);
     assert_eq!(persist::unseal("é|000000000000000"), None, "no split inside a character");
+
+    // The numbers an RPC payload carries outside its records go through
+    // the same cursor: what `str::parse` and `from_str_radix` let through
+    // is refused, on every verb that carries one.
+    let evaluate = emit_request(&Request::Evaluate {
+        scope: EvalScope {
+            kernel: "atax".into(),
+            gpu: Gpu::K20.spec().clone(),
+            sizes: vec![64, 128],
+            protocol: EvalProtocol::default(),
+        },
+        points: vec![TuningParams::with_geometry(256, 48)],
+        deadline_ms: 5,
+    });
+    let simulate = emit_request(&Request::Simulate {
+        kernel: "bicg".into(),
+        gpu: Gpu::M40.spec().clone(),
+        n: 256,
+        params: TuningParams::with_geometry(512, 24),
+        model: ModelId::Simulator,
+        trials: 10,
+        seed: 0xdead_beef,
+    });
+    let answer = emit_response(&Response::Evaluate { computed: 7, measurements: vec![] });
+    let busy = emit_response(&Response::Busy { retry_after_ms: 25 });
+    let stats = emit_response(&Response::Stats(ServiceStats {
+        requests: 17,
+        inline_hits: 77,
+        disk: Some(persist::DiskStats { tier_hits: 1, ..persist::DiskStats::default() }),
+        phases: PhaseTelemetry { unroll_ns: 1250, unroll_calls: 10, ..PhaseTelemetry::default() },
+        ..ServiceStats::default()
+    }));
+    assert!(simulate.contains("\nseed=00000000deadbeef\n"), "{simulate}");
+    let requests = [
+        (&evaluate, "\nsizes=64,128\n", "\nsizes=+64,,0128,\n"),
+        (&evaluate, "\nsizes=64,128\n", "\nsizes=64,,128\n"),
+        (&evaluate, "\nsizes=64,128\n", "\nsizes=064,128\n"),
+        (&evaluate, "\nsizes=64,128\n", "\nsizes=64,128,\n"),
+        (&evaluate, "\nsizes=64,128\n", "\nsizes=,64,128\n"),
+        (&evaluate, "\ndeadline=5\n", "\ndeadline=+05\n"),
+        (&evaluate, "\ndeadline=5\n", "\ndeadline=05\n"),
+        (&evaluate, "\ndeadline=5\n", "\ndeadline=\n"),
+        (&simulate, "\nn=256\n", "\nn=+256\n"),
+        (&simulate, "\nn=256\n", "\nn=0256\n"),
+        (&simulate, "\ntrials=10\n", "\ntrials=+10\n"),
+        (&simulate, "\ntrials=10\n", "\ntrials=010\n"),
+        (&simulate, "\nseed=00000000deadbeef\n", "\nseed=deadbeef\n"),
+        (&simulate, "\nseed=00000000deadbeef\n", "\nseed=+0000000deadbeef\n"),
+        (&simulate, "\nseed=00000000deadbeef\n", "\nseed=00000000DEADBEEF\n"),
+        (&simulate, "\nseed=00000000deadbeef\n", "\nseed=000000000deadbeef\n"),
+    ];
+    for (payload, canonical, liberty) in requests {
+        assert!(parse_request(payload).is_ok(), "{payload}");
+        assert!(payload.contains(canonical), "{canonical}");
+        assert!(parse_request(&payload.replace(canonical, liberty)).is_err(), "{liberty}");
+    }
+    let responses = [
+        (&answer, "\ncomputed=7", "\ncomputed=+007"),
+        (&answer, "\ncomputed=7", "\ncomputed=07"),
+        (&busy, "\nretry_after_ms=25", "\nretry_after_ms=+25"),
+        (&busy, "\nretry_after_ms=25", "\nretry_after_ms=025"),
+        (&stats, "\nrequests=17\n", "\nrequests=+17\n"),
+        (&stats, "\ninline=77\n", "\ninline=077\n"),
+        (&stats, "\ndisk=hits:1;", "\ndisk=hits:+1;"),
+        (&stats, "\nphases=unroll:1250:10;", "\nphases=unroll:01250:10;"),
+        (&stats, "\nphases=unroll:1250:10;", "\nphases=unroll:1250:+10;"),
+    ];
+    for (payload, canonical, liberty) in responses {
+        assert!(parse_response(payload).is_ok(), "{payload}");
+        assert!(payload.contains(canonical), "{canonical}");
+        assert!(parse_response(&payload.replace(canonical, liberty)).is_err(), "{liberty}");
+    }
 }
 
 #[test]
@@ -590,4 +669,165 @@ fn a_byte_past_ascii_costs_a_tier_file_the_line_it_sits_in() {
         assert_eq!(evaluator.unique_evaluations(), 2 - loaded, "offset {at}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// (e) The primitives, exhaustively where they are small
+// ---------------------------------------------------------------------------
+
+/// A measurement whose every float is `v`.
+fn all_floats(v: f64) -> Measurement {
+    Measurement {
+        params: TuningParams::with_geometry(256, 48),
+        time_ms: v,
+        per_size_ms: vec![(64, v), (u64::MAX, v)],
+        feasible: true,
+        occupancy: v,
+        regs_allocated: 24,
+        reg_instructions: v,
+    }
+}
+
+#[test]
+fn every_nibble_at_every_hex_digit_is_spelled_and_read_back() {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for at in 0..16 {
+        for nibble in 0..16u64 {
+            // Every other digit keeps its own distinct background value.
+            let shift = 60 - 4 * at;
+            let v = (0x0123_4567_89ab_cdef & !(0xf << shift)) | (nibble << shift);
+            let digit = |i: usize| char::from(DIGITS[(v >> (60 - 4 * i)) as usize & 15]);
+            let want: String = (0..16).map(digit).collect();
+            assert_eq!(persist::emit_f64(f64::from_bits(v)), want);
+            assert_eq!(persist::parse_f64(&want).unwrap().to_bits(), v, "{want}");
+        }
+    }
+}
+
+#[test]
+fn decimal_fields_keep_their_edges() {
+    let record = |regs: &str, size: &str| {
+        format!(
+            "params:tc:1,bc:1,uif:1,pl:16,sc:1,fm:0;time:0000000000000000;feasible:1;\
+             occ:0000000000000000;regs:{regs};reginstr:0000000000000000;sizes:{size}@0000000000000000"
+        )
+    };
+    let twenty_one = "123456789012345678901";
+    let regs = [
+        ("0", Some(0)),
+        ("9", Some(9)),
+        ("10", Some(10)),
+        ("4294967295", Some(u32::MAX)),
+        ("4294967296", None),
+        ("01", None),
+        ("00", None),
+        ("", None),
+        ("+1", None),
+        (twenty_one, None),
+    ];
+    for (text, want) in regs {
+        let parsed = persist::parse_measurement(&record(text, "64"));
+        assert_eq!(parsed.as_ref().ok().map(|m| m.regs_allocated), want, "regs:{text}");
+    }
+    let sizes = [
+        ("0", Some(0)),
+        ("9", Some(9)),
+        ("10", Some(10)),
+        ("18446744073709551615", Some(u64::MAX)),
+        ("18446744073709551616", None),
+        ("099", None),
+        ("", None),
+        (twenty_one, None),
+    ];
+    for (text, want) in sizes {
+        let parsed = persist::parse_measurement(&record("24", text));
+        assert_eq!(parsed.as_ref().ok().map(|m| m.per_size_ms[0].0), want, "size {text}");
+        assert_eq!(persist::parse_dec(text).ok(), want, "{text}");
+    }
+    // Every digit count is written as `Display` writes it and read back.
+    let edges = (0..20).flat_map(|k| {
+        let p = 10u64.pow(k);
+        [p - 1, p, p + 1]
+    });
+    for v in edges.chain([u64::MAX - 1, u64::MAX]) {
+        let m = Measurement { per_size_ms: vec![(v, 0.5)], ..all_floats(1.0) };
+        let text = persist::emit_measurement(&m);
+        assert!(text.contains(&format!(";sizes:{v}@")), "{text}");
+        assert_eq!(persist::parse_measurement(&text).unwrap().per_size_ms[0].0, v);
+        assert_eq!(persist::parse_dec(&v.to_string()).unwrap(), v);
+    }
+}
+
+#[test]
+fn every_float_class_round_trips_bit_exact() {
+    let bits = [
+        0x0000_0000_0000_0000, // +0
+        0x8000_0000_0000_0000, // -0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x800f_ffff_ffff_ffff, // largest negative subnormal
+        0x0010_0000_0000_0000, // smallest normal
+        0x7fef_ffff_ffff_ffff, // largest finite
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x7ff8_0000_0000_0000, // quiet NaN
+        0x7ff0_0000_0000_0001, // signalling NaN, lowest payload
+        0xfff8_dead_beef_0001, // negative NaN with a payload
+        0x7fff_ffff_ffff_ffff, // every payload bit
+        0x3ff0_0000_0000_0000, // 1.0
+        0xbcb0_0000_0000_0000, // -epsilon / 2
+    ];
+    for b in bits {
+        let v = f64::from_bits(b);
+        assert_eq!(persist::parse_f64(&persist::emit_f64(v)).unwrap().to_bits(), b, "{b:016x}");
+        let text = persist::emit_measurement(&all_floats(v));
+        assert!(text.contains(&format!(";occ:{b:016x};")), "{text}");
+        let back = persist::parse_measurement(&text).unwrap();
+        let sizes = back.per_size_ms.iter().map(|(_, t)| *t);
+        let read = [back.time_ms, back.occupancy, back.reg_instructions].into_iter().chain(sizes);
+        assert!(read.map(f64::to_bits).all(|r| r == b), "{b:016x}: {text}");
+        assert_eq!(persist::emit_measurement(&back), text);
+    }
+}
+
+/// `persist::checksum` over the corpus below (3,285,078 bytes) as the
+/// `push_*` writers the staged writer replaced spelled it.
+const CORPUS_DIGEST: u64 = 0x40e3_16ec_b7b1_87ff;
+
+#[test]
+fn a_seeded_corpus_is_spelled_byte_for_byte_as_before() {
+    // Ten thousand generated texts: every record kind, scopes with their
+    // tier file names, and the request and answer payloads built of them.
+    let mut corpus = String::new();
+    for case in 0..10_000u32 {
+        let mut rng = TestRng::for_case("corpus", case);
+        let kind = case as usize % (KINDS.len() + 2);
+        if let Some((spell, _)) = KINDS.get(kind) {
+            corpus.push_str(&spell(&mut rng));
+        } else if kind == KINDS.len() {
+            let sizes: Vec<u64> = (0..rng.next_u64() % 6).map(|_| gen_u64(&mut rng)).collect();
+            let (gpu, protocol) = (gen_gpu_spec(&mut rng), gen_protocol(&mut rng));
+            let scope = persist::scope_text("atax", &gpu, &sizes, &protocol);
+            corpus.push_str(&persist::tier_file_name(&scope));
+            corpus.push_str(&scope);
+        } else {
+            let (gpu, params) = (gen_gpu_spec(&mut rng), gen_params(&mut rng));
+            let simulate = Request::Simulate {
+                kernel: "bicg".into(),
+                gpu,
+                n: gen_u64(&mut rng),
+                params,
+                model: pick(&mut rng, &ModelId::ALL),
+                trials: gen_u32(&mut rng),
+                seed: gen_u64(&mut rng),
+            };
+            corpus.push_str(&emit_request(&simulate));
+            let measurements = (0..3).map(|_| gen_measurement(&mut rng)).collect();
+            let computed = gen_u64(&mut rng);
+            corpus.push_str(&emit_response(&Response::Evaluate { computed, measurements }));
+            corpus.push_str(&persist::emit_f64(gen_f64(&mut rng)));
+        }
+        corpus.push('\n');
+    }
+    let (digest, bytes) = (persist::checksum(corpus.as_bytes()), corpus.len());
+    assert_eq!(digest, CORPUS_DIGEST, "corpus of {bytes} bytes digests to {digest:#018x}");
 }
