@@ -151,9 +151,6 @@ pub fn front_end(
         return Err(CompileError::InvalidParams(vec![problem]));
     }
     let transformed = profile::time(Phase::Unroll, || transform::unroll(ast, uif));
-    // Lowering and index construction are one fused walk; the pair is
-    // bit-identical to `lower` + `ProgramIndex::build` (property-tested
-    // in `oriole-ir`) and still bumps the index-build counter once.
     let (program, index) = profile::time(Phase::Lower, || {
         lower_indexed(&transformed, gpu.family, LowerOptions { fast_math: cflags.fast_math })
     });

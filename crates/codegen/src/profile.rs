@@ -20,7 +20,7 @@ use std::time::Instant;
 pub(crate) enum Phase {
     /// Loop unrolling (`transform::unroll`), keyed by UIF.
     Unroll,
-    /// AST → linear IR lowering with fused index construction.
+    /// AST → linear IR lowering, then the program's index build.
     Lower,
     /// Peephole cleanup (`optimize::peephole`), ablation path only.
     Optimize,
@@ -64,7 +64,7 @@ pub struct PhaseTelemetry {
     pub unroll_ns: u64,
     /// Unroll invocations.
     pub unroll_calls: u64,
-    /// Nanoseconds spent lowering (including fused index construction).
+    /// Nanoseconds spent lowering (including the index build).
     pub lower_ns: u64,
     /// Lower invocations.
     pub lower_calls: u64,

@@ -136,12 +136,11 @@ pub(crate) fn analyze_divergence_with(
 }
 
 /// The pre-index walk-based implementation, retained as the oracle the
-/// proptests compare against (region bodies summed in sorted order, as
-/// the indexed path does).
+/// proptests compare against: regions come from the index, but block
+/// weights are read from the `Instr` vectors and no fast path is taken.
 #[cfg(test)]
 pub(crate) fn analyze_divergence_walk(program: &Program, geom: LaunchGeometry) -> DivergenceReport {
-    let cfg = oriole_ir::Cfg::build(program);
-    let regions = cfg.divergent_regions(program);
+    let index = ProgramIndex::build(program);
     let (n, tc, bc) = (geom.n, geom.tc, geom.bc);
 
     let block_cost = |weights_warp: bool, id: oriole_ir::BlockId| -> f64 {
@@ -155,13 +154,11 @@ pub(crate) fn analyze_divergence_walk(program: &Program, geom: LaunchGeometry) -
     };
 
     let mut findings = Vec::new();
-    for region in &regions {
+    for region in index.divergent_regions() {
         let branch = &program.blocks[region.branch_block.0 as usize];
-        let mut body: Vec<oriole_ir::BlockId> = region.body.iter().copied().collect();
-        body.sort_unstable();
         let mut warp_cost = 0.0;
         let mut thread_cost = 0.0;
-        for &b in &body {
+        for &b in &region.body {
             warp_cost += block_cost(true, b);
             thread_cost += block_cost(false, b);
         }

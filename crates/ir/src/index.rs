@@ -1,19 +1,18 @@
 //! `ProgramIndex` — the per-lowered-program analysis artifact.
 //!
 //! The paper's static analyzer "builds a CFG to help understand flow
-//! divergence" (§V); historically this reproduction rebuilt that graph —
-//! and re-walked every `Instr` vector — once per analysis phase and per
-//! `(point, n)` query. [`ProgramIndex`] is the fix: one Vec-indexed
-//! artifact, built **exactly once** when a front-end artifact is created
-//! (`oriole_codegen::front_end`) and shared by `Arc` with every
-//! specialized kernel the artifact stamps out. It owns
+//! divergence" (§V). This module is the only CFG code in the workspace,
+//! and it computes only what a consumer reads: successors,
+//! postdominators and the divergent regions derived from them.
+//! [`ProgramIndex::build`] is one scan of a lowered program, run
+//! **exactly once** when a front-end artifact is created
+//! (`oriole_codegen::front_end`); the index is shared by `Arc` with
+//! every specialized kernel the artifact stamps out. It owns
 //!
-//! * precomputed natural loops and divergent regions (region bodies
-//!   stored as *sorted* block-id vectors, so any cost summed over a
-//!   region is deterministic across processes and paths) — the graph
-//!   they are derived from (successors, predecessors, reverse postorder,
-//!   dominators, postdominators) is built once, Vec-indexed, and
-//!   dropped: no consumer reads raw graph facts;
+//! * the divergent regions (bodies stored as *sorted* block-id vectors,
+//!   so any cost summed over a region is deterministic across processes
+//!   and paths) — the graph they are derived from is built Vec-indexed
+//!   and dropped: no consumer reads raw graph facts;
 //! * per-block instruction summaries: an op-class **mix tape** (the
 //!   `(class, multiplier)` pairs mix counting replays instead of
 //!   touching `Instr` vectors), a **profile tape** (memory / barrier /
@@ -26,9 +25,9 @@
 //!
 //! Most paper kernels (atax, bicg, matvec bodies) lower to **branch-free
 //! block graphs**: straight-line code plus loop back-edges, no
-//! conditional branch anywhere. For those programs the index skips the
-//! postdominator pass and divergent-region discovery entirely at build
-//! time, and consumers skip the divergence machinery at
+//! conditional branch anywhere. For those programs the index builds no
+//! graph at all: no successor lists, no postdominator pass, no region
+//! discovery. Consumers skip the divergence machinery at
 //! query time whenever [`has_divergence`](ProgramIndex::has_divergence)
 //! is false: warp saturation is exactly 1, and the divergence report is
 //! trivially empty with unit overhead — both facts hold *bitwise*
@@ -44,14 +43,14 @@
 //! be ruled out structurally), but it still qualifies for the
 //! divergence-free query fast path.
 //!
-//! Every replayed query is bit-identical to the original walk-based
-//! implementation (property-tested against the retained oracles): tapes
-//! store multiplier 1.0 where the walk recorded a bare weight, and
-//! IEEE-754 guarantees `w * 1.0 == w`.
+//! Every replayed mix is bit-identical to the walk in [`crate::count`]
+//! (property-tested against it): tapes store multiplier 1.0 where the
+//! walk recorded a bare weight, and IEEE-754 guarantees `w * 1.0 == w`.
+//! Everything else the index answers is pinned by the digest in
+//! `tests/index_golden.rs`.
 
 use crate::ast::{AccessPattern, MemSpace, SizeExpr, TripCount};
 use crate::block::{BlockId, FreqExpr, Program, Terminator};
-use crate::cfg::{self, NaturalLoop};
 use crate::count::{LaunchGeometry, MixCounts};
 use crate::isa::OpKind;
 use oriole_arch::OpClass;
@@ -153,10 +152,9 @@ impl BlockSummary {
     }
 }
 
-/// A divergent region with its body stored as a **sorted** vector of
-/// block ids — the deterministic counterpart of
-/// [`cfg::DivergentRegion`](crate::cfg::DivergentRegion), whose
-/// `HashSet` body iterates in per-instance random order.
+/// A region of blocks a warp executes serially when a divergent branch
+/// splits its lanes (paper Fig. 1), with its body stored as a **sorted**
+/// vector of block ids so every sum over it is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivRegion {
     /// The block whose terminator diverges.
@@ -173,8 +171,6 @@ pub struct DivRegion {
 /// docs](self) for what it owns and when the linear fast path applies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramIndex {
-    n: usize,
-    loops: Vec<NaturalLoop>,
     /// Discovered only for non-linear programs; empty otherwise (a
     /// linear program has no conditional branch, hence no divergent
     /// region to reconverge).
@@ -182,50 +178,6 @@ pub struct ProgramIndex {
     summaries: Vec<BlockSummary>,
     grid_strides: Vec<SizeExpr>,
     has_divergence: bool,
-}
-
-/// The half of index construction both discovery paths share: ordering,
-/// dominators and loops over the finished edge lists, then — for
-/// programs with a conditional branch only — postdominators and the
-/// divergent regions, bodies sorted. How `succs`, `preds`, the
-/// summaries, strides and flags were found is the callers' business
-/// ([`ProgramIndex::build`] scans the program, [`IndexBuilder::finish`]
-/// accumulated them during lowering).
-fn assemble(
-    succs: Vec<Vec<BlockId>>,
-    preds: Vec<Vec<BlockId>>,
-    summaries: Vec<BlockSummary>,
-    grid_strides: Vec<SizeExpr>,
-    is_linear: bool,
-    has_divergence: bool,
-    program: &Program,
-) -> ProgramIndex {
-    INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
-    let n = succs.len();
-    let rpo = cfg::reverse_postorder(n, &succs);
-    let idom = cfg::dominators(n, &preds, &rpo);
-    let loops = cfg::natural_loops_in(program, &preds, &idom);
-    // Linear programs skip the postdominator pass and region discovery
-    // entirely — there is no conditional branch, so there is nothing to
-    // reconverge.
-    let regions = if is_linear {
-        Vec::new()
-    } else {
-        let ipostdom = cfg::postdominators(n, &succs, program);
-        cfg::divergent_regions_in(program, &succs, &ipostdom)
-            .into_iter()
-            .map(|r| {
-                let mut body: Vec<BlockId> = r.body.into_iter().collect();
-                body.sort_unstable();
-                DivRegion {
-                    branch_block: r.branch_block,
-                    reconvergence: r.reconvergence,
-                    body,
-                }
-            })
-            .collect()
-    };
-    ProgramIndex { n, loops, regions, summaries, grid_strides, has_divergence }
 }
 
 /// Whether a frequency expression carries a divergent-branch factor.
@@ -237,166 +189,49 @@ fn freq_has_div(f: &FreqExpr) -> bool {
     }
 }
 
-/// Incremental [`ProgramIndex`] construction, fused into the lowering
-/// walk (`oriole_ir::lower::lower_indexed`): edges, per-block summary
-/// tapes, divergence flags and grid-stride trips are accumulated as
-/// each block is sealed, so creating the index costs no second pass
-/// over the finished program's instruction vectors.
-///
-/// The lowering contract this builder relies on:
-///
-/// * blocks are sealed in final id order (`seal` call *k* describes
-///   `BlockId(k)`);
-/// * a sealed terminator may later be *patched* (if/else chains seal
-///   with a placeholder `Ret` and link the branch targets once the
-///   chains are lowered) — the placeholder contributes no edges, so a
-///   patch only ever **adds** edges;
-/// * block instruction vectors and frequencies are immutable once
-///   sealed (patches replace terminators only).
-///
-/// [`IndexBuilder::finish`] then ends in the same ordering/dominator
-/// passes as [`ProgramIndex::build`]; equality of the two paths is
-/// property-tested (see `lower::proptests`).
-#[derive(Debug, Default)]
-pub(crate) struct IndexBuilder {
-    /// CFG edges in (source-block, seal/patch) order.
-    edges: Vec<(BlockId, BlockId)>,
-    summaries: Vec<BlockSummary>,
-    grid_strides: Vec<SizeExpr>,
-    any_cond: bool,
-    any_div: bool,
-}
-
-impl IndexBuilder {
-    pub(crate) fn new() -> IndexBuilder {
-        IndexBuilder::default()
-    }
-
-    /// Accounts a just-sealed block (the `k`-th call describes
-    /// `BlockId(k)`).
-    pub(crate) fn seal(&mut self, block: &crate::block::BasicBlock) {
-        let from = BlockId(self.summaries.len() as u32);
-        self.summaries.push(summarize(block));
-        if freq_has_div(&block.freq) {
-            self.any_div = true;
-        }
-        self.record_term(from, &block.term);
-    }
-
-    /// Accounts a terminator patch on an already-sealed block. The
-    /// sealed placeholder must have been `Ret` (no edges), so the patch
-    /// strictly adds the new terminator's edges.
-    pub(crate) fn patch(&mut self, at: BlockId, term: &Terminator) {
-        let summary = &mut self.summaries[at.0 as usize];
-        debug_assert!(
-            matches!(summary.term, TermClass::Ret),
-            "patched block was sealed with a non-placeholder terminator"
-        );
-        summary.term = term_class(term);
-        self.record_term(at, term);
-    }
-
-    fn record_term(&mut self, from: BlockId, term: &Terminator) {
-        match term {
-            Terminator::CondBranch { divergent, .. } => {
-                self.any_cond = true;
-                if *divergent {
-                    self.any_div = true;
-                }
-            }
-            Terminator::LoopBack { trip: TripCount::GridStride(s), .. } => {
-                self.grid_strides.push(*s);
-            }
-            _ => {}
-        }
-        for s in term.successors() {
-            self.edges.push((from, s));
-        }
-    }
-
-    /// Finalizes the index: distributes the accumulated edges into
-    /// successor/predecessor vectors and hands them to the same
-    /// ordering, dominator and region passes [`ProgramIndex::build`]
-    /// ends in. That bumps the process-wide build counter once — the
-    /// fused path *is* the one index build of a front-end run.
-    pub(crate) fn finish(self, program: &Program) -> ProgramIndex {
-        let n = program.blocks.len();
-        debug_assert_eq!(n, self.summaries.len(), "every block must be sealed exactly once");
-        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (from, to) in &self.edges {
-            succs[from.0 as usize].push(*to);
-            preds[to.0 as usize].push(*from);
-        }
-        // `build` discovers predecessors by scanning blocks in id order,
-        // so its pred lists are ascending in the source block; the fused
-        // walk discovers them in seal/patch order. No block reaches the
-        // same successor through two terminator slots, so sorting
-        // reproduces `build`'s lists exactly.
-        for p in &mut preds {
-            p.sort_unstable();
-        }
-        assemble(
-            succs,
-            preds,
-            self.summaries,
-            self.grid_strides,
-            !self.any_cond,
-            self.any_div,
-            program,
-        )
-    }
-}
-
 impl ProgramIndex {
-    /// Builds the index for a lowered program. Called once per front-end
-    /// artifact; every call bumps the process-wide build counter so
-    /// tests (and `tune --stats`) can assert the once-per-artifact
-    /// discipline.
+    /// Builds the index for a lowered program in one scan of its blocks.
+    /// Called once per front-end artifact; every call bumps the
+    /// process-wide build counter so tests (and `tune --stats`) can
+    /// assert the once-per-artifact discipline.
     pub fn build(program: &Program) -> ProgramIndex {
-        let n = program.blocks.len();
-        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (i, b) in program.blocks.iter().enumerate() {
-            let from = BlockId(i as u32);
-            for s in b.term.successors() {
-                succs[i].push(s);
-                preds[s.0 as usize].push(from);
+        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
+        let mut summaries = Vec::with_capacity(program.blocks.len());
+        let mut grid_strides = Vec::new();
+        let (mut is_linear, mut has_divergence) = (true, false);
+        for block in &program.blocks {
+            match block.term {
+                Terminator::CondBranch { divergent, .. } => {
+                    is_linear = false;
+                    has_divergence |= divergent;
+                }
+                Terminator::LoopBack { trip: TripCount::GridStride(s), .. } => grid_strides.push(s),
+                _ => {}
             }
+            has_divergence |= freq_has_div(&block.freq);
+            summaries.push(summarize(block));
         }
-        let is_linear = !program
-            .blocks
-            .iter()
-            .any(|b| matches!(b.term, Terminator::CondBranch { .. }));
-        let has_divergence = program.blocks.iter().any(|b| {
-            matches!(b.term, Terminator::CondBranch { divergent: true, .. })
-                || freq_has_div(&b.freq)
-        });
-        let summaries = program.blocks.iter().map(summarize).collect();
-        let grid_strides = program
-            .blocks
-            .iter()
-            .filter_map(|b| match &b.term {
-                Terminator::LoopBack { trip: TripCount::GridStride(s), .. } => Some(*s),
-                _ => None,
-            })
-            .collect();
-        assemble(succs, preds, summaries, grid_strides, is_linear, has_divergence, program)
+        // A linear program has no conditional branch, hence nothing to
+        // reconverge: it skips the graph, the postdominator pass and
+        // region discovery entirely.
+        let regions = if is_linear {
+            Vec::new()
+        } else {
+            let succs: Vec<Vec<BlockId>> =
+                program.blocks.iter().map(|b| b.term.successors()).collect();
+            divergent_regions(program, &succs, &postdominators(program, &succs))
+        };
+        ProgramIndex { regions, summaries, grid_strides, has_divergence }
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.n
+        self.summaries.len()
     }
 
     /// True when the program has no blocks.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Precomputed natural loops, sorted by `(header, latch)`.
-    pub fn natural_loops(&self) -> &[NaturalLoop] {
-        &self.loops
+        self.summaries.is_empty()
     }
 
     /// Precomputed divergent regions in branch-block order, bodies
@@ -518,11 +353,123 @@ fn term_class(term: &Terminator) -> TermClass {
     }
 }
 
+/// Immediate postdominators: Cooper–Harvey–Kennedy iterative dominators
+/// of the reversed graph, rooted at a virtual exit (index `n`) that
+/// every `Ret` block feeds. `None` for a block that cannot reach an
+/// exit, and for one whose nearest postdominator is the exit itself.
+fn postdominators(program: &Program, succs: &[Vec<BlockId>]) -> Vec<Option<BlockId>> {
+    let n = succs.len();
+    let exit = n;
+    let is_ret = |b: usize| matches!(program.blocks[b].term, Terminator::Ret);
+    // Reversed edges: `s → b` for every `b → s`, and the exit to every
+    // `Ret` block.
+    let mut rsuccs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+    for (b, ss) in succs.iter().enumerate() {
+        if is_ret(b) {
+            rsuccs[exit].push(b);
+        }
+        for s in ss {
+            rsuccs[s.0 as usize].push(b);
+        }
+    }
+    // Reverse postorder of the reversed graph from the exit.
+    let mut rpo = Vec::with_capacity(n + 1);
+    let mut visited = vec![false; n + 1];
+    visited[exit] = true;
+    let mut stack = vec![(exit, 0usize)];
+    while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+        if let Some(&s) = rsuccs[b].get(*next) {
+            *next += 1;
+            if !visited[s] {
+                visited[s] = true;
+                stack.push((s, 0));
+            }
+        } else {
+            rpo.push(b);
+            stack.pop();
+        }
+    }
+    rpo.reverse();
+    // Each node's position in `rpo`; `usize::MAX` for a block that
+    // cannot reach an exit.
+    let mut order = vec![usize::MAX; n + 1];
+    for (i, &b) in rpo.iter().enumerate() {
+        order[b] = i;
+    }
+    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
+        while a != b {
+            while order[a] > order[b] {
+                a = idom[a].expect("processed");
+            }
+            while order[b] > order[a] {
+                b = idom[b].expect("processed");
+            }
+        }
+        a
+    };
+    let mut idom: Vec<Option<usize>> = vec![None; n + 1];
+    idom[exit] = Some(exit);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &rpo[1..] {
+            // `b`'s predecessors in the reversed graph are its successors,
+            // plus the exit when it returns.
+            let preds = succs[b].iter().map(|s| s.0 as usize).chain(is_ret(b).then_some(exit));
+            let mut new_idom = None;
+            for p in preds.filter(|&p| idom[p].is_some()) {
+                new_idom = Some(new_idom.map_or(p, |cur| intersect(&idom, p, cur)));
+            }
+            if new_idom.is_some() && idom[b] != new_idom {
+                idom[b] = new_idom;
+                changed = true;
+            }
+        }
+    }
+    idom.truncate(n);
+    idom.into_iter()
+        .map(|d| d.filter(|&d| d != exit).map(|d| BlockId(d as u32)))
+        .collect()
+}
+
+/// Divergent regions: for every divergent conditional branch, the blocks
+/// reachable from its successors without passing its immediate
+/// postdominator (where lanes reconverge) or the branch itself — every
+/// reachable block when it has none. Bodies are sorted, so any cost
+/// summed over a region is deterministic.
+fn divergent_regions(
+    program: &Program,
+    succs: &[Vec<BlockId>],
+    ipostdom: &[Option<BlockId>],
+) -> Vec<DivRegion> {
+    let mut seen = vec![false; succs.len()];
+    let mut regions = Vec::new();
+    for (i, block) in program.blocks.iter().enumerate() {
+        let Terminator::CondBranch { divergent: true, .. } = block.term else {
+            continue;
+        };
+        let (branch_block, reconvergence) = (BlockId(i as u32), ipostdom[i]);
+        seen.fill(false);
+        let mut body = Vec::new();
+        let mut stack = succs[i].clone();
+        while let Some(cur) = stack.pop() {
+            if Some(cur) == reconvergence || cur == branch_block || seen[cur.0 as usize] {
+                continue;
+            }
+            seen[cur.0 as usize] = true;
+            body.push(cur);
+            stack.extend_from_slice(&succs[cur.0 as usize]);
+        }
+        body.sort_unstable();
+        regions.push(DivRegion { branch_block, reconvergence, body });
+    }
+    regions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{AluOp, Branch, DivergenceKind, KernelAst, Loop, Stmt};
-    use crate::cfg::Cfg;
     use crate::count::{expected_mix, static_mix};
     use crate::lower::{lower, LowerOptions};
     use oriole_arch::Family;
@@ -543,25 +490,33 @@ mod tests {
         let idx = ProgramIndex::build(&p);
         assert!(!idx.has_divergence());
         assert!(idx.divergent_regions().is_empty());
-        assert!(!idx.natural_loops().is_empty());
+        assert_eq!(idx.len(), 3);
         assert!(!idx.is_empty());
     }
 
     #[test]
-    fn divergent_branch_disables_fast_path() {
-        let p = lowered(vec![Stmt::If(Branch {
-            divergence: DivergenceKind::ThreadDependent,
-            taken_fraction: 0.5,
-            then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
-            else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
-        })]);
+    fn diamond_region_holds_both_sides_and_reconverges_at_the_merge() {
+        // entry=0, then=1, else=2, merge=3.
+        let p = lowered(vec![
+            Stmt::If(Branch {
+                divergence: DivergenceKind::ThreadDependent,
+                taken_fraction: 0.5,
+                then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
+                else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
+            }),
+            Stmt::ops(AluOp::AddF32, 1),
+        ]);
         let idx = ProgramIndex::build(&p);
         assert!(idx.has_divergence());
         assert!(!idx.divergence_fast_path());
-        assert_eq!(idx.divergent_regions().len(), 1);
-        // Region bodies are sorted.
-        let body = &idx.divergent_regions()[0].body;
-        assert!(body.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            idx.divergent_regions(),
+            [DivRegion {
+                branch_block: BlockId(0),
+                reconvergence: Some(BlockId(3)),
+                body: vec![BlockId(1), BlockId(2)],
+            }]
+        );
     }
 
     #[test]
@@ -570,7 +525,7 @@ mod tests {
             divergence: DivergenceKind::Uniform,
             taken_fraction: 0.5,
             then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
-            else_body: vec![],
+            else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
         })]);
         let idx = ProgramIndex::build(&p);
         assert!(!idx.has_divergence());
@@ -579,24 +534,32 @@ mod tests {
     }
 
     #[test]
-    fn index_cfg_matches_cfg_build() {
-        let p = lowered(vec![
-            Stmt::If(Branch {
-                divergence: DivergenceKind::ThreadDependent,
-                taken_fraction: 0.3,
-                then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
-                else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
-            }),
-            Stmt::Loop(Loop {
-                trip: TripCount::Size(SizeExpr::N),
-                unrollable: false,
-                body: vec![Stmt::ops(AluOp::FmaF32, 1)],
-            }),
-        ]);
+    fn divergence_inside_a_loop_reconverges_before_the_back_edge() {
+        // entry=0, loop header with the branch=1, then=2, merge and
+        // latch=3, after=4.
+        let p = lowered(vec![Stmt::Loop(Loop {
+            trip: TripCount::Size(SizeExpr::N),
+            unrollable: false,
+            body: vec![
+                Stmt::If(Branch {
+                    divergence: DivergenceKind::ThreadDependent,
+                    taken_fraction: 0.1,
+                    then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
+                    else_body: vec![],
+                }),
+                Stmt::ops(AluOp::FmaF32, 1),
+            ],
+        })]);
+        assert!(matches!(p.blocks[3].term, Terminator::LoopBack { .. }));
         let idx = ProgramIndex::build(&p);
-        let cfg = Cfg::build(&p);
-        assert_eq!(idx.len(), cfg.len());
-        assert_eq!(idx.natural_loops(), cfg.natural_loops(&p).as_slice());
+        assert_eq!(
+            idx.divergent_regions(),
+            [DivRegion {
+                branch_block: BlockId(1),
+                reconvergence: Some(BlockId(3)),
+                body: vec![BlockId(2)],
+            }]
+        );
     }
 
     #[test]
@@ -644,7 +607,6 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ast::{AluOp, Branch, DivergenceKind, KernelAst, Loop, MemStmt, Stmt};
-    use crate::cfg::Cfg;
     use crate::count::{expected_mix, static_mix};
     use crate::lower::{lower, LowerOptions};
     use oriole_arch::Family;
@@ -731,26 +693,6 @@ mod proptests {
             prop_assert_eq!(idx.static_mix(), static_mix(&p));
             let geom = LaunchGeometry::new(n, tc, bc);
             prop_assert_eq!(idx.expected_mix(&p, geom), expected_mix(&p, geom));
-        }
-
-        #[test]
-        fn index_cfg_matches_walk(ast in arb_kernel()) {
-            let p = lower(&ast, Family::Maxwell, LowerOptions::default());
-            let idx = ProgramIndex::build(&p);
-            let cfg = Cfg::build(&p);
-            prop_assert_eq!(idx.len(), cfg.len());
-            let loops = cfg.natural_loops(&p);
-            prop_assert_eq!(idx.natural_loops(), loops.as_slice());
-            // Regions agree modulo the index's sorted body representation.
-            let walk = cfg.divergent_regions(&p);
-            prop_assert_eq!(idx.divergent_regions().len(), walk.len());
-            for (a, b) in idx.divergent_regions().iter().zip(&walk) {
-                prop_assert_eq!(a.branch_block, b.branch_block);
-                prop_assert_eq!(a.reconvergence, b.reconvergence);
-                let mut body: Vec<BlockId> = b.body.iter().copied().collect();
-                body.sort_unstable();
-                prop_assert_eq!(&a.body, &body);
-            }
         }
 
         #[test]

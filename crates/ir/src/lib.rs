@@ -13,13 +13,11 @@
 //! * [`lower`] — deterministic lowering from the AST to the linear IR,
 //!   including address arithmetic, loop bookkeeping and barrier placement
 //!   (what `nvcc` would have produced for us).
-//! * [`cfg`] — control-flow graph construction, dominators,
-//!   post-dominators, natural-loop detection and divergent-region
-//!   analysis.
-//! * [`index`] — the per-lowered-program [`ProgramIndex`] artifact:
-//!   Vec-indexed CFG, precomputed loops/divergent regions, and per-block
+//! * [`index`] — the per-lowered-program [`ProgramIndex`] artifact and
+//!   the crate's only CFG code: one scan that finds the divergent
+//!   regions (postdominators over the successor graph) and the per-block
 //!   summary tapes, built once per front-end artifact and shared by every
-//!   analysis phase (with a branch-free fast path for linear programs).
+//!   analysis phase (a branch-free program builds no graph at all).
 //! * [`text`] — a textual "disassembly" format with a full parser, so the
 //!   static analyzer can consume programs the way the paper's tool
 //!   consumes `nvdisasm` output (emit → parse round-trips exactly).
@@ -36,7 +34,6 @@
 
 pub mod ast;
 pub mod block;
-pub mod cfg;
 pub mod count;
 pub mod index;
 pub mod instr;
@@ -49,7 +46,6 @@ pub use ast::{
     MemSpace, MemStmt, OpStmt, SharedDecl, SizeExpr, Stmt, TripCount,
 };
 pub use block::{BasicBlock, BlockArena, BlockId, FreqExpr, Program, ProgramMeta, Terminator};
-pub use cfg::{Cfg, DivergentRegion, NaturalLoop};
 pub use count::{expected_mix, expected_mix_of, static_mix, ClassMix, LaunchGeometry, MixCounts};
 pub use index::{BlockSummary, DivRegion, ProfileEvent, ProgramIndex, TermClass};
 pub use instr::{Instr, MemAnnot, Operand, Pred, Reg, SpecialReg};

@@ -28,15 +28,14 @@
 //! exist purely for human-readable disassembly, so during lowering the
 //! current label is a two-word [`PendingLabel`] (stem + sequence number)
 //! that is materialized to its `String` form only when the block seals.
-//! The same walk optionally feeds an [`IndexBuilder`] so that
-//! [`lower_indexed`] yields the per-program [`ProgramIndex`] without a
-//! second pass over the finished instruction vectors. The original
-//! string-label implementation is retained verbatim as the `oracle` test
-//! module and property tests pin the two bit-identical.
+//! The original string-label implementation is retained verbatim as the
+//! `oracle` test module and property tests pin the two bit-identical.
+//! [`lower_indexed`] is this walk followed by [`ProgramIndex::build`],
+//! the one place an index is built.
 
 use crate::ast::{AccessPattern, AluOp, KernelAst, MemSpace, MemStmt, Stmt, TripCount};
 use crate::block::{BasicBlock, BlockId, FreqExpr, Program, ProgramMeta, Terminator};
-use crate::index::{IndexBuilder, ProgramIndex};
+use crate::index::ProgramIndex;
 use crate::instr::{Instr, Operand, Pred, Reg, SpecialReg};
 use crate::isa::{CmpOp, OpKind, Opcode, Ty};
 use oriole_arch::Family;
@@ -55,27 +54,20 @@ pub struct LowerOptions {
 /// register allocator in `oriole-codegen` fills it in, exactly as `ptxas`
 /// (not the PTX generator) decides register usage in the real toolchain.
 pub fn lower(ast: &KernelAst, family: Family, opts: LowerOptions) -> Program {
-    let mut ctx = LowerCtx::new(family, opts);
-    ctx.run(ast).0
+    LowerCtx::new(family, opts).run(ast)
 }
 
-/// Lowers a kernel AST and builds its [`ProgramIndex`] in the same walk.
-///
-/// The index is accumulated as blocks seal (edges, summary tapes,
-/// divergence flags, grid strides), so the front end pays no separate
-/// post-pass over the finished program. The result is bit-identical to
-/// `lower` followed by `ProgramIndex::build` — property-tested, and
-/// the fused path bumps the process-wide index-build counter exactly
-/// once, same as `build` would.
+/// Lowers a kernel AST and builds its [`ProgramIndex`]: [`lower`], then
+/// one [`ProgramIndex::build`], which bumps the process-wide
+/// index-build counter once.
 pub fn lower_indexed(
     ast: &KernelAst,
     family: Family,
     opts: LowerOptions,
 ) -> (Program, ProgramIndex) {
-    let mut ctx = LowerCtx::new(family, opts);
-    ctx.accum = Some(IndexBuilder::new());
-    let (program, index) = ctx.run(ast);
-    (program, index.expect("accumulator installed above"))
+    let program = lower(ast, family, opts);
+    let index = ProgramIndex::build(&program);
+    (program, index)
 }
 
 /// Label stems the lowerer can open blocks under.
@@ -142,8 +134,6 @@ struct LowerCtx {
     window: Vec<Reg>,
     /// Round-robin cursor into `window`.
     cursor: usize,
-    /// When set, the [`ProgramIndex`] is accumulated as blocks seal.
-    accum: Option<IndexBuilder>,
 }
 
 impl LowerCtx {
@@ -160,11 +150,10 @@ impl LowerCtx {
             next_label: 0,
             window: Vec::new(),
             cursor: 0,
-            accum: None,
         }
     }
 
-    fn run(&mut self, ast: &KernelAst) -> (Program, Option<ProgramIndex>) {
+    fn run(&mut self, ast: &KernelAst) -> Program {
         self.emit_prologue();
         let body_freq = FreqExpr::Once;
         self.lower_stmts(&ast.body, &body_freq);
@@ -182,8 +171,7 @@ impl LowerCtx {
             blocks: std::mem::take(&mut self.blocks).into(),
         };
         debug_assert!(program.validate().is_empty(), "{:?}", program.validate());
-        let index = self.accum.take().map(|b| b.finish(&program));
-        (program, index)
+        program
     }
 
     /// Global-thread-id computation every data-parallel kernel performs.
@@ -263,25 +251,12 @@ impl LowerCtx {
     }
 
     fn seal_block(&mut self, term: Terminator) {
-        let block = BasicBlock {
+        self.blocks.push(BasicBlock {
             label: self.cur_label.materialize(),
             instrs: std::mem::take(&mut self.cur),
             term,
             freq: self.cur_freq.clone(),
-        };
-        if let Some(accum) = &mut self.accum {
-            accum.seal(&block);
-        }
-        self.blocks.push(block);
-    }
-
-    /// Replaces the terminator of an already-sealed block (the if/else
-    /// placeholder-patch protocol), keeping the fused index in sync.
-    fn patch_term(&mut self, index: usize, term: Terminator) {
-        if let Some(accum) = &mut self.accum {
-            accum.patch(BlockId(index as u32), &term);
-        }
-        self.blocks[index].term = term;
+        });
     }
 
     /// Id the *next* sealed block will get.
@@ -724,34 +699,33 @@ impl LowerCtx {
                 freq.clone(),
             );
             let merge_id = BlockId(else_end_index as u32 + 1);
-            self.patch_term(cond_block_index, Terminator::CondBranch {
+            self.blocks[cond_block_index].term = Terminator::CondBranch {
                 pred: p,
                 taken: then_id,
                 fallthrough: else_id,
                 divergent,
                 taken_fraction: b.taken_fraction,
-            });
-            self.patch_term(then_end_index, Terminator::Jump(merge_id));
-            self.patch_term(else_end_index, Terminator::Jump(merge_id));
+            };
+            self.blocks[then_end_index].term = Terminator::Jump(merge_id);
+            self.blocks[else_end_index].term = Terminator::Jump(merge_id);
         } else {
             let merge_id = BlockId(then_end_index as u32 + 1);
-            self.patch_term(cond_block_index, Terminator::CondBranch {
+            self.blocks[cond_block_index].term = Terminator::CondBranch {
                 pred: p,
                 taken: then_id,
                 fallthrough: merge_id,
                 divergent,
                 taken_fraction: b.taken_fraction,
-            });
-            self.patch_term(then_end_index, Terminator::Jump(merge_id));
+            };
+            self.blocks[then_end_index].term = Terminator::Jump(merge_id);
         }
     }
 }
 
 /// The pre-arena string-label lowerer, retained verbatim as the oracle
 /// for the interned-label implementation: labels are formatted eagerly
-/// with `format!`, terminator patches write straight into the block
-/// vector, and no index is accumulated. Property tests pin
-/// [`lower`](super::lower) bit-identical to [`oracle::lower`](lower).
+/// with `format!`. Property tests pin [`lower`](super::lower)
+/// bit-identical to [`oracle::lower`](lower).
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
@@ -1565,28 +1539,6 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn lower_indexed_matches_separate_build() {
-        let mut k = KernelAst::new("fused");
-        k.body = vec![
-            Stmt::Loop(Loop {
-                trip: TripCount::Size(SizeExpr::N),
-                unrollable: true,
-                body: vec![Stmt::ops(AluOp::FmaF32, 1)],
-            }),
-            Stmt::If(Branch {
-                divergence: DivergenceKind::ThreadDependent,
-                taken_fraction: 0.3,
-                then_body: vec![Stmt::ops(AluOp::AddF32, 1)],
-                else_body: vec![Stmt::ops(AluOp::MulF32, 1)],
-            }),
-        ];
-        let opts = LowerOptions::default();
-        let (program, fused) = lower_indexed(&k, Family::Kepler, opts);
-        assert_eq!(program, lower(&k, Family::Kepler, opts));
-        assert_eq!(fused, ProgramIndex::build(&program));
-    }
 }
 
 #[cfg(test)]
@@ -1684,20 +1636,6 @@ mod proptests {
         ) {
             let opts = LowerOptions { fast_math };
             prop_assert_eq!(lower(&ast, family, opts), oracle::lower(&ast, family, opts));
-        }
-
-        /// The fused lowering+index walk yields the same program and the
-        /// same index as the separate post-pass build.
-        #[test]
-        fn fused_index_bit_identical_to_post_pass(
-            ast in arb_kernel(),
-            family in arb_family(),
-            fast_math in any::<bool>(),
-        ) {
-            let opts = LowerOptions { fast_math };
-            let (program, fused) = lower_indexed(&ast, family, opts);
-            prop_assert_eq!(&program, &lower(&ast, family, opts));
-            prop_assert_eq!(fused, ProgramIndex::build(&program));
         }
     }
 }

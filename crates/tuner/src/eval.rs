@@ -260,7 +260,7 @@ pub struct EvalStats {
     /// Program indexes built (process-wide; one per front-end artifact).
     pub index_builds: u64,
     /// Divergence fast-path hits — index-routed analyses that skipped
-    /// the dominator/divergence machinery entirely (process-wide).
+    /// the divergent-region machinery entirely (process-wide).
     pub index_fast_path_hits: u64,
     /// Divergence slow-path hits — analyses that walked precomputed
     /// divergent regions (process-wide).

@@ -11,8 +11,7 @@ use oriole::arch::Gpu;
 use oriole::codegen::{front_end, CompilerFlags, TuningParams};
 use oriole::core::analyze;
 use oriole::ir::index::telemetry;
-use oriole::ir::{LaunchGeometry, ProgramIndex};
-use oriole::kernels::{KernelId, ALL_KERNELS};
+use oriole::kernels::KernelId;
 use oriole::sim::{dynamic_mix, simulate};
 
 #[test]
@@ -59,8 +58,7 @@ fn front_end_builds_index_exactly_once() {
     // divergence-free).
     assert!(after_sweep.fast_path_hits > before.fast_path_hits);
 
-    // The index is built *during* lowering (fused into the walk), so a
-    // fresh artifact costs exactly one build no matter the kernel or
+    // A fresh artifact costs exactly one build no matter the kernel or
     // front-end key: builds track artifacts one-to-one.
     let mut artifacts = Vec::new();
     for kernel in [KernelId::Atax, KernelId::Bicg, KernelId::Ex14Fj] {
@@ -73,7 +71,7 @@ fn front_end_builds_index_exactly_once() {
     assert_eq!(
         after_batch.index_builds - after_sweep.index_builds,
         artifacts.len() as u64,
-        "fused construction builds exactly one index per front-end artifact"
+        "one index per front-end artifact"
     );
 
     // And re-sweeping those artifacts still adds zero builds.
@@ -92,30 +90,4 @@ fn front_end_builds_index_exactly_once() {
         after_batch.index_builds,
         "re-sweeping cached artifacts never rebuilds an index"
     );
-
-    // The fused index, reached the only way callers reach it
-    // (`CompiledKernel.index`), answers everything a consumer can ask
-    // exactly as a from-scratch `ProgramIndex::build` of the same
-    // program does: the index keeps no raw graph facts, and what it
-    // keeps does not depend on how the graph was discovered. Last,
-    // because the reference builds bump the counter asserted on above.
-    for kernel_id in ALL_KERNELS {
-        for uif in [1u32, 3] {
-            let fe = front_end(&kernel_id.ast(n), gpu, uif, cflags).expect("front end runs");
-            let params = TuningParams { uif, ..TuningParams::with_geometry(128, 48) };
-            let kernel = fe.specialize(params).expect("feasible on the K20");
-            let (fused, reference) = (&kernel.index, ProgramIndex::build(&kernel.program));
-            assert_eq!(fused.natural_loops(), reference.natural_loops(), "{kernel_id} uif {uif}");
-            assert_eq!(fused.divergent_regions(), reference.divergent_regions());
-            assert_eq!(fused.summaries(), reference.summaries());
-            assert_eq!(fused.has_divergence(), reference.has_divergence());
-            assert_eq!(fused.grid_stride_items(n), reference.grid_stride_items(n));
-            for geom in [kernel.geometry(n), LaunchGeometry::new(64, 1024, 24)] {
-                assert_eq!(
-                    fused.expected_mix(&kernel.program, geom),
-                    reference.expected_mix(&kernel.program, geom)
-                );
-            }
-        }
-    }
 }

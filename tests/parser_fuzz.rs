@@ -1,9 +1,76 @@
 //! Fuzz-style property tests for the two text parsers: arbitrary input
-//! must never panic, and valid-input round-trips must be stable.
+//! must never panic, valid-input round-trips must be stable, and every
+//! listing the disassembly parser accepts must analyze without
+//! panicking — IR text is the one outside input that reaches
+//! `ProgramIndex::build`.
 
-use oriole::ir::text;
+use oriole::arch::ALL_GPUS;
+use oriole::core::analyze_disassembly;
+use oriole::ir::lower::{lower, LowerOptions};
+use oriole::ir::{text, LaunchGeometry};
 use oriole::tuner::parse_spec;
 use proptest::prelude::*;
+
+mod common;
+use common::arb_kernel;
+
+/// Analyzes `listing` when it parses, on the device of its family: a
+/// parsed listing must analyze, never panic.
+fn analyzes_if_it_parses(listing: &str, geometry: LaunchGeometry) -> Result<(), TestCaseError> {
+    let Ok(program) = text::parse(listing) else {
+        return Ok(());
+    };
+    let gpu = ALL_GPUS
+        .iter()
+        .map(|g| g.spec())
+        .find(|s| s.family == program.meta.family)
+        .expect("one device per family");
+    if let Err(e) = analyze_disassembly(listing, gpu, geometry) {
+        return Err(TestCaseError::fail(format!("{e}\n{listing}")));
+    }
+    Ok(())
+}
+
+/// One terminator edit: a branch whose two targets coincide, a loop-back
+/// to the entry, a block that jumps to itself (so it can never reach
+/// `ret`), or a flipped `divergent=` flag. `at` picks which matching
+/// line; a listing with no such line is left as it is.
+fn mutate(listing: &str, kind: usize, at: usize) -> String {
+    let mut lines: Vec<String> = listing.lines().map(str::to_string).collect();
+    let mut label = String::new();
+    let mut sites = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(rest) = line.strip_prefix(".block ") {
+            label = rest.split_whitespace().next().unwrap_or_default().to_string();
+        }
+        let Some(term) = line.trim().strip_prefix("term ") else {
+            continue;
+        };
+        let words: Vec<&str> = term.split_whitespace().collect();
+        let edited = match (kind, words.as_slice()) {
+            (0, ["condbr", pred, taken, _, rest @ ..]) => {
+                Some(format!("condbr {pred} {taken} {taken} {}", rest.join(" ")))
+            }
+            (1, ["loopback", _, exit, rest @ ..]) => {
+                Some(format!("loopback entry {exit} {}", rest.join(" ")))
+            }
+            (2, _) => Some(format!("jump {label}")),
+            (3, ["condbr", ..]) if term.contains("divergent=true") => {
+                Some(term.replace("divergent=true", "divergent=false"))
+            }
+            (3, ["condbr", ..]) => Some(term.replace("divergent=false", "divergent=true")),
+            _ => None,
+        };
+        if let Some(edited) = edited {
+            sites.push((i, format!("  term {edited}")));
+        }
+    }
+    if !sites.is_empty() {
+        let (i, edited) = sites.swap_remove(at % sites.len());
+        lines[i] = edited;
+    }
+    lines.join("\n")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -11,7 +78,7 @@ proptest! {
     #[test]
     fn disassembly_parser_is_total_on_garbage(input in "\\PC*") {
         // Any outcome but a panic is acceptable.
-        let _ = text::parse(&input);
+        analyzes_if_it_parses(&input, LaunchGeometry::new(64, 128, 48))?;
     }
 
     #[test]
@@ -29,7 +96,25 @@ proptest! {
             0..12,
         )
     ) {
-        let _ = text::parse(&lines.join("\n"));
+        analyzes_if_it_parses(&lines.join("\n"), LaunchGeometry::new(64, 128, 48))?;
+    }
+
+    #[test]
+    fn mutated_listings_that_parse_analyze_without_panicking(
+        ast in arb_kernel(),
+        gpu_i in 0usize..4,
+        fast_math in any::<bool>(),
+        mutations in prop::collection::vec((0usize..4, any::<u64>()), 1..4),
+        (n, tc_i, bc) in (1u64..=512, 1u32..=32, 1u32..=192),
+    ) {
+        let family = ALL_GPUS[gpu_i].spec().family;
+        let mut listing = text::emit(&lower(&ast, family, LowerOptions { fast_math }));
+        let geometry = LaunchGeometry::new(n, tc_i * 32, bc);
+        analyzes_if_it_parses(&listing, geometry)?;
+        for (kind, at) in mutations {
+            listing = mutate(&listing, kind, at as usize);
+            analyzes_if_it_parses(&listing, geometry)?;
+        }
     }
 
     #[test]

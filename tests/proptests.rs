@@ -1,87 +1,17 @@
 //! Property-based tests over the public API: random kernel ASTs must
-//! round-trip through the disassembler, keep the CFG well-formed, and
-//! keep the analyzers total.
+//! round-trip through the disassembler, keep the index's divergent
+//! regions well-formed, and keep the analyzers total.
 
 use oriole::arch::{Family, Gpu};
 use oriole::codegen::{compile, regalloc, transform, TuningParams};
 use oriole::ir::{
     lower::{lower, LowerOptions},
-    text, AccessPattern, AluOp, Branch, Cfg, DivergenceKind, KernelAst, LaunchGeometry, Loop,
-    MemSpace, SizeExpr, Stmt, TripCount,
+    text, KernelAst, LaunchGeometry, ProgramIndex, Terminator,
 };
 use proptest::prelude::*;
 
-/// Strategy for arbitrary (bounded-depth) statement trees.
-fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
-    let alu = prop_oneof![
-        Just(AluOp::AddF32),
-        Just(AluOp::MulF32),
-        Just(AluOp::FmaF32),
-        Just(AluOp::DivF32),
-        Just(AluOp::SqrtF32),
-        Just(AluOp::ExpF32),
-        Just(AluOp::SinCosF32),
-        Just(AluOp::AddI32),
-        Just(AluOp::MulI32),
-        Just(AluOp::BitI32),
-        Just(AluOp::CvtI32F32),
-        Just(AluOp::Cvt64),
-        Just(AluOp::MinMaxF32),
-    ];
-    let space = prop_oneof![
-        Just(MemSpace::Global),
-        Just(MemSpace::Shared),
-        Just(MemSpace::Constant),
-    ];
-    let pattern = prop_oneof![
-        Just(AccessPattern::Coalesced),
-        Just(AccessPattern::Broadcast),
-        Just(AccessPattern::Random),
-        (1u32..=64).prop_map(AccessPattern::Strided),
-    ];
-    let leaf = prop_oneof![
-        (alu, 1u32..4).prop_map(|(op, count)| Stmt::ops(op, count)),
-        (space.clone(), pattern.clone(), 1u32..3)
-            .prop_map(|(s, p, c)| Stmt::load(s, p, c)),
-        (space, pattern, 1u32..3).prop_map(|(s, p, c)| {
-            Stmt::Store(oriole::ir::MemStmt { space: s, pattern: p, elem_bytes: 4, count: c })
-        }),
-        Just(Stmt::SyncThreads),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    let trip = prop_oneof![
-        (1u64..=64).prop_map(TripCount::Const),
-        (0u8..=2).prop_map(|p| TripCount::Size(SizeExpr::new(1.0, p))),
-        (1u8..=2).prop_map(|p| TripCount::GridStride(SizeExpr::new(1.0, p))),
-    ];
-    let inner = arb_stmt(depth - 1);
-    prop_oneof![
-        4 => leaf,
-        2 => (trip, prop::collection::vec(inner.clone(), 1..4), any::<bool>()).prop_map(
-            |(trip, body, unrollable)| Stmt::Loop(Loop { trip, body, unrollable })
-        ),
-        1 => (
-            prop_oneof![Just(DivergenceKind::Uniform), Just(DivergenceKind::ThreadDependent)],
-            0.0f64..=1.0,
-            prop::collection::vec(inner.clone(), 1..3),
-            prop::collection::vec(inner, 0..3),
-        )
-            .prop_map(|(divergence, taken_fraction, then_body, else_body)| {
-                Stmt::If(Branch { divergence, taken_fraction, then_body, else_body })
-            }),
-    ]
-    .boxed()
-}
-
-fn arb_kernel() -> impl Strategy<Value = KernelAst> {
-    prop::collection::vec(arb_stmt(2), 1..5).prop_map(|body| {
-        let mut k = KernelAst::new("prop_kernel");
-        k.body = body;
-        k
-    })
-}
+mod common;
+use common::arb_kernel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,19 +31,22 @@ proptest! {
     #[test]
     fn cfg_is_well_formed(ast in arb_kernel()) {
         let program = lower(&ast, Family::Maxwell, LowerOptions::default());
-        let cfg = Cfg::build(&program);
-        prop_assert_eq!(cfg.len(), program.blocks.len());
-        // Entry dominates every reachable block.
-        let reach = program.reachable();
-        for (i, ok) in reach.iter().enumerate() {
-            if *ok {
-                prop_assert!(cfg.dominates(oriole::ir::BlockId(0), oriole::ir::BlockId(i as u32)));
+        let index = ProgramIndex::build(&program);
+        prop_assert_eq!(index.len(), program.blocks.len());
+        for region in index.divergent_regions() {
+            // Each region opens at a divergent conditional branch ...
+            let branch = &program.blocks[region.branch_block.0 as usize].term;
+            prop_assert!(
+                matches!(branch, Terminator::CondBranch { divergent: true, .. }),
+                "region at {} opens on {:?}", region.branch_block, branch
+            );
+            // ... and its body is sorted, in range, and holds neither the
+            // branch nor the block where the lanes reconverge.
+            prop_assert!(region.body.windows(2).all(|w| w[0] < w[1]), "{:?}", region.body);
+            for &b in &region.body {
+                prop_assert!((b.0 as usize) < program.blocks.len());
+                prop_assert!(b != region.branch_block && Some(b) != region.reconvergence);
             }
-        }
-        // Loop bodies contain their headers and latches.
-        for l in cfg.natural_loops(&program) {
-            prop_assert!(l.body.contains(&l.header));
-            prop_assert!(l.body.contains(&l.latch));
         }
     }
 
