@@ -4,7 +4,7 @@
 
 use crate::args::Args;
 use oriole_arch::{Gpu, ALL_GPUS};
-use oriole_codegen::{compile, CompilerFlags, PreferredL1, TuningParams};
+use oriole_codegen::{compile, CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
 use oriole_core::predict::predict_time_with;
 use oriole_core::{analyze, report, suggest};
 use oriole_fleet::FleetSpec;
@@ -157,8 +157,8 @@ fleet flag (tune): --fleet ADDRS|@FILE
             eagerly. Mutually exclusive with --remote and --store-dir.
 tune flags: --budget B --sizes 32,64,... --spec FILE --seed N --csv
             --stats (print cache telemetry: unique evaluations,
-            lowerings, disk loads/spills, program-index and compile-phase
-            counters, the active timing model; with --remote/--fleet:
+            lowerings, disk loads/spills, the compile phases those
+            lowerings ran, the active timing model; with --remote/--fleet:
             client fetches, the scheduler ledger and one line per
             daemon, plus a single daemon's serving and store counters)
 "
@@ -700,20 +700,7 @@ fn render_server_stats(s: &ServiceStats) -> String {
         s.unique_evaluations,
         s.contexts
     );
-    let p = &s.phases;
-    let _ = writeln!(
-        out,
-        "  compile phases: unroll {} ({} calls), lower {} ({} calls), optimize {} ({} calls), \
-         regalloc {} ({} calls)",
-        fmt_ns(p.unroll_ns),
-        p.unroll_calls,
-        fmt_ns(p.lower_ns),
-        p.lower_calls,
-        fmt_ns(p.optimize_ns),
-        p.optimize_calls,
-        fmt_ns(p.regalloc_ns),
-        p.regalloc_calls
-    );
+    out.push_str(&render_phases(&s.phases));
     match &s.disk {
         Some(d) => {
             let _ = writeln!(
@@ -1055,29 +1042,22 @@ fn render_stats(before: EvalStats, after: EvalStats) -> String {
         "  disk tier: {} loaded, {} spilled",
         after.disk_loaded, after.disk_spilled
     );
-    let _ = writeln!(
-        out,
-        "  program index: {} built, fast-path hits {}, slow-path hits {}",
-        after.index_builds - before.index_builds,
-        after.index_fast_path_hits - before.index_fast_path_hits,
-        after.index_slow_path_hits - before.index_slow_path_hits
-    );
-    let phases = after.phases.since(&before.phases);
-    let _ = writeln!(
-        out,
-        "  compile phases: unroll {} ({} calls), lower {} ({} calls), optimize {} ({} calls), \
-         regalloc {} ({} calls)",
-        fmt_ns(phases.unroll_ns),
-        phases.unroll_calls,
-        fmt_ns(phases.lower_ns),
-        phases.lower_calls,
-        fmt_ns(phases.optimize_ns),
-        phases.optimize_calls,
-        fmt_ns(phases.regalloc_ns),
-        phases.regalloc_calls
-    );
+    out.push_str(&render_phases(&after.phases.since(&before.phases)));
     let _ = writeln!(out, "  timing model: {}", after.model);
     out
+}
+
+/// The `compile phases:` line of both stats blocks.
+fn render_phases(p: &PhaseTelemetry) -> String {
+    format!(
+        "  compile phases: unroll {} ({} calls), lower {} ({} calls), regalloc {} ({} calls)\n",
+        fmt_ns(p.unroll_ns),
+        p.unroll_calls,
+        fmt_ns(p.lower_ns),
+        p.lower_calls,
+        fmt_ns(p.regalloc_ns),
+        p.regalloc_calls
+    )
 }
 
 #[cfg(test)]
@@ -1144,20 +1124,36 @@ mod tests {
 
     #[test]
     fn tune_stats_prints_cache_telemetry() {
-        let out = call(
-            "tune --kernel atax --gpu k20 --strategy random --budget 6 --sizes 32 --stats",
-        )
+        // A store of its own, so every count is this run's alone.
+        let dir = temp_store("stats");
+        let out = call(&format!(
+            "tune --kernel atax --gpu k20 --strategy random --budget 6 --sizes 32 --stats \
+             --store-dir {dir}"
+        ))
         .unwrap();
-        for needle in [
-            "cache stats",
-            "unique evaluations:",
-            "front-end lowerings:",
-            "program index:",
-            "fast-path hits",
-            "timing model: sim",
-        ] {
-            assert!(out.contains(needle), "missing `{needle}` in:\n{out}");
-        }
+        let block: Vec<&str> = out.lines().skip_while(|l| !l.starts_with("cache stats")).collect();
+        assert_eq!(block.len(), 6, "{out}");
+        assert_eq!(
+            block[1..4],
+            [
+                "  unique evaluations: 6 new, 6 in tier",
+                "  front-end lowerings: 5 new, 5 in tier",
+                "  disk tier: 0 loaded, 6 spilled",
+            ],
+            "{out}"
+        );
+        // Six points over five of the ten `(UIF, CFLAGS)` programs: each
+        // unrolled, lowered and register-allocated once. Only the wall
+        // times vary from run to run.
+        let calls: Vec<(&str, &str)> = block[4]
+            .trim_start_matches("  compile phases: ")
+            .split(", ")
+            .filter_map(|phase| Some((phase.split_once(' ')?.0, phase.split_once(" (")?.1)))
+            .collect();
+        let five = "5 calls)";
+        assert_eq!(calls, [("unroll", five), ("lower", five), ("regalloc", five)], "{out}");
+        assert_eq!(block[5], "  timing model: sim");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   `atax`, `bicg` and `matvec2d`; none for `ex14fj`, whose branch
 //!   carries `boundary_fraction(n)`). The register-allocation result,
 //!   which depends only on the lowered program and the device register
-//!   cap, is computed once per artifact on first use and cached.
+//!   cap, is computed once per artifact on first use and cached. The
+//!   artifact keeps the wall time of each phase it ran beside its
+//!   result ([`FrontEnd::phases`]), so whoever holds artifacts can add
+//!   up what they cost.
 //! * The **back-end** ([`FrontEnd::specialize`]) is cheap and
 //!   param-dependent: parameter validation, the shared-memory footprint
 //!   (which scales with `TC` for block-scaled tiles), metadata fill-in,
@@ -29,7 +32,6 @@
 //! pipeline (a property-tested invariant, see `tests/proptests.rs`).
 
 use crate::params::{CompilerFlags, TuningParams};
-use crate::profile::{self, Phase};
 use crate::regalloc::{self, RegAllocation};
 use crate::transform;
 use oriole_arch::{validate_launch, GpuSpec, LaunchCheck};
@@ -37,6 +39,7 @@ use oriole_ir::lower::{lower_indexed, LowerOptions};
 use oriole_ir::{KernelAst, LaunchGeometry, Program, ProgramIndex, SharedDecl};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Compilation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,8 +135,65 @@ pub struct FrontEnd {
     /// The analysis index of `program`, built exactly once here and
     /// cloned (by `Arc`) into every specialization.
     index: Arc<ProgramIndex>,
-    /// Lazily computed, shared by all specializations.
-    alloc: OnceLock<RegAllocation>,
+    /// Nanoseconds [`front_end`] spent unrolling, and lowering (the
+    /// index build included).
+    unroll_ns: u64,
+    lower_ns: u64,
+    /// Lazily computed, shared by all specializations, beside the
+    /// nanoseconds it took.
+    alloc: OnceLock<(RegAllocation, u64)>,
+}
+
+/// What building front-end artifacts cost, per phase: wall time and
+/// calls of unroll, lower (the index build included) and register
+/// allocation. One artifact's ([`FrontEnd::phases`]) reads one call of
+/// each phase it has run; a tier of artifacts adds those up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTelemetry {
+    /// Nanoseconds spent unrolling.
+    pub unroll_ns: u64,
+    /// Unroll invocations.
+    pub unroll_calls: u64,
+    /// Nanoseconds spent lowering (including the index build).
+    pub lower_ns: u64,
+    /// Lower invocations.
+    pub lower_calls: u64,
+    /// Nanoseconds spent in register allocation.
+    pub regalloc_ns: u64,
+    /// Register-allocation invocations.
+    pub regalloc_calls: u64,
+}
+
+impl PhaseTelemetry {
+    /// `f` applied field by field.
+    fn zip(self, other: PhaseTelemetry, f: impl Fn(u64, u64) -> u64) -> PhaseTelemetry {
+        PhaseTelemetry {
+            unroll_ns: f(self.unroll_ns, other.unroll_ns),
+            unroll_calls: f(self.unroll_calls, other.unroll_calls),
+            lower_ns: f(self.lower_ns, other.lower_ns),
+            lower_calls: f(self.lower_calls, other.lower_calls),
+            regalloc_ns: f(self.regalloc_ns, other.regalloc_ns),
+            regalloc_calls: f(self.regalloc_calls, other.regalloc_calls),
+        }
+    }
+
+    /// Counter-wise difference against an earlier reading (saturating,
+    /// so a stale `before` cannot underflow).
+    #[must_use]
+    pub fn since(&self, before: &PhaseTelemetry) -> PhaseTelemetry {
+        self.zip(*before, u64::saturating_sub)
+    }
+}
+
+impl std::iter::Sum for PhaseTelemetry {
+    fn sum<I: Iterator<Item = PhaseTelemetry>>(iter: I) -> PhaseTelemetry {
+        iter.fold(PhaseTelemetry::default(), |a, b| a.zip(b, u64::saturating_add))
+    }
+}
+
+/// Nanoseconds since `start`.
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs the param-independent front-end: validates `uif`, unrolls, and
@@ -150,18 +210,22 @@ pub fn front_end(
     if let Some(problem) = TuningParams::uif_problem(uif) {
         return Err(CompileError::InvalidParams(vec![problem]));
     }
-    let transformed = profile::time(Phase::Unroll, || transform::unroll(ast, uif));
-    let (program, index) = profile::time(Phase::Lower, || {
-        lower_indexed(&transformed, gpu.family, LowerOptions { fast_math: cflags.fast_math })
-    });
-    let index = Arc::new(index);
+    let start = Instant::now();
+    let transformed = transform::unroll(ast, uif);
+    let unroll_ns = ns_since(start);
+    let start = Instant::now();
+    let (program, index) =
+        lower_indexed(&transformed, gpu.family, LowerOptions { fast_math: cflags.fast_math });
+    let lower_ns = ns_since(start);
     Ok(FrontEnd {
         gpu: gpu.clone(),
         uif,
         cflags,
         program,
         shared: ast.shared.clone(),
-        index,
+        index: Arc::new(index),
+        unroll_ns,
+        lower_ns,
         alloc: OnceLock::new(),
     })
 }
@@ -170,9 +234,28 @@ impl FrontEnd {
     /// The cached register allocation for this lowered program at the
     /// device cap (computed on first use).
     pub(crate) fn allocation(&self) -> RegAllocation {
-        *self
-            .alloc
-            .get_or_init(|| regalloc::allocate(&self.program, self.gpu.regs_per_thread_max))
+        self.alloc
+            .get_or_init(|| {
+                let start = Instant::now();
+                let alloc = regalloc::allocate(&self.program, self.gpu.regs_per_thread_max);
+                (alloc, ns_since(start))
+            })
+            .0
+    }
+
+    /// What building this artifact has cost so far: its unroll, its
+    /// lower and — once a specialization has asked for it — its
+    /// register allocation.
+    pub fn phases(&self) -> PhaseTelemetry {
+        let (regalloc_ns, regalloc_calls) = self.alloc.get().map_or((0, 0), |&(_, ns)| (ns, 1));
+        PhaseTelemetry {
+            unroll_ns: self.unroll_ns,
+            unroll_calls: 1,
+            lower_ns: self.lower_ns,
+            lower_calls: 1,
+            regalloc_ns,
+            regalloc_calls,
+        }
     }
 
     /// The cheap param-dependent back-end: validation, shared-memory
@@ -417,9 +500,28 @@ mod tests {
         let ast = KernelId::Bicg.ast(64);
         let gpu = Gpu::K20.spec();
         let fe = front_end(&ast, gpu, 2, CompilerFlags::default()).unwrap();
+        let built = fe.phases();
+        assert_eq!((built.unroll_calls, built.lower_calls, built.regalloc_calls), (1, 1, 0));
         let a = fe.allocation();
         let k = fe.specialize(params(128, 48, 2, false)).unwrap();
         assert_eq!(k.regs_per_thread(), a.regs_per_thread);
         assert_eq!(k.reg_demand, a.demand);
+        fe.specialize(params(256, 24, 2, false)).unwrap();
+        let allocated = fe.phases();
+        assert_eq!(allocated.regalloc_calls, 1, "one allocation, however many variants");
+        let regalloc_ns = allocated.regalloc_ns;
+        let delta = PhaseTelemetry { regalloc_ns, regalloc_calls: 1, ..PhaseTelemetry::default() };
+        assert_eq!(allocated.since(&built), delta);
+    }
+
+    #[test]
+    fn phases_add_up_and_subtract_without_underflow() {
+        let one =
+            PhaseTelemetry { unroll_ns: 5, unroll_calls: 1, lower_calls: 1, ..Default::default() };
+        let two: PhaseTelemetry = [one, one].into_iter().sum();
+        let counts = (two.unroll_ns, two.unroll_calls, two.lower_calls, two.regalloc_calls);
+        assert_eq!(counts, (10, 2, 2, 0));
+        assert_eq!(two.since(&one), one);
+        assert_eq!(PhaseTelemetry::default().since(&two), PhaseTelemetry::default());
     }
 }

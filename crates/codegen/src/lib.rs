@@ -18,23 +18,20 @@
 //! * [`compile`] — the driver: AST + parameters + target GPU →
 //!   [`CompiledKernel`], carrying the lowered program with filled-in
 //!   metadata (what `--ptxas-options=-v` reports) and the textual
-//!   disassembly the static analyzer parses.
-//! * [`profile`] — process-wide per-phase compile counters
-//!   (unroll/lower/optimize/regalloc wall-clock and invocations),
-//!   surfaced through `tune --stats` and `service stats`.
+//!   disassembly the static analyzer parses. A front-end artifact records
+//!   what building it cost ([`PhaseTelemetry`]), surfaced through
+//!   `tune --stats` and `service stats`.
 
 #![warn(missing_docs)]
 
 pub mod compile;
 pub mod optimize;
 pub mod params;
-pub mod profile;
 pub mod regalloc;
 pub mod transform;
 
-pub use compile::{compile, front_end, CompileError, CompiledKernel, FrontEnd};
+pub use compile::{compile, front_end, CompileError, CompiledKernel, FrontEnd, PhaseTelemetry};
 pub use optimize::{peephole, OptStats};
 pub use params::{CompilerFlags, PreferredL1, TuningParams};
-pub use profile::PhaseTelemetry;
 pub use regalloc::RegAllocation;
 pub use transform::unroll;

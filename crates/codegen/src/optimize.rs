@@ -40,19 +40,16 @@ pub struct OptStats {
 /// barriers and predicates are always preserved, so block structure and
 /// execution frequencies are untouched.
 pub fn peephole(program: &Program) -> (Program, OptStats) {
-    crate::profile::time(crate::profile::Phase::Optimize, || {
-        let mut out = program.clone();
-        let mut stats =
-            OptStats { moves_forwarded: forward_moves(&mut out), ..OptStats::default() };
-        loop {
-            let removed = eliminate_dead(&mut out);
-            if removed == 0 {
-                break;
-            }
-            stats.dead_removed += removed;
+    let mut out = program.clone();
+    let mut stats = OptStats { moves_forwarded: forward_moves(&mut out), ..OptStats::default() };
+    loop {
+        let removed = eliminate_dead(&mut out);
+        if removed == 0 {
+            break;
         }
-        (out, stats)
-    })
+        stats.dead_removed += removed;
+    }
+    (out, stats)
 }
 
 /// Sentinel for "no alias recorded" in [`AliasMap`].

@@ -38,19 +38,17 @@ pub struct RegAllocation {
 /// Runs the estimator against `program` for a device allowing
 /// `max_regs_per_thread` registers (Table I `R^cc_T`).
 pub fn allocate(program: &Program, max_regs_per_thread: u32) -> RegAllocation {
-    crate::profile::time(crate::profile::Phase::Regalloc, || {
-        let demand = SYSTEM_RESERVED_REGS + peak_pressure(program);
-        if demand <= max_regs_per_thread {
-            RegAllocation { regs_per_thread: demand, demand, spill_bytes: 0 }
-        } else {
-            let spilled = demand - max_regs_per_thread;
-            RegAllocation {
-                regs_per_thread: max_regs_per_thread,
-                demand,
-                spill_bytes: spilled * 4,
-            }
+    let demand = SYSTEM_RESERVED_REGS + peak_pressure(program);
+    if demand <= max_regs_per_thread {
+        RegAllocation { regs_per_thread: demand, demand, spill_bytes: 0 }
+    } else {
+        let spilled = demand - max_regs_per_thread;
+        RegAllocation {
+            regs_per_thread: max_regs_per_thread,
+            demand,
+            spill_bytes: spilled * 4,
         }
-    })
+    }
 }
 
 /// Sentinel for registers never seen in the program.

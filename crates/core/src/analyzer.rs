@@ -1,7 +1,7 @@
 //! The umbrella analyzer: everything the paper's tool produces, in one
 //! call.
 
-use crate::divergence::{analyze_divergence_with, DivergenceReport};
+use crate::divergence::{analyze_divergence, DivergenceReport};
 use crate::mix::MixReport;
 use crate::occupancy::OccupancyAnalysis;
 use crate::pipeline::PipelineUtilization;
@@ -70,6 +70,7 @@ pub fn analyze_in(table: &OccupancyTable, kernel: &CompiledKernel, n: u64) -> St
 /// Analyzes a textual disassembly listing — the paper's actual tool
 /// interface (`nvdisasm` output in, analysis out). The target GPU must
 /// match the listing's `family=` header.
+#[allow(clippy::disallowed_methods)]
 pub fn analyze_disassembly(
     listing: &str,
     gpu: &GpuSpec,
@@ -98,7 +99,7 @@ fn analyze_program(
     gpu: &GpuSpec,
     geometry: LaunchGeometry,
 ) -> StaticAnalysis {
-    let mix = MixReport::compute_with(index, program, geometry);
+    let mix = MixReport::compute(index, program, geometry);
     let occ_input = OccupancyInput {
         tc: geometry.tc,
         regs_per_thread: program.meta.regs_per_thread,
@@ -111,7 +112,7 @@ fn analyze_program(
     // (`analyze_disassembly` rejects mismatches up front).
     let throughput = ThroughputTable::for_family(gpu.family);
     let pipeline = PipelineUtilization::compute(&mix.expected_counts, throughput);
-    let divergence = analyze_divergence_with(index, program, geometry);
+    let divergence = analyze_divergence(index, program, geometry);
     let suggestion = suggest_from(gpu, program.meta.regs_per_thread, program.meta.smem_static);
     let rule_threads = rules::rule_based_threads(&suggestion.thread_counts, mix.intensity);
     let predicted_time = predict_time_indexed(throughput, index, program, geometry);

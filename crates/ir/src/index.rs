@@ -54,33 +54,6 @@ use crate::block::{BlockId, FreqExpr, Program, Terminator};
 use crate::count::{LaunchGeometry, MixCounts};
 use crate::isa::OpKind;
 use oriole_arch::OpClass;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
-static FAST_PATH_HITS: AtomicU64 = AtomicU64::new(0);
-static SLOW_PATH_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide index telemetry counters (monotonic since process
-/// start). Surfaced through the tuner's `EvalStats` and `tune --stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IndexTelemetry {
-    /// Number of [`ProgramIndex::build`] calls — one per front-end
-    /// artifact when the compilation pipeline behaves.
-    pub index_builds: u64,
-    /// Divergence-free fast-path decisions taken at query sites.
-    pub fast_path_hits: u64,
-    /// Full (region-walking) divergence path decisions.
-    pub slow_path_hits: u64,
-}
-
-/// Snapshot of the process-wide index telemetry.
-pub fn telemetry() -> IndexTelemetry {
-    IndexTelemetry {
-        index_builds: INDEX_BUILDS.load(Ordering::Relaxed),
-        fast_path_hits: FAST_PATH_HITS.load(Ordering::Relaxed),
-        slow_path_hits: SLOW_PATH_HITS.load(Ordering::Relaxed),
-    }
-}
 
 /// Terminator classification carried by a [`BlockSummary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,11 +164,11 @@ fn freq_has_div(f: &FreqExpr) -> bool {
 
 impl ProgramIndex {
     /// Builds the index for a lowered program in one scan of its blocks.
-    /// Called once per front-end artifact; every call bumps the
-    /// process-wide build counter so tests (and `tune --stats`) can
-    /// assert the once-per-artifact discipline.
+    /// Called once per front-end artifact, through
+    /// [`lower_indexed`](crate::lower_indexed): the workspace's
+    /// `clippy.toml` refuses any other caller outside tests and the
+    /// disassembly analyzer.
     pub fn build(program: &Program) -> ProgramIndex {
-        INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut summaries = Vec::with_capacity(program.blocks.len());
         let mut grid_strides = Vec::new();
         let (mut is_linear, mut has_divergence) = (true, false);
@@ -256,19 +229,6 @@ impl ProgramIndex {
     /// for every block.
     pub fn has_divergence(&self) -> bool {
         self.has_divergence
-    }
-
-    /// Fast-path decision for divergence-sensitive queries, recorded in
-    /// the process-wide telemetry: returns true (and counts a fast-path
-    /// hit) when the program is divergence-free.
-    pub fn divergence_fast_path(&self) -> bool {
-        if self.has_divergence {
-            SLOW_PATH_HITS.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
-            FAST_PATH_HITS.fetch_add(1, Ordering::Relaxed);
-            true
-        }
     }
 
     /// Work items exposed by the program's grid-stride loops at problem
@@ -467,6 +427,7 @@ fn divergent_regions(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::ast::{AluOp, Branch, DivergenceKind, KernelAst, Loop, Stmt};
@@ -508,7 +469,6 @@ mod tests {
         ]);
         let idx = ProgramIndex::build(&p);
         assert!(idx.has_divergence());
-        assert!(!idx.divergence_fast_path());
         assert_eq!(
             idx.divergent_regions(),
             [DivRegion {
@@ -529,7 +489,6 @@ mod tests {
         })]);
         let idx = ProgramIndex::build(&p);
         assert!(!idx.has_divergence());
-        assert!(idx.divergence_fast_path());
         assert!(idx.divergent_regions().is_empty());
     }
 
@@ -581,15 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn build_counter_increments() {
-        let p = lowered(vec![Stmt::ops(AluOp::AddF32, 1)]);
-        let before = telemetry().index_builds;
-        let _ = ProgramIndex::build(&p);
-        let _ = ProgramIndex::build(&p);
-        assert!(telemetry().index_builds >= before + 2);
-    }
-
-    #[test]
     fn grid_stride_items_match_block_scan() {
         let p = lowered(vec![Stmt::Loop(Loop {
             trip: TripCount::GridStride(SizeExpr::N2),
@@ -604,6 +554,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod proptests {
     use super::*;
     use crate::ast::{AluOp, Branch, DivergenceKind, KernelAst, Loop, MemStmt, Stmt};

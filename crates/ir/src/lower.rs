@@ -58,8 +58,10 @@ pub fn lower(ast: &KernelAst, family: Family, opts: LowerOptions) -> Program {
 }
 
 /// Lowers a kernel AST and builds its [`ProgramIndex`]: [`lower`], then
-/// one [`ProgramIndex::build`], which bumps the process-wide
-/// index-build counter once.
+/// one [`ProgramIndex::build`]. The one product caller of `build` the
+/// workspace's `clippy.toml` allows besides the disassembly analyzer, so
+/// a front-end artifact holds exactly one index.
+#[allow(clippy::disallowed_methods)]
 pub fn lower_indexed(
     ast: &KernelAst,
     family: Family,

@@ -150,8 +150,8 @@ pub struct ServiceStats {
     /// Disk-tier counters; `None` when the daemon's store is
     /// memory-only.
     pub disk: Option<persist::DiskStats>,
-    /// Per-phase compile profiler snapshot of the daemon process
-    /// (unroll/lower/optimize/regalloc wall-clock and invocations).
+    /// What building the front-end artifacts of the daemon's store cost
+    /// (unroll/lower/regalloc wall-clock and invocations).
     pub phases: PhaseTelemetry,
 }
 
@@ -347,18 +347,13 @@ fn emit_disk(d: &persist::DiskStats) -> String {
 
 fn emit_phases(p: &PhaseTelemetry) -> String {
     format!(
-        "unroll:{}:{};lower:{}:{};optimize:{}:{};regalloc:{}:{}",
-        p.unroll_ns,
-        p.unroll_calls,
-        p.lower_ns,
-        p.lower_calls,
-        p.optimize_ns,
-        p.optimize_calls,
-        p.regalloc_ns,
-        p.regalloc_calls,
+        "unroll:{}:{};lower:{}:{};regalloc:{}:{}",
+        p.unroll_ns, p.unroll_calls, p.lower_ns, p.lower_calls, p.regalloc_ns, p.regalloc_calls,
     )
 }
 
+/// The `phases=` field; a field it does not know (a daemon from before
+/// `optimize` left it sends one) is skipped.
 fn parse_phases(text: &str) -> Result<PhaseTelemetry, WireError> {
     let get = |key: &str| -> Result<(u64, u64), WireError> {
         let rest = text
@@ -372,15 +367,12 @@ fn parse_phases(text: &str) -> Result<PhaseTelemetry, WireError> {
     };
     let (unroll_ns, unroll_calls) = get("unroll")?;
     let (lower_ns, lower_calls) = get("lower")?;
-    let (optimize_ns, optimize_calls) = get("optimize")?;
     let (regalloc_ns, regalloc_calls) = get("regalloc")?;
     Ok(PhaseTelemetry {
         unroll_ns,
         unroll_calls,
         lower_ns,
         lower_calls,
-        optimize_ns,
-        optimize_calls,
         regalloc_ns,
         regalloc_calls,
     })
@@ -520,7 +512,7 @@ pub fn parse_response(payload: &str) -> Result<Response, WireError> {
                             Err(_) => None,
                         },
                         // Optional for wire compatibility with peers that
-                        // predate the phase profiler.
+                        // predate the phase telemetry.
                         phases: match body_field(&body, "phases") {
                             Ok(p) => parse_phases(p)?,
                             Err(_) => PhaseTelemetry::default(),
@@ -655,8 +647,6 @@ mod tests {
                 unroll_calls: 10,
                 lower_ns: 311_007,
                 lower_calls: 10,
-                optimize_ns: 0,
-                optimize_calls: 0,
                 regalloc_ns: 42_000,
                 regalloc_calls: 10,
             },
@@ -678,6 +668,26 @@ mod tests {
         let expected = Response::Stats(ServiceStats { inline_hits: 0, ..stats });
         assert_eq!(parse_response(&older).unwrap(), expected);
         assert!(parse_response(&older.replace("wakeups=901", "wakeups=901\ninline=x")).is_err());
+    }
+
+    #[test]
+    fn a_stats_answer_that_still_reports_optimize_parses() {
+        // Word for word what a daemon from before `optimize` left the
+        // phase line answers: the field reads `0:0` in every product run,
+        // and is dropped.
+        let parent = "oriole-rpc v4 ok stats\nconnections=3\nrequests=17\npoints=1280\n\
+                      kernels=2\nfe_tiers=2\nlowerings=20\nmeas_tiers=2\nunique=640\n\
+                      contexts=1\nbusy=3\nwmax=16\nshed=5\nreaped=2\nconns_open=4\n\
+                      inflight=7\npipe_peak=12\nwakeups=901\ninline=77\n\
+                      disk=hits:1;misses:0;loaded:640;written:0;rejected:0\n\
+                      phases=unroll:1250:10;lower:311007:10;optimize:0:0;regalloc:42000:10";
+        let Response::Stats(stats) = parse_response(parent).unwrap() else {
+            panic!("a stats answer");
+        };
+        let p = stats.phases;
+        assert_eq!((p.unroll_calls, p.lower_ns, p.regalloc_ns), (10, 311_007, 42_000));
+        let ours = emit_response(&Response::Stats(stats));
+        assert_eq!(ours, parent.replace("optimize:0:0;", ""));
     }
 
     #[test]

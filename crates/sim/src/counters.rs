@@ -45,7 +45,7 @@ pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
     // Divergence-free programs have warp saturation exactly 1.0 in every
     // block; skipping the three frequency evaluations per block is
     // bit-identical (`x * 1.0 == x` bitwise).
-    let saturated = !index.divergence_fast_path();
+    let saturated = index.has_divergence();
 
     let mut mix = MixCounts::new();
     for (block, s) in kernel.program.blocks.iter().zip(index.summaries()) {

@@ -131,7 +131,7 @@ impl LaunchScratch {
         }
     }
 
-    /// [`WarpProfile::extract_with`] for `kernel` at `(n, TC, blocks)`,
+    /// [`WarpProfile::extract`] for `kernel` at `(n, TC, blocks)`,
     /// walked unless the last call asked for the same `(TC, blocks)`.
     pub(crate) fn profile(
         &mut self,
@@ -143,7 +143,7 @@ impl LaunchScratch {
         self.bind(kernel, n);
         let tc = kernel.params.tc;
         last(&mut self.profile, (tc, blocks), || {
-            WarpProfile::extract_with(&kernel.index, &kernel.program, cfg, n, tc, blocks)
+            WarpProfile::extract(&kernel.index, &kernel.program, cfg, n, tc, blocks)
         })
     }
 

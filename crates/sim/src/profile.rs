@@ -51,7 +51,7 @@ impl WarpProfile {
     /// Pass the *busy* block count as `bc` to obtain per-busy-warp costs
     /// (idle blocks fail their range guards immediately and are handled
     /// by the machine model's dispatch term instead).
-    pub(crate) fn extract_with(
+    pub(crate) fn extract(
         index: &ProgramIndex,
         program: &Program,
         cfg: &SimConfig,
@@ -227,7 +227,7 @@ fn service(cfg: &SimConfig, space: MemSpace, pattern: AccessPattern) -> (f64, f6
 mod tests {
     use super::*;
     use oriole_arch::Family;
-    use oriole_ir::lower::{lower, LowerOptions};
+    use oriole_ir::lower::{lower_indexed, LowerOptions};
     use oriole_ir::{
         AluOp, Branch, DivergenceKind, KernelAst, Loop, SizeExpr, Stmt, TripCount,
     };
@@ -235,9 +235,9 @@ mod tests {
     fn profile_of(body: Vec<Stmt>, n: u64, tc: u32, bc: u32) -> WarpProfile {
         let mut k = KernelAst::new("p");
         k.body = body;
-        let p = lower(&k, Family::Kepler, LowerOptions::default());
+        let (p, idx) = lower_indexed(&k, Family::Kepler, LowerOptions::default());
         let cfg = SimConfig::for_family(Family::Kepler);
-        WarpProfile::extract_with(&ProgramIndex::build(&p), &p, &cfg, n, tc, bc)
+        WarpProfile::extract(&idx, &p, &cfg, n, tc, bc)
     }
 
     #[test]
@@ -398,12 +398,11 @@ mod tests {
             unrollable: false,
             body: vec![Stmt::ops(AluOp::FmaF32, 1)],
         })];
-        let mut p = lower(&k, Family::Fermi, LowerOptions::default());
+        let (mut p, idx) = lower_indexed(&k, Family::Fermi, LowerOptions::default());
         let cfg = SimConfig::for_family(Family::Fermi);
-        let idx = ProgramIndex::build(&p);
-        let clean = WarpProfile::extract_with(&idx, &p, &cfg, 64, 32, 1);
+        let clean = WarpProfile::extract(&idx, &p, &cfg, 64, 32, 1);
         p.meta.spill_bytes = 16; // 4 spilled registers
-        let spilled = WarpProfile::extract_with(&idx, &p, &cfg, 64, 32, 1);
+        let spilled = WarpProfile::extract(&idx, &p, &cfg, 64, 32, 1);
         assert!(spilled.dram_transactions > clean.dram_transactions);
         assert!(spilled.mem_ops > clean.mem_ops);
         assert!(spilled.issue_cycles > clean.issue_cycles);
@@ -415,7 +414,7 @@ mod proptests {
     use super::*;
     use crate::testgen::arb_kernel;
     use oriole_arch::Family;
-    use oriole_ir::lower::{lower, LowerOptions};
+    use oriole_ir::lower::{lower_indexed, LowerOptions};
     use proptest::prelude::*;
 
     proptest! {
@@ -431,13 +430,13 @@ mod proptests {
             spilled_regs in 0u32..8,
         ) {
             let tc = [32u32, 128, 512, 1024][tc_i];
-            let mut p = lower(&ast, Family::Kepler, LowerOptions { fast_math: fast });
-            // The index is meta-independent: build it before the spill
+            // The index is meta-independent: built before the spill
             // bytes land, as the front end does.
-            let idx = ProgramIndex::build(&p);
+            let (mut p, idx) =
+                lower_indexed(&ast, Family::Kepler, LowerOptions { fast_math: fast });
             p.meta.spill_bytes = spilled_regs * 4;
             let cfg = SimConfig::for_family(Family::Kepler);
-            let indexed = WarpProfile::extract_with(&idx, &p, &cfg, n, tc, bc);
+            let indexed = WarpProfile::extract(&idx, &p, &cfg, n, tc, bc);
             let walk = WarpProfile::extract_walk(&p, &cfg, n, tc, bc);
             prop_assert_eq!(&indexed, &walk);
         }

@@ -54,7 +54,9 @@
 use crate::once_map::ShardedOnceMap;
 use crate::space::SearchSpace;
 use oriole_arch::GpuSpec;
-use oriole_codegen::{front_end, CompileError, CompilerFlags, FrontEnd, TuningParams};
+use oriole_codegen::{
+    front_end, CompileError, CompilerFlags, FrontEnd, PhaseTelemetry, TuningParams,
+};
 use oriole_ir::KernelAst;
 use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
 use std::borrow::BorrowMut;
@@ -161,14 +163,14 @@ type FrontEndKey = (u64, u32, CompilerFlags);
 /// sizes of one program lower it once and nobody lowers under a lock.
 type Lowered = ((u32, CompilerFlags), KernelAst, OnceLock<Arc<FeArtifact>>);
 
-/// The front-end artifact cache (scope: one kernel × device).
+/// The front-end artifact cache (scope: one kernel × device). What it
+/// has cost is read off the artifacts it holds, not counted beside them.
 #[derive(Default)]
 pub(crate) struct FeTier {
     map: ShardedOnceMap<FrontEndKey, Arc<FeArtifact>>,
     /// Every program lowered so far (the paper space: ten, or ten per
     /// size), searched by `==` on a miss of `map`.
     programs: Mutex<Vec<Arc<Lowered>>>,
-    lowerings: AtomicUsize,
 }
 
 impl FeTier {
@@ -183,8 +185,28 @@ impl FeTier {
         Arc::clone(programs.last().expect("pushed above"))
     }
 
+    /// `f` summed over the artifacts lowered so far: a rejected `UIF`
+    /// (`Err`) never reached unroll or lower, and a program still being
+    /// lowered holds nothing yet.
+    fn sum_lowered<T: std::iter::Sum>(&self, f: impl Fn(&FrontEnd) -> T) -> T {
+        let programs = self.programs.lock().expect("no lowering runs under this lock");
+        programs
+            .iter()
+            .filter_map(|p| match p.2.get().map(Arc::as_ref) {
+                Some(Ok(fe)) => Some(f(fe)),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// Compile front-ends (unroll + lower) run: one per artifact.
     pub(crate) fn lowerings(&self) -> usize {
-        self.lowerings.load(Ordering::Relaxed)
+        self.sum_lowered(|_| 1)
+    }
+
+    /// What building the tier's artifacts cost, phase by phase.
+    pub(crate) fn phases(&self) -> PhaseTelemetry {
+        self.sum_lowered(FrontEnd::phases)
     }
 }
 
@@ -257,19 +279,11 @@ pub struct EvalStats {
     pub disk_loaded: usize,
     /// Measurements this tier spilled to the store's disk tier.
     pub disk_spilled: usize,
-    /// Program indexes built (process-wide; one per front-end artifact).
-    pub index_builds: u64,
-    /// Divergence fast-path hits — index-routed analyses that skipped
-    /// the divergent-region machinery entirely (process-wide).
-    pub index_fast_path_hits: u64,
-    /// Divergence slow-path hits — analyses that walked precomputed
-    /// divergent regions (process-wide).
-    pub index_slow_path_hits: u64,
     /// The timing-model backend the evaluator measures with.
     pub model: ModelId,
-    /// Per-phase compile profiler snapshot (process-wide wall-clock and
-    /// invocation counters for unroll/lower/optimize/regalloc).
-    pub phases: oriole_codegen::PhaseTelemetry,
+    /// What building the front-end tier's artifacts cost: wall time and
+    /// calls of unroll, lower and register allocation.
+    pub phases: PhaseTelemetry,
 }
 
 /// Most misses one worker claims at a time: enough to amortize the
@@ -395,23 +409,18 @@ impl<'a> Evaluator<'a> {
     /// once per `(UIF, CFLAGS)` for all sizes (tier-wide, like
     /// [`Evaluator::unique_evaluations`]).
     pub fn front_end_lowerings(&self) -> usize {
-        self.front_ends.lowerings.load(Ordering::Relaxed)
+        self.front_ends.lowerings()
     }
 
-    /// Cache telemetry: tier counters plus a snapshot of the
-    /// process-wide program-index counters.
+    /// Cache telemetry of the two tiers this evaluator views.
     pub fn stats(&self) -> EvalStats {
-        let idx = oriole_ir::index::telemetry();
         EvalStats {
             unique_evaluations: self.unique_evaluations(),
             front_end_lowerings: self.front_end_lowerings(),
             disk_loaded: self.cache.disk_loaded(),
             disk_spilled: self.cache.disk_spilled(),
-            index_builds: idx.index_builds,
-            index_fast_path_hits: idx.fast_path_hits,
-            index_slow_path_hits: idx.slow_path_hits,
             model: self.ctx.model_id(),
-            phases: oriole_codegen::profile::telemetry(),
+            phases: self.front_ends.phases(),
         }
     }
 
@@ -441,15 +450,7 @@ impl<'a> Evaluator<'a> {
         tier.map.get_or_init((n, uif, cflags), || {
             let program = tier.program(uif, cflags, (self.ast_builder)(n));
             let (_, ast, artifact) = &*program;
-            Arc::clone(artifact.get_or_init(|| {
-                let fe = front_end(ast, self.gpu, uif, cflags);
-                if fe.is_ok() {
-                    // Rejected UIFs (`Err`) never reach unroll/lower, so
-                    // they don't count as lowerings run.
-                    tier.lowerings.fetch_add(1, Ordering::Relaxed);
-                }
-                Arc::new(fe)
-            }))
+            Arc::clone(artifact.get_or_init(|| Arc::new(front_end(ast, self.gpu, uif, cflags))))
         })
     }
 

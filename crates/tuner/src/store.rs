@@ -122,7 +122,8 @@ pub struct StoreStats {
     pub contexts: usize,
     /// Disk-tier counters; `None` when the store is memory-only.
     pub disk: Option<DiskStats>,
-    /// Per-phase compile profiler snapshot (process-wide).
+    /// What building every tier's front-end artifacts cost, phase by
+    /// phase.
     pub phases: oriole_codegen::PhaseTelemetry,
 }
 
@@ -260,7 +261,6 @@ impl ArtifactStore {
     pub fn stats(&self) -> StoreStats {
         let mut stats = StoreStats {
             disk: self.inner.disk.get().map(|d| d.counters.snapshot()),
-            phases: oriole_codegen::profile::telemetry(),
             ..StoreStats::default()
         };
         let mut kernels = HashSet::new();
@@ -268,6 +268,7 @@ impl ArtifactStore {
             kernels.insert(scope.kernel.clone());
             stats.front_end_tiers += 1;
             stats.front_end_lowerings += tier.lowerings();
+            stats.phases = [stats.phases, tier.phases()].into_iter().sum();
         });
         let mut contexts = HashSet::new();
         self.inner.measurements.for_each(|scope, tier| {
@@ -563,5 +564,7 @@ mod tests {
         // Compilation artifacts are model-independent and shared.
         assert_eq!(stats.front_end_tiers, 1);
         assert_eq!(stats.front_end_lowerings, 1);
+        let p = stats.phases;
+        assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (1, 1, 1));
     }
 }

@@ -43,7 +43,7 @@ fn main() {
         )
         .expect("compiles");
         let report =
-            analyze_divergence(&kernel.program, LaunchGeometry::new(n, 256, 96));
+            analyze_divergence(&kernel.index, &kernel.program, LaunchGeometry::new(n, 256, 96));
         println!(
             "N={n:<4} boundary branch overhead {:.2}x ({} divergent branch(es))",
             report.overall_overhead,

@@ -2,19 +2,25 @@
 //! AST, `UIF`, `CFLAGS` — not by the input size a point happened to be
 //! evaluated at: sizes whose ASTs are equal share one lowering, sizes
 //! whose ASTs differ never do, and sharing changes no bit of any answer.
+//! An artifact holds one index, which every consumer of every variant
+//! it stamps out shares.
 
 use oriole::arch::Gpu;
-use oriole::codegen::TuningParams;
+use oriole::codegen::{front_end, CompilerFlags, TuningParams};
+use oriole::core::analyze;
 use oriole::ir::KernelAst;
 use oriole::kernels::KernelId;
+use oriole::sim::{dynamic_mix, simulate};
 use oriole::tuner::{ArtifactStore, Evaluator, SearchSpace};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 /// Sweeps the paper space over `sizes` at once and checks every
 /// `per_size_ms` entry, bit for bit, against an evaluator that only ever
 /// saw that one size (and so shared nothing across sizes). Returns the
-/// multi-size evaluator's lowering count.
+/// multi-size evaluator's lowering count, after checking that its store
+/// ran unroll, lower (the one index build) and register allocation
+/// exactly once for each.
 fn lowerings_of_a_checked_sweep(builder: &(dyn Fn(u64) -> KernelAst + Sync), sizes: &[u64]) -> usize {
     let gpu = Gpu::K20.spec();
     let space = SearchSpace::paper_default();
@@ -36,6 +42,9 @@ fn lowerings_of_a_checked_sweep(builder: &(dyn Fn(u64) -> KernelAst + Sync), siz
             }
         }
     }
+    let stats = all.stats();
+    let (n, p) = (stats.front_end_lowerings as u64, stats.phases);
+    assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (n, n, n));
     all.front_end_lowerings()
 }
 
@@ -96,4 +105,50 @@ fn eight_threads_on_eight_sizes_of_one_key_lower_it_once() {
     assert_eq!(asts_built.load(Ordering::Relaxed), sizes.len());
     let stats = store.stats();
     assert_eq!((stats.front_end_tiers, stats.front_end_lowerings), (1, 1));
+}
+
+#[test]
+fn front_end_builds_index_exactly_once() {
+    let (n, sizes) = (256, [256]);
+    let gpu = Gpu::K20.spec();
+    let cflags = CompilerFlags::default();
+    let fe = front_end(&KernelId::MatVec2D.ast(n), gpu, 1, cflags).expect("front end runs");
+
+    // Every specialization and every index consumer runs on the
+    // artifact's one index: the very same allocation, never a rebuild.
+    let mut variants = Vec::new();
+    for tc in [32u32, 128, 256, 1024] {
+        for bc in [24u32, 96, 192] {
+            let Ok(kernel) = fe.specialize(TuningParams::with_geometry(tc, bc)) else {
+                continue;
+            };
+            assert!(analyze(&kernel, n).predicted_time > 0.0);
+            assert!(simulate(&kernel, n).expect("simulates").time_ms > 0.0);
+            assert!(dynamic_mix(&kernel, n).total() > 0.0);
+            variants.push(kernel);
+        }
+    }
+    assert!(variants.len() > 1);
+    assert!(variants.iter().all(|k| Arc::ptr_eq(&k.index, &variants[0].index)));
+    let p = fe.phases();
+    assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (1, 1, 1));
+
+    // One artifact per program: a sweep over three kernels' front-end
+    // keys lowers — and so indexes — each program once, then never
+    // again on the warm sweep.
+    let store = ArtifactStore::new();
+    let space = SearchSpace { uif: vec![1, 2, 4], ..SearchSpace::tiny() };
+    for kernel in [KernelId::Atax, KernelId::Bicg, KernelId::Ex14Fj] {
+        let builder = move |n: u64| kernel.ast(n);
+        let ev = store.evaluator(kernel.name(), &builder, gpu, &sizes);
+        ev.evaluate_space(&space);
+        let cold = ev.stats();
+        ev.evaluate_space(&space);
+        assert_eq!(ev.stats(), cold, "a warm sweep lowers nothing");
+        let keys = space.uif.len() * space.cflags.len();
+        assert_eq!(cold.front_end_lowerings, keys, "{kernel}");
+        assert_eq!(cold.phases.lower_calls, keys as u64, "{kernel}");
+    }
+    let stats = store.stats();
+    assert_eq!(stats.phases.lower_calls, stats.front_end_lowerings as u64);
 }

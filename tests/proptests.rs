@@ -5,8 +5,8 @@
 use oriole::arch::{Family, Gpu};
 use oriole::codegen::{compile, regalloc, transform, TuningParams};
 use oriole::ir::{
-    lower::{lower, LowerOptions},
-    text, KernelAst, LaunchGeometry, ProgramIndex, Terminator,
+    lower::{lower, lower_indexed, LowerOptions},
+    text, KernelAst, LaunchGeometry, Terminator,
 };
 use proptest::prelude::*;
 
@@ -30,8 +30,7 @@ proptest! {
 
     #[test]
     fn cfg_is_well_formed(ast in arb_kernel()) {
-        let program = lower(&ast, Family::Maxwell, LowerOptions::default());
-        let index = ProgramIndex::build(&program);
+        let (program, index) = lower_indexed(&ast, Family::Maxwell, LowerOptions::default());
         prop_assert_eq!(index.len(), program.blocks.len());
         for region in index.divergent_regions() {
             // Each region opens at a divergent conditional branch ...
