@@ -1528,10 +1528,16 @@ mod tests {
                 .join("\n")
         };
         // Cold, then warm: `computed remotely` is 8, then 0, both ways.
-        let cold = masked(call(&format!("{flags} --remote {addr}")).unwrap());
+        // Each run adds one connection to the daemon's lifetime count:
+        // its chunks and its closing `stats` ride the same one.
+        let runs = ["--remote", "--remote", "--fleet"]
+            .map(|flag| call(&format!("{flags} {flag} {addr}")).unwrap());
+        for (i, run) in runs.iter().enumerate() {
+            let line = format!("  server: {} connection(s),", i + 1);
+            assert!(run.contains(&line), "{line} missing:\n{run}");
+        }
+        let [cold, remote, fleet] = runs.map(masked);
         assert!(cold.contains("8 point(s) fetched, 8 computed remotely"), "{cold}");
-        let remote = masked(call(&format!("{flags} --remote {addr}")).unwrap());
-        let fleet = masked(call(&format!("{flags} --fleet {addr}")).unwrap());
         assert_eq!(remote, fleet, "`--remote A` is `--fleet A`");
         assert!(fleet.contains("8 point(s) fetched, 0 computed remotely"), "{fleet}");
         for label in ["remote service stats", "  coalescing:", "  scheduler:", "  shard 0", "  pool"] {
@@ -1539,6 +1545,18 @@ mod tests {
         }
         assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
         handle.join().expect("server thread");
+    }
+
+    #[test]
+    fn a_tune_through_a_fresh_daemon_opens_one_connection_to_it() {
+        let flags = "tune --kernel atax --gpu k20 --strategy random --budget 4 --sizes 32 --stats";
+        for flag in ["--remote", "--fleet"] {
+            let (addr, handle) = spawn_daemon();
+            let out = call(&format!("{flags} {flag} {addr}")).unwrap();
+            assert!(out.contains("  server: 1 connection(s),"), "{flag}: {out}");
+            assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
+            handle.join().expect("server thread");
+        }
     }
 
     #[test]

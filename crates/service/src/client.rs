@@ -1,14 +1,16 @@
-//! Client library: the two ways to hold a connection to a daemon. A
-//! [`Client`] is a blocking single-shot session — one request, one
-//! response, retried under its [`RetryPolicy`] — for `ping`, `stats`,
-//! `shutdown`, `simulate` and a one-off `evaluate`. A [`Pipeline`]
-//! keeps many request frames in flight on one connection, responses
-//! matched by correlation id and read off the socket by whichever
-//! thread is waiting for one — neither type owns a thread. It is what
-//! the evaluation engine ([`RemoteEvaluator`](crate::RemoteEvaluator))
-//! drives, one per daemon. Both share one dial routine, one retry step
-//! (`retry_or_bail`) and one positional check of an `evaluate` answer
-//! (`verify_measurements`).
+//! Client library: one connection type and the session that retries
+//! over it. A [`Pipeline`] is a connection to a daemon with request
+//! frames in flight, responses matched by correlation id and read off
+//! the socket by whichever thread is waiting for one; it owns no thread,
+//! and it is the only code that writes a request frame or reads a
+//! response frame. A [`Client`] is a pipeline plus the retry loop — one
+//! request at a time under its [`RetryPolicy`] for `ping`, `stats`,
+//! `shutdown`, `simulate` and a one-off `evaluate`. The evaluation
+//! engine ([`RemoteEvaluator`](crate::RemoteEvaluator)) holds one
+//! `Client` per daemon and keeps its chunks in flight on that client's
+//! pipeline, so a daemon sees one connection per client process. Both
+//! take the one retry step (`Client::retry_or_bail`) and the one
+//! positional check of an `evaluate` answer (`verify_measurements`).
 //!
 //! # Fault handling
 //!
@@ -32,24 +34,22 @@
 //!
 //! After any failed or half-completed exchange the connection is
 //! **poisoned** (dropped and re-dialed before the next use). Frames
-//! carry correlation ids (protocol v3), and both the single-shot
-//! [`Client`] and the [`Pipeline`] verify every response's id against
-//! an outstanding request — a response that matches nothing is a loud
-//! [`ServiceError::Protocol`] failure, never a mislabeled answer.
+//! carry correlation ids (protocol v3), and the [`Pipeline`] verifies
+//! every response's id against an outstanding request — a response that
+//! matches nothing is a loud [`ServiceError::Protocol`] failure, never a
+//! mislabeled answer.
 
 use crate::protocol::{self, EvalScope, Request, Response, ServiceStats};
 use oriole_arch::GpuSpec;
 use oriole_codegen::TuningParams;
 use oriole_sim::{ModelId, SimReport};
-use oriole_tuner::persist::{
-    classify_frame_io, read_frame_tagged, write_frame_tagged, FrameError,
-};
+use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged, FrameError};
 use oriole_tuner::Measurement;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why an RPC failed.
@@ -185,32 +185,20 @@ impl RetryPolicy {
     pub(crate) fn deadline_ms(&self) -> u64 {
         self.rpc_timeout.as_millis() as u64
     }
-
-    fn socket_timeout(&self) -> Option<Duration> {
-        if self.rpc_timeout.is_zero() {
-            None
-        } else {
-            Some(self.rpc_timeout)
-        }
-    }
 }
 
-/// One session with a tuner daemon. All methods are `&self` (the
-/// stream sits behind a mutex), and each issues one request/response
-/// exchange — transparently reconnecting and retrying transient
+/// One session with a tuner daemon: a [`Pipeline`] plus the retry loop.
+/// All methods are `&self`, and each sends one request and waits for
+/// its answer — transparently re-dialing and retrying transient
 /// failures per the session's [`RetryPolicy`].
+#[derive(Debug)]
 pub struct Client {
-    /// `None` = poisoned (or never dialed): the next exchange
-    /// re-connects. Poisoning after any failed exchange keeps
-    /// request/response pairing sound even before the correlation-id
-    /// check gets a say.
-    stream: Mutex<Option<TcpStream>>,
+    /// `None` = never dialed, or dropped after a failure or a `Busy`
+    /// answer: the next call re-dials.
+    pipe: Mutex<Option<Arc<Pipeline>>>,
     addr: String,
     policy: RetryPolicy,
     retries: AtomicU64,
-    /// Monotonic correlation ids for this session's frames (id 0 is
-    /// reserved for connection-level server notices).
-    corr: AtomicU64,
 }
 
 impl Client {
@@ -225,20 +213,14 @@ impl Client {
     /// [`Client::connect`] under an explicit policy.
     pub fn connect_with(addr: &str, policy: RetryPolicy) -> Result<Client, ServiceError> {
         let client = Client::undialed(addr, policy);
-        *client.stream.lock().expect("client stream lock") = Some(dial(addr, &policy)?);
+        client.pipeline()?;
         Ok(client)
     }
 
-    /// A session that dials on its first exchange — a fleet shard that
-    /// is never handed a chunk costs its daemon no connection.
+    /// A session that dials on its first call — a fleet shard that is
+    /// never handed a chunk costs its daemon no connection.
     pub(crate) fn undialed(addr: &str, policy: RetryPolicy) -> Client {
-        Client {
-            stream: Mutex::new(None),
-            addr: addr.to_string(),
-            policy,
-            retries: AtomicU64::new(0),
-            corr: AtomicU64::new(0),
-        }
+        Client { pipe: Mutex::new(None), addr: addr.to_string(), policy, retries: AtomicU64::new(0) }
     }
 
     /// [`Client::connect`] retried until `timeout` elapses — the
@@ -302,80 +284,82 @@ impl Client {
         &self.policy
     }
 
-    /// Exchanges retried so far over this session's lifetime (transient
-    /// failures that healed; an exhausted policy surfaces as the final
-    /// error instead).
+    /// Retries taken so far over this session's lifetime — by its own
+    /// calls and by the evaluation engine's worker on its daemon
+    /// (transient failures that healed; an exhausted policy surfaces as
+    /// the final error instead).
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// One request/response exchange on the (re)connected stream.
-    /// Any failure — or a `Busy` answer — poisons the stream: the
-    /// daemon's conn-level shed closes the socket, and after a desynced
-    /// exchange a stale in-flight response could otherwise be
-    /// mislabeled as the answer to the next request.
-    fn exchange(&self, req: &Request) -> Result<Response, ServiceError> {
-        let mut slot = self.stream.lock().expect("client stream lock");
-        if slot.is_none() {
-            *slot = Some(dial(&self.addr, &self.policy)?);
+    /// The session's connection, dialed if it has none or the last one
+    /// failed. The evaluation engine keeps its chunks in flight on it.
+    pub(crate) fn pipeline(&self) -> Result<Arc<Pipeline>, ServiceError> {
+        let mut slot = self.pipe.lock().expect("client pipeline lock");
+        if let Some(pipe) = slot.as_ref().filter(|p| !p.is_poisoned()) {
+            return Ok(Arc::clone(pipe));
         }
-        let stream = slot.as_mut().expect("stream just ensured");
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed) + 1;
-        let result = (|| -> Result<Response, ServiceError> {
-            write_frame_tagged(stream, corr, &protocol::emit_request(req))
-                .map_err(|e| classify_frame_error(classify_frame_io(e)))?;
-            let (resp_corr, payload) = read_frame_tagged(stream).map_err(classify_frame_error)?;
-            // Id 0 is a connection-level notice (an admission shed or a
-            // framing error answered before any request was decoded);
-            // anything else must echo this request's id exactly.
-            if resp_corr != 0 && resp_corr != corr {
-                return Err(ServiceError::Protocol(format!(
-                    "response correlation id {resp_corr} does not match request {corr}"
-                )));
-            }
-            protocol::parse_response(&payload).map_err(|e| ServiceError::Protocol(e.to_string()))
-        })();
-        match &result {
-            Ok(Response::Busy { .. }) | Err(_) => *slot = None,
-            Ok(_) => {}
-        }
-        match result {
-            // A wire-level error frame is a *completed* exchange: the
-            // stream stays in sync and the connection is kept.
-            Ok(Response::Error { message }) => Err(ServiceError::Remote(message)),
-            other => other,
+        let pipe = Arc::new(Pipeline::connect(&self.addr, &self.policy)?);
+        *slot = Some(Arc::clone(&pipe));
+        Ok(pipe)
+    }
+
+    /// Drops `pipe` if it is still the session's connection, so the
+    /// next call re-dials: after a failure, a `Busy` answer (the daemon
+    /// may be closing the socket), or with tickets nobody will redeem.
+    pub(crate) fn discard(&self, pipe: &Arc<Pipeline>) {
+        let mut slot = self.pipe.lock().expect("client pipeline lock");
+        if slot.as_ref().is_some_and(|p| Arc::ptr_eq(p, pipe)) {
+            *slot = None;
         }
     }
 
-    /// Issues `req`, retrying transient failures (reconnect + backoff)
-    /// per the policy. `retryable` is false for the one verb with a
-    /// side effect (`shutdown`).
-    fn call_with_retry(
-        &self,
-        req: &Request,
-        retryable: bool,
-    ) -> Result<Response, ServiceError> {
-        let mut attempt: u32 = 0;
+    /// The one retry-policy step, taken by this session's calls and by
+    /// the evaluation engine's worker on its daemon: a transient failure
+    /// sleeps the backoff (honoring the daemon's Busy hint when that is
+    /// the longer wait — it knows its queue better), counts a retry and
+    /// returns the bumped attempt count; a deterministic failure — or an
+    /// exhausted policy — bails with the error.
+    pub(crate) fn retry_or_bail(&self, attempt: u32, e: ServiceError) -> Result<u32, ServiceError> {
+        if !e.is_transient() || attempt >= self.policy.max_retries {
+            return Err(e);
+        }
+        let mut nap = self.policy.backoff(attempt + 1);
+        if let ServiceError::Busy(hint_ms) = e {
+            nap = nap.max(Duration::from_millis(hint_ms));
+        }
+        std::thread::sleep(nap);
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        Ok(attempt + 1)
+    }
+
+    /// Sends `req` and waits for its answer, retrying transient failures
+    /// (re-dial + backoff) per the policy — except for `shutdown`, the
+    /// one verb with a side effect; everything else is a deterministic
+    /// read (see the module-level idempotency argument).
+    fn call(&self, req: &Request) -> Result<Response, ServiceError> {
+        let mut attempt = 0;
         loop {
-            let failure = match self.exchange(req) {
+            let answer = self.pipeline().and_then(|pipe| {
+                let answer = pipe.call(req);
+                if matches!(answer, Ok(Response::Busy { .. }) | Err(_)) {
+                    self.discard(&pipe);
+                }
+                answer
+            });
+            let failure = match answer {
+                // A wire-level error frame is a *completed* exchange:
+                // the connection is kept.
+                Ok(Response::Error { message }) => ServiceError::Remote(message),
                 Ok(Response::Busy { retry_after_ms }) => ServiceError::Busy(retry_after_ms),
                 Ok(resp) => return Ok(resp),
                 Err(e) => e,
             };
-            if !retryable {
+            if matches!(req, Request::Shutdown) {
                 return Err(failure);
             }
-            attempt = retry_or_bail(&self.policy, attempt, failure)?;
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            attempt = self.retry_or_bail(attempt, failure)?;
         }
-    }
-
-    fn call(&self, req: &Request) -> Result<Response, ServiceError> {
-        // shutdown is the one verb with a side effect; everything else
-        // is a deterministic read (see the module-level idempotency
-        // argument) and safe to replay.
-        let retryable = !matches!(req, Request::Shutdown);
-        self.call_with_retry(req, retryable)
     }
 
     /// Liveness probe.
@@ -452,55 +436,37 @@ impl Client {
     }
 }
 
-/// Dials `addr` and arms the per-exchange socket deadlines.
-pub(crate) fn dial(addr: &str, policy: &RetryPolicy) -> Result<TcpStream, ServiceError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(policy.socket_timeout()).ok();
-    stream.set_write_timeout(policy.socket_timeout()).ok();
-    Ok(stream)
-}
-
-/// Maps frame-layer failures into [`ServiceError`], folding transport
-/// I/O back into the Io class so retry classification sees one kind of
-/// connection failure — and frame-level version skew into the
-/// deterministic Protocol class: a redial meets the same old peer.
-fn classify_frame_error(e: FrameError) -> ServiceError {
-    match e {
-        FrameError::Io(io) => ServiceError::Io(io),
-        FrameError::VersionSkew => ServiceError::Protocol(e.to_string()),
-        other => ServiceError::Frame(other),
-    }
-}
-
-impl fmt::Debug for Client {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Client")
-            .field("addr", &self.addr)
-            .field("policy", &self.policy)
-            .finish()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pipelined connection
 // ---------------------------------------------------------------------------
 
+/// Most request frames a [`Pipeline`] keeps in flight: the default
+/// daemon's `pipeline_depth`, past which it stops reading anyway. A send
+/// at the cap first reads an answer in. The engine's worker window
+/// ([`CoalesceConfig::max_frames`](crate::CoalesceConfig::max_frames))
+/// is the tunable bound.
+const MAX_IN_FLIGHT: usize = 32;
+
 /// A pipeline failure, recorded once and answered to every outstanding
-/// and future caller: transient failures (transport loss, stalls,
-/// connection-level Busy) invite the caller to rebuild the pipeline
-/// and retry; deterministic ones do not.
-struct PipeFailure {
-    transient: bool,
-    message: String,
+/// and future caller.
+enum PipeFailure {
+    /// Transport loss, a stall, a damaged frame: a new connection may
+    /// heal it.
+    Transient(String),
+    /// The daemon shed the connection (a correlation-id-0 `Busy`); its
+    /// retry hint in milliseconds.
+    Busy(u64),
+    /// Deterministic: version skew, or an answer that parses as nothing
+    /// or belongs to no request.
+    Fatal(String),
 }
 
 impl PipeFailure {
     fn to_error(&self) -> ServiceError {
-        if self.transient {
-            ServiceError::Io(std::io::Error::other(self.message.clone()))
-        } else {
-            ServiceError::Protocol(self.message.clone())
+        match self {
+            PipeFailure::Transient(m) => ServiceError::Io(std::io::Error::other(m.clone())),
+            PipeFailure::Busy(ms) => ServiceError::Busy(*ms),
+            PipeFailure::Fatal(m) => ServiceError::Protocol(m.clone()),
         }
     }
 }
@@ -510,8 +476,8 @@ struct PipeShared {
     /// response arrived before its waiter.
     pending: HashMap<u64, Option<Response>>,
     /// Requests still awaiting their response frame (pending entries
-    /// whose slot is `None`). This — not `pending.len()` — is what the
-    /// depth cap bounds: an answered-but-unclaimed ticket costs no
+    /// whose slot is `None`). This — not `pending.len()` — is what
+    /// [`MAX_IN_FLIGHT`] bounds: an answered-but-unclaimed ticket costs no
     /// daemon-side work, so it must not block further sends.
     in_flight: usize,
     failure: Option<PipeFailure>,
@@ -522,18 +488,18 @@ struct PipeShared {
 
 /// A handle on one in-flight pipelined request; redeem it with
 /// [`Pipeline::wait`]. Dropping a ticket without waiting leaks its
-/// depth slot for the life of the pipeline — always wait.
-#[must_use = "a ticket holds a pipeline depth slot until waited"]
+/// in-flight slot for the life of the pipeline — always wait.
+#[must_use = "a ticket holds a pipeline's in-flight slot until waited"]
 pub struct Ticket {
     corr: u64,
 }
 
-/// One connection with up to `depth` request frames in flight,
-/// responses matched by correlation id — out-of-order arrival is
-/// expected and fine (protocol v3).
+/// One connection with up to 32 request frames in flight, responses
+/// matched by correlation id — out-of-order arrival is expected and fine
+/// (protocol v3).
 ///
 /// There is no reader thread: **the thread that waits reads**. A caller
-/// of [`Pipeline::wait`] — or of [`Pipeline::send`] at the depth cap —
+/// of [`Pipeline::wait`] — or of [`Pipeline::send`] at the cap —
 /// reads frames off the socket, filing each under its id, until its own
 /// turns up; of threads sharing a pipeline one reads at a time and the
 /// rest park until it has filed something. Nothing reads while nobody
@@ -541,12 +507,12 @@ pub struct Ticket {
 /// few MiB of answers unread (the engine's default window is 130 KiB).
 ///
 /// A `Pipeline` is **not** self-healing: any transport failure, a read
-/// that outlasts the rpc deadline, or a response for an unknown id
-/// poisons the whole pipeline and fails every outstanding ticket.
+/// that outlasts the rpc deadline, a connection-level `Busy` or a
+/// response for an unknown id poisons the whole pipeline and fails every outstanding ticket.
 /// Callers that want retry semantics rebuild the pipeline and resend
 /// (evaluation is deterministic and the store dedups, so replays are
-/// safe) — that is exactly what
-/// [`RemoteEvaluator`](crate::RemoteEvaluator) does.
+/// safe) — that is exactly what a [`Client`] does, for its own calls and
+/// for the evaluation engine's worker on its daemon.
 pub struct Pipeline {
     writer: Mutex<TcpStream>,
     /// The same socket: read by whoever holds `PipeShared::reading`,
@@ -554,18 +520,19 @@ pub struct Pipeline {
     stream: TcpStream,
     shared: Mutex<PipeShared>,
     changed: Condvar,
-    depth: usize,
     rpc_timeout: Duration,
     next_corr: AtomicU64,
 }
 
 impl Pipeline {
-    /// Dials `addr`. `depth` bounds the frames in flight
-    /// ([`Pipeline::send`] reads at the cap); `policy` supplies only the
-    /// rpc deadline, armed on the socket — retries are the caller's
-    /// business.
-    pub fn connect(addr: &str, depth: usize, policy: &RetryPolicy) -> Result<Pipeline, ServiceError> {
-        let stream = dial(addr, policy)?;
+    /// Dials `addr`. `policy` supplies only the rpc deadline, armed on
+    /// the socket — retries are the caller's business.
+    pub fn connect(addr: &str, policy: &RetryPolicy) -> Result<Pipeline, ServiceError> {
+        let stream = TcpStream::connect(addr)?;
+        let deadline = Some(policy.rpc_timeout).filter(|d| !d.is_zero());
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(deadline).ok();
+        stream.set_write_timeout(deadline).ok();
         Ok(Pipeline {
             writer: Mutex::new(stream.try_clone()?),
             stream,
@@ -576,7 +543,6 @@ impl Pipeline {
                 reading: false,
             }),
             changed: Condvar::new(),
-            depth: depth.max(1),
             rpc_timeout: policy.rpc_timeout,
             next_corr: AtomicU64::new(0),
         })
@@ -597,28 +563,27 @@ impl Pipeline {
     }
 
     /// Reads one response frame. A frame tagged 0 is a connection-level
-    /// notice addressed to no request — an admission shed (Busy) or a
-    /// pre-decode error — and ends the pipeline like any read failure.
+    /// notice addressed to no request — an admission shed (Busy, its
+    /// retry hint kept) or a pre-decode error — and ends the pipeline
+    /// like any read failure.
     fn read_response(&self) -> Result<(u64, Response), PipeFailure> {
-        let fail = |transient, message| PipeFailure { transient, message };
         let (corr, payload) = read_frame_tagged(&mut &self.stream).map_err(|e| match e {
-            FrameError::Eof => fail(true, "daemon closed the pipelined connection".to_string()),
-            FrameError::TimedOut => fail(
-                true,
-                format!("no response frame for {:?} with requests in flight", self.rpc_timeout),
-            ),
-            e => fail(!matches!(e, FrameError::VersionSkew), format!("pipelined read failed: {e}")),
+            FrameError::Eof => PipeFailure::Transient("daemon closed the connection".to_string()),
+            FrameError::TimedOut => PipeFailure::Transient(format!(
+                "no response frame for {:?} with requests in flight",
+                self.rpc_timeout
+            )),
+            FrameError::VersionSkew => PipeFailure::Fatal(format!("read failed: {e}")),
+            e => PipeFailure::Transient(format!("read failed: {e}")),
         })?;
         let resp = protocol::parse_response(&payload)
-            .map_err(|e| fail(false, format!("unparseable response: {e}")))?;
+            .map_err(|e| PipeFailure::Fatal(format!("unparseable response: {e}")))?;
         match (corr, resp) {
-            (0, Response::Busy { retry_after_ms }) => {
-                Err(fail(true, format!("daemon shed the connection (retry in {retry_after_ms}ms)")))
-            }
-            (0, Response::Error { message }) => Err(fail(false, message)),
-            (0, other) => {
-                Err(fail(false, format!("connection-level frame carried unexpected {other:?}")))
-            }
+            (0, Response::Busy { retry_after_ms }) => Err(PipeFailure::Busy(retry_after_ms)),
+            (0, Response::Error { message }) => Err(PipeFailure::Fatal(message)),
+            (0, other) => Err(PipeFailure::Fatal(format!(
+                "connection-level frame carried unexpected {other:?}"
+            ))),
             (corr, resp) => Ok((corr, resp)),
         }
     }
@@ -643,10 +608,7 @@ impl Pipeline {
                 shared.in_flight -= 1;
                 Ok(())
             }
-            _ => Err(PipeFailure {
-                transient: false,
-                message: format!("response for unknown correlation id {corr}"),
-            }),
+            _ => Err(PipeFailure::Fatal(format!("response for unknown correlation id {corr}"))),
         });
         match filed {
             Ok(()) => self.changed.notify_all(),
@@ -655,13 +617,13 @@ impl Pipeline {
         shared
     }
 
-    /// Sends one request frame; at the depth cap it first reads
+    /// Sends one request frame; at the in-flight cap it first reads
     /// responses until one is answered. Returns the ticket to redeem for
     /// this request's response.
     pub fn send(&self, req: &Request) -> Result<Ticket, ServiceError> {
         let corr = {
             let mut shared = self.shared.lock().expect("pipeline lock");
-            while shared.failure.is_none() && shared.in_flight >= self.depth {
+            while shared.failure.is_none() && shared.in_flight >= MAX_IN_FLIGHT {
                 shared = self.advance(shared);
             }
             if let Some(f) = &shared.failure {
@@ -681,8 +643,7 @@ impl Pipeline {
             if matches!(shared.pending.remove(&corr), Some(None)) {
                 shared.in_flight -= 1;
             }
-            let message = format!("pipeline send failed: {e}");
-            self.poison(&mut shared, PipeFailure { transient: true, message });
+            self.poison(&mut shared, PipeFailure::Transient(format!("send failed: {e}")));
             return Err(ServiceError::Io(e));
         }
         Ok(Ticket { corr })
@@ -719,38 +680,16 @@ impl fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let shared = self.shared.lock().expect("pipeline lock");
         f.debug_struct("Pipeline")
-            .field("depth", &self.depth)
             .field("in_flight", &shared.in_flight)
             .field("poisoned", &shared.failure.is_some())
             .finish()
     }
 }
 
-/// The one retry-policy step, shared by [`Client`] and the evaluation
-/// engine's workers: a transient failure sleeps the backoff (honoring
-/// the daemon's Busy hint when that is the longer wait — it knows its
-/// queue better) and returns the bumped attempt count; a deterministic
-/// failure — or an exhausted policy — bails with the error.
-pub(crate) fn retry_or_bail(
-    policy: &RetryPolicy,
-    attempt: u32,
-    e: ServiceError,
-) -> Result<u32, ServiceError> {
-    if !e.is_transient() || attempt >= policy.max_retries {
-        return Err(e);
-    }
-    let attempt = attempt + 1;
-    let mut nap = policy.backoff(attempt);
-    if let ServiceError::Busy(hint_ms) = e {
-        nap = nap.max(Duration::from_millis(hint_ms));
-    }
-    std::thread::sleep(nap);
-    Ok(attempt)
-}
-
-/// What an `evaluate` request was answered — on either connection
-/// type — as the daemon's fresh-computation count and its measurements,
-/// positionally verified: the one place an answer is unpacked.
+/// What an `evaluate` request was answered — a [`Client`]'s or an
+/// engine worker's — as the daemon's fresh-computation count and its
+/// measurements, positionally verified: the one place an answer is
+/// unpacked.
 pub(crate) fn evaluate_answer(
     resp: Response,
     points: &[TuningParams],

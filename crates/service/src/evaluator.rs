@@ -3,16 +3,14 @@
 //! one-shard case of `tune --fleet A,B,…`; there is no second code
 //! path. Scheduling shows up only in [`FleetStats`], never in the data.
 
-use crate::client::{
-    evaluate_answer, retry_or_bail, Client, Pipeline, RetryPolicy, ServiceError, Ticket,
-};
+use crate::client::{evaluate_answer, Client, Pipeline, RetryPolicy, ServiceError, Ticket};
 use crate::protocol::{EvalScope, Request};
 use crate::sched::StealScheduler;
 use oriole_codegen::TuningParams;
 use oriole_tuner::{Measurement, Oracle, WordHash};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How [`RemoteEvaluator`] packs cache misses into pipelined `evaluate`
@@ -23,8 +21,8 @@ pub struct CoalesceConfig {
     /// chunks of this size, so a daemon's workers parallelize *within*
     /// one logical batch. Also the granule shards steal.
     pub max_batch_points: usize,
-    /// Pipeline depth of each shard's connection — evaluate frames
-    /// concurrently in flight on one daemon.
+    /// Evaluate frames a shard's worker keeps in flight on its daemon's
+    /// connection (a value above the pipeline's cap of 32 waits there).
     pub max_frames: usize,
 }
 
@@ -99,18 +97,6 @@ impl FleetStats {
     }
 }
 
-/// One daemon of the engine.
-#[derive(Debug)]
-struct Shard {
-    /// The single-shot session: names the address and answers
-    /// side-channel requests ([`RemoteEvaluator::client`]).
-    client: Client,
-    /// The pipelined connection, dialed by the first chunk sent and
-    /// kept across batches; `None` after a failure, so the next use
-    /// re-dials.
-    pipe: Mutex<Option<Pipeline>>,
-}
-
 /// The client-side memo and the one-flusher rule.
 #[derive(Debug)]
 struct Memo {
@@ -157,8 +143,8 @@ struct BatchState {
 /// batch's misses are cut into frames of at most
 /// [`CoalesceConfig::max_batch_points`] points, enqueued on the scope's
 /// home shard and drained by one worker per live shard, each keeping up
-/// to [`CoalesceConfig::max_frames`] frames in flight on its daemon's
-/// [`Pipeline`]; idle workers steal from the busiest queue's tail, and
+/// to [`CoalesceConfig::max_frames`] frames in flight on its shard's
+/// connection; idle workers steal from the busiest queue's tail, and
 /// results merge **by chunk index**, so the answer is bit-identical to
 /// a local run no matter which shard computed what.
 ///
@@ -171,9 +157,13 @@ struct BatchState {
 /// wire format is exact, and the memo is keyed by point, so scheduling
 /// never shows in the data.
 ///
-/// Transient RPC failures are healed by redialing and resending under
-/// the [`RetryPolicy`]; a shard that outlasts the policy is retired
-/// for the evaluator's life and its chunks rebalance. The oracle
+/// A shard *is* a [`Client`]: its connection is dialed by the first
+/// chunk sent (or by [`Client::connect`]) and kept across batches, and
+/// side-channel calls ([`RemoteEvaluator::client`]) share it. Transient
+/// RPC failures are healed by redialing and resending under the
+/// client's [`RetryPolicy`], each retry counted in [`Client::retries`];
+/// a shard that outlasts the policy is retired for the evaluator's life
+/// and its chunks rebalance. The oracle
 /// contract has no error channel, so a *final* failure — a
 /// deterministic daemon error, or the last live shard lost — is
 /// **latched**: the failing batch scores `f64::INFINITY`, every later
@@ -182,11 +172,10 @@ struct BatchState {
 /// aborts the run loudly instead of silently returning garbage winners.
 #[derive(Debug)]
 pub struct RemoteEvaluator {
-    shards: Vec<Shard>,
+    shards: Vec<Client>,
     /// Where a batch's chunks first enqueue.
     home: usize,
     scope: EvalScope,
-    policy: RetryPolicy,
     config: CoalesceConfig,
     memo: Mutex<Memo>,
     changed: Condvar,
@@ -206,8 +195,7 @@ impl RemoteEvaluator {
         scope: EvalScope,
         config: CoalesceConfig,
     ) -> RemoteEvaluator {
-        let policy = *client.policy();
-        RemoteEvaluator::assemble(vec![client], 0, scope, policy, config)
+        RemoteEvaluator::assemble(vec![client], 0, scope, config)
     }
 
     /// An evaluator over the daemons at `addrs`, none dialed until it
@@ -222,31 +210,26 @@ impl RemoteEvaluator {
     ) -> RemoteEvaluator {
         assert!(home < addrs.len(), "home shard {home} of {} shard(s)", addrs.len());
         let clients = addrs.iter().map(|a| Client::undialed(a, policy)).collect();
-        RemoteEvaluator::assemble(clients, home, scope, policy, config)
+        RemoteEvaluator::assemble(clients, home, scope, config)
     }
 
     fn assemble(
-        clients: Vec<Client>,
+        shards: Vec<Client>,
         home: usize,
         scope: EvalScope,
-        policy: RetryPolicy,
         config: CoalesceConfig,
     ) -> RemoteEvaluator {
         let telemetry = FleetStats {
-            shards: clients
+            shards: shards
                 .iter()
                 .map(|c| ShardTelemetry { addr: c.addr().to_string(), ..ShardTelemetry::default() })
                 .collect(),
             ..FleetStats::default()
         };
         RemoteEvaluator {
-            shards: clients
-                .into_iter()
-                .map(|client| Shard { client, pipe: Mutex::new(None) })
-                .collect(),
+            shards,
             home,
             scope,
-            policy,
             config: CoalesceConfig {
                 max_batch_points: config.max_batch_points.max(1),
                 max_frames: config.max_frames.max(1),
@@ -263,10 +246,10 @@ impl RemoteEvaluator {
         }
     }
 
-    /// The home shard's single-shot session (for side-channel requests
-    /// like [`Client::stats`] to the same daemon).
+    /// The home shard's session (for side-channel requests like
+    /// [`Client::stats`], on the connection the engine's chunks ride).
     pub fn client(&self) -> &Client {
-        &self.shards[self.home].client
+        &self.shards[self.home]
     }
 
     /// A snapshot of the telemetry so far.
@@ -437,28 +420,25 @@ impl RemoteEvaluator {
     }
 
     /// One shard's worker: claims chunks while its window has room,
-    /// sends them down the shard's pipeline and redeems the oldest,
-    /// until the batch resolves, the shard is retired, or the batch
-    /// fails.
+    /// sends them down the shard client's pipeline and redeems the
+    /// oldest, until the batch resolves, the shard is retired, or the
+    /// batch fails.
     fn worker(&self, shard: usize, batch: &Batch<'_>) {
-        let slot = &self.shards[shard];
-        let mut pipe = slot.pipe.lock().expect("shard pipeline lock").take();
+        let client = &self.shards[shard];
+        // The connection this worker's tickets ride: the client's, taken
+        // on first use and again after a failure.
+        let mut pipe: Option<Arc<Pipeline>> = None;
         // Chunks claimed and not yet answered, oldest first, each with
         // its ticket once sent.
         let mut in_hand: VecDeque<(usize, Option<Ticket>)> = VecDeque::new();
         let mut attempt: u32 = 0;
-        loop {
+        'work: loop {
             let mut stolen = 0u64;
             {
                 let mut st = batch.state.lock().expect("batch state lock");
                 loop {
                     if st.failed.is_some() || st.resolved == batch.chunks.len() {
-                        // A pipeline with tickets still out (another
-                        // worker failed the batch) is not reusable.
-                        if in_hand.is_empty() {
-                            *slot.pipe.lock().expect("shard pipeline lock") = pipe;
-                        }
-                        return;
+                        break 'work;
                     }
                     while in_hand.len() < batch.window {
                         let Some(task) = st.sched.next_for(shard) else { break };
@@ -482,7 +462,7 @@ impl RemoteEvaluator {
                 self.telemetry.lock().expect("telemetry lock").shards[shard].stolen += stolen;
             }
             let started = Instant::now();
-            match self.exchange(slot.client.addr(), &mut pipe, &mut in_hand, batch) {
+            match self.exchange(client, &mut pipe, &mut in_hand, batch) {
                 Ok((chunk, computed, measurements)) => {
                     attempt = 0;
                     {
@@ -498,46 +478,51 @@ impl RemoteEvaluator {
                     batch.woke.notify_all();
                 }
                 Err(e) => {
-                    match retry_or_bail(&self.policy, attempt, e) {
+                    match client.retry_or_bail(attempt, e) {
                         Ok(next) => attempt = next,
                         Err(e) => {
                             self.give_up(shard, e, &in_hand, batch);
-                            return;
+                            break;
                         }
                     }
                     // A transport failure took every ticket with it;
                     // a Busy answer left the pipeline and the other
                     // tickets good.
-                    if pipe.as_ref().is_some_and(Pipeline::is_poisoned) {
+                    if pipe.as_ref().is_some_and(|p| p.is_poisoned()) {
                         pipe = None;
                         in_hand.iter_mut().for_each(|(_, ticket)| *ticket = None);
                     }
                 }
             }
         }
+        // A pipeline with tickets still out (this shard gave up, or
+        // another worker failed the batch) is not reusable.
+        if let Some(p) = pipe.filter(|_| in_hand.iter().any(|(_, ticket)| ticket.is_some())) {
+            client.discard(&p);
+        }
     }
 
-    /// Sends every unsent chunk in hand — dialing the pipeline if the
-    /// shard has none — and redeems the oldest ticket: the chunk's
-    /// index, the daemon's fresh-computation count and its positionally
-    /// verified measurements. On failure the chunk stays in hand.
+    /// Sends every unsent chunk in hand — on the client's connection,
+    /// dialed if it has none — and redeems the oldest ticket: the
+    /// chunk's index, the daemon's fresh-computation count and its
+    /// positionally verified measurements. On failure the chunk stays
+    /// in hand.
     fn exchange(
         &self,
-        addr: &str,
-        pipe: &mut Option<Pipeline>,
+        client: &Client,
+        pipe: &mut Option<Arc<Pipeline>>,
         in_hand: &mut VecDeque<(usize, Option<Ticket>)>,
         batch: &Batch<'_>,
     ) -> Result<(usize, u64, Vec<Measurement>), ServiceError> {
-        // A connection idle since the last batch may have been reaped.
-        if pipe.as_ref().is_none_or(Pipeline::is_poisoned) {
-            *pipe = Some(Pipeline::connect(addr, self.config.max_frames, &self.policy)?);
-        }
-        let p = pipe.as_ref().expect("pipeline just ensured");
+        let p = match pipe {
+            Some(p) if !p.is_poisoned() => p,
+            _ => pipe.insert(client.pipeline()?),
+        };
         for (chunk, ticket) in in_hand.iter_mut().filter(|(_, ticket)| ticket.is_none()) {
             *ticket = Some(p.send(&Request::Evaluate {
                 scope: self.scope.clone(),
                 points: batch.chunks[*chunk].to_vec(),
-                deadline_ms: self.policy.deadline_ms(),
+                deadline_ms: client.policy().deadline_ms(),
             })?);
         }
         let (chunk, ticket) = in_hand.front_mut().expect("the worker holds a chunk");
@@ -560,7 +545,7 @@ impl RemoteEvaluator {
         in_hand: &VecDeque<(usize, Option<Ticket>)>,
         batch: &Batch<'_>,
     ) {
-        let addr = self.shards[shard].client.addr();
+        let addr = self.shards[shard].addr();
         let mut st = batch.state.lock().expect("batch state lock");
         if e.is_transient() {
             let held: Vec<usize> = in_hand.iter().map(|(chunk, _)| *chunk).collect();

@@ -25,8 +25,8 @@
 //!   (nonblocking, readiness-driven — see the private `reactor`
 //!   module's `poll(2)` wrapper) and runs each connection as a small
 //!   state machine: read-accumulate → decode → dispatch → write-drain.
-//!   Evaluation executes on a **bounded worker pool** behind the same
-//!   admission gate as before: requests that cannot start within their
+//!   Evaluation executes on a **bounded worker pool** whose size bounds
+//!   concurrent request bodies: requests that cannot start within their
 //!   deadline — and connections past the bound — are shed with an
 //!   explicit [`Response::Busy`](protocol::Response::Busy) instead of
 //!   a hung socket, idle connections are reaped, writes that stop
@@ -44,21 +44,21 @@
 //!   work, busy workers and unwritten responses under a hard deadline
 //!   before the reactor exits, so a daemon with a `--store-dir` never
 //!   tears its own spill lines.
-//! * [`client`] — the two connection types: a [`Client`] speaking the
-//!   protocol one blocking exchange at a time under a [`RetryPolicy`] —
-//!   a deadline on every exchange, automatic reconnect and retry with
-//!   exponential backoff + jitter for the idempotent verbs (evaluation
-//!   is deterministic and the store dedups, so replaying is always
-//!   bit-identically safe) — and a [`Pipeline`] holding up to N request
-//!   frames in flight on one connection with responses matched by
-//!   correlation id.
+//! * [`client`] — one connection type: a [`Pipeline`] holding up to 32
+//!   request frames in flight on one connection with responses matched
+//!   by correlation id, and a [`Client`], which is a pipeline plus the
+//!   retry loop under a [`RetryPolicy`] — a deadline on every exchange,
+//!   automatic reconnect and retry with exponential backoff + jitter for
+//!   the idempotent verbs (evaluation is deterministic and the store
+//!   dedups, so replaying is always bit-identically safe).
 //! * [`RemoteEvaluator`] — the one way to ask daemons for points: an
 //!   [`oriole_tuner::Oracle`] over N ≥ 1 daemons, so every existing
 //!   search strategy runs unchanged against them. It owns the
 //!   client-side memo, cuts a batch's misses into frames
-//!   ([`CoalesceConfig`]) and drains them with one pipelined worker per
-//!   live daemon under a work-stealing scheduler; `oriole_fleet` only
-//!   names the daemons. A *final* failure — a deterministic error, or
+//!   ([`CoalesceConfig`]) and drains them with one worker per live
+//!   daemon under a work-stealing scheduler, each on its daemon's
+//!   [`Client`] connection — one per daemon; `oriole_fleet` only names
+//!   the daemons. A *final* failure — a deterministic error, or
 //!   the last daemon lost — latches: the run aborts loudly, never
 //!   silently returns garbage winners.
 //! * [`chaos`] — fault injection: a [`ChaosProxy`] that delays,

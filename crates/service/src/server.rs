@@ -19,8 +19,9 @@
 //! socket (backpressure by TCP), never buffers unboundedly.
 //!
 //! Evaluation work runs on a **bounded worker pool** of exactly
-//! [`ServeConfig::max_inflight`] threads behind the [`InflightGate`]:
-//! a request that cannot start within its declared deadline (or the
+//! [`ServeConfig::max_inflight`] threads — the pool is the bound on
+//! concurrent request bodies: a request that cannot start within its
+//! declared deadline (or the
 //! server's own [`ServeConfig::request_timeout`]) is shed with
 //! [`Response::Busy`], never queued invisibly. What is *not* work the
 //! reactor answers itself: `ping`, `stats` and `shutdown` — an operator
@@ -175,54 +176,6 @@ pub struct ServeSummary {
     pub drained: bool,
 }
 
-/// The admission gate on concurrent `evaluate`/`simulate` bodies: a
-/// condvar-guarded slot counter. The worker pool is sized to the cap so
-/// acquisition never waits in practice, but the gate remains the one
-/// source of truth for the `workers_busy` stat and the shutdown drain
-/// (wait for zero) with its own hard deadline.
-struct InflightGate {
-    slots: Mutex<usize>,
-    changed: Condvar,
-    cap: usize,
-}
-
-impl InflightGate {
-    fn new(cap: usize) -> InflightGate {
-        InflightGate { slots: Mutex::new(0), changed: Condvar::new(), cap: cap.max(1) }
-    }
-
-    /// Waits up to `deadline` for a free slot; `false` means the
-    /// request must be shed.
-    fn acquire(&self, deadline: Duration) -> bool {
-        let mut used = self.slots.lock().expect("inflight gate lock");
-        let end = Instant::now() + deadline;
-        while *used >= self.cap {
-            let now = Instant::now();
-            if now >= end {
-                return false;
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(used, end - now)
-                .expect("inflight gate wait");
-            used = guard;
-        }
-        *used += 1;
-        true
-    }
-
-    fn release(&self) {
-        let mut used = self.slots.lock().expect("inflight gate lock");
-        *used = used.saturating_sub(1);
-        drop(used);
-        self.changed.notify_all();
-    }
-
-    fn busy(&self) -> usize {
-        *self.slots.lock().expect("inflight gate lock")
-    }
-}
-
 /// One decoded request handed to the worker pool, addressed back to its
 /// connection by `(slot, gen)` so a completion can never reach a reused
 /// slot.
@@ -256,9 +209,9 @@ struct WorkQueue {
 struct ServerState {
     cfg: ServeConfig,
     shutdown: AtomicBool,
-    /// Gate on requests inside an `evaluate`/`simulate` body — the
-    /// `workers_busy` stat and the drain gate shutdown waits on.
-    inflight: InflightGate,
+    /// Workers inside a request body right now (the `workers_busy`
+    /// stat; the pool's size bounds it).
+    workers_busy: AtomicU64,
     queue: Mutex<WorkQueue>,
     queue_changed: Condvar,
     completions: Mutex<Vec<Completion>>,
@@ -313,9 +266,9 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let state = Arc::new(ServerState {
-            inflight: InflightGate::new(cfg.max_inflight),
             cfg,
             shutdown: AtomicBool::new(false),
+            workers_busy: AtomicU64::new(0),
             queue: Mutex::new(WorkQueue { jobs: VecDeque::new(), stopped: false }),
             queue_changed: Condvar::new(),
             completions: Mutex::new(Vec::new()),
@@ -527,8 +480,7 @@ impl Server {
             if let Some(deadline) = draining {
                 let queue_empty =
                     state.queue.lock().expect("work queue lock").jobs.is_empty();
-                let idle = state.frames_inflight.load(Ordering::SeqCst) == 0
-                    && state.inflight.busy() == 0;
+                let idle = state.frames_inflight.load(Ordering::SeqCst) == 0;
                 let writes_flushed =
                     conns.iter().flatten().all(|c| !c.has_pending_write());
                 if queue_empty && idle && writes_flushed {
@@ -1024,15 +976,6 @@ fn conn_flush(conns: &mut [Option<Conn>], slot: usize, state: &ServerState) {
 // Worker pool
 // ---------------------------------------------------------------------------
 
-/// Releases an inflight slot on every exit path of a request body.
-struct SlotGuard<'a>(&'a InflightGate);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
 /// One worker thread: pops jobs, sheds the ones whose admission
 /// deadline passed in the queue, executes the rest through the shared
 /// store, and hands the serialized response back to the reactor.
@@ -1050,31 +993,22 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
                 q = state.queue_changed.wait(q).expect("work queue wait");
             }
         };
-        let admitted = Instant::now() <= job.admit_by
-            && state.inflight.acquire(state.cfg.request_timeout);
-        let (frame, close) = if !admitted {
+        let (frame, close) = if Instant::now() > job.admit_by {
             // Queued past its admission deadline: shed, never started.
-            // (A full gate is unreachable in practice — the pool is
-            // sized to it — and shed the same way rather than panic.)
             state.shed_busy.fetch_add(1, Ordering::Relaxed);
             let busy = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
             (frame_response(job.corr, &busy), false)
+        } else if state.shutdown.load(Ordering::SeqCst) {
+            // Work reaching a worker after shutdown was flagged is
+            // refused, not started; the drain waits for the refusal to
+            // be delivered like any other answer (`frames_inflight`).
+            let resp = Response::Error { message: "daemon is shutting down".to_string() };
+            (frame_response(job.corr, &resp), true)
         } else {
-            let slot = SlotGuard(&state.inflight);
-            // The slot is acquired BEFORE the shutdown re-check: either
-            // this worker observes the flag clear — in which case the
-            // drain (which starts only after the flag is set) sees the
-            // occupied slot and waits for us — or it observes the flag
-            // set and refuses. A request can never slip between
-            // "shutdown flagged" and "drain complete".
-            let out = if state.shutdown.load(Ordering::SeqCst) {
-                let resp = Response::Error { message: "daemon is shutting down".to_string() };
-                (frame_response(job.corr, &resp), true)
-            } else {
-                (dispatch(job.req, job.corr, store, state), false)
-            };
-            drop(slot);
-            out
+            state.workers_busy.fetch_add(1, Ordering::Relaxed);
+            let frame = dispatch(job.req, job.corr, store, state);
+            state.workers_busy.fetch_sub(1, Ordering::Relaxed);
+            (frame, false)
         };
         state.complete(wake, Completion { slot: job.slot, gen: job.gen, frame, close });
     }
@@ -1136,7 +1070,7 @@ fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
         measurement_tiers: s.measurement_tiers as u64,
         unique_evaluations: s.unique_evaluations as u64,
         contexts: s.contexts as u64,
-        workers_busy: state.inflight.busy() as u64,
+        workers_busy: state.workers_busy.load(Ordering::Relaxed),
         workers_max: state.cfg.max_inflight as u64,
         shed_busy: state.shed_busy.load(Ordering::Relaxed),
         reaped_idle: state.reaped_idle.load(Ordering::Relaxed),

@@ -254,7 +254,7 @@ fn pipelined_requests_complete_out_of_order_and_stay_bit_identical() {
     let sc = scope("atax", gpu, &sizes);
 
     let (addr, handle) = spawn_server(ArtifactStore::new());
-    let pipe = Pipeline::connect(&addr, 8, &RetryPolicy::default()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &RetryPolicy::default()).expect("connect");
 
     // One frame per point, all in flight at once, redeemed in *reverse*
     // send order — correlation ids, not arrival order, route responses.

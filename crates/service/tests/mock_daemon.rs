@@ -1,7 +1,8 @@
 //! The client's trust-but-verify guards, exercised explicitly: a mock
 //! daemon that speaks perfect frames but *lies* — reordering or
 //! short-changing the measurement list — must surface as a protocol
-//! error, never as mislabeled measurements handed to a search.
+//! error, never as mislabeled measurements handed to a search. One that
+//! sheds the connection must be heard with its retry hint.
 
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
@@ -23,6 +24,9 @@ enum Tamper {
     /// Answer honestly but tag the response with a correlation id the
     /// client never issued (violates the id-echo contract).
     WrongId,
+    /// Shed the connection: a correlation-id-0 `Busy` with a 7 ms hint,
+    /// whatever was asked.
+    Shed,
 }
 
 fn fake_measurement(params: TuningParams, time_ms: f64) -> Measurement {
@@ -61,15 +65,16 @@ fn spawn_mock(tamper: Tamper) -> (String, JoinHandle<()>) {
                         Tamper::ShortChange => {
                             measurements.pop();
                         }
-                        Tamper::WrongId => {}
+                        Tamper::WrongId | Tamper::Shed => {}
                     }
                     Response::Evaluate { computed: measurements.len() as u64, measurements }
                 }
                 Ok(_) | Err(_) => Response::Error { message: "mock only evaluates".into() },
             };
-            let reply_corr = match tamper {
-                Tamper::WrongId => corr + 1,
-                _ => corr,
+            let (reply_corr, response) = match tamper {
+                Tamper::WrongId => (corr + 1, response),
+                Tamper::Shed => (0, Response::Busy { retry_after_ms: 7 }),
+                _ => (corr, response),
             };
             if write_frame_tagged(&mut stream, reply_corr, &protocol::emit_response(&response))
                 .is_err()
@@ -145,7 +150,7 @@ fn a_response_with_the_wrong_correlation_id_is_rejected_not_delivered() {
 #[test]
 fn a_pipelined_response_with_an_unknown_id_poisons_the_pipeline() {
     let (addr, handle) = spawn_mock(Tamper::WrongId);
-    let pipe = Pipeline::connect(&addr, 4, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
     let ticket = pipe
         .send(&Request::Evaluate {
             scope: scope(),
@@ -161,6 +166,18 @@ fn a_pipelined_response_with_an_unknown_id_poisons_the_pipeline() {
         other => panic!("expected a protocol error, got {other:?}"),
     }
     assert!(pipe.is_poisoned(), "the whole pipeline is condemned");
+    drop(pipe);
+    handle.join().expect("mock thread");
+}
+
+#[test]
+fn a_connection_level_busy_keeps_its_retry_hint_and_poisons_the_pipeline() {
+    let (addr, handle) = spawn_mock(Tamper::Shed);
+    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let asked = Request::Evaluate { scope: scope(), points: points(), deadline_ms: 0 };
+    let err = pipe.call(&asked).expect_err("a shed connection answers nothing");
+    assert!(matches!(err, ServiceError::Busy(7)), "the daemon's hint survives: {err:?}");
+    assert!(pipe.is_poisoned(), "the shed ends the connection");
     drop(pipe);
     handle.join().expect("mock thread");
 }

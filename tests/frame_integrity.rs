@@ -191,9 +191,11 @@ fn spawn_v3_daemon(connections: usize) -> (String, std::thread::JoinHandle<()>) 
 }
 
 #[test]
-fn a_v3_daemon_is_refused_by_both_client_kinds_without_a_retry() {
-    // One connection each: skew is deterministic, so the retrying
-    // client must not redial (the listener thread would never finish).
+fn a_v3_daemon_is_refused_by_the_client_and_its_pipeline_without_a_retry() {
+    // A `Client` is a `Pipeline` plus the retry loop. One connection
+    // each: skew is deterministic, so the retry loop must not redial
+    // (the listener thread would never finish), and the bare pipeline
+    // underneath must poison on it.
     let (addr, serving) = spawn_v3_daemon(2);
 
     let client = Client::connect(&addr).expect("connect");
@@ -203,7 +205,7 @@ fn a_v3_daemon_is_refused_by_both_client_kinds_without_a_retry() {
     assert_eq!(client.retries(), 0);
     drop(client);
 
-    let pipeline = Pipeline::connect(&addr, 4, &RetryPolicy::default()).expect("connect");
+    let pipeline = Pipeline::connect(&addr, &RetryPolicy::default()).expect("connect");
     let err = pipeline.call(&Request::Ping).expect_err("a v3 answer");
     assert!(matches!(err, ServiceError::Protocol(_)) && !err.is_transient(), "{err:?}");
     assert!(names_the_skew(&err.to_string()), "{err}");
