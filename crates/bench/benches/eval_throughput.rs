@@ -5,8 +5,8 @@
 //! * `service/remote_cold_sweep` — a fresh daemon per iteration: the
 //!   whole space computed server-side and shipped back.
 //! * `service/warm_shared_clients`, `service/warm_gated_clients` — four
-//!   concurrent clients on one warm daemon, without and with a
-//!   serialized admission gate (`max_inflight: 1`).
+//!   concurrent clients on one warm daemon, on its default pool and on
+//!   a one-worker pool (`max_inflight: 1`).
 //! * `service/scaling_{seq,pipe}/cN` — the client-scaling curve, one
 //!   point per exchange against pipelined 64-point frames, 1 → 128
 //!   clients (ROADMAP item 2 quotes the c64 → c128 step).
@@ -115,10 +115,10 @@ fn bench_eval_throughput(c: &mut Criterion) {
     server_handle.join().expect("server thread");
 
     // `service/warm_gated_clients`: the same multi-tenant warm sweep
-    // through a deliberately serialized admission gate
-    // (`max_inflight: 1`). Against `warm_shared_clients` it prices the
-    // fault-hardening layer itself: the condvar slot hand-off every
-    // request now passes through, at its worst-case contention.
+    // through a one-worker pool (`max_inflight: 1`). A 640-point frame
+    // is past what the reactor answers inline, so every client's frame
+    // queues for that one worker thread: against `warm_shared_clients`
+    // it prices the worker hand-off at its worst-case contention.
     let gated = ServeConfig { max_inflight: 1, ..ServeConfig::default() };
     let server = Server::bind_with("127.0.0.1:0", ArtifactStore::new(), gated)
         .expect("bind loopback");

@@ -9,7 +9,7 @@
 
 use oriole_bench::{ExpOptions, TextTable};
 use oriole_codegen::compile;
-use oriole_core::predict::{predict_time_with, PredictedSeries};
+use oriole_core::predict::{predict_time_indexed, PredictedSeries};
 use oriole_sim::{measure, TrialProtocol};
 
 fn main() {
@@ -29,8 +29,12 @@ fn main() {
                 let Ok(kernel) = compile(&kid.ast(n), gpu.spec(), params) else {
                     continue;
                 };
-                let predicted =
-                    predict_time_with(throughput, &kernel.program, kernel.geometry(n));
+                let predicted = predict_time_indexed(
+                    throughput,
+                    &kernel.index,
+                    &kernel.program,
+                    kernel.geometry(n),
+                );
                 let Ok(trials) = measure(&kernel, n, 10, 0xF16_5EED) else {
                     continue;
                 };

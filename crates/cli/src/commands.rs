@@ -5,10 +5,11 @@
 use crate::args::Args;
 use oriole_arch::{Gpu, ALL_GPUS};
 use oriole_codegen::{compile, CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
-use oriole_core::predict::predict_time_with;
+use oriole_core::predict_time_indexed;
 use oriole_core::{analyze, report, suggest};
 use oriole_fleet::FleetSpec;
 use oriole_kernels::KernelId;
+use oriole_service::protocol::MAX_IN_FLIGHT;
 use oriole_service::{
     Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
     ServiceStats,
@@ -103,7 +104,7 @@ commands:
                                          a persistent artifact store
                                          (gc honors --dry-run: report only)
   serve     [--addr 127.0.0.1:7733] [--store-dir DIR]
-            [--workers N] [--max-inflight N] [--pipeline-depth N]
+            [--workers N] [--max-inflight N]
             [--request-timeout MS] [--idle-timeout MS]
                                          run the tuner daemon: one shared
                                          artifact store served to remote
@@ -111,9 +112,8 @@ commands:
                                          saturation answers `busy` (shed,
                                          never hung), idle connections
                                          are reaped, and each connection
-                                         may pipeline up to
-                                         --pipeline-depth requests with
-                                         out-of-order responses
+                                         may pipeline up to 32 requests
+                                         with out-of-order responses
   service   {ping|stats|shutdown} --remote ADDR
                                          probe / inspect / stop a daemon
   service   fleet-stats --fleet ADDRS|@FILE
@@ -125,7 +125,7 @@ common variant flags: --tc --bc --uif --pl --sc --fast-math
 model flag (tune/simulate/analyze): --model {sim,static,roofline}
             select the timing backend (default sim; static reports Eq. 6
             model units, not ms — see `models`)
-store flag (tune/simulate): --store-dir DIR
+store flag (tune): --store-dir DIR
             persist measurement tiers to DIR (content-addressed,
             checksummed artifacts): a re-run against the same DIR —
             even in another process — resumes as pure cache hits with
@@ -296,7 +296,7 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let seed: u64 = args.num_or("seed", 42)?;
     let params = parse_params(args)?;
     let model = parse_model(args)?;
-    let remote = remote_addr(args)?;
+    let remote = args.optional("remote");
     let policy = retry_policy(args)?;
     args.reject_unasked("simulate")?;
     // Compile + simulate either in-process or on a daemon; the wire
@@ -312,9 +312,6 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
         None => {
             let kernel =
                 compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
-            // `--store-dir` is accepted (and opened) for interface
-            // parity with `tune`; a simulation reads and writes no tier.
-            resolve_store(args)?;
             let ctx = ModelContext::for_model(gpu.spec(), model);
             let t = ctx.measure(&kernel, n, trials, seed).map_err(|e| e.to_string())?;
             let selected = t.selected(TrialProtocol::FifthOfTen);
@@ -541,9 +538,9 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
             // One Eq. 6 table for the whole prediction sweep.
             let table = gpu.spec().throughput();
             let predictor = move |p: oriole_codegen::TuningParams| {
-                compile(&kernel_id.ast(n_probe), gpu.spec(), p)
-                    .ok()
-                    .map(|k| predict_time_with(table, &k.program, k.geometry(n_probe)))
+                compile(&kernel_id.ast(n_probe), gpu.spec(), p).ok().map(|k| {
+                    predict_time_indexed(table, &k.index, &k.program, k.geometry(n_probe))
+                })
             };
             let mut s = HybridSearch::new(predictor, dial);
             let result = s.search(&space, oracle, budget);
@@ -740,14 +737,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         idle_timeout: std::time::Duration::from_millis(
             args.num_or("idle-timeout", default.idle_timeout.as_millis() as u64)?,
         ),
-        pipeline_depth: args.num_or("pipeline-depth", default.pipeline_depth)?,
-        ..default
     };
     if cfg.workers == 0 || cfg.max_inflight == 0 {
         return Err("--workers and --max-inflight must be at least 1".to_string());
-    }
-    if cfg.pipeline_depth == 0 {
-        return Err("--pipeline-depth must be at least 1".to_string());
     }
     args.reject_unasked("serve")?;
     let (store, store_note) = match store_dir {
@@ -770,10 +762,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         let _ = writeln!(
             stdout,
             "oriole serve: listening on {actual} ({store_note}; {} worker(s), {} in-flight, \
-             pipeline depth {}, request timeout {}ms, idle timeout {}ms)",
+             pipeline depth {MAX_IN_FLIGHT}, request timeout {}ms, idle timeout {}ms)",
             cfg.workers,
             cfg.max_inflight,
-            cfg.pipeline_depth,
             cfg.request_timeout.as_millis(),
             cfg.idle_timeout.as_millis()
         );
@@ -1336,7 +1327,6 @@ mod tests {
         let path = file.to_string_lossy().into_owned();
         for line in [
             format!("tune --kernel atax --gpu k20 --strategy random --budget 2 --sizes 32 --store-dir {path}"),
-            format!("simulate --kernel atax --gpu k20 --n 64 --store-dir {path}"),
             format!("serve --addr 127.0.0.1:0 --store-dir {path}"),
         ] {
             let err = call(&line).unwrap_err();
@@ -1348,13 +1338,9 @@ mod tests {
 
     #[test]
     fn remote_and_store_dir_are_mutually_exclusive() {
-        for line in [
-            "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 --store-dir /tmp/x",
-            "simulate --kernel atax --gpu k20 --n 64 --remote 127.0.0.1:1 --store-dir /tmp/x",
-        ] {
-            let err = call(line).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{err}");
-        }
+        let line = "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 --store-dir /tmp/x";
+        let err = call(line).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]
@@ -1396,6 +1382,9 @@ mod tests {
             // passing it is told so by name.
             (format!("{tune} --budget 2 --remote 127.0.0.1:1 --flush-idle-us 200"), "--flush-idle-us"),
             ("simulate --kernel atax --gpu k20 --n 64 --budget 2".to_string(), "--budget"),
+            // The in-flight cap is the protocol's, not a daemon knob;
+            // `--pipeline-depth` is `tune`'s client window only.
+            ("serve --addr not-an-address --pipeline-depth 4".to_string(), "--pipeline-depth"),
             ("analyze --kernel atax --gpu k20 --strategy random".to_string(), "--strategy"),
             ("gpus --csv".to_string(), "--csv"),
             ("serve --adr 127.0.0.1:0".to_string(), "--adr"),
@@ -1424,7 +1413,7 @@ mod tests {
             format!("analyze --kernel atax --gpu k20 --n 64 {variant} --model static"),
             "occupancy --gpu k20 --tc 256 --regs 27 --smem 3072".to_string(),
             format!("suggest --kernel atax --gpu k20 --n 64 {variant}"),
-            format!("simulate --kernel atax --gpu k20 --n 64 {variant} --model sim --store-dir {dir}"),
+            format!("simulate --kernel atax --gpu k20 --n 64 {variant} --model sim"),
             format!("simulate --kernel atax --gpu k20 --n 64 --remote {dead} {fast}"),
             format!("disasm --kernel atax --gpu k20 {variant}"),
             format!("{tune} --strategy hybrid --dial 0.5 --model roofline --csv --stats --store-dir {dir}"),
@@ -1440,7 +1429,7 @@ mod tests {
             format!("store gc --store-dir {dir} --dry-run"),
             format!(
                 "serve --addr not-an-address --store-dir {dir} --workers 1 --max-inflight 1 \
-                 --pipeline-depth 1 --request-timeout 10 --idle-timeout 10"
+                 --request-timeout 10 --idle-timeout 10"
             ),
             format!("service ping --remote {dead} {fast}"),
             format!("service fleet-stats --fleet {dead} {fast}"),
@@ -1637,7 +1626,6 @@ mod tests {
         for line in [
             "serve --addr 127.0.0.1:0 --workers 0",
             "serve --addr 127.0.0.1:0 --max-inflight 0",
-            "serve --addr 127.0.0.1:0 --pipeline-depth 0",
         ] {
             let err = call(line).unwrap_err();
             assert!(err.contains("at least 1"), "{err}");
@@ -1729,14 +1717,14 @@ mod tests {
     }
 
     #[test]
-    fn simulate_accepts_store_dir() {
+    fn simulate_refuses_store_dir_and_creates_nothing() {
+        // A simulation reads and writes no tier: the flag is refused,
+        // not accepted and then ignored.
         let dir = temp_store("simulate");
-        let out = call(&format!(
-            "simulate --kernel atax --gpu k20 --n 64 --store-dir {dir}"
-        ))
-        .unwrap();
-        assert!(out.contains("model time"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let err = call(&format!("simulate --kernel atax --gpu k20 --n 64 --store-dir {dir}"))
+            .unwrap_err();
+        assert!(err.contains("unrecognised flag --store-dir"), "{err}");
+        assert!(!Path::new(&dir).exists(), "a refused flag opens no directory");
     }
 
     #[test]

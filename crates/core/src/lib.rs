@@ -51,5 +51,5 @@ pub use divergence::{analyze_divergence, DivergenceFinding, DivergenceReport};
 pub use mix::MixReport;
 pub use occupancy::OccupancyAnalysis;
 pub use pipeline::PipelineUtilization;
-pub use predict::{predict_time, predict_time_indexed, PredictedSeries};
+pub use predict::{predict_time_indexed, PredictedSeries};
 pub use suggest::Suggestion;

@@ -14,43 +14,28 @@
 //!
 //! Eq. 6 is also available as a pluggable timing backend: the
 //! `StaticPredictModel` in `oriole_sim::model` wraps
-//! [`predict_time_with`] behind the `TimingModel` trait, so the CLI's
+//! [`predict_time_indexed`] behind the `TimingModel` trait, so the CLI's
 //! `--model static` (on `tune`/`simulate`/`analyze`) and the
 //! `model_agreement` experiment bin run this predictor through the same
 //! evaluation stack — the store's front-end and measurement tiers — as
 //! the simulator.
-//! [`predict_time_with`] takes the Table II column explicitly — for
-//! callers that already hold the device's table (the analyzer resolves
-//! one for its pipeline estimate, model contexts own their device), and
-//! as the injection point for non-family tables (measured or synthetic
-//! columns) later. [`predict_time`] is the convenience form that
-//! resolves the column from the program's family — a cheap static
-//! lookup, so pick whichever reads better at the call site.
+//!
+//! [`predict_time_indexed`] is Eq. 6's one public form. It takes the
+//! Table II column explicitly (`GpuSpec::throughput`; the injection
+//! point for measured or synthetic columns later) and the compiled
+//! kernel's `index`, whose per-block mix tapes it replays instead of
+//! walking the program.
 
 use oriole_arch::{InstrClass, ThroughputTable};
-use oriole_ir::{count, LaunchGeometry, Program, ProgramIndex};
+use oriole_ir::{LaunchGeometry, Program, ProgramIndex};
 
 /// Eq. 6: predicted execution cost of one kernel launch at geometry
-/// `geom`, from the *static* (trip-count-weighted) per-thread mix.
-///
-/// Thin wrapper over [`predict_time_with`] with the Table II column
-/// resolved from the program's family.
-pub fn predict_time(program: &Program, geom: LaunchGeometry) -> f64 {
-    predict_time_with(ThroughputTable::for_family(program.meta.family), program, geom)
-}
-
-/// [`predict_time`] with an explicit Table II column — for callers
-/// that already hold one (the analyzer, the `StaticPredictModel`
-/// backend) and for injecting non-family tables. Bit-identical to
-/// [`predict_time`] when `table` matches the program's family.
-pub fn predict_time_with(table: &ThroughputTable, program: &Program, geom: LaunchGeometry) -> f64 {
-    let classes = count::expected_mix(program, geom).classes();
-    eq6(table, classes)
-}
-
-/// [`predict_time_with`] replaying the prebuilt index's per-block mix
-/// tapes instead of re-walking `Instr` vectors. The tape preserves the
-/// walk's record order and weights, so the result is bit-identical.
+/// `geom`, from the *static* (trip-count-weighted) per-thread mix under
+/// the Table II column `table`. The mix is replayed from the prebuilt
+/// index's per-block tapes, which keep the program walk's record order
+/// and weights (`oriole_ir::count::expected_mix` is that walk, kept as
+/// the reference the index is tested against), so the result is
+/// bit-identical to walking.
 pub fn predict_time_indexed(
     table: &ThroughputTable,
     index: &ProgramIndex,
@@ -58,11 +43,6 @@ pub fn predict_time_indexed(
     geom: LaunchGeometry,
 ) -> f64 {
     let classes = index.expected_mix(program, geom).classes();
-    eq6(table, classes)
-}
-
-/// The Eq. 6 dot product shared by the walk and indexed entry points.
-fn eq6(table: &ThroughputTable, classes: oriole_ir::ClassMix) -> f64 {
     let cf = table.class_cpi(InstrClass::Flops);
     let cm = table.class_cpi(InstrClass::Mem);
     let cb = table.class_cpi(InstrClass::Ctrl);
@@ -158,9 +138,10 @@ mod tests {
     use oriole_kernels::KernelId;
 
     fn predict(kid: KernelId, n: u64, tc: u32) -> f64 {
-        let kernel =
-            compile(&kid.ast(n), Gpu::K20.spec(), TuningParams::with_geometry(tc, 48)).unwrap();
-        predict_time(&kernel.program, LaunchGeometry::new(n, tc, 48))
+        let gpu = Gpu::K20.spec();
+        let kernel = compile(&kid.ast(n), gpu, TuningParams::with_geometry(tc, 48)).unwrap();
+        let geom = LaunchGeometry::new(n, tc, 48);
+        predict_time_indexed(gpu.throughput(), &kernel.index, &kernel.program, geom)
     }
 
     #[test]
@@ -170,24 +151,6 @@ mod tests {
         let small = predict(KernelId::Atax, 64, 128);
         let large = predict(KernelId::Atax, 256, 128);
         assert!(large > small * 3.0, "{large} vs {small}");
-    }
-
-    #[test]
-    fn hoisted_table_is_bit_identical() {
-        // The sweep-loop variant with a caller-resolved table must be the
-        // same computation as the per-call convenience wrapper.
-        let kernel = compile(
-            &KernelId::Bicg.ast(128),
-            Gpu::K20.spec(),
-            TuningParams::with_geometry(256, 48),
-        )
-        .unwrap();
-        let geom = kernel.geometry(128);
-        let table = oriole_arch::ThroughputTable::for_family(kernel.program.meta.family);
-        assert_eq!(
-            predict_time_with(table, &kernel.program, geom),
-            predict_time(&kernel.program, geom)
-        );
     }
 
     #[test]
@@ -241,7 +204,8 @@ mod tests {
             let mut params = TuningParams::with_geometry(128, 48);
             params.uif = uif;
             let kernel = compile(&KernelId::Atax.ast(256), gpu, params).unwrap();
-            let pred = predict_time(&kernel.program, kernel.geometry(256));
+            let geom = kernel.geometry(256);
+            let pred = predict_time_indexed(gpu.throughput(), &kernel.index, &kernel.program, geom);
             let meas = oriole_sim::simulate(&kernel, 256).unwrap().time_ms;
             pairs.push((pred, meas));
         }

@@ -3,10 +3,12 @@
 //! frames in flight, responses matched by correlation id and read off
 //! the socket by whichever thread is waiting for one; it owns no thread,
 //! and it is the only code that writes a request frame or reads a
-//! response frame. A [`Client`] is a pipeline plus the retry loop — one
-//! request at a time under its [`RetryPolicy`] for `ping`, `stats`,
-//! `shutdown`, `simulate` and a one-off `evaluate`. The evaluation
-//! engine ([`RemoteEvaluator`](crate::RemoteEvaluator)) holds one
+//! response frame. It reads them the way the daemon's reactor reads
+//! requests: received bytes are buffered, and `persist::decode_frame`
+//! takes the frame in front. A [`Client`] is a pipeline plus the retry
+//! loop — one request at a time under its [`RetryPolicy`] for `ping`,
+//! `stats`, `shutdown`, `simulate` and a one-off `evaluate`. The
+//! evaluation engine ([`RemoteEvaluator`](crate::RemoteEvaluator)) holds one
 //! `Client` per daemon and keeps its chunks in flight on that client's
 //! pipeline, so a daemon sees one connection per client process. Both
 //! take the one retry step (`Client::retry_or_bail`) and the one
@@ -39,14 +41,17 @@
 //! matches nothing is a loud [`ServiceError::Protocol`] failure, never a
 //! mislabeled answer.
 
-use crate::protocol::{self, EvalScope, Request, Response, ServiceStats};
+use crate::protocol::{self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT};
 use oriole_arch::GpuSpec;
 use oriole_codegen::TuningParams;
 use oriole_sim::{ModelId, SimReport};
-use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged, FrameError};
+use oriole_tuner::persist::{decode_frame, write_frame_tagged, FrameError};
 use oriole_tuner::Measurement;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher as _;
+use std::io::Read as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -55,10 +60,9 @@ use std::time::{Duration, Instant};
 /// Why an RPC failed.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// Connection-level failure (connect, send, receive).
+    /// Connection-level failure (connect, send, receive, a damaged
+    /// response frame, an expired deadline).
     Io(std::io::Error),
-    /// The response frame was damaged or unparseable.
-    Frame(FrameError),
     /// The response parsed but was not the expected shape, or carried a
     /// wire error.
     Protocol(String),
@@ -75,7 +79,6 @@ impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServiceError::Io(e) => write!(f, "service I/O error: {e}"),
-            ServiceError::Frame(e) => write!(f, "service frame error: {e}"),
             ServiceError::Protocol(m) => write!(f, "service protocol error: {m}"),
             ServiceError::Remote(m) => write!(f, "daemon error: {m}"),
             ServiceError::Busy(ms) => {
@@ -93,12 +96,6 @@ impl From<std::io::Error> for ServiceError {
     }
 }
 
-impl From<FrameError> for ServiceError {
-    fn from(e: FrameError) -> ServiceError {
-        ServiceError::Frame(e)
-    }
-}
-
 impl ServiceError {
     /// Whether retrying can possibly change the answer. Transport
     /// failures and backpressure are transient; a daemon-side error or
@@ -108,10 +105,7 @@ impl ServiceError {
     /// lost) and aborting the whole run (deterministic: every shard
     /// would answer the same error).
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ServiceError::Io(_) | ServiceError::Frame(_) | ServiceError::Busy(_)
-        )
+        matches!(self, ServiceError::Io(_) | ServiceError::Busy(_))
     }
 }
 
@@ -120,7 +114,8 @@ impl ServiceError {
 /// Backoff is exponential from [`RetryPolicy::base_backoff`], capped at
 /// [`RetryPolicy::max_backoff`], with deterministic jitter (seeded by
 /// [`RetryPolicy::jitter_seed`]) in the upper half of each step so a
-/// fleet of shed clients does not re-stampede the daemon in lockstep.
+/// fleet of shed clients does not re-stampede the daemon in lockstep:
+/// no two [`RetryPolicy::default`]s share a seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first failure (0 = fail fast).
@@ -137,7 +132,8 @@ pub struct RetryPolicy {
     /// outside tests).
     pub rpc_timeout: Duration,
     /// Seed of the deterministic jitter stream (vary per client so
-    /// backoffs decorrelate; keep fixed in tests for stability).
+    /// backoffs decorrelate — the default does; keep fixed in tests for
+    /// stability).
     pub jitter_seed: u64,
 }
 
@@ -148,7 +144,10 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(1),
             rpc_timeout: Duration::from_secs(10),
-            jitter_seed: 0x6f72696f6c65, // "oriole"
+            // The process id under `RandomState`'s keys, which std draws
+            // once per thread and steps on every call: neither two
+            // clients of one process nor two processes share a seed.
+            jitter_seed: RandomState::new().hash_one(std::process::id()),
         }
     }
 }
@@ -440,13 +439,6 @@ impl Client {
 // Pipelined connection
 // ---------------------------------------------------------------------------
 
-/// Most request frames a [`Pipeline`] keeps in flight: the default
-/// daemon's `pipeline_depth`, past which it stops reading anyway. A send
-/// at the cap first reads an answer in. The engine's worker window
-/// ([`CoalesceConfig::max_frames`](crate::CoalesceConfig::max_frames))
-/// is the tunable bound.
-const MAX_IN_FLIGHT: usize = 32;
-
 /// A pipeline failure, recorded once and answered to every outstanding
 /// and future caller.
 enum PipeFailure {
@@ -484,6 +476,8 @@ struct PipeShared {
     /// Whether some thread is reading the socket right now; the others
     /// park on `changed` until it has filed a frame.
     reading: bool,
+    /// Bytes received but not yet decoded, lent to the reading thread.
+    unread: Vec<u8>,
 }
 
 /// A handle on one in-flight pipelined request; redeem it with
@@ -494,9 +488,9 @@ pub struct Ticket {
     corr: u64,
 }
 
-/// One connection with up to 32 request frames in flight, responses
-/// matched by correlation id — out-of-order arrival is expected and fine
-/// (protocol v3).
+/// One connection with up to [`MAX_IN_FLIGHT`] request frames in
+/// flight, responses matched by correlation id — out-of-order arrival is
+/// expected and fine (protocol v3).
 ///
 /// There is no reader thread: **the thread that waits reads**. A caller
 /// of [`Pipeline::wait`] — or of [`Pipeline::send`] at the cap —
@@ -541,6 +535,7 @@ impl Pipeline {
                 in_flight: 0,
                 failure: None,
                 reading: false,
+                unread: Vec::new(),
             }),
             changed: Condvar::new(),
             rpc_timeout: policy.rpc_timeout,
@@ -562,20 +557,43 @@ impl Pipeline {
         self.changed.notify_all();
     }
 
-    /// Reads one response frame. A frame tagged 0 is a connection-level
-    /// notice addressed to no request — an admission shed (Busy, its
-    /// retry hint kept) or a pre-decode error — and ends the pipeline
-    /// like any read failure.
-    fn read_response(&self) -> Result<(u64, Response), PipeFailure> {
-        let (corr, payload) = read_frame_tagged(&mut &self.stream).map_err(|e| match e {
-            FrameError::Eof => PipeFailure::Transient("daemon closed the connection".to_string()),
-            FrameError::TimedOut => PipeFailure::Transient(format!(
-                "no response frame for {:?} with requests in flight",
-                self.rpc_timeout
-            )),
-            FrameError::VersionSkew => PipeFailure::Fatal(format!("read failed: {e}")),
-            e => PipeFailure::Transient(format!("read failed: {e}")),
-        })?;
+    /// Reads one response frame the way the reactor reads a request:
+    /// `decode_frame` over `unread`, and socket reads appended to it
+    /// until a whole frame is there; what arrived past it stays for the
+    /// next call. A frame tagged 0 is a connection-level notice
+    /// addressed to no request — an admission shed (Busy, its retry
+    /// hint kept) or a pre-decode error — and ends the pipeline like any
+    /// read failure.
+    fn read_response(&self, unread: &mut Vec<u8>) -> Result<(u64, Response), PipeFailure> {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let mut chunk = [0u8; 16 * 1024];
+        let (corr, payload) = loop {
+            let failure = match decode_frame(unread) {
+                Ok(Some((corr, payload, used))) => {
+                    unread.drain(..used);
+                    break (corr, payload);
+                }
+                Err(e @ FrameError::VersionSkew) => {
+                    return Err(PipeFailure::Fatal(format!("read failed: {e}")))
+                }
+                Err(e) => format!("read failed: {e}"),
+                Ok(None) => match (&self.stream).read(&mut chunk) {
+                    Ok(0) => "daemon closed the connection".to_string(),
+                    Ok(n) => {
+                        unread.extend_from_slice(&chunk[..n]);
+                        continue;
+                    }
+                    Err(e) if e.kind() == Interrupted => continue,
+                    // An expired socket deadline (`WouldBlock` on Unix).
+                    Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => format!(
+                        "no response frame for {:?} with requests in flight",
+                        self.rpc_timeout
+                    ),
+                    Err(e) => format!("read failed: {e}"),
+                },
+            };
+            return Err(PipeFailure::Transient(failure));
+        };
         let resp = protocol::parse_response(&payload)
             .map_err(|e| PipeFailure::Fatal(format!("unparseable response: {e}")))?;
         match (corr, resp) {
@@ -598,10 +616,12 @@ impl Pipeline {
             return self.changed.wait(shared).expect("pipeline wait");
         }
         shared.reading = true;
+        let mut unread = std::mem::take(&mut shared.unread);
         drop(shared);
-        let frame = self.read_response();
+        let frame = self.read_response(&mut unread);
         let mut shared = self.shared.lock().expect("pipeline lock");
         shared.reading = false;
+        shared.unread = unread;
         let filed = frame.and_then(|(corr, resp)| match shared.pending.get_mut(&corr) {
             Some(slot @ None) => {
                 *slot = Some(resp);
@@ -758,6 +778,13 @@ mod tests {
     }
 
     #[test]
+    fn two_default_policies_back_off_on_different_schedules() {
+        // Clients shed by one `Busy` must not come back in lockstep.
+        let schedule = |p: RetryPolicy| (1..=4).map(|n| p.backoff(n)).collect::<Vec<_>>();
+        assert_ne!(schedule(RetryPolicy::default()), schedule(RetryPolicy::default()));
+    }
+
+    #[test]
     fn zero_base_backoff_means_no_sleeping() {
         let p = RetryPolicy { base_backoff: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(p.backoff(1), Duration::ZERO);
@@ -788,7 +815,6 @@ mod tests {
     #[test]
     fn transient_classification_splits_retryable_from_deterministic_failures() {
         assert!(ServiceError::Io(std::io::Error::other("x")).is_transient());
-        assert!(ServiceError::Frame(FrameError::TimedOut).is_transient());
         assert!(ServiceError::Busy(25).is_transient());
         assert!(!ServiceError::Remote("unknown kernel".into()).is_transient());
         assert!(!ServiceError::Protocol("short response".into()).is_transient());

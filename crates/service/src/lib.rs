@@ -17,10 +17,10 @@
 //!   `oriole_tuner::persist`'s canonical serialization — floats as raw
 //!   IEEE-754 bits, so remote results are **bit-identical** to local
 //!   evaluation. Payloads travel in length-framed, checksummed,
-//!   correlation-tagged frames
-//!   ([`oriole_tuner::persist::write_frame_tagged`]): the id lets one
-//!   connection pipeline many requests and receive responses out of
-//!   order (protocol v3).
+//!   correlation-tagged frames, which both ends take apart with the one
+//!   decoder, [`oriole_tuner::persist::decode_frame`]: the id lets one
+//!   connection keep up to [`MAX_IN_FLIGHT`](protocol::MAX_IN_FLIGHT)
+//!   requests in flight and receive responses out of order.
 //! * [`server`] — the daemon: one **reactor** thread owns every socket
 //!   (nonblocking, readiness-driven — see the private `reactor`
 //!   module's `poll(2)` wrapper) and runs each connection as a small
@@ -30,12 +30,11 @@
 //!   deadline — and connections past the bound — are shed with an
 //!   explicit [`Response::Busy`](protocol::Response::Busy) instead of
 //!   a hung socket, idle connections are reaped, writes that stop
-//!   making progress drop the connection, and per-connection quotas
-//!   keep any one client from monopolizing the daemon
-//!   ([`ServeConfig`], including the per-connection
-//!   [`pipeline_depth`](ServeConfig::pipeline_depth) cap, enforced by
-//!   simply not reading a maxed-out socket). All workers evaluate
-//!   through the one shared store, whose sharded
+//!   making progress drop the connection, and a connection at the
+//!   in-flight cap — or with a few MiB of answers unread — is simply
+//!   not read until answers drain ([`ServeConfig`] holds the four
+//!   knobs a deployment sets; the other bounds are constants). All
+//!   workers evaluate through the one shared store, whose sharded
 //!   in-flight-deduplicating tiers make "single writer per scope"
 //!   automatic inside the process: two clients racing on one point
 //!   compute it once. Malformed frames and version skew are rejected
@@ -44,13 +43,14 @@
 //!   work, busy workers and unwritten responses under a hard deadline
 //!   before the reactor exits, so a daemon with a `--store-dir` never
 //!   tears its own spill lines.
-//! * [`client`] — one connection type: a [`Pipeline`] holding up to 32
-//!   request frames in flight on one connection with responses matched
-//!   by correlation id, and a [`Client`], which is a pipeline plus the
-//!   retry loop under a [`RetryPolicy`] — a deadline on every exchange,
-//!   automatic reconnect and retry with exponential backoff + jitter for
-//!   the idempotent verbs (evaluation is deterministic and the store
-//!   dedups, so replaying is always bit-identically safe).
+//! * [`client`] — one connection type: a [`Pipeline`] with request
+//!   frames in flight on one connection, responses matched by
+//!   correlation id and read the way the reactor reads requests, and a
+//!   [`Client`], which is a pipeline plus the retry loop under a
+//!   [`RetryPolicy`] — a deadline on every exchange, automatic reconnect
+//!   and retry with exponential backoff + jitter for the idempotent
+//!   verbs (evaluation is deterministic and the store dedups, so
+//!   replaying is always bit-identically safe).
 //! * [`RemoteEvaluator`] — the one way to ask daemons for points: an
 //!   [`oriole_tuner::Oracle`] over N ≥ 1 daemons, so every existing
 //!   search strategy runs unchanged against them. It owns the

@@ -4,8 +4,9 @@
 //! Every payload is text, versioned by its first line
 //! (`oriole-rpc vN <verb>`), and travels inside one length-framed,
 //! checksummed (`persist::frame_checksum`), correlation-tagged frame
-//! ([`persist::encode_frame`] / [`persist::read_frame_tagged`]) —
-//! the id lets a connection pipeline requests and match out-of-order
+//! ([`persist::encode_frame`] / [`persist::decode_frame`], the one
+//! decoder daemon and client both run) — the id lets a connection
+//! pipeline up to [`MAX_IN_FLIGHT`] requests and match out-of-order
 //! responses. The records inside — [`GpuSpec`],
 //! [`EvalProtocol`], [`TuningParams`], [`Measurement`], [`SimReport`] —
 //! reuse the persist codecs verbatim: the same serialization the disk
@@ -16,9 +17,10 @@
 //! `oriole-rpc vN` is answered with an error naming both versions, then
 //! disconnected; a peer older than v4 is stopped one layer down, by its
 //! `ORLF` frame magic — [`persist::FrameError::VersionSkew`]) and a
-//! payload that parses but names impossible values is a per-request
-//! error — the connection survives, the store is never touched with
-//! unvalidated input.
+//! payload that parses but names impossible values — or more than
+//! [`MAX_POINTS_PER_REQUEST`] points — is a per-request error: the
+//! connection survives, the store is never touched with unvalidated
+//! input.
 
 use oriole_arch::GpuSpec;
 use oriole_codegen::{PhaseTelemetry, TuningParams};
@@ -36,6 +38,18 @@ use oriole_tuner::{EvalProtocol, Measurement};
 /// deadlines, the `busy` response and the pool/quota counters.)
 /// Mixed-version peers are rejected — the error names both versions.
 pub const RPC_VERSION: &str = "oriole-rpc v4";
+
+/// Most requests one connection has in flight — sent, or decoded by the
+/// daemon, and not yet answered. A [`Pipeline`](crate::Pipeline) at the
+/// cap reads an answer in before it sends again, and the daemon stops
+/// reading a connection at the cap until answers drain, so pipelining
+/// backpressure lands on the sender's TCP window, not on daemon memory.
+/// The engine's window below it is `tune --pipeline-depth`.
+pub const MAX_IN_FLIGHT: usize = 32;
+
+/// Most points one `evaluate` request may carry; a larger batch is a
+/// per-request error (retrying cannot help, so it is not `busy`).
+pub const MAX_POINTS_PER_REQUEST: usize = 100_000;
 
 /// The experiment scope of an `evaluate` batch: exactly the
 /// measurement-tier key of the daemon's store, so two clients that
@@ -128,7 +142,7 @@ pub struct ServiceStats {
     /// (the daemon's `--max-inflight`).
     pub workers_max: u64,
     /// Requests and connections shed with [`Response::Busy`] because
-    /// the pool was saturated or a quota was exhausted.
+    /// the pool or the connection bound was saturated.
     pub shed_busy: u64,
     /// Connections reaped because they sat idle (or trickled a frame)
     /// past the daemon's read deadline.

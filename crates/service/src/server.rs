@@ -12,8 +12,8 @@
 //! each, not a parked thread each.
 //!
 //! Frames carry a **correlation id** (protocol v3): a connection may
-//! pipeline up to [`ServeConfig::pipeline_depth`] requests and receives
-//! each response tagged with its request's id, in completion order —
+//! pipeline up to [`MAX_IN_FLIGHT`] requests and receives each
+//! response tagged with its request's id, in completion order —
 //! out-of-order by design. At the cap — or with a few MiB of answers
 //! its peer has not read yet — the reactor simply stops reading that
 //! socket (backpressure by TCP), never buffers unboundedly.
@@ -53,12 +53,12 @@
 //! * a connection idle past [`ServeConfig::idle_timeout`] with nothing
 //!   in flight is **reaped**;
 //! * a connection whose peer stops reading its responses is dropped
-//!   after [`ServeConfig::write_timeout`] without write progress;
+//!   after `WRITE_TIMEOUT` (10 s) without write progress;
 //! * a queued request that cannot reach a worker before its admission
 //!   deadline is shed with `Busy` — by the worker if it pops it late,
 //!   by the reactor's tick scan if no worker ever frees up;
 //! * shutdown drains queued and in-flight work plus unwritten
-//!   responses under the hard [`ServeConfig::drain_timeout`].
+//!   responses under the hard `DRAIN_TIMEOUT` (30 s).
 //!
 //! # Failure containment
 //!
@@ -68,8 +68,8 @@
 //! * **Version skew** is answered with an error naming both versions,
 //!   then the connection closes.
 //! * A request that parses but names impossible values (unknown kernel,
-//!   infeasible scope, a batch over the point quota) is a per-request
-//!   error; the connection survives.
+//!   infeasible scope, a batch over [`MAX_POINTS_PER_REQUEST`]) is a
+//!   per-request error; the connection survives.
 //! * A client that **disconnects mid-request** costs only the response
 //!   write; the computed measurements stay in the store for the next
 //!   client (that's the point of the shared tier).
@@ -81,7 +81,9 @@
 //!   [`Server::run`] returns, so a daemon is never killed out from
 //!   under its own spill writes.
 
-use crate::protocol::{self, EvalScope, Request, Response, ServiceStats};
+use crate::protocol::{
+    self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT, MAX_POINTS_PER_REQUEST,
+};
 use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
 use oriole_codegen::{compile, TuningParams};
 use oriole_kernels::KernelId;
@@ -95,10 +97,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of one daemon run. [`ServeConfig::default`] is sized
-/// for a localhost fleet of tuner clients; every bound exists so that
-/// no failure mode — slow client, silent client, flood of clients —
-/// can park the daemon forever.
+/// The knobs a deployment sets on one daemon run (`oriole serve`'s
+/// flags). [`ServeConfig::default`] is sized for a localhost fleet of
+/// tuner clients; every bound exists so that no failure mode — slow
+/// client, silent client, flood of clients — can park the daemon
+/// forever. The bounds nobody tunes are constants: the in-flight cap
+/// ([`MAX_IN_FLIGHT`]), the point bound ([`MAX_POINTS_PER_REQUEST`]),
+/// the write and drain deadlines and the `busy` retry hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum concurrent connections. A connection past the bound is
@@ -115,29 +120,6 @@ pub struct ServeConfig {
     /// Per-connection read deadline: a connection idle past this with
     /// nothing in flight is reaped.
     pub idle_timeout: Duration,
-    /// Per-connection write deadline: a client that stops reading its
-    /// responses loses the connection after this long without write
-    /// progress.
-    pub write_timeout: Duration,
-    /// Hard deadline on the shutdown drain: queued work, busy workers
-    /// and unwritten responses get this long before [`Server::run`]
-    /// returns anyway.
-    pub drain_timeout: Duration,
-    /// The `retry_after_ms` hint carried in [`Response::Busy`].
-    pub busy_retry_ms: u64,
-    /// Per-request point quota: an `evaluate` batch larger than this is
-    /// a per-request error (retrying cannot help, so it is not `Busy`).
-    pub max_points_per_request: usize,
-    /// Per-connection request quota (0 = unlimited): a connection that
-    /// exhausts it is answered `Busy` and recycled — reconnecting
-    /// re-enters the admission gate, so one client cannot hold a
-    /// connection slot forever.
-    pub max_requests_per_conn: u64,
-    /// Maximum requests one connection may have in flight (decoded but
-    /// not yet answered). At the cap the reactor stops reading that
-    /// socket until responses drain — pipelining backpressure lands on
-    /// the sender's TCP window, not on daemon memory.
-    pub pipeline_depth: usize,
 }
 
 impl Default for ServeConfig {
@@ -147,15 +129,22 @@ impl Default for ServeConfig {
             max_inflight: 16,
             request_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            drain_timeout: Duration::from_secs(30),
-            busy_retry_ms: 25,
-            max_points_per_request: 100_000,
-            max_requests_per_conn: 0,
-            pipeline_depth: 32,
         }
     }
 }
+
+/// Per-connection write deadline: a client that stops reading its
+/// responses loses the connection after this long without write
+/// progress.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Hard deadline on the shutdown drain: queued work, busy workers and
+/// unwritten responses get this long before [`Server::run`] returns
+/// anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The `retry_after_ms` hint carried in [`Response::Busy`].
+const BUSY_RETRY_MS: u64 = 25;
 
 /// Serving counters of one daemon run, returned by [`Server::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -303,8 +292,7 @@ impl Server {
 
     /// Runs the reactor until a client sends `shutdown`, then drains
     /// queued work, busy workers and unwritten responses (bounded by
-    /// [`ServeConfig::drain_timeout`]) and returns the serving
-    /// counters.
+    /// `DRAIN_TIMEOUT`) and returns the serving counters.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         // The tick bounds every timer's latency (idle reap, write
         // stall, admission expiry, drain) and doubles as the wake
@@ -351,7 +339,7 @@ impl Server {
             tokens.push(Token::Wake);
             for (slot, conn) in conns.iter().enumerate() {
                 let Some(conn) = conn else { continue };
-                let read = conn.may_decode(&cfg);
+                let read = conn.may_decode();
                 let write = conn.has_pending_write();
                 let interest = match (read, write) {
                     (true, true) => Interest::Both,
@@ -437,7 +425,7 @@ impl Server {
                             Some(true)
                         } else if c
                             .write_stalled_since
-                            .is_some_and(|since| now.duration_since(since) > cfg.write_timeout)
+                            .is_some_and(|since| now.duration_since(since) > WRITE_TIMEOUT)
                         {
                             Some(false)
                         } else {
@@ -464,14 +452,14 @@ impl Server {
                         // mid-spill.
                         accept_error = Some(e);
                         state.shutdown.store(true, Ordering::SeqCst);
-                        draining.get_or_insert(now + cfg.drain_timeout);
+                        draining.get_or_insert(now + DRAIN_TIMEOUT);
                     }
                 }
             }
 
             if begin_drain {
                 state.shutdown.store(true, Ordering::SeqCst);
-                draining.get_or_insert(now + cfg.drain_timeout);
+                draining.get_or_insert(now + DRAIN_TIMEOUT);
             }
 
             // 6. Drain check: done when nothing is queued, executing,
@@ -530,12 +518,9 @@ struct Conn {
     write_pos: usize,
     /// Requests decoded but not yet answered into the write buffer.
     inflight: u32,
-    /// Requests decoded over this connection's lifetime (the
-    /// `max_requests_per_conn` quota).
-    served: u64,
     last_activity: Instant,
     /// Set when a write hit `WouldBlock` with bytes pending; cleared on
-    /// progress. Stalled past `write_timeout` ⇒ the connection is
+    /// progress. Stalled past `WRITE_TIMEOUT` ⇒ the connection is
     /// dropped.
     write_stalled_since: Option<Instant>,
     /// Close once the write buffer drains; no further reads are decoded.
@@ -554,9 +539,9 @@ impl Conn {
     }
 
     /// Whether this connection's next request may be read and decoded.
-    fn may_decode(&self, cfg: &ServeConfig) -> bool {
+    fn may_decode(&self) -> bool {
         !self.closing
-            && (self.inflight as usize) < cfg.pipeline_depth
+            && (self.inflight as usize) < MAX_IN_FLIGHT
             && self.write_buf.len() - self.write_pos <= WRITE_HIGH_WATER
     }
 
@@ -611,7 +596,6 @@ fn accept_all(
             write_buf: Vec::new(),
             write_pos: 0,
             inflight: 0,
-            served: 0,
             last_activity: Instant::now(),
             write_stalled_since: None,
             closing: false,
@@ -627,8 +611,8 @@ fn accept_all(
 fn shed_connection(mut stream: TcpStream, state: &ServerState) {
     state.shed_busy.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
-    let resp = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let resp = Response::Busy { retry_after_ms: BUSY_RETRY_MS };
     let _ = stream.write_all(&frame_response(0, &resp));
 }
 
@@ -677,7 +661,7 @@ fn shed_expired_jobs(conns: &mut [Option<Conn>], state: &ServerState, now: Insta
     };
     for job in expired {
         state.shed_busy.fetch_add(1, Ordering::Relaxed);
-        let resp = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
+        let resp = Response::Busy { retry_after_ms: BUSY_RETRY_MS };
         deliver(
             conns,
             Completion {
@@ -759,7 +743,7 @@ fn pump_decoded(
     {
         let Some(conn) = conns[slot].as_mut() else { return false };
         let mut consumed = 0;
-        while conn.may_decode(&state.cfg) {
+        while conn.may_decode() {
             match decode_frame(&conn.read_buf[consumed..]) {
                 Ok(None) => break,
                 Ok(Some((corr, payload, used))) => {
@@ -791,8 +775,8 @@ fn pump_decoded(
     begin_drain
 }
 
-/// Handles one decoded request on the reactor: quota and version
-/// checks, inline answers for the cheap verbs, and work-queue dispatch
+/// Handles one decoded request on the reactor: the version check,
+/// inline answers for the cheap verbs, and work-queue dispatch
 /// for `evaluate`/`simulate`. Returns `true` on a `shutdown` request.
 #[allow(clippy::too_many_arguments)]
 fn process_request(
@@ -805,16 +789,6 @@ fn process_request(
     jobs: &mut Vec<Job>,
     draining: bool,
 ) -> bool {
-    let cfg = &state.cfg;
-    // Per-connection request quota: a connection that exhausts it is
-    // recycled with Busy — reconnecting re-enters the admission gate,
-    // so no client monopolizes a connection slot indefinitely.
-    if cfg.max_requests_per_conn > 0 && conn.served >= cfg.max_requests_per_conn {
-        state.shed_busy.fetch_add(1, Ordering::Relaxed);
-        conn.push_frame(corr, &Response::Busy { retry_after_ms: cfg.busy_retry_ms });
-        conn.closing = true;
-        return false;
-    }
     let req = match protocol::parse_request(payload) {
         Ok(req) => req,
         // A frame that parsed but isn't a well-formed request:
@@ -823,7 +797,6 @@ fn process_request(
         Err(e) => {
             let msg = e.to_string();
             let skew = msg.contains("version skew");
-            conn.served += 1;
             state.requests.fetch_add(1, Ordering::Relaxed);
             conn.push_frame(corr, &Response::Error { message: msg });
             if skew {
@@ -842,7 +815,6 @@ fn process_request(
         conn.closing = true;
         return false;
     }
-    conn.served += 1;
     state.requests.fetch_add(1, Ordering::Relaxed);
     match req {
         // The cheap verbs are answered inline on the reactor — always
@@ -873,7 +845,7 @@ fn process_request(
             // The client's remaining patience can only shorten the
             // server's own admission cap: work that cannot start
             // before the client gives up is shed, not burned.
-            let mut wait = cfg.request_timeout;
+            let mut wait = state.cfg.request_timeout;
             if let Request::Evaluate { deadline_ms, .. } = &req {
                 if *deadline_ms > 0 {
                     wait = wait.min(Duration::from_millis(*deadline_ms));
@@ -912,7 +884,7 @@ fn inline_hit(
 ) -> Option<Vec<u8>> {
     let Request::Evaluate { scope, points, .. } = req else { return None };
     let kid = KernelId::parse(&scope.kernel)?;
-    if points.len() > INLINE_POINTS.min(state.cfg.max_points_per_request)
+    if points.len() > INLINE_POINTS
         || scope.sizes.is_empty()
         || !scope.gpu.problems().is_empty()
     {
@@ -996,7 +968,7 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
         let (frame, close) = if Instant::now() > job.admit_by {
             // Queued past its admission deadline: shed, never started.
             state.shed_busy.fetch_add(1, Ordering::Relaxed);
-            let busy = Response::Busy { retry_after_ms: state.cfg.busy_retry_ms };
+            let busy = Response::Busy { retry_after_ms: BUSY_RETRY_MS };
             (frame_response(job.corr, &busy), false)
         } else if state.shutdown.load(Ordering::SeqCst) {
             // Work reaching a worker after shutdown was flagged is
@@ -1033,12 +1005,12 @@ fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState)
         Request::Shutdown => Response::ShuttingDown,
         Request::Stats => Response::Stats(stats(store, state)),
         Request::Evaluate { scope, points, deadline_ms: _ } => {
-            if points.len() > state.cfg.max_points_per_request {
+            if points.len() > MAX_POINTS_PER_REQUEST {
                 Response::Error {
                     message: format!(
-                        "evaluate batch of {} points exceeds the per-request quota of {}",
-                        points.len(),
-                        state.cfg.max_points_per_request
+                        "evaluate batch of {} points exceeds the per-request bound of \
+                         {MAX_POINTS_PER_REQUEST}",
+                        points.len()
                     ),
                 }
             } else {

@@ -5,6 +5,8 @@
 //! deadline. Each test carries an explicit wall-clock bound where a
 //! hang would otherwise be the failure mode.
 
+mod common;
+
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
@@ -13,7 +15,6 @@ use oriole_service::{
     RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
 };
 use oriole_sim::{ModelId, MAX_TRIALS};
-use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -386,7 +387,7 @@ fn a_saturated_worker_pool_sheds_with_busy_and_recovers() {
     let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
     // The shed is connection-level: Busy arrives before any request.
-    let reply = read_frame_tagged(&mut raw).expect("busy frame").1;
+    let reply = common::read_frame(&mut raw, &mut Vec::new()).expect("busy frame").1;
     match oriole_service::protocol::parse_response(&reply) {
         Ok(oriole_service::Response::Busy { retry_after_ms }) => {
             assert!(retry_after_ms > 0, "busy carries a retry hint");
@@ -500,67 +501,6 @@ fn connect_retry_reports_the_standing_cause_when_time_runs_out() {
     let elapsed = started.elapsed();
     assert!(elapsed >= Duration::from_millis(200), "the window is honored");
     assert!(elapsed < Duration::from_secs(30), "and bounded");
-}
-
-#[test]
-fn requests_past_the_connection_quota_are_shed_and_heal_by_reconnecting() {
-    let cfg = ServeConfig { max_requests_per_conn: 2, ..ServeConfig::default() };
-    let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
-
-    // A raw client sees the quota directly: two served requests, then
-    // a Busy and a hangup.
-    let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
-    for _ in 0..2 {
-        write_frame_tagged(&mut raw, 0, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
-            .expect("send");
-        let reply = read_frame_tagged(&mut raw).expect("reply").1;
-        assert!(matches!(
-            oriole_service::protocol::parse_response(&reply),
-            Ok(oriole_service::Response::Pong)
-        ));
-    }
-    write_frame_tagged(&mut raw, 0, &oriole_service::protocol::emit_request(&oriole_service::Request::Ping))
-        .expect("send");
-    let reply = read_frame_tagged(&mut raw).expect("reply").1;
-    assert!(
-        matches!(
-            oriole_service::protocol::parse_response(&reply),
-            Ok(oriole_service::Response::Busy { .. })
-        ),
-        "third request on a quota-2 connection is shed"
-    );
-    drop(raw);
-
-    // A policy-driven client heals through the quota transparently: the
-    // Busy poisons its stream and the retry reconnects.
-    let client = Client::connect_with(&daemon.to_string(), test_policy()).expect("connect");
-    for _ in 0..7 {
-        client.ping().expect("every ping lands despite the quota");
-    }
-    assert!(client.retries() >= 1, "the quota recycles cost retries");
-    drop(client);
-    shutdown_daemon(daemon, handle);
-}
-
-#[test]
-fn oversized_evaluate_batches_are_a_loud_per_request_error() {
-    let cfg = ServeConfig { max_points_per_request: 2, ..ServeConfig::default() };
-    let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
-    let client = Client::connect_with(&daemon.to_string(), test_policy()).expect("connect");
-    let space = SearchSpace::tiny();
-    let points: Vec<TuningParams> = space.iter().collect();
-    assert!(points.len() > 2);
-    let err = client
-        .evaluate(&scope("atax", Gpu::K20.spec(), &[64]), &points)
-        .expect_err("quota violation is an error, not a hang");
-    assert!(err.to_string().contains("quota"), "{err}");
-    // Retrying cannot help, so the policy must NOT have burned retries.
-    assert_eq!(client.retries(), 0, "deterministic refusals are not retried");
-    // The connection survives a per-request error.
-    client.ping().expect("connection survives");
-    drop(client);
-    shutdown_daemon(daemon, handle);
 }
 
 #[test]

@@ -12,6 +12,8 @@
 //! builder that blocks on a channel, and a frame naming that point then
 //! waits on the point's cell until the channel is fed.
 
+mod common;
+
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
@@ -20,7 +22,7 @@ use oriole_service::{
     Client, EvalScope, Request, Response, RetryPolicy, ServeConfig, ServeSummary, Server,
     ServiceError, ServiceStats,
 };
-use oriole_tuner::persist::{encode_frame, read_frame_tagged, write_frame_tagged};
+use oriole_tuner::persist::{encode_frame, write_frame_tagged};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement, SearchSpace};
 use std::io::Write;
 use std::net::TcpStream;
@@ -60,7 +62,7 @@ fn shutdown(addr: &str, handle: JoinHandle<ServeSummary>) -> ServeSummary {
 fn raw_evaluate(stream: &mut TcpStream, sc: &EvalScope, points: &[TuningParams], deadline_ms: u64) -> String {
     let req = Request::Evaluate { scope: sc.clone(), points: points.to_vec(), deadline_ms };
     write_frame_tagged(stream, 9, &emit_request(&req)).expect("send");
-    let (corr, payload) = read_frame_tagged(stream).expect("a response frame");
+    let (corr, payload) = common::read_frame(stream, &mut Vec::new()).expect("a response frame");
     assert_eq!(corr, 9, "the answer echoes the request's id");
     payload
 }

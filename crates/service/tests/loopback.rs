@@ -4,6 +4,8 @@
 //! local evaluation, sharing must deduplicate across clients, and
 //! protocol abuse must poison nothing but the abusive connection.
 
+mod common;
+
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
@@ -13,7 +15,7 @@ use oriole_service::{
     ServeSummary,
 };
 use oriole_sim::ModelId;
-use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
+use oriole_tuner::persist::write_frame_tagged;
 use oriole_tuner::{
     ArtifactStore, EvalProtocol, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher,
 };
@@ -210,7 +212,7 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     // 2. Version skew: answered with an error naming both versions.
     let mut raw = TcpStream::connect(&addr).expect("connect raw");
     write_frame_tagged(&mut raw, 0, "oriole-rpc v99 ping").expect("send");
-    let reply = read_frame_tagged(&mut raw).expect("reply").1;
+    let reply = common::read_frame(&mut raw, &mut Vec::new()).expect("reply").1;
     assert!(reply.contains("version skew"), "{reply}");
     assert!(reply.contains(oriole_service::RPC_VERSION), "{reply}");
 
@@ -220,7 +222,7 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     use std::io::Write as _;
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("send garbage");
     raw.flush().unwrap();
-    let reply = read_frame_tagged(&mut raw);
+    let reply = common::read_frame(&mut raw, &mut Vec::new());
     // Either an error frame or an immediate hangup is acceptable; what
     // is not acceptable is the daemon dying or serving the garbage.
     if let Ok((_, reply)) = reply {

@@ -3,15 +3,26 @@
 //! short-changing the measurement list — must surface as a protocol
 //! error, never as mislabeled measurements handed to a search. One that
 //! sheds the connection must be heard with its retry hint.
+//!
+//! And the client's buffered read path, against daemons that split,
+//! merge and cut their answers: a frame dribbled one byte per write
+//! still decodes, two frames in one write are both delivered, half a
+//! frame and a close is a transient error at once — and a real daemon
+//! refuses a request one point over the bound without dropping the
+//! connection.
+
+mod common;
 
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
-use oriole_service::protocol::{self, EvalScope, Request, Response};
-use oriole_service::{Client, Pipeline, RetryPolicy, ServiceError};
-use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
-use oriole_tuner::{EvalProtocol, Measurement};
-use std::net::TcpListener;
+use oriole_service::protocol::{self, EvalScope, Request, Response, MAX_POINTS_PER_REQUEST};
+use oriole_service::{Client, Pipeline, RetryPolicy, Server, ServiceError};
+use oriole_tuner::persist::{encode_frame, write_frame_tagged, FRAME_HEADER_BYTES};
+use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// How the mock daemon tampers with an honest positional answer.
 #[derive(Clone, Copy)]
@@ -52,7 +63,8 @@ fn spawn_mock(tamper: Tamper) -> (String, JoinHandle<()>) {
             Ok(conn) => conn,
             Err(_) => return,
         };
-        while let Ok((corr, payload)) = read_frame_tagged(&mut stream) {
+        let mut unread = Vec::new();
+        while let Ok((corr, payload)) = common::read_frame(&mut stream, &mut unread) {
             let response = match protocol::parse_request(&payload) {
                 Ok(Request::Evaluate { points, .. }) => {
                     let mut measurements: Vec<Measurement> = points
@@ -180,4 +192,97 @@ fn a_connection_level_busy_keeps_its_retry_hint_and_poisons_the_pipeline() {
     assert!(pipe.is_poisoned(), "the shed ends the connection");
     drop(pipe);
     handle.join().expect("mock thread");
+}
+
+/// A listener whose one connection is handed to `serve`.
+fn spawn_scripted(serve: impl FnOnce(TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    (addr, std::thread::spawn(move || serve(listener.accept().expect("accept").0)))
+}
+
+/// Reads the next request off `stream` and returns the `pong` frame
+/// answering it, unsent.
+fn pong_frame(stream: &mut TcpStream, unread: &mut Vec<u8>) -> Vec<u8> {
+    let (corr, _) = common::read_frame(stream, unread).expect("a request");
+    let pong = protocol::emit_response(&Response::Pong);
+    encode_frame(corr, |out| out.push_str(&pong)).expect("frame")
+}
+
+#[test]
+fn a_response_written_one_byte_per_write_still_decodes() {
+    let (addr, mock) = spawn_scripted(|mut stream| {
+        stream.set_nodelay(true).expect("nodelay");
+        for byte in pong_frame(&mut stream, &mut Vec::new()) {
+            stream.write_all(&[byte]).expect("one byte");
+        }
+    });
+    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    assert!(matches!(pipe.call(&Request::Ping), Ok(Response::Pong)));
+    drop(pipe);
+    mock.join().expect("mock thread");
+}
+
+#[test]
+fn two_responses_in_one_write_are_both_delivered_the_second_from_the_buffer() {
+    let (addr, mock) = spawn_scripted(|mut stream| {
+        let mut unread = Vec::new();
+        let first = pong_frame(&mut stream, &mut unread);
+        let both = [first, pong_frame(&mut stream, &mut unread)].concat();
+        stream.write_all(&both).expect("both answers");
+        // Nothing more is sent until the client hangs up: a second
+        // answer dropped with the first read's leftovers would cost the
+        // client its rpc deadline, not arrive.
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let first = pipe.send(&Request::Ping).expect("send");
+    let second = pipe.send(&Request::Ping).expect("send");
+    assert!(matches!(pipe.wait(first), Ok(Response::Pong)));
+    let asked = Instant::now();
+    assert!(matches!(pipe.wait(second), Ok(Response::Pong)));
+    assert!(asked.elapsed() < Duration::from_secs(5), "the second answer was already here");
+    drop(pipe);
+    mock.join().expect("mock thread");
+}
+
+#[test]
+fn a_connection_closed_after_half_a_frame_is_a_transient_error_within_the_deadline() {
+    let (addr, mock) = spawn_scripted(|mut stream| {
+        let frame = pong_frame(&mut stream, &mut Vec::new());
+        // The whole header and half the payload, then the close.
+        let half = FRAME_HEADER_BYTES + (frame.len() - FRAME_HEADER_BYTES) / 2;
+        stream.write_all(&frame[..half]).expect("half an answer");
+    });
+    let rpc_timeout = Duration::from_secs(5);
+    let policy = RetryPolicy { rpc_timeout, ..RetryPolicy::fail_fast() };
+    let pipe = Pipeline::connect(&addr, &policy).expect("connect");
+    let asked = Instant::now();
+    let err = pipe.call(&Request::Ping).expect_err("half a frame answers nothing");
+    assert!(asked.elapsed() < rpc_timeout, "the close is heard at once, not at the deadline");
+    assert!(err.is_transient(), "a lost connection is worth a retry: {err}");
+    assert!(err.to_string().contains("daemon closed the connection"), "{err}");
+    assert!(pipe.is_poisoned());
+    drop(pipe);
+    mock.join().expect("mock thread");
+}
+
+#[test]
+fn a_request_one_point_over_the_bound_is_refused_and_the_connection_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let daemon = std::thread::spawn(move || server.run().expect("serve"));
+    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let over = vec![TuningParams::with_geometry(128, 48); MAX_POINTS_PER_REQUEST + 1];
+    let err = client.evaluate(&scope(), &over).expect_err("one point over the bound");
+    match &err {
+        ServiceError::Remote(m) => assert!(m.contains("per-request bound"), "names the bound: {m}"),
+        other => panic!("expected a per-request error, got {other:?}"),
+    }
+    // The same connection answers the next request.
+    client.ping().expect("the connection survives");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.connections, stats.points_served), (1, 0));
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon thread");
 }

@@ -4,11 +4,13 @@
 //! every response reaches its own ticket, a burst of sends past the
 //! depth cap makes progress, and a silent daemon costs one rpc deadline.
 
+mod common;
+
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
-use oriole_service::protocol::{emit_response, parse_request};
+use oriole_service::protocol::{emit_response, parse_request, MAX_IN_FLIGHT};
 use oriole_service::{EvalScope, Pipeline, Request, Response, RetryPolicy, Server, ServiceError};
-use oriole_tuner::persist::{read_frame_tagged, write_frame_tagged};
+use oriole_tuner::persist::write_frame_tagged;
 use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -78,12 +80,11 @@ fn a_burst_of_sends_past_the_depth_cap_completes_before_any_wait() {
     let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let daemon = std::thread::spawn(move || server.run().expect("serve"));
-    // A pipeline keeps at most 32 frames in flight.
-    let cap = 32;
     let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
     // Nobody waits, so at the cap `send` itself reads an answer in.
-    let tickets: Vec<_> =
-        (0..cap + 3).map(|_| pipe.send(&Request::Ping).expect("send at the cap")).collect();
+    let tickets: Vec<_> = (0..MAX_IN_FLIGHT + 3)
+        .map(|_| pipe.send(&Request::Ping).expect("send at the cap"))
+        .collect();
     for ticket in tickets {
         assert!(matches!(pipe.wait(ticket), Ok(Response::Pong)));
     }
@@ -95,9 +96,9 @@ fn a_burst_of_sends_past_the_depth_cap_completes_before_any_wait() {
 fn answers_in_reverse_order_reach_their_own_tickets() {
     const FRAMES: u32 = 6;
     let (addr, mock) = spawn_mock(|mut stream| {
-        let mut asked = Vec::new();
+        let (mut asked, mut unread) = (Vec::new(), Vec::new());
         for _ in 0..FRAMES {
-            let (corr, payload) = read_frame_tagged(&mut stream).expect("request");
+            let (corr, payload) = common::read_frame(&mut stream, &mut unread).expect("request");
             let Ok(Request::Evaluate { points, .. }) = parse_request(&payload) else {
                 panic!("the mock only evaluates");
             };

@@ -380,8 +380,12 @@ mod tests {
         let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
         let r = fresh(&StaticPredictModel, &env, &k, 256).unwrap();
-        let expected =
-            oriole_core::predict::predict_time(&k.program, k.geometry(256));
+        let expected = oriole_core::predict::predict_time_indexed(
+            gpu.throughput(),
+            &k.index,
+            &k.program,
+            k.geometry(256),
+        );
         assert_eq!(r.time_ms, expected);
         assert_eq!(r.cycles, expected);
         assert_eq!(r.profile, WarpProfile::default());

@@ -70,7 +70,9 @@
 //! point).
 //!
 //! The same text crosses the wire of `oriole_service` in length-framed,
-//! checksummed frames ([`encode_frame`], [`decode_frame`]); frames are
+//! checksummed frames: [`encode_frame`] builds one, and [`decode_frame`]
+//! — the only frame decoder, which the daemon and the client both run
+//! over the bytes they have buffered — takes one apart. Frames are
 //! transient, so their checksum (`frame_checksum`) is built for speed,
 //! while lines and file names keep the FNV-1a that files on disk pin.
 //!
@@ -85,7 +87,7 @@ use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
 use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1023,21 +1025,10 @@ pub const FRAME_HEADER_BYTES: usize = 24;
 /// bound is a corrupted length field, not a legitimate payload.
 const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Why one [`read_frame_tagged`] call produced no payload.
+/// Why [`decode_frame`] refused the bytes in front of it. Every variant
+/// is final: framing offers no resynchronization.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The peer closed the connection cleanly *between* frames (zero
-    /// bytes where the next magic would start) — the normal end of a
-    /// session, not an error condition.
-    Eof,
-    /// An I/O failure, including a connection dropped *mid*-frame.
-    Io(std::io::Error),
-    /// A read/write deadline expired (`set_read_timeout` /
-    /// `set_write_timeout` on the stream): the peer is slow, stalled or
-    /// idle — distinct from [`FrameError::Io`] so servers can reap idle
-    /// connections and clients can retry instead of treating the
-    /// deadline as a dead peer.
-    TimedOut,
     /// The stream did not start with `FRAME_MAGIC` — not speaking
     /// this protocol, or desynchronized beyond recovery.
     BadMagic([u8; 4]),
@@ -1056,9 +1047,6 @@ pub enum FrameError {
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::Eof => write!(f, "connection closed"),
-            FrameError::Io(e) => write!(f, "frame I/O error: {e}"),
-            FrameError::TimedOut => write!(f, "frame I/O deadline expired"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::VersionSkew => {
                 write!(f, "version skew: peer frames `ORLF` (oriole-rpc v3), this build `ORL4` (v4)")
@@ -1163,106 +1151,34 @@ pub fn write_frame_tagged(
     w.flush()
 }
 
-/// Maps a raw I/O error to the frame-level verdict: an expired
-/// read/write deadline (`WouldBlock` on Unix sockets, `TimedOut`
-/// elsewhere) is [`FrameError::TimedOut`], everything else is
-/// [`FrameError::Io`].
-pub fn classify_frame_io(e: std::io::Error) -> FrameError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => FrameError::TimedOut,
-        _ => FrameError::Io(e),
-    }
-}
-
-fn mid_frame() -> FrameError {
-    let dropped = std::io::ErrorKind::UnexpectedEof;
-    FrameError::Io(std::io::Error::new(dropped, "connection dropped mid-frame"))
-}
-
-fn read_exact_or(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => mid_frame(),
-        _ => classify_frame_io(e),
-    })
-}
-
-/// Judges a header as far as `head` holds it: bad magic on the first
-/// divergent byte, then the length bound, then `(len, crc, corr)`.
-fn frame_header(head: &[u8]) -> Result<Option<(u32, u64, u64)>, FrameError> {
-    let have = head.len().min(4);
-    if head[..have] != FRAME_MAGIC[..have] {
+/// The one frame decoder, run by both ends of the wire: the daemon's
+/// reactor and the client's `Pipeline` each keep the bytes they have
+/// received but not yet used, and ask this for the frame in front.
+/// `Ok(Some((corr, payload, consumed)))` when a complete verified frame
+/// is present (the caller drains `consumed` bytes), `Ok(None)` when more
+/// bytes are needed, and `Err` as soon as what is there cannot begin a
+/// frame: bad magic on the first divergent byte, then the length bound,
+/// then the checksum. A length is judged, never allocated for: the
+/// caller's buffer grows only by what arrives.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(u64, String, usize)>, FrameError> {
+    let have = buf.len().min(4);
+    if buf[..have] != FRAME_MAGIC[..have] {
         let mut magic = [0u8; 4];
-        magic[..have].copy_from_slice(&head[..have]);
+        magic[..have].copy_from_slice(&buf[..have]);
         // The retired FNV-1a frame of protocol v3 is named, not decoded.
         return Err(match &magic {
             b"ORLF" => FrameError::VersionSkew,
             _ => FrameError::BadMagic(magic),
         });
     }
-    let Some(len) = head.get(4..8) else { return Ok(None) };
+    let Some(len) = buf.get(4..8) else { return Ok(None) };
     let len = u32::from_be_bytes(len.try_into().expect("4 bytes"));
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    let word = |at| head.get(at..at + 8).map(|w| u64::from_be_bytes(w.try_into().expect("8 bytes")));
-    Ok(word(8).zip(word(16)).map(|(crc, corr)| (len, crc, corr)))
-}
-
-/// Reads exactly one [`write_frame_tagged`] frame, verifying magic,
-/// length bound and checksum, and returning `(correlation id, payload)`.
-/// A clean close before the first magic byte is [`FrameError::Eof`];
-/// everything else that isn't a verified payload is an error the caller
-/// must treat as a poisoned stream (framing offers no
-/// resynchronization).
-pub fn read_frame_tagged(r: &mut impl std::io::Read) -> Result<(u64, String), FrameError> {
-    let mut head = [0u8; FRAME_HEADER_BYTES];
-    // Distinguish "closed between frames" from "dropped mid-frame": read
-    // the first byte separately.
-    match r.read(&mut head[..1]) {
-        Ok(0) => return Err(FrameError::Eof),
-        Ok(_) => {}
-        Err(e) => return Err(classify_frame_io(e)),
-    }
-    // Magic, length, then the rest: each judged before the next is read.
-    let mut header = None;
-    for (from, to) in [(1, 4), (4, 8), (8, FRAME_HEADER_BYTES)] {
-        read_exact_or(r, &mut head[from..to])?;
-        header = frame_header(&head[..to])?;
-    }
-    let (len, crc, corr) = header.expect("a whole header");
-    let mut payload = Vec::new();
-    read_payload(r, len, &mut payload)?;
-    if frame_checksum(corr, &payload) != crc {
-        return Err(FrameError::BadChecksum);
-    }
-    let payload = String::from_utf8(payload).map_err(|_| FrameError::BadUtf8)?;
-    Ok((corr, payload))
-}
-
-/// Most memory a frame claims before its bytes arrive.
-const PAYLOAD_CHUNK: usize = 64 * 1024;
-
-/// Reads the announced `len` bytes into `buf`, which starts at one
-/// chunk at most and grows as bytes arrive: `len` is still unverified.
-fn read_payload(r: &mut impl std::io::Read, len: u32, buf: &mut Vec<u8>) -> Result<(), FrameError> {
-    buf.reserve_exact((len as usize).min(PAYLOAD_CHUNK));
-    let got = r.by_ref().take(u64::from(len)).read_to_end(buf).map_err(classify_frame_io)?;
-    if got < len as usize {
-        return Err(mid_frame());
-    }
-    Ok(())
-}
-
-/// Attempts to decode one frame from the front of an accumulation
-/// buffer without blocking: `Ok(Some((corr, payload, consumed)))` when a
-/// complete verified frame is present (the caller drains `consumed`
-/// bytes), `Ok(None)` when more bytes are needed, and `Err` on the same
-/// unrecoverable conditions as [`read_frame_tagged`]. This is the
-/// decode step for event-driven readers that accumulate nonblocking
-/// reads instead of issuing blocking `read_exact` calls.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(u64, String, usize)>, FrameError> {
-    let head = &buf[..buf.len().min(FRAME_HEADER_BYTES)];
-    let Some((len, crc, corr)) = frame_header(head)? else { return Ok(None) };
+    let Some(head) = buf.get(8..FRAME_HEADER_BYTES) else { return Ok(None) };
+    let crc = u64::from_be_bytes(head[..8].try_into().expect("8 bytes"));
+    let corr = u64::from_be_bytes(head[8..].try_into().expect("8 bytes"));
     let total = FRAME_HEADER_BYTES + len as usize;
     let Some(payload) = buf.get(FRAME_HEADER_BYTES..total) else { return Ok(None) };
     if frame_checksum(corr, payload) != crc {
@@ -1787,84 +1703,23 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip_and_reject_damage() {
-        let payload = format!("oriole-rpc v1 evaluate\nm {}", emit_measurement(&sample_measurement()));
+    fn frames_round_trip_with_their_correlation_ids() {
+        let record = format!("oriole-rpc v1 evaluate\nm {}", emit_measurement(&sample_measurement()));
+        // A payload several socket reads long arrives whole too.
+        let big = "0123456789abcdef".repeat(12_289);
+        let sent = [(0, record.as_str()), (7, "first"), (u64::MAX, big.as_str()), (0, "untagged")];
         let mut buf = Vec::new();
-        write_frame_tagged(&mut buf, 0, &payload).unwrap();
-        write_frame_tagged(&mut buf, 0, "second").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, payload.clone()));
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "second".to_string()));
-        // Clean close between frames is Eof, not an error.
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
-
-        // A flipped payload byte fails the checksum.
-        let mut tampered = buf.clone();
-        let last = tampered.len() - 1;
-        tampered[last] ^= 0x01;
-        let mut cursor = &tampered[FRAME_HEADER_BYTES + payload.len()..];
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
-
-        // A flipped correlation-id byte also fails the checksum — a
-        // corrupted id must never deliver a frame under the wrong id.
-        let mut tampered = buf.clone();
-        tampered[17] ^= 0x01;
-        let mut cursor = &tampered[..];
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadChecksum)));
-
-        // Wrong magic and oversized length are rejected up front.
-        let mut cursor: &[u8] = b"JUNKxxxxxxxxxxxxxxxx";
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::BadMagic(_))));
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&FRAME_MAGIC);
-        huge.extend_from_slice(&u32::MAX.to_be_bytes());
-        huge.extend_from_slice(&[0u8; 8]);
-        let mut cursor = &huge[..];
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::TooLarge(_))));
-
-        // A connection dropped mid-frame is an I/O error, not Eof.
-        let mut cursor = &buf[..7];
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Io(_))));
-    }
-
-    #[test]
-    fn a_frame_claims_memory_only_as_its_bytes_arrive() {
-        // A header announcing the largest legal payload, ten bytes of
-        // it, then EOF: a mid-frame drop, not 64 MiB of zeroed memory.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&FRAME_MAGIC);
-        wire.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        wire.extend_from_slice(b"ten bytes!");
-        match read_frame_tagged(&mut &wire[..]) {
-            Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
-            other => panic!("{other:?}"),
+        for (corr, payload) in sent {
+            write_frame_tagged(&mut buf, corr, payload).unwrap();
         }
-        let mut payload = Vec::new();
-        let cut = read_payload(&mut &b"ten bytes!"[..], MAX_FRAME_BYTES, &mut payload);
-        assert!(matches!(cut, Err(FrameError::Io(_))));
-        assert_eq!(payload, b"ten bytes!");
-        assert!(payload.capacity() <= payload.len() + PAYLOAD_CHUNK, "{}", payload.capacity());
-
-        // A payload of several chunks still arrives whole.
-        let big = "0123456789abcdef".repeat(3 * PAYLOAD_CHUNK / 16 + 1);
-        let mut wire = Vec::new();
-        write_frame_tagged(&mut wire, 5, &big).unwrap();
-        assert_eq!(read_frame_tagged(&mut &wire[..]).unwrap(), (5, big));
-    }
-
-    #[test]
-    fn tagged_frames_round_trip_correlation_ids() {
-        let mut buf = Vec::new();
-        write_frame_tagged(&mut buf, 7, "first").unwrap();
-        write_frame_tagged(&mut buf, u64::MAX, "second").unwrap();
-        write_frame_tagged(&mut buf, 0, "untagged").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (7, "first".to_string()));
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (u64::MAX, "second".to_string()));
-        // A connection with one request in flight tags with 0.
-        assert_eq!(read_frame_tagged(&mut cursor).unwrap(), (0, "untagged".to_string()));
-        assert!(matches!(read_frame_tagged(&mut cursor), Err(FrameError::Eof)));
+        let mut rest = &buf[..];
+        for (corr, payload) in sent {
+            let (got, text, used) = decode_frame(rest).unwrap().expect("a whole frame");
+            let whole = FRAME_HEADER_BYTES + payload.len();
+            assert_eq!((got, text.as_str(), used), (corr, payload, whole));
+            rest = &rest[used..];
+        }
+        assert!(matches!(decode_frame(rest), Ok(None)), "nothing left is an incomplete frame");
     }
 
     #[test]
@@ -1889,10 +1744,21 @@ mod tests {
         assert_eq!((corr, payload.as_str()), (43, "payload two"));
         assert_eq!(used, FRAME_HEADER_BYTES + "payload two".len());
 
+        // A header announcing the largest legal payload, then ten bytes
+        // of it: incomplete, and the decoder reads a slice — the bytes
+        // a reader buffers are the bytes that arrived.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&FRAME_MAGIC);
+        wire.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
+        wire.extend_from_slice(&[0u8; 16]);
+        wire.extend_from_slice(b"ten bytes!");
+        assert!(matches!(decode_frame(&wire), Ok(None)));
+
         // Bad magic is rejected on the first divergent byte, before the
         // rest of the header arrives.
         assert!(matches!(decode_frame(b"J"), Err(FrameError::BadMagic(_))));
         assert!(matches!(decode_frame(b"ORLX"), Err(FrameError::BadMagic(_))));
+        assert!(matches!(decode_frame(b"JUNKxxxxxxxxxxxxxxxx"), Err(FrameError::BadMagic(_))));
 
         // Oversized length and corrupted bytes are rejected as soon as
         // they are decodable.
@@ -1903,38 +1769,15 @@ mod tests {
         let mut tampered = buf.clone();
         tampered[FRAME_HEADER_BYTES] ^= 0x01;
         assert!(matches!(decode_frame(&tampered), Err(FrameError::BadChecksum)));
+        // The last payload byte of the second frame, too.
+        let mut tampered = buf.clone();
+        *tampered.last_mut().unwrap() ^= 0x01;
+        assert!(matches!(decode_frame(&tampered[first_len..]), Err(FrameError::BadChecksum)));
+        // A flipped correlation-id byte fails the checksum: a corrupted
+        // id must never deliver a frame under the wrong id.
         let mut tampered = buf;
-        tampered[20] ^= 0x01; // inside the correlation id
+        tampered[20] ^= 0x01;
         assert!(matches!(decode_frame(&tampered), Err(FrameError::BadChecksum)));
-    }
-
-    #[test]
-    fn expired_read_deadlines_classify_as_timeouts() {
-        // A reader whose deadline pops (WouldBlock on Unix sockets,
-        // TimedOut elsewhere) must surface as FrameError::TimedOut —
-        // both before the first magic byte (idle peer) and mid-frame
-        // (stalled peer) — never as a generic Io error.
-        struct TimesOutAfter(usize);
-        impl std::io::Read for TimesOutAfter {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.0 == 0 {
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                let n = buf.len().min(self.0);
-                buf[..n].fill(b'O');
-                self.0 -= n;
-                Ok(n)
-            }
-        }
-        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(0)), Err(FrameError::TimedOut)));
-        assert!(matches!(read_frame_tagged(&mut TimesOutAfter(2)), Err(FrameError::TimedOut)));
-        for kind in [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut] {
-            assert!(matches!(classify_frame_io(kind.into()), FrameError::TimedOut));
-        }
-        assert!(matches!(
-            classify_frame_io(std::io::ErrorKind::ConnectionReset.into()),
-            FrameError::Io(_)
-        ));
     }
 
     #[test]

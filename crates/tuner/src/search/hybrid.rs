@@ -22,7 +22,8 @@ use oriole_codegen::TuningParams;
 pub struct HybridSearch<P> {
     /// Static cost predictor: `None` marks a variant statically
     /// infeasible (it is skipped and logged as pruned). Typically wraps
-    /// `compile` + `oriole_core::predict_time`.
+    /// `compile` + `oriole_core::predict_time_indexed` over the compiled
+    /// kernel's `index`.
     pub predictor: P,
     /// Fraction of the space to test empirically, in `[0, 1]`.
     pub dial: f64,

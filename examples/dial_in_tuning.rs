@@ -8,7 +8,7 @@
 
 use oriole::arch::Gpu;
 use oriole::codegen::{compile, TuningParams};
-use oriole::core::predict_time;
+use oriole::core::predict_time_indexed;
 use oriole::kernels::KernelId;
 use oriole::tuner::{replay, Evaluator, HybridSearch, SearchSpace, Searcher};
 
@@ -23,7 +23,9 @@ fn main() {
     let predictor = move |params: TuningParams| {
         compile(&kid.ast(n_mid), gpu, params)
             .ok()
-            .map(|kernel| predict_time(&kernel.program, kernel.geometry(n_mid)))
+            .map(|k| {
+                predict_time_indexed(gpu.throughput(), &k.index, &k.program, k.geometry(n_mid))
+            })
     };
 
     let builder = move |n: u64| kid.ast(n);

@@ -1,12 +1,18 @@
-//! The random-kernel generator the property suites share: bounded-depth
-//! statement trees over every ALU op, memory space and access pattern,
-//! loops of every trip kind, and uniform or thread-dependent branches.
+//! What the root suites share: the random-kernel generator of the
+//! property suites — bounded-depth statement trees over every ALU op,
+//! memory space and access pattern, loops of every trip kind, and
+//! uniform or thread-dependent branches — and a frame reader for tests
+//! that talk to a daemon over a raw socket. Each suite that includes
+//! this module uses one of the two.
+#![allow(dead_code)]
 
 use oriole::ir::{
     AccessPattern, AluOp, Branch, DivergenceKind, KernelAst, Loop, MemSpace, MemStmt, SizeExpr,
     Stmt, TripCount,
 };
+use oriole::tuner::persist::decode_frame;
 use proptest::prelude::*;
+use std::io::{self, Read};
 
 /// Strategy for arbitrary (bounded-depth) statement trees.
 fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
@@ -79,4 +85,27 @@ pub(crate) fn arb_kernel() -> impl Strategy<Value = KernelAst> {
         k.body = body;
         k
     })
+}
+
+/// Reads one frame off `src` the way both ends of the wire do: bytes
+/// are buffered in `unread` as they arrive and `decode_frame` takes the
+/// frame in front; what arrived past it stays in `unread` for the next
+/// call. A close before a whole frame is `UnexpectedEof`, a frame
+/// `decode_frame` refuses is `InvalidData`.
+pub(crate) fn read_frame(src: &mut impl Read, unread: &mut Vec<u8>) -> io::Result<(u64, String)> {
+    loop {
+        match decode_frame(unread) {
+            Ok(Some((corr, payload, used))) => {
+                unread.drain(..used);
+                return Ok((corr, payload));
+            }
+            Ok(None) => {}
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        }
+        let mut chunk = [0u8; 4096];
+        match src.read(&mut chunk)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => unread.extend_from_slice(&chunk[..n]),
+        }
+    }
 }

@@ -6,13 +6,13 @@
 //! tails; and a protocol v3 peer is refused by name on both sides,
 //! never half-decoded.
 
+mod common;
+
 use oriole::arch::Gpu;
 use oriole::kernels::KernelId;
 use oriole::service::protocol::emit_response;
 use oriole::service::{Client, Pipeline, Request, Response, RetryPolicy, Server, ServiceError};
-use oriole::tuner::persist::{
-    decode_frame, read_frame_tagged, write_frame_tagged, FrameError, FRAME_HEADER_BYTES,
-};
+use oriole::tuner::persist::{decode_frame, write_frame_tagged, FrameError, FRAME_HEADER_BYTES};
 use oriole::tuner::{ArtifactStore, Evaluator, SearchSpace};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -144,13 +144,12 @@ fn names_the_skew(message: &str) -> bool {
 
 #[test]
 fn a_v3_frame_is_refused_by_the_decoders_as_skew() {
-    assert!(matches!(decode_frame(&V3_PING_FRAME), Err(FrameError::VersionSkew)));
+    let err = decode_frame(&V3_PING_FRAME).expect_err("a v3 frame");
+    assert!(matches!(err, FrameError::VersionSkew));
+    assert!(names_the_skew(&err.to_string()), "{err}");
     // As early as the magic is whole; the first three bytes are shared.
     assert!(matches!(decode_frame(&V3_PING_FRAME[..4]), Err(FrameError::VersionSkew)));
     assert!(matches!(decode_frame(&V3_PING_FRAME[..3]), Ok(None)));
-    let err = read_frame_tagged(&mut &V3_PING_FRAME[..]).expect_err("a v3 frame");
-    assert!(matches!(err, FrameError::VersionSkew));
-    assert!(names_the_skew(&err.to_string()), "{err}");
 }
 
 #[test]
@@ -161,7 +160,7 @@ fn a_v3_client_is_refused_by_the_server_with_an_error_that_names_the_skew() {
 
     let mut raw = TcpStream::connect(&addr).expect("connect");
     raw.write_all(&V3_PING_FRAME).expect("send");
-    let reply = read_frame_tagged(&mut raw).expect("an error frame").1;
+    let reply = common::read_frame(&mut raw, &mut Vec::new()).expect("an error frame").1;
     assert!(reply.contains("malformed frame") && names_the_skew(&reply), "{reply}");
     // ...and the connection is closed: nothing of the v3 frame was served.
     assert_eq!(raw.read(&mut [0u8; 1]).expect("clean close"), 0);

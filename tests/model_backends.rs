@@ -15,7 +15,7 @@
 
 use oriole::arch::{Gpu, GpuSpec};
 use oriole::codegen::{compile, TuningParams};
-use oriole::core::predict::{predict_time, predict_time_with};
+use oriole::core::predict_time_indexed;
 use oriole::ir::KernelAst;
 use oriole::kernels::KernelId;
 use oriole::sim::{dynamic_mix, measure, simulate, ModelContext, ModelId};
@@ -54,16 +54,15 @@ fn default_backend_context_is_bit_identical_to_free_functions() {
 #[test]
 fn static_backend_is_eq6_behind_the_seam() {
     // The static backend's report carries exactly the free
-    // `predict_time` value (which in turn equals the hoisted-table
-    // variant), so `--model static` is the paper's Eq. 6, memoized.
+    // `predict_time_indexed` value, so `--model static` is the paper's
+    // Eq. 6, memoized.
     let gpu = Gpu::M40.spec();
     let ctx = ModelContext::for_model(gpu, ModelId::Static);
     for tc in [64u32, 256, 1024] {
         let k = kernel(gpu, tc, 48, 256);
         let r = ctx.simulate(&k, 256).unwrap();
         let geom = k.geometry(256);
-        assert_eq!(r.time_ms, predict_time(&k.program, geom));
-        assert_eq!(r.time_ms, predict_time_with(gpu.throughput(), &k.program, geom));
+        assert_eq!(r.time_ms, predict_time_indexed(gpu.throughput(), &k.index, &k.program, geom));
     }
 }
 

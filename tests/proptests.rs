@@ -219,7 +219,7 @@ proptest! {
     ) {
         // The StaticPredictModel backend is Eq. 6 behind the seam: for
         // every launchable kernel its report carries exactly the free
-        // `predict_time` value, and it refuses exactly the
+        // `predict_time_indexed` value, and it refuses exactly the
         // configurations the simulator refuses (shared feasibility
         // gate).
         use oriole::sim::{ModelContext, ModelId};
@@ -230,8 +230,12 @@ proptest! {
             let ctx = ModelContext::for_model(gpu, ModelId::Static);
             match ctx.simulate(&kernel, n) {
                 Ok(r) => {
-                    let expected =
-                        oriole::core::predict_time(&kernel.program, kernel.geometry(n));
+                    let expected = oriole::core::predict_time_indexed(
+                        gpu.throughput(),
+                        &kernel.index,
+                        &kernel.program,
+                        kernel.geometry(n),
+                    );
                     prop_assert_eq!(r.time_ms, expected);
                 }
                 Err(e) => {

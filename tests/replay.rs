@@ -5,7 +5,7 @@
 
 use oriole::arch::Gpu;
 use oriole::codegen::{compile, TuningParams};
-use oriole::core::predict::predict_time_with;
+use oriole::core::predict_time_indexed;
 use oriole::kernels::KernelId;
 use oriole::tuner::{
     replay, ArtifactStore, Decision, HybridSearch, RandomSearch, SearchSpace, Searcher, TuningLog,
@@ -28,7 +28,7 @@ fn hybrid_log_replays_point_for_point_against_the_live_evaluator() {
     let predictor = move |p: TuningParams| {
         compile(&builder(n_probe), gpu, p)
             .ok()
-            .map(|k| predict_time_with(table, &k.program, k.geometry(n_probe)))
+            .map(|k| predict_time_indexed(table, &k.index, &k.program, k.geometry(n_probe)))
     };
     let mut search = HybridSearch::new(predictor, 0.5);
     let result = search.search(&space, &evaluator, usize::MAX);
@@ -123,7 +123,7 @@ fn hybrid_replay_validates_static_decisions_on_the_live_stack() {
     let predictor = move |p: TuningParams| {
         compile(&builder(64), gpu, p)
             .ok()
-            .map(|k| predict_time_with(table, &k.program, k.geometry(64)))
+            .map(|k| predict_time_indexed(table, &k.index, &k.program, k.geometry(64)))
     };
     let mut search = HybridSearch::new(predictor, 0.1);
     search.search(&space, &evaluator, usize::MAX);
