@@ -6,9 +6,8 @@
 //! that a production `ptxas` would perform. The passes are *not* part of
 //! the default [`crate::compile`] pipeline — the evaluation reproduces
 //! the paper against unoptimized lowering — but the analyzer accepts
-//! optimized programs transparently, and the ablation benches use these
-//! passes to quantify how much static-mix conclusions depend on compiler
-//! cleanup.
+//! optimized programs transparently. No `tune` or `serve` path runs
+//! them; the benchmark's `codegen.peephole_us` probe times them.
 //!
 //! Passes:
 //! * **move forwarding** — `mov %b, %a` followed by uses of `%b` becomes
@@ -18,13 +17,11 @@
 //!   predicate definitions, control flow) are removed, iterating to a
 //!   fixed point.
 //!
-//! Both passes run on dense register numbers: the alias map is a
-//! Vec-indexed union-find (path halving) and the liveness set is a
-//! `Vec<bool>`, replacing the original `HashMap`/`HashSet` versions,
-//! which are retained below as `#[cfg(test)]` oracles pinning the
-//! rewrite bit-identical.
+//! `tests/index_golden.rs` pins what they emit over the paper space and
+//! a fixed-seed list of straight-line programs.
 
 use oriole_ir::{OpKind, Operand, Program, Reg};
+use std::collections::{HashMap, HashSet};
 
 /// What the optimizer did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,124 +49,40 @@ pub fn peephole(program: &Program) -> (Program, OptStats) {
     (out, stats)
 }
 
-/// Sentinel for "no alias recorded" in [`AliasMap`].
-const NO_ALIAS: u32 = u32::MAX;
-
-/// A register-to-register alias map as a Vec-indexed union-find over
-/// dense register numbers, with path halving on lookup.
-///
-/// `target[r]` is the forwarding target of `%r` (`NO_ALIAS` when `%r` is
-/// a root). Moves record edges whose targets are already fully resolved
-/// — the move's source operand is rewritten *before* the alias is
-/// recorded — so chains are at most one hop long and path halving is a
-/// no-op in practice; it is kept (with the oracle's defensive 64-hop
-/// cap) so lookups stay near-constant even if a future pass records
-/// deeper chains. The `touched` list makes per-block `reset` and
-/// definition invalidation O(registers actually aliased) instead of
-/// O(register space).
-struct AliasMap {
-    target: Vec<u32>,
-    touched: Vec<u32>,
-}
-
-impl AliasMap {
-    fn with_capacity(regs: usize) -> AliasMap {
-        AliasMap { target: vec![NO_ALIAS; regs], touched: Vec::new() }
-    }
-
-    /// Clears all recorded aliases (block boundary), leaving capacity.
-    fn reset(&mut self) {
-        for &r in &self.touched {
-            self.target[r as usize] = NO_ALIAS;
-        }
-        self.touched.clear();
-    }
-
-    /// Follows the alias chain from `r` to its root, halving the path as
-    /// it goes. Returns `r` itself when no alias is recorded.
-    fn resolve(&mut self, r: Reg) -> Reg {
-        let mut cur = r.0;
-        let mut hops = 0;
-        while let Some(&next) = self.target.get(cur as usize) {
-            if next == NO_ALIAS {
-                break;
-            }
-            // Path halving: point the current node at its grandparent.
-            if let Some(&grand) = self.target.get(next as usize) {
-                if grand != NO_ALIAS {
-                    self.target[cur as usize] = grand;
-                }
-            }
-            cur = next;
-            hops += 1;
-            if hops > 64 {
-                break; // defensive: cycles cannot happen, but stay total
-            }
-        }
-        Reg(cur)
-    }
-
-    /// Records `%d → %src` for a plain reg-to-reg move.
-    fn record(&mut self, d: Reg, src: Reg) {
-        let i = d.0 as usize;
-        if i >= self.target.len() {
-            self.target.resize(i + 1, NO_ALIAS);
-        }
-        if self.target[i] == NO_ALIAS {
-            self.touched.push(d.0);
-        }
-        self.target[i] = src.0;
-    }
-
-    /// A definition of `%d` invalidates the alias *of* `%d` and every
-    /// alias resolving *through* `%d` (same semantics as the oracle's
-    /// `remove` + `retain`).
-    fn define(&mut self, d: Reg) {
-        if let Some(t) = self.target.get_mut(d.0 as usize) {
-            *t = NO_ALIAS;
-        }
-        for &r in &self.touched {
-            if self.target[r as usize] == d.0 {
-                self.target[r as usize] = NO_ALIAS;
-            }
-        }
-    }
-}
-
 /// Forwards register-to-register moves within each block (conservative:
 /// the mapping resets at block boundaries, so no dataflow is needed).
-/// One [`AliasMap`] allocation serves the whole program.
 fn forward_moves(program: &mut Program) -> usize {
-    let regs = program
-        .blocks
-        .iter()
-        .flat_map(|b| &b.instrs)
-        .filter_map(|i| i.dst)
-        .map(|d| d.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut alias = AliasMap::with_capacity(regs);
     let mut forwarded = 0;
     for block in program.blocks.make_mut() {
-        alias.reset();
+        let mut alias: HashMap<Reg, Reg> = HashMap::new();
         for instr in &mut block.instrs {
             // Rewrite sources through the alias map (resolving chains).
             for src in &mut instr.srcs {
                 if let Operand::Reg(r) = src {
-                    let cur = alias.resolve(*r);
+                    let mut cur = *r;
+                    let mut hops = 0;
+                    while let Some(&next) = alias.get(&cur) {
+                        cur = next;
+                        hops += 1;
+                        if hops > 64 {
+                            break; // defensive: a self-move aliases a register to itself
+                        }
+                    }
                     if cur != *r {
                         *src = Operand::Reg(cur);
                         forwarded += 1;
                     }
                 }
             }
-            // A definition invalidates aliases *through* the defined reg.
+            // A definition invalidates the alias *of* the defined reg and
+            // every alias running *through* it.
             if let Some(d) = instr.dst {
-                alias.define(d);
+                alias.remove(&d);
+                alias.retain(|_, v| *v != d);
                 // Record new alias for plain reg-to-reg moves.
                 if instr.opcode.kind == OpKind::Mov && instr.srcs.len() == 1 {
                     if let Operand::Reg(src) = instr.srcs[0] {
-                        alias.record(d, src);
+                        alias.insert(d, src);
                     }
                 }
             }
@@ -179,21 +92,14 @@ fn forward_moves(program: &mut Program) -> usize {
 }
 
 /// Removes side-effect-free instructions whose destination is never read
-/// anywhere in the program. Returns the number removed. The used-set is
-/// a `Vec<bool>` over dense register numbers.
+/// anywhere in the program. Returns the number removed.
 fn eliminate_dead(program: &mut Program) -> usize {
-    let mut used: Vec<bool> = Vec::new();
-    for block in &program.blocks {
-        for instr in &block.instrs {
-            for r in instr.uses() {
-                let i = r.0 as usize;
-                if i >= used.len() {
-                    used.resize(i + 1, false);
-                }
-                used[i] = true;
-            }
-        }
-    }
+    let used: HashSet<Reg> = program
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .flat_map(|i| i.uses())
+        .collect();
     let mut removed = 0;
     for block in program.blocks.make_mut() {
         let before = block.instrs.len();
@@ -207,7 +113,7 @@ fn eliminate_dead(program: &mut Program) -> usize {
                 return true;
             }
             match instr.dst {
-                Some(d) => used.get(d.0 as usize).copied().unwrap_or(false),
+                Some(d) => used.contains(&d),
                 // No destination and no side effect: defensive keep.
                 None => true,
             }
@@ -215,96 +121,6 @@ fn eliminate_dead(program: &mut Program) -> usize {
         removed += before - block.instrs.len();
     }
     removed
-}
-
-/// The original `HashMap`/`HashSet` passes, retained verbatim as the
-/// oracle for the dense rewrite: tests pin `peephole` bit-identical to
-/// `oracle::peephole` across every bundled kernel.
-#[cfg(test)]
-pub(crate) mod oracle {
-    use super::*;
-    use std::collections::{HashMap, HashSet};
-
-    pub(crate) fn peephole(program: &Program) -> (Program, OptStats) {
-        let mut out = program.clone();
-        let mut stats =
-            OptStats { moves_forwarded: forward_moves(&mut out), ..OptStats::default() };
-        loop {
-            let removed = eliminate_dead(&mut out);
-            if removed == 0 {
-                break;
-            }
-            stats.dead_removed += removed;
-        }
-        (out, stats)
-    }
-
-    fn forward_moves(program: &mut Program) -> usize {
-        let mut forwarded = 0;
-        for block in program.blocks.make_mut() {
-            let mut alias: HashMap<Reg, Reg> = HashMap::new();
-            for instr in &mut block.instrs {
-                for src in &mut instr.srcs {
-                    if let Operand::Reg(r) = src {
-                        let mut cur = *r;
-                        let mut hops = 0;
-                        while let Some(&next) = alias.get(&cur) {
-                            cur = next;
-                            hops += 1;
-                            if hops > 64 {
-                                break;
-                            }
-                        }
-                        if cur != *r {
-                            *src = Operand::Reg(cur);
-                            forwarded += 1;
-                        }
-                    }
-                }
-                if let Some(d) = instr.dst {
-                    alias.remove(&d);
-                    alias.retain(|_, v| *v != d);
-                    if instr.opcode.kind == OpKind::Mov && instr.srcs.len() == 1 {
-                        if let Operand::Reg(src) = instr.srcs[0] {
-                            alias.insert(d, src);
-                        }
-                    }
-                }
-            }
-        }
-        forwarded
-    }
-
-    fn eliminate_dead(program: &mut Program) -> usize {
-        let mut used: HashSet<Reg> = HashSet::new();
-        for block in &program.blocks {
-            for instr in &block.instrs {
-                for r in instr.uses() {
-                    used.insert(r);
-                }
-            }
-        }
-        let mut removed = 0;
-        for block in program.blocks.make_mut() {
-            let before = block.instrs.len();
-            block.instrs.retain(|instr| {
-                let side_effect = matches!(
-                    instr.opcode.kind,
-                    OpKind::St(_) | OpKind::Bar | OpKind::Bra | OpKind::Exit | OpKind::Surf
-                ) || instr.dst_pred.is_some()
-                    || instr.guard.is_some();
-                if side_effect {
-                    return true;
-                }
-                match instr.dst {
-                    Some(d) => used.contains(&d),
-                    None => true,
-                }
-            });
-            removed += before - block.instrs.len();
-        }
-        removed
-    }
 }
 
 #[cfg(test)]
@@ -336,22 +152,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dense_passes_bit_identical_to_hashmap_oracle() {
-        for kid in oriole_kernels::ALL_KERNELS {
-            for n in [32, 64, 256] {
-                let p = lowered(kid, n);
-                assert_eq!(peephole(&p), oracle::peephole(&p), "{kid} n={n}");
-            }
-        }
-    }
-
-    /// Pins the alias resolution order of the union-find map: move
-    /// chains resolve to their final root, a redefinition of the source
-    /// cuts every alias running through it, and a redefinition of the
-    /// moved-to register drops its own alias. Expected operands are
-    /// written out literally so any change to resolution order fails
-    /// loudly rather than silently matching a changed oracle.
+    /// Pins the alias resolution order: move chains resolve to their
+    /// final root, a redefinition of the source cuts every alias running
+    /// through it, and a redefinition of the moved-to register drops its
+    /// own alias. Expected operands are written out literally so any
+    /// change to resolution order fails loudly.
     #[test]
     fn alias_resolution_order_is_pinned() {
         let mov = |d: u32, s: u32| {

@@ -12,9 +12,9 @@
 //! arbitrary model units — Fig. 5 normalizes both predictions and
 //! measurements before comparing, and so do we ([`PredictedSeries`]).
 //!
-//! Eq. 6 is also available as a pluggable timing backend: the
-//! `StaticPredictModel` in `oriole_sim::model` wraps
-//! [`predict_time_indexed`] behind the `TimingModel` trait, so the CLI's
+//! Eq. 6 is also available as a timing backend: `oriole_sim::model`'s
+//! static backend calls [`predict_time_indexed`] when a context's
+//! `ModelId` is `Static`, so the CLI's
 //! `--model static` (on `tune`/`simulate`/`analyze`) and the
 //! `model_agreement` experiment bin run this predictor through the same
 //! evaluation stack — the store's front-end and measurement tiers — as

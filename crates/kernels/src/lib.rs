@@ -12,15 +12,13 @@
 //! | [`ex14fj`] | 3-D Jacobi computation | solid-fuel-ignition stencil |
 //! | [`matvec2d`] | elementary linear algebra | `y = Ax` |
 //!
-//! Each module also provides a CPU *reference implementation* (the actual
-//! math) plus analytic operation-count formulas; tests cross-check the AST
-//! encodings against both, so the resource model cannot silently drift
-//! from the semantics.
+//! [`reference`] holds analytic FLOP formulas; tests cross-check the
+//! ATAX and BiCG encodings against them, so the resource model cannot
+//! silently drift from the mathematics.
 //!
-//! [`workload`] generates deterministic random inputs for the reference
-//! implementations; [`KernelId::input_sizes`] has the sizes used in §IV-A
-//! ({32..512}, ex14FJ {8..128}). [`synthetic`] holds the one kernel
-//! outside Table IV, the Fig. 1 divergence experiment's.
+//! [`KernelId::input_sizes`] has the sizes used in §IV-A ({32..512},
+//! ex14FJ {8..128}). [`synthetic`] holds the one kernel outside Table
+//! IV, the Fig. 1 divergence experiment's.
 
 #![warn(missing_docs)]
 
@@ -30,7 +28,6 @@ pub mod ex14fj;
 pub mod matvec2d;
 pub mod reference;
 pub mod synthetic;
-pub mod workload;
 
 use oriole_ir::KernelAst;
 

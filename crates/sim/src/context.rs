@@ -6,8 +6,8 @@
 //! pure in their inputs and fixed to the simulator backend under the
 //! family-default configuration. [`ModelContext`] is the same
 //! arithmetic with those three choices made once: it holds a
-//! [`GpuSpec`], a [`SimConfig`] and a `TimingModel` backend, owns no
-//! cache and has no interior mutability. What real workloads *can*
+//! [`GpuSpec`], a [`SimConfig`] and a [`ModelId`], owns no cache and
+//! has no interior mutability. What real workloads *can*
 //! share between neighbouring launches it takes from its caller:
 //! [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`] — the
 //! per-warp profile and the dynamic mix depend on the launch geometry
@@ -20,15 +20,15 @@
 //! `(program, point, n)` is asked for once and a cache would never hit.
 //! Occupancy is [`oriole_arch::occupancy()`], computed per estimate.
 //!
-//! # Pluggable backends
+//! # Backends
 //!
 //! Which cost model produces the estimates is the context's
-//! `TimingModel` backend ([`model`](crate::model)): the default is
-//! the full simulator (`SimulatorModel`), and
-//! [`ModelContext::for_model`] builds a context for any [`ModelId`]
-//! (static Eq. 6, roofline). A context serves exactly one backend —
-//! contexts for different models on one device are distinct values,
-//! and every layer above keys its artifacts by
+//! [`ModelId`]: one `match` in its estimate calls the backend function
+//! it names ([`model`](crate::model)). The default is the full
+//! simulator, and [`ModelContext::for_model`] builds a context for any
+//! [`ModelId`] (static Eq. 6, roofline). A context serves exactly one
+//! backend — contexts for different models on one device are distinct
+//! values, and every layer above keys its artifacts by
 //! `(GpuSpec contents, ModelId)` so estimates can never alias across
 //! backends.
 //!
@@ -42,8 +42,8 @@
 
 use crate::config::SimConfig;
 use crate::counters;
-use crate::machine::{LaunchScratch, SimError, SimReport};
-use crate::model::{ModelEnv, ModelId, TimingModel};
+use crate::machine::{simulate_via, LaunchScratch, SimError, SimReport};
+use crate::model::{self, ModelId};
 use crate::noise::{noisy_trials, TrialProtocol, Trials};
 use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OpClass};
 use oriole_codegen::{CompiledKernel, FrontEnd};
@@ -83,7 +83,7 @@ pub struct ModelContext {
     #[allow(deprecated)]
     spec: oriole_arch::OccupancyTable,
     cfg: SimConfig,
-    model: Box<dyn TimingModel>,
+    model: ModelId,
 }
 
 impl ModelContext {
@@ -101,7 +101,7 @@ impl ModelContext {
         ModelContext {
             spec: oriole_arch::OccupancyTable::new(spec),
             cfg: SimConfig::for_family(spec.family),
-            model: model.backend(),
+            model,
         }
     }
 
@@ -113,7 +113,7 @@ impl ModelContext {
     /// The identity of the timing backend behind this context's
     /// estimates.
     pub fn model_id(&self) -> ModelId {
-        self.model.id()
+        self.model
     }
 
     /// The one estimate every method below goes through.
@@ -124,8 +124,12 @@ impl ModelContext {
         scratch: &mut LaunchScratch,
     ) -> Result<SimReport, SimError> {
         debug_assert_eq!(kernel.gpu, *self.gpu(), "kernel compiled for another device");
-        let env = ModelEnv { spec: self.gpu(), cfg: &self.cfg };
-        self.model.estimate(&env, kernel, n, scratch)
+        let (spec, cfg) = (self.gpu(), &self.cfg);
+        match self.model {
+            ModelId::Simulator => simulate_via(spec, cfg, kernel, n, scratch),
+            ModelId::Static => model::static_predict(spec, kernel, n, scratch),
+            ModelId::Roofline => model::roofline(spec, cfg, kernel, n, scratch),
+        }
     }
 
     /// The estimate under this context's backend — for the default
@@ -220,7 +224,7 @@ impl std::fmt::Debug for ModelContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModelContext")
             .field("gpu", &self.gpu().name)
-            .field("model", &self.model.id())
+            .field("model", &self.model)
             .finish_non_exhaustive()
     }
 }

@@ -43,12 +43,11 @@
 //! as thin wrappers over the same implementation under the default
 //! backend, property-tested bit-identical.
 //!
-//! The abstract machine is one of several cost models: [`model`]
-//! defines the crate-internal `TimingModel` seam with the default
-//! `SimulatorModel`, the static Eq. 6 `StaticPredictModel` and the
-//! analytic `RooflineModel`, all selectable by [`ModelId`] per context
-//! (and, through the layers above, per evaluator and per CLI invocation
-//! via `--model`).
+//! The abstract machine is one of three cost models: [`model`] holds
+//! the static Eq. 6 and analytic roofline backends beside it, and a
+//! [`ModelId`] picks one per context (and, through the layers above, per
+//! evaluator and per CLI invocation via `--model`); the context's one
+//! `match` calls it.
 
 #![warn(missing_docs)]
 

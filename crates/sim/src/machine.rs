@@ -22,9 +22,9 @@
 
 use crate::config::SimConfig;
 use crate::counters;
-use crate::model::ModelEnv;
+use crate::model::launch_occupancy;
 use crate::profile::WarpProfile;
-use oriole_arch::{Family, Limiter, Occupancy};
+use oriole_arch::{Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
 use oriole_ir::{MixCounts, ProgramIndex};
 use std::fmt;
@@ -211,22 +211,21 @@ pub fn simulate_with(
     n: u64,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let env = ModelEnv { spec: &kernel.gpu, cfg };
-    simulate_via(&env, kernel, n, &mut LaunchScratch::default())
+    simulate_via(&kernel.gpu, cfg, kernel, n, &mut LaunchScratch::default())
 }
 
-/// The whole timing model; the per-warp profile comes through
-/// `scratch`.
+/// The whole timing model — the simulator backend; the per-warp profile
+/// comes through `scratch`.
 pub(crate) fn simulate_via(
-    env: &ModelEnv<'_>,
+    spec: &GpuSpec,
+    cfg: &SimConfig,
     kernel: &CompiledKernel,
     n: u64,
     scratch: &mut LaunchScratch,
 ) -> Result<SimReport, SimError> {
-    let (spec, cfg) = (env.spec, env.cfg);
     let params = kernel.params;
 
-    let occ = env.launch_occupancy(kernel)?;
+    let occ = launch_occupancy(spec, kernel)?;
 
     let threads = f64::from(params.tc) * f64::from(params.bc);
     let items = grid_items(kernel, n).unwrap_or(threads);
@@ -329,17 +328,15 @@ mod tests {
 
     #[test]
     fn eq6_is_walked_once_per_launch_shape_under_the_static_backend() {
-        use crate::model::ModelId;
+        use crate::model::static_predict;
         let gpu = Gpu::K20.spec();
         let fe = oriole_codegen::front_end(&KernelId::Atax.ast(128), gpu, 1, Default::default())
             .expect("valid unroll factor");
         let at = |tc, bc, pl, sc| {
             fe.specialize(TuningParams { pl, sc, ..TuningParams::with_geometry(tc, bc) }).unwrap()
         };
-        let (model, cfg) = (ModelId::Static.backend(), SimConfig::for_family(gpu.family));
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let mut scratch = LaunchScratch::default();
-        let first = model.estimate(&env, &at(128, 48, PreferredL1::Kb16, 1), 128, &mut scratch);
+        let first = static_predict(gpu, &at(128, 48, PreferredL1::Kb16, 1), 128, &mut scratch);
         let first = first.unwrap().time_ms;
 
         // A `PL`- or `SC`-only step finds the backend's own walk in the
@@ -353,7 +350,7 @@ mod tests {
             let sibling = at(128, 48, pl, sc);
             let held = scratch.eq6(&sibling, 128, || counted(f64::NAN));
             assert_eq!(held.to_bits(), first.to_bits());
-            let through = model.estimate(&env, &sibling, 128, &mut scratch).unwrap();
+            let through = static_predict(gpu, &sibling, 128, &mut scratch).unwrap();
             assert_eq!(through.time_ms.to_bits(), first.to_bits());
         }
         assert_eq!(walks.get(), 0, "a PL/SC-only step repeated the Eq. 6 walk");

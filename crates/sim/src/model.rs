@@ -1,50 +1,49 @@
-//! Pluggable timing-model backends: one seam, several cost models.
+//! Timing-model backends: three cost functions, one [`ModelId`] to
+//! pick among them.
 //!
 //! The paper evaluates two predictors against each other — the abstract
 //! machine of [`machine`](crate::machine) ("empirical" measurements)
 //! and the static Eq. 6 CPI model — and related work adds more
-//! (hardware-counter models, wave/roofline analytics). `TimingModel`
-//! is the seam that lets all of them run behind the *same* evaluation
-//! stack: a backend estimates a [`SimReport`]-shaped cost from a
-//! [`CompiledKernel`] + its launch point + the problem size `n`, takes
-//! whatever geometry-only work it shares with the previous launch from
-//! the caller's [`LaunchScratch`], and carries a stable [`ModelId`]
-//! that participates in every cache key above it (the tuner's
-//! measurement tiers, the process-level artifact store's scopes), so
-//! cached artifacts can never alias across backends.
+//! (hardware-counter models, wave/roofline analytics). Each backend
+//! estimates a [`SimReport`]-shaped cost from a [`CompiledKernel`] + its
+//! launch point + the problem size `n`, takes whatever geometry-only
+//! work it shares with the previous launch from the caller's
+//! [`LaunchScratch`], and is named by a stable [`ModelId`] that
+//! participates in every cache key above it (the tuner's measurement
+//! tiers, the process-level artifact store's scopes), so cached
+//! artifacts can never alias across backends.
+//! [`ModelContext`](crate::ModelContext) holds the id and calls the
+//! backend it names through one `match`.
 //!
 //! Three backends ship:
 //!
-//! * `SimulatorModel` — the default: the full abstract machine
+//! * [`ModelId::Simulator`] — the default: the full abstract machine
 //!   (issue/latency/bandwidth rooflines, work concentration,
 //!   divergence, barriers). The crate's free functions
-//!   ([`simulate`](crate::simulate), [`measure`](crate::measure)) stay
-//!   thin wrappers over exactly this backend, property-tested
-//!   bit-identical.
-//! * `StaticPredictModel` — Eq. 6 via
+//!   ([`simulate`](crate::simulate), [`measure`](crate::measure)) run
+//!   exactly this backend, property-tested bit-identical.
+//! * [`ModelId::Static`] — Eq. 6 via
 //!   [`oriole_core::predict::predict_time_indexed`]: a purely static CPI ×
 //!   expected-mix dot product, no dynamic profiling. Output is in model
 //!   units, not milliseconds — rankings and Fig. 5-style normalized
 //!   series are the meaningful quantities.
-//! * `RooflineModel` — a classic throughput/bandwidth roofline from
-//!   the [`oriole_arch`] Table II issue rates and the DRAM bandwidth
+//! * [`ModelId::Roofline`] — a classic throughput/bandwidth roofline
+//!   from the [`oriole_arch`] Table II issue rates and the DRAM bandwidth
 //!   constants, derated by achieved occupancy. Unlike the simulator it
 //!   models no latency bound, work concentration, or divergence/barrier
 //!   surcharges.
 //!
 //! All backends share one launch-feasibility gate
-//! (`ModelEnv::launch_occupancy`): a configuration with zero active
-//! blocks is [`SimError::Infeasible`] under every model, so backends
-//! disagree about *cost*, never about *launchability*.
+//! (`launch_occupancy`): a configuration with zero active blocks is
+//! [`SimError::Infeasible`] under every model, so backends disagree
+//! about *cost*, never about *launchability*.
 //!
 //! Select a backend with `ModelContext::for_model`, the tuner's
 //! `EvalProtocol::model` field, or the CLI's
 //! `--model {sim,static,roofline}`; `oriole-cli models` lists them.
 
 use crate::config::SimConfig;
-use crate::machine::{
-    effective_shmem_per_mp, simulate_via, BoundKind, LaunchScratch, SimError, SimReport,
-};
+use crate::machine::{effective_shmem_per_mp, BoundKind, LaunchScratch, SimError, SimReport};
 use crate::profile::WarpProfile;
 use oriole_arch::{occupancy, GpuSpec, Occupancy, OccupancyInput};
 use oriole_codegen::CompiledKernel;
@@ -109,15 +108,6 @@ impl ModelId {
             _ => None,
         }
     }
-
-    /// Constructs the backend this id names.
-    pub(crate) fn backend(self) -> Box<dyn TimingModel> {
-        match self {
-            ModelId::Simulator => Box::new(SimulatorModel),
-            ModelId::Static => Box::new(StaticPredictModel),
-            ModelId::Roofline => Box::new(RooflineModel),
-        }
-    }
 }
 
 impl fmt::Display for ModelId {
@@ -126,89 +116,34 @@ impl fmt::Display for ModelId {
     }
 }
 
-/// What an estimate runs against: the target spec and the simulator
-/// timing constants. Backends receive it per call so they stay
-/// stateless and one [`ModelContext`](crate::ModelContext) can own any
-/// of them.
-pub(crate) struct ModelEnv<'a> {
-    /// Target device.
-    pub spec: &'a GpuSpec,
-    /// Timing constants (family defaults unless the context was built
-    /// for an ablation).
-    pub cfg: &'a SimConfig,
-}
-
-impl ModelEnv<'_> {
-    /// The launch-feasibility gate shared by every backend: the
-    /// kernel's occupancy point, or [`SimError::Infeasible`] when zero
-    /// blocks fit. The simulator goes through it too, so feasibility
-    /// never depends on the selected backend.
-    pub(crate) fn launch_occupancy(&self, kernel: &CompiledKernel) -> Result<Occupancy, SimError> {
-        let input = OccupancyInput {
-            tc: kernel.params.tc,
-            regs_per_thread: kernel.regs_per_thread(),
-            smem_per_block: kernel.smem_per_block,
-            shmem_per_mp: Some(effective_shmem_per_mp(
-                self.spec.family,
-                kernel.params.pl,
-                self.spec.shmem_per_mp,
-            )),
-        };
-        let occ = occupancy(self.spec, input);
-        if occ.active_blocks == 0 {
-            return Err(SimError::Infeasible { limiter: occ.limiter });
-        }
-        Ok(occ)
+/// The launch-feasibility gate shared by every backend: the kernel's
+/// occupancy point on `spec`, or [`SimError::Infeasible`] when zero
+/// blocks fit. The simulator goes through it too, so feasibility never
+/// depends on the selected backend.
+pub(crate) fn launch_occupancy(
+    spec: &GpuSpec,
+    kernel: &CompiledKernel,
+) -> Result<Occupancy, SimError> {
+    let input = OccupancyInput {
+        tc: kernel.params.tc,
+        regs_per_thread: kernel.regs_per_thread(),
+        smem_per_block: kernel.smem_per_block,
+        shmem_per_mp: Some(effective_shmem_per_mp(
+            spec.family,
+            kernel.params.pl,
+            spec.shmem_per_mp,
+        )),
+    };
+    let occ = occupancy(spec, input);
+    if occ.active_blocks == 0 {
+        return Err(SimError::Infeasible { limiter: occ.limiter });
     }
+    Ok(occ)
 }
 
-/// A cost-model backend: estimates one kernel execution.
-///
-/// Implementations must be pure in `(env, kernel, n)`: nothing caches
-/// an estimate, every layer above asks again and relies on the same
-/// bits. `scratch` may only spare work — an estimate through a scratch
-/// that has seen other launches equals the one through a fresh scratch.
-pub(crate) trait TimingModel: Send + Sync {
-    /// The stable identity used in cache keys and telemetry.
-    fn id(&self) -> ModelId;
-
-    /// Estimates one execution of `kernel` at problem size `n`.
-    fn estimate(
-        &self,
-        env: &ModelEnv<'_>,
-        kernel: &CompiledKernel,
-        n: u64,
-        scratch: &mut LaunchScratch,
-    ) -> Result<SimReport, SimError>;
-}
-
-/// The default backend: the full abstract machine of
-/// [`machine`](crate::machine). Bit-identical to the
-/// [`simulate`](crate::simulate) free function (property-tested in
-/// `tests/proptests.rs`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimulatorModel;
-
-impl TimingModel for SimulatorModel {
-    fn id(&self) -> ModelId {
-        ModelId::Simulator
-    }
-
-    fn estimate(
-        &self,
-        env: &ModelEnv<'_>,
-        kernel: &CompiledKernel,
-        n: u64,
-        scratch: &mut LaunchScratch,
-    ) -> Result<SimReport, SimError> {
-        simulate_via(env, kernel, n, scratch)
-    }
-}
-
-/// The Eq. 6 backend: wraps
-/// [`oriole_core::predict::predict_time_indexed`] — the paper's purely
-/// static CPI × expected-mix predictor, replayed from the kernel's
-/// shared program index — behind the model seam.
+/// The Eq. 6 backend: [`oriole_core::predict::predict_time_indexed`] —
+/// the paper's purely static CPI × expected-mix predictor, replayed from
+/// the kernel's shared program index.
 ///
 /// The report's `time_ms` carries the Eq. 6 cost in *model units* (the
 /// same quantity Fig. 5 normalizes), taken through the scratch's
@@ -219,42 +154,32 @@ impl TimingModel for SimulatorModel {
 /// it: [`ModelContext::launch`](crate::ModelContext::launch) replays the
 /// dynamic mix for `reg_instructions` and draws the trial noise under
 /// every backend, this one included.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StaticPredictModel;
-
-impl TimingModel for StaticPredictModel {
-    fn id(&self) -> ModelId {
-        ModelId::Static
-    }
-
-    fn estimate(
-        &self,
-        env: &ModelEnv<'_>,
-        kernel: &CompiledKernel,
-        n: u64,
-        scratch: &mut LaunchScratch,
-    ) -> Result<SimReport, SimError> {
-        let occ = env.launch_occupancy(kernel)?;
-        let cost = scratch.eq6(kernel, n, || {
-            oriole_core::predict::predict_time_indexed(
-                kernel.gpu.throughput(),
-                &kernel.index,
-                &kernel.program,
-                kernel.geometry(n),
-            )
-        });
-        Ok(SimReport {
-            time_ms: cost,
-            bound: BoundKind::Issue,
-            occupancy: occ,
-            busy_blocks: kernel.params.bc,
-            busy_sms: kernel.params.bc.min(env.spec.multiprocessors),
-            resident_warps: occ.active_warps,
-            waves: 1,
-            cycles: cost,
-            profile: WarpProfile::default(),
-        })
-    }
+pub(crate) fn static_predict(
+    spec: &GpuSpec,
+    kernel: &CompiledKernel,
+    n: u64,
+    scratch: &mut LaunchScratch,
+) -> Result<SimReport, SimError> {
+    let occ = launch_occupancy(spec, kernel)?;
+    let cost = scratch.eq6(kernel, n, || {
+        oriole_core::predict::predict_time_indexed(
+            kernel.gpu.throughput(),
+            &kernel.index,
+            &kernel.program,
+            kernel.geometry(n),
+        )
+    });
+    Ok(SimReport {
+        time_ms: cost,
+        bound: BoundKind::Issue,
+        occupancy: occ,
+        busy_blocks: kernel.params.bc,
+        busy_sms: kernel.params.bc.min(spec.multiprocessors),
+        resident_warps: occ.active_warps,
+        waves: 1,
+        cycles: cost,
+        profile: WarpProfile::default(),
+    })
 }
 
 /// The analytic roofline backend: completion time is the larger of the
@@ -271,60 +196,50 @@ impl TimingModel for StaticPredictModel {
 /// work-concentration accounting (all `BC` blocks are assumed busy),
 /// and no divergence/barrier surcharges — the `model_agreement` bin
 /// quantifies how much ranking signal that costs.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RooflineModel;
+pub(crate) fn roofline(
+    spec: &GpuSpec,
+    cfg: &SimConfig,
+    kernel: &CompiledKernel,
+    n: u64,
+    scratch: &mut LaunchScratch,
+) -> Result<SimReport, SimError> {
+    let occ = launch_occupancy(spec, kernel)?;
+    let params = kernel.params;
+    let wb = spec.warps_per_block(params.tc);
+    let warps_total = f64::from(params.bc) * f64::from(wb);
+    let profile = scratch.profile(kernel, cfg, n, params.bc).clone();
 
-impl TimingModel for RooflineModel {
-    fn id(&self) -> ModelId {
-        ModelId::Roofline
-    }
+    let mp = spec.multiprocessors;
+    let t_issue =
+        profile.issue_cycles * warps_total / f64::from(mp) / occ.occupancy.max(f64::EPSILON);
+    let t_bw = profile.dram_transactions * warps_total * cfg.dram_cycles_per_transaction;
+    let (cycles, bound) = if t_bw > t_issue {
+        (t_bw, BoundKind::Bandwidth)
+    } else {
+        (t_issue, BoundKind::Issue)
+    };
 
-    fn estimate(
-        &self,
-        env: &ModelEnv<'_>,
-        kernel: &CompiledKernel,
-        n: u64,
-        scratch: &mut LaunchScratch,
-    ) -> Result<SimReport, SimError> {
-        let occ = env.launch_occupancy(kernel)?;
-        let spec = env.spec;
-        let params = kernel.params;
-        let wb = spec.warps_per_block(params.tc);
-        let warps_total = f64::from(params.bc) * f64::from(wb);
-        let profile = scratch.profile(kernel, env.cfg, n, params.bc).clone();
-
-        let mp = spec.multiprocessors;
-        let t_issue =
-            profile.issue_cycles * warps_total / f64::from(mp) / occ.occupancy.max(f64::EPSILON);
-        let t_bw =
-            profile.dram_transactions * warps_total * env.cfg.dram_cycles_per_transaction;
-        let (cycles, bound) = if t_bw > t_issue {
-            (t_bw, BoundKind::Bandwidth)
-        } else {
-            (t_issue, BoundKind::Issue)
-        };
-
-        let clock_hz = f64::from(spec.gpu_clock_mhz) * 1e6;
-        let launch_us = env.cfg.launch_overhead_us
-            + env.cfg.stream_overhead_us * f64::from(params.sc.saturating_sub(1));
-        let slots = (occ.active_blocks * mp).max(1);
-        Ok(SimReport {
-            time_ms: cycles / clock_hz * 1e3 + launch_us / 1e3,
-            bound,
-            occupancy: occ,
-            busy_blocks: params.bc,
-            busy_sms: params.bc.min(mp),
-            resident_warps: occ.active_warps,
-            waves: params.bc.div_ceil(slots).max(1),
-            cycles,
-            profile,
-        })
-    }
+    let clock_hz = f64::from(spec.gpu_clock_mhz) * 1e6;
+    let launch_us =
+        cfg.launch_overhead_us + cfg.stream_overhead_us * f64::from(params.sc.saturating_sub(1));
+    let slots = (occ.active_blocks * mp).max(1);
+    Ok(SimReport {
+        time_ms: cycles / clock_hz * 1e3 + launch_us / 1e3,
+        bound,
+        occupancy: occ,
+        busy_blocks: params.bc,
+        busy_sms: params.bc.min(mp),
+        resident_warps: occ.active_warps,
+        waves: params.bc.div_ceil(slots).max(1),
+        cycles,
+        profile,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::simulate_via;
     use oriole_arch::Gpu;
     use oriole_codegen::{compile, TuningParams};
     use oriole_kernels::KernelId;
@@ -338,21 +253,10 @@ mod tests {
         .unwrap()
     }
 
-    /// One estimate through a fresh scratch.
-    fn fresh(
-        model: &dyn TimingModel,
-        env: &ModelEnv<'_>,
-        k: &CompiledKernel,
-        n: u64,
-    ) -> Result<SimReport, SimError> {
-        model.estimate(env, k, n, &mut LaunchScratch::default())
-    }
-
     #[test]
     fn ids_are_stable_and_parse_round_trips() {
         for id in ModelId::ALL {
             assert_eq!(ModelId::parse(id.name()), Some(id));
-            assert_eq!(id.backend().id(), id);
             assert!(!id.describe().is_empty());
         }
         assert_eq!(ModelId::parse("SIMULATOR"), Some(ModelId::Simulator));
@@ -365,10 +269,9 @@ mod tests {
     fn simulator_backend_matches_free_function() {
         let gpu = Gpu::K20.spec();
         let cfg = SimConfig::for_family(gpu.family);
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
         assert_eq!(
-            fresh(&SimulatorModel, &env, &k, 256).unwrap(),
+            simulate_via(gpu, &cfg, &k, 256, &mut LaunchScratch::default()).unwrap(),
             crate::simulate(&k, 256).unwrap()
         );
     }
@@ -376,10 +279,8 @@ mod tests {
     #[test]
     fn static_backend_reports_eq6_cost() {
         let gpu = Gpu::K20.spec();
-        let cfg = SimConfig::for_family(gpu.family);
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
-        let r = fresh(&StaticPredictModel, &env, &k, 256).unwrap();
+        let r = static_predict(gpu, &k, 256, &mut LaunchScratch::default()).unwrap();
         let expected = oriole_core::predict::predict_time_indexed(
             gpu.throughput(),
             &k.index,
@@ -396,10 +297,9 @@ mod tests {
     fn roofline_is_bounded_and_distinct_from_simulator() {
         let gpu = Gpu::K20.spec();
         let cfg = SimConfig::for_family(gpu.family);
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
         let k = kernel(128, 48);
-        let roof = fresh(&RooflineModel, &env, &k, 256).unwrap();
-        let sim = fresh(&SimulatorModel, &env, &k, 256).unwrap();
+        let roof = roofline(gpu, &cfg, &k, 256, &mut LaunchScratch::default()).unwrap();
+        let sim = simulate_via(gpu, &cfg, &k, 256, &mut LaunchScratch::default()).unwrap();
         assert!(roof.time_ms.is_finite() && roof.time_ms > 0.0);
         assert!(matches!(roof.bound, BoundKind::Issue | BoundKind::Bandwidth));
         // The roofline drops the latency bound and the concentration /
@@ -411,9 +311,8 @@ mod tests {
     fn roofline_grows_with_problem_size() {
         let gpu = Gpu::K20.spec();
         let cfg = SimConfig::for_family(gpu.family);
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
-        let small = fresh(&RooflineModel, &env, &kernel(128, 48), 64).unwrap();
-        let large = fresh(&RooflineModel, &env, &kernel(128, 48), 512).unwrap();
+        let at = |n| roofline(gpu, &cfg, &kernel(128, 48), n, &mut LaunchScratch::default());
+        let (small, large) = (at(64).unwrap(), at(512).unwrap());
         assert!(large.time_ms > small.time_ms);
     }
 
@@ -430,11 +329,12 @@ mod tests {
         let k = compile(&ast, Gpu::K20.spec(), params).unwrap();
         let gpu = Gpu::K20.spec();
         let cfg = SimConfig::for_family(gpu.family);
-        let env = ModelEnv { spec: gpu, cfg: &cfg };
-        let errs: Vec<SimError> = ModelId::ALL
-            .iter()
-            .map(|id| fresh(id.backend().as_ref(), &env, &k, 64).unwrap_err())
-            .collect();
+        let errs = [
+            simulate_via(gpu, &cfg, &k, 64, &mut LaunchScratch::default()),
+            static_predict(gpu, &k, 64, &mut LaunchScratch::default()),
+            roofline(gpu, &cfg, &k, 64, &mut LaunchScratch::default()),
+        ]
+        .map(Result::unwrap_err);
         assert_eq!(errs[0], errs[1]);
         assert_eq!(errs[1], errs[2]);
     }

@@ -20,6 +20,10 @@
 //! tolerated and ignored, as Orio's other sections are orthogonal to the
 //! search space) and builds a [`SearchSpace`]. `range(a,b[,s])` follows
 //! Python semantics: start inclusive, stop exclusive.
+//!
+//! A spec is input from outside, so it is bounded before anything is
+//! built from it: no `range()` may produce, and no space may hold, more
+//! than `MAX_SPACE_POINTS` values (Fig. 3's space is 25,600 points).
 
 use crate::space::SearchSpace;
 use oriole_codegen::{CompilerFlags, PreferredL1};
@@ -39,6 +43,10 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// The most values one `range()` may produce and the most points a
+/// specification may describe.
+pub(crate) const MAX_SPACE_POINTS: u64 = 1 << 24;
 
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError { msg: msg.into() }
@@ -107,6 +115,12 @@ pub fn parse_spec(text: &str) -> Result<SearchSpace, SpecError> {
         sc: sc.unwrap_or_else(|| vec![1]),
         cflags: cflags.unwrap_or_else(|| vec![CompilerFlags { fast_math: false }]),
     };
+    let points = space.dims().into_iter().try_fold(1u64, |points, len| {
+        points.checked_mul(len as u64).filter(|&p| p <= MAX_SPACE_POINTS)
+    });
+    if points.is_none() {
+        return Err(err(format!("specification describes more than {MAX_SPACE_POINTS} points")));
+    }
     if space.is_empty() {
         return Err(err("specification produces an empty space"));
     }
@@ -166,14 +180,18 @@ fn parse_rhs(rhs: &str) -> Result<ParamValues, SpecError> {
         if step <= 0 {
             return Err(err("range() step must be positive"));
         }
-        let mut vals = Vec::new();
-        let mut v = start;
-        while v < stop {
-            vals.push(v);
-            v += step;
-        }
-        if vals.is_empty() {
+        if stop <= start {
             return Err(err(format!("range `{rhs}` is empty")));
+        }
+        let len = stop.abs_diff(start).div_ceil(step.unsigned_abs());
+        if len > MAX_SPACE_POINTS {
+            return Err(err(format!("range `{rhs}` has more than {MAX_SPACE_POINTS} values")));
+        }
+        let mut vals = Vec::with_capacity(len as usize);
+        let mut next = Some(start);
+        while let Some(v) = next.filter(|&v| v < stop) {
+            vals.push(v);
+            next = v.checked_add(step);
         }
         return Ok(ParamValues::Numbers(vals));
     }
@@ -300,6 +318,41 @@ mod tests {
         assert!(parse_spec("param TC[] = range(32,96,-32);\nparam BC[] = [24];").is_err());
         assert!(parse_spec("param TC[] = garbage;\nparam BC[] = [24];").is_err());
         assert!(parse_spec("param TC[] = [x];\nparam BC[] = [24];").is_err());
+    }
+
+    #[test]
+    fn a_range_stepping_past_i64_max_stops_instead_of_overflowing() {
+        let e = parse_spec(
+            "param TC[] = range(9223372036854775800,9223372036854775807,100);\nparam BC[] = [24];",
+        )
+        .unwrap_err();
+        assert!(e.msg.contains("TC value 9223372036854775800 out of range"), "{e}");
+    }
+
+    #[test]
+    fn a_range_too_long_to_tune_is_refused_before_it_is_built() {
+        let e = parse_spec("param TC[] = range(0,9223372036854775807);\nparam BC[] = [24];")
+            .unwrap_err();
+        assert!(e.msg.contains("more than 16777216 values"), "{e}");
+    }
+
+    #[test]
+    fn a_space_past_max_space_points_is_refused() {
+        let axes = |stop: u32| {
+            ["TC", "BC", "UIF", "SC"]
+                .map(|name| format!("param {name}[] = range(1,{stop});\n"))
+                .concat()
+        };
+        let both = "param PL[] = [16,48];\nparam CFLAGS[] = ['', '-use_fast_math'];";
+        // 2,000⁴ × 4 = 6.4·10¹³ points; 70,000⁴ overflows `usize`.
+        for stop in [2001, 70001] {
+            let e = parse_spec(&(axes(stop) + both)).unwrap_err();
+            assert!(e.msg.contains("more than 16777216 points"), "{e}");
+        }
+        // 4,096² is the bound itself; one more axis value is past it.
+        let square = "param TC[] = range(1,4097);\nparam BC[] = range(1,4097);";
+        assert_eq!(parse_spec(square).unwrap().len(), 1 << 24);
+        assert!(parse_spec(&format!("{square}\nparam UIF[] = [1,2];")).is_err());
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! * [`arch`] — GPU architecture database (paper Table I) and instruction
 //!   throughput model (Table II).
 //! * [`ir`] — kernel AST, PTX-like ISA, CFG, textual disassembly.
-//! * [`kernels`] — the paper's benchmark kernels (Table IV), their CPU
-//!   reference implementations and workload generators.
+//! * [`kernels`] — the paper's benchmark kernels (Table IV) and the
+//!   FLOP formulas their encodings are checked against.
 //! * [`codegen`] — the compiler substrate: Orio-style transformations,
 //!   register estimation, lowering to compiled artifacts.
 //! * [`sim`] — the GPU timing simulator standing in for physical
 //!   hardware, plus the timing-model backends a `ModelId` selects
-//!   (simulator, static Eq. 6, roofline) behind one `ModelContext`,
-//!   which owns no cache.
+//!   (simulator, static Eq. 6, roofline) with one `match` in
+//!   `ModelContext`, which owns no cache.
 //! * [`core`] — the paper's contribution: static analyzer and predictive
 //!   models (occupancy, instruction mixes, Eq. 6 time prediction,
 //!   parameter suggestion).

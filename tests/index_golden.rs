@@ -1,4 +1,5 @@
-//! Pins everything a `ProgramIndex` answers as one digest.
+//! Pins everything a `ProgramIndex` answers, and what the lowerer and
+//! the peephole emit, as three digests.
 //!
 //! The index is the build-once analysis artifact that every static and
 //! simulated query replays. This test spells every accessor a consumer
@@ -10,13 +11,24 @@
 //! `persist::checksum`. The digest was taken before the CFG code was
 //! cut down to what the index reads; it changes only with a behaviour
 //! change, and such a change is its own piece of work.
+//!
+//! The same loop pins what the two passes in front of the index emit:
+//! the `text::emit` listing of every lowered program (labels, edges,
+//! registers, frequencies), and the listing of `codegen::peephole`'s
+//! output with its `OptStats`. The lowerer writes no register-to-register
+//! move and no guard, so the peephole corpus also runs a fixed-seed list
+//! of straight-line programs over six registers, where moves chain,
+//! sources are redefined and dead definitions sit under guards. Both
+//! digests were taken before each pass lost the twin it had been checked
+//! against.
 
 use oriole::arch::Family;
-use oriole::codegen::unroll;
+use oriole::codegen::{peephole, unroll};
 use oriole::ir::lower::{lower_indexed, LowerOptions};
 use oriole::ir::{
-    AccessPattern, AluOp, Branch, DivergenceKind, KernelAst, LaunchGeometry, Loop, MemSpace,
-    MemStmt, MixCounts, Program, ProgramIndex, SizeExpr, Stmt, TripCount,
+    text, AccessPattern, AluOp, BasicBlock, Branch, DivergenceKind, FreqExpr, Instr, KernelAst,
+    LaunchGeometry, Loop, MemSpace, MemStmt, MixCounts, OpKind, Opcode, Operand, Pred, Program,
+    ProgramIndex, ProgramMeta, Reg, SizeExpr, Stmt, Terminator, TripCount, Ty,
 };
 use oriole::kernels::ALL_KERNELS;
 use oriole::tuner::persist;
@@ -24,14 +36,29 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::fmt::Write as _;
 
-/// `persist::checksum` over the corpus below (11,688,555 bytes).
+/// `persist::checksum` over every index accessor (11,688,555 bytes).
 const INDEX_DIGEST: u64 = 0xf02a_7ba9_07cd_4b96;
+
+/// `persist::checksum` over the listing of every lowered program
+/// (3,001,237 bytes).
+const LISTING_DIGEST: u64 = 0x1799_a7d3_ad20_996a;
+
+/// `persist::checksum` over the listing of every peephole-optimized
+/// program, each followed by its `OptStats` (2,159,584 bytes).
+const PEEPHOLE_DIGEST: u64 = 0xcf0c_d423_befd_ae10;
 
 /// Random ASTs in the corpus, each lowered for every family and CFLAGS.
 const RANDOM_ASTS: u32 = 64;
 
 /// Input sizes the random ASTs are queried at.
 const RANDOM_SIZES: [u64; 3] = [8, 64, 512];
+
+/// Random straight-line programs in the peephole corpus.
+const RANDOM_PROGRAMS: u32 = 256;
+
+/// Registers those programs draw from: few, so that moves chain and
+/// sources are redefined while an alias to them is live.
+const REGS: u32 = 6;
 
 /// The generator shape of `tests/common`, copied rather than shared so
 /// the pinned corpus cannot move with the property suites' generator.
@@ -97,6 +124,59 @@ fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
     .boxed()
 }
 
+/// A register move, an add or a store, a quarter of them guarded.
+fn arb_instr() -> BoxedStrategy<Instr> {
+    let reg = || (0..REGS).prop_map(Reg);
+    let instr = prop_oneof![
+        3 => (reg(), reg()).prop_map(|(d, s)| {
+            Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(d), vec![Operand::Reg(s)])
+        }),
+        3 => (reg(), reg(), reg()).prop_map(|(d, a, b)| {
+            Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(d), vec![
+                Operand::Reg(a),
+                Operand::Reg(b),
+            ])
+        }),
+        1 => (reg(), reg()).prop_map(|(a, v)| {
+            let op = Opcode::new(OpKind::St(MemSpace::Global), Ty::F32);
+            Instr::new(op, None, vec![Operand::Reg(a), Operand::Reg(v)])
+        }),
+    ];
+    (instr, 0u8..4)
+        .prop_map(|(mut instr, guard)| {
+            if guard == 0 {
+                instr.guard = Some((Pred(0), false));
+            }
+            instr
+        })
+        .boxed()
+}
+
+fn random_program(case: u32) -> Program {
+    let blocks = prop::collection::vec(prop::collection::vec(arb_instr(), 1..12), 1..4)
+        .gen(&mut TestRng::for_case("peephole_golden", case));
+    let blocks: Vec<BasicBlock> = blocks
+        .into_iter()
+        .enumerate()
+        .map(|(b, instrs)| BasicBlock {
+            label: format!("b{b}"),
+            instrs,
+            term: Terminator::Ret,
+            freq: FreqExpr::Once,
+        })
+        .collect();
+    Program {
+        name: "peephole_golden".into(),
+        meta: ProgramMeta {
+            family: Family::Kepler,
+            regs_per_thread: 0,
+            smem_static: 0,
+            spill_bytes: 0,
+        },
+        blocks: blocks.into(),
+    }
+}
+
 fn spell_mix(out: &mut String, mix: &MixCounts) {
     for (_, count) in mix.iter() {
         let _ = write!(out, " {:016x}", count.to_bits());
@@ -134,24 +214,48 @@ fn spell(out: &mut String, index: &ProgramIndex, program: &Program, sizes: &[u64
     spell_mix(out, &index.static_mix());
 }
 
-fn spell_lowered(out: &mut String, ast: &KernelAst, sizes: &[u64]) {
-    for family in Family::ALL {
-        for fast_math in [false, true] {
-            let (program, index) = lower_indexed(ast, family, LowerOptions { fast_math });
-            let _ = writeln!(out, "{} {family} fast={fast_math}", ast.name);
-            spell(out, &index, &program, sizes);
+/// The three texts the corpus loop writes, one per digest.
+#[derive(Default)]
+struct Corpus {
+    index: String,
+    listing: String,
+    peephole: String,
+}
+
+impl Corpus {
+    fn heading(&mut self, heading: std::fmt::Arguments) {
+        for out in [&mut self.index, &mut self.listing, &mut self.peephole] {
+            let _ = writeln!(out, "== {heading}");
         }
     }
 }
 
+fn spell_lowered(out: &mut Corpus, ast: &KernelAst, sizes: &[u64]) {
+    for family in Family::ALL {
+        for fast_math in [false, true] {
+            let (program, index) = lower_indexed(ast, family, LowerOptions { fast_math });
+            let _ = writeln!(out.index, "{} {family} fast={fast_math}", ast.name);
+            spell(&mut out.index, &index, &program, sizes);
+            out.listing.push_str(&text::emit(&program));
+            spell_peephole(&mut out.peephole, &program);
+        }
+    }
+}
+
+fn spell_peephole(out: &mut String, program: &Program) {
+    let (optimized, stats) = peephole(program);
+    out.push_str(&text::emit(&optimized));
+    let _ = writeln!(out, "stats {} {}", stats.moves_forwarded, stats.dead_removed);
+}
+
 #[test]
 fn every_index_accessor_answers_as_pinned() {
-    let mut corpus = String::new();
+    let mut corpus = Corpus::default();
     for kernel in ALL_KERNELS {
         let sizes = kernel.input_sizes();
         for n in sizes {
             for uif in 1..=5 {
-                let _ = writeln!(corpus, "== {kernel} n={n} uif={uif}");
+                corpus.heading(format_args!("{kernel} n={n} uif={uif}"));
                 spell_lowered(&mut corpus, &unroll(&kernel.ast(n), uif), &sizes);
             }
         }
@@ -160,9 +264,25 @@ fn every_index_accessor_answers_as_pinned() {
     for case in 0..RANDOM_ASTS {
         let mut ast = KernelAst::new("index_golden");
         ast.body = body.gen(&mut TestRng::for_case("index_golden", case));
-        let _ = writeln!(corpus, "== random {case}");
+        corpus.heading(format_args!("random {case}"));
         spell_lowered(&mut corpus, &ast, &RANDOM_SIZES);
     }
-    let (digest, bytes) = (persist::checksum(corpus.as_bytes()), corpus.len());
-    assert_eq!(digest, INDEX_DIGEST, "corpus of {bytes} bytes digests to {digest:#018x}");
+    for case in 0..RANDOM_PROGRAMS {
+        let _ = writeln!(corpus.peephole, "== straight-line {case}");
+        spell_peephole(&mut corpus.peephole, &random_program(case));
+    }
+    // Compared together, so a failure names every digest that moved.
+    let pinned =
+        [("index", INDEX_DIGEST), ("listing", LISTING_DIGEST), ("peephole", PEEPHOLE_DIGEST)];
+    let moved: Vec<String> = pinned
+        .into_iter()
+        .zip([&corpus.index, &corpus.listing, &corpus.peephole])
+        .filter_map(|((name, pinned), text)| {
+            let digest = persist::checksum(text.as_bytes());
+            let bytes = text.len();
+            (digest != pinned)
+                .then(|| format!("{name} corpus of {bytes} bytes digests to {digest:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("; "));
 }

@@ -1,4 +1,4 @@
-//! Backend-isolation suite for the pluggable `TimingModel` seam.
+//! Backend-isolation suite for the timing backends a `ModelId` selects.
 //!
 //! Two invariants make the multi-model refactor safe:
 //!

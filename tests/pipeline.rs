@@ -106,21 +106,6 @@ fn thread_preferences_match_fig4() {
 }
 
 #[test]
-fn reference_semantics_hold_together() {
-    // The kernels crate's math is consistent: ATAX == matvec∘matvecᵀ on
-    // real data (value-level grounding for the resource models).
-    use oriole::kernels::{reference, workload};
-    let a = workload::matrix(32, 1);
-    let x = workload::vector(32, 2);
-    let y = reference::atax(&a, &x);
-    let tmp = reference::matvec(&a, &x);
-    let y2 = reference::matvec(&a.transposed(), &tmp);
-    for (u, v) in y.iter().zip(&y2) {
-        assert!((u - v).abs() < 1e-9);
-    }
-}
-
-#[test]
 fn unroll_sweep_changes_measurements_coherently() {
     // Unrolling reduces control overhead: the expected CTRL share must
     // fall monotonically with UIF for the dot-product kernels.

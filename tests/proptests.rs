@@ -195,9 +195,9 @@ proptest! {
         };
         if let Ok(kernel) = compile(&ast, gpu, params) {
             let ctx = ModelContext::new(gpu);
-            // The default context runs the simulator backend behind the
-            // TimingModel seam; an explicitly selected simulator context
-            // must be the very same thing.
+            // The default context runs the simulator backend; an
+            // explicitly selected simulator context must be the very
+            // same thing.
             prop_assert_eq!(ctx.model_id(), oriole::sim::ModelId::Simulator);
             let explicit = ModelContext::for_model(gpu, oriole::sim::ModelId::Simulator);
             for _round in 0..2 {
@@ -217,7 +217,7 @@ proptest! {
         uif in 1u32..=5,
         n in prop_oneof![Just(8u64), Just(64), Just(512)],
     ) {
-        // The StaticPredictModel backend is Eq. 6 behind the seam: for
+        // The static backend is Eq. 6 behind a `ModelId`: for
         // every launchable kernel its report carries exactly the free
         // `predict_time_indexed` value, and it refuses exactly the
         // configurations the simulator refuses (shared feasibility
