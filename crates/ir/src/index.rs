@@ -557,108 +557,39 @@ mod tests {
 #[allow(clippy::disallowed_methods)]
 mod proptests {
     use super::*;
-    use crate::ast::{AluOp, Branch, DivergenceKind, KernelAst, Loop, MemStmt, Stmt};
     use crate::count::{expected_mix, static_mix};
     use crate::lower::{lower, LowerOptions};
+    use crate::testgen::{check, kernel};
     use oriole_arch::Family;
-    use proptest::prelude::*;
 
-    fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
-        let alu = prop_oneof![
-            Just(AluOp::AddF32),
-            Just(AluOp::MulF32),
-            Just(AluOp::FmaF32),
-            Just(AluOp::DivF32),
-            Just(AluOp::SqrtF32),
-            Just(AluOp::AddI32),
-            Just(AluOp::CvtI32F32),
-        ];
-        let space = prop_oneof![
-            Just(MemSpace::Global),
-            Just(MemSpace::Shared),
-            Just(MemSpace::Constant),
-        ];
-        let pattern = prop_oneof![
-            Just(AccessPattern::Coalesced),
-            Just(AccessPattern::Broadcast),
-            Just(AccessPattern::Random),
-            (1u32..=64).prop_map(AccessPattern::Strided),
-        ];
-        let leaf = prop_oneof![
-            (alu, 1u32..4).prop_map(|(op, count)| Stmt::ops(op, count)),
-            (space.clone(), pattern.clone(), 1u32..3).prop_map(|(s, p, c)| Stmt::load(s, p, c)),
-            (space, pattern, 1u32..3).prop_map(|(s, p, c)| {
-                Stmt::Store(MemStmt { space: s, pattern: p, elem_bytes: 4, count: c })
-            }),
-            Just(Stmt::SyncThreads),
-        ];
-        if depth == 0 {
-            return leaf.boxed();
-        }
-        let trip = prop_oneof![
-            (1u64..=64).prop_map(TripCount::Const),
-            (0u8..=2).prop_map(|p| TripCount::Size(SizeExpr::new(1.0, p))),
-            (1u8..=2).prop_map(|p| TripCount::GridStride(SizeExpr::new(1.0, p))),
-        ];
-        let inner = arb_stmt(depth - 1);
-        prop_oneof![
-            4 => leaf,
-            2 => (trip, prop::collection::vec(inner.clone(), 1..4), any::<bool>()).prop_map(
-                |(trip, body, unrollable)| Stmt::Loop(Loop { trip, body, unrollable })
-            ),
-            1 => (
-                prop_oneof![Just(DivergenceKind::Uniform), Just(DivergenceKind::ThreadDependent)],
-                0.0f64..=1.0,
-                prop::collection::vec(inner.clone(), 1..3),
-                prop::collection::vec(inner, 0..3),
-            )
-                .prop_map(|(divergence, taken_fraction, then_body, else_body)| {
-                    Stmt::If(Branch { divergence, taken_fraction, then_body, else_body })
-                }),
-        ]
-        .boxed()
-    }
-
-    fn arb_kernel() -> impl Strategy<Value = KernelAst> {
-        prop::collection::vec(arb_stmt(2), 1..5).prop_map(|body| {
-            let mut k = KernelAst::new("index_prop");
-            k.body = body;
-            k
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn replayed_mixes_bit_identical(
-            ast in arb_kernel(),
-            fast in any::<bool>(),
-            n in 1u64..256,
-            tc_i in 0usize..4,
-            bc in 1u32..64,
-        ) {
-            let tc = [32u32, 128, 512, 1024][tc_i];
+    #[test]
+    fn replayed_mixes_bit_identical() {
+        check("replayed_mixes_bit_identical", 48, |rng| {
+            let ast = kernel(rng, "index_prop");
+            let fast = rng.coin();
+            let n = rng.range_u64(1, 255);
+            let tc = rng.pick(&[32u32, 128, 512, 1024]);
+            let bc = rng.range_u64(1, 63) as u32;
             let p = lower(&ast, Family::Kepler, LowerOptions { fast_math: fast });
             let idx = ProgramIndex::build(&p);
-            prop_assert_eq!(idx.static_mix(), static_mix(&p));
+            assert_eq!(idx.static_mix(), static_mix(&p));
             let geom = LaunchGeometry::new(n, tc, bc);
-            prop_assert_eq!(idx.expected_mix(&p, geom), expected_mix(&p, geom));
-        }
+            assert_eq!(idx.expected_mix(&p, geom), expected_mix(&p, geom));
+        });
+    }
 
-        #[test]
-        fn summaries_match_instruction_walk(ast in arb_kernel(), fast in any::<bool>()) {
-            let p = lower(&ast, Family::Pascal, LowerOptions { fast_math: fast });
+    #[test]
+    fn summaries_match_instruction_walk() {
+        check("summaries_match_instruction_walk", 48, |rng| {
+            let ast = kernel(rng, "index_prop");
+            let p = lower(&ast, Family::Pascal, LowerOptions { fast_math: rng.coin() });
             let idx = ProgramIndex::build(&p);
             for (block, s) in p.blocks.iter().zip(idx.summaries()) {
-                prop_assert_eq!(s.instr_count, block.instrs.len());
-                prop_assert_eq!(s.profile_tape.len(), block.instrs.len());
-                prop_assert_eq!(s.mix_tape.len(), block.instrs.len() * 2);
-                prop_assert_eq!(
-                    s.has_ctrl(),
-                    !matches!(block.term, Terminator::Ret)
-                );
+                assert_eq!(s.instr_count, block.instrs.len());
+                assert_eq!(s.profile_tape.len(), block.instrs.len());
+                assert_eq!(s.mix_tape.len(), block.instrs.len() * 2);
+                assert_eq!(s.has_ctrl(), !matches!(block.term, Terminator::Ret));
             }
-        }
+        });
     }
 }

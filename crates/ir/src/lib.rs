@@ -41,6 +41,9 @@ pub mod isa;
 pub mod lower;
 pub mod text;
 
+#[cfg(any(test, feature = "testgen"))]
+pub mod testgen;
+
 pub use ast::{
     shared_bytes_for_block, AccessPattern, AluOp, Branch, DivergenceKind, KernelAst, Loop,
     MemSpace, MemStmt, OpStmt, SharedDecl, SizeExpr, Stmt, TripCount,

@@ -73,7 +73,7 @@ pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
 }
 
 /// The pre-index walk-based implementation, retained as the oracle the
-/// proptests compare against.
+/// property tests compare against.
 #[cfg(test)]
 pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
     use oriole_ir::{Terminator, TripCount};
@@ -207,22 +207,23 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::testgen::{arb_kernel, arb_params};
     use oriole_arch::Gpu;
-    use oriole_codegen::compile;
-    use proptest::prelude::*;
+    use oriole_codegen::{compile, TuningParams};
+    use oriole_ir::testgen::{check, kernel};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn indexed_dynamic_mix_bit_identical(
-            ast in arb_kernel(),
-            params in arb_params(),
-            n in 1u64..256,
-        ) {
-            let kernel = compile(&ast, Gpu::K20.spec(), params).expect("valid point");
-            prop_assert_eq!(dynamic_mix(&kernel, n), dynamic_mix_walk(&kernel, n));
-        }
+    #[test]
+    fn indexed_dynamic_mix_bit_identical() {
+        check("indexed_dynamic_mix_bit_identical", 48, |rng| {
+            let ast = kernel(rng, "sim_prop");
+            // A valid point on the paper space's axes that move the mix:
+            // `TC`, `BC`, `UIF` and `CFLAGS`.
+            let tc = rng.pick(&[32u32, 128, 512, 1024]);
+            let mut params = TuningParams::with_geometry(tc, rng.range_u64(1, 8) as u32 * 24);
+            params.uif = rng.range_u64(1, 5) as u32;
+            params.cflags.fast_math = rng.coin();
+            let n = rng.range_u64(1, 255);
+            let compiled = compile(&ast, Gpu::K20.spec(), params).expect("valid point");
+            assert_eq!(dynamic_mix(&compiled, n), dynamic_mix_walk(&compiled, n));
+        });
     }
 }

@@ -59,9 +59,6 @@ pub mod model;
 pub mod noise;
 pub mod profile;
 
-#[cfg(test)]
-pub(crate) mod testgen;
-
 pub use config::SimConfig;
 #[allow(deprecated)]
 pub use context::ProgramKey;

@@ -122,7 +122,7 @@ impl WarpProfile {
     }
 
     /// The pre-index walk-based implementation, retained as the oracle
-    /// the proptests compare against.
+    /// the property tests compare against.
     #[cfg(test)]
     pub(crate) fn extract_walk(
         program: &Program,
@@ -412,24 +412,19 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::testgen::arb_kernel;
     use oriole_arch::Family;
     use oriole_ir::lower::{lower_indexed, LowerOptions};
-    use proptest::prelude::*;
+    use oriole_ir::testgen::{check, kernel};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn indexed_profile_bit_identical(
-            ast in arb_kernel(),
-            fast in any::<bool>(),
-            n in 1u64..256,
-            tc_i in 0usize..4,
-            bc in 1u32..49,
-            spilled_regs in 0u32..8,
-        ) {
-            let tc = [32u32, 128, 512, 1024][tc_i];
+    #[test]
+    fn indexed_profile_bit_identical() {
+        check("indexed_profile_bit_identical", 48, |rng| {
+            let ast = kernel(rng, "sim_prop");
+            let fast = rng.coin();
+            let n = rng.range_u64(1, 255);
+            let tc = rng.pick(&[32u32, 128, 512, 1024]);
+            let bc = rng.range_u64(1, 48) as u32;
+            let spilled_regs = rng.range_u64(0, 7) as u32;
             // The index is meta-independent: built before the spill
             // bytes land, as the front end does.
             let (mut p, idx) =
@@ -438,7 +433,7 @@ mod proptests {
             let cfg = SimConfig::for_family(Family::Kepler);
             let indexed = WarpProfile::extract(&idx, &p, &cfg, n, tc, bc);
             let walk = WarpProfile::extract_walk(&p, &cfg, n, tc, bc);
-            prop_assert_eq!(&indexed, &walk);
-        }
+            assert_eq!(&indexed, &walk);
+        });
     }
 }

@@ -8,6 +8,7 @@
 
 use oriole::arch::{Family, Gpu, GpuSpec, Limiter, Occupancy};
 use oriole::codegen::{CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
+use oriole::ir::testgen::TestRng;
 use oriole::kernels::KernelId;
 use oriole::service::protocol::{emit_request, emit_response, parse_request, parse_response};
 use oriole::service::{EvalScope, Request, Response, ServiceStats};
@@ -15,15 +16,10 @@ use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile, MAX
 use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
 use oriole::tuner::persist::{self, FileStatus};
 use oriole::tuner::ArtifactStore;
-use proptest::test_runner::TestRng;
 
 // ---------------------------------------------------------------------------
 // Generators: every field leans on its extremes
 // ---------------------------------------------------------------------------
-
-fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
-    from[rng.range_usize(0, from.len())]
-}
 
 fn gen_u64(rng: &mut TestRng) -> u64 {
     match rng.next_u64() % 5 {
@@ -63,7 +59,7 @@ fn gen_params(rng: &mut TestRng) -> TuningParams {
         tc: gen_u32(rng),
         bc: gen_u32(rng),
         uif: gen_u32(rng),
-        pl: pick(rng, &[PreferredL1::Kb16, PreferredL1::Kb48]),
+        pl: rng.pick(&[PreferredL1::Kb16, PreferredL1::Kb48]),
         sc: gen_u32(rng),
         cflags: CompilerFlags { fast_math: rng.next_u64() & 1 == 1 },
     }
@@ -85,11 +81,11 @@ fn gen_measurement(rng: &mut TestRng) -> Measurement {
 
 fn gen_gpu_spec(rng: &mut TestRng) -> GpuSpec {
     GpuSpec {
-        name: pick(rng, &["K20", "M2050", "K20-half-rf", "synthetic device, rev:2", ""]),
-        family: pick(rng, &Family::ALL),
+        name: rng.pick(&["K20", "M2050", "K20-half-rf", "synthetic device, rev:2", ""]),
+        family: rng.pick(&Family::ALL),
         compute_capability: oriole::arch::ComputeCapability::new(
             gen_u32(rng) as u8,
-            pick(rng, &[0, 5, u8::MAX]),
+            rng.pick(&[0, 5, u8::MAX]),
         ),
         global_mem_mib: gen_u32(rng),
         multiprocessors: gen_u32(rng),
@@ -115,25 +111,27 @@ fn gen_gpu_spec(rng: &mut TestRng) -> GpuSpec {
 fn gen_protocol(rng: &mut TestRng) -> EvalProtocol {
     EvalProtocol {
         trials: gen_u32(rng),
-        protocol: pick(rng, &[TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min]),
+        protocol: rng.pick(&[TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min]),
         base_seed: gen_u64(rng),
-        objective: pick(rng, &[Objective::TotalTime, Objective::LargestSize]),
-        model: pick(rng, &ModelId::ALL),
+        objective: rng.pick(&[Objective::TotalTime, Objective::LargestSize]),
+        model: rng.pick(&ModelId::ALL),
     }
 }
 
 fn gen_sim_report(rng: &mut TestRng) -> SimReport {
     SimReport {
         time_ms: gen_f64(rng),
-        bound: pick(rng, &[BoundKind::Issue, BoundKind::Latency, BoundKind::Bandwidth]),
+        bound: rng.pick(&[BoundKind::Issue, BoundKind::Latency, BoundKind::Bandwidth]),
         occupancy: Occupancy {
             active_blocks: gen_u32(rng),
             active_warps: gen_u32(rng),
             occupancy: gen_f64(rng),
-            limiter: pick(
-                rng,
-                &[Limiter::Warps, Limiter::Registers, Limiter::SharedMem, Limiter::Illegal],
-            ),
+            limiter: rng.pick(&[
+                Limiter::Warps,
+                Limiter::Registers,
+                Limiter::SharedMem,
+                Limiter::Illegal,
+            ]),
             blocks_by_warps: gen_u32(rng),
             blocks_by_regs: gen_u32(rng),
             blocks_by_smem: gen_u32(rng),
@@ -270,12 +268,12 @@ fn mutate(rng: &mut TestRng, text: &str) -> String {
         }
         1 => bytes.truncate(rng.range_usize(0, bytes.len() + 1)),
         2 => {
-            let byte = pick(rng, b"0123456789abcdefF+-_ ;:,@|\n\0\xc3");
+            let byte = rng.pick(b"0123456789abcdefF+-_ ;:,@|\n\0\xc3");
             bytes.insert(rng.range_usize(0, bytes.len() + 1), byte);
         }
         _ => {
             // Swap two fields (at either nesting level).
-            let sep = pick(rng, &[';', ',']);
+            let sep = rng.pick(&[';', ',']);
             let mut fields: Vec<&str> = text.split(sep).collect();
             let (a, b) = (rng.range_usize(0, fields.len()), rng.range_usize(0, fields.len()));
             fields.swap(a, b);
@@ -290,7 +288,7 @@ fn only_canonical_text_is_accepted_and_nothing_panics() {
     let (mut accepted, mut changed) = (0u32, 0u32);
     for case in 0..12_000 {
         let mut rng = TestRng::for_case("canonical_only", case);
-        let (spell, respell) = pick(&mut rng, &KINDS);
+        let (spell, respell) = rng.pick(&KINDS);
         let text = spell(&mut rng);
         let mut damaged = mutate(&mut rng, &text);
         if rng.next_u64() & 3 == 0 {
@@ -428,7 +426,7 @@ fn requests_carry_any_device_but_no_trial_count_past_the_bound() {
             1 => MAX_TRIALS + 1 + (rng.next_u64() % 3) as u32,
             _ => gen_u32(&mut rng),
         };
-        let kernel = pick(&mut rng, &["atax", "no such kernel"]).to_string();
+        let kernel = rng.pick(&["atax", "no such kernel"]).to_string();
         let gpu = gen_gpu_spec(&mut rng);
         let request = if rng.next_u64() & 1 == 0 {
             Request::Simulate {
@@ -436,7 +434,7 @@ fn requests_carry_any_device_but_no_trial_count_past_the_bound() {
                 gpu,
                 n: gen_u64(&mut rng),
                 params: gen_params(&mut rng),
-                model: pick(&mut rng, &ModelId::ALL),
+                model: rng.pick(&ModelId::ALL),
                 trials,
                 seed: gen_u64(&mut rng),
             }
@@ -816,7 +814,7 @@ fn a_seeded_corpus_is_spelled_byte_for_byte_as_before() {
                 gpu,
                 n: gen_u64(&mut rng),
                 params,
-                model: pick(&mut rng, &ModelId::ALL),
+                model: rng.pick(&ModelId::ALL),
                 trials: gen_u32(&mut rng),
                 seed: gen_u64(&mut rng),
             };

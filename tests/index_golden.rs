@@ -21,19 +21,22 @@
 //! sources are redefined and dead definitions sit under guards. Both
 //! digests were taken before each pass lost the twin it had been checked
 //! against.
+//!
+//! The random ASTs come from `oriole_ir::testgen::kernel`, the one
+//! generator every property suite draws from, so this test pins that
+//! generator too: the listing spells every op, access and trip count it
+//! drew, and an edit to what it draws moves `LISTING_DIGEST`.
 
 use oriole::arch::Family;
 use oriole::codegen::{peephole, unroll};
 use oriole::ir::lower::{lower_indexed, LowerOptions};
+use oriole::ir::testgen::{kernel, TestRng};
 use oriole::ir::{
-    text, AccessPattern, AluOp, BasicBlock, Branch, DivergenceKind, FreqExpr, Instr, KernelAst,
-    LaunchGeometry, Loop, MemSpace, MemStmt, MixCounts, OpKind, Opcode, Operand, Pred, Program,
-    ProgramIndex, ProgramMeta, Reg, SizeExpr, Stmt, Terminator, TripCount, Ty,
+    text, BasicBlock, FreqExpr, Instr, KernelAst, LaunchGeometry, MemSpace, MixCounts, OpKind,
+    Opcode, Operand, Pred, Program, ProgramIndex, ProgramMeta, Reg, Terminator, Ty,
 };
 use oriole::kernels::ALL_KERNELS;
 use oriole::tuner::persist;
-use proptest::prelude::*;
-use proptest::test_runner::TestRng;
 use std::fmt::Write as _;
 
 /// `persist::checksum` over every index accessor (11,688,555 bytes).
@@ -60,109 +63,44 @@ const RANDOM_PROGRAMS: u32 = 256;
 /// sources are redefined while an alias to them is live.
 const REGS: u32 = 6;
 
-/// The generator shape of `tests/common`, copied rather than shared so
-/// the pinned corpus cannot move with the property suites' generator.
-fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
-    let alu = prop_oneof![
-        Just(AluOp::AddF32),
-        Just(AluOp::MulF32),
-        Just(AluOp::FmaF32),
-        Just(AluOp::DivF32),
-        Just(AluOp::SqrtF32),
-        Just(AluOp::ExpF32),
-        Just(AluOp::SinCosF32),
-        Just(AluOp::AddI32),
-        Just(AluOp::MulI32),
-        Just(AluOp::BitI32),
-        Just(AluOp::CvtI32F32),
-        Just(AluOp::Cvt64),
-        Just(AluOp::MinMaxF32),
-    ];
-    let space = prop_oneof![
-        Just(MemSpace::Global),
-        Just(MemSpace::Shared),
-        Just(MemSpace::Constant),
-    ];
-    let pattern = prop_oneof![
-        Just(AccessPattern::Coalesced),
-        Just(AccessPattern::Broadcast),
-        Just(AccessPattern::Random),
-        (1u32..=64).prop_map(AccessPattern::Strided),
-    ];
-    let leaf = prop_oneof![
-        (alu, 1u32..4).prop_map(|(op, count)| Stmt::ops(op, count)),
-        (space.clone(), pattern.clone(), 1u32..3).prop_map(|(s, p, c)| Stmt::load(s, p, c)),
-        (space, pattern, 1u32..3).prop_map(|(s, p, c)| {
-            Stmt::Store(MemStmt { space: s, pattern: p, elem_bytes: 4, count: c })
-        }),
-        Just(Stmt::SyncThreads),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    let trip = prop_oneof![
-        (1u64..=64).prop_map(TripCount::Const),
-        (0u8..=2).prop_map(|p| TripCount::Size(SizeExpr::new(1.0, p))),
-        (1u8..=2).prop_map(|p| TripCount::GridStride(SizeExpr::new(1.0, p))),
-    ];
-    let inner = arb_stmt(depth - 1);
-    prop_oneof![
-        4 => leaf,
-        2 => (trip, prop::collection::vec(inner.clone(), 1..4), any::<bool>()).prop_map(
-            |(trip, body, unrollable)| Stmt::Loop(Loop { trip, body, unrollable })
-        ),
-        1 => (
-            prop_oneof![Just(DivergenceKind::Uniform), Just(DivergenceKind::ThreadDependent)],
-            0.0f64..=1.0,
-            prop::collection::vec(inner.clone(), 1..3),
-            prop::collection::vec(inner, 0..3),
-        )
-            .prop_map(|(divergence, taken_fraction, then_body, else_body)| {
-                Stmt::If(Branch { divergence, taken_fraction, then_body, else_body })
-            }),
-    ]
-    .boxed()
-}
-
 /// A register move, an add or a store, a quarter of them guarded.
-fn arb_instr() -> BoxedStrategy<Instr> {
-    let reg = || (0..REGS).prop_map(Reg);
-    let instr = prop_oneof![
-        3 => (reg(), reg()).prop_map(|(d, s)| {
+fn instr(rng: &mut TestRng) -> Instr {
+    let reg = |rng: &mut TestRng| Reg(rng.range_u64(0, u64::from(REGS) - 1) as u32);
+    let mut instr = match rng.range_u64(0, 6) {
+        0..=2 => {
+            let (d, s) = (reg(rng), reg(rng));
             Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(d), vec![Operand::Reg(s)])
-        }),
-        3 => (reg(), reg(), reg()).prop_map(|(d, a, b)| {
+        }
+        3..=5 => {
+            let (d, a, b) = (reg(rng), reg(rng), reg(rng));
             Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(d), vec![
                 Operand::Reg(a),
                 Operand::Reg(b),
             ])
-        }),
-        1 => (reg(), reg()).prop_map(|(a, v)| {
+        }
+        _ => {
+            let (a, v) = (reg(rng), reg(rng));
             let op = Opcode::new(OpKind::St(MemSpace::Global), Ty::F32);
             Instr::new(op, None, vec![Operand::Reg(a), Operand::Reg(v)])
-        }),
-    ];
-    (instr, 0u8..4)
-        .prop_map(|(mut instr, guard)| {
-            if guard == 0 {
-                instr.guard = Some((Pred(0), false));
-            }
-            instr
-        })
-        .boxed()
+        }
+    };
+    if rng.range_u64(0, 3) == 0 {
+        instr.guard = Some((Pred(0), false));
+    }
+    instr
 }
 
 fn random_program(case: u32) -> Program {
-    let blocks = prop::collection::vec(prop::collection::vec(arb_instr(), 1..12), 1..4)
-        .gen(&mut TestRng::for_case("peephole_golden", case));
-    let blocks: Vec<BasicBlock> = blocks
-        .into_iter()
-        .enumerate()
-        .map(|(b, instrs)| BasicBlock {
-            label: format!("b{b}"),
-            instrs,
-            term: Terminator::Ret,
-            freq: FreqExpr::Once,
+    let mut rng = TestRng::for_case("peephole_golden", case);
+    let blocks: Vec<BasicBlock> = (0..rng.range_u64(1, 3))
+        .map(|b| {
+            let len = rng.range_u64(1, 11);
+            BasicBlock {
+                label: format!("b{b}"),
+                instrs: (0..len).map(|_| instr(&mut rng)).collect(),
+                term: Terminator::Ret,
+                freq: FreqExpr::Once,
+            }
         })
         .collect();
     Program {
@@ -260,10 +198,8 @@ fn every_index_accessor_answers_as_pinned() {
             }
         }
     }
-    let body = prop::collection::vec(arb_stmt(2), 1..5);
     for case in 0..RANDOM_ASTS {
-        let mut ast = KernelAst::new("index_golden");
-        ast.body = body.gen(&mut TestRng::for_case("index_golden", case));
+        let ast = kernel(&mut TestRng::for_case("index_golden", case), "index_golden");
         corpus.heading(format_args!("random {case}"));
         spell_lowered(&mut corpus, &ast, &RANDOM_SIZES);
     }

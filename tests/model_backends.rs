@@ -196,7 +196,7 @@ fn devices_without_problems_never_panic_a_backend() {
     // are debug builds) a wrapped product — at the extremes of the
     // launch too: `BC = u32::MAX`, `TC` at the device's own limit, and
     // problem sizes from 1 to 2^40.
-    use proptest::test_runner::TestRng;
+    use oriole::ir::testgen::TestRng;
     let extreme = |rng: &mut TestRng| match rng.next_u64() % 5 {
         0 => 0,
         1 => 1,

@@ -2,23 +2,46 @@
 //! must never panic, valid-input round-trips must be stable, and every
 //! listing the disassembly parser accepts must analyze without
 //! panicking — IR text is the one outside input that reaches
-//! `ProgramIndex::build`.
+//! `ProgramIndex::build`. Each property runs 256 seeded cases.
 
 use oriole::arch::ALL_GPUS;
 use oriole::core::analyze_disassembly;
 use oriole::ir::lower::{lower, LowerOptions};
+use oriole::ir::testgen::{check, kernel, TestRng};
 use oriole::ir::{text, LaunchGeometry};
 use oriole::tuner::parse_spec;
-use proptest::prelude::*;
 
-mod common;
-use common::arb_kernel;
+const CASES: u32 = 256;
+
+/// Up to 32 printable characters: printable ASCII, with one draw in 20
+/// taken from U+00A1–U+02FF so the parsers see multi-byte UTF-8 too.
+fn printable(rng: &mut TestRng) -> String {
+    (0..rng.range_u64(0, 32))
+        .map(|_| {
+            let (lo, hi) = if rng.range_u64(0, 19) == 0 { (0xA1, 0x2FF) } else { (0x20, 0x7E) };
+            char::from_u32(rng.range_u64(lo, hi) as u32).expect("below the surrogates")
+        })
+        .collect()
+}
+
+/// `lo..=hi` characters from an alphabet of `ranges` and then `singles`:
+/// each character draws an entry of the alphabet, then a character in it.
+fn chars(rng: &mut TestRng, ranges: &[(char, char)], singles: &str, lo: u64, hi: u64) -> String {
+    let mut alphabet = ranges.to_vec();
+    alphabet.extend(singles.chars().map(|c| (c, c)));
+    (0..rng.range_u64(lo, hi))
+        .map(|_| {
+            let (a, b) = rng.pick(&alphabet);
+            char::from_u32(rng.range_u64(u64::from(a), u64::from(b)) as u32).expect("no surrogate")
+        })
+        .collect()
+}
 
 /// Analyzes `listing` when it parses, on the device of its family: a
 /// parsed listing must analyze, never panic.
-fn analyzes_if_it_parses(listing: &str, geometry: LaunchGeometry) -> Result<(), TestCaseError> {
+fn analyzes_if_it_parses(listing: &str, geometry: LaunchGeometry) {
     let Ok(program) = text::parse(listing) else {
-        return Ok(());
+        return;
     };
     let gpu = ALL_GPUS
         .iter()
@@ -26,9 +49,8 @@ fn analyzes_if_it_parses(listing: &str, geometry: LaunchGeometry) -> Result<(), 
         .find(|s| s.family == program.meta.family)
         .expect("one device per family");
     if let Err(e) = analyze_disassembly(listing, gpu, geometry) {
-        return Err(TestCaseError::fail(format!("{e}\n{listing}")));
+        panic!("{e}\n{listing}");
     }
-    Ok(())
 }
 
 /// One terminator edit: a branch whose two targets coincide, a loop-back
@@ -72,71 +94,74 @@ fn mutate(listing: &str, kind: usize, at: usize) -> String {
     lines.join("\n")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn disassembly_parser_is_total_on_garbage(input in "\\PC*") {
+#[test]
+fn disassembly_parser_is_total_on_garbage() {
+    check("disassembly_parser_is_total_on_garbage", CASES, |rng| {
         // Any outcome but a panic is acceptable.
-        analyzes_if_it_parses(&input, LaunchGeometry::new(64, 128, 48))?;
-    }
+        analyzes_if_it_parses(&printable(rng), LaunchGeometry::new(64, 128, 48));
+    });
+}
 
-    #[test]
-    fn disassembly_parser_is_total_on_listing_like_garbage(
-        lines in prop::collection::vec(
-            prop_oneof![
-                Just(".kernel k family=Kepler regs=0 smem=0 spill=0".to_string()),
-                Just(".block b freq=once".to_string()),
-                Just("  term ret".to_string()),
-                Just("  add.f32 %r0, %r1, %r2".to_string()),
-                Just("  term jump nowhere".to_string()),
-                Just("  frobnicate".to_string()),
-                "[a-z.%@!=() 0-9]{0,40}",
-            ],
-            0..12,
-        )
-    ) {
-        analyzes_if_it_parses(&lines.join("\n"), LaunchGeometry::new(64, 128, 48))?;
-    }
+#[test]
+fn disassembly_parser_is_total_on_listing_like_garbage() {
+    const LINES: [&str; 6] = [
+        ".kernel k family=Kepler regs=0 smem=0 spill=0",
+        ".block b freq=once",
+        "  term ret",
+        "  add.f32 %r0, %r1, %r2",
+        "  term jump nowhere",
+        "  frobnicate",
+    ];
+    check("disassembly_parser_is_total_on_listing_like_garbage", CASES, |rng| {
+        let lines: Vec<String> = (0..rng.range_u64(0, 11))
+            .map(|_| match LINES.get(rng.range_usize(0, LINES.len() + 1)) {
+                Some(line) => line.to_string(),
+                None => chars(rng, &[('a', 'z'), ('0', '9')], ".%@!=() ", 0, 40),
+            })
+            .collect();
+        analyzes_if_it_parses(&lines.join("\n"), LaunchGeometry::new(64, 128, 48));
+    });
+}
 
-    #[test]
-    fn mutated_listings_that_parse_analyze_without_panicking(
-        ast in arb_kernel(),
-        gpu_i in 0usize..4,
-        fast_math in any::<bool>(),
-        mutations in prop::collection::vec((0usize..4, any::<u64>()), 1..4),
-        (n, tc_i, bc) in (1u64..=512, 1u32..=32, 1u32..=192),
-    ) {
-        let family = ALL_GPUS[gpu_i].spec().family;
+#[test]
+fn mutated_listings_that_parse_analyze_without_panicking() {
+    check("mutated_listings_that_parse_analyze_without_panicking", CASES, |rng| {
+        let ast = kernel(rng, "prop_kernel");
+        let (family, fast_math) = (rng.pick(&ALL_GPUS).spec().family, rng.coin());
+        let mutations: Vec<(usize, u64)> =
+            (0..rng.range_u64(1, 3)).map(|_| (rng.range_usize(0, 4), rng.next_u64())).collect();
+        let n = rng.range_u64(1, 512);
+        let (tc_i, bc) = (rng.range_u64(1, 32) as u32, rng.range_u64(1, 192) as u32);
         let mut listing = text::emit(&lower(&ast, family, LowerOptions { fast_math }));
         let geometry = LaunchGeometry::new(n, tc_i * 32, bc);
-        analyzes_if_it_parses(&listing, geometry)?;
+        analyzes_if_it_parses(&listing, geometry);
         for (kind, at) in mutations {
             listing = mutate(&listing, kind, at as usize);
-            analyzes_if_it_parses(&listing, geometry)?;
+            analyzes_if_it_parses(&listing, geometry);
         }
-    }
+    });
+}
 
-    #[test]
-    fn spec_parser_is_total_on_garbage(input in "\\PC*") {
-        let _ = parse_spec(&input);
-    }
+#[test]
+fn spec_parser_is_total_on_garbage() {
+    check("spec_parser_is_total_on_garbage", CASES, |rng| {
+        let _ = parse_spec(&printable(rng));
+    });
+}
 
-    #[test]
-    fn spec_parser_is_total_on_param_like_garbage(
-        names in prop::collection::vec("[A-Z]{1,6}", 1..4),
-        exprs in prop::collection::vec(
-            prop_oneof![
-                Just("range(32,1025,32)".to_string()),
-                Just("[16,48]".to_string()),
-                Just("['', '-use_fast_math']".to_string()),
-                Just("range(0,0)".to_string()),
-                Just("[abc]".to_string()),
-                "[a-z0-9,()\\[\\]' -]{0,24}",
-            ],
-            1..4,
-        )
-    ) {
+#[test]
+fn spec_parser_is_total_on_param_like_garbage() {
+    const EXPRS: [&str; 5] =
+        ["range(32,1025,32)", "[16,48]", "['', '-use_fast_math']", "range(0,0)", "[abc]"];
+    check("spec_parser_is_total_on_param_like_garbage", CASES, |rng| {
+        let names: Vec<String> =
+            (0..rng.range_u64(1, 3)).map(|_| chars(rng, &[('A', 'Z')], "", 1, 6)).collect();
+        let exprs: Vec<String> = (0..rng.range_u64(1, 3))
+            .map(|_| match EXPRS.get(rng.range_usize(0, EXPRS.len() + 1)) {
+                Some(expr) => expr.to_string(),
+                None => chars(rng, &[('a', 'z'), ('0', '9')], ",()[]' -", 0, 24),
+            })
+            .collect();
         let text: String = names
             .iter()
             .zip(exprs.iter().cycle())
@@ -145,18 +170,17 @@ proptest! {
         // Must not panic; if it parses, the space must be non-empty and
         // iterable.
         if let Ok(space) = parse_spec(&text) {
-            prop_assert!(!space.is_empty());
+            assert!(!space.is_empty());
             let _ = space.point(0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn valid_spec_round_trip_is_stable(
-        tc_step in 1u32..=8,
-        bc_count in 1usize..=8,
-        uif_hi in 1u32..=5,
-    ) {
-        let tc_step = tc_step * 32;
+#[test]
+fn valid_spec_round_trip_is_stable() {
+    check("valid_spec_round_trip_is_stable", CASES, |rng| {
+        let tc_step = rng.range_u64(1, 8) as u32 * 32;
+        let (bc_count, uif_hi) = (rng.range_usize(1, 9), rng.range_u64(1, 5) as u32);
         let bcs: Vec<String> = (1..=bc_count).map(|i| (i * 24).to_string()).collect();
         let text = format!(
             "param TC[] = range({tc_step},1025,{tc_step});\nparam BC[] = [{}];\nparam UIF[] = range(1,{});",
@@ -164,14 +188,14 @@ proptest! {
             uif_hi + 1
         );
         let space = parse_spec(&text).expect("valid spec parses");
-        prop_assert_eq!(space.bc.len(), bc_count);
-        prop_assert_eq!(space.uif.len(), uif_hi as usize);
-        prop_assert!(space.tc.iter().all(|t| t % tc_step == 0));
+        assert_eq!(space.bc.len(), bc_count);
+        assert_eq!(space.uif.len(), uif_hi as usize);
+        assert!(space.tc.iter().all(|t| t % tc_step == 0));
         // Every flat index is reachable and coordinates round-trip.
         for idx in [0, space.len() - 1, space.len() / 2] {
             let p = space.point(idx);
             let coords = space.coords_of(&p).expect("on grid");
-            prop_assert_eq!(space.at(coords), p);
+            assert_eq!(space.at(coords), p);
         }
-    }
+    });
 }
