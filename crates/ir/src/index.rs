@@ -16,8 +16,10 @@
 //! * per-block instruction summaries: an op-class **mix tape** (the
 //!   `(class, multiplier)` pairs mix counting replays instead of
 //!   touching `Instr` vectors), a **profile tape** (memory / barrier /
-//!   issue events with their service parameters), the instruction count,
-//!   and the terminator class;
+//!   issue events with their service parameters), a **register tape**
+//!   (the mix tape's register-file multipliers alone), the instruction
+//!   count, the terminator class, and the block's weight at problem
+//!   size zero when no launch geometry moves it;
 //! * the grid-stride trip expressions (for busy-thread math) and the
 //!   [`has_divergence`](ProgramIndex::has_divergence) flag.
 //!
@@ -113,6 +115,17 @@ pub struct BlockSummary {
     pub mix_tape: Vec<(OpClass, f64)>,
     /// Profile tape: one event per instruction, in program order.
     pub profile_tape: Vec<ProfileEvent>,
+    /// Register tape: the multipliers of the mix tape's `Regs` entries,
+    /// in its order. Replaying `regs += weight * m` over it gives the
+    /// register class of a mix replay bit-exactly, without the other
+    /// fourteen.
+    pub reg_tape: Vec<f64>,
+    /// The block's thread-level frequency with the problem size zeroed,
+    /// `freq.eval_expected(0, tc, bc)`, when it is the same at every
+    /// launch geometry; `None` when a grid-stride or block-share trip
+    /// over a power-0 size (a constant item count) divides it by `TC`
+    /// or `TC × BC`.
+    pub zero_size_weight: Option<f64>,
     /// Terminator classification.
     pub term: TermClass,
 }
@@ -277,6 +290,18 @@ impl ProgramIndex {
     }
 }
 
+/// Whether a frequency holds a grid-stride or block-share trip over a
+/// power-0 size: the one factor that still reads `TC` or `BC` when the
+/// problem size is zero (a power-`p > 0` size is zero there, whatever
+/// the geometry divides it by).
+fn zero_size_reads_geometry(f: &FreqExpr) -> bool {
+    match f {
+        FreqExpr::Trip(TripCount::GridStride(s) | TripCount::BlockShare(s)) => s.power == 0,
+        FreqExpr::Mul(fs) => fs.iter().any(zero_size_reads_geometry),
+        _ => false,
+    }
+}
+
 /// Builds one block's summary tapes.
 fn summarize(block: &crate::block::BasicBlock) -> BlockSummary {
     let mut mix_tape = Vec::with_capacity(block.instrs.len() * 2);
@@ -300,8 +325,17 @@ fn summarize(block: &crate::block::BasicBlock) -> BlockSummary {
             _ => ProfileEvent::Issue { class },
         });
     }
-    let term = term_class(&block.term);
-    BlockSummary { instr_count: block.instrs.len(), mix_tape, profile_tape, term }
+    let reg_tape = mix_tape.iter().filter(|(class, _)| *class == OpClass::Regs).map(|&(_, m)| m);
+    let zero_size_weight =
+        (!zero_size_reads_geometry(&block.freq)).then(|| block.freq.eval_expected(0, 1, 1));
+    BlockSummary {
+        instr_count: block.instrs.len(),
+        reg_tape: reg_tape.collect(),
+        mix_tape,
+        profile_tape,
+        zero_size_weight,
+        term: term_class(&block.term),
+    }
 }
 
 /// Classifies a terminator for the per-block summary.
@@ -589,6 +623,15 @@ mod proptests {
                 assert_eq!(s.profile_tape.len(), block.instrs.len());
                 assert_eq!(s.mix_tape.len(), block.instrs.len() * 2);
                 assert_eq!(s.has_ctrl(), !matches!(block.term, Terminator::Ret));
+                let regs: Vec<f64> =
+                    block.instrs.iter().map(|i| f64::from(i.regfile_accesses())).collect();
+                assert_eq!(s.reg_tape, regs);
+                // The generator draws no power-0 geometry trip, so every
+                // block's zero-size weight is a constant of the program.
+                let w = s.zero_size_weight.expect("no power-0 grid-stride or block-share trip");
+                for (tc, bc) in [(32u32, 24u32), (1024, 192), (96, 1)] {
+                    assert_eq!(w.to_bits(), block.freq.eval_expected(0, tc, bc).to_bits());
+                }
             }
         });
     }

@@ -10,10 +10,14 @@
 //! has no interior mutability. What real workloads *can*
 //! share between neighbouring launches it takes from its caller:
 //! [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`] — the
-//! per-warp profile and the dynamic mix depend on the launch geometry
-//! alone (`TC`, busy blocks / `BC`), so a sweep worker that carries one
-//! scratch over the variants of a front-end artifact walks the program
-//! once per geometry, not once per variant.
+//! per-warp profile and the blocks' busy weights depend on the launch
+//! geometry alone (`TC` and the busy blocks), and the register count
+//! replayed from those weights on `TC` and `BC`, so a sweep worker that
+//! carries one scratch over the variants of a front-end artifact walks
+//! the program once per geometry, not once per variant. No launch walks
+//! the fifteen-class dynamic mix: the register count multiplies each
+//! block's weights into its register tape, a constant of the artifact's
+//! index, in the mix's own order.
 //!
 //! Estimates themselves are **not** cached: the tuner's measurement
 //! tier deduplicates per tuning point one layer up, so below it every
@@ -45,7 +49,7 @@ use crate::counters;
 use crate::machine::{simulate_via, LaunchScratch, SimError, SimReport};
 use crate::model::{self, ModelId};
 use crate::noise::{noisy_trials, TrialProtocol, Trials};
-use oriole_arch::{GpuSpec, Occupancy, OccupancyInput, OpClass};
+use oriole_arch::{GpuSpec, Occupancy, OccupancyInput};
 use oriole_codegen::{CompiledKernel, FrontEnd};
 use oriole_ir::MixCounts;
 
@@ -178,7 +182,7 @@ impl ModelContext {
         Ok(LaunchSample {
             time_ms: protocol.select(noisy_trials(report.time_ms, trials, seed, &self.cfg)),
             occupancy: report.occupancy.occupancy,
-            reg_instructions: scratch.mix(kernel, n).get(OpClass::Regs),
+            reg_instructions: scratch.reg_instructions(kernel, n),
         })
     }
 }
@@ -233,7 +237,7 @@ impl std::fmt::Debug for ModelContext {
 mod tests {
     use super::*;
     use crate::{dynamic_mix, measure, simulate};
-    use oriole_arch::{Gpu, ALL_GPUS};
+    use oriole_arch::{Gpu, OpClass, ALL_GPUS};
     use oriole_codegen::{compile, front_end, CompilerFlags, PreferredL1, TuningParams};
     use oriole_kernels::{KernelId, ALL_KERNELS};
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -419,23 +423,71 @@ mod tests {
         let other_artifact = fe(2).specialize(TuningParams { uif: 2, ..p }).unwrap();
         let mut spilled = k.clone();
         spilled.program.meta.spill_bytes += 16;
+        let regs = |k: &CompiledKernel, n| dynamic_mix(k, n).get(OpClass::Regs).to_bits();
 
         let mut scratch = LaunchScratch::default();
         let first = ctx.estimate(&k, 128, &mut scratch).unwrap();
-        let mix = scratch.mix(&k, 128).clone();
-        // Same geometry every time: only the binding can force a walk.
+        let first_regs = scratch.reg_instructions(&k, 128).to_bits();
+        // Same geometry every time: only the binding can force a walk,
+        // and each rebinding forces both register passes.
         for (what, other, n) in [
             ("artifact", &other_artifact, 128),
             ("size", &k, 256),
             ("spill budget", &spilled, 128),
         ] {
+            let (weighed, replayed) = scratch.passes;
             let through = ctx.estimate(other, n, &mut scratch).unwrap();
             assert_eq!(through, ctx.simulate(other, n).unwrap(), "another {what}: recomputed");
             assert_ne!(through.profile, first.profile, "another {what} has another profile");
-            assert_eq!(*scratch.mix(other, n), dynamic_mix(other, n), "another {what}: recomputed");
+            let through_regs = scratch.reg_instructions(other, n).to_bits();
+            assert_eq!(through_regs, regs(other, n), "another {what}");
+            assert_eq!(scratch.passes, (weighed + 1, replayed + 1), "another {what}: recomputed");
             // And back: the first kernel's answers, not the visitor's.
             assert_eq!(ctx.estimate(&k, 128, &mut scratch).unwrap(), first);
-            assert_eq!(*scratch.mix(&k, 128), mix);
+            assert_eq!(scratch.reg_instructions(&k, 128).to_bits(), first_regs);
+            assert_eq!(scratch.passes, (weighed + 2, replayed + 2), "back from another {what}");
         }
+    }
+
+    #[test]
+    fn registers_are_weighed_once_per_busy_geometry_and_replayed_once_per_launch_shape() {
+        // A 64-point chunk the way the tuner's batch plan hands one to a
+        // worker: one `(UIF, CFLAGS)`, TC-major, then BC, then PL. ex14fj
+        // at n=16 has 4,096 items, so at these `TC`s a `BC` step moves
+        // the busy blocks until the grid outgrows the items, then keeps
+        // them; and it diverges, so its busy weights are saturated.
+        let gpu = Gpu::K20.spec();
+        let n = 16;
+        let fe = front_end(&KernelId::Ex14Fj.ast(n), gpu, 1, CompilerFlags::default()).unwrap();
+        let ctx = ModelContext::new(gpu);
+        let mut scratch = LaunchScratch::default();
+        let (mut busy_geometries, mut shapes) = (Vec::new(), Vec::new());
+        for tc in [32, 64, 96, 128] {
+            for bc in (1..=8).map(|i| 24 * i) {
+                for pl in [PreferredL1::Kb16, PreferredL1::Kb48] {
+                    let p = TuningParams { pl, ..TuningParams::with_geometry(tc, bc) };
+                    let k = fe.specialize(p).unwrap();
+                    let before = scratch.passes;
+                    let sample = ctx.launch(&k, n, 10, 1, TrialProtocol::FifthOfTen, &mut scratch);
+                    let regs = sample.unwrap().reg_instructions;
+                    assert_eq!(regs.to_bits(), dynamic_mix(&k, n).get(OpClass::Regs).to_bits());
+                    if pl == PreferredL1::Kb48 {
+                        assert_eq!(scratch.passes, before, "a PL sibling of ({tc}, {bc}) walked");
+                    }
+                    let busy = ctx.simulate(&k, n).unwrap().busy_blocks;
+                    if busy_geometries.last() != Some(&(tc, busy)) {
+                        busy_geometries.push((tc, busy));
+                    }
+                    if shapes.last() != Some(&(tc, bc)) {
+                        shapes.push((tc, bc));
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes.len(), 32);
+        // Both kinds of `BC` step occur: one that moves the busy blocks,
+        // and one that keeps them.
+        assert!(busy_geometries.len() > 4 && busy_geometries.len() < 32, "{busy_geometries:?}");
+        assert_eq!(scratch.passes, (busy_geometries.len() as u32, shapes.len() as u32));
     }
 }

@@ -11,7 +11,18 @@
 
 use oriole_arch::OpClass;
 use oriole_codegen::CompiledKernel;
-use oriole_ir::MixCounts;
+use oriole_ir::{MixCounts, ProgramIndex};
+
+/// The leading blocks of a `(tc, bc)` launch that carry work items at
+/// problem size `n` (at least one when `bc > 0`): the kernel's
+/// grid-stride items (precomputed by the index at front-end time) over
+/// `tc` threads a block. The rest of the grid only runs its range guard.
+pub(crate) fn busy_blocks(index: &ProgramIndex, n: u64, tc: u32, bc: u32) -> u32 {
+    let threads = f64::from(tc) * f64::from(bc);
+    let items = index.grid_stride_items(n).unwrap_or(threads);
+    let busy_threads = threads.min(items.max(1.0));
+    ((busy_threads / f64::from(tc)).ceil().max(1.0) as u32).min(bc)
+}
 
 /// Whole-grid dynamic instruction mix for one execution at problem size
 /// `n` (thread-slot granularity: warp executions × 32).
@@ -29,14 +40,8 @@ use oriole_ir::MixCounts;
 /// Table VI estimation error.
 pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
     let index = &kernel.index;
-    let params = kernel.params;
-    let (tc, bc) = (params.tc, params.bc);
-    let threads = f64::from(tc) * f64::from(bc);
-    // Work items exposed by the kernel's grid-stride loops (precomputed
-    // by the index at front-end time).
-    let items = index.grid_stride_items(n).unwrap_or(threads);
-    let busy_threads = threads.min(items.max(1.0));
-    let busy_blocks = ((busy_threads / f64::from(tc)).ceil().max(1.0) as u32).min(bc);
+    let (tc, bc) = (kernel.params.tc, kernel.params.bc);
+    let busy_blocks = busy_blocks(index, n, tc, bc);
     let idle_blocks = bc - busy_blocks;
     let wb = f64::from(tc.div_ceil(32));
     let busy_warps = f64::from(busy_blocks) * wb;
@@ -70,6 +75,48 @@ pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
         }
     }
     mix
+}
+
+/// Each block's busy-warp weight in [`dynamic_mix`] at `n` with `busy`
+/// busy blocks, written into `out`: the block's frequency at the busy
+/// geometry, saturated for divergence, times the busy warps. It is the
+/// part of a block's slot count that `BC` moves only through `busy`.
+pub(crate) fn busy_weights(kernel: &CompiledKernel, n: u64, busy: u32, out: &mut Vec<f64>) {
+    let tc = kernel.params.tc;
+    let busy_warps = f64::from(busy) * f64::from(tc.div_ceil(32));
+    let saturated = kernel.index.has_divergence();
+    out.clear();
+    out.extend(kernel.program.blocks.iter().map(|block| {
+        let mut w_busy = block.freq.eval(n, tc, busy.max(1));
+        if saturated {
+            w_busy *= warp_saturation(block, n, tc, busy.max(1));
+        }
+        w_busy * busy_warps
+    }));
+}
+
+/// `dynamic_mix(kernel, n).get(OpClass::Regs)` from the blocks' busy
+/// weights ([`busy_weights`] under `busy`) and the index's register
+/// tapes, in the mix's own accumulation order, so the bits are the
+/// same. A block's idle weight is the index's zero-size weight, a
+/// constant of the artifact, unless a power-0 geometry trip makes it
+/// read `(tc, bc)`.
+pub(crate) fn reg_instructions(kernel: &CompiledKernel, busy: u32, busy_weights: &[f64]) -> f64 {
+    let (tc, bc) = (kernel.params.tc, kernel.params.bc);
+    let idle_warps = f64::from(bc - busy) * f64::from(tc.div_ceil(32));
+    let mut regs = 0.0;
+    let blocks = kernel.program.blocks.iter().zip(kernel.index.summaries());
+    for ((block, s), &w_busy) in blocks.zip(busy_weights) {
+        let w_idle = s.zero_size_weight.unwrap_or_else(|| block.freq.eval_expected(0, tc, bc));
+        let slots = (w_busy + w_idle * idle_warps) * 32.0;
+        if slots <= 0.0 {
+            continue;
+        }
+        for &m in &s.reg_tape {
+            regs += slots * m;
+        }
+    }
+    regs
 }
 
 /// The pre-index walk-based implementation, retained as the oracle the
@@ -224,6 +271,26 @@ mod proptests {
             let n = rng.range_u64(1, 255);
             let compiled = compile(&ast, Gpu::K20.spec(), params).expect("valid point");
             assert_eq!(dynamic_mix(&compiled, n), dynamic_mix_walk(&compiled, n));
+        });
+    }
+
+    #[test]
+    fn replayed_register_count_bit_identical() {
+        check("replayed_register_count_bit_identical", 48, |rng| {
+            let ast = kernel(rng, "sim_prop");
+            let fe = oriole_codegen::front_end(&ast, Gpu::K20.spec(), 1, Default::default());
+            let fe = fe.expect("valid unroll factor");
+            let n = rng.range_u64(1, 255);
+            // One scratch over a walk of launch shapes, as a sweep
+            // worker carries it: every count is the mix's own.
+            let mut scratch = crate::LaunchScratch::default();
+            for _ in 0..12 {
+                let tc = rng.pick(&[32u32, 128, 512, 1024]);
+                let params = TuningParams::with_geometry(tc, rng.range_u64(1, 8) as u32 * 24);
+                let k = fe.specialize(params).expect("valid point");
+                let replayed = scratch.reg_instructions(&k, n);
+                assert_eq!(replayed.to_bits(), dynamic_mix(&k, n).get(OpClass::Regs).to_bits());
+            }
         });
     }
 }

@@ -26,7 +26,7 @@ use crate::model::launch_occupancy;
 use crate::profile::WarpProfile;
 use oriole_arch::{Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
-use oriole_ir::{MixCounts, ProgramIndex};
+use oriole_ir::ProgramIndex;
 use std::fmt;
 use std::sync::Arc;
 
@@ -98,24 +98,33 @@ pub struct SimReport {
 }
 
 /// The geometry-only results of the last launch estimated through it,
-/// three slots: the per-warp profile under `(TC, blocks)` (filled by the
+/// four slots: the per-warp profile under `(TC, blocks)` (filled by the
 /// simulator and roofline backends), the Eq. 6 cost under `(TC, BC)`
-/// (the static backend) and the dynamic mix under `(TC, BC)`
-/// ([`ModelContext::launch`](crate::ModelContext::launch), under every
-/// backend) — for one front-end artifact (its shared index), problem
-/// size and spill budget: a kernel that differs in any of the three
-/// empties it. A plain caller-owned value: a fresh one ([`Default`])
-/// computes everything, one carried across the variants of an artifact
-/// repeats a walk only when the launch shape moves — `PL` and `SC`
-/// enter none of the three — and either way the answer is the walk's
-/// own, bit for bit. The profile also depends on the [`SimConfig`], so
-/// one scratch serves one [`ModelContext`](crate::ModelContext).
+/// (the static backend), and, for
+/// [`ModelContext::launch`](crate::ModelContext::launch) under every
+/// backend, the blocks' busy weights under `(TC, busy blocks)` and the
+/// register count replayed from them under `(TC, BC)` — for one
+/// front-end artifact (its shared index), problem size and spill
+/// budget: a kernel that differs in any of the three empties it. A
+/// plain caller-owned value: a fresh one ([`Default`]) computes
+/// everything, one carried across the variants of an artifact repeats
+/// a walk only when the launch shape moves — `PL` and `SC` enter none
+/// of the four, and a `BC` step that keeps the busy blocks only
+/// replays the register tapes — and either way the answer is the
+/// walk's own, bit for bit. The profile also depends on the
+/// [`SimConfig`], so one scratch serves one
+/// [`ModelContext`](crate::ModelContext).
 #[derive(Debug, Default)]
 pub struct LaunchScratch {
     bound: Option<(Arc<ProgramIndex>, u64, u32)>,
     profile: Option<((u32, u32), WarpProfile)>,
     eq6: Option<((u32, u32), f64)>,
-    mix: Option<((u32, u32), MixCounts)>,
+    busy: Option<((u32, u32), Vec<f64>)>,
+    regs: Option<((u32, u32), f64)>,
+    /// Busy-weight passes and register replays run, for the tests that
+    /// count them.
+    #[cfg(test)]
+    pub(crate) passes: (u32, u32),
 }
 
 impl LaunchScratch {
@@ -124,10 +133,8 @@ impl LaunchScratch {
         let bound = matches!(&self.bound, Some((index, at, spilled))
             if Arc::ptr_eq(index, &kernel.index) && (*at, *spilled) == (n, spill));
         if !bound {
-            *self = LaunchScratch {
-                bound: Some((Arc::clone(&kernel.index), n, spill)),
-                ..LaunchScratch::default()
-            };
+            self.bound = Some((Arc::clone(&kernel.index), n, spill));
+            (self.profile, self.eq6, self.busy, self.regs) = (None, None, None, None);
         }
     }
 
@@ -155,13 +162,36 @@ impl LaunchScratch {
         *last(&mut self.eq6, (kernel.params.tc, kernel.params.bc), walk)
     }
 
-    /// [`dynamic_mix`](crate::dynamic_mix) of `kernel` at `n`, walked
-    /// unless the last call asked for the same `(TC, BC)`: `PL` and `SC`
-    /// do not enter the counters.
-    pub(crate) fn mix(&mut self, kernel: &CompiledKernel, n: u64) -> &MixCounts {
+    /// The register class of [`dynamic_mix`](crate::dynamic_mix) for
+    /// `kernel` at `n`: kept under `(TC, BC)` (`PL` and `SC` do not
+    /// enter the counters), else replayed from the busy weights, which
+    /// are kept under `(TC, busy blocks)` and weighed again only when
+    /// those move.
+    pub(crate) fn reg_instructions(&mut self, kernel: &CompiledKernel, n: u64) -> f64 {
         self.bind(kernel, n);
-        let key = (kernel.params.tc, kernel.params.bc);
-        last(&mut self.mix, key, || counters::dynamic_mix(kernel, n))
+        let (tc, bc) = (kernel.params.tc, kernel.params.bc);
+        let busy_slot = &mut self.busy;
+        #[cfg(test)]
+        let passes = &mut self.passes;
+        *last(&mut self.regs, (tc, bc), || {
+            let busy = counters::busy_blocks(&kernel.index, n, tc, bc);
+            if !matches!(busy_slot, Some((held, _)) if *held == (tc, busy)) {
+                // Refill the buffer the last geometry left, if any.
+                let mut weights = busy_slot.take().map(|(_, w)| w).unwrap_or_default();
+                counters::busy_weights(kernel, n, busy, &mut weights);
+                *busy_slot = Some(((tc, busy), weights));
+                #[cfg(test)]
+                {
+                    passes.0 += 1;
+                }
+            }
+            #[cfg(test)]
+            {
+                passes.1 += 1;
+            }
+            let (_, weights) = busy_slot.as_ref().expect("filled above");
+            counters::reg_instructions(kernel, busy, weights)
+        })
     }
 }
 
@@ -184,15 +214,6 @@ pub(crate) fn effective_shmem_per_mp(family: Family, pl: PreferredL1, default_sh
         Family::Fermi | Family::Kepler => 64 * 1024 - pl.l1_bytes(),
         Family::Maxwell | Family::Pascal => default_shmem,
     }
-}
-
-/// Largest grid-stride item count in the program, i.e. how much
-/// parallelism the kernel actually exposes at problem size `n`
-/// (`None` when the kernel has no grid-stride loop). Served from the
-/// kernel's shared index — the stride expressions were collected once at
-/// front-end time.
-fn grid_items(kernel: &CompiledKernel, n: u64) -> Option<f64> {
-    kernel.index.grid_stride_items(n)
 }
 
 /// Simulates one execution with the family-default [`SimConfig`].
@@ -227,11 +248,7 @@ pub(crate) fn simulate_via(
 
     let occ = launch_occupancy(spec, kernel)?;
 
-    let threads = f64::from(params.tc) * f64::from(params.bc);
-    let items = grid_items(kernel, n).unwrap_or(threads);
-    let busy_threads = threads.min(items.max(1.0));
-    let busy_blocks = (busy_threads / f64::from(params.tc)).ceil().max(1.0) as u32;
-    let busy_blocks = busy_blocks.min(params.bc);
+    let busy_blocks = counters::busy_blocks(&kernel.index, n, params.tc, params.bc);
     let wb = spec.warps_per_block(params.tc);
     // All warps of busy blocks are resident and schedule, even those
     // whose lanes all fail the range guard; the per-warp profile below is

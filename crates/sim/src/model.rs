@@ -152,8 +152,9 @@ pub(crate) fn launch_occupancy(
 /// from the shared feasibility gate and the warp profile is empty: the
 /// *estimate* computes nothing dynamic. What is not static is outside
 /// it: [`ModelContext::launch`](crate::ModelContext::launch) replays the
-/// dynamic mix for `reg_instructions` and draws the trial noise under
-/// every backend, this one included.
+/// index's register tapes for `reg_instructions` (the register class of
+/// the dynamic mix, bit for bit) and draws the trial noise under every
+/// backend, this one included.
 pub(crate) fn static_predict(
     spec: &GpuSpec,
     kernel: &CompiledKernel,

@@ -160,6 +160,70 @@ fn compatibility_names_forward_to_the_plain_forms() {
 }
 
 #[test]
+fn a_power_0_geometry_trip_keeps_the_register_count_per_launch() {
+    // A grid-stride or block-share trip over a power-0 size is a
+    // constant item count divided over `TC × BC` (or `TC`): at problem
+    // size zero, where idle blocks are weighed, it still reads the launch
+    // geometry. `oriole::ir::testgen` draws neither, so these ASTs are
+    // built by hand, under a uniform and a divergent branch, beside a
+    // size-scaled loop whose idle weight is a constant of the artifact.
+    use oriole::codegen::{front_end, CompilerFlags};
+    use oriole::ir::{
+        AccessPattern, AluOp, Branch, DivergenceKind, Loop, MemSpace, SizeExpr, Stmt, TripCount,
+    };
+    use oriole::sim::{LaunchScratch, TrialProtocol};
+    let looped = |trip, body| Stmt::Loop(Loop { trip, unrollable: false, body });
+    let kernel = |divergence| {
+        let mut k = KernelAst::new("power_0");
+        let branch = Stmt::If(Branch {
+            divergence,
+            taken_fraction: 0.3,
+            then_body: vec![looped(
+                TripCount::BlockShare(SizeExpr::new(40.0, 0)),
+                vec![Stmt::ops(AluOp::FmaF32, 3)],
+            )],
+            else_body: vec![Stmt::ops(AluOp::MulF32, 2)],
+        });
+        k.body = vec![
+            looped(
+                TripCount::GridStride(SizeExpr::new(3000.0, 0)),
+                vec![Stmt::load(MemSpace::Global, AccessPattern::Coalesced, 1), branch],
+            ),
+            looped(
+                TripCount::BlockShare(SizeExpr::new(100.0, 0)),
+                vec![Stmt::ops(AluOp::AddF32, 2)],
+            ),
+            looped(TripCount::Size(SizeExpr::N), vec![Stmt::ops(AluOp::FmaF32, 1)]),
+        ];
+        k
+    };
+    let gpu = Gpu::K20.spec();
+    let ctx = ModelContext::new(gpu);
+    let mut scratch = LaunchScratch::default();
+    let mut idle = 0u32;
+    for divergence in [DivergenceKind::Uniform, DivergenceKind::ThreadDependent] {
+        let fe = front_end(&kernel(divergence), gpu, 1, CompilerFlags::default()).unwrap();
+        for n in [64u64, 512] {
+            for tc in (1..=32).map(|i| 32 * i) {
+                for bc in (1..=8).map(|i| 24 * i) {
+                    let k = fe.specialize(TuningParams::with_geometry(tc, bc)).unwrap();
+                    let sample = ctx.launch(&k, n, 10, 7, TrialProtocol::FifthOfTen, &mut scratch);
+                    assert_eq!(
+                        sample.unwrap().reg_instructions.to_bits(),
+                        dynamic_mix(&k, n).get(oriole::arch::OpClass::Regs).to_bits(),
+                        "{divergence:?} n={n} ({tc}, {bc})"
+                    );
+                    idle += u32::from(ctx.simulate(&k, n).unwrap().busy_blocks < bc);
+                }
+            }
+        }
+    }
+    // The idle weight only counts where blocks idle: most of the 1,024
+    // launches here.
+    assert!(idle > 512, "{idle} launches with idle blocks");
+}
+
+#[test]
 fn feasibility_is_backend_independent_through_the_evaluator() {
     // A variant that cannot launch is infeasible under every backend —
     // the shared occupancy gate, observed through the full evaluation
