@@ -1024,9 +1024,10 @@ fn render_stats(before: EvalStats, after: EvalStats) -> String {
     );
     let _ = writeln!(
         out,
-        "  front-end lowerings: {} new, {} in tier",
+        "  front-end lowerings: {} new, {} in tier ({} programs)",
         after.front_end_lowerings - before.front_end_lowerings,
-        after.front_end_lowerings
+        after.front_end_lowerings,
+        after.front_end_programs
     );
     let _ = writeln!(
         out,
@@ -1128,14 +1129,15 @@ mod tests {
             block[1..4],
             [
                 "  unique evaluations: 6 new, 6 in tier",
-                "  front-end lowerings: 5 new, 5 in tier",
+                "  front-end lowerings: 5 new, 5 in tier (3 programs)",
                 "  disk tier: 0 loaded, 6 spilled",
             ],
             "{out}"
         );
-        // Six points over five of the ten `(UIF, CFLAGS)` programs: each
-        // unrolled, lowered and register-allocated once. Only the wall
-        // times vary from run to run.
+        // Six points over five of the ten `(UIF, CFLAGS)` keys: each
+        // unrolled, lowered and register-allocated once, and the two
+        // pairs of `CFLAGS` twins among them hold one program each. Only
+        // the wall times vary from run to run.
         let calls: Vec<(&str, &str)> = block[4]
             .trim_start_matches("  compile phases: ")
             .split(", ")

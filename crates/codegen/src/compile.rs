@@ -16,7 +16,8 @@
 //!   that was built differently for it, so the tuner shares one
 //!   artifact over every size whose AST is equal (all of them for
 //!   `atax`, `bicg` and `matvec2d`; none for `ex14fj`, whose branch
-//!   carries `boundary_fraction(n)`). The register-allocation result,
+//!   carries `boundary_fraction(n)`), and twins share one program
+//!   ([`FrontEnd::adopt`]). The register-allocation result,
 //!   which depends only on the lowered program and the device register
 //!   cap, is computed once per artifact on first use and cached. The
 //!   artifact keeps the wall time of each phase it ran beside its
@@ -256,6 +257,22 @@ impl FrontEnd {
             regalloc_ns,
             regalloc_calls,
         }
+    }
+
+    /// The analysis index every specialization shares.
+    pub fn index(&self) -> &Arc<ProgramIndex> {
+        &self.index
+    }
+
+    /// Takes `held`'s program arena and index if both lowered to the same
+    /// program, shared decls and device (a *twin*: a `UIF` or `CFLAGS`
+    /// that changed no instruction); the rest stays this artifact's own.
+    pub fn adopt(&mut self, held: &FrontEnd) -> bool {
+        let twin = self.gpu == held.gpu && self.shared == held.shared && self.program == held.program;
+        if twin {
+            (self.program, self.index) = (held.program.clone(), Arc::clone(&held.index));
+        }
+        twin
     }
 
     /// The cheap param-dependent back-end: validation, shared-memory

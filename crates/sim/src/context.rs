@@ -19,10 +19,10 @@
 //! block's weights into its register tape, a constant of the artifact's
 //! index, in the mix's own order.
 //!
-//! Estimates themselves are **not** cached: the tuner's measurement
-//! tier deduplicates per tuning point one layer up, so below it every
-//! `(program, point, n)` is asked for once and a cache would never hit.
-//! Occupancy is [`oriole_arch::occupancy()`], computed per estimate.
+//! The scratch also keeps the last launch's estimate, which a point's
+//! twin (another `UIF` / `CFLAGS` on the same index) launches again;
+//! [`launch`](ModelContext::launch) still draws each point's trials
+//! from its own seed. Occupancy is [`oriole_arch::occupancy()`].
 //!
 //! # Backends
 //!
@@ -178,10 +178,12 @@ impl ModelContext {
         protocol: TrialProtocol,
         scratch: &mut LaunchScratch,
     ) -> Result<LaunchSample, SimError> {
-        let report = self.estimate(kernel, n, scratch)?;
+        let (time_ms, occupancy) = scratch.estimate(kernel, n, |s| {
+            self.estimate(kernel, n, s).map(|r| (r.time_ms, r.occupancy.occupancy))
+        })?;
         Ok(LaunchSample {
-            time_ms: protocol.select(noisy_trials(report.time_ms, trials, seed, &self.cfg)),
-            occupancy: report.occupancy.occupancy,
+            time_ms: protocol.select(noisy_trials(time_ms, trials, seed, &self.cfg)),
+            occupancy,
             reg_instructions: scratch.reg_instructions(kernel, n),
         })
     }
@@ -241,6 +243,7 @@ mod tests {
     use oriole_codegen::{compile, front_end, CompilerFlags, PreferredL1, TuningParams};
     use oriole_kernels::{KernelId, ALL_KERNELS};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn kernel(tc: u32, bc: u32) -> CompiledKernel {
         compile(
@@ -330,20 +333,25 @@ mod tests {
         // How often a `BC`-only step moved the busy-block count, and how
         // often it did not (the profile survives only the latter).
         let (mut bc_moved_busy, mut bc_kept_busy) = (0u32, 0u32);
+        // Hops to a twin: another `(UIF, CFLAGS)` whose artifact adopted
+        // this one's program and index.
+        let mut twin_hops = 0u32;
         for (scope, (kid, gpu)) in
             ALL_KERNELS.iter().flat_map(|k| ALL_GPUS.map(|g| (*k, g))).enumerate()
         {
             let gpu = gpu.spec();
             let sizes = kid.input_sizes();
-            // Two artifacts per size; a step may hop between them.
-            let artifacts: Vec<_> = [sizes[0], sizes[3]]
-                .into_iter()
-                .flat_map(|n| [1u32, 3].map(|uif| (n, uif)))
-                .map(|(n, uif)| {
-                    let fe = front_end(&kid.ast(n), gpu, uif, CompilerFlags::default());
-                    (n, uif, fe.expect("valid unroll factor"))
-                })
-                .collect();
+            // Four artifacts per size, twins sharing one program; a step
+            // may hop between them.
+            let mut artifacts: Vec<(u64, (u32, CompilerFlags), FrontEnd)> = Vec::new();
+            for n in [sizes[0], sizes[3]] {
+                for (uif, fast_math) in [(1u32, false), (1, true), (3, false), (3, true)] {
+                    let cflags = CompilerFlags { fast_math };
+                    let mut fe = front_end(&kid.ast(n), gpu, uif, cflags).expect("valid unroll factor");
+                    artifacts.iter().any(|(_, _, held)| fe.adopt(held));
+                    artifacts.push((n, (uif, cflags), fe));
+                }
+            }
             for model in ModelId::ALL {
                 let ctx = ModelContext::for_model(gpu, model);
                 let mut rng =
@@ -369,13 +377,22 @@ mod tests {
                         6 => (p.tc, p.bc) = other,
                         7 => at = rng.gen_range(0..artifacts.len()),
                         8 => spill = 4 * rng.gen_range(0..3u32),
-                        _ => {}
+                        _ => {
+                            let index = artifacts[at].2.index();
+                            let twins: Vec<usize> = (0..artifacts.len())
+                                .filter(|&t| t != at && Arc::ptr_eq(artifacts[t].2.index(), index))
+                                .collect();
+                            if !twins.is_empty() {
+                                at = twins[rng.gen_range(0..twins.len())];
+                                twin_hops += 1;
+                            }
+                        }
                     }
                     if held != (p.tc, p.bc) {
                         other = held;
                     }
-                    let (n, uif, fe) = &artifacts[at];
-                    p.uif = *uif;
+                    let (n, (uif, cflags), fe) = &artifacts[at];
+                    (p.uif, p.cflags) = (*uif, *cflags);
                     let Ok(mut k) = fe.specialize(p) else { continue };
                     k.program.meta.spill_bytes += spill;
 
@@ -411,6 +428,7 @@ mod tests {
             }
         }
         assert!(bc_moved_busy > 20 && bc_kept_busy > 20, "{bc_moved_busy} moved, {bc_kept_busy} kept");
+        assert!(twin_hops > 100, "{twin_hops} hops to a twin");
     }
 
     #[test]
@@ -435,17 +453,17 @@ mod tests {
             ("size", &k, 256),
             ("spill budget", &spilled, 128),
         ] {
-            let (weighed, replayed) = scratch.passes;
+            let (weighed, replayed, _) = scratch.passes;
             let through = ctx.estimate(other, n, &mut scratch).unwrap();
             assert_eq!(through, ctx.simulate(other, n).unwrap(), "another {what}: recomputed");
             assert_ne!(through.profile, first.profile, "another {what} has another profile");
             let through_regs = scratch.reg_instructions(other, n).to_bits();
             assert_eq!(through_regs, regs(other, n), "another {what}");
-            assert_eq!(scratch.passes, (weighed + 1, replayed + 1), "another {what}: recomputed");
+            assert_eq!(scratch.passes, (weighed + 1, replayed + 1, 0), "another {what}: recomputed");
             // And back: the first kernel's answers, not the visitor's.
             assert_eq!(ctx.estimate(&k, 128, &mut scratch).unwrap(), first);
             assert_eq!(scratch.reg_instructions(&k, 128).to_bits(), first_regs);
-            assert_eq!(scratch.passes, (weighed + 2, replayed + 2), "back from another {what}");
+            assert_eq!(scratch.passes, (weighed + 2, replayed + 2, 0), "back from another {what}");
         }
     }
 
@@ -467,12 +485,13 @@ mod tests {
                 for pl in [PreferredL1::Kb16, PreferredL1::Kb48] {
                     let p = TuningParams { pl, ..TuningParams::with_geometry(tc, bc) };
                     let k = fe.specialize(p).unwrap();
-                    let before = scratch.passes;
+                    let before = (scratch.passes.0, scratch.passes.1);
                     let sample = ctx.launch(&k, n, 10, 1, TrialProtocol::FifthOfTen, &mut scratch);
                     let regs = sample.unwrap().reg_instructions;
                     assert_eq!(regs.to_bits(), dynamic_mix(&k, n).get(OpClass::Regs).to_bits());
                     if pl == PreferredL1::Kb48 {
-                        assert_eq!(scratch.passes, before, "a PL sibling of ({tc}, {bc}) walked");
+                        let after = (scratch.passes.0, scratch.passes.1);
+                        assert_eq!(after, before, "a PL sibling of ({tc}, {bc}) walked");
                     }
                     let busy = ctx.simulate(&k, n).unwrap().busy_blocks;
                     if busy_geometries.last() != Some(&(tc, busy)) {
@@ -488,6 +507,86 @@ mod tests {
         // Both kinds of `BC` step occur: one that moves the busy blocks,
         // and one that keeps them.
         assert!(busy_geometries.len() > 4 && busy_geometries.len() < 32, "{busy_geometries:?}");
-        assert_eq!(scratch.passes, (busy_geometries.len() as u32, shapes.len() as u32));
+        let (weighed, replayed, estimated) = scratch.passes;
+        assert_eq!((weighed, replayed), (busy_geometries.len() as u32, shapes.len() as u32));
+        assert_eq!(estimated, 64, "every point of the chunk is its own launch");
+    }
+
+    /// The `UIF` twins of `ex14fj` at `n` on K20 (unrolling changes none
+    /// of its instructions): five artifacts on one program and index.
+    fn ex14fj_twins(n: u64) -> Vec<FrontEnd> {
+        let gpu = Gpu::K20.spec();
+        let lower = |uif| front_end(&KernelId::Ex14Fj.ast(n), gpu, uif, CompilerFlags::default()).unwrap();
+        let first = lower(1);
+        let mut twins: Vec<FrontEnd> = (2..=5)
+            .map(|uif| {
+                let mut fe = lower(uif);
+                assert!(fe.adopt(&first), "UIF {uif} changed ex14fj's program");
+                fe
+            })
+            .collect();
+        twins.insert(0, first);
+        twins
+    }
+
+    #[test]
+    fn a_twin_reuses_the_last_estimate_only_for_the_same_launch() {
+        let ctx = ModelContext::new(Gpu::K20.spec());
+        let n = 64;
+        let twins = ex14fj_twins(n);
+        let p = TuningParams::with_geometry(128, 48);
+        let variant = |uif: u32| twins[uif as usize - 1].specialize(TuningParams { uif, ..p }).unwrap();
+        let launch = |k: &CompiledKernel, scratch: &mut LaunchScratch| {
+            sample_bits(ctx.launch(k, n, 10, 3, TrialProtocol::FifthOfTen, scratch))
+        };
+        let fresh = |k: &CompiledKernel| launch(k, &mut LaunchScratch::default());
+        let mut scratch = LaunchScratch::default();
+        let first = variant(1);
+        assert_eq!(launch(&first, &mut scratch), fresh(&first));
+        let twin = variant(4);
+        assert_eq!(launch(&twin, &mut scratch), fresh(&twin));
+        assert_eq!(scratch.passes.2, 1, "the twin's launch is the first's: one estimate");
+        // A twin that differs in spill budget, registers or `PL` is
+        // another launch, and so is the way back.
+        let mut spilled = variant(2);
+        spilled.program.meta.spill_bytes += 8;
+        let mut regs = variant(3);
+        regs.program.meta.regs_per_thread += 8;
+        let pl = twins[4].specialize(TuningParams { uif: 5, pl: PreferredL1::Kb48, ..p }).unwrap();
+        for (at, (what, other)) in [("spill", spilled), ("regs", regs), ("PL", pl)].into_iter().enumerate() {
+            assert_eq!(launch(&other, &mut scratch), fresh(&other), "{what}");
+            assert_eq!(launch(&twin, &mut scratch), fresh(&twin), "back from {what}");
+            assert_eq!(scratch.passes.2, 3 + 2 * at as u32, "{what}: estimated, and back");
+        }
+    }
+
+    #[test]
+    fn a_sorted_chunk_of_twins_estimates_once_per_launch_shape() {
+        // A chunk the way the tuner's batch plan hands one to a worker:
+        // one program, `(TC, BC, PL, SC)` order, each shape's five `UIF`
+        // twins side by side.
+        let n = 16;
+        let twins = ex14fj_twins(n);
+        let ctx = ModelContext::new(Gpu::K20.spec());
+        let mut scratch = LaunchScratch::default();
+        let mut shapes = 0;
+        for tc in [32, 64, 96, 128] {
+            for bc in (1..=8).map(|i| 24 * i) {
+                for pl in [PreferredL1::Kb16, PreferredL1::Kb48] {
+                    shapes += 1;
+                    for (uif, fe) in (1..).zip(&twins) {
+                        let k = fe.specialize(TuningParams { uif, pl, ..TuningParams::with_geometry(tc, bc) });
+                        let k = k.unwrap();
+                        let seed = u64::from(uif) << 16 ^ u64::from(tc * bc);
+                        let protocol = TrialProtocol::FifthOfTen;
+                        let reused = ctx.launch(&k, n, 10, seed, protocol, &mut scratch);
+                        let fresh = ctx.launch(&k, n, 10, seed, protocol, &mut LaunchScratch::default());
+                        assert_eq!(sample_bits(reused), sample_bits(fresh), "{:?}", k.params);
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes, 64);
+        assert_eq!(scratch.passes.2, shapes, "one estimate per launch shape, not per twin");
     }
 }

@@ -26,7 +26,7 @@ use crate::model::launch_occupancy;
 use crate::profile::WarpProfile;
 use oriole_arch::{Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
-use oriole_ir::ProgramIndex;
+use oriole_ir::{ProgramIndex, ProgramMeta};
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,23 +97,23 @@ pub struct SimReport {
     pub profile: WarpProfile,
 }
 
-/// The geometry-only results of the last launch estimated through it,
-/// four slots: the per-warp profile under `(TC, blocks)` (filled by the
-/// simulator and roofline backends), the Eq. 6 cost under `(TC, BC)`
-/// (the static backend), and, for
-/// [`ModelContext::launch`](crate::ModelContext::launch) under every
-/// backend, the blocks' busy weights under `(TC, busy blocks)` and the
-/// register count replayed from them under `(TC, BC)` — for one
-/// front-end artifact (its shared index), problem size and spill
-/// budget: a kernel that differs in any of the three empties it. A
-/// plain caller-owned value: a fresh one ([`Default`]) computes
-/// everything, one carried across the variants of an artifact repeats
-/// a walk only when the launch shape moves — `PL` and `SC` enter none
-/// of the four, and a `BC` step that keeps the busy blocks only
-/// replays the register tapes — and either way the answer is the
-/// walk's own, bit for bit. The profile also depends on the
-/// [`SimConfig`], so one scratch serves one
-/// [`ModelContext`](crate::ModelContext).
+/// The results of the last launch estimated through it, five slots:
+/// the per-warp profile under `(TC, blocks)` (filled by the simulator
+/// and roofline backends), the Eq. 6 cost under `(TC, BC)` (the static
+/// backend), and, for [`ModelContext::launch`](crate::ModelContext::launch)
+/// under every backend, the blocks' busy weights under `(TC, busy
+/// blocks)`, the register count replayed from them under `(TC, BC)` and
+/// the estimate's time and occupancy under `(TC, BC, PL, SC)` and the
+/// program's metadata and shared memory — for one program (its index),
+/// problem size and spill budget: a kernel that differs in any of the
+/// three empties it. A plain caller-owned value: a fresh one
+/// ([`Default`]) computes everything, one carried across the variants
+/// of a program repeats a walk only when the launch shape moves — `PL`
+/// and `SC` enter none of the walks, a `BC` step that keeps the busy
+/// blocks only replays the register tapes, and a `UIF` / `CFLAGS` twin
+/// of the last launch (another artifact of the same index) estimates
+/// nothing — and either way the answer is the walk's own, bit for bit.
+/// One scratch serves one [`ModelContext`](crate::ModelContext).
 #[derive(Debug, Default)]
 pub struct LaunchScratch {
     bound: Option<(Arc<ProgramIndex>, u64, u32)>,
@@ -121,11 +121,19 @@ pub struct LaunchScratch {
     eq6: Option<((u32, u32), f64)>,
     busy: Option<((u32, u32), Vec<f64>)>,
     regs: Option<((u32, u32), f64)>,
-    /// Busy-weight passes and register replays run, for the tests that
-    /// count them.
+    last: Option<(LaunchKey, Estimate)>,
+    /// Busy-weight passes, register replays and estimates run, for the
+    /// tests that count them.
     #[cfg(test)]
-    pub(crate) passes: (u32, u32),
+    pub(crate) passes: (u32, u32, u32),
 }
+
+/// What an estimate reads of a variant beyond its program, size and
+/// spill budget: `TC`, `BC`, `PL`, `SC`, the metadata and shared memory.
+type LaunchKey = ((u32, u32, PreferredL1, u32), ProgramMeta, u32);
+
+/// A launch's noise-free time and occupancy, or why it cannot run.
+type Estimate = Result<(f64, f64), SimError>;
 
 impl LaunchScratch {
     fn bind(&mut self, kernel: &CompiledKernel, n: u64) {
@@ -134,8 +142,30 @@ impl LaunchScratch {
             if Arc::ptr_eq(index, &kernel.index) && (*at, *spilled) == (n, spill));
         if !bound {
             self.bound = Some((Arc::clone(&kernel.index), n, spill));
-            (self.profile, self.eq6, self.busy, self.regs) = (None, None, None, None);
+            (self.profile, self.eq6, self.busy, self.regs, self.last) = (None, None, None, None, None);
         }
+    }
+
+    /// The noise-free time and the occupancy `estimate(self)` gives
+    /// `kernel` at `n`, estimated unless the last call asked for the
+    /// same launch.
+    pub(crate) fn estimate(
+        &mut self,
+        kernel: &CompiledKernel,
+        n: u64,
+        estimate: impl FnOnce(&mut LaunchScratch) -> Estimate,
+    ) -> Estimate {
+        self.bind(kernel, n);
+        let p = kernel.params;
+        let key = ((p.tc, p.bc, p.pl, p.sc), kernel.program.meta.clone(), kernel.smem_per_block);
+        if !matches!(&self.last, Some((held, _)) if *held == key) {
+            self.last = Some((key, estimate(self)));
+            #[cfg(test)]
+            {
+                self.passes.2 += 1;
+            }
+        }
+        self.last.as_ref().expect("filled above").1.clone()
     }
 
     /// [`WarpProfile::extract`] for `kernel` at `(n, TC, blocks)`,

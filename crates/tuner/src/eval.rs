@@ -19,6 +19,9 @@
 //!    miss builds the size's AST with `ast_builder` (a tenth of a
 //!    microsecond, which a cache in front of it only slowed down) and
 //!    looks it up by `==` among the programs of that `(UIF, CFLAGS)`.
+//!    A lowering equal to one the tier holds (a *twin*: a `UIF` or
+//!    `CFLAGS` that changed no instruction) adopts its program and
+//!    index ([`FrontEnd::adopt`]).
 //! 2. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key `OnceLock` instead of recomputing, so revisits by
@@ -28,9 +31,9 @@
 //!
 //! Beside them sits the evaluator's own `(device, timing model)`
 //! binding ([`oriole_sim::ModelContext`]), held by value: it caches
-//! nothing. Program walks that depend on the launch geometry alone are
-//! shared through a [`LaunchScratch`] per input size, carried across a
-//! worker's chunk.
+//! nothing. Program walks that depend on the launch geometry alone, and
+//! the last launch's estimate, are shared through a [`LaunchScratch`]
+//! per input size, carried across a worker's chunk.
 //!
 //! An evaluator is an immutable view of an
 //! [`ArtifactStore`](crate::ArtifactStore): both tiers live behind
@@ -44,13 +47,13 @@
 //! cached values are bit-identical to what a fresh evaluator computes.
 //!
 //! [`Evaluator::evaluate_batch`] serves the points the measurement tier
-//! already holds on the calling thread and plans the rest
-//! ([`plan_batch`], a pure function) into chunks of misses that share
-//! one front-end key `(UIF, CFLAGS)`; whoever claims a chunk resolves
-//! the per-size artifacts once for it. Too few misses to pay for
-//! threads are claimed by the caller alone. Results come back in input
-//! order, so the whole layer stays deterministic regardless of thread
-//! scheduling.
+//! already holds on the calling thread, resolves every missing
+//! `(UIF, CFLAGS)`'s artifacts and plans the misses ([`plan_batch`], a
+//! pure function) into chunks of one program class in launch-shape
+//! order, so a twin's estimate is the scratch's last and only its
+//! trials are new. Too few misses to pay for threads are claimed by the
+//! caller alone. Results come back in input order, so the whole layer
+//! stays deterministic regardless of thread scheduling.
 
 use crate::once_map::ShardedOnceMap;
 use crate::space::SearchSpace;
@@ -60,7 +63,7 @@ use oriole_codegen::{
 };
 use oriole_ir::KernelAst;
 use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
-use std::borrow::BorrowMut;
+use std::borrow::{Borrow, BorrowMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -149,11 +152,6 @@ impl Measurement {
 /// `UIF`).
 pub(crate) type FeArtifact = Result<FrontEnd, CompileError>;
 
-/// What the miss routine holds per input size: the front-end artifact
-/// of the point's `(UIF, CFLAGS)` and the launch scratch its estimates
-/// go through.
-type PerSize = (Arc<FeArtifact>, LaunchScratch);
-
 /// How a tuning point names a compile front-end: `(size, UIF, CFLAGS)`
 /// (`gpu` is fixed per tier). Names whose ASTs are equal share one
 /// artifact ([`Lowered`]).
@@ -186,10 +184,22 @@ impl FeTier {
         Arc::clone(programs.last().expect("pushed above"))
     }
 
+    /// `fe`, adopting a held twin's program and index if there is one;
+    /// the deep compare runs on a snapshot, outside the lock.
+    fn adopt_twin(&self, mut fe: FrontEnd) -> FrontEnd {
+        let held = self.programs.lock().expect("no lowering runs under this lock").clone();
+        for lowered in held.iter().filter_map(|p| p.2.get()) {
+            if matches!(&**lowered, Ok(twin) if fe.adopt(twin)) {
+                break;
+            }
+        }
+        fe
+    }
+
     /// `f` summed over the artifacts lowered so far: a rejected `UIF`
     /// (`Err`) never reached unroll or lower, and a program still being
     /// lowered holds nothing yet.
-    fn sum_lowered<T: std::iter::Sum>(&self, f: impl Fn(&FrontEnd) -> T) -> T {
+    fn sum_lowered<T: std::iter::Sum>(&self, mut f: impl FnMut(&FrontEnd) -> T) -> T {
         let programs = self.programs.lock().expect("no lowering runs under this lock");
         programs
             .iter()
@@ -203,6 +213,12 @@ impl FeTier {
     /// Compile front-ends (unroll + lower) run: one per artifact.
     pub(crate) fn lowerings(&self) -> usize {
         self.sum_lowered(|_| 1)
+    }
+
+    /// Distinct programs among the lowerings: twins share one index.
+    pub(crate) fn programs(&self) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        self.sum_lowered(|fe| usize::from(seen.insert(Arc::as_ptr(fe.index()))))
     }
 
     /// What building the tier's artifacts cost, phase by phase.
@@ -275,6 +291,8 @@ pub struct EvalStats {
     pub unique_evaluations: usize,
     /// Compile front-ends (unroll + lower) actually run.
     pub front_end_lowerings: usize,
+    /// Distinct programs among them: `UIF` / `CFLAGS` twins share one.
+    pub front_end_programs: usize,
     /// Measurements pre-seeded into this tier from the store's disk
     /// tier (0 for memory-only evaluators).
     pub disk_loaded: usize,
@@ -316,22 +334,27 @@ fn batch_threads(misses: usize, workers: usize) -> usize {
 /// Plans the `missing` indices of `points` for `threads` threads
 /// ([`batch_threads`]) into chunks, one per claim: a pure function (no
 /// clock, no threads), like `oriole_service`'s scheduler. Every missing
-/// index lands in exactly one chunk, in input order. A chunk shares one
-/// front-end key `(UIF, CFLAGS)` and the list interleaves the keys, so
-/// workers on neighbouring chunks sit on different artifacts.
+/// index lands in exactly one chunk. A chunk shares one `class` (twins
+/// share one) in `(TC, BC, PL, SC)` order, ties in input order, and the
+/// list interleaves the classes, so workers on neighbouring chunks sit
+/// on different programs.
 pub(crate) fn plan_batch(
     points: &[TuningParams],
     missing: Vec<usize>,
+    class: impl Fn(&TuningParams) -> usize,
     threads: usize,
 ) -> Vec<Vec<usize>> {
     let chunk = missing.len().div_ceil(threads).clamp(1, CHUNK);
-    let mut groups: Vec<((u32, CompilerFlags), Vec<usize>)> = Vec::new();
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for i in missing {
-        let key = (points[i].uif, points[i].cflags);
+        let key = class(&points[i]);
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, group)) => group.push(i),
             None => groups.push((key, vec![i])),
         }
+    }
+    for (_, group) in &mut groups {
+        group.sort_by_key(|&i| (points[i].tc, points[i].bc, points[i].pl.kb(), points[i].sc));
     }
     let mut per_group: Vec<_> = groups.iter().map(|(_, group)| group.chunks(chunk)).collect();
     let mut chunks = Vec::new();
@@ -405,7 +428,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Number of compile front-ends (unroll + lower) actually run — one
-    /// per distinct program `(AST, UIF, CFLAGS)`, however many points
+    /// per distinct `(AST, UIF, CFLAGS)`, twins included, however many points
     /// and input sizes are evaluated: a builder that ignores `n` lowers
     /// once per `(UIF, CFLAGS)` for all sizes (tier-wide, like
     /// [`Evaluator::unique_evaluations`]).
@@ -418,6 +441,7 @@ impl<'a> Evaluator<'a> {
         EvalStats {
             unique_evaluations: self.unique_evaluations(),
             front_end_lowerings: self.front_end_lowerings(),
+            front_end_programs: self.front_ends.programs(),
             disk_loaded: self.cache.disk_loaded(),
             disk_spilled: self.cache.disk_spilled(),
             model: self.ctx.model_id(),
@@ -451,27 +475,27 @@ impl<'a> Evaluator<'a> {
         tier.map.get_or_init((n, uif, cflags), || {
             let program = tier.program(uif, cflags, (self.ast_builder)(n));
             let (_, ast, artifact) = &*program;
-            Arc::clone(artifact.get_or_init(|| Arc::new(front_end(ast, self.gpu, uif, cflags))))
+            Arc::clone(artifact.get_or_init(|| {
+                Arc::new(front_end(ast, self.gpu, uif, cflags).map(|fe| tier.adopt_twin(fe)))
+            }))
         })
     }
 
-    /// The artifact of `key`'s `(UIF, CFLAGS)` and a fresh scratch per
-    /// input size, resolved as they are pulled.
-    fn per_size(&self, key: TuningParams) -> impl Iterator<Item = PerSize> + '_ {
-        self.sizes.iter().map(move |&n| {
-            (self.front_end_for(n, key.uif, key.cflags), LaunchScratch::default())
-        })
+    /// The artifacts of `(uif, cflags)`, one per input size.
+    fn artifacts(&self, uif: u32, cflags: CompilerFlags) -> impl Iterator<Item = Arc<FeArtifact>> + '_ {
+        self.sizes.iter().map(move |&n| self.front_end_for(n, uif, cflags))
     }
 
-    /// The one miss routine: measures `params` over `per_size` — fresh
-    /// from [`Evaluator::per_size`] for a lone point, a chunk's own for
-    /// a batch worker, whose neighbouring points share launch shapes.
-    /// The pairs are pulled size by size, so a caller that resolves them
-    /// on the fly pays for none past the first infeasible size.
-    fn evaluate_uncached<P: BorrowMut<PerSize>>(
+    /// The one miss routine: measures `params` over `per_size`, the
+    /// point's own artifact and a launch scratch per input size — fresh
+    /// for a lone point, a chunk's own for a batch worker, whose
+    /// neighbouring points share launch shapes and programs. The pairs
+    /// are pulled size by size, so a caller that resolves them on the
+    /// fly pays for none past the first infeasible size.
+    fn evaluate_uncached(
         &self,
         params: TuningParams,
-        per_size: impl Iterator<Item = P>,
+        per_size: impl Iterator<Item = (impl Borrow<Arc<FeArtifact>>, impl BorrowMut<LaunchScratch>)>,
     ) -> Measurement {
         let EvalProtocol { trials, protocol, .. } = self.protocol;
         let seed = self.seed_for(&params);
@@ -484,8 +508,8 @@ impl<'a> Evaluator<'a> {
         // size. The tier holds each artifact for the evaluator's life, so
         // an equal address is the same artifact.
         let mut specialized: Option<(*const FeArtifact, CompiledKernel)> = None;
-        for (&n, mut held) in self.sizes.iter().zip(per_size) {
-            let (artifact, scratch) = held.borrow_mut();
+        for (&n, (artifact, mut scratch)) in self.sizes.iter().zip(per_size) {
+            let (artifact, scratch) = (artifact.borrow(), scratch.borrow_mut());
             let Ok(fe) = &**artifact else {
                 return Measurement::infeasible(params);
             };
@@ -551,7 +575,8 @@ impl<'a> Evaluator<'a> {
     pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
         let mut won = 0;
         let m = self.memoized(params, &mut won, || {
-            self.evaluate_uncached(params, self.per_size(params))
+            let fresh = std::iter::repeat_with(LaunchScratch::default);
+            self.evaluate_uncached(params, self.artifacts(params.uif, params.cflags).zip(fresh))
         });
         if won > 0 {
             self.computed.fetch_add(won, Ordering::Relaxed);
@@ -577,8 +602,30 @@ impl<'a> Evaluator<'a> {
         if missing.is_empty() {
             return results.into_iter().map(|m| m.expect("an all-hit batch")).collect();
         }
+        // Every missing key's artifacts and class, resolved before the
+        // plan: keys whose artifacts share an index at every size (twins)
+        // are one class, and a rejected artifact is a class of its own.
+        let (mut keys, mut resolved, mut classes) = (Vec::new(), Vec::new(), Vec::<Vec<usize>>::new());
+        for p in missing.iter().map(|&i| points[i]) {
+            if !keys.contains(&(p.uif, p.cflags)) {
+                let artifacts: Vec<Arc<FeArtifact>> = self.artifacts(p.uif, p.cflags).collect();
+                let class: Vec<usize> = artifacts.iter().map(|a| match &**a {
+                    Ok(fe) => Arc::as_ptr(fe.index()) as usize,
+                    Err(_) => Arc::as_ptr(a) as usize,
+                }).collect();
+                let id = classes.iter().position(|c| *c == class).unwrap_or(classes.len());
+                if id == classes.len() {
+                    classes.push(class);
+                }
+                keys.push((p.uif, p.cflags));
+                resolved.push((id, artifacts));
+            }
+        }
+        let key = |p: &TuningParams| {
+            &resolved[keys.iter().position(|k| *k == (p.uif, p.cflags)).expect("every missing key resolved")]
+        };
         let threads = batch_threads(missing.len(), worker_count());
-        let chunks = plan_batch(points, missing, threads);
+        let chunks = plan_batch(points, missing, |p| key(p).0, threads);
         let next = AtomicUsize::new(0);
         let work = || {
             let (mut done, mut won) = (Vec::new(), 0);
@@ -588,10 +635,11 @@ impl<'a> Evaluator<'a> {
                     self.computed.fetch_add(won, Ordering::Relaxed);
                     break done;
                 };
-                let mut per_size: Vec<PerSize> = self.per_size(points[chunk[0]]).collect();
+                let mut scratches: Vec<LaunchScratch> =
+                    self.sizes.iter().map(|_| LaunchScratch::default()).collect();
                 let evaluate = |&i: &usize| {
                     self.memoized(points[i], &mut won, || {
-                        self.evaluate_uncached(points[i], per_size.iter_mut())
+                        self.evaluate_uncached(points[i], key(&points[i]).1.iter().zip(&mut scratches))
                     })
                 };
                 done.push((c, chunk.iter().map(evaluate).collect::<Vec<_>>()));
@@ -734,9 +782,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_plans_partition_the_misses_by_front_end_key() {
+    fn batch_plans_partition_the_misses_by_class_in_launch_shape_order() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let key = |p: &TuningParams| (p.uif, p.cflags);
+        let shape = |p: &TuningParams| (p.tc, p.bc, p.pl.kb(), p.sc);
         for seed in 0..300u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             // Points drawn with repeats from a pool over the first few
@@ -754,9 +802,15 @@ mod tests {
             let missing: Vec<usize> =
                 (0..points.len()).filter(|_| !rng.gen_bool(hit_rate)).collect();
             let workers = rng.gen_range(1..=8usize);
+            // Each `(UIF, CFLAGS)` key's class: keys that drew the same
+            // one are twins, as keys whose programs are equal are.
+            let classes: Vec<usize> = (0..10).map(|_| rng.gen_range(0..4usize)).collect();
+            let class = |p: &TuningParams| {
+                classes[space.uif.iter().position(|&u| u == p.uif).unwrap() * 2 + usize::from(p.cflags.fast_math)]
+            };
 
             let threads = batch_threads(missing.len(), workers);
-            let chunks = plan_batch(&points, missing.clone(), threads);
+            let chunks = plan_batch(&points, missing.clone(), class, threads);
             let mut planned: Vec<usize> = chunks.iter().flatten().copied().collect();
             planned.sort_unstable();
             assert_eq!(planned, missing, "seed {seed}: every miss planned exactly once");
@@ -772,19 +826,28 @@ mod tests {
             }
             for chunk in &chunks {
                 assert!(!chunk.is_empty() && chunk.len() <= CHUNK, "seed {seed}");
-                assert!(chunk.windows(2).all(|w| w[0] < w[1]), "seed {seed}: input order");
                 assert!(
-                    chunk.iter().all(|&i| key(&points[i]) == key(&points[chunk[0]])),
-                    "seed {seed}: a chunk mixes front-end keys"
+                    chunk.iter().all(|&i| class(&points[i]) == class(&points[chunk[0]])),
+                    "seed {seed}: a chunk mixes classes"
                 );
             }
-            // Neighbouring chunks differ in key until one key is all
+            // A class's chunks, read in plan order, run in launch-shape
+            // order, ties in input order.
+            for c in 0..4 {
+                let run: Vec<usize> =
+                    chunks.iter().filter(|ch| class(&points[ch[0]]) == c).flatten().copied().collect();
+                assert!(
+                    run.windows(2).all(|w| (shape(&points[w[0]]), w[0]) < (shape(&points[w[1]]), w[1])),
+                    "seed {seed}: class {c} out of (TC, BC, PL, SC) order"
+                );
+            }
+            // Neighbouring chunks differ in class until one class is all
             // that is left.
-            let keys: Vec<_> = chunks.iter().map(|c| key(&points[c[0]])).collect();
+            let keys: Vec<_> = chunks.iter().map(|c| class(&points[c[0]])).collect();
             for (at, pair) in keys.windows(2).enumerate() {
                 assert!(
                     pair[0] != pair[1] || keys[at..].iter().all(|k| *k == pair[0]),
-                    "seed {seed}: chunks {at} and {} share a key with others pending",
+                    "seed {seed}: chunks {at} and {} share a class with others pending",
                     at + 1
                 );
             }

@@ -3,15 +3,18 @@
 //! evaluated at: sizes whose ASTs are equal share one lowering, sizes
 //! whose ASTs differ never do, and sharing changes no bit of any answer.
 //! An artifact holds one index, which every consumer of every variant
-//! it stamps out shares.
+//! it stamps out shares. Twins — keys whose `UIF` or `CFLAGS` changed no
+//! instruction — are still lowered once each but hold one program and
+//! one index between them, and measure exactly as a tier-free reference
+//! (`compile` and a fresh scratch per launch) does.
 
 use oriole::arch::Gpu;
-use oriole::codegen::{front_end, CompilerFlags, TuningParams};
+use oriole::codegen::{compile, front_end, CompilerFlags, TuningParams};
 use oriole::core::analyze;
 use oriole::ir::KernelAst;
 use oriole::kernels::KernelId;
-use oriole::sim::{dynamic_mix, simulate};
-use oriole::tuner::{ArtifactStore, Evaluator, SearchSpace};
+use oriole::sim::{dynamic_mix, simulate, LaunchScratch, ModelContext};
+use oriole::tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -50,9 +53,10 @@ fn lowerings_of_a_checked_sweep(builder: &(dyn Fn(u64) -> KernelAst + Sync), siz
 
 #[test]
 fn a_program_is_lowered_once_for_every_size_that_builds_it() {
-    // ATAX's builder ignores `n`: ten programs (5 UIF × 2 CFLAGS) serve
+    // ATAX's builder ignores `n`: ten lowerings (5 UIF × 2 CFLAGS) serve
     // all five sizes. Ex14FJ's AST carries `boundary_fraction(n)`, a
-    // different program per size: ten each.
+    // different AST per size: ten lowerings each. (How many distinct
+    // programs those lowerings make is the census below.)
     let atax = |n: u64| KernelId::Atax.ast(n);
     assert_eq!(lowerings_of_a_checked_sweep(&atax, &KernelId::Atax.input_sizes()), 10);
     let ex14fj = |n: u64| KernelId::Ex14Fj.ast(n);
@@ -151,4 +155,82 @@ fn front_end_builds_index_exactly_once() {
     }
     let stats = store.stats();
     assert_eq!(stats.phases.lower_calls, stats.front_end_lowerings as u64);
+}
+
+/// The evaluator's per-point seed under `protocol`, spelled out so the
+/// reference below draws its trials without asking a tier.
+fn seed_of(protocol: &EvalProtocol, p: &TuningParams) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ protocol.base_seed;
+    let fields = [p.tc, p.bc, p.uif, p.pl.kb(), p.sc, u32::from(p.cflags.fast_math)];
+    for v in fields.map(u64::from) {
+        h ^= v.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// Every bit of a measurement: floats raw.
+fn measurement_bits(m: &Measurement) -> (bool, u64, Vec<(u64, u64)>, u64, u32, u64) {
+    let per_size = m.per_size_ms.iter().map(|&(n, t)| (n, t.to_bits())).collect();
+    let (time, occupancy, regs) = (m.time_ms.to_bits(), m.occupancy.to_bits(), m.reg_instructions.to_bits());
+    (m.feasible, time, per_size, occupancy, m.regs_allocated, regs)
+}
+
+/// `p` measured without a tier: `compile` per size, each launch on a
+/// fresh scratch, the evaluator's seeds and total-time objective.
+fn tier_free(kernel: KernelId, ctx: &ModelContext, sizes: &[u64], p: TuningParams) -> Measurement {
+    let protocol = EvalProtocol::default();
+    let infeasible = Measurement {
+        params: p,
+        time_ms: f64::INFINITY,
+        per_size_ms: Vec::new(),
+        feasible: false,
+        occupancy: 0.0,
+        regs_allocated: 0,
+        reg_instructions: 0.0,
+    };
+    let mut m = Measurement { feasible: true, ..infeasible.clone() };
+    for &n in sizes {
+        let Ok(k) = compile(&kernel.ast(n), Gpu::K20.spec(), p) else { return infeasible };
+        let seed = seed_of(&protocol, &p) ^ n;
+        let fresh = &mut LaunchScratch::default();
+        let Ok(launch) = ctx.launch(&k, n, protocol.trials, seed, protocol.protocol, fresh) else {
+            return infeasible;
+        };
+        m.per_size_ms.push((n, launch.time_ms));
+        (m.occupancy, m.regs_allocated) = (launch.occupancy, k.regs_per_thread());
+        m.reg_instructions += launch.reg_instructions;
+    }
+    m.time_ms = m.per_size_ms.iter().map(|(_, t)| t).sum();
+    m
+}
+
+#[test]
+fn twins_share_one_index_and_measure_as_a_tier_free_reference_does() {
+    // The census of the paper space on K20: `-use_fast_math` changes no
+    // instruction of atax, bicg and matvec2d (five programs of ten
+    // lowerings), and `UIF` none of ex14fj (two of ten per size).
+    let gpu = Gpu::K20.spec();
+    let ctx = ModelContext::new(gpu);
+    let space = SearchSpace::paper_default();
+    for (kernel, census) in [
+        (KernelId::Atax, (10, 5)),
+        (KernelId::Bicg, (10, 5)),
+        (KernelId::MatVec2D, (10, 5)),
+        (KernelId::Ex14Fj, (50, 10)),
+    ] {
+        let builder = move |n: u64| kernel.ast(n);
+        let sizes = kernel.input_sizes();
+        let ev = Evaluator::new(&builder, gpu, &sizes);
+        let swept = ev.evaluate_space(&space);
+        let stats = ev.stats();
+        assert_eq!((stats.front_end_lowerings, stats.front_end_programs), census, "{kernel}");
+        let p = stats.phases;
+        let n = census.0 as u64;
+        assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (n, n, n), "{kernel}");
+        for m in &swept {
+            let reference = tier_free(kernel, &ctx, &sizes, m.params);
+            assert_eq!(measurement_bits(m), measurement_bits(&reference), "{kernel} {:?}", m.params);
+        }
+    }
 }
