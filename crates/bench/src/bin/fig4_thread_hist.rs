@@ -3,15 +3,15 @@
 //! comparing architectures and kernels.
 //!
 //! ```sh
-//! cargo run --release -p oriole-bench --bin fig4_thread_hist [--quick] [--store-dir DIR]
+//! cargo run --release -p oriole-bench --bin fig4_thread_hist [--store-dir DIR]
 //! ```
 
 use oriole_bench::{exhaustive_measurements_in, thread_histogram, ExpOptions};
-use oriole_tuner::split_ranks;
+use oriole_tuner::{split_ranks, SearchSpace};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let space = opts.space();
+    let space = SearchSpace::paper_default();
     // One store for the whole run: sweeps share front-ends and model
     // caches across GPUs of one kernel (and with any future re-sweep).
     // Under --store-dir the measurement tiers persist across runs.
@@ -19,7 +19,7 @@ fn main() {
     println!("Fig. 4: thread counts for Orio autotuning exhaustive search.\n");
 
     for kid in opts.kernels() {
-        let sizes = opts.sizes(kid);
+        let sizes = kid.input_sizes();
         for gpu in opts.gpus() {
             let measurements = exhaustive_measurements_in(&store, kid, gpu, &space, &sizes);
             let (rank1, rank2) = split_ranks(&measurements);

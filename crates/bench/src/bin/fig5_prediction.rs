@@ -4,7 +4,7 @@
 //! agreement.
 //!
 //! ```sh
-//! cargo run --release -p oriole-bench --bin fig5_prediction [--quick]
+//! cargo run --release -p oriole-bench --bin fig5_prediction
 //! ```
 
 use oriole_bench::{ExpOptions, TextTable};
@@ -14,7 +14,7 @@ use oriole_sim::{measure, TrialProtocol};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let space = opts.space();
+    let space = oriole_tuner::SearchSpace::paper_default();
     let mut table =
         TextTable::new(&["Kernel", "Arch", "variants", "MAE", "rank agreement"]);
 

@@ -3,17 +3,17 @@
 //! validates that the pruned searches still find near-optimal variants.
 //!
 //! ```sh
-//! cargo run --release -p oriole-bench --bin fig6_search_improvement [--quick] [--store-dir DIR]
+//! cargo run --release -p oriole-bench --bin fig6_search_improvement [--store-dir DIR]
 //! ```
 
 use oriole_bench::{ExpOptions, TextTable};
 use oriole_codegen::{compile, TuningParams};
 use oriole_core::analyze;
-use oriole_tuner::{ExhaustiveSearch, PruneLevel, Searcher, StaticSearch};
+use oriole_tuner::{ExhaustiveSearch, PruneLevel, SearchSpace, Searcher, StaticSearch};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let space = opts.space();
+    let space = SearchSpace::paper_default();
     // One store for the run: the exhaustive sweep warms the measurement
     // tier, so both pruned searches below are pure cache hits instead of
     // re-measuring their (large) subspaces from scratch. Under
@@ -30,7 +30,7 @@ fn main() {
     ]);
 
     for kid in opts.kernels() {
-        let sizes = opts.sizes(kid);
+        let sizes = kid.input_sizes();
         for gpu in opts.gpus() {
             let builder = move |n: u64| kid.ast(n);
 

@@ -10,7 +10,7 @@
 //! row is a built-in self-check — MAE 0, agreement 1.00 by definition.
 //!
 //! ```sh
-//! cargo run --release -p oriole-bench --bin model_agreement [-- --quick]
+//! cargo run --release -p oriole-bench --bin model_agreement
 //! ```
 
 use oriole_bench::{ExpOptions, TextTable};
@@ -20,7 +20,7 @@ use oriole_sim::{ModelContext, ModelId};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let space = opts.space();
+    let space = oriole_tuner::SearchSpace::paper_default();
     let mut table = TextTable::new(&[
         "Kernel",
         "Arch",

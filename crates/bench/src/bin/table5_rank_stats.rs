@@ -4,18 +4,18 @@
 //! performers (Rank 2), per kernel per architecture.
 //!
 //! ```sh
-//! cargo run --release -p oriole-bench --bin table5_rank_stats [--quick] [--store-dir DIR]
+//! cargo run --release -p oriole-bench --bin table5_rank_stats [--store-dir DIR]
 //! ```
 //!
 //! With `--store-dir` the exhaustive ground-truth sweeps persist: a
 //! killed or repeated run resumes as pure, bit-identical cache hits.
 
 use oriole_bench::{exhaustive_measurements_in, ExpOptions, TextTable};
-use oriole_tuner::{rank_stats, split_ranks};
+use oriole_tuner::{rank_stats, split_ranks, SearchSpace};
 
 fn main() {
     let opts = ExpOptions::from_env();
-    let space = opts.space();
+    let space = SearchSpace::paper_default();
     let store = opts.store();
     eprintln!(
         "exhaustive sweep: {} variants x {} kernels x {} GPUs ...",
@@ -31,7 +31,7 @@ fn main() {
     let mut table = TextTable::new(&header);
 
     for kid in opts.kernels() {
-        let sizes = opts.sizes(kid);
+        let sizes = kid.input_sizes();
         for gpu in opts.gpus() {
             let measurements = exhaustive_measurements_in(&store, kid, gpu, &space, &sizes);
             let (rank1, rank2) = split_ranks(&measurements);

@@ -34,7 +34,7 @@ fn main() {
             }
             let mut pairs = Vec::new();
             let mut intensity = 0.0;
-            for n in opts.sizes(kid) {
+            for n in kid.input_sizes() {
                 let kernel =
                     compile(&kid.ast(n), gpu.spec(), TuningParams::with_geometry(tc, bc))
                         .expect("compiles");

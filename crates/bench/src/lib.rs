@@ -5,8 +5,9 @@
 //! drivers: exhaustive sweeps, rank statistics, text-table and
 //! ASCII-histogram rendering.
 //!
-//! Every binary accepts `--quick` to run a thinned sweep (coarser TC
-//! axis, fewer sizes) and `--gpu`/`--kernel` filters where meaningful.
+//! Every binary runs the paper's full space and sizes, and accepts
+//! `--gpu`/`--kernel` filters where meaningful; what each prints on the
+//! full space is pinned in `golden/` (`tests/paper_bins.rs`).
 
 #![warn(missing_docs)]
 
@@ -19,8 +20,6 @@ use std::sync::Arc;
 /// Common experiment options parsed from `argv`.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
-    /// Thin the sweep for a fast smoke run.
-    pub quick: bool,
     /// Restrict to one GPU.
     pub gpu: Option<Gpu>,
     /// Restrict to one kernel.
@@ -32,18 +31,14 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `--quick`, `--gpu <name>`, `--kernel <name>` and
-    /// `--store-dir <dir>` from argv.
+    /// Parses `--gpu <name>`, `--kernel <name>` and `--store-dir <dir>`
+    /// from argv.
     pub fn from_env() -> ExpOptions {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut opts = ExpOptions { quick: false, gpu: None, kernel: None, store_dir: None };
+        let mut opts = ExpOptions { gpu: None, kernel: None, store_dir: None };
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_str() {
-                "--quick" => {
-                    opts.quick = true;
-                    i += 1;
-                }
                 "--gpu" => {
                     opts.gpu = argv.get(i + 1).and_then(|s| Gpu::parse(s));
                     i += 2;
@@ -97,29 +92,6 @@ impl ExpOptions {
         match self.kernel {
             Some(k) => vec![k],
             None => oriole_kernels::ALL_KERNELS.to_vec(),
-        }
-    }
-
-    /// The search space for sweeps: the paper's 5,120-variant space, or a
-    /// 640-variant thinning under `--quick`.
-    pub fn space(&self) -> SearchSpace {
-        let mut space = SearchSpace::paper_default();
-        if self.quick {
-            space.tc = (1..=16).map(|i| i * 64).collect();
-            space.uif = vec![1, 3, 5];
-            space.pl = vec![oriole_codegen::PreferredL1::Kb16];
-            // 16 × 8 × 3 × 1 × 1 × 2 = 768 variants.
-        }
-        space
-    }
-
-    /// Input sizes for a kernel (paper's five, or three under `--quick`).
-    pub fn sizes(&self, kid: KernelId) -> Vec<u64> {
-        let all = kid.input_sizes();
-        if self.quick {
-            vec![all[0], all[2], all[4]]
-        } else {
-            all.to_vec()
         }
     }
 }
@@ -240,15 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn quick_space_is_smaller() {
-        let full = ExpOptions { quick: false, gpu: None, kernel: None, store_dir: None };
-        let quick = ExpOptions { quick: true, gpu: None, kernel: None, store_dir: None };
-        assert_eq!(full.space().len(), 5120);
-        assert!(quick.space().len() < 1000);
-        assert_eq!(quick.sizes(KernelId::Atax), vec![32, 128, 512]);
-    }
-
-    #[test]
     fn exhaustive_runs_on_tiny_space() {
         let space = SearchSpace::tiny();
         let store = ArtifactStore::new();
@@ -262,12 +225,7 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("oriole-bench-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = ExpOptions {
-            quick: true,
-            gpu: None,
-            kernel: None,
-            store_dir: Some(dir.to_string_lossy().into_owned()),
-        };
+        let opts = ExpOptions { gpu: None, kernel: None, store_dir: Some(dir.to_string_lossy().into_owned()) };
         let space = SearchSpace::tiny();
 
         let first = opts.store();

@@ -16,13 +16,13 @@
 //!   that was built differently for it, so the tuner shares one
 //!   artifact over every size whose AST is equal (all of them for
 //!   `atax`, `bicg` and `matvec2d`; none for `ex14fj`, whose branch
-//!   carries `boundary_fraction(n)`), and twins share one program
-//!   ([`FrontEnd::adopt`]). The register-allocation result,
-//!   which depends only on the lowered program and the device register
-//!   cap, is computed once per artifact on first use and cached. The
-//!   artifact keeps the wall time of each phase it ran beside its
-//!   result ([`FrontEnd::phases`]), so whoever holds artifacts can add
-//!   up what they cost.
+//!   carries `boundary_fraction(n)`). What lowering reads is known
+//!   before it runs ([`LowerKey`]), so a twin — a `UIF` or `CFLAGS`
+//!   that changes none of it — is proven before lowering and built on
+//!   the held program, index and register allocation, computed once per
+//!   lowering on first use ([`Unrolled::twin`]). An artifact keeps the
+//!   wall time of each phase it ran ([`FrontEnd::phases`]), so whoever
+//!   holds artifacts can add up what they cost.
 //! * The **back-end** ([`FrontEnd::specialize`]) is cheap and
 //!   param-dependent: parameter validation, the shared-memory footprint
 //!   (which scales with `TC` for block-scaled tiles), metadata fill-in,
@@ -36,8 +36,8 @@ use crate::params::{CompilerFlags, TuningParams};
 use crate::regalloc::{self, RegAllocation};
 use crate::transform;
 use oriole_arch::{validate_launch, GpuSpec, LaunchCheck};
-use oriole_ir::lower::{lower_indexed, LowerOptions};
-use oriole_ir::{KernelAst, LaunchGeometry, Program, ProgramIndex, SharedDecl};
+use oriole_ir::lower::{lower_indexed, reads_fast_math, LowerOptions};
+use oriole_ir::{KernelAst, LaunchGeometry, Program, ProgramIndex};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -122,27 +122,53 @@ impl CompiledKernel {
 /// / `BC` / `PL` / `SC` with [`FrontEnd::specialize`]. The register
 /// allocation — a function of the lowered program and the device cap
 /// only — is computed lazily on the first specialization and reused by
-/// every subsequent one.
+/// every subsequent one, and by every twin ([`Unrolled::twin`]).
 #[derive(Debug)]
 pub struct FrontEnd {
-    gpu: GpuSpec,
     uif: u32,
     cflags: CompilerFlags,
+    /// Nanoseconds spent unrolling, and lowering (the index build
+    /// included): `None` for a twin, which lowered nothing.
+    unroll_ns: u64,
+    lower_ns: Option<u64>,
+    /// The lowering, shared by every twin.
+    lowered: Arc<Lowered>,
+}
+
+/// One lowering: what it read, and what it made of it.
+#[derive(Debug)]
+struct Lowered {
+    key: LowerKey,
+    gpu: GpuSpec,
     /// Lowered program with zeroed metadata (the back-end fills it).
     program: Program,
-    /// Shared-memory declarations of the source kernel (unrolling never
-    /// changes them); the back-end sizes them for each `TC`.
-    shared: Vec<SharedDecl>,
     /// The analysis index of `program`, built exactly once here and
     /// cloned (by `Arc`) into every specialization.
     index: Arc<ProgramIndex>,
-    /// Nanoseconds [`front_end`] spent unrolling, and lowering (the
-    /// index build included).
-    unroll_ns: u64,
-    lower_ns: u64,
     /// Lazily computed, shared by all specializations, beside the
     /// nanoseconds it took.
     alloc: OnceLock<(RegAllocation, u64)>,
+}
+
+/// What lowering reads of one `(AST, UIF, CFLAGS)`: the unrolled AST
+/// (shared by clones), and `-use_fast_math` only when that AST holds an
+/// op whose lowering reads it ([`reads_fast_math`]). Equal keys lower
+/// to equal programs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LowerKey {
+    ast: Arc<KernelAst>,
+    fast_math: bool,
+}
+
+/// One `(AST, UIF, CFLAGS)` up to lowering: `UIF` validated, the AST
+/// unrolled and keyed. [`Unrolled::lower`] finishes the front end;
+/// [`Unrolled::twin`] finishes it on a held lowering of an equal key.
+#[derive(Debug)]
+pub struct Unrolled {
+    uif: u32,
+    cflags: CompilerFlags,
+    key: LowerKey,
+    unroll_ns: u64,
 }
 
 /// What building front-end artifacts cost, per phase: wall time and
@@ -198,7 +224,7 @@ fn ns_since(start: Instant) -> u64 {
 }
 
 /// Runs the param-independent front-end: validates `uif`, unrolls, and
-/// lowers `ast` for `gpu`.
+/// lowers `ast` for `gpu` ([`Unrolled::new`], then [`Unrolled::lower`]).
 ///
 /// Fails only when `uif` itself is out of range; all other parameter
 /// problems are back-end concerns ([`FrontEnd::specialize`]).
@@ -208,71 +234,75 @@ pub fn front_end(
     uif: u32,
     cflags: CompilerFlags,
 ) -> Result<FrontEnd, CompileError> {
-    if let Some(problem) = TuningParams::uif_problem(uif) {
-        return Err(CompileError::InvalidParams(vec![problem]));
+    Ok(Unrolled::new(ast, uif, cflags)?.lower(gpu))
+}
+
+impl Unrolled {
+    /// Validates `uif` and unrolls `ast` by it.
+    pub fn new(ast: &KernelAst, uif: u32, cflags: CompilerFlags) -> Result<Unrolled, CompileError> {
+        if let Some(problem) = TuningParams::uif_problem(uif) {
+            return Err(CompileError::InvalidParams(vec![problem]));
+        }
+        let start = Instant::now();
+        let ast = transform::unroll(ast, uif);
+        let unroll_ns = ns_since(start);
+        let fast_math = cflags.fast_math && reads_fast_math(&ast);
+        Ok(Unrolled { uif, cflags, key: LowerKey { ast: Arc::new(ast), fast_math }, unroll_ns })
     }
-    let start = Instant::now();
-    let transformed = transform::unroll(ast, uif);
-    let unroll_ns = ns_since(start);
-    let start = Instant::now();
-    let (program, index) =
-        lower_indexed(&transformed, gpu.family, LowerOptions { fast_math: cflags.fast_math });
-    let lower_ns = ns_since(start);
-    Ok(FrontEnd {
-        gpu: gpu.clone(),
-        uif,
-        cflags,
-        program,
-        shared: ast.shared.clone(),
-        index: Arc::new(index),
-        unroll_ns,
-        lower_ns,
-        alloc: OnceLock::new(),
-    })
+
+    /// What lowering reads of this name.
+    pub fn key(&self) -> &LowerKey {
+        &self.key
+    }
+
+    /// Lowers the unrolled AST for `gpu`.
+    pub fn lower(&self, gpu: &GpuSpec) -> FrontEnd {
+        let start = Instant::now();
+        let opts = LowerOptions { fast_math: self.cflags.fast_math };
+        let (program, index) = lower_indexed(&self.key.ast, gpu.family, opts);
+        let lower_ns = Some(ns_since(start));
+        let index = Arc::new(index);
+        let key = self.key.clone();
+        let lowered = Arc::new(Lowered { key, gpu: gpu.clone(), program, index, alloc: OnceLock::new() });
+        FrontEnd { uif: self.uif, cflags: self.cflags, unroll_ns: self.unroll_ns, lower_ns, lowered }
+    }
+
+    /// This name's front end on `held`'s device, program arena, index
+    /// and register allocation, lowering nothing — a *twin* — when
+    /// `held` was lowered from an equal key; `None` otherwise.
+    pub fn twin(&self, held: &FrontEnd) -> Option<FrontEnd> {
+        let (uif, cflags, unroll_ns, lowered) = (self.uif, self.cflags, self.unroll_ns, &held.lowered);
+        (self.key == lowered.key).then(|| FrontEnd { uif, cflags, unroll_ns, lower_ns: None, lowered: Arc::clone(lowered) })
+    }
 }
 
 impl FrontEnd {
     /// The cached register allocation for this lowered program at the
-    /// device cap (computed on first use).
+    /// device cap (computed on first use, by this artifact or a twin).
     pub(crate) fn allocation(&self) -> RegAllocation {
-        self.alloc
+        let Lowered { program, gpu, alloc, .. } = &*self.lowered;
+        alloc
             .get_or_init(|| {
                 let start = Instant::now();
-                let alloc = regalloc::allocate(&self.program, self.gpu.regs_per_thread_max);
+                let alloc = regalloc::allocate(program, gpu.regs_per_thread_max);
                 (alloc, ns_since(start))
             })
             .0
     }
 
-    /// What building this artifact has cost so far: its unroll, its
-    /// lower and — once a specialization has asked for it — its
-    /// register allocation.
+    /// What building this artifact has cost so far: its unroll, and,
+    /// unless it is a twin, its lower and — once a specialization has
+    /// asked for it — its register allocation.
     pub fn phases(&self) -> PhaseTelemetry {
-        let (regalloc_ns, regalloc_calls) = self.alloc.get().map_or((0, 0), |&(_, ns)| (ns, 1));
-        PhaseTelemetry {
-            unroll_ns: self.unroll_ns,
-            unroll_calls: 1,
-            lower_ns: self.lower_ns,
-            lower_calls: 1,
-            regalloc_ns,
-            regalloc_calls,
-        }
+        let unrolled = PhaseTelemetry { unroll_ns: self.unroll_ns, unroll_calls: 1, ..PhaseTelemetry::default() };
+        let Some(lower_ns) = self.lower_ns else { return unrolled };
+        let (regalloc_ns, regalloc_calls) = self.lowered.alloc.get().map_or((0, 0), |&(_, ns)| (ns, 1));
+        PhaseTelemetry { lower_ns, lower_calls: 1, regalloc_ns, regalloc_calls, ..unrolled }
     }
 
-    /// The analysis index every specialization shares.
+    /// The analysis index every specialization, and every twin, shares.
     pub fn index(&self) -> &Arc<ProgramIndex> {
-        &self.index
-    }
-
-    /// Takes `held`'s program arena and index if both lowered to the same
-    /// program, shared decls and device (a *twin*: a `UIF` or `CFLAGS`
-    /// that changed no instruction); the rest stays this artifact's own.
-    pub fn adopt(&mut self, held: &FrontEnd) -> bool {
-        let twin = self.gpu == held.gpu && self.shared == held.shared && self.program == held.program;
-        if twin {
-            (self.program, self.index) = (held.program.clone(), Arc::clone(&held.index));
-        }
-        twin
+        &self.lowered.index
     }
 
     /// The cheap param-dependent back-end: validation, shared-memory
@@ -286,21 +316,22 @@ impl FrontEnd {
             params.cflags, self.cflags,
             "front-end artifact built for different CFLAGS"
         );
-        let problems = params.problems(&self.gpu);
+        let Lowered { gpu, program, index, key, .. } = &*self.lowered;
+        let problems = params.problems(gpu);
         if !problems.is_empty() {
             return Err(CompileError::InvalidParams(problems));
         }
 
-        let smem = oriole_ir::shared_bytes_for_block(&self.shared, params.tc);
-        if smem > self.gpu.shmem_per_block {
+        let smem = oriole_ir::shared_bytes_for_block(&key.ast.shared, params.tc);
+        if smem > gpu.shmem_per_block {
             return Err(CompileError::SharedMemExceeded {
                 needed: smem,
-                limit: self.gpu.shmem_per_block,
+                limit: gpu.shmem_per_block,
             });
         }
 
         let alloc = self.allocation();
-        let mut program = self.program.clone();
+        let mut program = program.clone();
         program.meta.regs_per_thread = alloc.regs_per_thread;
         program.meta.smem_static = smem;
         program.meta.spill_bytes = alloc.spill_bytes;
@@ -310,7 +341,7 @@ impl FrontEnd {
         // pathological inputs can fail here).
         debug_assert!(
             validate_launch(
-                &self.gpu,
+                gpu,
                 LaunchCheck {
                     threads_per_block: params.tc,
                     blocks: params.bc,
@@ -323,11 +354,11 @@ impl FrontEnd {
 
         Ok(CompiledKernel {
             params,
-            gpu: self.gpu.clone(),
+            gpu: gpu.clone(),
             program,
             smem_per_block: smem,
             reg_demand: alloc.demand,
-            index: Arc::clone(&self.index),
+            index: Arc::clone(index),
         })
     }
 }
@@ -507,9 +538,29 @@ mod tests {
         let a = fe.specialize(params(128, 48, 1, false)).unwrap();
         let b = fe.specialize(params(512, 24, 1, false)).unwrap();
         // One index per front-end artifact: the very same allocation.
-        assert!(Arc::ptr_eq(&fe.index, &a.index));
+        assert!(Arc::ptr_eq(fe.index(), &a.index));
         assert!(Arc::ptr_eq(&a.index, &b.index));
         assert_eq!(a.index.len(), a.program.blocks.len());
+    }
+
+    #[test]
+    fn a_twin_shares_the_lowering_and_lowers_nothing() {
+        // No op of ATAX reads `-use_fast_math`: both flags are one key.
+        let (ast, gpu) = (KernelId::Atax.ast(64), Gpu::K20.spec());
+        let name = |uif, fast_math| Unrolled::new(&ast, uif, CompilerFlags { fast_math }).unwrap();
+        let held = name(2, false).lower(gpu);
+        let twin = name(2, true).twin(&held).expect("CFLAGS reaches no op of atax");
+        assert!(Arc::ptr_eq(held.index(), twin.index()));
+        assert!(name(3, false).twin(&held).is_none(), "UIF unrolls atax's loops");
+        let p = params(128, 48, 2, true);
+        assert_eq!(twin.specialize(p), compile(&ast, gpu, p));
+        let (t, h) = (twin.phases(), held.phases());
+        assert_eq!((t.unroll_calls, t.lower_calls, t.regalloc_calls), (1, 0, 0));
+        assert_eq!((h.lower_calls, h.regalloc_calls), (1, 1), "the twin allocated the lowering's registers");
+        // Ex14FJ's divides read the flag: two keys.
+        let ex14fj = KernelId::Ex14Fj.ast(32);
+        let fast = Unrolled::new(&ex14fj, 1, CompilerFlags { fast_math: true }).unwrap();
+        assert!(fast.twin(&front_end(&ex14fj, gpu, 1, CompilerFlags::default()).unwrap()).is_none());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod params;
 pub mod regalloc;
 pub mod transform;
 
-pub use compile::{compile, front_end, CompileError, CompiledKernel, FrontEnd, PhaseTelemetry};
+pub use compile::{compile, front_end, CompileError, CompiledKernel, FrontEnd, PhaseTelemetry, Unrolled};
 pub use optimize::{peephole, OptStats};
 pub use params::{CompilerFlags, PreferredL1, TuningParams};
 pub use regalloc::RegAllocation;

@@ -44,6 +44,19 @@ pub struct LowerOptions {
     pub fast_math: bool,
 }
 
+/// Whether `ast` holds an op whose lowering reads [`LowerOptions::fast_math`].
+pub fn reads_fast_math(ast: &KernelAst) -> bool {
+    let mut reads = false;
+    ast.visit(&mut |s| reads |= matches!(s, Stmt::Op(o) if fast_math_op(o.op)));
+    reads
+}
+
+/// The ops `-use_fast_math` swaps for approximation sequences: the one
+/// list, consulted by every `lower_alu` branch that reads the flag.
+fn fast_math_op(op: AluOp) -> bool {
+    matches!(op, AluOp::DivF32 | AluOp::SqrtF32 | AluOp::ExpF32 | AluOp::LogF32 | AluOp::SinCosF32)
+}
+
 /// Lowers a kernel AST to a linear-IR [`Program`] targeting `family`.
 ///
 /// The produced program's `meta.regs_per_thread` is left at zero — the
@@ -249,8 +262,14 @@ impl LowerCtx {
         }
     }
 
+    /// Whether `op` takes its fast-math sequence. Only an op
+    /// [`fast_math_op`] lists may ask: a key drops the flag otherwise.
+    fn fast(&self, op: AluOp) -> bool {
+        debug_assert!(fast_math_op(op), "{op:?} reads fast_math but is not listed");
+        self.opts.fast_math
+    }
+
     fn lower_alu(&mut self, op: AluOp) {
-        let fast = self.opts.fast_math;
         match op {
             AluOp::AddF32 => {
                 let (a, b) = (self.pick(), self.pick());
@@ -291,7 +310,7 @@ impl LowerCtx {
                 let r = self.def(OpKind::Rcp, Ty::F32, vec![Operand::Reg(d)]);
                 let n = self.pick();
                 let q = self.def(OpKind::Mul, Ty::F32, vec![Operand::Reg(n), Operand::Reg(r)]);
-                if !fast {
+                if !self.fast(op) {
                     let e =
                         self.def(OpKind::Fma, Ty::F32, vec![
                             Operand::Reg(q),
@@ -308,7 +327,7 @@ impl LowerCtx {
             AluOp::SqrtF32 => {
                 let a = self.pick();
                 let s = self.def(OpKind::Sqrt, Ty::F32, vec![Operand::Reg(a)]);
-                if !fast {
+                if !self.fast(op) {
                     let h = self.def(OpKind::Mul, Ty::F32, vec![
                         Operand::Reg(s),
                         Operand::FImm(0.5),
@@ -327,7 +346,7 @@ impl LowerCtx {
                     Operand::FImm(std::f64::consts::LOG2_E),
                 ]);
                 let e = self.def(OpKind::Ex2, Ty::F32, vec![Operand::Reg(scaled)]);
-                if !fast {
+                if !self.fast(op) {
                     let f = self.def(OpKind::Fma, Ty::F32, vec![
                         Operand::Reg(e),
                         Operand::Reg(scaled),
@@ -347,7 +366,7 @@ impl LowerCtx {
                     Operand::Reg(l),
                     Operand::FImm(std::f64::consts::LN_2),
                 ]);
-                if !fast {
+                if !self.fast(op) {
                     let p = self.pick();
                     self.def(OpKind::Fma, Ty::F32, vec![
                         Operand::Reg(l),
@@ -358,7 +377,7 @@ impl LowerCtx {
             }
             AluOp::SinCosF32 => {
                 let a = self.pick();
-                if !fast {
+                if !self.fast(op) {
                     // Payne–Hanek-style range reduction before the SFU op.
                     let k = self.def(OpKind::Fma, Ty::F32, vec![
                         Operand::Reg(a),

@@ -240,7 +240,8 @@ mod tests {
     use super::*;
     use crate::{dynamic_mix, measure, simulate};
     use oriole_arch::{Gpu, OpClass, ALL_GPUS};
-    use oriole_codegen::{compile, front_end, CompilerFlags, PreferredL1, TuningParams};
+    use crate::machine::tests::passes;
+    use oriole_codegen::{compile, front_end, CompilerFlags, PreferredL1, TuningParams, Unrolled};
     use oriole_kernels::{KernelId, ALL_KERNELS};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::sync::Arc;
@@ -333,8 +334,8 @@ mod tests {
         // How often a `BC`-only step moved the busy-block count, and how
         // often it did not (the profile survives only the latter).
         let (mut bc_moved_busy, mut bc_kept_busy) = (0u32, 0u32);
-        // Hops to a twin: another `(UIF, CFLAGS)` whose artifact adopted
-        // this one's program and index.
+        // Hops to a twin: another `(UIF, CFLAGS)` whose artifact was
+        // built on this one's program and index.
         let mut twin_hops = 0u32;
         for (scope, (kid, gpu)) in
             ALL_KERNELS.iter().flat_map(|k| ALL_GPUS.map(|g| (*k, g))).enumerate()
@@ -347,9 +348,9 @@ mod tests {
             for n in [sizes[0], sizes[3]] {
                 for (uif, fast_math) in [(1u32, false), (1, true), (3, false), (3, true)] {
                     let cflags = CompilerFlags { fast_math };
-                    let mut fe = front_end(&kid.ast(n), gpu, uif, cflags).expect("valid unroll factor");
-                    artifacts.iter().any(|(_, _, held)| fe.adopt(held));
-                    artifacts.push((n, (uif, cflags), fe));
+                    let name = Unrolled::new(&kid.ast(n), uif, cflags).expect("valid unroll factor");
+                    let twin = artifacts.iter().find_map(|(_, _, held)| name.twin(held));
+                    artifacts.push((n, (uif, cflags), twin.unwrap_or_else(|| name.lower(gpu))));
                 }
             }
             for model in ModelId::ALL {
@@ -448,22 +449,23 @@ mod tests {
         let first_regs = scratch.reg_instructions(&k, 128).to_bits();
         // Same geometry every time: only the binding can force a walk,
         // and each rebinding forces both register passes.
+        let mut visit = |k: &CompiledKernel, n| {
+            passes(|| (ctx.estimate(k, n, &mut scratch).unwrap(), scratch.reg_instructions(k, n).to_bits()))
+        };
         for (what, other, n) in [
             ("artifact", &other_artifact, 128),
             ("size", &k, 256),
             ("spill budget", &spilled, 128),
         ] {
-            let (weighed, replayed, _) = scratch.passes;
-            let through = ctx.estimate(other, n, &mut scratch).unwrap();
+            let ((through, through_regs), walked) = visit(other, n);
+            assert_eq!(walked, [1, 1, 0], "another {what}: recomputed");
             assert_eq!(through, ctx.simulate(other, n).unwrap(), "another {what}: recomputed");
             assert_ne!(through.profile, first.profile, "another {what} has another profile");
-            let through_regs = scratch.reg_instructions(other, n).to_bits();
             assert_eq!(through_regs, regs(other, n), "another {what}");
-            assert_eq!(scratch.passes, (weighed + 1, replayed + 1, 0), "another {what}: recomputed");
             // And back: the first kernel's answers, not the visitor's.
-            assert_eq!(ctx.estimate(&k, 128, &mut scratch).unwrap(), first);
-            assert_eq!(scratch.reg_instructions(&k, 128).to_bits(), first_regs);
-            assert_eq!(scratch.passes, (weighed + 2, replayed + 2, 0), "back from another {what}");
+            let (back, walked) = visit(&k, 128);
+            assert_eq!(walked, [1, 1, 0], "back from another {what}");
+            assert_eq!(back, (first.clone(), first_regs));
         }
     }
 
@@ -479,20 +481,20 @@ mod tests {
         let fe = front_end(&KernelId::Ex14Fj.ast(n), gpu, 1, CompilerFlags::default()).unwrap();
         let ctx = ModelContext::new(gpu);
         let mut scratch = LaunchScratch::default();
-        let (mut busy_geometries, mut shapes) = (Vec::new(), Vec::new());
+        let (mut busy_geometries, mut shapes, mut walked) = (Vec::new(), Vec::new(), [0; 3]);
         for tc in [32, 64, 96, 128] {
             for bc in (1..=8).map(|i| 24 * i) {
                 for pl in [PreferredL1::Kb16, PreferredL1::Kb48] {
                     let p = TuningParams { pl, ..TuningParams::with_geometry(tc, bc) };
                     let k = fe.specialize(p).unwrap();
-                    let before = (scratch.passes.0, scratch.passes.1);
-                    let sample = ctx.launch(&k, n, 10, 1, TrialProtocol::FifthOfTen, &mut scratch);
+                    let (sample, ran) =
+                        passes(|| ctx.launch(&k, n, 10, 1, TrialProtocol::FifthOfTen, &mut scratch));
                     let regs = sample.unwrap().reg_instructions;
                     assert_eq!(regs.to_bits(), dynamic_mix(&k, n).get(OpClass::Regs).to_bits());
                     if pl == PreferredL1::Kb48 {
-                        let after = (scratch.passes.0, scratch.passes.1);
-                        assert_eq!(after, before, "a PL sibling of ({tc}, {bc}) walked");
+                        assert_eq!(ran[..2], [0, 0], "a PL sibling of ({tc}, {bc}) walked");
                     }
+                    walked = std::array::from_fn(|i| walked[i] + ran[i]);
                     let busy = ctx.simulate(&k, n).unwrap().busy_blocks;
                     if busy_geometries.last() != Some(&(tc, busy)) {
                         busy_geometries.push((tc, busy));
@@ -507,23 +509,18 @@ mod tests {
         // Both kinds of `BC` step occur: one that moves the busy blocks,
         // and one that keeps them.
         assert!(busy_geometries.len() > 4 && busy_geometries.len() < 32, "{busy_geometries:?}");
-        let (weighed, replayed, estimated) = scratch.passes;
+        let [weighed, replayed, estimated] = walked;
         assert_eq!((weighed, replayed), (busy_geometries.len() as u32, shapes.len() as u32));
         assert_eq!(estimated, 64, "every point of the chunk is its own launch");
     }
 
-    /// The `UIF` twins of `ex14fj` at `n` on K20 (unrolling changes none
-    /// of its instructions): five artifacts on one program and index.
+    /// The `UIF` twins of `ex14fj` at `n` on K20 (it has no loop to
+    /// unroll): five artifacts on one program and index.
     fn ex14fj_twins(n: u64) -> Vec<FrontEnd> {
-        let gpu = Gpu::K20.spec();
-        let lower = |uif| front_end(&KernelId::Ex14Fj.ast(n), gpu, uif, CompilerFlags::default()).unwrap();
-        let first = lower(1);
+        let name = |uif| Unrolled::new(&KernelId::Ex14Fj.ast(n), uif, CompilerFlags::default()).unwrap();
+        let first = name(1).lower(Gpu::K20.spec());
         let mut twins: Vec<FrontEnd> = (2..=5)
-            .map(|uif| {
-                let mut fe = lower(uif);
-                assert!(fe.adopt(&first), "UIF {uif} changed ex14fj's program");
-                fe
-            })
+            .map(|uif| name(uif).twin(&first).unwrap_or_else(|| panic!("UIF {uif} changed ex14fj's key")))
             .collect();
         twins.insert(0, first);
         twins
@@ -544,8 +541,9 @@ mod tests {
         let first = variant(1);
         assert_eq!(launch(&first, &mut scratch), fresh(&first));
         let twin = variant(4);
-        assert_eq!(launch(&twin, &mut scratch), fresh(&twin));
-        assert_eq!(scratch.passes.2, 1, "the twin's launch is the first's: one estimate");
+        let (reused, [.., estimated]) = passes(|| launch(&twin, &mut scratch));
+        assert_eq!(reused, fresh(&twin));
+        assert_eq!(estimated, 0, "the twin's launch is the first's: no estimate");
         // A twin that differs in spill budget, registers or `PL` is
         // another launch, and so is the way back.
         let mut spilled = variant(2);
@@ -553,10 +551,12 @@ mod tests {
         let mut regs = variant(3);
         regs.program.meta.regs_per_thread += 8;
         let pl = twins[4].specialize(TuningParams { uif: 5, pl: PreferredL1::Kb48, ..p }).unwrap();
-        for (at, (what, other)) in [("spill", spilled), ("regs", regs), ("PL", pl)].into_iter().enumerate() {
-            assert_eq!(launch(&other, &mut scratch), fresh(&other), "{what}");
-            assert_eq!(launch(&twin, &mut scratch), fresh(&twin), "back from {what}");
-            assert_eq!(scratch.passes.2, 3 + 2 * at as u32, "{what}: estimated, and back");
+        for (what, other) in [("spill", spilled), ("regs", regs), ("PL", pl)] {
+            let (there, [.., estimated]) = passes(|| launch(&other, &mut scratch));
+            assert_eq!(there, fresh(&other), "{what}");
+            let (back, [.., back_estimated]) = passes(|| launch(&twin, &mut scratch));
+            assert_eq!(back, fresh(&twin), "back from {what}");
+            assert_eq!((estimated, back_estimated), (1, 1), "{what}: estimated, and back");
         }
     }
 
@@ -569,7 +569,7 @@ mod tests {
         let twins = ex14fj_twins(n);
         let ctx = ModelContext::new(Gpu::K20.spec());
         let mut scratch = LaunchScratch::default();
-        let mut shapes = 0;
+        let (mut shapes, mut estimated) = (0, 0);
         for tc in [32, 64, 96, 128] {
             for bc in (1..=8).map(|i| 24 * i) {
                 for pl in [PreferredL1::Kb16, PreferredL1::Kb48] {
@@ -579,7 +579,8 @@ mod tests {
                         let k = k.unwrap();
                         let seed = u64::from(uif) << 16 ^ u64::from(tc * bc);
                         let protocol = TrialProtocol::FifthOfTen;
-                        let reused = ctx.launch(&k, n, 10, seed, protocol, &mut scratch);
+                        let (reused, [.., ran]) = passes(|| ctx.launch(&k, n, 10, seed, protocol, &mut scratch));
+                        estimated += ran;
                         let fresh = ctx.launch(&k, n, 10, seed, protocol, &mut LaunchScratch::default());
                         assert_eq!(sample_bits(reused), sample_bits(fresh), "{:?}", k.params);
                     }
@@ -587,6 +588,6 @@ mod tests {
             }
         }
         assert_eq!(shapes, 64);
-        assert_eq!(scratch.passes.2, shapes, "one estimate per launch shape, not per twin");
+        assert_eq!(estimated, shapes, "one estimate per launch shape, not per twin");
     }
 }

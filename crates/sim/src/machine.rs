@@ -122,10 +122,6 @@ pub struct LaunchScratch {
     busy: Option<((u32, u32), Vec<f64>)>,
     regs: Option<((u32, u32), f64)>,
     last: Option<(LaunchKey, Estimate)>,
-    /// Busy-weight passes, register replays and estimates run, for the
-    /// tests that count them.
-    #[cfg(test)]
-    pub(crate) passes: (u32, u32, u32),
 }
 
 /// What an estimate reads of a variant beyond its program, size and
@@ -160,10 +156,7 @@ impl LaunchScratch {
         let key = ((p.tc, p.bc, p.pl, p.sc), kernel.program.meta.clone(), kernel.smem_per_block);
         if !matches!(&self.last, Some((held, _)) if *held == key) {
             self.last = Some((key, estimate(self)));
-            #[cfg(test)]
-            {
-                self.passes.2 += 1;
-            }
+            counted(Pass::Estimated);
         }
         self.last.as_ref().expect("filled above").1.clone()
     }
@@ -201,8 +194,6 @@ impl LaunchScratch {
         self.bind(kernel, n);
         let (tc, bc) = (kernel.params.tc, kernel.params.bc);
         let busy_slot = &mut self.busy;
-        #[cfg(test)]
-        let passes = &mut self.passes;
         *last(&mut self.regs, (tc, bc), || {
             let busy = counters::busy_blocks(&kernel.index, n, tc, bc);
             if !matches!(busy_slot, Some((held, _)) if *held == (tc, busy)) {
@@ -210,15 +201,9 @@ impl LaunchScratch {
                 let mut weights = busy_slot.take().map(|(_, w)| w).unwrap_or_default();
                 counters::busy_weights(kernel, n, busy, &mut weights);
                 *busy_slot = Some(((tc, busy), weights));
-                #[cfg(test)]
-                {
-                    passes.0 += 1;
-                }
+                counted(Pass::Weighed);
             }
-            #[cfg(test)]
-            {
-                passes.1 += 1;
-            }
+            counted(Pass::Replayed);
             let (_, weights) = busy_slot.as_ref().expect("filled above");
             counters::reg_instructions(kernel, busy, weights)
         })
@@ -360,12 +345,44 @@ pub(crate) fn simulate_via(
     })
 }
 
+/// The walks of a [`LaunchScratch`] that tests count.
+#[derive(Clone, Copy)]
+enum Pass {
+    Weighed,
+    Replayed,
+    Estimated,
+}
+
+/// Counts one `pass` in this thread's tally (`tests::passes`); nothing
+/// outside tests.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn counted(pass: Pass) {
+    #[cfg(test)]
+    tests::PASSES.with(|tally| tally.update(|mut n| { n[pass as usize] += 1; n }));
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oriole_arch::Gpu;
     use oriole_codegen::{compile, TuningParams};
     use oriole_kernels::KernelId;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Busy-weight passes, register replays and estimates run by
+        /// this thread's scratches.
+        pub(super) static PASSES: Cell<[u32; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    /// `f()`, and the busy-weight passes, register replays and
+    /// estimates this thread's scratches ran in it.
+    pub(crate) fn passes<T>(f: impl FnOnce() -> T) -> (T, [u32; 3]) {
+        let before = PASSES.with(Cell::get);
+        let out = f();
+        let after = PASSES.with(Cell::get);
+        (out, std::array::from_fn(|i| after[i] - before[i]))
+    }
 
     fn run(kid: KernelId, gpu: Gpu, n: u64, tc: u32, bc: u32) -> SimReport {
         let ast = kid.ast(n);

@@ -7,21 +7,18 @@
 //!
 //! 1. **Front-end tier** — the expensive compile front-end (unroll +
 //!    lower, see [`oriole_codegen::front_end`]) is keyed by what it
-//!    reads: the kernel AST, `UIF` and `CFLAGS`. The `TC`/`BC`/`PL`/`SC`
-//!    axes don't affect lowering and the input size does only through
-//!    the AST, so the paper's 5,120-point space shares ten lowered
-//!    programs over *all* sizes for `atax`, `bicg` and `matvec2d` (their
-//!    ASTs ignore `n`) and ten per size for `ex14fj`, whose AST carries
-//!    `boundary_fraction(n)`. Each variant then pays only the cheap
-//!    param-dependent back-end ([`FrontEnd::specialize`]), once per
-//!    artifact its sizes resolve to, not once per size. A once-map
-//!    under `(size, UIF, CFLAGS)` sits in front: a hit builds no AST; a
-//!    miss builds the size's AST with `ast_builder` (a tenth of a
-//!    microsecond, which a cache in front of it only slowed down) and
-//!    looks it up by `==` among the programs of that `(UIF, CFLAGS)`.
-//!    A lowering equal to one the tier holds (a *twin*: a `UIF` or
-//!    `CFLAGS` that changed no instruction) adopts its program and
-//!    index ([`FrontEnd::adopt`]).
+//!    reads. The `TC`/`BC`/`PL`/`SC` axes don't affect lowering and the
+//!    input size does only through the AST, so each variant pays only
+//!    the cheap back-end ([`FrontEnd::specialize`]), once per artifact
+//!    its sizes resolve to. A once-map under `(size, UIF, CFLAGS)` sits
+//!    in front: a hit builds no AST; a miss builds the size's AST (a
+//!    tenth of a microsecond) and looks the name up by `==`. A new name
+//!    is unrolled and keyed ([`LowerKey`]: the unrolled AST, and
+//!    `CFLAGS` only when an op of it reads the flag); a held key yields
+//!    a *twin* on the held program, index and register allocation
+//!    ([`Unrolled::twin`]), and only a new key lowers. On K20 the paper
+//!    space lowers five programs over all sizes for `atax`, `bicg` and
+//!    `matvec2d` and two per size for `ex14fj`.
 //! 2. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key `OnceLock` instead of recomputing, so revisits by
@@ -59,8 +56,9 @@ use crate::once_map::ShardedOnceMap;
 use crate::space::SearchSpace;
 use oriole_arch::GpuSpec;
 use oriole_codegen::{
-    front_end, CompileError, CompiledKernel, CompilerFlags, FrontEnd, PhaseTelemetry, TuningParams,
+    CompileError, CompiledKernel, CompilerFlags, FrontEnd, PhaseTelemetry, TuningParams, Unrolled,
 };
+use oriole_codegen::compile::LowerKey;
 use oriole_ir::KernelAst;
 use oriole_sim::{LaunchScratch, ModelContext, ModelId, TrialProtocol};
 use std::borrow::{Borrow, BorrowMut};
@@ -152,78 +150,70 @@ impl Measurement {
 /// `UIF`).
 pub(crate) type FeArtifact = Result<FrontEnd, CompileError>;
 
-/// How a tuning point names a compile front-end: `(size, UIF, CFLAGS)`
-/// (`gpu` is fixed per tier). Names whose ASTs are equal share one
-/// artifact ([`Lowered`]).
-type FrontEndKey = (u64, u32, CompilerFlags);
+/// A tier entry: what it is found by, and its artifact — behind a cell,
+/// so it is built once and nobody lowers under a lock.
+type Entry<K> = Arc<(K, OnceLock<Arc<FeArtifact>>)>;
 
-/// One program of a tier: the `(UIF, CFLAGS)` and AST `front_end` read,
-/// and the artifact it returned — behind a cell, so two workers at two
-/// sizes of one program lower it once and nobody lowers under a lock.
-type Lowered = ((u32, CompilerFlags), KernelAst, OnceLock<Arc<FeArtifact>>);
+/// `list`'s entry for `key`, added the first time it is asked for.
+fn entry<K: PartialEq>(list: &Mutex<Vec<Entry<K>>>, key: K) -> Entry<K> {
+    let mut list = list.lock().expect("nothing is built under this lock");
+    if let Some(held) = list.iter().find(|e| e.0 == key) {
+        return Arc::clone(held);
+    }
+    list.push(Arc::new((key, OnceLock::new())));
+    Arc::clone(list.last().expect("pushed above"))
+}
 
 /// The front-end artifact cache (scope: one kernel × device). What it
 /// has cost is read off the artifacts it holds, not counted beside them.
 #[derive(Default)]
 pub(crate) struct FeTier {
-    map: ShardedOnceMap<FrontEndKey, Arc<FeArtifact>>,
-    /// Every program lowered so far (the paper space: ten, or ten per
-    /// size), searched by `==` on a miss of `map`.
-    programs: Mutex<Vec<Arc<Lowered>>>,
+    /// Artifacts by `(size, UIF, CFLAGS)`; `gpu` is fixed per tier.
+    map: ShardedOnceMap<(u64, u32, CompilerFlags), Arc<FeArtifact>>,
+    /// Every name so far by its `(UIF, CFLAGS)` and AST (the paper
+    /// space: ten, or ten per size), searched on a miss of `map`.
+    names: Mutex<Vec<Entry<(u32, CompilerFlags, KernelAst)>>>,
+    /// Every lowering so far by its key, and the artifact that ran it.
+    lowered: Mutex<Vec<Entry<LowerKey>>>,
 }
 
 impl FeTier {
-    /// The tier's entry for the program `(ast, uif, cflags)`, added if
-    /// this is the first time it is asked for.
-    fn program(&self, uif: u32, cflags: CompilerFlags, ast: KernelAst) -> Arc<Lowered> {
-        let mut programs = self.programs.lock().expect("no lowering runs under this lock");
-        if let Some(held) = programs.iter().find(|p| p.0 == (uif, cflags) && p.1 == ast) {
-            return Arc::clone(held);
+    /// The artifact of `(uif, cflags)` for `ast` on `gpu`: a twin of a
+    /// held lowering of its key, else a lowering of its own.
+    fn resolve(&self, ast: &KernelAst, gpu: &GpuSpec, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
+        let unrolled = match Unrolled::new(ast, uif, cflags) {
+            Ok(unrolled) => unrolled,
+            Err(rejected) => return Arc::new(Err(rejected)),
+        };
+        let program = entry(&self.lowered, unrolled.key().clone());
+        let mut lowered_here = false;
+        let held = program.1.get_or_init(|| {
+            lowered_here = true;
+            Arc::new(Ok(unrolled.lower(gpu)))
+        });
+        match &**held {
+            Ok(lowering) if !lowered_here => Arc::new(Ok(unrolled.twin(lowering).expect("a held key is equal"))),
+            _ => Arc::clone(held),
         }
-        programs.push(Arc::new(((uif, cflags), ast, OnceLock::new())));
-        Arc::clone(programs.last().expect("pushed above"))
     }
 
-    /// `fe`, adopting a held twin's program and index if there is one;
-    /// the deep compare runs on a snapshot, outside the lock.
-    fn adopt_twin(&self, mut fe: FrontEnd) -> FrontEnd {
-        let held = self.programs.lock().expect("no lowering runs under this lock").clone();
-        for lowered in held.iter().filter_map(|p| p.2.get()) {
-            if matches!(&**lowered, Ok(twin) if fe.adopt(twin)) {
-                break;
-            }
-        }
-        fe
-    }
-
-    /// `f` summed over the artifacts lowered so far: a rejected `UIF`
-    /// (`Err`) never reached unroll or lower, and a program still being
-    /// lowered holds nothing yet.
-    fn sum_lowered<T: std::iter::Sum>(&self, mut f: impl FnMut(&FrontEnd) -> T) -> T {
-        let programs = self.programs.lock().expect("no lowering runs under this lock");
-        programs
+    /// What building the tier's artifacts cost, phase by phase: a
+    /// rejected `UIF` (`Err`) ran nothing, a name being resolved holds
+    /// nothing yet, and a twin ran its unroll only.
+    pub(crate) fn phases(&self) -> PhaseTelemetry {
+        let names = self.names.lock().expect("nothing is built under this lock");
+        names
             .iter()
-            .filter_map(|p| match p.2.get().map(Arc::as_ref) {
-                Some(Ok(fe)) => Some(f(fe)),
+            .filter_map(|p| match p.1.get().map(Arc::as_ref) {
+                Some(Ok(fe)) => Some(fe.phases()),
                 _ => None,
             })
             .sum()
     }
 
-    /// Compile front-ends (unroll + lower) run: one per artifact.
+    /// Compile front-ends lowered: one per distinct key.
     pub(crate) fn lowerings(&self) -> usize {
-        self.sum_lowered(|_| 1)
-    }
-
-    /// Distinct programs among the lowerings: twins share one index.
-    pub(crate) fn programs(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        self.sum_lowered(|fe| usize::from(seen.insert(Arc::as_ptr(fe.index()))))
-    }
-
-    /// What building the tier's artifacts cost, phase by phase.
-    pub(crate) fn phases(&self) -> PhaseTelemetry {
-        self.sum_lowered(FrontEnd::phases)
+        self.phases().lower_calls as usize
     }
 }
 
@@ -289,10 +279,8 @@ impl MeasTier {
 pub struct EvalStats {
     /// Distinct tuning points measured (cache misses).
     pub unique_evaluations: usize,
-    /// Compile front-ends (unroll + lower) actually run.
+    /// Compile front-ends lowered: twins, proven before lowering, share one.
     pub front_end_lowerings: usize,
-    /// Distinct programs among them: `UIF` / `CFLAGS` twins share one.
-    pub front_end_programs: usize,
     /// Measurements pre-seeded into this tier from the store's disk
     /// tier (0 for memory-only evaluators).
     pub disk_loaded: usize,
@@ -427,11 +415,10 @@ impl<'a> Evaluator<'a> {
         self.cache.unique_evaluations()
     }
 
-    /// Number of compile front-ends (unroll + lower) actually run — one
-    /// per distinct `(AST, UIF, CFLAGS)`, twins included, however many points
-    /// and input sizes are evaluated: a builder that ignores `n` lowers
-    /// once per `(UIF, CFLAGS)` for all sizes (tier-wide, like
-    /// [`Evaluator::unique_evaluations`]).
+    /// Lowerings actually run, tier-wide like
+    /// [`Evaluator::unique_evaluations`]: one per key of what lowering
+    /// reads, however many points, sizes and names share it — a twin is
+    /// proven before lowering and lowers nothing.
     pub fn front_end_lowerings(&self) -> usize {
         self.front_ends.lowerings()
     }
@@ -441,7 +428,6 @@ impl<'a> Evaluator<'a> {
         EvalStats {
             unique_evaluations: self.unique_evaluations(),
             front_end_lowerings: self.front_end_lowerings(),
-            front_end_programs: self.front_ends.programs(),
             disk_loaded: self.cache.disk_loaded(),
             disk_spilled: self.cache.disk_spilled(),
             model: self.ctx.model_id(),
@@ -467,23 +453,15 @@ impl<'a> Evaluator<'a> {
         h
     }
 
-    /// The cached compile front-end for `(n, uif, cflags)`; a miss
-    /// builds the size's AST and lowers it unless an equal one already
-    /// was, at whatever size.
-    fn front_end_for(&self, n: u64, uif: u32, cflags: CompilerFlags) -> Arc<FeArtifact> {
-        let tier = &*self.front_ends;
-        tier.map.get_or_init((n, uif, cflags), || {
-            let program = tier.program(uif, cflags, (self.ast_builder)(n));
-            let (_, ast, artifact) = &*program;
-            Arc::clone(artifact.get_or_init(|| {
-                Arc::new(front_end(ast, self.gpu, uif, cflags).map(|fe| tier.adopt_twin(fe)))
-            }))
-        })
-    }
-
-    /// The artifacts of `(uif, cflags)`, one per input size.
+    /// The cached front-ends of `(uif, cflags)`, one per input size; a
+    /// miss builds the size's AST, and unrolls and keys it unless an
+    /// equal one already was, at whatever size.
     fn artifacts(&self, uif: u32, cflags: CompilerFlags) -> impl Iterator<Item = Arc<FeArtifact>> + '_ {
-        self.sizes.iter().map(move |&n| self.front_end_for(n, uif, cflags))
+        let tier = &*self.front_ends;
+        self.sizes.iter().map(move |&n| tier.map.get_or_init((n, uif, cflags), || {
+            let name = entry(&tier.names, (uif, cflags, (self.ast_builder)(n)));
+            Arc::clone(name.1.get_or_init(|| tier.resolve(&name.0 .2, self.gpu, uif, cflags)))
+        }))
     }
 
     /// The one miss routine: measures `params` over `per_size`, the
@@ -735,27 +713,23 @@ mod tests {
     #[test]
     fn front_end_runs_once_per_size_uif_cflags_over_fig3_space() {
         // Acceptance criterion: sweeping the paper's full 5,120-point
-        // Fig. 3 space performs at most one front-end lowering per
-        // distinct (size, UIF, CFLAGS) key — here 1 × 5 × 2 = 10 for
-        // 5,120 evaluated points.
+        // Fig. 3 space lowers once per distinct key of what lowering
+        // reads. ATAX holds no op `CFLAGS` reaches, so its 1 × 5 × 2
+        // (size, UIF, CFLAGS) names make 5 keys.
         let sizes = [64u64];
         let ev = evaluator(&sizes);
         let space = SearchSpace::paper_default();
         let measurements = ev.evaluate_space(&space);
         assert_eq!(measurements.len(), 5120);
         assert_eq!(ev.unique_evaluations(), 5120);
-        let distinct_keys = sizes.len() * space.uif.len() * space.cflags.len();
-        assert!(
-            ev.front_end_lowerings() <= distinct_keys,
-            "{} front-end lowerings for {} distinct (size, UIF, CFLAGS) keys",
-            ev.front_end_lowerings(),
-            distinct_keys
-        );
+        let keys = sizes.len() * space.uif.len();
+        assert_eq!(ev.front_end_lowerings(), keys);
+        assert_eq!(ev.stats().phases.unroll_calls as usize, keys * space.cflags.len());
         // Warm traversal adds neither lowerings nor evaluations.
         let again = ev.evaluate_space(&space);
         assert_eq!(again, measurements);
         assert_eq!(ev.unique_evaluations(), 5120);
-        assert_eq!(ev.front_end_lowerings(), distinct_keys);
+        assert_eq!(ev.front_end_lowerings(), keys);
     }
 
     #[test]

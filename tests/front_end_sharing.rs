@@ -1,17 +1,22 @@
-//! A front-end artifact is keyed by what `front_end` reads — the kernel
-//! AST, `UIF`, `CFLAGS` — not by the input size a point happened to be
-//! evaluated at: sizes whose ASTs are equal share one lowering, sizes
-//! whose ASTs differ never do, and sharing changes no bit of any answer.
-//! An artifact holds one index, which every consumer of every variant
-//! it stamps out shares. Twins — keys whose `UIF` or `CFLAGS` changed no
-//! instruction — are still lowered once each but hold one program and
-//! one index between them, and measure exactly as a tier-free reference
-//! (`compile` and a fresh scratch per launch) does.
+//! A lowering is keyed by what it reads — the unrolled AST, and
+//! `CFLAGS` only where an op of that AST reads it — not by the input
+//! size a point happened to be evaluated at, nor by a `UIF` or `CFLAGS`
+//! that changes nothing it reads: sizes whose ASTs are equal share one
+//! lowering, sizes whose ASTs differ never do, and sharing changes no
+//! bit of any answer. An artifact holds one index, which every consumer
+//! of every variant it stamps out shares. Twins — names of one key —
+//! are proven before lowering: one lowering, one program and one index
+//! between them, exactly as many lowerings as `compile` makes distinct
+//! programs, and every point measures as a tier-free reference
+//! (`compile` and a fresh scratch per launch) does. The key itself is
+//! property-checked: equal keys lower to equal programs and indexes.
 
-use oriole::arch::Gpu;
-use oriole::codegen::{compile, front_end, CompilerFlags, TuningParams};
+use oriole::arch::{Family, Gpu};
+use oriole::codegen::{compile, front_end, unroll, CompilerFlags, TuningParams, Unrolled};
 use oriole::core::analyze;
-use oriole::ir::KernelAst;
+use oriole::ir::lower::{lower_indexed, reads_fast_math, LowerOptions};
+use oriole::ir::testgen::{self, check};
+use oriole::ir::{KernelAst, Program};
 use oriole::kernels::KernelId;
 use oriole::sim::{dynamic_mix, simulate, LaunchScratch, ModelContext};
 use oriole::tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
@@ -22,19 +27,19 @@ use std::sync::{Arc, Barrier};
 /// `per_size_ms` entry, bit for bit, against an evaluator that only ever
 /// saw that one size (and so shared nothing across sizes). Returns the
 /// multi-size evaluator's lowering count, after checking that its store
-/// ran unroll, lower (the one index build) and register allocation
-/// exactly once for each.
+/// ran lower (the one index build) and register allocation exactly once
+/// for each, and unroll once per distinct `(AST, UIF, CFLAGS)` name.
 fn lowerings_of_a_checked_sweep(builder: &(dyn Fn(u64) -> KernelAst + Sync), sizes: &[u64]) -> usize {
     let gpu = Gpu::K20.spec();
     let space = SearchSpace::paper_default();
-    let keys = space.uif.len() * space.cflags.len();
+    let names = space.uif.len() * space.cflags.len();
     let all = Evaluator::new(builder, gpu, sizes);
     let together = all.evaluate_space(&space);
     assert_eq!(together.len(), 5120);
     for (at, n) in sizes.iter().enumerate() {
         let alone = Evaluator::new(builder, gpu, std::slice::from_ref(n));
         let apart = alone.evaluate_space(&space);
-        assert_eq!(alone.front_end_lowerings(), keys, "one size, one program per key");
+        assert_eq!(alone.stats().phases.unroll_calls as usize, names, "one size, one unroll per name");
         for (m, single) in together.iter().zip(&apart) {
             // The sweep ends a point at its first infeasible size; the
             // paper kernels are feasible or not at every size alike.
@@ -47,33 +52,33 @@ fn lowerings_of_a_checked_sweep(builder: &(dyn Fn(u64) -> KernelAst + Sync), siz
     }
     let stats = all.stats();
     let (n, p) = (stats.front_end_lowerings as u64, stats.phases);
-    assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (n, n, n));
+    assert_eq!((p.lower_calls, p.regalloc_calls), (n, n));
     all.front_end_lowerings()
 }
 
 #[test]
 fn a_program_is_lowered_once_for_every_size_that_builds_it() {
-    // ATAX's builder ignores `n`: ten lowerings (5 UIF × 2 CFLAGS) serve
-    // all five sizes. Ex14FJ's AST carries `boundary_fraction(n)`, a
-    // different AST per size: ten lowerings each. (How many distinct
-    // programs those lowerings make is the census below.)
+    // ATAX's builder ignores `n`: five lowerings (5 UIF; no op of ATAX
+    // reads CFLAGS) serve all five sizes. Ex14FJ's AST carries
+    // `boundary_fraction(n)`, a different AST per size: two lowerings
+    // each (2 CFLAGS; it has no loop for UIF to unroll).
     let atax = |n: u64| KernelId::Atax.ast(n);
-    assert_eq!(lowerings_of_a_checked_sweep(&atax, &KernelId::Atax.input_sizes()), 10);
+    assert_eq!(lowerings_of_a_checked_sweep(&atax, &KernelId::Atax.input_sizes()), 5);
     let ex14fj = |n: u64| KernelId::Ex14Fj.ast(n);
-    assert_eq!(lowerings_of_a_checked_sweep(&ex14fj, &KernelId::Ex14Fj.input_sizes()), 50);
+    assert_eq!(lowerings_of_a_checked_sweep(&ex14fj, &KernelId::Ex14Fj.input_sizes()), 10);
 }
 
 #[test]
 fn a_builder_that_changes_at_one_size_lowers_two_programs_per_key() {
     // Ex14FJ pinned to one boundary fraction everywhere but at the third
-    // size: two distinct ASTs over five sizes, so two lowerings per
-    // `(UIF, CFLAGS)` — and the odd size gets its own program's numbers,
-    // not its neighbours' (the bit check inside).
+    // size: two distinct ASTs over five sizes, so two lowerings per key
+    // — and the odd size gets its own program's numbers, not its
+    // neighbours' (the bit check inside).
     let sizes = KernelId::Ex14Fj.input_sizes();
     let odd = sizes[2];
     let builder = move |n: u64| KernelId::Ex14Fj.ast(if n == odd { odd } else { sizes[0] });
     assert_ne!(builder(odd), builder(sizes[1]));
-    assert_eq!(lowerings_of_a_checked_sweep(&builder, &sizes), 20);
+    assert_eq!(lowerings_of_a_checked_sweep(&builder, &sizes), 4);
 }
 
 #[test]
@@ -137,21 +142,22 @@ fn front_end_builds_index_exactly_once() {
     let p = fe.phases();
     assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (1, 1, 1));
 
-    // One artifact per program: a sweep over three kernels' front-end
-    // keys lowers — and so indexes — each program once, then never
-    // again on the warm sweep.
+    // One lowering per key: a sweep over three kernels' front-end
+    // names lowers — and so indexes — each key once (ex14fj's three
+    // `UIF`s are one key: it has no loop to unroll), then never again
+    // on the warm sweep.
     let store = ArtifactStore::new();
     let space = SearchSpace { uif: vec![1, 2, 4], ..SearchSpace::tiny() };
-    for kernel in [KernelId::Atax, KernelId::Bicg, KernelId::Ex14Fj] {
+    for (kernel, keys) in [(KernelId::Atax, 3), (KernelId::Bicg, 3), (KernelId::Ex14Fj, 1)] {
         let builder = move |n: u64| kernel.ast(n);
         let ev = store.evaluator(kernel.name(), &builder, gpu, &sizes);
         ev.evaluate_space(&space);
         let cold = ev.stats();
         ev.evaluate_space(&space);
         assert_eq!(ev.stats(), cold, "a warm sweep lowers nothing");
-        let keys = space.uif.len() * space.cflags.len();
         assert_eq!(cold.front_end_lowerings, keys, "{kernel}");
-        assert_eq!(cold.phases.lower_calls, keys as u64, "{kernel}");
+        let p = cold.phases;
+        assert_eq!((p.unroll_calls, p.lower_calls), (space.uif.len() as u64, keys as u64), "{kernel}");
     }
     let stats = store.stats();
     assert_eq!(stats.phases.lower_calls, stats.front_end_lowerings as u64);
@@ -205,32 +211,82 @@ fn tier_free(kernel: KernelId, ctx: &ModelContext, sizes: &[u64], p: TuningParam
     m
 }
 
+/// Distinct programs `compile` makes of `kernel`'s `(size, UIF,
+/// CFLAGS)` names in `space` on K20, no tier asked.
+fn distinct_programs(kernel: KernelId, space: &SearchSpace) -> usize {
+    let mut programs: Vec<Program> = Vec::new();
+    for n in kernel.input_sizes() {
+        for (&uif, &cflags) in space.uif.iter().flat_map(|u| space.cflags.iter().map(move |c| (u, c))) {
+            let p = TuningParams { uif, cflags, ..TuningParams::with_geometry(128, 48) };
+            let k = compile(&kernel.ast(n), Gpu::K20.spec(), p).expect("128 x 48 compiles");
+            if !programs.contains(&k.program) {
+                programs.push(k.program);
+            }
+        }
+    }
+    programs.len()
+}
+
 #[test]
 fn twins_share_one_index_and_measure_as_a_tier_free_reference_does() {
-    // The census of the paper space on K20: `-use_fast_math` changes no
-    // instruction of atax, bicg and matvec2d (five programs of ten
-    // lowerings), and `UIF` none of ex14fj (two of ten per size).
+    // The census of the paper space on K20: no op of atax, bicg or
+    // matvec2d reads `-use_fast_math` (five programs, five lowerings,
+    // of ten names), and ex14fj has no loop for `UIF` to unroll (two of
+    // ten per size). The lowerings are counted by the tier, the
+    // programs by `compile` alone.
     let gpu = Gpu::K20.spec();
     let ctx = ModelContext::new(gpu);
     let space = SearchSpace::paper_default();
-    for (kernel, census) in [
-        (KernelId::Atax, (10, 5)),
-        (KernelId::Bicg, (10, 5)),
-        (KernelId::MatVec2D, (10, 5)),
-        (KernelId::Ex14Fj, (50, 10)),
+    for (kernel, census, names) in [
+        (KernelId::Atax, (5, 5), 10),
+        (KernelId::Bicg, (5, 5), 10),
+        (KernelId::MatVec2D, (5, 5), 10),
+        (KernelId::Ex14Fj, (10, 10), 50),
     ] {
         let builder = move |n: u64| kernel.ast(n);
         let sizes = kernel.input_sizes();
         let ev = Evaluator::new(&builder, gpu, &sizes);
         let swept = ev.evaluate_space(&space);
         let stats = ev.stats();
-        assert_eq!((stats.front_end_lowerings, stats.front_end_programs), census, "{kernel}");
+        assert_eq!((stats.front_end_lowerings, distinct_programs(kernel, &space)), census, "{kernel}");
         let p = stats.phases;
         let n = census.0 as u64;
-        assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (n, n, n), "{kernel}");
+        assert_eq!((p.unroll_calls, p.lower_calls, p.regalloc_calls), (names, n, n), "{kernel}");
         for m in &swept {
             let reference = tier_free(kernel, &ctx, &sizes, m.params);
             assert_eq!(measurement_bits(m), measurement_bits(&reference), "{kernel} {:?}", m.params);
         }
     }
+}
+
+#[test]
+fn equal_keys_lower_to_equal_programs_and_indexes() {
+    // Random ASTs × `UIF` 1–5 × `CFLAGS`: every pair of names whose keys
+    // are equal lowers to one program and one index, and an unrolled AST
+    // with no op that reads `-use_fast_math` lowers alike with it on and
+    // off. The names' own `CFLAGS` are lowered, not the key's.
+    check("equal_keys_lower_to_equal_programs_and_indexes", 192, |rng| {
+        let ast = testgen::kernel(rng, "key_kernel");
+        let family = rng.pick(&[Family::Fermi, Family::Kepler, Family::Maxwell, Family::Pascal]);
+        let mut lowered = Vec::new();
+        for uif in 1..=5 {
+            let unrolled = unroll(&ast, uif);
+            for fast_math in [false, true] {
+                let name = Unrolled::new(&ast, uif, CompilerFlags { fast_math }).expect("valid unroll factor");
+                let program = lower_indexed(&unrolled, family, LowerOptions { fast_math });
+                lowered.push(((uif, fast_math), name, program));
+            }
+            if !reads_fast_math(&unrolled) {
+                let pair = &lowered[lowered.len() - 2..];
+                assert_eq!(pair[0].2, pair[1].2, "UIF {uif}: no fast-math op, yet the flag changed the lowering");
+            }
+        }
+        for (at, (label, name, program)) in lowered.iter().enumerate() {
+            for (other_label, other_name, other) in &lowered[at + 1..] {
+                if name.key() == other_name.key() {
+                    assert_eq!(program, other, "{label:?} and {other_label:?}: equal keys, different lowerings");
+                }
+            }
+        }
+    });
 }

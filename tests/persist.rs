@@ -222,9 +222,10 @@ fn warm_from_disk_resweep_recomputes_nothing() {
     // One AST build per front-end name `(size, UIF, CFLAGS)` resolved,
     // none on a hit — and one lowering per program: ATAX's AST is the
     // same at both sizes, so the second size's ASTs only find the first's
-    // artifacts.
-    let lowerings = space.uif.len() * space.cflags.len();
-    let asts = sizes.len() * lowerings;
+    // artifacts, and no op of it reads `CFLAGS`, so one lowering serves
+    // both flags.
+    let lowerings = space.uif.len();
+    let asts = sizes.len() * space.uif.len() * space.cflags.len();
     assert_eq!(
         (asts_built.load(Ordering::Relaxed), evaluator.front_end_lowerings()),
         (asts, lowerings)
