@@ -57,7 +57,7 @@ fn forward_moves(program: &mut Program) -> usize {
         let mut alias: HashMap<Reg, Reg> = HashMap::new();
         for instr in &mut block.instrs {
             // Rewrite sources through the alias map (resolving chains).
-            for src in &mut instr.srcs {
+            for src in instr.srcs.iter_mut() {
                 if let Operand::Reg(r) = src {
                     let mut cur = *r;
                     let mut hops = 0;
@@ -160,12 +160,10 @@ mod tests {
     #[test]
     fn alias_resolution_order_is_pinned() {
         let mov = |d: u32, s: u32| {
-            Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(Reg(d)), vec![Operand::Reg(
-                Reg(s),
-            )])
+            Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(Reg(d)), [Operand::Reg(Reg(s))])
         };
         let add = |d: u32, a: u32, b: u32| {
-            Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(Reg(d)), vec![
+            Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(Reg(d)), [
                 Operand::Reg(Reg(a)),
                 Operand::Reg(Reg(b)),
             ])
@@ -197,7 +195,7 @@ mod tests {
         };
         let forwarded = forward_moves(&mut program);
         let srcs: Vec<Vec<Operand>> =
-            program.blocks[0].instrs.iter().map(|i| i.srcs.clone()).collect();
+            program.blocks[0].instrs.iter().map(|i| i.srcs.to_vec()).collect();
         let r = |n: u32| Operand::Reg(Reg(n));
         assert_eq!(srcs, vec![
             vec![r(0)],       // mov %1, %0 untouched

@@ -11,12 +11,15 @@
 //!   are extended to the loop end, as a rotating allocator would keep
 //!   them resident;
 //! * peak overlap plus a fixed system reserve (thread-index registers,
-//!   parameter pointers, ABI scratch) is the reported figure;
+//!   parameter pointers, ABI scratch) is the reported figure. The peak
+//!   is one prefix sum over a per-position delta array (+1 at a def,
+//!   −1 after a last use): linear in the program's positions, with no
+//!   event list to sort;
 //! * demand beyond the per-thread architectural cap spills: each
 //!   overflowed register becomes 4 bytes of local memory, which the
 //!   simulator charges as extra global-latency traffic.
 
-use oriole_ir::{BlockId, Program, Terminator};
+use oriole_ir::{Program, Terminator};
 
 /// Registers the ABI reserves outside allocatable program values
 /// (thread/block indices, parameter base pointers, stack pointer).
@@ -54,8 +57,32 @@ pub fn allocate(program: &Program, max_regs_per_thread: u32) -> RegAllocation {
 /// Sentinel for registers never seen in the program.
 const UNSEEN: usize = usize::MAX;
 
-/// Peak number of simultaneously live virtual registers in linear order.
+/// Peak number of simultaneously live virtual registers in linear order:
+/// +1 at each range's def and −1 after its last use, summed in one
+/// prefix sweep over the dense positions. The live count after a
+/// position's last change is the most it reaches there (an end and a
+/// start at one position cancel), so this is the peak of a sorted event
+/// sweep without the events or the sort.
 fn peak_pressure(program: &Program) -> u32 {
+    let (ranges, positions) = live_ranges(program);
+    let mut delta = vec![0i32; positions + 1];
+    for (def, last_use) in ranges {
+        delta[def] += 1;
+        delta[last_use + 1] -= 1;
+    }
+    let mut live = 0i32;
+    let mut peak = 0i32;
+    for d in delta {
+        live += d;
+        peak = peak.max(live);
+    }
+    peak as u32
+}
+
+/// Every register's live range `(def, last use)` in linear positions —
+/// one per instruction and one per block terminator — with the
+/// loop-carried extension applied, and the number of positions.
+fn live_ranges(program: &Program) -> (impl Iterator<Item = (usize, usize)>, usize) {
     // Dense def/last-use position maps indexed by register number —
     // lowering assigns small dense ids, so a flat Vec beats hashing.
     let nregs = program
@@ -75,24 +102,16 @@ fn peak_pressure(program: &Program) -> u32 {
     for block in &program.blocks {
         let start = pos;
         for instr in &block.instrs {
-            if let Some(d) = instr.def() {
-                let r = d.0 as usize;
+            // A register lives from where it is first seen — defined,
+            // or used without a def (parser input) — to its last use.
+            for r in instr.def().into_iter().chain(instr.uses()) {
+                let r = r.0 as usize;
                 if def_pos[r] == UNSEEN {
-                    def_pos[r] = pos;
-                }
-                // A def is also the start of its own liveness.
-                if last_use[r] == UNSEEN {
-                    last_use[r] = pos;
+                    (def_pos[r], last_use[r]) = (pos, pos);
                 }
             }
             for u in instr.uses() {
-                let r = u.0 as usize;
-                last_use[r] = pos;
-                // Uses of registers never defined (parser input) start
-                // life at first sight.
-                if def_pos[r] == UNSEEN {
-                    def_pos[r] = pos;
-                }
+                last_use[u.0 as usize] = pos;
             }
             pos += 1;
         }
@@ -112,46 +131,22 @@ fn peak_pressure(program: &Program) -> u32 {
         }
     };
     for (i, block) in program.blocks.iter().enumerate() {
-        if let Terminator::LoopBack { target, .. } = &block.term {
-            let latch_end = block_span[i].1;
-            let body_start = block_span[target.0 as usize].0;
-            extend(&mut last_use, body_start, latch_end);
-        }
-        if let Terminator::CondBranch { taken, fallthrough, .. } = &block.term {
-            // Back edge expressed as a plain conditional branch (e.g.
-            // parsed listings): same extension.
-            for t in [taken, fallthrough] {
-                if back_edge(program, BlockId(i as u32), *t) {
-                    let latch_end = block_span[i].1;
-                    let body_start = block_span[t.0 as usize].0;
-                    extend(&mut last_use, body_start, latch_end);
-                }
+        // A loop's back edge, or one expressed as a plain conditional
+        // branch (e.g. parsed listings) to this block or one before it.
+        let back_edges = match block.term {
+            Terminator::LoopBack { target, .. } => [Some(target), None],
+            Terminator::CondBranch { taken, fallthrough, .. } => {
+                [taken, fallthrough].map(|t| (t.0 as usize <= i).then_some(t))
             }
+            _ => [None, None],
+        };
+        for target in back_edges.into_iter().flatten() {
+            extend(&mut last_use, block_span[target.0 as usize].0, block_span[i].1);
         }
     }
 
-    // Sweep: +1 at def, −1 after last use.
-    let mut events: Vec<(usize, i32)> = Vec::with_capacity(nregs * 2);
-    for (def, lu) in def_pos.iter().zip(last_use.iter()) {
-        if *def == UNSEEN {
-            continue;
-        }
-        events.push((*def, 1));
-        events.push((lu + 1, -1));
-    }
-    events.sort_unstable();
-    let mut live = 0i32;
-    let mut peak = 0i32;
-    for (_, delta) in events {
-        live += delta;
-        peak = peak.max(live);
-    }
-    peak.max(0) as u32
-}
-
-/// Whether `to` precedes `from` in block order (a backward edge).
-fn back_edge(_program: &Program, from: BlockId, to: BlockId) -> bool {
-    to <= from
+    let ranges = def_pos.into_iter().zip(last_use).filter(|&(def, _)| def != UNSEEN);
+    (ranges, pos)
 }
 
 #[cfg(test)]
@@ -253,5 +248,35 @@ mod tests {
                 a.regs_per_thread
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use oriole_arch::Gpu;
+    use oriole_ir::lower::{lower, LowerOptions};
+    use oriole_ir::testgen::{check, kernel};
+
+    /// `allocate` against a brute-force count of the registers live at
+    /// every position of the same live ranges, with the reserve and the
+    /// device cap applied by hand.
+    #[test]
+    fn prefix_sweep_matches_a_per_position_live_count() {
+        check("prefix_sweep_matches_a_per_position_live_count", 64, |rng| {
+            let ast = kernel(rng, "regalloc_prop");
+            let ast = crate::transform::unroll(&ast, rng.range_u64(1, 5) as u32);
+            let gpu = rng.pick(&[Gpu::M2050, Gpu::K20]).spec();
+            let program = lower(&ast, gpu.family, LowerOptions { fast_math: rng.coin() });
+            let (ranges, positions) = live_ranges(&program);
+            let ranges: Vec<(usize, usize)> = ranges.collect();
+            let live_at = |p: usize| ranges.iter().filter(|&&(d, l)| d <= p && p <= l).count();
+            let peak = (0..positions).map(live_at).max().unwrap_or(0);
+            let demand = SYSTEM_RESERVED_REGS + peak as u32;
+            let regs_per_thread = demand.min(gpu.regs_per_thread_max);
+            let spill_bytes = (demand - regs_per_thread) * 4;
+            let expected = RegAllocation { regs_per_thread, demand, spill_bytes };
+            assert_eq!(allocate(&program, gpu.regs_per_thread_max), expected);
+        });
     }
 }

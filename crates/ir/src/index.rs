@@ -19,7 +19,12 @@
 //!   issue events with their service parameters), a **register tape**
 //!   (the mix tape's register-file multipliers alone), the instruction
 //!   count, the terminator class, and the block's weight at problem
-//!   size zero when no launch geometry moves it;
+//!   size zero when no launch geometry moves it. The three tapes of
+//!   every block sit end to end in three index-wide buffers, in block
+//!   order; a summary addresses its stretch by instruction range
+//!   ([`ProgramIndex::mix_tape`], [`ProgramIndex::profile_tape`],
+//!   [`ProgramIndex::reg_tape`]), so an index makes a handful of
+//!   allocations whatever its block count;
 //! * the grid-stride trip expressions (for busy-thread math) and the
 //!   [`has_divergence`](ProgramIndex::has_divergence) flag.
 //!
@@ -56,6 +61,7 @@ use crate::block::{BlockId, FreqExpr, Program, Terminator};
 use crate::count::{LaunchGeometry, MixCounts};
 use crate::isa::OpKind;
 use oriole_arch::OpClass;
+use std::ops::Range;
 
 /// Terminator classification carried by a [`BlockSummary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,24 +108,16 @@ pub enum ProfileEvent {
     },
 }
 
-/// Per-block instruction summary: the precomputed tapes analysis phases
-/// replay instead of iterating `Instr` vectors.
+/// Per-block instruction summary: the block's place in the index's
+/// tapes, which analysis phases replay instead of iterating `Instr`
+/// vectors, and the facts about it they read per block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSummary {
     /// Number of straight-line instructions in the block.
     pub instr_count: usize,
-    /// Mix tape: `(op_class, multiplier)` pairs. Replaying
-    /// `record(class, weight * multiplier)` over the tape reproduces the
-    /// walk-based mix bit-exactly (instruction entries carry multiplier
-    /// 1.0; register-file entries carry the access count).
-    pub mix_tape: Vec<(OpClass, f64)>,
-    /// Profile tape: one event per instruction, in program order.
-    pub profile_tape: Vec<ProfileEvent>,
-    /// Register tape: the multipliers of the mix tape's `Regs` entries,
-    /// in its order. Replaying `regs += weight * m` over it gives the
-    /// register class of a mix replay bit-exactly, without the other
-    /// fourteen.
-    pub reg_tape: Vec<f64>,
+    /// Index of the block's first instruction among the program's, in
+    /// block order: where its stretch of every tape begins.
+    first_instr: usize,
     /// The block's thread-level frequency with the problem size zeroed,
     /// `freq.eval_expected(0, tc, bc)`, when it is the same at every
     /// launch geometry; `None` when a grid-stride or block-share trip
@@ -135,6 +133,11 @@ impl BlockSummary {
     /// but `Ret`).
     pub fn has_ctrl(&self) -> bool {
         !matches!(self.term, TermClass::Ret)
+    }
+
+    /// The block's instructions as positions in the index-wide tapes.
+    fn instrs(&self) -> Range<usize> {
+        self.first_instr..self.first_instr + self.instr_count
     }
 }
 
@@ -162,6 +165,13 @@ pub struct ProgramIndex {
     /// region to reconverge).
     regions: Vec<DivRegion>,
     summaries: Vec<BlockSummary>,
+    /// Every block's mix tape, end to end: two entries per instruction.
+    mix_tape: Vec<(OpClass, f64)>,
+    /// Every block's profile tape, end to end: one event per instruction.
+    profile_tape: Vec<ProfileEvent>,
+    /// Every block's register tape, end to end: one multiplier per
+    /// instruction.
+    reg_tape: Vec<f64>,
     grid_strides: Vec<SizeExpr>,
     has_divergence: bool,
 }
@@ -182,32 +192,41 @@ impl ProgramIndex {
     /// `clippy.toml` refuses any other caller outside tests and the
     /// disassembly analyzer.
     pub fn build(program: &Program) -> ProgramIndex {
-        let mut summaries = Vec::with_capacity(program.blocks.len());
-        let mut grid_strides = Vec::new();
-        let (mut is_linear, mut has_divergence) = (true, false);
+        let instrs = program.blocks.iter().map(|b| b.instrs.len()).sum();
+        let mut index = ProgramIndex {
+            regions: Vec::new(),
+            summaries: Vec::with_capacity(program.blocks.len()),
+            mix_tape: Vec::with_capacity(instrs * 2),
+            profile_tape: Vec::with_capacity(instrs),
+            reg_tape: Vec::with_capacity(instrs),
+            grid_strides: Vec::new(),
+            has_divergence: false,
+        };
+        let mut is_linear = true;
         for block in &program.blocks {
             match block.term {
                 Terminator::CondBranch { divergent, .. } => {
                     is_linear = false;
-                    has_divergence |= divergent;
+                    index.has_divergence |= divergent;
                 }
-                Terminator::LoopBack { trip: TripCount::GridStride(s), .. } => grid_strides.push(s),
+                Terminator::LoopBack { trip: TripCount::GridStride(s), .. } => {
+                    index.grid_strides.push(s);
+                }
                 _ => {}
             }
-            has_divergence |= freq_has_div(&block.freq);
-            summaries.push(summarize(block));
+            index.has_divergence |= freq_has_div(&block.freq);
+            let summary = index.summarize(block);
+            index.summaries.push(summary);
         }
         // A linear program has no conditional branch, hence nothing to
         // reconverge: it skips the graph, the postdominator pass and
         // region discovery entirely.
-        let regions = if is_linear {
-            Vec::new()
-        } else {
+        if !is_linear {
             let succs: Vec<Vec<BlockId>> =
                 program.blocks.iter().map(|b| b.term.successors()).collect();
-            divergent_regions(program, &succs, &postdominators(program, &succs))
-        };
-        ProgramIndex { regions, summaries, grid_strides, has_divergence }
+            index.regions = divergent_regions(program, &succs, &postdominators(program, &succs));
+        }
+        index
     }
 
     /// Number of blocks.
@@ -236,6 +255,30 @@ impl ProgramIndex {
         &self.summaries[b.0 as usize]
     }
 
+    /// A block's mix tape: `(op_class, multiplier)` pairs, two per
+    /// instruction. Replaying `record(class, weight * multiplier)` over
+    /// it reproduces the walk-based mix bit-exactly (instruction entries
+    /// carry multiplier 1.0; register-file entries carry the access
+    /// count).
+    pub fn mix_tape(&self, s: &BlockSummary) -> &[(OpClass, f64)] {
+        let instrs = s.instrs();
+        &self.mix_tape[2 * instrs.start..2 * instrs.end]
+    }
+
+    /// A block's profile tape: one event per instruction, in program
+    /// order.
+    pub fn profile_tape(&self, s: &BlockSummary) -> &[ProfileEvent] {
+        &self.profile_tape[s.instrs()]
+    }
+
+    /// A block's register tape: the multipliers of its mix tape's `Regs`
+    /// entries, in its order. Replaying `regs += weight * m` over it
+    /// gives the register class of a mix replay bit-exactly, without the
+    /// other fourteen.
+    pub fn reg_tape(&self, s: &BlockSummary) -> &[f64] {
+        &self.reg_tape[s.instrs()]
+    }
+
     /// Whether any divergence is present: a divergent conditional branch
     /// or a `DivFraction` factor in some block frequency. When false,
     /// warp-level and thread-level frequency evaluation coincide bitwise
@@ -261,32 +304,32 @@ impl ProgramIndex {
         let mut mix = MixCounts::new();
         for (block, s) in program.blocks.iter().zip(&self.summaries) {
             let weight = block.freq.eval_expected(geom.n, geom.tc, geom.bc);
-            if weight == 0.0 {
-                continue;
-            }
-            for &(class, m) in &s.mix_tape {
-                mix.record(class, weight * m);
-            }
-            if s.has_ctrl() {
-                mix.record(OpClass::CtrlIns, weight);
+            if weight != 0.0 {
+                self.replay_mix(s, weight, &mut mix);
             }
         }
         mix
     }
 
     /// Replays the mix tapes unweighted — bit-identical to
-    /// [`crate::count::static_mix`].
+    /// [`crate::count::static_mix`] (`1.0 * m == m`).
     pub fn static_mix(&self) -> MixCounts {
         let mut mix = MixCounts::new();
         for s in &self.summaries {
-            for &(class, m) in &s.mix_tape {
-                mix.record(class, m);
-            }
-            if s.has_ctrl() {
-                mix.record(OpClass::CtrlIns, 1.0);
-            }
+            self.replay_mix(s, 1.0, &mut mix);
         }
         mix
+    }
+
+    /// Records one block's mix tape, and its control instruction, at
+    /// `weight` into `mix`.
+    pub fn replay_mix(&self, s: &BlockSummary, weight: f64, mix: &mut MixCounts) {
+        for &(class, m) in self.mix_tape(s) {
+            mix.record(class, weight * m);
+        }
+        if s.has_ctrl() {
+            mix.record(OpClass::CtrlIns, weight);
+        }
     }
 }
 
@@ -302,39 +345,38 @@ fn zero_size_reads_geometry(f: &FreqExpr) -> bool {
     }
 }
 
-/// Builds one block's summary tapes.
-fn summarize(block: &crate::block::BasicBlock) -> BlockSummary {
-    let mut mix_tape = Vec::with_capacity(block.instrs.len() * 2);
-    let mut profile_tape = Vec::with_capacity(block.instrs.len());
-    for instr in &block.instrs {
-        let class = instr.opcode.op_class();
-        mix_tape.push((class, 1.0));
-        mix_tape.push((OpClass::Regs, f64::from(instr.regfile_accesses())));
-        profile_tape.push(match instr.opcode.kind {
-            OpKind::Ld(space) | OpKind::St(space) => ProfileEvent::Mem {
-                class,
-                space,
-                pattern: instr.mem.map(|m| m.pattern).unwrap_or(AccessPattern::Coalesced),
-            },
-            OpKind::Tex | OpKind::Surf => ProfileEvent::Mem {
-                class,
-                space: MemSpace::Texture,
-                pattern: AccessPattern::Coalesced,
-            },
-            OpKind::Bar => ProfileEvent::Bar { class },
-            _ => ProfileEvent::Issue { class },
-        });
-    }
-    let reg_tape = mix_tape.iter().filter(|(class, _)| *class == OpClass::Regs).map(|&(_, m)| m);
-    let zero_size_weight =
-        (!zero_size_reads_geometry(&block.freq)).then(|| block.freq.eval_expected(0, 1, 1));
-    BlockSummary {
-        instr_count: block.instrs.len(),
-        reg_tape: reg_tape.collect(),
-        mix_tape,
-        profile_tape,
-        zero_size_weight,
-        term: term_class(&block.term),
+impl ProgramIndex {
+    /// Appends one block's tapes and returns the summary addressing them.
+    fn summarize(&mut self, block: &crate::block::BasicBlock) -> BlockSummary {
+        let first_instr = self.profile_tape.len();
+        for instr in &block.instrs {
+            let class = instr.opcode.op_class();
+            let regs = f64::from(instr.regfile_accesses());
+            self.mix_tape.extend([(class, 1.0), (OpClass::Regs, regs)]);
+            self.reg_tape.push(regs);
+            self.profile_tape.push(match instr.opcode.kind {
+                OpKind::Ld(space) | OpKind::St(space) => ProfileEvent::Mem {
+                    class,
+                    space,
+                    pattern: instr.mem.map(|m| m.pattern).unwrap_or(AccessPattern::Coalesced),
+                },
+                OpKind::Tex | OpKind::Surf => ProfileEvent::Mem {
+                    class,
+                    space: MemSpace::Texture,
+                    pattern: AccessPattern::Coalesced,
+                },
+                OpKind::Bar => ProfileEvent::Bar { class },
+                _ => ProfileEvent::Issue { class },
+            });
+        }
+        let zero_size_weight =
+            (!zero_size_reads_geometry(&block.freq)).then(|| block.freq.eval_expected(0, 1, 1));
+        BlockSummary {
+            instr_count: block.instrs.len(),
+            first_instr,
+            zero_size_weight,
+            term: term_class(&block.term),
+        }
     }
 }
 
@@ -620,12 +662,12 @@ mod proptests {
             let idx = ProgramIndex::build(&p);
             for (block, s) in p.blocks.iter().zip(idx.summaries()) {
                 assert_eq!(s.instr_count, block.instrs.len());
-                assert_eq!(s.profile_tape.len(), block.instrs.len());
-                assert_eq!(s.mix_tape.len(), block.instrs.len() * 2);
+                assert_eq!(idx.profile_tape(s).len(), block.instrs.len());
+                assert_eq!(idx.mix_tape(s).len(), block.instrs.len() * 2);
                 assert_eq!(s.has_ctrl(), !matches!(block.term, Terminator::Ret));
                 let regs: Vec<f64> =
                     block.instrs.iter().map(|i| f64::from(i.regfile_accesses())).collect();
-                assert_eq!(s.reg_tape, regs);
+                assert_eq!(idx.reg_tape(s), regs);
                 // The generator draws no power-0 geometry trip, so every
                 // block's zero-size weight is a constant of the program.
                 let w = s.zero_size_weight.expect("no power-0 grid-stride or block-share trip");

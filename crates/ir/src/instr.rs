@@ -1,8 +1,14 @@
 //! Instructions, registers and operands.
+//!
+//! An [`Instr`] owns no heap buffer: its sources are an inline
+//! [`Operands`] of at most three, the most any lowered instruction reads
+//! (`fma`'s three), so a lowered program allocates per block, not per
+//! instruction. The text parser refuses a listing line with a fourth.
 
 use crate::ast::AccessPattern;
 use crate::isa::Opcode;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A virtual register. Lowering assigns them SSA-style (one definition per
 /// register in straight-line runs); the codegen register allocator later
@@ -120,6 +126,56 @@ impl fmt::Display for Operand {
     }
 }
 
+/// An instruction's source operands, held inline: at most
+/// [`Operands::CAPACITY`], dereferencing to `[Operand]`. Slots past the
+/// length always hold the same filler, so equality compares operands.
+#[derive(Clone, Copy, PartialEq)]
+pub struct Operands {
+    len: u8,
+    slots: [Operand; Operands::CAPACITY],
+}
+
+impl Operands {
+    /// The most source operands an instruction carries.
+    pub const CAPACITY: usize = 3;
+
+    /// Appends `op`, or hands it back when every slot is taken.
+    pub(crate) fn push(&mut self, op: Operand) -> Result<(), Operand> {
+        let slot = self.slots.get_mut(usize::from(self.len)).ok_or(op)?;
+        *slot = op;
+        self.len += 1;
+        Ok(())
+    }
+}
+
+impl<const N: usize> From<[Operand; N]> for Operands {
+    fn from(ops: [Operand; N]) -> Self {
+        const { assert!(N <= Operands::CAPACITY, "an instruction reads at most three operands") };
+        let mut slots = [Operand::Imm(0); Operands::CAPACITY];
+        slots[..N].copy_from_slice(&ops);
+        Operands { len: N as u8, slots }
+    }
+}
+
+impl Deref for Operands {
+    type Target = [Operand];
+    fn deref(&self) -> &[Operand] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Operands {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        &mut self.slots[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Operands {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Memory-behaviour annotation carried by load/store instructions.
 ///
 /// `nvdisasm` output does not carry this, but the paper's dynamic analysis
@@ -146,15 +202,15 @@ pub struct Instr {
     /// Destination predicate (for `setp`).
     pub dst_pred: Option<Pred>,
     /// Source operands.
-    pub srcs: Vec<Operand>,
+    pub srcs: Operands,
     /// Memory annotation for loads/stores.
     pub mem: Option<MemAnnot>,
 }
 
 impl Instr {
     /// Creates a plain unguarded instruction.
-    pub fn new(opcode: Opcode, dst: Option<Reg>, srcs: Vec<Operand>) -> Self {
-        Self { guard: None, opcode, dst, dst_pred: None, srcs, mem: None }
+    pub fn new<const N: usize>(opcode: Opcode, dst: Option<Reg>, srcs: [Operand; N]) -> Self {
+        Self { guard: None, opcode, dst, dst_pred: None, srcs: srcs.into(), mem: None }
     }
 
     /// Attaches a memory annotation (builder style).
@@ -189,27 +245,11 @@ impl fmt::Display for Instr {
             write!(f, "@{}{} ", if neg { "!" } else { "" }, p)?;
         }
         write!(f, "{}", self.opcode)?;
-        let mut first = true;
-        let sep = |f: &mut fmt::Formatter<'_>, first: &mut bool| -> fmt::Result {
-            if *first {
-                write!(f, " ")?;
-                *first = false;
-            } else {
-                write!(f, ", ")?;
-            }
-            Ok(())
-        };
-        if let Some(p) = self.dst_pred {
-            sep(f, &mut first)?;
-            write!(f, "{p}")?;
-        }
-        if let Some(d) = self.dst {
-            sep(f, &mut first)?;
-            write!(f, "{d}")?;
-        }
-        for s in &self.srcs {
-            sep(f, &mut first)?;
-            write!(f, "{s}")?;
+        let dst_pred = self.dst_pred.iter().map(|p| p as &dyn fmt::Display);
+        let dst = self.dst.iter().map(|d| d as &dyn fmt::Display);
+        let srcs = self.srcs.iter().map(|s| s as &dyn fmt::Display);
+        for (i, o) in dst_pred.chain(dst).chain(srcs).enumerate() {
+            write!(f, "{}{o}", if i == 0 { " " } else { ", " })?;
         }
         Ok(())
     }
@@ -226,21 +266,17 @@ mod tests {
         let i = Instr::new(
             Opcode::new(OpKind::Fma, Ty::F32),
             Some(Reg(2)),
-            vec![Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Reg(Reg(2))],
+            [Operand::Reg(Reg(0)), Operand::Reg(Reg(1)), Operand::Reg(Reg(2))],
         );
         assert_eq!(i.regfile_accesses(), 4);
         // mov %r0, 7 → 1 write, immediate source.
-        let i = Instr::new(
-            Opcode::new(OpKind::Mov, Ty::S32),
-            Some(Reg(0)),
-            vec![Operand::Imm(7)],
-        );
+        let i = Instr::new(Opcode::new(OpKind::Mov, Ty::S32), Some(Reg(0)), [Operand::Imm(7)]);
         assert_eq!(i.regfile_accesses(), 1);
         // st.global has no dst: only source reads count.
         let i = Instr::new(
             Opcode::new(OpKind::St(crate::ast::MemSpace::Global), Ty::F32),
             None,
-            vec![Operand::Reg(Reg(3)), Operand::Reg(Reg(4))],
+            [Operand::Reg(Reg(3)), Operand::Reg(Reg(4))],
         );
         assert_eq!(i.regfile_accesses(), 2);
     }
@@ -250,14 +286,14 @@ mod tests {
         let i = Instr::new(
             Opcode::new(OpKind::Add, Ty::F32),
             Some(Reg(5)),
-            vec![Operand::Reg(Reg(1)), Operand::FImm(1.5)],
+            [Operand::Reg(Reg(1)), Operand::FImm(1.5)],
         );
         assert_eq!(i.to_string(), "add.f32 %r5, %r1, 1.5f");
 
         let mut setp = Instr::new(
             Opcode::new(OpKind::Setp(CmpOp::Lt), Ty::S32),
             None,
-            vec![Operand::Reg(Reg(0)), Operand::Special(SpecialReg::NTidX)],
+            [Operand::Reg(Reg(0)), Operand::Special(SpecialReg::NTidX)],
         );
         setp.dst_pred = Some(Pred(0));
         assert_eq!(setp.to_string(), "setp.lt.s32 %p0, %r0, %ntid.x");
@@ -265,7 +301,7 @@ mod tests {
         let mut guarded = Instr::new(
             Opcode::new(OpKind::Mov, Ty::F32),
             Some(Reg(9)),
-            vec![Operand::FImm(0.0)],
+            [Operand::FImm(0.0)],
         );
         guarded.guard = Some((Pred(1), true));
         assert_eq!(guarded.to_string(), "@!%p1 mov.f32 %r9, 0.0f");
@@ -276,7 +312,7 @@ mod tests {
         let i = Instr::new(
             Opcode::new(OpKind::Mul, Ty::F32),
             Some(Reg(7)),
-            vec![Operand::Reg(Reg(3)), Operand::Imm(2)],
+            [Operand::Reg(Reg(3)), Operand::Imm(2)],
         );
         assert_eq!(i.def(), Some(Reg(7)));
         assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(3)]);

@@ -32,7 +32,9 @@
 use crate::ast::{AccessPattern, AluOp, KernelAst, MemSpace, MemStmt, Stmt, TripCount};
 use crate::block::{BasicBlock, BlockId, FreqExpr, Program, ProgramMeta, Terminator};
 use crate::index::ProgramIndex;
-use crate::instr::{Instr, Operand, Pred, Reg, SpecialReg};
+// `R(r)` is a register source (`Operand::Reg`), the lowerer's commonest.
+use crate::instr::Operand::{self, FImm, Imm, Param, Reg as R, Special};
+use crate::instr::{Instr, Pred, Reg, SpecialReg};
 use crate::isa::{CmpOp, OpKind, Opcode, Ty};
 use oriole_arch::Family;
 
@@ -121,7 +123,7 @@ impl LowerCtx {
         let body_freq = FreqExpr::Once;
         self.lower_stmts(&ast.body, &body_freq);
         // Final block: exit.
-        self.cur.push(Instr::new(Opcode::new(OpKind::Exit, Ty::U32), None, vec![]));
+        self.cur.push(Instr::new(Opcode::new(OpKind::Exit, Ty::U32), None, []));
         self.seal_block(Terminator::Ret);
         let program = Program {
             name: ast.name.as_str().into(),
@@ -139,15 +141,11 @@ impl LowerCtx {
 
     /// Global-thread-id computation every data-parallel kernel performs.
     fn emit_prologue(&mut self) {
-        let tid = self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::TidX)]);
-        let ctaid = self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::CtaIdX)]);
-        let ntid = self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::NTidX)]);
-        let base = self.def(
-            OpKind::Mul,
-            Ty::S32,
-            vec![Operand::Reg(ctaid), Operand::Reg(ntid)],
-        );
-        let gtid = self.def(OpKind::Add, Ty::S32, vec![Operand::Reg(base), Operand::Reg(tid)]);
+        let tid = self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::TidX)]);
+        let ctaid = self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::CtaIdX)]);
+        let ntid = self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::NTidX)]);
+        let base = self.def(OpKind::Mul, Ty::S32, [R(ctaid), R(ntid)]);
+        let gtid = self.def(OpKind::Add, Ty::S32, [R(base), R(tid)]);
         self.window = vec![tid, gtid];
         self.cursor = 0;
     }
@@ -177,7 +175,7 @@ impl LowerCtx {
     fn pick(&mut self) -> Reg {
         if self.window.is_empty() {
             // Should not happen after the prologue, but stay total.
-            let r = self.def(OpKind::Mov, Ty::F32, vec![Operand::FImm(0.0)]);
+            let r = self.def(OpKind::Mov, Ty::F32, [FImm(0.0)]);
             return r;
         }
         let r = self.window[self.cursor % self.window.len()];
@@ -187,11 +185,20 @@ impl LowerCtx {
 
     /// Emits an instruction defining a fresh register and pushes it into
     /// the source window.
-    fn def(&mut self, kind: OpKind, ty: Ty, srcs: Vec<Operand>) -> Reg {
+    fn def<const N: usize>(&mut self, kind: OpKind, ty: Ty, srcs: [Operand; N]) -> Reg {
         let dst = self.fresh_reg();
         self.cur.push(Instr::new(Opcode::new(kind, ty), Some(dst), srcs));
         self.push_window(dst);
         dst
+    }
+
+    /// Emits a `setp.lt` of `srcs` into a fresh predicate.
+    fn setp(&mut self, ty: Ty, srcs: [Operand; 2]) -> Pred {
+        let p = self.fresh_pred();
+        let mut setp = Instr::new(Opcode::new(OpKind::Setp(CmpOp::Lt), ty), None, srcs);
+        setp.dst_pred = Some(p);
+        self.cur.push(setp);
+        p
     }
 
     fn push_window(&mut self, r: Reg) {
@@ -216,9 +223,10 @@ impl LowerCtx {
     fn seal_block(&mut self, term: Terminator) {
         self.blocks.push(BasicBlock {
             label: std::mem::take(&mut self.cur_label),
-            instrs: std::mem::take(&mut self.cur),
+            // One exact allocation a block; `cur` keeps its capacity.
+            instrs: self.cur.drain(..).collect(),
             term,
-            freq: self.cur_freq.clone(),
+            freq: std::mem::replace(&mut self.cur_freq, FreqExpr::Once),
         });
     }
 
@@ -245,17 +253,20 @@ impl LowerCtx {
             }
             Stmt::Load(m) => {
                 for _ in 0..m.count {
-                    self.lower_load(m);
+                    let addr = self.lower_address(m);
+                    self.load(m.space, Self::addr_ty(m.elem_bytes), addr, m.pattern);
                 }
             }
             Stmt::Store(m) => {
                 for _ in 0..m.count {
-                    self.lower_store(m);
+                    let addr = self.lower_address(m);
+                    let val = self.pick();
+                    self.store(m.space, Self::addr_ty(m.elem_bytes), [R(addr), R(val)], m.pattern);
                 }
             }
             Stmt::SyncThreads => {
                 self.cur
-                    .push(Instr::new(Opcode::new(OpKind::Bar, Ty::U32), None, vec![]));
+                    .push(Instr::new(Opcode::new(OpKind::Bar, Ty::U32), None, []));
             }
             Stmt::Loop(l) => self.lower_loop(l, freq),
             Stmt::If(b) => self.lower_if(b, freq),
@@ -273,145 +284,96 @@ impl LowerCtx {
         match op {
             AluOp::AddF32 => {
                 let (a, b) = (self.pick(), self.pick());
-                self.def(OpKind::Add, Ty::F32, vec![Operand::Reg(a), Operand::Reg(b)]);
+                self.def(OpKind::Add, Ty::F32, [R(a), R(b)]);
             }
             AluOp::MulF32 => {
                 let (a, b) = (self.pick(), self.pick());
-                self.def(OpKind::Mul, Ty::F32, vec![Operand::Reg(a), Operand::Reg(b)]);
+                self.def(OpKind::Mul, Ty::F32, [R(a), R(b)]);
             }
             AluOp::FmaF32 => {
                 let (a, b, c) = (self.pick(), self.pick(), self.pick());
-                self.def(
-                    OpKind::Fma,
-                    Ty::F32,
-                    vec![Operand::Reg(a), Operand::Reg(b), Operand::Reg(c)],
-                );
+                self.def(OpKind::Fma, Ty::F32, [R(a), R(b), R(c)]);
             }
             AluOp::AddF64 => {
                 let (a, b) = (self.pick(), self.pick());
-                self.def(OpKind::Add, Ty::F64, vec![Operand::Reg(a), Operand::Reg(b)]);
+                self.def(OpKind::Add, Ty::F64, [R(a), R(b)]);
             }
             AluOp::MulF64 => {
                 let (a, b) = (self.pick(), self.pick());
-                self.def(OpKind::Mul, Ty::F64, vec![Operand::Reg(a), Operand::Reg(b)]);
+                self.def(OpKind::Mul, Ty::F64, [R(a), R(b)]);
             }
             AluOp::FmaF64 => {
                 let (a, b, c) = (self.pick(), self.pick(), self.pick());
-                self.def(
-                    OpKind::Fma,
-                    Ty::F64,
-                    vec![Operand::Reg(a), Operand::Reg(b), Operand::Reg(c)],
-                );
+                self.def(OpKind::Fma, Ty::F64, [R(a), R(b), R(c)]);
             }
             AluOp::DivF32 => {
                 // Full precision: reciprocal + multiply + two Newton
                 // refinement FMAs. Fast math: reciprocal + multiply.
                 let d = self.pick();
-                let r = self.def(OpKind::Rcp, Ty::F32, vec![Operand::Reg(d)]);
+                let r = self.def(OpKind::Rcp, Ty::F32, [R(d)]);
                 let n = self.pick();
-                let q = self.def(OpKind::Mul, Ty::F32, vec![Operand::Reg(n), Operand::Reg(r)]);
+                let q = self.def(OpKind::Mul, Ty::F32, [R(n), R(r)]);
                 if !self.fast(op) {
-                    let e =
-                        self.def(OpKind::Fma, Ty::F32, vec![
-                            Operand::Reg(q),
-                            Operand::Reg(d),
-                            Operand::Reg(n),
-                        ]);
-                    self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(e),
-                        Operand::Reg(r),
-                        Operand::Reg(q),
-                    ]);
+                    let e = self.def(OpKind::Fma, Ty::F32, [R(q), R(d), R(n)]);
+                    self.def(OpKind::Fma, Ty::F32, [R(e), R(r), R(q)]);
                 }
             }
             AluOp::SqrtF32 => {
                 let a = self.pick();
-                let s = self.def(OpKind::Sqrt, Ty::F32, vec![Operand::Reg(a)]);
+                let s = self.def(OpKind::Sqrt, Ty::F32, [R(a)]);
                 if !self.fast(op) {
-                    let h = self.def(OpKind::Mul, Ty::F32, vec![
-                        Operand::Reg(s),
-                        Operand::FImm(0.5),
-                    ]);
-                    self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(h),
-                        Operand::Reg(s),
-                        Operand::Reg(a),
-                    ]);
+                    let h = self.def(OpKind::Mul, Ty::F32, [R(s), FImm(0.5)]);
+                    self.def(OpKind::Fma, Ty::F32, [R(h), R(s), R(a)]);
                 }
             }
             AluOp::ExpF32 => {
                 let a = self.pick();
-                let scaled = self.def(OpKind::Mul, Ty::F32, vec![
-                    Operand::Reg(a),
-                    Operand::FImm(std::f64::consts::LOG2_E),
-                ]);
-                let e = self.def(OpKind::Ex2, Ty::F32, vec![Operand::Reg(scaled)]);
+                let scaled = self.def(OpKind::Mul, Ty::F32, [R(a), FImm(std::f64::consts::LOG2_E)]);
+                let e = self.def(OpKind::Ex2, Ty::F32, [R(scaled)]);
                 if !self.fast(op) {
-                    let f = self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(e),
-                        Operand::Reg(scaled),
-                        Operand::Reg(a),
-                    ]);
-                    self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(f),
-                        Operand::Reg(e),
-                        Operand::Reg(a),
-                    ]);
+                    let f = self.def(OpKind::Fma, Ty::F32, [R(e), R(scaled), R(a)]);
+                    self.def(OpKind::Fma, Ty::F32, [R(f), R(e), R(a)]);
                 }
             }
             AluOp::LogF32 => {
                 let a = self.pick();
-                let l = self.def(OpKind::Lg2, Ty::F32, vec![Operand::Reg(a)]);
-                self.def(OpKind::Mul, Ty::F32, vec![
-                    Operand::Reg(l),
-                    Operand::FImm(std::f64::consts::LN_2),
-                ]);
+                let l = self.def(OpKind::Lg2, Ty::F32, [R(a)]);
+                self.def(OpKind::Mul, Ty::F32, [R(l), FImm(std::f64::consts::LN_2)]);
                 if !self.fast(op) {
                     let p = self.pick();
-                    self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(l),
-                        Operand::Reg(p),
-                        Operand::Reg(a),
-                    ]);
+                    self.def(OpKind::Fma, Ty::F32, [R(l), R(p), R(a)]);
                 }
             }
             AluOp::SinCosF32 => {
                 let a = self.pick();
                 if !self.fast(op) {
                     // Payne–Hanek-style range reduction before the SFU op.
-                    let k = self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(a),
-                        Operand::FImm(std::f64::consts::FRAC_1_PI),
-                        Operand::FImm(0.5),
+                    let k = self.def(OpKind::Fma, Ty::F32, [
+                        R(a),
+                        FImm(std::f64::consts::FRAC_1_PI),
+                        FImm(0.5),
                     ]);
-                    let r = self.def(OpKind::Fma, Ty::F32, vec![
-                        Operand::Reg(k),
-                        Operand::FImm(-std::f64::consts::PI),
-                        Operand::Reg(a),
+                    let r = self.def(OpKind::Fma, Ty::F32, [
+                        R(k),
+                        FImm(-std::f64::consts::PI),
+                        R(a),
                     ]);
-                    self.def(OpKind::Sin, Ty::F32, vec![Operand::Reg(r)]);
+                    self.def(OpKind::Sin, Ty::F32, [R(r)]);
                 } else {
-                    self.def(OpKind::Sin, Ty::F32, vec![Operand::Reg(a)]);
+                    self.def(OpKind::Sin, Ty::F32, [R(a)]);
                 }
             }
             AluOp::CmpF32 => {
                 let (a, b) = (self.pick(), self.pick());
-                let p = self.fresh_pred();
-                let mut i = Instr::new(
-                    Opcode::new(OpKind::Setp(CmpOp::Lt), Ty::F32),
-                    None,
-                    vec![Operand::Reg(a), Operand::Reg(b)],
-                );
-                i.dst_pred = Some(p);
-                self.cur.push(i);
+                self.setp(Ty::F32, [R(a), R(b)]);
             }
             AluOp::MinMaxF32 => {
                 let (a, b) = (self.pick(), self.pick());
-                self.def(OpKind::Min, Ty::F32, vec![Operand::Reg(a), Operand::Reg(b)]);
+                self.def(OpKind::Min, Ty::F32, [R(a), R(b)]);
             }
             AluOp::AddI32 => {
                 let a = self.pick();
-                self.def(OpKind::Add, Ty::S32, vec![Operand::Reg(a), Operand::Imm(1)]);
+                self.def(OpKind::Add, Ty::S32, [R(a), Imm(1)]);
             }
             AluOp::MulI32 => {
                 let (a, b) = (self.pick(), self.pick());
@@ -419,31 +381,20 @@ impl LowerCtx {
                     // Maxwell/Pascal have no 32-bit IMUL datapath: the
                     // compiler emits an XMAD sequence (two 16-bit
                     // multiply-adds plus a shift).
-                    let lo =
-                        self.def(OpKind::Mul, Ty::S32, vec![Operand::Reg(a), Operand::Reg(b)]);
-                    let sh = self.def(OpKind::Shift, Ty::U32, vec![
-                        Operand::Reg(lo),
-                        Operand::Imm(16),
-                    ]);
-                    self.def(OpKind::Add, Ty::S32, vec![Operand::Reg(sh), Operand::Reg(lo)]);
+                    let lo = self.def(OpKind::Mul, Ty::S32, [R(a), R(b)]);
+                    let sh = self.def(OpKind::Shift, Ty::U32, [R(lo), Imm(16)]);
+                    self.def(OpKind::Add, Ty::S32, [R(sh), R(lo)]);
                 } else {
-                    self.def(OpKind::Mul, Ty::S32, vec![Operand::Reg(a), Operand::Reg(b)]);
+                    self.def(OpKind::Mul, Ty::S32, [R(a), R(b)]);
                 }
             }
             AluOp::CmpI32 => {
                 let (a, b) = (self.pick(), self.pick());
-                let p = self.fresh_pred();
-                let mut i = Instr::new(
-                    Opcode::new(OpKind::Setp(CmpOp::Lt), Ty::S32),
-                    None,
-                    vec![Operand::Reg(a), Operand::Reg(b)],
-                );
-                i.dst_pred = Some(p);
-                self.cur.push(i);
+                self.setp(Ty::S32, [R(a), R(b)]);
             }
             AluOp::BitI32 => {
                 let a = self.pick();
-                self.def(OpKind::Logic, Ty::U32, vec![Operand::Reg(a), Operand::Imm(0xff)]);
+                self.def(OpKind::Logic, Ty::U32, [R(a), Imm(0xff)]);
             }
             AluOp::ShuffleF32 => {
                 let a = self.pick();
@@ -451,37 +402,21 @@ impl LowerCtx {
                     // Fermi (cc 2.x) has no warp-shuffle datapath: the
                     // lane-exchange idiom round-trips through shared
                     // memory instead.
-                    let addr = self.def(OpKind::Add, Ty::S32, vec![
-                        Operand::Reg(a),
-                        Operand::Imm(4),
-                    ]);
-                    let st = Instr::new(
-                        Opcode::new(OpKind::St(MemSpace::Shared), Ty::F32),
-                        None,
-                        vec![Operand::Reg(addr), Operand::Reg(a)],
-                    )
-                    .with_mem(AccessPattern::Coalesced);
-                    self.cur.push(st);
-                    let dst = self.fresh_reg();
-                    let ld = Instr::new(
-                        Opcode::new(OpKind::Ld(MemSpace::Shared), Ty::F32),
-                        Some(dst),
-                        vec![Operand::Reg(addr)],
-                    )
-                    .with_mem(AccessPattern::Coalesced);
-                    self.cur.push(ld);
-                    self.push_window(dst);
+                    let addr = self.def(OpKind::Add, Ty::S32, [R(a), Imm(4)]);
+                    let coalesced = AccessPattern::Coalesced;
+                    self.store(MemSpace::Shared, Ty::F32, [R(addr), R(a)], coalesced);
+                    self.load(MemSpace::Shared, Ty::F32, addr, coalesced);
                 } else {
-                    self.def(OpKind::Logic, Ty::U32, vec![Operand::Reg(a), Operand::Imm(0xff)]);
+                    self.def(OpKind::Logic, Ty::U32, [R(a), Imm(0xff)]);
                 }
             }
             AluOp::CvtI32F32 => {
                 let a = self.pick();
-                self.def(OpKind::Cvt(Ty::S32), Ty::F32, vec![Operand::Reg(a)]);
+                self.def(OpKind::Cvt(Ty::S32), Ty::F32, [R(a)]);
             }
             AluOp::Cvt64 => {
                 let a = self.pick();
-                self.def(OpKind::Cvt(Ty::F32), Ty::F64, vec![Operand::Reg(a)]);
+                self.def(OpKind::Cvt(Ty::F32), Ty::F64, [R(a)]);
             }
         }
     }
@@ -500,77 +435,48 @@ impl LowerCtx {
         match m.pattern {
             AccessPattern::Coalesced => {
                 let base = self.pick();
-                self.def(OpKind::Add, Ty::S32, vec![
-                    Operand::Reg(base),
-                    Operand::Imm(i64::from(m.elem_bytes)),
-                ])
+                self.def(OpKind::Add, Ty::S32, [R(base), Imm(i64::from(m.elem_bytes))])
             }
             AccessPattern::Strided(stride) => {
                 let idx = self.pick();
-                let scaled = self.def(OpKind::Mul, Ty::S32, vec![
-                    Operand::Reg(idx),
-                    Operand::Imm(i64::from(stride)),
-                ]);
-                self.def(OpKind::Add, Ty::S32, vec![
-                    Operand::Reg(scaled),
-                    Operand::Imm(i64::from(m.elem_bytes)),
-                ])
+                let scaled = self.def(OpKind::Mul, Ty::S32, [R(idx), Imm(i64::from(stride))]);
+                self.def(OpKind::Add, Ty::S32, [R(scaled), Imm(i64::from(m.elem_bytes))])
             }
             AccessPattern::Random => {
                 let idx = self.pick();
-                let hashed = self.def(OpKind::Logic, Ty::U32, vec![
-                    Operand::Reg(idx),
-                    Operand::Imm(0x9e37),
-                ]);
-                self.def(OpKind::Add, Ty::S32, vec![
-                    Operand::Reg(hashed),
-                    Operand::Imm(i64::from(m.elem_bytes)),
-                ])
+                let hashed = self.def(OpKind::Logic, Ty::U32, [R(idx), Imm(0x9e37)]);
+                self.def(OpKind::Add, Ty::S32, [R(hashed), Imm(i64::from(m.elem_bytes))])
             }
             AccessPattern::Broadcast => {
                 // Uniform address: one mov from a parameter.
-                self.def(OpKind::Mov, Ty::S32, vec![Operand::Param(0)])
+                self.def(OpKind::Mov, Ty::S32, [Param(0)])
             }
         }
     }
 
-    fn lower_load(&mut self, m: &MemStmt) {
-        let addr = self.lower_address(m);
-        let ty = Self::addr_ty(m.elem_bytes);
+    /// Emits a load from `addr` into a fresh register in the window.
+    fn load(&mut self, space: MemSpace, ty: Ty, addr: Reg, pattern: AccessPattern) {
         let dst = self.fresh_reg();
-        let instr = Instr::new(
-            Opcode::new(OpKind::Ld(m.space), ty),
-            Some(dst),
-            vec![Operand::Reg(addr)],
-        )
-        .with_mem(m.pattern);
-        self.cur.push(instr);
+        let ld = Instr::new(Opcode::new(OpKind::Ld(space), ty), Some(dst), [R(addr)]);
+        self.cur.push(ld.with_mem(pattern));
         self.push_window(dst);
     }
 
-    fn lower_store(&mut self, m: &MemStmt) {
-        let addr = self.lower_address(m);
-        let val = self.pick();
-        let ty = Self::addr_ty(m.elem_bytes);
-        let instr = Instr::new(
-            Opcode::new(OpKind::St(m.space), ty),
-            None,
-            vec![Operand::Reg(addr), Operand::Reg(val)],
-        )
-        .with_mem(m.pattern);
-        self.cur.push(instr);
+    /// Emits a store of `[address, value]`.
+    fn store(&mut self, space: MemSpace, ty: Ty, srcs: [Operand; 2], pattern: AccessPattern) {
+        let st = Instr::new(Opcode::new(OpKind::St(space), ty), None, srcs);
+        self.cur.push(st.with_mem(pattern));
     }
 
     fn lower_loop(&mut self, l: &crate::ast::Loop, freq: &FreqExpr) {
         // Preheader: induction init + (for grid-stride) bound arithmetic.
-        let induction = self.def(OpKind::Mov, Ty::S32, vec![Operand::Imm(0)]);
+        let induction = self.def(OpKind::Mov, Ty::S32, [Imm(0)]);
         if matches!(l.trip, TripCount::GridStride(_) | TripCount::BlockShare(_)) {
             // bound = ceil(items / (ntid*nctaid)) — division by the grid
             // size, two extra integer ops.
-            let ntid = self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::NTidX)]);
-            let ncta =
-                self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::NCtaIdX)]);
-            self.def(OpKind::Mul, Ty::S32, vec![Operand::Reg(ntid), Operand::Reg(ncta)]);
+            let ntid = self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::NTidX)]);
+            let ncta = self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::NCtaIdX)]);
+            self.def(OpKind::Mul, Ty::S32, [R(ntid), R(ncta)]);
         }
 
         let body_label = self.fresh_label("loop");
@@ -582,15 +488,8 @@ impl LowerCtx {
         self.lower_stmts(&l.body, &body_freq);
 
         // Latch: induction increment + exit test + loop-back.
-        let next = self.def(OpKind::Add, Ty::S32, vec![Operand::Reg(induction), Operand::Imm(1)]);
-        let p = self.fresh_pred();
-        let mut setp = Instr::new(
-            Opcode::new(OpKind::Setp(CmpOp::Lt), Ty::S32),
-            None,
-            vec![Operand::Reg(next), Operand::Imm(1 << 20)],
-        );
-        setp.dst_pred = Some(p);
-        self.cur.push(setp);
+        let next = self.def(OpKind::Add, Ty::S32, [R(induction), Imm(1)]);
+        self.setp(Ty::S32, [R(next), Imm(1 << 20)]);
 
         let exit_label = self.fresh_label("after");
         // The body chain may have created inner blocks; the loop target is
@@ -608,18 +507,11 @@ impl LowerCtx {
         use crate::ast::DivergenceKind;
         // Condition: compare something thread-dependent (or uniform).
         let lhs = if b.divergence == DivergenceKind::ThreadDependent {
-            self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::TidX)])
+            self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::TidX)])
         } else {
-            self.def(OpKind::Mov, Ty::U32, vec![Operand::Special(SpecialReg::CtaIdX)])
+            self.def(OpKind::Mov, Ty::U32, [Special(SpecialReg::CtaIdX)])
         };
-        let p = self.fresh_pred();
-        let mut setp = Instr::new(
-            Opcode::new(OpKind::Setp(CmpOp::Lt), Ty::S32),
-            None,
-            vec![Operand::Reg(lhs), Operand::Param(1)],
-        );
-        setp.dst_pred = Some(p);
-        self.cur.push(setp);
+        let p = self.setp(Ty::S32, [R(lhs), Param(1)]);
 
         let divergent = b.divergence == DivergenceKind::ThreadDependent;
         let then_label = self.fresh_label("then");

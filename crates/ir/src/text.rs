@@ -24,7 +24,7 @@
 
 use crate::ast::{AccessPattern, SizeExpr, TripCount};
 use crate::block::{BasicBlock, BlockId, FreqExpr, Program, ProgramMeta, Terminator};
-use crate::instr::{Instr, MemAnnot, Operand, Pred, Reg, SpecialReg};
+use crate::instr::{Instr, MemAnnot, Operand, Operands, Pred, Reg, SpecialReg};
 use crate::isa::{OpKind, Opcode};
 use oriole_arch::Family;
 use std::collections::HashMap;
@@ -529,46 +529,35 @@ fn parse_instr(line: &str, lineno: usize) -> Result<Instr, ParseError> {
     };
     let opcode = Opcode::from_mnemonic(mn)
         .ok_or_else(|| err(lineno, format!("unknown mnemonic `{mn}`")))?;
-    let mut operands = Vec::new();
-    if !ops_str.is_empty() {
-        for part in ops_str.split(',') {
-            operands.push(parse_operand(part.trim(), lineno)?);
-        }
-    }
+    let mut ops = ops_str
+        .split(',')
+        .filter(|_| !ops_str.is_empty())
+        .map(|o| parse_operand(o.trim(), lineno));
     // Distribute operands into dst / dst_pred / srcs by opcode shape.
-    let mut instr = Instr::new(opcode, None, Vec::new());
+    let mut instr = Instr::new(opcode, None, []);
     instr.guard = guard;
     instr.mem = mem;
-    let mut ops = operands.into_iter();
     match opcode.kind {
-        OpKind::Setp(_) => {
-            match ops.next() {
-                Some(Operand::Pred(p)) => instr.dst_pred = Some(p),
-                other => {
-                    return Err(err(
-                        lineno,
-                        format!("setp needs a predicate destination, got {other:?}"),
-                    ))
-                }
+        OpKind::Setp(_) => match ops.next().transpose()? {
+            Some(Operand::Pred(p)) => instr.dst_pred = Some(p),
+            other => {
+                let msg = format!("setp needs a predicate destination, got {other:?}");
+                return Err(err(lineno, msg));
             }
-            instr.srcs = ops.collect();
-        }
-        OpKind::St(_) | OpKind::Bar | OpKind::Bra | OpKind::Exit => {
-            instr.srcs = ops.collect();
-        }
-        _ => {
-            match ops.next() {
-                Some(Operand::Reg(r)) => instr.dst = Some(r),
-                None => {}
-                other => {
-                    return Err(err(
-                        lineno,
-                        format!("expected register destination, got {other:?}"),
-                    ))
-                }
+        },
+        OpKind::St(_) | OpKind::Bar | OpKind::Bra | OpKind::Exit => {}
+        _ => match ops.next().transpose()? {
+            Some(Operand::Reg(r)) => instr.dst = Some(r),
+            None => {}
+            other => {
+                return Err(err(lineno, format!("expected register destination, got {other:?}")))
             }
-            instr.srcs = ops.collect();
-        }
+        },
+    }
+    for op in ops {
+        instr.srcs.push(op?).map_err(|_| {
+            err(lineno, format!("more than {} source operands", Operands::CAPACITY))
+        })?;
     }
     Ok(instr)
 }
@@ -666,6 +655,12 @@ mod tests {
         assert_eq!(e.line, 4);
         assert!(e.msg.contains("frobnicate"));
         assert!(e.to_string().contains("line 4"));
+        // Three sources are the most an instruction holds (the
+        // handcrafted listing's `fma` has three): a fourth is refused.
+        for four in ["fma.f32 %r3, %r0, %r1, %r2, %r4", "st.global.f32 %r3, %r0, %r1, %r2"] {
+            let e = parse(&text.replace("frobnicate.f32 %r0", four)).unwrap_err();
+            assert_eq!((e.line, e.msg.as_str()), (4, "more than 3 source operands"));
+        }
     }
 
     #[test]
@@ -732,6 +727,7 @@ mod tests {
   term condbr %p0 hot cold divergent=true taken=0.5
 .block hot freq=frac(0.5)
   ld.global.f32 %r1, %r0 !pattern=coalesced
+  fma.f32 %r3, %r0, %r1, %r1
   term jump done
 .block cold freq=frac(0.5)
   @!%p0 mov.f32 %r2, 1.0f
@@ -746,6 +742,7 @@ mod tests {
         assert_eq!(p.meta.regs_per_thread, 12);
         assert_eq!(p.meta.spill_bytes, 4);
         assert_eq!(p.blocks.len(), 4);
+        assert_eq!(p.blocks[1].instrs[1].srcs.len(), 3);
         assert_eq!(p.blocks[2].instrs[0].guard, Some((Pred(0), true)));
         assert_eq!(
             p.blocks[3].instrs[0].mem,

@@ -9,7 +9,6 @@
 //! the gap between the two is exactly what the paper's Table VI reports
 //! as estimation error.
 
-use oriole_arch::OpClass;
 use oriole_codegen::CompiledKernel;
 use oriole_ir::{MixCounts, ProgramIndex};
 
@@ -41,58 +40,44 @@ pub(crate) fn busy_blocks(index: &ProgramIndex, n: u64, tc: u32, bc: u32) -> u32
 pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
     let index = &kernel.index;
     let (tc, bc) = (kernel.params.tc, kernel.params.bc);
-    let busy_blocks = busy_blocks(index, n, tc, bc);
-    let idle_blocks = bc - busy_blocks;
-    let wb = f64::from(tc.div_ceil(32));
-    let busy_warps = f64::from(busy_blocks) * wb;
-    let idle_warps = f64::from(idle_blocks) * wb;
-
-    // Divergence-free programs have warp saturation exactly 1.0 in every
-    // block; skipping the three frequency evaluations per block is
-    // bit-identical (`x * 1.0 == x` bitwise).
-    let saturated = index.has_divergence();
-
+    let busy = busy_blocks(index, n, tc, bc);
+    let idle_warps = f64::from(bc - busy) * f64::from(tc.div_ceil(32));
     let mut mix = MixCounts::new();
-    for (block, s) in kernel.program.blocks.iter().zip(index.summaries()) {
-        // Busy warps: ceil-quantized warp-level execution at the busy
-        // geometry, with divergence saturation applied on top.
-        let mut w_busy = block.freq.eval(n, tc, busy_blocks.max(1));
-        if saturated {
-            w_busy *= warp_saturation(block, n, tc, busy_blocks.max(1));
-        }
+    let blocks = kernel.program.blocks.iter().zip(index.summaries());
+    for ((block, s), w_busy) in blocks.zip(busy_weights(kernel, n, busy)) {
         // Idle warps: prologue/guard work only — evaluate with the
         // problem size zeroed so every data loop contributes nothing.
         let w_idle = block.freq.eval_expected(0, tc, bc);
-        let slots = (w_busy * busy_warps + w_idle * idle_warps) * 32.0;
+        let slots = (w_busy + w_idle * idle_warps) * 32.0;
         if slots <= 0.0 {
             continue;
         }
-        for &(class, m) in &s.mix_tape {
-            mix.record(class, slots * m);
-        }
-        if s.has_ctrl() {
-            mix.record(OpClass::CtrlIns, slots);
-        }
+        index.replay_mix(s, slots, &mut mix);
     }
     mix
 }
 
 /// Each block's busy-warp weight in [`dynamic_mix`] at `n` with `busy`
-/// busy blocks, written into `out`: the block's frequency at the busy
-/// geometry, saturated for divergence, times the busy warps. It is the
-/// part of a block's slot count that `BC` moves only through `busy`.
-pub(crate) fn busy_weights(kernel: &CompiledKernel, n: u64, busy: u32, out: &mut Vec<f64>) {
+/// busy blocks: the block's frequency at the busy geometry, saturated
+/// for divergence, times the busy warps. It is the part of a block's
+/// slot count that `BC` moves only through `busy`.
+pub(crate) fn busy_weights(
+    kernel: &CompiledKernel,
+    n: u64,
+    busy: u32,
+) -> impl Iterator<Item = f64> + '_ {
     let tc = kernel.params.tc;
     let busy_warps = f64::from(busy) * f64::from(tc.div_ceil(32));
+    // Divergence-free programs have warp saturation exactly 1.0 in every
+    // block; skipping it is bit-identical (`x * 1.0 == x` bitwise).
     let saturated = kernel.index.has_divergence();
-    out.clear();
-    out.extend(kernel.program.blocks.iter().map(|block| {
+    kernel.program.blocks.iter().map(move |block| {
         let mut w_busy = block.freq.eval(n, tc, busy.max(1));
         if saturated {
-            w_busy *= warp_saturation(block, n, tc, busy.max(1));
+            w_busy *= warp_saturation(block, w_busy, n, tc, busy.max(1));
         }
         w_busy * busy_warps
-    }));
+    })
 }
 
 /// `dynamic_mix(kernel, n).get(OpClass::Regs)` from the blocks' busy
@@ -105,14 +90,15 @@ pub(crate) fn reg_instructions(kernel: &CompiledKernel, busy: u32, busy_weights:
     let (tc, bc) = (kernel.params.tc, kernel.params.bc);
     let idle_warps = f64::from(bc - busy) * f64::from(tc.div_ceil(32));
     let mut regs = 0.0;
-    let blocks = kernel.program.blocks.iter().zip(kernel.index.summaries());
+    let index = &kernel.index;
+    let blocks = kernel.program.blocks.iter().zip(index.summaries());
     for ((block, s), &w_busy) in blocks.zip(busy_weights) {
         let w_idle = s.zero_size_weight.unwrap_or_else(|| block.freq.eval_expected(0, tc, bc));
         let slots = (w_busy + w_idle * idle_warps) * 32.0;
         if slots <= 0.0 {
             continue;
         }
-        for &m in &s.reg_tape {
+        for &m in index.reg_tape(s) {
             regs += slots * m;
         }
     }
@@ -123,6 +109,7 @@ pub(crate) fn reg_instructions(kernel: &CompiledKernel, busy: u32, busy_weights:
 /// property tests compare against.
 #[cfg(test)]
 pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
+    use oriole_arch::OpClass;
     use oriole_ir::{Terminator, TripCount};
     let params = kernel.params;
     let (tc, bc) = (params.tc, params.bc);
@@ -146,8 +133,8 @@ pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
 
     let mut mix = MixCounts::new();
     for block in &kernel.program.blocks {
-        let w_busy = block.freq.eval(n, tc, busy_blocks.max(1))
-            * warp_saturation(block, n, tc, busy_blocks.max(1));
+        let thread = block.freq.eval(n, tc, busy_blocks.max(1));
+        let w_busy = thread * warp_saturation(block, thread, n, tc, busy_blocks.max(1));
         let w_idle = block.freq.eval_expected(0, tc, bc);
         let slots = (w_busy * busy_warps + w_idle * idle_warps) * 32.0;
         if slots <= 0.0 {
@@ -168,14 +155,15 @@ pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
 }
 
 /// Ratio of warp-level to thread-level branch weights for a block
-/// (≥ 1; captures divergence saturation independently of trip counts).
-fn warp_saturation(block: &oriole_ir::BasicBlock, n: u64, tc: u32, bc: u32) -> f64 {
-    let thread = block.freq.eval(n, tc, bc);
-    let warp = block.freq.eval_warp(n, tc, bc);
+/// (≥ 1; captures divergence saturation independently of trip counts),
+/// given its thread-level weight `thread`, `block.freq.eval(n, tc, bc)`,
+/// which every caller has already evaluated.
+fn warp_saturation(block: &oriole_ir::BasicBlock, thread: f64, n: u64, tc: u32, bc: u32) -> f64 {
     let thread_frac = block.freq.eval_expected(n, tc, bc);
     if thread <= 0.0 || thread_frac <= 0.0 {
         return 1.0;
     }
+    let warp = block.freq.eval_warp(n, tc, bc);
     // eval_warp uses fractional trips; isolate the fraction-saturation
     // component by comparing against eval_expected (same trip semantics).
     (warp / thread_frac).max(1.0)
@@ -254,6 +242,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use oriole_arch::OpClass;
     use oriole_arch::Gpu;
     use oriole_codegen::{compile, TuningParams};
     use oriole_ir::testgen::{check, kernel};

@@ -199,7 +199,8 @@ impl LaunchScratch {
             if !matches!(busy_slot, Some((held, _)) if *held == (tc, busy)) {
                 // Refill the buffer the last geometry left, if any.
                 let mut weights = busy_slot.take().map(|(_, w)| w).unwrap_or_default();
-                counters::busy_weights(kernel, n, busy, &mut weights);
+                weights.clear();
+                weights.extend(counters::busy_weights(kernel, n, busy));
                 *busy_slot = Some(((tc, busy), weights));
                 counted(Pass::Weighed);
             }

@@ -70,7 +70,7 @@ impl WarpProfile {
                 continue;
             }
             hottest_weight = hottest_weight.max(w);
-            for ev in &s.profile_tape {
+            for ev in index.profile_tape(s) {
                 match *ev {
                     ProfileEvent::Mem { class, space, pattern } => {
                         let (replays, latency, dram) = service(cfg, space, pattern);

@@ -69,11 +69,11 @@ fn instr(rng: &mut TestRng) -> Instr {
     let mut instr = match rng.range_u64(0, 6) {
         0..=2 => {
             let (d, s) = (reg(rng), reg(rng));
-            Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(d), vec![Operand::Reg(s)])
+            Instr::new(Opcode::new(OpKind::Mov, Ty::F32), Some(d), [Operand::Reg(s)])
         }
         3..=5 => {
             let (d, a, b) = (reg(rng), reg(rng), reg(rng));
-            Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(d), vec![
+            Instr::new(Opcode::new(OpKind::Add, Ty::F32), Some(d), [
                 Operand::Reg(a),
                 Operand::Reg(b),
             ])
@@ -81,7 +81,7 @@ fn instr(rng: &mut TestRng) -> Instr {
         _ => {
             let (a, v) = (reg(rng), reg(rng));
             let op = Opcode::new(OpKind::St(MemSpace::Global), Ty::F32);
-            Instr::new(op, None, vec![Operand::Reg(a), Operand::Reg(v)])
+            Instr::new(op, None, [Operand::Reg(a), Operand::Reg(v)])
         }
     };
     if rng.range_u64(0, 3) == 0 {
@@ -135,10 +135,10 @@ fn spell(out: &mut String, index: &ProgramIndex, program: &Program, sizes: &[u64
     }
     for s in index.summaries() {
         let _ = write!(out, "block {} {:?} ctrl={} mix", s.instr_count, s.term, s.has_ctrl());
-        for (class, m) in &s.mix_tape {
+        for (class, m) in index.mix_tape(s) {
             let _ = write!(out, " {class}:{:016x}", m.to_bits());
         }
-        let _ = writeln!(out, " profile {:?}", s.profile_tape);
+        let _ = writeln!(out, " profile {:?}", index.profile_tape(s));
     }
     for &n in sizes {
         let items = index.grid_stride_items(n).map(f64::to_bits);
