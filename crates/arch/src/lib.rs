@@ -35,14 +35,12 @@
 #![warn(missing_docs)]
 
 mod family;
-mod limits;
 pub mod occupancy;
 mod spec;
 pub mod table;
 mod throughput;
 
 pub use family::{ComputeCapability, Family};
-pub use limits::{validate_launch, LaunchCheck, LaunchError};
 pub use occupancy::{occupancy, Limiter, Occupancy, OccupancyInput};
 #[allow(deprecated)]
 pub use table::OccupancyTable;

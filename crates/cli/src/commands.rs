@@ -690,15 +690,15 @@ fn render_server_stats(s: &ServiceStats) -> String {
         out,
         "  store: {} kernel(s), {} front-end tier(s) ({} lowerings), {} measurement tier(s), \
          {} unique evaluations, {} context(s)",
-        s.kernels,
-        s.front_end_tiers,
-        s.front_end_lowerings,
-        s.measurement_tiers,
-        s.unique_evaluations,
-        s.contexts
+        s.store.kernels,
+        s.store.front_end_tiers,
+        s.store.front_end_lowerings,
+        s.store.measurement_tiers,
+        s.store.unique_evaluations,
+        s.store.contexts
     );
-    out.push_str(&render_phases(&s.phases));
-    match &s.disk {
+    out.push_str(&render_phases(&s.store.phases));
+    match &s.store.disk {
         Some(d) => {
             let _ = writeln!(
                 out,
@@ -771,14 +771,15 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         let _ = stdout.flush();
     }
     let summary = server.run().map_err(|e| e.to_string())?;
+    let s = summary.stats;
     Ok(format!(
         "oriole serve: shut down after {} connection(s), {} request(s), {} point(s) served, \
          {} shed busy, {} reaped idle ({})\n",
-        summary.connections,
-        summary.requests,
-        summary.points_served,
-        summary.shed_busy,
-        summary.reaped_idle,
+        s.connections,
+        s.requests,
+        s.points_served,
+        s.shed_busy,
+        s.reaped_idle,
         if summary.drained { "drained clean" } else { "drain deadline hit" }
     ))
 }
@@ -828,21 +829,21 @@ fn cmd_fleet_stats(args: &Args) -> Result<String, String> {
     args.reject_unasked("service fleet-stats")?;
     let mut out = String::new();
     let _ = writeln!(out, "fleet of {} shard(s):", spec.len());
-    let (mut unique, mut served, mut reachable) = (0u64, 0u64, 0usize);
+    let (mut unique, mut served, mut reachable) = (0usize, 0u64, 0usize);
     for (i, addr) in spec.shards().iter().enumerate() {
         let stats = Client::connect_with(addr, policy).and_then(|c| c.stats());
         match stats {
             Ok(s) => {
                 reachable += 1;
-                unique += s.unique_evaluations;
+                unique += s.store.unique_evaluations;
                 served += s.points_served;
                 let _ = writeln!(
                     out,
                     "  shard {i} {addr}: {} unique evaluation(s), {} point(s) served, \
                      {} measurement tier(s), {}/{} worker(s) busy, {} shed busy",
-                    s.unique_evaluations,
+                    s.store.unique_evaluations,
                     s.points_served,
-                    s.measurement_tiers,
+                    s.store.measurement_tiers,
                     s.workers_busy,
                     s.workers_max,
                     s.shed_busy

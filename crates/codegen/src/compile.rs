@@ -35,7 +35,7 @@
 use crate::params::{CompilerFlags, TuningParams};
 use crate::regalloc::{self, RegAllocation};
 use crate::transform;
-use oriole_arch::{validate_launch, GpuSpec, LaunchCheck};
+use oriole_arch::GpuSpec;
 use oriole_ir::lower::{lower_indexed, reads_fast_math, LowerOptions};
 use oriole_ir::{KernelAst, LaunchGeometry, Program, ProgramIndex};
 use std::fmt;
@@ -335,22 +335,6 @@ impl FrontEnd {
         program.meta.regs_per_thread = alloc.regs_per_thread;
         program.meta.smem_static = smem;
         program.meta.spill_bytes = alloc.spill_bytes;
-
-        // Defensive: the launch itself must be legal now that resources
-        // are known (registers were capped by the allocator, so only
-        // pathological inputs can fail here).
-        debug_assert!(
-            validate_launch(
-                gpu,
-                LaunchCheck {
-                    threads_per_block: params.tc,
-                    blocks: params.bc,
-                    regs_per_thread: alloc.regs_per_thread,
-                    shmem_per_block: smem,
-                }
-            )
-            .is_ok()
-        );
 
         Ok(CompiledKernel {
             params,

@@ -15,7 +15,7 @@
 //!   role of `ptxas`'s allocator: it decides the `regs/thread` figure the
 //!   occupancy model consumes, and converts overflow into local-memory
 //!   spills.
-//! * [`compile`] — the driver: AST + parameters + target GPU →
+//! * [`compile`](mod@compile) — the driver: AST + parameters + target GPU →
 //!   [`CompiledKernel`], carrying the lowered program with filled-in
 //!   metadata (what `--ptxas-options=-v` reports) and the textual
 //!   disassembly the static analyzer parses. A front-end artifact records

@@ -4,7 +4,7 @@
 //! several avenues for enhancing our static models, including
 //! algorithm-specific optimizations"): cleanup passes over the linear IR
 //! that a production `ptxas` would perform. The passes are *not* part of
-//! the default [`crate::compile`] pipeline — the evaluation reproduces
+//! the default [`crate::compile()`] pipeline — the evaluation reproduces
 //! the paper against unoptimized lowering — but the analyzer accepts
 //! optimized programs transparently. No `tune` or `serve` path runs
 //! them; the benchmark's `codegen.peephole_us` probe times them.

@@ -8,7 +8,7 @@
 //!
 //! * [`occupancy`] — the paper's occupancy model (Eqs. 1–5) with limiter
 //!   attribution, presented over the mechanical calculator in
-//!   [`oriole_arch::occupancy`].
+//!   [`oriole_arch::occupancy()`].
 //! * [`mix`] — instruction-mix metrics (§III-B1): static and
 //!   trip-count-weighted per-class counts, and the computational
 //!   *intensity* that drives the rule-based heuristic.

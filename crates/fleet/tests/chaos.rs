@@ -121,7 +121,7 @@ fn black_holed_home_shard_reroutes_without_losing_or_duplicating_points() {
         Client::connect(&hole_daemon.to_string()).expect("connect").stats().expect("stats");
     let live_stats =
         Client::connect(&live_daemon.to_string()).expect("connect").stats().expect("stats");
-    let unique = hole_stats.unique_evaluations + live_stats.unique_evaluations;
+    let unique = (hole_stats.store.unique_evaluations + live_stats.store.unique_evaluations) as u64;
     let space = points.len() as u64;
     let rebalanced_slack = stats.shards[home].rebalanced_away * CHUNK as u64;
     assert!(

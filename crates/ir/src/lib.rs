@@ -10,7 +10,7 @@
 //! * [`isa`] / [`instr`] / [`block`] — a PTX-like linear ISA: typed
 //!   opcodes, virtual registers, predicates, basic blocks with symbolic
 //!   execution frequencies, terminators carrying divergence metadata.
-//! * [`lower`] — deterministic lowering from the AST to the linear IR,
+//! * [`lower`](mod@lower) — deterministic lowering from the AST to the linear IR,
 //!   including address arithmetic, loop bookkeeping and barrier placement
 //!   (what `nvcc` would have produced for us).
 //! * [`index`] — the per-lowered-program [`ProgramIndex`] artifact and

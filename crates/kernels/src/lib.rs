@@ -1,7 +1,7 @@
 //! # oriole-kernels — the paper's benchmark kernels (Table IV)
 //!
 //! Four CUDA kernels drive the paper's evaluation; this crate encodes each
-//! as a [`KernelAst`](oriole_ir::KernelAst) whose loop structure, operation
+//! as a [`KernelAst`] whose loop structure, operation
 //! mix, memory-access patterns and divergence behaviour match the CUDA
 //! source Orio generates:
 //!
@@ -12,7 +12,7 @@
 //! | [`ex14fj`] | 3-D Jacobi computation | solid-fuel-ignition stencil |
 //! | [`matvec2d`] | elementary linear algebra | `y = Ax` |
 //!
-//! [`reference`] holds analytic FLOP formulas; tests cross-check the
+//! [`reference`](mod@reference) holds analytic FLOP formulas; tests cross-check the
 //! ATAX and BiCG encodings against them, so the resource model cannot
 //! silently drift from the mathematics.
 //!

@@ -28,7 +28,7 @@
 //!   Evaluation executes on a **bounded worker pool** whose size bounds
 //!   concurrent request bodies: requests that cannot start within their
 //!   deadline — and connections past the bound — are shed with an
-//!   explicit [`Response::Busy`](protocol::Response::Busy) instead of
+//!   explicit [`Response::Busy`] instead of
 //!   a hung socket, idle connections are reaped, writes that stop
 //!   making progress drop the connection, and a connection at the
 //!   in-flight cap — or with a few MiB of answers unread — is simply

@@ -1,32 +1,40 @@
-//! The RPC vocabulary: request/response payloads in
-//! [`oriole_tuner::persist`]'s canonical, checksummed wire format.
-//!
-//! Every payload is text, versioned by its first line
-//! (`oriole-rpc vN <verb>`), and travels inside one length-framed,
-//! checksummed (`persist::frame_checksum`), correlation-tagged frame
-//! ([`persist::encode_frame`] / [`persist::decode_frame`], the one
-//! decoder daemon and client both run) — the id lets a connection
-//! pipeline up to [`MAX_IN_FLIGHT`] requests and match out-of-order
-//! responses. The records inside — [`GpuSpec`],
-//! [`EvalProtocol`], [`TuningParams`], [`Measurement`], [`SimReport`] —
-//! reuse the persist codecs verbatim: the same serialization the disk
-//! tier trusts, floats as raw IEEE-754 bits, so a measurement that
+//! The RPC vocabulary: request and response payloads in
+//! [`oriole_tuner::persist`]'s canonical text, one to a length-framed,
+//! checksummed, correlation-tagged frame ([`persist::encode_frame`] /
+//! [`persist::decode_frame`], the one decoder daemon and client both
+//! run; the id lets a connection pipeline up to [`MAX_IN_FLIGHT`]
+//! requests). The records inside — [`GpuSpec`], [`EvalProtocol`],
+//! [`TuningParams`], [`Measurement`], [`SimReport`] — are the disk
+//! tier's own, floats as raw IEEE-754 bits, so a measurement that
 //! crossed the wire is bit-identical to one computed locally.
 //!
-//! Version skew is detected (a peer announcing any other
-//! `oriole-rpc vN` is answered with an error naming both versions, then
-//! disconnected; a peer older than v4 is stopped one layer down, by its
-//! `ORLF` frame magic — [`persist::FrameError::VersionSkew`]) and a
-//! payload that parses but names impossible values — or more than
-//! [`MAX_POINTS_PER_REQUEST`] points — is a per-request error: the
-//! connection survives, the store is never touched with unvalidated
-//! input.
+//! A payload is a head line, `oriole-rpc v4 <verb>`, then its fields in
+//! the order of the verb's one table, which the writer and the reader
+//! both walk (the `stats` counters and the `disk=` and `phases=` fields
+//! too). The reader takes the text front to back in that order: a field
+//! out of order, repeated, unknown, missing or left over is refused
+//! with an error naming the field it expected or the one it found, so
+//! whatever it accepts the writer writes back byte for byte
+//! (`emit(parse(t)) == t`). That refuses the shapes only older v4 builds
+//! wrote: a `stats` answer without `inline=` or with an `optimize`
+//! phase, an `evaluate` request without `deadline=`.
+//!
+//! The version stays v4 because this build writes every byte as the
+//! one before it: a new version would refuse current peers over bytes
+//! that did not change. A peer speaking another version is answered
+//! with an error naming both (one older than v4 is stopped by its
+//! `ORLF` frame magic, [`persist::FrameError::VersionSkew`]). A payload
+//! that parses but names impossible values — a trial count past
+//! [`MAX_TRIALS`], more than [`MAX_POINTS_PER_REQUEST`] points — is a
+//! per-request error: the connection survives, and the store is never
+//! touched with unvalidated input.
 
 use oriole_arch::GpuSpec;
 use oriole_codegen::{PhaseTelemetry, TuningParams};
 use oriole_sim::{ModelId, SimReport, MAX_TRIALS};
-use oriole_tuner::persist::{self, WireError};
-use oriole_tuner::{EvalProtocol, Measurement};
+use oriole_tuner::persist::{self, DiskStats, WireError};
+use oriole_tuner::{EvalProtocol, Measurement, StoreStats};
+use std::fmt::Write as _;
 
 /// The protocol version this build speaks; the first token pair of
 /// every payload. v4 changes the frame, not the text: the checksum is
@@ -112,9 +120,9 @@ pub enum Request {
     },
 }
 
-/// Daemon-side counters returned by [`Request::Stats`]: the server's
-/// serving telemetry plus a summary of its store's
-/// [`StoreStats`](oriole_tuner::StoreStats).
+/// A daemon's counters: its own serving counters and its store's
+/// [`StoreStats`]. [`Request::Stats`] answers a snapshot of it, and
+/// [`Server::run`](crate::Server::run) returns the last one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Connections accepted since the daemon started.
@@ -124,18 +132,6 @@ pub struct ServiceStats {
     /// Tuning points served across all `evaluate` batches (hits and
     /// misses alike).
     pub points_served: u64,
-    /// Distinct kernel names among the store's front-end tiers.
-    pub kernels: u64,
-    /// `(kernel, gpu)` front-end tiers.
-    pub front_end_tiers: u64,
-    /// Front-end lowerings run across all tiers.
-    pub front_end_lowerings: u64,
-    /// Measurement tiers (distinct experiment scopes).
-    pub measurement_tiers: u64,
-    /// Distinct points computed across all tiers since start.
-    pub unique_evaluations: u64,
-    /// Distinct `(device, model)` pairs among the measurement tiers.
-    pub contexts: u64,
     /// Requests currently inside an `evaluate`/`simulate` body.
     pub workers_busy: u64,
     /// The admission bound on concurrent `evaluate`/`simulate` bodies
@@ -161,12 +157,9 @@ pub struct ServiceStats {
     /// Times the reactor's readiness wait returned since the daemon
     /// started (socket readiness, worker completions, or timer ticks).
     pub reactor_wakeups: u64,
-    /// Disk-tier counters; `None` when the daemon's store is
-    /// memory-only.
-    pub disk: Option<persist::DiskStats>,
-    /// What building the front-end artifacts of the daemon's store cost
-    /// (unroll/lower/regalloc wall-clock and invocations).
-    pub phases: PhaseTelemetry,
+    /// The daemon's store: its tiers, unique evaluations, disk tier and
+    /// front-end phases.
+    pub store: StoreStats,
 }
 
 /// One server response.
@@ -214,18 +207,211 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Shared parsing helpers
+// Each payload's fields, named once, in the order they are written and read
 // ---------------------------------------------------------------------------
 
-/// Splits a payload into its verb (after version checking) and body
-/// lines. A peer speaking another `oriole-rpc` version is reported as
-/// such — the message names both versions so operators can tell skew
-/// from corruption.
-fn split_verb(payload: &str) -> Result<(&str, std::str::Lines<'_>), WireError> {
-    let mut lines = payload.lines();
-    let head = lines.next().unwrap_or_default();
+// Each key carries the separator in front of it. An `evaluate` request's
+// points follow its lines, as an answer's measurements or report follow
+// its line.
+const EVALUATE: [&str; 5] = ["\nkernel=", "\ngpu=", "\nsizes=", "\nprotocol=", "\ndeadline="];
+const SIMULATE: [&str; 7] =
+    ["\nkernel=", "\ngpu=", "\nn=", "\nmodel=", "\ntrials=", "\nseed=", "\nparams="];
+const POINT: &str = "\np ";
+const COMPUTED: &str = "\ncomputed=";
+const MEASURED: &str = "\nm ";
+const SELECTED: &str = "\nselected=";
+const REPORT: &str = "\nr ";
+const RETRY_AFTER: &str = "\nretry_after_ms=";
+const MESSAGE: &str = "\nmsg=";
+
+/// A counter of a record `T`: the text in front of it, its value, and
+/// its setter, which refuses a value the field cannot hold (the server's
+/// counters are `u64`, its store's `usize`).
+type Slot<T> = (&'static str, fn(&T) -> u64, fn(&mut T, u64) -> Option<()>);
+
+/// The [`Slot`] of the counter at `$place` in the record `$r`.
+macro_rules! slot {
+    ($key:literal, $r:ident => $place:expr) => {
+        ($key, |$r| $place as u64, |$r, v| {
+            $place = v.try_into().ok()?;
+            Some(())
+        })
+    };
+}
+
+/// A `stats` answer's counter lines. The `disk=` line follows only from
+/// a daemon with a store directory; the `phases=` line always does.
+const STATS: [Slot<ServiceStats>; 18] = [
+    slot!("\nconnections=", s => s.connections),
+    slot!("\nrequests=", s => s.requests),
+    slot!("\npoints=", s => s.points_served),
+    slot!("\nkernels=", s => s.store.kernels),
+    slot!("\nfe_tiers=", s => s.store.front_end_tiers),
+    slot!("\nlowerings=", s => s.store.front_end_lowerings),
+    slot!("\nmeas_tiers=", s => s.store.measurement_tiers),
+    slot!("\nunique=", s => s.store.unique_evaluations),
+    slot!("\ncontexts=", s => s.store.contexts),
+    slot!("\nbusy=", s => s.workers_busy),
+    slot!("\nwmax=", s => s.workers_max),
+    slot!("\nshed=", s => s.shed_busy),
+    slot!("\nreaped=", s => s.reaped_idle),
+    slot!("\nconns_open=", s => s.open_connections),
+    slot!("\ninflight=", s => s.frames_inflight),
+    slot!("\npipe_peak=", s => s.pipelined_peak),
+    slot!("\nwakeups=", s => s.reactor_wakeups),
+    slot!("\ninline=", s => s.inline_hits),
+];
+
+const DISK: [Slot<DiskStats>; 5] = [
+    slot!("\ndisk=hits:", d => d.tier_hits),
+    slot!(";misses:", d => d.tier_misses),
+    slot!(";loaded:", d => d.measurements_loaded),
+    slot!(";written:", d => d.measurements_written),
+    slot!(";rejected:", d => d.rejected),
+];
+
+/// Each phase's nanoseconds, then its calls (a bare `:`, which an error
+/// names as the phase's calls).
+const PHASES: [Slot<PhaseTelemetry>; 6] = [
+    slot!("\nphases=unroll:", p => p.unroll_ns),
+    slot!(":", p => p.unroll_calls),
+    slot!(";lower:", p => p.lower_ns),
+    slot!(":", p => p.lower_calls),
+    slot!(";regalloc:", p => p.regalloc_ns),
+    slot!(":", p => p.regalloc_calls),
+];
+
+// ---------------------------------------------------------------------------
+// The writer and the in-order reader
+// ---------------------------------------------------------------------------
+
+fn write_counters<T>(out: &mut String, slots: &[Slot<T>], record: &T) {
+    for (key, get, _) in slots {
+        let _ = write!(out, "{key}{}", get(record));
+    }
+}
+
+/// A key as an error names it: without its separators.
+fn name(key: &str) -> &str {
+    key.trim_matches(|c: char| c.is_ascii_whitespace() || c.is_ascii_punctuation() && c != '_')
+}
+
+/// The `i`th counter of `slots` as an error names it: its key, or for a
+/// phase's calls, the phase's key and `calls`.
+#[cold]
+fn counter_name<T>(slots: &[Slot<T>], i: usize) -> String {
+    match name(slots[i].0) {
+        "" => format!("{} calls", name(slots[i - 1].0)),
+        key => key.to_string(),
+    }
+}
+
+/// One field's text, with the key it was read after.
+#[derive(Clone, Copy)]
+struct Field<'a> {
+    key: &'static str,
+    value: &'a str,
+}
+
+impl Field<'_> {
+    #[cold]
+    fn bad(self, what: &str) -> WireError {
+        WireError::new(format!("{what} `{}`", name(self.key)))
+    }
+
+    /// A canonical decimal.
+    fn num(self) -> Result<u64, WireError> {
+        persist::parse_dec(self.value).map_err(|_| self.bad("bad numeric"))
+    }
+}
+
+/// A payload past its head line, read front to back in its writer's
+/// order: each step must find its key next, and nothing may be left.
+struct Reader<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Reader<'a> {
+    /// The rest of the line `key` opens, if it comes next.
+    fn next_if(&mut self, key: &str) -> Option<&'a str> {
+        let rest = self.rest.strip_prefix(key)?;
+        let (value, rest) = rest.split_at(rest.find('\n').unwrap_or(rest.len()));
+        self.rest = rest;
+        Some(value)
+    }
+
+    /// The lines `keys` open, which must come next.
+    fn lines<const N: usize>(
+        &mut self,
+        keys: [&'static str; N],
+    ) -> Result<[Field<'a>; N], WireError> {
+        let mut fields = [Field { key: "", value: "" }; N];
+        for (field, key) in fields.iter_mut().zip(keys) {
+            let value = self.next_if(key).ok_or_else(|| self.unexpected(name(key)))?;
+            *field = Field { key, value };
+        }
+        Ok(fields)
+    }
+
+    /// Every next line `key` opens, read by `parse`.
+    fn records<T>(
+        &mut self,
+        key: &str,
+        parse: impl Fn(&'a str) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        std::iter::from_fn(|| self.next_if(key)).map(parse).collect()
+    }
+
+    /// A record of counters, each a canonical decimal after its key.
+    fn counters<T: Default>(&mut self, slots: &[Slot<T>]) -> Result<T, WireError> {
+        let mut record = T::default();
+        for (i, (key, _, set)) in slots.iter().enumerate() {
+            let Some(rest) = self.rest.strip_prefix(key) else {
+                return Err(self.unexpected(&counter_name(slots, i)));
+            };
+            let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+            let (value, rest) = rest.split_at(digits);
+            persist::parse_dec(value).ok().and_then(|v| set(&mut record, v)).ok_or_else(|| {
+                WireError::new(format!("bad numeric `{}`", counter_name(slots, i)))
+            })?;
+            self.rest = rest;
+        }
+        Ok(record)
+    }
+
+    /// Refuses anything after the last field.
+    fn end(self) -> Result<(), WireError> {
+        if self.rest.is_empty() {
+            return Ok(());
+        }
+        Err(WireError::new(format!("unexpected {} after the last field", self.found())))
+    }
+
+    /// What comes next, as an error names it: a key, a record's mark, an
+    /// empty one, or the end of the payload.
+    fn found(&self) -> String {
+        let next = self.rest.trim_start_matches(['\n', ';', ':']);
+        match &next[..next.find(['=', ':', ';', ' ', '\n']).unwrap_or(next.len())] {
+            "" if self.rest.is_empty() => "the end of the payload".into(),
+            "" => "empty field".into(),
+            found => format!("`{found}`"),
+        }
+    }
+
+    #[cold]
+    fn unexpected(&self, expected: &str) -> WireError {
+        WireError::new(format!("expected `{expected}`, found {}", self.found()))
+    }
+}
+
+/// Splits a payload into its verb (after version checking) and body.
+/// A peer speaking another `oriole-rpc` version is reported as such —
+/// the message names both versions so operators can tell skew from
+/// corruption.
+fn split_verb(payload: &str) -> Result<(&str, Reader<'_>), WireError> {
+    let (head, rest) = payload.split_at(payload.find('\n').unwrap_or(payload.len()));
     if let Some(verb) = head.strip_prefix(RPC_VERSION).and_then(|r| r.strip_prefix(' ')) {
-        Ok((verb, lines))
+        Ok((verb, Reader { rest }))
     } else if head.starts_with("oriole-rpc ") {
         Err(WireError::new(format!(
             "version skew: peer speaks `{head}`, this build speaks `{RPC_VERSION}`"
@@ -235,27 +421,13 @@ fn split_verb(payload: &str) -> Result<(&str, std::str::Lines<'_>), WireError> {
     }
 }
 
-fn body_field<'a>(lines: &[&'a str], key: &str) -> Result<&'a str, WireError> {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-        .ok_or_else(|| WireError::new(format!("missing `{key}=` line")))
-}
-
-/// The scope's sizes as `persist::scope_text` spells them: canonical
-/// decimals joined by commas, and nothing at all for no sizes.
-fn parse_sizes(text: &str) -> Result<Vec<u64>, WireError> {
-    if text.is_empty() {
+/// A scope's sizes as the writer spells them: canonical decimals joined
+/// by commas, and nothing at all for no sizes.
+fn parse_sizes(field: Field<'_>) -> Result<Vec<u64>, WireError> {
+    if field.value.is_empty() {
         return Ok(Vec::new());
     }
-    text.split(',')
-        .map(|s| persist::parse_dec(s).map_err(|_| WireError::new(format!("bad size `{s}`"))))
-        .collect()
-}
-
-/// A number of a payload outside its records: a canonical decimal.
-fn parse_u64(text: &str, key: &str) -> Result<u64, WireError> {
-    persist::parse_dec(text).map_err(|_| WireError::new(format!("bad numeric `{key}`")))
+    field.value.split(',').map(|value| Field { value, ..field }.num()).collect()
 }
 
 /// A request's trial count, refused past [`MAX_TRIALS`]: a worker draws
@@ -278,21 +450,25 @@ pub fn emit_request(req: &Request) -> String {
         Request::Shutdown => format!("{RPC_VERSION} shutdown"),
         Request::Stats => format!("{RPC_VERSION} stats"),
         Request::Evaluate { scope, points, deadline_ms } => {
-            // The head is the tier's own scope text; points append.
             let EvalScope { kernel, gpu, sizes, protocol } = scope;
-            let scope = persist::scope_text(kernel, gpu, sizes, protocol);
-            let mut out = format!("{RPC_VERSION} evaluate\n{scope}\ndeadline={deadline_ms}");
-            out.reserve(48 * points.len());
-            for p in points {
-                out.push_str("\np ");
-                persist::write_params(&mut out, p);
+            let [k, g, s, p, d] = EVALUATE;
+            let (gpu, protocol) = (persist::emit_gpu_spec(gpu), persist::emit_protocol(protocol));
+            let mut out = String::with_capacity(448 + 21 * sizes.len() + 48 * points.len());
+            let _ = write!(out, "{RPC_VERSION} evaluate{k}{kernel}{g}{gpu}{s}");
+            for (i, n) in sizes.iter().enumerate() {
+                let _ = write!(out, "{}{n}", if i == 0 { "" } else { "," });
+            }
+            let _ = write!(out, "{p}{protocol}{d}{deadline_ms}");
+            for point in points {
+                out.push_str(POINT);
+                persist::write_params(&mut out, point);
             }
             out
         }
         Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
+            let [k, g, nk, m, t, s, p] = SIMULATE;
             let mut out = format!(
-                "{RPC_VERSION} simulate\nkernel={kernel}\ngpu={}\nn={n}\nmodel={}\n\
-                 trials={trials}\nseed={}\nparams=",
+                "{RPC_VERSION} simulate{k}{kernel}{g}{}{nk}{n}{m}{}{t}{trials}{s}{}{p}",
                 persist::emit_gpu_spec(gpu),
                 model.name(),
                 // Spelled as a float's raw bits are: 16 lowercase hex digits.
@@ -306,107 +482,50 @@ pub fn emit_request(req: &Request) -> String {
 
 /// Parses one request payload.
 pub fn parse_request(payload: &str) -> Result<Request, WireError> {
-    let (verb, lines) = split_verb(payload)?;
-    let body: Vec<&str> = lines.collect();
-    match verb {
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "stats" => Ok(Request::Stats),
+    let (verb, mut body) = split_verb(payload)?;
+    let request = match verb {
+        "ping" => Request::Ping,
+        "shutdown" => Request::Shutdown,
+        "stats" => Request::Stats,
         "evaluate" => {
-            let scope = EvalScope {
-                kernel: body_field(&body, "kernel")?.to_string(),
-                gpu: persist::parse_gpu_spec(body_field(&body, "gpu")?)?,
-                sizes: parse_sizes(body_field(&body, "sizes")?)?,
-                protocol: persist::parse_protocol(body_field(&body, "protocol")?)?,
-            };
-            check_trials(u64::from(scope.protocol.trials))?;
-            let mut points = Vec::with_capacity(body.len());
-            for line in body.iter().filter_map(|l| l.strip_prefix("p ")) {
-                points.push(persist::parse_params(line)?);
+            let [kernel, gpu, sizes, protocol, deadline] = body.lines(EVALUATE)?;
+            let protocol = persist::parse_protocol(protocol.value)?;
+            check_trials(u64::from(protocol.trials))?;
+            Request::Evaluate {
+                scope: EvalScope {
+                    kernel: kernel.value.to_string(),
+                    gpu: persist::parse_gpu_spec(gpu.value)?,
+                    sizes: parse_sizes(sizes)?,
+                    protocol,
+                },
+                deadline_ms: deadline.num()?,
+                points: body.records(POINT, persist::parse_params)?,
             }
-            // Absent deadline parses as "none declared" so a minimal
-            // hand-written v2 payload stays valid.
-            let deadline_ms = match body_field(&body, "deadline") {
-                Ok(v) => parse_u64(v, "deadline")?,
-                Err(_) => 0,
-            };
-            Ok(Request::Evaluate { scope, points, deadline_ms })
         }
-        "simulate" => Ok(Request::Simulate {
-            kernel: body_field(&body, "kernel")?.to_string(),
-            gpu: persist::parse_gpu_spec(body_field(&body, "gpu")?)?,
-            n: parse_u64(body_field(&body, "n")?, "n")?,
-            params: persist::parse_params(body_field(&body, "params")?)?,
-            model: ModelId::parse(body_field(&body, "model")?)
-                .ok_or_else(|| WireError::new("unknown model id"))?,
-            trials: check_trials(parse_u64(body_field(&body, "trials")?, "trials")?)?,
-            seed: persist::parse_f64(body_field(&body, "seed")?)
-                .map(f64::to_bits)
-                .map_err(|_| WireError::new("bad seed"))?,
-        }),
-        other => Err(WireError::new(format!("unknown request verb `{other}`"))),
-    }
+        "simulate" => {
+            let [kernel, gpu, n, model, trials, seed, params] = body.lines(SIMULATE)?;
+            Request::Simulate {
+                kernel: kernel.value.to_string(),
+                gpu: persist::parse_gpu_spec(gpu.value)?,
+                n: n.num()?,
+                params: persist::parse_params(params.value)?,
+                model: ModelId::ALL
+                    .into_iter()
+                    .find(|m| m.name() == model.value)
+                    .ok_or_else(|| model.bad("unknown value of"))?,
+                trials: check_trials(trials.num()?)?,
+                seed: persist::parse_f64(seed.value).map_err(|_| seed.bad("bad hex"))?.to_bits(),
+            }
+        }
+        other => return Err(WireError::new(format!("unknown request verb `{other}`"))),
+    };
+    body.end()?;
+    Ok(request)
 }
 
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
-
-fn emit_disk(d: &persist::DiskStats) -> String {
-    format!(
-        "hits:{};misses:{};loaded:{};written:{};rejected:{}",
-        d.tier_hits, d.tier_misses, d.measurements_loaded, d.measurements_written, d.rejected
-    )
-}
-
-fn emit_phases(p: &PhaseTelemetry) -> String {
-    format!(
-        "unroll:{}:{};lower:{}:{};regalloc:{}:{}",
-        p.unroll_ns, p.unroll_calls, p.lower_ns, p.lower_calls, p.regalloc_ns, p.regalloc_calls,
-    )
-}
-
-/// The `phases=` field; a field it does not know (a daemon from before
-/// `optimize` left it sends one) is skipped.
-fn parse_phases(text: &str) -> Result<PhaseTelemetry, WireError> {
-    let get = |key: &str| -> Result<(u64, u64), WireError> {
-        let rest = text
-            .split(';')
-            .find_map(|f| f.strip_prefix(key).and_then(|r| r.strip_prefix(':')))
-            .ok_or_else(|| WireError::new(format!("missing phase field `{key}`")))?;
-        let (ns, calls) = rest
-            .split_once(':')
-            .ok_or_else(|| WireError::new(format!("malformed phase field `{key}`")))?;
-        Ok((parse_u64(ns, key)?, parse_u64(calls, key)?))
-    };
-    let (unroll_ns, unroll_calls) = get("unroll")?;
-    let (lower_ns, lower_calls) = get("lower")?;
-    let (regalloc_ns, regalloc_calls) = get("regalloc")?;
-    Ok(PhaseTelemetry {
-        unroll_ns,
-        unroll_calls,
-        lower_ns,
-        lower_calls,
-        regalloc_ns,
-        regalloc_calls,
-    })
-}
-
-fn parse_disk(text: &str) -> Result<persist::DiskStats, WireError> {
-    let get = |key: &str| -> Result<u64, WireError> {
-        text.split(';')
-            .find_map(|f| f.strip_prefix(key).and_then(|r| r.strip_prefix(':')))
-            .ok_or_else(|| WireError::new(format!("missing disk field `{key}`")))
-            .and_then(|v| parse_u64(v, key))
-    };
-    Ok(persist::DiskStats {
-        tier_hits: get("hits")?,
-        tier_misses: get("misses")?,
-        measurements_loaded: get("loaded")?,
-        measurements_written: get("written")?,
-        rejected: get("rejected")?,
-    })
-}
 
 /// Appends an `ok evaluate` payload from borrowed measurements — a
 /// daemon serializes straight from its store's `Arc`s — into a buffer
@@ -416,8 +535,8 @@ where
     I: IntoIterator<Item = &'a Measurement>,
     I::IntoIter: Clone,
 {
-    out.push_str(&format!("{RPC_VERSION} ok evaluate\ncomputed={computed}"));
-    persist::write_measurements(out, "\nm ", measurements);
+    let _ = write!(out, "{RPC_VERSION} ok evaluate{COMPUTED}{computed}");
+    persist::write_measurements(out, MEASURED, measurements);
 }
 
 /// Serializes a response payload (the frame body).
@@ -426,39 +545,15 @@ pub fn emit_response(resp: &Response) -> String {
         Response::Pong => format!("{RPC_VERSION} ok pong"),
         Response::ShuttingDown => format!("{RPC_VERSION} ok shutdown"),
         Response::Busy { retry_after_ms } => {
-            format!("{RPC_VERSION} busy\nretry_after_ms={retry_after_ms}")
+            format!("{RPC_VERSION} busy{RETRY_AFTER}{retry_after_ms}")
         }
-        Response::Stats(s) => {
-            let mut out = format!(
-                "{RPC_VERSION} ok stats\nconnections={}\nrequests={}\npoints={}\nkernels={}\n\
-                 fe_tiers={}\nlowerings={}\nmeas_tiers={}\nunique={}\ncontexts={}\nbusy={}\n\
-                 wmax={}\nshed={}\nreaped={}\nconns_open={}\ninflight={}\npipe_peak={}\n\
-                 wakeups={}\ninline={}",
-                s.connections,
-                s.requests,
-                s.points_served,
-                s.kernels,
-                s.front_end_tiers,
-                s.front_end_lowerings,
-                s.measurement_tiers,
-                s.unique_evaluations,
-                s.contexts,
-                s.workers_busy,
-                s.workers_max,
-                s.shed_busy,
-                s.reaped_idle,
-                s.open_connections,
-                s.frames_inflight,
-                s.pipelined_peak,
-                s.reactor_wakeups,
-                s.inline_hits,
-            );
-            if let Some(d) = &s.disk {
-                out.push_str("\ndisk=");
-                out.push_str(&emit_disk(d));
+        Response::Stats(stats) => {
+            let mut out = format!("{RPC_VERSION} ok stats");
+            write_counters(&mut out, &STATS, stats);
+            if let Some(disk) = &stats.store.disk {
+                write_counters(&mut out, &DISK, disk);
             }
-            out.push_str("\nphases=");
-            out.push_str(&emit_phases(&s.phases));
+            write_counters(&mut out, &PHASES, &stats.store.phases);
             out
         }
         Response::Evaluate { computed, measurements } => {
@@ -467,98 +562,65 @@ pub fn emit_response(resp: &Response) -> String {
             out
         }
         Response::Simulate { selected, report } => format!(
-            "{RPC_VERSION} ok simulate\nselected={}\nr {}",
+            "{RPC_VERSION} ok simulate{SELECTED}{}{REPORT}{}",
             persist::emit_f64(*selected),
             persist::emit_sim_report(report),
         ),
         Response::Error { message } => {
             // Keep the message one line: newlines would masquerade as
             // body fields of some other payload shape.
-            format!("{RPC_VERSION} error\nmsg={}", message.replace('\n', " "))
+            format!("{RPC_VERSION} error{MESSAGE}{}", message.replace('\n', " "))
         }
     }
 }
 
 /// Parses one response payload.
 pub fn parse_response(payload: &str) -> Result<Response, WireError> {
-    let (verb, lines) = split_verb(payload)?;
-    let body: Vec<&str> = lines.collect();
-    match verb {
-        "error" => Ok(Response::Error { message: body_field(&body, "msg")?.to_string() }),
-        "busy" => Ok(Response::Busy {
-            retry_after_ms: parse_u64(body_field(&body, "retry_after_ms")?, "retry_after_ms")?,
-        }),
-        _ => {
-            let ok_verb = verb
-                .strip_prefix("ok ")
-                .ok_or_else(|| WireError::new(format!("unknown response verb `{verb}`")))?;
-            match ok_verb {
-                "pong" => Ok(Response::Pong),
-                "shutdown" => Ok(Response::ShuttingDown),
-                "stats" => {
-                    let num = |key: &str| body_field(&body, key).and_then(|v| parse_u64(v, key));
-                    Ok(Response::Stats(ServiceStats {
-                        connections: num("connections")?,
-                        requests: num("requests")?,
-                        points_served: num("points")?,
-                        kernels: num("kernels")?,
-                        front_end_tiers: num("fe_tiers")?,
-                        front_end_lowerings: num("lowerings")?,
-                        measurement_tiers: num("meas_tiers")?,
-                        unique_evaluations: num("unique")?,
-                        contexts: num("contexts")?,
-                        workers_busy: num("busy")?,
-                        workers_max: num("wmax")?,
-                        shed_busy: num("shed")?,
-                        reaped_idle: num("reaped")?,
-                        open_connections: num("conns_open")?,
-                        frames_inflight: num("inflight")?,
-                        pipelined_peak: num("pipe_peak")?,
-                        reactor_wakeups: num("wakeups")?,
-                        // Optional, like `phases`: a peer from before
-                        // the counter sends none.
-                        inline_hits: match body_field(&body, "inline") {
-                            Ok(v) => parse_u64(v, "inline")?,
-                            Err(_) => 0,
-                        },
-                        disk: match body_field(&body, "disk") {
-                            Ok(d) => Some(parse_disk(d)?),
-                            Err(_) => None,
-                        },
-                        // Optional for wire compatibility with peers that
-                        // predate the phase telemetry.
-                        phases: match body_field(&body, "phases") {
-                            Ok(p) => parse_phases(p)?,
-                            Err(_) => PhaseTelemetry::default(),
-                        },
-                    }))
-                }
-                "evaluate" => {
-                    let computed = parse_u64(body_field(&body, "computed")?, "computed")?;
-                    let mut measurements = Vec::with_capacity(body.len());
-                    for line in body.iter().filter_map(|l| l.strip_prefix("m ")) {
-                        measurements.push(persist::parse_measurement(line)?);
-                    }
-                    Ok(Response::Evaluate { computed, measurements })
-                }
-                "simulate" => Ok(Response::Simulate {
-                    selected: persist::parse_f64(body_field(&body, "selected")?)?,
-                    report: persist::parse_sim_report(
-                        body.iter()
-                            .find_map(|l| l.strip_prefix("r "))
-                            .ok_or_else(|| WireError::new("missing report record"))?,
-                    )?,
-                }),
-                other => Err(WireError::new(format!("unknown response verb `{other}`"))),
+    let (verb, mut body) = split_verb(payload)?;
+    let response = match verb {
+        "ok pong" => Response::Pong,
+        "ok shutdown" => Response::ShuttingDown,
+        "busy" => {
+            let [retry_after_ms] = body.lines([RETRY_AFTER])?;
+            Response::Busy { retry_after_ms: retry_after_ms.num()? }
+        }
+        "ok stats" => {
+            let mut stats: ServiceStats = body.counters(&STATS)?;
+            if body.rest.starts_with(DISK[0].0) {
+                stats.store.disk = Some(body.counters(&DISK)?);
+            }
+            stats.store.phases = body.counters(&PHASES)?;
+            Response::Stats(stats)
+        }
+        "ok evaluate" => {
+            let [computed] = body.lines([COMPUTED])?;
+            Response::Evaluate {
+                computed: computed.num()?,
+                measurements: body.records(MEASURED, persist::parse_measurement)?,
             }
         }
-    }
+        "ok simulate" => {
+            let [selected, report] = body.lines([SELECTED, REPORT])?;
+            Response::Simulate {
+                selected: persist::parse_f64(selected.value)?,
+                report: persist::parse_sim_report(report.value)?,
+            }
+        }
+        "error" => {
+            let [message] = body.lines([MESSAGE])?;
+            Response::Error { message: message.value.to_string() }
+        }
+        other => return Err(WireError::new(format!("unknown response verb `{other}`"))),
+    };
+    body.end()?;
+    Ok(response)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oriole_arch::Gpu;
+    use std::fmt::Debug;
 
     fn scope() -> EvalScope {
         EvalScope {
@@ -566,6 +628,63 @@ mod tests {
             gpu: Gpu::K20.spec().clone(),
             sizes: vec![64, 128],
             protocol: EvalProtocol::default(),
+        }
+    }
+
+    fn simulate() -> Request {
+        Request::Simulate {
+            kernel: "bicg".into(),
+            gpu: Gpu::M40.spec().clone(),
+            n: 256,
+            params: TuningParams::with_geometry(512, 24),
+            model: ModelId::Simulator,
+            trials: 10,
+            seed: 7,
+        }
+    }
+
+    /// A disk-backed daemon's counters after a sweep, each a value of its
+    /// own, so two fields swapped on the wire cannot read back the same.
+    fn stats() -> ServiceStats {
+        let phases = PhaseTelemetry {
+            unroll_ns: 1_250,
+            unroll_calls: 10,
+            lower_ns: 311_007,
+            lower_calls: 14,
+            regalloc_ns: 42_000,
+            regalloc_calls: 15,
+        };
+        let disk = DiskStats {
+            tier_hits: 21,
+            tier_misses: 22,
+            measurements_loaded: 641,
+            measurements_written: 23,
+            rejected: 24,
+        };
+        let store = StoreStats {
+            kernels: 2,
+            front_end_tiers: 4,
+            front_end_lowerings: 20,
+            measurement_tiers: 5,
+            unique_evaluations: 640,
+            contexts: 1,
+            disk: Some(disk),
+            phases,
+        };
+        ServiceStats {
+            connections: 3,
+            requests: 17,
+            points_served: 1280,
+            workers_busy: 6,
+            workers_max: 16,
+            shed_busy: 8,
+            reaped_idle: 9,
+            open_connections: 11,
+            frames_inflight: 7,
+            pipelined_peak: 12,
+            inline_hits: 77,
+            reactor_wakeups: 901,
+            store,
         }
     }
 
@@ -583,39 +702,10 @@ mod tests {
                 ],
                 deadline_ms: 2_500,
             },
-            Request::Simulate {
-                kernel: "bicg".into(),
-                gpu: Gpu::M40.spec().clone(),
-                n: 256,
-                params: TuningParams::with_geometry(512, 24),
-                model: ModelId::Roofline,
-                trials: 10,
-                seed: 0xdead_beef,
-            },
+            simulate(),
         ];
         for req in reqs {
             assert_eq!(parse_request(&emit_request(&req)).unwrap(), req, "{req:?}");
-        }
-    }
-
-    #[test]
-    fn evaluate_without_a_deadline_line_parses_as_no_deadline() {
-        let emitted = emit_request(&Request::Evaluate {
-            scope: scope(),
-            points: vec![TuningParams::with_geometry(128, 48)],
-            deadline_ms: 9_999,
-        });
-        let stripped: String = emitted
-            .lines()
-            .filter(|l| !l.starts_with("deadline="))
-            .collect::<Vec<_>>()
-            .join("\n");
-        match parse_request(&stripped).unwrap() {
-            Request::Evaluate { deadline_ms, points, .. } => {
-                assert_eq!(deadline_ms, 0);
-                assert_eq!(points.len(), 1);
-            }
-            other => panic!("{other:?}"),
         }
     }
 
@@ -630,45 +720,10 @@ mod tests {
             regs_allocated: 24,
             reg_instructions: 12.5,
         };
-        let stats = ServiceStats {
-            connections: 3,
-            requests: 17,
-            points_served: 1280,
-            kernels: 2,
-            front_end_tiers: 2,
-            front_end_lowerings: 20,
-            measurement_tiers: 2,
-            unique_evaluations: 640,
-            contexts: 1,
-            workers_busy: 3,
-            workers_max: 16,
-            shed_busy: 5,
-            reaped_idle: 2,
-            open_connections: 4,
-            frames_inflight: 7,
-            pipelined_peak: 12,
-            inline_hits: 77,
-            reactor_wakeups: 901,
-            disk: Some(persist::DiskStats {
-                tier_hits: 1,
-                tier_misses: 0,
-                measurements_loaded: 640,
-                measurements_written: 0,
-                rejected: 0,
-            }),
-            phases: PhaseTelemetry {
-                unroll_ns: 1_250,
-                unroll_calls: 10,
-                lower_ns: 311_007,
-                lower_calls: 10,
-                regalloc_ns: 42_000,
-                regalloc_calls: 10,
-            },
-        };
         let resps = [
             Response::Pong,
             Response::ShuttingDown,
-            Response::Stats(stats),
+            Response::Stats(stats()),
             Response::Stats(ServiceStats::default()),
             Response::Evaluate { computed: 2, measurements: vec![m.clone(), m] },
             Response::Busy { retry_after_ms: 25 },
@@ -677,31 +732,6 @@ mod tests {
         for resp in resps {
             assert_eq!(parse_response(&emit_response(&resp)).unwrap(), resp, "{resp:?}");
         }
-        // A v4 daemon from before the inline counter sends no such line.
-        let older = emit_response(&Response::Stats(stats)).replace("\ninline=77", "");
-        let expected = Response::Stats(ServiceStats { inline_hits: 0, ..stats });
-        assert_eq!(parse_response(&older).unwrap(), expected);
-        assert!(parse_response(&older.replace("wakeups=901", "wakeups=901\ninline=x")).is_err());
-    }
-
-    #[test]
-    fn a_stats_answer_that_still_reports_optimize_parses() {
-        // Word for word what a daemon from before `optimize` left the
-        // phase line answers: the field reads `0:0` in every product run,
-        // and is dropped.
-        let parent = "oriole-rpc v4 ok stats\nconnections=3\nrequests=17\npoints=1280\n\
-                      kernels=2\nfe_tiers=2\nlowerings=20\nmeas_tiers=2\nunique=640\n\
-                      contexts=1\nbusy=3\nwmax=16\nshed=5\nreaped=2\nconns_open=4\n\
-                      inflight=7\npipe_peak=12\nwakeups=901\ninline=77\n\
-                      disk=hits:1;misses:0;loaded:640;written:0;rejected:0\n\
-                      phases=unroll:1250:10;lower:311007:10;optimize:0:0;regalloc:42000:10";
-        let Response::Stats(stats) = parse_response(parent).unwrap() else {
-            panic!("a stats answer");
-        };
-        let p = stats.phases;
-        assert_eq!((p.unroll_calls, p.lower_ns, p.regalloc_ns), (10, 311_007, 42_000));
-        let ours = emit_response(&Response::Stats(stats));
-        assert_eq!(ours, parent.replace("optimize:0:0;", ""));
     }
 
     #[test]
@@ -719,24 +749,70 @@ mod tests {
         assert_eq!(rt, resp);
     }
 
+    /// Asserts `parse` refuses `text` with an error naming `field`.
+    fn refused<T: Debug>(parse: fn(&str) -> Result<T, WireError>, text: &str, field: &str) {
+        let err = parse(text).expect_err(text).to_string();
+        assert!(err.contains(&format!("`{field}")), "{err} does not name `{field}`");
+    }
+
+    #[test]
+    fn shapes_only_older_v4_builds_wrote_are_refused_by_name() {
+        let answer = emit_response(&Response::Stats(stats()));
+        let stats_refused = |text: &str, field| refused(parse_response, text, field);
+        // A daemon from before the inline counter sent no `inline=` line,
+        stats_refused(&answer.replace("\ninline=77", ""), "inline");
+        // one from before `optimize` left the phase line sent that phase,
+        stats_refused(&answer.replace(";regalloc:", ";optimize:0:0;regalloc:"), "optimize");
+        // and no v4 daemon ever left out its `phases=` line.
+        stats_refused(answer.split_once("\nphases=").unwrap().0, "phases");
+        // A client from before deadlines sent no `deadline=` line.
+        let request = emit_request(&Request::Evaluate {
+            scope: scope(),
+            points: vec![TuningParams::with_geometry(128, 48)],
+            deadline_ms: 9_999,
+        });
+        refused(parse_request, &request.replace("\ndeadline=9999", ""), "deadline");
+    }
+
+    #[test]
+    fn a_body_is_read_in_its_writers_order_and_no_further() {
+        let answer = emit_response(&Response::Stats(stats()));
+        let stats_refused = |text: &str, field| refused(parse_response, text, field);
+        let (head, body) = answer.split_once('\n').unwrap();
+        let reversed: Vec<&str> = [head].into_iter().chain(body.lines().rev()).collect();
+        stats_refused(&reversed.join("\n"), "connections");
+        stats_refused(&answer.replace("\nrequests=17", "\nrequests=17\nrequests=17"), "points");
+        stats_refused(&answer.replace("\nrequests=17", "\nx=1\nrequests=17"), "requests");
+        stats_refused(&format!("{answer}\nx=1"), "x");
+        stats_refused(&answer.replace("rejected:24", "rejected:24;x:1"), "x");
+        stats_refused(&answer.replace("regalloc:42000:15", "regalloc:42000:15:1"), "1");
+        // A phase's calls are named as such,
+        stats_refused(&answer.replace("lower:311007:14", "lower:311007;14"), "lower calls");
+        stats_refused(&answer.replace("regalloc:42000:15", "regalloc:42000:x"), "regalloc calls");
+        stats_refused(&answer.replace("unroll:1250:10", "unroll:1250"), "phases=unroll calls");
+        // and a trailing line break is an empty last field.
+        let err = parse_response(&format!("{answer}\n")).unwrap_err().to_string();
+        assert!(err.contains("empty field after the last field"), "{err}");
+        refused(parse_request, &format!("{}\nping", emit_request(&Request::Ping)), "ping");
+
+        let simulate = emit_request(&simulate());
+        assert!(parse_request(&simulate).is_ok());
+        refused(parse_request, &simulate.replace("\nmodel=sim", "\nmodel=Simulator"), "model");
+        let mut lines: Vec<&str> = simulate.lines().collect();
+        lines.swap(1, 2);
+        refused(parse_request, &lines.join("\n"), "kernel");
+    }
+
     #[test]
     fn version_skew_and_junk_are_rejected_with_names() {
-        let err = parse_request("oriole-rpc v99 ping").unwrap_err();
-        assert!(err.to_string().contains("version skew"), "{err}");
-        assert!(err.to_string().contains(RPC_VERSION), "{err}");
-        // The deadline field is new in v2: a v1 peer is skew, named as
-        // such, not silently tolerated.
-        let err = parse_request("oriole-rpc v1 ping").unwrap_err();
-        assert!(err.to_string().contains("version skew"), "{err}");
-        // Correlation-tagged pipelining is new in v3: a v2 peer is skew
-        // too — its untagged frames would not even decode, and a loud
-        // version error beats silent misdelivery.
-        let err = parse_request("oriole-rpc v2 ping").unwrap_err();
-        assert!(err.to_string().contains("version skew"), "{err}");
-        // The frame checksum is new in v4: a v3 payload that somehow got
-        // past the frame magic is still skew by its first line.
-        let err = parse_request("oriole-rpc v3 ping").unwrap_err();
-        assert!(err.to_string().contains("version skew"), "{err}");
+        // Each older version is skew, named as such, not tolerated: v2
+        // brought deadlines, v3 correlation-tagged frames, v4 the frame
+        // checksum (so a v3 payload past the frame magic is still skew).
+        for version in ["v1", "v2", "v3", "v99"] {
+            let err = parse_request(&format!("oriole-rpc {version} ping")).unwrap_err();
+            assert!(err.to_string().contains("version skew"), "{err}");
+            assert!(err.to_string().contains(RPC_VERSION), "{err}");
+        }
         assert!(parse_request("GET / HTTP/1.1").is_err());
         assert!(parse_request(&format!("{RPC_VERSION} frobnicate")).is_err());
         assert!(parse_response(&format!("{RPC_VERSION} ok frobnicate")).is_err());
@@ -747,16 +823,7 @@ mod tests {
     #[test]
     fn trials_past_the_bound_are_refused_not_truncated() {
         let request = |trials: u64| {
-            let sample = Request::Simulate {
-                kernel: "bicg".into(),
-                gpu: Gpu::M40.spec().clone(),
-                n: 256,
-                params: TuningParams::with_geometry(512, 24),
-                model: ModelId::Simulator,
-                trials: 10,
-                seed: 7,
-            };
-            emit_request(&sample).replace("trials=10", &format!("trials={trials}"))
+            emit_request(&simulate()).replace("trials=10", &format!("trials={trials}"))
         };
         // 2^32 + 10 used to wrap to ten trials.
         let err = parse_request(&request(4_294_967_306)).unwrap_err();

@@ -4,8 +4,8 @@
 //! # Concurrency model
 //!
 //! One **reactor** thread owns every socket: a nonblocking listener and
-//! all accepted connections, driven by a readiness loop
-//! ([`crate::reactor`]). Each connection is a small state machine —
+//! all accepted connections, driven by a readiness loop (the private
+//! `reactor` module). Each connection is a small state machine —
 //! read-accumulate → decode ([`decode_frame`]) → dispatch →
 //! write-drain — so the daemon's thread count is bounded by work, not
 //! by clients: thousands of idle connections cost one `poll(2)` entry
@@ -85,6 +85,7 @@ use crate::protocol::{
     self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT, MAX_POINTS_PER_REQUEST,
 };
 use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
+use oriole_arch::GpuSpec;
 use oriole_codegen::{compile, TuningParams};
 use oriole_kernels::KernelId;
 use oriole_sim::{ModelContext, TrialProtocol};
@@ -146,19 +147,12 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 /// The `retry_after_ms` hint carried in [`Response::Busy`].
 const BUSY_RETRY_MS: u64 = 25;
 
-/// Serving counters of one daemon run, returned by [`Server::run`].
+/// How one daemon run ended, returned by [`Server::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeSummary {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Requests served (all verbs).
-    pub requests: u64,
-    /// Tuning points served across all `evaluate` batches.
-    pub points_served: u64,
-    /// Requests and connections shed with [`Response::Busy`].
-    pub shed_busy: u64,
-    /// Connections reaped for idling past the read deadline.
-    pub reaped_idle: u64,
+    /// The daemon's counters as the run left them: what a `stats`
+    /// request would have been answered last.
+    pub stats: ServiceStats,
     /// Whether the shutdown drain completed before its hard deadline
     /// (`false` means a worker was still evaluating — or a response
     /// still unwritten — when the deadline forced the exit).
@@ -292,7 +286,7 @@ impl Server {
 
     /// Runs the reactor until a client sends `shutdown`, then drains
     /// queued work, busy workers and unwritten responses (bounded by
-    /// `DRAIN_TIMEOUT`) and returns the serving counters.
+    /// `DRAIN_TIMEOUT`) and returns the daemon's last counters.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         // The tick bounds every timer's latency (idle reap, write
         // stall, admission expiry, drain) and doubles as the wake
@@ -490,14 +484,7 @@ impl Server {
 
         match accept_error {
             Some(e) => Err(e),
-            None => Ok(ServeSummary {
-                connections: state.connections.load(Ordering::Relaxed),
-                requests: state.requests.load(Ordering::Relaxed),
-                points_served: state.points_served.load(Ordering::Relaxed),
-                shed_busy: state.shed_busy.load(Ordering::Relaxed),
-                reaped_idle: state.reaped_idle.load(Ordering::Relaxed),
-                drained,
-            }),
+            None => Ok(ServeSummary { stats: stats(&self.store, state), drained }),
         }
     }
 }
@@ -986,26 +973,21 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
     }
 }
 
-/// Executes one request body and returns its answer as a finished
-/// frame for `corr`.
+/// Executes one request body — a job holds only an `evaluate` or a
+/// `simulate`: the reactor answers the other verbs itself — and returns
+/// its answer as a finished frame for `corr`.
 fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState) -> Vec<u8> {
     // The codec hands over whatever device the frame spelled; one the
     // models would divide by zero on must not reach the store.
-    let device = match &req {
-        Request::Evaluate { scope, .. } => Some(&scope.gpu),
-        Request::Simulate { gpu, .. } => Some(gpu),
-        Request::Ping | Request::Shutdown | Request::Stats => None,
+    let unusable = |gpu: &GpuSpec| {
+        let problem = gpu.problems().into_iter().next()?;
+        Some(Response::Error { message: format!("unusable device description: {problem}") })
     };
-    if let Some(problem) = device.and_then(|gpu| gpu.problems().into_iter().next()) {
-        let message = format!("unusable device description: {problem}");
-        return frame_response(corr, &Response::Error { message });
-    }
     let resp = match req {
-        Request::Ping => Response::Pong,
-        Request::Shutdown => Response::ShuttingDown,
-        Request::Stats => Response::Stats(stats(store, state)),
         Request::Evaluate { scope, points, deadline_ms: _ } => {
-            if points.len() > MAX_POINTS_PER_REQUEST {
+            if let Some(refusal) = unusable(&scope.gpu) {
+                refusal
+            } else if points.len() > MAX_POINTS_PER_REQUEST {
                 Response::Error {
                     message: format!(
                         "evaluate batch of {} points exceeds the per-request bound of \
@@ -1023,25 +1005,22 @@ fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState)
                 }
             }
         }
-        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
-            handle_simulate(&kernel, &gpu, n, params, model, trials, seed)
+        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => unusable(&gpu)
+            .unwrap_or_else(|| handle_simulate(&kernel, &gpu, n, params, model, trials, seed)),
+        Request::Ping | Request::Shutdown | Request::Stats => {
+            unreachable!("the reactor answers `{req:?}` itself")
         }
     };
     frame_response(corr, &resp)
 }
 
+/// A snapshot of the daemon's counters: the `stats` answer, and what
+/// [`Server::run`] returns.
 fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
-    let s = store.stats();
     ServiceStats {
         connections: state.connections.load(Ordering::Relaxed),
         requests: state.requests.load(Ordering::Relaxed),
         points_served: state.points_served.load(Ordering::Relaxed),
-        kernels: s.kernels as u64,
-        front_end_tiers: s.front_end_tiers as u64,
-        front_end_lowerings: s.front_end_lowerings as u64,
-        measurement_tiers: s.measurement_tiers as u64,
-        unique_evaluations: s.unique_evaluations as u64,
-        contexts: s.contexts as u64,
         workers_busy: state.workers_busy.load(Ordering::Relaxed),
         workers_max: state.cfg.max_inflight as u64,
         shed_busy: state.shed_busy.load(Ordering::Relaxed),
@@ -1051,8 +1030,7 @@ fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
         pipelined_peak: state.pipelined_peak.load(Ordering::Relaxed),
         inline_hits: state.inline_hits.load(Ordering::Relaxed),
         reactor_wakeups: state.wakeups.load(Ordering::Relaxed),
-        disk: s.disk,
-        phases: s.phases,
+        store: store.stats(),
     }
 }
 
@@ -1087,7 +1065,7 @@ fn handle_evaluate(
 
 fn handle_simulate(
     kernel: &str,
-    gpu: &oriole_arch::GpuSpec,
+    gpu: &GpuSpec,
     n: u64,
     params: TuningParams,
     model: oriole_sim::ModelId,

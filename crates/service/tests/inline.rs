@@ -175,7 +175,7 @@ fn a_warm_frame_reads_the_same_bytes_inline_and_from_a_worker() {
     assert_eq!(raw_evaluate(&mut raw, &sc, tail, 0), inline_tail);
     drop((raw, client));
     let summary = shutdown(&addr, handle);
-    assert_eq!(summary.points_served as usize, 3 * points.len() + 1);
+    assert_eq!(summary.stats.points_served as usize, 3 * points.len() + 1);
 }
 
 #[test]
@@ -219,7 +219,7 @@ fn hits_are_answered_past_a_full_gate_while_a_miss_is_still_shed_at_its_deadline
     let (by_request, _) = parked.release();
     assert_eq!(by_request, 0);
     let end = stats(&addr);
-    assert_eq!(end.unique_evaluations as usize, warm.len() + 1, "the distinct points, once each");
+    assert_eq!(end.store.unique_evaluations, warm.len() + 1, "the distinct points, once each");
     drop((raw, client));
     shutdown(&addr, handle);
 }
@@ -267,7 +267,7 @@ fn a_restarted_disk_daemon_opens_a_scope_on_a_worker_and_answers_the_next_frame_
     let client = Client::connect(&addr).expect("connect");
     let (computed, first) = client.evaluate(&sc, &points).expect("first frame of the scope");
     let opened = stats(&addr);
-    let disk = opened.disk.expect("disk-backed");
+    let disk = opened.store.disk.expect("disk-backed");
     assert_eq!((computed, &first), (0, &cold));
     assert_eq!(opened.inline_hits, 0, "the reactor never opens a tier file");
     assert_eq!((disk.tier_hits, disk.measurements_loaded as usize), (1, points.len()));
@@ -275,7 +275,7 @@ fn a_restarted_disk_daemon_opens_a_scope_on_a_worker_and_answers_the_next_frame_
     let served = stats(&addr);
     assert_eq!((computed, &second), (0, &cold));
     assert_eq!(served.inline_hits, 1, "the open scope is read in memory");
-    assert_eq!(served.disk, opened.disk, "and the file is not read again");
+    assert_eq!(served.store.disk, opened.store.disk, "and the file is not read again");
     drop(client);
     shutdown(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -76,14 +76,14 @@ fn remote_evaluation_is_bit_identical_to_local_and_dedups_across_clients() {
     assert_eq!(again, local);
 
     let stats = warm.stats().expect("stats");
-    assert_eq!(stats.unique_evaluations as usize, space.len());
+    assert_eq!(stats.store.unique_evaluations, space.len());
     assert_eq!(stats.points_served as usize, 2 * space.len());
     assert!(stats.connections >= 2);
 
     warm.shutdown().expect("shutdown ack");
     let summary = handle.join().expect("server thread");
-    assert!(summary.requests >= 4);
-    assert_eq!(summary.points_served as usize, 2 * space.len());
+    assert!(summary.stats.requests >= 4);
+    assert_eq!(summary.stats.points_served as usize, 2 * space.len());
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn concurrent_clients_share_the_store_and_compute_each_point_once() {
     let client = Client::connect(&addr).expect("connect");
     let stats = client.stats().expect("stats");
     assert_eq!(
-        stats.unique_evaluations as usize,
+        stats.store.unique_evaluations,
         space.len(),
         "racing clients must not duplicate computations"
     );
@@ -351,7 +351,7 @@ fn coalesced_concurrent_evaluators_are_bit_identical_to_sequential() {
     assert_eq!(remote.stats().points_fetched as usize, points.len(), "each distinct point fetched once");
     let probe = Client::connect(&addr).expect("connect");
     let stats = probe.stats().expect("stats");
-    assert_eq!(stats.unique_evaluations as usize, points.len());
+    assert_eq!(stats.store.unique_evaluations, points.len());
     probe.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }

@@ -72,7 +72,7 @@ fn two_threads_sharing_a_pipeline_each_redeem_their_own_tickets() {
     assert!(!pipe.is_poisoned());
     assert!(matches!(pipe.call(&Request::Shutdown), Ok(Response::ShuttingDown)));
     let summary = daemon.join().expect("daemon thread");
-    assert_eq!(summary.points_served, 1000);
+    assert_eq!(summary.stats.points_served, 1000);
 }
 
 #[test]

@@ -28,7 +28,7 @@
 //!
 //! Which cost model produces the estimates is the context's
 //! [`ModelId`]: one `match` in its estimate calls the backend function
-//! it names ([`model`](crate::model)). The default is the full
+//! it names ([`model`]). The default is the full
 //! simulator, and [`ModelContext::for_model`] builds a context for any
 //! [`ModelId`] (static Eq. 6, roofline). A context serves exactly one
 //! backend — contexts for different models on one device are distinct

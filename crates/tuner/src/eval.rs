@@ -45,7 +45,7 @@
 //!
 //! [`Evaluator::evaluate_batch`] serves the points the measurement tier
 //! already holds on the calling thread, resolves every missing
-//! `(UIF, CFLAGS)`'s artifacts and plans the misses ([`plan_batch`], a
+//! `(UIF, CFLAGS)`'s artifacts and plans the misses (`plan_batch`, a
 //! pure function) into chunks of one program class in launch-shape
 //! order, so a twin's estimate is the scratch's last and only its
 //! trials are new. Too few misses to pay for threads are claimed by the
@@ -567,7 +567,7 @@ impl<'a> Evaluator<'a> {
     /// Points the measurement tier already holds are served right here,
     /// and an all-hit batch — a warm re-sweep, a searcher's generation, a
     /// daemon frame — returns there: no plan, no `thread::scope`. The
-    /// misses follow [`plan_batch`]: this thread and, when there are
+    /// misses follow `plan_batch`: this thread and, when there are
     /// enough of them to pay for it, up to `workers - 1` spawned ones
     /// claim chunks off one cursor and return per-chunk vectors,
     /// scattered into place after the join. Points duplicated within the

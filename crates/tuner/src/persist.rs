@@ -749,9 +749,8 @@ pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
 // ---------------------------------------------------------------------------
 
 /// The canonical text of a measurement-tier scope — the
-/// `(kernel, gpu, sizes, protocol)` key as four `key=value` lines, also
-/// the head of an `evaluate` request. Two scopes share a disk artifact
-/// iff their scope texts are byte-equal.
+/// `(kernel, gpu, sizes, protocol)` key as four `key=value` lines. Two
+/// scopes share a disk artifact iff their scope texts are byte-equal.
 pub fn scope_text(kernel: &str, gpu: &GpuSpec, sizes: &[u64], protocol: &EvalProtocol) -> String {
     let mut out = String::with_capacity(384 + kernel.len() + 21 * sizes.len());
     staged(&mut out, |s| {

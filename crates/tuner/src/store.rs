@@ -106,7 +106,7 @@ struct StoreInner {
 }
 
 /// Aggregate telemetry of a store: tier counts and summed counters.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Distinct kernel names among the front-end tiers.
     pub kernels: usize,

@@ -1,10 +1,10 @@
 //! Seeded, offline tests of the canonical text codec
-//! (`oriole_tuner::persist` writers and cursor, and the `evaluate`
-//! payloads built from them): generated values round-trip bit for bit,
-//! the reader accepts nothing but the writers' own spelling, and the
-//! text itself is pinned by literals taken from the parent of the PR
-//! that rewrote the writers, and by the digest of a seeded corpus taken
-//! from the writers the staged one replaced.
+//! (`oriole_tuner::persist` writers and cursor, and the RPC payloads
+//! built from them): generated values round-trip bit for bit, the
+//! readers accept nothing but the writers' own spelling, and the text
+//! itself is pinned by literals taken from the parents of the PRs that
+//! rewrote the writers and the payload reader, and by the digest of a
+//! seeded corpus taken from the writers the staged one replaced.
 
 use oriole::arch::{Family, Gpu, GpuSpec, Limiter, Occupancy};
 use oriole::codegen::{CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
@@ -15,7 +15,7 @@ use oriole::service::{EvalScope, Request, Response, ServiceStats};
 use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile, MAX_TRIALS};
 use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
 use oriole::tuner::persist::{self, FileStatus};
-use oriole::tuner::ArtifactStore;
+use oriole::tuner::{ArtifactStore, StoreStats};
 
 // ---------------------------------------------------------------------------
 // Generators: every field leans on its extremes
@@ -153,6 +153,66 @@ fn gen_sim_report(rng: &mut TestRng) -> SimReport {
     }
 }
 
+/// Free text as a payload line carries it: a kernel name, an error
+/// message.
+fn gen_text(rng: &mut TestRng) -> String {
+    rng.pick(&["atax", "no such kernel", "", "x=1", "p tc:1", "bad `n`; é"]).to_string()
+}
+
+fn gen_request(rng: &mut TestRng) -> Request {
+    // A trial count past the bound is refused, not spelled back.
+    let trials = (rng.next_u64() % (u64::from(MAX_TRIALS) + 1)) as u32;
+    match rng.next_u64() % 5 {
+        0 => Request::Ping,
+        1 => Request::Shutdown,
+        2 => Request::Stats,
+        3 => Request::Evaluate {
+            scope: EvalScope {
+                kernel: gen_text(rng),
+                gpu: gen_gpu_spec(rng),
+                sizes: (0..rng.next_u64() % 4).map(|_| gen_u64(rng)).collect(),
+                protocol: EvalProtocol { trials, ..gen_protocol(rng) },
+            },
+            points: (0..rng.next_u64() % 4).map(|_| gen_params(rng)).collect(),
+            deadline_ms: gen_u64(rng),
+        },
+        _ => Request::Simulate {
+            kernel: gen_text(rng),
+            gpu: gen_gpu_spec(rng),
+            n: gen_u64(rng),
+            params: gen_params(rng),
+            model: rng.pick(&ModelId::ALL),
+            trials,
+            seed: gen_u64(rng),
+        },
+    }
+}
+
+/// A `stats` answer: the parent's literal with every number drawn anew,
+/// and without its `disk=` line half the time.
+fn gen_stats(rng: &mut TestRng) -> Response {
+    let (head, body) = GOLDEN_STATS.split_once('\n').expect("a head line");
+    let body = if rng.coin() { body.to_string() } else { body.replace(GOLDEN_DISK, "") };
+    let keys = body.split(|c: char| c.is_ascii_digit()).filter(|key| !key.is_empty());
+    let body: String = keys.map(|key| format!("{key}{}", gen_u64(rng))).collect();
+    parse_response(&format!("{head}\n{body}")).expect("a stats answer")
+}
+
+fn gen_response(rng: &mut TestRng) -> Response {
+    match rng.next_u64() % 7 {
+        0 => Response::Pong,
+        1 => Response::ShuttingDown,
+        2 => gen_stats(rng),
+        3 => Response::Evaluate {
+            computed: gen_u64(rng),
+            measurements: (0..rng.next_u64() % 4).map(|_| gen_measurement(rng)).collect(),
+        },
+        4 => Response::Simulate { selected: gen_f64(rng), report: gen_sim_report(rng) },
+        5 => Response::Busy { retry_after_ms: gen_u64(rng) },
+        _ => Response::Error { message: gen_text(rng) },
+    }
+}
+
 fn spell_params(p: &TuningParams) -> String {
     let mut text = String::new();
     persist::write_params(&mut text, p);
@@ -163,7 +223,10 @@ fn spell_params(p: &TuningParams) -> String {
 /// its re-spelling (`None` when the reader refuses it).
 type Kind = (fn(&mut TestRng) -> String, fn(&str) -> Option<String>);
 
-const KINDS: [Kind; 6] = [
+/// How many of [`KINDS`] are records; the RPC payloads follow them.
+const RECORDS: usize = 6;
+
+const KINDS: [Kind; RECORDS + 2] = [
     (
         |rng| persist::emit_measurement(&gen_measurement(rng)),
         |t| persist::parse_measurement(t).ok().map(|m| persist::emit_measurement(&m)),
@@ -191,6 +254,15 @@ const KINDS: [Kind; 6] = [
             let m = persist::parse_measurement(persist::unseal(t)?.strip_prefix("r ")?).ok()?;
             Some(persist::seal(&format!("r {}", persist::emit_measurement(&m))))
         },
+    ),
+    // Every request and every answer, as a frame carries it.
+    (
+        |rng| emit_request(&gen_request(rng)),
+        |t| parse_request(t).ok().map(|r| emit_request(&r)),
+    ),
+    (
+        |rng| emit_response(&gen_response(rng)),
+        |t| parse_response(t).ok().map(|r| emit_response(&r)),
     ),
 ];
 
@@ -259,6 +331,7 @@ fn extremes_round_trip() {
 // ---------------------------------------------------------------------------
 
 /// Damages `text` one of four ways; the result is any string at all.
+/// A payload's lines may trade places like a record's fields.
 fn mutate(rng: &mut TestRng, text: &str) -> String {
     let mut bytes = text.as_bytes().to_vec();
     match rng.next_u64() % 4 {
@@ -272,8 +345,12 @@ fn mutate(rng: &mut TestRng, text: &str) -> String {
             bytes.insert(rng.range_usize(0, bytes.len() + 1), byte);
         }
         _ => {
-            // Swap two fields (at either nesting level).
-            let sep = rng.pick(&[';', ',']);
+            // Swap two fields (at either nesting level), or two lines.
+            let sep = if text.contains('\n') {
+                rng.pick(&['\n', ';', ','])
+            } else {
+                rng.pick(&[';', ','])
+            };
             let mut fields: Vec<&str> = text.split(sep).collect();
             let (a, b) = (rng.range_usize(0, fields.len()), rng.range_usize(0, fields.len()));
             fields.swap(a, b);
@@ -363,13 +440,7 @@ fn the_old_readers_liberties_are_refused() {
     });
     let answer = emit_response(&Response::Evaluate { computed: 7, measurements: vec![] });
     let busy = emit_response(&Response::Busy { retry_after_ms: 25 });
-    let stats = emit_response(&Response::Stats(ServiceStats {
-        requests: 17,
-        inline_hits: 77,
-        disk: Some(persist::DiskStats { tier_hits: 1, ..persist::DiskStats::default() }),
-        phases: PhaseTelemetry { unroll_ns: 1250, unroll_calls: 10, ..PhaseTelemetry::default() },
-        ..ServiceStats::default()
-    }));
+    let stats = GOLDEN_STATS.to_string();
     assert!(simulate.contains("\nseed=00000000deadbeef\n"), "{simulate}");
     let requests = [
         (&evaluate, "\nsizes=64,128\n", "\nsizes=+64,,0128,\n"),
@@ -401,7 +472,7 @@ fn the_old_readers_liberties_are_refused() {
         (&busy, "\nretry_after_ms=25", "\nretry_after_ms=025"),
         (&stats, "\nrequests=17\n", "\nrequests=+17\n"),
         (&stats, "\ninline=77\n", "\ninline=077\n"),
-        (&stats, "\ndisk=hits:1;", "\ndisk=hits:+1;"),
+        (&stats, "\ndisk=hits:13;", "\ndisk=hits:+13;"),
         (&stats, "\nphases=unroll:1250:10;", "\nphases=unroll:01250:10;"),
         (&stats, "\nphases=unroll:1250:10;", "\nphases=unroll:1250:+10;"),
     ];
@@ -554,6 +625,70 @@ fn evaluate_payloads_and_record_lines_match_their_literals() {
         persist::scope_text("atax", Gpu::K20.spec(), &[64, 128], &EvalProtocol::default());
     assert_eq!(scope_text, golden_scope_text());
     assert_eq!(persist::tier_file_name(&scope_text), GOLDEN_TIER_NAME);
+}
+
+// A `stats` answer as the parent of the PR that gave the daemon one
+// stats record printed it; every counter holds a value of its own, so a
+// field read into another's place shows.
+const GOLDEN_STATS: &str = "oriole-rpc v4 ok stats\nconnections=3\nrequests=17\npoints=1280\n\
+    kernels=2\nfe_tiers=4\nlowerings=20\nmeas_tiers=5\nunique=640\ncontexts=1\nbusy=6\nwmax=16\n\
+    shed=7\nreaped=8\nconns_open=9\ninflight=11\npipe_peak=12\nwakeups=901\ninline=77\n\
+    disk=hits:13;misses:14;loaded:641;written:15;rejected:16\n\
+    phases=unroll:1250:10;lower:311007:18;regalloc:42000:19";
+const GOLDEN_DISK: &str = "\ndisk=hits:13;misses:14;loaded:641;written:15;rejected:16";
+
+fn golden_stats() -> ServiceStats {
+    ServiceStats {
+        connections: 3,
+        requests: 17,
+        points_served: 1280,
+        workers_busy: 6,
+        workers_max: 16,
+        shed_busy: 7,
+        reaped_idle: 8,
+        open_connections: 9,
+        frames_inflight: 11,
+        pipelined_peak: 12,
+        inline_hits: 77,
+        reactor_wakeups: 901,
+        store: StoreStats {
+            kernels: 2,
+            front_end_tiers: 4,
+            front_end_lowerings: 20,
+            measurement_tiers: 5,
+            unique_evaluations: 640,
+            contexts: 1,
+            disk: Some(persist::DiskStats {
+                tier_hits: 13,
+                tier_misses: 14,
+                measurements_loaded: 641,
+                measurements_written: 15,
+                rejected: 16,
+            }),
+            phases: PhaseTelemetry {
+                unroll_ns: 1250,
+                unroll_calls: 10,
+                lower_ns: 311_007,
+                lower_calls: 18,
+                regalloc_ns: 42_000,
+                regalloc_calls: 19,
+            },
+        },
+    }
+}
+
+#[test]
+fn stats_answers_match_their_literals() {
+    let memory_only = GOLDEN_STATS.replace(GOLDEN_DISK, "");
+    assert_ne!(memory_only, GOLDEN_STATS);
+    let with_disk = golden_stats();
+    let mut without = golden_stats();
+    without.store.disk = None;
+    for (stats, text) in [(with_disk, GOLDEN_STATS), (without, memory_only.as_str())] {
+        let response = Response::Stats(stats);
+        assert_eq!(emit_response(&response), text);
+        assert_eq!(parse_response(text).unwrap(), response);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -798,10 +933,10 @@ fn a_seeded_corpus_is_spelled_byte_for_byte_as_before() {
     let mut corpus = String::new();
     for case in 0..10_000u32 {
         let mut rng = TestRng::for_case("corpus", case);
-        let kind = case as usize % (KINDS.len() + 2);
-        if let Some((spell, _)) = KINDS.get(kind) {
+        let kind = case as usize % (RECORDS + 2);
+        if let Some((spell, _)) = KINDS[..RECORDS].get(kind) {
             corpus.push_str(&spell(&mut rng));
-        } else if kind == KINDS.len() {
+        } else if kind == RECORDS {
             let sizes: Vec<u64> = (0..rng.next_u64() % 6).map(|_| gen_u64(&mut rng)).collect();
             let (gpu, protocol) = (gen_gpu_spec(&mut rng), gen_protocol(&mut rng));
             let scope = persist::scope_text("atax", &gpu, &sizes, &protocol);

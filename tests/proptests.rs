@@ -3,8 +3,8 @@
 //! regions well-formed, and keep the analyzers total. Each property runs
 //! 64 seeded cases and draws its inputs in the order it names them.
 
-use oriole::arch::{Family, Gpu};
-use oriole::codegen::{compile, regalloc, transform, TuningParams};
+use oriole::arch::{occupancy, Family, Gpu, Limiter, OccupancyInput, ALL_GPUS};
+use oriole::codegen::{compile, regalloc, transform, CompileError, CompiledKernel, TuningParams};
 use oriole::ir::testgen::{self, check};
 use oriole::ir::{
     lower::{lower, lower_indexed, LowerOptions},
@@ -126,7 +126,9 @@ fn split_pipeline_matches_monolithic_compile() {
         let ast = testgen::kernel(rng, "prop_kernel");
         let (tc_i, bc_i) = (rng.range_u64(1, 16) as u32, rng.range_u64(1, 8) as u32);
         let (uif, pl_kb, fast) = (rng.range_u64(1, 5) as u32, rng.pick(&[16, 48]), rng.coin());
-        let gpu = Gpu::K20.spec();
+        // Every family: Fermi's 63-register cap binds where Kepler's 255
+        // does not.
+        let gpu = rng.pick(&ALL_GPUS).spec();
         let params = TuningParams {
             tc: tc_i * 64,
             bc: bc_i * 24,
@@ -143,10 +145,25 @@ fn split_pipeline_matches_monolithic_compile() {
         if let Ok(fe) = front_end(&ast, gpu, params.uif, params.cflags) {
             for (tc, bc) in [(64u32, 24u32), (512, 96), (1024, 192)] {
                 let sibling = TuningParams { tc, bc, ..params };
-                assert_eq!(fe.specialize(sibling), compile(&ast, gpu, sibling));
+                let kernel = fe.specialize(sibling);
+                assert_eq!(kernel, compile(&ast, gpu, sibling));
+                launch_is_legal(&kernel);
             }
         }
+        launch_is_legal(&split);
     });
+}
+
+/// A kernel `specialize` hands back asks its device for nothing past its
+/// limits, so the occupancy calculator never calls its launch illegal.
+fn launch_is_legal(kernel: &Result<CompiledKernel, CompileError>) {
+    let Ok(k) = kernel else { return };
+    let (regs, smem) = (k.regs_per_thread(), k.smem_per_block);
+    let of_block = OccupancyInput::of_block(k.params.tc);
+    let input = OccupancyInput { regs_per_thread: regs, smem_per_block: smem, ..of_block };
+    assert_ne!(occupancy(&k.gpu, input).limiter, Limiter::Illegal, "{:?}", k.params);
+    assert!(k.params.bc > 0 && regs <= k.gpu.regs_per_thread_max, "{:?}", k.params);
+    assert!(smem <= k.gpu.shmem_per_block, "{:?}", k.params);
 }
 
 #[test]
@@ -169,7 +186,7 @@ fn occupancy_bounds_hold() {
     check("occupancy_bounds_hold", CASES, |rng| {
         let tc = rng.range_u64(1, 1024) as u32;
         let (regs, smem) = (rng.range_u64(0, 255) as u32, rng.range_u64(0, 49_152) as u32);
-        for gpu in oriole::arch::ALL_GPUS {
+        for gpu in ALL_GPUS {
             let o = oriole::arch::occupancy(
                 gpu.spec(),
                 oriole::arch::OccupancyInput {
