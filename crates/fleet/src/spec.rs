@@ -123,6 +123,72 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// What every refusal names: one of these causes.
+    const CAUSES: [&str; 4] =
+        ["names no shards", "empty shard address", "twice", "cannot read fleet manifest"];
+
+    /// Checks that `outcome` is a spec of nonempty, unpadded, distinct
+    /// shards, or a refusal naming its cause; `true` if accepted.
+    fn check_outcome(input: &str, outcome: Result<FleetSpec, String>) -> bool {
+        match outcome {
+            Ok(spec) => {
+                let shards = spec.shards();
+                assert!(!shards.is_empty(), "{input:?} accepted with no shards");
+                for (i, a) in shards.iter().enumerate() {
+                    assert!(!a.is_empty() && a.trim() == a, "{input:?} kept shard {a:?}");
+                    assert!(!shards[..i].contains(a), "{input:?} kept shard {a:?} twice");
+                }
+                true
+            }
+            Err(why) => {
+                assert!(CAUSES.iter().any(|c| why.contains(c)), "{input:?} refused as {why:?}");
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_comma_lists_are_accepted_clean_or_refused_with_a_cause() {
+        const PIECES: [&str; 10] =
+            ["127.0.0.1:7733", "127.0.0.1:7734", "h:1", "", " ", "\t", ",", "#", "@", "\u{2003}"];
+        let mut accepted = [0u32; 2];
+        oriole_ir::testgen::check("fleet_spec_mutations", 512, |rng| {
+            let mut arg: String = (0..rng.range_usize(1, 4))
+                .map(|_| rng.pick(&PIECES[..3]))
+                .collect::<Vec<_>>()
+                .join(",");
+            for _ in 0..rng.range_usize(0, 5) {
+                let bounds: Vec<usize> =
+                    arg.char_indices().map(|(i, _)| i).chain([arg.len()]).collect();
+                let at = rng.pick(&bounds);
+                if rng.coin() || at == arg.len() {
+                    arg.insert_str(at, rng.pick(&PIECES));
+                } else {
+                    arg.remove(at);
+                }
+            }
+            accepted[usize::from(check_outcome(&arg, FleetSpec::parse(&arg)))] += 1;
+        });
+        assert!(accepted.iter().all(|&n| n > 0), "refused / accepted: {accepted:?}");
+    }
+
+    #[test]
+    fn a_manifest_with_comments_blank_lines_and_padding_parses_clean() {
+        let dir = std::env::temp_dir().join(format!("oriole-fleet-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("fleet.txt");
+        let text = "# the fleet\n\n  127.0.0.1:7733\t\n#127.0.0.1:7735\n\n127.0.0.1:7734\n \n#\n";
+        std::fs::write(&path, text).expect("write");
+        let arg = format!("@{}", path.display());
+        assert!(check_outcome(text, FleetSpec::parse(&arg)), "the manifest is refused");
+        let spec = FleetSpec::parse(&arg).expect("parse");
+        assert_eq!(spec.shards(), ["127.0.0.1:7733", "127.0.0.1:7734"]);
+        std::fs::write(&path, "# nothing\n\n").expect("write");
+        let why = FleetSpec::parse(&arg).expect_err("no shards");
+        assert!(why.contains("names no shards"), "{why}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn home_shard_is_deterministic_in_range_and_scope_sensitive() {
         let spec = FleetSpec::parse("a,b,c,d").expect("parse");

@@ -55,7 +55,7 @@ use std::io::Read as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why an RPC failed.
 #[derive(Debug)]
@@ -202,9 +202,8 @@ pub struct Client {
 
 impl Client {
     /// Connects to a daemon at `addr` (e.g. `127.0.0.1:7733`) with the
-    /// default [`RetryPolicy`]. Fails fast if the daemon is not there —
-    /// retry loops around the *initial* dial belong to
-    /// [`Client::connect_retry`].
+    /// default [`RetryPolicy`]. Fails fast if the daemon is not there;
+    /// once connected, every call re-dials and retries under the policy.
     pub fn connect(addr: &str) -> Result<Client, ServiceError> {
         Client::connect_with(addr, RetryPolicy::default())
     }
@@ -220,57 +219,6 @@ impl Client {
     /// never handed a chunk costs its daemon no connection.
     pub(crate) fn undialed(addr: &str, policy: RetryPolicy) -> Client {
         Client { pipe: Mutex::new(None), addr: addr.to_string(), policy, retries: AtomicU64::new(0) }
-    }
-
-    /// [`Client::connect`] retried until `timeout` elapses — the
-    /// "daemon was just spawned" path (CI smoke jobs, tests, scripts).
-    /// Sleeps the policy's backoff schedule between dials and returns
-    /// the **last error observed within the window** — the standing
-    /// cause when time ran out, not whatever a straggling post-deadline
-    /// dial happened to produce.
-    pub fn connect_retry(addr: &str, timeout: Duration) -> Result<Client, ServiceError> {
-        Client::connect_retry_with(addr, timeout, RetryPolicy::default())
-    }
-
-    /// [`Client::connect_retry`] under an explicit policy.
-    fn connect_retry_with(
-        addr: &str,
-        timeout: Duration,
-        policy: RetryPolicy,
-    ) -> Result<Client, ServiceError> {
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        let mut last_err: Option<ServiceError> = None;
-        loop {
-            let within_window = start.elapsed() < timeout;
-            match Client::connect_with(addr, policy) {
-                Ok(c) => return Ok(c),
-                Err(e) => {
-                    // Record the error only if its dial *started* inside
-                    // the window; an attempt straddling the deadline
-                    // must not replace the standing cause with a
-                    // possibly different late failure.
-                    if within_window || last_err.is_none() {
-                        last_err = Some(e);
-                    }
-                }
-            }
-            if start.elapsed() >= timeout {
-                let cause = last_err.expect("at least one dial attempted");
-                // Keep the Io class so retry classification still sees a
-                // transient connection failure, but tell the operator how
-                // hard we tried: fleet debugging needs "4 attempts over
-                // 10.0s", not just the final cause.
-                return Err(ServiceError::Io(std::io::Error::other(format!(
-                    "no daemon reachable at `{addr}` after {} attempt(s) over {:.1}s: {cause}",
-                    attempt + 1,
-                    start.elapsed().as_secs_f64()
-                ))));
-            }
-            attempt += 1;
-            let nap = policy.backoff(attempt).min(timeout.saturating_sub(start.elapsed()));
-            std::thread::sleep(nap);
-        }
     }
 
     /// The address this client dialed.
@@ -789,27 +737,6 @@ mod tests {
         let p = RetryPolicy { base_backoff: Duration::ZERO, ..RetryPolicy::default() };
         assert_eq!(p.backoff(1), Duration::ZERO);
         assert_eq!(p.backoff(7), Duration::ZERO);
-    }
-
-    #[test]
-    fn connect_retry_error_reports_attempts_and_elapsed() {
-        // Port 1 on loopback refuses immediately on any sane box.
-        let err = Client::connect_retry_with(
-            "127.0.0.1:1",
-            Duration::from_millis(80),
-            RetryPolicy {
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(20),
-                ..RetryPolicy::default()
-            },
-        )
-        .expect_err("nothing listens on port 1");
-        assert!(err.is_transient(), "dial failure must stay transient: {err}");
-        let text = err.to_string();
-        assert!(
-            text.contains("attempt(s) over") && text.contains("127.0.0.1:1"),
-            "error must name the address, attempt count, and elapsed: {text}"
-        );
     }
 
     #[test]

@@ -8,9 +8,8 @@ use crate::protocol::{EvalScope, Request};
 use crate::sched::StealScheduler;
 use oriole_codegen::TuningParams;
 use oriole_tuner::{Measurement, Oracle, WordHash};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How [`RemoteEvaluator`] packs cache misses into pipelined `evaluate`
@@ -97,32 +96,40 @@ impl FleetStats {
     }
 }
 
-/// The client-side memo and the one-flusher rule.
-#[derive(Debug)]
+/// The client-side memo and the latch.
+#[derive(Debug, Default)]
 struct Memo {
-    /// The memo and the dedup set in one map. A point enters once, as
-    /// `None` — queued for the next flush or riding the current one, so
-    /// a thread needing it parks instead of re-queueing it — and its
-    /// answer overwrites that; revisits are served from here.
-    slots: HashMap<TuningParams, Option<Measurement>, WordHash>,
-    /// Misses queued for the next flush (insertion order — determinism
-    /// of the *data* comes from the store, not from this ordering).
-    pending: Vec<TuningParams>,
-    flushing: bool,
+    /// Every answer fetched so far; revisits are served from here.
+    answers: HashMap<TuningParams, Measurement, WordHash>,
     /// The latch: set by the first batch-fatal failure, never cleared.
     poisoned: bool,
     /// That failure's message, until [`RemoteEvaluator::take_error`].
     error: Option<String>,
 }
 
-/// One flush's schedule, shared by its workers.
+impl Memo {
+    /// The batch's answers in input order, or `None` while one is
+    /// missing.
+    fn answer(&self, points: &[TuningParams]) -> Option<Vec<Measurement>> {
+        let mut out = Vec::with_capacity(points.len());
+        for p in points {
+            out.push(self.answers.get(p)?.clone());
+        }
+        Some(out)
+    }
+}
+
+/// One turn's schedule, shared by its workers.
 struct Batch<'a> {
     chunks: Vec<&'a [TuningParams]>,
     /// Chunks a worker may hold at once.
     window: usize,
     state: Mutex<BatchState>,
-    woke: Condvar,
 }
+
+/// A worker's chunks claimed and not yet answered, oldest first, each
+/// with its ticket once sent.
+type Hand = VecDeque<(usize, Option<Ticket>)>;
 
 struct BatchState {
     sched: StealScheduler,
@@ -148,14 +155,13 @@ struct BatchState {
 /// results merge **by chunk index**, so the answer is bit-identical to
 /// a local run no matter which shard computed what.
 ///
-/// Threads sharing an evaluator are **coalesced**: the first to find
-/// pending misses becomes the flusher and drains the pending set —
-/// its own misses and whatever others queued meanwhile — through the
-/// shards; everyone else parks until the memo fills, so a point in
-/// flight is never fetched twice. Results are bit-identical to
-/// sequential one-at-a-time evaluation — the daemons' stores dedup, the
-/// wire format is exact, and the memo is keyed by point, so scheduling
-/// never shows in the data.
+/// Threads sharing an evaluator **take turns**: a batch the memo
+/// answers whole is answered at once, and any other waits for the turn,
+/// re-reads the memo and fetches only what is still missing, so a point
+/// is never fetched twice and one fetch runs at a time. Results are
+/// bit-identical to sequential one-at-a-time evaluation — the daemons'
+/// stores dedup, the wire format is exact, and the memo is keyed by
+/// point, so scheduling never shows in the data.
 ///
 /// A shard *is* a [`Client`]: its connection is dialed by the first
 /// chunk sent (or by [`Client::connect`]) and kept across batches, and
@@ -178,7 +184,8 @@ pub struct RemoteEvaluator {
     scope: EvalScope,
     config: CoalesceConfig,
     memo: Mutex<Memo>,
-    changed: Condvar,
+    /// Held across a fetch: the turn threads sharing the evaluator take.
+    turn: Mutex<()>,
     telemetry: Mutex<FleetStats>,
 }
 
@@ -234,14 +241,8 @@ impl RemoteEvaluator {
                 max_batch_points: config.max_batch_points.max(1),
                 max_frames: config.max_frames.max(1),
             },
-            memo: Mutex::new(Memo {
-                slots: HashMap::default(),
-                pending: Vec::new(),
-                flushing: false,
-                poisoned: false,
-                error: None,
-            }),
-            changed: Condvar::new(),
+            memo: Mutex::default(),
+            turn: Mutex::new(()),
             telemetry: Mutex::new(telemetry),
         }
     }
@@ -278,67 +279,44 @@ impl RemoteEvaluator {
         self.memo.lock().expect("memo lock").error.take()
     }
 
-    /// Evaluates a batch: misses join the shared pending set, one
-    /// thread flushes them (plus any concurrent threads' misses)
-    /// through the shards, everything else is served from the memo.
-    /// Results in input order, bit-identical to local evaluation;
-    /// `None` on a latched failure — see [`RemoteEvaluator::take_error`].
+    /// Evaluates a batch: what the memo holds is served from it, the
+    /// rest is fetched through the shards in this thread's turn. Results
+    /// in input order, bit-identical to local evaluation; `None` on a
+    /// latched failure — see [`RemoteEvaluator::take_error`].
     pub fn evaluate_batch(&self, points: &[TuningParams]) -> Option<Vec<Measurement>> {
-        let mut memo = self.memo.lock().expect("memo lock");
-        let Memo { slots, pending, .. } = &mut *memo;
-        slots.reserve(points.len());
-        for p in points {
-            if let Entry::Vacant(slot) = slots.entry(*p) {
-                slot.insert(None);
-                pending.push(*p);
-            }
+        let memo = self.memo.lock().expect("memo lock");
+        if memo.poisoned {
+            return None;
         }
-        // Answers are collected in input order, each point looked up
-        // once: a turn of the loop resumes where the last one stopped.
-        let mut out = Vec::with_capacity(points.len());
-        loop {
-            if memo.poisoned {
+        if let Some(out) = memo.answer(points) {
+            return Some(out);
+        }
+        drop(memo);
+        let _turn = self.turn.lock().expect("turn lock");
+        // The turns before this one may have fetched some of these
+        // points, or latched a failure.
+        let memo = self.memo.lock().expect("memo lock");
+        if memo.poisoned {
+            return None;
+        }
+        let mut queued = HashSet::with_capacity_and_hasher(points.len(), WordHash::default());
+        let missing = |p: &&TuningParams| !memo.answers.contains_key(*p) && queued.insert(**p);
+        let misses: Vec<TuningParams> = points.iter().filter(missing).copied().collect();
+        drop((memo, queued));
+        let outcome = self.fetch(&misses);
+        let mut memo = self.memo.lock().expect("memo lock");
+        match outcome {
+            Ok(ms) => memo.answers.extend(ms.into_iter().map(|m| (m.params, m))),
+            Err(message) => {
+                memo.poisoned = true;
+                memo.error = Some(message);
                 return None;
             }
-            while let Some(Some(m)) = points.get(out.len()).and_then(|p| memo.slots.get(p)) {
-                out.push(m.clone());
-            }
-            if out.len() == points.len() {
-                return Some(out);
-            }
-            if !memo.pending.is_empty() && !memo.flushing {
-                memo.flushing = true;
-                let misses = std::mem::take(&mut memo.pending);
-                drop(memo);
-                let outcome = self.fetch(&misses);
-                memo = self.memo.lock().expect("memo lock");
-                memo.flushing = false;
-                match outcome {
-                    Ok(measurements) => {
-                        for m in measurements {
-                            memo.slots.insert(m.params, Some(m));
-                        }
-                    }
-                    Err(message) => {
-                        memo.poisoned = true;
-                        memo.error = Some(message);
-                    }
-                }
-                self.changed.notify_all();
-            } else {
-                // Parked: another thread's flush is (or will be)
-                // fetching our points. The timeout guards against a
-                // missed wakeup, nothing more.
-                let (guard, _) = self
-                    .changed
-                    .wait_timeout(memo, Duration::from_millis(50))
-                    .expect("memo wait");
-                memo = guard;
-            }
         }
+        Some(memo.answer(points).expect("the turn fetched every miss"))
     }
 
-    /// Fetches one flush's misses: cut into chunks, enqueued on the
+    /// Fetches one turn's misses: cut into chunks, enqueued on the
     /// home shard, drained by one worker per live shard, merged by
     /// chunk index. `Err` is the batch-fatal failure to latch.
     fn fetch(&self, misses: &[TuningParams]) -> Result<Vec<Measurement>, String> {
@@ -371,13 +349,14 @@ impl RemoteEvaluator {
                 resolved: 0,
                 failed: None,
             }),
-            woke: Condvar::new(),
             chunks,
         };
-        // A pass ends with work left only when every worker in it
-        // retired its shard; the next asks the shards still live.
+        // A pass ends when its workers have nothing in hand and nothing
+        // to take. Work left then was handed over by a shard retired
+        // after its peers went idle; the next pass asks the shards
+        // still live.
         loop {
-            let workers = {
+            let live = {
                 let st = batch.state.lock().expect("batch state lock");
                 let left = batch.chunks.len() - st.resolved;
                 if st.failed.is_some() || left == 0 {
@@ -389,13 +368,22 @@ impl RemoteEvaluator {
                 let live = (0..n).map(|off| (self.home + off) % n);
                 live.filter(|&s| st.sched.is_live(s)).take(left).collect::<Vec<_>>()
             };
-            match workers[..] {
+            // Each is dealt its first window here, in that order, so
+            // which shard starts with which chunks never depends on
+            // which thread runs first.
+            let deal = |shard| {
+                let mut hand = Hand::new();
+                self.claim(&batch, shard, &mut hand);
+                (shard, hand)
+            };
+            let mut workers: Vec<(usize, Hand)> = live.into_iter().map(deal).collect();
+            match &mut workers[..] {
                 // One daemon to ask: the calling thread is its worker.
-                [only] => self.worker(only, &batch),
-                _ => std::thread::scope(|s| {
-                    for &shard in &workers {
+                [(only, hand)] => self.worker(*only, &batch, hand),
+                workers => std::thread::scope(|s| {
+                    for (shard, hand) in workers {
                         let batch = &batch;
-                        s.spawn(move || self.worker(shard, batch));
+                        s.spawn(move || self.worker(*shard, batch, hand));
                     }
                 }),
             }
@@ -419,50 +407,20 @@ impl RemoteEvaluator {
         Ok(measurements)
     }
 
-    /// One shard's worker: claims chunks while its window has room,
-    /// sends them down the shard client's pipeline and redeems the
-    /// oldest, until the batch resolves, the shard is retired, or the
-    /// batch fails.
-    fn worker(&self, shard: usize, batch: &Batch<'_>) {
+    /// One shard's worker: starting from the chunks it was dealt, claims
+    /// chunks while its window has room, sends them down the shard
+    /// client's pipeline and redeems the oldest, until it has nothing in
+    /// hand and nothing to take, the shard is retired, or the batch
+    /// fails.
+    fn worker(&self, shard: usize, batch: &Batch<'_>, in_hand: &mut Hand) {
         let client = &self.shards[shard];
         // The connection this worker's tickets ride: the client's, taken
         // on first use and again after a failure.
         let mut pipe: Option<Arc<Pipeline>> = None;
-        // Chunks claimed and not yet answered, oldest first, each with
-        // its ticket once sent.
-        let mut in_hand: VecDeque<(usize, Option<Ticket>)> = VecDeque::new();
         let mut attempt: u32 = 0;
-        'work: loop {
-            let mut stolen = 0u64;
-            {
-                let mut st = batch.state.lock().expect("batch state lock");
-                loop {
-                    if st.failed.is_some() || st.resolved == batch.chunks.len() {
-                        break 'work;
-                    }
-                    while in_hand.len() < batch.window {
-                        let Some(task) = st.sched.next_for(shard) else { break };
-                        stolen += u64::from(task.stolen_from.is_some());
-                        in_hand.push_back((task.chunk, None));
-                    }
-                    if !in_hand.is_empty() {
-                        break;
-                    }
-                    // Idle but the batch is unresolved: work may still
-                    // rebalance onto this queue if another shard dies.
-                    // The timeout only guards a missed wakeup.
-                    let (guard, _) = batch
-                        .woke
-                        .wait_timeout(st, Duration::from_millis(20))
-                        .expect("batch state wait");
-                    st = guard;
-                }
-            }
-            if stolen > 0 {
-                self.telemetry.lock().expect("telemetry lock").shards[shard].stolen += stolen;
-            }
+        while self.claim(batch, shard, in_hand) && !in_hand.is_empty() {
             let started = Instant::now();
-            match self.exchange(client, &mut pipe, &mut in_hand, batch) {
+            match self.exchange(client, &mut pipe, in_hand, batch) {
                 Ok((chunk, computed, measurements)) => {
                     attempt = 0;
                     {
@@ -475,13 +433,12 @@ impl RemoteEvaluator {
                     let mut st = batch.state.lock().expect("batch state lock");
                     st.results[chunk] = Some((computed, measurements));
                     st.resolved += 1;
-                    batch.woke.notify_all();
                 }
                 Err(e) => {
                     match client.retry_or_bail(attempt, e) {
                         Ok(next) => attempt = next,
                         Err(e) => {
-                            self.give_up(shard, e, &in_hand, batch);
+                            self.give_up(shard, e, in_hand, batch);
                             break;
                         }
                     }
@@ -502,6 +459,21 @@ impl RemoteEvaluator {
         }
     }
 
+    /// Claims chunks for `shard` while its window has room, counting the
+    /// ones stolen from another shard's queue; `false` once the batch
+    /// has failed.
+    fn claim(&self, batch: &Batch<'_>, shard: usize, in_hand: &mut Hand) -> bool {
+        let mut st = batch.state.lock().expect("batch state lock");
+        while st.failed.is_none() && in_hand.len() < batch.window {
+            let Some(task) = st.sched.next_for(shard) else { break };
+            if task.stolen_from.is_some() {
+                self.telemetry.lock().expect("telemetry lock").shards[shard].stolen += 1;
+            }
+            in_hand.push_back((task.chunk, None));
+        }
+        st.failed.is_none()
+    }
+
     /// Sends every unsent chunk in hand — on the client's connection,
     /// dialed if it has none — and redeems the oldest ticket: the
     /// chunk's index, the daemon's fresh-computation count and its
@@ -511,7 +483,7 @@ impl RemoteEvaluator {
         &self,
         client: &Client,
         pipe: &mut Option<Arc<Pipeline>>,
-        in_hand: &mut VecDeque<(usize, Option<Ticket>)>,
+        in_hand: &mut Hand,
         batch: &Batch<'_>,
     ) -> Result<(usize, u64, Vec<Measurement>), ServiceError> {
         let p = match pipe {
@@ -542,7 +514,7 @@ impl RemoteEvaluator {
         &self,
         shard: usize,
         e: ServiceError,
-        in_hand: &VecDeque<(usize, Option<Ticket>)>,
+        in_hand: &Hand,
         batch: &Batch<'_>,
     ) {
         let addr = self.shards[shard].addr();
@@ -563,7 +535,6 @@ impl RemoteEvaluator {
         } else if st.failed.is_none() {
             st.failed = Some(format!("shard `{addr}`: {e}"));
         }
-        batch.woke.notify_all();
     }
 }
 

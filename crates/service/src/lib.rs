@@ -54,9 +54,10 @@
 //! * [`RemoteEvaluator`] — the one way to ask daemons for points: an
 //!   [`oriole_tuner::Oracle`] over N ≥ 1 daemons, so every existing
 //!   search strategy runs unchanged against them. It owns the
-//!   client-side memo, cuts a batch's misses into frames
-//!   ([`CoalesceConfig`]) and drains them with one worker per live
-//!   daemon under a work-stealing scheduler, each on its daemon's
+//!   client-side memo (threads sharing an evaluator take turns
+//!   fetching, so no point is fetched twice), cuts a batch's misses
+//!   into frames ([`CoalesceConfig`]) and drains them with one worker
+//!   per live daemon under a work-stealing scheduler, each on its daemon's
 //!   [`Client`] connection — one per daemon; `oriole_fleet` only names
 //!   the daemons. A *final* failure — a deterministic error, or
 //!   the last daemon lost — latches: the run aborts loudly, never

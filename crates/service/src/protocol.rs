@@ -199,7 +199,8 @@ pub enum Response {
         retry_after_ms: u64,
     },
     /// The request could not be served; the connection stays usable
-    /// unless the error names a version skew or malformed frame.
+    /// unless the request spoke another version or the frame was
+    /// malformed.
     Error {
         /// Human-readable reason.
         message: String,
@@ -412,13 +413,21 @@ fn split_verb(payload: &str) -> Result<(&str, Reader<'_>), WireError> {
     let (head, rest) = payload.split_at(payload.find('\n').unwrap_or(payload.len()));
     if let Some(verb) = head.strip_prefix(RPC_VERSION).and_then(|r| r.strip_prefix(' ')) {
         Ok((verb, Reader { rest }))
-    } else if head.starts_with("oriole-rpc ") {
+    } else if version_skew(head) {
         Err(WireError::new(format!(
             "version skew: peer speaks `{head}`, this build speaks `{RPC_VERSION}`"
         )))
     } else {
         Err(WireError::new(format!("not an {RPC_VERSION} payload: `{head}`")))
     }
+}
+
+/// Whether `payload` is headed by an `oriole-rpc` version other than
+/// this build's — the one request error after which a daemon hangs up,
+/// since the peer will keep speaking its dialect.
+pub(crate) fn version_skew(payload: &str) -> bool {
+    payload.starts_with("oriole-rpc ")
+        && payload.strip_prefix(RPC_VERSION).and_then(|r| r.strip_prefix(' ')).is_none()
 }
 
 /// A scope's sizes as the writer spells them: canonical decimals joined

@@ -782,11 +782,9 @@ fn process_request(
         // per-request error. Version skew additionally drops the
         // connection — the peer will keep speaking the wrong dialect.
         Err(e) => {
-            let msg = e.to_string();
-            let skew = msg.contains("version skew");
             state.requests.fetch_add(1, Ordering::Relaxed);
-            conn.push_frame(corr, &Response::Error { message: msg });
-            if skew {
+            conn.push_frame(corr, &Response::Error { message: e.to_string() });
+            if protocol::version_skew(payload) {
                 conn.closing = true;
             }
             return false;

@@ -209,12 +209,17 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     assert!(err.to_string().contains("unknown kernel"), "{err}");
     client.ping().expect("connection still usable after a request error");
 
-    // 2. Version skew: answered with an error naming both versions.
+    // 2. Version skew: answered with an error naming both versions,
+    // then the daemon hangs up.
     let mut raw = TcpStream::connect(&addr).expect("connect raw");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("deadline");
     write_frame_tagged(&mut raw, 0, "oriole-rpc v99 ping").expect("send");
-    let reply = common::read_frame(&mut raw, &mut Vec::new()).expect("reply").1;
+    let mut unread = Vec::new();
+    let reply = common::read_frame(&mut raw, &mut unread).expect("reply").1;
     assert!(reply.contains("version skew"), "{reply}");
     assert!(reply.contains(oriole_service::RPC_VERSION), "{reply}");
+    let after = common::read_frame(&mut raw, &mut unread).expect_err("closed after skew");
+    assert_eq!(after.kind(), std::io::ErrorKind::UnexpectedEof, "{after}");
 
     // 3. A malformed frame (garbage bytes): the server answers with an
     // error (best-effort) and hangs up.
@@ -243,6 +248,33 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     assert_eq!(remote, local, "the store survived the abuse untouched");
 
     honest.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn an_unknown_verb_spelled_like_skew_keeps_its_connection() {
+    // The daemon hangs up on what the head line says, not on how the
+    // error reads: a well-framed request of this build's version with
+    // an unknown verb is a per-request error like any other.
+    let (addr, handle) = spawn_server(ArtifactStore::new());
+    let mut raw = TcpStream::connect(&addr).expect("connect raw");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("deadline");
+    let version = oriole_service::RPC_VERSION;
+    let mut unread = Vec::new();
+    write_frame_tagged(&mut raw, 1, &format!("{version} version skew")).expect("send");
+    let reply = common::read_frame(&mut raw, &mut unread).expect("error answer").1;
+    match oriole_service::protocol::parse_response(&reply) {
+        Ok(Response::Error { message }) => {
+            assert!(message.contains("unknown request verb `version skew`"), "{message}");
+        }
+        other => panic!("expected an error answer, got {other:?}"),
+    }
+    write_frame_tagged(&mut raw, 2, &format!("{version} ping")).expect("send ping");
+    let (corr, reply) = common::read_frame(&mut raw, &mut unread).expect("the same connection");
+    assert_eq!(corr, 2);
+    assert_eq!(oriole_service::protocol::parse_response(&reply).ok(), Some(Response::Pong));
+    drop(raw);
+    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
 
