@@ -134,8 +134,8 @@ impl GpuSpec {
     /// Why this description cannot serve as a device (empty = it can;
     /// Table I's have none). For specs that arrive from outside — a wire
     /// frame, a synthetic device: every field the occupancy calculator
-    /// and the timing models divide by is non-zero, and the `u32`
-    /// products they form cannot wrap.
+    /// and the timing models divide by is non-zero, a warp has the IR's
+    /// 32 lanes, and the `u32` products they form cannot wrap.
     pub fn problems(&self) -> Vec<String> {
         let wide = u64::from;
         let divisors = [
@@ -163,7 +163,10 @@ impl GpuSpec {
         ];
         let zero = divisors.iter().filter(|(_, v)| *v == 0);
         let wrapped = products.iter().filter(|(_, v)| *v > wide(u32::MAX));
+        let warp_width = (!matches!(self.threads_per_warp, 0 | 32))
+            .then(|| "threads_per_warp must be 32, the IR's 32-lane warp model".to_string());
         zero.map(|(field, _)| format!("{field} must be positive"))
+            .chain(warp_width)
             .chain(wrapped.map(|(what, _)| format!("the {what} does not fit 32 bits")))
             .collect()
     }
@@ -352,7 +355,8 @@ mod tests {
         for (poisoned, needle) in [
             (GpuSpec { multiprocessors: 0, ..k20.clone() }, "multiprocessors"),
             (GpuSpec { gpu_clock_mhz: 0, ..k20.clone() }, "gpu_clock_mhz"),
-            (GpuSpec { threads_per_warp: 0, ..k20.clone() }, "threads_per_warp"),
+            (GpuSpec { threads_per_warp: 0, ..k20.clone() }, "threads_per_warp must be positive"),
+            (GpuSpec { threads_per_warp: 64, ..k20.clone() }, "32-lane warp model"),
             (GpuSpec { warps_per_mp: 0, ..k20.clone() }, "warps_per_mp"),
             // 2^27 registers x 32 lanes wraps to a zero divisor.
             (GpuSpec { regs_per_thread_max: 1 << 27, ..k20.clone() }, "register allocation"),

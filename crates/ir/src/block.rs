@@ -82,11 +82,13 @@ impl FreqExpr {
     /// (`1−(1−p)³²`). Grid-stride trips stay fractional: work items pack
     /// into warps, so the total warp-level work (`eval_warp × #warps`) is
     /// geometry-invariant regardless of oversubscription; inactive warps
-    /// fail the range guard and contribute nothing. This is the quantity
-    /// the simulator's dynamic instruction counters integrate —
-    /// deliberately different from [`FreqExpr::eval_expected`], which is
-    /// the static analyzer's thread-level estimate (the gap is the
-    /// paper's Table VI error).
+    /// fail the range guard and contribute nothing. The simulator's
+    /// per-warp profile integrates it. Its excess over the static
+    /// [`FreqExpr::eval_expected`], divergence saturation, is one of the
+    /// static/dynamic gap's three parts, beside idle blocks and ceil'd
+    /// trips with partial warps ([`LaunchWork`](crate::LaunchWork)); the
+    /// simulator's counters property-test that the two mixes agree once
+    /// all three are ruled out.
     pub fn eval_warp(&self, n: u64, tc: u32, bc: u32) -> f64 {
         match self {
             FreqExpr::Once => 1.0,

@@ -25,8 +25,8 @@
 //!   ([`ProgramIndex::mix_tape`], [`ProgramIndex::profile_tape`],
 //!   [`ProgramIndex::reg_tape`]), so an index makes a handful of
 //!   allocations whatever its block count;
-//! * the grid-stride trip expressions (for busy-thread math) and the
-//!   [`has_divergence`](ProgramIndex::has_divergence) flag.
+//! * the grid-stride trip expressions (for [`LaunchWork`]'s busy
+//!   blocks) and the [`has_divergence`](ProgramIndex::has_divergence) flag.
 //!
 //! # The linear fast path
 //!
@@ -57,7 +57,7 @@
 //! `tests/index_golden.rs`.
 
 use crate::ast::{AccessPattern, MemSpace, SizeExpr, TripCount};
-use crate::block::{BlockId, FreqExpr, Program, Terminator};
+use crate::block::{BasicBlock, BlockId, FreqExpr, Program, Terminator};
 use crate::count::{LaunchGeometry, MixCounts};
 use crate::isa::OpKind;
 use oriole_arch::OpClass;
@@ -297,6 +297,19 @@ impl ProgramIndex {
             .fold(None::<f64>, |acc, v| Some(acc.map_or(v, |a| a.max(v))))
     }
 
+    /// What `geom` executes: its busy blocks are the leading ones its
+    /// grid-stride items fill (one or more if `BC > 0`; all without such
+    /// a loop).
+    // Busy blocks are computed here and nowhere else (`clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
+    pub fn launch_work(&self, geom: LaunchGeometry) -> LaunchWork {
+        let LaunchGeometry { n, tc, bc } = geom;
+        let threads = f64::from(tc) * f64::from(bc);
+        let items = self.grid_stride_items(n).unwrap_or(threads).max(1.0);
+        let busy_blocks = ((threads.min(items) / f64::from(tc)).ceil().max(1.0) as u32).min(bc);
+        LaunchWork { geom, busy_blocks, warps_per_block: tc.div_ceil(32) }
+    }
+
     /// Replays the mix tapes at thread-level expected weights —
     /// bit-identical to [`crate::count::expected_mix`] without touching
     /// an `Instr` vector.
@@ -333,6 +346,52 @@ impl ProgramIndex {
     }
 }
 
+/// What one launch `(n, TC, BC)` executes, as the simulator's timing
+/// model, dynamic counters and register replay all count it: the leading
+/// busy blocks run whole grid-stride trips, and the other blocks' warps
+/// only their prologue and range guard. Its gap to the thread-level
+/// [`expected_mix`](crate::expected_mix) has three parts: idle blocks,
+/// ceil'd trips and partial warps, and the simulator's divergence
+/// saturation of busy weights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchWork {
+    geom: LaunchGeometry,
+    busy_blocks: u32,
+    warps_per_block: u32,
+}
+
+impl LaunchWork {
+    /// Blocks that carry work items.
+    pub fn busy_blocks(&self) -> u32 {
+        self.busy_blocks
+    }
+
+    /// `ceil(TC / 32)`: `GpuSpec::problems` refuses any other warp width.
+    pub fn warps_per_block(&self) -> u32 {
+        self.warps_per_block
+    }
+
+    /// Busy blocks' warps, all resident, even if every lane fails the guard.
+    pub fn busy_warps(&self) -> f64 {
+        f64::from(self.busy_blocks) * f64::from(self.warps_per_block)
+    }
+
+    /// `(n, TC, max(busy, 1))`, where busy warps' weights are evaluated.
+    pub fn busy_geometry(&self) -> LaunchGeometry {
+        LaunchGeometry { bc: self.busy_blocks.max(1), ..self.geom }
+    }
+
+    /// Thread slots (warp executions × 32) `block` (summary `s`) issues:
+    /// `busy_weight`, its weight over the busy warps, plus its zero-size
+    /// weight (else `eval_expected(0, TC, BC)`) times the idle warps.
+    pub fn slots(&self, block: &BasicBlock, s: &BlockSummary, busy_weight: f64) -> f64 {
+        let LaunchGeometry { tc, bc, .. } = self.geom;
+        let idle_warps = f64::from(bc - self.busy_blocks) * f64::from(self.warps_per_block);
+        let idle_weight = s.zero_size_weight.unwrap_or_else(|| block.freq.eval_expected(0, tc, bc));
+        (busy_weight + idle_weight * idle_warps) * 32.0
+    }
+}
+
 /// Whether a frequency holds a grid-stride or block-share trip over a
 /// power-0 size: the one factor that still reads `TC` or `BC` when the
 /// problem size is zero (a power-`p > 0` size is zero there, whatever
@@ -347,7 +406,7 @@ fn zero_size_reads_geometry(f: &FreqExpr) -> bool {
 
 impl ProgramIndex {
     /// Appends one block's tapes and returns the summary addressing them.
-    fn summarize(&mut self, block: &crate::block::BasicBlock) -> BlockSummary {
+    fn summarize(&mut self, block: &BasicBlock) -> BlockSummary {
         let first_instr = self.profile_tape.len();
         for instr in &block.instrs {
             let class = instr.opcode.op_class();
@@ -503,6 +562,8 @@ fn divergent_regions(
 }
 
 #[cfg(test)]
+// Tests build their own indexes, and `grid_stride_items_match_block_scan`
+// pins the item counts only `ProgramIndex::launch_work` reads.
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;

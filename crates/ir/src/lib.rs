@@ -50,7 +50,7 @@ pub use ast::{
 };
 pub use block::{BasicBlock, BlockArena, BlockId, FreqExpr, Program, ProgramMeta, Terminator};
 pub use count::{expected_mix, expected_mix_of, static_mix, ClassMix, LaunchGeometry, MixCounts};
-pub use index::{BlockSummary, DivRegion, ProfileEvent, ProgramIndex, TermClass};
+pub use index::{BlockSummary, DivRegion, LaunchWork, ProfileEvent, ProgramIndex, TermClass};
 pub use instr::{Instr, MemAnnot, Operand, Pred, Reg, SpecialReg};
 pub use isa::{CmpOp, OpKind, Opcode, Ty};
 pub use lower::{lower, lower_indexed};

@@ -494,10 +494,11 @@ fn shutdown_completes_even_when_the_wake_dial_is_sabotaged() {
 
 #[test]
 fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() {
-    // A device is wire input: these three used to panic the worker that
-    // took the frame (a division by zero warps per block, by zero block
-    // slots, a wrapped register product), and a dead worker answers
-    // nothing, ever. Two worker threads, six such frames.
+    // A device is wire input: the first three used to panic the worker
+    // that took the frame (a division by zero warps per block, by zero
+    // block slots, a wrapped register product), and a dead worker
+    // answers nothing, ever; a 64-lane warp would be counted as 32 lanes
+    // by the instruction counters. Two worker threads, eight such frames.
     let cfg = ServeConfig { workers: 2, max_inflight: 2, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
     let k20 = Gpu::K20.spec();
@@ -514,6 +515,7 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
         ("tpw:0", GpuSpec { threads_per_warp: 0, ..k20.clone() }),
         ("mp:0", GpuSpec { multiprocessors: 0, ..k20.clone() }),
         ("tpw:2^28", GpuSpec { threads_per_warp: 1 << 28, ..k20.clone() }),
+        ("tpw:64", GpuSpec { threads_per_warp: 64, ..k20.clone() }),
     ] {
         let asked = Instant::now();
         refused(field, client.evaluate(&scope("atax", &gpu, &[64]), &[p]).map(drop), asked);

@@ -345,15 +345,17 @@ fn coalesced_concurrent_evaluators_are_bit_identical_to_sequential() {
     ));
 
     // Eight threads hammer the one evaluator with overlapping slices;
-    // their misses coalesce into shared batched frames.
+    // they take turns, and the turn-holder fetches only what the memo
+    // still misses.
     let results: Vec<Vec<Measurement>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let remote = Arc::clone(&remote);
                 let points = points.clone();
                 s.spawn(move || {
-                    // Each thread starts at a different offset so the
-                    // pending set mixes contributions from many threads.
+                    // Each thread starts at a different offset, so a
+                    // turn finds some of its points fetched by the turns
+                    // before it.
                     let mut mine: Vec<TuningParams> = points[i % points.len()..].to_vec();
                     mine.extend_from_slice(&points[..i % points.len()]);
                     let got = remote.evaluate_batch(&mine).expect("evaluate");

@@ -7,17 +7,14 @@
 //! family-default configuration. [`ModelContext`] is the same
 //! arithmetic with those three choices made once: it holds a
 //! [`GpuSpec`], a [`SimConfig`] and a [`ModelId`], owns no cache and
-//! has no interior mutability. What real workloads *can*
-//! share between neighbouring launches it takes from its caller:
-//! [`ModelContext::launch`] takes a caller-owned [`LaunchScratch`] — the
-//! per-warp profile and the blocks' busy weights depend on the launch
-//! geometry alone (`TC` and the busy blocks), and the register count
-//! replayed from those weights on `TC` and `BC`, so a sweep worker that
-//! carries one scratch over the variants of a front-end artifact walks
-//! the program once per geometry, not once per variant. No launch walks
-//! the fifteen-class dynamic mix: the register count multiplies each
-//! block's weights into its register tape, a constant of the artifact's
-//! index, in the mix's own order.
+//! has no interior mutability. What neighbouring launches *can* share
+//! it takes from its caller: [`ModelContext::launch`] takes a
+//! caller-owned [`LaunchScratch`], whose walks read only the launch's
+//! [`LaunchWork`](oriole_ir::LaunchWork) (`TC` and the busy blocks, or
+//! `TC` and `BC`), so a sweep worker that carries one over the variants
+//! of a front-end artifact walks the program once per geometry, not once
+//! per variant. No launch walks the fifteen-class dynamic mix: the
+//! register count replays the index's register tapes in its order.
 //!
 //! The scratch also keeps the last launch's estimate, which a point's
 //! twin (another `UIF` / `CFLAGS` on the same index) launches again;

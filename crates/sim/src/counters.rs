@@ -1,27 +1,15 @@
 //! Dynamic instruction counters.
 //!
 //! The "dynamic analysis" side of the paper: what a profiler counts when
-//! the kernel actually runs. Counts integrate *warp-level* execution
-//! weights — divergent branch sides execute whenever any lane takes them,
-//! and every issued warp instruction occupies 32 thread slots regardless
-//! of the active mask. The static analyzer's estimate
-//! ([`oriole_ir::expected_mix`]) integrates thread-level weights instead;
-//! the gap between the two is exactly what the paper's Table VI reports
-//! as estimation error.
+//! the kernel actually runs, warp by warp over a launch's
+//! [`LaunchWork`]. The paper's Table VI reports the gap to the static
+//! analyzer's thread-level [`oriole_ir::expected_mix`] as estimation
+//! error; it has three parts: idle blocks, ceil'd grid-stride trips and
+//! partial warps, and divergence saturation. Ruling all three out, the
+//! two mixes agree to rounding (`proptests::static_and_dynamic_mixes_agree_without_idle_or_partial_work`).
 
 use oriole_codegen::CompiledKernel;
-use oriole_ir::{MixCounts, ProgramIndex};
-
-/// The leading blocks of a `(tc, bc)` launch that carry work items at
-/// problem size `n` (at least one when `bc > 0`): the kernel's
-/// grid-stride items (precomputed by the index at front-end time) over
-/// `tc` threads a block. The rest of the grid only runs its range guard.
-pub(crate) fn busy_blocks(index: &ProgramIndex, n: u64, tc: u32, bc: u32) -> u32 {
-    let threads = f64::from(tc) * f64::from(bc);
-    let items = index.grid_stride_items(n).unwrap_or(threads);
-    let busy_threads = threads.min(items.max(1.0));
-    ((busy_threads / f64::from(tc)).ceil().max(1.0) as u32).min(bc)
-}
+use oriole_ir::{BlockSummary, LaunchGeometry, LaunchWork, MixCounts};
 
 /// Whole-grid dynamic instruction mix for one execution at problem size
 /// `n` (thread-slot granularity: warp executions × 32).
@@ -35,74 +23,65 @@ pub(crate) fn busy_blocks(index: &ProgramIndex, n: u64, tc: u32, bc: u32) -> u32
 /// * idle surplus blocks still issue their prologue and range guard;
 /// * divergent branch sides execute whenever any lane takes them.
 ///
-/// The gap between this and [`oriole_ir::expected_mix`] is the paper's
-/// Table VI estimation error.
+/// Those are the three parts of the paper's Table VI estimation error,
+/// counted over [`LaunchWork`]; the module docs name the property that
+/// holds the two mixes equal without them.
 pub fn dynamic_mix(kernel: &CompiledKernel, n: u64) -> MixCounts {
-    let index = &kernel.index;
-    let (tc, bc) = (kernel.params.tc, kernel.params.bc);
-    let busy = busy_blocks(index, n, tc, bc);
-    let idle_warps = f64::from(bc - busy) * f64::from(tc.div_ceil(32));
+    let work = kernel.index.launch_work(kernel.geometry(n));
     let mut mix = MixCounts::new();
-    let blocks = kernel.program.blocks.iter().zip(index.summaries());
-    for ((block, s), w_busy) in blocks.zip(busy_weights(kernel, n, busy)) {
-        // Idle warps: prologue/guard work only — evaluate with the
-        // problem size zeroed so every data loop contributes nothing.
-        let w_idle = block.freq.eval_expected(0, tc, bc);
-        let slots = (w_busy + w_idle * idle_warps) * 32.0;
-        if slots <= 0.0 {
-            continue;
-        }
-        index.replay_mix(s, slots, &mut mix);
+    for (s, slots) in block_slots(kernel, work, busy_weights(kernel, work)) {
+        kernel.index.replay_mix(s, slots, &mut mix);
     }
     mix
 }
 
-/// Each block's busy-warp weight in [`dynamic_mix`] at `n` with `busy`
-/// busy blocks: the block's frequency at the busy geometry, saturated
-/// for divergence, times the busy warps. It is the part of a block's
-/// slot count that `BC` moves only through `busy`.
+/// Each block's busy-warp weight in [`dynamic_mix`] under `work`: the
+/// block's frequency at the busy geometry, saturated for divergence,
+/// times the busy warps. It is the part of a block's slot count that
+/// `BC` moves only through the busy blocks.
 pub(crate) fn busy_weights(
     kernel: &CompiledKernel,
-    n: u64,
-    busy: u32,
+    work: LaunchWork,
 ) -> impl Iterator<Item = f64> + '_ {
-    let tc = kernel.params.tc;
-    let busy_warps = f64::from(busy) * f64::from(tc.div_ceil(32));
+    let geom = work.busy_geometry();
+    let busy_warps = work.busy_warps();
     // Divergence-free programs have warp saturation exactly 1.0 in every
     // block; skipping it is bit-identical (`x * 1.0 == x` bitwise).
     let saturated = kernel.index.has_divergence();
     kernel.program.blocks.iter().map(move |block| {
-        let mut w_busy = block.freq.eval(n, tc, busy.max(1));
+        let mut w_busy = block.freq.eval(geom.n, geom.tc, geom.bc);
         if saturated {
-            w_busy *= warp_saturation(block, w_busy, n, tc, busy.max(1));
+            w_busy *= warp_saturation(block, w_busy, geom);
         }
         w_busy * busy_warps
     })
 }
 
 /// `dynamic_mix(kernel, n).get(OpClass::Regs)` from the blocks' busy
-/// weights ([`busy_weights`] under `busy`) and the index's register
-/// tapes, in the mix's own accumulation order, so the bits are the
-/// same. A block's idle weight is the index's zero-size weight, a
-/// constant of the artifact, unless a power-0 geometry trip makes it
-/// read `(tc, bc)`.
-pub(crate) fn reg_instructions(kernel: &CompiledKernel, busy: u32, busy_weights: &[f64]) -> f64 {
-    let (tc, bc) = (kernel.params.tc, kernel.params.bc);
-    let idle_warps = f64::from(bc - busy) * f64::from(tc.div_ceil(32));
+/// weights ([`busy_weights`] under `work`) and the index's register
+/// tapes, in the mix's own accumulation order, so the bits are the same.
+pub(crate) fn reg_instructions(kernel: &CompiledKernel, work: LaunchWork, weights: &[f64]) -> f64 {
     let mut regs = 0.0;
-    let index = &kernel.index;
-    let blocks = kernel.program.blocks.iter().zip(index.summaries());
-    for ((block, s), &w_busy) in blocks.zip(busy_weights) {
-        let w_idle = s.zero_size_weight.unwrap_or_else(|| block.freq.eval_expected(0, tc, bc));
-        let slots = (w_busy + w_idle * idle_warps) * 32.0;
-        if slots <= 0.0 {
-            continue;
-        }
-        for &m in index.reg_tape(s) {
+    for (s, slots) in block_slots(kernel, work, weights.iter().copied()) {
+        for &m in kernel.index.reg_tape(s) {
             regs += slots * m;
         }
     }
     regs
+}
+
+/// Every block that issues under `work`, in order, with its thread slots.
+fn block_slots<'k>(
+    kernel: &'k CompiledKernel,
+    work: LaunchWork,
+    busy_weights: impl Iterator<Item = f64> + 'k,
+) -> impl Iterator<Item = (&'k BlockSummary, f64)> + 'k {
+    let blocks = kernel.program.blocks.iter().zip(kernel.index.summaries());
+    blocks.zip(busy_weights).filter_map(move |((block, s), w_busy)| {
+        let slots = work.slots(block, s, w_busy);
+        // A NaN weight is replayed, as the walk oracle records it.
+        (slots > 0.0 || slots.is_nan()).then_some((s, slots))
+    })
 }
 
 /// The pre-index walk-based implementation, retained as the oracle the
@@ -134,7 +113,8 @@ pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
     let mut mix = MixCounts::new();
     for block in &kernel.program.blocks {
         let thread = block.freq.eval(n, tc, busy_blocks.max(1));
-        let w_busy = thread * warp_saturation(block, thread, n, tc, busy_blocks.max(1));
+        let busy_geom = LaunchGeometry::new(n, tc, busy_blocks.max(1));
+        let w_busy = thread * warp_saturation(block, thread, busy_geom);
         let w_idle = block.freq.eval_expected(0, tc, bc);
         let slots = (w_busy * busy_warps + w_idle * idle_warps) * 32.0;
         if slots <= 0.0 {
@@ -156,9 +136,10 @@ pub(crate) fn dynamic_mix_walk(kernel: &CompiledKernel, n: u64) -> MixCounts {
 
 /// Ratio of warp-level to thread-level branch weights for a block
 /// (≥ 1; captures divergence saturation independently of trip counts),
-/// given its thread-level weight `thread`, `block.freq.eval(n, tc, bc)`,
+/// given its thread-level weight `thread`, `block.freq.eval` at `geom`,
 /// which every caller has already evaluated.
-fn warp_saturation(block: &oriole_ir::BasicBlock, thread: f64, n: u64, tc: u32, bc: u32) -> f64 {
+fn warp_saturation(block: &oriole_ir::BasicBlock, thread: f64, geom: LaunchGeometry) -> f64 {
+    let LaunchGeometry { n, tc, bc } = geom;
     let thread_frac = block.freq.eval_expected(n, tc, bc);
     if thread <= 0.0 || thread_frac <= 0.0 {
         return 1.0;
@@ -260,6 +241,45 @@ mod proptests {
             let n = rng.range_u64(1, 255);
             let compiled = compile(&ast, Gpu::K20.spec(), params).expect("valid point");
             assert_eq!(dynamic_mix(&compiled, n), dynamic_mix_walk(&compiled, n));
+        });
+    }
+
+    /// The gap between the two mixes has three parts: idle blocks,
+    /// ceil'd trips and partial warps, and divergence saturation. With
+    /// all three ruled out — no divergence, `TC % 32 == 0`, and `TC × BC`
+    /// dividing every grid-stride item count at `n` (so every block is
+    /// busy and no trip rounds) — the dynamic mix is the static one over
+    /// the whole grid, class by class, to rounding.
+    #[test]
+    fn static_and_dynamic_mixes_agree_without_idle_or_partial_work() {
+        use oriole_ir::{expected_mix, Terminator, TripCount};
+        check("static_and_dynamic_mixes_agree_without_idle_or_partial_work", 48, |rng| {
+            let tc = rng.pick(&[32u32, 64, 128, 256]);
+            let bc = rng.range_u64(1, 8) as u32;
+            let threads = f64::from(tc) * f64::from(bc);
+            // The generator's grid-stride items are `N` or `N²`.
+            let n = u64::from(tc * bc) * rng.range_u64(1, 3);
+            let params = TuningParams::with_geometry(tc, bc);
+            let compiled = loop {
+                let ast = kernel(rng, "sim_prop");
+                let compiled = compile(&ast, Gpu::K20.spec(), params).expect("valid point");
+                if !compiled.index.has_divergence() {
+                    break compiled;
+                }
+            };
+            for block in &compiled.program.blocks {
+                if let Terminator::LoopBack { trip: TripCount::GridStride(s), .. } = &block.term {
+                    let items = s.eval(n);
+                    assert_eq!(items % threads, 0.0, "{items} items over {threads} threads");
+                }
+            }
+            let dynamic = dynamic_mix(&compiled, n);
+            let stat = expected_mix(&compiled.program, compiled.geometry(n)).scaled(threads);
+            for class in oriole_arch::ALL_OP_CLASSES {
+                let (d, s) = (dynamic.get(class), stat.get(class));
+                let gap = (d - s).abs();
+                assert!(gap <= 1e-12 * d.abs().max(s.abs()), "{class:?}: dynamic {d} vs static {s}");
+            }
         });
     }
 

@@ -11,10 +11,10 @@
 //! ```
 //!
 //! The busy-SM accounting is what reproduces the paper's Fig. 4 shape:
-//! grid-stride kernels with fewer work items than threads occupy only the
-//! leading `⌈items/TC⌉` blocks, so at small `N` a 1024-thread block puts
-//! the entire kernel on a single SM while a 64-thread block spreads it
-//! over sixteen.
+//! grid-stride kernels with fewer work items than threads keep only the
+//! leading `⌈items/TC⌉` blocks busy ([`LaunchWork`](oriole_ir::LaunchWork)),
+//! so at small `N` a 1024-thread block puts the entire kernel on a
+//! single SM while a 64-thread block spreads it over sixteen.
 //!
 //! Only the arithmetic above depends on the whole variant (`PL` through
 //! occupancy, `SC` through launch overhead); the walks over the program
@@ -26,7 +26,7 @@ use crate::model::launch_occupancy;
 use crate::profile::WarpProfile;
 use oriole_arch::{Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
-use oriole_ir::{ProgramIndex, ProgramMeta};
+use oriole_ir::{LaunchGeometry, ProgramIndex, ProgramMeta};
 use std::fmt;
 use std::sync::Arc;
 
@@ -101,12 +101,13 @@ pub struct SimReport {
 /// the per-warp profile under `(TC, blocks)` (filled by the simulator
 /// and roofline backends), the Eq. 6 cost under `(TC, BC)` (the static
 /// backend), and, for [`ModelContext::launch`](crate::ModelContext::launch)
-/// under every backend, the blocks' busy weights under `(TC, busy
-/// blocks)`, the register count replayed from them under `(TC, BC)` and
-/// the estimate's time and occupancy under `(TC, BC, PL, SC)` and the
-/// program's metadata and shared memory — for one program (its index),
-/// problem size and spill budget: a kernel that differs in any of the
-/// three empties it. A plain caller-owned value: a fresh one
+/// under every backend, the blocks' busy weights under the `(TC, busy
+/// blocks)` of its [`LaunchWork`](oriole_ir::LaunchWork), the register
+/// count replayed from them under `(TC, BC)` and the estimate's time and
+/// occupancy under `(TC, BC, PL, SC)` and the program's metadata and
+/// shared memory — for one program (its index), problem size and spill
+/// budget: a kernel that differs in any of the three empties it. A
+/// plain caller-owned value: a fresh one
 /// ([`Default`]) computes everything, one carried across the variants
 /// of a program repeats a walk only when the launch shape moves — `PL`
 /// and `SC` enter none of the walks, a `BC` step that keeps the busy
@@ -161,19 +162,17 @@ impl LaunchScratch {
         self.last.as_ref().expect("filled above").1.clone()
     }
 
-    /// [`WarpProfile::extract`] for `kernel` at `(n, TC, blocks)`,
-    /// walked unless the last call asked for the same `(TC, blocks)`.
+    /// [`WarpProfile::extract`] for `kernel` at `geom`, walked unless
+    /// the last call asked for the same `(TC, BC)`.
     pub(crate) fn profile(
         &mut self,
         kernel: &CompiledKernel,
         cfg: &SimConfig,
-        n: u64,
-        blocks: u32,
+        geom: LaunchGeometry,
     ) -> &WarpProfile {
-        self.bind(kernel, n);
-        let tc = kernel.params.tc;
-        last(&mut self.profile, (tc, blocks), || {
-            WarpProfile::extract(&kernel.index, &kernel.program, cfg, n, tc, blocks)
+        self.bind(kernel, geom.n);
+        last(&mut self.profile, (geom.tc, geom.bc), || {
+            WarpProfile::extract(&kernel.index, &kernel.program, cfg, geom)
         })
     }
 
@@ -192,21 +191,21 @@ impl LaunchScratch {
     /// those move.
     pub(crate) fn reg_instructions(&mut self, kernel: &CompiledKernel, n: u64) -> f64 {
         self.bind(kernel, n);
-        let (tc, bc) = (kernel.params.tc, kernel.params.bc);
-        let busy_slot = &mut self.busy;
-        *last(&mut self.regs, (tc, bc), || {
-            let busy = counters::busy_blocks(&kernel.index, n, tc, bc);
-            if !matches!(busy_slot, Some((held, _)) if *held == (tc, busy)) {
+        let (busy_slot, tc) = (&mut self.busy, kernel.params.tc);
+        *last(&mut self.regs, (tc, kernel.params.bc), || {
+            let work = kernel.index.launch_work(kernel.geometry(n));
+            let key = (tc, work.busy_blocks());
+            if !matches!(busy_slot, Some((held, _)) if *held == key) {
                 // Refill the buffer the last geometry left, if any.
                 let mut weights = busy_slot.take().map(|(_, w)| w).unwrap_or_default();
                 weights.clear();
-                weights.extend(counters::busy_weights(kernel, n, busy));
-                *busy_slot = Some(((tc, busy), weights));
+                weights.extend(counters::busy_weights(kernel, work));
+                *busy_slot = Some((key, weights));
                 counted(Pass::Weighed);
             }
             counted(Pass::Replayed);
             let (_, weights) = busy_slot.as_ref().expect("filled above");
-            counters::reg_instructions(kernel, busy, weights)
+            counters::reg_instructions(kernel, work, weights)
         })
     }
 }
@@ -264,12 +263,11 @@ pub(crate) fn simulate_via(
 
     let occ = launch_occupancy(spec, kernel)?;
 
-    let busy_blocks = counters::busy_blocks(&kernel.index, n, params.tc, params.bc);
-    let wb = spec.warps_per_block(params.tc);
-    // All warps of busy blocks are resident and schedule, even those
-    // whose lanes all fail the range guard; the per-warp profile below is
-    // the average over exactly this population.
-    let resident_warps_total = f64::from(busy_blocks) * f64::from(wb);
+    let work = kernel.index.launch_work(kernel.geometry(n));
+    let busy_blocks = work.busy_blocks();
+    let wb = work.warps_per_block();
+    // The per-warp profile below is the average over exactly these.
+    let resident_warps_total = work.busy_warps();
 
     let mp = spec.multiprocessors;
     let busy_sms = busy_blocks.min(mp);
@@ -283,7 +281,7 @@ pub(crate) fn simulate_via(
 
     // Per-busy-warp profile: weights evaluated at the busy geometry,
     // replayed from the kernel's shared index.
-    let profile = scratch.profile(kernel, cfg, n, busy_blocks.max(1)).clone();
+    let profile = scratch.profile(kernel, cfg, work.busy_geometry()).clone();
 
     // Synchronization / divergence surcharges (per warp).
     let barrier_cost =

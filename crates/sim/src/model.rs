@@ -206,9 +206,10 @@ pub(crate) fn roofline(
 ) -> Result<SimReport, SimError> {
     let occ = launch_occupancy(spec, kernel)?;
     let params = kernel.params;
-    let wb = spec.warps_per_block(params.tc);
+    let geom = kernel.geometry(n);
+    let wb = kernel.index.launch_work(geom).warps_per_block();
     let warps_total = f64::from(params.bc) * f64::from(wb);
-    let profile = scratch.profile(kernel, cfg, n, params.bc).clone();
+    let profile = scratch.profile(kernel, cfg, geom).clone();
 
     let mp = spec.multiprocessors;
     let t_issue =

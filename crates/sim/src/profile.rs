@@ -8,7 +8,7 @@
 //! barrier and divergent-branch executions, and spill traffic.
 
 use crate::config::SimConfig;
-use oriole_ir::{AccessPattern, MemSpace, ProfileEvent, Program, ProgramIndex, TermClass};
+use oriole_ir::{AccessPattern, LaunchGeometry, MemSpace, ProfileEvent, Program, ProgramIndex, TermClass};
 use oriole_arch::{OpClass, ThroughputTable};
 
 /// Aggregated per-warp costs (averaged over the busy warps of a launch).
@@ -42,22 +42,20 @@ impl WarpProfile {
     }
 
     /// Extracts the profile of `program` at warp-level weights for
-    /// geometry `(n, tc, bc)` by replaying the prebuilt index's
-    /// per-block profile tapes instead of matching `Instr` vectors.
-    /// Latencies and replay counts stay resolved here at query time
-    /// (the tape records *what* accesses happen, [`SimConfig`] says what
-    /// they cost), so one index serves every device configuration.
+    /// `geom` by replaying the prebuilt index's per-block profile tapes
+    /// instead of matching `Instr` vectors. Latencies and replay counts
+    /// stay resolved here at query time (the tape records *what*
+    /// accesses happen, [`SimConfig`] says what they cost), so one index
+    /// serves every device configuration.
     ///
-    /// Pass the *busy* block count as `bc` to obtain per-busy-warp costs
-    /// (idle blocks fail their range guards immediately and are handled
-    /// by the machine model's dispatch term instead).
+    /// Pass [`LaunchWork::busy_geometry`](oriole_ir::LaunchWork::busy_geometry)
+    /// for per-busy-warp costs (idle blocks fail their range guards at
+    /// once; the machine model's dispatch term charges them).
     pub(crate) fn extract(
         index: &ProgramIndex,
         program: &Program,
         cfg: &SimConfig,
-        n: u64,
-        tc: u32,
-        bc: u32,
+        geom: LaunchGeometry,
     ) -> WarpProfile {
         let table = ThroughputTable::for_family(program.meta.family);
         let issue_of = |class: OpClass| 32.0 / f64::from(table.ipc(class));
@@ -65,7 +63,7 @@ impl WarpProfile {
 
         let mut hottest_weight: f64 = 0.0;
         for (block, s) in program.blocks.iter().zip(index.summaries()) {
-            let w = block.freq.eval_warp(n, tc, bc);
+            let w = block.freq.eval_warp(geom.n, geom.tc, geom.bc);
             if w <= 0.0 {
                 continue;
             }
@@ -237,7 +235,7 @@ mod tests {
         k.body = body;
         let (p, idx) = lower_indexed(&k, Family::Kepler, LowerOptions::default());
         let cfg = SimConfig::for_family(Family::Kepler);
-        WarpProfile::extract(&idx, &p, &cfg, n, tc, bc)
+        WarpProfile::extract(&idx, &p, &cfg, LaunchGeometry::new(n, tc, bc))
     }
 
     #[test]
@@ -400,9 +398,9 @@ mod tests {
         })];
         let (mut p, idx) = lower_indexed(&k, Family::Fermi, LowerOptions::default());
         let cfg = SimConfig::for_family(Family::Fermi);
-        let clean = WarpProfile::extract(&idx, &p, &cfg, 64, 32, 1);
+        let clean = WarpProfile::extract(&idx, &p, &cfg, LaunchGeometry::new(64, 32, 1));
         p.meta.spill_bytes = 16; // 4 spilled registers
-        let spilled = WarpProfile::extract(&idx, &p, &cfg, 64, 32, 1);
+        let spilled = WarpProfile::extract(&idx, &p, &cfg, LaunchGeometry::new(64, 32, 1));
         assert!(spilled.dram_transactions > clean.dram_transactions);
         assert!(spilled.mem_ops > clean.mem_ops);
         assert!(spilled.issue_cycles > clean.issue_cycles);
@@ -431,7 +429,7 @@ mod proptests {
                 lower_indexed(&ast, Family::Kepler, LowerOptions { fast_math: fast });
             p.meta.spill_bytes = spilled_regs * 4;
             let cfg = SimConfig::for_family(Family::Kepler);
-            let indexed = WarpProfile::extract(&idx, &p, &cfg, n, tc, bc);
+            let indexed = WarpProfile::extract(&idx, &p, &cfg, LaunchGeometry::new(n, tc, bc));
             let walk = WarpProfile::extract_walk(&p, &cfg, n, tc, bc);
             assert_eq!(&indexed, &walk);
         });

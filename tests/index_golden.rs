@@ -123,6 +123,8 @@ fn spell_mix(out: &mut String, mix: &MixCounts) {
 }
 
 /// One program's index, every accessor, floats as bits.
+// Pins `grid_stride_items`, which only `ProgramIndex::launch_work` reads.
+#[allow(clippy::disallowed_methods)]
 fn spell(out: &mut String, index: &ProgramIndex, program: &Program, sizes: &[u64]) {
     let _ = writeln!(out, "len {} div {}", index.len(), index.has_divergence());
     for r in index.divergent_regions() {
