@@ -142,6 +142,7 @@ impl GpuSpec {
             ("multiprocessors", self.multiprocessors),
             ("gpu_clock_mhz", self.gpu_clock_mhz),
             ("threads_per_warp", self.threads_per_warp),
+            ("warp_size", self.warp_size),
             ("warps_per_mp", self.warps_per_mp),
         ];
         // Eq. 4 rounds `R_u · T_W · W_B` up to the allocation unit, with
@@ -163,8 +164,10 @@ impl GpuSpec {
         ];
         let zero = divisors.iter().filter(|(_, v)| *v == 0);
         let wrapped = products.iter().filter(|(_, v)| *v > wide(u32::MAX));
-        let warp_width = (!matches!(self.threads_per_warp, 0 | 32))
-            .then(|| "threads_per_warp must be 32, the IR's 32-lane warp model".to_string());
+        let warp_width = [("threads_per_warp", self.threads_per_warp), ("warp_size", self.warp_size)]
+            .into_iter()
+            .filter(|(_, v)| !matches!(v, 0 | 32))
+            .map(|(field, _)| format!("{field} must be 32, the IR's 32-lane warp model"));
         zero.map(|(field, _)| format!("{field} must be positive"))
             .chain(warp_width)
             .chain(wrapped.map(|(what, _)| format!("the {what} does not fit 32 bits")))
@@ -357,6 +360,8 @@ mod tests {
             (GpuSpec { gpu_clock_mhz: 0, ..k20.clone() }, "gpu_clock_mhz"),
             (GpuSpec { threads_per_warp: 0, ..k20.clone() }, "threads_per_warp must be positive"),
             (GpuSpec { threads_per_warp: 64, ..k20.clone() }, "32-lane warp model"),
+            (GpuSpec { warp_size: 0, ..k20.clone() }, "warp_size must be positive"),
+            (GpuSpec { warp_size: 16, ..k20.clone() }, "warp_size must be 32"),
             (GpuSpec { warps_per_mp: 0, ..k20.clone() }, "warps_per_mp"),
             // 2^27 registers x 32 lanes wraps to a zero divisor.
             (GpuSpec { regs_per_thread_max: 1 << 27, ..k20.clone() }, "register allocation"),

@@ -14,83 +14,17 @@
 //! * the surviving daemons' stores `verify` clean afterwards — no
 //!   torn records from the rebalanced sweep.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+mod common;
 
-fn oriole() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_oriole-cli"))
-}
+use common::{oriole, run_ok, temp_dir, Daemon};
+use std::path::PathBuf;
+use std::process::Stdio;
 
-fn run_ok(args: &[&str]) -> String {
-    let out = oriole().args(args).output().expect("spawn oriole");
-    assert!(
-        out.status.success(),
-        "`oriole {}` failed:\nstdout: {}\nstderr: {}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 stdout")
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-    /// Kept open for the daemon's lifetime: dropping the pipe's read
-    /// end would make the daemon's own shutdown summary fail to print.
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl Daemon {
-    /// Spawns `oriole serve` on an ephemeral port over `store_dir` and
-    /// parses the actual address out of the startup banner.
-    fn spawn(store_dir: &Path) -> Daemon {
-        let mut child = oriole()
-            .args(["serve", "--addr", "127.0.0.1:0", "--store-dir"])
-            .arg(store_dir)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn daemon");
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("read banner");
-        let addr = banner
-            .split("listening on ")
-            .nth(1)
-            .and_then(|r| r.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in banner `{banner}`"))
-            .to_string();
-        Daemon { child, addr, stdout }
-    }
-
-    /// Graceful stop: `oriole service shutdown --remote`, then reap the
-    /// process (the daemon drains in-flight work before exiting).
-    fn shutdown(mut self) {
-        let out = run_ok(&["service", "shutdown", "--remote", &self.addr]);
-        assert!(out.contains("shutting down"), "{out}");
-        let status = self.child.wait().expect("daemon exit");
-        assert!(status.success(), "daemon exited with {status}");
-        let mut summary = String::new();
-        use std::io::Read as _;
-        self.stdout.read_to_string(&mut summary).expect("read summary");
-        assert!(summary.contains("shut down after"), "{summary}");
-    }
-
-    /// Hard stop: SIGKILL, no drain, no goodbye — simulates a crashed
-    /// or partitioned shard.
-    fn kill(mut self) {
-        self.child.kill().expect("kill daemon");
-        let _ = self.child.wait();
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oriole-fleet-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// Hard stop: SIGKILL, no drain, no goodbye — simulates a crashed or
+/// partitioned shard.
+fn kill(mut daemon: Daemon) {
+    daemon.child.kill().expect("kill daemon");
+    let _ = daemon.child.wait();
 }
 
 #[test]
@@ -141,6 +75,7 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
         "tune", "--kernel", "bicg", "--gpu", "k20", "--strategy", "exhaustive", "--sizes",
         "32,64",
     ]);
+    let served = daemons[2].points_served();
     let victim_sweep = oriole()
         .args([
             "tune", "--kernel", "bicg", "--gpu", "k20", "--strategy", "exhaustive", "--sizes",
@@ -151,11 +86,11 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn fleet sweep");
-    // Give the sweep time to get chunks in flight on every shard, then
-    // hard-kill one daemon. Whether the kill lands mid-sweep or the
-    // sweep already drained, the output contract is the same.
-    std::thread::sleep(Duration::from_millis(100));
-    daemons.remove(2).kill();
+    // Once the third shard has answered a chunk of the sweep, hard-kill
+    // it. Whether the kill lands mid-sweep or the sweep already drained,
+    // the output contract is the same.
+    daemons[2].await_points_past(served);
+    kill(daemons.remove(2));
     let out = victim_sweep.wait_with_output().expect("sweep exit");
     assert!(
         out.status.success(),

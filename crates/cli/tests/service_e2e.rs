@@ -11,77 +11,10 @@
 //! * a client killed mid-sweep leaves the daemon serving and its store
 //!   directory `verify`-clean and resumable.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+mod common;
 
-fn oriole() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_oriole-cli"))
-}
-
-fn run_ok(args: &[&str]) -> String {
-    let out = oriole().args(args).output().expect("spawn oriole");
-    assert!(
-        out.status.success(),
-        "`oriole {}` failed:\nstdout: {}\nstderr: {}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 stdout")
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-    /// Kept open for the daemon's lifetime: dropping the pipe's read
-    /// end would make the daemon's own shutdown summary fail to print.
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl Daemon {
-    /// Spawns `oriole serve` on an ephemeral port over `store_dir` and
-    /// parses the actual address out of the startup banner.
-    fn spawn(store_dir: &Path) -> Daemon {
-        let mut child = oriole()
-            .args(["serve", "--addr", "127.0.0.1:0", "--store-dir"])
-            .arg(store_dir)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn daemon");
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("read banner");
-        let addr = banner
-            .split("listening on ")
-            .nth(1)
-            .and_then(|r| r.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no address in banner `{banner}`"))
-            .to_string();
-        Daemon { child, addr, stdout }
-    }
-
-    /// Graceful stop: `oriole service shutdown --remote`, then reap the
-    /// process (the daemon drains in-flight work before exiting).
-    fn shutdown(mut self) {
-        let out = run_ok(&["service", "shutdown", "--remote", &self.addr]);
-        assert!(out.contains("shutting down"), "{out}");
-        let status = self.child.wait().expect("daemon exit");
-        assert!(status.success(), "daemon exited with {status}");
-        let mut summary = String::new();
-        use std::io::Read as _;
-        self.stdout.read_to_string(&mut summary).expect("read summary");
-        assert!(summary.contains("shut down after"), "{summary}");
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oriole-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use common::{oriole, run_ok, temp_dir, Daemon};
+use std::process::{Child, Output, Stdio};
 
 #[test]
 fn daemon_serves_concurrent_clients_bit_identically_and_survives_a_killed_client() {
@@ -127,6 +60,7 @@ fn daemon_serves_concurrent_clients_bit_identically_and_survives_a_killed_client
     );
 
     // --- Phase 3: kill a client mid-sweep on a fresh scope. ---
+    let served = daemon.points_served();
     let mut victim = oriole()
         .args([
             "tune", "--kernel", "bicg", "--gpu", "k20", "--strategy", "exhaustive", "--sizes",
@@ -136,8 +70,9 @@ fn daemon_serves_concurrent_clients_bit_identically_and_survives_a_killed_client
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn victim client");
-    // Give it time to get its evaluate batch in flight, then kill it.
-    std::thread::sleep(Duration::from_millis(120));
+    // Once the daemon has answered the victim's first evaluate frame,
+    // kill it.
+    daemon.await_points_past(served);
     victim.kill().expect("kill client");
     let _ = victim.wait();
 

@@ -6,9 +6,9 @@
 //! failure either heals (the client retries and the final trace is
 //! bit-identical to a fault-free run) or aborts loudly (a latched
 //! error) — and no thread, client or daemon, ever blocks past its
-//! deadline.** The proxy is test infrastructure, but it ships in the
-//! library so operators can smoke-test a deployment's timeout/retry
-//! configuration against controlled faults.
+//! deadline.** The proxy is test support: it sits behind the `chaos`
+//! feature, which only `[dev-dependencies]` turn on, and no verb or bin
+//! reaches it.
 //!
 //! Faults are described per-connection by a [`FaultSpec`] and
 //! sequenced by a [`ChaosPlan`]: the *n*-th accepted connection gets

@@ -62,11 +62,13 @@
 //!   the daemons. A *final* failure — a deterministic error, or
 //!   the last daemon lost — latches: the run aborts loudly, never
 //!   silently returns garbage winners.
-//! * [`chaos`] — fault injection: a [`ChaosProxy`] that delays,
-//!   corrupts, truncates and drops proxied frames on a configurable
-//!   [`ChaosPlan`], backing the acceptance suite that proves every
-//!   injected failure either heals (bit-identical final trace) or
-//!   aborts loudly, with no unbounded blocking anywhere.
+//! * `chaos` — test support behind the `chaos` feature, which only
+//!   `[dev-dependencies]` turn on, so no product build compiles it: a
+//!   `ChaosProxy` that delays, corrupts, truncates and drops proxied
+//!   frames on a configurable `ChaosPlan`, backing the acceptance
+//!   suite that proves every injected failure either heals
+//!   (bit-identical final trace) or aborts loudly, with no unbounded
+//!   blocking anywhere.
 //!
 //! The one discipline the daemon cannot check: a store *directory* must
 //! have a single writing process. Run exactly one daemon per
@@ -75,6 +77,7 @@
 
 #![warn(missing_docs)]
 
+#[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod client;
 mod evaluator;
@@ -83,6 +86,7 @@ mod reactor;
 mod sched;
 pub mod server;
 
+#[cfg(feature = "chaos")]
 pub use chaos::{ChaosPlan, ChaosProxy, FaultSpec};
 pub use client::{Client, Pipeline, RetryPolicy, ServiceError};
 pub use evaluator::{

@@ -208,18 +208,12 @@ struct ServerState {
     pipelined_peak: AtomicU64,
     inline_hits: AtomicU64,
     wakeups: AtomicU64,
-    /// Test hook: when set, workers do not dial the reactor's wake pipe
-    /// after queueing a completion — progress must come from the
-    /// reactor's bounded tick alone.
-    wake_disabled: AtomicBool,
 }
 
 impl ServerState {
     fn complete(&self, wake: &WakeHandle, completion: Completion) {
         self.completions.lock().expect("completions lock").push(completion);
-        if !self.wake_disabled.load(Ordering::Relaxed) {
-            wake.wake();
-        }
+        wake.wake();
     }
 }
 
@@ -265,7 +259,6 @@ impl Server {
             pipelined_peak: AtomicU64::new(0),
             inline_hits: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
-            wake_disabled: AtomicBool::new(false),
         });
         Ok(Server { listener, store, state })
     }
@@ -275,30 +268,28 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Test hook: suppresses the worker→reactor wake dial entirely, so
-    /// completions and shutdown must make progress through the
-    /// reactor's bounded tick alone — proving a lost wake can only cost
-    /// latency, never a hang.
-    #[doc(hidden)]
-    pub fn sabotage_wake_for_test(&self) {
-        self.state.wake_disabled.store(true, Ordering::SeqCst);
-    }
-
     /// Runs the reactor until a client sends `shutdown`, then drains
     /// queued work, busy workers and unwritten responses (bounded by
     /// `DRAIN_TIMEOUT`) and returns the daemon's last counters.
     pub fn run(self) -> std::io::Result<ServeSummary> {
+        let (wake_pipe, wake_handle) = WakePipe::new()?;
+        self.serve(&wake_pipe, &wake_handle)
+    }
+
+    /// [`run`](Server::run) over a given wake channel: the reactor
+    /// waits on `wake_pipe`, and workers nudge it through `wake` after
+    /// queueing a completion.
+    fn serve(self, wake_pipe: &WakePipe, wake: &WakeHandle) -> std::io::Result<ServeSummary> {
         // The tick bounds every timer's latency (idle reap, write
         // stall, admission expiry, drain) and doubles as the wake
         // fallback: even with every wake lost, progress happens within
         // one tick.
         const TICK: Duration = Duration::from_millis(10);
         self.listener.set_nonblocking(true)?;
-        let (wake_pipe, wake_handle) = WakePipe::new()?;
         for _ in 0..self.state.cfg.max_inflight.max(1) {
             let store = self.store.clone();
             let state = Arc::clone(&self.state);
-            let wake = wake_handle.clone();
+            let wake = wake.clone();
             // Workers are detached: a wedged evaluation past the drain
             // deadline must not keep `run` from returning.
             std::thread::spawn(move || worker_loop(&store, &state, &wake));
@@ -1083,5 +1074,37 @@ fn handle_simulate(
             report: t.report,
         },
         Err(e) => Response::Error { message: e.to_string() },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn shutdown_completes_even_when_the_wake_dial_is_sabotaged() {
+        // Regression for the silent-failure wake path: the old accept loop
+        // blocked in accept(2) and relied on a best-effort self-connection
+        // to notice shutdown — a failed dial hung the daemon forever. The
+        // polled loop must shut down promptly even with every wake lost:
+        // here the workers nudge a second channel that nobody reads, so
+        // progress comes from the reactor's bounded tick alone.
+        let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let (wake_pipe, _writer) = WakePipe::new().expect("wake pipe");
+        let (_unread, lost) = WakePipe::new().expect("lost wake pipe");
+        let handle = std::thread::spawn(move || server.serve(&wake_pipe, &lost).expect("serve"));
+
+        let client = Client::connect(&addr.to_string()).expect("connect");
+        let started = Instant::now();
+        client.shutdown().expect("shutdown ack");
+        drop(client);
+        let summary = handle.join().expect("server thread");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shutdown must complete through the poll fallback, not hang"
+        );
+        assert!(summary.drained);
     }
 }

@@ -469,36 +469,13 @@ fn idle_connections_are_reaped_and_clients_heal_by_reconnecting() {
 }
 
 #[test]
-fn shutdown_completes_even_when_the_wake_dial_is_sabotaged() {
-    // Regression for the silent-failure wake path: the old accept loop
-    // blocked in accept(2) and relied on a best-effort self-connection
-    // to notice shutdown — a failed dial hung the daemon forever. The
-    // polled loop must shut down promptly even with the dial pointed at
-    // a dead address.
-    let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    server.sabotage_wake_for_test();
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-
-    let client = Client::connect(&addr.to_string()).expect("connect");
-    let started = Instant::now();
-    client.shutdown().expect("shutdown ack");
-    drop(client);
-    let summary = handle.join().expect("server thread");
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "shutdown must complete through the poll fallback, not hang"
-    );
-    assert!(summary.drained);
-}
-
-#[test]
 fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() {
     // A device is wire input: the first three used to panic the worker
     // that took the frame (a division by zero warps per block, by zero
     // block slots, a wrapped register product), and a dead worker
     // answers nothing, ever; a 64-lane warp would be counted as 32 lanes
-    // by the instruction counters. Two worker threads, eight such frames.
+    // by the instruction counters, and a 16-lane `warp_size` admits a
+    // block with a partial warp. Two worker threads, ten such frames.
     let cfg = ServeConfig { workers: 2, max_inflight: 2, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
     let k20 = Gpu::K20.spec();
@@ -516,6 +493,7 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
         ("mp:0", GpuSpec { multiprocessors: 0, ..k20.clone() }),
         ("tpw:2^28", GpuSpec { threads_per_warp: 1 << 28, ..k20.clone() }),
         ("tpw:64", GpuSpec { threads_per_warp: 64, ..k20.clone() }),
+        ("ws:16", GpuSpec { warp_size: 16, ..k20.clone() }),
     ] {
         let asked = Instant::now();
         refused(field, client.evaluate(&scope("atax", &gpu, &[64]), &[p]).map(drop), asked);

@@ -321,6 +321,8 @@ fn a_peer_that_never_reads_is_throttled_and_starves_nobody() {
     let polite = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
     while !flooding.is_finished() {
         polite.ping().expect("answered while the flood is on");
+        // Paces the pings and waits for nothing: the loop's condition is
+        // the flooding thread's end, checked on every pass.
         std::thread::sleep(Duration::from_millis(5));
     }
     let (deaf, outcome) = flooding.join().expect("flooding thread");

@@ -155,16 +155,10 @@ impl ModelContext {
         Ok(Trials { times_ms, report })
     }
 
-    /// [`dynamic_mix`](crate::dynamic_mix): the counters read no device
-    /// service, so this is the free function.
-    pub fn dynamic_mix(&self, kernel: &CompiledKernel, n: u64) -> MixCounts {
-        counters::dynamic_mix(kernel, n)
-    }
-
     /// What the evaluation layer stores of one launch: the trial
     /// `protocol` selects out of [`measure`](ModelContext::measure)'s
     /// `trials`, the achieved occupancy and
-    /// [`dynamic_mix`](ModelContext::dynamic_mix)'s register accesses —
+    /// [`dynamic_mix`](crate::dynamic_mix)'s register accesses —
     /// those calls' bits, the walks spared that `scratch` already holds.
     pub fn launch(
         &self,
@@ -216,10 +210,10 @@ impl ModelContext {
         self.measure(kernel, n, trials, seed)
     }
 
-    /// [`ModelContext::dynamic_mix`]; `key` is unused.
+    /// [`dynamic_mix`](crate::dynamic_mix); `key` is unused.
     #[deprecated(note = "benchmark/API.md compatibility; removed by the benchmark re-base (ROADMAP item 1(i))")]
     pub fn dynamic_mix_keyed(&self, _key: &ProgramKey, kernel: &CompiledKernel, n: u64) -> MixCounts {
-        self.dynamic_mix(kernel, n)
+        counters::dynamic_mix(kernel, n)
     }
 }
 
@@ -258,7 +252,6 @@ mod tests {
         let k = kernel(128, 48);
         assert_eq!(ctx.simulate(&k, 128).unwrap(), simulate(&k, 128).unwrap());
         assert_eq!(ctx.measure(&k, 128, 10, 7).unwrap(), measure(&k, 128, 10, 7).unwrap());
-        assert_eq!(ctx.dynamic_mix(&k, 128), dynamic_mix(&k, 128));
     }
 
     #[test]
@@ -409,7 +402,7 @@ mod tests {
                     let by_wrappers = ctx.measure(&k, *n, 10, seed).map(|t| LaunchSample {
                         time_ms: t.selected(protocol),
                         occupancy: t.report.occupancy.occupancy,
-                        reg_instructions: ctx.dynamic_mix(&k, *n).get(OpClass::Regs),
+                        reg_instructions: dynamic_mix(&k, *n).get(OpClass::Regs),
                     });
                     assert_eq!(
                         sample_bits(ctx.launch(&k, *n, 10, seed, protocol, &mut scratch)),

@@ -17,7 +17,6 @@
 
 use crate::search::Oracle;
 use oriole_codegen::TuningParams;
-use std::fmt::Write as _;
 
 /// Why a variant entered the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,18 +29,6 @@ pub enum Decision {
     StaticPruned,
     /// Selected as the final best.
     SelectedBest,
-}
-
-impl std::fmt::Display for Decision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Decision::Explored => "explored",
-            Decision::StaticSuggested => "static-suggested",
-            Decision::StaticPruned => "static-pruned",
-            Decision::SelectedBest => "selected-best",
-        };
-        f.write_str(s)
-    }
 }
 
 /// One logged step.
@@ -87,35 +74,6 @@ impl TuningLog {
     /// All entries in decision order.
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
-    }
-
-    /// Entries with a given decision kind.
-    pub fn with_decision(&self, decision: Decision) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter().filter(move |e| e.decision == decision)
-    }
-
-    /// Serializes to a line-based text format (one `step|decision|params…`
-    /// record per line) for archival next to experiment outputs.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("# oriole tuning log v1\n");
-        for e in &self.entries {
-            let p = &e.params;
-            let _ = writeln!(
-                out,
-                "{}|{}|tc={} bc={} uif={} pl={} sc={} fm={}|pred={}|meas={}",
-                e.step,
-                e.decision,
-                p.tc,
-                p.bc,
-                p.uif,
-                p.pl.kb(),
-                p.sc,
-                p.cflags.fast_math,
-                e.predicted.map_or("-".into(), |v| format!("{v:.6}")),
-                e.measured.map_or("-".into(), |v| format!("{v:.6}")),
-            );
-        }
-        out
     }
 }
 
@@ -227,17 +185,8 @@ mod tests {
         log.record(p(128), Decision::SelectedBest, Some(1.0), Some(0.9));
         assert_eq!(log.entries().len(), 3);
         assert_eq!(log.entries()[2].step, 2);
-        assert_eq!(log.with_decision(Decision::StaticPruned).count(), 1);
-    }
-
-    #[test]
-    fn text_format_round_readable() {
-        let mut log = TuningLog::new();
-        log.record(p(64), Decision::Explored, None, Some(1.5));
-        let text = log.to_text();
-        assert!(text.contains("0|explored|tc=64"));
-        assert!(text.contains("meas=1.5"));
-        assert!(text.contains("pred=-"));
+        let pruned = log.entries().iter().filter(|e| e.decision == Decision::StaticPruned);
+        assert_eq!(pruned.count(), 1);
     }
 
     #[test]

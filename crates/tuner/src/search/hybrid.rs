@@ -154,7 +154,8 @@ mod tests {
         let r = s.search(&space, &TrueCost, usize::MAX);
         // Only tc ∈ {64, 128} survive: 8 of 16 points.
         assert_eq!(r.evaluations, 8);
-        assert_eq!(s.log.with_decision(Decision::StaticPruned).count(), 8);
+        let pruned = s.log.entries().iter().filter(|e| e.decision == Decision::StaticPruned);
+        assert_eq!(pruned.count(), 8);
     }
 
     #[test]

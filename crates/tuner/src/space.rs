@@ -102,18 +102,6 @@ impl SearchSpace {
         }
     }
 
-    /// Coordinates of a point, if it lies on the grid.
-    pub fn coords_of(&self, p: &TuningParams) -> Option<[usize; 6]> {
-        Some([
-            self.tc.iter().position(|&v| v == p.tc)?,
-            self.bc.iter().position(|&v| v == p.bc)?,
-            self.uif.iter().position(|&v| v == p.uif)?,
-            self.pl.iter().position(|&v| v == p.pl)?,
-            self.sc.iter().position(|&v| v == p.sc)?,
-            self.cflags.iter().position(|&v| v == p.cflags)?,
-        ])
-    }
-
     /// Iterates every point in flat-index order.
     pub fn iter(&self) -> impl Iterator<Item = TuningParams> + '_ {
         (0..self.len()).map(move |i| self.point(i))
@@ -134,6 +122,18 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Coordinates of a point, if it lies on the grid.
+    fn coords_of(s: &SearchSpace, p: &TuningParams) -> Option<[usize; 6]> {
+        Some([
+            s.tc.iter().position(|&v| v == p.tc)?,
+            s.bc.iter().position(|&v| v == p.bc)?,
+            s.uif.iter().position(|&v| v == p.uif)?,
+            s.pl.iter().position(|&v| v == p.pl)?,
+            s.sc.iter().position(|&v| v == p.sc)?,
+            s.cflags.iter().position(|&v| v == p.cflags)?,
+        ])
+    }
 
     #[test]
     fn paper_default_has_5120_variants() {
@@ -158,7 +158,7 @@ mod tests {
         let s = SearchSpace::paper_default();
         for idx in [0usize, 1, 31, 32, 5119, 2500] {
             let p = s.point(idx);
-            let coords = s.coords_of(&p).expect("on grid");
+            let coords = coords_of(&s, &p).expect("on grid");
             assert_eq!(s.at(coords), p, "idx {idx}");
         }
     }
@@ -183,6 +183,6 @@ mod tests {
         let s = SearchSpace::tiny();
         let mut p = s.point(0);
         p.tc = 999;
-        assert_eq!(s.coords_of(&p), None);
+        assert_eq!(coords_of(&s, &p), None);
     }
 }

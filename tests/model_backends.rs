@@ -45,7 +45,6 @@ fn default_backend_context_is_bit_identical_to_free_functions() {
                     measure(&k, n, 10, 0xF00D),
                     "{kid} {gpu}"
                 );
-                assert_eq!(ctx.dynamic_mix(&k, n), dynamic_mix(&k, n), "{kid} {gpu}");
             }
         }
     }
@@ -153,7 +152,7 @@ fn compatibility_names_forward_to_the_plain_forms() {
 
                 let key = ProgramKey::of_front_end(&fe);
                 assert_eq!(ctx.measure_keyed(&key, &k, n, 10, 7), ctx.measure(&k, n, 10, 7));
-                assert_eq!(ctx.dynamic_mix_keyed(&key, &k, n), ctx.dynamic_mix(&k, n));
+                assert_eq!(ctx.dynamic_mix_keyed(&key, &k, n), dynamic_mix(&k, n));
             }
         }
     }

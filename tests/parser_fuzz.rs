@@ -191,10 +191,20 @@ fn valid_spec_round_trip_is_stable() {
         assert_eq!(space.bc.len(), bc_count);
         assert_eq!(space.uif.len(), uif_hi as usize);
         assert!(space.tc.iter().all(|t| t % tc_step == 0));
-        // Every flat index is reachable and coordinates round-trip.
+        // Every flat index is reachable in iteration order, and each
+        // point's values lie on the axes and map back to it.
         for idx in [0, space.len() - 1, space.len() / 2] {
             let p = space.point(idx);
-            let coords = space.coords_of(&p).expect("on grid");
+            assert_eq!(space.iter().nth(idx), Some(p));
+            let coords = [
+                space.tc.iter().position(|&v| v == p.tc),
+                space.bc.iter().position(|&v| v == p.bc),
+                space.uif.iter().position(|&v| v == p.uif),
+                space.pl.iter().position(|&v| v == p.pl),
+                space.sc.iter().position(|&v| v == p.sc),
+                space.cflags.iter().position(|&v| v == p.cflags),
+            ]
+            .map(|c| c.expect("on grid"));
             assert_eq!(space.at(coords), p);
         }
     });

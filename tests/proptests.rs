@@ -206,7 +206,7 @@ fn occupancy_bounds_hold() {
 #[test]
 fn model_context_matches_free_functions() {
     check("model_context_matches_free_functions", CASES, |rng| {
-        // `simulate`, `measure` and `dynamic_mix` on the default context,
+        // `simulate` and `measure` on the default context,
         // and `simulate` on an explicitly selected simulator context,
         // equal the free functions bit for bit.
         use oriole::codegen::CompilerFlags;
@@ -232,7 +232,6 @@ fn model_context_matches_free_functions() {
             assert_eq!(explicit.simulate(&kernel, n), oriole::sim::simulate(&kernel, n));
             let free = oriole::sim::measure(&kernel, n, 10, seed);
             assert_eq!(ctx.measure(&kernel, n, 10, seed), free);
-            assert_eq!(ctx.dynamic_mix(&kernel, n), oriole::sim::dynamic_mix(&kernel, n));
         }
     });
 }

@@ -101,10 +101,6 @@ fn replay_reproduces_a_random_search_trace_on_a_fresh_evaluator() {
             .expect("every replayed entry came from the trace");
         assert_eq!(replayed.to_bits(), live_value.to_bits(), "{}", entry.params);
     }
-    // The logged measurements round-trip through the text serialization.
-    let text = log.to_text();
-    assert!(text.starts_with("# oriole tuning log v1"));
-    assert_eq!(text.lines().count(), 1 + log.entries().len());
 }
 
 #[test]
@@ -127,17 +123,15 @@ fn hybrid_replay_validates_static_decisions_on_the_live_stack() {
     };
     let mut search = HybridSearch::new(predictor, 0.1);
     search.search(&space, &evaluator, usize::MAX);
-    assert!(search.log.with_decision(Decision::StaticPruned).count() > 0);
+    let pruned = || search.log.entries().iter().filter(|e| e.decision == Decision::StaticPruned);
+    assert!(pruned().count() > 0);
 
     let report = replay(&search.log, &evaluator, 0.05);
     assert!((0.0..=1.0).contains(&report.prediction_agreement));
     if let Some((winner, time)) = report.pruned_winner {
         // A flagged pruned winner must really have been pruned and
         // really beat every suggested variant's replayed time.
-        assert!(search
-            .log
-            .with_decision(Decision::StaticPruned)
-            .any(|e| e.params == winner));
+        assert!(pruned().any(|e| e.params == winner));
         let best_suggested = report
             .outcomes
             .iter()
