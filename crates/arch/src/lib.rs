@@ -44,5 +44,5 @@ pub use family::{ComputeCapability, Family};
 pub use occupancy::{occupancy, Limiter, Occupancy, OccupancyInput};
 #[allow(deprecated)]
 pub use table::OccupancyTable;
-pub use spec::{Gpu, GpuSpec, ALL_GPUS};
+pub use spec::{warps_per_block, Gpu, GpuSpec, ALL_GPUS, WARP_SIZE};
 pub use throughput::{InstrClass, OpClass, ThroughputTable, ALL_OP_CLASSES};

@@ -13,7 +13,7 @@
 //! printed equations do not.
 
 use crate::family::Family;
-use crate::spec::GpuSpec;
+use crate::spec::{warps_per_block, GpuSpec, WARP_SIZE};
 
 /// Resource inputs of the occupancy calculation — the paper's
 /// user-superscript quantities.
@@ -93,7 +93,7 @@ pub(crate) fn smem_alloc_unit(family: Family) -> u32 {
 
 /// Computes occupancy for `input` on `spec`.
 pub fn occupancy(spec: &GpuSpec, input: OccupancyInput) -> Occupancy {
-    let warps_per_block = spec.warps_per_block(input.tc);
+    let warps_per_block = warps_per_block(input.tc);
     let illegal = |limiter: Limiter| Occupancy {
         active_blocks: 0,
         active_warps: 0,
@@ -128,19 +128,19 @@ pub fn occupancy(spec: &GpuSpec, input: OccupancyInput) -> Occupancy {
         if cc.warp_granularity_regalloc() {
             // Kepler+: registers allocate per warp, rounded to R^cc_B.
             let regs_per_warp =
-                ceil_to(input.regs_per_thread * spec.threads_per_warp, spec.reg_alloc_unit);
+                ceil_to(input.regs_per_thread * WARP_SIZE, spec.reg_alloc_unit);
             let warps = spec.regfile_per_mp / regs_per_warp;
             (warps / warps_per_block, warps.min(spec.warps_per_mp))
         } else {
             // Fermi: registers allocate per block, rounded to R^cc_B.
             let regs_per_block = ceil_to(
-                input.regs_per_thread * spec.threads_per_warp * warps_per_block,
+                input.regs_per_thread * WARP_SIZE * warps_per_block,
                 spec.reg_alloc_unit,
             );
             let blocks = spec.regfile_per_mp / regs_per_block;
             // Warp-granular capacity for the Table VII-style ratio.
             let regs_per_warp =
-                ceil_to(input.regs_per_thread * spec.threads_per_warp, spec.reg_alloc_unit);
+                ceil_to(input.regs_per_thread * WARP_SIZE, spec.reg_alloc_unit);
             let warps = spec.regfile_per_mp / regs_per_warp;
             (blocks, warps.min(spec.warps_per_mp))
         }

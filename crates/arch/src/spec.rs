@@ -54,6 +54,17 @@ impl fmt::Display for Gpu {
     }
 }
 
+/// Table I's `W_B` (warp size) and `T^cc_W` (threads per warp): 32 on
+/// every GPU it lists, and the lane count the IR models, so a constant
+/// rather than a field.
+pub const WARP_SIZE: u32 = 32;
+
+/// Warps needed to hold `threads` threads, `ceil(threads / WARP_SIZE)`:
+/// the warps of a block of user block size `T_u`.
+pub fn warps_per_block(threads: u32) -> u32 {
+    threads.div_ceil(WARP_SIZE)
+}
+
 /// Hardware description of one GPU: every row of the paper's Table I plus
 /// the per-SM shared-memory capacity (needed by Eq. 5 but omitted from the
 /// printed table — see DESIGN.md §1).
@@ -93,17 +104,10 @@ pub struct GpuSpec {
     pub shmem_per_mp: u32,
     /// `R^cc_fs` — register file size per multiprocessor (32-bit regs).
     pub regfile_per_mp: u32,
-    /// `W_B` — warp size in threads (32 on all four GPUs).
-    pub warp_size: u32,
-    /// `T^cc_mp` — maximum resident threads per multiprocessor.
-    pub threads_per_mp: u32,
     /// `T^cc_B` — maximum threads per block.
     pub threads_per_block: u32,
     /// `B^cc_mp` — maximum resident blocks per multiprocessor.
     pub blocks_per_mp: u32,
-    /// `T^cc_W` — threads per warp (identical to `warp_size`; the paper
-    /// lists both, so we carry both).
-    pub threads_per_warp: u32,
     /// `W^cc_mp` — maximum resident warps per multiprocessor.
     pub warps_per_mp: u32,
     /// `R^cc_B` — register allocation granularity (registers are allocated
@@ -125,24 +129,22 @@ impl GpuSpec {
         ThroughputTable::for_family(self.family)
     }
 
-    /// Warps needed to hold `threads` threads: `ceil(threads / T^cc_W)`.
-    /// This is the paper's `W_B` for a user block size `T_u`.
-    pub fn warps_per_block(&self, threads: u32) -> u32 {
-        threads.div_ceil(self.threads_per_warp)
+    /// `T^cc_mp` — maximum resident threads per multiprocessor,
+    /// `W^cc_mp · WARP_SIZE` (Table I's row).
+    pub fn threads_per_mp(&self) -> u32 {
+        self.warps_per_mp * WARP_SIZE
     }
 
     /// Why this description cannot serve as a device (empty = it can;
     /// Table I's have none). For specs that arrive from outside — a wire
     /// frame, a synthetic device: every field the occupancy calculator
-    /// and the timing models divide by is non-zero, a warp has the IR's
-    /// 32 lanes, and the `u32` products they form cannot wrap.
+    /// and the timing models divide by is non-zero, and the `u32`
+    /// products they form cannot wrap.
     pub fn problems(&self) -> Vec<String> {
         let wide = u64::from;
         let divisors = [
             ("multiprocessors", self.multiprocessors),
             ("gpu_clock_mhz", self.gpu_clock_mhz),
-            ("threads_per_warp", self.threads_per_warp),
-            ("warp_size", self.warp_size),
             ("warps_per_mp", self.warps_per_mp),
         ];
         // Eq. 4 rounds `R_u · T_W · W_B` up to the allocation unit, with
@@ -153,7 +155,7 @@ impl GpuSpec {
             (
                 "register allocation",
                 wide(self.regs_per_thread_max)
-                    .saturating_mul(wide(self.threads_per_block) + wide(self.threads_per_warp))
+                    .saturating_mul(wide(self.threads_per_block) + wide(WARP_SIZE))
                     .saturating_add(wide(self.reg_alloc_unit)),
             ),
             (
@@ -164,12 +166,7 @@ impl GpuSpec {
         ];
         let zero = divisors.iter().filter(|(_, v)| *v == 0);
         let wrapped = products.iter().filter(|(_, v)| *v > wide(u32::MAX));
-        let warp_width = [("threads_per_warp", self.threads_per_warp), ("warp_size", self.warp_size)]
-            .into_iter()
-            .filter(|(_, v)| !matches!(v, 0 | 32))
-            .map(|(field, _)| format!("{field} must be 32, the IR's 32-lane warp model"));
         zero.map(|(field, _)| format!("{field} must be positive"))
-            .chain(warp_width)
             .chain(wrapped.map(|(what, _)| format!("the {what} does not fit 32 bits")))
             .collect()
     }
@@ -204,11 +201,8 @@ pub(crate) static M2050: GpuSpec = GpuSpec {
     shmem_per_block: 49_152,
     shmem_per_mp: 49_152,
     regfile_per_mp: 32_768,
-    warp_size: 32,
-    threads_per_mp: 1536,
     threads_per_block: 1024,
     blocks_per_mp: 8,
-    threads_per_warp: 32,
     warps_per_mp: 48,
     reg_alloc_unit: 64,
     regs_per_thread_max: 63,
@@ -229,11 +223,8 @@ pub(crate) static K20: GpuSpec = GpuSpec {
     shmem_per_block: 49_152,
     shmem_per_mp: 49_152,
     regfile_per_mp: 65_536,
-    warp_size: 32,
-    threads_per_mp: 2048,
     threads_per_block: 1024,
     blocks_per_mp: 16,
-    threads_per_warp: 32,
     warps_per_mp: 64,
     reg_alloc_unit: 256,
     regs_per_thread_max: 255,
@@ -254,11 +245,8 @@ pub(crate) static M40: GpuSpec = GpuSpec {
     shmem_per_block: 49_152,
     shmem_per_mp: 98_304,
     regfile_per_mp: 65_536,
-    warp_size: 32,
-    threads_per_mp: 2048,
     threads_per_block: 1024,
     blocks_per_mp: 32,
-    threads_per_warp: 32,
     warps_per_mp: 64,
     reg_alloc_unit: 256,
     regs_per_thread_max: 255,
@@ -279,11 +267,8 @@ pub(crate) static P100: GpuSpec = GpuSpec {
     shmem_per_block: 49_152,
     shmem_per_mp: 65_536,
     regfile_per_mp: 65_536,
-    warp_size: 32,
-    threads_per_mp: 2048,
     threads_per_block: 1024,
     blocks_per_mp: 32,
-    threads_per_warp: 32,
     warps_per_mp: 64,
     reg_alloc_unit: 256,
     regs_per_thread_max: 255,
@@ -305,7 +290,7 @@ mod tests {
     #[test]
     fn table_i_resident_limits() {
         let fermi = Gpu::M2050.spec();
-        assert_eq!(fermi.threads_per_mp, 1536);
+        assert_eq!(fermi.threads_per_mp(), 1536);
         assert_eq!(fermi.warps_per_mp, 48);
         assert_eq!(fermi.blocks_per_mp, 8);
         assert_eq!(fermi.regfile_per_mp, 32_768);
@@ -314,7 +299,7 @@ mod tests {
 
         for gpu in [Gpu::K20, Gpu::M40, Gpu::P100] {
             let s = gpu.spec();
-            assert_eq!(s.threads_per_mp, 2048, "{}", s.name);
+            assert_eq!(s.threads_per_mp(), 2048, "{}", s.name);
             assert_eq!(s.warps_per_mp, 64, "{}", s.name);
             assert_eq!(s.regfile_per_mp, 65_536, "{}", s.name);
             assert_eq!(s.reg_alloc_unit, 256, "{}", s.name);
@@ -326,13 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn warp_invariants() {
+    fn shared_memory_invariants() {
         for gpu in ALL_GPUS {
             let s = gpu.spec();
-            assert_eq!(s.warp_size, 32);
-            assert_eq!(s.threads_per_warp, s.warp_size);
-            // Resident-warp and resident-thread limits must agree.
-            assert_eq!(s.threads_per_mp, s.warps_per_mp * s.warp_size, "{}", s.name);
             assert_eq!(s.shmem_per_block, 49_152, "{}", s.name);
             assert_eq!(s.const_mem_bytes, 65_536, "{}", s.name);
             // Per-SM shared memory can never be smaller than per-block.
@@ -342,11 +323,10 @@ mod tests {
 
     #[test]
     fn warps_per_block_rounds_up() {
-        let s = Gpu::K20.spec();
-        assert_eq!(s.warps_per_block(1), 1);
-        assert_eq!(s.warps_per_block(32), 1);
-        assert_eq!(s.warps_per_block(33), 2);
-        assert_eq!(s.warps_per_block(1024), 32);
+        assert_eq!(warps_per_block(1), 1);
+        assert_eq!(warps_per_block(32), 1);
+        assert_eq!(warps_per_block(33), 2);
+        assert_eq!(warps_per_block(1024), 32);
     }
 
     #[test]
@@ -358,10 +338,6 @@ mod tests {
         for (poisoned, needle) in [
             (GpuSpec { multiprocessors: 0, ..k20.clone() }, "multiprocessors"),
             (GpuSpec { gpu_clock_mhz: 0, ..k20.clone() }, "gpu_clock_mhz"),
-            (GpuSpec { threads_per_warp: 0, ..k20.clone() }, "threads_per_warp must be positive"),
-            (GpuSpec { threads_per_warp: 64, ..k20.clone() }, "32-lane warp model"),
-            (GpuSpec { warp_size: 0, ..k20.clone() }, "warp_size must be positive"),
-            (GpuSpec { warp_size: 16, ..k20.clone() }, "warp_size must be 32"),
             (GpuSpec { warps_per_mp: 0, ..k20.clone() }, "warps_per_mp"),
             // 2^27 registers x 32 lanes wraps to a zero divisor.
             (GpuSpec { regs_per_thread_max: 1 << 27, ..k20.clone() }, "register allocation"),

@@ -156,7 +156,7 @@ fn bench_eval_throughput(c: &mut Criterion) {
     // frames, 8 in flight per connection). The PR's acceptance bar is
     // pipe ≥ 2× seq aggregate throughput at c64; the full 1→128 curve
     // lands in BENCH_eval.json.
-    let big = ServeConfig { workers: 512, ..ServeConfig::default() };
+    let big = ServeConfig { max_connections: 512, ..ServeConfig::default() };
     let server =
         Server::bind_with("127.0.0.1:0", ArtifactStore::new(), big).expect("bind loopback");
     let addr = server.local_addr().expect("local addr").to_string();

@@ -4,7 +4,7 @@
 //! cargo run -p oriole-bench --bin table1_gpus
 //! ```
 
-use oriole_arch::ALL_GPUS;
+use oriole_arch::{ALL_GPUS, WARP_SIZE};
 use oriole_bench::TextTable;
 
 fn main() {
@@ -28,11 +28,11 @@ fn main() {
     push("Constant mem (B)", &|s| s.const_mem_bytes.to_string());
     push("S_B Sh mem block (B)", &|s| s.shmem_per_block.to_string());
     push("R_fs Regs per block", &|s| s.regfile_per_mp.to_string());
-    push("W_B Warp size", &|s| s.warp_size.to_string());
-    push("T_mp Threads per mp", &|s| s.threads_per_mp.to_string());
+    push("W_B Warp size", &|_| WARP_SIZE.to_string());
+    push("T_mp Threads per mp", &|s| s.threads_per_mp().to_string());
     push("T_B Threads per block", &|s| s.threads_per_block.to_string());
     push("B_mp Thread blocks/mp", &|s| s.blocks_per_mp.to_string());
-    push("T_W Threads per warp", &|s| s.threads_per_warp.to_string());
+    push("T_W Threads per warp", &|_| WARP_SIZE.to_string());
     push("W_mp Warps per mp", &|s| s.warps_per_mp.to_string());
     push("R_B Reg alloc size", &|s| s.reg_alloc_unit.to_string());
     push("R_T Regs per thread", &|s| s.regs_per_thread_max.to_string());

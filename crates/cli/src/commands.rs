@@ -104,7 +104,7 @@ commands:
                                          a persistent artifact store
                                          (gc honors --dry-run: report only)
   serve     [--addr 127.0.0.1:7733] [--store-dir DIR]
-            [--workers N] [--max-inflight N]
+            [--max-connections N] [--max-inflight N]
             [--request-timeout MS] [--idle-timeout MS]
                                          run the tuner daemon: one shared
                                          artifact store served to remote
@@ -729,7 +729,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     let store_dir = args.optional("store-dir");
     let default = ServeConfig::default();
     let cfg = ServeConfig {
-        workers: args.num_or("workers", default.workers)?,
+        max_connections: args.num_or("max-connections", default.max_connections)?,
         max_inflight: args.num_or("max-inflight", default.max_inflight)?,
         request_timeout: std::time::Duration::from_millis(
             args.num_or("request-timeout", default.request_timeout.as_millis() as u64)?,
@@ -738,8 +738,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             args.num_or("idle-timeout", default.idle_timeout.as_millis() as u64)?,
         ),
     };
-    if cfg.workers == 0 || cfg.max_inflight == 0 {
-        return Err("--workers and --max-inflight must be at least 1".to_string());
+    if cfg.max_connections == 0 || cfg.max_inflight == 0 {
+        return Err("--max-connections and --max-inflight must be at least 1".to_string());
     }
     args.reject_unasked("serve")?;
     let (store, store_note) = match store_dir {
@@ -761,9 +761,9 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         let mut stdout = std::io::stdout();
         let _ = writeln!(
             stdout,
-            "oriole serve: listening on {actual} ({store_note}; {} worker(s), {} in-flight, \
+            "oriole serve: listening on {actual} ({store_note}; up to {} connection(s), {} in-flight, \
              pipeline depth {MAX_IN_FLIGHT}, request timeout {}ms, idle timeout {}ms)",
-            cfg.workers,
+            cfg.max_connections,
             cfg.max_inflight,
             cfg.request_timeout.as_millis(),
             cfg.idle_timeout.as_millis()
@@ -1431,7 +1431,7 @@ mod tests {
             ),
             format!("store gc --store-dir {dir} --dry-run"),
             format!(
-                "serve --addr not-an-address --store-dir {dir} --workers 1 --max-inflight 1 \
+                "serve --addr not-an-address --store-dir {dir} --max-connections 1 --max-inflight 1 \
                  --request-timeout 10 --idle-timeout 10"
             ),
             format!("service ping --remote {dead} {fast}"),
@@ -1627,7 +1627,7 @@ mod tests {
     #[test]
     fn serve_rejects_zero_pool_bounds() {
         for line in [
-            "serve --addr 127.0.0.1:0 --workers 0",
+            "serve --addr 127.0.0.1:0 --max-connections 0",
             "serve --addr 127.0.0.1:0 --max-inflight 0",
         ] {
             let err = call(line).unwrap_err();

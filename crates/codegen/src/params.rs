@@ -1,6 +1,6 @@
 //! Tuning parameters: the Table III / Fig. 3 feature space.
 
-use oriole_arch::GpuSpec;
+use oriole_arch::{GpuSpec, WARP_SIZE};
 use std::fmt;
 
 /// Preferred L1/shared-memory split (the `PL` parameter, in KiB of L1).
@@ -114,11 +114,8 @@ impl TuningParams {
                     self.tc, gpu.threads_per_block
                 ));
             }
-            if !self.tc.is_multiple_of(gpu.warp_size) {
-                out.push(format!(
-                    "TC {} is not a multiple of the warp size {}",
-                    self.tc, gpu.warp_size
-                ));
+            if !self.tc.is_multiple_of(WARP_SIZE) {
+                out.push(format!("TC {} is not a multiple of the warp size {WARP_SIZE}", self.tc));
             }
         }
         if self.bc == 0 {

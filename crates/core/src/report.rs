@@ -7,7 +7,7 @@
 //! module renders the same content as text.
 
 use crate::suggest::Suggestion;
-use oriole_arch::{occupancy, GpuSpec, OccupancyInput};
+use oriole_arch::{occupancy, GpuSpec, OccupancyInput, WARP_SIZE};
 use std::fmt::Write as _;
 
 /// One panel: occupancy as a function of a single varying resource.
@@ -36,7 +36,7 @@ impl OccupancySeries {
 
 /// Occupancy vs block size, at fixed registers/shared memory.
 fn vary_block_size(spec: &GpuSpec, regs: u32, smem: u32, current_tc: u32) -> OccupancySeries {
-    let step = spec.warp_size * 2;
+    let step = WARP_SIZE * 2;
     let xs: Vec<u32> = (1..=(spec.threads_per_block / step)).map(|i| i * step).collect();
     series(spec, &xs, current_tc, |tc| OccupancyInput {
         tc,

@@ -17,7 +17,7 @@
 
 #[allow(deprecated)]
 use oriole_arch::OccupancyTable;
-use oriole_arch::{occupancy, GpuSpec, OccupancyInput};
+use oriole_arch::{occupancy, GpuSpec, OccupancyInput, WARP_SIZE};
 use oriole_codegen::CompiledKernel;
 
 /// The analyzer's Table VII row for one kernel/GPU pair.
@@ -40,17 +40,10 @@ pub struct Suggestion {
 /// Block sizes (warp multiples up to the device limit) whose warp count
 /// alone permits full occupancy — the `T*` candidate set.
 pub fn full_occupancy_block_sizes(spec: &GpuSpec) -> Vec<u32> {
-    let mut out = Vec::new();
-    let step = spec.warp_size;
-    let mut tc = step;
-    while tc <= spec.threads_per_block {
-        let o = occupancy(spec, OccupancyInput::of_block(tc));
-        if o.occupancy == 1.0 {
-            out.push(tc);
-        }
-        tc += step;
-    }
-    out
+    (1..=spec.threads_per_block / WARP_SIZE)
+        .map(|warps| warps * WARP_SIZE)
+        .filter(|&tc| occupancy(spec, OccupancyInput::of_block(tc)).occupancy == 1.0)
+        .collect()
 }
 
 /// Computes the Table VII suggestion for a compiled kernel.
@@ -67,7 +60,7 @@ pub fn suggest_from(spec: &GpuSpec, regs_per_thread: u32, smem: u32) -> Suggesti
 
     // occ*: the register-limited warp capacity ratio at the kernel's
     // actual register usage (unquantized, as Table VII reports it).
-    let probe_tc = thread_counts.first().copied().unwrap_or(spec.warp_size);
+    let probe_tc = thread_counts.first().copied().unwrap_or(WARP_SIZE);
     let at = |regs_per_thread| {
         let input =
             OccupancyInput { tc: probe_tc, regs_per_thread, smem_per_block: smem, shmem_per_mp: None };

@@ -12,6 +12,7 @@
 //! are produced only when a [`LaunchGeometry`](crate::count::LaunchGeometry)
 //! is supplied.
 
+use oriole_arch::WARP_SIZE;
 use std::fmt;
 
 /// Polynomial-in-`N` work amount: `coeff * N^power` items.
@@ -154,7 +155,7 @@ pub enum AccessPattern {
 
 impl AccessPattern {
     /// Memory transactions per warp-wide access, out of a worst case of
-    /// 32 (one per lane). The simulator converts this into effective
+    /// `WARP_SIZE` (one per lane). The simulator converts this into effective
     /// bandwidth; the analyzer reports it as a coalescing diagnostic.
     pub fn transactions_per_warp(self) -> u32 {
         match self {
@@ -166,10 +167,10 @@ impl AccessPattern {
                 } else {
                     // Each 128-byte segment serves 32/stride lanes for
                     // 4-byte elements; saturates at one transaction/lane.
-                    stride.min(32)
+                    stride.min(WARP_SIZE)
                 }
             }
-            AccessPattern::Random => 32,
+            AccessPattern::Random => WARP_SIZE,
         }
     }
 }

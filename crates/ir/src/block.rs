@@ -2,7 +2,7 @@
 
 use crate::ast::TripCount;
 use crate::instr::{Instr, Pred};
-use oriole_arch::Family;
+use oriole_arch::{Family, WARP_SIZE};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -38,17 +38,17 @@ pub enum FreqExpr {
     Fraction(f64),
     /// A branch-probability factor for a *divergent* branch side: each
     /// thread takes it with probability `p` independently, so a warp
-    /// executes the side whenever any of its 32 lanes does —
+    /// executes the side whenever any of its `WARP_SIZE` lanes does —
     /// `1 − (1−p)³²` at warp level.
     DivFraction(f64),
     /// Product of factors.
     Mul(Vec<FreqExpr>),
 }
 
-/// Warp-level probability that at least one of 32 lanes takes a branch
+/// Warp-level probability that at least one of `WARP_SIZE` lanes takes a branch
 /// side each lane takes independently with probability `p`.
 fn warp_any(p: f64) -> f64 {
-    1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(32)
+    1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(WARP_SIZE as i32)
 }
 
 impl FreqExpr {

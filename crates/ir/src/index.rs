@@ -60,7 +60,7 @@ use crate::ast::{AccessPattern, MemSpace, SizeExpr, TripCount};
 use crate::block::{BasicBlock, BlockId, FreqExpr, Program, Terminator};
 use crate::count::{LaunchGeometry, MixCounts};
 use crate::isa::OpKind;
-use oriole_arch::OpClass;
+use oriole_arch::{warps_per_block, OpClass, WARP_SIZE};
 use std::ops::Range;
 
 /// Terminator classification carried by a [`BlockSummary`].
@@ -307,7 +307,7 @@ impl ProgramIndex {
         let threads = f64::from(tc) * f64::from(bc);
         let items = self.grid_stride_items(n).unwrap_or(threads).max(1.0);
         let busy_blocks = ((threads.min(items) / f64::from(tc)).ceil().max(1.0) as u32).min(bc);
-        LaunchWork { geom, busy_blocks, warps_per_block: tc.div_ceil(32) }
+        LaunchWork { geom, busy_blocks }
     }
 
     /// Replays the mix tapes at thread-level expected weights —
@@ -357,7 +357,6 @@ impl ProgramIndex {
 pub struct LaunchWork {
     geom: LaunchGeometry,
     busy_blocks: u32,
-    warps_per_block: u32,
 }
 
 impl LaunchWork {
@@ -366,14 +365,9 @@ impl LaunchWork {
         self.busy_blocks
     }
 
-    /// `ceil(TC / 32)`: `GpuSpec::problems` refuses any other warp width.
-    pub fn warps_per_block(&self) -> u32 {
-        self.warps_per_block
-    }
-
     /// Busy blocks' warps, all resident, even if every lane fails the guard.
     pub fn busy_warps(&self) -> f64 {
-        f64::from(self.busy_blocks) * f64::from(self.warps_per_block)
+        f64::from(self.busy_blocks) * f64::from(warps_per_block(self.geom.tc))
     }
 
     /// `(n, TC, max(busy, 1))`, where busy warps' weights are evaluated.
@@ -381,14 +375,14 @@ impl LaunchWork {
         LaunchGeometry { bc: self.busy_blocks.max(1), ..self.geom }
     }
 
-    /// Thread slots (warp executions × 32) `block` (summary `s`) issues:
+    /// Thread slots (warp executions × `WARP_SIZE`) `block` (summary `s`) issues:
     /// `busy_weight`, its weight over the busy warps, plus its zero-size
     /// weight (else `eval_expected(0, TC, BC)`) times the idle warps.
     pub fn slots(&self, block: &BasicBlock, s: &BlockSummary, busy_weight: f64) -> f64 {
         let LaunchGeometry { tc, bc, .. } = self.geom;
-        let idle_warps = f64::from(bc - self.busy_blocks) * f64::from(self.warps_per_block);
+        let idle_warps = f64::from(bc - self.busy_blocks) * f64::from(warps_per_block(tc));
         let idle_weight = s.zero_size_weight.unwrap_or_else(|| block.freq.eval_expected(0, tc, bc));
-        (busy_weight + idle_weight * idle_warps) * 32.0
+        (busy_weight + idle_weight * idle_warps) * f64::from(WARP_SIZE)
     }
 }
 

@@ -126,8 +126,8 @@ mod tests {
         let per_thread = oriole_ir::count::expected_mix(&program, geom);
         let fma_total =
             per_thread.get(oriole_arch::OpClass::FpIns32) * geom.total_threads() as f64;
-        // 2 passes × N² FMAs (each FMA = 2 flops → 4N² flops analytic).
-        let expected = (crate::reference::flops::atax(n) / 2) as f64;
+        // 2 passes × N² FMAs: the analytic 4N² flops, an FMA counted as two.
+        let expected = (2 * n * n) as f64;
         let rel = (fma_total - expected).abs() / expected;
         assert!(rel < 0.05, "fma_total {fma_total} vs expected {expected}");
     }

@@ -86,7 +86,8 @@ mod tests {
         let mix = expected_mix_of(&ast(n), Family::Maxwell, geom);
         let total_fma =
             mix.get(oriole_arch::OpClass::FpIns32) * geom.total_threads() as f64;
-        let expected = (crate::reference::flops::bicg(n) / 2) as f64;
+        // `q = Ap` and `s = Aᵀr`: N² FMAs each, the analytic 4N² flops.
+        let expected = (2 * n * n) as f64;
         let rel = (total_fma - expected).abs() / expected;
         assert!(rel < 0.05, "{total_fma} vs {expected}");
     }

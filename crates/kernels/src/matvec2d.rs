@@ -16,12 +16,10 @@
 //!   putting measured intensity above the 4.0 rule threshold (Table VI:
 //!   4.6–7.2) and steering the rule-based heuristic to the upper band.
 
+use oriole_arch::WARP_SIZE;
 use oriole_ir::{
     AccessPattern, AluOp, KernelAst, Loop, MemSpace, SharedDecl, SizeExpr, Stmt, TripCount,
 };
-
-/// Lanes cooperating on one matrix row (one warp).
-const LANES_PER_ROW: u32 = 32;
 
 /// Builds the matVec2D kernel AST for an `n × n` matrix.
 pub(crate) fn ast(_n: u64) -> KernelAst {
@@ -57,7 +55,7 @@ pub(crate) fn ast(_n: u64) -> KernelAst {
 
     // Each lane covers N/32 columns of its row.
     let inner = Stmt::Loop(Loop {
-        trip: TripCount::Size(SizeExpr::new(1.0 / f64::from(LANES_PER_ROW), 1)),
+        trip: TripCount::Size(SizeExpr::new(1.0 / f64::from(WARP_SIZE), 1)),
         unrollable: true,
         body: vec![
             // 2-D addressing with 64-bit pointer math: row*N + lane +
@@ -108,7 +106,7 @@ pub(crate) fn ast(_n: u64) -> KernelAst {
 
     k.body = vec![Stmt::Loop(Loop {
         // 32 lanes per row → 32·N work items.
-        trip: TripCount::GridStride(SizeExpr::new(f64::from(LANES_PER_ROW), 1)),
+        trip: TripCount::GridStride(SizeExpr::new(f64::from(WARP_SIZE), 1)),
         unrollable: false,
         body: outer_body,
     })];

@@ -8,21 +8,19 @@
 //! tier's own, floats as raw IEEE-754 bits, so a measurement that
 //! crossed the wire is bit-identical to one computed locally.
 //!
-//! A payload is a head line, `oriole-rpc v4 <verb>`, then its fields in
+//! A payload is a head line, `oriole-rpc v5 <verb>`, then its fields in
 //! the order of the verb's one table, which the writer and the reader
 //! both walk (the `stats` counters and the `disk=` and `phases=` fields
 //! too). The reader takes the text front to back in that order: a field
 //! out of order, repeated, unknown, missing or left over is refused
 //! with an error naming the field it expected or the one it found, so
 //! whatever it accepts the writer writes back byte for byte
-//! (`emit(parse(t)) == t`). That refuses the shapes only older v4 builds
-//! wrote: a `stats` answer without `inline=` or with an `optimize`
-//! phase, an `evaluate` request without `deadline=`.
+//! (`emit(parse(t)) == t`). That refuses the shapes older builds wrote:
+//! a `stats` answer without `inline=` or with an `optimize` phase, an
+//! `evaluate` request without `deadline=`.
 //!
-//! The version stays v4 because this build writes every byte as the
-//! one before it: a new version would refuse current peers over bytes
-//! that did not change. A peer speaking another version is answered
-//! with an error naming both (one older than v4 is stopped by its
+//! A peer speaking another version is answered with an error naming
+//! both, before any field is read (one older than v4 is stopped by its
 //! `ORLF` frame magic, [`persist::FrameError::VersionSkew`]). A payload
 //! that parses but names impossible values — a trial count past
 //! [`MAX_TRIALS`], more than [`MAX_POINTS_PER_REQUEST`] points — is a
@@ -37,15 +35,19 @@ use oriole_tuner::{EvalProtocol, Measurement, StoreStats};
 use std::fmt::Write as _;
 
 /// The protocol version this build speaks; the first token pair of
-/// every payload. v4 changes the frame, not the text: the checksum is
-/// the word-at-a-time `persist::frame_checksum` under the magic
-/// `ORL4`, so a v3 peer (FNV-1a, `ORLF`) is refused at its first frame;
-/// a request's `trials` is bounded by [`MAX_TRIALS`], not truncated.
-/// (v3 brought correlation-tagged frames — pipelining, out-of-order
-/// responses — and the reactor counters in `stats`; v2 request
-/// deadlines, the `busy` response and the pool/quota counters.)
-/// Mixed-version peers are rejected — the error names both versions.
-pub const RPC_VERSION: &str = "oriole-rpc v4";
+/// every payload. v5 changes the text, not the frame: a device is
+/// spelled without `ws`, `tmp` and `tpw` (the warp width is
+/// `oriole_arch::WARP_SIZE`, not a field) and a protocol without
+/// `objective`, so a v4 peer is refused by its head line with the skew
+/// error, never by a field it wrote. (v4 brought the word-at-a-time
+/// `persist::frame_checksum` under the frame magic `ORL4`, which v5
+/// keeps, so a v3 peer — FNV-1a, `ORLF` — is refused at its first
+/// frame, and bounded a request's `trials` by [`MAX_TRIALS`]; v3
+/// correlation-tagged frames — pipelining, out-of-order responses — and
+/// the reactor counters in `stats`; v2 request deadlines, the `busy`
+/// response and the pool/quota counters.) Mixed-version peers are
+/// rejected — the error names both versions.
+pub const RPC_VERSION: &str = "oriole-rpc v5";
 
 /// Most requests one connection has in flight — sent, or decoded by the
 /// daemon, and not yet answered. A [`Pipeline`](crate::Pipeline) at the
@@ -765,14 +767,14 @@ mod tests {
     }
 
     #[test]
-    fn shapes_only_older_v4_builds_wrote_are_refused_by_name() {
+    fn shapes_older_builds_wrote_are_refused_by_name() {
         let answer = emit_response(&Response::Stats(stats()));
         let stats_refused = |text: &str, field| refused(parse_response, text, field);
         // A daemon from before the inline counter sent no `inline=` line,
         stats_refused(&answer.replace("\ninline=77", ""), "inline");
         // one from before `optimize` left the phase line sent that phase,
         stats_refused(&answer.replace(";regalloc:", ";optimize:0:0;regalloc:"), "optimize");
-        // and no v4 daemon ever left out its `phases=` line.
+        // and no daemon ever left out its `phases=` line.
         stats_refused(answer.split_once("\nphases=").unwrap().0, "phases");
         // A client from before deadlines sent no `deadline=` line.
         let request = emit_request(&Request::Evaluate {
@@ -816,8 +818,10 @@ mod tests {
     fn version_skew_and_junk_are_rejected_with_names() {
         // Each older version is skew, named as such, not tolerated: v2
         // brought deadlines, v3 correlation-tagged frames, v4 the frame
-        // checksum (so a v3 payload past the frame magic is still skew).
-        for version in ["v1", "v2", "v3", "v99"] {
+        // checksum (so a v3 payload past the frame magic is still skew),
+        // v5 the device and protocol without the fixed warp width and
+        // the objective.
+        for version in ["v1", "v2", "v3", "v4", "v99"] {
             let err = parse_request(&format!("oriole-rpc {version} ping")).unwrap_err();
             assert!(err.to_string().contains("version skew"), "{err}");
             assert!(err.to_string().contains(RPC_VERSION), "{err}");

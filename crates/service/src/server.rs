@@ -109,7 +109,7 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Maximum concurrent connections. A connection past the bound is
     /// answered [`Response::Busy`] and closed.
-    pub workers: usize,
+    pub max_connections: usize,
     /// Worker threads executing `evaluate`/`simulate` bodies — the
     /// bound on requests concurrently inside evaluation. Excess
     /// requests wait in the queue up to their deadline, then are shed
@@ -126,7 +126,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            workers: 64,
+            max_connections: 64,
             max_inflight: 16,
             request_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
@@ -555,7 +555,7 @@ fn accept_all(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        if state.open_conns.load(Ordering::Relaxed) >= state.cfg.workers as u64 {
+        if state.open_conns.load(Ordering::Relaxed) >= state.cfg.max_connections as u64 {
             // Connection bound reached: shed with an explicit Busy
             // instead of a hung socket. The frame is tiny and the
             // write deadline bounds even a client that never reads.

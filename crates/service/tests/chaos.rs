@@ -378,7 +378,7 @@ fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
 fn a_saturated_worker_pool_sheds_with_busy_and_recovers() {
     // One worker: the first connection owns the pool, so a second
     // connection must be answered Busy and closed — deterministically.
-    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let cfg = ServeConfig { max_connections: 1, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
 
     let holder = Client::connect(&daemon.to_string()).expect("connect");
@@ -470,13 +470,11 @@ fn idle_connections_are_reaped_and_clients_heal_by_reconnecting() {
 
 #[test]
 fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() {
-    // A device is wire input: the first three used to panic the worker
-    // that took the frame (a division by zero warps per block, by zero
-    // block slots, a wrapped register product), and a dead worker
-    // answers nothing, ever; a 64-lane warp would be counted as 32 lanes
-    // by the instruction counters, and a 16-lane `warp_size` admits a
-    // block with a partial warp. Two worker threads, ten such frames.
-    let cfg = ServeConfig { workers: 2, max_inflight: 2, ..ServeConfig::default() };
+    // A device is wire input: `GpuSpec::problems` refuses each of these
+    // before the worker that took the frame divides by zero block slots
+    // or forms a register product past 32 bits, and a dead worker
+    // answers nothing, ever. Two worker threads, six such frames.
+    let cfg = ServeConfig { max_connections: 2, max_inflight: 2, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
     let k20 = Gpu::K20.spec();
     let p = TuningParams::with_geometry(128, 48);
@@ -489,11 +487,9 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
         assert!(asked.elapsed() < policy.rpc_timeout, "{what}: answered, not timed out");
     };
     for (field, gpu) in [
-        ("tpw:0", GpuSpec { threads_per_warp: 0, ..k20.clone() }),
         ("mp:0", GpuSpec { multiprocessors: 0, ..k20.clone() }),
-        ("tpw:2^28", GpuSpec { threads_per_warp: 1 << 28, ..k20.clone() }),
-        ("tpw:64", GpuSpec { threads_per_warp: 64, ..k20.clone() }),
-        ("ws:16", GpuSpec { warp_size: 16, ..k20.clone() }),
+        ("wmp:0", GpuSpec { warps_per_mp: 0, ..k20.clone() }),
+        ("rtmax:2^27", GpuSpec { regs_per_thread_max: 1 << 27, ..k20.clone() }),
     ] {
         let asked = Instant::now();
         refused(field, client.evaluate(&scope("atax", &gpu, &[64]), &[p]).map(drop), asked);

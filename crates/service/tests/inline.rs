@@ -288,9 +288,9 @@ fn requests_a_worker_refuses_keep_their_wording() {
     let p = TuningParams::with_geometry(128, 48);
     let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
     client.evaluate(&scope("atax", k20, &[64]), &[p]).expect("cold");
-    let no_warps = GpuSpec { threads_per_warp: 0, ..k20.clone() };
+    let no_warps = GpuSpec { warps_per_mp: 0, ..k20.clone() };
     for (sc, wording) in [
-        (scope("atax", &no_warps, &[64]), "unusable device description: threads_per_warp must be positive"),
+        (scope("atax", &no_warps, &[64]), "unusable device description: warps_per_mp must be positive"),
         (scope("gemm", k20, &[64]), "unknown kernel `gemm`"),
         (scope("atax", k20, &[]), "empty size list"),
     ] {

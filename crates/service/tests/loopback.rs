@@ -213,10 +213,10 @@ fn protocol_abuse_poisons_nothing_but_its_own_connection() {
     // then the daemon hangs up.
     let mut raw = TcpStream::connect(&addr).expect("connect raw");
     raw.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("deadline");
-    write_frame_tagged(&mut raw, 0, "oriole-rpc v99 ping").expect("send");
+    write_frame_tagged(&mut raw, 0, "oriole-rpc v4 ping").expect("send");
     let mut unread = Vec::new();
     let reply = common::read_frame(&mut raw, &mut unread).expect("reply").1;
-    assert!(reply.contains("version skew"), "{reply}");
+    assert!(reply.contains("version skew: peer speaks `oriole-rpc v4 ping`"), "{reply}");
     assert!(reply.contains(oriole_service::RPC_VERSION), "{reply}");
     let after = common::read_frame(&mut raw, &mut unread).expect_err("closed after skew");
     assert_eq!(after.kind(), std::io::ErrorKind::UnexpectedEof, "{after}");

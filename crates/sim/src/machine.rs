@@ -24,7 +24,7 @@ use crate::config::SimConfig;
 use crate::counters;
 use crate::model::launch_occupancy;
 use crate::profile::WarpProfile;
-use oriole_arch::{Family, GpuSpec, Limiter, Occupancy};
+use oriole_arch::{warps_per_block, Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompiledKernel, PreferredL1};
 use oriole_ir::{LaunchGeometry, ProgramIndex, ProgramMeta};
 use std::fmt;
@@ -265,7 +265,7 @@ pub(crate) fn simulate_via(
 
     let work = kernel.index.launch_work(kernel.geometry(n));
     let busy_blocks = work.busy_blocks();
-    let wb = work.warps_per_block();
+    let wb = warps_per_block(params.tc);
     // The per-warp profile below is the average over exactly these.
     let resident_warps_total = work.busy_warps();
 

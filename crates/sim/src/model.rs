@@ -45,7 +45,7 @@
 use crate::config::SimConfig;
 use crate::machine::{effective_shmem_per_mp, BoundKind, LaunchScratch, SimError, SimReport};
 use crate::profile::WarpProfile;
-use oriole_arch::{occupancy, GpuSpec, Occupancy, OccupancyInput};
+use oriole_arch::{occupancy, warps_per_block, GpuSpec, Occupancy, OccupancyInput};
 use oriole_codegen::CompiledKernel;
 use std::fmt;
 
@@ -207,8 +207,7 @@ pub(crate) fn roofline(
     let occ = launch_occupancy(spec, kernel)?;
     let params = kernel.params;
     let geom = kernel.geometry(n);
-    let wb = kernel.index.launch_work(geom).warps_per_block();
-    let warps_total = f64::from(params.bc) * f64::from(wb);
+    let warps_total = f64::from(params.bc) * f64::from(warps_per_block(params.tc));
     let profile = scratch.profile(kernel, cfg, geom).clone();
 
     let mp = spec.multiprocessors;

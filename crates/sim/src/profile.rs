@@ -9,7 +9,7 @@
 
 use crate::config::SimConfig;
 use oriole_ir::{AccessPattern, LaunchGeometry, MemSpace, ProfileEvent, Program, ProgramIndex, TermClass};
-use oriole_arch::{OpClass, ThroughputTable};
+use oriole_arch::{OpClass, ThroughputTable, WARP_SIZE};
 
 /// Aggregated per-warp costs (averaged over the busy warps of a launch).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -58,7 +58,7 @@ impl WarpProfile {
         geom: LaunchGeometry,
     ) -> WarpProfile {
         let table = ThroughputTable::for_family(program.meta.family);
-        let issue_of = |class: OpClass| 32.0 / f64::from(table.ipc(class));
+        let issue_of = |class: OpClass| f64::from(WARP_SIZE) / f64::from(table.ipc(class));
         let mut p = WarpProfile::default();
 
         let mut hottest_weight: f64 = 0.0;
@@ -131,7 +131,7 @@ impl WarpProfile {
     ) -> WarpProfile {
         use oriole_ir::{OpKind, Terminator};
         let table = ThroughputTable::for_family(program.meta.family);
-        let issue_of = |class: OpClass| 32.0 / f64::from(table.ipc(class));
+        let issue_of = |class: OpClass| f64::from(WARP_SIZE) / f64::from(table.ipc(class));
         let mut p = WarpProfile::default();
 
         let mut hottest_weight: f64 = 0.0;

@@ -38,7 +38,7 @@
 //! same scope, so repeated sweeps (bench bins, CLI invocations, replay
 //! validation) reuse front-ends and measurements instead of rebuilding
 //! the world per (kernel, GPU). [`Evaluator::new`] asks a private store.
-//! Another protocol, objective or timing model is another evaluator —
+//! Another protocol or timing model is another evaluator —
 //! [`ArtifactStore::evaluator_with`](crate::ArtifactStore::evaluator_with)
 //! — never a mutation of this one. Sharing never changes results: all
 //! cached values are bit-identical to what a fresh evaluator computes.
@@ -65,17 +65,6 @@ use std::borrow::{Borrow, BorrowMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// What a search minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Objective {
-    /// Sum of selected trial times over all input sizes (the paper's
-    /// whole-benchmark view).
-    #[default]
-    TotalTime,
-    /// Time at the largest input size only.
-    LargestSize,
-}
-
 /// The measurement protocol of one evaluator: everything besides the
 /// kernel, device and input sizes that determines a [`Measurement`].
 /// Part of the [`ArtifactStore`](crate::ArtifactStore) scope key, so
@@ -89,8 +78,6 @@ pub struct EvalProtocol {
     pub protocol: TrialProtocol,
     /// Base seed; per-variant seeds derive from it and the point.
     pub base_seed: u64,
-    /// Objective definition.
-    pub objective: Objective,
     /// Timing-model backend measurements are estimated with. Part of
     /// every measurement-tier scope key, so measurements taken under
     /// one backend can never alias another's.
@@ -104,7 +91,6 @@ impl Default for EvalProtocol {
             trials: 10,
             protocol: TrialProtocol::FifthOfTen,
             base_seed: 0x0012_101e,
-            objective: Objective::TotalTime,
             model: ModelId::default(),
         }
     }
@@ -116,8 +102,8 @@ impl Default for EvalProtocol {
 pub struct Measurement {
     /// The tuning point.
     pub params: TuningParams,
-    /// Objective value in milliseconds (`f64::INFINITY` when
-    /// infeasible).
+    /// What a search minimizes: the sum of `per_size_ms`, in
+    /// milliseconds (`f64::INFINITY` when infeasible).
     pub time_ms: f64,
     /// Selected trial time per input size.
     pub per_size_ms: Vec<(u64, f64)>,
@@ -508,10 +494,7 @@ impl<'a> Evaluator<'a> {
             regs = kernel.regs_per_thread();
             reg_instructions += launch.reg_instructions;
         }
-        let time_ms = match self.protocol.objective {
-            Objective::TotalTime => per_size_ms.iter().map(|(_, t)| t).sum(),
-            Objective::LargestSize => per_size_ms.last().map(|(_, t)| *t).unwrap_or(f64::INFINITY),
-        };
+        let time_ms = per_size_ms.iter().map(|(_, t)| t).sum();
         Measurement {
             params,
             time_ms,
@@ -879,30 +862,21 @@ mod tests {
     }
 
     #[test]
-    fn largest_size_objective() {
-        let sizes = [32u64, 256];
-        let protocol = EvalProtocol { objective: Objective::LargestSize, ..Default::default() };
-        let ev = evaluator_under(&crate::ArtifactStore::new(), &sizes, protocol);
-        let m = ev.evaluate(TuningParams::with_geometry(128, 48));
-        assert_eq!(m.time_ms, m.per_size_ms[1].1);
-    }
-
-    #[test]
     fn protocol_change_rescopes_the_measurement_tier() {
-        // Measurements taken under one objective must never be served
+        // Measurements taken under one protocol must never be served
         // under another: each protocol is its own measurement scope.
         let sizes = [32u64, 256];
         let store = crate::ArtifactStore::new();
         let p = TuningParams::with_geometry(128, 48);
-        let total = evaluator_under(&store, &sizes, EvalProtocol::default()).evaluate(p);
-        let protocol = EvalProtocol { objective: Objective::LargestSize, ..Default::default() };
+        let first = evaluator_under(&store, &sizes, EvalProtocol::default()).evaluate(p);
+        let protocol = EvalProtocol { base_seed: 7, ..Default::default() };
         let ev = evaluator_under(&store, &sizes, protocol);
-        let largest = ev.evaluate(p);
+        let reseeded = ev.evaluate(p);
         assert_eq!(ev.unique_evaluations(), 1, "not served from the other protocol's tier");
-        assert_eq!(largest.time_ms, largest.per_size_ms[1].1);
-        assert!(largest.time_ms < total.time_ms);
-        // Per-size numbers are protocol-independent and identical.
-        assert_eq!(largest.per_size_ms, total.per_size_ms);
+        // The same sizes, with the other seed's trial noise.
+        let sizes_of = |m: &Measurement| m.per_size_ms.iter().map(|(n, _)| *n).collect::<Vec<_>>();
+        assert_eq!(sizes_of(&reseeded), sizes_of(&first));
+        assert_ne!(reseeded.per_size_ms, first.per_size_ms);
         // The front-ends are shared: the second protocol lowered nothing,
         // and the first lowered once for both sizes — ATAX's AST is the
         // same at every `n`, and an artifact is keyed by its program.

@@ -56,7 +56,7 @@ pub mod spec;
 pub mod store;
 
 pub use once_map::WordHash;
-pub use eval::{EvalProtocol, EvalStats, Evaluator, Measurement, Objective};
+pub use eval::{EvalProtocol, EvalStats, Evaluator, Measurement};
 // Re-exported for convenience: the backend selector every protocol and
 // store scope carries.
 pub use oriole_sim::ModelId;

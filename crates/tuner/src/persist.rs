@@ -30,9 +30,13 @@
 //!   flipped byte, a truncated tail from a killed writer, or an edited
 //!   file fails the checksum and the line is *rejected* — treated as a
 //!   cache miss and recomputed, never served.
-//! * **Versioned magic.** The first line is `oriole-meas v1` exactly. A
+//! * **Versioned magic.** The first line is `oriole-meas v2` exactly. A
 //!   file written by a different format version is detected
-//!   ([`FileStatus::VersionSkew`]) and treated as a whole-file miss.
+//!   ([`FileStatus::VersionSkew`]) and treated as a whole-file miss:
+//!   `store verify` flags it, `store gc` removes it, and a tier opened
+//!   on it writes it afresh. v2 dropped three device fields the warp
+//!   width fixes (`ws`, `tmp`, `tpw`) and the protocol's `objective`,
+//!   so a v1 file's scope could never be this build's anyway.
 //! * **Content-addressed names.** A tier file is named
 //!   `meas-<fnv64(scope)>.orl` ([`tier_file_name`]) where the scope is
 //!   the canonical text of `(kernel, gpu, sizes, protocol)`
@@ -43,11 +47,11 @@
 //! # File layout
 //!
 //! ```text
-//! oriole-meas v1
+//! oriole-meas v2
 //! h kernel=atax|<crc>
-//! h gpu=name:K20;family:kepler;...|<crc>
+//! h gpu=name:K20;family:kepler;...;rf:65536;tpb:1024;bmp:16;wmp:64;...|<crc>
 //! h sizes=64,128|<crc>
-//! h protocol=trials:10;...|<crc>
+//! h protocol=trials:10;select:fifth-of-ten;seed:...;model:sim|<crc>
 //! h end|<crc>
 //! r params:tc:128,...;time:<f64 bits>;...|<crc>
 //! r ...
@@ -81,7 +85,7 @@
 //! verifying their checksums, and deleting unusable files / compacting
 //! ones with rejected records.
 
-use crate::eval::{EvalProtocol, MeasTier, Measurement, Objective};
+use crate::eval::{EvalProtocol, MeasTier, Measurement};
 use oriole_arch::{ComputeCapability, Family, GpuSpec, Limiter, Occupancy};
 use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
 use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
@@ -94,7 +98,7 @@ use std::sync::{Arc, Mutex};
 
 /// First line of every tier file; anything else is version skew or
 /// corruption.
-const MAGIC: &str = "oriole-meas v1";
+const MAGIC: &str = "oriole-meas v2";
 
 /// Extension of tier files inside a store directory.
 const EXT: &str = "orl";
@@ -330,12 +334,23 @@ impl<'a> Cursor<'a> {
         WireError::new(format!("{what} `{key}` at byte {}", self.at))
     }
 
-    /// Consumes the literal `key`. An empty one is not compared: `bcmp`
-    /// handed its dangling pointer took ~100 ns (glibc 2.36, AVX-512).
+    #[cold]
+    fn missing(&self, key: &str) -> WireError {
+        let rest = self.rest().strip_prefix(b";").unwrap_or(self.rest());
+        let name = rest.iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_');
+        let found: String = name.map(|&b| char::from(b)).collect();
+        let WireError(msg) = self.bad("missing field", key);
+        WireError(format!("{msg}, found `{found}`"))
+    }
+
+    /// Consumes the literal `key`; a mismatch names the field found in
+    /// its place too, so a field an older format wrote is refused by
+    /// name. An empty key is not compared: `bcmp` handed its dangling
+    /// pointer took ~100 ns (glibc 2.36, AVX-512).
     #[inline(always)]
     fn key(&mut self, key: &str) -> Result<(), WireError> {
         if !key.is_empty() && !self.rest().starts_with(key.as_bytes()) {
-            return Err(self.bad("missing field", key));
+            return Err(self.missing(key));
         }
         self.at += key.len();
         Ok(())
@@ -451,11 +466,8 @@ fn stage_gpu_spec(s: &mut Stage<'_>, g: &GpuSpec) {
         .dec(";smb:", g.shmem_per_block)
         .dec(";smmp:", g.shmem_per_mp)
         .dec(";rf:", g.regfile_per_mp)
-        .dec(";ws:", g.warp_size)
-        .dec(";tmp:", g.threads_per_mp)
         .dec(";tpb:", g.threads_per_block)
         .dec(";bmp:", g.blocks_per_mp)
-        .dec(";tpw:", g.threads_per_warp)
         .dec(";wmp:", g.warps_per_mp)
         .dec(";rau:", g.reg_alloc_unit)
         .dec(";rtmax:", g.regs_per_thread_max);
@@ -506,11 +518,8 @@ pub fn parse_gpu_spec(text: &str) -> Result<GpuSpec, WireError> {
             shmem_per_block: c.dec(";smb:")?,
             shmem_per_mp: c.dec(";smmp:")?,
             regfile_per_mp: c.dec(";rf:")?,
-            warp_size: c.dec(";ws:")?,
-            threads_per_mp: c.dec(";tmp:")?,
             threads_per_block: c.dec(";tpb:")?,
             blocks_per_mp: c.dec(";bmp:")?,
-            threads_per_warp: c.dec(";tpw:")?,
             warps_per_mp: c.dec(";wmp:")?,
             reg_alloc_unit: c.dec(";rau:")?,
             regs_per_thread_max: c.dec(";rtmax:")?,
@@ -528,16 +537,12 @@ const TRIAL_PROTOCOLS: [(TrialProtocol, &str); 3] = [
     (TrialProtocol::Min, "min"),
 ];
 
-const OBJECTIVES: [(Objective, &str); 2] =
-    [(Objective::TotalTime, "total-time"), (Objective::LargestSize, "largest-size")];
-
 /// Appends the canonical serialization of an [`EvalProtocol`] —
 /// including the [`ModelId`], so tiers taken under different timing
 /// backends can never share a disk artifact.
 fn stage_protocol(s: &mut Stage<'_>, p: &EvalProtocol) {
     s.dec("trials:", p.trials).text(";select:").text(spell(&TRIAL_PROTOCOLS, p.protocol));
-    s.hex16(";seed:", p.base_seed).text(";objective:").text(spell(&OBJECTIVES, p.objective));
-    s.text(";model:").text(p.model.name());
+    s.hex16(";seed:", p.base_seed).text(";model:").text(p.model.name());
 }
 
 /// `stage_protocol` into a fresh string.
@@ -554,7 +559,6 @@ pub fn parse_protocol(text: &str) -> Result<EvalProtocol, WireError> {
             trials: c.dec("trials:")?,
             protocol: c.name(";select:", &TRIAL_PROTOCOLS)?,
             base_seed: c.hex16(";seed:")?,
-            objective: c.name(";objective:", &OBJECTIVES)?,
             model: c.name(";model:", &ModelId::ALL.map(|m| (m, m.name())))?,
         })
     })
@@ -1012,7 +1016,7 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
 // ---------------------------------------------------------------------------
 
 /// Magic bytes opening every wire frame (`ORL4` — "oriole frame",
-/// protocol v4 on).
+/// protocol v4 on: v5 changed the payload text, not the frame).
 const FRAME_MAGIC: [u8; 4] = *b"ORL4";
 
 /// Fixed size of the frame header preceding every payload:
@@ -1048,7 +1052,7 @@ impl fmt::Display for FrameError {
         match self {
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::VersionSkew => {
-                write!(f, "version skew: peer frames `ORLF` (oriole-rpc v3), this build `ORL4` (v4)")
+                write!(f, "version skew: peer frames `ORLF` (oriole-rpc v3), this build `ORL4` (v4 on)")
             }
             FrameError::TooLarge(n) => {
                 write!(f, "frame of {n} bytes exceeds the {MAX_FRAME_BYTES}-byte bound")
@@ -1440,7 +1444,6 @@ mod tests {
                 trials: 3,
                 protocol: TrialProtocol::Median,
                 base_seed: 0xdead_beef,
-                objective: Objective::LargestSize,
                 model: ModelId::Roofline,
             },
             EvalProtocol { model: ModelId::Static, ..EvalProtocol::default() },
@@ -1609,7 +1612,7 @@ mod tests {
 
         // Version skew → rejected wholesale even though records parse.
         let content = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, content.replacen(MAGIC, "oriole-meas v99", 1)).unwrap();
+        std::fs::write(&path, content.replacen(MAGIC, "oriole-meas v1", 1)).unwrap();
         let counters2 = Arc::new(DiskCounters::default());
         let opened = open_tier(&dir, &scope, &counters2);
         assert!(held(&opened).is_empty());

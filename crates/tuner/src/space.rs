@@ -1,5 +1,6 @@
 //! The cartesian search space (Table III / Fig. 3).
 
+use oriole_arch::WARP_SIZE;
 use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
 
 /// A cartesian tuning space over the six Orio parameters.
@@ -27,7 +28,7 @@ impl SearchSpace {
     /// settings generated 5,120 code variants".
     pub fn paper_default() -> SearchSpace {
         SearchSpace {
-            tc: (1..=32).map(|i| i * 32).collect(),
+            tc: (1..=32).map(|warps| warps * WARP_SIZE).collect(),
             bc: (1..=8).map(|i| i * 24).collect(),
             uif: (1..=5).collect(),
             pl: vec![PreferredL1::Kb16, PreferredL1::Kb48],

@@ -13,7 +13,7 @@ use oriole::kernels::KernelId;
 use oriole::service::protocol::{emit_request, emit_response, parse_request, parse_response};
 use oriole::service::{EvalScope, Request, Response, ServiceStats};
 use oriole::sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile, MAX_TRIALS};
-use oriole::tuner::eval::{EvalProtocol, Measurement, Objective};
+use oriole::tuner::eval::{EvalProtocol, Measurement};
 use oriole::tuner::persist::{self, FileStatus};
 use oriole::tuner::{ArtifactStore, StoreStats};
 
@@ -97,11 +97,8 @@ fn gen_gpu_spec(rng: &mut TestRng) -> GpuSpec {
         shmem_per_block: gen_u32(rng),
         shmem_per_mp: gen_u32(rng),
         regfile_per_mp: gen_u32(rng),
-        warp_size: gen_u32(rng),
-        threads_per_mp: gen_u32(rng),
         threads_per_block: gen_u32(rng),
         blocks_per_mp: gen_u32(rng),
-        threads_per_warp: gen_u32(rng),
         warps_per_mp: gen_u32(rng),
         reg_alloc_unit: gen_u32(rng),
         regs_per_thread_max: gen_u32(rng),
@@ -113,7 +110,6 @@ fn gen_protocol(rng: &mut TestRng) -> EvalProtocol {
         trials: gen_u32(rng),
         protocol: rng.pick(&[TrialProtocol::FifthOfTen, TrialProtocol::Median, TrialProtocol::Min]),
         base_seed: gen_u64(rng),
-        objective: rng.pick(&[Objective::TotalTime, Objective::LargestSize]),
         model: rng.pick(&ModelId::ALL),
     }
 }
@@ -404,7 +400,7 @@ fn the_old_readers_liberties_are_refused() {
     assert!(persist::parse_f64("3fe800000000000").is_err(), "15 digits");
     assert!(persist::parse_f64("03fe8000000000000").is_err(), "17 digits");
     assert!(persist::parse_protocol(
-        "trials:10;select:fifth-of-ten;seed:000000000012101e;objective:total-time;model:simulator"
+        "trials:10;select:fifth-of-ten;seed:000000000012101e;model:simulator"
     )
     .is_err(), "a model alias is not the canonical name");
     let line = persist::seal("r x");
@@ -538,13 +534,20 @@ fn requests_carry_any_device_but_no_trial_count_past_the_bound() {
 // (c) The text itself, pinned
 // ---------------------------------------------------------------------------
 
-// Printed by the parent commit's emitters (`format!`-built) for the
-// values of `golden_pair`; only the protocol version digit differs.
-const GOLDEN_GPU: &str = "name:K20;family:kepler;cc:3.5;gmem:11520;mp:13;cores:192;clk:824;\
+// The golden scope's device and protocol as v4 (and tier format v1)
+// spelled them, as the `format!`-built emitters did before.
+const V4_GPU: &str = "name:K20;family:kepler;cc:3.5;gmem:11520;mp:13;cores:192;clk:824;\
     mclk:2505;l2:1572864;cmem:65536;smb:49152;smmp:49152;rf:65536;ws:32;tmp:2048;tpb:1024;\
     bmp:16;tpw:32;wmp:64;rau:256;rtmax:255";
-const GOLDEN_PROTOCOL: &str =
+const V4_PROTOCOL: &str =
     "trials:10;select:fifth-of-ten;seed:000000000012101e;objective:total-time;model:sim";
+
+// The same without `ws`, `tmp`, `tpw` and `objective`: v5 and tier
+// format v2. Seals and file name are FNV-1a 64, worked out apart.
+const GOLDEN_GPU: &str = "name:K20;family:kepler;cc:3.5;gmem:11520;mp:13;cores:192;clk:824;\
+    mclk:2505;l2:1572864;cmem:65536;smb:49152;smmp:49152;rf:65536;tpb:1024;bmp:16;wmp:64;\
+    rau:256;rtmax:255";
+const GOLDEN_PROTOCOL: &str = "trials:10;select:fifth-of-ten;seed:000000000012101e;model:sim";
 const GOLDEN_M1: &str = "params:tc:256,bc:48,uif:1,pl:16,sc:1,fm:0;time:3f516872b020c49c;\
     feasible:1;occ:3fe8000000000000;regs:24;reginstr:40c81cc000000000;\
     sizes:64@3f40624dd2f1a9fc,128@3f426e978d4fdf3b";
@@ -554,12 +557,12 @@ const GOLDEN_SEAL_M1: &str = "7254b3a288e3fbed";
 const GOLDEN_SEAL_M2: &str = "1223b6f5f21d6c35";
 const GOLDEN_HEADER_SEALS: [&str; 5] = [
     "7d5957b6c297d2bb",
-    "74e873804164eae6",
+    "4207e90db4fa074f",
     "a242ff8b4438db33",
-    "4fcfd2b534273865",
+    "a655711f8dd1bcc3",
     "c82e408803d6977a",
 ];
-const GOLDEN_TIER_NAME: &str = "meas-69616230b7c8c8f4.orl";
+const GOLDEN_TIER_NAME: &str = "meas-7d83149be66f8515.orl";
 
 fn golden_pair() -> [Measurement; 2] {
     let mut p2 = TuningParams::with_geometry(1024, 192);
@@ -589,8 +592,12 @@ fn golden_pair() -> [Measurement; 2] {
     ]
 }
 
+fn scope_text(gpu: &str, protocol: &str) -> String {
+    format!("kernel=atax\ngpu={gpu}\nsizes=64,128\nprotocol={protocol}")
+}
+
 fn golden_scope_text() -> String {
-    format!("kernel=atax\ngpu={GOLDEN_GPU}\nsizes=64,128\nprotocol={GOLDEN_PROTOCOL}")
+    scope_text(GOLDEN_GPU, GOLDEN_PROTOCOL)
 }
 
 #[test]
@@ -605,7 +612,7 @@ fn evaluate_payloads_and_record_lines_match_their_literals() {
     let request =
         Request::Evaluate { scope, points: vec![m1.params, m2.params], deadline_ms: 2500 };
     let request_text = format!(
-        "oriole-rpc v4 evaluate\n{}\ndeadline=2500\n\
+        "oriole-rpc v5 evaluate\n{}\ndeadline=2500\n\
          p tc:256,bc:48,uif:1,pl:16,sc:1,fm:0\np tc:1024,bc:192,uif:5,pl:48,sc:3,fm:1",
         golden_scope_text()
     );
@@ -613,7 +620,7 @@ fn evaluate_payloads_and_record_lines_match_their_literals() {
     assert_eq!(parse_request(&request_text).unwrap(), request);
 
     let response = Response::Evaluate { computed: 2, measurements: vec![m1.clone(), m2.clone()] };
-    let response_text = format!("oriole-rpc v4 ok evaluate\ncomputed=2\nm {GOLDEN_M1}\nm {GOLDEN_M2}");
+    let response_text = format!("oriole-rpc v5 ok evaluate\ncomputed=2\nm {GOLDEN_M1}\nm {GOLDEN_M2}");
     assert_eq!(emit_response(&response), response_text);
     assert_eq!(parse_response(&response_text).unwrap(), response);
 
@@ -628,9 +635,9 @@ fn evaluate_payloads_and_record_lines_match_their_literals() {
 }
 
 // A `stats` answer as the parent of the PR that gave the daemon one
-// stats record printed it; every counter holds a value of its own, so a
+// stats record printed it, under the v5 head; every counter holds a value of its own, so a
 // field read into another's place shows.
-const GOLDEN_STATS: &str = "oriole-rpc v4 ok stats\nconnections=3\nrequests=17\npoints=1280\n\
+const GOLDEN_STATS: &str = "oriole-rpc v5 ok stats\nconnections=3\nrequests=17\npoints=1280\n\
     kernels=2\nfe_tiers=4\nlowerings=20\nmeas_tiers=5\nunique=640\ncontexts=1\nbusy=6\nwmax=16\n\
     shed=7\nreaped=8\nconns_open=9\ninflight=11\npipe_peak=12\nwakeups=901\ninline=77\n\
     disk=hits:13;misses:14;loaded:641;written:15;rejected:16\n\
@@ -692,13 +699,13 @@ fn stats_answers_match_their_literals() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) A tier file in the parent's format
+// (d) Tier files: this format's, and the one before it
 // ---------------------------------------------------------------------------
 
-/// The parent's tier file of the golden scope and pair: the magic, five
-/// header lines, two records.
+/// This format's tier file of the golden scope and pair: the magic,
+/// five header lines, two records.
 fn golden_tier_file() -> String {
-    let mut file = String::from("oriole-meas v1\n");
+    let mut file = String::from("oriole-meas v2\n");
     for (line, seal) in golden_scope_text().lines().chain(["end"]).zip(GOLDEN_HEADER_SEALS) {
         file.push_str(&format!("h {line}|{seal}\n"));
     }
@@ -714,7 +721,7 @@ fn golden_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
+fn a_tier_file_in_this_format_opens_with_nothing_rejected() {
     let dir = golden_dir("golden");
     let file = golden_tier_file();
     std::fs::write(dir.join(GOLDEN_TIER_NAME), &file).unwrap();
@@ -748,7 +755,7 @@ fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
     drop(store);
     assert_eq!(std::fs::read_to_string(dir.join(GOLDEN_TIER_NAME)).unwrap(), file);
 
-    // The header this build writes for the same scope is the parent's,
+    // The header this build writes for the same scope is the literal's,
     // byte for byte, under the same file name.
     std::fs::remove_file(dir.join(GOLDEN_TIER_NAME)).unwrap();
     let store = ArtifactStore::with_disk(&dir).unwrap();
@@ -760,8 +767,42 @@ fn a_tier_file_written_by_the_parent_opens_with_nothing_rejected() {
 }
 
 #[test]
+fn a_format_v1_tier_file_is_skew_to_verify_and_removed_by_gc() {
+    // The golden file as the last v1 build wrote it, under its scope's
+    // name; `tests/persist.rs` has a tier rewrite one at its own name.
+    let dir = golden_dir("v1");
+    let scope = scope_text(V4_GPU, V4_PROTOCOL);
+    let header = scope.lines().chain(["end"]).map(|l| persist::seal(&format!("h {l}")) + "\n");
+    let records = golden_tier_file().split_inclusive('\n').skip(6).collect::<String>();
+    let file = format!("oriole-meas v1\n{}{records}", header.collect::<String>());
+    std::fs::write(dir.join(persist::tier_file_name(&scope)), file).unwrap();
+    let status = persist::scan_store(&dir).unwrap().pop().expect("one file").status;
+    assert_eq!(status, FileStatus::VersionSkew);
+    assert_eq!(persist::gc_store(&dir).unwrap().removed_files, 1);
+    assert!(persist::scan_store(&dir).unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_previous_formats_fields_and_head_are_refused_by_name() {
+    // A device with the warp width written down, a protocol with an
+    // objective: the strict readers name the first stray field.
+    let err = persist::parse_gpu_spec(V4_GPU).expect_err("a v4 device").to_string();
+    assert!(err.contains("missing field `tpb`") && err.contains("found `ws`"), "{err}");
+    let err = persist::parse_protocol(V4_PROTOCOL).expect_err("a v4 protocol").to_string();
+    assert!(err.contains("missing field `model`") && err.contains("found `objective`"), "{err}");
+    // A v4 request is refused by its head line before any field is
+    // read: the skew error, naming both versions.
+    let v4_request =
+        format!("oriole-rpc v4 evaluate\n{}\ndeadline=2500", scope_text(V4_GPU, V4_PROTOCOL));
+    let err = parse_request(&v4_request).expect_err("a v4 request").to_string();
+    assert!(err.contains("version skew: peer speaks `oriole-rpc v4 evaluate`"), "{err}");
+    assert!(err.contains("this build speaks `oriole-rpc v5`"), "{err}");
+}
+
+#[test]
 fn a_byte_past_ascii_costs_a_tier_file_the_line_it_sits_in() {
-    // Every offset of the parent's file overwritten, one at a time, with
+    // Every offset of the golden file overwritten, one at a time, with
     // a seeded byte >= 0x80: the file is then not UTF-8 as a whole. In
     // the magic or the header that is a corrupt file; in a record it is
     // that record's line and nothing else.
@@ -922,9 +963,13 @@ fn every_float_class_round_trips_bit_exact() {
     }
 }
 
-/// `persist::checksum` over the corpus below (3,285,078 bytes) as the
-/// `push_*` writers the staged writer replaced spelled it.
-const CORPUS_DIGEST: u64 = 0x40e3_16ec_b7b1_87ff;
+/// `persist::checksum` over the corpus below (3,108,017 bytes), pinned
+/// when v5 and tier format v2 dropped `ws`, `tmp`, `tpw` and `objective`.
+/// Drawn with the dropped fields' values still taken, the corpus was
+/// the v4 writers' (whose digest the `push_*` writers had pinned) with
+/// those fields cut, `v4` heads made `v5` and tier names rehashed, byte
+/// for byte.
+const CORPUS_DIGEST: u64 = 0x61ba_c9d9_6c64_1cb4;
 
 #[test]
 fn a_seeded_corpus_is_spelled_byte_for_byte_as_before() {

@@ -3,8 +3,8 @@
 //! the length field is refused — exhaustively, across the block and
 //! word boundaries of the checksum and over a real 64-point `evaluate`
 //! answer — as are moved words, moved blocks and grown or shrunk zero
-//! tails; and a protocol v3 peer is refused by name on both sides,
-//! never half-decoded.
+//! tails; and a protocol v3 peer is refused by name on both sides, as
+//! is a v4 daemon (this frame, another head line), never half-decoded.
 
 mod common;
 
@@ -171,9 +171,12 @@ fn a_v3_client_is_refused_by_the_server_with_an_error_that_names_the_skew() {
     serving.join().expect("server thread");
 }
 
-/// A daemon stuck on protocol v3: answers whatever arrives with a v3
-/// frame. Returns its address and the thread counting its connections.
-fn spawn_v3_daemon(connections: usize) -> (String, std::thread::JoinHandle<()>) {
+/// A daemon stuck on an older protocol: answers whatever arrives with
+/// `reply`. Returns its address and the thread counting its connections.
+fn spawn_old_daemon(
+    reply: Vec<u8>,
+    connections: usize,
+) -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let serving = std::thread::spawn(move || {
@@ -181,7 +184,7 @@ fn spawn_v3_daemon(connections: usize) -> (String, std::thread::JoinHandle<()>) 
             let (mut stream, _) = listener.accept().expect("accept");
             let mut request = [0u8; FRAME_HEADER_BYTES];
             stream.read_exact(&mut request).expect("a request header");
-            stream.write_all(&V3_PING_FRAME).expect("reply");
+            stream.write_all(&reply).expect("reply");
             // Hold the socket until the client hangs up.
             let _ = stream.read_to_end(&mut Vec::new());
         }
@@ -195,7 +198,7 @@ fn a_v3_daemon_is_refused_by_the_client_and_its_pipeline_without_a_retry() {
     // each: skew is deterministic, so the retry loop must not redial
     // (the listener thread would never finish), and the bare pipeline
     // underneath must poison on it.
-    let (addr, serving) = spawn_v3_daemon(2);
+    let (addr, serving) = spawn_old_daemon(V3_PING_FRAME.to_vec(), 2);
 
     let client = Client::connect(&addr).expect("connect");
     let err = client.ping().expect_err("a v3 answer");
@@ -212,4 +215,18 @@ fn a_v3_daemon_is_refused_by_the_client_and_its_pipeline_without_a_retry() {
     drop(pipeline);
 
     serving.join().expect("v3 daemon thread");
+}
+
+#[test]
+fn a_v4_daemon_is_refused_by_the_client_without_a_retry() {
+    // This frame around the last v4 build's head line.
+    let (addr, serving) = spawn_old_daemon(frame(7, "oriole-rpc v4 ok pong"), 1);
+    let client = Client::connect(&addr).expect("connect");
+    let err = client.ping().expect_err("a v4 answer");
+    assert!(matches!(err, ServiceError::Protocol(_)) && !err.is_transient(), "{err:?}");
+    let skew = "version skew: peer speaks `oriole-rpc v4 ok pong`, this build speaks `oriole-rpc v5`";
+    assert!(err.to_string().contains(skew), "{err}");
+    assert_eq!(client.retries(), 0);
+    drop(client);
+    serving.join().expect("v4 daemon thread");
 }

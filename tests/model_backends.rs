@@ -13,7 +13,7 @@
 //! Beside them, the one caller of the compatibility names
 //! `benchmark/API.md` pins, checked equal to the plain forms.
 
-use oriole::arch::{Gpu, GpuSpec};
+use oriole::arch::{Gpu, GpuSpec, WARP_SIZE};
 use oriole::codegen::{compile, TuningParams};
 use oriole::core::predict_time_indexed;
 use oriole::ir::KernelAst;
@@ -268,8 +268,7 @@ fn devices_without_problems_never_panic_a_backend() {
         _ => rng.next_u64() as u32,
     };
     let launch_all = |spec: &GpuSpec, kid: KernelId, n: u64| {
-        let warp = spec.warp_size.max(1);
-        for tc in [128, warp, spec.threads_per_block / warp * warp] {
+        for tc in [128, WARP_SIZE, spec.threads_per_block / WARP_SIZE * WARP_SIZE] {
             for bc in [1, 48, u32::MAX] {
                 let Ok(k) = compile(&kid.ast(n), spec, TuningParams::with_geometry(tc, bc)) else {
                     continue;
@@ -296,8 +295,6 @@ fn devices_without_problems_never_panic_a_backend() {
             let field = [
                 &mut spec.multiprocessors,
                 &mut spec.gpu_clock_mhz,
-                &mut spec.warp_size,
-                &mut spec.threads_per_warp,
                 &mut spec.warps_per_mp,
                 &mut spec.regs_per_thread_max,
                 &mut spec.threads_per_block,

@@ -142,11 +142,12 @@ fn version_skewed_artifact_is_a_whole_file_miss() {
     let cold = cold_store.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
     drop(cold_store);
 
-    // Rewrite the magic to a future version: every record still parses,
+    // Put the previous format's magic back: every record still parses,
     // but none may be trusted.
     let file = tier_file(&dir);
     let content = std::fs::read_to_string(&file).unwrap();
-    std::fs::write(&file, content.replacen("oriole-meas v1", "oriole-meas v99", 1)).unwrap();
+    let body = content.strip_prefix("oriole-meas v2\n").expect("this format's magic");
+    std::fs::write(&file, format!("oriole-meas v1\n{body}")).unwrap();
 
     let skew_store = ArtifactStore::with_disk(&dir).unwrap();
     let resweep = skew_store.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
@@ -158,7 +159,7 @@ fn version_skewed_artifact_is_a_whole_file_miss() {
     assert!(disk.rejected >= 1);
     drop(skew_store);
 
-    // The skewed file was rewritten under the current version, so the
+    // The skewed file was rewritten under this format's magic, so the
     // next store resumes warm again.
     let healed = ArtifactStore::with_disk(&dir).unwrap();
     let warm = healed.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
