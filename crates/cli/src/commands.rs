@@ -759,15 +759,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     {
         use std::io::Write as _;
         let mut stdout = std::io::stdout();
-        let _ = writeln!(
-            stdout,
-            "oriole serve: listening on {actual} ({store_note}; up to {} connection(s), {} in-flight, \
-             pipeline depth {MAX_IN_FLIGHT}, request timeout {}ms, idle timeout {}ms)",
-            cfg.max_connections,
-            cfg.max_inflight,
-            cfg.request_timeout.as_millis(),
-            cfg.idle_timeout.as_millis()
-        );
+        let _ = writeln!(stdout, "{}", serve_banner(&actual.to_string(), &store_note, &cfg));
         let _ = stdout.flush();
     }
     let summary = server.run().map_err(|e| e.to_string())?;
@@ -782,6 +774,18 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         s.reaped_idle,
         if summary.drained { "drained clean" } else { "drain deadline hit" }
     ))
+}
+
+/// The line `serve` prints once it listens; it names the pool as `service stats` does.
+fn serve_banner(addr: &str, store_note: &str, cfg: &ServeConfig) -> String {
+    format!(
+        "oriole serve: listening on {addr} ({store_note}; up to {} connection(s), {} worker(s), \
+         pipeline depth {MAX_IN_FLIGHT}, request timeout {}ms, idle timeout {}ms)",
+        cfg.max_connections,
+        cfg.max_inflight,
+        cfg.request_timeout.as_millis(),
+        cfg.idle_timeout.as_millis()
+    )
 }
 
 /// `oriole service {ping|stats|shutdown} --remote ADDR` — daemon
@@ -1633,6 +1637,11 @@ mod tests {
             let err = call(line).unwrap_err();
             assert!(err.contains("at least 1"), "{err}");
         }
+        // The pool `--max-inflight` sizes is named as `service stats`
+        // names it, beside the protocol's own in-flight cap.
+        let banner = serve_banner("127.0.0.1:7733", "memory-only store", &ServeConfig::default());
+        assert!(banner.contains("16 worker(s), pipeline depth 32"), "{banner}");
+        assert!(!banner.contains("in-flight"), "{banner}");
     }
 
     #[test]

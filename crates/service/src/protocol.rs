@@ -136,8 +136,8 @@ pub struct ServiceStats {
     pub points_served: u64,
     /// Requests currently inside an `evaluate`/`simulate` body.
     pub workers_busy: u64,
-    /// The admission bound on concurrent `evaluate`/`simulate` bodies
-    /// (the daemon's `--max-inflight`).
+    /// The admission bound on concurrent `evaluate`/`simulate` bodies:
+    /// the daemon's worker pool.
     pub workers_max: u64,
     /// Requests and connections shed with [`Response::Busy`] because
     /// the pool or the connection bound was saturated.

@@ -206,8 +206,8 @@ impl FeTier {
 /// The measurement memo (scope: one kernel × device × input sizes ×
 /// [`EvalProtocol`]). Optionally disk-backed: a tier borrowed from a
 /// store with a disk tier is pre-seeded with the valid records of its
-/// on-disk artifact and spills every new computation back as an
-/// append-only, checksummed record (see [`crate::persist`]).
+/// on-disk artifact, and every evaluation call spills what it computed
+/// back as append-only, checksummed records (see [`crate::persist`]).
 pub(crate) struct MeasTier {
     pub(crate) map: ShardedOnceMap<TuningParams, Arc<Measurement>>,
     evaluations: AtomicUsize,
@@ -279,10 +279,11 @@ pub struct EvalStats {
     pub phases: PhaseTelemetry,
 }
 
-/// Most misses one worker claims at a time: enough to amortize the
-/// claim and the artifact lookups, few enough that the paper's
-/// 512-point front-end groups still split across workers.
+/// Most misses one worker claims at a time (and marks in one `u64`):
+/// enough to amortize the claim, the artifact lookups and the disk
+/// write, few enough that 512-point front-end groups still split.
 const CHUNK: usize = 64;
+const _: () = assert!(CHUNK <= u64::BITS as usize);
 
 /// Fewest misses worth a thread spawn; below it the caller claims every
 /// chunk itself.
@@ -507,40 +508,36 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The measurement tier's entry for `params`, computed by `miss`
-    /// exactly once across all callers. A newly computed point is
-    /// spilled to the tier's disk artifact, when one is attached, before
-    /// any waiter observes it — a killed sweep keeps everything it
-    /// measured. A computation is tallied in `won`, the caller's own
-    /// count: workers publish theirs to [`Evaluator::computed`] once, so
-    /// the struct every worker reads is not written per point.
+    /// exactly once across all callers, and whether this call won it.
+    /// The caller spills what it won to the disk tier before it returns
+    /// and publishes its count to [`Evaluator::computed`] once.
     fn memoized(
         &self,
         params: TuningParams,
-        won: &mut usize,
         miss: impl FnOnce() -> Measurement,
-    ) -> Arc<Measurement> {
-        self.cache.map.get_or_init(params, || {
+    ) -> (Arc<Measurement>, bool) {
+        let mut won = false;
+        let m = self.cache.map.get_or_init(params, || {
             self.cache.evaluations.fetch_add(1, Ordering::Relaxed);
-            *won += 1;
-            let m = Arc::new(miss());
-            if let Some(spill) = &self.cache.spill {
-                spill.append(&m);
-            }
-            m
-        })
+            won = true;
+            Arc::new(miss())
+        });
+        (m, won)
     }
 
     /// Evaluates one point (memoized; hits return a shared handle
     /// without cloning the measurement), resolving its front-ends size
     /// by size and only on a miss.
     pub fn evaluate(&self, params: TuningParams) -> Arc<Measurement> {
-        let mut won = 0;
-        let m = self.memoized(params, &mut won, || {
+        let (m, won) = self.memoized(params, || {
             let fresh = std::iter::repeat_with(LaunchScratch::default);
             self.evaluate_uncached(params, self.artifacts(params.uif, params.cflags).zip(fresh))
         });
-        if won > 0 {
-            self.computed.fetch_add(won, Ordering::Relaxed);
+        if won {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            if let Some(spill) = &self.cache.spill {
+                spill.append([&*m]);
+            }
         }
         m
     }
@@ -598,12 +595,21 @@ impl<'a> Evaluator<'a> {
                 };
                 let mut scratches: Vec<LaunchScratch> =
                     self.sizes.iter().map(|_| LaunchScratch::default()).collect();
-                let evaluate = |&i: &usize| {
-                    self.memoized(points[i], &mut won, || {
+                let mut fresh = 0u64; // bit `k`: this worker computed the chunk's `k`th point
+                let evaluate = |(k, &i): (usize, &usize)| {
+                    let (m, won) = self.memoized(points[i], || {
                         self.evaluate_uncached(points[i], key(&points[i]).1.iter().zip(&mut scratches))
-                    })
+                    });
+                    fresh |= u64::from(won) << k;
+                    m
                 };
-                done.push((c, chunk.iter().map(evaluate).collect::<Vec<_>>()));
+                let measurements: Vec<_> = chunk.iter().enumerate().map(evaluate).collect();
+                if let Some(spill) = &self.cache.spill {
+                    let won_here = (0u32..).zip(&measurements).filter(|&(k, _)| fresh >> k & 1 == 1);
+                    spill.append(won_here.map(|(_, m)| &**m));
+                }
+                won += fresh.count_ones() as usize;
+                done.push((c, measurements));
             }
         };
         let done = std::thread::scope(|scope| {

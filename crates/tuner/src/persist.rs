@@ -57,21 +57,22 @@
 //! r ...
 //! ```
 //!
-//! Records are **append-only**: the evaluator spills each newly computed
-//! measurement as one self-checksummed line, so a sweep killed mid-run
-//! keeps everything it measured. Re-appended duplicates (e.g. after a
-//! rejected record is recomputed) are harmless — the tier keeps the
-//! first valid record per tuning point, a rejected line was never a
-//! candidate, and all records for one point are bit-identical anyway
-//! because evaluation is deterministic. A file is read once, line by
-//! line and in order, on the thread that opens its scope: each line is
-//! taken as bytes, so damage — a byte that is not even UTF-8 — costs
-//! the line it sits in and nothing else, and each record goes straight
-//! into the `Arc` the tier serves. That is about three quarters of a
-//! microsecond a record (0.75 µs re-opening eight 5,120-record tiers on
-//! a two-core host, ~0.17 of it the parse), under half of what
-//! recomputing it in a batch costs under the simulator (~1.65 µs a
-//! point).
+//! Records are **append-only**: each evaluation call spills what it
+//! computed as self-checksummed lines in one write — a batch worker per
+//! chunk of at most 64 points, a lone `evaluate` its one record — so a
+//! point is on disk before the call that computed it returns, and a
+//! sweep killed mid-run loses only the chunks in flight. Re-appended
+//! duplicates (e.g. after a rejected record is recomputed) are harmless
+//! — the tier keeps the first valid record per tuning point, a rejected
+//! line was never a candidate, and all records for one point are
+//! bit-identical anyway because evaluation is deterministic. A file is
+//! read once, line by line and in order, on the thread that opens its
+//! scope: each line is taken as bytes, so damage — a byte that is not
+//! even UTF-8 — costs the line it sits in and nothing else, and each
+//! record goes straight into the `Arc` the tier serves. That is about a
+//! microsecond a record (0.9–1.1 µs re-opening eight 5,120-record tiers
+//! on a two-core host), more than recomputing it in a batch under the
+//! simulator costs (~0.72 µs a point).
 //!
 //! The same text crosses the wire of `oriole_service` in length-framed,
 //! checksummed frames: [`encode_frame`] builds one, and [`decode_frame`]
@@ -929,10 +930,10 @@ impl DiskCounters {
 
 /// Append-only writer spilling newly computed measurements of one tier.
 ///
-/// Each record is one sealed line written with a single `write_all`
-/// under a mutex, so concurrent evaluation workers interleave whole
-/// records — a killed process leaves at most one truncated line, which
-/// the loader rejects and recomputes.
+/// Each call — a batch chunk's records, or a lone point's — is one
+/// buffer of sealed lines and one `write_all` under a mutex, so workers
+/// interleave whole chunks. A killed process loses the chunks in flight
+/// and leaves at most one truncated line, which the loader rejects.
 pub(crate) struct TierSpill {
     file: Mutex<File>,
     counters: Arc<DiskCounters>,
@@ -940,16 +941,19 @@ pub(crate) struct TierSpill {
 }
 
 impl TierSpill {
-    /// Appends one measurement record (best-effort: an I/O error
-    /// degrades the tier to memory-only for that record, it never
-    /// corrupts results).
-    pub(crate) fn append(&self, m: &Measurement) {
-        let mut line = String::new();
-        write_record_line(&mut line, m);
+    /// Appends `records` in one write (best-effort: an I/O error
+    /// degrades the tier to memory-only for them, it never corrupts
+    /// results).
+    pub(crate) fn append<'m>(&self, records: impl IntoIterator<Item = &'m Measurement>) {
+        let (mut lines, mut count) = (String::new(), 0);
+        for m in records {
+            write_record_line(&mut lines, m);
+            count += 1;
+        }
         let mut file = self.file.lock().expect("spill lock");
-        if file.write_all(line.as_bytes()).is_ok() {
-            self.written.fetch_add(1, Ordering::Relaxed);
-            self.counters.written.fetch_add(1, Ordering::Relaxed);
+        if file.write_all(lines.as_bytes()).is_ok() {
+            self.written.fetch_add(count, Ordering::Relaxed);
+            self.counters.written.fetch_add(count, Ordering::Relaxed);
         }
     }
 
@@ -1550,7 +1554,7 @@ mod tests {
         assert!(held(&opened).is_empty());
         let spill = opened.spill.expect("writable dir");
         let m = sample_measurement();
-        spill.append(&m);
+        spill.append([&m]);
         assert_eq!(spill.written(), 1);
 
         let counters2 = Arc::new(DiskCounters::default());
@@ -1577,10 +1581,10 @@ mod tests {
                 ..sample_measurement()
             })
             .collect();
-        for m in &written {
-            spill.append(m);
+        for chunk in written.chunks(64) {
+            spill.append(chunk);
         }
-        spill.append(&written[7]);
+        spill.append([&written[7]]);
         drop(spill);
         let path = dir.join(tier_file_name(&scope));
         let lost = written.remove(384);
@@ -1608,7 +1612,7 @@ mod tests {
         let opened = open_tier(&dir, &scope, &counters);
         assert!(held(&opened).is_empty());
         assert_eq!(counters.snapshot().rejected, 1);
-        opened.spill.unwrap().append(&sample_measurement());
+        opened.spill.unwrap().append([&sample_measurement()]);
 
         // Version skew → rejected wholesale even though records parse.
         let content = std::fs::read_to_string(&path).unwrap();
@@ -1692,7 +1696,7 @@ mod tests {
         let scope_a = scope_text("atax", Gpu::K20.spec(), &[64], &EvalProtocol::default());
         let scope_b = scope_text("bicg", Gpu::K20.spec(), &[64], &EvalProtocol::default());
         let counters = Arc::new(DiskCounters::default());
-        open_tier(&dir, &scope_a, &counters).spill.unwrap().append(&sample_measurement());
+        open_tier(&dir, &scope_a, &counters).spill.unwrap().append([&sample_measurement()]);
         // Plant A's file under B's name (a simulated filename collision).
         std::fs::copy(dir.join(tier_file_name(&scope_a)), dir.join(tier_file_name(&scope_b)))
             .unwrap();
@@ -1787,7 +1791,7 @@ mod tests {
         let dir = temp_dir("plan-gc");
         let scope = scope_text("atax", Gpu::K20.spec(), &[64], &EvalProtocol::default());
         let counters = Arc::new(DiskCounters::default());
-        open_tier(&dir, &scope, &counters).spill.unwrap().append(&sample_measurement());
+        open_tier(&dir, &scope, &counters).spill.unwrap().append([&sample_measurement()]);
         let path = dir.join(tier_file_name(&scope));
         let content = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, content.replacen("tc:256", "tc:999", 1)).unwrap();
@@ -1817,10 +1821,10 @@ mod tests {
         let counters = Arc::new(DiskCounters::default());
         let opened = open_tier(&dir, &scope, &counters);
         let spill = opened.spill.unwrap();
-        spill.append(&sample_measurement());
+        spill.append([&sample_measurement()]);
         let mut other = sample_measurement();
         other.params.tc = 512;
-        spill.append(&other);
+        spill.append([&other]);
 
         // Tamper with one record and add a wholly corrupt second file.
         let path = dir.join(tier_file_name(&scope));

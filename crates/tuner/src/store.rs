@@ -31,19 +31,19 @@
 //! [`ArtifactStore::with_disk`] adds a second, persistent tier under
 //! the measurement tier: opening a measurement scope first loads every
 //! valid record of its on-disk artifact (served as ordinary cache hits),
-//! and each newly computed measurement is appended back as a
-//! checksummed record, so a sweep killed mid-run resumes warm in the
-//! next process. The wire format ([`crate::persist`]) versions every
+//! and each evaluation call appends what it computed back as checksummed
+//! records before it returns, so a sweep killed mid-run resumes warm in
+//! the next process. The wire format ([`crate::persist`]) versions every
 //! file and seals every line with a checksum: corruption or version
 //! skew is detected and treated as a **miss** — recomputed, never
 //! trusted — and the embedded scope is verified on load so even a
 //! filename collision cannot alias experiments. Warm-from-disk results
 //! are bit-identical to cold computation (floats travel as raw IEEE-754
-//! bits). A loaded record costs about three quarters of a microsecond
-//! (read, unseal, parse, one allocation, one insert) against some 1.65
-//! to recompute it in a batched sweep under the simulator: a store
-//! directory pays when the timing backend is slower than that, or when
-//! a sweep must survive its process.
+//! bits). A loaded record costs about a microsecond (read, unseal,
+//! parse, one allocation, one insert) against ~0.72 to recompute it in
+//! a batched sweep under the simulator: a store directory pays when the
+//! timing backend is slower than that, or when a sweep must survive its
+//! process.
 //!
 //! Compilation artifacts (front-ends) are model-independent and shared
 //! across backends; measurements are scoped by the model id, so two
@@ -447,20 +447,40 @@ mod tests {
             .join(format!("oriole-store-unit-{}-resume", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sizes = [64u64];
-        let space = SearchSpace::tiny();
+        let space = SearchSpace::paper_default();
         let gpu = Gpu::K20.spec();
+        let points: Vec<TuningParams> = space.iter().collect();
 
+        // Two threads sweep disjoint halves of one scope at once, each
+        // through its own evaluator: 80 chunks, every batch split over
+        // the host's workers, all spilling to one file.
         let cold_store = ArtifactStore::with_disk(&dir).expect("store dir");
-        let cold = cold_store.evaluator("atax", &builder, gpu, &sizes).evaluate_space(&space);
+        let (front, back) = points.split_at(points.len() / 2);
+        let start = std::sync::Barrier::new(2);
+        let halves: Vec<Vec<Arc<Measurement>>> = std::thread::scope(|scope| {
+            let (store, sizes, start) = (&cold_store, &sizes, &start);
+            let handles = [front, back].map(|half| {
+                scope.spawn(move || {
+                    let ev = store.evaluator("atax", &builder, gpu, sizes);
+                    start.wait();
+                    ev.evaluate_batch(half)
+                })
+            });
+            handles.map(|h| h.join().expect("evaluation never panics")).to_vec()
+        });
+        let cold = halves.concat();
         let cs = cold_store.stats();
         assert_eq!(cs.unique_evaluations, space.len());
         let cd = cs.disk.expect("disk attached");
         assert_eq!(cd.measurements_written as usize, space.len());
         assert_eq!(cd.measurements_loaded, 0);
-        drop(cold_store);
+        let es = cold_store.evaluator("atax", &builder, gpu, &sizes).stats();
+        assert_eq!(es.disk_spilled, es.unique_evaluations, "each point spilled once, by its winner");
 
-        // A second store (standing in for a second process): the whole
-        // sweep is served from disk, bit-identically, computing nothing.
+        // A second store (standing in for a second process), opened while
+        // the writer is still open: every computation returned, so every
+        // record is on disk, and the whole sweep is served from it,
+        // bit-identically, computing nothing.
         let warm_store = ArtifactStore::with_disk(&dir).expect("store dir");
         let warm = warm_store.evaluator("atax", &builder, gpu, &sizes).evaluate_space(&space);
         assert_eq!(warm, cold);
@@ -469,6 +489,7 @@ mod tests {
         let wd = ws.disk.expect("disk attached");
         assert_eq!(wd.measurements_loaded as usize, space.len());
         assert_eq!((wd.tier_hits, wd.rejected), (1, 0));
+        drop(cold_store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
