@@ -131,15 +131,16 @@ store flag (tune): --store-dir DIR
             even in another process — resumes as pure cache hits with
             bit-identical results; corrupt or version-skewed artifacts
             are recomputed, never trusted
-remote flag (tune/simulate): --remote ADDR
+remote flag (tune): --remote ADDR
             evaluate through a running `oriole serve` daemon instead of
             in-process: concurrent clients share the daemon's store
             (front-ends, measurements) and results are bit-identical
             to local evaluation. Mutually exclusive with
             --store-dir — the daemon owns the store. Deadline/retry
-            knobs: --rpc-timeout MS (per-exchange deadline, default
-            10000) and --retries N (transparent retry of idempotent
-            verbs with backoff + jitter, default 4; 0 = fail fast).
+            knobs (tune and service): --rpc-timeout MS (per-exchange
+            deadline, default 10000) and --retries N (transparent
+            retry of idempotent verbs with backoff + jitter, default 4;
+            0 = fail fast).
             Pipelining knobs (tune, --remote or --fleet alike):
             --batch-points N (points per evaluate frame, default 64),
             --pipeline-depth N (frames in flight per daemon, default
@@ -296,28 +297,10 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let seed: u64 = args.num_or("seed", 42)?;
     let params = parse_params(args)?;
     let model = parse_model(args)?;
-    let remote = args.optional("remote");
-    let policy = retry_policy(args)?;
-    args.reject_unasked("simulate")?;
-    // Compile + simulate either in-process or on a daemon; the wire
-    // format is bit-exact, so both paths print identical text.
-    let (r, selected) = match remote {
-        Some(addr) => {
-            let client = connect(addr, policy)?;
-            let (selected, report) = client
-                .simulate(kernel_id.name(), gpu.spec(), n, params, model, trials, seed)
-                .map_err(|e| e.to_string())?;
-            (report, selected)
-        }
-        None => {
-            let kernel =
-                compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
-            let ctx = ModelContext::for_model(gpu.spec(), model);
-            let t = ctx.measure(&kernel, n, trials, seed).map_err(|e| e.to_string())?;
-            let selected = t.selected(TrialProtocol::FifthOfTen);
-            (t.report, selected)
-        }
-    };
+    let kernel = compile(&kernel_id.ast(n), gpu.spec(), params).map_err(|e| e.to_string())?;
+    let ctx = ModelContext::for_model(gpu.spec(), model);
+    let t = ctx.measure(&kernel, n, trials, seed).map_err(|e| e.to_string())?;
+    let (r, selected) = (&t.report, t.selected(TrialProtocol::FifthOfTen));
     let mut out = String::new();
     let _ = writeln!(out, "{kernel_id} on {gpu} at N={n} with {params} (model {model})");
     let _ = writeln!(
@@ -719,10 +702,10 @@ fn render_server_stats(s: &ServiceStats) -> String {
 
 /// `oriole serve [--addr A] [--store-dir DIR]` — the tuner daemon: one
 /// process-level [`ArtifactStore`] (optionally disk-backed) served to
-/// any number of remote `tune --remote` / `simulate --remote` clients
-/// until a `service shutdown` request arrives. Concurrent clients
-/// share the store's tiers exactly like in-process evaluators: each
-/// point is computed once, fleet-wide. The daemon is the store
+/// any number of `tune --remote` / `tune --fleet` clients until a
+/// `service shutdown` request arrives. Concurrent clients share the
+/// store's tiers exactly like in-process evaluators: each point is
+/// computed once, fleet-wide. The daemon is the store
 /// directory's single writing process — run one daemon per directory.
 fn cmd_serve(args: &Args) -> Result<String, String> {
     let addr = args.optional("addr").unwrap_or("127.0.0.1:7733");
@@ -1421,7 +1404,6 @@ mod tests {
             "occupancy --gpu k20 --tc 256 --regs 27 --smem 3072".to_string(),
             format!("suggest --kernel atax --gpu k20 --n 64 {variant}"),
             format!("simulate --kernel atax --gpu k20 --n 64 {variant} --model sim"),
-            format!("simulate --kernel atax --gpu k20 --n 64 --remote {dead} {fast}"),
             format!("disasm --kernel atax --gpu k20 {variant}"),
             format!("{tune} --strategy hybrid --dial 0.5 --model roofline --csv --stats --store-dir {dir}"),
             format!("{tune} --strategy random --spec {spec}"),
@@ -1446,6 +1428,11 @@ mod tests {
                 assert!(!e.contains("unrecognised flag"), "`{line}`: {e}");
             }
         }
+        // `simulate` runs in-process only: its remote flags are refused
+        // by name.
+        let err = call(&format!("simulate --kernel atax --gpu k20 --n 64 --remote {dead} {fast}"))
+            .unwrap_err();
+        assert!(err.contains("unrecognised flag --remote for `simulate`"), "{err}");
         // ... and `lines` drives every flag the help text mentions.
         let driven = lines.join(" ");
         for word in usage().split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
@@ -1618,17 +1605,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_simulate_output_is_byte_identical_to_local() {
-        let (addr, handle) = spawn_daemon();
-        let flags = "simulate --kernel bicg --gpu m40 --n 64 --tc 256 --bc 24";
-        let local = call(flags).unwrap();
-        let remote = call(&format!("{flags} --remote {addr}")).unwrap();
-        assert_eq!(remote, local);
-        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
-        handle.join().expect("server thread");
-    }
-
-    #[test]
     fn serve_rejects_zero_pool_bounds() {
         for line in [
             "serve --addr 127.0.0.1:0 --max-connections 0",
@@ -1710,21 +1686,16 @@ mod tests {
     #[test]
     fn remote_commands_accept_deadline_and_retry_flags() {
         let (addr, handle) = spawn_daemon();
-        let local = call("simulate --kernel atax --gpu k20 --n 64").unwrap();
-        let remote = call(&format!(
-            "simulate --kernel atax --gpu k20 --n 64 --remote {addr} \
-             --rpc-timeout 5000 --retries 2"
-        ))
-        .unwrap();
+        let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32 --csv";
+        let local = call(flags).unwrap();
+        let remote =
+            call(&format!("{flags} --remote {addr} --rpc-timeout 5000 --retries 2")).unwrap();
         assert_eq!(remote, local, "policy flags must not change results");
         assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
         handle.join().expect("server thread");
 
         // Fail-fast against a dead daemon stays a clean error.
-        let err = call(
-            "simulate --kernel atax --gpu k20 --n 64 --remote 127.0.0.1:9 --retries 0",
-        )
-        .unwrap_err();
+        let err = call(&format!("{flags} --remote 127.0.0.1:9 --retries 0")).unwrap_err();
         assert!(err.contains("cannot reach daemon"), "{err}");
     }
 

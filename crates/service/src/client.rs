@@ -7,7 +7,7 @@
 //! requests: received bytes are buffered, and `persist::decode_frame`
 //! takes the frame in front. A [`Client`] is a pipeline plus the retry
 //! loop — one request at a time under its [`RetryPolicy`] for `ping`,
-//! `stats`, `shutdown`, `simulate` and a one-off `evaluate`. The
+//! `stats`, `shutdown` and a one-off `evaluate`. The
 //! evaluation engine ([`RemoteEvaluator`](crate::RemoteEvaluator)) holds one
 //! `Client` per daemon and keeps its chunks in flight on that client's
 //! pipeline, so a daemon sees one connection per client process. Both
@@ -25,8 +25,8 @@
 //! times.
 //!
 //! **Why retrying is safe** (the idempotency argument): the retried
-//! verbs — `ping`, `stats`, `evaluate`, `simulate` — are all
-//! *deterministic reads* of state the daemon either already holds or
+//! verbs — `ping`, `stats` and `evaluate` — are all *deterministic
+//! reads* of state the daemon either already holds or
 //! computes reproducibly. Evaluation is deterministic and the shared
 //! [`ArtifactStore`](oriole_tuner::ArtifactStore) deduplicates points,
 //! so replaying an `evaluate` whose response was lost re-serves the
@@ -42,9 +42,7 @@
 //! mislabeled answer.
 
 use crate::protocol::{self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT};
-use oriole_arch::GpuSpec;
 use oriole_codegen::TuningParams;
-use oriole_sim::{ModelId, SimReport};
 use oriole_tuner::persist::{decode_frame, write_frame_tagged, FrameError};
 use oriole_tuner::Measurement;
 use std::collections::hash_map::RandomState;
@@ -352,34 +350,6 @@ impl Client {
             deadline_ms: self.policy.deadline_ms(),
         };
         evaluate_answer(self.call(&req)?, points)
-    }
-
-    /// Compiles and simulates one variant remotely; returns the
-    /// selected trial time and the full report.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate(
-        &self,
-        kernel: &str,
-        gpu: &GpuSpec,
-        n: u64,
-        params: TuningParams,
-        model: ModelId,
-        trials: u32,
-        seed: u64,
-    ) -> Result<(f64, SimReport), ServiceError> {
-        let req = Request::Simulate {
-            kernel: kernel.to_string(),
-            gpu: gpu.clone(),
-            n,
-            params,
-            model,
-            trials,
-            seed,
-        };
-        match self.call(&req)? {
-            Response::Simulate { selected, report } => Ok((selected, report)),
-            other => Err(ServiceError::Protocol(format!("expected report, got {other:?}"))),
-        }
     }
 }
 

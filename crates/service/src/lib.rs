@@ -10,10 +10,9 @@
 //! The layers:
 //!
 //! * [`protocol`] — the RPC vocabulary: `evaluate` (a batch of tuning
-//!   points under one experiment scope), `simulate`, `stats`, `ping`
-//!   and `shutdown` requests, with responses carrying
-//!   [`Measurement`](oriole_tuner::Measurement) /
-//!   [`SimReport`](oriole_sim::SimReport) records in
+//!   points under one experiment scope, the one verb that does work),
+//!   `stats`, `ping` and `shutdown` requests, with responses carrying
+//!   [`Measurement`](oriole_tuner::Measurement) records in
 //!   `oriole_tuner::persist`'s canonical serialization — floats as raw
 //!   IEEE-754 bits, so remote results are **bit-identical** to local
 //!   evaluation. Payloads travel in length-framed, checksummed,

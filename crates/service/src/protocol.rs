@@ -4,9 +4,12 @@
 //! [`persist::decode_frame`], the one decoder daemon and client both
 //! run; the id lets a connection pipeline up to [`MAX_IN_FLIGHT`]
 //! requests). The records inside — [`GpuSpec`], [`EvalProtocol`],
-//! [`TuningParams`], [`Measurement`], [`SimReport`] — are the disk
-//! tier's own, floats as raw IEEE-754 bits, so a measurement that
-//! crossed the wire is bit-identical to one computed locally.
+//! [`TuningParams`], [`Measurement`] — are the disk tier's own, floats
+//! as raw IEEE-754 bits, so a measurement that crossed the wire is
+//! bit-identical to one computed locally.
+//!
+//! The verbs are `ping`, `stats`, `shutdown` and `evaluate`: the daemon
+//! shares its store's measurements, and nothing else costs a run.
 //!
 //! A payload is a head line, `oriole-rpc v5 <verb>`, then its fields in
 //! the order of the verb's one table, which the writer and the reader
@@ -29,7 +32,7 @@
 
 use oriole_arch::GpuSpec;
 use oriole_codegen::{PhaseTelemetry, TuningParams};
-use oriole_sim::{ModelId, SimReport, MAX_TRIALS};
+use oriole_sim::MAX_TRIALS;
 use oriole_tuner::persist::{self, DiskStats, WireError};
 use oriole_tuner::{EvalProtocol, Measurement, StoreStats};
 use std::fmt::Write as _;
@@ -39,14 +42,16 @@ use std::fmt::Write as _;
 /// spelled without `ws`, `tmp` and `tpw` (the warp width is
 /// `oriole_arch::WARP_SIZE`, not a field) and a protocol without
 /// `objective`, so a v4 peer is refused by its head line with the skew
-/// error, never by a field it wrote. (v4 brought the word-at-a-time
-/// `persist::frame_checksum` under the frame magic `ORL4`, which v5
-/// keeps, so a v3 peer — FNV-1a, `ORLF` — is refused at its first
-/// frame, and bounded a request's `trials` by [`MAX_TRIALS`]; v3
-/// correlation-tagged frames — pipelining, out-of-order responses — and
-/// the reactor counters in `stats`; v2 request deadlines, the `busy`
-/// response and the pool/quota counters.) Mixed-version peers are
-/// rejected — the error names both versions.
+/// error, never by a field it wrote. v5 lost the `simulate` verb without
+/// a bump, since every payload left is spelled as before: an older v5
+/// peer's `simulate` is an unknown verb, a per-request error. (v4
+/// brought the word-at-a-time `persist::frame_checksum` under the frame
+/// magic `ORL4`, which v5 keeps, so a v3 peer — FNV-1a, `ORLF` — is
+/// refused at its first frame, and bounded a request's `trials` by
+/// [`MAX_TRIALS`]; v3 correlation-tagged frames — pipelining,
+/// out-of-order responses — and the reactor counters in `stats`; v2
+/// request deadlines, the `busy` response and the pool/quota counters.)
+/// Mixed-version peers are rejected — the error names both versions.
 pub const RPC_VERSION: &str = "oriole-rpc v5";
 
 /// Most requests one connection has in flight — sent, or decoded by the
@@ -102,24 +107,6 @@ pub enum Request {
         /// is never started.
         deadline_ms: u64,
     },
-    /// Compile + simulate one variant; the response carries the
-    /// [`SimReport`] plus the selected trial time.
-    Simulate {
-        /// Kernel name.
-        kernel: String,
-        /// Device spec by contents.
-        gpu: GpuSpec,
-        /// Input size.
-        n: u64,
-        /// Tuning point.
-        params: TuningParams,
-        /// Timing-model backend.
-        model: ModelId,
-        /// Noisy trials to run.
-        trials: u32,
-        /// Trial noise seed.
-        seed: u64,
-    },
 }
 
 /// A daemon's counters: its own serving counters and its store's
@@ -134,10 +121,10 @@ pub struct ServiceStats {
     /// Tuning points served across all `evaluate` batches (hits and
     /// misses alike).
     pub points_served: u64,
-    /// Requests currently inside an `evaluate`/`simulate` body.
+    /// Requests currently inside an `evaluate` body.
     pub workers_busy: u64,
-    /// The admission bound on concurrent `evaluate`/`simulate` bodies:
-    /// the daemon's worker pool.
+    /// The admission bound on concurrent `evaluate` bodies: the
+    /// daemon's worker pool.
     pub workers_max: u64,
     /// Requests and connections shed with [`Response::Busy`] because
     /// the pool or the connection bound was saturated.
@@ -165,6 +152,9 @@ pub struct ServiceStats {
 }
 
 /// One server response.
+// The stats answer is the one large variant. A response lives from a
+// frame's decode to its one use, so a box would only add an allocation.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -183,13 +173,6 @@ pub enum Response {
         /// One measurement per requested point, in request order,
         /// bit-identical to local evaluation.
         measurements: Vec<Measurement>,
-    },
-    /// Answer to [`Request::Simulate`].
-    Simulate {
-        /// Fifth-of-ten selected trial time (the CLI display protocol).
-        selected: f64,
-        /// The full simulation report.
-        report: SimReport,
     },
     /// Admission control: the daemon is saturated (worker pool full, a
     /// request deadline unservable, or a per-connection quota
@@ -214,16 +197,11 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 
 // Each key carries the separator in front of it. An `evaluate` request's
-// points follow its lines, as an answer's measurements or report follow
-// its line.
+// points follow its lines, as an answer's measurements follow its line.
 const EVALUATE: [&str; 5] = ["\nkernel=", "\ngpu=", "\nsizes=", "\nprotocol=", "\ndeadline="];
-const SIMULATE: [&str; 7] =
-    ["\nkernel=", "\ngpu=", "\nn=", "\nmodel=", "\ntrials=", "\nseed=", "\nparams="];
 const POINT: &str = "\np ";
 const COMPUTED: &str = "\ncomputed=";
 const MEASURED: &str = "\nm ";
-const SELECTED: &str = "\nselected=";
-const REPORT: &str = "\nr ";
 const RETRY_AFTER: &str = "\nretry_after_ms=";
 const MESSAGE: &str = "\nmsg=";
 
@@ -317,14 +295,10 @@ struct Field<'a> {
 }
 
 impl Field<'_> {
-    #[cold]
-    fn bad(self, what: &str) -> WireError {
-        WireError::new(format!("{what} `{}`", name(self.key)))
-    }
-
     /// A canonical decimal.
     fn num(self) -> Result<u64, WireError> {
-        persist::parse_dec(self.value).map_err(|_| self.bad("bad numeric"))
+        persist::parse_dec(self.value)
+            .map_err(|_| WireError::new(format!("bad numeric `{}`", name(self.key))))
     }
 }
 
@@ -441,13 +415,13 @@ fn parse_sizes(field: Field<'_>) -> Result<Vec<u64>, WireError> {
     field.value.split(',').map(|value| Field { value, ..field }.num()).collect()
 }
 
-/// A request's trial count, refused past [`MAX_TRIALS`]: a worker draws
+/// A scope's trial count, refused past [`MAX_TRIALS`]: a worker draws
 /// (and for some selections stores) every trial it is asked for.
-fn check_trials(trials: u64) -> Result<u32, WireError> {
-    u32::try_from(trials)
-        .ok()
-        .filter(|t| *t <= MAX_TRIALS)
-        .ok_or_else(|| WireError::new(format!("`trials` out of range (at most {MAX_TRIALS})")))
+fn check_trials(trials: u32) -> Result<(), WireError> {
+    if trials > MAX_TRIALS {
+        return Err(WireError::new(format!("`trials` out of range (at most {MAX_TRIALS})")));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -476,18 +450,6 @@ pub fn emit_request(req: &Request) -> String {
             }
             out
         }
-        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => {
-            let [k, g, nk, m, t, s, p] = SIMULATE;
-            let mut out = format!(
-                "{RPC_VERSION} simulate{k}{kernel}{g}{}{nk}{n}{m}{}{t}{trials}{s}{}{p}",
-                persist::emit_gpu_spec(gpu),
-                model.name(),
-                // Spelled as a float's raw bits are: 16 lowercase hex digits.
-                persist::emit_f64(f64::from_bits(*seed)),
-            );
-            persist::write_params(&mut out, params);
-            out
-        }
     }
 }
 
@@ -501,7 +463,7 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
         "evaluate" => {
             let [kernel, gpu, sizes, protocol, deadline] = body.lines(EVALUATE)?;
             let protocol = persist::parse_protocol(protocol.value)?;
-            check_trials(u64::from(protocol.trials))?;
+            check_trials(protocol.trials)?;
             Request::Evaluate {
                 scope: EvalScope {
                     kernel: kernel.value.to_string(),
@@ -511,21 +473,6 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
                 },
                 deadline_ms: deadline.num()?,
                 points: body.records(POINT, persist::parse_params)?,
-            }
-        }
-        "simulate" => {
-            let [kernel, gpu, n, model, trials, seed, params] = body.lines(SIMULATE)?;
-            Request::Simulate {
-                kernel: kernel.value.to_string(),
-                gpu: persist::parse_gpu_spec(gpu.value)?,
-                n: n.num()?,
-                params: persist::parse_params(params.value)?,
-                model: ModelId::ALL
-                    .into_iter()
-                    .find(|m| m.name() == model.value)
-                    .ok_or_else(|| model.bad("unknown value of"))?,
-                trials: check_trials(trials.num()?)?,
-                seed: persist::parse_f64(seed.value).map_err(|_| seed.bad("bad hex"))?.to_bits(),
             }
         }
         other => return Err(WireError::new(format!("unknown request verb `{other}`"))),
@@ -572,11 +519,6 @@ pub fn emit_response(resp: &Response) -> String {
             write_evaluate(&mut out, *computed, measurements);
             out
         }
-        Response::Simulate { selected, report } => format!(
-            "{RPC_VERSION} ok simulate{SELECTED}{}{REPORT}{}",
-            persist::emit_f64(*selected),
-            persist::emit_sim_report(report),
-        ),
         Response::Error { message } => {
             // Keep the message one line: newlines would masquerade as
             // body fields of some other payload shape.
@@ -610,13 +552,6 @@ pub fn parse_response(payload: &str) -> Result<Response, WireError> {
                 measurements: body.records(MEASURED, persist::parse_measurement)?,
             }
         }
-        "ok simulate" => {
-            let [selected, report] = body.lines([SELECTED, REPORT])?;
-            Response::Simulate {
-                selected: persist::parse_f64(selected.value)?,
-                report: persist::parse_sim_report(report.value)?,
-            }
-        }
         "error" => {
             let [message] = body.lines([MESSAGE])?;
             Response::Error { message: message.value.to_string() }
@@ -642,15 +577,13 @@ mod tests {
         }
     }
 
-    fn simulate() -> Request {
-        Request::Simulate {
-            kernel: "bicg".into(),
-            gpu: Gpu::M40.spec().clone(),
-            n: 256,
-            params: TuningParams::with_geometry(512, 24),
-            model: ModelId::Simulator,
-            trials: 10,
-            seed: 7,
+    /// An `evaluate` of one point under `scope()` measured with `trials`.
+    fn evaluate(trials: u32) -> Request {
+        let protocol = EvalProtocol { trials, ..EvalProtocol::default() };
+        Request::Evaluate {
+            scope: EvalScope { protocol, ..scope() },
+            points: vec![TuningParams::with_geometry(128, 48)],
+            deadline_ms: 0,
         }
     }
 
@@ -713,7 +646,6 @@ mod tests {
                 ],
                 deadline_ms: 2_500,
             },
-            simulate(),
         ];
         for req in reqs {
             assert_eq!(parse_request(&emit_request(&req)).unwrap(), req, "{req:?}");
@@ -743,21 +675,6 @@ mod tests {
         for resp in resps {
             assert_eq!(parse_response(&emit_response(&resp)).unwrap(), resp, "{resp:?}");
         }
-    }
-
-    #[test]
-    fn simulate_response_round_trips_bit_identically() {
-        let gpu = Gpu::K20.spec();
-        let kernel = oriole_codegen::compile(
-            &oriole_kernels::KernelId::Atax.ast(128),
-            gpu,
-            TuningParams::with_geometry(128, 48),
-        )
-        .unwrap();
-        let report = oriole_sim::simulate(&kernel, 128).unwrap();
-        let resp = Response::Simulate { selected: 1.0e-3, report };
-        let rt = parse_response(&emit_response(&resp)).unwrap();
-        assert_eq!(rt, resp);
     }
 
     /// Asserts `parse` refuses `text` with an error naming `field`.
@@ -806,12 +723,16 @@ mod tests {
         assert!(err.contains("empty field after the last field"), "{err}");
         refused(parse_request, &format!("{}\nping", emit_request(&Request::Ping)), "ping");
 
-        let simulate = emit_request(&simulate());
-        assert!(parse_request(&simulate).is_ok());
-        refused(parse_request, &simulate.replace("\nmodel=sim", "\nmodel=Simulator"), "model");
-        let mut lines: Vec<&str> = simulate.lines().collect();
+        let payload = emit_request(&evaluate(10));
+        assert!(parse_request(&payload).is_ok());
+        refused(parse_request, &payload.replace(";model:sim", ";model:Simulator"), "model");
+        let mut lines: Vec<&str> = payload.lines().collect();
         lines.swap(1, 2);
         refused(parse_request, &lines.join("\n"), "kernel");
+        // A verb this version no longer serves is refused by name.
+        let simulate = payload.replacen(" evaluate", " simulate", 1);
+        let err = parse_request(&simulate).unwrap_err().to_string();
+        assert!(err.contains("unknown request verb `simulate`"), "{err}");
     }
 
     #[test]
@@ -836,30 +757,17 @@ mod tests {
     #[test]
     fn trials_past_the_bound_are_refused_not_truncated() {
         let request = |trials: u64| {
-            emit_request(&simulate()).replace("trials=10", &format!("trials={trials}"))
+            emit_request(&evaluate(10)).replace("trials:10;", &format!("trials:{trials};"))
         };
-        // 2^32 + 10 used to wrap to ten trials.
+        // 2^32 + 10 must not wrap to ten trials,
         let err = parse_request(&request(4_294_967_306)).unwrap_err();
         assert!(err.to_string().contains("trials"), "{err}");
-        // u32::MAX used to be taken at its word: 34 GB of trial times.
+        // nor u32::MAX be taken at its word: 34 GB of trial times.
         assert!(parse_request(&request(u64::from(u32::MAX))).is_err());
-        assert!(parse_request(&request(u64::from(MAX_TRIALS) + 1)).is_err());
-        match parse_request(&request(u64::from(MAX_TRIALS))).unwrap() {
-            Request::Simulate { trials, .. } => assert_eq!(trials, MAX_TRIALS),
-            other => panic!("{other:?}"),
-        }
-        // An `evaluate` scope carries a trial count too.
-        let evaluate = |trials: u32| {
-            let protocol = EvalProtocol { trials, ..EvalProtocol::default() };
-            emit_request(&Request::Evaluate {
-                scope: EvalScope { protocol, ..scope() },
-                points: vec![TuningParams::with_geometry(128, 48)],
-                deadline_ms: 0,
-            })
-        };
-        assert!(parse_request(&evaluate(MAX_TRIALS)).is_ok());
-        let err = parse_request(&evaluate(MAX_TRIALS + 1)).unwrap_err();
+        let err = parse_request(&emit_request(&evaluate(MAX_TRIALS + 1))).unwrap_err();
         assert!(err.to_string().contains("trials"), "{err}");
+        let at_the_bound = evaluate(MAX_TRIALS);
+        assert_eq!(parse_request(&emit_request(&at_the_bound)).unwrap(), at_the_bound);
     }
 
     #[test]

@@ -18,21 +18,22 @@
 //! its peer has not read yet — the reactor simply stops reading that
 //! socket (backpressure by TCP), never buffers unboundedly.
 //!
-//! Evaluation work runs on a **bounded worker pool** of exactly
-//! [`ServeConfig::max_inflight`] threads — the pool is the bound on
-//! concurrent request bodies: a request that cannot start within its
-//! declared deadline (or the
-//! server's own [`ServeConfig::request_timeout`]) is shed with
-//! [`Response::Busy`], never queued invisibly. What is *not* work the
-//! reactor answers itself: `ping`, `stats` and `shutdown` — an operator
-//! can always probe or stop a saturated daemon — and an `evaluate`
-//! frame every point of which the store already holds (`inline_hit`),
-//! because a lookup of 0.1 µs a point is not worth a queue entry, a
-//! wake-up and two thread hand-offs of 50 µs a frame. The reactor only
-//! ever *reads* the store for this: a scope nobody has opened yet goes
-//! to a worker, since opening one may read a tier file, and so does a
-//! point still being computed, a frame over a fixed size, and any
-//! request a worker would refuse — errors keep one source of wording.
+//! `evaluate` is the one verb that does work: the daemon exists to share
+//! its store's measurements. Evaluation runs on a **bounded worker
+//! pool** of exactly [`ServeConfig::max_inflight`] threads — the pool is
+//! the bound on concurrent request bodies: a request that cannot start
+//! within its declared deadline (or the server's own
+//! [`ServeConfig::request_timeout`]) is shed with [`Response::Busy`],
+//! never queued invisibly. What is *not* work the reactor answers
+//! itself: `ping`, `stats` and `shutdown` — an operator can always probe
+//! or stop a saturated daemon — an `evaluate` that one check (`admit`)
+//! refuses, and an `evaluate` frame every point of which the store
+//! already holds (`inline_hit`), because a lookup of 0.1 µs a point is
+//! not worth a queue entry, a wake-up and two thread hand-offs of 50 µs
+//! a frame. The reactor only ever *reads* the store for this: a scope
+//! nobody has opened yet goes to a worker, since opening one may read a
+//! tier file, and so does a point still being computed and a frame over
+//! a fixed size.
 //!
 //! All workers evaluate through the same process-level store, so the
 //! sharing rules are exactly the in-process ones (PR 2–4): concurrent
@@ -85,10 +86,8 @@ use crate::protocol::{
     self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT, MAX_POINTS_PER_REQUEST,
 };
 use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
-use oriole_arch::GpuSpec;
-use oriole_codegen::{compile, TuningParams};
+use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
-use oriole_sim::{ModelContext, TrialProtocol};
 use oriole_tuner::persist::{decode_frame, encode_frame};
 use oriole_tuner::ArtifactStore;
 use std::collections::VecDeque;
@@ -110,10 +109,10 @@ pub struct ServeConfig {
     /// Maximum concurrent connections. A connection past the bound is
     /// answered [`Response::Busy`] and closed.
     pub max_connections: usize,
-    /// Worker threads executing `evaluate`/`simulate` bodies — the
-    /// bound on requests concurrently inside evaluation. Excess
-    /// requests wait in the queue up to their deadline, then are shed
-    /// with [`Response::Busy`].
+    /// The worker pool: threads executing `evaluate` bodies — the bound
+    /// on requests concurrently inside evaluation. Excess requests wait
+    /// in the queue up to their deadline, then are shed with
+    /// [`Response::Busy`].
     pub max_inflight: usize,
     /// The server-side cap on how long a request may wait for a worker
     /// (a client's `deadline_ms` can only shorten it).
@@ -159,14 +158,16 @@ pub struct ServeSummary {
     pub drained: bool,
 }
 
-/// One decoded request handed to the worker pool, addressed back to its
-/// connection by `(slot, gen)` so a completion can never reach a reused
-/// slot.
+/// One admitted `evaluate` handed to the worker pool, addressed back to
+/// its connection by `(slot, gen)` so a completion can never reach a
+/// reused slot.
 struct Job {
     slot: usize,
     gen: u64,
     corr: u64,
-    req: Request,
+    kernel: KernelId,
+    scope: EvalScope,
+    points: Vec<TuningParams>,
     /// The admission deadline: `min(request_timeout, client deadline)`
     /// past the decode instant. A job still unstarted by then is shed
     /// with [`Response::Busy`] — by the worker that pops it, or by the
@@ -754,8 +755,9 @@ fn pump_decoded(
 }
 
 /// Handles one decoded request on the reactor: the version check,
-/// inline answers for the cheap verbs, and work-queue dispatch
-/// for `evaluate`/`simulate`. Returns `true` on a `shutdown` request.
+/// inline answers for the cheap verbs, and for an `evaluate` its
+/// admission, then an inline answer or work-queue dispatch. Returns
+/// `true` on a `shutdown` request.
 #[allow(clippy::too_many_arguments)]
 fn process_request(
     conn: &mut Conn,
@@ -813,8 +815,15 @@ fn process_request(
             conn.closing = true;
             true
         }
-        req @ (Request::Evaluate { .. } | Request::Simulate { .. }) => {
-            if let Some(frame) = inline_hit(&req, corr, store, state) {
+        Request::Evaluate { scope, points, deadline_ms } => {
+            let kernel = match admit(&scope, points.len()) {
+                Ok(kernel) => kernel,
+                Err(message) => {
+                    conn.push_frame(corr, &Response::Error { message });
+                    return false;
+                }
+            };
+            if let Some(frame) = inline_hit(kernel, &scope, &points, corr, store, state) {
                 conn.write_buf.extend_from_slice(&frame);
                 return false;
             }
@@ -822,10 +831,8 @@ fn process_request(
             // server's own admission cap: work that cannot start
             // before the client gives up is shed, not burned.
             let mut wait = state.cfg.request_timeout;
-            if let Request::Evaluate { deadline_ms, .. } = &req {
-                if *deadline_ms > 0 {
-                    wait = wait.min(Duration::from_millis(*deadline_ms));
-                }
+            if deadline_ms > 0 {
+                wait = wait.min(Duration::from_millis(deadline_ms));
             }
             conn.inflight += 1;
             let depth = u64::from(conn.inflight);
@@ -835,7 +842,9 @@ fn process_request(
                 slot,
                 gen: conn.gen,
                 corr,
-                req,
+                kernel,
+                scope,
+                points,
                 admit_by: Instant::now() + wait,
             });
             false
@@ -843,30 +852,53 @@ fn process_request(
     }
 }
 
+/// The one check an `evaluate` passes before the store sees it: a
+/// device the models can run on (the codec hands over whatever device
+/// the frame spelled, and one they would divide by zero on must not
+/// reach a worker), at most [`MAX_POINTS_PER_REQUEST`] points, a
+/// registry kernel and at least one size. `Err` is the refusal's
+/// wording, a per-request error.
+fn admit(scope: &EvalScope, points: usize) -> Result<KernelId, String> {
+    if let Some(problem) = scope.gpu.problems().into_iter().next() {
+        return Err(format!("unusable device description: {problem}"));
+    }
+    if points > MAX_POINTS_PER_REQUEST {
+        return Err(format!(
+            "evaluate batch of {points} points exceeds the per-request bound of \
+             {MAX_POINTS_PER_REQUEST}"
+        ));
+    }
+    let kernel =
+        KernelId::parse(&scope.kernel).ok_or_else(|| format!("unknown kernel `{}`", scope.kernel))?;
+    if scope.sizes.is_empty() {
+        return Err("empty size list".to_string());
+    }
+    Ok(kernel)
+}
+
 /// Most points the reactor answers in one frame: looking them up and
 /// encoding them (0.4 µs a point) then costs it less than parsing the
 /// request just did (0.55). A larger all-hit frame goes to a worker.
 const INLINE_POINTS: usize = 256;
 
-/// The finished answer to an `evaluate` request every point of which
+/// The finished answer to an admitted `evaluate` every point of which
 /// the store already holds: the frame [`handle_evaluate`] would build,
 /// by the same two functions. `None` — a miss, a point in flight, an
-/// unopened scope, anything [`dispatch`] refuses — leaves it to a worker.
+/// unopened scope, a frame over [`INLINE_POINTS`] — leaves it to a
+/// worker.
 fn inline_hit(
-    req: &Request,
+    kernel: KernelId,
+    scope: &EvalScope,
+    points: &[TuningParams],
     corr: u64,
     store: &ArtifactStore,
     state: &ServerState,
 ) -> Option<Vec<u8>> {
-    let Request::Evaluate { scope, points, .. } = req else { return None };
-    let kid = KernelId::parse(&scope.kernel)?;
-    if points.len() > INLINE_POINTS
-        || scope.sizes.is_empty()
-        || !scope.gpu.problems().is_empty()
-    {
+    if points.len() > INLINE_POINTS {
         return None;
     }
-    let held = store.peek_batch(kid.name(), &scope.gpu, &scope.sizes, scope.protocol, points)?;
+    let held =
+        store.peek_batch(kernel.name(), &scope.gpu, &scope.sizes, scope.protocol, points)?;
     let shared = held.iter().map(|m| &**m);
     let frame = encode_frame(corr, |out| protocol::write_evaluate(out, 0, shared)).ok()?;
     state.points_served.fetch_add(points.len() as u64, Ordering::Relaxed);
@@ -954,53 +986,19 @@ fn worker_loop(store: &ArtifactStore, state: &ServerState, wake: &WakeHandle) {
             (frame_response(job.corr, &resp), true)
         } else {
             state.workers_busy.fetch_add(1, Ordering::Relaxed);
-            let frame = dispatch(job.req, job.corr, store, state);
+            let answer = handle_evaluate(store, job.kernel, &job.scope, &job.points, job.corr);
+            let frame = match answer {
+                Ok(frame) => {
+                    state.points_served.fetch_add(job.points.len() as u64, Ordering::Relaxed);
+                    frame
+                }
+                Err(message) => frame_response(job.corr, &Response::Error { message }),
+            };
             state.workers_busy.fetch_sub(1, Ordering::Relaxed);
             (frame, false)
         };
         state.complete(wake, Completion { slot: job.slot, gen: job.gen, frame, close });
     }
-}
-
-/// Executes one request body — a job holds only an `evaluate` or a
-/// `simulate`: the reactor answers the other verbs itself — and returns
-/// its answer as a finished frame for `corr`.
-fn dispatch(req: Request, corr: u64, store: &ArtifactStore, state: &ServerState) -> Vec<u8> {
-    // The codec hands over whatever device the frame spelled; one the
-    // models would divide by zero on must not reach the store.
-    let unusable = |gpu: &GpuSpec| {
-        let problem = gpu.problems().into_iter().next()?;
-        Some(Response::Error { message: format!("unusable device description: {problem}") })
-    };
-    let resp = match req {
-        Request::Evaluate { scope, points, deadline_ms: _ } => {
-            if let Some(refusal) = unusable(&scope.gpu) {
-                refusal
-            } else if points.len() > MAX_POINTS_PER_REQUEST {
-                Response::Error {
-                    message: format!(
-                        "evaluate batch of {} points exceeds the per-request bound of \
-                         {MAX_POINTS_PER_REQUEST}",
-                        points.len()
-                    ),
-                }
-            } else {
-                match handle_evaluate(store, &scope, &points, corr) {
-                    Ok(frame) => {
-                        state.points_served.fetch_add(points.len() as u64, Ordering::Relaxed);
-                        return frame;
-                    }
-                    Err(message) => Response::Error { message },
-                }
-            }
-        }
-        Request::Simulate { kernel, gpu, n, params, model, trials, seed } => unusable(&gpu)
-            .unwrap_or_else(|| handle_simulate(&kernel, &gpu, n, params, model, trials, seed)),
-        Request::Ping | Request::Shutdown | Request::Stats => {
-            unreachable!("the reactor answers `{req:?}` itself")
-        }
-    };
-    frame_response(corr, &resp)
 }
 
 /// A snapshot of the daemon's counters: the `stats` answer, and what
@@ -1023,24 +1021,20 @@ fn stats(store: &ArtifactStore, state: &ServerState) -> ServiceStats {
     }
 }
 
-/// Evaluates `points` and serializes the answer straight from the
-/// store's shared measurements into the finished frame: no copy of a
-/// measurement, no payload on the side. `Err` is a per-request error.
+/// Evaluates an admitted request's `points` and serializes the answer
+/// straight from the store's shared measurements into the finished
+/// frame: no copy of a measurement, no payload on the side. `Err` is a
+/// frame past its bound.
 fn handle_evaluate(
     store: &ArtifactStore,
+    kernel: KernelId,
     scope: &EvalScope,
     points: &[TuningParams],
     corr: u64,
 ) -> Result<Vec<u8>, String> {
-    let Some(kid) = KernelId::parse(&scope.kernel) else {
-        return Err(format!("unknown kernel `{}`", scope.kernel));
-    };
-    if scope.sizes.is_empty() {
-        return Err("empty size list".to_string());
-    }
-    let builder = move |n: u64| kid.ast(n);
+    let builder = move |n: u64| kernel.ast(n);
     let evaluator =
-        store.evaluator_with(kid.name(), &builder, &scope.gpu, &scope.sizes, scope.protocol);
+        store.evaluator_with(kernel.name(), &builder, &scope.gpu, &scope.sizes, scope.protocol);
     // "Computed" is what this request computed — the evaluator is this
     // frame's own, so frames overlapping on one connection, or clients
     // racing on one scope, each report only the misses they won
@@ -1050,31 +1044,6 @@ fn handle_evaluate(
     let shared = measurements.iter().map(|m| &**m);
     encode_frame(corr, |out| protocol::write_evaluate(out, computed, shared))
         .map_err(|e| e.to_string())
-}
-
-fn handle_simulate(
-    kernel: &str,
-    gpu: &GpuSpec,
-    n: u64,
-    params: TuningParams,
-    model: oriole_sim::ModelId,
-    trials: u32,
-    seed: u64,
-) -> Response {
-    let Some(kid) = KernelId::parse(kernel) else {
-        return Response::Error { message: format!("unknown kernel `{kernel}`") };
-    };
-    let compiled = match compile(&kid.ast(n), gpu, params) {
-        Ok(k) => k,
-        Err(e) => return Response::Error { message: e.to_string() },
-    };
-    match ModelContext::for_model(gpu, model).measure(&compiled, n, trials, seed) {
-        Ok(t) => Response::Simulate {
-            selected: t.selected(TrialProtocol::FifthOfTen),
-            report: t.report,
-        },
-        Err(e) => Response::Error { message: e.to_string() },
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use oriole_service::{
     ChaosPlan, ChaosProxy, Client, CoalesceConfig, EvalScope, FaultSpec, RemoteEvaluator,
     RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
 };
-use oriole_sim::{ModelId, MAX_TRIALS};
+use oriole_sim::MAX_TRIALS;
 use oriole_tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -473,7 +473,7 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
     // A device is wire input: `GpuSpec::problems` refuses each of these
     // before the worker that took the frame divides by zero block slots
     // or forms a register product past 32 bits, and a dead worker
-    // answers nothing, ever. Two worker threads, six such frames.
+    // answers nothing, ever. Two worker threads, four such frames.
     let cfg = ServeConfig { max_connections: 2, max_inflight: 2, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
     let k20 = Gpu::K20.spec();
@@ -493,15 +493,13 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
     ] {
         let asked = Instant::now();
         refused(field, client.evaluate(&scope("atax", &gpu, &[64]), &[p]).map(drop), asked);
-        let asked = Instant::now();
-        let simulated = client.simulate("atax", &gpu, 64, p, ModelId::Simulator, 10, 7);
-        refused(field, simulated.map(drop), asked);
     }
     // So is a trial count; one past the bound, so that a build without
     // the bound answers this frame instead of drawing 2^32 trials.
+    let protocol = EvalProtocol { trials: MAX_TRIALS + 1, ..EvalProtocol::default() };
+    let trials = EvalScope { protocol, ..scope("atax", k20, &[64]) };
     let asked = Instant::now();
-    let simulated = client.simulate("atax", k20, 64, p, ModelId::Simulator, MAX_TRIALS + 1, 7);
-    refused("trials", simulated.map(drop), asked);
+    refused("trials", client.evaluate(&trials, &[p]).map(drop), asked);
     assert_eq!(client.retries(), 0, "deterministic refusals are not retried");
     drop(client);
 

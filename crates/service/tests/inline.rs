@@ -282,7 +282,7 @@ fn a_restarted_disk_daemon_opens_a_scope_on_a_worker_and_answers_the_next_frame_
 }
 
 #[test]
-fn requests_a_worker_refuses_keep_their_wording() {
+fn requests_admission_refuses_keep_their_wording() {
     let (addr, handle) = spawn_server(ArtifactStore::new(), ServeConfig::default());
     let k20 = Gpu::K20.spec();
     let p = TuningParams::with_geometry(128, 48);
@@ -299,7 +299,7 @@ fn requests_a_worker_refuses_keep_their_wording() {
             other => panic!("expected `{wording}`, got {other:?}"),
         }
     }
-    assert_eq!(stats(&addr).inline_hits, 0, "none of them was the reactor's to answer");
+    assert_eq!(stats(&addr).inline_hits, 0, "a refusal is no inline hit");
     client.evaluate(&scope("atax", k20, &[64]), &[p]).expect("the connection survived; a hit");
     assert_eq!(stats(&addr).inline_hits, 1);
     drop(client);

@@ -14,7 +14,6 @@ use oriole_service::{
     Client, CoalesceConfig, EvalScope, Pipeline, RemoteEvaluator, RetryPolicy, Server,
     ServeSummary,
 };
-use oriole_sim::ModelId;
 use oriole_tuner::persist::write_frame_tagged;
 use oriole_tuner::{
     ArtifactStore, EvalProtocol, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher,
@@ -153,29 +152,6 @@ fn remote_oracle_runs_searchers_unchanged_with_identical_traces() {
     assert_eq!(remote.stats().points_fetched, 10);
 
     Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-    handle.join().expect("server thread");
-}
-
-#[test]
-fn remote_simulate_matches_local_context() {
-    let gpu = Gpu::P100.spec();
-    let n = 128u64;
-    let params = TuningParams::with_geometry(256, 48);
-    let kernel = oriole_codegen::compile(&KernelId::MatVec2D.ast(n), gpu, params).unwrap();
-    let local_report = oriole_sim::simulate(&kernel, n).unwrap();
-    let local_trials = oriole_sim::measure(&kernel, n, 10, 42).unwrap();
-
-    let (addr, handle) = spawn_server(ArtifactStore::new());
-    let client = Client::connect(&addr).expect("connect");
-    let (selected, report) = client
-        .simulate("matvec2d", gpu, n, params, ModelId::Simulator, 10, 42)
-        .expect("simulate");
-    assert_eq!(report, local_report);
-    assert_eq!(
-        selected.to_bits(),
-        local_trials.selected(oriole_sim::TrialProtocol::FifthOfTen).to_bits()
-    );
-    client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
 

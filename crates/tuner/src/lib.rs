@@ -28,7 +28,7 @@
 //!   bit-identically, so sweeps resume across processes.
 //! * [`persist`] — the hand-rolled, versioned, checksummed wire format
 //!   under the disk tier (canonical serialization for `GpuSpec`,
-//!   [`EvalProtocol`], `TuningParams`, [`Measurement`] and `SimReport`),
+//!   [`EvalProtocol`], `TuningParams` and [`Measurement`]),
 //!   plus store maintenance (`scan`/`gc`) for the CLI's
 //!   `oriole store` subcommands.
 //! * [`search`] — the search algorithms Orio ships (exhaustive, random,

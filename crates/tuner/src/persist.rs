@@ -16,7 +16,7 @@
 //!
 //! * **Canonical field text.** Every persisted type ([`GpuSpec`],
 //!   [`EvalProtocol`] including its [`ModelId`], [`TuningParams`],
-//!   [`Measurement`], [`SimReport`]) has exactly one serialization:
+//!   [`Measurement`]) has exactly one serialization:
 //!   `key:value` fields in a fixed order. Floats are written as the hex
 //!   of their IEEE-754 bits ([`emit_f64`]), so a load/store round trip
 //!   is **bit-identical** — never a decimal approximation. Each record
@@ -27,9 +27,11 @@
 //!   read eight digits to a word.
 //! * **Sealed lines.** Every header and record line carries its own
 //!   FNV-1a 64 checksum (`body|crc16hex`, [`seal`]/[`unseal`]). A
-//!   flipped byte, a truncated tail from a killed writer, or an edited
-//!   file fails the checksum and the line is *rejected* — treated as a
-//!   cache miss and recomputed, never served.
+//!   flipped byte or an edited file fails the checksum and the line is
+//!   *rejected* — treated as a cache miss and recomputed, never served.
+//!   So is a last line with no `\n`, the torn tail of a killed writer,
+//!   even if its seal verifies; a tier opened on the file cuts it off
+//!   before it appends, so the file is whole up to its last line again.
 //! * **Versioned magic.** The first line is `oriole-meas v2` exactly. A
 //!   file written by a different format version is detected
 //!   ([`FileStatus::VersionSkew`]) and treated as a whole-file miss:
@@ -87,9 +89,9 @@
 //! ones with rejected records.
 
 use crate::eval::{EvalProtocol, MeasTier, Measurement};
-use oriole_arch::{ComputeCapability, Family, GpuSpec, Limiter, Occupancy};
+use oriole_arch::{ComputeCapability, Family, GpuSpec};
 use oriole_codegen::{CompilerFlags, PreferredL1, TuningParams};
-use oriole_sim::{BoundKind, ModelId, SimReport, TrialProtocol, WarpProfile};
+use oriole_sim::{ModelId, TrialProtocol};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write as _};
@@ -666,90 +668,6 @@ pub fn parse_measurement(text: &str) -> Result<Measurement, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// SimReport
-// ---------------------------------------------------------------------------
-
-const BOUNDS: [(BoundKind, &str); 3] = [
-    (BoundKind::Issue, "issue"),
-    (BoundKind::Latency, "latency"),
-    (BoundKind::Bandwidth, "bandwidth"),
-];
-
-const LIMITERS: [(Limiter, &str); 4] = [
-    (Limiter::Warps, "warps"),
-    (Limiter::Registers, "registers"),
-    (Limiter::SharedMem, "sharedmem"),
-    (Limiter::Illegal, "illegal"),
-];
-
-/// Appends the canonical serialization of a [`SimReport`] (occupancy
-/// details and warp profile included) — the `simulate` answer's record.
-fn stage_sim_report(s: &mut Stage<'_>, r: &SimReport) {
-    s.hex16("time:", r.time_ms.to_bits()).text(";bound:").text(spell(&BOUNDS, r.bound));
-    s.dec(";ab:", r.occupancy.active_blocks)
-        .dec(";aw:", r.occupancy.active_warps)
-        .hex16(";occf:", r.occupancy.occupancy.to_bits())
-        .text(";lim:")
-        .text(spell(&LIMITERS, r.occupancy.limiter));
-    s.dec(";bwarps:", r.occupancy.blocks_by_warps)
-        .dec(";bregs:", r.occupancy.blocks_by_regs)
-        .dec(";bsmem:", r.occupancy.blocks_by_smem)
-        .dec(";wlregs:", r.occupancy.warp_limit_by_regs)
-        .dec(";busyb:", r.busy_blocks)
-        .dec(";busysm:", r.busy_sms)
-        .dec(";reswarps:", r.resident_warps)
-        .dec(";waves:", r.waves)
-        .hex16(";cycles:", r.cycles.to_bits())
-        .hex16(";p_issue:", r.profile.issue_cycles.to_bits())
-        .hex16(";p_mem:", r.profile.mem_ops.to_bits())
-        .hex16(";p_lat:", r.profile.latency_weighted.to_bits())
-        .hex16(";p_dram:", r.profile.dram_transactions.to_bits())
-        .hex16(";p_bar:", r.profile.barriers.to_bits())
-        .hex16(";p_div:", r.profile.divergent_branches.to_bits());
-}
-
-/// `stage_sim_report` into a fresh string.
-pub fn emit_sim_report(r: &SimReport) -> String {
-    let mut out = String::with_capacity(448);
-    staged(&mut out, |s| stage_sim_report(s, r));
-    out
-}
-
-/// Parses [`emit_sim_report`] output back into the bit-identical
-/// [`SimReport`].
-pub fn parse_sim_report(text: &str) -> Result<SimReport, WireError> {
-    parse_all(text, |c| {
-        Ok(SimReport {
-            time_ms: c.f64("time:")?,
-            bound: c.name(";bound:", &BOUNDS)?,
-            occupancy: Occupancy {
-                active_blocks: c.dec(";ab:")?,
-                active_warps: c.dec(";aw:")?,
-                occupancy: c.f64(";occf:")?,
-                limiter: c.name(";lim:", &LIMITERS)?,
-                blocks_by_warps: c.dec(";bwarps:")?,
-                blocks_by_regs: c.dec(";bregs:")?,
-                blocks_by_smem: c.dec(";bsmem:")?,
-                warp_limit_by_regs: c.dec(";wlregs:")?,
-            },
-            busy_blocks: c.dec(";busyb:")?,
-            busy_sms: c.dec(";busysm:")?,
-            resident_warps: c.dec(";reswarps:")?,
-            waves: c.dec(";waves:")?,
-            cycles: c.f64(";cycles:")?,
-            profile: WarpProfile {
-                issue_cycles: c.f64(";p_issue:")?,
-                mem_ops: c.f64(";p_mem:")?,
-                latency_weighted: c.f64(";p_lat:")?,
-                dram_transactions: c.f64(";p_dram:")?,
-                barriers: c.f64(";p_bar:")?,
-                divergent_branches: c.f64(";p_div:")?,
-            },
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Scopes and tier files
 // ---------------------------------------------------------------------------
 
@@ -815,29 +733,37 @@ enum TierRead {
     /// Header verified; `records` holds every valid record line in file
     /// order (a point appended twice is there twice) and `rejected`
     /// counts the lines that failed their checksum or parse and were
-    /// dropped (their points will be recomputed, never trusted).
-    Usable { scope: String, records: Vec<Arc<Measurement>>, rejected: u64 },
+    /// dropped (their points will be recomputed, never trusted). `torn`
+    /// is the length of an unterminated last line, one of the rejected,
+    /// and 0 when the file ends in `\n`.
+    Usable { scope: String, records: Vec<Arc<Measurement>>, rejected: u64, torn: u64 },
 }
 
-/// Reads the next line of `file` into `line` and returns it without its
-/// terminator (`\n` or `\r\n`, as `str::lines` has it); `None` at the
-/// end of the file. A line that is not UTF-8 reads as empty: it carries
-/// no seal, so it is refused like any other damaged line.
-fn next_line<'l>(
-    file: &mut impl BufRead,
-    line: &'l mut Vec<u8>,
-) -> std::io::Result<Option<&'l str>> {
+/// One line of a tier file, as [`next_line`] reads it.
+enum Line<'l> {
+    /// A line its `\n` ends, without the terminator (`\n` or `\r\n`, as
+    /// `str::lines` has it). One that is not UTF-8 reads as empty: it
+    /// carries no seal, so it is refused like any other damaged line.
+    Whole(&'l str),
+    /// The file's last `len` bytes, which no `\n` ends: what a writer
+    /// killed mid-write leaves.
+    Torn { len: u64 },
+    /// The end of the file.
+    End,
+}
+
+/// Reads the next line of `file` into `line`.
+fn next_line<'l>(file: &mut impl BufRead, line: &'l mut Vec<u8>) -> std::io::Result<Line<'l>> {
     line.clear();
-    if file.read_until(b'\n', line)? == 0 {
-        return Ok(None);
+    file.read_until(b'\n', line)?;
+    if line.last() != Some(&b'\n') {
+        return Ok(if line.is_empty() { Line::End } else { Line::Torn { len: line.len() as u64 } });
     }
-    if line.last() == Some(&b'\n') {
+    line.pop();
+    if line.last() == Some(&b'\r') {
         line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
     }
-    Ok(Some(std::str::from_utf8(line).unwrap_or("")))
+    Ok(Line::Whole(std::str::from_utf8(line).unwrap_or("")))
 }
 
 /// One pass over the file, on the calling thread: magic, header, then
@@ -850,14 +776,18 @@ fn read_tier(path: &Path) -> TierRead {
     };
     let mut line = Vec::new();
     match next_line(&mut file, &mut line) {
-        Ok(Some(MAGIC)) => {}
-        Ok(Some(first)) if first.starts_with("oriole-meas ") => return TierRead::VersionSkew,
+        Ok(Line::Whole(MAGIC)) => {}
+        Ok(Line::Whole(first)) if first.starts_with("oriole-meas ") => {
+            return TierRead::VersionSkew
+        }
         _ => return TierRead::Corrupt,
     }
     // Header: sealed `h <scope line>` lines closed by `h end`.
     let mut scope = String::new();
     loop {
-        let Ok(Some(text)) = next_line(&mut file, &mut line) else { return TierRead::Corrupt };
+        let Ok(Line::Whole(text)) = next_line(&mut file, &mut line) else {
+            return TierRead::Corrupt;
+        };
         let Some(rest) = unseal(text).and_then(|body| body.strip_prefix("h ")) else {
             return TierRead::Corrupt;
         };
@@ -873,8 +803,13 @@ fn read_tier(path: &Path) -> TierRead {
     let mut rejected = 0u64;
     loop {
         let text = match next_line(&mut file, &mut line) {
-            Ok(Some(text)) => text,
-            Ok(None) => return TierRead::Usable { scope, records, rejected },
+            Ok(Line::Whole(text)) => text,
+            // Never loaded, even if its seal verifies: it is not known
+            // to be a whole record.
+            Ok(Line::Torn { len }) => {
+                return TierRead::Usable { scope, records, rejected: rejected + 1, torn: len }
+            }
+            Ok(Line::End) => return TierRead::Usable { scope, records, rejected, torn: 0 },
             Err(_) => return TierRead::Corrupt,
         };
         let body = unseal(text).and_then(|body| body.strip_prefix("r "));
@@ -933,7 +868,8 @@ impl DiskCounters {
 /// Each call — a batch chunk's records, or a lone point's — is one
 /// buffer of sealed lines and one `write_all` under a mutex, so workers
 /// interleave whole chunks. A killed process loses the chunks in flight
-/// and leaves at most one truncated line, which the loader rejects.
+/// and leaves at most one truncated line, which the loader rejects and
+/// the next tier opened on the file cuts off.
 pub(crate) struct TierSpill {
     file: Mutex<File>,
     counters: Arc<DiskCounters>,
@@ -969,24 +905,28 @@ impl TierSpill {
 /// version-skewed files are detected, counted, and **rewritten fresh**
 /// — their contents are never trusted; a scope-mismatched file (a
 /// filename-hash collision) is left untouched and the tier runs
-/// memory-only.
+/// memory-only. A usable file's unterminated last line is cut off
+/// (`File::set_len`) before anything is appended, or the first record
+/// appended would be glued to it and lost again on every reopen.
 pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -> MeasTier {
     let path = dir.join(tier_file_name(scope));
-    let (records, rewrite) = match read_tier(&path) {
+    // `Some(torn)`: append once the last `torn` bytes are cut; `None`:
+    // write the file afresh.
+    let (records, append) = match read_tier(&path) {
         TierRead::Absent => {
             counters.tier_misses.fetch_add(1, Ordering::Relaxed);
-            (Vec::new(), true)
+            (Vec::new(), None)
         }
         TierRead::VersionSkew | TierRead::Corrupt => {
             counters.tier_misses.fetch_add(1, Ordering::Relaxed);
             counters.rejected.fetch_add(1, Ordering::Relaxed);
-            (Vec::new(), true)
+            (Vec::new(), None)
         }
-        TierRead::Usable { scope: found, records, rejected } => {
+        TierRead::Usable { scope: found, records, rejected, torn } => {
             if found == scope {
                 counters.tier_hits.fetch_add(1, Ordering::Relaxed);
                 counters.rejected.fetch_add(rejected, Ordering::Relaxed);
-                (records, false)
+                (records, Some(torn))
             } else {
                 // Filename collision with another experiment's scope:
                 // never serve it, and never overwrite it either.
@@ -995,13 +935,17 @@ pub(crate) fn open_tier(dir: &Path, scope: &str, counters: &Arc<DiskCounters>) -
             }
         }
     };
-    let file = if rewrite {
-        File::create(&path).and_then(|mut f| {
+    let file = match append {
+        None => File::create(&path).and_then(|mut f| {
             f.write_all(header_text(scope).as_bytes())?;
             Ok(f)
-        })
-    } else {
-        OpenOptions::new().append(true).open(&path)
+        }),
+        Some(torn) => OpenOptions::new().append(true).open(&path).and_then(|f| {
+            if torn > 0 {
+                f.set_len(f.metadata()?.len().saturating_sub(torn))?;
+            }
+            Ok(f)
+        }),
     };
     let spill = file.ok().map(|file| TierSpill {
         file: Mutex::new(file),
@@ -1265,7 +1209,7 @@ pub fn scan_store(dir: &Path) -> std::io::Result<Vec<FileReport>> {
             TierRead::Absent => continue, // raced deletion
             TierRead::VersionSkew => FileStatus::VersionSkew,
             TierRead::Corrupt => FileStatus::Corrupt,
-            TierRead::Usable { scope, records, rejected } => {
+            TierRead::Usable { scope, records, rejected, .. } => {
                 let model = scope_field(&scope, "protocol")
                     .and_then(|p| parse_protocol(&p).ok())
                     .map(|p| p.model.name().to_string())
@@ -1329,7 +1273,7 @@ fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
                 report.removed_files += 1;
                 report.bytes_reclaimed += before;
             }
-            TierRead::Usable { scope, mut records, rejected } => {
+            TierRead::Usable { scope, mut records, rejected, .. } => {
                 if rejected == 0 {
                     continue;
                 }
@@ -1368,7 +1312,6 @@ fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
 mod tests {
     use super::*;
     use oriole_arch::Gpu;
-    use oriole_codegen::compile;
     use oriole_kernels::KernelId;
 
     fn sample_measurement() -> Measurement {
@@ -1489,22 +1432,6 @@ mod tests {
             reg_instructions: 0.0,
         };
         assert_eq!(parse_measurement(&emit_measurement(&infeasible)).unwrap(), infeasible);
-    }
-
-    #[test]
-    fn sim_report_round_trips_bit_identically() {
-        let kernel = compile(
-            &KernelId::Atax.ast(128),
-            Gpu::K20.spec(),
-            TuningParams::with_geometry(128, 48),
-        )
-        .unwrap();
-        let report = oriole_sim::simulate(&kernel, 128).unwrap();
-        let rt = parse_sim_report(&emit_sim_report(&report)).unwrap();
-        assert_eq!(rt, report);
-        assert_eq!(rt.time_ms.to_bits(), report.time_ms.to_bits());
-        // Unconstrained limits (u32::MAX) survive as well.
-        assert_eq!(rt.occupancy.blocks_by_smem, report.occupancy.blocks_by_smem);
     }
 
     #[test]

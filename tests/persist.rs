@@ -7,9 +7,13 @@
 //!   to a fresh, storeless evaluator;
 //! * corrupted and version-skewed artifacts are detected and
 //!   recomputed — never silently trusted;
-//! * a warm-from-disk re-sweep builds, lowers and computes nothing.
+//! * a warm-from-disk re-sweep builds, lowers and computes nothing;
+//! * a tier file a killed writer left torn loses only its last line,
+//!   and the next writer repairs it.
 
 use oriole::arch::{Gpu, GpuSpec};
+use oriole::codegen::TuningParams;
+use oriole::ir::testgen::TestRng;
 use oriole::kernels::KernelId;
 use oriole::tuner::eval::EvalProtocol;
 use oriole::tuner::{persist, ArtifactStore, Evaluator, Measurement, SearchSpace};
@@ -277,5 +281,69 @@ fn store_reports_loaded_and_spilled_through_eval_stats() {
     let a = evaluator.evaluate(p);
     let b = evaluator.evaluate(p);
     assert!(Arc::ptr_eq(&a, &b));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_tail_is_cut_off_before_a_resumed_writer_appends() {
+    // A tier written in at least three chunks (three UIF values, three
+    // programs, so no chunk holds two) is cut where a writer killed
+    // mid-write could leave it: at every line boundary and one byte to
+    // either side, and at a thousand seeded offsets.
+    let dir = temp_store("torn-tail");
+    let sizes = [64u64];
+    let mut space = SearchSpace::tiny();
+    space.uif = vec![1, 2, 3];
+    let points: Vec<TuningParams> = space.iter().collect();
+    let store = ArtifactStore::with_disk(&dir).unwrap();
+    let cold = store.evaluator("atax", &builder, gpu(), &sizes).evaluate_batch(&points);
+    drop(store);
+    let path = tier_file(&dir);
+    let file = std::fs::read(&path).unwrap();
+    // Where each line ends, its `\n` included: the magic and five
+    // header lines, then one record line per point.
+    let ends: Vec<usize> = (1..=file.len()).filter(|&at| file[at - 1] == b'\n').collect();
+    let records = &ends[6..];
+    assert_eq!(records.len(), points.len());
+
+    let mut rng = TestRng::for_case("torn_tail", 0);
+    let mut cuts: Vec<usize> = (0..1_000).map(|_| rng.range_usize(0, file.len())).collect();
+    cuts.extend(ends.iter().flat_map(|&end| [end - 1, end, end + 1]).filter(|&c| c <= file.len()));
+    for cut in cuts {
+        std::fs::write(&path, &file[..cut]).unwrap();
+        let whole = records.iter().filter(|&&end| end <= cut).count();
+
+        // The reopen loads exactly the whole lines before the cut and
+        // rejects the fragment, if any; one resumed sweep computes
+        // exactly the points lost.
+        let store = ArtifactStore::with_disk(&dir).unwrap();
+        let evaluator = store.evaluator("atax", &builder, gpu(), &sizes);
+        let resumed = evaluator.evaluate_batch(&points);
+        let disk = store.stats().disk.expect("disk tier");
+        assert_eq!(disk.measurements_loaded as usize, whole, "cut at {cut}");
+        assert!(disk.rejected <= 1, "cut at {cut}: {disk:?}");
+        if ends[5..].contains(&cut) {
+            assert_eq!(disk.rejected, 0, "cut at {cut}, a line boundary");
+        }
+        assert_eq!(evaluator.unique_evaluations(), points.len() - whole, "cut at {cut}");
+        assert_eq!(resumed, cold, "cut at {cut}");
+        drop(evaluator);
+        drop(store);
+
+        // The next reopen finds the file whole.
+        let store = ArtifactStore::with_disk(&dir).unwrap();
+        drop(store.evaluator("atax", &builder, gpu(), &sizes));
+        let disk = store.stats().disk.expect("disk tier");
+        let reopened = (disk.measurements_loaded as usize, disk.rejected);
+        assert_eq!(reopened, (points.len(), 0), "cut at {cut}");
+        drop(store);
+        let status = persist::scan_store(&dir).unwrap().pop().expect("one tier file").status;
+        match status {
+            persist::FileStatus::Usable { records, rejected: 0, .. } => {
+                assert_eq!(records, points.len(), "cut at {cut}")
+            }
+            other => panic!("cut at {cut}: {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
