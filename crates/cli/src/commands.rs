@@ -11,8 +11,7 @@ use oriole_fleet::FleetSpec;
 use oriole_kernels::KernelId;
 use oriole_service::protocol::MAX_IN_FLIGHT;
 use oriole_service::{
-    Client, CoalesceConfig, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
-    ServiceStats,
+    Client, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server, ServiceStats,
 };
 use oriole_sim::{ModelContext, ModelId, TrialProtocol, MAX_TRIALS};
 use oriole_tuner::{
@@ -114,12 +113,11 @@ commands:
                                          are reaped, and each connection
                                          may pipeline up to 32 requests
                                          with out-of-order responses
-  service   {ping|stats|shutdown} --remote ADDR
-                                         probe / inspect / stop a daemon
-  service   fleet-stats --fleet ADDRS|@FILE
-                                         per-shard + fleet-wide daemon
-                                         telemetry (unreachable shards
-                                         reported, not fatal)
+  service   {ping|stats|shutdown} --remote ADDRS|@FILE
+                                         probe / inspect / stop each named
+                                         daemon in turn (stats reports an
+                                         unreachable daemon and fails only
+                                         when none answers)
 
 common variant flags: --tc --bc --uif --pl --sc --fast-math
 model flag (tune/simulate/analyze): --model {sim,static,roofline}
@@ -131,35 +129,28 @@ store flag (tune): --store-dir DIR
             even in another process — resumes as pure cache hits with
             bit-identical results; corrupt or version-skewed artifacts
             are recomputed, never trusted
-remote flag (tune): --remote ADDR
-            evaluate through a running `oriole serve` daemon instead of
-            in-process: concurrent clients share the daemon's store
-            (front-ends, measurements) and results are bit-identical
-            to local evaluation. Mutually exclusive with
-            --store-dir — the daemon owns the store. Deadline/retry
-            knobs (tune and service): --rpc-timeout MS (per-exchange
-            deadline, default 10000) and --retries N (transparent
-            retry of idempotent verbs with backoff + jitter, default 4;
-            0 = fail fast).
-            Pipelining knobs (tune, --remote or --fleet alike):
-            --batch-points N (points per evaluate frame, default 64),
-            --pipeline-depth N (frames in flight per daemon, default
-            8).
-fleet flag (tune): --fleet ADDRS|@FILE
-            evaluate across N daemons (comma-separated addresses, or a
-            manifest file with one address per line): each scope's
-            chunks enqueue on its hash-assigned home shard, idle shards
-            steal from the busiest queue's tail, and a lost shard's
-            queue rebalances onto survivors — results stay
-            bit-identical to a local run. Each daemon must own its own
-            --store-dir (or none). A frame of --batch-points is also
-            the granule shards steal; --rpc-timeout/--retries bound
-            each shard exchange. `--remote A` is `--fleet A` dialed
-            eagerly. Mutually exclusive with --remote and --store-dir.
+remote flag (tune): --remote ADDRS|@FILE
+            evaluate through running `oriole serve` daemons instead of
+            in-process: one address, comma-separated addresses, or a
+            manifest file with one address per line. Concurrent
+            clients share each daemon's store (front-ends,
+            measurements) and results are bit-identical to local
+            evaluation. Each scope's chunks enqueue on its
+            hash-assigned home daemon, idle daemons steal from the
+            busiest queue's tail, and a lost daemon's queue rebalances
+            onto survivors; the run fails, naming the address, only
+            when the last daemon is lost. Each daemon owns its own
+            --store-dir (or none), so --remote and --store-dir are
+            mutually exclusive. Deadline/retry knobs (tune and
+            service): --rpc-timeout MS (per-exchange deadline, default
+            10000) and --retries N (transparent retry of idempotent
+            verbs with backoff + jitter, default 4; 0 = fail fast).
+            Batching knob (tune): --batch-points N (points per
+            evaluate frame and the granule daemons steal, default 64).
 tune flags: --budget B --sizes 32,64,... --spec FILE --seed N --csv
             --stats (print cache telemetry: unique evaluations,
             lowerings, disk loads/spills, the compile phases those
-            lowerings ran, the active timing model; with --remote/--fleet:
+            lowerings ran, the active timing model; with --remote:
             client fetches, the scheduler ledger and one line per
             daemon, plus a single daemon's serving and store counters)
 "
@@ -312,17 +303,17 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `--remote ADDR` flag, rejected alongside `--store-dir`: the
-/// daemon owns the store, and a second writer on one directory would
-/// break the single-writer-per-scope discipline.
-fn remote_addr(args: &Args) -> Result<Option<&str>, String> {
+/// The `--remote ADDRS|@FILE` flag, parsed by [`FleetSpec::parse`] and
+/// refused alongside `--store-dir`: each daemon owns its own store, and
+/// a client-side store would make this process a second writer.
+fn remote_spec(args: &Args) -> Result<Option<FleetSpec>, String> {
     match (args.optional("remote"), args.optional("store-dir")) {
         (Some(_), Some(_)) => Err(
-            "--remote and --store-dir are mutually exclusive: the daemon owns the \
+            "--remote and --store-dir are mutually exclusive: each daemon owns its \
              store (pass --store-dir to `oriole serve` instead)"
                 .to_string(),
         ),
-        (addr, _) => Ok(addr),
+        (addrs, _) => addrs.map(FleetSpec::parse).transpose(),
     }
 }
 
@@ -340,51 +331,6 @@ fn retry_policy(args: &Args) -> Result<RetryPolicy, String> {
         max_retries: args.num_or("retries", default.max_retries)?,
         ..default
     })
-}
-
-fn connect(addr: &str, policy: RetryPolicy) -> Result<Client, String> {
-    Client::connect_with(addr, policy)
-        .map_err(|e| format!("cannot reach daemon at `{addr}`: {e} (is `oriole serve` running?)"))
-}
-
-/// The client-side batching knobs for evaluation through daemons, one
-/// or many: `--batch-points N` caps the points per `evaluate` frame
-/// (the granule shards steal), `--pipeline-depth N` caps the frames in
-/// flight on each daemon's connection.
-fn coalesce_config(args: &Args) -> Result<CoalesceConfig, String> {
-    let default = CoalesceConfig::default();
-    let cfg = CoalesceConfig {
-        max_batch_points: args.num_or("batch-points", default.max_batch_points)?,
-        max_frames: args.num_or("pipeline-depth", default.max_frames)?,
-    };
-    if cfg.max_batch_points == 0 || cfg.max_frames == 0 {
-        return Err("--batch-points and --pipeline-depth must be at least 1".to_string());
-    }
-    Ok(cfg)
-}
-
-/// The `--fleet ADDRS|@FILE` flag, rejected alongside `--remote` (one
-/// multiplexer at a time) and `--store-dir` (every fleet daemon owns
-/// its own disjoint directory; a client-side store would make this
-/// process a second writer).
-fn fleet_spec(args: &Args) -> Result<Option<FleetSpec>, String> {
-    match args.optional("fleet") {
-        Some(arg) => {
-            if args.optional("remote").is_some() {
-                return Err("--fleet and --remote are mutually exclusive: \
-                            the fleet spec already names the daemons"
-                    .to_string());
-            }
-            if args.optional("store-dir").is_some() {
-                return Err("--fleet and --store-dir are mutually exclusive: each fleet \
-                            daemon owns its own store directory (pass --store-dir to \
-                            each `oriole serve` instead)"
-                    .to_string());
-            }
-            FleetSpec::parse(arg).map(Some)
-        }
-        None => Ok(None),
-    }
 }
 
 fn cmd_disasm(args: &Args) -> Result<String, String> {
@@ -422,10 +368,12 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     // Where points are evaluated. Every knob is read — and a bad value
     // is a usage error — whichever backend it ends up applying to, so
     // that by here the command has asked about all its flags.
-    let fleet = fleet_spec(args)?;
-    let remote = remote_addr(args)?;
+    let remote = remote_spec(args)?;
     let policy = retry_policy(args)?;
-    let coalesce = coalesce_config(args)?;
+    let batch_points = args.num_or("batch-points", RemoteEvaluator::DEFAULT_CHUNK_POINTS)?;
+    if batch_points == 0 {
+        return Err("--batch-points must be at least 1".to_string());
+    }
     args.reject_unasked("tune")?;
 
     let builder = move |n: u64| kernel_id.ast(n);
@@ -434,10 +382,11 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     // The oracle every strategy queries: an in-process evaluator over
     // the resolved store, or the remote engine over daemons' stores —
     // same `Oracle` trait, bit-identical numbers, so the search layer
-    // cannot tell them apart. `--remote A` is the one-shard fleet,
-    // dialed eagerly so a daemon that is not there is a usage error.
-    // One instance, alive for the whole command — variant size skew
-    // costs nothing, and boxing would only add indirection.
+    // cannot tell them apart. A daemon is dialed by the first chunk
+    // sent to it; one that is not there is lost like any other, and
+    // losing the last fails the run with its address. One instance,
+    // alive for the whole command — variant size skew costs nothing,
+    // and boxing would only add indirection.
     #[allow(clippy::large_enum_variant)]
     enum Backend<'a> {
         Local { evaluator: oriole_tuner::Evaluator<'a>, before: EvalStats },
@@ -449,18 +398,15 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         sizes: sizes.clone(),
         protocol,
     };
-    let backend = match (fleet, remote) {
-        (Some(spec), _) => Backend::Remote(RemoteEvaluator::over_shards(
+    let backend = match remote {
+        Some(spec) => Backend::Remote(RemoteEvaluator::over_shards(
             spec.shards(),
             spec.home_shard(&scope),
             scope,
             policy,
-            coalesce,
+            batch_points,
         )),
-        (None, Some(addr)) => {
-            Backend::Remote(RemoteEvaluator::with_coalesce(connect(addr, policy)?, scope, coalesce))
-        }
-        (None, None) => {
+        None => {
             let run_store = resolve_store(args)?;
             let evaluator =
                 run_store.evaluator_with(kernel_id.name(), &builder, gpu.spec(), &sizes, protocol);
@@ -597,12 +543,12 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `--stats` block of a tune through daemons, one renderer for
-/// `--remote` and `--fleet`: what this client moved over the wire, the
-/// work-stealing scheduler's ledger and one line per daemon. With a
-/// single daemon its serving and store counters follow (the remote
-/// analogue of [`render_stats`] — the tiers live on the server, so the
-/// numbers do too); for more, `service fleet-stats` has them.
+/// The `--stats` block of a tune through daemons, one or many: what
+/// this client moved over the wire, the work-stealing scheduler's
+/// ledger and one line per daemon. With a single daemon its serving and
+/// store counters follow (the remote analogue of [`render_stats`] — the
+/// tiers live on the server, so the numbers do too); for more,
+/// `service stats --remote ADDRS` has them.
 fn render_remote_stats(remote: &RemoteEvaluator) -> Result<String, String> {
     let s = remote.stats();
     let c = s.counters();
@@ -702,7 +648,7 @@ fn render_server_stats(s: &ServiceStats) -> String {
 
 /// `oriole serve [--addr A] [--store-dir DIR]` — the tuner daemon: one
 /// process-level [`ArtifactStore`] (optionally disk-backed) served to
-/// any number of `tune --remote` / `tune --fleet` clients until a
+/// any number of `tune --remote` clients until a
 /// `service shutdown` request arrives. Concurrent clients share the
 /// store's tiers exactly like in-process evaluators: each point is
 /// computed once, fleet-wide. The daemon is the store
@@ -723,6 +669,12 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     };
     if cfg.max_connections == 0 || cfg.max_inflight == 0 {
         return Err("--max-connections and --max-inflight must be at least 1".to_string());
+    }
+    if cfg.max_inflight > MAX_WORKERS {
+        return Err(format!(
+            "--max-inflight must be at most {MAX_WORKERS}: the daemon starts one thread per \
+             worker when it binds"
+        ));
     }
     args.reject_unasked("serve")?;
     let (store, store_note) = match store_dir {
@@ -759,6 +711,10 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// Most workers `serve --max-inflight` may ask for: the pool is started
+/// whole, one OS thread per worker, before the first request arrives.
+const MAX_WORKERS: usize = 1024;
+
 /// The line `serve` prints once it listens; it names the pool as `service stats` does.
 fn serve_banner(addr: &str, store_note: &str, cfg: &ServeConfig) -> String {
     format!(
@@ -771,82 +727,42 @@ fn serve_banner(addr: &str, store_note: &str, cfg: &ServeConfig) -> String {
     )
 }
 
-/// `oriole service {ping|stats|shutdown} --remote ADDR` — daemon
-/// control: liveness probe, serving/store telemetry, graceful stop
-/// (the daemon drains in-flight evaluations before exiting, so its
-/// store directory is left with whole records only).
+/// `oriole service {ping|stats|shutdown} --remote ADDRS|@FILE` — daemon
+/// control, on each named daemon in turn: liveness probe, serving/store
+/// telemetry, graceful stop (a daemon drains in-flight evaluations
+/// before exiting, so its store directory is left with whole records
+/// only). A daemon that does not answer is reported by address; `stats`
+/// fails only when none answers — an operator needs the partial view
+/// precisely when a daemon is down — and `ping` and `shutdown` fail when
+/// any does not.
 fn cmd_service(argv: &[String]) -> Result<String, String> {
     let Some(action) = argv.first() else {
-        return Err("service needs an action: ping | stats | shutdown | fleet-stats".to_string());
+        return Err("service needs an action: ping | stats | shutdown".to_string());
     };
-    let args = Args::parse(&argv[1..])?;
-    if action == "fleet-stats" {
-        return cmd_fleet_stats(&args);
+    if !["ping", "stats", "shutdown"].contains(&action.as_str()) {
+        return Err(format!("unknown service action `{action}` (try ping | stats | shutdown)"));
     }
-    let addr = args.required("remote")?;
+    let args = Args::parse(&argv[1..])?;
+    let spec = FleetSpec::parse(args.required("remote")?)?;
     let policy = retry_policy(&args)?;
     args.reject_unasked("service")?;
-    let client = connect(addr, policy)?;
-    match action.as_str() {
-        "ping" => {
-            client.ping().map_err(|e| e.to_string())?;
-            Ok(format!("daemon at {addr} is alive\n"))
-        }
-        "stats" => {
-            let s = client.stats().map_err(|e| e.to_string())?;
-            Ok(format!("daemon at {addr}:\n{}", render_server_stats(&s)))
-        }
-        "shutdown" => {
-            client.shutdown().map_err(|e| e.to_string())?;
-            Ok(format!("daemon at {addr} is shutting down (draining in-flight work)\n"))
-        }
-        other => Err(format!(
-            "unknown service action `{other}` (try ping | stats | shutdown | fleet-stats)"
-        )),
-    }
-}
-
-/// `oriole service fleet-stats --fleet ADDRS|@FILE` — one row per
-/// shard plus fleet-wide totals. An unreachable shard is reported, not
-/// fatal: a fleet operator needs the partial view precisely when a
-/// daemon is down.
-fn cmd_fleet_stats(args: &Args) -> Result<String, String> {
-    let spec = FleetSpec::parse(args.required("fleet")?)?;
-    let policy = retry_policy(args)?;
-    args.reject_unasked("service fleet-stats")?;
-    let mut out = String::new();
-    let _ = writeln!(out, "fleet of {} shard(s):", spec.len());
-    let (mut unique, mut served, mut reachable) = (0usize, 0u64, 0usize);
-    for (i, addr) in spec.shards().iter().enumerate() {
-        let stats = Client::connect_with(addr, policy).and_then(|c| c.stats());
-        match stats {
-            Ok(s) => {
-                reachable += 1;
-                unique += s.store.unique_evaluations;
-                served += s.points_served;
-                let _ = writeln!(
-                    out,
-                    "  shard {i} {addr}: {} unique evaluation(s), {} point(s) served, \
-                     {} measurement tier(s), {}/{} worker(s) busy, {} shed busy",
-                    s.store.unique_evaluations,
-                    s.points_served,
-                    s.store.measurement_tiers,
-                    s.workers_busy,
-                    s.workers_max,
-                    s.shed_busy
-                );
+    let (mut out, mut answered) = (String::new(), 0);
+    for addr in spec.shards() {
+        let answer = Client::connect_with(addr, policy).and_then(|c| match action.as_str() {
+            "ping" => c.ping().map(|()| format!("daemon at {addr} is alive\n")),
+            "stats" => c.stats().map(|s| format!("daemon at {addr}:\n{}", render_server_stats(&s))),
+            _ => {
+                let note = "is shutting down (draining in-flight work)";
+                c.shutdown().map(|()| format!("daemon at {addr} {note}\n"))
             }
-            Err(e) => {
-                let _ = writeln!(out, "  shard {i} {addr}: UNREACHABLE ({e})");
-            }
-        }
+        });
+        answered += usize::from(answer.is_ok());
+        out += &answer.unwrap_or_else(|e| format!("daemon at {addr}: UNREACHABLE ({e})\n"));
     }
-    let _ = writeln!(
-        out,
-        "  fleet: {reachable}/{} shard(s) reachable, {unique} unique evaluation(s), \
-         {served} point(s) served",
-        spec.len()
-    );
+    // `stats` needs one answer; `ping` and `shutdown` need every one.
+    if answered == 0 || (action != "stats" && answered < spec.len()) {
+        return Err(out);
+    }
     Ok(out)
 }
 
@@ -1334,21 +1250,36 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flag_is_exclusive_and_validates_its_spec() {
-        for line in [
-            "tune --kernel atax --gpu k20 --strategy random --fleet 127.0.0.1:1 --remote 127.0.0.1:2",
-            "tune --kernel atax --gpu k20 --strategy random --fleet 127.0.0.1:1 --store-dir /tmp/x",
-        ] {
-            let err = call(line).unwrap_err();
-            assert!(err.contains("mutually exclusive"), "{err}");
-        }
-        let dup = call("tune --kernel atax --gpu k20 --strategy random --fleet a,b,a")
+    fn remote_flag_validates_its_address_list() {
+        let line = "tune --kernel atax --gpu k20 --strategy random \
+                    --remote 127.0.0.1:1,127.0.0.1:2 --store-dir /tmp/x";
+        let err = call(line).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
+        let dup = call("tune --kernel atax --gpu k20 --strategy random --remote a,b,a")
             .unwrap_err();
         assert!(dup.contains("twice"), "{dup}");
-        assert!(
-            call("service fleet-stats --fleet a,,b").is_err(),
-            "empty shard entry must be rejected"
-        );
+        let empty = call("service stats --remote a,,b").unwrap_err();
+        assert!(empty.contains("empty shard address"), "{empty}");
+    }
+
+    #[test]
+    fn the_second_spellings_of_remote_evaluation_are_refused_by_name() {
+        let tune = "tune --kernel atax --gpu k20 --strategy random --sizes 32 --budget 2";
+        for (line, refusal) in [
+            (format!("{tune} --fleet 127.0.0.1:1"), "unrecognised flag --fleet for `tune`"),
+            (
+                format!("{tune} --remote 127.0.0.1:1 --pipeline-depth 8"),
+                "unrecognised flag --pipeline-depth for `tune`",
+            ),
+            (
+                "service fleet-stats --fleet 127.0.0.1:1".to_string(),
+                "unknown service action `fleet-stats`",
+            ),
+        ] {
+            let err = call(&line).unwrap_err();
+            assert!(err.contains(refusal), "`{line}`: {err}");
+            assert!(!err.contains("evaluations"), "`{line}` ran: {err}");
+        }
     }
 
     #[test]
@@ -1372,8 +1303,7 @@ mod tests {
             // passing it is told so by name.
             (format!("{tune} --budget 2 --remote 127.0.0.1:1 --flush-idle-us 200"), "--flush-idle-us"),
             ("simulate --kernel atax --gpu k20 --n 64 --budget 2".to_string(), "--budget"),
-            // The in-flight cap is the protocol's, not a daemon knob;
-            // `--pipeline-depth` is `tune`'s client window only.
+            // The in-flight cap is the protocol's, not a daemon knob.
             ("serve --addr not-an-address --pipeline-depth 4".to_string(), "--pipeline-depth"),
             ("analyze --kernel atax --gpu k20 --strategy random".to_string(), "--strategy"),
             ("gpus --csv".to_string(), "--csv"),
@@ -1407,21 +1337,13 @@ mod tests {
             format!("disasm --kernel atax --gpu k20 {variant}"),
             format!("{tune} --strategy hybrid --dial 0.5 --model roofline --csv --stats --store-dir {dir}"),
             format!("{tune} --strategy random --spec {spec}"),
-            format!(
-                "{tune} --strategy random --remote {dead} {fast} --batch-points 8 \
-                 --pipeline-depth 2"
-            ),
-            format!(
-                "{tune} --strategy random --fleet {dead} {fast} --batch-points 8 \
-                 --pipeline-depth 2"
-            ),
+            format!("{tune} --strategy random --remote {dead},127.0.0.1:2 {fast} --batch-points 8"),
             format!("store gc --store-dir {dir} --dry-run"),
             format!(
                 "serve --addr not-an-address --store-dir {dir} --max-connections 1 --max-inflight 1 \
                  --request-timeout 10 --idle-timeout 10"
             ),
             format!("service ping --remote {dead} {fast}"),
-            format!("service fleet-stats --fleet {dead} {fast}"),
         ];
         for line in &lines {
             if let Err(e) = call(line) {
@@ -1450,51 +1372,50 @@ mod tests {
         let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32 --csv";
         let local = call(flags).unwrap();
         // Chunk small (--batch-points 2) so the steal path actually runs.
-        let fleet = call(&format!("{flags} --fleet {a0},{a1} --batch-points 2")).unwrap();
+        let fleet = call(&format!("{flags} --remote {a0},{a1} --batch-points 2")).unwrap();
         assert_eq!(fleet, local, "fleet evaluation must be indistinguishable from local");
         // Warm re-run against the same fleet: still identical.
-        let again = call(&format!("{flags} --fleet {a0},{a1} --batch-points 2")).unwrap();
+        let again = call(&format!("{flags} --remote {a0},{a1} --batch-points 2")).unwrap();
         assert_eq!(again, local);
 
-        let stats = call(&format!(
-            "{flags} --fleet {a0},{a1} --batch-points 2 --stats"
-        ))
-        .unwrap();
+        let stats = call(&format!("{flags} --remote {a0},{a1} --batch-points 2 --stats")).unwrap();
         assert!(stats.contains("fleet stats (2 shard(s))"), "{stats}");
         assert!(stats.contains("scheduler:"), "{stats}");
         assert!(stats.contains("chunk(s) dispatched"), "{stats}");
         assert!(stats.contains("shard 0"), "{stats}");
         assert!(stats.contains("shard 1"), "{stats}");
 
-        // --pipeline-depth reaches every shard of a fleet: a sweep of
-        // many frames keeps several in flight on a daemon's connection.
+        // A sweep of many frames keeps several in flight on each
+        // daemon's connection, and never more than the engine's window
+        // of 8.
         let sweep = "tune --kernel atax --gpu k20 --strategy exhaustive --sizes 32";
-        let deep = call(&format!(
-            "{sweep} --fleet {a0},{a1} --batch-points 8 --pipeline-depth 4"
-        ))
-        .unwrap();
+        let deep = call(&format!("{sweep} --remote {a0},{a1} --batch-points 8")).unwrap();
         assert_eq!(deep, call(sweep).unwrap());
         let peaks: Vec<u64> = [&a0, &a1]
             .map(|a| Client::connect(a).expect("connect").stats().expect("stats").pipelined_peak)
             .to_vec();
         assert!(peaks.iter().any(|&p| p > 1), "no daemon saw a pipelined frame: {peaks:?}");
-        assert!(peaks.iter().all(|&p| p <= 4), "deeper than --pipeline-depth: {peaks:?}");
+        assert!(peaks.iter().all(|&p| p <= 8), "deeper than the engine's window: {peaks:?}");
 
-        let svc = call(&format!("service fleet-stats --fleet {a0},{a1}")).unwrap();
-        assert!(svc.contains("fleet of 2 shard(s)"), "{svc}");
-        assert!(svc.contains("2/2 shard(s) reachable"), "{svc}");
-        assert!(svc.contains("unique evaluation(s)"), "{svc}");
+        // `service stats` reads each daemon in the order named.
+        let svc = call(&format!("service stats --remote {a0},{a1}")).unwrap();
+        let (at0, at1) = (format!("daemon at {a0}:\n"), format!("daemon at {a1}:\n"));
+        assert!(svc.find(&at0).zip(svc.find(&at1)).is_some_and(|(i, j)| i < j), "{svc}");
+        assert_eq!(svc.matches("unique evaluations").count(), 2, "{svc}");
 
-        for addr in [&a0, &a1] {
-            assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
-        }
+        let bye = call(&format!("service shutdown --remote {a0},{a1}")).unwrap();
+        assert_eq!(bye.matches("is shutting down").count(), 2, "{bye}");
         h0.join().expect("server 0");
         h1.join().expect("server 1");
     }
 
     #[test]
-    fn remote_and_one_shard_fleet_print_the_same_bytes_stats_included() {
+    fn an_address_and_a_manifest_naming_it_print_the_same_bytes_stats_included() {
         let (addr, handle) = spawn_daemon();
+        let manifest = std::env::temp_dir()
+            .join(format!("oriole-cli-manifest-{}.txt", std::process::id()));
+        std::fs::write(&manifest, format!("# one daemon\n{addr}\n")).unwrap();
+        let named = format!("@{}", manifest.display());
         let flags = "tune --kernel bicg --gpu k20 --strategy random --budget 8 --sizes 32 \
                      --batch-points 2 --csv --stats";
         // What `--stats` prints that differs between any two runs, of
@@ -1513,44 +1434,46 @@ mod tests {
         // Cold, then warm: `computed remotely` is 8, then 0, both ways.
         // Each run adds one connection to the daemon's lifetime count:
         // its chunks and its closing `stats` ride the same one.
-        let runs = ["--remote", "--remote", "--fleet"]
-            .map(|flag| call(&format!("{flags} {flag} {addr}")).unwrap());
+        let runs = [&addr, &addr, &named].map(|a| call(&format!("{flags} --remote {a}")).unwrap());
         for (i, run) in runs.iter().enumerate() {
             let line = format!("  server: {} connection(s),", i + 1);
             assert!(run.contains(&line), "{line} missing:\n{run}");
         }
-        let [cold, remote, fleet] = runs.map(masked);
+        let [cold, inline, listed] = runs.map(masked);
         assert!(cold.contains("8 point(s) fetched, 8 computed remotely"), "{cold}");
-        assert_eq!(remote, fleet, "`--remote A` is `--fleet A`");
-        assert!(fleet.contains("8 point(s) fetched, 0 computed remotely"), "{fleet}");
+        assert_eq!(inline, listed, "`--remote A` is `--remote @FILE` naming A");
+        assert!(listed.contains("8 point(s) fetched, 0 computed remotely"), "{listed}");
         for label in ["remote service stats", "  coalescing:", "  scheduler:", "  shard 0", "  pool"] {
-            assert!(fleet.contains(label), "{label} missing:\n{fleet}");
+            assert!(listed.contains(label), "{label} missing:\n{listed}");
         }
-        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
+        assert!(call(&format!("service shutdown --remote {named}")).is_ok());
         handle.join().expect("server thread");
+        let _ = std::fs::remove_file(&manifest);
     }
 
     #[test]
     fn a_tune_through_a_fresh_daemon_opens_one_connection_to_it() {
         let flags = "tune --kernel atax --gpu k20 --strategy random --budget 4 --sizes 32 --stats";
-        for flag in ["--remote", "--fleet"] {
-            let (addr, handle) = spawn_daemon();
-            let out = call(&format!("{flags} {flag} {addr}")).unwrap();
-            assert!(out.contains("  server: 1 connection(s),"), "{flag}: {out}");
-            assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
-            handle.join().expect("server thread");
-        }
+        let (addr, handle) = spawn_daemon();
+        let out = call(&format!("{flags} --remote {addr}")).unwrap();
+        assert!(out.contains("  server: 1 connection(s),"), "{out}");
+        assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
+        handle.join().expect("server thread");
     }
 
     #[test]
     fn fleet_stats_reports_unreachable_shards_without_failing() {
         let (addr, handle) = spawn_daemon();
-        let svc = call(&format!(
-            "service fleet-stats --fleet {addr},127.0.0.1:9 --rpc-timeout 1000 --retries 0"
-        ))
-        .unwrap();
-        assert!(svc.contains("UNREACHABLE"), "{svc}");
-        assert!(svc.contains("1/2 shard(s) reachable"), "{svc}");
+        let fast = "--rpc-timeout 1000 --retries 0";
+        let svc = call(&format!("service stats --remote {addr},127.0.0.1:9 {fast}")).unwrap();
+        assert!(svc.starts_with(&format!("daemon at {addr}:\n  server:")), "{svc}");
+        assert!(svc.contains("\ndaemon at 127.0.0.1:9: UNREACHABLE ("), "{svc}");
+        // With none answering, `stats` fails; `ping` fails when any does.
+        let none = call(&format!("service stats --remote 127.0.0.1:9 {fast}")).unwrap_err();
+        assert!(none.contains("daemon at 127.0.0.1:9: UNREACHABLE"), "{none}");
+        let ping = call(&format!("service ping --remote {addr},127.0.0.1:9 {fast}")).unwrap_err();
+        assert!(ping.starts_with(&format!("daemon at {addr} is alive\n")), "{ping}");
+        assert!(ping.contains("daemon at 127.0.0.1:9: UNREACHABLE"), "{ping}");
         assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
         handle.join().expect("server thread");
     }
@@ -1563,7 +1486,7 @@ mod tests {
              --remote 127.0.0.1:9",
         )
         .unwrap_err();
-        assert!(err.contains("cannot reach daemon"), "{err}");
+        assert!(err.contains("remote evaluation failed") && err.contains("`127.0.0.1:9`"), "{err}");
         assert!(call("service ping --remote 127.0.0.1:9").is_err());
         assert!(call("service").is_err());
         assert!(call("service frobnicate --remote 127.0.0.1:9").is_err());
@@ -1621,34 +1544,34 @@ mod tests {
     }
 
     #[test]
-    fn remote_tune_rejects_zero_pipelining_knobs() {
-        for line in [
-            "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
-             --batch-points 0",
-            "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
-             --pipeline-depth 0",
-        ] {
-            let err = call(line).unwrap_err();
-            assert!(err.contains("at least 1"), "{err}");
+    fn serve_refuses_a_pool_past_the_cap_before_opening_anything() {
+        let dir = temp_store("serve-cap");
+        for n in ["1025", "18446744073709551615"] {
+            let line = format!("serve --addr 127.0.0.1:0 --store-dir {dir} --max-inflight {n}");
+            let err = call(&line).unwrap_err();
+            assert!(err.contains("--max-inflight must be at most 1024"), "{n}: {err}");
         }
+        assert!(!Path::new(&dir).exists(), "a refused pool opens no store, so binds nothing");
     }
 
     #[test]
-    fn remote_tune_pipelining_knobs_change_batching_not_results() {
+    fn remote_tune_rejects_zero_batch_points() {
+        let line = "tune --kernel atax --gpu k20 --strategy random --remote 127.0.0.1:1 \
+                    --batch-points 0";
+        let err = call(line).unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn remote_tune_batch_points_change_batching_not_results() {
         let (addr, handle) = spawn_daemon();
         let flags = "tune --kernel atax --gpu k20 --strategy random --budget 8 --sizes 32";
         let local = call(flags).unwrap();
-        let knobbed = call(&format!(
-            "{flags} --remote {addr} --batch-points 2 --pipeline-depth 4"
-        ))
-        .unwrap();
-        assert_eq!(knobbed, local, "batching knobs must never change results");
+        let knobbed = call(&format!("{flags} --remote {addr} --batch-points 2")).unwrap();
+        assert_eq!(knobbed, local, "the batching knob must never change results");
 
         // The --stats block shows the coalescing and reactor telemetry.
-        let stats = call(&format!(
-            "{flags} --remote {addr} --stats --batch-points 2 --pipeline-depth 4"
-        ))
-        .unwrap();
+        let stats = call(&format!("{flags} --remote {addr} --stats --batch-points 2")).unwrap();
         assert!(stats.contains("coalescing:"), "{stats}");
         assert!(stats.contains("point(s)/frame"), "{stats}");
         assert!(stats.contains("reactor:"), "{stats}");
@@ -1694,9 +1617,9 @@ mod tests {
         assert!(call(&format!("service shutdown --remote {addr}")).is_ok());
         handle.join().expect("server thread");
 
-        // Fail-fast against a dead daemon stays a clean error.
+        // Fail-fast against a dead daemon stays a clean error naming it.
         let err = call(&format!("{flags} --remote 127.0.0.1:9 --retries 0")).unwrap_err();
-        assert!(err.contains("cannot reach daemon"), "{err}");
+        assert!(err.contains("remote evaluation failed") && err.contains("`127.0.0.1:9`"), "{err}");
     }
 
     #[test]

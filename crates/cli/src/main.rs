@@ -10,15 +10,17 @@
 //! oriole disasm   --kernel atax --gpu k20 [--tc 128 --uif 2 --fast-math]
 //! oriole tune     --kernel atax --gpu k20 --strategy static [--budget 640]
 //!                 [--sizes 32,64,128,256,512] [--spec path/to/spec]
-//!                 [--store-dir artifacts/ | --remote 127.0.0.1:7733]
+//!                 [--store-dir artifacts/ | --remote 127.0.0.1:7733[,...] | --remote @daemons.txt]
 //! oriole store    {stats|verify|gc [--dry-run]} --store-dir artifacts/
 //! oriole serve    [--addr 127.0.0.1:7733] [--store-dir artifacts/]
-//! oriole service  {ping|stats|shutdown} --remote 127.0.0.1:7733
+//! oriole service  {ping|stats|shutdown} --remote 127.0.0.1:7733[,...]
 //! ```
 //!
 //! `serve` runs the tuner daemon: one shared artifact store behind a
 //! framed RPC protocol, so concurrent `--remote` clients share
 //! front-ends and measurements — bit-identically to local evaluation.
+//! `--remote` names one daemon or several (a comma list or an `@file`
+//! manifest); a sweep over several spreads across them.
 
 mod args;
 mod commands;

@@ -29,6 +29,15 @@ pub(crate) struct Daemon {
     stdout: BufReader<std::process::ChildStdout>,
 }
 
+/// A test that fails before [`Daemon::shutdown`] must not leave its
+/// daemon running; after a clean shutdown this reaps nothing.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 impl Daemon {
     /// Spawns `oriole serve` on an ephemeral port over `store_dir` and
     /// parses the actual address out of the startup banner.

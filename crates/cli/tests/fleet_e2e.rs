@@ -1,6 +1,6 @@
 //! End-to-end fleet test across **real process boundaries**: three
 //! spawned `oriole serve` daemons with disjoint store directories, a
-//! `tune --fleet` sweep byte-diffed against a local run, a SIGKILL of
+//! `tune --remote A,B,C` sweep byte-diffed against a local run, a SIGKILL of
 //! one daemon mid-sweep, and store verification on the survivors —
 //! the acceptance scenario of the oriole_fleet PR.
 //!
@@ -41,7 +41,7 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
         ["tune", "--kernel", "atax", "--gpu", "k20", "--strategy", "exhaustive", "--sizes", "32"];
     let local = run_ok(&tune_flags);
     let fleet = run_ok(
-        &[&tune_flags[..], &["--fleet", &fleet_arg, "--batch-points", "4"]].concat(),
+        &[&tune_flags[..], &["--remote", &fleet_arg, "--batch-points", "4"]].concat(),
     );
     assert_eq!(fleet, local, "fleet evaluation must be indistinguishable from local");
 
@@ -50,22 +50,22 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
     // computed it last time, so the stores converge rather than
     // guarantee zero recomputation — the *output* must not move.) ---
     let warm = run_ok(
-        &[&tune_flags[..], &["--fleet", &fleet_arg, "--batch-points", "4"]].concat(),
+        &[&tune_flags[..], &["--remote", &fleet_arg, "--batch-points", "4"]].concat(),
     );
     assert_eq!(warm, local, "warm fleet re-run must be byte-identical");
 
-    // A manifest file names the same fleet: same answer.
+    // A manifest file names the same daemons: same answer.
     let manifest = temp_dir("manifest").with_extension("txt");
     std::fs::write(&manifest, format!("# fleet under test\n{}\n", fleet_arg.replace(',', "\n")))
         .expect("write manifest");
     let via_manifest = run_ok(
         &[
             &tune_flags[..],
-            &["--fleet", &format!("@{}", manifest.display()), "--batch-points", "4"],
+            &["--remote", &format!("@{}", manifest.display()), "--batch-points", "4"],
         ]
         .concat(),
     );
-    assert_eq!(via_manifest, local, "@manifest fleet spec must behave like the inline list");
+    assert_eq!(via_manifest, local, "--remote @manifest must behave like the inline list");
     let _ = std::fs::remove_file(&manifest);
 
     // --- Phase 3: SIGKILL one daemon mid-sweep on a fresh scope. ---
@@ -79,7 +79,7 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
     let victim_sweep = oriole()
         .args([
             "tune", "--kernel", "bicg", "--gpu", "k20", "--strategy", "exhaustive", "--sizes",
-            "32,64", "--fleet", &fleet_arg, "--batch-points", "2", "--rpc-timeout", "2000",
+            "32,64", "--remote", &fleet_arg, "--batch-points", "2", "--rpc-timeout", "2000",
             "--retries", "1",
         ])
         .stdout(Stdio::piped())
@@ -110,7 +110,7 @@ fn three_daemon_fleet_matches_local_and_survives_a_sigkilled_shard() {
         daemons.iter().map(|d| d.addr.as_str()).collect::<Vec<_>>().join(",");
     let rerun = run_ok(&[
         "tune", "--kernel", "bicg", "--gpu", "k20", "--strategy", "exhaustive", "--sizes",
-        "32,64", "--fleet", &survivor_arg, "--batch-points", "2",
+        "32,64", "--remote", &survivor_arg, "--batch-points", "2",
     ]);
     assert_eq!(rerun, local_bicg, "the surviving fleet must still serve the scope");
 

@@ -4,7 +4,7 @@
 
 use crate::spec::FleetSpec;
 use oriole_codegen::TuningParams;
-use oriole_service::{CoalesceConfig, EvalScope, FleetStats, RemoteEvaluator, RetryPolicy};
+use oriole_service::{EvalScope, FleetStats, RemoteEvaluator, RetryPolicy};
 use oriole_tuner::{Measurement, Oracle};
 
 /// A fleet [`Oracle`]: one experiment scope evaluated across N `oriole
@@ -21,18 +21,16 @@ pub struct FleetEvaluator {
 
 impl FleetEvaluator {
     /// A fleet evaluator over `scope` with the given retry policy and
-    /// points per chunk (the frame size and work-stealing granule), at
-    /// the default pipeline depth per shard.
+    /// points per chunk (the frame size and work-stealing granule).
     pub fn with_policy(
         spec: FleetSpec,
         scope: EvalScope,
         policy: RetryPolicy,
         chunk_points: usize,
     ) -> FleetEvaluator {
-        let config = CoalesceConfig { max_batch_points: chunk_points, ..CoalesceConfig::default() };
         let home = spec.home_shard(&scope);
         FleetEvaluator {
-            engine: RemoteEvaluator::over_shards(spec.shards(), home, scope, policy, config),
+            engine: RemoteEvaluator::over_shards(spec.shards(), home, scope, policy, chunk_points),
         }
     }
 

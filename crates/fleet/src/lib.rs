@@ -5,25 +5,25 @@
 //! so one daemon — even pipelined — is the throughput ceiling. This
 //! crate multiplexes a fleet:
 //!
-//! - [`FleetSpec`] names the daemons (`addr1,addr2,...` or an
-//!   `@manifest` file) and owns the **scope partitioner**: every
-//!   `(kernel, gpu, sizes, protocol)` scope hashes to a deterministic
-//!   *home shard* via the same FNV checksum `persist` uses for tier
-//!   file names. Each daemon owns a disjoint `--store-dir`, so the
+//! - [`FleetSpec`] names the daemons — what `--remote` takes: one
+//!   address, `addr1,addr2,...` or an `@manifest` file — and owns the
+//!   **scope partitioner**: every `(kernel, gpu, sizes, protocol)`
+//!   scope hashes to a deterministic *home shard* via the same FNV
+//!   checksum `persist` uses for tier file names. Each daemon owns a disjoint `--store-dir`, so the
 //!   single-writer-per-scope discipline and torn-write detection from
 //!   `persist` hold fleet-wide without coordination.
 //! - [`FleetEvaluator`] implements [`Oracle`](oriole_tuner::Oracle) by
 //!   handing the spec's shards and the scope's home to the one
 //!   evaluation engine, [`oriole_service::RemoteEvaluator`] — the same
-//!   type `tune --remote A` builds over one daemon. The engine owns
-//!   everything that happens after naming: the client-side memo, the
-//!   chunker, a pipelined connection per shard, the **work-stealing
-//!   scheduler** (a batch's chunks enqueue on the home shard, idle
-//!   shards steal from the busiest live queue's tail, a lost shard's
-//!   queue drains to survivors), the retry step and the latch. Chunk
-//!   results are positionally verified and merged **in request
-//!   order**, so the output is byte-identical regardless of which
-//!   shard computed what.
+//!   type and constructor `tune --remote` builds over one daemon or
+//!   many. The engine owns everything that happens after naming: the
+//!   client-side memo, the chunker, a pipelined connection per shard,
+//!   the **work-stealing scheduler** (a batch's chunks enqueue on the
+//!   home shard, idle shards steal from the busiest live queue's tail,
+//!   a lost shard's queue drains to survivors), the retry step and the
+//!   latch. Chunk results are positionally verified and merged **in
+//!   request order**, so the output is byte-identical regardless of
+//!   which shard computed what.
 //!
 //! Why stealing and rebalancing cannot change the answer: evaluation is
 //! deterministic, the wire format is bit-exact, and every daemon's

@@ -14,10 +14,10 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// Parses the CLI `--fleet` argument: either a comma-separated
-    /// address list (`127.0.0.1:7733,127.0.0.1:7734`) or `@path` naming
-    /// a manifest file with one address per line (blank lines and
-    /// `#`-comments ignored).
+    /// Parses the CLI `--remote` argument: one address, a
+    /// comma-separated address list (`127.0.0.1:7733,127.0.0.1:7734`)
+    /// or `@path` naming a manifest file with one address per line
+    /// (blank lines and `#`-comments ignored).
     pub fn parse(arg: &str) -> Result<FleetSpec, String> {
         if let Some(path) = arg.strip_prefix('@') {
             let text = std::fs::read_to_string(path)

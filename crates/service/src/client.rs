@@ -151,13 +151,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and keeps the default deadline —
-    /// the pre-hardening fail-fast behaviour, for tests that assert on
-    /// first-failure semantics.
-    pub fn fail_fast() -> RetryPolicy {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
     /// The backoff before retry attempt `attempt` (1-based):
     /// exponential, capped, jittered into the upper half of the step.
     pub(crate) fn backoff(&self, attempt: u32) -> Duration {

@@ -1,6 +1,6 @@
 //! The remote evaluation engine: [`RemoteEvaluator`], one experiment
 //! scope evaluated through N ≥ 1 daemons. `tune --remote A` is the
-//! one-shard case of `tune --fleet A,B,…`; there is no second code
+//! one-shard case of `tune --remote A,B,…`; there is no second code
 //! path. Scheduling shows up only in [`FleetStats`], never in the data.
 
 use crate::client::{evaluate_answer, Client, Pipeline, RetryPolicy, ServiceError, Ticket};
@@ -12,24 +12,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How [`RemoteEvaluator`] packs cache misses into pipelined `evaluate`
-/// frames — the same two knobs for one daemon or many.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Maximum points per `evaluate` frame: a large batch is split into
-    /// chunks of this size, so a daemon's workers parallelize *within*
-    /// one logical batch. Also the granule shards steal.
-    pub max_batch_points: usize,
-    /// Evaluate frames a shard's worker keeps in flight on its daemon's
-    /// connection (a value above the pipeline's cap of 32 waits there).
-    pub max_frames: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> CoalesceConfig {
-        CoalesceConfig { max_batch_points: 64, max_frames: 8 }
-    }
-}
+/// `evaluate` frames a shard's worker keeps in flight on its daemon's
+/// connection, below the pipeline's cap of
+/// [`MAX_IN_FLIGHT`](crate::protocol::MAX_IN_FLIGHT).
+const WINDOW: usize = 8;
 
 /// What one shard did over an evaluator's life.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -147,13 +133,14 @@ struct BatchState {
 /// more `oriole serve` daemons, so every search strategy runs unchanged
 /// against them. Revisits (stochastic searchers revisit constantly) are
 /// served from a client-side memo without touching the network. A
-/// batch's misses are cut into frames of at most
-/// [`CoalesceConfig::max_batch_points`] points, enqueued on the scope's
-/// home shard and drained by one worker per live shard, each keeping up
-/// to [`CoalesceConfig::max_frames`] frames in flight on its shard's
-/// connection; idle workers steal from the busiest queue's tail, and
-/// results merge **by chunk index**, so the answer is bit-identical to
-/// a local run no matter which shard computed what.
+/// batch's misses are cut into frames of at most `chunk_points` points
+/// (a daemon's workers parallelize *within* one logical batch, and a
+/// frame is the granule shards steal), enqueued on the scope's home
+/// shard and drained by one worker per live shard, each keeping up to
+/// 8 frames in flight on its shard's connection; idle workers steal
+/// from the busiest queue's tail, and results merge **by chunk index**,
+/// so the answer is bit-identical to a local run no matter which shard
+/// computed what.
 ///
 /// Threads sharing an evaluator **take turns**: a batch the memo
 /// answers whole is answered at once, and any other waits for the turn,
@@ -182,7 +169,8 @@ pub struct RemoteEvaluator {
     /// Where a batch's chunks first enqueue.
     home: usize,
     scope: EvalScope,
-    config: CoalesceConfig,
+    /// Points per `evaluate` frame.
+    chunk_points: usize,
     memo: Mutex<Memo>,
     /// Held across a fetch: the turn threads sharing the evaluator take.
     turn: Mutex<()>,
@@ -190,41 +178,37 @@ pub struct RemoteEvaluator {
 }
 
 impl RemoteEvaluator {
-    /// A one-daemon evaluator over `scope`, speaking to `client`'s
-    /// daemon under `client`'s policy, with default batching.
-    pub fn new(client: Client, scope: EvalScope) -> RemoteEvaluator {
-        RemoteEvaluator::with_coalesce(client, scope, CoalesceConfig::default())
-    }
+    /// Points per `evaluate` frame when the caller names none.
+    pub const DEFAULT_CHUNK_POINTS: usize = 64;
 
-    /// [`RemoteEvaluator::new`] with explicit batching knobs.
-    pub fn with_coalesce(
-        client: Client,
-        scope: EvalScope,
-        config: CoalesceConfig,
-    ) -> RemoteEvaluator {
-        RemoteEvaluator::assemble(vec![client], 0, scope, config)
+    /// A one-daemon evaluator over `scope`, speaking to `client`'s
+    /// daemon under `client`'s policy, in frames of
+    /// [`DEFAULT_CHUNK_POINTS`](Self::DEFAULT_CHUNK_POINTS).
+    pub fn new(client: Client, scope: EvalScope) -> RemoteEvaluator {
+        RemoteEvaluator::assemble(vec![client], 0, scope, Self::DEFAULT_CHUNK_POINTS)
     }
 
     /// An evaluator over the daemons at `addrs`, none dialed until it
-    /// is handed work; a batch's chunks first enqueue on
-    /// `addrs[home]`. Panics unless `home` indexes `addrs`.
+    /// is handed work, in frames of at most `chunk_points` points; a
+    /// batch's chunks first enqueue on `addrs[home]`. Panics unless
+    /// `home` indexes `addrs`.
     pub fn over_shards(
         addrs: &[String],
         home: usize,
         scope: EvalScope,
         policy: RetryPolicy,
-        config: CoalesceConfig,
+        chunk_points: usize,
     ) -> RemoteEvaluator {
         assert!(home < addrs.len(), "home shard {home} of {} shard(s)", addrs.len());
         let clients = addrs.iter().map(|a| Client::undialed(a, policy)).collect();
-        RemoteEvaluator::assemble(clients, home, scope, config)
+        RemoteEvaluator::assemble(clients, home, scope, chunk_points)
     }
 
     fn assemble(
         shards: Vec<Client>,
         home: usize,
         scope: EvalScope,
-        config: CoalesceConfig,
+        chunk_points: usize,
     ) -> RemoteEvaluator {
         let telemetry = FleetStats {
             shards: shards
@@ -237,10 +221,7 @@ impl RemoteEvaluator {
             shards,
             home,
             scope,
-            config: CoalesceConfig {
-                max_batch_points: config.max_batch_points.max(1),
-                max_frames: config.max_frames.max(1),
-            },
+            chunk_points: chunk_points.max(1),
             memo: Mutex::default(),
             turn: Mutex::new(()),
             telemetry: Mutex::new(telemetry),
@@ -258,8 +239,7 @@ impl RemoteEvaluator {
         self.telemetry.lock().expect("telemetry lock").clone()
     }
 
-    /// `evaluate` frames answered (each carries one chunk of at most
-    /// [`CoalesceConfig::max_batch_points`] points).
+    /// `evaluate` frames answered (each carries one chunk).
     pub fn batches_sent(&self) -> u64 {
         self.telemetry.lock().expect("telemetry lock").shards.iter().map(|s| s.completed).sum()
     }
@@ -320,7 +300,7 @@ impl RemoteEvaluator {
     /// home shard, drained by one worker per live shard, merged by
     /// chunk index. `Err` is the batch-fatal failure to latch.
     fn fetch(&self, misses: &[TuningParams]) -> Result<Vec<Measurement>, String> {
-        let chunks: Vec<&[TuningParams]> = misses.chunks(self.config.max_batch_points).collect();
+        let chunks: Vec<&[TuningParams]> = misses.chunks(self.chunk_points).collect();
         let n = self.shards.len();
         let mut sched = StealScheduler::new(n);
         {
@@ -342,7 +322,7 @@ impl RemoteEvaluator {
         let batch = Batch {
             // No worker holds more than its share of the batch, so a
             // short batch still spreads over the shards.
-            window: self.config.max_frames.min(chunks.len().div_ceil(sched.live_count())),
+            window: WINDOW.min(chunks.len().div_ceil(sched.live_count())),
             state: Mutex::new(BatchState {
                 sched,
                 results: vec![None; chunks.len()],

@@ -55,10 +55,10 @@
 //!   search strategy runs unchanged against them. It owns the
 //!   client-side memo (threads sharing an evaluator take turns
 //!   fetching, so no point is fetched twice), cuts a batch's misses
-//!   into frames ([`CoalesceConfig`]) and drains them with one worker
-//!   per live daemon under a work-stealing scheduler, each on its daemon's
-//!   [`Client`] connection — one per daemon; `oriole_fleet` only names
-//!   the daemons. A *final* failure — a deterministic error, or
+//!   into frames and drains them with one worker per live daemon under
+//!   a work-stealing scheduler, each on its daemon's [`Client`]
+//!   connection — one per daemon; `oriole_fleet` only names the
+//!   daemons (`tune --remote ADDRS|@FILE`). A *final* failure — a deterministic error, or
 //!   the last daemon lost — latches: the run aborts loudly, never
 //!   silently returns garbage winners.
 //! * `chaos` — test support behind the `chaos` feature, which only
@@ -88,8 +88,6 @@ pub mod server;
 #[cfg(feature = "chaos")]
 pub use chaos::{ChaosPlan, ChaosProxy, FaultSpec};
 pub use client::{Client, Pipeline, RetryPolicy, ServiceError};
-pub use evaluator::{
-    CoalesceConfig, FleetCounters, FleetStats, RemoteEvaluator, ShardTelemetry,
-};
+pub use evaluator::{FleetCounters, FleetStats, RemoteEvaluator, ShardTelemetry};
 pub use protocol::{EvalScope, Request, Response, ServiceStats, RPC_VERSION};
 pub use server::{ServeConfig, ServeSummary, Server};

@@ -59,7 +59,8 @@ pub const RPC_VERSION: &str = "oriole-rpc v5";
 /// cap reads an answer in before it sends again, and the daemon stops
 /// reading a connection at the cap until answers drain, so pipelining
 /// backpressure lands on the sender's TCP window, not on daemon memory.
-/// The engine's window below it is `tune --pipeline-depth`.
+/// The [`RemoteEvaluator`](crate::RemoteEvaluator) keeps 8 frames in
+/// flight per daemon, below it.
 pub const MAX_IN_FLIGHT: usize = 32;
 
 /// Most points one `evaluate` request may carry; a larger batch is a

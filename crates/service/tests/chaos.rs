@@ -11,7 +11,7 @@ use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
 use oriole_service::{
-    ChaosPlan, ChaosProxy, Client, CoalesceConfig, EvalScope, FaultSpec, RemoteEvaluator,
+    ChaosPlan, ChaosProxy, Client, EvalScope, FaultSpec, RemoteEvaluator,
     RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
 };
 use oriole_sim::MAX_TRIALS;
@@ -271,14 +271,14 @@ fn pipelined_connection_cut_mid_frame_heals_bit_identically() {
     )
     .expect("proxy");
 
-    let client =
-        Client::connect_with(&proxy.addr().to_string(), test_policy()).expect("connect");
-    let remote = RemoteEvaluator::with_coalesce(
-        client,
+    // Tiny chunks: the sweep crosses as multiple frames in flight on
+    // one pipeline, so the cut strands several requests at once.
+    let remote = RemoteEvaluator::over_shards(
+        &[proxy.addr().to_string()],
+        0,
         scope("atax", gpu, &[64]),
-        // Tiny chunks: the sweep crosses as multiple frames in flight
-        // on one pipeline, so the cut strands several requests at once.
-        CoalesceConfig { max_batch_points: 2, max_frames: 4 },
+        test_policy(),
+        2,
     );
     let healed = remote.evaluate_batch(&points).expect("heals");
     assert_eq!(remote.take_error(), None);
@@ -317,12 +317,12 @@ fn pipelined_response_corruption_heals_bit_identically_without_misdelivery() {
     )
     .expect("proxy");
 
-    let client =
-        Client::connect_with(&proxy.addr().to_string(), test_policy()).expect("connect");
-    let remote = RemoteEvaluator::with_coalesce(
-        client,
+    let remote = RemoteEvaluator::over_shards(
+        &[proxy.addr().to_string()],
+        0,
         scope("bicg", gpu, &[32]),
-        CoalesceConfig { max_batch_points: 2, max_frames: 4 },
+        test_policy(),
+        2,
     );
     let healed = remote.evaluate_batch(&points).expect("heals");
     assert_eq!(remote.take_error(), None);
@@ -351,11 +351,12 @@ fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
         jitter_seed: 42,
     };
     let started = Instant::now();
-    let client = Client::connect_with(&proxy.addr().to_string(), policy).expect("connect");
-    let remote = RemoteEvaluator::with_coalesce(
-        client,
+    let remote = RemoteEvaluator::over_shards(
+        &[proxy.addr().to_string()],
+        0,
         scope("atax", Gpu::K20.spec(), &[64]),
-        CoalesceConfig { max_batch_points: 1, max_frames: 4 },
+        policy,
+        1,
     );
     let space = SearchSpace::tiny();
     let points: Vec<TuningParams> = space.iter().collect();

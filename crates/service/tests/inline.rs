@@ -39,6 +39,11 @@ fn spawn_server(store: ArtifactStore, cfg: ServeConfig) -> (String, JoinHandle<S
     (addr, std::thread::spawn(move || server.run().expect("serve")))
 }
 
+/// Never retries, so a case sees the first failure; default deadline.
+fn fail_fast() -> RetryPolicy {
+    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
+}
+
 fn scope(kernel: &str, gpu: &GpuSpec, sizes: &[u64]) -> EvalScope {
     EvalScope {
         kernel: kernel.to_string(),
@@ -107,7 +112,7 @@ impl ParkedWorker {
         let before = probe.stats().expect("stats");
         let (addr_, sc_) = (addr.to_string(), sc.clone());
         let asking = std::thread::spawn(move || {
-            let patient = RetryPolicy { rpc_timeout: Duration::from_secs(120), ..RetryPolicy::fail_fast() };
+            let patient = RetryPolicy { rpc_timeout: Duration::from_secs(120), ..fail_fast() };
             let client = Client::connect_with(&addr_, patient).expect("connect");
             client.evaluate(&sc_, &[point]).expect("answered once the point is computed")
         });
@@ -230,7 +235,7 @@ fn a_draining_daemon_refuses_a_hit_frame_as_it_refuses_any_other() {
     let (addr, handle) = spawn_server(store.clone(), ServeConfig::default());
     let warm_scope = scope("atax", Gpu::K20.spec(), &[64]);
     let warm: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
-    let lingering = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let lingering = Client::connect_with(&addr, fail_fast()).expect("connect");
     lingering.evaluate(&warm_scope, &warm).expect("cold");
     lingering.evaluate(&warm_scope, &warm).expect("warm, inline");
     assert_eq!(stats(&addr).inline_hits, 1);
@@ -286,7 +291,7 @@ fn requests_admission_refuses_keep_their_wording() {
     let (addr, handle) = spawn_server(ArtifactStore::new(), ServeConfig::default());
     let k20 = Gpu::K20.spec();
     let p = TuningParams::with_geometry(128, 48);
-    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let client = Client::connect_with(&addr, fail_fast()).expect("connect");
     client.evaluate(&scope("atax", k20, &[64]), &[p]).expect("cold");
     let no_warps = GpuSpec { warps_per_mp: 0, ..k20.clone() };
     for (sc, wording) in [
@@ -318,7 +323,7 @@ fn a_peer_that_never_reads_is_throttled_and_starves_nobody() {
         (deaf, outcome)
     });
     // Meanwhile, and afterwards, the daemon answers everybody else.
-    let polite = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let polite = Client::connect_with(&addr, fail_fast()).expect("connect");
     while !flooding.is_finished() {
         polite.ping().expect("answered while the flood is on");
         // Paces the pings and waits for nothing: the loop's condition is

@@ -11,7 +11,7 @@ use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
 use oriole_service::protocol::{Request, Response};
 use oriole_service::{
-    Client, CoalesceConfig, EvalScope, Pipeline, RemoteEvaluator, RetryPolicy, Server,
+    Client, EvalScope, Pipeline, RemoteEvaluator, RetryPolicy, Server,
     ServeSummary,
 };
 use oriole_tuner::persist::write_frame_tagged;
@@ -312,13 +312,9 @@ fn coalesced_concurrent_evaluators_are_bit_identical_to_sequential() {
     let sc = scope("atax", gpu, &sizes);
 
     let (addr, handle) = spawn_server(ArtifactStore::new());
-    let client = Client::connect(&addr).expect("connect");
-    let remote = Arc::new(RemoteEvaluator::with_coalesce(
-        client,
-        sc,
-        // Tiny chunks force multi-frame batches through the pipeline.
-        CoalesceConfig { max_batch_points: 2, ..CoalesceConfig::default() },
-    ));
+    // Tiny chunks force multi-frame batches through the pipeline.
+    let one = std::slice::from_ref(&addr);
+    let remote = Arc::new(RemoteEvaluator::over_shards(one, 0, sc, RetryPolicy::default(), 2));
 
     // Eight threads hammer the one evaluator with overlapping slices;
     // they take turns, and the turn-holder fetches only what the memo

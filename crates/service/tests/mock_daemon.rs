@@ -98,6 +98,11 @@ fn spawn_mock(tamper: Tamper) -> (String, JoinHandle<()>) {
     (addr, handle)
 }
 
+/// Never retries, so a case sees the first failure; default deadline.
+fn fail_fast() -> RetryPolicy {
+    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
+}
+
 fn scope() -> EvalScope {
     EvalScope {
         kernel: "atax".to_string(),
@@ -114,7 +119,7 @@ fn points() -> Vec<TuningParams> {
 #[test]
 fn reordered_measurements_are_rejected_as_a_protocol_error() {
     let (addr, handle) = spawn_mock(Tamper::Reorder);
-    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let client = Client::connect_with(&addr, fail_fast()).expect("connect");
     let err = client.evaluate(&scope(), &points()).expect_err("reordering must be caught");
     match &err {
         ServiceError::Protocol(m) => {
@@ -129,7 +134,7 @@ fn reordered_measurements_are_rejected_as_a_protocol_error() {
 #[test]
 fn short_changed_measurements_are_rejected_as_a_protocol_error() {
     let (addr, handle) = spawn_mock(Tamper::ShortChange);
-    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let client = Client::connect_with(&addr, fail_fast()).expect("connect");
     let err = client.evaluate(&scope(), &points()).expect_err("short answer must be caught");
     match &err {
         ServiceError::Protocol(m) => {
@@ -147,7 +152,7 @@ fn short_changed_measurements_are_rejected_as_a_protocol_error() {
 #[test]
 fn a_response_with_the_wrong_correlation_id_is_rejected_not_delivered() {
     let (addr, handle) = spawn_mock(Tamper::WrongId);
-    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let client = Client::connect_with(&addr, fail_fast()).expect("connect");
     let err = client.evaluate(&scope(), &points()).expect_err("wrong id must be caught");
     match &err {
         ServiceError::Protocol(m) => {
@@ -162,7 +167,7 @@ fn a_response_with_the_wrong_correlation_id_is_rejected_not_delivered() {
 #[test]
 fn a_pipelined_response_with_an_unknown_id_poisons_the_pipeline() {
     let (addr, handle) = spawn_mock(Tamper::WrongId);
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     let ticket = pipe
         .send(&Request::Evaluate {
             scope: scope(),
@@ -185,7 +190,7 @@ fn a_pipelined_response_with_an_unknown_id_poisons_the_pipeline() {
 #[test]
 fn a_connection_level_busy_keeps_its_retry_hint_and_poisons_the_pipeline() {
     let (addr, handle) = spawn_mock(Tamper::Shed);
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     let asked = Request::Evaluate { scope: scope(), points: points(), deadline_ms: 0 };
     let err = pipe.call(&asked).expect_err("a shed connection answers nothing");
     assert!(matches!(err, ServiceError::Busy(7)), "the daemon's hint survives: {err:?}");
@@ -217,7 +222,7 @@ fn a_response_written_one_byte_per_write_still_decodes() {
             stream.write_all(&[byte]).expect("one byte");
         }
     });
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     assert!(matches!(pipe.call(&Request::Ping), Ok(Response::Pong)));
     drop(pipe);
     mock.join().expect("mock thread");
@@ -235,7 +240,7 @@ fn two_responses_in_one_write_are_both_delivered_the_second_from_the_buffer() {
         // client its rpc deadline, not arrive.
         let _ = stream.read_to_end(&mut Vec::new());
     });
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     let first = pipe.send(&Request::Ping).expect("send");
     let second = pipe.send(&Request::Ping).expect("send");
     assert!(matches!(pipe.wait(first), Ok(Response::Pong)));
@@ -255,7 +260,7 @@ fn a_connection_closed_after_half_a_frame_is_a_transient_error_within_the_deadli
         stream.write_all(&frame[..half]).expect("half an answer");
     });
     let rpc_timeout = Duration::from_secs(5);
-    let policy = RetryPolicy { rpc_timeout, ..RetryPolicy::fail_fast() };
+    let policy = RetryPolicy { rpc_timeout, ..fail_fast() };
     let pipe = Pipeline::connect(&addr, &policy).expect("connect");
     let asked = Instant::now();
     let err = pipe.call(&Request::Ping).expect_err("half a frame answers nothing");
@@ -272,7 +277,7 @@ fn a_request_one_point_over_the_bound_is_refused_and_the_connection_keeps_servin
     let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let daemon = std::thread::spawn(move || server.run().expect("serve"));
-    let client = Client::connect_with(&addr, RetryPolicy::fail_fast()).expect("connect");
+    let client = Client::connect_with(&addr, fail_fast()).expect("connect");
     let over = vec![TuningParams::with_geometry(128, 48); MAX_POINTS_PER_REQUEST + 1];
     let err = client.evaluate(&scope(), &over).expect_err("one point over the bound");
     match &err {

@@ -17,6 +17,11 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Never retries, so a case sees the first failure; default deadline.
+fn fail_fast() -> RetryPolicy {
+    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
+}
+
 fn scope() -> EvalScope {
     EvalScope {
         kernel: "atax".to_string(),
@@ -50,7 +55,7 @@ fn two_threads_sharing_a_pipeline_each_redeem_their_own_tickets() {
     let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let daemon = std::thread::spawn(move || server.run().expect("serve"));
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     // 500 requests a thread, each thread its own point, two in flight a
     // thread: whichever thread happens to read, an answer carrying the
     // other's point must never come out of this one's ticket.
@@ -80,7 +85,7 @@ fn a_burst_of_sends_past_the_depth_cap_completes_before_any_wait() {
     let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind");
     let addr = server.local_addr().expect("addr").to_string();
     let daemon = std::thread::spawn(move || server.run().expect("serve"));
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     // Nobody waits, so at the cap `send` itself reads an answer in.
     let tickets: Vec<_> = (0..MAX_IN_FLIGHT + 3)
         .map(|_| pipe.send(&Request::Ping).expect("send at the cap"))
@@ -118,7 +123,7 @@ fn answers_in_reverse_order_reach_their_own_tickets() {
             write_frame_tagged(&mut stream, corr, &emit_response(&resp)).expect("answer");
         }
     });
-    let pipe = Pipeline::connect(&addr, &RetryPolicy::fail_fast()).expect("connect");
+    let pipe = Pipeline::connect(&addr, &fail_fast()).expect("connect");
     let sent: Vec<_> = (1..=FRAMES)
         .map(|i| {
             let point = TuningParams::with_geometry(32 * i, 24);
@@ -143,7 +148,7 @@ fn a_silent_daemon_costs_one_rpc_deadline_and_later_sends_fail_fast() {
         drop(stream);
     });
     let rpc_timeout = Duration::from_millis(200);
-    let policy = RetryPolicy { rpc_timeout, ..RetryPolicy::fail_fast() };
+    let policy = RetryPolicy { rpc_timeout, ..fail_fast() };
     let pipe = Pipeline::connect(&addr, &policy).expect("connect");
     let ticket = pipe.send(&Request::Ping).expect("the send itself succeeds");
     let asked = Instant::now();

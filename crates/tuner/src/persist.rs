@@ -106,6 +106,10 @@ const MAGIC: &str = "oriole-meas v2";
 /// Extension of tier files inside a store directory.
 const EXT: &str = "orl";
 
+/// Extension of a compaction's output before it is renamed over its
+/// tier file.
+const TMP_EXT: &str = "orl.tmp";
+
 // ---------------------------------------------------------------------------
 // Checksums and sealed lines
 // ---------------------------------------------------------------------------
@@ -1237,7 +1241,8 @@ pub fn scan_store(dir: &Path) -> std::io::Result<Vec<FileReport>> {
 /// Result of one [`gc_store`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcReport {
-    /// Unusable (corrupt / version-skewed) files deleted.
+    /// Unusable (corrupt / version-skewed) tier files and stale
+    /// compaction outputs deleted.
     pub removed_files: usize,
     /// Files rewritten to drop rejected or duplicate records.
     pub compacted_files: usize,
@@ -1248,8 +1253,9 @@ pub struct GcReport {
 }
 
 /// Garbage-collects a store directory: deletes unusable tier files and
-/// compacts usable ones that carry rejected record lines (rewriting
-/// header + surviving records). Never touches healthy files.
+/// the output of compactions a crash kept from being renamed, and
+/// compacts usable tier files that carry rejected record lines
+/// (rewriting header + surviving records). Never touches healthy files.
 pub fn gc_store(dir: &Path) -> std::io::Result<GcReport> {
     gc_pass(dir, true)
 }
@@ -1262,6 +1268,19 @@ pub fn plan_gc(dir: &Path) -> std::io::Result<GcReport> {
 
 fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
     let mut report = GcReport::default();
+    // A compaction cut off before its rename left the tier it was made
+    // from in place, so its output is only waste that no reader sees.
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.strip_suffix(TMP_EXT).is_some_and(|stem| stem.ends_with('.')) {
+            report.bytes_reclaimed += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            if apply {
+                std::fs::remove_file(&path)?;
+            }
+            report.removed_files += 1;
+        }
+    }
     for path in tier_files(dir)? {
         let before = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         match read_tier(&path) {
@@ -1294,7 +1313,7 @@ fn gc_pass(dir: &Path, apply: bool) -> std::io::Result<GcReport> {
                     // mid-gc leaves the original (still mostly usable)
                     // file intact instead of a truncated one that would
                     // discard every good record.
-                    let tmp = path.with_extension("orl.tmp");
+                    let tmp = path.with_extension(TMP_EXT);
                     std::fs::write(&tmp, &content)?;
                     std::fs::rename(&tmp, &path)?;
                 }

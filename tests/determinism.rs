@@ -7,7 +7,7 @@ use oriole::arch::Gpu;
 use oriole::codegen::{compile, TuningParams};
 use oriole::core::analyze;
 use oriole::kernels::KernelId;
-use oriole::service::{Client, EvalScope, RemoteEvaluator, Server};
+use oriole::service::{Client, EvalScope, RemoteEvaluator, RetryPolicy, Server};
 use oriole::sim::{measure, ModelId, TrialProtocol};
 use oriole::tuner::{
     persist, AnnealingSearch, ArtifactStore, EvalProtocol, Evaluator, GeneticSearch, Measurement,
@@ -352,7 +352,6 @@ fn pipelined_coalesced_sweeps_serialize_byte_identically_to_local_and_single_sho
     // *canonical serialization*: every path must produce the same bytes
     // for every point, so pipelining and batching are invisible in the
     // data.
-    use oriole::service::CoalesceConfig;
     use oriole::tuner::persist::emit_measurement;
 
     let kid = KernelId::Atax;
@@ -387,11 +386,8 @@ fn pipelined_coalesced_sweeps_serialize_byte_identically_to_local_and_single_sho
     assert_eq!(one_at_a_time, local, "single-shot exchanges serialize like local");
 
     // Coalesced + pipelined, under real thread contention.
-    let remote = Arc::new(RemoteEvaluator::with_coalesce(
-        Client::connect(&addr).expect("connect"),
-        sc,
-        CoalesceConfig { max_batch_points: 3, ..CoalesceConfig::default() },
-    ));
+    let one = std::slice::from_ref(&addr);
+    let remote = Arc::new(RemoteEvaluator::over_shards(one, 0, sc, RetryPolicy::default(), 3));
     let swept: Vec<Vec<String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|_| {

@@ -9,7 +9,9 @@
 //!   recomputed — never silently trusted;
 //! * a warm-from-disk re-sweep builds, lowers and computes nothing;
 //! * a tier file a killed writer left torn loses only its last line,
-//!   and the next writer repairs it.
+//!   and the next writer repairs it;
+//! * a compaction a crash cut off before its rename leaves the tier as
+//!   it was, and the next `gc` removes what it wrote.
 
 use oriole::arch::{Gpu, GpuSpec};
 use oriole::codegen::TuningParams;
@@ -344,6 +346,59 @@ fn a_torn_tail_is_cut_off_before_a_resumed_writer_appends() {
             }
             other => panic!("cut at {cut}: {other:?}"),
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_compaction_cut_before_its_rename_leaves_the_tier_whole_and_gc_removes_the_rest() {
+    // `gc` compacts a tier by writing `<tier>.orl.tmp` and renaming it
+    // over the tier. A crash between the two leaves any prefix of the
+    // compacted bytes there: cut at 200 seeded offsets, at 0 and at
+    // full length.
+    let dir = temp_store("gc-tmp");
+    let sizes = [64u64];
+    let space = SearchSpace::tiny();
+    let store = ArtifactStore::with_disk(&dir).unwrap();
+    let cold = store.evaluator("atax", &builder, gpu(), &sizes).evaluate_space(&space);
+    drop(store);
+    let path = tier_file(&dir);
+    // One damaged record, so `gc` has a tier to compact.
+    let damaged = std::fs::read_to_string(&path).unwrap().replacen("tc:64", "tc:63", 1);
+    std::fs::write(&path, &damaged).unwrap();
+    let scanned = persist::scan_store(&dir).unwrap();
+    assert_eq!(persist::gc_store(&dir).unwrap().compacted_files, 1);
+    let compacted = std::fs::read(&path).unwrap();
+    let tmp = path.with_extension("orl.tmp");
+
+    let mut rng = TestRng::for_case("gc_tmp", 0);
+    let mut cuts: Vec<usize> = (0..200).map(|_| rng.range_usize(1, compacted.len())).collect();
+    cuts.extend([0, compacted.len()]);
+    for cut in cuts {
+        std::fs::write(&path, &damaged).unwrap();
+        std::fs::write(&tmp, &compacted[..cut]).unwrap();
+
+        // The tier reads and loads as it did with no compaction begun:
+        // every record but the damaged one, which is recomputed.
+        assert_eq!(persist::scan_store(&dir).unwrap(), scanned, "cut at {cut}");
+        let store = ArtifactStore::with_disk(&dir).unwrap();
+        let evaluator = store.evaluator("atax", &builder, gpu(), &sizes);
+        assert_eq!(evaluator.evaluate_space(&space), cold, "cut at {cut}");
+        assert_eq!(evaluator.unique_evaluations(), 1, "cut at {cut}");
+        let disk = store.stats().disk.expect("disk tier");
+        assert_eq!((disk.measurements_loaded as usize, disk.rejected), (space.len() - 1, 1));
+        drop(evaluator);
+        drop(store);
+
+        // `gc` (and its plan) removes the cut output and compacts the
+        // tier again, leaving only the compacted file.
+        std::fs::write(&path, &damaged).unwrap();
+        let plan = persist::plan_gc(&dir).unwrap();
+        let gc = persist::gc_store(&dir).unwrap();
+        assert_eq!(gc, plan, "cut at {cut}");
+        assert_eq!((gc.removed_files, gc.compacted_files), (1, 1), "cut at {cut}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "cut at {cut}");
+        assert_eq!(std::fs::read(&path).unwrap(), compacted, "cut at {cut}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
