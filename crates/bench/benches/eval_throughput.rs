@@ -28,9 +28,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
-use oriole_fleet::{FleetEvaluator, FleetSpec};
 use oriole_kernels::KernelId;
-use oriole_service::{Client, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server};
+use oriole_service::{
+    Client, EvalScope, FleetSpec, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
+};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Oracle, SearchSpace};
 
 fn thinned_fig3_space() -> SearchSpace {
@@ -260,7 +261,7 @@ fn bench_eval_throughput(c: &mut Criterion) {
             // Untimed bit-identity gate: the fleet sweep must agree
             // with the local evaluator byte-for-byte before it is
             // worth timing.
-            let fleet = FleetEvaluator::with_policy(
+            let fleet = RemoteEvaluator::with_policy(
                 spec.clone(),
                 scope.clone(),
                 RetryPolicy::default(),
@@ -276,7 +277,7 @@ fn bench_eval_throughput(c: &mut Criterion) {
         g.bench_function(format!("fleet/scaling_s{s}"), |b| {
             b.iter_batched(
                 || {
-                    FleetEvaluator::with_policy(
+                    RemoteEvaluator::with_policy(
                         spec.clone(),
                         scope.clone(),
                         RetryPolicy::default(),

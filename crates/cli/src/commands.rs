@@ -7,11 +7,10 @@ use oriole_arch::{Gpu, ALL_GPUS};
 use oriole_codegen::{compile, CompilerFlags, PhaseTelemetry, PreferredL1, TuningParams};
 use oriole_core::predict_time_indexed;
 use oriole_core::{analyze, report, suggest};
-use oriole_fleet::FleetSpec;
 use oriole_kernels::KernelId;
 use oriole_service::protocol::MAX_IN_FLIGHT;
 use oriole_service::{
-    Client, EvalScope, RemoteEvaluator, RetryPolicy, ServeConfig, Server, ServiceStats,
+    Client, EvalScope, FleetSpec, RemoteEvaluator, RetryPolicy, ServeConfig, Server, ServiceStats,
 };
 use oriole_sim::{ModelContext, ModelId, TrialProtocol, MAX_TRIALS};
 use oriole_tuner::{
@@ -399,13 +398,9 @@ fn cmd_tune(args: &Args) -> Result<String, String> {
         protocol,
     };
     let backend = match remote {
-        Some(spec) => Backend::Remote(RemoteEvaluator::over_shards(
-            spec.shards(),
-            spec.home_shard(&scope),
-            scope,
-            policy,
-            batch_points,
-        )),
+        Some(spec) => {
+            Backend::Remote(RemoteEvaluator::with_policy(spec, scope, policy, batch_points))
+        }
         None => {
             let run_store = resolve_store(args)?;
             let evaluator =
@@ -667,15 +662,8 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             args.num_or("idle-timeout", default.idle_timeout.as_millis() as u64)?,
         ),
     };
-    if cfg.max_connections == 0 || cfg.max_inflight == 0 {
-        return Err("--max-connections and --max-inflight must be at least 1".to_string());
-    }
-    if cfg.max_inflight > MAX_WORKERS {
-        return Err(format!(
-            "--max-inflight must be at most {MAX_WORKERS}: the daemon starts one thread per \
-             worker when it binds"
-        ));
-    }
+    // Before the store opens: a refused pool leaves no directory behind.
+    cfg.check()?;
     args.reject_unasked("serve")?;
     let (store, store_note) = match store_dir {
         Some(dir) => (
@@ -710,10 +698,6 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
         if summary.drained { "drained clean" } else { "drain deadline hit" }
     ))
 }
-
-/// Most workers `serve --max-inflight` may ask for: the pool is started
-/// whole, one OS thread per worker, before the first request arrives.
-const MAX_WORKERS: usize = 1024;
 
 /// The line `serve` prints once it listens; it names the pool as `service stats` does.
 fn serve_banner(addr: &str, store_note: &str, cfg: &ServeConfig) -> String {

@@ -1,8 +1,7 @@
 //! End-to-end fleet test across **real process boundaries**: three
 //! spawned `oriole serve` daemons with disjoint store directories, a
 //! `tune --remote A,B,C` sweep byte-diffed against a local run, a SIGKILL of
-//! one daemon mid-sweep, and store verification on the survivors —
-//! the acceptance scenario of the oriole_fleet PR.
+//! one daemon mid-sweep, and store verification on the survivors.
 //!
 //! What must hold:
 //! * a 3-daemon fleet sweep prints byte-identical output to a local

@@ -1,11 +1,13 @@
 //! The remote evaluation engine: [`RemoteEvaluator`], one experiment
-//! scope evaluated through N ≥ 1 daemons. `tune --remote A` is the
-//! one-shard case of `tune --remote A,B,…`; there is no second code
-//! path. Scheduling shows up only in [`FleetStats`], never in the data.
+//! scope evaluated through the N ≥ 1 daemons a [`FleetSpec`] names.
+//! `tune --remote A` is the one-shard case of `tune --remote A,B,…`;
+//! there is no second code path. Scheduling shows up only in
+//! [`FleetStats`], never in the data.
 
 use crate::client::{evaluate_answer, Client, Pipeline, RetryPolicy, ServiceError, Ticket};
 use crate::protocol::{EvalScope, Request};
 use crate::sched::StealScheduler;
+use crate::spec::FleetSpec;
 use oriole_codegen::TuningParams;
 use oriole_tuner::{Measurement, Oracle, WordHash};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -188,19 +190,18 @@ impl RemoteEvaluator {
         RemoteEvaluator::assemble(vec![client], 0, scope, Self::DEFAULT_CHUNK_POINTS)
     }
 
-    /// An evaluator over the daemons at `addrs`, none dialed until it
+    /// An evaluator over the daemons `spec` names, none dialed until it
     /// is handed work, in frames of at most `chunk_points` points; a
-    /// batch's chunks first enqueue on `addrs[home]`. Panics unless
-    /// `home` indexes `addrs`.
-    pub fn over_shards(
-        addrs: &[String],
-        home: usize,
+    /// batch's chunks first enqueue on the scope's
+    /// [`home_shard`](FleetSpec::home_shard).
+    pub fn with_policy(
+        spec: FleetSpec,
         scope: EvalScope,
         policy: RetryPolicy,
         chunk_points: usize,
     ) -> RemoteEvaluator {
-        assert!(home < addrs.len(), "home shard {home} of {} shard(s)", addrs.len());
-        let clients = addrs.iter().map(|a| Client::undialed(a, policy)).collect();
+        let home = spec.home_shard(&scope);
+        let clients = spec.shards().iter().map(|a| Client::undialed(a, policy)).collect();
         RemoteEvaluator::assemble(clients, home, scope, chunk_points)
     }
 

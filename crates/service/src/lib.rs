@@ -51,14 +51,18 @@
 //!   verbs (evaluation is deterministic and the store dedups, so
 //!   replaying is always bit-identically safe).
 //! * [`RemoteEvaluator`] — the one way to ask daemons for points: an
-//!   [`oriole_tuner::Oracle`] over N ≥ 1 daemons, so every existing
-//!   search strategy runs unchanged against them. It owns the
-//!   client-side memo (threads sharing an evaluator take turns
-//!   fetching, so no point is fetched twice), cuts a batch's misses
-//!   into frames and drains them with one worker per live daemon under
-//!   a work-stealing scheduler, each on its daemon's [`Client`]
-//!   connection — one per daemon; `oriole_fleet` only names the
-//!   daemons (`tune --remote ADDRS|@FILE`). A *final* failure — a deterministic error, or
+//!   [`oriole_tuner::Oracle`] over the N ≥ 1 daemons a [`FleetSpec`]
+//!   names (what `tune --remote ADDRS|@FILE` parses), so every existing
+//!   search strategy runs unchanged against them. The spec's scope
+//!   partitioner picks each scope's *home* daemon by the FNV checksum
+//!   `persist` names tier files with, so every client agrees where a
+//!   scope's chunks first enqueue. The engine owns the client-side memo
+//!   (threads sharing an evaluator take turns fetching, so no point is
+//!   fetched twice), cuts a batch's misses into frames and drains them
+//!   with one worker per live daemon under a work-stealing scheduler,
+//!   each on its daemon's [`Client`] connection — one per daemon.
+//!   Results merge by chunk index, so which daemon computed what never
+//!   shows in the data. A *final* failure — a deterministic error, or
 //!   the last daemon lost — latches: the run aborts loudly, never
 //!   silently returns garbage winners.
 //! * `chaos` — test support behind the `chaos` feature, which only
@@ -84,6 +88,7 @@ pub mod protocol;
 mod reactor;
 mod sched;
 pub mod server;
+mod spec;
 
 #[cfg(feature = "chaos")]
 pub use chaos::{ChaosPlan, ChaosProxy, FaultSpec};
@@ -91,3 +96,4 @@ pub use client::{Client, Pipeline, RetryPolicy, ServiceError};
 pub use evaluator::{FleetCounters, FleetStats, RemoteEvaluator, ShardTelemetry};
 pub use protocol::{EvalScope, Request, Response, ServiceStats, RPC_VERSION};
 pub use server::{ServeConfig, ServeSummary, Server};
+pub use spec::FleetSpec;

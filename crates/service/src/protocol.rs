@@ -67,6 +67,12 @@ pub const MAX_IN_FLIGHT: usize = 32;
 /// per-request error (retrying cannot help, so it is not `busy`).
 pub const MAX_POINTS_PER_REQUEST: usize = 100_000;
 
+/// Most problem sizes one `evaluate` scope may name (the paper sweeps
+/// five); more is a per-request error like an oversized batch. A kernel
+/// whose AST changes with the size is lowered once per size, and the
+/// daemon keeps every lowered program for its life.
+pub const MAX_SIZES_PER_SCOPE: usize = 64;
+
 /// The experiment scope of an `evaluate` batch: exactly the
 /// measurement-tier key of the daemon's store, so two clients that
 /// agree on a scope share each other's artifacts and measurements.

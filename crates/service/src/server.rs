@@ -69,8 +69,9 @@
 //! * **Version skew** is answered with an error naming both versions,
 //!   then the connection closes.
 //! * A request that parses but names impossible values (unknown kernel,
-//!   infeasible scope, a batch over [`MAX_POINTS_PER_REQUEST`]) is a
-//!   per-request error; the connection survives.
+//!   infeasible scope, a batch over [`MAX_POINTS_PER_REQUEST`], a scope
+//!   over [`MAX_SIZES_PER_SCOPE`]) is a per-request error; the
+//!   connection survives.
 //! * A client that **disconnects mid-request** costs only the response
 //!   write; the computed measurements stay in the store for the next
 //!   client (that's the point of the shared tier).
@@ -84,6 +85,7 @@
 
 use crate::protocol::{
     self, EvalScope, Request, Response, ServiceStats, MAX_IN_FLIGHT, MAX_POINTS_PER_REQUEST,
+    MAX_SIZES_PER_SCOPE,
 };
 use crate::reactor::{self, raw_fd, Interest, WakeHandle, WakePipe};
 use oriole_codegen::TuningParams;
@@ -102,8 +104,9 @@ use std::time::{Duration, Instant};
 /// tuner clients; every bound exists so that no failure mode — slow
 /// client, silent client, flood of clients — can park the daemon
 /// forever. The bounds nobody tunes are constants: the in-flight cap
-/// ([`MAX_IN_FLIGHT`]), the point bound ([`MAX_POINTS_PER_REQUEST`]),
-/// the write and drain deadlines and the `busy` retry hint.
+/// ([`MAX_IN_FLIGHT`]), the point and size bounds
+/// ([`MAX_POINTS_PER_REQUEST`], [`MAX_SIZES_PER_SCOPE`]), the write and
+/// drain deadlines and the `busy` retry hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum concurrent connections. A connection past the bound is
@@ -120,6 +123,29 @@ pub struct ServeConfig {
     /// Per-connection read deadline: a connection idle past this with
     /// nothing in flight is reaped.
     pub idle_timeout: Duration,
+}
+
+/// Most workers a [`ServeConfig`] may ask for: [`Server::run`] starts
+/// the pool whole, one OS thread per worker.
+const MAX_WORKERS: usize = 1024;
+
+impl ServeConfig {
+    /// Why a daemon cannot serve under this config: no connection or
+    /// no worker allowed, or a pool of more than 1,024 worker threads.
+    /// [`Server::bind_with`] refuses such a config before it binds; the
+    /// wording names `oriole serve`'s flags.
+    pub fn check(&self) -> Result<(), String> {
+        if self.max_connections == 0 || self.max_inflight == 0 {
+            return Err("--max-connections and --max-inflight must be at least 1".to_string());
+        }
+        if self.max_inflight > MAX_WORKERS {
+            return Err(format!(
+                "--max-inflight must be at most {MAX_WORKERS}: the daemon starts one thread per \
+                 worker when it binds"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ServeConfig {
@@ -236,12 +262,15 @@ impl Server {
         Server::bind_with(addr, store, ServeConfig::default())
     }
 
-    /// [`Server::bind`] with explicit serving bounds.
+    /// [`Server::bind`] with explicit serving bounds; a config
+    /// [`ServeConfig::check`] refuses is `InvalidInput`, before
+    /// anything binds.
     pub fn bind_with(
         addr: &str,
         store: ArtifactStore,
         cfg: ServeConfig,
     ) -> std::io::Result<Server> {
+        cfg.check().map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         let state = Arc::new(ServerState {
             cfg,
@@ -287,7 +316,7 @@ impl Server {
         // one tick.
         const TICK: Duration = Duration::from_millis(10);
         self.listener.set_nonblocking(true)?;
-        for _ in 0..self.state.cfg.max_inflight.max(1) {
+        for _ in 0..self.state.cfg.max_inflight {
             let store = self.store.clone();
             let state = Arc::clone(&self.state);
             let wake = wake.clone();
@@ -856,8 +885,8 @@ fn process_request(
 /// device the models can run on (the codec hands over whatever device
 /// the frame spelled, and one they would divide by zero on must not
 /// reach a worker), at most [`MAX_POINTS_PER_REQUEST`] points, a
-/// registry kernel and at least one size. `Err` is the refusal's
-/// wording, a per-request error.
+/// registry kernel and one to [`MAX_SIZES_PER_SCOPE`] sizes. `Err` is
+/// the refusal's wording, a per-request error.
 fn admit(scope: &EvalScope, points: usize) -> Result<KernelId, String> {
     if let Some(problem) = scope.gpu.problems().into_iter().next() {
         return Err(format!("unusable device description: {problem}"));
@@ -872,6 +901,12 @@ fn admit(scope: &EvalScope, points: usize) -> Result<KernelId, String> {
         KernelId::parse(&scope.kernel).ok_or_else(|| format!("unknown kernel `{}`", scope.kernel))?;
     if scope.sizes.is_empty() {
         return Err("empty size list".to_string());
+    }
+    if scope.sizes.len() > MAX_SIZES_PER_SCOPE {
+        return Err(format!(
+            "evaluate scope of {} sizes exceeds the per-scope bound of {MAX_SIZES_PER_SCOPE}",
+            scope.sizes.len()
+        ));
     }
     Ok(kernel)
 }

@@ -1,7 +1,7 @@
-//! Fleet topology: which daemons form the fleet, and which shard is a
-//! scope's deterministic home.
+//! Which daemons a [`RemoteEvaluator`](crate::RemoteEvaluator) asks,
+//! and which of them is a scope's deterministic home.
 
-use oriole_service::EvalScope;
+use crate::protocol::EvalScope;
 use oriole_tuner::persist;
 use std::collections::HashSet;
 

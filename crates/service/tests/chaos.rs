@@ -7,53 +7,18 @@
 
 mod common;
 
+use common::{local_sweep, scope, shutdown, spawn_server, spawn_server_with};
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
 use oriole_service::{
-    ChaosPlan, ChaosProxy, Client, EvalScope, FaultSpec, RemoteEvaluator,
-    RetryPolicy, ServeConfig, ServeSummary, Server, ServiceError,
+    ChaosPlan, ChaosProxy, Client, EvalScope, FaultSpec, FleetSpec, RemoteEvaluator,
+    RetryPolicy, ServeConfig, Server, ServiceError,
 };
 use oriole_sim::MAX_TRIALS;
-use oriole_tuner::{ArtifactStore, EvalProtocol, Evaluator, Measurement, SearchSpace};
-use std::net::SocketAddr;
+use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement, Oracle, SearchSpace};
 use std::path::PathBuf;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn spawn_server_with(
-    store: ArtifactStore,
-    cfg: ServeConfig,
-) -> (SocketAddr, JoinHandle<ServeSummary>) {
-    let server = Server::bind_with("127.0.0.1:0", store, cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
-}
-
-fn spawn_server(store: ArtifactStore) -> (SocketAddr, JoinHandle<ServeSummary>) {
-    spawn_server_with(store, ServeConfig::default())
-}
-
-fn scope(kernel: &str, gpu: &GpuSpec, sizes: &[u64]) -> EvalScope {
-    EvalScope {
-        kernel: kernel.to_string(),
-        gpu: gpu.clone(),
-        sizes: sizes.to_vec(),
-        protocol: EvalProtocol::default(),
-    }
-}
-
-fn local_sweep(kid: KernelId, gpu: &GpuSpec, sizes: &[u64], space: &SearchSpace) -> Vec<Measurement> {
-    let builder = move |n: u64| kid.ast(n);
-    let ev = Evaluator::new(&builder, gpu, sizes);
-    ev.evaluate_space(space).iter().map(|m| (**m).clone()).collect()
-}
-
-fn shutdown_daemon(addr: SocketAddr, handle: JoinHandle<ServeSummary>) -> ServeSummary {
-    Client::connect(&addr.to_string()).expect("connect").shutdown().expect("shutdown");
-    handle.join().expect("server thread")
-}
 
 /// A fast-failing-but-healing policy for fault tests: deadlines tight
 /// enough that a black hole is detected in milliseconds, retries
@@ -81,7 +46,7 @@ fn corrupted_response_frame_heals_via_retry_bit_identically() {
     // 16-byte header). The frame checksum must catch it, the retry
     // must reconnect and heal.
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::sequence(vec![FaultSpec { corrupt_response_at: Some(20), ..FaultSpec::clean() }]),
     )
     .expect("proxy");
@@ -97,7 +62,7 @@ fn corrupted_response_frame_heals_via_retry_bit_identically() {
 
     drop(client);
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -111,7 +76,7 @@ fn connection_cut_mid_frame_heals_via_retry_bit_identically() {
     // First two connections die mid-response-frame (one inside the
     // 16-byte header, one inside the payload); the third is clean.
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::sequence(vec![
             FaultSpec { cut_response_after: Some(7), ..FaultSpec::clean() },
             FaultSpec { cut_response_after: Some(40), ..FaultSpec::clean() },
@@ -127,7 +92,7 @@ fn connection_cut_mid_frame_heals_via_retry_bit_identically() {
 
     drop(client);
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -139,7 +104,7 @@ fn refused_connections_heal_once_the_network_does() {
 
     let (daemon, handle) = spawn_server(ArtifactStore::new());
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::sequence(vec![
             FaultSpec { refuse: true, ..FaultSpec::clean() },
             FaultSpec { refuse: true, ..FaultSpec::clean() },
@@ -153,7 +118,7 @@ fn refused_connections_heal_once_the_network_does() {
 
     drop(client);
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -162,7 +127,7 @@ fn a_black_hole_latches_loudly_within_its_deadline_budget() {
     // Every connection swallows the response for far longer than the
     // client is willing to wait.
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::always(FaultSpec { delay_response_ms: 60_000, ..FaultSpec::clean() }),
     )
     .expect("proxy");
@@ -177,7 +142,6 @@ fn a_black_hole_latches_loudly_within_its_deadline_budget() {
     let started = Instant::now();
     let client = Client::connect_with(&proxy.addr().to_string(), policy).expect("connect");
     let remote = RemoteEvaluator::new(client, scope("atax", Gpu::K20.spec(), &[64]));
-    use oriole_tuner::Oracle as _;
     assert_eq!(remote.eval(TuningParams::with_geometry(128, 48)), f64::INFINITY);
     let elapsed = started.elapsed();
     let err = remote.take_error().expect("black hole must latch an error");
@@ -187,7 +151,7 @@ fn a_black_hole_latches_loudly_within_its_deadline_budget() {
     assert!(elapsed < Duration::from_secs(5), "latched after {elapsed:?}, deadline not honored");
 
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -214,11 +178,11 @@ fn daemon_death_mid_sweep_latches_and_a_restart_resumes_bit_identically() {
         rpc_timeout: Duration::from_millis(500),
         jitter_seed: 42,
     };
-    let client = Client::connect_with(&daemon.to_string(), policy).expect("connect");
+    let client = Client::connect_with(&daemon, policy).expect("connect");
     let remote = RemoteEvaluator::new(client, sc.clone());
     let healthy = remote.evaluate_batch(first).expect("first half evaluates");
     assert_eq!(&healthy[..], &local[..first.len()], "pre-fault half matches local");
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 
     // The dead daemon must latch loudly — bounded by the retry budget,
     // not a hang — and poison everything after.
@@ -234,7 +198,7 @@ fn daemon_death_mid_sweep_latches_and_a_restart_resumes_bit_identically() {
     // pre-crash half replayed from disk, not recomputed.
     let store = ArtifactStore::with_disk(&dir).expect("reopen disk store");
     let (daemon, handle) = spawn_server(store);
-    let client = Client::connect_with(&daemon.to_string(), test_policy()).expect("connect");
+    let client = Client::connect_with(&daemon, test_policy()).expect("connect");
     let resumed = RemoteEvaluator::new(client, sc);
     let full = resumed.evaluate_batch(&points).expect("resumed sweep");
     assert_eq!(resumed.take_error(), None);
@@ -246,7 +210,7 @@ fn daemon_death_mid_sweep_latches_and_a_restart_resumes_bit_identically() {
         (resumed.stats().computed_remote as usize) <= rest.len(),
         "the pre-crash half must come from the spilled store, not recomputation"
     );
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -263,7 +227,7 @@ fn pipelined_connection_cut_mid_frame_heals_bit_identically() {
     // inside a payload — each with several chunked frames in flight.
     // The third connection is clean.
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::sequence(vec![
             FaultSpec { cut_response_after: Some(7), ..FaultSpec::clean() },
             FaultSpec { cut_response_after: Some(40), ..FaultSpec::clean() },
@@ -273,9 +237,8 @@ fn pipelined_connection_cut_mid_frame_heals_bit_identically() {
 
     // Tiny chunks: the sweep crosses as multiple frames in flight on
     // one pipeline, so the cut strands several requests at once.
-    let remote = RemoteEvaluator::over_shards(
-        &[proxy.addr().to_string()],
-        0,
+    let remote = RemoteEvaluator::with_policy(
+        FleetSpec::parse(&proxy.addr().to_string()).expect("spec"),
         scope("atax", gpu, &[64]),
         test_policy(),
         2,
@@ -291,7 +254,7 @@ fn pipelined_connection_cut_mid_frame_heals_bit_identically() {
     assert!(proxy.connections() >= 3, "healing re-dialed the pipeline: {}", proxy.connections());
 
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -309,7 +272,7 @@ fn pipelined_response_corruption_heals_bit_identically_without_misdelivery() {
     // poisons instead of delivering to the wrong ticket. The first
     // connection is the one the evaluator's chunks ride.
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::sequence(vec![FaultSpec {
             corrupt_response_at: Some(20),
             ..FaultSpec::clean()
@@ -317,9 +280,8 @@ fn pipelined_response_corruption_heals_bit_identically_without_misdelivery() {
     )
     .expect("proxy");
 
-    let remote = RemoteEvaluator::over_shards(
-        &[proxy.addr().to_string()],
-        0,
+    let remote = RemoteEvaluator::with_policy(
+        FleetSpec::parse(&proxy.addr().to_string()).expect("spec"),
         scope("bicg", gpu, &[32]),
         test_policy(),
         2,
@@ -331,14 +293,14 @@ fn pipelined_response_corruption_heals_bit_identically_without_misdelivery() {
     assert!(proxy.connections() >= 2, "the poisoned pipeline was replaced");
 
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
 fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
     let (daemon, handle) = spawn_server(ArtifactStore::new());
     let proxy = ChaosProxy::spawn(
-        daemon,
+        daemon.parse().expect("a socket address"),
         ChaosPlan::always(FaultSpec { delay_response_ms: 60_000, ..FaultSpec::clean() }),
     )
     .expect("proxy");
@@ -351,9 +313,8 @@ fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
         jitter_seed: 42,
     };
     let started = Instant::now();
-    let remote = RemoteEvaluator::over_shards(
-        &[proxy.addr().to_string()],
-        0,
+    let remote = RemoteEvaluator::with_policy(
+        FleetSpec::parse(&proxy.addr().to_string()).expect("spec"),
         scope("atax", Gpu::K20.spec(), &[64]),
         policy,
         1,
@@ -372,7 +333,7 @@ fn a_black_hole_under_a_pipelined_sweep_latches_loudly_within_budget() {
     assert!(elapsed < Duration::from_secs(5), "latched after {elapsed:?}, deadline not honored");
 
     proxy.stop();
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
 }
 
 #[test]
@@ -382,10 +343,10 @@ fn a_saturated_worker_pool_sheds_with_busy_and_recovers() {
     let cfg = ServeConfig { max_connections: 1, ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
 
-    let holder = Client::connect(&daemon.to_string()).expect("connect");
+    let holder = Client::connect(&daemon).expect("connect");
     holder.ping().expect("holder owns the one worker slot");
 
-    let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
+    let mut raw = std::net::TcpStream::connect(&daemon).expect("dial");
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
     // The shed is connection-level: Busy arrives before any request.
     let reply = common::read_frame(&mut raw, &mut Vec::new()).expect("busy frame").1;
@@ -404,10 +365,10 @@ fn a_saturated_worker_pool_sheds_with_busy_and_recovers() {
     // Capacity freed: a client's retries heal the shed once the holder
     // leaves (a shed connection answers `busy`, which is transient).
     drop(holder);
-    let healed = Client::connect(&daemon.to_string()).expect("dial after capacity frees");
+    let healed = Client::connect(&daemon).expect("dial after capacity frees");
     healed.ping().expect("pool recovered");
     drop(healed);
-    let summary = shutdown_daemon(daemon, handle);
+    let summary = shutdown(&daemon, handle);
     assert!(summary.stats.shed_busy >= 1);
 }
 
@@ -430,7 +391,7 @@ fn contended_clients_all_complete_identically_under_a_tiny_inflight_gate() {
             .map(|i| {
                 let sc = sc.clone();
                 let points = points.clone();
-                let addr = daemon.to_string();
+                let addr = daemon.clone();
                 s.spawn(move || {
                     let policy = RetryPolicy { jitter_seed: i, ..test_policy() };
                     let client = Client::connect_with(&addr, policy).expect("connect");
@@ -443,7 +404,26 @@ fn contended_clients_all_complete_identically_under_a_tiny_inflight_gate() {
     for r in &results {
         assert_eq!(r, &local, "contention must never change results");
     }
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
+}
+
+#[test]
+fn a_pool_without_workers_or_past_the_cap_is_refused_before_it_binds() {
+    let default = ServeConfig::default();
+    for (cfg, wording) in [
+        (ServeConfig { max_inflight: 0, ..default }, "must be at least 1"),
+        (ServeConfig { max_connections: 0, ..default }, "must be at least 1"),
+        (ServeConfig { max_inflight: 1025, ..default }, "--max-inflight must be at most 1024"),
+    ] {
+        let err = Server::bind_with("127.0.0.1:0", ArtifactStore::new(), cfg)
+            .err()
+            .expect("an unservable pool is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(wording), "{cfg:?}: {err}");
+    }
+    // Binding starts no worker, so the largest pool costs nothing here.
+    let widest = ServeConfig { max_inflight: 1024, ..default };
+    Server::bind_with("127.0.0.1:0", ArtifactStore::new(), widest).expect("1,024 workers bind");
 }
 
 #[test]
@@ -451,11 +431,11 @@ fn idle_connections_are_reaped_and_clients_heal_by_reconnecting() {
     let cfg = ServeConfig { idle_timeout: Duration::from_millis(100), ..ServeConfig::default() };
     let (daemon, handle) = spawn_server_with(ArtifactStore::new(), cfg);
 
-    let client = Client::connect_with(&daemon.to_string(), test_policy()).expect("connect");
+    let client = Client::connect_with(&daemon, test_policy()).expect("connect");
     client.ping().expect("alive");
     // A connection opened after the client's is reaped no earlier than
     // it, so this one's EOF means the client's is gone too.
-    let mut raw = std::net::TcpStream::connect(daemon).expect("dial");
+    let mut raw = std::net::TcpStream::connect(&daemon).expect("dial");
     raw.set_read_timeout(Some(Duration::from_secs(5))).expect("deadline");
     assert_eq!(std::io::Read::read(&mut raw, &mut [0u8; 64]).expect("reaped, not timed out"), 0);
     // The next call heals transparently: the poisoned/closed stream is
@@ -465,7 +445,7 @@ fn idle_connections_are_reaped_and_clients_heal_by_reconnecting() {
     assert!(stats.reaped_idle >= 1, "the reap is counted: {stats:?}");
 
     drop(client);
-    let summary = shutdown_daemon(daemon, handle);
+    let summary = shutdown(&daemon, handle);
     assert!(summary.stats.reaped_idle >= 1);
 }
 
@@ -481,7 +461,7 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
     let p = TuningParams::with_geometry(128, 48);
     let policy = test_policy();
 
-    let client = Client::connect_with(&daemon.to_string(), policy).expect("connect");
+    let client = Client::connect_with(&daemon, policy).expect("connect");
     let refused = |what: &str, outcome: Result<(), ServiceError>, asked: Instant| {
         let err = outcome.expect_err(what);
         assert!(matches!(err, ServiceError::Remote(_)), "{what}: {err}");
@@ -505,7 +485,7 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
     drop(client);
 
     // Both workers are still there.
-    let fresh = Client::connect_with(&daemon.to_string(), policy).expect("connect");
+    let fresh = Client::connect_with(&daemon, policy).expect("connect");
     fresh.ping().expect("ping");
     let space = SearchSpace::tiny();
     let points: Vec<TuningParams> = space.iter().collect();
@@ -516,5 +496,148 @@ fn degenerate_devices_and_trial_counts_are_refused_before_they_reach_a_worker() 
         assert_eq!(r.time_ms.to_bits(), l.time_ms.to_bits());
     }
     drop(fresh);
-    shutdown_daemon(daemon, handle);
+    shutdown(&daemon, handle);
+}
+
+// The fleet: a shard that turns into a network black hole must be
+// detected within the client's deadline budget, retired, and its chunks
+// rerouted to the survivors — with the final answer bit-identical to a
+// local run and no point lost or duplicated beyond the rebalanced
+// chunks. A shard whose fault heals inside the retry policy must stay
+// in the fleet.
+
+/// Deadlines tight enough that the black hole is detected in under a
+/// second, not after the default ten-second RPC timeout.
+fn impatient() -> RetryPolicy {
+    RetryPolicy {
+        max_retries: 1,
+        base_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(20),
+        rpc_timeout: Duration::from_millis(400),
+        jitter_seed: 42,
+    }
+}
+
+/// Builds a two-shard spec with `faulty` placed at the scope's home
+/// index — the harder path, where the dispatch queue itself must
+/// reroute — and returns `(spec, home_index)`.
+fn spec_with_faulty_home(sc: &EvalScope, faulty: String, healthy: String) -> (FleetSpec, usize) {
+    let probe = FleetSpec::from_addrs(vec!["a".into(), "b".into()]).expect("probe");
+    let home = probe.home_shard(sc);
+    let mut addrs = vec![String::new(), String::new()];
+    addrs[home] = faulty;
+    addrs[1 - home] = healthy;
+    (FleetSpec::from_addrs(addrs).expect("spec"), home)
+}
+
+#[test]
+fn black_holed_home_shard_reroutes_without_losing_or_duplicating_points() {
+    const CHUNK: usize = 2;
+    let gpu = Gpu::K20.spec();
+    let sizes = [64u64];
+    let local = local_sweep(KernelId::Atax, gpu, &sizes, &SearchSpace::tiny());
+    let points: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
+    let sc = scope("atax", gpu, &sizes);
+
+    let (hole_daemon, hole_handle) = spawn_server(ArtifactStore::new());
+    let (live_daemon, live_handle) = spawn_server(ArtifactStore::new());
+    // The black hole forwards requests upstream but swallows every
+    // response: the daemon behind it may still compute, which is
+    // exactly why the unique-evaluation bound below has a slack term.
+    let proxy = ChaosProxy::spawn(
+        hole_daemon.parse().expect("a socket address"),
+        ChaosPlan::always(FaultSpec { delay_response_ms: 60_000, ..FaultSpec::clean() }),
+    )
+    .expect("proxy");
+
+    let (spec, home) =
+        spec_with_faulty_home(&sc, proxy.addr().to_string(), live_daemon.clone());
+    let fleet = RemoteEvaluator::with_policy(spec, sc, impatient(), CHUNK);
+
+    let started = Instant::now();
+    let times = fleet.eval_many(&points);
+    let elapsed = started.elapsed();
+    // Detection budget: one in-flight RPC through the whole impatient
+    // policy, plus the survivor's sweep — nowhere near the 60 s hole.
+    assert!(elapsed < Duration::from_secs(20), "reroute took {elapsed:?}: deadline not honored");
+
+    assert_eq!(times.len(), local.len());
+    for (t, l) in times.iter().zip(&local) {
+        assert_eq!(t.to_bits(), l.time_ms.to_bits(), "rerouted fleet diverged from local");
+    }
+    assert!(fleet.take_error().is_none(), "one healthy shard means no fleet failure");
+
+    let stats = fleet.stats();
+    assert!(stats.shards[home].lost, "the black-holed home must be declared lost: {stats:?}");
+    assert!(stats.shards[home].rebalanced_away > 0, "its queue must have drained: {stats:?}");
+    let completed: u64 = stats.shards.iter().map(|s| s.completed).sum();
+    assert_eq!(completed, stats.chunks, "every chunk completed exactly once: {stats:?}");
+
+    // No point lost, none duplicated beyond the rebalanced chunks: the
+    // daemons' combined unique-evaluation count covers the space at
+    // least once, with slack only for chunks the black-holed daemon
+    // computed before its responses were swallowed.
+    proxy.stop();
+    let hole_stats =
+        Client::connect(&hole_daemon).expect("connect").stats().expect("stats");
+    let live_stats =
+        Client::connect(&live_daemon).expect("connect").stats().expect("stats");
+    let unique = (hole_stats.store.unique_evaluations + live_stats.store.unique_evaluations) as u64;
+    let space = points.len() as u64;
+    let rebalanced_slack = stats.shards[home].rebalanced_away * CHUNK as u64;
+    assert!(
+        unique >= space,
+        "points lost: {unique} unique evaluations < {space} points"
+    );
+    assert!(
+        unique <= space + rebalanced_slack,
+        "points duplicated beyond the {rebalanced_slack}-point rebalance slack: \
+         {unique} unique evaluations for {space} points"
+    );
+
+    shutdown(&hole_daemon, hole_handle);
+    shutdown(&live_daemon, live_handle);
+}
+
+#[test]
+fn a_fault_that_heals_within_the_retry_policy_keeps_the_shard_in_the_fleet() {
+    let gpu = Gpu::M40.spec();
+    let sizes = [32u64];
+    let local = local_sweep(KernelId::Bicg, gpu, &sizes, &SearchSpace::tiny());
+    let points: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
+    let sc = scope("bicg", gpu, &sizes);
+
+    let (flaky_daemon, flaky_handle) = spawn_server(ArtifactStore::new());
+    let (live_daemon, live_handle) = spawn_server(ArtifactStore::new());
+    // First connection through the proxy dies mid-response-frame; every
+    // later one forwards faithfully. The client's internal retry must
+    // absorb this without the fleet retiring the shard.
+    let proxy = ChaosProxy::spawn(
+        flaky_daemon.parse().expect("a socket address"),
+        ChaosPlan::sequence(vec![FaultSpec { cut_response_after: Some(7), ..FaultSpec::clean() }]),
+    )
+    .expect("proxy");
+
+    let healing = RetryPolicy { max_retries: 4, ..impatient() };
+    let (spec, home) =
+        spec_with_faulty_home(&sc, proxy.addr().to_string(), live_daemon.clone());
+    let fleet = RemoteEvaluator::with_policy(spec, sc, healing, 2);
+
+    let times = fleet.eval_many(&points);
+    for (t, l) in times.iter().zip(&local) {
+        assert_eq!(t.to_bits(), l.time_ms.to_bits(), "healed fleet diverged from local");
+    }
+    assert!(fleet.take_error().is_none());
+
+    let stats = fleet.stats();
+    assert_eq!(stats.counters().shards_lost, 0, "a healed fault must not retire: {stats:?}");
+    assert!(
+        stats.shards[home].completed > 0,
+        "the healed home shard must have kept working: {stats:?}"
+    );
+    assert!(proxy.connections() >= 2, "healing reconnects through the proxy");
+
+    proxy.stop();
+    shutdown(&flaky_daemon, flaky_handle);
+    shutdown(&live_daemon, live_handle);
 }

@@ -14,13 +14,13 @@
 
 mod common;
 
+use common::{fail_fast, scope, shutdown, spawn_server, spawn_server_with};
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
 use oriole_service::protocol::{emit_request, parse_response};
 use oriole_service::{
-    Client, EvalScope, Request, Response, RetryPolicy, ServeConfig, ServeSummary, Server,
-    ServiceError, ServiceStats,
+    Client, EvalScope, Request, Response, RetryPolicy, ServeConfig, ServiceError, ServiceStats,
 };
 use oriole_tuner::persist::{encode_frame, write_frame_tagged};
 use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement, SearchSpace};
@@ -33,33 +33,8 @@ use std::time::{Duration, Instant};
 /// One more than the reactor answers inline (`server::INLINE_POINTS`).
 const OVER_THE_INLINE_BOUND: usize = 257;
 
-fn spawn_server(store: ArtifactStore, cfg: ServeConfig) -> (String, JoinHandle<ServeSummary>) {
-    let server = Server::bind_with("127.0.0.1:0", store, cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    (addr, std::thread::spawn(move || server.run().expect("serve")))
-}
-
-/// Never retries, so a case sees the first failure; default deadline.
-fn fail_fast() -> RetryPolicy {
-    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-}
-
-fn scope(kernel: &str, gpu: &GpuSpec, sizes: &[u64]) -> EvalScope {
-    EvalScope {
-        kernel: kernel.to_string(),
-        gpu: gpu.clone(),
-        sizes: sizes.to_vec(),
-        protocol: EvalProtocol::default(),
-    }
-}
-
 fn stats(addr: &str) -> ServiceStats {
     Client::connect(addr).expect("connect").stats().expect("stats")
-}
-
-fn shutdown(addr: &str, handle: JoinHandle<ServeSummary>) -> ServeSummary {
-    Client::connect(addr).expect("connect").shutdown().expect("shutdown");
-    handle.join().expect("server thread")
 }
 
 /// One `evaluate` exchange on a raw socket: the response payload, text
@@ -140,7 +115,7 @@ impl ParkedWorker {
 
 #[test]
 fn a_warm_frame_reads_the_same_bytes_inline_and_from_a_worker() {
-    let (addr, handle) = spawn_server(ArtifactStore::new(), ServeConfig::default());
+    let (addr, handle) = spawn_server(ArtifactStore::new());
     let gpu = Gpu::K20.spec();
     let sc = scope("atax", gpu, &[32]);
     let points: Vec<TuningParams> =
@@ -187,7 +162,7 @@ fn a_warm_frame_reads_the_same_bytes_inline_and_from_a_worker() {
 fn hits_are_answered_past_a_full_gate_while_a_miss_is_still_shed_at_its_deadline() {
     let store = ArtifactStore::new();
     let cfg = ServeConfig { max_inflight: 1, ..ServeConfig::default() };
-    let (addr, handle) = spawn_server(store.clone(), cfg);
+    let (addr, handle) = spawn_server_with(store.clone(), cfg);
     let gpu = Gpu::K20.spec();
     let warm_scope = scope("atax", gpu, &[64]);
     let warm: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
@@ -232,7 +207,7 @@ fn hits_are_answered_past_a_full_gate_while_a_miss_is_still_shed_at_its_deadline
 #[test]
 fn a_draining_daemon_refuses_a_hit_frame_as_it_refuses_any_other() {
     let store = ArtifactStore::new();
-    let (addr, handle) = spawn_server(store.clone(), ServeConfig::default());
+    let (addr, handle) = spawn_server(store.clone());
     let warm_scope = scope("atax", Gpu::K20.spec(), &[64]);
     let warm: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
     let lingering = Client::connect_with(&addr, fail_fast()).expect("connect");
@@ -263,12 +238,12 @@ fn a_restarted_disk_daemon_opens_a_scope_on_a_worker_and_answers_the_next_frame_
     let sc = scope("bicg", Gpu::M40.spec(), &[32, 64]);
     let points: Vec<TuningParams> = SearchSpace::tiny().iter().collect();
 
-    let (addr, handle) = spawn_server(ArtifactStore::with_disk(&dir).expect("dir"), ServeConfig::default());
+    let (addr, handle) = spawn_server(ArtifactStore::with_disk(&dir).expect("dir"));
     let (computed, cold) = Client::connect(&addr).expect("connect").evaluate(&sc, &points).expect("cold");
     assert_eq!(computed as usize, points.len());
     shutdown(&addr, handle);
 
-    let (addr, handle) = spawn_server(ArtifactStore::with_disk(&dir).expect("dir"), ServeConfig::default());
+    let (addr, handle) = spawn_server(ArtifactStore::with_disk(&dir).expect("dir"));
     let client = Client::connect(&addr).expect("connect");
     let (computed, first) = client.evaluate(&sc, &points).expect("first frame of the scope");
     let opened = stats(&addr);
@@ -288,7 +263,7 @@ fn a_restarted_disk_daemon_opens_a_scope_on_a_worker_and_answers_the_next_frame_
 
 #[test]
 fn requests_admission_refuses_keep_their_wording() {
-    let (addr, handle) = spawn_server(ArtifactStore::new(), ServeConfig::default());
+    let (addr, handle) = spawn_server(ArtifactStore::new());
     let k20 = Gpu::K20.spec();
     let p = TuningParams::with_geometry(128, 48);
     let client = Client::connect_with(&addr, fail_fast()).expect("connect");
@@ -298,6 +273,10 @@ fn requests_admission_refuses_keep_their_wording() {
         (scope("atax", &no_warps, &[64]), "unusable device description: warps_per_mp must be positive"),
         (scope("gemm", k20, &[64]), "unknown kernel `gemm`"),
         (scope("atax", k20, &[]), "empty size list"),
+        (
+            scope("ex14fj", k20, &(1..=65).map(|i| 16 * i).collect::<Vec<u64>>()),
+            "evaluate scope of 65 sizes exceeds the per-scope bound of 64",
+        ),
     ] {
         match client.evaluate(&sc, &[p]) {
             Err(ServiceError::Remote(message)) => assert_eq!(message, wording),
@@ -313,7 +292,7 @@ fn requests_admission_refuses_keep_their_wording() {
 
 #[test]
 fn a_peer_that_never_reads_is_throttled_and_starves_nobody() {
-    let (addr, handle) = spawn_server(ArtifactStore::new(), ServeConfig::default());
+    let (addr, handle) = spawn_server(ArtifactStore::new());
     let frame = encode_frame(7, |out| out.push_str(&emit_request(&Request::Stats))).expect("frame");
     let flood: Vec<u8> = frame.iter().copied().cycle().take(40 << 20).collect();
     let mut deaf = TcpStream::connect(&addr).expect("dial");

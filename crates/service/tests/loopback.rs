@@ -6,45 +6,16 @@
 
 mod common;
 
+use common::{local_sweep, scope, spawn_server};
 use oriole_arch::{Gpu, GpuSpec};
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
 use oriole_service::protocol::{Request, Response};
-use oriole_service::{
-    Client, EvalScope, Pipeline, RemoteEvaluator, RetryPolicy, Server,
-    ServeSummary,
-};
+use oriole_service::{Client, FleetSpec, Pipeline, RemoteEvaluator, RetryPolicy};
 use oriole_tuner::persist::write_frame_tagged;
-use oriole_tuner::{
-    ArtifactStore, EvalProtocol, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher,
-};
+use oriole_tuner::{ArtifactStore, Evaluator, Measurement, RandomSearch, SearchSpace, Searcher};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Spawns a daemon over `store` on an ephemeral port; returns its
-/// address and the join handle yielding the serve summary.
-fn spawn_server(store: ArtifactStore) -> (String, JoinHandle<ServeSummary>) {
-    let server = Server::bind("127.0.0.1:0", store).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
-}
-
-fn scope(kernel: &str, gpu: &GpuSpec, sizes: &[u64]) -> EvalScope {
-    EvalScope {
-        kernel: kernel.to_string(),
-        gpu: gpu.clone(),
-        sizes: sizes.to_vec(),
-        protocol: EvalProtocol::default(),
-    }
-}
-
-fn local_sweep(kid: KernelId, gpu: &GpuSpec, sizes: &[u64], space: &SearchSpace) -> Vec<Measurement> {
-    let builder = move |n: u64| kid.ast(n);
-    let ev = Evaluator::new(&builder, gpu, sizes);
-    ev.evaluate_space(space).iter().map(|m| (**m).clone()).collect()
-}
 
 #[test]
 fn remote_evaluation_is_bit_identical_to_local_and_dedups_across_clients() {
@@ -313,8 +284,8 @@ fn coalesced_concurrent_evaluators_are_bit_identical_to_sequential() {
 
     let (addr, handle) = spawn_server(ArtifactStore::new());
     // Tiny chunks force multi-frame batches through the pipeline.
-    let one = std::slice::from_ref(&addr);
-    let remote = Arc::new(RemoteEvaluator::over_shards(one, 0, sc, RetryPolicy::default(), 2));
+    let spec = FleetSpec::parse(&addr).expect("spec");
+    let remote = Arc::new(RemoteEvaluator::with_policy(spec, sc, RetryPolicy::default(), 2));
 
     // Eight threads hammer the one evaluator with overlapping slices;
     // they take turns, and the turn-holder fetches only what the memo

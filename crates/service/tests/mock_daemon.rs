@@ -13,12 +13,13 @@
 
 mod common;
 
+use common::fail_fast;
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
 use oriole_service::protocol::{self, EvalScope, Request, Response, MAX_POINTS_PER_REQUEST};
 use oriole_service::{Client, Pipeline, RetryPolicy, Server, ServiceError};
 use oriole_tuner::persist::{encode_frame, write_frame_tagged, FRAME_HEADER_BYTES};
-use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement};
+use oriole_tuner::{ArtifactStore, Measurement};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -98,18 +99,8 @@ fn spawn_mock(tamper: Tamper) -> (String, JoinHandle<()>) {
     (addr, handle)
 }
 
-/// Never retries, so a case sees the first failure; default deadline.
-fn fail_fast() -> RetryPolicy {
-    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-}
-
 fn scope() -> EvalScope {
-    EvalScope {
-        kernel: "atax".to_string(),
-        gpu: Gpu::K20.spec().clone(),
-        sizes: vec![64],
-        protocol: EvalProtocol::default(),
-    }
+    common::scope("atax", Gpu::K20.spec(), &[64])
 }
 
 fn points() -> Vec<TuningParams> {

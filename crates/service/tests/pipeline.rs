@@ -6,29 +6,20 @@
 
 mod common;
 
+use common::fail_fast;
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
 use oriole_service::protocol::{emit_response, parse_request, MAX_IN_FLIGHT};
 use oriole_service::{EvalScope, Pipeline, Request, Response, RetryPolicy, Server, ServiceError};
 use oriole_tuner::persist::write_frame_tagged;
-use oriole_tuner::{ArtifactStore, EvalProtocol, Measurement};
+use oriole_tuner::{ArtifactStore, Measurement};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Never retries, so a case sees the first failure; default deadline.
-fn fail_fast() -> RetryPolicy {
-    RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-}
-
 fn scope() -> EvalScope {
-    EvalScope {
-        kernel: "atax".to_string(),
-        gpu: Gpu::K20.spec().clone(),
-        sizes: vec![32],
-        protocol: EvalProtocol::default(),
-    }
+    common::scope("atax", Gpu::K20.spec(), &[32])
 }
 
 fn evaluate(point: TuningParams) -> Request {

@@ -1,10 +1,10 @@
 //! # Oriole — autotuning GPU kernels via static and predictive analysis
 //!
 //! Umbrella crate: the facade `tests/` and `examples/` import, one
-//! `pub use` per crate they name (`oriole-fleet` is not among them —
-//! it only *names* a fleet for the CLI and the bench crate; what
-//! evaluates through one daemon or many is [`service`]'s one engine).
-//! See the individual crates for details:
+//! `pub use` per crate they name (`oriole-fleet` is not among them — it
+//! only keeps old names for the benchmark; naming the daemons and
+//! evaluating through one or many is [`service`]'s). See the individual
+//! crates for details:
 //!
 //! * [`arch`] — GPU architecture database (paper Table I) and instruction
 //!   throughput model (Table II).
@@ -26,8 +26,8 @@
 //!   evaluation engine (and its shared, optionally disk-backed
 //!   `ArtifactStore`) to concurrent remote clients over a framed RPC
 //!   protocol, plus the `RemoteEvaluator` oracle — one evaluation
-//!   engine over N ≥ 1 daemons, of which `--remote A` is the one-shard
-//!   case.
+//!   engine over the N ≥ 1 daemons a `FleetSpec` names, of which
+//!   `--remote A` is the one-shard case.
 
 pub use oriole_arch as arch;
 pub use oriole_codegen as codegen;
