@@ -22,8 +22,9 @@
 //! 2. **Measurement tier** — a sharded map of `Arc<Measurement>` with
 //!    **in-flight deduplication**: concurrent misses on one point block
 //!    on a per-key `OnceLock` instead of recomputing, so revisits by
-//!    stochastic searchers are free, cache hits never clone the full
-//!    measurement, and [`Evaluator::unique_evaluations`] counts each
+//!    stochastic searchers are free: a hit is one lookup that clones the
+//!    held `Arc` under its shard lock, never the measurement nor the
+//!    key's cell. [`Evaluator::unique_evaluations`] counts each
 //!    point exactly once no matter how many threads race on it.
 //!
 //! Beside them sits the evaluator's own `(device, timing model)`
@@ -546,20 +547,26 @@ impl<'a> Evaluator<'a> {
     ///
     /// Points the measurement tier already holds are served right here,
     /// and an all-hit batch — a warm re-sweep, a searcher's generation, a
-    /// daemon frame — returns there: no plan, no `thread::scope`. The
-    /// misses follow `plan_batch`: this thread and, when there are
+    /// daemon frame — is one pass of lookups into the returned vector:
+    /// no plan, no `thread::scope`. From the first miss on, the misses
+    /// follow `plan_batch`: this thread and, when there are
     /// enough of them to pay for it, up to `workers - 1` spawned ones
     /// claim chunks off one cursor and return per-chunk vectors,
     /// scattered into place after the join. Points duplicated within the
     /// batch — or raced by other callers — are deduplicated by the memo
     /// layer.
     pub fn evaluate_batch(&self, points: &[TuningParams]) -> Vec<Arc<Measurement>> {
-        let mut results: Vec<Option<Arc<Measurement>>> =
-            points.iter().map(|p| self.cache.map.get(p)).collect();
-        let missing: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
-        if missing.is_empty() {
-            return results.into_iter().map(|m| m.expect("an all-hit batch")).collect();
+        let mut hits = Vec::with_capacity(points.len());
+        hits.extend(points.iter().map_while(|p| self.cache.map.get(p)));
+        let first = hits.len();
+        if first == points.len() {
+            return hits;
         }
+        // `Option<Arc<_>>` is laid out as `Arc<_>`: this collect reuses the buffer.
+        let mut results: Vec<Option<Arc<Measurement>>> = hits.into_iter().map(Some).collect();
+        results.push(None);
+        results.extend(points[first + 1..].iter().map(|p| self.cache.map.get(p)));
+        let missing: Vec<usize> = (first..points.len()).filter(|&i| results[i].is_none()).collect();
         // Every missing key's artifacts and class, resolved before the
         // plan: keys whose artifacts share an index at every size (twins)
         // are one class, and a rejected artifact is a class of its own.

@@ -5,9 +5,11 @@
 //! A value belongs here only when computing it costs far more than a
 //! lock and a hash: a compile front-end, a measurement, a tier file
 //! read — not an AST build of a tenth of a microsecond. And a hit is
-//! only a lock and a hash, so the hash is [`WordHash`] — a word per
-//! field where SipHash spent sixty nanoseconds on a 24-byte point,
-//! twice: one function now picks the shard and indexes its table.
+//! only a lock and a hash: it clones the value under the lock and never
+//! the key's cell, which only a miss or a wait on a key in flight
+//! holds. So the hash is [`WordHash`] — a word per field where SipHash
+//! spent sixty nanoseconds on a 24-byte point, twice: one function now
+//! picks the shard and indexes its table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
@@ -131,10 +133,17 @@ impl<K: Eq + Hash, V: Clone> ShardedOnceMap<K, V> {
     }
 
     /// Returns the value for `key`, computing it with `init` exactly
-    /// once across all threads. `init` runs outside the shard lock, so
-    /// slow computations only block callers of the *same* key.
+    /// once across all threads. A computed key is answered under the
+    /// shard lock by the probe that finds it. `init` runs outside the
+    /// lock, so slow computations only block callers of the *same* key.
     pub(crate) fn get_or_init(&self, key: K, init: impl FnOnce() -> V) -> V {
-        let cell = Arc::clone(self.shard_of(&key).entry(key).or_default());
+        let mut shard = self.shard_of(&key);
+        let cell = shard.entry(key).or_default();
+        if let Some(value) = cell.get() {
+            return value.clone();
+        }
+        let cell = Arc::clone(cell);
+        drop(shard);
         cell.get_or_init(init).clone()
     }
 
@@ -225,6 +234,15 @@ mod tests {
             }
         });
         assert_eq!(computed.load(Ordering::Relaxed), 16, "each key computed once");
+    }
+
+    #[test]
+    fn a_hit_runs_no_init_and_leaves_its_cell_held_once() {
+        let map: ShardedOnceMap<u32, u64> = ShardedOnceMap::new();
+        assert_eq!(map.get_or_init(7, || 21), 21);
+        assert_eq!(map.get_or_init(7, || unreachable!("a computed key runs no init")), 21);
+        let shard = map.shards[map.shard_index(&7)].lock().expect("memoization never poisons locks");
+        assert_eq!(Arc::strong_count(&shard[&7]), 1, "only the shard holds the cell");
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub fn split_ranks<M: Borrow<Measurement>>(
     (feasible, rank2)
 }
 
-/// Table V statistics over one rank.
-#[derive(Debug, Clone, PartialEq)]
+/// Table V statistics over one rank (all zero for an empty one).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RankStats {
     /// Variants in the rank.
     pub count: usize,
@@ -49,16 +49,7 @@ pub struct RankStats {
 /// Computes Table V statistics for a rank.
 pub fn rank_stats(rank: &[&Measurement]) -> RankStats {
     if rank.is_empty() {
-        return RankStats {
-            count: 0,
-            occupancy_mean: 0.0,
-            occupancy_std: 0.0,
-            occupancy_mode: 0.0,
-            reg_instr_mean: 0.0,
-            reg_instr_std: 0.0,
-            regs_allocated_mode: 0,
-            thread_quartiles: (0.0, 0.0, 0.0),
-        };
+        return RankStats::default();
     }
     let occs: Vec<f64> = rank.iter().map(|m| m.occupancy * 100.0).collect();
     let regs: Vec<f64> = rank.iter().map(|m| m.reg_instructions).collect();
@@ -122,9 +113,6 @@ fn mode_by(values: &[f64], key: impl Fn(f64) -> i64) -> f64 {
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
-    }
-    if sorted.len() == 1 {
-        return sorted[0];
     }
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;

@@ -1,6 +1,6 @@
 //! Simulated annealing over the coordinate grid.
 
-use crate::search::{Oracle, SearchResult, Searcher};
+use crate::search::{free_axes, random_coords, Oracle, SearchResult, Searcher};
 use crate::space::SearchSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,21 +31,27 @@ impl Searcher for AnnealingSearch {
 
     fn search(&mut self, space: &SearchSpace, oracle: &dyn Oracle, budget: usize)
         -> SearchResult {
+        if space.is_empty() {
+            return SearchResult::empty();
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let budget = budget.max(2);
         let dims = space.dims();
+        let (axes, free) = free_axes(&dims);
 
         // Start at a random point.
         let mut coords = random_coords(&mut rng, &dims);
-        let mut current = space.at(coords);
-        let mut current_val = oracle.eval(current);
-        let mut trace = vec![(current, current_val)];
+        let start = space.at(coords);
+        let mut current_val = oracle.eval(start);
+        let mut trace = Vec::with_capacity(budget);
+        trace.push((start, current_val));
         let mut temp = self.initial_temp * if current_val.is_finite() { current_val } else { 1.0 };
 
         while trace.len() < budget {
-            // Neighbour: one axis, one step up or down.
+            // Neighbour: one axis with more than one value (uniformly
+            // among them), one step up or down.
             let mut next = coords;
-            let axis = pick_axis(&mut rng, &dims);
+            let axis = if free == 0 { 0 } else { axes[rng.gen_range(0..free)] };
             let delta: i64 = if rng.gen_bool(0.5) { 1 } else { -1 };
             let pos = next[axis] as i64 + delta;
             next[axis] = pos.clamp(0, dims[axis] as i64 - 1) as usize;
@@ -68,31 +74,11 @@ impl Searcher for AnnealingSearch {
             };
             if accept {
                 coords = next;
-                current = candidate;
                 current_val = candidate_val;
             }
             temp *= self.cooling;
         }
-        let _ = current;
         SearchResult::from_trace(trace)
-    }
-}
-
-fn random_coords(rng: &mut StdRng, dims: &[usize; 6]) -> [usize; 6] {
-    let mut c = [0usize; 6];
-    for (i, &d) in dims.iter().enumerate() {
-        c[i] = rng.gen_range(0..d);
-    }
-    c
-}
-
-/// Picks an axis with more than one value (uniform among the free axes).
-fn pick_axis(rng: &mut StdRng, dims: &[usize; 6]) -> usize {
-    let free: Vec<usize> = (0..6).filter(|&i| dims[i] > 1).collect();
-    if free.is_empty() {
-        0
-    } else {
-        free[rng.gen_range(0..free.len())]
     }
 }
 

@@ -1,6 +1,6 @@
 //! Genetic search: generational GA over grid coordinates.
 
-use crate::search::{Oracle, SearchResult, Searcher};
+use crate::search::{random_coords, Oracle, SearchResult, Searcher};
 use crate::space::SearchSpace;
 use oriole_codegen::TuningParams;
 use rand::rngs::StdRng;
@@ -35,6 +35,9 @@ impl Searcher for GeneticSearch {
 
     fn search(&mut self, space: &SearchSpace, oracle: &dyn Oracle, budget: usize)
         -> SearchResult {
+        if space.is_empty() {
+            return SearchResult::empty();
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let dims = space.dims();
         let pop_size = self.population.max(4).min(budget.max(4));
@@ -53,7 +56,7 @@ impl Searcher for GeneticSearch {
 
         // Initial population.
         let genomes: Vec<Genome> =
-            (0..pop_size).map(|_| random_genome(&mut rng, &dims)).collect();
+            (0..pop_size).map(|_| random_coords(&mut rng, &dims)).collect();
         let mut scored = assess(&genomes, &mut trace);
         sort_scored(&mut scored);
 
@@ -73,14 +76,6 @@ impl Searcher for GeneticSearch {
         }
         SearchResult::from_trace(trace)
     }
-}
-
-fn random_genome(rng: &mut StdRng, dims: &[usize; 6]) -> Genome {
-    let mut g = [0usize; 6];
-    for (i, &d) in dims.iter().enumerate() {
-        g[i] = rng.gen_range(0..d);
-    }
-    g
 }
 
 fn sort_scored(scored: &mut [(Genome, f64)]) {

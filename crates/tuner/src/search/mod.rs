@@ -24,6 +24,8 @@ pub use static_search::{PruneLevel, StaticSearch, StaticSearchReport};
 
 use crate::space::SearchSpace;
 use oriole_codegen::TuningParams;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// The objective oracle a searcher queries. Implementations memoize and
 /// parallelize internally; `eval` must be deterministic per point.
@@ -89,7 +91,7 @@ pub struct SearchResult {
 }
 
 impl SearchResult {
-    /// The defined outcome of searching an **empty** space: zero
+    /// The outcome every searcher gives an **empty** space: zero
     /// evaluations, an empty trace, the default point as a placeholder
     /// `best` and an infinite `best_time` — the same sentinel an
     /// all-infeasible space produces, so callers already handling
@@ -111,6 +113,23 @@ impl SearchResult {
             .expect("non-empty trace");
         SearchResult { best, best_time, evaluations: trace.len(), trace }
     }
+}
+
+/// The axes of `dims` with more than one value, in index order, and
+/// how many there are: the free axes of a neighbourhood or a simplex.
+fn free_axes(dims: &[usize; 6]) -> ([usize; 6], usize) {
+    let (mut axes, mut free) = ([0; 6], 0);
+    for axis in (0..6).filter(|&i| dims[i] > 1) {
+        axes[free] = axis;
+        free += 1;
+    }
+    (axes, free)
+}
+
+/// Uniform coordinates on a grid of axis lengths `dims`, none empty:
+/// where an annealing run starts, a genome of the first generation.
+fn random_coords(rng: &mut StdRng, dims: &[usize; 6]) -> [usize; 6] {
+    dims.map(|d| rng.gen_range(0..d))
 }
 
 /// A search strategy.
@@ -172,5 +191,38 @@ pub(crate) mod tests_support {
             self.count.fetch_add(1, Ordering::Relaxed);
             self.inner.eval(p)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::tests_support::CountingOracle;
+    use super::*;
+
+    #[test]
+    fn every_searcher_answers_an_empty_space_with_the_empty_result() {
+        let tiny = SearchSpace::tiny();
+        let spaces = [
+            SearchSpace { tc: Vec::new(), ..tiny.clone() },
+            SearchSpace { bc: Vec::new(), ..tiny.clone() },
+            SearchSpace { cflags: Vec::new(), ..tiny },
+        ];
+        let oracle = CountingOracle::new();
+        for space in &spaces {
+            let searchers: [Box<dyn Searcher>; 5] = [
+                Box::new(ExhaustiveSearch),
+                Box::new(RandomSearch::default()),
+                Box::new(AnnealingSearch::default()),
+                Box::new(GeneticSearch::default()),
+                Box::new(NelderMeadSearch::default()),
+            ];
+            for mut searcher in searchers {
+                for budget in [0, 1, 60] {
+                    let r = searcher.search(space, &oracle, budget);
+                    assert_eq!(r, SearchResult::empty(), "{} at budget {budget}", searcher.name());
+                }
+            }
+        }
+        assert_eq!(oracle.calls(), 0, "nothing to evaluate");
     }
 }

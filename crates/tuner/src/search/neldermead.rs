@@ -4,11 +4,14 @@
 //! axis); every vertex is snapped to the nearest grid point before
 //! evaluation. Standard reflect / expand / contract / shrink updates.
 
-use crate::search::{Oracle, SearchResult, Searcher};
+use crate::search::{free_axes, Oracle, SearchResult, Searcher};
 use crate::space::SearchSpace;
 use oriole_codegen::TuningParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A point of `[0,1]^d`: its first `d ≤ 6` coordinates, the rest unused.
+type Vertex = [f64; 6];
 
 /// Nelder–Mead simplex with grid snapping.
 #[derive(Debug, Clone, Copy)]
@@ -38,59 +41,61 @@ impl Searcher for NelderMeadSearch {
 
     fn search(&mut self, space: &SearchSpace, oracle: &dyn Oracle, budget: usize)
         -> SearchResult {
+        if space.is_empty() {
+            return SearchResult::empty();
+        }
         let dims = space.dims();
-        let free: Vec<usize> = (0..6).filter(|&i| dims[i] > 1).collect();
-        let d = free.len().max(1);
+        let (axes, free) = free_axes(&dims);
+        let d = free.max(1);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let budget = budget.max(d + 2);
         let mut trace: Vec<(TuningParams, f64)> = Vec::with_capacity(budget);
 
-        let snap = |x: &[f64]| -> TuningParams {
+        // Snaps a vertex to its grid point and queries it.
+        let eval_at = |x: &Vertex, trace: &mut Vec<(TuningParams, f64)>| -> f64 {
             let mut coords = [0usize; 6];
-            for (k, &axis) in free.iter().enumerate() {
+            for (k, &axis) in axes[..free].iter().enumerate() {
                 let clamped = x[k].clamp(0.0, 1.0);
                 let idx = (clamped * (dims[axis] as f64 - 1.0)).round() as usize;
                 coords[axis] = idx.min(dims[axis] - 1);
             }
-            space.at(coords)
-        };
-
-        let eval_at = |x: &[f64], trace: &mut Vec<(TuningParams, f64)>| -> f64 {
-            let p = snap(x);
+            let p = space.at(coords);
             let v = oracle.eval(p);
             trace.push((p, v));
             v
         };
 
+        let blend = |a: &Vertex, b: &Vertex, t: f64| -> Vertex {
+            std::array::from_fn(|k| a[k] + t * (b[k] - a[k]))
+        };
+
         // Initial simplex: d+1 random vertices.
-        let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(d + 1);
-        for _ in 0..=d {
-            let x: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let v = eval_at(&x, &mut trace);
-            simplex.push((x, v));
+        let mut simplex = [([0.0; 6], 0.0); 7];
+        for vertex in &mut simplex[..=d] {
+            for x in &mut vertex.0[..d] {
+                *x = rng.gen_range(0.0..1.0);
+            }
+            vertex.1 = eval_at(&vertex.0, &mut trace);
         }
+        let simplex = &mut simplex[..=d];
 
         while trace.len() < budget {
             simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("comparable"));
             let best_val = simplex[0].1;
             let worst_idx = simplex.len() - 1;
-            let (worst_x, worst_val) = simplex[worst_idx].clone();
+            let (worst_x, worst_val) = simplex[worst_idx];
             let second_worst = simplex[worst_idx - 1].1;
 
             // Centroid of all but the worst vertex.
-            let mut centroid = vec![0.0; d];
+            let mut centroid = [0.0; 6];
             for (x, _) in simplex.iter().take(worst_idx) {
                 for k in 0..d {
                     centroid[k] += x[k];
                 }
             }
-            for c in &mut centroid {
+            for c in &mut centroid[..d] {
                 *c /= worst_idx as f64;
             }
-
-            let blend = |a: &[f64], b: &[f64], t: f64| -> Vec<f64> {
-                a.iter().zip(b).map(|(x, y)| x + t * (y - x)).collect()
-            };
 
             // Reflect.
             let reflected = blend(&centroid, &worst_x, -self.alpha);
@@ -119,7 +124,7 @@ impl Searcher for NelderMeadSearch {
                     simplex[worst_idx] = (contracted, contr_val);
                 } else {
                     // Shrink everything toward the best vertex.
-                    let best_x = simplex[0].0.clone();
+                    let best_x = simplex[0].0;
                     for vertex in simplex.iter_mut().skip(1) {
                         if trace.len() >= budget {
                             break;

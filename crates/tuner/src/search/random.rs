@@ -29,6 +29,9 @@ impl Searcher for RandomSearch {
 
     fn search(&mut self, space: &SearchSpace, oracle: &dyn Oracle, budget: usize)
         -> SearchResult {
+        if space.is_empty() {
+            return SearchResult::empty();
+        }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let take = budget.clamp(1, space.len());
         let mut indices: Vec<usize> = (0..space.len()).collect();

@@ -103,9 +103,22 @@ impl SearchSpace {
         }
     }
 
-    /// Iterates every point in flat-index order.
+    /// Iterates every point in flat-index order, stepping the
+    /// coordinates like an odometer (`CFLAGS` fastest) instead of
+    /// dividing each index out.
     pub fn iter(&self) -> impl Iterator<Item = TuningParams> + '_ {
-        (0..self.len()).map(move |i| self.point(i))
+        let (dims, mut coords) = (self.dims(), [0usize; 6]);
+        (0..self.len()).map(move |_| {
+            let point = self.at(coords);
+            for axis in (0..6).rev() {
+                coords[axis] += 1;
+                if coords[axis] < dims[axis] {
+                    break;
+                }
+                coords[axis] = 0;
+            }
+            point
+        })
     }
 
     /// A copy with the `TC` axis restricted to `allowed` (intersection,

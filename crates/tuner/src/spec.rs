@@ -64,44 +64,28 @@ enum ParamValues {
 /// Unspecified parameters fall back to single-point axes
 /// (`UIF=1, PL=16, SC=1, CFLAGS=''`); `TC` and `BC` are required.
 pub fn parse_spec(text: &str) -> Result<SearchSpace, SpecError> {
-    let mut tc = None;
-    let mut bc = None;
-    let mut uif = None;
-    let mut pl = None;
-    let mut sc = None;
-    let mut cflags = None;
-
-    for decl in extract_params(text)? {
-        let (name, values) = decl;
+    let (mut tc, mut bc, mut uif, mut pl, mut sc, mut cflags) = (None, None, None, None, None, None);
+    for (name, values) in extract_params(text)? {
         match name.as_str() {
             "TC" => tc = Some(numbers_as_u32(&values, "TC")?),
             "BC" => bc = Some(numbers_as_u32(&values, "BC")?),
             "UIF" => uif = Some(numbers_as_u32(&values, "UIF")?),
             "SC" => sc = Some(numbers_as_u32(&values, "SC")?),
             "PL" => {
+                let kb = |kb| PreferredL1::from_kb(kb).ok_or_else(|| err(format!("PL value {kb} is not 16 or 48")));
                 let kbs = numbers_as_u32(&values, "PL")?;
-                let parsed: Result<Vec<PreferredL1>, SpecError> = kbs
-                    .iter()
-                    .map(|&kb| {
-                        PreferredL1::from_kb(kb)
-                            .ok_or_else(|| err(format!("PL value {kb} is not 16 or 48")))
-                    })
-                    .collect();
-                pl = Some(parsed?);
+                pl = Some(kbs.into_iter().map(kb).collect::<Result<_, _>>()?);
             }
             "CFLAGS" => {
                 let ParamValues::Strings(ss) = &values else {
                     return Err(err("CFLAGS must be a list of strings"));
                 };
-                let parsed: Result<Vec<CompilerFlags>, SpecError> = ss
-                    .iter()
-                    .map(|s| match s.trim() {
-                        "" => Ok(CompilerFlags { fast_math: false }),
-                        "-use_fast_math" => Ok(CompilerFlags { fast_math: true }),
-                        other => Err(err(format!("unknown compiler flag `{other}`"))),
-                    })
-                    .collect();
-                cflags = Some(parsed?);
+                let flag = |s: &String| match s.trim() {
+                    "" => Ok(CompilerFlags { fast_math: false }),
+                    "-use_fast_math" => Ok(CompilerFlags { fast_math: true }),
+                    other => Err(err(format!("unknown compiler flag `{other}`"))),
+                };
+                cflags = Some(ss.iter().map(flag).collect::<Result<_, _>>()?);
             }
             other => return Err(err(format!("unknown parameter `{other}`"))),
         }
@@ -201,17 +185,9 @@ fn parse_rhs(rhs: &str) -> Result<ParamValues, SpecError> {
         if items.iter().any(|i| i.starts_with('\'') || i.starts_with('"')) {
             let strings: Result<Vec<String>, SpecError> = items
                 .iter()
-                .map(|i| {
-                    let trimmed = i
-                        .trim_matches(|c| c == '\'' || c == '"')
-                        .to_string();
-                    if i.len() >= 2 {
-                        Ok(trimmed)
-                    } else if i.is_empty() {
-                        Err(err("empty list item"))
-                    } else {
-                        Ok(trimmed)
-                    }
+                .map(|&i| match i {
+                    "" => Err(err("empty list item")),
+                    i => Ok(i.trim_matches(|c| c == '\'' || c == '"').to_string()),
                 })
                 .collect();
             return Ok(ParamValues::Strings(strings?));

@@ -4,12 +4,16 @@
 //! 64 seeded cases and draws its inputs in the order it names them.
 
 use oriole::arch::{occupancy, Family, Gpu, Limiter, OccupancyInput, ALL_GPUS};
-use oriole::codegen::{compile, regalloc, transform, CompileError, CompiledKernel, TuningParams};
+use oriole::codegen::{
+    compile, regalloc, transform, CompileError, CompiledKernel, CompilerFlags, PreferredL1,
+    TuningParams,
+};
 use oriole::ir::testgen::{self, check};
 use oriole::ir::{
     lower::{lower, lower_indexed, LowerOptions},
     text, KernelAst, LaunchGeometry, Terminator,
 };
+use oriole::tuner::SearchSpace;
 
 const CASES: u32 = 64;
 
@@ -268,5 +272,25 @@ fn static_backend_matches_predict_time() {
                 }
             }
         }
+    });
+}
+
+#[test]
+fn space_iteration_steps_through_the_flat_indices() {
+    check("space_iteration_steps_through_the_flat_indices", CASES, |rng| {
+        // One to four values an axis, many of them single; a quarter of
+        // the spaces lose one axis altogether.
+        let mut lens: [usize; 6] = std::array::from_fn(|_| rng.range_usize(1, 5));
+        if rng.range_u64(0, 3) == 0 {
+            lens[rng.range_usize(0, 6)] = 0;
+        }
+        let mut values = |len: usize| (0..len).map(|_| rng.range_u64(1, 1024) as u32).collect();
+        let (tc, bc, uif, sc) = (values(lens[0]), values(lens[1]), values(lens[2]), values(lens[4]));
+        let pl = (0..lens[3]).map(|_| rng.pick(&[PreferredL1::Kb16, PreferredL1::Kb48])).collect();
+        let cflags = (0..lens[5]).map(|_| CompilerFlags { fast_math: rng.coin() }).collect();
+        let space = SearchSpace { tc, bc, uif, pl, sc, cflags };
+        let stepped: Vec<TuningParams> = space.iter().collect();
+        let indexed: Vec<TuningParams> = (0..space.len()).map(|i| space.point(i)).collect();
+        assert_eq!(stepped, indexed, "{lens:?}");
     });
 }
