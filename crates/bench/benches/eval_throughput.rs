@@ -1,6 +1,6 @@
-//! Criterion bench: the serving rows `benchmark/` has no twin for — a
-//! sweep of the paper's Fig. 3 space through real TCP + framed RPC
-//! against in-process daemons.
+//! The serving rows `benchmark/` has no twin for — a sweep of the
+//! paper's Fig. 3 space through real TCP + framed RPC against
+//! in-process daemons.
 //!
 //! * `service/remote_cold_sweep` — a fresh daemon per iteration: the
 //!   whole space computed server-side and shipped back.
@@ -13,19 +13,16 @@
 //! * `fleet/scaling_s{1,2,4}` — the same warm sweep through the
 //!   evaluation engine over 1, 2 and 4 daemons.
 //!
-//! Every local row this file used to carry (uncached baseline,
-//! front-end phases, cold / warm / shared-store / disk sweeps) is
-//! measured on the full space, with spread, by `benchmark/`
-//! (`codegen.*_us`, `ir.lower_indexed_us`, `unit_p50_s` @ `cold_sweep`,
-//! `tuner.eval_hit_ns`, `tuner.batch_speedup`, `warm_search`,
-//! `disk_roundtrip`) and is gone from here.
+//! The local rows are `benchmark/`'s, taken on the full space with
+//! spread (`unit_p50_s` @ `cold_sweep`, `warm_search`, `disk_roundtrip`).
 //!
 //! The space is the 5,120-variant Fig. 3 instantiation thinned on the
-//! `TC` axis (640 points) so a bench iteration stays affordable. Pass
-//! `--json PATH` (a shim extension) to also write every result as
-//! machine-readable JSON, e.g. `BENCH_eval.json`.
+//! `TC` axis (640 points) so an iteration stays affordable. Each row is
+//! one mean wall time over a fixed number of iterations (10 for the
+//! first three rows, 3 after), printed as `bench: <label> <time>/iter`;
+//! `--json PATH` also writes every row to `PATH` (`oriole-bench-v1`),
+//! e.g. `BENCH_eval.json`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oriole_arch::Gpu;
 use oriole_codegen::TuningParams;
 use oriole_kernels::KernelId;
@@ -33,30 +30,83 @@ use oriole_service::{
     Client, EvalScope, FleetSpec, RemoteEvaluator, RetryPolicy, ServeConfig, Server,
 };
 use oriole_tuner::{ArtifactStore, EvalProtocol, Oracle, SearchSpace};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-fn thinned_fig3_space() -> SearchSpace {
-    let mut space = SearchSpace::paper_default();
-    // Thin TC 32→4 steps: 4 × 8 × 5 × 2 × 1 × 2 = 640 points, the same
-    // mix of front-end keys (UIF × CFLAGS) as the full space.
-    space.tc = vec![128, 256, 512, 1024];
-    space
+/// The JSON line of every row timed so far.
+#[derive(Default)]
+struct Rows(Vec<String>);
+
+impl Rows {
+    /// Times `iters` calls of `routine`, each on a fresh `setup()`
+    /// whose own time is left out, and records and prints the mean.
+    fn time<I, O>(
+        &mut self,
+        name: &str,
+        iters: u32,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        let mut total = Duration::ZERO;
+        for _ in 0..iters {
+            let input = setup();
+            let start = Instant::now();
+            std::hint::black_box(routine(input));
+            total += start.elapsed();
+        }
+        let label = format!("eval_throughput/{name}");
+        let per_iter = total / iters;
+        println!("bench: {label:<48} {per_iter:>12.3?}/iter ({iters} iters)");
+        let ns = per_iter.as_nanos();
+        let row = format!("\"name\": \"{label}\", \"ns_per_iter\": {ns}, \"iters\": {iters}");
+        self.0.push(format!("    {{{row}}}"));
+    }
 }
 
-fn bench_eval_throughput(c: &mut Criterion) {
+/// An in-process daemon on a loopback port.
+struct Daemon {
+    addr: String,
+    thread: JoinHandle<()>,
+}
+
+impl Daemon {
+    fn start(store: ArtifactStore, config: ServeConfig) -> Daemon {
+        let server = Server::bind_with("127.0.0.1:0", store, config).expect("bind loopback");
+        let addr = server.local_addr().expect("local addr").to_string();
+        let thread = std::thread::spawn(move || {
+            server.run().expect("serve");
+        });
+        Daemon { addr, thread }
+    }
+
+    fn client(&self) -> Client {
+        Client::connect(&self.addr).expect("connect")
+    }
+
+    /// Asks the daemon to shut down and waits for it to exit.
+    fn stop(self) {
+        self.client().shutdown().expect("shutdown");
+        self.thread.join().expect("daemon thread");
+    }
+}
+
+/// Runs `client` on `n` concurrent threads; the points they served.
+fn fan_out(n: usize, client: impl Fn() -> usize + Sync) -> usize {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n).map(|_| s.spawn(&client)).collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).sum()
+    })
+}
+
+fn main() {
     let gpu = Gpu::K20.spec();
     let kid = KernelId::Atax;
     let sizes = [128u64];
     let builder = move |n: u64| kid.ast(n);
-    let space = thinned_fig3_space();
-
-    let mut g = c.benchmark_group("eval_throughput");
-    g.sample_size(10);
-
-    // The serving path (`oriole serve` / `--remote`): the same sweep
-    // through a real TCP + framed-RPC boundary against an in-process
-    // daemon. `service/remote_cold_sweep` spins a fresh daemon (empty
-    // memory store) per iteration — the whole space is computed
-    // server-side and every measurement crosses the wire.
+    let mut space = SearchSpace::paper_default();
+    // Thin TC 32→4 steps: 4 × 8 × 5 × 2 × 1 × 2 = 640 points, the same
+    // mix of front-end keys (UIF × CFLAGS) as the full space.
+    space.tc = vec![128, 256, 512, 1024];
     let points: Vec<TuningParams> = space.iter().collect();
     let scope = EvalScope {
         kernel: "atax".to_string(),
@@ -64,242 +114,125 @@ fn bench_eval_throughput(c: &mut Criterion) {
         sizes: sizes.to_vec(),
         protocol: EvalProtocol::default(),
     };
-    g.bench_function("service/remote_cold_sweep", |b| {
-        b.iter_batched(
-            || {
-                let server =
-                    Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind loopback");
-                let addr = server.local_addr().expect("local addr").to_string();
-                let handle = std::thread::spawn(move || server.run().expect("serve"));
-                let client = Client::connect(&addr).expect("connect");
-                (client, handle)
-            },
-            |(client, handle)| {
-                let served = client.evaluate(&scope, &points).expect("evaluate").1.len();
-                client.shutdown().expect("shutdown");
-                handle.join().expect("server thread");
-                served
-            },
-            BatchSize::PerIteration,
-        )
-    });
+    let sweep = |client: &Client| client.evaluate(&scope, &points).expect("evaluate").1.len();
+    let mut rows = Rows::default();
 
-    // `service/warm_shared_clients`: one long-lived daemon whose store
-    // already holds the space, N concurrent client connections each
-    // traversing all of it — the multi-tenant serving hot path (pure
-    // tier hits plus framing), the scenario the sharded service
-    // exists for.
-    const CLIENTS: usize = 4;
-    let server = Server::bind("127.0.0.1:0", ArtifactStore::new()).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server_handle = std::thread::spawn(move || server.run().expect("serve"));
-    Client::connect(&addr)
-        .expect("connect")
-        .evaluate(&scope, &points)
-        .expect("warm the daemon store");
-    g.bench_function("service/warm_shared_clients", |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let client = Client::connect(&addr).expect("connect");
-                            client.evaluate(&scope, &points).expect("evaluate").1.len()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("client thread")).sum::<usize>()
-            })
-        })
-    });
-    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-    server_handle.join().expect("server thread");
+    // A fresh daemon (empty memory store) per iteration: the whole space
+    // is computed server-side and every measurement crosses the wire.
+    // Binding and dialing are setup; shutting down is timed.
+    rows.time(
+        "service/remote_cold_sweep",
+        10,
+        || {
+            let daemon = Daemon::start(ArtifactStore::new(), ServeConfig::default());
+            let client = daemon.client();
+            (daemon, client)
+        },
+        |(daemon, client)| {
+            let served = sweep(&client);
+            client.shutdown().expect("shutdown");
+            daemon.thread.join().expect("daemon thread");
+            served
+        },
+    );
 
-    // `service/warm_gated_clients`: the same multi-tenant warm sweep
-    // through a one-worker pool (`max_inflight: 1`). A 640-point frame
-    // is past what the reactor answers inline, so every client's frame
-    // queues for that one worker thread: against `warm_shared_clients`
-    // it prices the worker hand-off at its worst-case contention.
+    // Four concurrent clients, each traversing a daemon store that
+    // already holds the space: pure tier hits plus framing. On a
+    // one-worker pool (`max_inflight: 1`) a 640-point frame is past what
+    // the reactor answers inline, so every frame queues for that worker:
+    // against the shared row it prices the hand-off at its worst.
     let gated = ServeConfig { max_inflight: 1, ..ServeConfig::default() };
-    let server = Server::bind_with("127.0.0.1:0", ArtifactStore::new(), gated)
-        .expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server_handle = std::thread::spawn(move || server.run().expect("serve"));
-    Client::connect(&addr)
-        .expect("connect")
-        .evaluate(&scope, &points)
-        .expect("warm the daemon store");
-    g.bench_function("service/warm_gated_clients", |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let client = Client::connect(&addr).expect("connect");
-                            client.evaluate(&scope, &points).expect("evaluate").1.len()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("client thread")).sum::<usize>()
-            })
-        })
-    });
-    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-    server_handle.join().expect("server thread");
+    for (name, config) in [
+        ("service/warm_shared_clients", ServeConfig::default()),
+        ("service/warm_gated_clients", gated),
+    ] {
+        let daemon = Daemon::start(ArtifactStore::new(), config);
+        sweep(&daemon.client());
+        rows.time(name, 10, || (), |()| fan_out(4, || sweep(&daemon.client())));
+        daemon.stop();
+    }
 
     // The client-scaling curve on a warm daemon: N concurrent clients,
     // each sweeping the whole space, in two wire disciplines.
-    // `service/scaling_seq/cN` is the pre-reactor client pattern — one
-    // point per `evaluate` exchange, one exchange in flight per
-    // connection — so the daemon's aggregate throughput is bounded by
-    // per-client round-trip latency. `service/scaling_pipe/cN` sends
-    // the same sweep through coalescing pipelined evaluators (64-point
-    // frames, 8 in flight per connection). The PR's acceptance bar is
-    // pipe ≥ 2× seq aggregate throughput at c64; the full 1→128 curve
-    // lands in BENCH_eval.json.
+    // `scaling_seq` sends one point per exchange, one exchange in
+    // flight per connection, so throughput is bounded by round-trip
+    // latency; `scaling_pipe` sends the same sweep through pipelined
+    // evaluators (64-point frames, 8 in flight per connection).
     let big = ServeConfig { max_connections: 512, ..ServeConfig::default() };
-    let server =
-        Server::bind_with("127.0.0.1:0", ArtifactStore::new(), big).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let server_handle = std::thread::spawn(move || server.run().expect("serve"));
-    Client::connect(&addr)
-        .expect("connect")
-        .evaluate(&scope, &points)
-        .expect("warm the daemon store");
-    {
-        // Untimed bit-identity gate: the pipelined coalesced sweep and
-        // the one-point-per-exchange sweep must agree byte-for-byte
-        // before either is worth timing.
-        let single = Client::connect(&addr).expect("connect");
-        let one_at_a_time: Vec<_> = points
-            .iter()
-            .map(|&p| single.evaluate(&scope, &[p]).expect("evaluate").1.remove(0))
-            .collect();
-        let remote =
-            RemoteEvaluator::new(Client::connect(&addr).expect("connect"), scope.clone());
-        let piped = remote.evaluate_batch(&points).expect("pipelined sweep");
+    let daemon = Daemon::start(ArtifactStore::new(), big);
+    sweep(&daemon.client());
+    let piped = || {
+        let remote = RemoteEvaluator::new(daemon.client(), scope.clone());
+        let got = remote.evaluate_batch(&points).expect("pipelined sweep");
         assert!(remote.take_error().is_none());
-        assert_eq!(piped, one_at_a_time, "pipelining must not change a single bit");
-    }
-    g.sample_size(3);
-    for &n in &[1usize, 4, 16, 64, 128] {
-        g.bench_function(format!("service/scaling_seq/c{n}"), |b| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let client = Client::connect(&addr).expect("connect");
-                                let mut served = 0usize;
-                                for &p in &points {
-                                    served +=
-                                        client.evaluate(&scope, &[p]).expect("evaluate").1.len();
-                                }
-                                served
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("client")).sum::<usize>()
-                })
+        got
+    };
+    // Untimed bit-identity gate: the pipelined sweep and the
+    // one-point-per-exchange sweep must agree byte for byte before
+    // either is worth timing.
+    let single = daemon.client();
+    let one_at_a_time: Vec<_> = points
+        .iter()
+        .map(|&p| single.evaluate(&scope, &[p]).expect("evaluate").1.remove(0))
+        .collect();
+    drop(single);
+    assert_eq!(piped(), one_at_a_time, "pipelining must not change a single bit");
+    for n in [1usize, 4, 16, 64, 128] {
+        rows.time(&format!("service/scaling_seq/c{n}"), 3, || (), |()| {
+            fan_out(n, || {
+                let client = daemon.client();
+                let one = |&p| client.evaluate(&scope, &[p]).expect("evaluate").1.len();
+                points.iter().map(one).sum()
             })
         });
-        g.bench_function(format!("service/scaling_pipe/c{n}"), |b| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let remote = RemoteEvaluator::new(
-                                    Client::connect(&addr).expect("connect"),
-                                    scope.clone(),
-                                );
-                                let got =
-                                    remote.evaluate_batch(&points).expect("pipelined sweep");
-                                assert!(remote.take_error().is_none());
-                                got.len()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("client")).sum::<usize>()
-                })
-            })
+        rows.time(&format!("service/scaling_pipe/c{n}"), 3, || (), |()| {
+            fan_out(n, || piped().len())
         });
     }
-    Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-    server_handle.join().expect("server thread");
+    daemon.stop();
 
     // The fleet-scaling curve: the same warm sweep through the
-    // evaluation engine over s daemons. Every daemon is bound over a
-    // clone of ONE pre-warmed store (clones share tiers), so each
-    // iteration measures pure serving — scheduling, stealing, and s
-    // pipelined connections — not simulation. A fresh evaluator per
-    // iteration keeps the client-side memo from absorbing the sweep.
-    // `s1` is `service/scaling_pipe/c1` with 32-point frames; what `s2`
-    // and `s4` add needs real cores to show up. The rows land in
-    // BENCH_eval.json as `fleet/scaling_s{1,2,4}`. 32-point chunks give
-    // the 640-point sweep 20 steal granules.
-    const FLEET_CHUNK: usize = 32;
+    // evaluation engine over s daemons, each bound over a clone of ONE
+    // pre-warmed store (clones share tiers), so an iteration measures
+    // serving — scheduling, stealing, s pipelined connections — not
+    // simulation. A fresh evaluator per iteration (setup, untimed) keeps
+    // the client-side memo from absorbing the sweep. `s1` is
+    // `scaling_pipe/c1` with 32-point frames, 20 steal granules.
     let fleet_store = ArtifactStore::new();
-    let warm_times: Vec<f64> = {
+    let warm_bits: Vec<u64> = {
         let evaluator = fleet_store.evaluator("atax", &builder, gpu, &sizes);
         evaluator.evaluate_space(&space);
-        points.iter().map(|&p| evaluator.evaluate(p).time_ms).collect()
+        points.iter().map(|&p| evaluator.evaluate(p).time_ms.to_bits()).collect()
     };
-    for &s in &[1usize, 2, 4] {
-        let daemons: Vec<_> = (0..s)
-            .map(|_| {
-                let server =
-                    Server::bind("127.0.0.1:0", fleet_store.clone()).expect("bind loopback");
-                let addr = server.local_addr().expect("local addr").to_string();
-                let handle = std::thread::spawn(move || server.run().expect("serve"));
-                (addr, handle)
-            })
+    for s in [1usize, 2, 4] {
+        let daemons: Vec<Daemon> = (0..s)
+            .map(|_| Daemon::start(fleet_store.clone(), ServeConfig::default()))
             .collect();
-        let spec = FleetSpec::from_addrs(daemons.iter().map(|(a, _)| a.clone()).collect())
+        let spec = FleetSpec::from_addrs(daemons.iter().map(|d| d.addr.clone()).collect())
             .expect("fleet spec");
-        {
-            // Untimed bit-identity gate: the fleet sweep must agree
-            // with the local evaluator byte-for-byte before it is
-            // worth timing.
-            let fleet = RemoteEvaluator::with_policy(
-                spec.clone(),
-                scope.clone(),
-                RetryPolicy::default(),
-                FLEET_CHUNK,
-            );
+        let fleet = || {
+            RemoteEvaluator::with_policy(spec.clone(), scope.clone(), RetryPolicy::default(), 32)
+        };
+        let fleet_sweep = |fleet: RemoteEvaluator| {
             let got = fleet.eval_many(&points);
-            assert!(fleet.take_error().is_none(), "fleet gate failed");
-            assert_eq!(got.len(), warm_times.len());
-            for (g_t, l_t) in got.iter().zip(&warm_times) {
-                assert_eq!(g_t.to_bits(), l_t.to_bits(), "fleet sweep must match local bits");
-            }
-        }
-        g.bench_function(format!("fleet/scaling_s{s}"), |b| {
-            b.iter_batched(
-                || {
-                    RemoteEvaluator::with_policy(
-                        spec.clone(),
-                        scope.clone(),
-                        RetryPolicy::default(),
-                        FLEET_CHUNK,
-                    )
-                },
-                |fleet| {
-                    let served = fleet.eval_many(&points).len();
-                    assert!(fleet.take_error().is_none(), "fleet sweep failed mid-bench");
-                    served
-                },
-                BatchSize::PerIteration,
-            )
-        });
-        for (addr, handle) in daemons {
-            Client::connect(&addr).expect("connect").shutdown().expect("shutdown");
-            handle.join().expect("server thread");
-        }
+            assert!(fleet.take_error().is_none(), "fleet sweep failed");
+            got
+        };
+        // Untimed bit-identity gate: the fleet sweep must agree with the
+        // local evaluator bit for bit before it is worth timing.
+        let got: Vec<u64> = fleet_sweep(fleet()).iter().map(|t| t.to_bits()).collect();
+        assert_eq!(got, warm_bits, "fleet sweep must match local bits");
+        rows.time(&format!("fleet/scaling_s{s}"), 3, fleet, |f| fleet_sweep(f).len());
+        daemons.into_iter().for_each(Daemon::stop);
     }
 
-    g.finish();
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)) {
+        let (format, results) = ("\"format\": \"oriole-bench-v1\"", rows.0.join(",\n"));
+        let json = format!("{{\n  {format},\n  \"results\": [\n{results}\n  ]\n}}\n");
+        match std::fs::write(path, json) {
+            Ok(()) => println!("bench: wrote {} result(s) to {path}", rows.0.len()),
+            Err(e) => eprintln!("cannot write --json {path}: {e}"),
+        }
+    }
 }
-
-criterion_group!(benches, bench_eval_throughput);
-criterion_main!(benches);

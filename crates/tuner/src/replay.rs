@@ -126,7 +126,9 @@ pub fn replay(log: &TuningLog, oracle: &dyn Oracle, tolerance: f64) -> ReplayRep
         for j in (i + 1)..with_pred.len() {
             let dp = with_pred[i].0 - with_pred[j].0;
             let dm = with_pred[i].1 - with_pred[j].1;
-            if dp == 0.0 || dm == 0.0 {
+            // A tie orders nothing, and neither do two infeasible
+            // variants (`∞ − ∞` is NaN).
+            if dp == 0.0 || dm == 0.0 || dm.is_nan() {
                 continue;
             }
             total += 1;
@@ -223,6 +225,23 @@ mod tests {
         let report = replay(&log, &TcOracle, 0.05);
         assert!(report.pruned_winner.is_none());
         assert_eq!(report.prediction_agreement, 1.0);
+    }
+
+    #[test]
+    fn two_infeasible_variants_are_not_a_pair() {
+        struct TwoInfeasible;
+        impl Oracle for TwoInfeasible {
+            fn eval(&self, p: TuningParams) -> f64 {
+                if p.tc == 512 { 5.0 } else { f64::INFINITY }
+            }
+        }
+        let mut log = TuningLog::new();
+        for (tc, predicted) in [(128, 1.0), (256, 2.0), (512, 3.0)] {
+            log.record(p(tc), Decision::StaticSuggested, Some(predicted), None);
+        }
+        // Of the two pairs that order anything, the prediction gets both
+        // wrong; the ∞ / ∞ pair is skipped, not counted as agreeing.
+        assert_eq!(replay(&log, &TwoInfeasible, 0.05).prediction_agreement, 0.0);
     }
 
     #[test]

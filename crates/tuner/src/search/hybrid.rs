@@ -63,6 +63,10 @@ impl<P: Fn(TuningParams) -> Option<f64>> Searcher for HybridSearch<P> {
         for (p, pred) in tail {
             self.log.record(*p, Decision::StaticPruned, Some(*pred), None);
         }
+        if head.is_empty() {
+            // An empty space, or every point pruned: nothing to measure.
+            return SearchResult::empty();
+        }
         let points: Vec<TuningParams> = head.iter().map(|(p, _)| *p).collect();
         let values = oracle.eval_many(&points);
         let mut trace = Vec::with_capacity(points.len());

@@ -198,6 +198,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::CountingOracle;
     use super::*;
+    use crate::replay::Decision;
 
     #[test]
     fn every_searcher_answers_an_empty_space_with_the_empty_result() {
@@ -209,12 +210,13 @@ mod tests {
         ];
         let oracle = CountingOracle::new();
         for space in &spaces {
-            let searchers: [Box<dyn Searcher>; 5] = [
+            let searchers: [Box<dyn Searcher>; 6] = [
                 Box::new(ExhaustiveSearch),
                 Box::new(RandomSearch::default()),
                 Box::new(AnnealingSearch::default()),
                 Box::new(GeneticSearch::default()),
                 Box::new(NelderMeadSearch::default()),
+                Box::new(HybridSearch::new(|_| Some(1.0), 1.0)),
             ];
             for mut searcher in searchers {
                 for budget in [0, 1, 60] {
@@ -223,6 +225,14 @@ mod tests {
                 }
             }
         }
+        // A predictor that prunes every point leaves hybrid an empty
+        // empirical slice: the same empty result, and no best logged.
+        let mut pruned = HybridSearch::new(|_| None, 1.0);
+        for budget in [0, 1, 60] {
+            let r = pruned.search(&SearchSpace::tiny(), &oracle, budget);
+            assert_eq!(r, SearchResult::empty(), "pruned hybrid at budget {budget}");
+        }
+        assert!(pruned.log.entries().iter().all(|e| e.decision == Decision::StaticPruned));
         assert_eq!(oracle.calls(), 0, "nothing to evaluate");
     }
 }
